@@ -33,7 +33,7 @@ type Baseline struct {
 	// checkpoint pause (ms) at the largest state size.
 	IncrPauseMeanMsLargest float64 `json:"incr_pause_mean_ms_largest"`
 	// ScaleTPSLargest is the overhauled data plane's best tuples/sec at
-	// the largest swept region size (tuned rows, best channel count).
+	// the largest swept region size (best channel count).
 	// Saturated runs are airtime-bound, so the number is stable across
 	// machines.
 	ScaleTPSLargest float64 `json:"scale_tps_largest"`
@@ -64,15 +64,15 @@ type Baseline struct {
 	// count — the sub-linear fan-out claim's number. Fully deterministic
 	// (seeded simulation), so the grace term is small.
 	FederationCtrlBytesPerPhoneLargest float64 `json:"federation_ctrl_bytes_per_phone_largest"`
-	// PlacementLossVsGreedy is the planner arm's tuple loss divided by the
-	// greedy arm's (floored at one tuple) in the placement experiment: the
-	// planner-beats-greedy headline as a ratio, so the gate tracks the
+	// PlacementLossVsReactive is the planner arm's tuple loss divided by the
+	// reactive arm's (floored at one tuple) in the placement experiment: the
+	// planner-beats-reactive headline as a ratio, so the gate tracks the
 	// relative claim rather than an absolute count that moves with the
 	// churn schedule. The gate additionally requires the planner arm to
-	// keep its cross-channel airtime share below the greedy arm's — that
+	// keep its cross-channel airtime share below the reactive arm's — that
 	// claim is structural (repacking removes cross-cell hops), so it gets
 	// no regression factor at all.
-	PlacementLossVsGreedy float64 `json:"placement_loss_vs_greedy"`
+	PlacementLossVsReactive float64 `json:"placement_loss_vs_reactive"`
 }
 
 // regressionFactor is the gate's threshold: a metric more than 20% worse
@@ -111,11 +111,11 @@ const (
 	// grace only needs to cover intentional small retunes, not noise.
 	fedGraceBytesPerPhone = 20.0
 	// placementGraceRatio absorbs churn-schedule sensitivity in the
-	// loss-vs-greedy ratio: both arms run the same seed, but a migration
+	// loss-vs-reactive ratio: both arms run the same seed, but a migration
 	// landing one tick earlier can shift a single lost tuple between arms,
 	// which moves the ratio a lot when the absolute counts are small. At
 	// the committed baseline (both arms lose zero; ratio 0.0) the grace is
-	// what tolerates one stray planner-arm tuple against a clean greedy
+	// what tolerates one stray planner-arm tuple against a clean reactive
 	// run, so it must stay above 1.0.
 	placementGraceRatio = 1.5
 )
@@ -181,17 +181,17 @@ func runCompare(baselinePath, churnPath, ckptPath, scalePath, emitPath, wirePath
 		}
 	}
 
-	// Largest swept region size, best tuned throughput across channel
+	// Largest swept region size, best throughput across channel
 	// counts: a >20% drop there means the data-plane overhaul regressed.
 	largestPhones := 0
 	for _, row := range scale.Rows {
-		if row.Mode == "tuned" && row.Phones > largestPhones {
+		if row.Phones > largestPhones {
 			largestPhones = row.Phones
 		}
 	}
 	var scaleTPS float64
 	for _, row := range scale.Rows {
-		if row.Mode == "tuned" && row.Phones == largestPhones && row.TPS > scaleTPS {
+		if row.Phones == largestPhones && row.TPS > scaleTPS {
 			scaleTPS = row.TPS
 		}
 	}
@@ -270,32 +270,32 @@ func runCompare(baselinePath, churnPath, ckptPath, scalePath, emitPath, wirePath
 	fmt.Fprintf(w, "gate: federation ctrl bytes/phone at %d regions %.1f (baseline %.1f, limit %.1f)\n",
 		fedLargest, fedBytesPerPhone, base.FederationCtrlBytesPerPhoneLargest, fedLimit)
 
-	// Placement: the planner's tuple loss relative to the greedy baseline
+	// Placement: the planner's tuple loss relative to the reactive baseline
 	// arm, plus the structural cross-channel claim and the run's
 	// exactly-once invariant (duplicates gated at zero, no grace).
-	var greedyRow, plannerRow *bench.PlacementOutcome
+	var reactiveRow, plannerRow *bench.PlacementOutcome
 	for i := range placeRep.Rows {
 		switch placeRep.Rows[i].Mode {
-		case "greedy":
-			greedyRow = &placeRep.Rows[i]
+		case "reactive":
+			reactiveRow = &placeRep.Rows[i]
 		case "planner":
 			plannerRow = &placeRep.Rows[i]
 		}
 	}
-	placeRatio, placeSeen := -1.0, greedyRow != nil && plannerRow != nil
+	placeRatio, placeSeen := -1.0, reactiveRow != nil && plannerRow != nil
 	if placeSeen {
-		greedyLost := greedyRow.Lost
-		if greedyLost < 1 {
-			greedyLost = 1
+		reactiveLost := reactiveRow.Lost
+		if reactiveLost < 1 {
+			reactiveLost = 1
 		}
-		placeRatio = float64(plannerRow.Lost) / float64(greedyLost)
+		placeRatio = float64(plannerRow.Lost) / float64(reactiveLost)
 	}
-	placeLimit := base.PlacementLossVsGreedy*regressionFactor + placementGraceRatio
-	fmt.Fprintf(w, "gate: placement loss vs greedy %.2f (baseline %.2f, limit %.2f)\n",
-		placeRatio, base.PlacementLossVsGreedy, placeLimit)
+	placeLimit := base.PlacementLossVsReactive*regressionFactor + placementGraceRatio
+	fmt.Fprintf(w, "gate: placement loss vs reactive %.2f (baseline %.2f, limit %.2f)\n",
+		placeRatio, base.PlacementLossVsReactive, placeLimit)
 	if placeSeen {
-		fmt.Fprintf(w, "gate: placement cross-channel share planner %.3f vs greedy %.3f\n",
-			plannerRow.CrossChannelShare, greedyRow.CrossChannelShare)
+		fmt.Fprintf(w, "gate: placement cross-channel share planner %.3f vs reactive %.3f\n",
+			plannerRow.CrossChannelShare, reactiveRow.CrossChannelShare)
 	}
 
 	var failures []string
@@ -322,7 +322,7 @@ func runCompare(baselinePath, churnPath, ckptPath, scalePath, emitPath, wirePath
 		failures = append(failures, fmt.Sprintf("scale throughput regressed: %.1f < %.1f tuples/s", scaleTPS, scaleLimit))
 	}
 	if scaleTPS <= 0 {
-		failures = append(failures, "scale results carry no tuned throughput sample")
+		failures = append(failures, "scale results carry no throughput sample")
 	}
 	if obsRep.Iters <= 0 {
 		failures = append(failures, "obs results carry no overhead sample")
@@ -351,14 +351,14 @@ func runCompare(baselinePath, churnPath, ckptPath, scalePath, emitPath, wirePath
 		failures = append(failures, fmt.Sprintf("federation run published %d duplicate cross-region outputs", fedDups))
 	}
 	if !placeSeen {
-		failures = append(failures, "placement results carry no greedy+planner row pair")
+		failures = append(failures, "placement results carry no reactive+planner row pair")
 	} else {
 		if placeRatio > placeLimit {
-			failures = append(failures, fmt.Sprintf("placement loss vs greedy regressed: %.2f > %.2f", placeRatio, placeLimit))
+			failures = append(failures, fmt.Sprintf("placement loss vs reactive regressed: %.2f > %.2f", placeRatio, placeLimit))
 		}
-		if plannerRow.CrossChannelShare >= greedyRow.CrossChannelShare {
-			failures = append(failures, fmt.Sprintf("placement planner no longer beats greedy on cross-channel share: %.3f >= %.3f",
-				plannerRow.CrossChannelShare, greedyRow.CrossChannelShare))
+		if plannerRow.CrossChannelShare >= reactiveRow.CrossChannelShare {
+			failures = append(failures, fmt.Sprintf("placement planner no longer beats reactive on cross-channel share: %.3f >= %.3f",
+				plannerRow.CrossChannelShare, reactiveRow.CrossChannelShare))
 		}
 		if plannerRow.Duplicates != 0 {
 			failures = append(failures, fmt.Sprintf("placement planner run published %d duplicate outputs", plannerRow.Duplicates))

@@ -33,7 +33,7 @@ func gateFixtures(t *testing.T, dir string) (baseline, churn, ckpt, scale, emit,
 		"trace_allocs_per_op": 0.0,
 		"elastic_p99_hotspot_ms": 650.0,
 		"federation_ctrl_bytes_per_phone_largest": 560.0,
-		"placement_loss_vs_greedy": 0.5
+		"placement_loss_vs_reactive": 0.5
 	}`)
 	churn = writeFile(t, dir, "churn.json", `{"rows": [
 		{"mode": "scheduler", "tuples_lost": 0},
@@ -44,8 +44,7 @@ func gateFixtures(t *testing.T, dir string) (baseline, churn, ckpt, scale, emit,
 		{"mode": "full", "state_bytes": 1048576, "pause_mean_ms": 40.0}
 	]}`)
 	scale = writeFile(t, dir, "scale.json", `{"rows": [
-		{"mode": "tuned", "phones": 64, "tuples_per_sec": 310.0},
-		{"mode": "legacy", "phones": 64, "tuples_per_sec": 200.0}
+		{"phones": 64, "tuples_per_sec": 310.0}
 	]}`)
 	emit = writeFile(t, dir, "emit.json", `{"rows": [
 		{"mode": "context", "allocs_per_op": 0.0, "ns_per_op": 100},
@@ -76,7 +75,7 @@ func gateFixtures(t *testing.T, dir string) (baseline, churn, ckpt, scale, emit,
 		{"mode": "unicast", "regions": 64, "ctrl_bytes_per_phone": 756.0, "xregion_dup_outputs": 0}
 	]}`)
 	place = writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "greedy", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
+		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
 		{"mode": "planner", "tuples_lost": 2, "cross_channel_share": 0.12, "duplicates": 0}
 	]}`)
 	return
@@ -313,14 +312,14 @@ func TestCompareFailsOnMissingFederationRows(t *testing.T) {
 }
 
 // TestCompareFailsOnPlacementLossRegression is the placement gate's verified
-// fail path: the planner arm losing far more tuples than the greedy baseline
+// fail path: the planner arm losing far more tuples than the reactive baseline
 // (ratio past baseline×1.2 plus grace) means pack-to-empty planning stopped
 // paying for itself under churn.
 func TestCompareFailsOnPlacementLossRegression(t *testing.T) {
 	dir := t.TempDir()
 	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
 	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "greedy", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
+		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
 		{"mode": "planner", "tuples_lost": 40, "cross_channel_share": 0.12, "duplicates": 0}
 	]}`)
 	var out bytes.Buffer
@@ -328,28 +327,28 @@ func TestCompareFailsOnPlacementLossRegression(t *testing.T) {
 	if err == nil {
 		t.Fatalf("a 5x loss ratio passed the gate against a 0.5 baseline:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "placement loss vs greedy regressed") {
+	if !strings.Contains(out.String(), "placement loss vs reactive regressed") {
 		t.Fatalf("failure not attributed to the placement loss gate:\n%s", out.String())
 	}
 }
 
 // TestCompareFailsOnPlacementCrossChannelClaim: the planner's structural
-// claim — less cross-channel airtime than greedy — is gated with no grace.
+// claim — less cross-channel airtime than reactive — is gated with no grace.
 // The moment repacking stops consolidating pipelines onto single channels,
-// the share meets or exceeds greedy's and the build fails.
+// the share meets or exceeds reactive's and the build fails.
 func TestCompareFailsOnPlacementCrossChannelClaim(t *testing.T) {
 	dir := t.TempDir()
 	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
 	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "greedy", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
+		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
 		{"mode": "planner", "tuples_lost": 2, "cross_channel_share": 0.55, "duplicates": 0}
 	]}`)
 	var out bytes.Buffer
 	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
 	if err == nil {
-		t.Fatalf("planner matching greedy's cross-channel share passed the gate:\n%s", out.String())
+		t.Fatalf("planner matching reactive's cross-channel share passed the gate:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "no longer beats greedy on cross-channel share") {
+	if !strings.Contains(out.String(), "no longer beats reactive on cross-channel share") {
 		t.Fatalf("failure not attributed to the cross-channel gate:\n%s", out.String())
 	}
 }
@@ -361,7 +360,7 @@ func TestCompareFailsOnPlacementDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
 	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "greedy", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
+		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
 		{"mode": "planner", "tuples_lost": 2, "cross_channel_share": 0.12, "duplicates": 1}
 	]}`)
 	var out bytes.Buffer
@@ -374,13 +373,13 @@ func TestCompareFailsOnPlacementDuplicates(t *testing.T) {
 	}
 }
 
-// TestCompareFailsOnMissingPlacementRows: results without both a greedy and
+// TestCompareFailsOnMissingPlacementRows: results without both a reactive and
 // a planner row must not silently pass.
 func TestCompareFailsOnMissingPlacementRows(t *testing.T) {
 	dir := t.TempDir()
 	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
 	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "greedy", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0}
+		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0}
 	]}`)
 	var out bytes.Buffer
 	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err == nil {

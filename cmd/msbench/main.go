@@ -11,14 +11,14 @@
 //	msbench -exp fig10          # preservation / checkpoint data
 //	msbench -exp table1         # MobiStreams vs server-based DSPS
 //	msbench -exp fig6           # broadcast walk-through
-//	msbench -exp churn          # reactive recovery vs placement scheduler
+//	msbench -exp churn          # reactive recovery vs placement planner, one channel
 //	msbench -exp checkpoint     # full-blob vs incremental-async pipeline
 //	msbench -exp scale          # region size × WiFi channels throughput sweep
 //	msbench -exp emit           # emit-context contract vs legacy []Out adapter
 //	msbench -exp wire           # wire codec encode/decode cost
 //	msbench -exp elastic        # static vs elastic keyed parallelism, moving hotspot
 //	msbench -exp federation     # control fan-out vs region count, gossip vs unicast
-//	msbench -exp placement      # greedy scorer vs topology-aware placement planner
+//	msbench -exp placement      # reactive recovery vs placement planner, four channels
 //
 // -churnout / -ckptout / -scaleout / -emitout / -wireout / -elasticout /
 // -fedout / -placeout write the churn, checkpoint, scale, emit, wire,
@@ -33,12 +33,12 @@
 // emit/wire/elastic/federation/placement JSON and exits non-zero when tuple
 // loss, checkpoint pause, largest-region throughput, the elastic run's
 // hotspot p99, the federation sweep's busiest-node control bytes per phone,
-// or the placement planner's tuple loss relative to the greedy baseline
+// or the placement planner's tuple loss relative to the reactive arm
 // regressed more than 20% against the baseline, when the emit-context
 // path or the wire encode path allocates per operation (both pinned at 0),
 // when the federation sweep leaks a duplicate cross-region output
-// (pinned at 0), or when the placement planner stops beating the greedy
-// scorer on cross-channel airtime share.
+// (pinned at 0), or when the placement planner stops beating the reactive
+// arm on cross-channel airtime share.
 //
 // -cpuprofile / -memprofile write pprof profiles so hot-path regressions
 // caught by the gate are diagnosable straight from CI artifacts.
@@ -73,7 +73,7 @@ func main() {
 	fedOut := flag.String("fedout", "", "write federation fan-out sweep JSON to this path")
 	placeOut := flag.String("placeout", "", "write placement planner comparison JSON to this path")
 	scaleMax := flag.Int("scalemax", 64, "largest region size for the scale sweep (8..128)")
-	scaleChannels := flag.String("scalechannels", "1,4", "comma-separated WiFi channel counts for tuned scale rows")
+	scaleChannels := flag.String("scalechannels", "1,4", "comma-separated WiFi channel counts for the scale sweep")
 	seed := flag.Int64("seed", 1, "workload and loss seed")
 	speedup := flag.Float64("speedup", 200, "simulated-to-wall clock ratio")
 	apps := flag.String("apps", "bcp,sg", "comma-separated apps: bcp,sg")

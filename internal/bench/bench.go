@@ -16,7 +16,6 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
-	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
@@ -81,9 +80,6 @@ type Scenario struct {
 	// PreserveBroadcast replicates source logs region-wide under MS
 	// (default true).
 	NoPreserveBroadcast bool
-	// Batch bounds edge-level tuple batching (zero value: enabled with
-	// defaults; set Batch.Disable to measure the unbatched path).
-	Batch node.BatchConfig
 }
 
 func (s *Scenario) applyDefaults() {
@@ -191,7 +187,6 @@ func Run(s Scenario) (Outcome, error) {
 		ControllerID:      ctrl.ID(),
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: s.Scheme.Kind == ft.MS && !s.NoPreserveBroadcast,
-		Batch:             s.Batch,
 	})
 	if err != nil {
 		return Outcome{}, err

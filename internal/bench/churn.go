@@ -16,6 +16,7 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
@@ -26,8 +27,8 @@ import (
 // ChurnScenario configures one churn experiment run: a four-slot identity
 // pipeline (every ingested tuple yields exactly one sink output, so tuple
 // loss is measured exactly) under Poisson phone join/leave churn, run with
-// the paper's reactive recovery alone or with the adaptive placement
-// scheduler layered on top.
+// the paper's reactive recovery alone or with the placement planner's
+// proactive migrations layered on top.
 type ChurnScenario struct {
 	Scheme      ft.Scheme
 	SchedulerOn bool
@@ -62,10 +63,7 @@ type ChurnScenario struct {
 	CliffFraction float64
 	WiFiBps       float64
 	WiFiLoss      float64
-	// NoRouteCache disables the nodes' epoch-stamped route cache (the
-	// pre-cache data plane, for equivalence regression tests).
-	NoRouteCache bool
-	Seed         int64
+	Seed          int64
 }
 
 func (s *ChurnScenario) applyDefaults() {
@@ -231,15 +229,7 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 		DebounceWindow:   2 * time.Second,
 	}
 	if s.SchedulerOn {
-		ctrlCfg.Sched = scheduler.New(scheduler.Config{
-			Scorer: &scheduler.HeuristicScorer{
-				BatteryHorizon: 60 * time.Second,
-				LowFraction:    0.15,
-				DepartHorizon:  45 * time.Second,
-			},
-			Cooldown:   20 * time.Second,
-			MaxPerTick: 2,
-		})
+		ctrlCfg.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
 		ctrlCfg.ScheduleTick = 5 * time.Second
 	}
 	ctrl := controller.New(ctrlCfg)
@@ -259,7 +249,6 @@ func RunChurn(s ChurnScenario) (ChurnOutcome, error) {
 		PhoneCfg:          phone.Config{BatteryJoules: s.BatteryJoules},
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: s.Scheme.Kind == ft.MS,
-		NoRouteCache:      s.NoRouteCache,
 		RadiusM:           s.RadiusM,
 		OnSinkOutput: func(_ simnet.NodeID, _ *tuple.Tuple) {
 			gaps.tick(clk.Now(), time.Duration(measureEnd.Load()))

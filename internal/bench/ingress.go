@@ -26,8 +26,8 @@ type IngressConfig struct {
 	// TupleBytes is the payload size (default 512 B — small telemetry
 	// tuples, the worst case for per-message overhead).
 	TupleBytes int
-	// Batch configures edge batching (set Disable for the baseline).
-	Batch node.BatchConfig
+	// QoS configures edge batching (set DisableBatching for the baseline).
+	QoS node.QoS
 	// Speedup is the clock scale (default 200). Low enough that modelled
 	// airtime dominates scheduler noise in the simulated-time results.
 	Speedup float64
@@ -72,8 +72,8 @@ func (c *IngressConfig) applyDefaults() {
 	// airtime must stay inside the scaled clock's spin window, or OS
 	// timer overshoot (hundreds of µs of wall time per sleep) leaks into
 	// the simulated-time results and swamps the medium model.
-	if !c.Batch.Disable && c.Batch.MaxMsgs == 0 {
-		c.Batch.MaxMsgs = 12
+	if !c.QoS.DisableBatching && c.QoS.MaxBatchMsgs == 0 {
+		c.QoS.MaxBatchMsgs = 12
 	}
 }
 
@@ -111,7 +111,7 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 		WiFi:     cfg.WiFi,
 		// The flood outlives a stock battery; energy is not under test.
 		PhoneCfg: phone.Config{BatteryJoules: 1e12},
-		Batch:    cfg.Batch,
+		QoS:      cfg.QoS,
 	}
 	if cfg.OnOutput != nil {
 		out := cfg.OnOutput

@@ -30,7 +30,7 @@ func TestIngressBatchingThroughput(t *testing.T) {
 	const attempts = 3
 	var lastErr string
 	for i := 0; i < attempts; i++ {
-		base, err := RunIngress(IngressConfig{Tuples: n, Batch: node.BatchConfig{Disable: true}})
+		base, err := RunIngress(IngressConfig{Tuples: n, QoS: node.QoS{DisableBatching: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,9 +67,9 @@ func TestIngressBatchingThroughput(t *testing.T) {
 	t.Fatal(lastErr)
 }
 
-func benchIngress(b *testing.B, batch node.BatchConfig) {
+func benchIngress(b *testing.B, qos node.QoS) {
 	b.Helper()
-	res, err := RunIngress(IngressConfig{Tuples: b.N, Batch: batch})
+	res, err := RunIngress(IngressConfig{Tuples: b.N, QoS: qos})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func benchIngress(b *testing.B, batch node.BatchConfig) {
 // BenchmarkIngressUnbatched measures the per-message delivery path: every
 // emission is its own network send.
 func BenchmarkIngressUnbatched(b *testing.B) {
-	benchIngress(b, node.BatchConfig{Disable: true})
+	benchIngress(b, node.QoS{DisableBatching: true})
 }
 
 // BenchmarkIngressBatched measures the coalesced delivery path (default
 // batching bounds).
 func BenchmarkIngressBatched(b *testing.B) {
-	benchIngress(b, node.BatchConfig{})
+	benchIngress(b, node.QoS{})
 }

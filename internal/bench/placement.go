@@ -26,14 +26,15 @@ import (
 
 // PlacementScenario configures one placement-planner experiment run: several
 // independent identity pipelines spread over a multi-channel WiFi region
-// under Poisson churn, scheduled either by the greedy per-phone scorer or by
-// the topology-aware placement planner. Round-robin channel assignment
-// scatters every pipeline across channels at start, so every hop initially
-// burns two cells of airtime — the structural waste the planner's
-// pack-to-empty pass exists to remove, and the greedy baseline never sees.
+// under Poisson churn, run either with the paper's reactive recovery alone
+// or with the topology-aware placement planner. Round-robin channel
+// assignment scatters every pipeline across channels at start, so every hop
+// initially burns two cells of airtime — the structural waste the planner's
+// pack-to-empty pass exists to remove, and reactive recovery never sees.
 type PlacementScenario struct {
-	// Planner selects the topology-aware planner; false runs the greedy
-	// scorer alone (the baseline arm).
+	// Planner runs the placement planner; false is the reactive arm (no
+	// proactive migration at all — the same contrast the churn experiment
+	// draws).
 	Planner bool
 	// Phones is the region population (default 128).
 	Phones int
@@ -137,7 +138,7 @@ func (s *PlacementScenario) applyDefaults() {
 // PlacementOutcome is one placement run's result, JSON-tagged for the CI
 // artifact.
 type PlacementOutcome struct {
-	Mode              string    `json:"mode"` // "greedy" or "planner"
+	Mode              string    `json:"mode"` // "reactive" or "planner"
 	Ingested          int64     `json:"ingested"`
 	Delivered         int64     `json:"delivered"`
 	Lost              int64     `json:"tuples_lost"`
@@ -206,7 +207,6 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 		Latency:           80 * time.Millisecond,
 		SharedBps:         2e6,
 	})
-	ledger := scheduler.NewCooldowns()
 	ctrlCfg := controller.Config{
 		Clock:            clk,
 		Cell:             cell,
@@ -215,24 +215,9 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 		PingTimeout:      10 * time.Second,
 		DebounceWindow:   2 * time.Second,
 		ScheduleTick:     5 * time.Second,
-		Sched: scheduler.New(scheduler.Config{
-			Scorer: &scheduler.HeuristicScorer{
-				BatteryHorizon: 60 * time.Second,
-				LowFraction:    0.15,
-				DepartHorizon:  45 * time.Second,
-			},
-			Cooldown:   20 * time.Second,
-			MaxPerTick: 2,
-			Cooldowns:  ledger,
-		}),
 	}
 	if s.Planner {
-		ctrlCfg.Planner = scheduler.NewPlanner(placement.New(placement.Config{
-			SparesPerDomain: 1,
-			HazardHorizon:   75 * time.Second,
-			MaxMigrations:   4,
-		}), ledger)
-		ctrlCfg.Planner.Cooldown = 20 * time.Second
+		ctrlCfg.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
 	}
 	ctrl := controller.New(ctrlCfg)
 
@@ -346,7 +331,7 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 	gen.Stop()
 	clk.Sleep(s.Drain)
 
-	mode := "greedy"
+	mode := "reactive"
 	if s.Planner {
 		mode = "planner"
 	}
@@ -380,7 +365,7 @@ func RunPlacement(s PlacementScenario) (PlacementOutcome, error) {
 	return out, nil
 }
 
-// PlacementComparison runs the greedy baseline and the planner under an
+// PlacementComparison runs the reactive arm and the planner under an
 // identical churn schedule (same seed).
 func PlacementComparison(base PlacementScenario) ([]PlacementOutcome, error) {
 	var rows []PlacementOutcome
@@ -413,7 +398,7 @@ func WritePlacementJSON(w io.Writer, base PlacementScenario, rows []PlacementOut
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(PlacementReport{
-		Experiment: "placement: greedy scorer vs topology-aware planner",
+		Experiment: "placement: reactive recovery vs topology-aware planner",
 		Seed:       base.Seed,
 		Phones:     base.Phones,
 		Channels:   base.Channels,
@@ -424,7 +409,7 @@ func WritePlacementJSON(w io.Writer, base PlacementScenario, rows []PlacementOut
 
 // WritePlacementTable renders the comparison for humans.
 func WritePlacementTable(w io.Writer, rows []PlacementOutcome) {
-	fmt.Fprintln(w, "Placement — greedy scorer vs topology-aware planner")
+	fmt.Fprintln(w, "Placement — reactive recovery vs topology-aware planner")
 	fmt.Fprintf(w, "%-8s %9s %10s %5s %9s %11s %11s %7s %7s %10s\n",
 		"mode", "ingested", "delivered", "lost", "downtime", "migrations", "recoveries", "commit", "abort", "cross")
 	for _, o := range rows {

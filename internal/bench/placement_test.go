@@ -9,16 +9,16 @@ import (
 	"time"
 )
 
-// TestPlacementPlannerBeatsGreedyCrossChannel is the planner acceptance
+// TestPlacementPlannerBeatsReactiveCrossChannel is the planner acceptance
 // check at test scale: round-robin channel assignment scatters every
-// pipeline chain across WiFi channels at start, so the greedy arm — which
-// only reacts to per-phone hazards — leaves each hop burning airtime in two
+// pipeline chain across WiFi channels at start, so the reactive arm — which
+// only ever replaces a lost phone — leaves each hop burning airtime in two
 // cells for the whole run, while the planner's pack-to-empty pass
 // consolidates each chain into a single channel domain and the measured
-// cross-channel share drops well below greedy's. Plan execution rides the
-// same exactly-once migration path as the scheduler, so the planner arm
-// must not publish a single duplicate.
-func TestPlacementPlannerBeatsGreedyCrossChannel(t *testing.T) {
+// cross-channel share drops well below the reactive arm's. Plan execution
+// rides the exactly-once migration path, so the planner arm must not
+// publish a single duplicate.
+func TestPlacementPlannerBeatsReactiveCrossChannel(t *testing.T) {
 	small := PlacementScenario{
 		Phones:           48,
 		Pipelines:        2,
@@ -48,21 +48,21 @@ func TestPlacementPlannerBeatsGreedyCrossChannel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		greedy, planner := rows[0], rows[1]
-		t.Logf("attempt %d greedy:  %+v", i+1, greedy)
-		t.Logf("attempt %d planner: %+v", i+1, planner)
+		reactive, planner := rows[0], rows[1]
+		t.Logf("attempt %d reactive: %+v", i+1, reactive)
+		t.Logf("attempt %d planner:  %+v", i+1, planner)
 
 		// Exactly-once across plan-step migrations is not load-dependent:
 		// any duplicate is a protocol bug, never jitter.
 		if planner.Duplicates != 0 {
 			t.Fatalf("planner run published %d duplicate outputs", planner.Duplicates)
 		}
-		if greedy.Delivered == 0 || planner.Delivered == 0 {
+		if reactive.Delivered == 0 || planner.Delivered == 0 {
 			t.Fatal("a run delivered nothing")
 		}
-		if greedy.PlanCommits != 0 || greedy.PlanAborts != 0 {
-			t.Fatalf("greedy arm ran the planner: commits=%d aborts=%d",
-				greedy.PlanCommits, greedy.PlanAborts)
+		if reactive.PlanCommits != 0 || reactive.PlanAborts != 0 {
+			t.Fatalf("reactive arm ran the planner: commits=%d aborts=%d",
+				reactive.PlanCommits, reactive.PlanAborts)
 		}
 		if raceEnabled {
 			// Race instrumentation inflates every wall step ~10x, which
@@ -70,18 +70,18 @@ func TestPlacementPlannerBeatsGreedyCrossChannel(t *testing.T) {
 			// airtime comparison holds only on uninstrumented builds.
 			return
 		}
-		if planner.PlanCommits >= 1 && planner.CrossChannelShare < greedy.CrossChannelShare {
+		if planner.PlanCommits >= 1 && planner.CrossChannelShare < reactive.CrossChannelShare {
 			return
 		}
-		lastErr = fmt.Sprintf("planner commits=%d cross=%.3f vs greedy cross=%.3f (want >=1 commit and a lower share)",
-			planner.PlanCommits, planner.CrossChannelShare, greedy.CrossChannelShare)
+		lastErr = fmt.Sprintf("planner commits=%d cross=%.3f vs reactive cross=%.3f (want >=1 commit and a lower share)",
+			planner.PlanCommits, planner.CrossChannelShare, reactive.CrossChannelShare)
 	}
 	t.Fatal(lastErr)
 }
 
 func TestPlacementJSONRoundTrips(t *testing.T) {
 	rows := []PlacementOutcome{
-		{Mode: "greedy", Ingested: 150, Delivered: 148, Lost: 2, CrossChannelShare: 0.81},
+		{Mode: "reactive", Ingested: 150, Delivered: 148, Lost: 2, CrossChannelShare: 0.81},
 		{Mode: "planner", Ingested: 150, Delivered: 150, PlanCommits: 4, CrossChannelShare: 0.45,
 			ChannelAirtimeSec: []float64{1.8, 1.7, 1.7, 1.6}},
 	}
@@ -93,7 +93,7 @@ func TestPlacementJSONRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("artifact is not valid JSON: %v", err)
 	}
-	if len(rep.Rows) != 2 || rep.Rows[1].PlanCommits != 4 || rep.Rows[0].Mode != "greedy" {
+	if len(rep.Rows) != 2 || rep.Rows[1].PlanCommits != 4 || rep.Rows[0].Mode != "reactive" {
 		t.Fatalf("round-trip mismatch: %+v", rep)
 	}
 	if !strings.Contains(buf.String(), `"cross_channel_share"`) {

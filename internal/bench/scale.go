@@ -13,7 +13,6 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
-	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
 	"mobistreams/internal/region"
@@ -23,18 +22,13 @@ import (
 // ScaleScenario configures one region-scale throughput run: an aggregation
 // tree sized to the phone count (leaf source slots → fan-in-8 aggregator
 // slots → one sink slot), every leaf ingesting telemetry tuples at a fixed
-// period. Legacy mode (Channels 1, NoRouteCache) reproduces the pre-
-// overhaul data plane: one shared medium, a resolver round-trip per send.
+// period.
 type ScaleScenario struct {
 	// Phones is the region population; the graph is sized to use every
 	// phone as a slot host (no idles — the data plane is under test).
 	Phones int
 	// Channels is the WiFi channel count (default 1).
 	Channels int
-	// NoRouteCache disables the epoch-stamped route cache.
-	NoRouteCache bool
-	// DisableBatch sends every emission individually.
-	DisableBatch bool
 	// TupleBytes is the leaf tuple payload size (default 1024).
 	TupleBytes int
 	// SourcePeriod is each leaf's ingest interval (default 125 ms, i.e.
@@ -200,11 +194,10 @@ func scanIndex(s string, out *int) bool {
 
 // ScaleRow is one scale run's result, JSON-tagged for the CI artifact.
 type ScaleRow struct {
-	Phones   int    `json:"phones"`
-	Leaves   int    `json:"leaves"`
-	Channels int    `json:"channels"`
-	Mode     string `json:"mode"` // "legacy" or "tuned"
-	Ingested int64  `json:"ingested"`
+	Phones   int   `json:"phones"`
+	Leaves   int   `json:"leaves"`
+	Channels int   `json:"channels"`
+	Ingested int64 `json:"ingested"`
 	// Delivered counts sink outputs landing inside the measurement
 	// window; TPS divides it by the window. Warmup-admitted tuples still
 	// draining through the tree can nudge Delivered slightly above
@@ -242,9 +235,7 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 			Seed:          s.Seed,
 		},
 		// The flood outlives a stock battery; energy is not under test.
-		PhoneCfg:     phone.Config{BatteryJoules: 1e12},
-		Batch:        node.BatchConfig{Disable: s.DisableBatch},
-		NoRouteCache: s.NoRouteCache,
+		PhoneCfg: phone.Config{BatteryJoules: 1e12},
 	})
 	if err != nil {
 		return ScaleRow{}, err
@@ -307,7 +298,6 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 		Phones:    slots,
 		Leaves:    len(srcOps),
 		Channels:  s.Channels,
-		Mode:      "tuned",
 		Ingested:  atomic.LoadInt64(&ingested),
 		Delivered: delivered,
 		TPS:       float64(delivered) / s.Measure.Seconds(),
@@ -315,9 +305,6 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 		WallMs:    float64(time.Since(wallStart)) / float64(time.Millisecond),
 	}
 	row.AllocsPerTuple, _ = allocs.PerUnit(delivered)
-	if s.NoRouteCache && s.Channels == 1 {
-		row.Mode = "legacy"
-	}
 	close(stop)
 	wg.Wait()
 	r.Stop()
@@ -328,40 +315,20 @@ func RunScale(s ScaleScenario) (ScaleRow, error) {
 // with msbench -scalemax 128; CI stops at 64 to bound wall time.
 var DefaultScaleSizes = []int{8, 16, 32, 64}
 
-// DefaultScaleChannels is the default channel-count sweep for tuned rows.
-var DefaultScaleChannels = []int{1, 4}
-
-// ScaleComparison sweeps region size × channel count. Every size runs once
-// in legacy mode (single channel, route cache off — the pre-overhaul data
-// plane) and once per channel count with the overhauled plane.
+// ScaleComparison sweeps region size × channel count (msbench passes
+// DefaultScaleSizes capped by -scalemax, and -scalechannels).
 func ScaleComparison(base ScaleScenario, sizes []int, channels []int) ([]ScaleRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultScaleSizes
-	}
-	if len(channels) == 0 {
-		channels = DefaultScaleChannels
-	}
 	var rows []ScaleRow
 	for _, phones := range sizes {
-		s := base
-		s.Phones = phones
-		s.Channels = 1
-		s.NoRouteCache = true
-		legacy, err := RunScale(s)
-		if err != nil {
-			return nil, fmt.Errorf("scale %d phones legacy: %w", phones, err)
-		}
-		rows = append(rows, legacy)
 		for _, ch := range channels {
 			s := base
 			s.Phones = phones
 			s.Channels = ch
-			tuned, err := RunScale(s)
+			row, err := RunScale(s)
 			if err != nil {
 				return nil, fmt.Errorf("scale %d phones %d channels: %w", phones, ch, err)
 			}
-			tuned.Mode = "tuned"
-			rows = append(rows, tuned)
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -382,7 +349,7 @@ func WriteScaleJSON(w io.Writer, base ScaleScenario, rows []ScaleRow) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(ScaleReport{
-		Experiment: "scale: region size × WiFi channels, legacy vs overhauled data plane",
+		Experiment: "scale: region size × WiFi channels",
 		Seed:       base.Seed,
 		MeasureSec: base.Measure.Seconds(),
 		Rows:       rows,
@@ -391,11 +358,11 @@ func WriteScaleJSON(w io.Writer, base ScaleScenario, rows []ScaleRow) error {
 
 // WriteScaleTable renders the sweep for humans.
 func WriteScaleTable(w io.Writer, rows []ScaleRow) {
-	fmt.Fprintln(w, "Scale — region size × WiFi channels (legacy = single channel, uncached routes)")
-	fmt.Fprintf(w, "%-7s %-7s %-9s %-7s %10s %10s %10s %10s %12s\n",
-		"phones", "leaves", "channels", "mode", "ingested", "delivered", "tuples/s", "p99 ms", "allocs/tuple")
+	fmt.Fprintln(w, "Scale — region size × WiFi channels")
+	fmt.Fprintf(w, "%-7s %-7s %-9s %10s %10s %10s %10s %12s\n",
+		"phones", "leaves", "channels", "ingested", "delivered", "tuples/s", "p99 ms", "allocs/tuple")
 	for _, o := range rows {
-		fmt.Fprintf(w, "%-7d %-7d %-9d %-7s %10d %10d %10.1f %10.1f %12.1f\n",
-			o.Phones, o.Leaves, o.Channels, o.Mode, o.Ingested, o.Delivered, o.TPS, o.P99Ms, o.AllocsPerTuple)
+		fmt.Fprintf(w, "%-7d %-7d %-9d %10d %10d %10.1f %10.1f %12.1f\n",
+			o.Phones, o.Leaves, o.Channels, o.Ingested, o.Delivered, o.TPS, o.P99Ms, o.AllocsPerTuple)
 	}
 }

@@ -32,17 +32,12 @@ type Config struct {
 	CodeBytes int
 	// DebounceWindow batches burst failure reports into one recovery.
 	DebounceWindow time.Duration
-	// Sched, when non-nil, enables adaptive placement: every ScheduleTick
-	// the controller polls region telemetry and executes the planned live
-	// migrations (proactive; the paper's reactive recovery still backstops
-	// anything the scheduler misses).
-	Sched *scheduler.Scheduler
-	// Planner, when non-nil, enables topology-aware placement planning:
-	// each tick the controller snapshots the region's channel topology,
-	// asks the planner for a versioned plan, and executes its migrate /
-	// reserve / release steps through the migration machinery, journaling
-	// the plan lifecycle. When the planner reports no usable topology the
-	// tick falls back to Sched's greedy scorer (the baseline).
+	// Planner, when non-nil, enables adaptive placement: every
+	// ScheduleTick the controller polls region telemetry, snapshots the
+	// channel topology, asks the planner for a versioned plan, and
+	// executes its migrate / reserve / release steps through the live
+	// migration machinery, journaling the plan lifecycle (proactive; the
+	// paper's reactive recovery still backstops anything the plan misses).
 	Planner *scheduler.Planner
 	// ScheduleTick is the telemetry/planning period (default 10 s).
 	ScheduleTick time.Duration
@@ -193,7 +188,7 @@ func (c *Controller) Start() {
 		}
 		c.wg.Add(1)
 		go c.pingLoop(m)
-		if c.cfg.Sched != nil || c.cfg.Planner != nil || c.cfg.FederationSink != nil {
+		if c.cfg.Planner != nil || c.cfg.FederationSink != nil {
 			c.wg.Add(1)
 			go c.scheduleLoop(m)
 		}

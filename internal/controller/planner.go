@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"sort"
 
 	"mobistreams/internal/placement"
 	"mobistreams/internal/scheduler"
@@ -16,10 +17,8 @@ import (
 // a migrate step fails, because a failed migration means the snapshot went
 // stale under the plan (the target departed, or recovery moved the slot)
 // and executing the remaining steps would compound the drift; the next
-// tick replans from fresh telemetry. It returns false only when the
-// planner reports no usable topology, sending the caller to the greedy
-// fallback.
-func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) bool {
+// tick replans from fresh telemetry.
+func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) {
 	m.mu.Lock()
 	spares := make(map[simnet.NodeID]bool, len(m.spares))
 	for id := range m.spares {
@@ -28,37 +27,33 @@ func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) bool {
 	m.mu.Unlock()
 
 	plan := c.cfg.Planner.Plan(m.r.PlacementSnapshot(stats, spares))
-	if plan == nil {
-		return false
-	}
 	if len(plan.Steps) == 0 {
-		return true
+		return
 	}
 	m.r.Jot("plan.propose", "", plan.Version, fmt.Sprintf("%d steps", len(plan.Steps)))
+	abort := func(st placement.Step, why string) {
+		m.r.Jot("plan.abort", st.Slot, plan.Version, why)
+		m.mu.Lock()
+		m.planAborts++
+		m.mu.Unlock()
+	}
 	for i, st := range plan.Steps {
 		if c.stopped() || m.isDead() {
-			m.r.Jot("plan.abort", st.Slot, plan.Version, "controller stopping")
-			m.mu.Lock()
-			m.planAborts++
-			m.mu.Unlock()
-			return true
+			abort(st, "controller stopping")
+			return
 		}
 		ok := c.execStep(m, st)
 		m.r.Jot("plan.step", st.Slot, plan.Version,
 			fmt.Sprintf("%d/%d ok=%v %s", i+1, len(plan.Steps), ok, st))
 		if !ok && st.Kind == placement.StepMigrate {
-			m.r.Jot("plan.abort", st.Slot, plan.Version, st.String())
-			m.mu.Lock()
-			m.planAborts++
-			m.mu.Unlock()
-			return true
+			abort(st, st.String())
+			return
 		}
 	}
 	m.r.Jot("plan.commit", "", plan.Version, fmt.Sprintf("%d steps", len(plan.Steps)))
 	m.mu.Lock()
 	m.planCommits++
 	m.mu.Unlock()
-	return true
 }
 
 // execStep executes one plan step. Reserve and release failures are
@@ -67,10 +62,15 @@ func (c *Controller) runPlan(m *managed, stats scheduler.RegionStats) bool {
 func (c *Controller) execStep(m *managed, st placement.Step) bool {
 	switch st.Kind {
 	case placement.StepReserve:
-		if !m.r.ClaimIdle(st.To) {
+		// Claim and record under m.mu, and stand down while a recovery or
+		// a handoff is pending: reclaimSpares runs under the same lock, so
+		// a reserve can never hide an idle phone from a recovery that has
+		// already emptied the spare pool.
+		m.mu.Lock()
+		if m.recovering || m.migrating || !m.r.ClaimIdle(st.To) {
+			m.mu.Unlock()
 			return false
 		}
-		m.mu.Lock()
 		m.spares[st.To] = true
 		warm := m.warmed[st.To]
 		m.warmed[st.To] = true
@@ -95,11 +95,33 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		preclaimed := m.spares[st.To]
 		delete(m.spares, st.To)
 		m.mu.Unlock()
-		return c.migrateTo(m, scheduler.Migration{
-			Slot: st.Slot, From: st.From, To: st.To, Reason: st.Reason,
-		}, preclaimed)
+		// The cooldown is charged here, not at plan time: steps the plan
+		// never reaches (it aborts at the first failed migrate) must stay
+		// plannable on the next tick.
+		c.cfg.Planner.Attempted(m.r.ID(), st.Slot, c.clk.Now())
+		return c.migrateTo(m, st, preclaimed)
 	default:
 		return false
+	}
+}
+
+// reclaimSpares returns every warm spare the planner holds to the region's
+// idle pool. Reactive recovery and departure handoffs draw replacements
+// from that pool (TakeIdle/IdleCount) and would otherwise not see a phone
+// the plan reserved — with one idle phone, that is the only replacement
+// there is. The spares keep their pre-shipped code; the next plan reserves
+// whatever the recovery left over.
+func (c *Controller) reclaimSpares(m *managed) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ids := make([]simnet.NodeID, 0, len(m.spares))
+	for id := range m.spares {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		delete(m.spares, id)
+		m.r.ReleaseToIdle(id)
 	}
 }
 

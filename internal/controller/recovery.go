@@ -166,6 +166,7 @@ func (c *Controller) recover(m *managed, failed []simnet.NodeID) {
 	m.recoveries++
 	m.mu.Unlock()
 	c.logf("controller: recovering %s: %d phones, slots %v", m.r.ID(), len(failed), failedSlots)
+	c.reclaimSpares(m)
 
 	switch scheme.Kind {
 	case ft.MS:
@@ -427,6 +428,7 @@ func (c *Controller) NotifyDeparture(regionID string, phoneID simnet.NodeID) {
 		}()
 		// Re-read the slots under the interlock: a migration that just
 		// finished may already have moved some off the departing phone.
+		c.reclaimSpares(m)
 		for _, slot := range m.r.SlotsOn(phoneID) {
 			repl := m.r.TakeIdle()
 			if repl == "" {

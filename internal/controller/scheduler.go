@@ -4,16 +4,17 @@ import (
 	"time"
 
 	"mobistreams/internal/node"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
 // scheduleLoop runs the adaptive placement ticks for one region: poll
-// telemetry, publish the federation rollup, let the scheduler plan, and
-// execute each planned migration sequentially. Planning is skipped while
-// the region is recovering or mid-checkpoint — a migration in either
-// window would race the very machinery it exists to spare. The rollup is
+// telemetry, publish the federation rollup, let the planner plan, and
+// execute the plan's steps sequentially. Planning is skipped while the
+// region is recovering or mid-checkpoint — a migration in either window
+// would race the very machinery it exists to spare. The rollup is
 // published regardless: the federation wants to hear about a region
 // precisely when it is struggling.
 func (c *Controller) scheduleLoop(m *managed) {
@@ -40,62 +41,49 @@ func (c *Controller) scheduleLoop(m *managed) {
 			m.mu.Lock()
 			busy := m.recovering || m.pendingVer != 0
 			m.mu.Unlock()
-			if busy || (c.cfg.Sched == nil && c.cfg.Planner == nil) {
+			if busy || c.cfg.Planner == nil {
 				continue
 			}
 			if !polled {
 				// Poll lazily: Telemetry() differentiates drain and tuple
 				// rates across polls, so an extra poll during a busy window
-				// would perturb the scheduler's risk scores.
+				// would perturb the planner's drain forecasts.
 				stats = m.r.Telemetry()
 			}
-			if c.cfg.Planner != nil && c.runPlan(m, stats) {
-				continue
-			}
-			// Greedy baseline, and the fallback when the planner reports
-			// no usable channel topology.
-			if c.cfg.Sched == nil {
-				continue
-			}
-			for _, mig := range c.cfg.Sched.Plan(stats) {
-				if c.stopped() {
-					return
-				}
-				c.migrateSlot(m, mig)
-			}
+			c.runPlan(m, stats)
 		case <-c.stopCh:
 			return
 		}
 	}
 }
 
-// migrateSlot executes one planned live migration: claim the target out of
+// returnTarget hands an unused migration target back: a pre-claimed warm
+// spare returns to the spare pool (still claimed, still warm), an
+// ad-hoc-claimed idle goes back to the region's idle list. While a
+// recovery or a handoff is pending the spare goes to the idle list too —
+// reclaimSpares may already have run, and a spare re-held after it would
+// be invisible to the recovery that needs it.
+func (c *Controller) returnTarget(m *managed, to simnet.NodeID, preclaimed bool) {
+	m.mu.Lock()
+	hold := preclaimed && !m.recovering && !m.migrating
+	if hold {
+		m.spares[to] = true
+	}
+	m.mu.Unlock()
+	if !hold {
+		m.r.ReleaseToIdle(to)
+	}
+}
+
+// migrateTo executes one planned live migration: claim the target out of
 // the idle pool, ship operator code, order the at-risk host to transfer its
 // slot over WiFi (CmdMigrate), await the replacement's restore report, then
 // atomically repoint placement. In-flight batches drain to the new home
 // through the existing resolver-per-retry delivery path, and the vacated
-// host relays stragglers until senders observe the new placement.
-func (c *Controller) migrateSlot(m *managed, mig scheduler.Migration) bool {
-	return c.migrateTo(m, mig, false)
-}
-
-// returnTarget hands an unused migration target back: a pre-claimed warm
-// spare returns to the spare pool (still claimed, still warm), an
-// ad-hoc-claimed idle goes back to the region's idle list.
-func (c *Controller) returnTarget(m *managed, to simnet.NodeID, preclaimed bool) {
-	if preclaimed {
-		m.mu.Lock()
-		m.spares[to] = true
-		m.mu.Unlock()
-		return
-	}
-	m.r.ReleaseToIdle(to)
-}
-
-// migrateTo is migrateSlot with spare-pool awareness: when preclaimed, the
-// target is a warm spare the planner already holds (no ClaimIdle) whose
-// operator code may already be aboard (no code ship).
-func (c *Controller) migrateTo(m *managed, mig scheduler.Migration, preclaimed bool) bool {
+// host relays stragglers until senders observe the new placement. When
+// preclaimed, the target is a warm spare the planner already holds (no
+// ClaimIdle) whose operator code may already be aboard (no code ship).
+func (c *Controller) migrateTo(m *managed, mig placement.Step, preclaimed bool) bool {
 	if cur, ok := m.r.Placement(mig.Slot); !ok || cur != mig.From {
 		if preclaimed {
 			c.returnTarget(m, mig.To, true)
@@ -175,7 +163,7 @@ func (c *Controller) migrateTo(m *managed, mig scheduler.Migration, preclaimed b
 }
 
 // Migrate executes one planned live migration immediately: move slot onto
-// the idle phone `to` (tests and operational tooling; the scheduler drives
+// the idle phone `to` (tests and operational tooling; the planner drives
 // the same path periodically). Unlike departure handoffs it works under
 // every scheme — proactive migration is precisely what gives the prior
 // schemes a mobility story they lack reactively.
@@ -190,7 +178,7 @@ func (c *Controller) Migrate(regionID, slot string, to simnet.NodeID) bool {
 	if !ok {
 		return false
 	}
-	return c.migrateSlot(m, scheduler.Migration{Slot: slot, From: from, To: to, Reason: "manual"})
+	return c.migrateTo(m, placement.Step{Kind: placement.StepMigrate, Slot: slot, From: from, To: to, Reason: "manual"}, false)
 }
 
 // Migrations reports how many planned migrations a region has completed.

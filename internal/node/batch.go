@@ -7,42 +7,9 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// BatchConfig bounds edge-level tuple batching. Emissions to the same
-// destination slot are coalesced into one network send, cutting the
-// per-message medium, lock and channel overhead on the ingress hot path.
-// A batch flushes when it reaches MaxMsgs messages or MaxBytes payload
-// bytes, when an in-band marker joins it (markers must not be delayed —
-// checkpoint alignment depends on their timing), or when FlushInterval of
-// simulated time passes with the batch still partial.
-//
-// Deprecated: prefer the consolidated QoS knobs (LatencyBudget,
-// MaxBatchMsgs, MaxBatchBytes). BatchConfig remains supported; non-zero
-// QoS fields override it field-by-field.
-type BatchConfig struct {
-	// MaxMsgs flushes a batch at this many messages (default 32).
-	MaxMsgs int
-	// MaxBytes flushes a batch at this many payload bytes (default 64 KB,
-	// one WiFi airtime chunk, so a batch never monopolises the medium
-	// against interleaving checkpoint traffic).
-	MaxBytes int
-	// FlushInterval bounds how long a partial batch may wait, in
-	// simulated time (default 20 ms).
-	FlushInterval time.Duration
-	// Disable sends every message individually (the pre-batching path).
-	Disable bool
-}
-
-func (c *BatchConfig) applyDefaults() {
-	if c.MaxMsgs <= 0 {
-		c.MaxMsgs = 32
-	}
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 64 << 10
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 20 * time.Millisecond
-	}
-}
+// fixedFlushInterval bounds how long a partial batch may wait, in simulated
+// time, when no QoS latency budget adapts the deadline.
+const fixedFlushInterval = 20 * time.Millisecond
 
 // batchSlicePool recycles the []StreamMsg backing arrays batches are
 // assembled in and shipped with, so the steady-state emission path does
@@ -69,7 +36,12 @@ func recycleBatchSlice(s []StreamMsg) {
 	batchSlicePool.Put(s[:0]) //nolint:staticcheck // slice reuse is the point
 }
 
-// batcher coalesces a node's cross-slot emissions per destination slot.
+// batcher coalesces a node's cross-slot emissions per destination slot
+// into one network send, cutting the per-message medium, lock and channel
+// overhead on the ingress hot path. A batch flushes when it reaches
+// maxMsgs messages or maxBytes payload bytes, when an in-band marker joins
+// it (markers must not be delayed — checkpoint alignment depends on their
+// timing), or when the flush deadline passes with the batch still partial.
 //
 // Concurrency: the executor appends under mu; flushes (size-triggered from
 // the executor, latency-triggered from the flush loop) serialise through
@@ -77,8 +49,11 @@ func recycleBatchSlice(s []StreamMsg) {
 // sendMu — so batches leave in exactly the order they were cut, and edge
 // FIFO order survives concurrent flushers.
 type batcher struct {
-	n   *Node
-	cfg BatchConfig
+	n *Node
+	// The QoS size bounds with defaults resolved; disable sends every
+	// message individually (the pre-batching path).
+	maxMsgs, maxBytes int
+	disable           bool
 
 	mu      sync.Mutex
 	pending map[string]*edgeBatch
@@ -90,7 +65,7 @@ type batcher struct {
 
 	// Adaptive flush deadline (QoS latency budget), all in nanoseconds and
 	// accessed atomically. capNs is the slot's budget share (0 = adaptation
-	// off, legacy FlushInterval applies), minNs the floor, deadlineNs the
+	// off, fixedFlushInterval applies), minNs the floor, deadlineNs the
 	// live deadline the flush loop waits on. See qos.go.
 	deadlineNs int64
 	capNs      int64
@@ -103,20 +78,28 @@ type edgeBatch struct {
 	bytes int
 }
 
-func newBatcher(n *Node, cfg BatchConfig) *batcher {
-	cfg.applyDefaults()
-	return &batcher{
-		n:       n,
-		cfg:     cfg,
-		pending: make(map[string]*edgeBatch),
-		kick:    make(chan struct{}, 1),
+func newBatcher(n *Node, q QoS) *batcher {
+	b := &batcher{
+		n:        n,
+		maxMsgs:  q.MaxBatchMsgs,
+		maxBytes: q.MaxBatchBytes,
+		disable:  q.DisableBatching,
+		pending:  make(map[string]*edgeBatch),
+		kick:     make(chan struct{}, 1),
 	}
+	if b.maxMsgs <= 0 {
+		b.maxMsgs = 32
+	}
+	if b.maxBytes <= 0 {
+		b.maxBytes = 64 << 10
+	}
+	return b
 }
 
 // add appends one emission to its destination's pending batch, flushing
 // immediately when a bound is hit or the message is an in-band marker.
 func (b *batcher) add(toSlot string, msg StreamMsg) {
-	if b.cfg.Disable {
+	if b.disable {
 		b.sendMu.Lock()
 		s := takeBatchSlice()
 		s = append(s, msg)
@@ -133,7 +116,7 @@ func (b *batcher) add(toSlot string, msg StreamMsg) {
 	eb.msgs = append(eb.msgs, msg)
 	eb.bytes += msg.Item.WireSize()
 	urgent := msg.Item.Marker != nil
-	full := len(eb.msgs) >= b.cfg.MaxMsgs || eb.bytes >= b.cfg.MaxBytes
+	full := len(eb.msgs) >= b.maxMsgs || eb.bytes >= b.maxBytes
 	b.mu.Unlock()
 	if urgent || full {
 		b.flushSlot(toSlot)
@@ -206,7 +189,7 @@ func (b *batcher) pendingSlots() int {
 }
 
 // flushLoop is the latency bound: while partial batches are pending it
-// flushes them every FlushInterval of simulated time, then parks until the
+// flushes them at every flush deadline of simulated time, then parks until the
 // next emission kicks it. Size- and marker-triggered flushes happen inline
 // on the executor, so correctness never waits on this loop.
 func (n *Node) flushLoop() {

@@ -27,7 +27,7 @@ func (mapResolver) Standby(string) (simnet.NodeID, bool) { return "", false }
 // newBatchHarness wires one sending node to a receiving endpoint over a
 // fast WiFi medium, without starting any goroutines: flushes are driven
 // explicitly by the tests.
-func newBatchHarness(t *testing.T, batch BatchConfig) (*Node, *simnet.Endpoint) {
+func newBatchHarness(t *testing.T, qos QoS) (*Node, *simnet.Endpoint) {
 	t.Helper()
 	clk := clock.NewScaled(1e6)
 	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 1e12})
@@ -42,7 +42,7 @@ func newBatchHarness(t *testing.T, batch BatchConfig) (*Node, *simnet.Endpoint) 
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: mapResolver{"down": "rx"},
-		Batch:    batch,
+		QoS:      qos,
 	})
 	return n, rx
 }
@@ -65,7 +65,7 @@ func recvPayloads(rx *simnet.Endpoint) []interface{} {
 }
 
 func TestBatcherCoalescesInOrder(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{MaxMsgs: 100})
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
 	for seq := uint64(1); seq <= 5; seq++ {
 		n.batch.add("down", streamMsg(seq))
 	}
@@ -95,7 +95,7 @@ func TestBatcherCoalescesInOrder(t *testing.T) {
 }
 
 func TestBatcherFlushesAtMaxMsgs(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{MaxMsgs: 3})
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 3})
 	for seq := uint64(1); seq <= 7; seq++ {
 		n.batch.add("down", streamMsg(seq))
 	}
@@ -109,7 +109,7 @@ func TestBatcherFlushesAtMaxMsgs(t *testing.T) {
 }
 
 func TestBatcherFlushesAtMaxBytes(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{MaxMsgs: 100, MaxBytes: 250})
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100, MaxBatchBytes: 250})
 	n.batch.add("down", streamMsg(1))
 	n.batch.add("down", streamMsg(2))
 	if got := recvPayloads(rx); len(got) != 0 {
@@ -122,7 +122,7 @@ func TestBatcherFlushesAtMaxBytes(t *testing.T) {
 }
 
 func TestBatcherMarkerFlushesImmediately(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{MaxMsgs: 100})
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
 	n.batch.add("down", streamMsg(1))
 	n.batch.add("down", streamMsg(2))
 	marker := StreamMsg{FromSlot: "up", ToSlot: "down", EdgeSeq: 3,
@@ -142,7 +142,7 @@ func TestBatcherMarkerFlushesImmediately(t *testing.T) {
 }
 
 func TestBatcherDisabledSendsSingles(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{Disable: true})
+	n, rx := newBatchHarness(t, QoS{DisableBatching: true})
 	n.batch.add("down", streamMsg(1))
 	n.batch.add("down", streamMsg(2))
 	got := recvPayloads(rx)
@@ -157,7 +157,7 @@ func TestBatcherDisabledSendsSingles(t *testing.T) {
 }
 
 func TestBatcherDiscardAll(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{MaxMsgs: 100})
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
 	n.batch.add("down", streamMsg(1))
 	n.batch.discardAll()
 	n.batch.flushAll()
@@ -179,7 +179,7 @@ func TestBatcherObservesStats(t *testing.T) {
 	n := New(Config{
 		Phone: phone.New("tx", phone.Config{}), Scheme: ft.BaseScheme, Clock: clk,
 		WiFi: w, Endpoint: tx, Resolver: mapResolver{"down": "rx"},
-		Batch: BatchConfig{MaxMsgs: 4}, BatchStats: &stats,
+		QoS: QoS{MaxBatchMsgs: 4}, BatchStats: &stats,
 	})
 	for seq := uint64(1); seq <= 8; seq++ {
 		n.batch.add("down", streamMsg(seq))
@@ -221,7 +221,7 @@ func TestEnqueueStreamBatchUnbatches(t *testing.T) {
 // goroutines and checks the receiver observes strictly increasing edge
 // sequences — the sendMu ordering contract.
 func TestBatcherConcurrentFlushKeepsFIFO(t *testing.T) {
-	n, rx := newBatchHarness(t, BatchConfig{MaxMsgs: 8})
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 8})
 	const total = 400
 	done := make(chan struct{})
 	go func() {

@@ -77,9 +77,6 @@ type Config struct {
 	Endpoint *simnet.Endpoint
 	Store    *storage.Store
 	Resolver Resolver
-	// NoRouteCache disables the epoch-stamped Primary/Standby cache and
-	// consults the Resolver on every send (the pre-cache behaviour).
-	NoRouteCache bool
 	// ControllerID is the controller's network identity for reports.
 	ControllerID simnet.NodeID
 	// Peers returns the current region members (minus this phone) for
@@ -97,14 +94,9 @@ type Config struct {
 	// emissions through it; a control-plane table install flips routing
 	// on every node at once.
 	Keyed map[string]*keyed.Group
-	// Batch bounds edge-level tuple batching on the emission hot path.
-	//
-	// Deprecated: prefer the consolidated QoS knobs; Batch remains for
-	// compatibility and is overridden field-by-field by QoS.
-	Batch BatchConfig
-	// QoS consolidates the output-path quality-of-service knobs: the
-	// end-to-end latency budget driving adaptive flush deadlines, and the
-	// batch bounds that supersede the legacy Batch fields.
+	// QoS is the output-path quality of service: the end-to-end latency
+	// budget driving adaptive flush deadlines, and the bounds on
+	// edge-level tuple batching on the emission hot path.
 	QoS QoS
 	// BatchStats, when non-nil, accumulates per-flush batch sizes.
 	BatchStats *metrics.BatchSizes
@@ -490,13 +482,11 @@ func New(cfg Config) *Node {
 		n.tracer = cfg.Obs.Tracer
 		n.journal = cfg.Obs.Journal
 	}
-	if !cfg.NoRouteCache {
-		if er, ok := cfg.Resolver.(EpochResolver); ok {
-			n.epochRes = er
-		}
+	if er, ok := cfg.Resolver.(EpochResolver); ok {
+		n.epochRes = er
 	}
 	n.cond = sync.NewCond(&n.mu)
-	n.batch = newBatcher(n, cfg.QoS.mergeBatch(cfg.Batch))
+	n.batch = newBatcher(n, cfg.QoS)
 	n.logf = cfg.Logf
 	if n.logf == nil {
 		n.logf = func(string, ...interface{}) {}
@@ -595,7 +585,7 @@ func (n *Node) Start() {
 		n.wg.Add(1)
 		go n.persistLoop()
 	}
-	if !n.batch.cfg.Disable {
+	if !n.batch.disable {
 		n.wg.Add(1)
 		go n.flushLoop()
 	}
@@ -1522,8 +1512,8 @@ func (n *Node) doResend(downstream string, after uint64) {
 	n.mu.Lock()
 	fromSlot := n.slot
 	n.mu.Unlock()
-	maxMsgs, maxBytes := n.batch.cfg.MaxMsgs, n.batch.cfg.MaxBytes
-	if n.batch.cfg.Disable {
+	maxMsgs, maxBytes := n.batch.maxMsgs, n.batch.maxBytes
+	if n.batch.disable {
 		maxMsgs = 1
 	}
 	var msgs []StreamMsg

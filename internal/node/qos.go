@@ -7,10 +7,10 @@ import (
 	"mobistreams/internal/graph"
 )
 
-// QoS consolidates the output-path quality-of-service knobs that were
-// previously scattered across the raw BatchConfig bounds. The zero value
-// changes nothing: legacy BatchConfig fields pass through untouched, so
-// old-style configurations behave identically.
+// QoS is the output-path quality-of-service configuration: the latency
+// budget that adapts batch-flush deadlines and the bounds on edge-level
+// tuple batching. The zero value batches with the default bounds and a
+// fixed 20 ms flush deadline.
 type QoS struct {
 	// LatencyBudget is the end-to-end latency target for tuples flowing
 	// from this graph's sources to its sinks. Non-zero enables adaptive
@@ -21,33 +21,17 @@ type QoS struct {
 	// (the stream is too slow to fill batches inside the deadline), a
 	// size-triggered flush grows it back toward the share.
 	LatencyBudget time.Duration
-	// MaxBatchMsgs bounds batch size in messages, superseding the
-	// deprecated BatchConfig.MaxMsgs when non-zero.
+	// MaxBatchMsgs flushes a batch at this many messages (default 32).
 	MaxBatchMsgs int
-	// MaxBatchBytes bounds batch size in payload bytes, superseding the
-	// deprecated BatchConfig.MaxBytes when non-zero.
+	// MaxBatchBytes flushes a batch at this many payload bytes (default
+	// 64 KB, one WiFi airtime chunk, so a batch never monopolises the
+	// medium against interleaving checkpoint traffic).
 	MaxBatchBytes int
 	// MinFlush floors the adaptive flush deadline (default 1ms).
 	MinFlush time.Duration
-	// DisableBatching sends every message individually, superseding
-	// BatchConfig.Disable.
+	// DisableBatching sends every message individually (the pre-batching
+	// path).
 	DisableBatching bool
-}
-
-// mergeBatch folds the QoS batch bounds over the legacy BatchConfig. A
-// zero QoS returns the legacy config unchanged — the compatibility
-// adapter that keeps old-style size/latency bounds working.
-func (q QoS) mergeBatch(legacy BatchConfig) BatchConfig {
-	if q.MaxBatchMsgs > 0 {
-		legacy.MaxMsgs = q.MaxBatchMsgs
-	}
-	if q.MaxBatchBytes > 0 {
-		legacy.MaxBytes = q.MaxBatchBytes
-	}
-	if q.DisableBatching {
-		legacy.Disable = true
-	}
-	return legacy
 }
 
 func (q QoS) minFlush() time.Duration {
@@ -103,7 +87,7 @@ func (n *Node) slotBudgetShare(slot string) time.Duration {
 
 // setBudget installs (or clears) the batcher's adaptive deadline range:
 // the slot's budget share as the cap and initial deadline, min as the
-// floor. share <= 0 disables adaptation (legacy fixed FlushInterval).
+// floor. share <= 0 disables adaptation (fixedFlushInterval applies).
 func (b *batcher) setBudget(share, min time.Duration) {
 	if share <= 0 {
 		atomic.StoreInt64(&b.capNs, 0)
@@ -119,13 +103,12 @@ func (b *batcher) setBudget(share, min time.Duration) {
 }
 
 // flushInterval is the live latency bound the flush loop waits on: the
-// adaptive deadline when QoS batching is on, the fixed legacy interval
-// otherwise.
+// adaptive deadline when QoS batching is on, the fixed interval otherwise.
 func (b *batcher) flushInterval() time.Duration {
 	if d := atomic.LoadInt64(&b.deadlineNs); d > 0 {
 		return time.Duration(d)
 	}
-	return b.cfg.FlushInterval
+	return fixedFlushInterval
 }
 
 // noteSizeFlush records a size-triggered flush: batches are filling
@@ -150,7 +133,7 @@ func (b *batcher) noteSizeFlush() {
 // stop paying coalescing wait the workload cannot use.
 func (b *batcher) noteLatencyFlush(msgs int) {
 	cap := atomic.LoadInt64(&b.capNs)
-	if cap == 0 || msgs >= b.cfg.MaxMsgs/2 {
+	if cap == 0 || msgs >= b.maxMsgs/2 {
 		return
 	}
 	cur := atomic.LoadInt64(&b.deadlineNs)

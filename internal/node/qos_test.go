@@ -7,40 +7,22 @@ import (
 	"mobistreams/internal/graph"
 )
 
-// TestQoSZeroIsLegacyBatching is the compatibility regression: a zero QoS
-// must leave old-style BatchConfig behavior untouched — same merged
-// bounds, the fixed legacy flush interval, and no deadline adaptation.
-func TestQoSZeroIsLegacyBatching(t *testing.T) {
-	legacy := BatchConfig{MaxMsgs: 7, MaxBytes: 1234, FlushInterval: 9 * time.Millisecond}
-	var q QoS
-	if got := q.mergeBatch(legacy); got != legacy {
-		t.Fatalf("zero QoS changed legacy config: %+v", got)
-	}
-	b := newBatcher(nil, q.mergeBatch(legacy))
-	if got := b.flushInterval(); got != legacy.FlushInterval {
-		t.Fatalf("flushInterval = %v, want legacy %v", got, legacy.FlushInterval)
+// TestQoSZeroBatchesWithFixedDeadline pins the zero value: default size
+// bounds, the fixed flush interval, and no deadline adaptation.
+func TestQoSZeroBatchesWithFixedDeadline(t *testing.T) {
+	b := newBatcher(nil, QoS{})
+	if b.maxMsgs != 32 || b.maxBytes != 64<<10 || b.disable {
+		t.Fatalf("zero QoS bounds = %d msgs / %d bytes / disable=%v", b.maxMsgs, b.maxBytes, b.disable)
 	}
 	b.noteSizeFlush()
 	b.noteLatencyFlush(0)
-	if got := b.flushInterval(); got != legacy.FlushInterval {
-		t.Fatalf("flushInterval moved to %v with QoS off", got)
-	}
-}
-
-func TestQoSMergeOverridesLegacyBounds(t *testing.T) {
-	legacy := BatchConfig{MaxMsgs: 32, MaxBytes: 64 << 10, FlushInterval: 20 * time.Millisecond}
-	q := QoS{MaxBatchMsgs: 8, MaxBatchBytes: 4096, DisableBatching: true}
-	got := q.mergeBatch(legacy)
-	if got.MaxMsgs != 8 || got.MaxBytes != 4096 || !got.Disable {
-		t.Fatalf("merged = %+v", got)
-	}
-	if got.FlushInterval != legacy.FlushInterval {
-		t.Fatalf("merge touched FlushInterval: %v", got.FlushInterval)
+	if got := b.flushInterval(); got != fixedFlushInterval {
+		t.Fatalf("flushInterval = %v with QoS off, want the fixed %v", got, fixedFlushInterval)
 	}
 }
 
 func TestAdaptiveDeadlineTracksFlushCauses(t *testing.T) {
-	b := newBatcher(nil, BatchConfig{MaxMsgs: 32})
+	b := newBatcher(nil, QoS{MaxBatchMsgs: 32})
 	b.setBudget(100*time.Millisecond, time.Millisecond)
 	if got := b.flushInterval(); got != 100*time.Millisecond {
 		t.Fatalf("initial deadline = %v, want the full budget share", got)

@@ -68,7 +68,7 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: res,
-		Batch:    BatchConfig{Disable: true},
+		QoS:      QoS{DisableBatching: true},
 	})
 	if n.epochRes == nil {
 		t.Fatal("node did not adopt the epoch resolver")
@@ -156,7 +156,7 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: res,
-		Batch:    BatchConfig{Disable: true},
+		QoS:      QoS{DisableBatching: true},
 	})
 
 	// Warm the cache on the doomed primary, then kill it.

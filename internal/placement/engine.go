@@ -15,13 +15,15 @@ type Config struct {
 	// DepartRateBoost hold one extra.
 	SparesPerDomain int
 	// HazardHorizon is how far ahead a forecast departure triggers an
-	// evacuation (default 75 s — ahead of the greedy scorer's reactive
-	// thresholds, so planned moves beat emergency recovery).
+	// evacuation (default 75 s — more than a code ship plus a transfer,
+	// so planned moves beat emergency recovery).
 	HazardHorizon time.Duration
 	// MaxMigrations bounds migrate steps per plan (default 4).
 	MaxMigrations int
-	// MinBatteryFraction excludes weak phones from targets and spare pools
-	// (default 0.15).
+	// MinBatteryFraction excludes weak phones from targets and spare pools,
+	// and a phone hosting slots below it is evacuated at once (default
+	// 0.15 — comfortably above the 0.05 chronic threshold, so the planned
+	// migration beats the emergency chronic-battery report).
 	MinBatteryFraction float64
 	// DepartRateBoost is the per-domain departure rate (phones/minute)
 	// above which the domain's spare pool grows by one (default 1.5).
@@ -47,14 +49,20 @@ func (c *Config) applyDefaults() {
 }
 
 // Engine turns topology snapshots into plans. It is deterministic: the
-// only state carried between plans is the version counter and the
-// departure-rate EWMA, so a fresh engine given the same snapshot always
-// emits the same plan bytes.
+// only state carried between plans is the version counter and each
+// region's departure-rate EWMA, so a fresh engine given the same snapshot
+// always emits the same plan bytes. One engine may serve many regions (the
+// controller runs one planning loop per region against a shared instance).
 type Engine struct {
 	cfg Config
 
-	mu          sync.Mutex
-	version     uint64
+	mu      sync.Mutex
+	version uint64
+	churn   map[string]*churnState // by Snapshot.Region
+}
+
+// churnState is one region's departure-rate estimate between plans.
+type churnState struct {
 	lastDeparts []int64
 	lastNow     time.Duration
 	departRate  []float64
@@ -63,7 +71,7 @@ type Engine struct {
 // New creates an engine.
 func New(cfg Config) *Engine {
 	cfg.applyDefaults()
-	return &Engine{cfg: cfg}
+	return &Engine{cfg: cfg, churn: make(map[string]*churnState)}
 }
 
 // move is one pending migrate step before targets are chosen.

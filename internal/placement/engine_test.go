@@ -1,9 +1,13 @@
 package placement
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"mobistreams/internal/simnet"
 )
 
 // goldenSnapshot is a two-domain region with one three-slot chain: the
@@ -53,6 +57,212 @@ func TestPlanGolden(t *testing.T) {
 	if again := New(Config{}).Plan(goldenSnapshot()).Encode(); again != got {
 		t.Fatalf("identical snapshots produced different plans:\n%s\nvs\n%s", got, again)
 	}
+}
+
+// TestPlanGoldenSingleDomain pins the degenerate topology: with one WiFi
+// channel the pack pass has nothing to consolidate, so the plan is the
+// forecast evacuation (onto the warm spare the pool exists for) followed by
+// the pool top-up.
+func TestPlanGoldenSingleDomain(t *testing.T) {
+	s := goldenSnapshot()
+	s.Domains = []Domain{{ID: 0, Members: 6, Present: 6}}
+	for i := range s.Phones {
+		s.Phones[i].Domain = 0
+	}
+	s.Phones[3].Idle, s.Phones[3].Spare = false, true // p4 is a warm spare
+
+	const want = "plan r1 v1 steps=2\n" +
+		" 0 migrate n3 p5->p4 dom0 evac:battery(20s)\n" +
+		" 1 reserve p3 dom0 spare:pool\n"
+
+	got := New(Config{}).Plan(s).Encode()
+	if got != want {
+		t.Fatalf("plan drifted from golden output.\ngot:\n%swant:\n%s", got, want)
+	}
+}
+
+// TestPlanEvacuations is the per-phone hazard table on a one-domain region:
+// which hosts are evacuated, why, in what order, and onto which targets.
+func TestPlanEvacuations(t *testing.T) {
+	host := func(id string, joules, fraction, drain float64) Phone {
+		return Phone{ID: simnet.NodeID("r1/" + id), BatteryJoules: joules, BatteryFraction: fraction, DrainWatts: drain}
+	}
+	idle := func(id string, fraction float64) Phone {
+		return Phone{ID: simnet.NodeID("r1/" + id), Idle: true, BatteryJoules: 20e3 * fraction, BatteryFraction: fraction}
+	}
+	walker := func(id string, x, vx, vy float64) Phone {
+		p := host(id, 18e3, 0.9, 0)
+		p.X, p.VelX, p.VelY = x, vx, vy
+		return p
+	}
+	cases := []struct {
+		name   string
+		cfg    Config
+		radius float64
+		phones []Phone
+		slots  []Assignment
+		want   []string // encoded steps, in order
+	}{
+		{
+			name: "battery-low host moves to the strongest idle phone",
+			phones: []Phone{
+				host("p1", 50, 0.04, 0), host("p2", 18e3, 0.9, 0),
+				idle("p3", 0.4), idle("p4", 0.9),
+			},
+			slots: []Assignment{{"n1", "r1/p1"}, {"n2", "r1/p2"}},
+			want: []string{
+				"migrate n1 r1/p1->r1/p4 dom0 evac:battery-low",
+				"reserve r1/p3 dom0 spare:pool",
+			},
+		},
+		{
+			// 100 J at 2 W dies in 50 s, inside the 75 s horizon; the
+			// same drain on 1000 J lasts 500 s and stays put.
+			name: "battery-drain inside the horizon",
+			phones: []Phone{
+				host("p1", 100, 0.5, 2), host("p2", 1000, 0.5, 2),
+				idle("p3", 0.9),
+			},
+			slots: []Assignment{{"n1", "r1/p1"}, {"n2", "r1/p2"}},
+			want:  []string{"migrate n1 r1/p1->r1/p3 dom0 evac:battery(50s)"},
+		},
+		{
+			// 60 m out walking radially outward at 2 m/s crosses the
+			// 100 m boundary in 20 s; inbound and tangential walkers
+			// never cross.
+			name:   "departing host; inbound and tangential stay",
+			radius: 100,
+			phones: []Phone{
+				walker("p1", 60, 2, 0), walker("p2", 60, -2, 0), walker("p3", 60, 0, 5),
+				idle("p4", 0.9),
+			},
+			slots: []Assignment{{"n1", "r1/p1"}, {"n2", "r1/p2"}, {"n3", "r1/p3"}},
+			want:  []string{"migrate n1 r1/p1->r1/p4 dom0 evac:trajectory(20s)"},
+		},
+		{
+			name: "no boundary configured disables the trajectory forecast",
+			phones: []Phone{
+				walker("p1", 60, 2, 0), idle("p2", 0.9),
+			},
+			slots: []Assignment{{"n1", "r1/p1"}},
+			want:  []string{"reserve r1/p2 dom0 spare:pool"},
+		},
+		{
+			// Evacuating onto the next phone to die just doubles the
+			// work: a weak idle and a draining idle are both refused.
+			name: "an at-risk phone is never a target",
+			phones: []Phone{
+				host("p1", 50, 0.04, 0),
+				idle("p2", 0.05),
+				{ID: "r1/p3", Idle: true, BatteryJoules: 60, BatteryFraction: 0.5, DrainWatts: 2},
+			},
+			slots: []Assignment{{"n1", "r1/p1"}},
+			want:  nil,
+		},
+		{
+			// Moving the whole region at once would itself be the
+			// disruption the planner exists to avoid; the host already
+			// below the floor goes before the one with 50 s left.
+			name: "migrations per plan are bounded, most urgent first",
+			cfg:  Config{MaxMigrations: 1},
+			phones: []Phone{
+				host("p1", 100, 0.5, 2), host("p2", 50, 0.04, 0),
+				idle("p8", 0.9), idle("p9", 0.9),
+			},
+			slots: []Assignment{{"n1", "r1/p1"}, {"n2", "r1/p2"}},
+			want: []string{
+				"migrate n2 r1/p2->r1/p8 dom0 evac:battery-low",
+				"reserve r1/p9 dom0 spare:pool",
+			},
+		},
+		{
+			name: "each step gets its own target",
+			phones: []Phone{
+				host("p1", 40, 0.03, 0), host("p2", 50, 0.04, 0),
+				idle("p8", 0.9), idle("p9", 0.9),
+			},
+			slots: []Assignment{{"n1", "r1/p1"}, {"n2", "r1/p2"}},
+			want: []string{
+				"migrate n1 r1/p1->r1/p8 dom0 evac:battery-low",
+				"migrate n2 r1/p2->r1/p9 dom0 evac:battery-low",
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := New(tc.cfg).Plan(Snapshot{
+				Region: "r1", Now: 100 * time.Second, RadiusM: tc.radius,
+				Domains: []Domain{{ID: 0}}, Phones: tc.phones, Slots: tc.slots,
+			})
+			var got []string
+			for _, st := range plan.Steps {
+				got = append(got, st.String())
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("steps = %q\nwant    %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestTimeToBoundary pins the one trajectory extrapolation in the tree.
+func TestTimeToBoundary(t *testing.T) {
+	s := &Snapshot{RadiusM: 100}
+	cases := []struct {
+		name     string
+		p        Phone
+		want     time.Duration
+		crossing bool
+	}{
+		{"radially outward", Phone{X: 60, VelX: 2}, 20 * time.Second, true},
+		{"inbound", Phone{X: 60, VelX: -2}, 0, false},
+		{"tangential", Phone{X: 60, VelY: 5}, 0, false},
+		{"stationary", Phone{X: 60}, 0, false},
+		{"already out", Phone{X: 120}, 0, true},
+		{"from the centre", Phone{VelY: 4}, 25 * time.Second, true},
+	}
+	for _, tc := range cases {
+		if d, ok := timeToBoundary(s, &tc.p); d != tc.want || ok != tc.crossing {
+			t.Errorf("%s: timeToBoundary = %v/%v, want %v/%v", tc.name, d, ok, tc.want, tc.crossing)
+		}
+	}
+	if _, ok := timeToBoundary(&Snapshot{}, &Phone{X: 60, VelX: 2}); ok {
+		t.Error("boundary-less region predicted a crossing")
+	}
+}
+
+// TestPlanConcurrentRegions pins that one Engine may serve many regions
+// concurrently (the controller runs one planning loop per region against a
+// shared instance), each with its own departure-rate estimate. Run under
+// -race this fails loudly if the per-region state is mutated unguarded.
+func TestPlanConcurrentRegions(t *testing.T) {
+	e := New(Config{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			s := goldenSnapshot()
+			s.Region = fmt.Sprintf("r%d", r)
+			for i := 0; i < 100; i++ {
+				s.Now += time.Second
+				// Only region 0 churns: one domain-0 departure a second.
+				if r == 0 {
+					s.Domains[0].Departures++
+				}
+				plan := e.Plan(s)
+				hot := false
+				for _, st := range plan.Steps {
+					hot = hot || st.Reason == "spare:churn"
+				}
+				if r != 0 && hot {
+					t.Errorf("region %s inherited another region's departure rate: %s", s.Region, plan.Encode())
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 func TestGroupSlots(t *testing.T) {

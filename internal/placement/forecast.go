@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"mobistreams/internal/simnet"
 )
 
 // hazard is one phone's predicted departure: In is how long until the
@@ -12,6 +14,10 @@ type hazard struct {
 	In     time.Duration
 	Reason string
 }
+
+// reasonBatteryLow labels the one hazard with no horizon to extrapolate:
+// the battery already sits below the floor.
+const reasonBatteryLow = "battery-low"
 
 // forecastPhone extrapolates one phone's telemetry into its nearest
 // predicted departure: battery death from the observed drain curve, or the
@@ -34,9 +40,11 @@ func forecastPhone(s *Snapshot, p *Phone) (hazard, bool) {
 }
 
 // timeToBoundary extrapolates the phone's straight-line trajectory to the
-// WiFi range boundary (the same model as scheduler.TimeToBoundary, kept
-// local so the planner stays a leaf package). Positions are relative to
-// the region centre.
+// WiFi range boundary. It returns (d, true) when the phone is inside the
+// boundary and moving so that it crosses it d from now, or is already out
+// (d = 0); (0, false) when the phone is stationary, inbound or tangential,
+// or the region has no boundary configured. Positions are relative to the
+// region centre.
 func timeToBoundary(s *Snapshot, p *Phone) (time.Duration, bool) {
 	if s.RadiusM <= 0 {
 		return 0, false
@@ -95,9 +103,17 @@ func (f *forecast) healthy(i int, p *Phone, minBattery float64) bool {
 // engine's departure-rate EWMA from the per-domain departure counters.
 func (e *Engine) runForecast(s *Snapshot) *forecast {
 	f := &forecast{doomed: make(map[int]hazard), rate: make([]float64, len(s.Domains))}
+	hosting := make(map[simnet.NodeID]bool, len(s.Slots))
+	for _, a := range s.Slots {
+		hosting[a.Phone] = true
+	}
 	for i := range s.Phones {
 		p := &s.Phones[i]
-		if h, ok := forecastPhone(s, p); ok && h.In <= e.cfg.HazardHorizon {
+		if hosting[p.ID] && p.BatteryFraction > 0 && p.BatteryFraction < e.cfg.MinBatteryFraction {
+			// A host under the floor the engine refuses targets at is
+			// leaving now, whatever its drain estimate says.
+			f.doomed[i] = hazard{Reason: reasonBatteryLow}
+		} else if h, ok := forecastPhone(s, p); ok && h.In <= e.cfg.HazardHorizon {
 			f.doomed[i] = h
 		}
 	}
@@ -105,27 +121,34 @@ func (e *Engine) runForecast(s *Snapshot) *forecast {
 	// Poisson departure-rate per domain: differentiate the cumulative
 	// counters across plans into phones/minute, smoothed with an EWMA so
 	// one noisy window neither starves nor floods the spare pools.
-	if len(e.departRate) != len(s.Domains) {
-		e.departRate = make([]float64, len(s.Domains))
-		e.lastDeparts = make([]int64, len(s.Domains))
-		for i := range s.Domains {
-			e.lastDeparts[i] = s.Domains[i].Departures
+	c := e.churn[s.Region]
+	if c == nil || len(c.departRate) != len(s.Domains) {
+		c = &churnState{
+			departRate:  make([]float64, len(s.Domains)),
+			lastDeparts: make([]int64, len(s.Domains)),
+			lastNow:     s.Now,
 		}
-		e.lastNow = s.Now
-	} else if dt := s.Now - e.lastNow; dt > 0 {
+		for i := range s.Domains {
+			c.lastDeparts[i] = s.Domains[i].Departures
+		}
+		e.churn[s.Region] = c
+	} else if dt := s.Now - c.lastNow; dt > 0 {
 		const alpha = 0.5
 		perMin := float64(time.Minute) / float64(dt)
 		for i := range s.Domains {
-			obs := float64(s.Domains[i].Departures-e.lastDeparts[i]) * perMin
-			e.departRate[i] = alpha*obs + (1-alpha)*e.departRate[i]
-			e.lastDeparts[i] = s.Domains[i].Departures
+			obs := float64(s.Domains[i].Departures-c.lastDeparts[i]) * perMin
+			c.departRate[i] = alpha*obs + (1-alpha)*c.departRate[i]
+			c.lastDeparts[i] = s.Domains[i].Departures
 		}
-		e.lastNow = s.Now
+		c.lastNow = s.Now
 	}
-	copy(f.rate, e.departRate)
+	copy(f.rate, c.departRate)
 	return f
 }
 
 func hazardReason(h hazard) string {
+	if h.Reason == reasonBatteryLow {
+		return "evac:" + reasonBatteryLow
+	}
 	return fmt.Sprintf("evac:%s(%s)", h.Reason, h.In.Round(time.Second))
 }

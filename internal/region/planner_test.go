@@ -15,44 +15,49 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// plannerHarness wires a two-channel region into a controller running the
-// topology-aware placement planner with the greedy scorer as fallback, both
-// sharing one per-slot cooldown ledger. Cellular is deliberately slow so a
-// plan's code-ship phase spans enough wall time for the test to interfere
-// with an in-flight step.
-func plannerHarness(t *testing.T, phones int) *harness {
+// plannerOpts shapes one planner harness.
+type plannerOpts struct {
+	phones   int
+	channels int
+	speedup  float64
+	// cellBps is the cellular rate in both directions; it sets how long a
+	// 256 KB operator code ship takes.
+	cellBps float64
+	// cooldown is the planner's per-slot window (0 = its 10 s default).
+	cooldown time.Duration
+	// prepare, when set, runs on the started region before the controller's
+	// first tick.
+	prepare func(*region.Region)
+}
+
+// plannerHarness wires a diamond region into a controller running the
+// placement planner on a two-simulated-second tick.
+func plannerHarness(t *testing.T, o plannerOpts) *harness {
 	t.Helper()
-	clk := clock.NewScaled(300)
-	// Slow cellular: one 256 KB code ship takes ~40 simulated seconds, a
-	// wide-open window for the test to depart a migration target with the
-	// ship still in flight.
+	clk := clock.NewScaled(o.speedup)
 	cell := simnet.NewCellular(clk, simnet.CellularConfig{
-		UpBitsPerSecond:   0.05e6,
-		DownBitsPerSecond: 0.05e6,
+		UpBitsPerSecond:   o.cellBps,
+		DownBitsPerSecond: o.cellBps,
 	})
-	ledger := scheduler.NewCooldowns()
+	planner := scheduler.NewPlanner(placement.New(placement.Config{}), nil)
+	planner.Cooldown = o.cooldown
 	ctrl := controller.New(controller.Config{
 		Clock:            clk,
 		Cell:             cell,
 		CheckpointPeriod: time.Hour,
 		PingInterval:     time.Hour,
 		PingTimeout:      10 * time.Second,
-		Sched: scheduler.New(scheduler.Config{
-			Scorer:    &scheduler.HeuristicScorer{LowFraction: 0.10},
-			Cooldown:  5 * time.Second,
-			Cooldowns: ledger,
-		}),
-		Planner:      scheduler.NewPlanner(placement.New(placement.Config{}), ledger),
-		ScheduleTick: 2 * time.Second,
+		Planner:          planner,
+		ScheduleTick:     2 * time.Second,
 	})
 	r, err := region.New(region.Config{
 		ID:                "r1",
 		Graph:             diamondGraph(t),
 		Registry:          diamondRegistry(),
 		Scheme:            ft.MSScheme,
-		Phones:            phones,
+		Phones:            o.phones,
 		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: 100e6, Channels: 2},
+		WiFi:              simnet.WiFiConfig{BitsPerSecond: 100e6, Channels: o.channels},
 		Cell:              cell,
 		ControllerID:      ctrl.ID(),
 		Broadcast:         broadcast.Config{BlockSize: 1024},
@@ -63,6 +68,9 @@ func plannerHarness(t *testing.T, phones int) *harness {
 	}
 	ctrl.AddRegion(r)
 	r.Start()
+	if o.prepare != nil {
+		o.prepare(r)
+	}
 	ctrl.Start()
 	t.Cleanup(func() {
 		r.Stop()
@@ -70,6 +78,18 @@ func plannerHarness(t *testing.T, phones int) *harness {
 	})
 	return &harness{clk: clk, cell: cell, ctrl: ctrl, r: r}
 }
+
+// slowShip is the two-channel harness the plan-lifecycle tests interfere
+// with: cellular is deliberately slow, so one 256 KB code ship takes ~40
+// simulated seconds — a wide-open window for a test to depart a migration
+// target while an earlier step of the same plan is still in flight.
+func slowShip(phones int) plannerOpts {
+	return plannerOpts{phones: phones, channels: 2, speedup: 300, cellBps: 0.05e6}
+}
+
+// singleChannel is a one-domain region with fast cellular: the degenerate
+// topology where the plan is forecast evacuations plus the spare pool.
+var singleChannel = plannerOpts{phones: 7, channels: 1, speedup: 2000, cellBps: 8e6, cooldown: 5 * time.Second}
 
 // waitJournal polls the region journal until an event of the wanted kind
 // appears, returning it.
@@ -103,7 +123,7 @@ type obsEvent struct {
 // leftover slot onto the surviving idle phone with no output lost or
 // duplicated.
 func TestPlannerAbortsOnDepartureAndReplans(t *testing.T) {
-	h := plannerHarness(t, 11)
+	h := plannerHarness(t, slowShip(11))
 
 	// The first plan packs the group into channel 0: n2 onto p11 and n4
 	// onto p7 (candidates sort by ID, "r1/p11" < "r1/p7" < "r1/p9").
@@ -165,73 +185,134 @@ func TestPlannerAbortsOnDepartureAndReplans(t *testing.T) {
 	}
 }
 
-// TestPlannerFallsBackToGreedyWithoutTopology pins the fallback contract: on
-// a single-channel region the planner reports no usable topology and the
-// greedy scorer keeps evacuating low-battery hosts exactly as before.
-func TestPlannerFallsBackToGreedyWithoutTopology(t *testing.T) {
-	clk := clock.NewScaled(2000)
-	cell := simnet.NewCellular(clk, simnet.CellularConfig{
-		UpBitsPerSecond:   8e6,
-		DownBitsPerSecond: 8e6,
-	})
-	ledger := scheduler.NewCooldowns()
-	ctrl := controller.New(controller.Config{
-		Clock:            clk,
-		Cell:             cell,
-		CheckpointPeriod: time.Hour,
-		PingInterval:     time.Hour,
-		PingTimeout:      10 * time.Second,
-		Sched: scheduler.New(scheduler.Config{
-			Scorer:    &scheduler.HeuristicScorer{LowFraction: 0.15},
-			Cooldown:  5 * time.Second,
-			Cooldowns: ledger,
-		}),
-		Planner:      scheduler.NewPlanner(placement.New(placement.Config{}), ledger),
-		ScheduleTick: 2 * time.Second,
-	})
-	r, err := region.New(region.Config{
-		ID:                "r1",
-		Graph:             diamondGraph(t),
-		Registry:          diamondRegistry(),
-		Scheme:            ft.MSScheme,
-		Phones:            7,
-		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: 100e6},
-		Cell:              cell,
-		ControllerID:      ctrl.ID(),
-		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestPlanAbortLeavesLaterStepsPlannable is the regression test for the
+// cooldown being charged at plan time: a plan of three migrations whose
+// second step aborts (its target departed) never attempts the third, so the
+// third step's slot must be planned again on the very next tick — with a
+// day-long cooldown (the test's 20 s of wall time is under two simulated
+// hours), a slot charged for a step nobody attempted would stay locked for
+// the whole test.
+func TestPlanAbortLeavesLaterStepsPlannable(t *testing.T) {
+	o := slowShip(13)
+	o.cooldown = 24 * time.Hour
+	// n5's host is below the battery floor before the first tick, so the
+	// first plan leads with its evacuation and then packs the diamond onto
+	// channel 0: n5 -> p11, n2 -> p13, n4 -> p7 (idle channel-0 phones
+	// sort "r1/p11" < "r1/p13" < "r1/p7" < "r1/p9").
+	o.prepare = func(r *region.Region) { r.Phone("r1/p5").Revive(0.08) }
+	h := plannerHarness(t, o)
+
+	if _, ok := waitJournal(t, h, "plan.propose", 20*time.Second); !ok {
+		t.Fatal("planner never proposed a plan")
 	}
-	ctrl.AddRegion(r)
-	r.Start()
-	ctrl.Start()
-	t.Cleanup(func() {
-		r.Stop()
-		ctrl.Stop()
-	})
-	h := &harness{clk: clk, cell: cell, ctrl: ctrl, r: r}
+	// Step 1's ~40-second code ship is in flight; step 2's target leaves.
+	h.r.DepartPhone("r1/p13")
+	abort, ok := waitJournal(t, h, "plan.abort", 20*time.Second)
+	if !ok {
+		t.Fatal("departing the second step's target did not abort the plan")
+	}
+	if abort.Slot != "n2" || !strings.Contains(abort.Detail, "r1/p13") {
+		t.Fatalf("abort = %+v, want slot n2 targeting r1/p13", abort)
+	}
+
+	// The next tick replans n4, which the aborted plan never reached.
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) {
+		if pid, _ := h.r.Placement("n4"); pid != "r1/p4" {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if pid, _ := h.r.Placement("n4"); pid != "r1/p7" && pid != "r1/p9" {
+		t.Fatalf("n4 on %s, want channel 0's idle r1/p7 or r1/p9: the unattempted step stayed locked out", pid)
+	}
+	if pid, _ := h.r.Placement("n5"); pid != "r1/p11" {
+		t.Fatalf("n5 on %s, want r1/p11 from the aborted plan's landed step", pid)
+	}
+	// n2 was attempted, so it is charged and sits out the cooldown.
+	if pid, _ := h.r.Placement("n2"); pid != "r1/p2" {
+		t.Fatalf("n2 on %s, want r1/p2 (attempted step is inside its cooldown)", pid)
+	}
+	if h.ctrl.Recoveries("r1") != 0 {
+		t.Fatal("reactive recovery fired; the plan abort should be clean")
+	}
+}
+
+// evacuateLowBattery drives the single-channel scenario both tests below
+// share: cliff the host of n3 under the battery floor and wait for the
+// planner to move the slot. It returns the cliffed phone.
+func evacuateLowBattery(t *testing.T, h *harness) simnet.NodeID {
+	t.Helper()
 	h.ingest(10)
 	if got := h.waitCount(t, 10, 10*time.Second); got != 10 {
 		t.Fatalf("outputs = %d, want 10", got)
 	}
-
-	victim, _ := r.Placement("n3")
-	r.Phone(victim).Revive(0.08)
+	victim, _ := h.r.Placement("n3")
+	h.r.Phone(victim).Revive(0.08) // battery cliff: below the 0.15 floor
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
-		if pid, _ := r.Placement("n3"); pid != victim {
+		if pid, _ := h.r.Placement("n3"); pid != victim {
 			break
 		}
 		h.ingest(1)
 		time.Sleep(5 * time.Millisecond)
 	}
-	if pid, _ := r.Placement("n3"); pid == victim {
-		t.Fatalf("greedy fallback never evacuated n3 off %s", victim)
+	if pid, _ := h.r.Placement("n3"); pid == victim {
+		t.Fatalf("planner never evacuated n3 off low-battery %s", victim)
 	}
-	if committed, aborted := ctrl.PlanStats("r1"); committed != 0 || aborted != 0 {
-		t.Fatalf("planner ran on single-channel topology: committed=%d aborted=%d", committed, aborted)
+	return victim
+}
+
+// TestPlannerEvacuatesOnSingleDomain pins that a one-channel region is just
+// a degenerate plan: the planner itself evacuates the low-battery host, and
+// the plan lifecycle is journaled like any other.
+func TestPlannerEvacuatesOnSingleDomain(t *testing.T) {
+	h := plannerHarness(t, singleChannel)
+	evacuateLowBattery(t, h)
+	if _, ok := waitJournal(t, h, "plan.commit", 20*time.Second); !ok {
+		t.Fatal("the evacuating plan was never journaled as committed")
+	}
+	if committed, _ := h.ctrl.PlanStats("r1"); committed < 1 {
+		t.Fatalf("plan stats committed=%d, want >= 1", committed)
+	}
+}
+
+// TestRecoveryDrawsOnWarmSpares pins that reactive recovery still backstops
+// what the plan misses: with a single idle phone the first plan reserves it
+// as the domain's warm spare, and an abrupt, unforecast failure of a
+// hosting phone must recover onto that spare rather than find the idle
+// pool empty and kill the region.
+func TestRecoveryDrawsOnWarmSpares(t *testing.T) {
+	o := singleChannel
+	o.phones = 6 // five slots, one idle
+	h := plannerHarness(t, o)
+	h.ingest(10)
+	if got := h.waitCount(t, 10, 10*time.Second); got != 10 {
+		t.Fatalf("outputs = %d, want 10", got)
+	}
+	if _, ok := waitJournal(t, h, "plan.commit", 20*time.Second); !ok {
+		t.Fatal("the spare-pool plan was never committed")
+	}
+	if n := h.r.IdleCount(); n != 0 {
+		t.Fatalf("idle = %d, want 0: the plan should hold the only idle phone as a spare", n)
+	}
+	victim, _ := h.r.Placement("n3")
+	h.r.FailPhone(victim)
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) {
+		if pid, _ := h.r.Placement("n3"); pid != victim || h.ctrl.RegionDead("r1") {
+			break
+		}
+		h.ingest(1) // keep data flowing so the upstream detects the failure
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h.ctrl.RegionDead("r1") {
+		t.Fatal("region died: recovery could not see the planner's warm spare")
+	}
+	if pid, _ := h.r.Placement("n3"); pid != "r1/p6" {
+		t.Fatalf("n3 on %s, want the warm spare r1/p6", pid)
+	}
+	if h.ctrl.Recoveries("r1") != 1 {
+		t.Fatalf("recoveries = %d, want 1", h.ctrl.Recoveries("r1"))
 	}
 }

@@ -52,27 +52,16 @@ type Config struct {
 	// PreserveBroadcast replicates source logs region-wide (MobiStreams).
 	PreserveBroadcast bool
 	// Centre and RadiusM describe the region's WiFi coverage disc for the
-	// scheduler's departure prediction; RadiusM 0 disables it.
+	// planner's departure forecast; RadiusM 0 disables it.
 	Centre  phone.Position
 	RadiusM float64
-	// Batch bounds edge-level tuple batching on every node's emission
-	// path; the zero value enables batching with defaults.
-	//
-	// Deprecated: prefer QoS, which consolidates the batching knobs behind
-	// a latency budget. Batch remains supported; non-zero QoS fields
-	// override it field-by-field.
-	Batch node.BatchConfig
-	// QoS consolidates output-path quality-of-service: an end-to-end
-	// latency budget driving adaptive batch-flush deadlines, plus batch
-	// size bounds. The zero value leaves legacy Batch behavior untouched.
+	// QoS is every node's output-path quality of service: an end-to-end
+	// latency budget driving adaptive batch-flush deadlines, plus the
+	// edge-level batch size bounds. The zero value batches with defaults.
 	QoS node.QoS
 	// Checkpoint configures every node's snapshot pipeline (the zero
 	// value is incremental-async with default chain/copy parameters).
 	Checkpoint node.CheckpointConfig
-	// NoRouteCache makes every node consult the placement resolver on
-	// each send instead of the epoch-stamped route cache (the pre-cache
-	// data plane, kept for benchmarks and regression comparison).
-	NoRouteCache bool
 	// OnSinkOutput publishes deduplicated sink results beyond the region
 	// (inter-region cascading); may be nil.
 	OnSinkOutput func(publisher simnet.NodeID, t *tuple.Tuple)
@@ -288,13 +277,11 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 		Endpoint:          r.endpoints[id],
 		Store:             r.stores[id],
 		Resolver:          (*resolver)(r),
-		NoRouteCache:      r.cfg.NoRouteCache,
 		ControllerID:      r.cfg.ControllerID,
 		Peers:             func() []simnet.NodeID { return r.LivePeers(id) },
 		DistPeers:         r.distPeersFor(slot),
 		Broadcast:         r.cfg.Broadcast,
 		PreserveBroadcast: r.cfg.PreserveBroadcast,
-		Batch:             r.cfg.Batch,
 		QoS:               r.cfg.QoS,
 		Keyed:             r.keyed,
 		BatchStats:        &r.batchStats,
@@ -338,9 +325,7 @@ func (r *Region) buildStandby(slot string) {
 		Endpoint:     ep,
 		Store:        st,
 		Resolver:     (*resolver)(r),
-		NoRouteCache: r.cfg.NoRouteCache,
 		ControllerID: r.cfg.ControllerID,
-		Batch:        r.cfg.Batch,
 		QoS:          r.cfg.QoS,
 		Keyed:        r.keyed,
 		BatchStats:   &r.batchStats,

@@ -15,7 +15,6 @@ import (
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 )
@@ -683,72 +682,14 @@ func TestAddPhoneRecruitsIdleMember(t *testing.T) {
 	}
 }
 
-// TestSchedulerLoopEvacuatesLowBattery wires the scheduler into the
+// TestSchedulerLoopEvacuatesLowBattery wires the planner into the
 // controller and checks the full loop: telemetry flags a phone whose
 // battery has cliffed, and its slot is live-migrated onto an idle phone
 // before any reactive machinery fires — with no output lost or duplicated.
 func TestSchedulerLoopEvacuatesLowBattery(t *testing.T) {
-	clk := clock.NewScaled(2000)
-	cell := simnet.NewCellular(clk, simnet.CellularConfig{
-		UpBitsPerSecond:   8e6,
-		DownBitsPerSecond: 8e6,
-	})
-	ctrl := controller.New(controller.Config{
-		Clock:            clk,
-		Cell:             cell,
-		CheckpointPeriod: time.Hour,
-		PingInterval:     time.Hour,
-		PingTimeout:      10 * time.Second,
-		Sched: scheduler.New(scheduler.Config{
-			Scorer:   &scheduler.HeuristicScorer{LowFraction: 0.15},
-			Cooldown: 5 * time.Second,
-		}),
-		ScheduleTick: 2 * time.Second,
-	})
-	r, err := region.New(region.Config{
-		ID:                "r1",
-		Graph:             diamondGraph(t),
-		Registry:          diamondRegistry(),
-		Scheme:            ft.MSScheme,
-		Phones:            7,
-		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: 100e6},
-		Cell:              cell,
-		ControllerID:      ctrl.ID(),
-		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.AddRegion(r)
-	r.Start()
-	ctrl.Start()
-	t.Cleanup(func() {
-		r.Stop()
-		ctrl.Stop()
-	})
-
-	h := &harness{clk: clk, cell: cell, ctrl: ctrl, r: r}
-	h.ingest(10)
-	if got := h.waitCount(t, 10, 10*time.Second); got != 10 {
-		t.Fatalf("outputs = %d, want 10", got)
-	}
-
-	victim, _ := r.Placement("n3")
-	r.Phone(victim).Revive(0.08) // battery cliff: below the 0.15 risk line
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if pid, _ := r.Placement("n3"); pid != victim {
-			break
-		}
-		h.ingest(1)
-		time.Sleep(5 * time.Millisecond)
-	}
-	repl, _ := r.Placement("n3")
-	if repl == victim {
-		t.Fatalf("scheduler never evacuated n3 off low-battery %s", victim)
-	}
+	h := plannerHarness(t, singleChannel)
+	r, ctrl := h.r, h.ctrl
+	evacuateLowBattery(t, h)
 	if ctrl.Migrations("r1") == 0 {
 		t.Fatal("no migration recorded")
 	}

@@ -6,9 +6,8 @@ import (
 )
 
 // lowBatteryFraction is the battery level below which a phone counts
-// toward the rollup's risk figure. It mirrors the scheduler's default
-// LowFraction, so a region's published risk matches what its own
-// placement loop would act on.
+// toward the rollup's risk figure: twice the 0.05 chronic threshold at
+// which a node reports its own battery as an emergency.
 const lowBatteryFraction = 0.10
 
 // RollupFromStats folds one telemetry snapshot into the federation's

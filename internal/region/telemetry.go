@@ -18,11 +18,11 @@ type telePoint struct {
 	processed uint64
 }
 
-// Telemetry snapshots the region for the placement scheduler: per-phone
+// Telemetry snapshots the region for the placement planner: per-phone
 // battery joules and observed drain rate, queue backlog and tuple rate from
-// the node runtime, the medium's bandwidth, and the GPS position/velocity
-// the departure predictor extrapolates. Failed and departed phones are
-// excluded — they are the reactive path's problem, not the scheduler's.
+// the node runtime, and the GPS position/velocity the departure forecast
+// extrapolates. Failed and departed phones are excluded — they are the
+// reactive path's problem, not the planner's.
 func (r *Region) Telemetry() scheduler.RegionStats {
 	now := r.clk.Now()
 
@@ -58,7 +58,6 @@ func (r *Region) Telemetry() scheduler.RegionStats {
 		Centre:  r.cfg.Centre,
 		RadiusM: r.cfg.RadiusM,
 	}
-	radioBps := r.wifi.Config().BitsPerSecond
 	r.mu.Unlock()
 
 	r.teleMu.Lock()
@@ -73,7 +72,6 @@ func (r *Region) Telemetry() scheduler.RegionStats {
 			Idle:            e.idle,
 			BatteryJoules:   ph.EnergyJoules(),
 			BatteryFraction: ph.BatteryFraction(),
-			RadioBps:        radioBps,
 			Position:        ph.Position(),
 		}
 		sort.Strings(st.Slots)

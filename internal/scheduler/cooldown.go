@@ -6,7 +6,7 @@ import (
 )
 
 // Cooldowns is the shared per-slot action ledger: every policy that
-// disrupts a slot — a planned migration (Scheduler or Planner) or an
+// disrupts a slot — a planned migration (noted by the plan executor) or an
 // elastic split/merge touching the slot (ElasticPolicy) — notes the slot
 // here, and every policy checks it before planning the next disruption.
 // One ledger shared across policies closes the blind spot where each

@@ -4,17 +4,28 @@ import (
 	"testing"
 	"time"
 
-	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 )
 
-// TestCooldownUnification is the regression test for the scheduler/elastic
+// migrations filters a plan down to its migrate steps.
+func migrations(p *placement.Plan) []placement.Step {
+	var out []placement.Step
+	for _, st := range p.Steps {
+		if st.Kind == placement.StepMigrate {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// TestCooldownUnification is the regression test for the planner/elastic
 // cooldown blind spot: with the shared ledger, a slot an elastic
 // split/merge just touched cannot be migrated inside the window, and a
 // just-migrated slot cannot be split or merged — previously each policy
 // tracked its own cooldowns and saw nothing of the other's.
 func TestCooldownUnification(t *testing.T) {
 	ledger := NewCooldowns()
-	sched := New(Config{Cooldown: 30 * time.Second, Cooldowns: ledger})
+	planner := NewPlanner(placement.New(placement.Config{}), ledger)
 	pol := &ElasticPolicy{Cooldown: 10 * time.Second, Cooldowns: ledger, Scope: "r1"}
 
 	stats := func(backlog int) []InstanceStat {
@@ -23,14 +34,16 @@ func TestCooldownUnification(t *testing.T) {
 			{Instance: "agg#1", Index: 1, Slot: "s9", Active: false},
 		}
 	}
-	rs := func(now time.Duration) RegionStats {
-		return RegionStats{
-			Region: "r1",
-			Now:    now,
-			Phones: []PhoneStat{
-				{ID: "host", Slots: []string{"s1"}, BatteryFraction: 0.05, BatteryJoules: 5, Position: phone.Position{}},
+	snap := func(now time.Duration) placement.Snapshot {
+		return placement.Snapshot{
+			Region:  "r1",
+			Now:     now,
+			Domains: []placement.Domain{{ID: 0}},
+			Phones: []placement.Phone{
+				{ID: "host", BatteryFraction: 0.05, BatteryJoules: 5},
 				{ID: "idle", Idle: true, BatteryFraction: 0.9},
 			},
+			Slots: []placement.Assignment{{Slot: "s1", Phone: "host"}},
 		}
 	}
 
@@ -40,18 +53,20 @@ func TestCooldownUnification(t *testing.T) {
 		t.Fatalf("expected a split, got %+v", act)
 	}
 
-	// 2. Five seconds later the migration scheduler sees the host of s1 at
-	// risk — but the slot's state is mid-flight from the split, so the
-	// shared ledger must hold the migration back.
-	if plan := sched.Plan(rs(105 * time.Second)); len(plan) != 0 {
+	// 2. Five seconds later the planner sees the host of s1 at risk — but
+	// the slot's state is mid-flight from the split, so the shared ledger
+	// must hold the migration back.
+	if plan := migrations(planner.Plan(snap(105 * time.Second))); len(plan) != 0 {
 		t.Fatalf("slot s1 migrated %v inside the split cooldown", plan)
 	}
 
-	// 3. Past the window the migration goes ahead and notes the slot.
-	plan := sched.Plan(rs(200 * time.Second))
+	// 3. Past the window the migration is planned; the executor reports
+	// the step as it attempts it.
+	plan := migrations(planner.Plan(snap(200 * time.Second)))
 	if len(plan) != 1 || plan[0].Slot != "s1" {
 		t.Fatalf("expected migration of s1 after cooldown, got %v", plan)
 	}
+	planner.Attempted("r1", plan[0].Slot, 200*time.Second)
 
 	// 4. Now the roles flip: the group cooldown (10 s, last action t=100s)
 	// has long expired, but slot s1 was just migrated — the split must

@@ -38,7 +38,7 @@ type ElasticAction struct {
 }
 
 // ElasticPolicy turns per-instance backpressure telemetry into split and
-// merge decisions. Like the placement scheduler it is a pure decision
+// merge decisions. Like the placement planner it is a pure decision
 // library: the region produces InstanceStats and executes the returned
 // action (SplitInstance / MergeKeyRange); the policy holds only cooldown
 // state.
@@ -62,12 +62,12 @@ type ElasticPolicy struct {
 	// key range to a peer right before the traffic comes back.
 	MinColdPolls int
 	// Cooldowns, when set, is the per-slot disruption ledger shared with
-	// the migration scheduler: an instance whose slot was just migrated is
+	// the migration planner: an instance whose slot was just migrated is
 	// not split or merged within Cooldown, and a planned split/merge notes
-	// the slots it touches so the scheduler will not migrate them either.
+	// the slots it touches so the planner will not migrate them either.
 	Cooldowns *Cooldowns
 	// Scope qualifies slot keys in the shared ledger; use the region name
-	// the migration scheduler plans under.
+	// the migration planner plans under.
 	Scope string
 
 	mu       sync.Mutex

@@ -6,18 +6,19 @@ import (
 	"mobistreams/internal/placement"
 )
 
-// Planner is the topology-aware placement policy: it wraps the
-// placement.Engine and sits alongside the greedy Scorer as the
-// controller's preferred planner. The greedy path stays the baseline and
-// the fallback — Plan returns nil when the snapshot carries no usable
-// channel topology (fewer than two domains), telling the caller to run the
-// per-phone Scorer instead. Migrate steps pass through the shared per-slot
-// Cooldowns ledger, so plans, greedy migrations and elastic split/merges
-// all back off slots the others just disrupted.
+// Planner is the migration decider: it wraps the placement.Engine and
+// filters its migrate steps through the shared per-slot Cooldowns ledger,
+// so plans and elastic split/merges back off slots the other just
+// disrupted. It plans for any topology — with a single WiFi channel the
+// engine's pack pass has nothing to consolidate and the plan is forecast
+// evacuations plus the spare pool.
 type Planner struct {
 	Engine *placement.Engine
-	// Cooldown is the per-slot window applied to migrate steps
-	// (default 30 s, matching the greedy scheduler).
+	// Cooldown is the per-slot window applied to migrate steps (default
+	// 10 s). It has to stay shorter than a phone that crosses the battery
+	// floor lasts: a fresh host can cliff right after it received a slot
+	// (8% of 150 J is ~20 s under load), and a window that outlasts it
+	// turns the second evacuation into a reactive recovery.
 	Cooldown time.Duration
 	// Cooldowns is the shared disruption ledger; a private one is used
 	// when nil.
@@ -32,30 +33,30 @@ func NewPlanner(engine *placement.Engine, cooldowns *Cooldowns) *Planner {
 	return &Planner{Engine: engine, Cooldowns: cooldowns}
 }
 
-// Plan produces the next placement plan for one snapshot, or nil when the
-// topology is unknown and the caller should fall back to the greedy
-// scorer. Migrate steps for slots inside the cooldown window are dropped
-// from the plan; the kept ones are noted immediately — the caller is
-// expected to attempt every returned step.
+// Plan produces the next placement plan for one snapshot. Migrate steps
+// for slots inside the cooldown window are dropped from the plan. The kept
+// ones are not charged here: the executor reports each migrate step it
+// actually attempts through Attempted, so steps behind an aborted one stay
+// plannable on the next tick.
 func (p *Planner) Plan(snap placement.Snapshot) *placement.Plan {
-	if len(snap.Domains) < 2 {
-		return nil
-	}
 	window := p.Cooldown
 	if window <= 0 {
-		window = 30 * time.Second
+		window = 10 * time.Second
 	}
 	plan := p.Engine.Plan(snap)
 	kept := plan.Steps[:0]
 	for _, st := range plan.Steps {
-		if st.Kind == placement.StepMigrate {
-			if !p.Cooldowns.Ready(snap.Region, st.Slot, snap.Now, window) {
-				continue
-			}
-			p.Cooldowns.Note(snap.Region, st.Slot, snap.Now)
+		if st.Kind == placement.StepMigrate && !p.Cooldowns.Ready(snap.Region, st.Slot, snap.Now, window) {
+			continue
 		}
 		kept = append(kept, st)
 	}
 	plan.Steps = kept
 	return plan
+}
+
+// Attempted charges the slot's cooldown: the plan executor calls it when
+// it starts a migrate step, whether or not the migration then lands.
+func (p *Planner) Attempted(region, slot string, now time.Duration) {
+	p.Cooldowns.Note(region, slot, now)
 }

@@ -1,22 +1,19 @@
-// Package scheduler implements the adaptive placement scheduler: a pure
-// decision library that turns per-region telemetry (battery joules and
-// observed drain, radio bandwidth, per-slot queue backlog and tuple rate,
-// GPS trajectory extrapolated toward the WiFi range boundary) into planned
-// live migrations — moving an operator slot off an at-risk phone *before*
-// the phone dies or walks out of range, so the disruption the paper handles
-// with emergency checkpoint/recovery (§III-D, §IV-B) becomes a cheap
-// in-region handoff instead.
+// Package scheduler holds the control plane's policy glue: the telemetry
+// types the region produces (RegionStats), the Planner that runs the
+// placement engine's plans past the shared per-slot Cooldowns ledger, and
+// the ElasticPolicy that decides keyed split/merges. Planned live
+// migrations move an operator slot off an at-risk phone *before* the phone
+// dies or walks out of range, so the disruption the paper handles with
+// emergency checkpoint/recovery (§III-D, §IV-B) becomes a cheap in-region
+// handoff instead.
 //
 // The package deliberately holds no references to the region, node or
 // controller runtimes: the region produces RegionStats, the controller
-// executes the returned Migrations, and everything in between is plain data
-// — which keeps the policy unit-testable without a running system and lets
-// deployments swap the Scorer.
+// executes the returned steps, and everything in between is plain data —
+// which keeps the policies unit-testable without a running system.
 package scheduler
 
 import (
-	"math"
-	"sort"
 	"time"
 
 	"mobistreams/internal/phone"
@@ -40,9 +37,6 @@ type PhoneStat struct {
 	Backlog   int     // queued-but-unprocessed stream items
 	TupleRate float64 // tuples processed per simulated second since last poll
 
-	// Radio telemetry.
-	RadioBps float64 // estimated share of the region medium
-
 	// Mobility telemetry.
 	Position phone.Position
 	VelX     float64 // metres per simulated second
@@ -56,256 +50,4 @@ type RegionStats struct {
 	Centre  phone.Position
 	RadiusM float64 // WiFi range boundary; 0 disables departure prediction
 	Phones  []PhoneStat
-}
-
-// Risk is a scored hazard on a phone. Score >= 1 means the phone is
-// expected to disrupt the region within the scorer's horizon and its slots
-// should be migrated off.
-type Risk struct {
-	Score  float64
-	Reason string
-}
-
-// Scorer is the pluggable placement policy: Risk decides which phones to
-// evacuate, TargetScore ranks candidate replacements (higher is better).
-type Scorer interface {
-	Risk(rs RegionStats, p PhoneStat) Risk
-	TargetScore(rs RegionStats, p PhoneStat) float64
-}
-
-// HeuristicScorer is the default policy: a phone is at risk when its
-// projected battery death or WiFi boundary crossing falls within the
-// configured horizons, or when its battery is below LowFraction; targets
-// are ranked by battery headroom minus load.
-type HeuristicScorer struct {
-	// BatteryHorizon flags a phone whose projected time-to-death (energy /
-	// observed drain) is within this window (default 90 s).
-	BatteryHorizon time.Duration
-	// LowFraction flags a phone below this battery fraction regardless of
-	// the drain estimate (default 0.10 — comfortably above the 0.05
-	// chronic threshold, so the planned migration beats the emergency
-	// chronic-battery report).
-	LowFraction float64
-	// DepartHorizon flags a phone whose straight-line trajectory crosses
-	// the WiFi boundary within this window (default 45 s).
-	DepartHorizon time.Duration
-}
-
-// horizons resolves the configured values against defaults without
-// mutating the (shared, concurrently used) scorer.
-func (h *HeuristicScorer) horizons() (battery time.Duration, low float64, depart time.Duration) {
-	battery, low, depart = h.BatteryHorizon, h.LowFraction, h.DepartHorizon
-	if battery <= 0 {
-		battery = 90 * time.Second
-	}
-	if low <= 0 {
-		low = 0.10
-	}
-	if depart <= 0 {
-		depart = 45 * time.Second
-	}
-	return battery, low, depart
-}
-
-// TimeToBoundary extrapolates a straight-line trajectory to the region's
-// WiFi range boundary. It returns (d, true) when the phone is inside the
-// boundary and moving so that it crosses it d from now; (0, false) when the
-// phone is stationary, inbound, or the region has no boundary configured.
-func TimeToBoundary(rs RegionStats, p PhoneStat) (time.Duration, bool) {
-	if rs.RadiusM <= 0 {
-		return 0, false
-	}
-	dx := p.Position.X - rs.Centre.X
-	dy := p.Position.Y - rs.Centre.Y
-	dist := math.Sqrt(dx*dx + dy*dy)
-	if dist >= rs.RadiusM {
-		return 0, true // already out: cross immediately
-	}
-	speed := math.Sqrt(p.VelX*p.VelX + p.VelY*p.VelY)
-	if speed <= 0 {
-		return 0, false
-	}
-	// Radial component of the velocity: outward speed toward the boundary.
-	var vr float64
-	if dist > 0 {
-		vr = (dx*p.VelX + dy*p.VelY) / dist
-	} else {
-		vr = speed
-	}
-	if vr <= 0 {
-		return 0, false
-	}
-	return time.Duration((rs.RadiusM - dist) / vr * float64(time.Second)), true
-}
-
-// Risk implements Scorer.
-func (h *HeuristicScorer) Risk(rs RegionStats, p PhoneStat) Risk {
-	batteryHorizon, lowFraction, departHorizon := h.horizons()
-	best := Risk{}
-	note := func(score float64, reason string) {
-		if score > best.Score {
-			best = Risk{Score: score, Reason: reason}
-		}
-	}
-	if p.BatteryFraction > 0 && p.BatteryFraction < lowFraction {
-		note(1+(lowFraction-p.BatteryFraction)/lowFraction, "battery-low")
-	}
-	if p.DrainWatts > 0 && p.BatteryJoules > 0 {
-		ttd := time.Duration(p.BatteryJoules / p.DrainWatts * float64(time.Second))
-		if ttd > 0 {
-			note(float64(batteryHorizon)/float64(ttd), "battery-drain")
-		}
-	}
-	if ttb, ok := TimeToBoundary(rs, p); ok {
-		if ttb <= 0 {
-			note(2, "departing")
-		} else {
-			note(float64(departHorizon)/float64(ttb), "departing")
-		}
-	}
-	return best
-}
-
-// TargetScore implements Scorer: battery headroom first, lightly penalised
-// by backlog and rewarded by radio headroom so two equal batteries tiebreak
-// toward the less loaded phone.
-func (h *HeuristicScorer) TargetScore(rs RegionStats, p PhoneStat) float64 {
-	score := p.BatteryFraction
-	score -= 0.01 * float64(p.Backlog)
-	if p.RadioBps > 0 {
-		score += 1e-9 * p.RadioBps
-	}
-	return score
-}
-
-// Migration is one planned slot move.
-type Migration struct {
-	Slot   string
-	From   simnet.NodeID
-	To     simnet.NodeID
-	Reason string
-}
-
-// Config parameterises the scheduler.
-type Config struct {
-	// Scorer is the placement policy (default HeuristicScorer zero value).
-	Scorer Scorer
-	// Cooldown suppresses re-planning a slot that was migrated within the
-	// window, so a noisy telemetry signal cannot thrash a slot between
-	// phones (default 30 s).
-	Cooldown time.Duration
-	// MaxPerTick bounds planned migrations per Plan call; moving the whole
-	// region at once would itself be the disruption the scheduler exists
-	// to avoid (default 2).
-	MaxPerTick int
-	// TargetRiskCeiling excludes candidate targets whose own risk score is
-	// at or above this value (default 0.5): evacuating onto the next phone
-	// to die just doubles the work.
-	TargetRiskCeiling float64
-	// Cooldowns is the shared per-slot disruption ledger. Pass the same
-	// instance to the ElasticPolicy (and Planner) serving the region so
-	// migrations and split/merges see each other's cooldowns; a private
-	// ledger is created when nil.
-	Cooldowns *Cooldowns
-}
-
-func (c *Config) applyDefaults() {
-	if c.Scorer == nil {
-		c.Scorer = &HeuristicScorer{}
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.MaxPerTick <= 0 {
-		c.MaxPerTick = 2
-	}
-	if c.TargetRiskCeiling <= 0 {
-		c.TargetRiskCeiling = 0.5
-	}
-	if c.Cooldowns == nil {
-		c.Cooldowns = NewCooldowns()
-	}
-}
-
-// Scheduler plans migrations from telemetry. One Scheduler may serve many
-// regions (the controller runs one planning loop per region against a
-// shared instance); the per-slot cooldown state lives in the shared
-// Cooldowns ledger.
-type Scheduler struct {
-	cfg Config
-}
-
-// New creates a scheduler.
-func New(cfg Config) *Scheduler {
-	cfg.applyDefaults()
-	return &Scheduler{cfg: cfg}
-}
-
-// Cooldowns exposes the scheduler's per-slot disruption ledger so other
-// policies (ElasticPolicy, Planner) can share it.
-func (s *Scheduler) Cooldowns() *Cooldowns { return s.cfg.Cooldowns }
-
-// Plan inspects one region's telemetry and returns the migrations to run
-// now, most urgent first. Each returned slot is recorded against the
-// cooldown immediately — the caller is expected to attempt every returned
-// migration.
-func (s *Scheduler) Plan(rs RegionStats) []Migration {
-	sc := s.cfg.Scorer
-	risks := make(map[simnet.NodeID]Risk, len(rs.Phones))
-	for _, p := range rs.Phones {
-		risks[p.ID] = sc.Risk(rs, p)
-	}
-
-	// Candidate targets: idle phones whose own risk is acceptable, best
-	// score first.
-	var targets []PhoneStat
-	for _, p := range rs.Phones {
-		if p.Idle && risks[p.ID].Score < s.cfg.TargetRiskCeiling {
-			targets = append(targets, p)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool {
-		si, sj := sc.TargetScore(rs, targets[i]), sc.TargetScore(rs, targets[j])
-		if si != sj {
-			return si > sj
-		}
-		return targets[i].ID < targets[j].ID // deterministic tiebreak
-	})
-
-	// At-risk hosts, most urgent first.
-	var hosts []PhoneStat
-	for _, p := range rs.Phones {
-		if len(p.Slots) > 0 && risks[p.ID].Score >= 1 {
-			hosts = append(hosts, p)
-		}
-	}
-	sort.Slice(hosts, func(i, j int) bool {
-		ri, rj := risks[hosts[i].ID].Score, risks[hosts[j].ID].Score
-		if ri != rj {
-			return ri > rj
-		}
-		return hosts[i].ID < hosts[j].ID
-	})
-
-	var plan []Migration
-	ti := 0
-	for _, h := range hosts {
-		for _, slot := range h.Slots {
-			if len(plan) >= s.cfg.MaxPerTick || ti >= len(targets) {
-				return plan
-			}
-			if !s.cfg.Cooldowns.Ready(rs.Region, slot, rs.Now, s.cfg.Cooldown) {
-				continue
-			}
-			plan = append(plan, Migration{
-				Slot:   slot,
-				From:   h.ID,
-				To:     targets[ti].ID,
-				Reason: risks[h.ID].Reason,
-			})
-			s.cfg.Cooldowns.Note(rs.Region, slot, rs.Now)
-			ti++
-		}
-	}
-	return plan
 }

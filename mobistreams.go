@@ -60,6 +60,7 @@ import (
 	"mobistreams/internal/metrics"
 	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
@@ -100,12 +101,6 @@ type (
 	Scheme = ft.Scheme
 	// Report summarises a region's metrics.
 	Report = metrics.Report
-	// BatchConfig bounds edge-level tuple batching.
-	//
-	// Deprecated: prefer QoS, which consolidates the batching knobs
-	// behind a latency budget; BatchConfig keeps working and is
-	// overridden field-by-field by non-zero QoS fields.
-	BatchConfig = node.BatchConfig
 	// QoS consolidates output-path quality of service: an end-to-end
 	// latency budget driving adaptive batch-flush deadlines, plus batch
 	// size bounds.
@@ -152,13 +147,16 @@ type SystemConfig struct {
 	// Cellular configures the wide-area network (defaults to the
 	// paper's measured 3G rates).
 	Cellular simnet.CellularConfig
-	// AdaptivePlacement enables the telemetry-driven placement scheduler:
-	// the controller polls every region's battery, backlog and trajectory
-	// telemetry each ScheduleTick and live-migrates slots off at-risk
-	// phones before they fail or depart (proactive, in addition to the
-	// paper's reactive recovery).
+	// AdaptivePlacement enables the telemetry-driven placement planner:
+	// the controller polls every region's channel topology and battery,
+	// backlog and trajectory telemetry each ScheduleTick, live-migrates
+	// slots off at-risk phones before they fail or depart, packs
+	// communicating slots into one WiFi channel and keeps a warm spare
+	// phone per channel (proactive, in addition to the paper's reactive
+	// recovery, which reclaims the warm spares when it needs a
+	// replacement).
 	AdaptivePlacement bool
-	// ScheduleTick is the scheduler's telemetry/planning period (default
+	// ScheduleTick is the planner's telemetry/planning period (default
 	// 10 s; ignored unless AdaptivePlacement is set).
 	ScheduleTick time.Duration
 	// Logf receives debug logging; nil disables.
@@ -185,12 +183,6 @@ type RegionSpec struct {
 	// cannot express.
 	LosslessWiFi bool
 	Seed         int64
-	// Batch bounds edge-level tuple batching on every node's emission
-	// path; the zero value enables batching with defaults.
-	//
-	// Deprecated: prefer QoS; non-zero QoS fields override Batch
-	// field-by-field while the zero QoS leaves Batch behavior untouched.
-	Batch BatchConfig
 	// QoS consolidates the output-path quality-of-service knobs: a
 	// latency budget enabling adaptive batch-flush deadlines plus batch
 	// size bounds (see node.QoS).
@@ -245,7 +237,7 @@ func NewSystem(cfg SystemConfig) *System {
 		Logf:             cfg.Logf,
 	}
 	if cfg.AdaptivePlacement {
-		ctrlCfg.Sched = scheduler.New(scheduler.Config{})
+		ctrlCfg.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
 		ctrlCfg.ScheduleTick = cfg.ScheduleTick
 	}
 	ctrl := controller.New(ctrlCfg)
@@ -312,7 +304,6 @@ func (s *System) AddRegion(spec RegionSpec) (*Region, error) {
 		ControllerID:      s.ctrl.ID(),
 		Broadcast:         broadcast.Config{BlockSize: 1024},
 		PreserveBroadcast: spec.Scheme.Kind == ft.MS,
-		Batch:             spec.Batch,
 		QoS:               spec.QoS,
 		OnSinkOutput:      wrapped.publish,
 		Logf:              s.cfg.Logf,
@@ -433,7 +424,7 @@ func (rg *Region) InjectDeparture(slot string) error {
 // Recoveries reports how many recoveries the region has undergone.
 func (rg *Region) Recoveries() int { return rg.sys.ctrl.Recoveries(rg.r.ID()) }
 
-// Migrations reports how many planned live migrations the scheduler has
+// Migrations reports how many planned live migrations the planner has
 // completed for the region.
 func (rg *Region) Migrations() int { return rg.sys.ctrl.Migrations(rg.r.ID()) }
 
