@@ -71,7 +71,7 @@ func feedAdapter(n *Node, lo, hi int) {
 	p := n.pipe.Load()
 	idx := p.opIndex("src")
 	for i := lo; i <= hi; i++ {
-		n.runOp(p, idx, "", &tuple.Tuple{Seq: uint64(i), Size: 8, Value: float64(i)})
+		n.runOp(p, idx, "", &tuple.Tuple{Seq: uint64(i), Size: 8, Value: float64(i)}, noStamp)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestFireDueTimersBoundedDrain(t *testing.T) {
 	n := New(Config{ID: "a", Graph: g, Registry: reg, Slot: "s1",
 		OpIDs: g.OpsOnSlot("s1"), Clock: clock.NewScaled(1000)})
 	p := n.pipe.Load()
-	n.runOp(p, p.opIndex("src"), "", &tuple.Tuple{Seq: 1, Size: 8})
+	n.runOp(p, p.opIndex("src"), "", &tuple.Tuple{Seq: 1, Size: 8}, noStamp)
 	if len(p.timers) != 1 {
 		t.Fatalf("timer not armed: %d pending", len(p.timers))
 	}

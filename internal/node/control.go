@@ -545,7 +545,7 @@ func (n *Node) handoff(target simnet.NodeID) {
 		}
 	}
 	n.slot = ""
-	n.qOrder = nil
+	n.qOrder, n.qList = nil, nil
 	n.queues = make(map[string]*upQueue)
 	n.pipe.Store((*pipeline)(nil))
 	n.role.Store(int32(RoleIdle))

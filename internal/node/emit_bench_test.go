@@ -19,7 +19,7 @@ func BenchmarkEmitPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.runOp(p, idx, "", t)
+		n.runOp(p, idx, "", t, noStamp)
 	}
 }
 
@@ -34,7 +34,7 @@ func BenchmarkEmitPathLegacy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.runOp(p, idx, "", t)
+		n.runOp(p, idx, "", t, noStamp)
 	}
 }
 
@@ -48,9 +48,9 @@ func TestEmitPathZeroAllocs(t *testing.T) {
 	p := n.pipe.Load()
 	idx := p.opIndex("src")
 	tt := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}
-	n.runOp(p, idx, "", tt) // settle any first-call laziness
+	n.runOp(p, idx, "", tt, noStamp) // settle any first-call laziness
 	allocs := testing.AllocsPerRun(200, func() {
-		n.runOp(p, idx, "", tt)
+		n.runOp(p, idx, "", tt, noStamp)
 	})
 	if allocs != 0 {
 		t.Fatalf("emit-context path allocates %.1f objects/op, want 0", allocs)
@@ -59,9 +59,9 @@ func TestEmitPathZeroAllocs(t *testing.T) {
 	ln := emitBenchNode(true, obs.NewRegistry(), func(*tuple.Tuple) {})
 	lp := ln.pipe.Load()
 	lidx := lp.opIndex("src")
-	ln.runOp(lp, lidx, "", tt)
+	ln.runOp(lp, lidx, "", tt, noStamp)
 	legacy := testing.AllocsPerRun(200, func() {
-		ln.runOp(lp, lidx, "", tt)
+		ln.runOp(lp, lidx, "", tt, noStamp)
 	})
 	if legacy == 0 {
 		t.Fatal("legacy adapter reported 0 allocs/op: benchmark harness lost its contrast")

@@ -83,7 +83,7 @@ func RunEmitBench(legacy bool, iters int) EmitBenchResult {
 	idx := p.opIndex("src")
 	t := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}
 	for i := 0; i < 128; i++ { // warm up lazily-grown state
-		n.runOp(p, idx, "", t)
+		n.runOp(p, idx, "", t, noStamp)
 	}
 	emitted = 0
 	var ms runtime.MemStats
@@ -91,7 +91,7 @@ func RunEmitBench(legacy bool, iters int) EmitBenchResult {
 	m0 := ms.Mallocs
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		n.runOp(p, idx, "", t)
+		n.runOp(p, idx, "", t, noStamp)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)

@@ -32,6 +32,7 @@ import (
 	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
+	"mobistreams/internal/seqset"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/storage"
 	"mobistreams/internal/tuple"
@@ -157,42 +158,33 @@ type upQueue struct {
 	// their gap to fill; parked tracks membership for duplicate drops.
 	park   []queued
 	parked map[uint64]struct{}
-	// recent is the unordered queues' dedup window: the last dedupWindow
-	// sequences accepted, evicted FIFO through recentRing. Allocated once
-	// at construction (newStreamQueue) so the enqueue path never pays a
-	// nil check or a map grow.
-	recent     map[uint64]struct{}
-	recentRing []uint64
-	recentPos  int
+	// recent is the unordered queues' dedup window: the dedupWindow
+	// sequences ending at the highest one accepted. A repeat inside it is a
+	// duplicate; a sequence that has fallen below it is accepted, and
+	// caught by sink-side dedup if it was one. Held by value, so the
+	// enqueue path never allocates (ordered queues dedup by watermark and
+	// park membership instead, and leave it empty).
+	recent seqset.Window
 	// depth is the edge's queue-depth histogram (nil when obs is off),
-	// observed after each accepted enqueue.
+	// observed once per delivery, after its last accepted enqueue.
 	depth *obs.Histogram
 }
 
-// newStreamQueue builds an upstream stream queue with its dedup window
-// pre-allocated (unordered queues only; ordered queues dedup by watermark
-// and park membership instead).
-func newStreamQueue(ordered bool) *upQueue {
-	q := &upQueue{ordered: ordered}
-	if !ordered {
-		q.recent = make(map[uint64]struct{}, dedupWindow)
-		q.recentRing = make([]uint64, 0, dedupWindow)
-	}
-	return q
-}
+// newStreamQueue builds an upstream stream queue.
+func newStreamQueue(ordered bool) *upQueue { return &upQueue{ordered: ordered} }
 
 // parkLimit bounds out-of-order buffering before the gap is abandoned.
 const parkLimit = 1024
 
-// dedupWindow bounds how many recently accepted sequences an unordered
-// queue remembers for duplicate suppression.
-const dedupWindow = 1024
+// dedupWindow bounds how far below the highest accepted sequence an
+// unordered queue remembers sequences for duplicate suppression.
+const dedupWindow = seqset.WindowSize
 
 // enqueue applies the queue's ordering discipline to a sequenced arrival
 // and reports whether anything became deliverable.
 func (q *upQueue) enqueue(it queued) bool {
 	if !q.ordered {
-		if q.seenRecently(it.edgeSeq) {
+		if !q.recent.Admit(it.edgeSeq) {
 			return false // duplicate
 		}
 		if it.edgeSeq > q.lastEnq {
@@ -221,25 +213,6 @@ func (q *upQueue) enqueue(it queued) bool {
 		q.flushPark()
 		return true
 	}
-	return false
-}
-
-// seenRecently reports whether seq is inside the dedup window, recording it
-// if not. The window is bounded: a duplicate arriving more than dedupWindow
-// accepted sequences later slips through and is caught by sink-side dedup.
-// The map and ring are allocated once at construction.
-func (q *upQueue) seenRecently(seq uint64) bool {
-	if _, ok := q.recent[seq]; ok {
-		return true
-	}
-	if len(q.recentRing) < dedupWindow {
-		q.recentRing = append(q.recentRing, seq)
-	} else {
-		delete(q.recent, q.recentRing[q.recentPos])
-		q.recentRing[q.recentPos] = seq
-		q.recentPos = (q.recentPos + 1) % dedupWindow
-	}
-	q.recent[seq] = struct{}{}
 	return false
 }
 
@@ -317,21 +290,19 @@ func (q *upQueue) pop() queued {
 	return it
 }
 
-// reset drops the queue's contents, keeping its pre-allocated dedup window
-// (cleared, not reallocated) so restores do not reintroduce the per-enqueue
-// allocation the constructor eliminated.
+// reset drops the queue's contents and empties its dedup window.
 func (q *upQueue) reset() {
 	q.items = nil
 	q.head = 0
 	q.stalled = false
 	q.park = nil
 	q.parked = nil
-	if q.recent != nil {
-		clear(q.recent)
-		q.recentRing = q.recentRing[:0]
-	}
-	q.recentPos = 0
+	q.recent.Reset()
 }
+
+// noStamp stands for "no current clock reading" where the executor passes
+// one around (clocks never report a negative time).
+const noStamp = time.Duration(-1)
 
 // execCmd is a high-priority executor command.
 type execCmd struct {
@@ -370,9 +341,13 @@ type Node struct {
 	slot       string
 	opIDs      []string
 	queues     map[string]*upQueue
-	qOrder     []string
-	rr         int
-	cmds       []execCmd
+	// qOrder names the queues in pipeline-upstream order and qList holds
+	// the same queues index for index, so the executor's pop indexes a
+	// slice instead of resolving a name per tuple.
+	qOrder []string
+	qList  []*upQueue
+	rr     int
+	cmds   []execCmd
 
 	align          *checkpoint.Alignment
 	alignUpstreams []string
@@ -514,20 +489,21 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 	}
 	p := n.compilePipeline(slot, n.opIDs, ops)
 	n.queues = make(map[string]*upQueue)
-	n.qOrder = nil
+	n.qOrder, n.qList = nil, nil
 	ordered := n.cfg.Scheme.PreservesAtEdges()
 	for _, up := range p.upstreams {
-		if up == externalSlot || up == rerouteSlot {
-			// Pseudo-upstreams bypass edge-sequence dedup: items are
-			// pushed directly, never enqueue()d.
-			n.queues[up] = &upQueue{}
-		} else {
-			n.queues[up] = newStreamQueue(ordered)
+		// Pseudo-upstreams bypass edge-sequence dedup: items are pushed
+		// directly, never enqueue()d.
+		q := &upQueue{}
+		if up != externalSlot && up != rerouteSlot {
+			q = newStreamQueue(ordered)
 		}
 		if n.cfg.Obs != nil {
-			n.queues[up].depth = n.cfg.Obs.EdgeDepth(up + "->" + slot)
+			q.depth = n.cfg.Obs.EdgeDepth(up + "->" + slot)
 		}
+		n.queues[up] = q
 		n.qOrder = append(n.qOrder, up)
+		n.qList = append(n.qList, q)
 	}
 	n.isSource, n.isSink = p.isSource, p.isSink
 	n.sourceOps = append([]string(nil), p.sourceOps...)
@@ -641,7 +617,9 @@ func (n *Node) IngestExternal(srcOp string, t *tuple.Tuple) {
 
 // IngestExternalTraced is IngestExternal carrying a sampled trace context
 // (zero = untraced). The region's ingest path records the ingest span and
-// passes the context here; it rides the queued item to the executor.
+// passes the context here; it rides the queued item to the executor. The
+// tuple's Created stamp, which that path has just read off the clock, is
+// also its enqueue time.
 func (n *Node) IngestExternalTraced(srcOp string, t *tuple.Tuple, tc obs.SpanCtx) {
 	n.mu.Lock()
 	q, ok := n.queues[externalSlot]
@@ -655,7 +633,7 @@ func (n *Node) IngestExternalTraced(srcOp string, t *tuple.Tuple, tc obs.SpanCtx
 		}
 		return
 	}
-	q.push(queued{fromOp: "", toOp: srcOp, item: tuple.DataItem(t), tc: tc, at: n.clk.Now()})
+	q.push(queued{fromOp: "", toOp: srcOp, item: tuple.DataItem(t), tc: tc, at: t.Created})
 	if q.depth != nil {
 		q.depth.Observe(int64(q.len()))
 	}
@@ -784,13 +762,19 @@ func (n *Node) enqueueStreamBatch(bm BatchMsg) {
 	if n.obsReg != nil {
 		at = n.clk.Now()
 	}
-	woke := false
+	// A batch comes from one upstream slot, so its queue is resolved once;
+	// last is the queue of the last accepted enqueue, whose depth is
+	// observed once for the whole delivery.
+	var q, last *upQueue
+	from := ""
 	for i := range bm.Msgs {
 		m := &bm.Msgs[i]
-		q, ok := n.queues[m.FromSlot]
-		if !ok {
-			n.logf("%s: stream from unexpected slot %s", n.id, m.FromSlot)
-			continue
+		if q == nil || m.FromSlot != from {
+			from = m.FromSlot
+			if q = n.queues[from]; q == nil {
+				n.logf("%s: stream from unexpected slot %s", n.id, from)
+				continue
+			}
 		}
 		qit := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item, tc: m.Trace, at: at}
 		if qit.tc.ID != 0 {
@@ -802,14 +786,14 @@ func (n *Node) enqueueStreamBatch(bm BatchMsg) {
 			}
 		}
 		if q.enqueue(qit) {
-			if q.depth != nil {
-				q.depth.Observe(int64(q.len()))
-			}
-			woke = true
+			last = q
 		}
 	}
+	if last != nil && last.depth != nil {
+		last.depth.Observe(int64(last.len()))
+	}
 	n.mu.Unlock()
-	if woke {
+	if last != nil {
 		n.cond.Signal()
 	}
 	recycleBatchSlice(bm.Msgs)
@@ -861,6 +845,13 @@ func (n *Node) execLoop() {
 	// get one turn first, so an operator bug that re-arms an already-due
 	// timer cannot starve tuple processing either.
 	firedLast := false
+	// boundary is the clock reading taken as the last tuple finished (its
+	// op-latency end stamp), or noStamp. When the executor goes straight on
+	// to the next queued item, the reading also serves as that item's
+	// dequeue stamp and its first operator's latency start, so back-to-back
+	// tuples cost one clock read each; anything in between that takes time
+	// (parking, a flush, a command, timers, a marker) discards it.
+	boundary := noStamp
 	for {
 		n.mu.Lock()
 		var cmd *execCmd
@@ -904,6 +895,7 @@ func (n *Node) execLoop() {
 					break
 				}
 			}
+			boundary = noStamp
 			// Out of runnable work: opportunistically ship any partial
 			// batches before parking, so a low-rate stream's delivery is
 			// as prompt as the unbatched path instead of waiting on the
@@ -936,6 +928,8 @@ func (n *Node) execLoop() {
 		n.mu.Unlock()
 
 		firedLast = fireTimers
+		now := boundary
+		boundary = noStamp
 		switch {
 		case cmd != nil && cmd.resendTo != "":
 			n.doResend(cmd.resendTo, cmd.after)
@@ -947,7 +941,7 @@ func (n *Node) execLoop() {
 			}
 		case have:
 			if p := n.pipe.Load(); p != nil {
-				n.handleItem(p, qi, from, it)
+				boundary = n.handleItem(p, qi, from, it, now)
 			}
 		}
 	}
@@ -956,15 +950,14 @@ func (n *Node) execLoop() {
 // nextItemLocked round-robins across unstalled non-empty queues, returning
 // the queue's name and its pipeline upstream index.
 func (n *Node) nextItemLocked() (string, int, queued, bool) {
-	for i := 0; i < len(n.qOrder); i++ {
-		qi := (n.rr + i) % len(n.qOrder)
-		name := n.qOrder[qi]
-		q := n.queues[name]
+	for i := 0; i < len(n.qList); i++ {
+		qi := (n.rr + i) % len(n.qList)
+		q := n.qList[qi]
 		if q.stalled || q.len() == 0 {
 			continue
 		}
-		n.rr = (n.rr + i + 1) % len(n.qOrder)
-		return name, qi, q.pop(), true
+		n.rr = (n.rr + i + 1) % len(n.qList)
+		return n.qOrder[qi], qi, q.pop(), true
 	}
 	return "", -1, queued{}, false
 }
@@ -972,7 +965,11 @@ func (n *Node) nextItemLocked() (string, int, queued, bool) {
 // handleItem processes one stream item (tuple or marker). The data path is
 // lock-free: watermarks advance on the pipeline's atomic counters and the
 // operator chain runs against the compiled routes.
-func (n *Node) handleItem(p *pipeline, qi int, from string, it queued) {
+//
+// now is a clock reading still current at the call (see execLoop), else
+// noStamp. The return value is the reading taken as the item's operator
+// finished, or noStamp when the item took none or did more after it.
+func (n *Node) handleItem(p *pipeline, qi int, from string, it queued, now time.Duration) time.Duration {
 	if it.item.Marker != nil {
 		switch it.item.Marker.Kind {
 		case tuple.MarkerToken:
@@ -980,13 +977,15 @@ func (n *Node) handleItem(p *pipeline, qi int, from string, it queued) {
 		case tuple.MarkerReplayEnd:
 			n.onReplayEnd(from, it.item.Marker.Version)
 		}
-		return
+		return noStamp
 	}
 	t := it.item.Tuple
 	atomic.AddUint64(&n.processed, 1)
 	n.curReady = it.at
 	if n.obsReg != nil {
-		now := n.clk.Now()
+		if now < it.at { // no stamp, or the item was enqueued after it
+			now = n.clk.Now()
+		}
 		if h := p.edgeWait[qi]; h != nil && it.at > 0 {
 			h.Observe(int64(now - it.at))
 		}
@@ -1012,16 +1011,18 @@ func (n *Node) handleItem(p *pipeline, qi int, from string, it queued) {
 			n.rerouteToOwner(p, owner, t)
 			n.curTrace = obs.SpanCtx{}
 			n.curReady = 0
-			return
+			return noStamp
 		}
 	}
+	end := noStamp
 	if idx := p.opIndex(it.toOp); idx >= 0 {
-		n.runOp(p, idx, it.fromOp, t)
+		end = n.runOp(p, idx, it.fromOp, t, now)
 	} else {
 		n.logf("%s: tuple for unknown operator %s", n.id, it.toOp)
 	}
 	n.curTrace = obs.SpanCtx{}
 	n.curReady = 0
+	return end
 }
 
 // forwardExternalToStandby duplicates externally admitted input to the
@@ -1070,30 +1071,39 @@ func (n *Node) preserveSourceInput(srcOp string, t *tuple.Tuple) {
 // into the compiled pipeline with zero per-tuple allocation, the legacy
 // path replays its returned []Out through the same Context. No lock is
 // taken and no map is consulted.
-func (n *Node) runOp(p *pipeline, idx int, fromOp string, t *tuple.Tuple) {
+//
+// start is the operator's latency start stamp when the caller already holds
+// a current clock reading (the executor's dequeue stamp), else noStamp and
+// runOp reads the clock itself. It returns the latency end stamp, or
+// noStamp when it took none.
+func (n *Node) runOp(p *pipeline, idx int, fromOp string, t *tuple.Tuple, start time.Duration) time.Duration {
 	c := &p.ops[idx]
 	if cost := c.op.Cost(t); cost > 0 {
 		if !n.cfg.Phone.ExecFrom(n.clk, n.curReady, cost) {
 			n.logf("%s: battery dead", n.id)
 			n.Fail()
-			return
+			return noStamp
 		}
 		n.maybeReportChronic()
 	}
-	if c.lat != nil {
-		start := n.clk.Now()
-		if n.curTrace.ID != 0 {
-			n.tracer.Record(&n.curTrace, obs.SpanOp, string(n.id), p.slot, c.id, int64(start))
-		}
+	if c.lat == nil {
 		if err := c.proc(c.ctx, fromOp, t); err != nil {
 			n.logf("%s: operator %s: %v", n.id, c.id, err)
 		}
-		c.lat.Observe(int64(n.clk.Now() - start))
-		return
+		return noStamp
+	}
+	if start == noStamp {
+		start = n.clk.Now()
+	}
+	if n.curTrace.ID != 0 {
+		n.tracer.Record(&n.curTrace, obs.SpanOp, string(n.id), p.slot, c.id, int64(start))
 	}
 	if err := c.proc(c.ctx, fromOp, t); err != nil {
 		n.logf("%s: operator %s: %v", n.id, c.id, err)
 	}
+	end := n.clk.Now()
+	c.lat.Observe(int64(end - start))
+	return end
 }
 
 // fireDueTimers runs the pending operator timers whose simulated-time
@@ -1141,7 +1151,7 @@ func (n *Node) wakeAtTimer(at time.Duration) {
 // followRoute delivers one emission along a compiled route.
 func (n *Node) followRoute(p *pipeline, fromOp string, r route, t *tuple.Tuple) {
 	if r.local >= 0 {
-		n.runOp(p, r.local, fromOp, t)
+		n.runOp(p, r.local, fromOp, t, noStamp)
 		return
 	}
 	n.sendCross(p, r.down, r.toOp, fromOp, tuple.DataItem(t))

@@ -58,22 +58,55 @@ func TestUnorderedQueueOutOfOrderNotDropped(t *testing.T) {
 	}
 }
 
+// The dedup window is bounded by sequence, not by count: it covers the
+// dedupWindow sequences ending at the highest one accepted.
 func TestUnorderedQueueDedupWindowBounded(t *testing.T) {
 	q := newStreamQueue(false)
-	for seq := uint64(1); seq <= dedupWindow+10; seq++ {
+	const top = dedupWindow + 10
+	for seq := uint64(1); seq <= top; seq++ {
 		q.enqueue(item(seq))
 	}
-	// Sequence 1 has been evicted from the window: a very late duplicate
-	// slips through here and is caught by sink-side dedup instead.
-	if !q.enqueue(item(1)) {
-		t.Fatal("evicted sequence wrongly treated as duplicate")
+	// Sequence top-dedupWindow has just fallen below the window: a very
+	// late duplicate of it slips through here and is caught by sink-side
+	// dedup instead. It is not recorded either, so it slips through again.
+	for i := 0; i < 2; i++ {
+		if !q.enqueue(item(top - dedupWindow)) {
+			t.Fatal("sequence below the window wrongly treated as duplicate")
+		}
 	}
-	// A sequence still inside the window stays suppressed.
-	if q.enqueue(item(dedupWindow + 10)) {
+	// Both ends of the window stay suppressed.
+	if q.enqueue(item(top)) || q.enqueue(item(top-dedupWindow+1)) {
 		t.Fatal("in-window duplicate delivered")
 	}
-	if len(q.recent) > dedupWindow {
-		t.Fatalf("window grew unbounded: %d", len(q.recent))
+	// A jump of more than a window forgets everything below it.
+	q.enqueue(item(top + 5*dedupWindow))
+	if !q.enqueue(item(top)) {
+		t.Fatal("sequence left behind by a jump wrongly treated as duplicate")
+	}
+	if q.lastEnq != top+5*dedupWindow {
+		t.Fatalf("watermark = %d, want %d", q.lastEnq, top+5*dedupWindow)
+	}
+}
+
+// The unordered enqueue path owns no heap state: once the item slice has
+// grown, accepting a sequence and dropping a duplicate allocate nothing,
+// straight after construction and straight after a reset.
+func TestUpQueueEnqueueZeroAllocs(t *testing.T) {
+	q := newStreamQueue(false)
+	seq := uint64(0)
+	step := func() {
+		seq++
+		if !q.enqueue(queued{edgeSeq: seq}) || q.enqueue(queued{edgeSeq: seq}) {
+			t.Fatalf("seq %d: fresh/duplicate verdicts wrong", seq)
+		}
+		q.pop()
+	}
+	for _, phase := range []string{"fresh", "reset"} {
+		step() // grow q.items once
+		if a := testing.AllocsPerRun(5000, step); a != 0 {
+			t.Fatalf("%s queue: %.2f allocs per enqueue, want 0", phase, a)
+		}
+		q.reset()
 	}
 }
 

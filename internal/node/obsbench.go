@@ -45,7 +45,7 @@ func obsBenchMode(reg *obs.Registry, traceEvery, iters int) (nsPerOp, allocsPerO
 	idx := p.opIndex("src")
 	t := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}
 	for i := 0; i < 128; i++ {
-		n.runOp(p, idx, "", t)
+		n.runOp(p, idx, "", t, noStamp)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -61,7 +61,7 @@ func obsBenchMode(reg *obs.Registry, traceEvery, iters int) (nsPerOp, allocsPerO
 				n.curTrace = obs.SpanCtx{}
 			}
 		}
-		n.runOp(p, idx, "", t)
+		n.runOp(p, idx, "", t, noStamp)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)

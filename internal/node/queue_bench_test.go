@@ -3,8 +3,8 @@ package node
 import "testing"
 
 // BenchmarkUpQueueEnqueueUnordered measures the unordered (dedup-window)
-// enqueue path. With the window map and ring allocated at construction the
-// steady state must not allocate per enqueue.
+// enqueue path. The window is a bit ring held by value, so the steady state
+// must not allocate per enqueue.
 func BenchmarkUpQueueEnqueueUnordered(b *testing.B) {
 	q := newStreamQueue(false)
 	b.ReportAllocs()
@@ -19,7 +19,7 @@ func BenchmarkUpQueueEnqueueUnordered(b *testing.B) {
 
 // BenchmarkUpQueueEnqueueUnorderedDup measures duplicate suppression inside
 // the dedup window: every second enqueue is a repeat of the previous
-// sequence and must be dropped without touching the ring.
+// sequence and must be dropped.
 func BenchmarkUpQueueEnqueueUnorderedDup(b *testing.B) {
 	q := newStreamQueue(false)
 	b.ReportAllocs()

@@ -21,6 +21,7 @@ import (
 	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
+	"mobistreams/internal/seqset"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/storage"
 	"mobistreams/internal/tuple"
@@ -133,8 +134,14 @@ type Region struct {
 	// telemetry differentiates into tuple rates (guarded by teleMu).
 	keyedPrev map[string]telePoint
 
+	// seenOutput is the sink's exactly-once filter: per source operator,
+	// the exact set of sequences already published. lastSrc/lastSeen cache
+	// the set of the last tuple's source, so a run of results from one
+	// source never consults the map. All three are guarded by outMu.
 	outMu      sync.Mutex
-	seenOutput map[string]map[uint64]bool
+	seenOutput map[string]*seqset.Set
+	lastSrc    string
+	lastSeen   *seqset.Set
 	Latency    metrics.Latency
 	Throughput metrics.Throughput
 	batchStats metrics.BatchSizes
@@ -173,7 +180,7 @@ func New(cfg Config) (*Region, error) {
 		departed:     make(map[simnet.NodeID]bool),
 		failed:       make(map[simnet.NodeID]bool),
 		srcSeq:       make(map[string]*uint64),
-		seenOutput:   make(map[string]map[uint64]bool),
+		seenOutput:   make(map[string]*seqset.Set),
 		telePrev:     make(map[simnet.NodeID]telePoint),
 		keyedPrev:    make(map[string]telePoint),
 		keyed:        make(map[string]*keyed.Group),
@@ -528,7 +535,7 @@ func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) 
 	// Seq is already assigned, so the sampling decision keys on seq-1:
 	// sample-every-1 traces the very first tuple on both backends.
 	if tc, ok := r.obs.Tracer.Sample(t.Seq - 1); ok {
-		r.obs.Tracer.Record(&tc, obs.SpanIngest, "region", "", srcOp, int64(r.clk.Now()))
+		r.obs.Tracer.Record(&tc, obs.SpanIngest, "region", "", srcOp, int64(t.Created))
 		tg.node.IngestExternalTraced(srcOp, t, tc)
 		return
 	}
@@ -539,17 +546,19 @@ func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) 
 // and rep-2 failovers can duplicate), record metrics, cascade onward.
 func (r *Region) onSink(publisher simnet.NodeID, t *tuple.Tuple) {
 	r.outMu.Lock()
-	seen, ok := r.seenOutput[t.Source]
-	if !ok {
-		seen = make(map[uint64]bool)
-		r.seenOutput[t.Source] = seen
+	seen := r.lastSeen
+	if seen == nil || t.Source != r.lastSrc {
+		if seen = r.seenOutput[t.Source]; seen == nil {
+			seen = new(seqset.Set)
+			r.seenOutput[t.Source] = seen
+		}
+		r.lastSrc, r.lastSeen = t.Source, seen
 	}
-	if seen[t.Seq] {
+	if !seen.Add(t.Seq) {
 		r.duplicates++
 		r.outMu.Unlock()
 		return
 	}
-	seen[t.Seq] = true
 	r.outMu.Unlock()
 	now := r.clk.Now()
 	r.Latency.Add(now - t.Created)

@@ -39,13 +39,14 @@ func (r *Region) Rollup(epoch uint64) wire.Rollup {
 }
 
 // Outputs reports how many deduplicated sink results the region has
-// published.
+// published: the sum of the per-source sets' counts, so a federation
+// rollup costs O(sources) however many results there have been.
 func (r *Region) Outputs() uint64 {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()
 	var n uint64
 	for _, seen := range r.seenOutput {
-		n += uint64(len(seen))
+		n += seen.Len()
 	}
 	return n
 }
