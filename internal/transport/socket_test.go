@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -257,6 +258,48 @@ func TestSocketCastUDP(t *testing.T) {
 	if got[0].from != "a" || got[0].class != simnet.ClassPreserve || string(got[0].frame) != "gram" {
 		t.Fatalf("datagram: %+v", got[0])
 	}
+
+	// The peer moves: the address resolved for the old one must not stick.
+	c, cc := newSock(t, "c")
+	a.AddPeer("b", c.Info().Addr)
+	for i := 0; i < 5; i++ {
+		if err := a.Cast("b", simnet.ClassPreserve, []byte("moved")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cc.wait(t, 1, 5*time.Second); got[0].from != "a" || string(got[0].frame) != "moved" {
+		t.Fatalf("datagram after the address change: %+v", got[0])
+	}
+	// Re-announcing the same address (every inbound hello does) keeps it.
+	a.AddPeer("b", c.Info().Addr)
+	a.mu.Lock()
+	resolved := a.peers["b"].udp
+	a.mu.Unlock()
+	if resolved == nil || resolved.Port != c.udp.LocalAddr().(*net.UDPAddr).Port {
+		t.Fatalf("resolved address after re-announce: %v", resolved)
+	}
+}
+
+// TestSocketCastZeroAlloc: the steady-state cast neither resolves the
+// peer's address nor allocates a datagram buffer. The peer is a bare UDP
+// socket nobody reads, so only the sender's allocations are counted.
+func TestSocketCastZeroAlloc(t *testing.T) {
+	a, _ := newSock(t, "a")
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	a.AddPeer("b", peer.LocalAddr().String())
+	frame := make([]byte, 200)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := a.Cast("b", simnet.ClassControl, frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Cast allocated %.1f/op, want 0", allocs)
+	}
 }
 
 // TestSocketCastFallback: a frame too large for one datagram is delivered
@@ -319,6 +362,16 @@ func TestSocketCastBudget(t *testing.T) {
 		t.Fatalf("sent %d datagrams, want 1..4 under a 300-byte burst", sent)
 	}
 	bc.wait(t, 1, 5*time.Second) // at least one within-budget cast arrives
+
+	// The budget is the peer's, not the address's: moving does not refill it.
+	c, _ := newSock(t, "c")
+	a.AddPeer("b", c.Info().Addr)
+	if err := a.Cast("b", simnet.ClassControl, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if after := a.Stats().CastSuppressed; after != st.CastSuppressed+1 {
+		t.Fatalf("cast after an address change: suppressed %d -> %d, want one more", st.CastSuppressed, after)
+	}
 
 	a.SetCastBudget(0, 0) // lifting the cap restores unlimited casts
 	if err := a.Cast("b", simnet.ClassControl, []byte("free")); err != nil {

@@ -114,3 +114,35 @@ func FuzzDecodeStream(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBatch exercises the delta-coded batch grammar directly. A batch
+// has exactly one encoding, so any frame that decodes must re-encode to
+// identical bytes at exactly the size SizeBatch reports.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, seed := range fuzzSeeds(f) {
+		f.Add(seed)
+	}
+	for _, b := range []*Batch{sampleBatch(), relayBatch(3), {ToSlot: "b"}} {
+		frame, err := AppendBatch(nil, b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBatch(data)
+		if err != nil {
+			return
+		}
+		re, err := AppendBatch(nil, &b)
+		if err != nil {
+			t.Fatalf("re-encode of valid frame failed: %v", err)
+		}
+		if string(re) != string(data) {
+			t.Fatalf("decode/encode not canonical:\n in=%x\nout=%x", data, re)
+		}
+		if n, err := SizeBatch(&b); err != nil || n != len(data) {
+			t.Fatalf("SizeBatch = %d, %v; frame is %d bytes", n, err, len(data))
+		}
+	})
+}

@@ -144,6 +144,11 @@ func appendTuple(dst []byte, t *tuple.Tuple) ([]byte, error) {
 	dst = appendU64(dst, t.Seq)
 	dst = appendString(dst, t.Source)
 	dst = appendString(dst, t.Kind)
+	return appendTupleTail(dst, t)
+}
+
+// appendTupleTail encodes the fields that follow a tuple's names.
+func appendTupleTail(dst []byte, t *tuple.Tuple) ([]byte, error) {
 	dst = appendI64(dst, int64(t.Created))
 	dst = appendI64(dst, int64(t.Size))
 	dst = appendBool(dst, t.Replay)
@@ -155,14 +160,18 @@ func decodeTuple(r *reader) *tuple.Tuple {
 	t.Seq = r.u64()
 	t.Source = r.str()
 	t.Kind = r.str()
-	t.Created = time.Duration(r.i64())
-	t.Size = int(r.i64())
-	t.Replay = r.boolean()
-	t.Value = decodeValue(r)
+	decodeTupleTail(r, t)
 	if r.err != nil {
 		return nil
 	}
 	return t
+}
+
+func decodeTupleTail(r *reader, t *tuple.Tuple) {
+	t.Created = time.Duration(r.i64())
+	t.Size = int(r.i64())
+	t.Replay = r.boolean()
+	t.Value = decodeValue(r)
 }
 
 const sizeMarker = 1 + 8
@@ -187,6 +196,8 @@ const (
 	itemMarker byte = 1
 )
 
+var errEmptyItem = fmt.Errorf("%w: empty item (no tuple, no marker)", ErrMalformed)
+
 // SizeItem reports the encoded size of a stream item.
 func SizeItem(it tuple.Item) (int, error) {
 	if it.Tuple != nil {
@@ -196,7 +207,7 @@ func SizeItem(it tuple.Item) (int, error) {
 	if it.Marker != nil {
 		return 1 + sizeMarker, nil
 	}
-	return 0, fmt.Errorf("%w: empty item (no tuple, no marker)", ErrMalformed)
+	return 0, errEmptyItem
 }
 
 // AppendItem encodes a stream item (exactly one of tuple or marker).
@@ -207,7 +218,7 @@ func AppendItem(dst []byte, it tuple.Item) ([]byte, error) {
 	if it.Marker != nil {
 		return appendMarker(appendU8(dst, itemMarker), it.Marker), nil
 	}
-	return dst, fmt.Errorf("%w: empty item (no tuple, no marker)", ErrMalformed)
+	return dst, errEmptyItem
 }
 
 func decodeItem(r *reader) tuple.Item {
@@ -238,22 +249,14 @@ func SizeStream(m *Stream) (int, error) {
 // AppendStream encodes a stream message frame onto dst.
 func AppendStream(dst []byte, m *Stream) ([]byte, error) {
 	dst = appendU8(dst, byte(KindStream))
-	dst = appendStreamBody(dst, m)
-	return appendItemChecked(dst, m.Item)
-}
-
-func appendStreamBody(dst []byte, m *Stream) []byte {
 	dst = appendString(dst, m.FromSlot)
 	dst = appendString(dst, m.FromOp)
 	dst = appendString(dst, m.ToSlot)
 	dst = appendString(dst, m.ToOp)
 	dst = appendU64(dst, m.EdgeSeq)
 	dst = appendU64(dst, m.TraceID)
-	return appendU32(dst, m.TraceSeq)
-}
-
-func appendItemChecked(dst []byte, it tuple.Item) ([]byte, error) {
-	out, err := AppendItem(dst, it)
+	dst = appendU32(dst, m.TraceSeq)
+	out, err := AppendItem(dst, m.Item)
 	if err != nil {
 		return dst, err
 	}
@@ -264,11 +267,6 @@ func appendItemChecked(dst []byte, it tuple.Item) ([]byte, error) {
 func DecodeStream(frame []byte) (Stream, error) {
 	r := reader{b: frame}
 	r.kind(KindStream)
-	m := decodeStreamBody(&r)
-	return m, r.done()
-}
-
-func decodeStreamBody(r *reader) Stream {
 	var m Stream
 	m.FromSlot = r.str()
 	m.FromOp = r.str()
@@ -277,26 +275,106 @@ func decodeStreamBody(r *reader) Stream {
 	m.EdgeSeq = r.u64()
 	m.TraceID = r.u64()
 	m.TraceSeq = r.u32()
-	m.Item = decodeItem(r)
-	return m
+	m.Item = decodeItem(&r)
+	return m, r.done()
 }
 
-// streamBodyMin is the minimum encoded size of one batched stream message
-// (four empty strings, the edge sequence, the trace id+seq, an item flag
-// and a marker body); batch decoders use it to bound hostile counts.
-const streamBodyMin = 4*4 + 8 + 8 + 4 + 1 + sizeMarker
+// ---- batches ------------------------------------------------------------
+//
+// A batch frame is the batch's ToSlot, a message count, then the messages.
+// Messages of one batch mostly repeat the same six names, so each starts
+// with a flags byte saying which names are unchanged, and only the changed
+// ones follow as literals:
+//
+//	flags u8, [FromSlot] [FromOp] [ToSlot] [ToOp], EdgeSeq u64,
+//	[TraceID u64, TraceSeq u32], item u8, then
+//	tuple:  Seq u64, [Source] [Kind], Created, Size, Replay, Value
+//	marker: Kind u8, Version u64
+//
+// The slot and operator names compare against the previous message; before
+// the first they are empty, except ToSlot, which is the batch's. Source and
+// Kind compare against the previous tuple (empty before the first); markers
+// have neither and leave both bits clear. The encoding stays canonical: a
+// bit is set exactly when the name is unchanged, untraced exactly when
+// TraceID and TraceSeq are both zero, and the reserved bit never.
+const (
+	sameFromSlot byte = 1 << iota
+	sameFromOp
+	sameToSlot
+	sameToOp
+	sameSource
+	sameKind
+	untraced
+	flagsReserved
+)
+
+// batchMsgMin is the minimum encoded size of one batched message (flags,
+// edge sequence, item flag and a marker body); batch decode uses it to
+// bound hostile counts.
+const batchMsgMin = 1 + 8 + 1 + sizeMarker
+
+func sameBit(a, b string, bit byte) byte {
+	if a == b {
+		return bit
+	}
+	return 0
+}
+
+// batchFlags computes a message's flags byte against the previous message
+// and the previous tuple of its batch.
+func batchFlags(m, prev *Stream, prevT *tuple.Tuple) byte {
+	f := sameBit(m.FromSlot, prev.FromSlot, sameFromSlot) | sameBit(m.FromOp, prev.FromOp, sameFromOp) |
+		sameBit(m.ToSlot, prev.ToSlot, sameToSlot) | sameBit(m.ToOp, prev.ToOp, sameToOp)
+	if t := m.Item.Tuple; t != nil {
+		f |= sameBit(t.Source, prevT.Source, sameSource) | sameBit(t.Kind, prevT.Kind, sameKind)
+	}
+	if m.TraceID == 0 && m.TraceSeq == 0 {
+		f |= untraced
+	}
+	return f
+}
+
+// sizeUnless and appendUnless size and encode a name whose "same" bit is clear.
+func sizeUnless(same byte, s string) int {
+	if same != 0 {
+		return 0
+	}
+	return sizeString(s)
+}
+
+func appendUnless(dst []byte, same byte, s string) []byte {
+	if same != 0 {
+		return dst
+	}
+	return appendString(dst, s)
+}
 
 // SizeBatch reports the exact frame size AppendBatch will produce.
 func SizeBatch(b *Batch) (int, error) {
 	total := 1 + sizeString(b.ToSlot) + 4
+	prev, prevT := &Stream{ToSlot: b.ToSlot}, &tuple.Tuple{}
 	for i := range b.Msgs {
-		is, err := SizeItem(b.Msgs[i].Item)
-		if err != nil {
-			return 0, err
-		}
 		m := &b.Msgs[i]
-		total += sizeString(m.FromSlot) + sizeString(m.FromOp) +
-			sizeString(m.ToSlot) + sizeString(m.ToOp) + 8 + 8 + 4 + is
+		f := batchFlags(m, prev, prevT)
+		total += 1 + 8 + 1 + sizeUnless(f&sameFromSlot, m.FromSlot) + sizeUnless(f&sameFromOp, m.FromOp) +
+			sizeUnless(f&sameToSlot, m.ToSlot) + sizeUnless(f&sameToOp, m.ToOp)
+		if f&untraced == 0 {
+			total += 8 + 4
+		}
+		switch t := m.Item.Tuple; {
+		case t != nil:
+			vs, err := SizeValue(t.Value)
+			if err != nil {
+				return 0, err
+			}
+			total += 8 + 8 + 8 + 1 + vs + sizeUnless(f&sameSource, t.Source) + sizeUnless(f&sameKind, t.Kind)
+			prevT = t
+		case m.Item.Marker != nil:
+			total += sizeMarker
+		default:
+			return 0, errEmptyItem
+		}
+		prev = m
 	}
 	return total, nil
 }
@@ -306,29 +384,104 @@ func AppendBatch(dst []byte, b *Batch) ([]byte, error) {
 	dst = appendU8(dst, byte(KindBatch))
 	dst = appendString(dst, b.ToSlot)
 	dst = appendU32(dst, uint32(len(b.Msgs)))
-	var err error
+	prev, prevT := &Stream{ToSlot: b.ToSlot}, &tuple.Tuple{}
 	for i := range b.Msgs {
-		dst = appendStreamBody(dst, &b.Msgs[i])
-		dst, err = AppendItem(dst, b.Msgs[i].Item)
-		if err != nil {
-			return dst, err
+		m := &b.Msgs[i]
+		f := batchFlags(m, prev, prevT)
+		dst = appendU8(dst, f)
+		dst = appendUnless(dst, f&sameFromSlot, m.FromSlot)
+		dst = appendUnless(dst, f&sameFromOp, m.FromOp)
+		dst = appendUnless(dst, f&sameToSlot, m.ToSlot)
+		dst = appendUnless(dst, f&sameToOp, m.ToOp)
+		dst = appendU64(dst, m.EdgeSeq)
+		if f&untraced == 0 {
+			dst = appendU32(appendU64(dst, m.TraceID), m.TraceSeq)
 		}
+		switch t := m.Item.Tuple; {
+		case t != nil:
+			dst = appendU64(appendU8(dst, itemTuple), t.Seq)
+			dst = appendUnless(dst, f&sameSource, t.Source)
+			dst = appendUnless(dst, f&sameKind, t.Kind)
+			var err error
+			if dst, err = appendTupleTail(dst, t); err != nil {
+				return dst, err
+			}
+			prevT = t
+		case m.Item.Marker != nil:
+			dst = appendMarker(appendU8(dst, itemMarker), m.Item.Marker)
+		default:
+			return dst, errEmptyItem
+		}
+		prev = m
 	}
 	return dst, nil
 }
 
-// DecodeBatch decodes a batch frame.
+// name reads a delta-coded name: the predecessor's when its "same" bit is
+// set (a string-header copy, no allocation), else a literal, which the
+// canonical encoding requires to differ from the predecessor.
+func (r *reader) name(same byte, prev string) string {
+	if same != 0 {
+		return prev
+	}
+	s := r.str()
+	if r.err == nil && s == prev {
+		r.fail(ErrMalformed, "non-canonical repeated name")
+	}
+	return s
+}
+
+// DecodeBatch decodes a batch frame. Every tuple of the frame is carved
+// from one backing array, so retaining one decoded tuple retains them all;
+// []byte values are views into the frame, as everywhere in this package.
 func DecodeBatch(frame []byte) (Batch, error) {
 	r := reader{b: frame}
 	r.kind(KindBatch)
 	var b Batch
 	b.ToSlot = r.str()
-	n := r.count(streamBodyMin)
-	if r.err == nil && n > 0 {
-		b.Msgs = make([]Stream, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			b.Msgs = append(b.Msgs, decodeStreamBody(&r))
+	n := r.count(batchMsgMin)
+	if r.err != nil || n == 0 {
+		return b, r.done()
+	}
+	b.Msgs = make([]Stream, n)
+	var slab []tuple.Tuple
+	prev, prevT := &Stream{ToSlot: b.ToSlot}, &tuple.Tuple{}
+	for i := 0; i < n && r.err == nil; i++ {
+		m := &b.Msgs[i]
+		f := r.u8()
+		if f&flagsReserved != 0 {
+			r.fail(ErrMalformed, "reserved batch flag")
 		}
+		m.FromSlot = r.name(f&sameFromSlot, prev.FromSlot)
+		m.FromOp = r.name(f&sameFromOp, prev.FromOp)
+		m.ToSlot = r.name(f&sameToSlot, prev.ToSlot)
+		m.ToOp = r.name(f&sameToOp, prev.ToOp)
+		m.EdgeSeq = r.u64()
+		if f&untraced == 0 {
+			m.TraceID, m.TraceSeq = r.u64(), r.u32()
+			if m.TraceID == 0 && m.TraceSeq == 0 {
+				r.fail(ErrMalformed, "non-canonical zero trace context")
+			}
+		}
+		switch item := r.u8(); {
+		case r.err != nil:
+		case item == itemTuple:
+			if slab == nil {
+				slab = make([]tuple.Tuple, n-i)
+			}
+			t := &slab[0]
+			slab = slab[1:]
+			t.Seq = r.u64()
+			t.Source = r.name(f&sameSource, prevT.Source)
+			t.Kind = r.name(f&sameKind, prevT.Kind)
+			decodeTupleTail(&r, t)
+			m.Item.Tuple, prevT = t, t
+		case item == itemMarker && f&(sameSource|sameKind) == 0:
+			m.Item.Marker = decodeMarker(&r)
+		default:
+			r.fail(ErrMalformed, "batch item")
+		}
+		prev = m
 	}
 	return b, r.done()
 }

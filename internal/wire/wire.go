@@ -10,13 +10,15 @@
 //     fixed-width big-endian. Checkpoint blob parity across transport
 //     backends (simnet vs real sockets) reduces to byte equality.
 //
-//   - Zero-alloc encode, zero-copy decode views. Every AppendX encoder
+//   - Zero-alloc encode, bounds-checked decode. Every AppendX encoder
 //     appends to a caller-owned buffer and allocates nothing when capacity
 //     suffices; every SizeX reports the exact encoded size so callers can
 //     presize. Decoders are bounds-checked cursors over the input frame:
-//     []byte fields are returned as views into the frame (valid only while
-//     the frame is), and malformed or truncated input yields an error —
-//     never a panic or an over-read.
+//     malformed or truncated input yields an error — never a panic or an
+//     over-read. Decoding returns values, not views: every string is
+//     copied out of the frame, and only []byte fields are views into it
+//     (valid only while the frame is). Batch decode shares one copy of a
+//     name between the messages that repeat it.
 //
 // A frame is one kind byte followed by the kind-specific body. DecodeAny
 // dispatches on the kind and fully validates the body, including rejecting

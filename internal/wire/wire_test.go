@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -40,6 +42,12 @@ func sampleBatch() *Batch {
 		EdgeSeq: 4,
 		Item:    tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: 9}),
 	})
+	// After the marker: a second edge into the slot (names change
+	// mid-batch, untraced), then a message with empty names.
+	other := &tuple.Tuple{Seq: 1, Source: "gps", Kind: "image", Size: 16, Value: []byte("fix")}
+	b.Msgs = append(b.Msgs,
+		Stream{FromSlot: "s0", FromOp: "gps", ToSlot: "s2", ToOp: "join", EdgeSeq: 1, Item: tuple.DataItem(other)},
+		Stream{EdgeSeq: 2, TraceSeq: 1, Item: tuple.DataItem(&tuple.Tuple{Seq: 2})})
 	return b
 }
 
@@ -400,6 +408,164 @@ func TestEncodeZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("encode allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// relayBatch is the shape socket-relay sends: n tuples of one edge with a
+// 64 B payload each.
+func relayBatch(n int) *Batch {
+	b := &Batch{ToSlot: "r1"}
+	for i := 0; i < n; i++ {
+		b.Msgs = append(b.Msgs, Stream{
+			FromSlot: "src", FromOp: "gen", ToSlot: "r1", ToOp: "fwd", EdgeSeq: uint64(i + 1),
+			Item: tuple.DataItem(&tuple.Tuple{Seq: uint64(i + 1), Source: "src", Kind: "relay",
+				Created: time.Second, Size: 64, Value: make([]byte, 64)}),
+		})
+	}
+	return b
+}
+
+// TestDecodeBatchAllocs pins what decoding a 16-tuple frame allocates: the
+// message slice, one tuple slab, the names of the first message (later
+// messages share them) and one boxed []byte value per tuple.
+func TestDecodeBatchAllocs(t *testing.T) {
+	batch := relayBatch(16)
+	frame, err := AppendBatch(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := float64(len(frame)) / 16; per > 110 {
+		t.Errorf("frame is %.1f B/tuple, want <= 110", per)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := DecodeBatch(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 26 {
+		t.Errorf("DecodeBatch allocated %.1f per 16-tuple frame, want <= 26", allocs)
+	}
+	buf := make([]byte, 0, len(frame))
+	if allocs := testing.AllocsPerRun(200, func() { buf, _ = AppendBatch(buf[:0], batch) }); allocs != 0 {
+		t.Errorf("AppendBatch allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// randomBatch draws a batch whose names change, repeat and go empty
+// mid-batch, with markers between tuples and traced and untraced messages.
+func randomBatch(rng *rand.Rand, n int) *Batch {
+	names := []string{"", "a", "b", "slot-with-a-long-name"}
+	name := func() string { return names[rng.Intn(len(names))] }
+	values := []interface{}{nil, true, int64(-3), uint64(9), 2.5, "str", []byte{1, 2}, []byte{}}
+	b := &Batch{ToSlot: name()}
+	var m Stream
+	for i := 0; i < n; i++ {
+		if i == 0 || rng.Intn(4) == 0 { // mostly one edge, as real batches are
+			m = Stream{FromSlot: name(), FromOp: name(), ToSlot: name(), ToOp: name()}
+		}
+		m.EdgeSeq = rng.Uint64()
+		m.TraceID, m.TraceSeq = 0, 0
+		switch rng.Intn(4) {
+		case 0:
+			m.TraceID, m.TraceSeq = rng.Uint64()|1, rng.Uint32()
+		case 1:
+			m.TraceSeq = rng.Uint32() | 1
+		}
+		if rng.Intn(5) == 0 {
+			m.Item = tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerKind(rng.Intn(2)), Version: rng.Uint64()})
+		} else {
+			m.Item = tuple.DataItem(&tuple.Tuple{
+				Seq: rng.Uint64(), Source: names[rng.Intn(2)], Kind: names[rng.Intn(3)],
+				Created: time.Duration(rng.Int63()), Size: rng.Intn(1 << 20),
+				Replay: rng.Intn(2) == 0, Value: values[rng.Intn(len(values))],
+			})
+		}
+		b.Msgs = append(b.Msgs, m)
+	}
+	return b
+}
+
+// TestBatchRoundTripProperty round-trips seeded random batches: the decoded
+// Batch equals the encoded one, SizeBatch is exact, and re-encoding the
+// decoded value reproduces the frame byte for byte.
+func TestBatchRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	sizes := []int{0, 1, 64}
+	for round := 0; round < 300; round++ {
+		n := rng.Intn(40)
+		if round < len(sizes) {
+			n = sizes[round]
+		}
+		in := randomBatch(rng, n)
+		frame, err := AppendBatch(nil, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size, err := SizeBatch(in); err != nil || size != len(frame) {
+			t.Fatalf("round %d: SizeBatch = %d, %v; encoded %d", round, size, err, len(frame))
+		}
+		out, err := DecodeBatch(frame)
+		if err != nil {
+			t.Fatalf("round %d (n=%d): decode: %v", round, n, err)
+		}
+		if !reflect.DeepEqual(out, *in) {
+			t.Fatalf("round %d: decoded batch differs:\n got %+v\nwant %+v", round, out, *in)
+		}
+		if re, err := AppendBatch(nil, &out); err != nil || !bytes.Equal(re, frame) {
+			t.Fatalf("round %d: re-encode differs (err %v)", round, err)
+		}
+	}
+}
+
+// TestBatchRejectsNonCanonical hand-builds frames that say the same thing
+// as a canonical frame in different bytes, or set bits that mean nothing;
+// each must be rejected, so a batch has exactly one encoding.
+func TestBatchRejectsNonCanonical(t *testing.T) {
+	str := func(s string) []byte { return appendString(nil, s) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	header := func(n byte) []byte { return cat([]byte{byte(KindBatch)}, str("s2"), []byte{0, 0, 0, n}) }
+	seq := make([]byte, 8)                               // an EdgeSeq, Seq or marker Version of 0
+	tail := cat(seq, seq, []byte{0, valNil})             // Created, Size, Replay, Value
+	names := cat(str("a"), str("x"), str("b"), str("y")) // FromSlot, FromOp, ToSlot, ToOp
+	const allSame = sameFromSlot | sameFromOp | sameToSlot | sameToOp | sameSource | sameKind
+	first := cat([]byte{untraced}, names, seq, []byte{itemTuple}, seq, str("s"), str("k"), tail)
+	next := func(flags byte, lits ...[]byte) []byte { // a second tuple message, all names unchanged but lits
+		return cat([]byte{flags}, cat(lits...), seq, []byte{itemTuple}, seq, tail)
+	}
+	marker := func(flags byte) []byte { return cat([]byte{flags}, seq, []byte{itemMarker, 0}, seq) }
+
+	if _, err := DecodeBatch(cat(header(2), first, next(allSame|untraced))); err != nil {
+		t.Fatalf("canonical frame rejected: %v", err)
+	}
+	if _, err := DecodeBatch(cat(header(2), first, marker(allSame&^(sameSource|sameKind)|untraced))); err != nil {
+		t.Fatalf("canonical marker rejected: %v", err)
+	}
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		{"literal FromSlot equal to predecessor", cat(header(2), first, next(allSame&^sameFromSlot|untraced, str("a")))},
+		{"literal ToOp equal to predecessor", cat(header(2), first, next(allSame&^sameToOp|untraced, str("y")))},
+		{"first ToSlot literal equal to the batch header's",
+			cat(header(1), []byte{untraced}, str("a"), str("x"), str("s2"), str("y"), seq, []byte{itemTuple}, seq, str("s"), str("k"), tail)},
+		{"empty literal in the first message",
+			cat(header(1), []byte{untraced}, str(""), str("x"), str("b"), str("y"), seq, []byte{itemTuple}, seq, str("s"), str("k"), tail)},
+		{"literal Source equal to predecessor",
+			cat(header(2), first, []byte{allSame&^sameSource | untraced}, seq, []byte{itemTuple}, seq, str("s"), tail)},
+		{"literal Kind equal to the tuple before a marker",
+			cat(header(3), first, marker(allSame&^(sameSource|sameKind)|untraced),
+				[]byte{allSame&^sameKind | untraced}, seq, []byte{itemTuple}, seq, str("k"), tail)},
+		{"traced with a zero context", cat(header(2), first, []byte{allSame}, seq, seq, []byte{0, 0, 0, 0, itemTuple}, seq, tail)},
+		{"reserved bit set", cat(header(2), first, next(allSame|untraced|flagsReserved))},
+		{"Source bit on a marker", cat(header(2), first, marker(allSame&^sameKind|untraced))},
+		{"Kind bit on a marker", cat(header(2), first, marker(allSame&^sameSource|untraced))},
+		{"unknown item flag", cat(header(2), first, []byte{allSame | untraced}, seq, []byte{2}, seq, tail)},
+		{"count larger than the frame could hold", cat(header(200), first)},
+	}
+	for _, c := range cases {
+		if _, err := DecodeBatch(c.frame); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", c.name, err)
+		}
 	}
 }
 
