@@ -67,7 +67,7 @@ func (n *Node) dispatch(m simnet.Message) {
 		// Operator code shipping is modelled by its transfer cost only.
 	case simnet.ClassPreserve:
 		if pm, ok := m.Payload.(PreserveMsg); ok {
-			n.cfg.Store.AppendSourceReplica(pm.Version, pm.Source, pm.T)
+			n.cfg.Store.AppendSourceReplica(pm.Version, pm.Source, pm.Ts)
 		}
 	case simnet.ClassCheckpoint:
 		switch p := m.Payload.(type) {

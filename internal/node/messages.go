@@ -39,12 +39,14 @@ func (b BatchMsg) WireSize() int {
 	return total
 }
 
-// PreserveMsg replicates one admitted source tuple to every phone in the
-// region (UDP best-effort), so the replay log survives source failures.
+// PreserveMsg replicates one run of admitted source tuples (see
+// popRunLocked) to every phone in the region as a single UDP best-effort
+// datagram, so the replay log survives source failures. Ts is shared by the
+// sender's log append and every receiver: all of them only read it.
 type PreserveMsg struct {
 	Version uint64
 	Source  string
-	T       *tuple.Tuple
+	Ts      []*tuple.Tuple
 }
 
 // InterRegionMsg carries a result tuple from an upstream region's sink to

@@ -85,10 +85,12 @@ type Config struct {
 	Peers func() []simnet.NodeID
 	// DistPeers are the unicast persistence targets under dist-n.
 	DistPeers []simnet.NodeID
-	// Broadcast configures the dissemination protocol.
+	// Broadcast configures the dissemination protocol. Its BlockSize also
+	// bounds a source-preservation run (unset: every run is one tuple).
 	Broadcast broadcast.Config
 	// PreserveBroadcast replicates admitted source input to all peers
-	// (UDP best-effort) so replay logs survive source failures.
+	// (UDP best-effort, one datagram per run) so replay logs survive
+	// source failures.
 	PreserveBroadcast bool
 	// Keyed maps each keyed group's logical operator ID to the region's
 	// shared partition-table group. Compiled pipelines dispatch keyed
@@ -405,6 +407,9 @@ type Node struct {
 	// reservations (Phone.ExecFrom) at the moment the work became runnable
 	// rather than at the executor's wake time. Zero between tuples.
 	curReady time.Duration
+
+	// run is the executor's scratch for its current preservation run.
+	run []queued
 
 	// ckptBase is the version the next delta checkpoint patches against
 	// (0 = none: first checkpoint, or freshly restored); ckptChainLen
@@ -852,12 +857,14 @@ func (n *Node) execLoop() {
 	// tuples cost one clock read each; anything in between that takes time
 	// (parking, a flush, a command, timers, a marker) discards it.
 	boundary := noStamp
+	preserves := n.cfg.Scheme.PreservesAtSources()
 	for {
 		n.mu.Lock()
 		var cmd *execCmd
 		var from string
 		var qi int
 		var it queued
+		var run []queued
 		var have bool
 		var fireTimers bool
 		for {
@@ -888,6 +895,9 @@ func (n *Node) execLoop() {
 				}
 				from, qi, it, have = n.nextItemLocked()
 				if have {
+					if preserves && from == externalSlot {
+						run = n.popRunLocked(n.qList[qi], it)
+					}
 					break
 				}
 				if firedLast && timersDue() {
@@ -941,10 +951,67 @@ func (n *Node) execLoop() {
 			}
 		case have:
 			if p := n.pipe.Load(); p != nil {
-				boundary = n.handleItem(p, qi, from, it, now)
+				if run != nil {
+					boundary = n.handleRun(p, qi, run, now)
+				} else {
+					boundary = n.handleItem(p, qi, from, it, now)
+				}
 			}
 		}
 	}
+}
+
+// popRunLocked completes the preservation run opened by first, an item just
+// popped from a source slot's external queue q: the fresh tuples queued
+// directly behind it for the same source operator, as many as fit one
+// broadcast block with it (a larger tuple travels alone; every tuple counts
+// for at least a byte, so a run is bounded whatever the sizes). It never
+// spans a marker — a token moves the log version, a replay-end marker ends
+// the replayed tuples, which are not preserved again — and is popped whole:
+// restore keeps what is still queued as never preserved. Markers and
+// replayed tuples open no run (nil). Caller holds n.mu.
+func (n *Node) popRunLocked(q *upQueue, first queued) []queued {
+	t := first.item.Tuple
+	if t == nil || t.Replay {
+		return nil
+	}
+	run := append(n.run[:0], first)
+	for size := max(t.Size, 1); q.len() > 0; {
+		next := &q.items[q.head]
+		nt := next.item.Tuple
+		if nt == nil || nt.Replay || next.toOp != first.toOp {
+			break
+		}
+		if size += max(nt.Size, 1); size > n.cfg.Broadcast.BlockSize {
+			break
+		}
+		run = append(run, q.pop())
+	}
+	n.run = run
+	return run
+}
+
+// handleRun preserves a run of admitted source tuples and then executes
+// them in admission order. A node that fails or is stopped part-way (a
+// battery dying inside runOp) abandons the rest: preserved but unprocessed
+// is exactly what replay expects. The dequeue stamp is taken before the
+// commit: the first tuple's operator latency carries the run's flash write
+// and airtime, its edge wait does not.
+func (n *Node) handleRun(p *pipeline, qi int, run []queued, now time.Duration) time.Duration {
+	if n.obsReg != nil && now < run[0].at {
+		now = n.clk.Now()
+	}
+	n.preserveRun(run)
+	for i := range run {
+		now = n.handleItem(p, qi, externalSlot, run[i], now)
+		select {
+		case <-n.stopCh:
+			return noStamp
+		default:
+		}
+	}
+	clear(run) // the scratch must not pin the tuples until the next run
+	return now
 }
 
 // nextItemLocked round-robins across unstalled non-empty queues, returning
@@ -996,7 +1063,6 @@ func (n *Node) handleItem(p *pipeline, qi int, from string, it queued, now time.
 	}
 	switch from {
 	case externalSlot:
-		n.preserveSourceInput(it.toOp, t)
 		n.forwardExternalToStandby(p, it.toOp, t)
 	case rerouteSlot:
 		// Rerouted tuples carry no edge sequence; no watermark to advance.
@@ -1046,20 +1112,24 @@ func (n *Node) forwardExternalToStandby(p *pipeline, srcOp string, t *tuple.Tupl
 	}
 }
 
-// preserveSourceInput implements source preservation (§III-B step 3): the
-// admitted tuple joins the local replay log and, when configured, is
-// replicated to every phone via one UDP broadcast airtime.
-func (n *Node) preserveSourceInput(srcOp string, t *tuple.Tuple) {
-	if !n.cfg.Scheme.PreservesAtSources() || t.Replay {
-		return
+// preserveRun implements source preservation (§III-B step 3) as a group
+// commit: the run joins the local replay log in one append and one flash
+// write on the data path and, when configured, is replicated to every phone
+// in one UDP broadcast datagram. Modelled flash time, airtime payload and
+// radio energy are those of the run's summed bytes.
+func (n *Node) preserveRun(run []queued) {
+	ts := make([]*tuple.Tuple, len(run))
+	size := 0
+	for i := range run {
+		ts[i] = run[i].item.Tuple
+		size += ts[i].Size
 	}
-	v := n.logVersion.Load()
-	n.cfg.Store.AppendSource(v, srcOp, t)
-	// The log append hits local flash on the data path.
-	n.clk.Sleep(n.cfg.Phone.FlashWriteTime(t.Size))
+	v, srcOp := n.logVersion.Load(), run[0].toOp
+	n.cfg.Store.AppendSourceRun(v, srcOp, ts)
+	n.clk.Sleep(n.cfg.Phone.FlashWriteTime(size))
 	if n.cfg.PreserveBroadcast {
-		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, t.Size, PreserveMsg{Version: v, Source: srcOp, T: t})
-		n.cfg.Phone.DrainTx(t.Size)
+		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, size, PreserveMsg{Version: v, Source: srcOp, Ts: ts})
+		n.cfg.Phone.DrainTx(size)
 	}
 }
 

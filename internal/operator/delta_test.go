@@ -2,7 +2,11 @@ package operator
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -291,4 +295,75 @@ func TestWindowNonNumericUsesSize(t *testing.T) {
 	if outs[0].T.Value.(float64) != 10 {
 		t.Fatalf("mean = %v", outs[0].T.Value)
 	}
+}
+
+// refAggregateSnapshot is the encoder Aggregate.Snapshot replaced: collect
+// every key from parallel sum/count maps, sort them all, serialise.
+func refAggregateSnapshot(sums map[string]float64, counts map[string]uint64) []byte {
+	keys := make([]string, 0, len(sums))
+	for k := range sums {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	buf := binary.BigEndian.AppendUint64(nil, uint64(len(keys)))
+	for _, k := range keys {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(k)))
+		buf = append(buf, k...)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(sums[k]))
+		buf = binary.BigEndian.AppendUint64(buf, counts[k])
+	}
+	return buf
+}
+
+// The incrementally sorted key table serialises byte for byte like a full
+// collect-and-sort, whatever order keys are first seen in: across a first
+// snapshot, a second one after more keys (new ones interleaving the old in
+// sort order, old ones updated), and a restore.
+func TestAggregateSnapshotMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	a := NewAggregate("a")
+	sums, counts := map[string]float64{}, map[string]uint64{}
+	feed := func(n, keySpace int) {
+		for i := 0; i < n; i++ {
+			// Variable-width keys in shuffled first-seen order, skewed so
+			// many repeat.
+			k := fmt.Sprintf("k%d", rng.Intn(1+rng.Intn(keySpace)))
+			v := rng.Float64()
+			tt := tp(uint64(i), 1)
+			tt.Kind, tt.Value = k, v
+			if _, err := Run(a, "", tt); err != nil {
+				t.Fatal(err)
+			}
+			sums[k] += v
+			counts[k]++
+		}
+	}
+	check := func(stage string, agg *Aggregate) []byte {
+		t.Helper()
+		got, err := agg.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refAggregateSnapshot(sums, counts); !bytes.Equal(got, want) {
+			t.Fatalf("%s: snapshot differs from the full-sort encoding (%d vs %d bytes, %d keys)", stage, len(got), len(want), len(sums))
+		}
+		if agg.Keys() != len(sums) || agg.StateSize() != len(got) {
+			t.Fatalf("%s: Keys %d / StateSize %d, want %d / %d", stage, agg.Keys(), agg.StateSize(), len(sums), len(got))
+		}
+		return got
+	}
+	check("empty", a)
+	feed(3000, 500)
+	check("first snapshot", a)
+	check("unchanged", a)
+	feed(3000, 5000)
+	snap := check("second snapshot", a)
+	b := NewAggregate("a")
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", b)
+	a = b
+	feed(1000, 20000)
+	check("restored, more keys", a)
 }

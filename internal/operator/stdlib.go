@@ -466,14 +466,36 @@ type Aggregate struct {
 	CostFn func(*tuple.Tuple) time.Duration
 	// ExtraBytes models auxiliary aggregation state (sketches, dictionaries).
 	ExtraBytes int
-	sums       map[string]float64
-	counts     map[string]uint64
-	delta      DeltaTracker
+	accs       map[string]*aggAcc
+	// sorted holds the accumulators in key order as of the last Snapshot and
+	// fresh those first seen since, so a snapshot sorts only the newcomers
+	// and merges them in instead of collecting and sorting every key.
+	sorted []*aggAcc
+	fresh  []*aggAcc
+	delta  DeltaTracker
+}
+
+// aggAcc is one key's running sum and count.
+type aggAcc struct {
+	key   string
+	sum   float64
+	count uint64
 }
 
 // NewAggregate builds a keyed running aggregate.
 func NewAggregate(id string) *Aggregate {
-	return &Aggregate{Base: Base{Name: id}, sums: make(map[string]float64), counts: make(map[string]uint64)}
+	return &Aggregate{Base: Base{Name: id}, accs: make(map[string]*aggAcc)}
+}
+
+// acc returns key k's accumulator, creating it on first sight.
+func (a *Aggregate) acc(k string) *aggAcc {
+	c := a.accs[k]
+	if c == nil {
+		c = &aggAcc{key: k}
+		a.accs[k] = c
+		a.fresh = append(a.fresh, c)
+	}
+	return c
 }
 
 func (a *Aggregate) key(t *tuple.Tuple) string {
@@ -489,11 +511,11 @@ func (a *Aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	if !ok {
 		v = float64(t.Size)
 	}
-	k := a.key(t)
-	a.sums[k] += v
-	a.counts[k]++
+	c := a.acc(a.key(t))
+	c.sum += v
+	c.count++
 	out := t.Clone()
-	out.Value = a.sums[k] / float64(a.counts[k])
+	out.Value = c.sum / float64(c.count)
 	ctx.Emit(out)
 	return nil
 }
@@ -508,31 +530,48 @@ func (a *Aggregate) Cost(t *tuple.Tuple) time.Duration {
 
 // Snapshot implements Operator.
 func (a *Aggregate) Snapshot() ([]byte, error) {
-	keys := make([]string, 0, len(a.sums))
-	for k := range a.sums {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf := make([]byte, 0, 8+24*len(keys))
+	a.mergeFresh()
+	buf := make([]byte, 0, 8+24*len(a.sorted))
 	var tmp [8]byte
 	put := func(v uint64) {
 		binary.BigEndian.PutUint64(tmp[:], v)
 		buf = append(buf, tmp[:]...)
 	}
-	put(uint64(len(keys)))
-	for _, k := range keys {
-		put(uint64(len(k)))
-		buf = append(buf, k...)
-		put(math.Float64bits(a.sums[k]))
-		put(a.counts[k])
+	put(uint64(len(a.sorted)))
+	for _, c := range a.sorted {
+		put(uint64(len(c.key)))
+		buf = append(buf, c.key...)
+		put(math.Float64bits(c.sum))
+		put(c.count)
 	}
 	return buf, nil
 }
 
+// mergeFresh sorts the accumulators first seen since the last snapshot and
+// merges them into sorted, back to front in place.
+func (a *Aggregate) mergeFresh() {
+	if len(a.fresh) == 0 {
+		return
+	}
+	sort.Slice(a.fresh, func(i, j int) bool { return a.fresh[i].key < a.fresh[j].key })
+	i, j := len(a.sorted)-1, len(a.fresh)-1
+	a.sorted = append(a.sorted, a.fresh...)
+	for k := len(a.sorted) - 1; j >= 0; k-- {
+		if i >= 0 && a.sorted[i].key > a.fresh[j].key {
+			a.sorted[k] = a.sorted[i]
+			i--
+		} else {
+			a.sorted[k] = a.fresh[j]
+			j--
+		}
+	}
+	a.fresh = a.fresh[:0]
+}
+
 // Restore implements Operator.
 func (a *Aggregate) Restore(data []byte) error {
-	a.sums = make(map[string]float64)
-	a.counts = make(map[string]uint64)
+	a.accs = make(map[string]*aggAcc)
+	a.sorted, a.fresh = nil, nil
 	if len(data) < 8 {
 		return fmt.Errorf("aggregate %s: short state", a.Name)
 	}
@@ -547,10 +586,10 @@ func (a *Aggregate) Restore(data []byte) error {
 		if off+kl+16 > len(data) {
 			return fmt.Errorf("aggregate %s: short key entry", a.Name)
 		}
-		k := string(data[off : off+kl])
+		c := a.acc(string(data[off : off+kl]))
 		off += kl
-		a.sums[k] = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
-		a.counts[k] = binary.BigEndian.Uint64(data[off+8:])
+		c.sum = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
+		c.count = binary.BigEndian.Uint64(data[off+8:])
 		off += 16
 	}
 	return nil
@@ -559,7 +598,7 @@ func (a *Aggregate) Restore(data []byte) error {
 // StateSize implements Operator.
 func (a *Aggregate) StateSize() int {
 	size := 8 + a.ExtraBytes
-	for k := range a.sums {
+	for k := range a.accs {
 		size += 24 + len(k)
 	}
 	return size
@@ -574,4 +613,4 @@ func (a *Aggregate) SnapshotDelta(since uint64) ([]byte, bool) {
 func (a *Aggregate) MarkSnapshot(v uint64) { a.delta.Mark(v, a.Snapshot) }
 
 // Keys reports how many keys the aggregate tracks (tests).
-func (a *Aggregate) Keys() int { return len(a.sums) }
+func (a *Aggregate) Keys() int { return len(a.accs) }

@@ -63,6 +63,11 @@ func newHarness(t testing.TB, scheme ft.Scheme, phones int) *harness {
 
 func newHarnessLogf(t testing.TB, scheme ft.Scheme, phones int, logf func(string, ...interface{})) *harness {
 	t.Helper()
+	return newHarnessRegistry(t, scheme, phones, logf, diamondRegistry())
+}
+
+func newHarnessRegistry(t testing.TB, scheme ft.Scheme, phones int, logf func(string, ...interface{}), reg operator.Registry) *harness {
+	t.Helper()
 	speedup := 2000.0
 	if raceEnabled {
 		speedup = 300 // give race-instrumented goroutines wall time per simulated second
@@ -84,7 +89,7 @@ func newHarnessLogf(t testing.TB, scheme ft.Scheme, phones int, logf func(string
 	r, err := region.New(region.Config{
 		ID:                "r1",
 		Graph:             diamondGraph(t),
-		Registry:          diamondRegistry(),
+		Registry:          reg,
 		Scheme:            scheme,
 		Phones:            phones,
 		Clock:             clk,
@@ -226,6 +231,118 @@ func TestFailureRecoveryMS(t *testing.T) {
 	repl, _ := h.r.Placement("n3")
 	if repl == victim {
 		t.Fatalf("slot n3 still on failed phone %s", victim)
+	}
+}
+
+// TestSourceFailureMidRunRecoveryMS crashes the source host while it is
+// executing the middle of a preservation run (small tuples ingested as a
+// burst behind a paused executor, so a run holds many). The whole run was
+// group-committed before its first tuple ran: every tuple the dead source
+// emitted downstream must be in the log the replacement replays, and the
+// sink's verdict is TestFailureRecoveryMS's.
+func TestSourceFailureMidRunRecoveryMS(t *testing.T) {
+	const burst, stopAt = 40, 15 + 21 // 64-byte tuples: runs of 16, so the 21st of the burst is inside the second
+	reached, crashed := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	emitted := map[uint64]bool{} // post-checkpoint tuples that reached B
+	reg := diamondRegistry()
+	reg["A"] = func() operator.Operator {
+		return operator.NewMap("A", func(in *tuple.Tuple) *tuple.Tuple {
+			if in.Seq == stopAt && !in.Replay {
+				close(reached)
+				<-crashed
+			}
+			return in
+		})
+	}
+	reg["B"] = func() operator.Operator {
+		return operator.NewMap("B", func(in *tuple.Tuple) *tuple.Tuple {
+			if in.Seq > 15 && !in.Replay {
+				mu.Lock()
+				emitted[in.Seq] = true
+				mu.Unlock()
+			}
+			return in
+		})
+	}
+	h := newHarnessRegistry(t, ft.MSScheme, 7, nil, reg)
+	small := func(n int) {
+		for i := 0; i < n; i++ {
+			h.r.Ingest("A", i, 64, "test")
+		}
+	}
+	small(15)
+	if got := h.waitCount(t, 15, 10*time.Second); got != 15 {
+		t.Fatalf("pre-checkpoint outputs = %d, want 15", got)
+	}
+	v := h.ctrl.TriggerCheckpoint("r1")
+	if !h.waitCommitted(t, v, 15*time.Second) {
+		t.Fatal("checkpoint never committed")
+	}
+	victim, ok := h.r.Placement("n1")
+	if !ok {
+		t.Fatal("no placement for n1")
+	}
+	src := h.r.Node(victim)
+	src.PauseExec()
+	small(burst)
+	src.ResumeExec()
+	<-reached
+	// The executor is held inside the run; the flush timer ships what it
+	// has emitted so far. Crash once all of that has reached B.
+	sentBefore := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(emitted)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for sentBefore() < stopAt-15-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	h.r.FailPhone(victim)
+	close(crashed)
+
+	deadline = time.Now().Add(30 * time.Second)
+	for h.ctrl.CatchUpCount("r1", 1) == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if h.ctrl.Recoveries("r1") == 0 || h.ctrl.CatchUpCount("r1", 1) == 0 {
+		t.Fatalf("recoveries = %d, catch-ups = %d: source failure never recovered", h.ctrl.Recoveries("r1"), h.ctrl.CatchUpCount("r1", 1))
+	}
+	repl, _ := h.r.Placement("n1")
+	if repl == victim {
+		t.Fatalf("slot n1 still on failed phone %s", victim)
+	}
+	replayed := map[uint64]bool{}
+	for _, tp := range h.r.Store(repl).SourceLogsFrom(v, "A") {
+		if replayed[tp.Seq] {
+			t.Fatalf("tuple %d is in the replacement's log twice", tp.Seq)
+		}
+		replayed[tp.Seq] = true
+	}
+	mu.Lock()
+	for seq := range emitted {
+		if seq <= 15+burst && !replayed[seq] {
+			t.Errorf("tuple %d was emitted downstream by the dead source but is not in the replacement's log", seq)
+		}
+	}
+	sent := len(emitted)
+	mu.Unlock()
+	if sent < stopAt-15-1 || len(replayed) < 32 {
+		t.Fatalf("dead source emitted %d tuples of the burst and the replacement's log holds %d: the failure did not land inside the second run", sent, len(replayed))
+	}
+
+	small(15)
+	// The 15 pre-checkpoint tuples and the 15 after catch-up are published
+	// exactly once; the burst was in flight when the source died, and what
+	// the replay regenerates of it is legitimately discarded by catch-up
+	// suppression (§III-D).
+	got := h.waitCount(t, 30, 30*time.Second)
+	if got < 30 || got > 15+burst+15 {
+		t.Fatalf("outputs after recovery = %d, want 30..%d", got, 15+burst+15)
+	}
+	if d := h.r.DuplicateOutputs(); d != 0 {
+		t.Fatalf("recovery published %d duplicates", d)
 	}
 }
 

@@ -159,18 +159,34 @@ func (s *Store) MaterializeBlob(version uint64, slot string) (*checkpoint.Blob, 
 
 // AppendSource preserves one admitted input tuple for a version's log.
 func (s *Store) AppendSource(version uint64, source string, t *tuple.Tuple) {
+	s.AppendSourceRun(version, source, []*tuple.Tuple{t})
+}
+
+// AppendSourceRun preserves a run of admitted input tuples, in admission
+// order, under one lock hold (the source's group commit). ts is only read.
+func (s *Store) AppendSourceRun(version uint64, source string, ts []*tuple.Tuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.appendLogLocked(version, source, ts) {
+		for _, t := range ts {
+			s.cumSourceBytes += int64(t.Size)
+		}
+	}
+}
+
+// appendLogLocked copies ts onto the end of a version's source log and
+// reports whether the store still holds anything. Caller holds s.mu.
+func (s *Store) appendLogLocked(version uint64, source string, ts []*tuple.Tuple) bool {
 	if s.lost {
-		return
+		return false
 	}
 	m, ok := s.srcLogs[version]
 	if !ok {
 		m = make(map[string][]*tuple.Tuple)
 		s.srcLogs[version] = m
 	}
-	m[source] = append(m[source], t)
-	s.cumSourceBytes += int64(t.Size)
+	m[source] = append(m[source], ts...)
+	return true
 }
 
 // SourceLog returns the preserved input for a version and source. The
@@ -223,22 +239,15 @@ func (s *Store) AppendEdge(downstreamSlot string, edgeSeq uint64, fromOp, toOp s
 	s.cumEdgeBytes += int64(t.Size)
 }
 
-// AppendSourceReplica stores a peer's preservation broadcast without
-// counting it toward this phone's cumulative preservation metric: the
-// region-level Fig. 10a metric counts each preserved tuple once, at its
-// source.
-func (s *Store) AppendSourceReplica(version uint64, source string, t *tuple.Tuple) {
+// AppendSourceReplica stores the tuples of a peer's preservation broadcast
+// without counting them toward this phone's cumulative preservation metric:
+// the region-level Fig. 10a metric counts each preserved tuple once, at its
+// source. ts is shared with the sender and every other receiver, so it is
+// only read.
+func (s *Store) AppendSourceReplica(version uint64, source string, ts []*tuple.Tuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lost {
-		return
-	}
-	m, ok := s.srcLogs[version]
-	if !ok {
-		m = make(map[string][]*tuple.Tuple)
-		s.srcLogs[version] = m
-	}
-	m[source] = append(m[source], t)
+	s.appendLogLocked(version, source, ts)
 }
 
 // EdgeLogSince returns retained entries on an edge with EdgeSeq > after.

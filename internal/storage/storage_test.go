@@ -188,3 +188,54 @@ func TestCommitGCProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A run appends in admission order behind what the log already holds, the
+// store copies the elements (the caller's slice is shared and may be a
+// sub-slice of something larger), and only source-side appends count
+// toward the preserved-bytes metric.
+func TestAppendSourceRun(t *testing.T) {
+	src, replica := New(), New()
+	src.AppendSource(1, "s", tp(1, 10))
+	replica.AppendSourceReplica(1, "s", []*tuple.Tuple{tp(1, 10)})
+	run := []*tuple.Tuple{tp(2, 20), tp(3, 30), tp(4, 40)}
+	src.AppendSourceRun(1, "s", run[:2])
+	replica.AppendSourceReplica(1, "s", run[:2])
+	src.AppendSourceRun(1, "s", run[2:])
+	replica.AppendSourceReplica(1, "s", run[2:])
+	run[0], run[1], run[2] = nil, nil, nil // the logs own their elements
+	for name, s := range map[string]*Store{"source": src, "replica": replica} {
+		log := s.SourceLog(1, "s")
+		if len(log) != 4 {
+			t.Fatalf("%s log holds %d tuples, want 4", name, len(log))
+		}
+		for i, got := range log {
+			if got == nil || got.Seq != uint64(i+1) {
+				t.Fatalf("%s log out of admission order at %d: %+v", name, i, got)
+			}
+		}
+		if got := s.RetainedBytes(); got != 100 {
+			t.Fatalf("%s retains %d bytes, want 100", name, got)
+		}
+	}
+	if got, _ := src.CumulativePreservedBytes(); got != 100 {
+		t.Fatalf("source preserved bytes = %d, want 100", got)
+	}
+	if got, _ := replica.CumulativePreservedBytes(); got != 0 {
+		t.Fatalf("replica preserved bytes = %d, want 0", got)
+	}
+	src.MarkLost()
+	src.AppendSourceRun(1, "s", []*tuple.Tuple{tp(5, 50)})
+	if got, _ := src.CumulativePreservedBytes(); got != 100 || src.SourceLogLen(1, "s") != 0 {
+		t.Fatalf("lost store accepted a run (%d bytes, %d tuples)", got, src.SourceLogLen(1, "s"))
+	}
+}
+
+// AppendSource stays allocation-free in the steady state: its one-element
+// run lives on the caller's stack.
+func TestAppendSourceNoAllocPerCall(t *testing.T) {
+	s := New()
+	one := tp(1, 64)
+	if a := testing.AllocsPerRun(5000, func() { s.AppendSource(1, "s", one) }); a != 0 {
+		t.Fatalf("AppendSource allocates %.0f times per call, want 0 (log growth aside)", a)
+	}
+}
