@@ -2,7 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -164,6 +167,37 @@ func TestChunkCRCBindsBlobAndIndex(t *testing.T) {
 	}
 	if ChunkCRC(1, 3) != ChunkCRC(1, 3) {
 		t.Fatal("chunk CRC not deterministic")
+	}
+}
+
+// ChunkCRC is the IEEE CRC of (blobCRC, index) as two big-endian words —
+// what crc32.ChecksumIEEE computes over the same eight bytes — and costs no
+// allocation (it runs once per chunk on every receiver).
+func TestChunkCRCMatchesChecksumIEEE(t *testing.T) {
+	want := func(blobCRC uint32, index int) uint32 {
+		var buf [8]byte
+		binary.BigEndian.PutUint32(buf[0:4], blobCRC)
+		binary.BigEndian.PutUint32(buf[4:8], uint32(index))
+		return crc32.ChecksumIEEE(buf[:])
+	}
+	check := func(blobCRC uint32, index int) {
+		t.Helper()
+		if got, w := ChunkCRC(blobCRC, index), want(blobCRC, index); got != w {
+			t.Fatalf("ChunkCRC(%#x, %d) = %#x, want %#x", blobCRC, index, got, w)
+		}
+	}
+	for _, c := range []uint32{0, 1, 0xff, 0x80000000, math.MaxUint32} {
+		for _, i := range []int{0, 1, 255, 256, math.MaxInt32, math.MaxUint32, -1} {
+			check(c, i)
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 10000; i++ {
+		check(rng.Uint32(), int(rng.Uint32()))
+	}
+	sink := uint32(0)
+	if a := testing.AllocsPerRun(1000, func() { sink += ChunkCRC(0xdeadbeef, 7) }); a != 0 {
+		t.Fatalf("ChunkCRC allocates %.0f times per call, want 0", a)
 	}
 }
 

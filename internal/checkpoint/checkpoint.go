@@ -91,11 +91,17 @@ func (b *Blob) VerifyCRC() bool {
 // `index` of a blob: receivers recompute it from the blob identity they
 // assembled, so a chunk spliced from a different blob or stream position is
 // rejected and retransmitted instead of completing a torn upload.
+//
+// It is the IEEE CRC of the two values as big-endian words, computed from
+// the table in place: crc32.ChecksumIEEE's architecture dispatch would move
+// the eight-byte buffer to the heap, once per chunk per receiver.
 func ChunkCRC(blobCRC uint32, index int) uint32 {
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[0:4], blobCRC)
-	binary.BigEndian.PutUint32(buf[4:8], uint32(index))
-	return crc32.ChecksumIEEE(buf[:])
+	word := uint64(blobCRC)<<32 | uint64(uint32(index))
+	crc := ^uint32(0)
+	for shift := 56; shift >= 0; shift -= 8 {
+		crc = crc32.IEEETable[byte(crc)^byte(word>>shift)] ^ crc>>8
+	}
+	return ^crc
 }
 
 // BuildBlob snapshots the given operators into a blob. extra is opaque

@@ -408,8 +408,12 @@ type Node struct {
 	// rather than at the executor's wake time. Zero between tuples.
 	curReady time.Duration
 
-	// run is the executor's scratch for its current preservation run.
-	run []queued
+	// runs are the executor's scratch for its preservation pipeline, one
+	// buffer per committed block, and flashDone is when the flash device
+	// finishes the last log write queued on it. Executor-owned: popRunLocked
+	// runs under mu, but only ever on the executor goroutine.
+	runs      [2][]queued
+	flashDone time.Duration
 
 	// ckptBase is the version the next delta checkpoint patches against
 	// (0 = none: first checkpoint, or freshly restored); ckptChainLen
@@ -896,7 +900,7 @@ func (n *Node) execLoop() {
 				from, qi, it, have = n.nextItemLocked()
 				if have {
 					if preserves && from == externalSlot {
-						run = n.popRunLocked(n.qList[qi], it)
+						run = n.popRunLocked(n.qList[qi], it, 0)
 					}
 					break
 				}
@@ -969,13 +973,14 @@ func (n *Node) execLoop() {
 // spans a marker — a token moves the log version, a replay-end marker ends
 // the replayed tuples, which are not preserved again — and is popped whole:
 // restore keeps what is still queued as never preserved. Markers and
-// replayed tuples open no run (nil). Caller holds n.mu.
-func (n *Node) popRunLocked(q *upQueue, first queued) []queued {
+// replayed tuples open no run (nil). The run lives in scratch buffer buf,
+// which must hold no committed block. Caller holds n.mu.
+func (n *Node) popRunLocked(q *upQueue, first queued, buf int) []queued {
 	t := first.item.Tuple
 	if t == nil || t.Replay {
 		return nil
 	}
-	run := append(n.run[:0], first)
+	run := append(n.runs[buf][:0], first)
 	for size := max(t.Size, 1); q.len() > 0; {
 		next := &q.items[q.head]
 		nt := next.item.Tuple
@@ -987,30 +992,79 @@ func (n *Node) popRunLocked(q *upQueue, first queued) []queued {
 		}
 		run = append(run, q.pop())
 	}
-	n.run = run
+	n.runs[buf] = run
 	return run
 }
 
-// handleRun preserves a run of admitted source tuples and then executes
-// them in admission order. A node that fails or is stopped part-way (a
-// battery dying inside runOp) abandons the rest: preserved but unprocessed
-// is exactly what replay expects. The dequeue stamp is taken before the
-// commit: the first tuple's operator latency carries the run's flash write
-// and airtime, its edge wait does not.
+// topUpRun pops the next preservation run of external queue qi into scratch
+// buffer buf, but only when the executor's own loop would pick exactly that
+// next: a committed block was logged under the current log version, so it
+// must execute before any token, command, timer or pause is handled, and
+// nothing may be committed past one.
+func (n *Node) topUpRun(p *pipeline, qi, buf int) []queued {
+	if len(p.timers) > 0 && p.timerDue(n.clk.Now()) {
+		return nil
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.running || n.paused || len(n.cmds) > 0 {
+		return nil
+	}
+	q := n.qList[qi]
+	if q.stalled || q.len() == 0 {
+		return nil
+	}
+	for i, sib := range n.qList {
+		if i != qi && !sib.stalled && sib.len() > 0 {
+			return nil
+		}
+	}
+	if t := q.items[q.head].item.Tuple; t == nil || t.Replay {
+		return nil
+	}
+	return n.popRunLocked(q, q.pop(), buf)
+}
+
+// handleRun preserves runs of admitted source tuples, starting with run (in
+// scratch buffer 0), and executes them in admission order as a two-deep
+// pipeline: while a committed block waits out its flash write and executes,
+// the next run is already being committed behind it, so the modelled wait
+// hides behind useful work. A block executes only once its own write is
+// durable. A node that fails or is stopped part-way (a battery dying inside
+// runOp) abandons every tuple not yet executed, committed blocks included:
+// preserved but unprocessed is exactly what replay expects. The dequeue stamp
+// is taken before the commit and the previous block's end stamp flows into
+// the next: a block's first tuple carries the residual flash wait in its
+// operator latency, not its edge wait.
 func (n *Node) handleRun(p *pipeline, qi int, run []queued, now time.Duration) time.Duration {
 	if n.obsReg != nil && now < run[0].at {
 		now = n.clk.Now()
 	}
-	n.preserveRun(run)
-	for i := range run {
-		now = n.handleItem(p, qi, externalSlot, run[i], now)
-		select {
-		case <-n.stopCh:
-			return noStamp
-		default:
+	// A committed block is the run in scratch buffer i, durable on flash at
+	// durable[i]; head executes next.
+	var durable [2]time.Duration
+	durable[0] = n.preserveRun(run)
+	for head, committed := 0, 1; committed > 0; head, committed = head^1, committed-1 {
+		if committed == 1 {
+			if next := n.topUpRun(p, qi, head^1); next != nil {
+				durable[head^1] = n.preserveRun(next)
+				committed++
+			}
 		}
+		run = n.runs[head]
+		n.clk.Sleep(durable[head] - n.clk.Now())
+		for i := range run {
+			now = n.handleItem(p, qi, externalSlot, run[i], now)
+			select {
+			case <-n.stopCh:
+				clear(n.runs[0])
+				clear(n.runs[1])
+				return noStamp
+			default:
+			}
+		}
+		clear(run) // the scratch must not pin the tuples until it is reused
 	}
-	clear(run) // the scratch must not pin the tuples until the next run
 	return now
 }
 
@@ -1112,12 +1166,14 @@ func (n *Node) forwardExternalToStandby(p *pipeline, srcOp string, t *tuple.Tupl
 	}
 }
 
-// preserveRun implements source preservation (§III-B step 3) as a group
-// commit: the run joins the local replay log in one append and one flash
-// write on the data path and, when configured, is replicated to every phone
-// in one UDP broadcast datagram. Modelled flash time, airtime payload and
-// radio energy are those of the run's summed bytes.
-func (n *Node) preserveRun(run []queued) {
+// preserveRun begins source preservation (§III-B step 3) for a run as a
+// group commit: the run joins the local replay log in one append and one
+// flash write and, when configured, is replicated to every phone in one UDP
+// broadcast datagram. Modelled flash time, airtime payload and radio energy
+// are those of the run's summed bytes. It does not wait for the flash: it
+// queues the write behind those already on the device (writes are serial,
+// never overlapped) and returns when it completes.
+func (n *Node) preserveRun(run []queued) time.Duration {
 	ts := make([]*tuple.Tuple, len(run))
 	size := 0
 	for i := range run {
@@ -1126,11 +1182,12 @@ func (n *Node) preserveRun(run []queued) {
 	}
 	v, srcOp := n.logVersion.Load(), run[0].toOp
 	n.cfg.Store.AppendSourceRun(v, srcOp, ts)
-	n.clk.Sleep(n.cfg.Phone.FlashWriteTime(size))
+	n.flashDone = max(n.clk.Now(), n.flashDone) + n.cfg.Phone.FlashWriteTime(size)
 	if n.cfg.PreserveBroadcast {
 		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, size, PreserveMsg{Version: v, Source: srcOp, Ts: ts})
 		n.cfg.Phone.DrainTx(size)
 	}
+	return n.flashDone
 }
 
 // runOp executes one operator on a tuple, charging its service time. The

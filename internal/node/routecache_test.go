@@ -18,6 +18,11 @@ type epochResolver struct {
 	primary map[string]simnet.NodeID
 	epoch   uint64
 	calls   int64
+	// onEpoch, when set, runs at the start of every Epoch call with the
+	// call's ordinal: a test's placement change driven by the node's own
+	// lookups instead of by a sleep.
+	onEpoch    func(read int64)
+	epochReads int64
 }
 
 func (r *epochResolver) Primary(slot string) (simnet.NodeID, bool) {
@@ -33,7 +38,12 @@ func (r *epochResolver) Standby(string) (simnet.NodeID, bool) {
 	return "", false
 }
 
-func (r *epochResolver) Epoch() uint64 { return atomic.LoadUint64(&r.epoch) }
+func (r *epochResolver) Epoch() uint64 {
+	if r.onEpoch != nil {
+		r.onEpoch(atomic.AddInt64(&r.epochReads, 1))
+	}
+	return atomic.LoadUint64(&r.epoch)
+}
 
 // repoint moves a slot to a new primary and bumps the epoch, exactly as
 // the region does for recovery, promotion and migration.
@@ -140,7 +150,9 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 // land exactly once at the new primary installed mid-retry — the cached
 // route must not pin the dead phone past the epoch bump.
 func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
-	clk := clock.NewScaled(2e5)
+	// The retry horizon (30 attempts, 200 simulated ms apart) is ~120 ms of
+	// wall time at this speedup; the test needs two retries of it.
+	clk := clock.NewScaled(50)
 	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 1e12})
 	tx := simnet.NewEndpoint("tx", 64)
 	rxA := simnet.NewEndpoint("rxA", 64)
@@ -169,15 +181,22 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 	rxA.Seal()
 	w.SetPresent("rxA", false)
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		n.deliverData("down", 100, streamMsg(2), simnet.ClassData)
-	}()
-	// Let a few retries fail against the dead primary, then repoint.
-	clk.Sleep(600 * 1e6) // 600 ms simulated: ≥2 failed attempts
-	res.repoint("down", "rxB")
-	<-done
+	// Every attempt reads the epoch once and, the epoch unchanged, takes
+	// the dead primary from the cache: two attempts fail, and the placement
+	// moves under the third's lookup.
+	res.onEpoch = func(read int64) {
+		if read == 3 {
+			res.repoint("down", "rxB")
+		}
+	}
+	before := res.resolverCalls()
+	n.deliverData("down", 100, streamMsg(2), simnet.ClassData)
+	if reads := atomic.LoadInt64(&res.epochReads); reads != 3 {
+		t.Fatalf("delivery took %d attempts, want 3 (two against the dead primary)", reads)
+	}
+	if calls := res.resolverCalls() - before; calls != 1 {
+		t.Fatalf("resolver consulted %d times across the repoint, want 1", calls)
+	}
 	select {
 	case m := <-rxB.Inbox():
 		if m.Payload.(StreamMsg).EdgeSeq != 2 {

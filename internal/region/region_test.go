@@ -241,14 +241,32 @@ func TestFailureRecoveryMS(t *testing.T) {
 // emitted downstream must be in the log the replacement replays, and the
 // sink's verdict is TestFailureRecoveryMS's.
 func TestSourceFailureMidRunRecoveryMS(t *testing.T) {
-	const burst, stopAt = 40, 15 + 21 // 64-byte tuples: runs of 16, so the 21st of the burst is inside the second
+	// 64-byte tuples: runs of 16, so the 21st of the burst is inside the
+	// second, which was committed whole.
+	sourceFailureMidBurst(t, 40, 21, 32)
+}
+
+// TestSourceFailureMidPipelineRecoveryMS is the same crash deep in a
+// sustained burst, where the source's commit pipeline is two blocks deep:
+// the source dies executing the third run with the fourth already committed
+// behind it. Both are abandoned and both are in the replacement's log.
+func TestSourceFailureMidPipelineRecoveryMS(t *testing.T) {
+	sourceFailureMidBurst(t, 112, 40, 64)
+}
+
+// sourceFailureMidBurst checkpoints after 15 tuples, queues a burst of
+// 64-byte tuples at the source, crashes its host inside the burst's
+// stopAt-th tuple and recovers. The replacement's log must hold at least
+// committed tuples of the burst and every one the dead source emitted.
+func sourceFailureMidBurst(t *testing.T, burst, stopAt, committed int) {
+	stopAt += 15
 	reached, crashed := make(chan struct{}), make(chan struct{})
 	var mu sync.Mutex
 	emitted := map[uint64]bool{} // post-checkpoint tuples that reached B
 	reg := diamondRegistry()
 	reg["A"] = func() operator.Operator {
 		return operator.NewMap("A", func(in *tuple.Tuple) *tuple.Tuple {
-			if in.Seq == stopAt && !in.Replay {
+			if in.Seq == uint64(stopAt) && !in.Replay {
 				close(reached)
 				<-crashed
 			}
@@ -322,14 +340,14 @@ func TestSourceFailureMidRunRecoveryMS(t *testing.T) {
 	}
 	mu.Lock()
 	for seq := range emitted {
-		if seq <= 15+burst && !replayed[seq] {
+		if seq <= uint64(15+burst) && !replayed[seq] {
 			t.Errorf("tuple %d was emitted downstream by the dead source but is not in the replacement's log", seq)
 		}
 	}
 	sent := len(emitted)
 	mu.Unlock()
-	if sent < stopAt-15-1 || len(replayed) < 32 {
-		t.Fatalf("dead source emitted %d tuples of the burst and the replacement's log holds %d: the failure did not land inside the second run", sent, len(replayed))
+	if sent < stopAt-15-1 || len(replayed) < committed {
+		t.Fatalf("dead source emitted %d tuples of the burst and the replacement's log holds %d, want at least %d and %d: the failure did not land where intended", sent, len(replayed), stopAt-15-1, committed)
 	}
 
 	small(15)
@@ -338,7 +356,7 @@ func TestSourceFailureMidRunRecoveryMS(t *testing.T) {
 	// the replay regenerates of it is legitimately discarded by catch-up
 	// suppression (§III-D).
 	got := h.waitCount(t, 30, 30*time.Second)
-	if got < 30 || got > 15+burst+15 {
+	if got < 30 || got > int64(15+burst+15) {
 		t.Fatalf("outputs after recovery = %d, want 30..%d", got, 15+burst+15)
 	}
 	if d := h.r.DuplicateOutputs(); d != 0 {

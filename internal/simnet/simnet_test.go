@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -407,5 +409,125 @@ func TestEndpointDropCounter(t *testing.T) {
 	ep.deliver(Message{Class: ClassData}, false)
 	if got := ep.Drops(); got != 3 {
 		t.Fatalf("drops after sealed rejection = %d, want 3", got)
+	}
+}
+
+// lossyRegion joins a sender and n receivers to a seeded lossy medium. With
+// spread, every member sits in its own membership stripe, which makes the
+// broadcast's target order (stripe order) deterministic; receivers are
+// returned in that order.
+func lossyRegion(t *testing.T, n int, spread bool, seed int64) (*WiFi, NodeID, []*Endpoint) {
+	t.Helper()
+	w := NewWiFi(testClock(), WiFiConfig{BitsPerSecond: 1e9, LossProb: 0.3, Seed: seed})
+	byStripe := map[*memberStripe]*Endpoint{}
+	var eps []*Endpoint
+	for i := 0; len(eps) < n+1; i++ {
+		id := NodeID("m" + string(rune('a'+i%26)) + string(rune('a'+i/26)))
+		if spread && byStripe[w.stripe(id)] != nil {
+			continue
+		}
+		ep := NewEndpoint(id, 1<<12)
+		byStripe[w.stripe(id)] = ep
+		eps = append(eps, ep)
+		w.Join(ep)
+	}
+	from := eps[0].ID
+	if !spread {
+		return w, from, eps[1:]
+	}
+	var ordered []*Endpoint
+	for i := range w.stripes {
+		if ep := byStripe[&w.stripes[i]]; ep != nil && ep.ID != from {
+			ordered = append(ordered, ep)
+		}
+	}
+	return w, from, ordered
+}
+
+// A broadcast draws one loss sample per datagram per target, datagram by
+// datagram in target order, and delivers in that order too: replaying the
+// seeded generator predicts exactly which receiver gets which datagram,
+// through Broadcast and BroadcastBatch alike, and the counters charge each
+// datagram's payload once.
+func TestWiFiBroadcastLossSequencePinned(t *testing.T) {
+	const seed, receivers, batch, singles = 99, 8, 40, 20
+	w, from, eps := lossyRegion(t, receivers, true, seed)
+	grams := make([]Datagram, batch)
+	for i := range grams {
+		grams[i] = Datagram{Size: 10 + i, Payload: i}
+	}
+	counts := w.BroadcastBatch(from, ClassPreserve, grams)
+	for i := batch; i < batch+singles; i++ {
+		counts = append(counts, w.Broadcast(from, ClassPreserve, 10+i, i))
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	want := make([][]int, receivers)
+	bytes := 0
+	for g := 0; g < batch+singles; g++ {
+		bytes += 10 + g
+		delivered := 0
+		for r := range want {
+			if rng.Float64() >= 0.3 {
+				want[r] = append(want[r], g)
+				delivered++
+			}
+		}
+		if counts[g] != delivered {
+			t.Fatalf("datagram %d reached %d receivers, want %d", g, counts[g], delivered)
+		}
+	}
+	for r, ep := range eps {
+		var got []int
+		for len(ep.Inbox()) > 0 {
+			m := <-ep.Inbox()
+			if m.From != from || m.To != ep.ID || m.Class != ClassPreserve || m.Size != 10+m.Payload.(int) {
+				t.Fatalf("receiver %s got %+v", ep.ID, m)
+			}
+			got = append(got, m.Payload.(int))
+		}
+		if !slices.Equal(got, want[r]) {
+			t.Fatalf("receiver %d (%s) got datagrams %v, want %v", r, ep.ID, got, want[r])
+		}
+	}
+	if got := w.Counters.Bytes(ClassPreserve); got != int64(bytes) {
+		t.Fatalf("ClassPreserve bytes = %d, want %d", got, bytes)
+	}
+	if got := w.Counters.Messages(ClassPreserve); got != batch+singles {
+		t.Fatalf("ClassPreserve messages = %d, want %d", got, batch+singles)
+	}
+}
+
+// A region too large for the on-stack target list samples loss the same
+// way: stripes hold several members, so only the per-datagram receiver
+// counts (target-order independent) are predictable.
+func TestWiFiBroadcastLossCountsLargeRegion(t *testing.T) {
+	const seed, receivers, n = 7, 40, 50
+	w, from, eps := lossyRegion(t, receivers, false, seed)
+	w.SetPresent(eps[0].ID, false)
+	rng := rand.New(rand.NewSource(seed))
+	for g := 0; g < n; g++ {
+		want := 0
+		for r := 1; r < receivers; r++ {
+			if rng.Float64() >= 0.3 {
+				want++
+			}
+		}
+		if got := w.Broadcast(from, ClassPreserve, 64, g); got != want {
+			t.Fatalf("datagram %d reached %d receivers, want %d", g, got, want)
+		}
+	}
+	if len(eps[0].Inbox()) != 0 {
+		t.Fatal("absent member received a broadcast")
+	}
+}
+
+// A single-datagram broadcast in a small region allocates nothing of its
+// own: no target-list growth, no per-call counts slice.
+func TestWiFiBroadcastAllocs(t *testing.T) {
+	w, _ := newTestWiFi(t, WiFiConfig{BitsPerSecond: 1e12})
+	var payload interface{} = "blk"
+	if a := testing.AllocsPerRun(1000, func() { w.Broadcast("a", ClassPreserve, 64, payload) }); a != 0 {
+		t.Fatalf("Broadcast allocates %.0f times per call, want 0", a)
 	}
 }

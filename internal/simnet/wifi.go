@@ -119,6 +119,7 @@ type WiFi struct {
 	chans    []wifiChannel
 	stripes  [memberStripes]memberStripe
 	nextChan uint32 // round-robin channel assignment (atomic)
+	attached int32  // members in the stripes, present or not (atomic)
 
 	// uniBytes/crossBytes account reliable unicast traffic (effective
 	// bytes, retransmissions included): crossBytes is the subset whose
@@ -176,6 +177,7 @@ func (w *WiFi) Join(ep *Endpoint) {
 		m.present = true
 	} else {
 		s.members[ep.ID] = &wifiMember{ep: ep, channel: ch, present: true}
+		atomic.AddInt32(&w.attached, 1)
 	}
 	s.mu.Unlock()
 }
@@ -204,7 +206,10 @@ func (w *WiFi) Present(id NodeID) bool {
 func (w *WiFi) Remove(id NodeID) {
 	s := w.stripe(id)
 	s.mu.Lock()
-	delete(s.members, id)
+	if _, ok := s.members[id]; ok {
+		delete(s.members, id)
+		atomic.AddInt32(&w.attached, -1)
+	}
 	s.mu.Unlock()
 }
 
@@ -452,8 +457,10 @@ type Datagram struct {
 // amortisation MobiStreams exploits (§III-C). It returns the number of
 // members that received the datagram.
 func (w *WiFi) Broadcast(from NodeID, class Class, size int, payload interface{}) int {
-	res := w.BroadcastBatch(from, class, []Datagram{{Size: size, Payload: payload}})
-	return res[0]
+	gram := [1]Datagram{{Size: size, Payload: payload}}
+	var count [1]int
+	w.broadcast(from, class, gram[:], count[:])
+	return count[0]
 }
 
 // BroadcastBatch sends a burst of UDP datagrams back-to-back, reserving
@@ -461,17 +468,26 @@ func (w *WiFi) Broadcast(from NodeID, class Class, size int, payload interface{}
 // returns, per datagram, how many members received it.
 func (w *WiFi) BroadcastBatch(from NodeID, class Class, grams []Datagram) []int {
 	counts := make([]int, len(grams))
-	if len(grams) == 0 {
-		return counts
-	}
-	if !w.Present(from) {
-		return counts
+	w.broadcast(from, class, grams, counts)
+	return counts
+}
+
+// broadcast sends grams and adds each one's receiver count to counts.
+func (w *WiFi) broadcast(from NodeID, class Class, grams []Datagram, counts []int) {
+	if len(grams) == 0 || !w.Present(from) {
+		return
 	}
 	type target struct {
 		id NodeID
 		ep *Endpoint
 	}
-	var targets []target
+	// Sized once: on the stack for the common small region, else for every
+	// attached member (an upper bound; a concurrent Join may still grow it).
+	var few [16]target
+	targets := few[:0]
+	if n := int(atomic.LoadInt32(&w.attached)); n > len(few) {
+		targets = make([]target, 0, n)
+	}
 	for i := range w.stripes {
 		s := &w.stripes[i]
 		s.mu.RLock()
@@ -508,7 +524,6 @@ func (w *WiFi) BroadcastBatch(from NodeID, class Class, grams []Datagram) []int 
 		}
 		start = end
 	}
-	return counts
 }
 
 // Config returns the medium's configuration.
