@@ -4,385 +4,318 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"mobistreams/internal/bench"
 )
 
-// writeFile drops one JSON fixture into the test's temp dir.
-func writeFile(t *testing.T, dir, name, content string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+const fixtureBaseline = `{
+	"comment": "fixture",
+	"max_scheduler_tuple_loss": 0,
+	"incr_pause_mean_ms_largest": 10.0,
+	"elastic_p99_hotspot_ms": 650.0,
+	"federation_ctrl_bytes_per_phone_largest": 560.0,
+	"placement_loss_vs_reactive": 0.5
+}`
+
+// fixture is a healthy result set, one typed slice per gated experiment.
+type fixture struct {
+	churn, placement []bench.ChurnOutcome
+	ckpt             []bench.CkptOutcome
+	scale            []bench.ScaleRow
+	elastic          []bench.ElasticOutcome
+	fed              []bench.FederationPoint
+	fig10            []bench.Fig10Row
 }
 
-// gateFixtures writes a full healthy result set matching the committed
-// baseline shape, returning the ten paths runCompare takes. Callers
-// overwrite individual files to construct failure cases.
-func gateFixtures(t *testing.T, dir string) (baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place string) {
+func healthy() *fixture {
+	const mb = 1 << 20
+	return &fixture{
+		churn: []bench.ChurnOutcome{
+			{Scheme: "ms", Mode: "reactive", Lost: 50},
+			{Scheme: "ms", Mode: "planner", Lost: 0},
+		},
+		ckpt: []bench.CkptOutcome{
+			{Mode: "full", StateBytes: mb, PauseMeanMs: 40},
+			{Mode: "incremental", StateBytes: mb, PauseMeanMs: 9.5},
+		},
+		scale: []bench.ScaleRow{
+			{Phones: 8, Channels: 1, TPS: 49}, {Phones: 8, Channels: 4, TPS: 48},
+			{Phones: 64, Channels: 1, TPS: 42}, {Phones: 64, Channels: 4, TPS: 334},
+		},
+		elastic: []bench.ElasticOutcome{
+			{Mode: "static", P99HotMs: 4500, DegradeFactor: 13},
+			{Mode: "elastic", P99HotMs: 640, DegradeFactor: 1.5, Splits: 2},
+		},
+		fed: []bench.FederationPoint{
+			{Mode: "gossip", Regions: 4, CtrlBytesPerPhone: 380},
+			{Mode: "gossip", Regions: 64, CtrlBytesPerPhone: 555},
+			{Mode: "unicast", Regions: 64, CtrlBytesPerPhone: 756},
+		},
+		placement: []bench.ChurnOutcome{
+			{Mode: "reactive", Lost: 8, CrossChannelShare: 0.55},
+			{Mode: "planner", Lost: 2, CrossChannelShare: 0.12},
+		},
+		fig10: []bench.Fig10Row{
+			{App: "BCP", Scheme: "local", PreservedBytes: 18 * mb},
+			{App: "BCP", Scheme: "dist-1", PreservedBytes: 17 * mb, CkptReplNetBytes: 10 * mb},
+			{App: "BCP", Scheme: "dist-2", PreservedBytes: 16 * mb, CkptReplNetBytes: 21 * mb},
+			{App: "BCP", Scheme: "dist-3", PreservedBytes: 11 * mb, CkptReplNetBytes: 26 * mb},
+			{App: "BCP", Scheme: "ms", PreservedBytes: 9 * mb, CkptReplNetBytes: 6 * mb},
+		},
+	}
+}
+
+// gate writes the fixture as a results file (each experiment's rows through
+// the same writer msbench -out uses; a nil slice leaves the experiment out)
+// and runs the gate over it.
+func (f *fixture) gate(t *testing.T) (string, error) {
 	t.Helper()
-	baseline = writeFile(t, dir, "baseline.json", `{
-		"max_scheduler_tuple_loss": 0,
-		"incr_pause_mean_ms_largest": 10.0,
-		"scale_tps_largest": 300.0,
-		"emit_allocs_per_op": 0.0,
-		"wire_encode_allocs_per_op": 0.0,
-		"obs_overhead_pct": 5.0,
-		"trace_allocs_per_op": 0.0,
-		"elastic_p99_hotspot_ms": 650.0,
-		"federation_ctrl_bytes_per_phone_largest": 560.0,
-		"placement_loss_vs_reactive": 0.5
-	}`)
-	churn = writeFile(t, dir, "churn.json", `{"rows": [
-		{"mode": "scheduler", "tuples_lost": 0},
-		{"mode": "reactive", "tuples_lost": 50}
-	]}`)
-	ckpt = writeFile(t, dir, "ckpt.json", `{"rows": [
-		{"mode": "incremental", "state_bytes": 1048576, "pause_mean_ms": 9.5},
-		{"mode": "full", "state_bytes": 1048576, "pause_mean_ms": 40.0}
-	]}`)
-	scale = writeFile(t, dir, "scale.json", `{"rows": [
-		{"phones": 64, "tuples_per_sec": 310.0}
-	]}`)
-	emit = writeFile(t, dir, "emit.json", `{"rows": [
-		{"mode": "context", "allocs_per_op": 0.0, "ns_per_op": 100},
-		{"mode": "legacy", "allocs_per_op": 2.0, "ns_per_op": 150}
-	]}`)
-	wire = writeFile(t, dir, "wire.json", `{"rows": [
-		{"op": "encode_stream", "allocs_per_op": 0.0, "ns_per_op": 50, "frame_bytes": 80},
-		{"op": "encode_batch16", "allocs_per_op": 0.0, "ns_per_op": 700, "frame_bytes": 1200},
-		{"op": "decode_stream", "allocs_per_op": 2.0, "ns_per_op": 90, "frame_bytes": 80}
-	]}`)
-	obs = writeFile(t, dir, "obs.json", `{
-		"iters": 200000,
-		"off_ns_per_op": 100.0,
-		"hist_ns_per_op": 106.0,
-		"trace_ns_per_op": 240.0,
-		"obs_overhead_pct": 6.0,
-		"trace_allocs_per_op": 0.0,
-		"traced_allocs_per_op": 1.2,
-		"spans": 16384
-	}`)
-	elastic = writeFile(t, dir, "elastic.json", `{"rows": [
-		{"mode": "static", "p99_hotspot_ms": 4500.0, "degrade_factor": 13.0, "duplicates": 0},
-		{"mode": "elastic", "p99_hotspot_ms": 640.0, "degrade_factor": 1.5, "splits": 2, "duplicates": 0}
-	]}`)
-	fed = writeFile(t, dir, "federation.json", `{"rows": [
-		{"mode": "gossip", "regions": 4, "ctrl_bytes_per_phone": 380.0, "xregion_dup_outputs": 0},
-		{"mode": "gossip", "regions": 64, "ctrl_bytes_per_phone": 555.0, "xregion_dup_outputs": 0},
-		{"mode": "unicast", "regions": 64, "ctrl_bytes_per_phone": 756.0, "xregion_dup_outputs": 0}
-	]}`)
-	place = writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
-		{"mode": "planner", "tuples_lost": 2, "cross_channel_share": 0.12, "duplicates": 0}
-	]}`)
-	return
+	results := make(map[string]any)
+	for name, rows := range map[string]any{
+		"churn": f.churn, "checkpoint": f.ckpt, "scale": f.scale, "elastic": f.elastic,
+		"federation": f.fed, "placement": f.placement, "fig10": f.fig10,
+	} {
+		if !reflect.ValueOf(rows).IsNil() {
+			results[name] = rows
+		}
+	}
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "baseline.json")
+	if err := os.WriteFile(baseline, []byte(fixtureBaseline), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "results.json")
+	file, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bench.WriteResults(file, results); err != nil {
+		t.Fatal(err)
+	}
+	file.Close()
+	var out bytes.Buffer
+	err = runCompare(baseline, []string{path}, &out)
+	return out.String(), err
 }
 
 func TestComparePasses(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	var out bytes.Buffer
-	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err != nil {
-		t.Fatalf("healthy results failed the gate: %v\n%s", err, out.String())
+	out, err := healthy().gate(t)
+	if err != nil {
+		t.Fatalf("healthy results failed the gate: %v\n%s", err, out)
 	}
-	if !strings.Contains(out.String(), "no regressions") {
-		t.Fatalf("missing pass banner:\n%s", out.String())
+	if !strings.Contains(out, "no regressions") {
+		t.Fatalf("missing pass banner:\n%s", out)
 	}
-}
-
-// TestCompareFailsOnWireEncodeAlloc is the gate's verified fail path: a
-// single allocation per encoded frame — the smallest possible regression —
-// must fail the build, decode-side allocations must not.
-func TestCompareFailsOnWireEncodeAlloc(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "wire.json", `{"rows": [
-		{"op": "encode_stream", "allocs_per_op": 1.0, "ns_per_op": 55, "frame_bytes": 80},
-		{"op": "decode_stream", "allocs_per_op": 2.0, "ns_per_op": 90, "frame_bytes": 80}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("1.0 wire-encode allocs/op passed the gate:\n%s", out.String())
+	// Every gate row of the table printed a line.
+	rows := 0
+	for _, e := range bench.Experiments {
+		rows += len(e.Gates)
 	}
-	if !strings.Contains(out.String(), "wire-encode allocs/op regressed") {
-		t.Fatalf("failure not attributed to the wire encode path:\n%s", out.String())
+	if got := strings.Count(out, "gate: "); got != rows+1 {
+		t.Fatalf("%d gate lines for %d gate rows:\n%s", got-1, rows, out)
 	}
 }
 
-// TestCompareFailsOnMissingWireRows: results without encode rows must not
-// silently pass.
-func TestCompareFailsOnMissingWireRows(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "wire.json", `{"rows": [
-		{"op": "decode_stream", "allocs_per_op": 2.0, "ns_per_op": 90, "frame_bytes": 80}
-	]}`)
-	var out bytes.Buffer
-	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err == nil {
-		t.Fatalf("wire results without encode rows passed the gate:\n%s", out.String())
+// gateCases is the gate's fail-path table: for every gate row of
+// bench.Experiments a regressed fixture (a small change to the healthy one
+// that must trip that row), and for every gated experiment a missing-row
+// fixture (row ""; it leaves none of the experiment's rows a sample), each
+// with the FAIL line it must print. The case named X runs as the top-level
+// test TestCompareFailsOnX.
+var gateCases = []struct {
+	name   string
+	exp    string
+	row    string // the gate row a regressed case trips: its baseline key, or What for a structural row
+	mutate func(f *fixture)
+	fail   string
+}{
+	// churn: the planner arm losing tuples past baseline×1.2 + 3. A results
+	// set without planner-mode rows used to pass: the worst loss stayed 0.
+	{"TupleLossRegression", "churn", "max_scheduler_tuple_loss",
+		func(f *fixture) { f.churn[1].Lost = 4 }, "tuple loss regressed: 4 > 3"},
+	{"MissingChurnRows", "churn", "",
+		func(f *fixture) { f.churn = f.churn[:1] }, "churn results carry no planner-mode rows"},
+
+	{"CheckpointPauseRegression", "checkpoint", "incr_pause_mean_ms_largest",
+		func(f *fixture) { f.ckpt[1].PauseMeanMs = 17.5 }, "checkpoint pause regressed: 17.50 ms > 17.00 ms"},
+	{"MissingCheckpointRows", "checkpoint", "",
+		func(f *fixture) { f.ckpt = f.ckpt[:1] }, "checkpoint results carry no incremental pause sample"},
+
+	// scale: one channel beating four at the largest size means channel
+	// planning stopped paying.
+	{"ScaleChannelClaim", "scale", "scale 2x one-channel tuples/s at the largest size",
+		func(f *fixture) { f.scale[2].TPS, f.scale[3].TPS = 334, 42 },
+		"scale sweep: four channels no longer deliver 2x one channel at the largest size: 668.0 >= 42.0"},
+	{"MissingScaleRows", "scale", "",
+		func(f *fixture) { f.scale = f.scale[:3] }, "scale results carry no 1-channel and 4-channel row at one region size"},
+
+	// elastic: a hotspot p99 past baseline×1.2 plus grace means the
+	// split/merge policy stopped absorbing the hotspot. Exactly-once across
+	// live splits is pinned at zero with no grace: one duplicate fails the
+	// build even when the latency numbers are healthy.
+	{"ElasticP99Regression", "elastic", "elastic_p99_hotspot_ms",
+		func(f *fixture) { f.elastic[1].P99HotMs, f.elastic[1].Splits = 3200, 0 },
+		"elastic hotspot p99 regressed: 3200.0 ms > 880.0 ms"},
+	{"ElasticDuplicates", "elastic", "elastic duplicate outputs",
+		func(f *fixture) { f.elastic[1].Duplicates = 1 }, "elastic run published 1 duplicate outputs"},
+	{"MissingElasticRow", "elastic", "",
+		func(f *fixture) { f.elastic = f.elastic[:1] }, "elastic results carry no elastic-mode hotspot sample"},
+
+	// federation: busiest-node control bytes per phone at the largest swept
+	// region count past baseline×1.2 plus grace means the gossip overlay's
+	// sub-linear fan-out regressed; one duplicate at any sweep point, not
+	// just the largest, fails.
+	{"FederationFanoutRegression", "federation", "federation_ctrl_bytes_per_phone_largest",
+		func(f *fixture) { f.fed[1].CtrlBytesPerPhone = 1400 }, "federation ctrl bytes/phone regressed: 1400.0 > 692.0"},
+	{"FederationDuplicates", "federation", "federation duplicate cross-region outputs",
+		func(f *fixture) { f.fed[0].XRegionDupOutputs = 1 }, "federation run published 1 duplicate cross-region outputs"},
+	{"MissingFederationRows", "federation", "",
+		func(f *fixture) { f.fed = f.fed[2:] }, "federation results carry no gossip-mode sweep rows"},
+
+	// placement: a 5x loss ratio against a 0.5 baseline means pack-to-empty
+	// planning stopped paying for itself under churn. The structural claim
+	// has no grace: the planner merely matching the reactive arm's
+	// cross-channel share fails.
+	{"PlacementLossRegression", "placement", "placement_loss_vs_reactive",
+		func(f *fixture) { f.placement[1].Lost = 40 }, "placement loss vs reactive regressed: 5.00 > 2.10"},
+	{"PlacementCrossChannelClaim", "placement", "placement planner cross-channel share",
+		func(f *fixture) { f.placement[1].CrossChannelShare = 0.55 },
+		"placement planner no longer beats reactive on cross-channel share: 0.550 >= 0.550"},
+	{"PlacementDuplicates", "placement", "placement planner duplicate outputs",
+		func(f *fixture) { f.placement[1].Duplicates = 1 }, "placement planner run published 1 duplicate outputs"},
+	{"MissingPlacementRows", "placement", "",
+		func(f *fixture) { f.placement = f.placement[:1] }, "placement results carry no reactive+planner row pair"},
+
+	// fig10: the paper's orderings. ms and dist-3 checkpoint bytes swapped
+	// is the reproduction visibly broken; the others move one scheme past
+	// its neighbour.
+	{"Fig10SwappedCheckpointBytes", "fig10", "fig10 BCP checkpoint/replication bytes, ms vs dist-1",
+		func(f *fixture) {
+			ms, d3 := &f.fig10[4], &f.fig10[3]
+			ms.CkptReplNetBytes, d3.CkptReplNetBytes = d3.CkptReplNetBytes, ms.CkptReplNetBytes
+		},
+		"fig10 ordering broken on BCP checkpoint/replication bytes: ms 26.00 MB >= dist-1 10.00 MB"},
+	{"Fig10Dist1PastDist2", "fig10", "fig10 BCP checkpoint/replication bytes, dist-1 vs dist-2",
+		func(f *fixture) { f.fig10[1].CkptReplNetBytes = 22 << 20 },
+		"fig10 ordering broken on BCP checkpoint/replication bytes: dist-1 22.00 MB >= dist-2 21.00 MB"},
+	{"Fig10Dist2PastDist3", "fig10", "fig10 BCP checkpoint/replication bytes, dist-2 vs dist-3",
+		func(f *fixture) { f.fig10[3].CkptReplNetBytes = 21 << 20 },
+		"fig10 ordering broken on BCP checkpoint/replication bytes: dist-2 21.00 MB >= dist-3 21.00 MB"},
+	{"Fig10PreservedPastDist3", "fig10", "fig10 BCP preserved bytes, ms vs dist-3",
+		func(f *fixture) { f.fig10[4].PreservedBytes = 12 << 20 },
+		"fig10 ordering broken on BCP preserved bytes: ms 12.00 MB >= dist-3 11.00 MB"},
+	{"Fig10Dist3PastLocal", "fig10", "fig10 BCP preserved bytes, dist-3 vs local",
+		func(f *fixture) { f.fig10[0].PreservedBytes = 10 << 20 },
+		"fig10 ordering broken on BCP preserved bytes: dist-3 11.00 MB >= local 10.00 MB"},
+	{"MissingFig10Rows", "fig10", "",
+		func(f *fixture) {
+			for i := range f.fig10 {
+				f.fig10[i].App = "SignalGuru"
+			}
+		},
+		"fig10 results carry no BCP row for a scheme its orderings name"},
+}
+
+// failsOn runs the gateCases entry named after the calling test.
+func failsOn(t *testing.T) {
+	t.Helper()
+	name := strings.TrimPrefix(t.Name(), "TestCompareFailsOn")
+	for _, c := range gateCases {
+		if c.name != name {
+			continue
+		}
+		f := healthy()
+		c.mutate(f)
+		out, err := f.gate(t)
+		if err == nil {
+			t.Fatalf("the broken fixture passed the gate:\n%s", out)
+		}
+		if !strings.Contains(out, "FAIL "+c.fail) {
+			t.Fatalf("failure not attributed (want FAIL %q):\n%s", c.fail, out)
+		}
+		return
+	}
+	t.Fatalf("no gateCases entry %q", name)
+}
+
+func TestCompareFailsOnTupleLossRegression(t *testing.T)         { failsOn(t) }
+func TestCompareFailsOnMissingChurnRows(t *testing.T)            { failsOn(t) }
+func TestCompareFailsOnCheckpointPauseRegression(t *testing.T)   { failsOn(t) }
+func TestCompareFailsOnMissingCheckpointRows(t *testing.T)       { failsOn(t) }
+func TestCompareFailsOnScaleChannelClaim(t *testing.T)           { failsOn(t) }
+func TestCompareFailsOnMissingScaleRows(t *testing.T)            { failsOn(t) }
+func TestCompareFailsOnElasticP99Regression(t *testing.T)        { failsOn(t) }
+func TestCompareFailsOnElasticDuplicates(t *testing.T)           { failsOn(t) }
+func TestCompareFailsOnMissingElasticRow(t *testing.T)           { failsOn(t) }
+func TestCompareFailsOnFederationFanoutRegression(t *testing.T)  { failsOn(t) }
+func TestCompareFailsOnFederationDuplicates(t *testing.T)        { failsOn(t) }
+func TestCompareFailsOnMissingFederationRows(t *testing.T)       { failsOn(t) }
+func TestCompareFailsOnPlacementLossRegression(t *testing.T)     { failsOn(t) }
+func TestCompareFailsOnPlacementCrossChannelClaim(t *testing.T)  { failsOn(t) }
+func TestCompareFailsOnPlacementDuplicates(t *testing.T)         { failsOn(t) }
+func TestCompareFailsOnMissingPlacementRows(t *testing.T)        { failsOn(t) }
+func TestCompareFailsOnFig10SwappedCheckpointBytes(t *testing.T) { failsOn(t) }
+func TestCompareFailsOnFig10Dist1PastDist2(t *testing.T)         { failsOn(t) }
+func TestCompareFailsOnFig10Dist2PastDist3(t *testing.T)         { failsOn(t) }
+func TestCompareFailsOnFig10PreservedPastDist3(t *testing.T)     { failsOn(t) }
+func TestCompareFailsOnFig10Dist3PastLocal(t *testing.T)         { failsOn(t) }
+func TestCompareFailsOnMissingFig10Rows(t *testing.T)            { failsOn(t) }
+
+// TestCompareFailsOnMissingExperiment: a gated experiment absent from the
+// results altogether (a CI step that never ran, a typo in -exp) fails.
+func TestCompareFailsOnMissingExperiment(t *testing.T) {
+	f := healthy()
+	f.elastic = nil
+	out, err := f.gate(t)
+	if err == nil || !strings.Contains(out, "FAIL results carry no elastic experiment") {
+		t.Fatalf("results without the elastic experiment: err=%v\n%s", err, out)
 	}
 }
 
-// TestCompareFailsOnEmitAlloc keeps the emit pin honest alongside the new
-// wire pin.
-func TestCompareFailsOnEmitAlloc(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "emit.json", `{"rows": [
-		{"mode": "context", "allocs_per_op": 1.0, "ns_per_op": 120}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("1.0 emit allocs/op passed the gate:\n%s", out.String())
+// TestEveryGateRowHasFailPaths ties gateCases to the table: every gate row
+// of bench.Experiments has a regressed case, every gated experiment a
+// missing-row case under which none of its rows finds a sample, and every
+// case the top-level test that runs it.
+func TestEveryGateRowHasFailPaths(t *testing.T) {
+	src, err := os.ReadFile("compare_test.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "emit-path allocs/op regressed") {
-		t.Fatalf("failure not attributed to the emit path:\n%s", out.String())
+	covered := make(map[string]bool)
+	for _, c := range gateCases {
+		covered[c.exp+"/"+c.row] = true
+		if !strings.Contains(string(src), "func TestCompareFailsOn"+c.name+"(t *testing.T)") {
+			t.Errorf("gateCases entry %q has no TestCompareFailsOn%s to run it", c.name, c.name)
+		}
+		if c.row != "" {
+			continue
+		}
+		f := healthy()
+		c.mutate(f)
+		out, _ := f.gate(t)
+		for _, e := range bench.Experiments {
+			for _, g := range e.Gates {
+				if e.Name == c.exp && strings.Contains(out, "gate: "+g.What) {
+					t.Errorf("%s: row %q still finds a sample in the missing-row fixture", c.name, g.What)
+				}
+			}
+		}
 	}
-}
-
-// TestCompareFailsOnTraceAlloc is the observability gate's verified fail
-// path: one allocation per tuple on the sampling-off instrumented path —
-// the smallest possible regression — must fail the build.
-func TestCompareFailsOnTraceAlloc(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "obs.json", `{
-		"iters": 200000,
-		"off_ns_per_op": 100.0,
-		"hist_ns_per_op": 106.0,
-		"obs_overhead_pct": 6.0,
-		"trace_allocs_per_op": 1.0
-	}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("1.0 traced-path allocs/op passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "traced-path allocs/op regressed") {
-		t.Fatalf("failure not attributed to the traced path:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnObsOverhead: histogram overhead blowing past the
-// baseline plus grace must fail, attributed to the obs gate.
-func TestCompareFailsOnObsOverhead(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "obs.json", `{
-		"iters": 200000,
-		"off_ns_per_op": 100.0,
-		"hist_ns_per_op": 180.0,
-		"obs_overhead_pct": 80.0,
-		"trace_allocs_per_op": 0.0
-	}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("80%% obs overhead passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "obs overhead regressed") {
-		t.Fatalf("failure not attributed to obs overhead:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnEmptyObsResults: an empty obs report must not
-// silently pass the pinned-allocation gate.
-func TestCompareFailsOnEmptyObsResults(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "obs.json", `{}`)
-	var out bytes.Buffer
-	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err == nil {
-		t.Fatalf("empty obs results passed the gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnElasticP99Regression is the elastic gate's verified
-// fail path: an elastic-on hotspot p99 past baseline×1.2 plus grace means
-// the split/merge policy stopped absorbing the hotspot.
-func TestCompareFailsOnElasticP99Regression(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "elastic.json", `{"rows": [
-		{"mode": "static", "p99_hotspot_ms": 4500.0, "duplicates": 0},
-		{"mode": "elastic", "p99_hotspot_ms": 3200.0, "splits": 0, "duplicates": 0}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("3200 ms elastic hotspot p99 passed the gate against a 650 ms baseline:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "elastic hotspot p99 regressed") {
-		t.Fatalf("failure not attributed to the elastic gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnElasticDuplicates: exactly-once across live splits is
-// gated at zero with no grace — one duplicate output fails the build even
-// when the latency numbers are healthy.
-func TestCompareFailsOnElasticDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "elastic.json", `{"rows": [
-		{"mode": "static", "p99_hotspot_ms": 4500.0, "duplicates": 0},
-		{"mode": "elastic", "p99_hotspot_ms": 640.0, "splits": 2, "duplicates": 1}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("a duplicate output passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "duplicate outputs") {
-		t.Fatalf("failure not attributed to the exactly-once gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnMissingElasticRow: results without an elastic-mode row
-// must not silently pass.
-func TestCompareFailsOnMissingElasticRow(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "elastic.json", `{"rows": [
-		{"mode": "static", "p99_hotspot_ms": 4500.0, "duplicates": 0}
-	]}`)
-	var out bytes.Buffer
-	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err == nil {
-		t.Fatalf("elastic results without an elastic-mode row passed the gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnFederationFanoutRegression is the federation gate's
-// verified fail path: busiest-node control bytes per phone at the largest
-// swept region count blowing past baseline×1.2 plus grace means the
-// gossip overlay's sub-linear fan-out regressed.
-func TestCompareFailsOnFederationFanoutRegression(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "federation.json", `{"rows": [
-		{"mode": "gossip", "regions": 4, "ctrl_bytes_per_phone": 380.0, "xregion_dup_outputs": 0},
-		{"mode": "gossip", "regions": 64, "ctrl_bytes_per_phone": 1400.0, "xregion_dup_outputs": 0}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("1400 B/phone passed the gate against a 560 B/phone baseline:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "federation ctrl bytes/phone regressed") {
-		t.Fatalf("failure not attributed to the federation gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnFederationDuplicates: cross-region exactly-once is
-// gated at zero with no grace — one duplicate output at any sweep point
-// fails the build even when the byte counts are healthy.
-func TestCompareFailsOnFederationDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "federation.json", `{"rows": [
-		{"mode": "gossip", "regions": 4, "ctrl_bytes_per_phone": 380.0, "xregion_dup_outputs": 1},
-		{"mode": "gossip", "regions": 64, "ctrl_bytes_per_phone": 555.0, "xregion_dup_outputs": 0}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("a duplicate cross-region output passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "duplicate cross-region outputs") {
-		t.Fatalf("failure not attributed to the federation exactly-once gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnMissingFederationRows: results without gossip-mode
-// sweep rows must not silently pass.
-func TestCompareFailsOnMissingFederationRows(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "federation.json", `{"rows": [
-		{"mode": "unicast", "regions": 64, "ctrl_bytes_per_phone": 756.0}
-	]}`)
-	var out bytes.Buffer
-	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err == nil {
-		t.Fatalf("federation results without gossip rows passed the gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnPlacementLossRegression is the placement gate's verified
-// fail path: the planner arm losing far more tuples than the reactive baseline
-// (ratio past baseline×1.2 plus grace) means pack-to-empty planning stopped
-// paying for itself under churn.
-func TestCompareFailsOnPlacementLossRegression(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
-		{"mode": "planner", "tuples_lost": 40, "cross_channel_share": 0.12, "duplicates": 0}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("a 5x loss ratio passed the gate against a 0.5 baseline:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "placement loss vs reactive regressed") {
-		t.Fatalf("failure not attributed to the placement loss gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnPlacementCrossChannelClaim: the planner's structural
-// claim — less cross-channel airtime than reactive — is gated with no grace.
-// The moment repacking stops consolidating pipelines onto single channels,
-// the share meets or exceeds reactive's and the build fails.
-func TestCompareFailsOnPlacementCrossChannelClaim(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
-		{"mode": "planner", "tuples_lost": 2, "cross_channel_share": 0.55, "duplicates": 0}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("planner matching reactive's cross-channel share passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "no longer beats reactive on cross-channel share") {
-		t.Fatalf("failure not attributed to the cross-channel gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnPlacementDuplicates: plan execution rides the same
-// exactly-once migration path as the scheduler, so the planner arm is gated
-// at zero duplicates with no grace.
-func TestCompareFailsOnPlacementDuplicates(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0},
-		{"mode": "planner", "tuples_lost": 2, "cross_channel_share": 0.12, "duplicates": 1}
-	]}`)
-	var out bytes.Buffer
-	err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out)
-	if err == nil {
-		t.Fatalf("a duplicate output in the planner arm passed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "duplicate outputs") {
-		t.Fatalf("failure not attributed to the placement exactly-once gate:\n%s", out.String())
-	}
-}
-
-// TestCompareFailsOnMissingPlacementRows: results without both a reactive and
-// a planner row must not silently pass.
-func TestCompareFailsOnMissingPlacementRows(t *testing.T) {
-	dir := t.TempDir()
-	baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place := gateFixtures(t, dir)
-	writeFile(t, dir, "placement.json", `{"rows": [
-		{"mode": "reactive", "tuples_lost": 8, "cross_channel_share": 0.55, "duplicates": 0}
-	]}`)
-	var out bytes.Buffer
-	if err := runCompare(baseline, churn, ckpt, scale, emit, wire, obs, elastic, fed, place, &out); err == nil {
-		t.Fatalf("placement results without a planner row passed the gate:\n%s", out.String())
+	for _, e := range bench.Experiments {
+		if len(e.Gates) > 0 && !covered[e.Name+"/"] {
+			t.Errorf("experiment %s has no missing-row case", e.Name)
+		}
+		for _, g := range e.Gates {
+			id := g.Key
+			if id == "" {
+				id = g.What
+			}
+			if !covered[e.Name+"/"+id] {
+				t.Errorf("%s gate row %q has no regressed case", e.Name, id)
+			}
+		}
 	}
 }

@@ -4,14 +4,12 @@
 // built from. The experiments scale the paper's 5-minute checkpoint period
 // down (default 60 simulated seconds) with state sizes calibrated to keep
 // the airtime fractions — the figures compare shapes, not testbed-absolute
-// numbers (see EXPERIMENTS.md).
+// numbers.
 package bench
 
 import (
 	"time"
 
-	"mobistreams/internal/broadcast"
-	"mobistreams/internal/clock"
 	"mobistreams/internal/controller"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
@@ -65,21 +63,11 @@ type Scenario struct {
 	// Measure is the measurement window (default two checkpoint
 	// periods).
 	Measure time.Duration
-	// WiFiBps is the shared medium capacity (default 3 Mbps, the middle
-	// of the paper's 1-5 Mbps range); WiFiLoss the UDP loss probability
-	// (default 2%).
-	WiFiBps  float64
-	WiFiLoss float64
-	// FailCount phones crash simultaneously FaultAfter into the window;
-	// DepartCount phones leave instead. FaultAfter defaults to half the
-	// measurement window.
+	// FailCount phones crash simultaneously halfway into the window;
+	// DepartCount phones leave instead.
 	FailCount   int
 	DepartCount int
-	FaultAfter  time.Duration
 	Seed        int64
-	// PreserveBroadcast replicates source logs region-wide under MS
-	// (default true).
-	NoPreserveBroadcast bool
 }
 
 func (s *Scenario) applyDefaults() {
@@ -97,15 +85,6 @@ func (s *Scenario) applyDefaults() {
 	}
 	if s.Measure <= 0 {
 		s.Measure = 2 * s.CheckpointPeriod
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 3e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
-	}
-	if s.FaultAfter <= 0 {
-		s.FaultAfter = s.Measure / 2
 	}
 }
 
@@ -160,55 +139,38 @@ func Run(s Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	clk := clock.NewScaled(s.Speedup)
-	cell := simnet.NewCellular(clk, simnet.CellularConfig{
-		UpBitsPerSecond:   0.16e6,
-		DownBitsPerSecond: 0.7e6,
-		Latency:           80 * time.Millisecond,
-		SharedBps:         2e6,
-	})
-	ctrl := controller.New(controller.Config{
-		Clock:            clk,
-		Cell:             cell,
+	w, err := newWorld(worldConfig{
+		Speedup:          s.Speedup,
+		Cell:             paperCell,
 		CheckpointPeriod: s.CheckpointPeriod,
-		PingInterval:     30 * time.Second,
-		PingTimeout:      10 * time.Second,
-		DebounceWindow:   2 * time.Second,
-	})
-	r, err := region.New(region.Config{
-		ID:                "r1",
-		Graph:             app.graph,
-		Registry:          app.registry,
-		Scheme:            s.Scheme,
-		Phones:            s.Phones,
-		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: s.WiFiBps, LossProb: s.WiFiLoss, Channels: s.Channels, Seed: s.Seed},
-		Cell:              cell,
-		ControllerID:      ctrl.ID(),
-		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: s.Scheme.Kind == ft.MS && !s.NoPreserveBroadcast,
+		Region: region.Config{
+			Graph:             app.graph,
+			Registry:          app.registry,
+			Scheme:            s.Scheme,
+			Phones:            s.Phones,
+			WiFi:              simnet.WiFiConfig{BitsPerSecond: paperWiFiBps, LossProb: paperWiFiLoss, Channels: s.Channels, Seed: s.Seed},
+			PreserveBroadcast: s.Scheme.Kind == ft.MS, // source logs replicate region-wide
+		},
 	})
 	if err != nil {
 		return Outcome{}, err
 	}
-	ctrl.AddRegion(r)
-	r.Start()
-	ctrl.Start()
+	w.start()
+	clk, ctrl, r := w.clk, w.ctrl, w.r
 
 	gen := workload.NewGenerator(clk)
 	app.start(gen, r.Ingest, s.Seed)
 
 	// Warm up, then open the measurement window.
 	clk.Sleep(s.Warmup)
-	r.Throughput.Start(clk.Now())
-	r.Latency.Reset()
+	w.openWindow()
 	netBefore := snapshotNet(r)
 	srcBefore, edgeBefore := r.PreservedBytes()
 
 	if s.FailCount > 0 || s.DepartCount > 0 {
-		clk.Sleep(s.FaultAfter)
+		clk.Sleep(s.Measure / 2)
 		injectFaults(r, ctrl, s)
-		clk.Sleep(s.Measure - s.FaultAfter)
+		clk.Sleep(s.Measure - s.Measure/2)
 	} else {
 		clk.Sleep(s.Measure)
 	}
@@ -232,8 +194,7 @@ func Run(s Scenario) (Outcome, error) {
 		Duplicates: r.DuplicateOutputs(),
 	}
 	gen.Stop()
-	r.Stop()
-	ctrl.Stop()
+	w.stop()
 	return out, nil
 }
 

@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
-	"mobistreams/internal/broadcast"
-	"mobistreams/internal/clock"
-	"mobistreams/internal/controller"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/node"
@@ -17,70 +12,24 @@ import (
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
-	"mobistreams/internal/workload"
 )
 
-// CkptScenario configures one checkpoint-pipeline experiment run: a
-// three-slot pipeline whose middle operator carries StateBytes of state,
-// checkpointed under the MobiStreams token protocol either with the
-// synchronous full-blob pipeline (FullOnly) or the incremental-async one.
-type CkptScenario struct {
-	// StateBytes is the heavy operator's modelled state size.
-	StateBytes int
-	// FullOnly selects the synchronous full-blob baseline.
-	FullOnly bool
-	// RebaseEvery bounds the delta chain (default: node's default).
-	RebaseEvery int
-	// Phones is the region population (default 6 = 3 active + 3 idle).
-	Phones int
-	// Speedup is the clock scale (default 200).
-	Speedup float64
-	// CheckpointPeriod (default 20 s) paces token checkpoints.
-	CheckpointPeriod time.Duration
-	// Warmup (default 10 s) runs before the measurement window, which
-	// lasts Measure (default 65 s — three checkpoints per slot).
-	Warmup  time.Duration
-	Measure time.Duration
-	// SourcePeriod is the ingest interval (default 500 ms).
-	SourcePeriod time.Duration
-	// WiFiBps (default 20 Mbps: multi-MB blobs must fit the period) and
-	// WiFiLoss (default 2%) shape the medium.
-	WiFiBps  float64
-	WiFiLoss float64
-	Seed     int64
-}
+// The checkpoint experiment's fixed scenario: a three-slot pipeline whose
+// middle operator carries the swept state size, checkpointed under the
+// MobiStreams token protocol either with the synchronous full-blob pipeline
+// or the incremental-async one (delta chain bounded by the node's default
+// RebaseEvery).
+const (
+	ckptPhones       = 6 // 3 active + 3 idle
+	ckptSpeedup      = 200
+	ckptPeriod       = 20 * time.Second // paces token checkpoints
+	ckptWarmup       = 10 * time.Second
+	ckptMeasure      = 65 * time.Second // three checkpoints per slot
+	ckptSourcePeriod = 500 * time.Millisecond
+	ckptWiFiBps      = 20e6 // multi-MB blobs must fit the period
+)
 
-func (s *CkptScenario) applyDefaults() {
-	if s.StateBytes <= 0 {
-		s.StateBytes = 1 << 20
-	}
-	if s.Phones <= 0 {
-		s.Phones = 6
-	}
-	if s.Speedup <= 0 {
-		s.Speedup = 200
-	}
-	if s.CheckpointPeriod <= 0 {
-		s.CheckpointPeriod = 20 * time.Second
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = 10 * time.Second
-	}
-	if s.Measure <= 0 {
-		s.Measure = 65 * time.Second
-	}
-	if s.SourcePeriod <= 0 {
-		s.SourcePeriod = 500 * time.Millisecond
-	}
-	if s.WiFiBps <= 0 {
-		s.WiFiBps = 20e6
-	}
-	if s.WiFiLoss == 0 {
-		s.WiFiLoss = 0.02
-	}
-}
-
-// CkptOutcome is one run's result, JSON-tagged for BENCH_checkpoint.json.
+// CkptOutcome is one run's result.
 type CkptOutcome struct {
 	Mode          string  `json:"mode"` // "full" or "incremental"
 	StateBytes    int     `json:"state_bytes"`
@@ -95,16 +44,11 @@ type CkptOutcome struct {
 	ThroughputTPS float64 `json:"throughput_tps"`
 }
 
-// ckptGraph is the pipeline S -> W -> K on three slots; W carries the
-// heavy state.
-func ckptGraph() (*graph.Graph, error) {
+// ckptPipeline is S -> W -> K on three slots; W carries the heavy state.
+func ckptPipeline(stateBytes int) (*graph.Graph, operator.Registry, error) {
 	var b graph.Builder
 	b.AddOperator("S", "n1").AddOperator("W", "n2").AddOperator("K", "n3")
 	b.Chain("S", "W", "K")
-	return b.Build()
-}
-
-func ckptRegistry(stateBytes int) operator.Registry {
 	clone := func(t *tuple.Tuple) *tuple.Tuple { return t.Clone() }
 	light := func(id string) operator.Factory {
 		return func() operator.Operator {
@@ -113,13 +57,13 @@ func ckptRegistry(stateBytes int) operator.Registry {
 			return m
 		}
 	}
-	return operator.Registry{
+	reg := operator.Registry{
 		"S": light("S"),
 		"K": light("K"),
 		// W models a windowed/learned-model operator: a small mutable
-		// cursor (the Map counter) over StateBytes of state that is
-		// static between checkpoints — the shape incremental
-		// checkpointing exists for (cf. BCP's counter state).
+		// cursor (the Map counter) over stateBytes of state that is static
+		// between checkpoints — the shape incremental checkpointing exists
+		// for (cf. BCP's counter state).
 		"W": func() operator.Operator {
 			m := operator.NewMap("W", clone)
 			m.CostFn = operator.FixedCost(150 * time.Millisecond)
@@ -127,72 +71,51 @@ func ckptRegistry(stateBytes int) operator.Registry {
 			return m
 		},
 	}
+	g, err := b.Build()
+	return g, reg, err
 }
 
-// RunCkpt executes one checkpoint-pipeline scenario to completion.
-func RunCkpt(s CkptScenario) (CkptOutcome, error) {
-	s.applyDefaults()
-	g, err := ckptGraph()
+// runCkpt executes one checkpoint-pipeline run to completion.
+func runCkpt(seed int64, speedup float64, stateBytes int, fullOnly bool) (CkptOutcome, error) {
+	g, reg, err := ckptPipeline(stateBytes)
 	if err != nil {
 		return CkptOutcome{}, err
 	}
-	clk := clock.NewScaled(s.Speedup)
-	cell := simnet.NewCellular(clk, simnet.CellularConfig{
-		UpBitsPerSecond:   0.16e6,
-		DownBitsPerSecond: 0.7e6,
-		Latency:           80 * time.Millisecond,
-		SharedBps:         2e6,
-	})
-	ctrl := controller.New(controller.Config{
-		Clock:            clk,
-		Cell:             cell,
-		CheckpointPeriod: s.CheckpointPeriod,
-		PingInterval:     30 * time.Second,
-		PingTimeout:      10 * time.Second,
-		DebounceWindow:   2 * time.Second,
-	})
-	r, err := region.New(region.Config{
-		ID:                "r1",
-		Graph:             g,
-		Registry:          ckptRegistry(s.StateBytes),
-		Scheme:            ft.MSScheme,
-		Phones:            s.Phones,
-		Clock:             clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: s.WiFiBps, LossProb: s.WiFiLoss, Seed: s.Seed},
-		Cell:              cell,
-		ControllerID:      ctrl.ID(),
-		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: true,
-		Checkpoint:        node.CheckpointConfig{FullOnly: s.FullOnly, RebaseEvery: s.RebaseEvery},
+	w, err := newWorld(worldConfig{
+		Speedup:          speedup,
+		Cell:             paperCell,
+		CheckpointPeriod: ckptPeriod,
+		Region: region.Config{
+			Graph:             g,
+			Registry:          reg,
+			Scheme:            ft.MSScheme,
+			Phones:            ckptPhones,
+			WiFi:              simnet.WiFiConfig{BitsPerSecond: ckptWiFiBps, LossProb: paperWiFiLoss, Seed: seed},
+			PreserveBroadcast: true,
+			Checkpoint:        node.CheckpointConfig{FullOnly: fullOnly},
+		},
 	})
 	if err != nil {
 		return CkptOutcome{}, err
 	}
-	ctrl.AddRegion(r)
-	r.Start()
-	ctrl.Start()
+	w.start()
+	clk, r := w.clk, w.r
+	gen, _ := w.ingestBus(ckptSourcePeriod, seed, func(int64) string { return "S" })
 
-	var ingested int64
-	gen := workload.NewGenerator(clk)
-	gen.StartBCPBus(func(_ string, v interface{}, _ int, _ string) {
-		atomic.AddInt64(&ingested, 1)
-		r.Ingest("S", v, 2048, "count")
-	}, workload.BCPBusConfig{Period: s.SourcePeriod, Seed: s.Seed})
-
-	clk.Sleep(s.Warmup)
+	clk.Sleep(ckptWarmup)
 	r.Throughput.Start(clk.Now())
 	r.CkptStats().Reset()
-	clk.Sleep(s.Measure)
+	clk.Sleep(ckptMeasure)
 
 	st := r.CkptStats()
 	blobBytes, fullBytes := st.Bytes()
 	mode := "incremental"
-	if s.FullOnly {
+	if fullOnly {
 		mode = "full"
 	}
 	out := CkptOutcome{
 		Mode:          mode,
-		StateBytes:    s.StateBytes,
+		StateBytes:    stateBytes,
 		Checkpoints:   st.Count(),
 		PauseMeanMs:   float64(st.PauseMean()) / float64(time.Millisecond),
 		PauseMaxMs:    float64(st.PauseMax()) / float64(time.Millisecond),
@@ -204,27 +127,17 @@ func RunCkpt(s CkptScenario) (CkptOutcome, error) {
 		ThroughputTPS: r.Throughput.PerSecond(clk.Now()),
 	}
 	gen.Stop()
-	r.Stop()
-	ctrl.Stop()
+	w.stop()
 	return out, nil
 }
 
-// CkptStateSizes is the default state-size sweep (64 KB to 4 MB).
-var CkptStateSizes = []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-
-// CkptComparison runs the full-blob baseline and the incremental-async
-// pipeline across the state-size sweep under identical seeds.
-func CkptComparison(base CkptScenario, sizes []int) ([]CkptOutcome, error) {
-	if len(sizes) == 0 {
-		sizes = CkptStateSizes
-	}
+// ckptComparison runs the full-blob baseline and the incremental-async
+// pipeline across a state-size sweep under identical seeds.
+func ckptComparison(seed int64, speedup float64, sizes []int) ([]CkptOutcome, error) {
 	var rows []CkptOutcome
 	for _, size := range sizes {
 		for _, full := range []bool{true, false} {
-			s := base
-			s.StateBytes = size
-			s.FullOnly = full
-			o, err := RunCkpt(s)
+			o, err := runCkpt(seed, speedup, size, full)
 			if err != nil {
 				return nil, fmt.Errorf("checkpoint state=%d full=%v: %w", size, full, err)
 			}
@@ -234,57 +147,32 @@ func CkptComparison(base CkptScenario, sizes []int) ([]CkptOutcome, error) {
 	return rows, nil
 }
 
-// CkptReport is the machine-readable artifact (BENCH_checkpoint.json).
-type CkptReport struct {
-	Experiment string        `json:"experiment"`
-	Seed       int64         `json:"seed"`
-	Rows       []CkptOutcome `json:"rows"`
-	// PauseCutAtLargest is full-blob mean pause over incremental mean
-	// pause at the largest state size — the headline speedup.
-	PauseCutAtLargest float64 `json:"pause_cut_at_largest"`
-}
-
-// CkptPauseCut computes the full/incremental mean-pause ratio at the
-// largest state size present in rows (0 when either side is missing).
-func CkptPauseCut(rows []CkptOutcome) float64 {
+// ckptAtLargest is the mean pause (ms) of each mode at the largest state
+// size present in rows; a mode with no row there reads 0.
+func ckptAtLargest(rows []CkptOutcome) (full, incr float64) {
 	largest := 0
 	for _, o := range rows {
-		if o.StateBytes > largest {
-			largest = o.StateBytes
-		}
+		largest = max(largest, o.StateBytes)
 	}
-	var full, incr float64
-	for _, o := range rows {
-		if o.StateBytes != largest {
-			continue
-		}
-		if o.Mode == "full" {
-			full = o.PauseMeanMs
-		} else {
-			incr = o.PauseMeanMs
-		}
+	at := func(mode string) float64 {
+		o, _ := find(rows, func(o CkptOutcome) bool { return o.StateBytes == largest && o.Mode == mode })
+		return o.PauseMeanMs
 	}
+	return at("full"), at("incremental")
+}
+
+// ckptPauseCut is the full/incremental mean-pause ratio at the largest state
+// size — the headline speedup (0 when the incremental side is missing).
+func ckptPauseCut(rows []CkptOutcome) float64 {
+	full, incr := ckptAtLargest(rows)
 	if incr <= 0 {
 		return 0
 	}
 	return full / incr
 }
 
-// WriteCkptJSON emits the comparison as indented JSON.
-func WriteCkptJSON(w io.Writer, base CkptScenario, rows []CkptOutcome) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(CkptReport{
-		Experiment:        "checkpoint: synchronous full-blob vs incremental-async delta chains",
-		Seed:              base.Seed,
-		Rows:              rows,
-		PauseCutAtLargest: CkptPauseCut(rows),
-	})
-}
-
-// WriteCkptTable renders the comparison for humans.
-func WriteCkptTable(w io.Writer, rows []CkptOutcome) {
+// writeCkptTable renders the comparison for humans.
+func writeCkptTable(w io.Writer, rows []CkptOutcome) {
 	fmt.Fprintln(w, "Checkpoint — synchronous full-blob vs incremental-async delta chains")
 	fmt.Fprintf(w, "%-12s %10s %6s %12s %12s %12s %7s %8s\n",
 		"mode", "state", "ckpts", "pause mean", "pause max", "blob bytes", "delta", "tput t/s")
@@ -293,7 +181,24 @@ func WriteCkptTable(w io.Writer, rows []CkptOutcome) {
 			o.Mode, float64(o.StateBytes)/1024, o.Checkpoints, o.PauseMeanMs, o.PauseMaxMs,
 			o.BlobBytes, o.DeltaRatio, o.ThroughputTPS)
 	}
-	if cut := CkptPauseCut(rows); cut > 0 {
+	if cut := ckptPauseCut(rows); cut > 0 {
 		fmt.Fprintf(w, "pause cut at largest state: %.1fx\n", cut)
 	}
 }
+
+var checkpointExperiment = experiment("checkpoint",
+	"full-blob vs incremental-async checkpoint pipeline",
+	func(p Params) ([]CkptOutcome, error) { // state sizes 64 KB to 4 MB
+		return ckptComparison(p.Seed, ckptSpeedup, []int{64 << 10, 256 << 10, 1 << 20, 4 << 20})
+	},
+	writeCkptTable,
+	"checkpoint results carry no incremental pause sample",
+	// The incremental pipeline's mean checkpoint pause at the largest state
+	// size.
+	GateRow{Key: "incr_pause_mean_ms_largest", Grace: 5,
+		What: "checkpoint pause", Format: "%.2f ms", Fail: "checkpoint pause regressed: %s > %s",
+		Pick: pick(func(rows []CkptOutcome) (float64, float64, bool) {
+			_, incr := ckptAtLargest(rows)
+			return incr, 0, incr > 0
+		})},
+)

@@ -1,27 +1,23 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
 	"mobistreams/internal/ft"
 )
 
-// churnPair runs the same churn schedule reactive-only and scheduler-on.
+// churnPair runs the churn experiment's schedule reactive-only and
+// planner-on for one scheme.
 func churnPair(t *testing.T, scheme ft.Scheme, seed int64) (reactive, sched ChurnOutcome) {
 	t.Helper()
-	var err error
-	reactive, err = RunChurn(ChurnScenario{Scheme: scheme, Seed: seed})
+	s := churnScenario
+	s.Seed = seed
+	rows, err := churnComparison(s, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err = RunChurn(ChurnScenario{Scheme: scheme, SchedulerOn: true, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reactive, sched
+	return rows[0], rows[1]
 }
 
 // TestChurnSchedulerBeatsReactiveMS is the experiment's headline claim:
@@ -80,23 +76,14 @@ func TestChurnSchedulerGivesRep2AMobilityStory(t *testing.T) {
 }
 
 func TestChurnJSONRoundTrips(t *testing.T) {
-	base := ChurnScenario{Seed: 5}
-	rows := []ChurnOutcome{
+	got, raw := roundTrip(t, "churn", []ChurnOutcome{
 		{Scheme: "ms", Mode: "reactive", Ingested: 100, Delivered: 80, Lost: 20, DowntimeSec: 12.5, Recoveries: 2},
-		{Scheme: "ms", Mode: "scheduler", Ingested: 100, Delivered: 100, Migrations: 3},
+		{Scheme: "ms", Mode: "planner", Ingested: 100, Delivered: 100, Migrations: 3},
+	})
+	if len(got) != 2 || got[0].Lost != 20 || got[1].Migrations != 3 {
+		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-	var buf bytes.Buffer
-	if err := WriteChurnJSON(&buf, base, rows); err != nil {
-		t.Fatal(err)
-	}
-	var rep ChurnReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(rep.Rows) != 2 || rep.Rows[0].Lost != 20 || rep.Rows[1].Migrations != 3 {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"tuples_lost"`) {
-		t.Fatal("artifact missing tuples_lost field")
+	if !strings.Contains(raw, `"tuples_lost"`) {
+		t.Fatal("results missing tuples_lost field")
 	}
 }

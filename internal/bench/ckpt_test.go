@@ -3,8 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 )
 
 // TestCkptIncrementalCutsPause is the acceptance-criteria bench: at the
@@ -15,7 +15,6 @@ func TestCkptIncrementalCutsPause(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	base := CkptScenario{Seed: 5, Speedup: 150}
 	// Race instrumentation leaks wall time into the scaled clock's pause
 	// measurements, inflating the (tiny) incremental pause; keep the hard
 	// 5x acceptance ratio for uninstrumented builds only.
@@ -30,7 +29,7 @@ func TestCkptIncrementalCutsPause(t *testing.T) {
 	const attempts = 3
 	var lastErr string
 	for i := 0; i < attempts; i++ {
-		rows, err := CkptComparison(base, []int{1 << 20, 4 << 20})
+		rows, err := ckptComparison(5, 150, []int{1 << 20, 4 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +50,7 @@ func TestCkptIncrementalCutsPause(t *testing.T) {
 		if lastErr != "" {
 			continue
 		}
-		if cut := CkptPauseCut(rows); cut < want {
+		if cut := ckptPauseCut(rows); cut < want {
 			lastErr = fmt.Sprintf("pause cut at largest state = %.1fx, want >= %.1fx", cut, want)
 			continue
 		}
@@ -61,19 +60,15 @@ func TestCkptIncrementalCutsPause(t *testing.T) {
 }
 
 func TestCkptJSONRoundTrips(t *testing.T) {
-	rows := []CkptOutcome{
+	rows, raw := roundTrip(t, "checkpoint", []CkptOutcome{
 		{Mode: "full", StateBytes: 4 << 20, PauseMeanMs: 160, Checkpoints: 9},
 		{Mode: "incremental", StateBytes: 4 << 20, PauseMeanMs: 10, Checkpoints: 9, DeltaBlobs: 6},
-	}
-	var buf bytes.Buffer
-	if err := WriteCkptJSON(&buf, CkptScenario{Seed: 3, Measure: time.Minute}, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"pause_cut_at_largest": 16`)) {
-		t.Fatalf("ratio missing from JSON:\n%s", buf.String())
+	})
+	if !strings.Contains(raw, `"pause_mean_ms": 160`) {
+		t.Fatalf("pause missing from JSON:\n%s", raw)
 	}
 	var tbl bytes.Buffer
-	WriteCkptTable(&tbl, rows)
+	writeCkptTable(&tbl, rows)
 	if !bytes.Contains(tbl.Bytes(), []byte("16.0x")) {
 		t.Fatalf("table missing pause cut:\n%s", tbl.String())
 	}

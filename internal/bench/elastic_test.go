@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -23,7 +21,7 @@ func TestElasticHoldsP99UnderMovingHotspot(t *testing.T) {
 	const attempts = 3
 	var lastErr string
 	for i := 0; i < attempts; i++ {
-		rows, err := ElasticComparison(ElasticScenario{Seed: 5})
+		rows, err := elasticComparison(5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,22 +56,14 @@ func TestElasticHoldsP99UnderMovingHotspot(t *testing.T) {
 }
 
 func TestElasticJSONRoundTrips(t *testing.T) {
-	rows := []ElasticOutcome{
+	got, raw := roundTrip(t, "elastic", []ElasticOutcome{
 		{Mode: "static", Ingested: 1000, Delivered: 1000, P99PreMs: 300, P99HotMs: 4500, DegradeFactor: 15},
 		{Mode: "elastic", Ingested: 1000, Delivered: 1000, P99PreMs: 320, P99HotMs: 500, DegradeFactor: 1.6, Splits: 2, ActiveInstances: 4},
+	})
+	if len(got) != 2 || got[1].Splits != 2 || got[0].Mode != "static" {
+		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-	var buf bytes.Buffer
-	if err := WriteElasticJSON(&buf, ElasticScenario{Seed: 5}, rows); err != nil {
-		t.Fatal(err)
-	}
-	var rep ElasticReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(rep.Rows) != 2 || rep.Rows[1].Splits != 2 || rep.Rows[0].Mode != "static" {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"p99_hotspot_ms"`) {
-		t.Fatal("artifact missing p99_hotspot_ms field")
+	if !strings.Contains(raw, `"p99_hotspot_ms"`) {
+		t.Fatal("results missing p99_hotspot_ms field")
 	}
 }

@@ -37,9 +37,9 @@ func SteadyState(app App, base Scenario) (map[string]Outcome, error) {
 	return out, nil
 }
 
-// WriteFig8 renders the relative throughput/latency table of Fig. 8 from
+// writeFig8 renders the relative throughput/latency table of Fig. 8 from
 // steady-state outcomes (values normalised to base).
-func WriteFig8(w io.Writer, app App, outs map[string]Outcome) {
+func writeFig8(w io.Writer, app App, outs map[string]Outcome) {
 	base := outs["base"]
 	fmt.Fprintf(w, "Fig. 8 — %s: fault-tolerance schemes at steady state (no faults)\n", app)
 	fmt.Fprintf(w, "%-8s %14s %12s %14s %12s\n", "scheme", "tput (t/s)", "rel tput", "mean lat (s)", "rel lat")
@@ -57,51 +57,129 @@ func WriteFig8(w io.Writer, app App, outs map[string]Outcome) {
 	}
 }
 
-// WriteFig10 renders the preservation/checkpoint data table of Fig. 10
-// (values normalised to ms).
-func WriteFig10(w io.Writer, app App, outs map[string]Outcome) {
-	ms := outs["ms"]
-	fmt.Fprintf(w, "Fig. 10 — %s: preservation and checkpoint/replication data\n", app)
-	fmt.Fprintf(w, "%-8s %16s %10s %18s %10s\n", "scheme", "preserved (MB)", "rel", "ckpt/repl net (MB)", "rel")
-	for _, sch := range SteadySchemes {
-		o := outs[sch.String()]
-		net := o.CheckpointNet + o.ReplicationNet
-		msNet := ms.CheckpointNet + ms.ReplicationNet
-		relP, relN := 0.0, 0.0
-		if ms.PreservedBytes > 0 {
-			relP = float64(o.PreservedBytes) / float64(ms.PreservedBytes)
+// figure is a table entry that only prints: run is called once per selected
+// app with the scenario the flags describe.
+func figure(name, about string, run func(app App, base Scenario, p Params, w io.Writer) error) Experiment {
+	return Experiment{Name: name, About: about, Run: func(p Params, w io.Writer) (any, error) {
+		for _, app := range p.Apps {
+			if err := run(app, Scenario{Seed: p.Seed, Speedup: p.Speedup}, p, w); err != nil {
+				return nil, err
+			}
 		}
-		if msNet > 0 {
-			relN = float64(net) / float64(msNet)
+		return nil, nil
+	}}
+}
+
+var fig8Experiment = figure("fig8", "steady-state throughput and latency per scheme (paper Fig. 8)",
+	func(app App, base Scenario, _ Params, w io.Writer) error {
+		outs, err := SteadyState(app, base)
+		if err == nil {
+			writeFig8(w, app, outs)
 		}
-		fmt.Fprintf(w, "%-8s %16.2f %10.2f %18.2f %10.2f\n",
-			sch.String(), mb(o.PreservedBytes), relP, mb(net), relN)
+		return err
+	})
+
+// Fig10Row is one scheme's Fig. 10 data on one app: what it preserved at
+// sources and edges, and what it moved over WiFi to checkpoint or replicate,
+// inside the measurement window.
+type Fig10Row struct {
+	App              string `json:"app"`
+	Scheme           string `json:"scheme"`
+	PreservedBytes   int64  `json:"preserved_bytes"`
+	CkptReplNetBytes int64  `json:"ckpt_repl_net_bytes"`
+}
+
+// fig10Rows runs the steady-state sweep on every selected app.
+func fig10Rows(p Params) ([]Fig10Row, error) {
+	var rows []Fig10Row
+	for _, app := range p.Apps {
+		outs, err := SteadyState(app, Scenario{Seed: p.Seed, Speedup: p.Speedup})
+		if err != nil {
+			return nil, err
+		}
+		for _, sch := range SteadySchemes {
+			o := outs[sch.String()]
+			rows = append(rows, Fig10Row{app.String(), sch.String(), o.PreservedBytes, o.CheckpointNet + o.ReplicationNet})
+		}
+	}
+	return rows, nil
+}
+
+// fig10Row finds one app's row for a scheme.
+func fig10Row(rows []Fig10Row, app, scheme string) (Fig10Row, bool) {
+	return find(rows, func(r Fig10Row) bool { return r.App == app && r.Scheme == scheme })
+}
+
+// writeFig10 renders the preservation/checkpoint data table of Fig. 10, one
+// table per app (values normalised to ms).
+func writeFig10(w io.Writer, rows []Fig10Row) {
+	for i, r := range rows {
+		if i > 0 && rows[i-1].App == r.App {
+			continue
+		}
+		ms, _ := fig10Row(rows, r.App, "ms")
+		fmt.Fprintf(w, "Fig. 10 — %s: preservation and checkpoint/replication data\n", r.App)
+		fmt.Fprintf(w, "%-8s %16s %10s %18s %10s\n", "scheme", "preserved (MB)", "rel", "ckpt/repl net (MB)", "rel")
+		for _, o := range rows {
+			if o.App != r.App {
+				continue
+			}
+			relP, relN := 0.0, 0.0
+			if ms.PreservedBytes > 0 {
+				relP = float64(o.PreservedBytes) / float64(ms.PreservedBytes)
+			}
+			if ms.CkptReplNetBytes > 0 {
+				relN = float64(o.CkptReplNetBytes) / float64(ms.CkptReplNetBytes)
+			}
+			fmt.Fprintf(w, "%-8s %16.2f %10.2f %18.2f %10.2f\n",
+				o.Scheme, mb(o.PreservedBytes), relP, mb(o.CkptReplNetBytes), relN)
+		}
 	}
 }
 
-func mb(b int64) float64 { return float64(b) / (1 << 20) }
-
-// Fig9Point is one (scheme, k) cell of Fig. 9.
-type Fig9Point struct {
-	Scheme    string
-	K         int
-	Departure bool
-	Outcome   Outcome
-	RelTput   float64
-	RelLat    float64
+// fig10Order is the gate rows for one of the paper's Fig. 10 orderings on
+// BCP: each scheme's bytes stay strictly below the next one's.
+func fig10Order(what string, bytes func(Fig10Row) int64, schemes ...string) []GateRow {
+	var gates []GateRow
+	for i := 1; i < len(schemes); i++ {
+		lo, hi := schemes[i-1], schemes[i]
+		gates = append(gates, GateRow{
+			What:   fmt.Sprintf("fig10 BCP %s, %s vs %s", what, lo, hi),
+			Format: "%.2f MB",
+			Fail:   fmt.Sprintf("fig10 ordering broken on BCP %s: %s %%s >= %s %%s", what, lo, hi),
+			Pick: pick(func(rows []Fig10Row) (float64, float64, bool) {
+				a, okA := fig10Row(rows, BCP.String(), lo)
+				b, okB := fig10Row(rows, BCP.String(), hi)
+				return mb(bytes(a)), mb(bytes(b)), okA && okB
+			}),
+		})
+	}
+	return gates
 }
 
-// Fig9Schemes lists the failure curves of Fig. 9.
-var Fig9Schemes = []ft.Scheme{ft.Rep2Scheme, ft.Dist(1), ft.Dist(2), ft.Dist(3), ft.MSScheme}
+// fig10Experiment gates the paper's qualitative result (§V, Fig. 10): token
+// checkpoints with broadcast dissemination move less data than n-way
+// unicast replication at every n, and source-only preservation keeps less
+// than preserving at every edge, locally or replicated. The margins on BCP
+// are ≥ 1.2x and stable across seeds, so the orderings need no grace.
+var fig10Experiment = experiment("fig10",
+	"preservation and checkpoint/replication data per scheme (paper Fig. 10)",
+	fig10Rows, writeFig10,
+	"fig10 results carry no BCP row for a scheme its orderings name",
+	append(
+		fig10Order("checkpoint/replication bytes", func(r Fig10Row) int64 { return r.CkptReplNetBytes }, "ms", "dist-1", "dist-2", "dist-3"),
+		fig10Order("preserved bytes", func(r Fig10Row) int64 { return r.PreservedBytes }, "ms", "dist-3", "local")...)...,
+)
 
-// Fig9 runs the fault sweep for one app: k = 0..maxK simultaneous failures
-// per scheme, plus the MobiStreams departure curve. Points beyond a
+func mb(b int64) float64 { return float64(b) / (1 << 20) }
+
+// fig9 runs and prints the fault sweep for one app: k = 0..maxK simultaneous
+// failures per scheme, plus the MobiStreams departure curve. Points beyond a
 // scheme's tolerance stop the curve (rep-2 has two points, dist-n has n+1),
 // exactly as in the paper.
-func Fig9(app App, base Scenario, maxK int, w io.Writer) ([]Fig9Point, error) {
-	var points []Fig9Point
-	baselines := make(map[string]Outcome)
+func fig9(app App, base Scenario, maxK int, w io.Writer) error {
 	curve := func(sch ft.Scheme, departure bool, label string) error {
+		var baseline Outcome
 		for k := 0; k <= maxK; k++ {
 			s := base
 			s.App = app
@@ -116,72 +194,48 @@ func Fig9(app App, base Scenario, maxK int, w io.Writer) ([]Fig9Point, error) {
 				return err
 			}
 			if k == 0 {
-				baselines[label] = o
+				baseline = o
 			}
-			b := baselines[label]
-			p := Fig9Point{Scheme: label, K: k, Departure: departure, Outcome: o}
-			if b.ThroughputTPS > 0 {
-				p.RelTput = o.ThroughputTPS / b.ThroughputTPS
+			relTput, relLat, dead := 0.0, 0.0, ""
+			if baseline.ThroughputTPS > 0 {
+				relTput = o.ThroughputTPS / baseline.ThroughputTPS
 			}
-			if b.MeanLatency > 0 {
-				p.RelLat = o.MeanLatency.Seconds() / b.MeanLatency.Seconds()
+			if baseline.MeanLatency > 0 {
+				relLat = o.MeanLatency.Seconds() / baseline.MeanLatency.Seconds()
 			}
-			points = append(points, p)
-			if w != nil {
-				dead := ""
-				if o.Dead {
-					dead = " [region dead]"
-				}
-				fmt.Fprintf(w, "%-22s k=%d: rel tput %5.0f%%  rel lat %5.2f%s\n",
-					label, k, p.RelTput*100, p.RelLat, dead)
+			if o.Dead {
+				dead = " [region dead]"
 			}
+			fmt.Fprintf(w, "%-22s k=%d: rel tput %5.0f%%  rel lat %5.2f%s\n", label, k, relTput*100, relLat, dead)
 			if o.Dead && k > 0 {
 				break // the curve truncates where recovery fails
 			}
 		}
 		return nil
 	}
-	if w != nil {
-		fmt.Fprintf(w, "Fig. 9 — %s: n-node failures/departures within one checkpoint period\n", app)
-	}
-	for _, sch := range Fig9Schemes {
+	fmt.Fprintf(w, "Fig. 9 — %s: n-node failures/departures within one checkpoint period\n", app)
+	for _, sch := range []ft.Scheme{ft.Rep2Scheme, ft.Dist(1), ft.Dist(2), ft.Dist(3), ft.MSScheme} {
 		if err := curve(sch, false, sch.String()+" failure"); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := curve(ft.MSScheme, true, "ms departure"); err != nil {
-		return nil, err
-	}
-	return points, nil
+	return curve(ft.MSScheme, true, "ms departure")
 }
 
-// Table1Row is one row of Table I.
-type Table1Row struct {
-	System        string
-	App           App
-	ThroughputTPS float64
-	LatencySec    float64
-}
+var fig9Experiment = figure("fig9", "failure/departure sweep up to -maxk simultaneous faults (paper Fig. 9)",
+	func(app App, base Scenario, p Params, w io.Writer) error { return fig9(app, base, p.MaxK, w) })
 
-// Table1 reproduces the MobiStreams-vs-server comparison. The server rows
-// sweep the paper's 3G uplink range (0.016-0.32 Mbps); the MobiStreams rows
-// run the phone platform with fault tolerance off (base), with a departure
-// per period, and with a failure per period.
-func Table1(base Scenario, w io.Writer) ([]Table1Row, error) {
-	var rows []Table1Row
-	apps := []App{BCP, SG}
-	if w != nil {
-		fmt.Fprintln(w, "Table I — MobiStreams vs server-based DSPS (per-region)")
-	}
-	for _, app := range apps {
+// table1 reproduces the MobiStreams-vs-server comparison on both apps. The
+// server rows sweep the paper's 3G uplink range (0.016-0.32 Mbps); the
+// MobiStreams rows run the phone platform with fault tolerance off (base),
+// with a departure per period, and with a failure per period.
+func table1(base Scenario, w io.Writer) error {
+	fmt.Fprintln(w, "Table I — MobiStreams vs server-based DSPS (per-region)")
+	for _, app := range []App{BCP, SG} {
 		lo := runServer(app, 0.016e6, base)
 		hi := runServer(app, 0.32e6, base)
-		rows = append(rows, Table1Row{System: "server (0.016 Mbps up)", App: app, ThroughputTPS: lo.ThroughputTPS, LatencySec: lo.MeanLatency.Seconds()})
-		rows = append(rows, Table1Row{System: "server (0.32 Mbps up)", App: app, ThroughputTPS: hi.ThroughputTPS, LatencySec: hi.MeanLatency.Seconds()})
-		if w != nil {
-			fmt.Fprintf(w, "%-11s server-based: %0.3f~%0.3f t/s, latency %0.0f~%0.0f s\n",
-				app, lo.ThroughputTPS, hi.ThroughputTPS, hi.MeanLatency.Seconds(), lo.MeanLatency.Seconds())
-		}
+		fmt.Fprintf(w, "%-11s server-based: %0.3f~%0.3f t/s, latency %0.0f~%0.0f s\n",
+			app, lo.ThroughputTPS, hi.ThroughputTPS, hi.MeanLatency.Seconds(), lo.MeanLatency.Seconds())
 		for _, mode := range []struct {
 			name    string
 			scheme  ft.Scheme
@@ -199,16 +253,21 @@ func Table1(base Scenario, w io.Writer) ([]Table1Row, error) {
 			s.DepartCount = mode.departs
 			o, err := Run(s)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			rows = append(rows, Table1Row{System: mode.name, App: app, ThroughputTPS: o.ThroughputTPS, LatencySec: o.MeanLatency.Seconds()})
-			if w != nil {
-				fmt.Fprintf(w, "%-11s %-32s %0.3f t/s, latency %0.0f s\n",
-					app, mode.name+":", o.ThroughputTPS, o.MeanLatency.Seconds())
-			}
+			fmt.Fprintf(w, "%-11s %-32s %0.3f t/s, latency %0.0f s\n",
+				app, mode.name+":", o.ThroughputTPS, o.MeanLatency.Seconds())
 		}
 	}
-	return rows, nil
+	return nil
+}
+
+var table1Experiment = Experiment{
+	Name:  "table1",
+	About: "MobiStreams vs server-based DSPS (paper Table I)",
+	Run: func(p Params, w io.Writer) (any, error) {
+		return nil, table1(Scenario{Seed: p.Seed, Speedup: p.Speedup}, w)
+	},
 }
 
 // runServer measures the thin-client deployment of one app at an uplink
@@ -273,11 +332,11 @@ func runServer(app App, uplinkBps float64, base Scenario) serverSummary {
 // exact loss pattern (8 MB checkpoint, receivers A/B/C).
 func Fig6(w io.Writer) broadcast.Stats {
 	blob := &checkpoint.Blob{Slot: "sender", Version: 1, Size: 8192 * 1024, Ops: map[string][]byte{}}
-	med := newScriptedMedium(map[simnet.NodeID]*broadcast.Receiver{
+	med := &scriptedMedium{receivers: map[simnet.NodeID]*broadcast.Receiver{
 		"A": broadcast.NewReceiver(storage.New()),
 		"B": broadcast.NewReceiver(storage.New()),
 		"C": broadcast.NewReceiver(storage.New()),
-	})
+	}}
 	st := broadcast.Disseminate(med, clock.NewManual(), "sender", []simnet.NodeID{"A", "B", "C"}, blob, broadcast.Config{BlockSize: 1024})
 	if w != nil {
 		fmt.Fprintln(w, "Fig. 6 — multi-phase UDP broadcast walk-through (8 MB, 8192 x 1 KB blocks)")
@@ -289,16 +348,21 @@ func Fig6(w io.Writer) broadcast.Stats {
 	return st
 }
 
+var fig6Experiment = Experiment{
+	Name:  "fig6",
+	About: "multi-phase broadcast walk-through (paper Fig. 6)",
+	Run: func(_ Params, w io.Writer) (any, error) {
+		Fig6(w)
+		return nil, nil
+	},
+}
+
 // scriptedMedium reproduces Fig. 6's loss pattern: phase 1 delivers the
 // first 3 messages to A, even messages to B, odd messages to C; phase 2
 // completes A and B; phase 3 delivers all but M2 to C.
 type scriptedMedium struct {
 	receivers map[simnet.NodeID]*broadcast.Receiver
 	phase     int
-}
-
-func newScriptedMedium(rs map[simnet.NodeID]*broadcast.Receiver) *scriptedMedium {
-	return &scriptedMedium{receivers: rs}
 }
 
 func (s *scriptedMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int {

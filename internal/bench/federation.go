@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -15,11 +14,10 @@ import (
 	"mobistreams/internal/xregion"
 )
 
-// FederationScenario configures the federated control-plane experiment:
-// a sweep over region count with a fixed population per region, run once
-// over the gossip overlay (federation agents on the epidemic broadcast
-// layer) and once over a unicast hub (the lead addresses every region
-// point-to-point).
+// The federated control-plane experiment is a sweep over region count with
+// a fixed population per region, run once over the gossip overlay
+// (federation agents on the epidemic broadcast layer) and once over a
+// unicast hub (the lead addresses every region point-to-point).
 //
 // The measured phase is the lead disseminating fleet caps to every
 // region — the one-to-city control broadcast the federation exists for.
@@ -29,71 +27,37 @@ import (
 // Everything runs on the deterministic in-memory fabric
 // (transport.Mesh), so byte counts and convergence rounds are exact
 // functions of the seed.
-type FederationScenario struct {
-	// RegionCounts is the sweep (default 4, 8, 16, 32, 64).
-	RegionCounts []int
-	// PhonesPerRegion is each region's reported population (default 50).
-	// The headline metric divides the busiest node's control egress by
-	// it: bytes the backhaul spends per phone it fronts.
-	PhonesPerRegion int
-	// CapsEpochs is how many fleet-caps broadcasts the measured phase
-	// publishes (default 8 — enough that eager-push bytes dominate
-	// one-off costs).
-	CapsEpochs int
-	// RoundsPerEpoch is how many anti-entropy rounds each caps epoch is
-	// given (default 16). Every sweep point runs the same count, so the
-	// measured bytes are a per-node rate over identical simulated time —
-	// comparing "bytes until converged" instead would conflate fan-out
-	// with convergence latency, which legitimately grows with the
-	// overlay. Convergence within the window is still asserted.
-	RoundsPerEpoch int
-	// Tuples is the cross-region stream workload: that many sequenced
-	// envelopes from the last region into the downtown region (default 30).
-	Tuples int
-	// DupEvery resends every that-many-th envelope, the way a backhaul
-	// redial would (default 3). The receiver must drop every resend.
-	DupEvery int
-	// MaxRounds bounds anti-entropy rounds per convergence wait (default 64).
-	MaxRounds int
-	// Gossip tunes the overlay. Defaults: Fanout 3, LazyAfter 8 (depth
-	// for 64-region floods), MaxDigest 8 (constant-size digests — the
-	// flat-fan-out claim dies without the bound).
-	Gossip gossip.Config
-	Seed   int64
-}
+//
+// The sweep's region counts are the parameter (tests run its two ends); the
+// rest is fixed.
+var fedRegionCounts = []int{4, 8, 16, 32, 64}
 
-func (s *FederationScenario) applyDefaults() {
-	if len(s.RegionCounts) == 0 {
-		s.RegionCounts = []int{4, 8, 16, 32, 64}
-	}
-	if s.PhonesPerRegion <= 0 {
-		s.PhonesPerRegion = 50
-	}
-	if s.CapsEpochs <= 0 {
-		s.CapsEpochs = 8
-	}
-	if s.RoundsPerEpoch <= 0 {
-		s.RoundsPerEpoch = 16
-	}
-	if s.Tuples <= 0 {
-		s.Tuples = 30
-	}
-	if s.DupEvery <= 0 {
-		s.DupEvery = 3
-	}
-	if s.MaxRounds <= 0 {
-		s.MaxRounds = 64
-	}
-	if s.Gossip.LazyAfter == 0 {
-		s.Gossip.LazyAfter = 8
-	}
-	if s.Gossip.MaxDigest == 0 {
-		s.Gossip.MaxDigest = 8
-	}
-}
+const (
+	// fedPhonesPerRegion is each region's reported population. The headline
+	// metric divides the busiest node's control egress by it: bytes the
+	// backhaul spends per phone it fronts.
+	fedPhonesPerRegion = 50
+	// fedCapsEpochs is how many fleet-caps broadcasts the measured phase
+	// publishes — enough that eager-push bytes dominate one-off costs.
+	fedCapsEpochs = 8
+	// fedRoundsPerEpoch is how many anti-entropy rounds each caps epoch is
+	// given. Every sweep point runs the same count, so the measured bytes
+	// are a per-node rate over identical simulated time — comparing "bytes
+	// until converged" instead would conflate fan-out with convergence
+	// latency, which legitimately grows with the overlay. Convergence
+	// within the window is still asserted.
+	fedRoundsPerEpoch = 16
+	// fedTuples is the cross-region stream workload: that many sequenced
+	// envelopes from the last region into the downtown region. Every
+	// fedDupEvery-th is resent, the way a backhaul redial would; the
+	// receiver must drop every resend.
+	fedTuples   = 30
+	fedDupEvery = 3
+	// fedMaxRounds bounds anti-entropy rounds per convergence wait.
+	fedMaxRounds = 64
+)
 
-// FederationPoint is one sweep point's result, JSON-tagged for the CI
-// artifact.
+// FederationPoint is one sweep point's result.
 type FederationPoint struct {
 	Mode            string `json:"mode"` // "gossip" or "unicast"
 	Regions         int    `json:"regions"`
@@ -127,15 +91,36 @@ type FederationPoint struct {
 	AggOutputs int `json:"agg_outputs"`
 }
 
+// ctrlSent snapshots every node's control-class egress.
+func ctrlSent(mems []*transport.Mem) []int64 {
+	sent := make([]int64, len(mems))
+	for i, m := range mems {
+		sent[i] = m.SentBytes(simnet.ClassControl)
+	}
+	return sent
+}
+
+// measureCtrl fills in the measured phase's egress since base: the lead's
+// (node 0), the busiest node's, and the headline per-phone figure.
+func (p *FederationPoint) measureCtrl(mems []*transport.Mem, base []int64) {
+	for i, now := range ctrlSent(mems) {
+		p.MaxCtrlBytes = max(p.MaxCtrlBytes, now-base[i])
+	}
+	p.LeadCtrlBytes = mems[0].SentBytes(simnet.ClassControl) - base[0]
+	p.CtrlBytesPerPhone = float64(p.MaxCtrlBytes) / float64(fedPhonesPerRegion)
+}
+
 // runFederationGossip measures one sweep point on the gossip overlay.
-func runFederationGossip(s FederationScenario, regions int) (FederationPoint, error) {
-	p := FederationPoint{Mode: "gossip", Regions: regions, PhonesPerRegion: s.PhonesPerRegion}
-	mesh := transport.NewMesh(s.Seed + int64(regions))
+func runFederationGossip(seed int64, regions int) (FederationPoint, error) {
+	p := FederationPoint{Mode: "gossip", Regions: regions, PhonesPerRegion: fedPhonesPerRegion}
+	mesh := transport.NewMesh(seed + int64(regions))
 	ids := make([]simnet.NodeID, regions)
 	mems := make([]*transport.Mem, regions)
 	agents := make([]*federation.Agent, regions)
-	gcfg := s.Gossip
-	gcfg.Seed = s.Seed
+	// The overlay's tuning: default fanout, LazyAfter 8 (depth for 64-region
+	// floods), MaxDigest 8 (constant-size digests — the flat-fan-out claim
+	// dies without the bound).
+	gcfg := gossip.Config{LazyAfter: 8, MaxDigest: 8, Seed: seed}
 	var at int64
 	for i := 0; i < regions; i++ {
 		ids[i] = simnet.NodeID(fmt.Sprintf("fed%02d", i))
@@ -164,8 +149,8 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 			if done() {
 				return round, nil
 			}
-			if round >= s.MaxRounds {
-				return round, fmt.Errorf("federation bench: no convergence within %d rounds at %d regions", s.MaxRounds, regions)
+			if round >= fedMaxRounds {
+				return round, fmt.Errorf("federation bench: no convergence within %d rounds at %d regions", fedMaxRounds, regions)
 			}
 			for _, a := range agents {
 				a.Tick()
@@ -195,11 +180,11 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 	// so the lead has a real aggregate to cap against.
 	for i, a := range agents {
 		a.PublishRollup(wire.Rollup{
-			Phones: s.PhonesPerRegion, Idle: i % 5, Backlog: i % 7,
+			Phones: fedPhonesPerRegion, Idle: i % 5, Backlog: i % 7,
 			BatteryRisk: i % 2, OutTuples: uint64(10 * i),
 		})
 	}
-	want := regions * s.PhonesPerRegion
+	want := regions * fedPhonesPerRegion
 	if _, err := settle(func() bool {
 		agg := agents[0].Aggregate()
 		return agg.Phones == want
@@ -207,24 +192,21 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 		return p, err
 	}
 
-	// Phase 3 (measured): CapsEpochs times, one region's telemetry
+	// Phase 3 (measured): fedCapsEpochs times, one region's telemetry
 	// changes, the lead re-aggregates on its own tick and broadcasts the
 	// new fleet caps, and every region must hold them — the full
 	// telemetry-up, caps-down control loop. Each epoch runs a fixed
-	// RoundsPerEpoch rounds regardless of sweep point, so the byte
+	// fedRoundsPerEpoch rounds regardless of sweep point, so the byte
 	// deltas are per-node rates over identical simulated time.
-	base := make([]int64, regions)
-	for i, m := range mems {
-		base[i] = m.SentBytes(simnet.ClassControl)
-	}
+	base := ctrlSent(mems)
 	// Every member's epoch is 1 after phase 2, so the aggregate epoch —
 	// the sum — starts at the region count and each rollup below bumps
 	// it by one.
 	capsEpoch := uint64(regions)
 	totalRounds := 0
-	for e := 0; e < s.CapsEpochs; e++ {
+	for e := 0; e < fedCapsEpochs; e++ {
 		agents[1].PublishRollup(wire.Rollup{
-			Phones: s.PhonesPerRegion, Idle: 1, Backlog: 3 + e, BatteryRisk: 1,
+			Phones: fedPhonesPerRegion, Idle: 1, Backlog: 3 + e, BatteryRisk: 1,
 			OutTuples: uint64(100 + e),
 		})
 		capsEpoch++
@@ -239,7 +221,7 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 		}
 		at := 0
 		mesh.Drain()
-		for round := 1; round <= s.RoundsPerEpoch; round++ {
+		for round := 1; round <= fedRoundsPerEpoch; round++ {
 			for _, a := range agents {
 				a.Tick()
 			}
@@ -250,22 +232,16 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 		}
 		if at == 0 {
 			return p, fmt.Errorf("federation bench: caps epoch %d not fleet-wide within %d rounds at %d regions",
-				capsEpoch, s.RoundsPerEpoch, regions)
+				capsEpoch, fedRoundsPerEpoch, regions)
 		}
 		totalRounds += at
 	}
-	p.CapsRoundsMean = float64(totalRounds) / float64(s.CapsEpochs)
-	p.LeadCtrlBytes = mems[0].SentBytes(simnet.ClassControl) - base[0]
-	for i, m := range mems {
-		if d := m.SentBytes(simnet.ClassControl) - base[i]; d > p.MaxCtrlBytes {
-			p.MaxCtrlBytes = d
-		}
-	}
-	p.CtrlBytesPerPhone = float64(p.MaxCtrlBytes) / float64(s.PhonesPerRegion)
+	p.CapsRoundsMean = float64(totalRounds) / float64(fedCapsEpochs)
+	p.measureCtrl(mems, base)
 
 	// Phase 4: cross-region stream — the last region (a bus line at the
 	// city's edge) feeds the downtown aggregation region (r01) sequenced
-	// envelopes, resending every DupEvery-th the way a backhaul redial
+	// envelopes, resending every fedDupEvery-th the way a backhaul redial
 	// would. The consumer runs the delivered readings through the shared
 	// xregion stage vocabulary's aggregate operator; dedup must make the
 	// retries invisible to it.
@@ -290,13 +266,13 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 			p.AggOutputs += len(outs)
 		}
 	})
-	for i := 1; i <= s.Tuples; i++ {
-		payload := []byte(fmt.Sprintf("reading/%d/%d", i, s.Seed))
+	for i := 1; i <= fedTuples; i++ {
+		payload := []byte(fmt.Sprintf("reading/%d/%d", i, seed))
 		seq, err := src.SendTuple("r01", "readings", payload)
 		if err != nil {
 			return p, err
 		}
-		if i%s.DupEvery == 0 {
+		if i%fedDupEvery == 0 {
 			if err := src.Resend("r01", "readings", seq, payload); err != nil {
 				return p, err
 			}
@@ -314,9 +290,9 @@ func runFederationGossip(s FederationScenario, regions int) (FederationPoint, er
 // runFederationUnicast measures one sweep point on the unicast baseline:
 // the lead is a hub that addresses every region directly, so the whole
 // caps fan-out is its own egress.
-func runFederationUnicast(s FederationScenario, regions int) (FederationPoint, error) {
-	p := FederationPoint{Mode: "unicast", Regions: regions, PhonesPerRegion: s.PhonesPerRegion}
-	mesh := transport.NewMesh(s.Seed + int64(regions))
+func runFederationUnicast(seed int64, regions int) (FederationPoint, error) {
+	p := FederationPoint{Mode: "unicast", Regions: regions, PhonesPerRegion: fedPhonesPerRegion}
+	mesh := transport.NewMesh(seed + int64(regions))
 	ids := make([]simnet.NodeID, regions)
 	mems := make([]*transport.Mem, regions)
 	capsGot := make([]int, regions)
@@ -338,14 +314,14 @@ func runFederationUnicast(s FederationScenario, regions int) (FederationPoint, e
 	for i := 1; i < regions; i++ {
 		ru := wire.Rollup{
 			Region: fmt.Sprintf("r%02d", i), Lead: ids[i], Epoch: 1,
-			Phones: s.PhonesPerRegion, Idle: i % 5, Backlog: i % 7, BatteryRisk: i % 2,
+			Phones: fedPhonesPerRegion, Idle: i % 5, Backlog: i % 7, BatteryRisk: i % 2,
 		}
 		if err := mems[i].Tell(ids[0], simnet.ClassControl, wire.AppendRollup(nil, &ru)); err != nil {
 			return p, err
 		}
 	}
 	mesh.Drain()
-	ack := wire.Rollup{Region: "r00", Lead: ids[0], Epoch: 1, Phones: s.PhonesPerRegion}
+	ack := wire.Rollup{Region: "r00", Lead: ids[0], Epoch: 1, Phones: fedPhonesPerRegion}
 	ackFrame := wire.AppendRollup(nil, &ack)
 	for i := 1; i < regions; i++ {
 		if err := mems[0].Tell(ids[i], simnet.ClassControl, ackFrame); err != nil {
@@ -359,15 +335,12 @@ func runFederationUnicast(s FederationScenario, regions int) (FederationPoint, e
 	// region's telemetry changes (a Tell up to the hub), and the hub
 	// pushes the new caps to every region — one Tell per region per
 	// epoch, all of it the hub's own egress.
-	base := make([]int64, regions)
-	for i, m := range mems {
-		base[i] = m.SentBytes(simnet.ClassControl)
-	}
-	want := regions * s.PhonesPerRegion
-	for e := 0; e < s.CapsEpochs; e++ {
+	base := ctrlSent(mems)
+	want := regions * fedPhonesPerRegion
+	for e := 0; e < fedCapsEpochs; e++ {
 		up := wire.Rollup{
 			Region: "r01", Lead: ids[1], Epoch: uint64(2 + e),
-			Phones: s.PhonesPerRegion, Idle: 1, Backlog: 3 + e, BatteryRisk: 1,
+			Phones: fedPhonesPerRegion, Idle: 1, Backlog: 3 + e, BatteryRisk: 1,
 		}
 		if err := mems[1].Tell(ids[0], simnet.ClassControl, wire.AppendRollup(nil, &up)); err != nil {
 			return p, err
@@ -386,40 +359,25 @@ func runFederationUnicast(s FederationScenario, regions int) (FederationPoint, e
 		mesh.Drain()
 	}
 	for i := 1; i < regions; i++ {
-		if capsGot[i] != s.CapsEpochs {
-			return p, fmt.Errorf("federation bench: unicast region %d received %d/%d caps", i, capsGot[i], s.CapsEpochs)
+		if capsGot[i] != fedCapsEpochs {
+			return p, fmt.Errorf("federation bench: unicast region %d received %d/%d caps", i, capsGot[i], fedCapsEpochs)
 		}
 	}
 	p.CapsRoundsMean = 1
-	p.LeadCtrlBytes = mems[0].SentBytes(simnet.ClassControl) - base[0]
-	for i, m := range mems {
-		if d := m.SentBytes(simnet.ClassControl) - base[i]; d > p.MaxCtrlBytes {
-			p.MaxCtrlBytes = d
-		}
-	}
-	p.CtrlBytesPerPhone = float64(p.MaxCtrlBytes) / float64(s.PhonesPerRegion)
+	p.measureCtrl(mems, base)
 	return p, nil
 }
 
-// FederationComparison sweeps region counts in both modes. Rows come out
+// federationComparison sweeps region counts in both modes. Rows come out
 // grouped by mode, each group in sweep order.
-func FederationComparison(base FederationScenario) ([]FederationPoint, error) {
-	base.applyDefaults()
+func federationComparison(seed int64, regionCounts []int) ([]FederationPoint, error) {
 	var rows []FederationPoint
-	for _, mode := range []string{"gossip", "unicast"} {
-		for _, n := range base.RegionCounts {
+	for _, run := range []func(int64, int) (FederationPoint, error){runFederationGossip, runFederationUnicast} {
+		for _, n := range regionCounts {
 			if n < 3 {
 				return nil, fmt.Errorf("federation bench: region count %d below minimum 3", n)
 			}
-			var (
-				p   FederationPoint
-				err error
-			)
-			if mode == "gossip" {
-				p, err = runFederationGossip(base, n)
-			} else {
-				p, err = runFederationUnicast(base, n)
-			}
+			p, err := run(seed, n)
 			if err != nil {
 				return nil, err
 			}
@@ -429,32 +387,8 @@ func FederationComparison(base FederationScenario) ([]FederationPoint, error) {
 	return rows, nil
 }
 
-// FederationReport is the machine-readable experiment artifact
-// (BENCH_federation.json in CI).
-type FederationReport struct {
-	Experiment      string            `json:"experiment"`
-	Seed            int64             `json:"seed"`
-	PhonesPerRegion int               `json:"phones_per_region"`
-	CapsEpochs      int               `json:"caps_epochs"`
-	Rows            []FederationPoint `json:"rows"`
-}
-
-// WriteFederationJSON emits the sweep as indented JSON.
-func WriteFederationJSON(w io.Writer, base FederationScenario, rows []FederationPoint) error {
-	base.applyDefaults()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(FederationReport{
-		Experiment:      "federation: control fan-out vs region count, gossip overlay vs unicast hub",
-		Seed:            base.Seed,
-		PhonesPerRegion: base.PhonesPerRegion,
-		CapsEpochs:      base.CapsEpochs,
-		Rows:            rows,
-	})
-}
-
-// WriteFederationTable renders the sweep for humans.
-func WriteFederationTable(w io.Writer, rows []FederationPoint) {
+// writeFederationTable renders the sweep for humans.
+func writeFederationTable(w io.Writer, rows []FederationPoint) {
 	fmt.Fprintln(w, "Federation — control fan-out vs region count (caps phase, busiest node)")
 	fmt.Fprintf(w, "%-8s %8s %6s %11s %11s %11s %11s %6s %6s %5s\n",
 		"mode", "regions", "join", "caps rnds", "lead B", "max B", "B/phone", "xsent", "xdlvd", "xdup")
@@ -465,3 +399,38 @@ func WriteFederationTable(w io.Writer, rows []FederationPoint) {
 			p.XRegionSent, p.XRegionDelivered, p.XRegionDupOutputs)
 	}
 }
+
+var federationExperiment = experiment("federation",
+	"control fan-out vs region count, gossip overlay vs unicast hub",
+	func(p Params) ([]FederationPoint, error) { return federationComparison(p.Seed, fedRegionCounts) },
+	writeFederationTable,
+	"federation results carry no gossip-mode sweep rows",
+	// The gossip overlay's busiest-node control bytes per phone at the
+	// largest swept region count — the sub-linear fan-out claim's number.
+	// The byte counts are deterministic (seeded simulation), so the grace
+	// only needs to cover intentional small retunes (peer-set ordering,
+	// digest window phase), not noise.
+	GateRow{Key: "federation_ctrl_bytes_per_phone_largest", Grace: 20,
+		What: "federation ctrl bytes/phone", Format: "%.1f", Fail: "federation ctrl bytes/phone regressed: %s > %s",
+		Pick: pick(func(rows []FederationPoint) (float64, float64, bool) {
+			var largest FederationPoint
+			for _, p := range rows {
+				if p.Mode == "gossip" && p.Regions > largest.Regions {
+					largest = p
+				}
+			}
+			return largest.CtrlBytesPerPhone, 0, largest.CtrlBytesPerPhone > 0
+		})},
+	// The sweep's exactly-once invariant: a duplicate cross-region output at
+	// any sweep point is a dedup bug, pinned at zero with no grace.
+	GateRow{What: "federation duplicate cross-region outputs", Format: "%.0f",
+		Fail: "federation run published %s duplicate cross-region outputs (must stay below %s)",
+		Pick: pick(func(rows []FederationPoint) (dups, _ float64, found bool) {
+			for _, p := range rows {
+				if p.Mode == "gossip" {
+					dups, found = dups+float64(p.XRegionDupOutputs), true
+				}
+			}
+			return dups, 1, found
+		})},
+)

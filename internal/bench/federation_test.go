@@ -1,8 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -11,10 +10,7 @@ import (
 // full 5-point sweep is CI's job.
 func fedSweep(t *testing.T, seed int64) []FederationPoint {
 	t.Helper()
-	rows, err := FederationComparison(FederationScenario{
-		RegionCounts: []int{4, 64},
-		Seed:         seed,
-	})
+	rows, err := federationComparison(seed, []int{4, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +105,9 @@ func TestFederationDeterminism(t *testing.T) {
 
 func TestFederationReportJSON(t *testing.T) {
 	rows := fedSweep(t, 7)
-	var buf bytes.Buffer
-	if err := WriteFederationJSON(&buf, FederationScenario{Seed: 7}, rows); err != nil {
-		t.Fatal(err)
+	got, _ := roundTrip(t, "federation", rows)
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatalf("round-trip lost data:\n got=%+v\nwant=%+v", got, rows)
 	}
-	var rep FederationReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.Rows) != len(rows) || rep.Seed != 7 {
-		t.Fatalf("report round-trip lost data: %+v", rep)
-	}
-	WriteFederationTable(&buf, rows)
+	writeFederationTable(io.Discard, rows)
 }

@@ -18,63 +18,43 @@ import (
 // IngressConfig parameterises the single-edge ingress micro-benchmark: a
 // two-slot pipeline (source slot -> sink slot) flooded with small tuples,
 // isolating the node emission/delivery hot path that edge batching
-// optimises. The medium models a realistic per-frame cost (MAC/PHY
-// framing, contention, link ACK) that batching amortises.
+// optimises.
 type IngressConfig struct {
 	// Tuples is the number of tuples pushed through the edge.
 	Tuples int
-	// TupleBytes is the payload size (default 512 B — small telemetry
-	// tuples, the worst case for per-message overhead).
-	TupleBytes int
 	// QoS configures edge batching (set DisableBatching for the baseline).
 	QoS node.QoS
-	// Speedup is the clock scale (default 200). Low enough that modelled
-	// airtime dominates scheduler noise in the simulated-time results.
-	Speedup float64
-	// WiFi overrides the medium; the zero value models 3 Mbps with a
-	// 600-byte per-frame overhead and 1 ms propagation delay.
-	WiFi simnet.WiFiConfig
 	// OnOutput, when non-nil, observes each delivered tuple in order.
 	OnOutput func(*tuple.Tuple)
 }
 
+const (
+	// ingressTupleBytes: small telemetry tuples, the worst case for
+	// per-message overhead.
+	ingressTupleBytes = 256
+	// ingressSpeedup is low enough that modelled airtime dominates scheduler
+	// noise in the simulated-time results.
+	ingressSpeedup = 100
+	// ingressMaxBatchMsgs bounds a batch: at this speedup a full batch's
+	// airtime must stay inside the scaled clock's spin window, or OS timer
+	// overshoot (hundreds of µs of wall time per sleep) leaks into the
+	// simulated-time results and swamps the medium model.
+	ingressMaxBatchMsgs = 12
+)
+
+// ingressWiFi models a realistic per-frame cost (MAC/PHY framing,
+// contention, link ACK) that batching amortises.
+var ingressWiFi = simnet.WiFiConfig{BitsPerSecond: 3e6, FrameOverhead: 600, PropDelay: 3 * time.Millisecond}
+
 // IngressResult reports one ingress run.
 type IngressResult struct {
-	Delivered   int64
-	SimElapsed  time.Duration
-	WallElapsed time.Duration
+	Delivered int64
 	// SimTuplesPerSec is throughput in simulated time — the medium-level
 	// number the paper's figures are denominated in.
 	SimTuplesPerSec float64
 	// Flushes and MeanBatch summarise how the batcher coalesced.
 	Flushes   int64
 	MeanBatch float64
-}
-
-func (c *IngressConfig) applyDefaults() {
-	if c.Tuples <= 0 {
-		c.Tuples = 100
-	}
-	if c.TupleBytes <= 0 {
-		c.TupleBytes = 256
-	}
-	if c.Speedup <= 0 {
-		c.Speedup = 100
-	}
-	if c.WiFi.BitsPerSecond <= 0 {
-		c.WiFi = simnet.WiFiConfig{
-			BitsPerSecond: 3e6,
-			FrameOverhead: 600,
-			PropDelay:     3 * time.Millisecond,
-		}
-	}
-	// Benchmark-specific batch bound: at this speedup a full batch's
-	// airtime must stay inside the scaled clock's spin window, or OS
-	// timer overshoot (hundreds of µs of wall time per sleep) leaks into
-	// the simulated-time results and swamps the medium model.
-	if !c.QoS.DisableBatching && c.QoS.MaxBatchMsgs == 0 {
-		c.QoS.MaxBatchMsgs = 12
-	}
 }
 
 // ingressGraph is the minimal cross-slot pipeline: one source operator on
@@ -95,12 +75,14 @@ func ingressGraph() (*graph.Graph, operator.Registry, error) {
 
 // RunIngress floods the single-edge pipeline and reports throughput.
 func RunIngress(cfg IngressConfig) (IngressResult, error) {
-	cfg.applyDefaults()
+	if !cfg.QoS.DisableBatching && cfg.QoS.MaxBatchMsgs == 0 {
+		cfg.QoS.MaxBatchMsgs = ingressMaxBatchMsgs
+	}
 	g, reg, err := ingressGraph()
 	if err != nil {
 		return IngressResult{}, err
 	}
-	clk := clock.NewScaled(cfg.Speedup)
+	clk := clock.NewScaled(ingressSpeedup)
 	rcfg := region.Config{
 		ID:       "ingress",
 		Graph:    g,
@@ -108,7 +90,7 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 		Scheme:   ft.BaseScheme,
 		Phones:   2,
 		Clock:    clk,
-		WiFi:     cfg.WiFi,
+		WiFi:     ingressWiFi,
 		// The flood outlives a stock battery; energy is not under test.
 		PhoneCfg: phone.Config{BatteryJoules: 1e12},
 		QoS:      cfg.QoS,
@@ -124,10 +106,9 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 	r.Start()
 	defer r.Stop()
 
-	wallStart := time.Now()
 	simStart := clk.Now()
 	for i := 0; i < cfg.Tuples; i++ {
-		r.Ingest("IS", i, cfg.TupleBytes, "ingress")
+		r.Ingest("IS", i, ingressTupleBytes, "ingress")
 	}
 	// All tuples are in flight; wait for the sink to drain them.
 	deadline := time.Now().Add(60 * time.Second)
@@ -138,15 +119,12 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	simElapsed := clk.Now() - simStart
 	res := IngressResult{
-		Delivered:   r.Throughput.Count(),
-		SimElapsed:  simElapsed,
-		WallElapsed: time.Since(wallStart),
-		Flushes:     r.BatchStats().Flushes(),
-		MeanBatch:   r.BatchStats().Mean(),
+		Delivered: r.Throughput.Count(),
+		Flushes:   r.BatchStats().Flushes(),
+		MeanBatch: r.BatchStats().Mean(),
 	}
-	if simElapsed > 0 {
+	if simElapsed := clk.Now() - simStart; simElapsed > 0 {
 		res.SimTuplesPerSec = float64(res.Delivered) / simElapsed.Seconds()
 	}
 	return res, nil

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -19,15 +17,14 @@ import (
 // rides the exactly-once migration path, so the planner arm must not
 // publish a single duplicate.
 func TestPlacementPlannerBeatsReactiveCrossChannel(t *testing.T) {
-	small := PlacementScenario{
-		Phones:           48,
-		Pipelines:        2,
-		CheckpointPeriod: 20 * time.Second,
-		Measure:          60 * time.Second,
-		Drain:            10 * time.Second,
-		MeanLeave:        30 * time.Second,
-		Seed:             5,
-	}
+	small := placementScenario
+	small.Phones = 48
+	small.Pipelines = 2
+	small.CheckpointPeriod = 20 * time.Second
+	small.Measure = 60 * time.Second
+	small.Drain = 10 * time.Second
+	small.MeanLeave = 30 * time.Second
+	small.Seed = 5
 	if raceEnabled {
 		// Race instrumentation multiplies the cost of every phone
 		// goroutine; at 48 phones the pair of arms takes minutes of wall
@@ -44,7 +41,7 @@ func TestPlacementPlannerBeatsReactiveCrossChannel(t *testing.T) {
 	const attempts = 3
 	var lastErr string
 	for i := 0; i < attempts; i++ {
-		rows, err := PlacementComparison(small)
+		rows, err := churnComparison(small, small.Scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,23 +77,15 @@ func TestPlacementPlannerBeatsReactiveCrossChannel(t *testing.T) {
 }
 
 func TestPlacementJSONRoundTrips(t *testing.T) {
-	rows := []PlacementOutcome{
+	got, raw := roundTrip(t, "placement", []ChurnOutcome{
 		{Mode: "reactive", Ingested: 150, Delivered: 148, Lost: 2, CrossChannelShare: 0.81},
 		{Mode: "planner", Ingested: 150, Delivered: 150, PlanCommits: 4, CrossChannelShare: 0.45,
 			ChannelAirtimeSec: []float64{1.8, 1.7, 1.7, 1.6}},
+	})
+	if len(got) != 2 || got[1].PlanCommits != 4 || got[0].Mode != "reactive" {
+		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-	var buf bytes.Buffer
-	if err := WritePlacementJSON(&buf, PlacementScenario{Seed: 5}, rows); err != nil {
-		t.Fatal(err)
-	}
-	var rep PlacementReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(rep.Rows) != 2 || rep.Rows[1].PlanCommits != 4 || rep.Rows[0].Mode != "reactive" {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"cross_channel_share"`) {
-		t.Fatal("artifact missing cross_channel_share field")
+	if !strings.Contains(raw, `"cross_channel_share"`) {
+		t.Fatal("results missing cross_channel_share field")
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -88,7 +86,7 @@ func TestScaleChannelPlan(t *testing.T) {
 // TestScaleRunDelivers runs the smallest sweep cell end to end: an
 // unsaturated tree must deliver.
 func TestScaleRunDelivers(t *testing.T) {
-	row, err := RunScale(ScaleScenario{Phones: 8, Channels: 4, Measure: 4 * time.Second, Seed: 3})
+	row, err := runScale(3, 8, 4, 4*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +96,14 @@ func TestScaleRunDelivers(t *testing.T) {
 }
 
 func TestScaleJSONRoundTrips(t *testing.T) {
-	rows := []ScaleRow{
+	got, raw := roundTrip(t, "scale", []ScaleRow{
 		{Phones: 64, Leaves: 56, Channels: 1, Delivered: 1000, TPS: 50},
 		{Phones: 64, Leaves: 56, Channels: 4, Delivered: 7000, TPS: 350},
+	})
+	if len(got) != 2 || got[1].TPS != 350 {
+		t.Fatalf("round-trip mismatch: %+v", got)
 	}
-	var buf bytes.Buffer
-	if err := WriteScaleJSON(&buf, ScaleScenario{Seed: 1}, rows); err != nil {
-		t.Fatal(err)
-	}
-	var rep ScaleReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if len(rep.Rows) != 2 || rep.Rows[1].TPS != 350 {
-		t.Fatalf("round-trip mismatch: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), `"tuples_per_sec"`) {
-		t.Fatal("artifact missing tuples_per_sec field")
+	if !strings.Contains(raw, `"tuples_per_sec"`) {
+		t.Fatal("results missing tuples_per_sec field")
 	}
 }
