@@ -8,6 +8,13 @@
 //	msrun -app sg -scheme dist-2 -fail 2
 //	msrun -app bcp -scheme ms -depart 3 -speedup 400
 //
+// -http serves the region's registry live (/metrics carries its operator,
+// edge, sink, batch and checkpoint families) and keeps serving after the
+// report until the process is stopped; -sample N traces every Nth tuple and
+// prints the waterfalls on stderr:
+//
+//	msrun -app bcp -scheme ms -sample 10 -http 127.0.0.1:9191
+//
 // With -listen or -join, msrun instead runs a transport region: the same
 // deterministic pipeline over real TCP sockets, split across processes.
 // The lead prints every checkpoint blob digest plus the sink digest, and
@@ -66,8 +73,8 @@ func main() {
 	tokenEvery := flag.Int("tokenevery", 10, "transport-region checkpoint token interval (tuples)")
 	xreg := flag.String("xregion", "", "run the transport region on this backend instead: sim")
 	joinTimeout := flag.Duration("jointimeout", time.Minute, "transport-region lead: how long to wait for workers")
-	sample := flag.Int("sample", 0, "trace every Nth tuple end to end (0 disables tracing)")
-	httpAddr := flag.String("http", "", "serve live metrics/journal/traces/pprof on this address")
+	sample := flag.Int("sample", 0, "trace every Nth tuple end to end (0 disables tracing); waterfalls go to stderr")
+	httpAddr := flag.String("http", "", "serve live metrics/journal/traces/pprof on this address (with -app: until interrupted)")
 	fed := flag.String("fed", "", "run the federation demo on this backend: sim|lead|region")
 	fedRegions := flag.Int("regions", 2, "federation demo region count (sim and lead)")
 	flag.Parse()
@@ -99,6 +106,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// The region records into the served registry, so /metrics carries its
+	// sink, batch and checkpoint families while it runs.
+	reg := serveObs(*httpAddr)
+	if reg == nil && *sample > 0 {
+		reg = obs.NewRegistry()
+	}
+	if reg != nil {
+		reg.Tracer.SetSampleEvery(*sample)
+	}
 
 	out, err := bench.Run(bench.Scenario{
 		App:              app,
@@ -111,6 +127,7 @@ func main() {
 		FailCount:        *failN,
 		DepartCount:      *departN,
 		Seed:             *seed,
+		Obs:              reg,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -144,6 +161,33 @@ func main() {
 	if out.Dead {
 		fmt.Println("region:       DEAD (bypassed by the controller)")
 	}
+	if reg != nil {
+		for _, wf := range obs.Waterfalls(reg.Tracer.Spans()) {
+			fmt.Fprint(os.Stderr, wf.Render())
+		}
+	}
+	if *httpAddr != "" {
+		// The run is over in well under a second at high speedups; keep
+		// its final numbers scrapeable until the process is stopped.
+		fmt.Fprintln(os.Stderr, "run complete; still serving until interrupted")
+		select {}
+	}
+}
+
+// serveObs starts the live export endpoint on addr and returns the
+// registry it serves, or nil when addr is empty.
+func serveObs(addr string) *obs.Registry {
+	if addr == "" {
+		return nil
+	}
+	reg := obs.NewRegistry()
+	actual, err := obs.Serve(addr, reg, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", actual)
+	return reg
 }
 
 // runFederationDemo dispatches the federated control-plane demo: the
@@ -194,16 +238,7 @@ func runTransportRegion(listen, join, id, backend string, spec xregion.Spec, wor
 	// The export endpoint comes up before the run so it can be scraped
 	// while the region is streaming; span waterfalls land on it (and on
 	// stderr) once the run completes.
-	var reg *obs.Registry
-	if httpAddr != "" {
-		reg = obs.NewRegistry()
-		actual, err := obs.Serve(httpAddr, reg, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", actual)
-	}
+	reg := serveObs(httpAddr)
 	switch {
 	case join != "":
 		if id == "" {

@@ -14,6 +14,7 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
+	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
@@ -68,6 +69,9 @@ type Scenario struct {
 	FailCount   int
 	DepartCount int
 	Seed        int64
+	// Obs is the registry the region records into (msrun serves it with
+	// -http); nil gives the region its own.
+	Obs *obs.Registry
 }
 
 func (s *Scenario) applyDefaults() {
@@ -150,6 +154,7 @@ func Run(s Scenario) (Outcome, error) {
 			Phones:            s.Phones,
 			WiFi:              simnet.WiFiConfig{BitsPerSecond: paperWiFiBps, LossProb: paperWiFiLoss, Channels: s.Channels, Seed: s.Seed},
 			PreserveBroadcast: s.Scheme.Kind == ft.MS, // source logs replicate region-wide
+			Obs:               s.Obs,
 		},
 	})
 	if err != nil {
@@ -163,7 +168,7 @@ func Run(s Scenario) (Outcome, error) {
 
 	// Warm up, then open the measurement window.
 	clk.Sleep(s.Warmup)
-	w.openWindow()
+	r.OpenWindow()
 	netBefore := snapshotNet(r)
 	srcBefore, edgeBefore := r.PreservedBytes()
 

@@ -17,8 +17,8 @@ import (
 // The checkpoint experiment's fixed scenario: a three-slot pipeline whose
 // middle operator carries the swept state size, checkpointed under the
 // MobiStreams token protocol either with the synchronous full-blob pipeline
-// or the incremental-async one (delta chain bounded by the node's default
-// RebaseEvery).
+// or the incremental-async one (delta chain bounded by the node's
+// rebaseEvery).
 const (
 	ckptPhones       = 6 // 3 active + 3 idle
 	ckptSpeedup      = 200
@@ -103,8 +103,7 @@ func runCkpt(seed int64, speedup float64, stateBytes int, fullOnly bool) (CkptOu
 	gen, _ := w.ingestBus(ckptSourcePeriod, seed, func(int64) string { return "S" })
 
 	clk.Sleep(ckptWarmup)
-	r.Throughput.Start(clk.Now())
-	r.CkptStats().Reset()
+	r.OpenWindow()
 	clk.Sleep(ckptMeasure)
 
 	st := r.CkptStats()
@@ -124,7 +123,7 @@ func runCkpt(seed int64, speedup float64, stateBytes int, fullOnly bool) (CkptOu
 		DeltaRatio:    st.DeltaRatio(),
 		DeltaBlobs:    st.DeltaBlobs(),
 		FullBlobs:     st.FullBlobs(),
-		ThroughputTPS: r.Throughput.PerSecond(clk.Now()),
+		ThroughputTPS: r.Report(clk.Now()).ThroughputTPS,
 	}
 	gen.Stop()
 	w.stop()

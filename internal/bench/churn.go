@@ -193,7 +193,7 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 	gen, ingested := w.ingestBus(churnSourcePeriod, s.Seed, func(n int64) string {
 		return sources[int((n-1)%int64(len(sources)))]
 	})
-	start := w.openWindow()
+	start := r.OpenWindow()
 	gaps.open(start, start+s.Measure)
 	churn, joins := w.startChurn(workload.ChurnConfig{
 		MeanLeave:     s.MeanLeave,
@@ -215,7 +215,7 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 		Scheme:            s.Scheme.String(),
 		Mode:              "reactive",
 		Ingested:          ingested.Load(),
-		Delivered:         r.Throughput.Count(),
+		Delivered:         rep.Tuples,
 		Duplicates:        r.DuplicateOutputs(),
 		DowntimeSec:       gaps.close().Seconds(),
 		Migrations:        ctrl.Migrations("r1"),

@@ -249,9 +249,9 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 		const subs = 3
 		var best time.Duration
 		for i := 0; i < subs; i++ {
-			r.Latency.Reset()
+			r.OpenWindow()
 			clk.Sleep(window / subs)
-			p := r.Latency.Percentile(99)
+			p := time.Duration(r.SinkLatency().Percentile(99))
 			if i == 0 || p < best {
 				best = p
 			}
@@ -283,7 +283,7 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 	out := ElasticOutcome{
 		Mode:       mode,
 		Ingested:   ingested.Load(),
-		Delivered:  r.Throughput.Count(),
+		Delivered:  int64(r.Outputs()),
 		Duplicates: r.DuplicateOutputs(),
 		P99PreMs:   float64(p99Pre) / float64(time.Millisecond),
 		P99HotMs:   float64(p99Hot) / float64(time.Millisecond),

@@ -319,8 +319,7 @@ func runServer(app App, uplinkBps float64, base Scenario) serverSummary {
 		window = 120 * time.Second
 	}
 	clk.Sleep(window / 2)
-	d.Throughput.Start(clk.Now())
-	d.Latency.Reset()
+	d.OpenWindow()
 	clk.Sleep(window * 4) // the slow uplink needs a long window for stable rates
 	rep := d.Report(clk.Now())
 	close(stop)

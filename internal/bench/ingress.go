@@ -112,15 +112,15 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 	}
 	// All tuples are in flight; wait for the sink to drain them.
 	deadline := time.Now().Add(60 * time.Second)
-	for r.Throughput.Count() < int64(cfg.Tuples) {
+	for r.Outputs() < uint64(cfg.Tuples) {
 		if time.Now().After(deadline) {
 			return IngressResult{}, fmt.Errorf("ingress: delivered %d of %d tuples before wall deadline",
-				r.Throughput.Count(), cfg.Tuples)
+				r.Outputs(), cfg.Tuples)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	res := IngressResult{
-		Delivered: r.Throughput.Count(),
+		Delivered: int64(r.Outputs()),
 		Flushes:   r.BatchStats().Flushes(),
 		MeanBatch: r.BatchStats().Mean(),
 	}

@@ -235,8 +235,7 @@ func runScale(seed int64, phones, channels int, measure time.Duration) (ScaleRow
 
 	clk.Sleep(scaleWarmup)
 	wallStart := time.Now()
-	r.Throughput.Start(clk.Now())
-	r.Latency.Reset()
+	r.OpenWindow()
 	var allocs metrics.AllocMeter
 	allocs.Start()
 	measuring.Store(true)
@@ -244,7 +243,7 @@ func runScale(seed int64, phones, channels int, measure time.Duration) (ScaleRow
 	clk.Sleep(measure)
 
 	measuring.Store(false)
-	delivered := r.Throughput.Count()
+	delivered := r.Report(clk.Now()).Tuples
 	row := ScaleRow{
 		Phones:    slots,
 		Leaves:    len(srcOps),
@@ -252,7 +251,7 @@ func runScale(seed int64, phones, channels int, measure time.Duration) (ScaleRow
 		Ingested:  atomic.LoadInt64(&ingested),
 		Delivered: delivered,
 		TPS:       float64(delivered) / measure.Seconds(),
-		P99Ms:     float64(r.Latency.Percentile(99)) / float64(time.Millisecond),
+		P99Ms:     float64(r.SinkLatency().Percentile(99)) / float64(time.Millisecond),
 		WallMs:    float64(time.Since(wallStart)) / float64(time.Millisecond),
 	}
 	row.AllocsPerTuple, _ = allocs.PerUnit(delivered)

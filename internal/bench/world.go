@@ -96,15 +96,6 @@ func (w *world) stop() {
 	w.ctrl.Stop()
 }
 
-// openWindow starts the throughput count and clears the latency histogram:
-// the measurement window begins now.
-func (w *world) openWindow() time.Duration {
-	now := w.clk.Now()
-	w.r.Throughput.Start(now)
-	w.r.Latency.Reset()
-	return now
-}
-
 // ingestBus feeds the region one 2 KB "count" tuple per period from the BCP
 // bus workload; src names the source operator of the n-th tuple (n from 1).
 // The counter is the number ingested so far.

@@ -22,25 +22,21 @@ type Config struct {
 	// BlockSize is the UDP block payload size (paper: 1 KB; large UDP
 	// datagrams fragment and die on lossy media).
 	BlockSize int
-	// MaxUDPPhases bounds the UDP stage as a safety net; the cost/gain
-	// rule normally terminates it first.
-	MaxUDPPhases int
-	// QueryBytes is the size of a bitmap query message.
-	QueryBytes int
 	// QueryTimeout bounds how long the sender waits for one bitmap
 	// response before writing the peer off (simulated time).
 	QueryTimeout time.Duration
 }
 
+// maxUDPPhases bounds the UDP stage as a safety net; the cost/gain rule
+// normally terminates it first.
+const maxUDPPhases = 16
+
+// queryBytes is the size of a bitmap query message.
+const queryBytes = 64
+
 func (c *Config) applyDefaults() {
 	if c.BlockSize <= 0 {
 		c.BlockSize = 1024
-	}
-	if c.MaxUDPPhases <= 0 {
-		c.MaxUDPPhases = 16
-	}
-	if c.QueryBytes <= 0 {
-		c.QueryBytes = 64
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 30 * time.Second
@@ -168,7 +164,7 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 	// data-batch unicasts instead of monopolising the medium.
 	grams := make([]simnet.Datagram, 0, total)
 
-	for phase := 1; phase <= cfg.MaxUDPPhases && len(toSend) > 0 && len(reachable) > 0; phase++ {
+	for phase := 1; phase <= maxUDPPhases && len(toSend) > 0 && len(reachable) > 0; phase++ {
 		st.UDPPhases = phase
 		grams = grams[:len(toSend)]
 		sent := int64(0)
@@ -238,7 +234,7 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 }
 
 func queryBitmap(m Medium, w Waiter, from, peer simnet.NodeID, blob *checkpoint.Blob, total int, cfg Config) ([]bool, int, error) {
-	reply, err := m.Request(from, peer, simnet.ClassBitmap, cfg.QueryBytes, QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total})
+	reply, err := m.Request(from, peer, simnet.ClassBitmap, queryBytes, QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -27,9 +27,6 @@ type Config struct {
 	CheckpointPeriod time.Duration
 	PingInterval     time.Duration
 	PingTimeout      time.Duration
-	// CodeBytes is the operator code size shipped to a phone at
-	// placement and recovery time.
-	CodeBytes int
 	// DebounceWindow batches burst failure reports into one recovery.
 	DebounceWindow time.Duration
 	// Planner, when non-nil, enables adaptive placement: every
@@ -52,6 +49,10 @@ type Config struct {
 	Logf           func(string, ...interface{})
 }
 
+// codeBytes is the operator code size shipped to a phone at placement and
+// recovery time.
+const codeBytes = 256 << 10
+
 func (c *Config) applyDefaults() {
 	if c.ID == "" {
 		c.ID = "controller"
@@ -64,9 +65,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.PingTimeout <= 0 {
 		c.PingTimeout = 10 * time.Second
-	}
-	if c.CodeBytes <= 0 {
-		c.CodeBytes = 256 << 10
 	}
 	if c.DebounceWindow <= 0 {
 		c.DebounceWindow = 2 * time.Second
@@ -298,7 +296,7 @@ func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Du
 
 // shipCode models transferring operator code to a phone (§III-A).
 func (c *Controller) shipCode(to simnet.NodeID) {
-	c.cfg.Cell.Send(c.cfg.ID, to, simnet.ClassCode, c.cfg.CodeBytes, nil)
+	c.cfg.Cell.Send(c.cfg.ID, to, simnet.ClassCode, codeBytes, nil)
 }
 
 // TriggerCheckpoint starts one checkpoint round immediately and returns its

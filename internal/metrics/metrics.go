@@ -1,276 +1,15 @@
-// Package metrics collects the quantities the paper reports: per-region
-// throughput (output tuples per second at steady state), end-to-end tuple
-// latency, and byte accounting for preservation and checkpoint traffic.
+// Package metrics holds the row the paper's tables and figures are read
+// from — per-region throughput, end-to-end latency, and byte accounting for
+// preservation and checkpoint traffic — and the allocation meter the scale
+// experiments report. The numbers themselves live in the region's
+// obs.Registry; Report is the view region.Report and
+// server.Deployment.Report fill from it.
 package metrics
 
-import (
-	"sync"
-	"time"
+import "time"
 
-	"mobistreams/internal/obs"
-)
-
-// Latency accumulates latency samples and summarises them. It is backed
-// by a fixed-size log-linear histogram (obs.Histogram), so memory stays
-// constant however long the run: the old implementation appended every
-// sample forever and re-sorted a full copy on each Percentile call.
-// Count, Mean, and Max are exact; Percentile returns the upper edge of
-// the bucket holding the requested rank (within 6.25% of the true value,
-// monotone in p, clamped so Percentile(100) == Max).
-type Latency struct {
-	h obs.Histogram
-}
-
-// Add records one sample. Lock-free and allocation-free.
-func (l *Latency) Add(d time.Duration) {
-	l.h.Observe(int64(d))
-}
-
-// Count reports the number of samples.
-func (l *Latency) Count() int {
-	return int(l.h.Count())
-}
-
-// Mean reports the mean latency, or 0 with no samples. Exact: the
-// histogram keeps the running sum alongside the bucket counts.
-func (l *Latency) Mean() time.Duration {
-	n := l.h.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(l.h.Sum() / n)
-}
-
-// Percentile reports an upper bound on the p-th percentile
-// (0 < p <= 100), or 0 with no samples. The bound is at most 1/16 above
-// the true sample and never exceeds Max.
-func (l *Latency) Percentile(p float64) time.Duration {
-	return time.Duration(l.h.Percentile(p))
-}
-
-// Max reports the largest sample, exactly.
-func (l *Latency) Max() time.Duration {
-	return time.Duration(l.h.Max())
-}
-
-// Reset drops all samples.
-func (l *Latency) Reset() {
-	l.h.Reset()
-}
-
-// Hist exposes the backing histogram (for export and merging).
-func (l *Latency) Hist() *obs.Histogram { return &l.h }
-
-// Throughput counts output tuples over a measurement window of simulated
-// time.
-type Throughput struct {
-	mu    sync.Mutex
-	count int64
-	start time.Duration
-	last  time.Duration
-}
-
-// Start (re)opens the measurement window at simulated time now.
-func (t *Throughput) Start(now time.Duration) {
-	t.mu.Lock()
-	t.count = 0
-	t.start = now
-	t.last = now
-	t.mu.Unlock()
-}
-
-// Tick records one output tuple at simulated time now.
-func (t *Throughput) Tick(now time.Duration) {
-	t.mu.Lock()
-	t.count++
-	if now > t.last {
-		t.last = now
-	}
-	t.mu.Unlock()
-}
-
-// Count reports tuples since Start.
-func (t *Throughput) Count() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
-}
-
-// PerSecond reports tuples per simulated second over [start, now].
-func (t *Throughput) PerSecond(now time.Duration) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	window := now - t.start
-	if window <= 0 {
-		return 0
-	}
-	return float64(t.count) / window.Seconds()
-}
-
-// BatchSizes tracks edge-batching effectiveness: how many stream messages
-// each flushed network batch carried. It is safe for concurrent use.
-type BatchSizes struct {
-	mu      sync.Mutex
-	flushes int64
-	msgs    int64
-	max     int
-}
-
-// Observe records one flushed batch of n messages.
-func (b *BatchSizes) Observe(n int) {
-	b.mu.Lock()
-	b.flushes++
-	b.msgs += int64(n)
-	if n > b.max {
-		b.max = n
-	}
-	b.mu.Unlock()
-}
-
-// Flushes reports how many batches were sent.
-func (b *BatchSizes) Flushes() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.flushes
-}
-
-// Msgs reports the total messages carried across all batches.
-func (b *BatchSizes) Msgs() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.msgs
-}
-
-// Mean reports the mean batch size, or 0 before the first flush.
-func (b *BatchSizes) Mean() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.flushes == 0 {
-		return 0
-	}
-	return float64(b.msgs) / float64(b.flushes)
-}
-
-// Max reports the largest batch sent.
-func (b *BatchSizes) Max() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.max
-}
-
-// Reset zeroes the accumulator.
-func (b *BatchSizes) Reset() {
-	b.mu.Lock()
-	b.flushes, b.msgs, b.max = 0, 0, 0
-	b.mu.Unlock()
-}
-
-// CheckpointStats accumulates the checkpoint pipeline's cost metrics: the
-// executor's stop-the-world pause per checkpoint, the bytes that actually
-// travelled (delta blobs shrink these), and the modelled full-state bytes
-// they stand for. It is safe for concurrent use (one writer per node, read
-// by the region report).
-type CheckpointStats struct {
-	mu         sync.Mutex
-	pauses     []time.Duration
-	blobBytes  int64
-	fullBytes  int64
-	deltaBlobs int64
-	fullBlobs  int64
-}
-
-// Observe records one checkpoint: the executor pause it cost, the bytes the
-// blob put on flash/network, the full-state bytes it represents, and
-// whether it travelled as a delta.
-func (c *CheckpointStats) Observe(pause time.Duration, blobBytes, fullBytes int, delta bool) {
-	c.mu.Lock()
-	c.pauses = append(c.pauses, pause)
-	c.blobBytes += int64(blobBytes)
-	c.fullBytes += int64(fullBytes)
-	if delta {
-		c.deltaBlobs++
-	} else {
-		c.fullBlobs++
-	}
-	c.mu.Unlock()
-}
-
-// Count reports how many checkpoints were observed.
-func (c *CheckpointStats) Count() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deltaBlobs + c.fullBlobs
-}
-
-// DeltaBlobs and FullBlobs report the blob-kind split.
-func (c *CheckpointStats) DeltaBlobs() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.deltaBlobs
-}
-
-// FullBlobs reports how many checkpoints travelled as full base blobs.
-func (c *CheckpointStats) FullBlobs() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fullBlobs
-}
-
-// PauseMean reports the mean stop-the-world pause, or 0 with no samples.
-func (c *CheckpointStats) PauseMean() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.pauses) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, p := range c.pauses {
-		sum += p
-	}
-	return sum / time.Duration(len(c.pauses))
-}
-
-// PauseMax reports the largest stop-the-world pause.
-func (c *CheckpointStats) PauseMax() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var m time.Duration
-	for _, p := range c.pauses {
-		if p > m {
-			m = p
-		}
-	}
-	return m
-}
-
-// Bytes reports travelled blob bytes and the modelled full-state bytes they
-// stand for.
-func (c *CheckpointStats) Bytes() (blob, full int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.blobBytes, c.fullBytes
-}
-
-// DeltaRatio reports travelled bytes over full-state bytes: 1.0 means every
-// checkpoint shipped its whole state, lower is the incremental saving.
-func (c *CheckpointStats) DeltaRatio() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.fullBytes == 0 {
-		return 0
-	}
-	return float64(c.blobBytes) / float64(c.fullBytes)
-}
-
-// Reset zeroes the accumulator.
-func (c *CheckpointStats) Reset() {
-	c.mu.Lock()
-	c.pauses = c.pauses[:0]
-	c.blobBytes, c.fullBytes, c.deltaBlobs, c.fullBlobs = 0, 0, 0, 0
-	c.mu.Unlock()
-}
-
-// Report is the summary of one experiment run.
+// Report is the summary of one run's measurement window, read from the
+// registry families and the medium's byte counters when the row is built.
 type Report struct {
 	Scheme         string
 	App            string
@@ -284,7 +23,6 @@ type Report struct {
 	ReplicationNet int64 // duplicated-tuple bytes on the network
 	PreservedBytes int64 // source + edge preservation bytes stored
 	InboxDrops     int64 // UDP-semantics deliveries lost to full endpoint inboxes
-	Recovered      bool  // whether the run survived its fault injection
 
 	// Transport-socket health: re-established connections and dead-conn
 	// events. Always 0 on the simulated backend (nothing to redial).

@@ -7,7 +7,7 @@ import (
 
 	"mobistreams/internal/clock"
 	"mobistreams/internal/ft"
-	"mobistreams/internal/metrics"
+	"mobistreams/internal/obs"
 	"mobistreams/internal/phone"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -170,7 +170,7 @@ func TestBatcherDiscardAll(t *testing.T) {
 }
 
 func TestBatcherObservesStats(t *testing.T) {
-	var stats metrics.BatchSizes
+	reg := obs.NewRegistry()
 	clk := clock.NewScaled(1e6)
 	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 1e12})
 	tx, rx := simnet.NewEndpoint("tx", 64), simnet.NewEndpoint("rx", 64)
@@ -179,14 +179,15 @@ func TestBatcherObservesStats(t *testing.T) {
 	n := New(Config{
 		Phone: phone.New("tx", phone.Config{}), Scheme: ft.BaseScheme, Clock: clk,
 		WiFi: w, Endpoint: tx, Resolver: mapResolver{"down": "rx"},
-		QoS: QoS{MaxBatchMsgs: 4}, BatchStats: &stats,
+		QoS: QoS{MaxBatchMsgs: 4}, Obs: reg,
 	})
 	for seq := uint64(1); seq <= 8; seq++ {
 		n.batch.add("down", streamMsg(seq))
 	}
-	if stats.Flushes() != 2 || stats.Msgs() != 8 || stats.Mean() != 4 || stats.Max() != 4 {
-		t.Fatalf("stats = %d flushes / %d msgs / %.1f mean / %d max",
-			stats.Flushes(), stats.Msgs(), stats.Mean(), stats.Max())
+	sizes := reg.Hist(obs.BatchMsgs, "")
+	if sizes.Count() != 2 || sizes.Sum() != 8 || sizes.Mean() != 4 || sizes.Max() != 4 {
+		t.Fatalf("batch family = %d flushes / %d msgs / %.1f mean / %d max",
+			sizes.Count(), sizes.Sum(), sizes.Mean(), sizes.Max())
 	}
 	_ = rx
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mobistreams/internal/checkpoint"
+	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/wire"
@@ -24,32 +25,38 @@ type CheckpointConfig struct {
 	// FullOnly disables delta chains and moves the flash write into the
 	// executor's critical section (synchronous full-blob checkpointing).
 	FullOnly bool
-	// RebaseEvery bounds the delta chain: every RebaseEvery-th checkpoint
-	// is a self-contained full base blob (default 4), so restore replays
-	// at most RebaseEvery links and a lost base dooms at most that many
-	// versions.
-	RebaseEvery int
-	// MemCopyBps models the in-memory copy bandwidth of the short
-	// stop-the-world window (default 400 MB/s — DRAM-speed serialisation
-	// versus the ~10 MB/s flash the synchronous path stalls on).
-	MemCopyBps float64
 }
 
-func (c CheckpointConfig) rebaseEvery() int {
-	if c.RebaseEvery > 0 {
-		return c.RebaseEvery
-	}
-	return 4
-}
+// rebaseEvery bounds the delta chain: every rebaseEvery-th checkpoint is a
+// self-contained full base blob, so restore replays at most rebaseEvery
+// links and a lost base dooms at most that many versions.
+const rebaseEvery = 4
+
+// memCopyBps models the in-memory copy bandwidth of the short
+// stop-the-world window: DRAM-speed serialisation (400 MB/s) versus the
+// ~10 MB/s flash the synchronous path stalls on.
+const memCopyBps = 400e6
 
 // copyTime is the modelled executor pause for copying n state bytes out of
 // the operators at the tuple boundary.
-func (c CheckpointConfig) copyTime(n int) time.Duration {
-	bps := c.MemCopyBps
-	if bps <= 0 {
-		bps = 400e6
+func copyTime(n int) time.Duration {
+	return time.Duration(float64(n) / memCopyBps * float64(time.Second))
+}
+
+// observeCheckpoint records one checkpoint into the region's checkpoint
+// families: the executor pause it cost, the bytes its blob put on flash and
+// network (by blob kind), and the full-state bytes it stands for.
+func (n *Node) observeCheckpoint(pause time.Duration, blob *checkpoint.Blob) {
+	if n.obsReg == nil {
+		return
 	}
-	return time.Duration(float64(n) / bps * float64(time.Second))
+	kind := obs.CkptFullBlob
+	if blob.IsDelta() {
+		kind = obs.CkptDeltaBlob
+	}
+	n.obsReg.Hist(obs.CkptPause, blob.Slot).Observe(int64(pause))
+	n.obsReg.Hist(kind, blob.Slot).Observe(int64(blob.Size))
+	n.obsReg.Hist(obs.CkptState, blob.Slot).Observe(int64(blob.FullSize))
 }
 
 // snapshotParts collects everything a checkpoint needs: the slot, the
@@ -103,7 +110,7 @@ func (n *Node) buildCheckpoint(v uint64) (*checkpoint.Blob, error) {
 	}
 	ck := n.cfg.Checkpoint
 	var blob *checkpoint.Blob
-	if !ck.FullOnly && base != 0 && chainLen < ck.rebaseEvery()-1 {
+	if !ck.FullOnly && base != 0 && chainLen < rebaseEvery-1 {
 		blob, err = checkpoint.BuildDeltaBlob(slot, v, base, ops, extra)
 	} else {
 		blob, err = checkpoint.BuildBlob(slot, v, ops, extra)

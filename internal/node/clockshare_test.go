@@ -68,8 +68,8 @@ func startedObsNode(t *testing.T) (n *Node, clk *countingClock, reg *obs.Registr
 // a reading does not survive the executor going idle.
 func TestClockSharingKeepsEveryObservation(t *testing.T) {
 	n, clk, reg, outs := startedObsNode(t)
-	wait := reg.EdgeWait(externalSlot + "->s1")
-	srcLat, outLat := reg.OpLatency("src"), reg.OpLatency("out")
+	wait := reg.Hist(obs.EdgeWait, externalSlot+"->s1")
+	srcLat, outLat := reg.Hist(obs.OpLatency, "src"), reg.Hist(obs.OpLatency, "out")
 	ingest := func(seq uint64) {
 		n.IngestExternal("src", &tuple.Tuple{Seq: seq, Source: "src", Created: clk.Manual.Now()})
 	}

@@ -28,7 +28,6 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/keyed"
-	"mobistreams/internal/metrics"
 	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
@@ -101,19 +100,15 @@ type Config struct {
 	// budget driving adaptive flush deadlines, and the bounds on
 	// edge-level tuple batching on the emission hot path.
 	QoS QoS
-	// BatchStats, when non-nil, accumulates per-flush batch sizes.
-	BatchStats *metrics.BatchSizes
 	// Checkpoint configures the snapshot pipeline (incremental-async by
 	// default; FullOnly restores synchronous full-blob checkpointing).
 	Checkpoint CheckpointConfig
-	// CkptStats, when non-nil, accumulates checkpoint pause and blob-size
-	// observations.
-	CkptStats *metrics.CheckpointStats
 	// Obs, when non-nil, wires the node into the region's observability
 	// registry: per-operator latency and per-edge wait/depth histograms
 	// (resolved into the compiled pipeline — the hot path holds plain
-	// pointers), the tuple tracer, and the lifecycle journal. Nil keeps
-	// every instrumentation site a single nil check.
+	// pointers), batch sizes per flush, checkpoint pause and blob bytes,
+	// the tuple tracer, and the lifecycle journal. Nil keeps every
+	// instrumentation site a single nil check.
 	Obs *obs.Registry
 	// OnSinkOutput receives externally published results.
 	OnSinkOutput func(*tuple.Tuple)
@@ -392,15 +387,17 @@ type Node struct {
 	// landed before flipping the partition table.
 	keyRangeGen atomic.Uint64
 
-	// obsReg/tracer/journal mirror cfg.Obs (all nil when obs is off).
+	// obsReg/tracer/journal mirror cfg.Obs and batchSizes is its batch
+	// family (all nil when obs is off).
 	// curTrace is the trace context of the tuple the executor is
 	// currently processing — executor-owned ambient state, so the
 	// compiled emit path picks it up without threading a parameter
 	// through the operator contract. Zero between tuples.
-	obsReg   *obs.Registry
-	tracer   *obs.Tracer
-	journal  *obs.Journal
-	curTrace obs.SpanCtx
+	obsReg     *obs.Registry
+	tracer     *obs.Tracer
+	journal    *obs.Journal
+	batchSizes *obs.Histogram
+	curTrace   obs.SpanCtx
 
 	// curReady is the enqueue time of the tuple the executor is currently
 	// processing — ambient like curTrace, consumed by runOp to anchor CPU
@@ -465,6 +462,7 @@ func New(cfg Config) *Node {
 		n.obsReg = cfg.Obs
 		n.tracer = cfg.Obs.Tracer
 		n.journal = cfg.Obs.Journal
+		n.batchSizes = cfg.Obs.Hist(obs.BatchMsgs, "")
 	}
 	if er, ok := cfg.Resolver.(EpochResolver); ok {
 		n.epochRes = er
@@ -507,9 +505,7 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 		if up != externalSlot && up != rerouteSlot {
 			q = newStreamQueue(ordered)
 		}
-		if n.cfg.Obs != nil {
-			q.depth = n.cfg.Obs.EdgeDepth(up + "->" + slot)
-		}
+		q.depth = n.obsReg.Hist(obs.EdgeDepth, up+"->"+slot)
 		n.queues[up] = q
 		n.qOrder = append(n.qOrder, up)
 		n.qList = append(n.qList, q)
@@ -525,7 +521,7 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 		}
 	}
 	n.align = checkpoint.NewAlignment(n.alignUpstreams)
-	n.batch.setBudget(n.slotBudgetShare(slot), n.cfg.QoS.minFlush())
+	n.batch.setBudget(n.slotBudgetShare(slot), minFlush)
 	n.pipe.Store(p)
 }
 
@@ -1344,8 +1340,8 @@ func (n *Node) sendBatch(toSlot string, msgs []StreamMsg, bytes int, class simne
 	if len(msgs) == 0 {
 		return
 	}
-	if n.cfg.BatchStats != nil {
-		n.cfg.BatchStats.Observe(len(msgs))
+	if n.batchSizes != nil {
+		n.batchSizes.Observe(int64(len(msgs)))
 	}
 	// Traced messages record their batch-flush/network-send span here —
 	// the delta from their emit span is the batch wait. Gated on active
@@ -1584,15 +1580,13 @@ func (n *Node) doTokenCheckpoint(v uint64) {
 		n.logf("%s: checkpoint v%d: %v", n.id, v, err)
 		return
 	}
-	n.clk.Sleep(n.cfg.Checkpoint.copyTime(blob.FullSize))
+	n.clk.Sleep(copyTime(blob.FullSize))
 	if n.cfg.Checkpoint.FullOnly {
 		n.clk.Sleep(n.cfg.Phone.FlashWriteTime(blob.Size))
 	}
 	n.cfg.Store.PutBlob(blob)
 	n.jot("ckpt.seal", v, blob.Slot)
-	if n.cfg.CkptStats != nil {
-		n.cfg.CkptStats.Observe(n.clk.Now()-start, blob.Size, blob.FullSize, blob.IsDelta())
-	}
+	n.observeCheckpoint(n.clk.Now()-start, blob)
 	n.report(Report{Type: RepCheckpointed, Phone: n.id, Slot: blob.Slot, Version: v})
 	select {
 	case n.persistCh <- blob:
@@ -1632,11 +1626,9 @@ func (n *Node) doPeriodicSnapshot(v uint64) {
 			}
 		}
 	}
-	if n.cfg.CkptStats != nil {
-		// The classic schemes stall the executor through the flash write
-		// and the peer shipping — their whole checkpoint is the pause.
-		n.cfg.CkptStats.Observe(n.clk.Now()-start, blob.Size, blob.FullSize, false)
-	}
+	// The classic schemes stall the executor through the flash write and
+	// the peer shipping — their whole checkpoint is the pause.
+	n.observeCheckpoint(n.clk.Now()-start, blob)
 	n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: v, Replicas: replicas})
 }
 

@@ -260,16 +260,12 @@ func (n *Node) compilePipeline(slot string, opIDs []string, ops []operator.Opera
 	p.outSeq = make([]uint64, len(p.downs))
 	p.inHW = make([]uint64, len(p.upstreams))
 	p.edgeWait = make([]*obs.Histogram, len(p.upstreams))
-	if n.cfg.Obs != nil {
-		for i, up := range p.upstreams {
-			p.edgeWait[i] = n.cfg.Obs.EdgeWait(up + "->" + slot)
-		}
+	for i, up := range p.upstreams {
+		p.edgeWait[i] = n.obsReg.Hist(obs.EdgeWait, up+"->"+slot)
 	}
 	for i := range p.ops {
 		c := &p.ops[i]
-		if n.cfg.Obs != nil {
-			c.lat = n.cfg.Obs.OpLatency(c.id)
-		}
+		c.lat = n.obsReg.Hist(obs.OpLatency, c.id)
 		c.proc = operator.Proc(c.op)
 		if c.proc == nil {
 			panic("node: operator " + c.id + " implements neither processing contract")

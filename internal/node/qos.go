@@ -27,19 +27,14 @@ type QoS struct {
 	// 64 KB, one WiFi airtime chunk, so a batch never monopolises the
 	// medium against interleaving checkpoint traffic).
 	MaxBatchBytes int
-	// MinFlush floors the adaptive flush deadline (default 1ms).
-	MinFlush time.Duration
 	// DisableBatching sends every message individually (the pre-batching
 	// path).
 	DisableBatching bool
 }
 
-func (q QoS) minFlush() time.Duration {
-	if q.MinFlush > 0 {
-		return q.MinFlush
-	}
-	return time.Millisecond
-}
+// minFlush floors the adaptive flush deadline: however empty a slot's
+// latency-triggered flushes go out, its deadline never shrinks below it.
+const minFlush = time.Millisecond
 
 // slotHops is the longest chain of cross-slot edges from slot to a sink
 // slot — the number of batching hops an emission from this slot may wait

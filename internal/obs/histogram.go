@@ -144,7 +144,7 @@ func (h *Histogram) Merge(o *Histogram) {
 }
 
 // Reset zeroes the histogram. Not atomic with respect to concurrent
-// observers; intended for quiesced collectors (mirrors metrics.Latency).
+// observers; intended for quiesced collectors.
 func (h *Histogram) Reset() {
 	for i := 0; i < numBuckets; i++ {
 		atomic.StoreUint64(&h.counts[i], 0)

@@ -58,19 +58,21 @@ func promLabel(s string) string {
 	return strings.ReplaceAll(s, `"`, `_`)
 }
 
-func writeHistFamily(w http.ResponseWriter, family, label string, views []HistogramView) {
-	if len(views) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE %s summary\n", family)
+func writeHistFamily(w http.ResponseWriter, f Family, views []HistogramView) {
+	fmt.Fprintf(w, "# TYPE %s summary\n", f.Name)
 	for _, v := range views {
-		name := promLabel(v.Name)
-		fmt.Fprintf(w, "%s_count{%s=%q} %d\n", family, label, name, v.Hist.Count())
-		fmt.Fprintf(w, "%s_sum{%s=%q} %d\n", family, label, name, v.Hist.Sum())
-		fmt.Fprintf(w, "%s_max{%s=%q} %d\n", family, label, name, v.Hist.Max())
+		// An unlabelled family's series carry no label set, and its
+		// quantile lines only the quantile label.
+		set, qset := "", "{"
+		if f.Label != "" {
+			l := fmt.Sprintf("%s=%q", f.Label, promLabel(v.Name))
+			set, qset = "{"+l+"}", "{"+l+","
+		}
+		fmt.Fprintf(w, "%s_count%s %d\n", f.Name, set, v.Hist.Count())
+		fmt.Fprintf(w, "%s_sum%s %d\n", f.Name, set, v.Hist.Sum())
+		fmt.Fprintf(w, "%s_max%s %d\n", f.Name, set, v.Hist.Max())
 		for _, q := range ExportQuantiles {
-			fmt.Fprintf(w, "%s{%s=%q,quantile=\"%g\"} %d\n",
-				family, label, name, q/100, v.Hist.Percentile(q))
+			fmt.Fprintf(w, "%s%squantile=\"%g\"} %d\n", f.Name, qset, q/100, v.Hist.Percentile(q))
 		}
 	}
 }
@@ -79,9 +81,9 @@ func writeProm(w http.ResponseWriter, reg *Registry, extra func() map[string]flo
 	fmt.Fprintln(w, "# TYPE ms_up gauge")
 	fmt.Fprintln(w, "ms_up 1")
 	if reg != nil {
-		writeHistFamily(w, "ms_op_latency_ns", "op", reg.Ops())
-		writeHistFamily(w, "ms_edge_wait_ns", "edge", reg.Waits())
-		writeHistFamily(w, "ms_edge_depth", "edge", reg.Depths())
+		for _, f := range reg.Families() {
+			writeHistFamily(w, f, reg.View(f))
+		}
 		fmt.Fprintln(w, "# TYPE ms_trace_spans gauge")
 		fmt.Fprintf(w, "ms_trace_spans %d\n", len(reg.Tracer.Spans()))
 		fmt.Fprintf(w, "ms_trace_span_drops %d\n", reg.Tracer.Drops())

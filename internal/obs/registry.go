@@ -5,19 +5,51 @@ import (
 	"sync"
 )
 
-// Registry owns a region's observability state: per-operator Process
-// latency histograms, per-edge queue-wait and queue-depth histograms,
-// the tuple tracer, and the lifecycle journal. Histogram lookups happen
-// at pipeline compile time only; the compiled hot path holds resolved
-// *Histogram pointers and never touches the registry maps.
+// Family names one histogram family: its exported metric name and the
+// label its members are keyed by. An unlabelled family ("" label) holds one
+// histogram, under the empty key.
+type Family struct {
+	Name, Label string
+}
+
+// The families the runtime records into. A registry serves one region, so
+// region-wide families need no region label.
+var (
+	// OpLatency is every operator Process call, ns.
+	OpLatency = Family{"ms_op_latency_ns", "op"}
+	// EdgeWait is every dequeued tuple's queue wait, ns.
+	EdgeWait = Family{"ms_edge_wait_ns", "edge"}
+	// EdgeDepth is the receiving queue's depth once per delivery, items.
+	EdgeDepth = Family{"ms_edge_depth", "edge"}
+	// SinkLatency is the end-to-end latency of every deduplicated sink
+	// result, ingest to publication, ns. Its count is the region's output
+	// count since the measurement window opened.
+	SinkLatency = Family{"ms_sink_latency_ns", ""}
+	// BatchMsgs is the number of stream messages per flushed network batch.
+	BatchMsgs = Family{"ms_batch_msgs", ""}
+	// CkptPause is the executor's stop-the-world pause per checkpoint, ns.
+	CkptPause = Family{"ms_ckpt_pause_ns", "slot"}
+	// CkptDeltaBlob and CkptFullBlob are the bytes each checkpoint blob put
+	// on flash and network, split by whether it travelled as a delta link or
+	// a full base blob.
+	CkptDeltaBlob = Family{"ms_ckpt_delta_blob_bytes", "slot"}
+	CkptFullBlob  = Family{"ms_ckpt_full_blob_bytes", "slot"}
+	// CkptState is the full-state bytes each checkpoint stands for (a delta
+	// link's full size is its base's plus the patch).
+	CkptState = Family{"ms_ckpt_state_bytes", "slot"}
+)
+
+// Registry owns a region's observability state: the histogram families
+// above, the tuple tracer, and the lifecycle journal. Histogram lookups
+// happen at pipeline compile time or per rare event (a checkpoint); the
+// compiled hot path holds resolved *Histogram pointers and never touches
+// the registry map.
 type Registry struct {
 	Tracer  *Tracer
 	Journal *Journal
 
-	mu     sync.Mutex
-	ops    map[string]*Histogram // operator Process latency, ns
-	waits  map[string]*Histogram // edge queue wait, ns
-	depths map[string]*Histogram // edge queue depth at enqueue, items
+	mu    sync.Mutex
+	hists map[Family]map[string]*Histogram
 }
 
 // NewRegistry returns a registry with tracing off and an empty journal.
@@ -25,15 +57,24 @@ func NewRegistry() *Registry {
 	return &Registry{
 		Tracer:  NewTracer(0),
 		Journal: NewJournal(0),
-		ops:     make(map[string]*Histogram),
-		waits:   make(map[string]*Histogram),
-		depths:  make(map[string]*Histogram),
+		hists:   make(map[Family]map[string]*Histogram),
 	}
 }
 
-func (r *Registry) get(m map[string]*Histogram, key string) *Histogram {
+// Hist returns (creating on first use) the histogram keyed key in family f.
+// Nil-safe: a nil registry yields a nil histogram, which the instrumented
+// sites treat as "not instrumented".
+func (r *Registry) Hist(f Family, key string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	m := r.hists[f]
+	if m == nil {
+		m = make(map[string]*Histogram)
+		r.hists[f] = m
+	}
 	h := m[key]
 	if h == nil {
 		h = &Histogram{}
@@ -42,73 +83,65 @@ func (r *Registry) get(m map[string]*Histogram, key string) *Histogram {
 	return h
 }
 
-// OpLatency returns (creating on first use) the Process-latency histogram
-// for an operator. Nil-safe: a nil registry yields a nil histogram, which
-// the compiled pipeline treats as "not instrumented".
-func (r *Registry) OpLatency(op string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.get(r.ops, op)
-}
-
-// EdgeWait returns the queue-wait histogram for an edge ("from->to").
-func (r *Registry) EdgeWait(edge string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.get(r.waits, edge)
-}
-
-// EdgeDepth returns the queue-depth histogram for an edge.
-func (r *Registry) EdgeDepth(edge string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.get(r.depths, edge)
-}
-
 // HistogramView is one named histogram in a registry snapshot.
 type HistogramView struct {
 	Name string
 	Hist *Histogram
 }
 
-func viewOf(m map[string]*Histogram) []HistogramView {
-	out := make([]HistogramView, 0, len(m))
-	for k, h := range m {
+// View returns a family's histograms in key order.
+func (r *Registry) View(f Family) []HistogramView {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]HistogramView, 0, len(r.hists[f]))
+	for k, h := range r.hists[f] {
 		out = append(out, HistogramView{Name: k, Hist: h})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// Ops returns the operator histograms in name order.
-func (r *Registry) Ops() []HistogramView {
-	if r == nil {
-		return nil
+// Merged returns one histogram holding every sample of a family — exactly
+// what observing them all into one histogram would hold (see Merge).
+func (r *Registry) Merged(f Family) *Histogram {
+	var h Histogram
+	for _, v := range r.View(f) {
+		h.Merge(v.Hist)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return viewOf(r.ops)
+	return &h
 }
 
-// Waits returns the edge queue-wait histograms in name order.
-func (r *Registry) Waits() []HistogramView {
-	if r == nil {
-		return nil
+// Reset empties every histogram of the given families (see Histogram.Reset
+// for what that means under concurrent observers).
+func (r *Registry) Reset(fs ...Family) {
+	for _, f := range fs {
+		for _, v := range r.View(f) {
+			v.Hist.Reset()
+		}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return viewOf(r.waits)
 }
 
-// Depths returns the edge queue-depth histograms in name order.
-func (r *Registry) Depths() []HistogramView {
+// Families returns the families holding at least one histogram, in name
+// order — what /metrics exports.
+func (r *Registry) Families() []Family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return viewOf(r.depths)
+	out := make([]Family, 0, len(r.hists))
+	for f := range r.hists {
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
+
+// Ops, Waits and Depths return the operator-latency, edge-wait and
+// edge-depth histograms in name order.
+func (r *Registry) Ops() []HistogramView    { return r.View(OpLatency) }
+func (r *Registry) Waits() []HistogramView  { return r.View(EdgeWait) }
+func (r *Registry) Depths() []HistogramView { return r.View(EdgeDepth) }

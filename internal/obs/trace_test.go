@@ -140,19 +140,31 @@ func TestJournalRingAndJSONL(t *testing.T) {
 
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
-	if r.OpLatency("x") != nil || r.EdgeWait("e") != nil || r.EdgeDepth("e") != nil {
+	if r.Hist(OpLatency, "x") != nil || r.Hist(SinkLatency, "") != nil {
 		t.Fatal("nil registry must yield nil histograms")
 	}
-	if r.Ops() != nil || r.Waits() != nil || r.Depths() != nil {
+	if r.Ops() != nil || r.Waits() != nil || r.Depths() != nil || r.Families() != nil {
 		t.Fatal("nil registry views must be nil")
 	}
+	if r.Merged(CkptPause).Count() != 0 {
+		t.Fatal("nil registry must merge to an empty histogram")
+	}
+	r.Reset(SinkLatency) // no-op, no panic
 }
 
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.OpLatency("agg").Observe(1500)
-	reg.EdgeWait("s0->s1").Observe(250)
-	reg.EdgeDepth("s0->s1").Observe(3)
+	reg.Hist(OpLatency, "agg").Observe(1500)
+	reg.Hist(EdgeWait, "s0->s1").Observe(250)
+	reg.Hist(EdgeDepth, "s0->s1").Observe(3)
+	reg.Hist(SinkLatency, "").Observe(4000)
+	reg.Hist(BatchMsgs, "").Observe(6)
+	reg.Hist(BatchMsgs, "").Observe(10)
+	reg.Hist(CkptPause, "n2").Observe(7000)
+	reg.Hist(CkptPause, "n3").Observe(9000)
+	reg.Hist(CkptDeltaBlob, "n2").Observe(512)
+	reg.Hist(CkptFullBlob, "n3").Observe(4096)
+	reg.Hist(CkptState, "n2").Observe(4096)
 	reg.Journal.Emit(Event{Kind: "ckpt.seal", Version: 1})
 	reg.Tracer.SetSampleEvery(1)
 	tc, _ := reg.Tracer.Sample(0)
@@ -186,6 +198,20 @@ func TestHandlerEndpoints(t *testing.T) {
 		`ms_op_latency_ns_count{op="agg"} 1`,
 		`ms_edge_wait_ns_count{edge="s0->s1"} 1`,
 		`ms_edge_depth_max{edge="s0->s1"} 3`,
+		// Region-wide families are unlabelled: one series each.
+		"# TYPE ms_sink_latency_ns summary",
+		"ms_sink_latency_ns_count 1",
+		`ms_sink_latency_ns{quantile="0.5"} 4000`,
+		"ms_batch_msgs_count 2",
+		"ms_batch_msgs_sum 16",
+		"ms_batch_msgs_max 10",
+		// Checkpoint families are per slot.
+		`ms_ckpt_pause_ns_count{slot="n2"} 1`,
+		`ms_ckpt_pause_ns_max{slot="n3"} 9000`,
+		`ms_ckpt_pause_ns{slot="n3",quantile="0.99"} 9000`,
+		`ms_ckpt_delta_blob_bytes_sum{slot="n2"} 512`,
+		`ms_ckpt_full_blob_bytes_sum{slot="n3"} 4096`,
+		`ms_ckpt_state_bytes_count{slot="n2"} 1`,
 		"ms_trace_spans 1",
 		"ms_journal_events_total 1",
 		"ms_socket_redials_total 2",

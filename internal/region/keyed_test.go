@@ -128,12 +128,12 @@ func (h *keyedHarness) waitCount(t testing.TB, want int64, wall time.Duration) i
 	t.Helper()
 	deadline := time.Now().Add(wall)
 	for time.Now().Before(deadline) {
-		if got := h.r.Throughput.Count(); got >= want {
+		if got := int64(h.r.Outputs()); got >= want {
 			return got
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return h.r.Throughput.Count()
+	return int64(h.r.Outputs())
 }
 
 // tally returns instance i's live KeyedTally.

@@ -3,10 +3,12 @@ package region
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"mobistreams/internal/clock"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
+	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -119,5 +121,74 @@ func TestSinkDedupBoundedOnDenseOutput(t *testing.T) {
 	r.onSink("p", tup)
 	if got := r.DuplicateOutputs(); got != 1 {
 		t.Fatalf("replayed result not suppressed: %d duplicates", got)
+	}
+}
+
+// Report is a view of one measurement window. Its tuple count is the dedup
+// sets' growth since OpenWindow, which is also the sink family's count (one
+// observation per published result, none per duplicate); its latency and
+// checkpoint numbers are exact over what was observed inside the window.
+func TestReportViewsWindow(t *testing.T) {
+	r := sinkOnlyRegion(t, func(*tuple.Tuple) {})
+	clk := r.clk.(*clock.Manual)
+	// Result seq of a source is created seq µs before it reaches the sink.
+	var latSum time.Duration
+	offer := func(src string, lo, hi uint64) {
+		for seq := lo; seq <= hi; seq++ {
+			before := r.Outputs()
+			r.onSink("p", &tuple.Tuple{Source: src, Seq: seq, Created: clk.Now() - time.Duration(seq)*time.Microsecond})
+			if r.Outputs() > before {
+				latSum += time.Duration(seq) * time.Microsecond
+			}
+		}
+	}
+	reg := r.Obs()
+	reg.Hist(obs.CkptPause, "n1").Observe(int64(time.Hour)) // before the window
+
+	offer("a", 1, 300)
+	offer("b", 1, 100)
+	clk.Advance(10 * time.Second)
+	latSum = 0
+	start := r.OpenWindow()
+	base, dupBase := r.Outputs(), r.DuplicateOutputs()
+	offer("a", 200, 600) // replays 200..300, then 300 fresh
+	offer("b", 50, 250)  // replays 50..100, then 150 fresh
+	offer("a", 1, 600)   // a whole replay: nothing fresh
+	observed := []time.Duration{7*time.Millisecond + 1, 9 * time.Millisecond, 11*time.Millisecond + 2}
+	var pauseSum, pauseMax time.Duration
+	for i, p := range observed {
+		slot := []string{"n1", "n2"}[i%2]
+		reg.Hist(obs.CkptPause, slot).Observe(int64(p))
+		reg.Hist(obs.CkptDeltaBlob, slot).Observe(100)
+		reg.Hist(obs.CkptState, slot).Observe(400)
+		pauseSum += p
+		pauseMax = max(pauseMax, p)
+	}
+	clk.Advance(5 * time.Second)
+	rep := r.Report(clk.Now())
+
+	fresh := r.Outputs() - base
+	if fresh != 450 || rep.Tuples != int64(fresh) || r.SinkLatency().Count() != fresh {
+		t.Fatalf("fresh %d, Report.Tuples %d, sink family count %d: want 450 each",
+			fresh, rep.Tuples, r.SinkLatency().Count())
+	}
+	if dups := r.DuplicateOutputs() - dupBase; dups != 101+51+600 {
+		t.Fatalf("duplicates in window = %d, want %d", dups, 101+51+600)
+	}
+	if rep.Window != clk.Now()-start || rep.ThroughputTPS != 450.0/5 {
+		t.Fatalf("window %v at %.1f t/s, want 5s at 90 t/s", rep.Window, rep.ThroughputTPS)
+	}
+	if want := latSum / 450; rep.MeanLatency != want || rep.P95Latency > 600*time.Microsecond {
+		t.Fatalf("latency mean %v p95 %v, want mean %v and p95 <= 600µs", rep.MeanLatency, rep.P95Latency, want)
+	}
+	ck := r.CkptStats()
+	if want := pauseSum / 3; ck.PauseMean() != want || rep.CkptPauseMean != want {
+		t.Fatalf("pause mean %v / report %v, want exactly %v", ck.PauseMean(), rep.CkptPauseMean, want)
+	}
+	if ck.PauseMax() != pauseMax || rep.CkptPauseMax != pauseMax || ck.Count() != 3 {
+		t.Fatalf("pause max %v over %d checkpoints, want %v over 3", ck.PauseMax(), ck.Count(), pauseMax)
+	}
+	if ck.DeltaRatio() != 0.25 || ck.DeltaBlobs() != 3 || ck.FullBlobs() != 0 {
+		t.Fatalf("delta ratio %v, %d delta / %d full blobs", ck.DeltaRatio(), ck.DeltaBlobs(), ck.FullBlobs())
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/keyed"
-	"mobistreams/internal/metrics"
 	"mobistreams/internal/node"
 	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
@@ -137,16 +136,18 @@ type Region struct {
 	// seenOutput is the sink's exactly-once filter: per source operator,
 	// the exact set of sequences already published. lastSrc/lastSeen cache
 	// the set of the last tuple's source, so a run of results from one
-	// source never consults the map. All three are guarded by outMu.
+	// source never consults the map. winStart/winBase open the measurement
+	// window Report views (see OpenWindow). All are guarded by outMu.
 	outMu      sync.Mutex
 	seenOutput map[string]*seqset.Set
 	lastSrc    string
 	lastSeen   *seqset.Set
-	Latency    metrics.Latency
-	Throughput metrics.Throughput
-	batchStats metrics.BatchSizes
-	ckptStats  metrics.CheckpointStats
-	duplicates int64
+	winStart   time.Duration
+	winBase    uint64
+	// sink is the sink-latency family's histogram: one observation per
+	// published result; duplicates counts the results the filter dropped.
+	sink       *obs.Histogram
+	duplicates atomic.Int64
 }
 
 // New builds a region: phones p1..pN, slots placed in sorted order onto the
@@ -200,6 +201,7 @@ func New(cfg Config) (*Region, error) {
 	if r.obs == nil {
 		r.obs = obs.NewRegistry()
 	}
+	r.sink = r.obs.Hist(obs.SinkLatency, "")
 	for _, src := range cfg.Graph.Sources() {
 		var z uint64
 		r.srcSeq[src] = &z
@@ -291,9 +293,7 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 		PreserveBroadcast: r.cfg.PreserveBroadcast,
 		QoS:               r.cfg.QoS,
 		Keyed:             r.keyed,
-		BatchStats:        &r.batchStats,
 		Checkpoint:        r.cfg.Checkpoint,
-		CkptStats:         &r.ckptStats,
 		Obs:               r.obs,
 		OnSinkOutput:      func(t *tuple.Tuple) { r.onSink(id, t) },
 		OnIngest:          func(srcOp string, v interface{}, size int, kind string) { r.Ingest(srcOp, v, size, kind) },
@@ -335,7 +335,6 @@ func (r *Region) buildStandby(slot string) {
 		ControllerID: r.cfg.ControllerID,
 		QoS:          r.cfg.QoS,
 		Keyed:        r.keyed,
-		BatchStats:   &r.batchStats,
 		Obs:          r.obs,
 		OnSinkOutput: func(t *tuple.Tuple) { r.onSink(sbID, t) },
 		Logf:         r.logf,
@@ -416,7 +415,7 @@ func (r *Region) Start() {
 	for _, n := range nodes {
 		n.Start()
 	}
-	r.Throughput.Start(r.clk.Now())
+	r.OpenWindow()
 }
 
 // Stop shuts all nodes down.
@@ -543,7 +542,9 @@ func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) 
 }
 
 // onSink receives one published sink result: deduplicate (recovery replays
-// and rep-2 failovers can duplicate), record metrics, cascade onward.
+// and rep-2 failovers can duplicate), observe its latency, cascade onward.
+// The dedup sets are the output count; the histogram is the only other
+// record of the result.
 func (r *Region) onSink(publisher simnet.NodeID, t *tuple.Tuple) {
 	r.outMu.Lock()
 	seen := r.lastSeen
@@ -555,25 +556,19 @@ func (r *Region) onSink(publisher simnet.NodeID, t *tuple.Tuple) {
 		r.lastSrc, r.lastSeen = t.Source, seen
 	}
 	if !seen.Add(t.Seq) {
-		r.duplicates++
 		r.outMu.Unlock()
+		r.duplicates.Add(1)
 		return
 	}
 	r.outMu.Unlock()
-	now := r.clk.Now()
-	r.Latency.Add(now - t.Created)
-	r.Throughput.Tick(now)
+	r.sink.Observe(int64(r.clk.Now() - t.Created))
 	if r.cfg.OnSinkOutput != nil {
 		r.cfg.OnSinkOutput(publisher, t)
 	}
 }
 
 // DuplicateOutputs reports how many duplicate sink results were suppressed.
-func (r *Region) DuplicateOutputs() int64 {
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	return r.duplicates
-}
+func (r *Region) DuplicateOutputs() int64 { return r.duplicates.Load() }
 
 // WiFi exposes the region's medium (byte counters for Fig. 10b).
 func (r *Region) WiFi() *simnet.WiFi { return r.wifi }
@@ -966,54 +961,4 @@ func (r *Region) BlobHolders(version uint64, slot string) []simnet.NodeID {
 		}
 	}
 	return holders
-}
-
-// CkptStats exposes the region-wide checkpoint-pipeline accumulator.
-func (r *Region) CkptStats() *metrics.CheckpointStats { return &r.ckptStats }
-
-// BatchStats exposes the region-wide edge-batching accumulator.
-func (r *Region) BatchStats() *metrics.BatchSizes { return &r.batchStats }
-
-// Report summarises the region's metrics at simulated time now.
-func (r *Region) Report(now time.Duration) metrics.Report {
-	src, edge := r.PreservedBytes()
-	ckptBlob, ckptFull := r.ckptStats.Bytes()
-	chans := r.wifi.ChannelStats()
-	airtime := make([]time.Duration, len(chans))
-	members := make([]int, len(chans))
-	for i, cs := range chans {
-		airtime[i] = cs.Airtime
-		members[i] = cs.Members
-	}
-	var crossShare float64
-	if cross, total := r.wifi.CrossChannelBytes(); total > 0 {
-		crossShare = float64(cross) / float64(total)
-	}
-	return metrics.Report{
-		Scheme:         r.cfg.Scheme.String(),
-		Tuples:         r.Throughput.Count(),
-		ThroughputTPS:  r.Throughput.PerSecond(now),
-		MeanLatency:    r.Latency.Mean(),
-		P95Latency:     r.Latency.Percentile(95),
-		DataBytes:      r.wifi.Counters.Bytes(simnet.ClassData),
-		CheckpointNet:  r.wifi.Counters.Bytes(simnet.ClassCheckpoint) + r.wifi.Counters.Bytes(simnet.ClassBitmap),
-		ReplicationNet: r.wifi.Counters.Bytes(simnet.ClassReplication),
-		PreservedBytes: src + edge,
-		InboxDrops:     r.InboxDrops(),
-		BatchFlushes:   r.batchStats.Flushes(),
-		MeanBatch:      r.batchStats.Mean(),
-		Migrations:     r.Migrations(),
-		CkptPauseMean:  r.ckptStats.PauseMean(),
-		CkptPauseMax:   r.ckptStats.PauseMax(),
-		CkptDeltaRatio: r.ckptStats.DeltaRatio(),
-		CkptBlobBytes:  ckptBlob,
-		CkptFullBytes:  ckptFull,
-		CkptDeltaBlobs: r.ckptStats.DeltaBlobs(),
-		CkptFullBlobs:  r.ckptStats.FullBlobs(),
-
-		Channels:          len(chans),
-		ChannelAirtime:    airtime,
-		ChannelMembers:    members,
-		CrossChannelShare: crossShare,
-	}
 }

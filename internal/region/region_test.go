@@ -124,12 +124,12 @@ func (h *harness) waitCount(t testing.TB, want int64, wall time.Duration) int64 
 	t.Helper()
 	deadline := time.Now().Add(wall)
 	for time.Now().Before(deadline) {
-		if got := h.r.Throughput.Count(); got >= want {
+		if got := int64(h.r.Outputs()); got >= want {
 			return got
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	return h.r.Throughput.Count()
+	return int64(h.r.Outputs())
 }
 
 func (h *harness) waitCommitted(t testing.TB, v uint64, wall time.Duration) bool {
@@ -831,7 +831,7 @@ func TestSchedulerLoopEvacuatesLowBattery(t *testing.T) {
 	if ctrl.Recoveries("r1") != 0 {
 		t.Fatal("reactive recovery fired; migration should have pre-empted it")
 	}
-	want := r.Throughput.Count() // whatever was ingested so far, delivered
+	want := int64(r.Outputs()) // whatever was ingested so far, delivered
 	h.ingest(10)
 	if got := h.waitCount(t, want+10, 20*time.Second); got < want+10 {
 		t.Fatalf("outputs after evacuation = %d, want >= %d", got, want+10)

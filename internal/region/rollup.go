@@ -37,16 +37,3 @@ func (r *Region) Rollup(epoch uint64) wire.Rollup {
 	ru.OutTuples = r.Outputs()
 	return ru
 }
-
-// Outputs reports how many deduplicated sink results the region has
-// published: the sum of the per-source sets' counts, so a federation
-// rollup costs O(sources) however many results there have been.
-func (r *Region) Outputs() uint64 {
-	r.outMu.Lock()
-	defer r.outMu.Unlock()
-	var n uint64
-	for _, seen := range r.seenOutput {
-		n += seen.Len()
-	}
-	return n
-}

@@ -55,12 +55,6 @@ type ElasticPolicy struct {
 	// settle, and re-reading the same saturated backlog before it drains
 	// would cascade splits (default 10 s).
 	Cooldown time.Duration
-	// MinColdPolls is how many consecutive Plan calls must see an instance
-	// cold before it is merged away (default 3). A single poll window is
-	// too noisy a witness: a low-rate instance's trickle can alias to zero
-	// tuples in one window, and merging on that evidence hands its whole
-	// key range to a peer right before the traffic comes back.
-	MinColdPolls int
 	// Cooldowns, when set, is the per-slot disruption ledger shared with
 	// the migration planner: an instance whose slot was just migrated is
 	// not split or merged within Cooldown, and a planned split/merge notes
@@ -75,8 +69,15 @@ type ElasticPolicy struct {
 	coldRuns map[string]map[int]int
 }
 
-func (p *ElasticPolicy) params() (hot int, cold float64, cooldown time.Duration, minCold int) {
-	hot, cold, cooldown, minCold = p.HotBacklog, p.ColdFraction, p.Cooldown, p.MinColdPolls
+// minColdPolls is how many consecutive Plan calls must see an instance cold
+// before it is merged away. A single poll window is too noisy a witness: a
+// low-rate instance's trickle can alias to zero tuples in one window, and
+// merging on that evidence hands its whole key range to a peer right before
+// the traffic comes back.
+const minColdPolls = 3
+
+func (p *ElasticPolicy) params() (hot int, cold float64, cooldown time.Duration) {
+	hot, cold, cooldown = p.HotBacklog, p.ColdFraction, p.Cooldown
 	if hot <= 0 {
 		hot = 64
 	}
@@ -86,17 +87,14 @@ func (p *ElasticPolicy) params() (hot int, cold float64, cooldown time.Duration,
 	if cooldown <= 0 {
 		cooldown = 10 * time.Second
 	}
-	if minCold <= 0 {
-		minCold = 3
-	}
-	return hot, cold, cooldown, minCold
+	return hot, cold, cooldown
 }
 
 // Plan inspects one keyed group's instance telemetry and returns at most
 // one action to run now, or nil. A returned action is recorded against the
 // group's cooldown immediately; the caller is expected to attempt it.
 func (p *ElasticPolicy) Plan(now time.Duration, logical string, stats []InstanceStat) *ElasticAction {
-	hot, cold, cooldown, minCold := p.params()
+	hot, cold, cooldown := p.params()
 	p.mu.Lock()
 	if p.last == nil {
 		p.last = make(map[string]time.Duration)
@@ -177,7 +175,7 @@ func (p *ElasticPolicy) Plan(now time.Duration, logical string, stats []Instance
 		} else {
 			delete(runs, st.Index)
 		}
-		if runs[st.Index] >= minCold && (coldIdx < 0 || st.TupleRate < coldest.TupleRate) {
+		if runs[st.Index] >= minColdPolls && (coldIdx < 0 || st.TupleRate < coldest.TupleRate) {
 			coldest, coldIdx = st, i
 		}
 	}

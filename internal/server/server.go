@@ -11,6 +11,7 @@ import (
 
 	"mobistreams/internal/clock"
 	"mobistreams/internal/metrics"
+	"mobistreams/internal/obs"
 	"mobistreams/internal/simnet"
 )
 
@@ -55,14 +56,17 @@ type Deployment struct {
 	clk  clock.Clock
 	cell *simnet.Cellular
 
-	mu      sync.Mutex
-	queue   []upload
-	dropped int64
-	client  *simnet.Endpoint
-	dc      *simnet.Endpoint
+	mu       sync.Mutex
+	queue    []upload
+	dropped  int64
+	client   *simnet.Endpoint
+	dc       *simnet.Endpoint
+	winStart time.Duration // the measurement window Report views
 
-	Latency    metrics.Latency
-	Throughput metrics.Throughput
+	// obs holds the sink-latency family: one observation per result pushed
+	// back, so its count is the output count since the window opened.
+	obs  *obs.Registry
+	sink *obs.Histogram
 
 	stopCh chan struct{}
 	once   sync.Once
@@ -92,7 +96,9 @@ func New(cfg Config) *Deployment {
 		dc:     simnet.NewEndpoint("datacenter", 4096),
 		stopCh: make(chan struct{}),
 		wake:   make(chan struct{}, 1),
+		obs:    obs.NewRegistry(),
 	}
+	d.sink = d.obs.Hist(obs.SinkLatency, "")
 	cell.Attach(d.client)
 	cell.AttachRated(d.dc, 1e9, 1e9)
 	return d
@@ -100,7 +106,7 @@ func New(cfg Config) *Deployment {
 
 // Start launches the upload and server loops.
 func (d *Deployment) Start() {
-	d.Throughput.Start(d.clk.Now())
+	d.OpenWindow()
 	d.wg.Add(2)
 	go d.uploadLoop()
 	go d.serverLoop()
@@ -177,22 +183,39 @@ func (d *Deployment) serverLoop() {
 			if err := d.cell.Send("datacenter", "phone", simnet.ClassData, d.cfg.ResultBytes, nil); err != nil {
 				return
 			}
-			now := d.clk.Now()
-			d.Latency.Add(now - job.created)
-			d.Throughput.Tick(now)
+			d.sink.Observe(int64(d.clk.Now() - job.created))
 		case <-d.stopCh:
 			return
 		}
 	}
 }
 
-// Report summarises the run at simulated time now.
+// Obs is the deployment's observability registry.
+func (d *Deployment) Obs() *obs.Registry { return d.obs }
+
+// OpenWindow starts a measurement window at the current simulated time:
+// Report counts results from here.
+func (d *Deployment) OpenWindow() {
+	d.mu.Lock()
+	d.winStart = d.clk.Now()
+	d.mu.Unlock()
+	d.sink.Reset()
+}
+
+// Report views the measurement window at simulated time now.
 func (d *Deployment) Report(now time.Duration) metrics.Report {
-	return metrics.Report{
-		Scheme:        "server",
-		Tuples:        d.Throughput.Count(),
-		ThroughputTPS: d.Throughput.PerSecond(now),
-		MeanLatency:   d.Latency.Mean(),
-		P95Latency:    d.Latency.Percentile(95),
+	d.mu.Lock()
+	window := now - d.winStart
+	d.mu.Unlock()
+	rep := metrics.Report{
+		Scheme:      "server",
+		Tuples:      int64(d.sink.Count()),
+		Window:      window,
+		MeanLatency: time.Duration(d.sink.Mean()),
+		P95Latency:  time.Duration(d.sink.Percentile(95)),
 	}
+	if window > 0 {
+		rep.ThroughputTPS = float64(rep.Tuples) / window.Seconds()
+	}
+	return rep
 }

@@ -392,10 +392,10 @@ func (rg *Region) Report() Report {
 }
 
 // Outputs reports how many unique results the region has published.
-func (rg *Region) Outputs() int64 { return rg.r.Throughput.Count() }
+func (rg *Region) Outputs() int64 { return int64(rg.r.Outputs()) }
 
 // MeanLatency reports the mean end-to-end latency in simulated time.
-func (rg *Region) MeanLatency() time.Duration { return rg.r.Latency.Mean() }
+func (rg *Region) MeanLatency() time.Duration { return time.Duration(rg.r.SinkLatency().Mean()) }
 
 // InjectFailure crashes the phone currently hosting a slot (fault
 // injection for tests and demos). Detection and recovery happen through
