@@ -70,7 +70,6 @@ type BlockMsg struct {
 	// CRC is the chunk checksum (checkpoint.ChunkCRC over the blob CRC and
 	// the index): a chunk spliced from a different blob or stream position
 	// fails verification at the receiver and is left for retransmission.
-	// Zero means the sender attached no checksum (legacy/test senders).
 	CRC uint32
 }
 
@@ -87,8 +86,8 @@ type FillMsg struct {
 	Version uint64
 	Total   int
 	Indices []int
-	// CRCs carries one chunk checksum per entry of Indices (empty when the
-	// sender attached none).
+	// CRCs carries one chunk checksum per entry of Indices; an index
+	// without one is skipped like a chunk that fails verification.
 	CRCs []uint32
 	Blob *checkpoint.Blob
 	// Forward lists the remaining tree edges this node's subtree must

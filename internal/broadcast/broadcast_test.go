@@ -230,10 +230,16 @@ func TestDisseminateLive(t *testing.T) {
 	}
 }
 
+// block is the BlockMsg a sender transmits for chunk index of blob.
+func block(blob *checkpoint.Blob, index, total int) BlockMsg {
+	return BlockMsg{Slot: blob.Slot, Version: blob.Version, Index: index, Total: total, Blob: blob,
+		CRC: checkpoint.ChunkCRC(blob.CRC, index)}
+}
+
 func TestReceiverDuplicateAndBitmap(t *testing.T) {
 	r := NewReceiver(storage.New())
 	blob := &checkpoint.Blob{Slot: "n", Version: 1, Size: 3 * 1024, Ops: map[string][]byte{}}
-	msg := BlockMsg{Slot: "n", Version: 1, Index: 0, Total: 3, Blob: blob}
+	msg := block(blob, 0, 3)
 	if r.OnBlock(msg) {
 		t.Fatal("one of three blocks should not complete")
 	}
@@ -247,10 +253,11 @@ func TestReceiverDuplicateAndBitmap(t *testing.T) {
 	if !bm[0] || bm[1] || bm[2] {
 		t.Fatalf("bitmap = %v", bm)
 	}
-	if r.OnBlock(BlockMsg{Slot: "n", Version: 1, Index: 1, Total: 3, Blob: blob}) {
+	if r.OnBlock(block(blob, 1, 3)) {
 		t.Fatal("two of three should not complete")
 	}
-	if !r.OnFill(FillMsg{Slot: "n", Version: 1, Total: 3, Indices: []int{2}, Blob: blob}) {
+	fill := FillMsg{Slot: "n", Version: 1, Total: 3, Indices: []int{2}, CRCs: []uint32{checkpoint.ChunkCRC(blob.CRC, 2)}, Blob: blob}
+	if !r.OnFill(fill) {
 		t.Fatal("final fill should complete")
 	}
 	if !r.Complete("n", 1) {
@@ -258,13 +265,31 @@ func TestReceiverDuplicateAndBitmap(t *testing.T) {
 	}
 }
 
+// A chunk that carries no checksum is not recorded, by UDP block or by TCP
+// fill: the bitmap reports it missing, so the sender retransmits it.
+func TestReceiverRejectsUnchecksummedChunk(t *testing.T) {
+	r := NewReceiver(storage.New())
+	blob := &checkpoint.Blob{Slot: "n", Version: 1, Size: 2 * 1024, Ops: map[string][]byte{}}
+	bare := block(blob, 0, 2)
+	bare.CRC = 0
+	if r.OnBlock(bare) || r.OnFill(FillMsg{Slot: "n", Version: 1, Total: 2, Indices: []int{1}, Blob: blob}) {
+		t.Fatal("a chunk without a checksum completed the blob")
+	}
+	if bm := r.Bitmap(QueryMsg{Slot: "n", Version: 1, Total: 2}); bm[0] || bm[1] {
+		t.Fatalf("bitmap = %v, want both chunks missing", bm)
+	}
+	if r.OnBlock(block(blob, 0, 2)) || !r.OnBlock(block(blob, 1, 2)) {
+		t.Fatal("the retransmitted chunks should complete the blob")
+	}
+}
+
 func TestReceiverOutOfRangeIndex(t *testing.T) {
 	r := NewReceiver(storage.New())
 	blob := &checkpoint.Blob{Slot: "n", Version: 1, Size: 1024, Ops: map[string][]byte{}}
-	if r.OnBlock(BlockMsg{Slot: "n", Version: 1, Index: 99, Total: 1, Blob: blob}) {
+	if r.OnBlock(block(blob, 99, 1)) {
 		t.Fatal("out-of-range index treated as progress")
 	}
-	if r.OnBlock(BlockMsg{Slot: "n", Version: 1, Index: -1, Total: 1, Blob: blob}) {
+	if r.OnBlock(block(blob, -1, 1)) {
 		t.Fatal("negative index treated as progress")
 	}
 }
@@ -272,7 +297,10 @@ func TestReceiverOutOfRangeIndex(t *testing.T) {
 func TestReceiverDropBefore(t *testing.T) {
 	r := NewReceiver(storage.New())
 	blob := &checkpoint.Blob{Slot: "n", Version: 1, Size: 2048, Ops: map[string][]byte{}}
-	r.OnBlock(BlockMsg{Slot: "n", Version: 1, Index: 0, Total: 2, Blob: blob})
+	r.OnBlock(block(blob, 0, 2))
+	if got := r.ReceivedBlocks("n", 1); got != 1 {
+		t.Fatalf("received before drop = %d, want 1", got)
+	}
 	r.DropBefore(2)
 	if got := r.ReceivedBlocks("n", 1); got != 0 {
 		t.Fatalf("received after drop = %d", got)

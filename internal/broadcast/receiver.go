@@ -75,7 +75,7 @@ func (r *Receiver) OnFill(msg FillMsg) bool {
 		if i < 0 || i >= len(a.got) || a.got[i] {
 			continue
 		}
-		if k < len(msg.CRCs) && !chunkOK(a.blob, i, msg.CRCs[k]) {
+		if k >= len(msg.CRCs) || !chunkOK(a.blob, i, msg.CRCs[k]) {
 			continue
 		}
 		a.got[i] = true
@@ -88,13 +88,9 @@ func (r *Receiver) OnFill(msg FillMsg) bool {
 // assembly committed to on its first chunk — not the chunk's own claimed
 // blob, which would make the check a tautology. A chunk spliced from a
 // different blob under the same (slot, version) key therefore fails and
-// is left for retransmission. A zero CRC means the sender attached none
-// (legacy/test senders) and passes.
+// is left for retransmission, and so is a chunk that carries no checksum.
 func chunkOK(blob *checkpoint.Blob, index int, crc uint32) bool {
-	if crc == 0 || blob == nil {
-		return true
-	}
-	return crc == checkpoint.ChunkCRC(blob.CRC, index)
+	return blob != nil && crc == checkpoint.ChunkCRC(blob.CRC, index)
 }
 
 func (r *Receiver) maybeComplete(a *assembler) bool {

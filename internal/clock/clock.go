@@ -18,9 +18,15 @@ import (
 // simulated time since the clock's epoch; Sleep blocks for a simulated
 // duration; After returns a channel that fires once after a simulated
 // duration, delivering the simulated time at which it fired.
+//
+// Park blocks like Sleep and never returns before its deadline, but may
+// hold no CPU for most of the wait and wake a few microseconds late. Park
+// only where a late wake costs nothing: a wait that a queued device write
+// already hides behind other work.
 type Clock interface {
 	Now() time.Duration
 	Sleep(d time.Duration)
+	Park(d time.Duration)
 	After(d time.Duration) <-chan time.Duration
 }
 
@@ -58,6 +64,17 @@ func (s *Scaled) Sleep(d time.Duration) {
 		return
 	}
 	sleepUntilReal(time.Now().Add(time.Duration(float64(d) / s.speedup)))
+}
+
+// Park blocks for the simulated duration d, like Sleep. On Linux a wall wait
+// of at least parkFloor blocks on a timer read through the runtime poller
+// until parkTail before the deadline, holding no CPU, and spins only that
+// tail; shorter waits, and every wait elsewhere, are Sleep.
+func (s *Scaled) Park(d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	parkUntilReal(time.Now().Add(time.Duration(float64(d) / s.speedup)))
 }
 
 // spinWindow is the wall-time tail of a scaled sleep that is spun rather
@@ -146,6 +163,9 @@ func (m *Manual) Sleep(d time.Duration) {
 	}
 	<-m.After(d)
 }
+
+// Park is Sleep: a manual clock has no CPU to save.
+func (m *Manual) Park(d time.Duration) { m.Sleep(d) }
 
 // After returns a channel that fires when the clock has advanced d past the
 // current simulated time.

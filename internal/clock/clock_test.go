@@ -173,6 +173,80 @@ func TestManualSleepBlocksUntilAdvance(t *testing.T) {
 	}
 }
 
+// Neither wait returns before its deadline, on either side of parkFloor and
+// of spinWindow.
+func TestScaledParkAndSleepNeverEarly(t *testing.T) {
+	c := NewScaled(1)
+	for _, d := range []time.Duration{5 * time.Microsecond, 40 * time.Microsecond, 120 * time.Microsecond, time.Millisecond} {
+		for _, w := range []struct {
+			name string
+			wait func(time.Duration)
+		}{{"Park", c.Park}, {"Sleep", c.Sleep}} {
+			for i := 0; i < 20; i++ {
+				start := time.Now()
+				w.wait(d)
+				if got := time.Since(start); got < d {
+					t.Fatalf("%s(%v) returned after %v", w.name, d, got)
+				}
+			}
+		}
+	}
+}
+
+// Goroutines parking at once share the pooled timers; none wakes early.
+func TestScaledParkConcurrent(t *testing.T) {
+	c := NewScaled(1)
+	const d = 40 * time.Microsecond
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				start := time.Now()
+				c.Park(d)
+				if got := time.Since(start); got < d {
+					t.Errorf("Park(%v) returned after %v", d, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestScaledParkAllocatesNothing(t *testing.T) {
+	c := NewScaled(1)
+	c.Park(40 * time.Microsecond) // the first park opens its timer
+	if allocs := testing.AllocsPerRun(50, func() { c.Park(40 * time.Microsecond) }); allocs != 0 {
+		t.Fatalf("Park allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+func TestManualParkBlocksUntilAdvance(t *testing.T) {
+	m := NewManual()
+	done := make(chan struct{})
+	go func() {
+		m.Park(5 * time.Second)
+		close(done)
+	}()
+	for m.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.Advance(5*time.Second - 1)
+	select {
+	case <-done:
+		t.Fatal("park returned before its deadline")
+	default:
+	}
+	m.Advance(1)
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("park did not return after advance")
+	}
+}
+
 func TestManualAfterNonPositive(t *testing.T) {
 	m := NewManual()
 	select {

@@ -395,6 +395,9 @@ func (c *Controller) pingLoop(m *managed) {
 					continue
 				}
 				if !c.request(pid, node.Command{Op: node.CmdPing, Slot: slot}, c.cfg.PingTimeout) {
+					if c.stopped() {
+						return // Stop cut the wait short; the phone may be fine
+					}
 					// Re-resolve before reporting: a migration that
 					// started mid-round legitimately moved the slot.
 					if cur, ok := m.r.Placement(slot); ok && cur == pid {

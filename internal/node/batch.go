@@ -55,8 +55,10 @@ type batcher struct {
 	maxMsgs, maxBytes int
 	disable           bool
 
-	mu      sync.Mutex
-	pending map[string]*edgeBatch
+	mu sync.Mutex
+	// pending holds edgeBatch values, not pointers: a batch that starts
+	// after a flush reuses the deleted entry's map slot and allocates nothing.
+	pending map[string]edgeBatch
 
 	// kick wakes the flush loop when a partial batch starts waiting.
 	kick chan struct{}
@@ -84,7 +86,7 @@ func newBatcher(n *Node, q QoS) *batcher {
 		maxMsgs:  q.MaxBatchMsgs,
 		maxBytes: q.MaxBatchBytes,
 		disable:  q.DisableBatching,
-		pending:  make(map[string]*edgeBatch),
+		pending:  make(map[string]edgeBatch),
 		kick:     make(chan struct{}, 1),
 	}
 	if b.maxMsgs <= 0 {
@@ -108,13 +110,13 @@ func (b *batcher) add(toSlot string, msg StreamMsg) {
 		return
 	}
 	b.mu.Lock()
-	eb := b.pending[toSlot]
-	if eb == nil {
-		eb = &edgeBatch{msgs: takeBatchSlice()}
-		b.pending[toSlot] = eb
+	eb, ok := b.pending[toSlot]
+	if !ok {
+		eb.msgs = takeBatchSlice()
 	}
 	eb.msgs = append(eb.msgs, msg)
 	eb.bytes += msg.Item.WireSize()
+	b.pending[toSlot] = eb
 	urgent := msg.Item.Marker != nil
 	full := len(eb.msgs) >= b.maxMsgs || eb.bytes >= b.maxBytes
 	b.mu.Unlock()
@@ -136,8 +138,8 @@ func (b *batcher) flushSlot(toSlot string) {
 	b.sendMu.Lock()
 	defer b.sendMu.Unlock()
 	b.mu.Lock()
-	eb := b.pending[toSlot]
-	if eb == nil || len(eb.msgs) == 0 {
+	eb, ok := b.pending[toSlot]
+	if !ok || len(eb.msgs) == 0 {
 		b.mu.Unlock()
 		return
 	}
@@ -152,15 +154,14 @@ func (b *batcher) flushAll() {
 	defer b.sendMu.Unlock()
 	for {
 		b.mu.Lock()
-		var slot string
-		var eb *edgeBatch
-		for s, p := range b.pending {
-			slot, eb = s, p
-			break
-		}
-		if eb == nil {
+		if len(b.pending) == 0 {
 			b.mu.Unlock()
 			return
+		}
+		var slot string
+		var eb edgeBatch
+		for slot, eb = range b.pending {
+			break
 		}
 		delete(b.pending, slot)
 		b.mu.Unlock()

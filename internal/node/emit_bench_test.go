@@ -9,8 +9,8 @@ import (
 
 // BenchmarkEmitPath measures the emit-context contract through the
 // compiled pipeline: src -> m1 -> m2 -> sink on one slot. The steady state
-// is pinned to 0 allocs/op by TestEmitPathZeroAllocs and the msbench
-// regression gate (`-exp emit`).
+// is pinned to 0 allocs/op by TestEmitPathZeroAllocs and reported by the
+// benchmark ledger's node.emit_allocs_per_tuple row (benchmark/micro.go).
 func BenchmarkEmitPath(b *testing.B) {
 	n := emitBenchNode(false, obs.NewRegistry(), func(*tuple.Tuple) {})
 	p := n.pipe.Load()

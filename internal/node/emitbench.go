@@ -74,8 +74,9 @@ func emitBenchNode(legacy bool, reg *obs.Registry, onOut func(*tuple.Tuple)) *No
 // legacy=true runs the same chain through seed-contract operators and the
 // []Out adapter. The node carries a live obs registry with sampling off,
 // so the 0-allocs pin covers the instrumented hot path — tracing compiled
-// in, histograms recording, no tuple sampled. Exported so the msbench
-// regression gate and the Go benchmarks share one harness.
+// in, histograms recording, no tuple sampled. Exported so the benchmark
+// ledger's node.emit_ns_per_tuple and node.emit_allocs_per_tuple rows
+// (benchmark/micro.go) and the Go benchmarks share one harness.
 func RunEmitBench(legacy bool, iters int) EmitBenchResult {
 	var emitted uint64
 	n := emitBenchNode(legacy, obs.NewRegistry(), func(*tuple.Tuple) { emitted++ })

@@ -1048,7 +1048,9 @@ func (n *Node) handleRun(p *pipeline, qi int, run []queued, now time.Duration) t
 			}
 		}
 		run = n.runs[head]
-		n.clk.Sleep(durable[head] - n.clk.Now())
+		// Park, not Sleep: when a next run is waiting, its write is already
+		// queued behind this one, so waking a few µs late idles no device.
+		n.clk.Park(durable[head] - n.clk.Now())
 		for i := range run {
 			now = n.handleItem(p, qi, externalSlot, run[i], now)
 			select {

@@ -71,8 +71,8 @@ func obsBenchMode(reg *obs.Registry, traceEvery, iters int) (nsPerOp, allocsPerO
 }
 
 // RunObsBench measures the instrumentation overhead the observability
-// layer adds to the tuple hot path. Exported for the msbench obs
-// experiment and its regression gate.
+// layer adds to the tuple hot path. Exported for the benchmark ledger's
+// obs.emit_overhead_pct row (benchmark/micro.go).
 func RunObsBench(iters int) ObsBenchResult {
 	if iters <= 0 {
 		iters = 200000
