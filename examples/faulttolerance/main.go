@@ -25,7 +25,7 @@ func main() {
 	c := b.Map("C", func(v int) int { return v }, stream.On("n3"))
 	d := b.Map("D", func(v int) int { return v }, stream.On("n4"))
 	e := stream.Merge[int]("E", func() operator.Operator {
-		return operator.NewJoin("E", "C", "D", func(l, r *tuple.Tuple) *tuple.Tuple { return l.Clone() })
+		return operator.NewJoin("E", "C", "D", func(ctx *operator.Context, l, _ *tuple.Tuple) *tuple.Tuple { return ctx.Clone(l) })
 	}, []stream.Upstream{c, d}, stream.On("n5"))
 	p, err := e.Build()
 	if err != nil {

@@ -33,7 +33,7 @@ func (s *smoother) Process(ctx *operator.Context, _ string, t *tuple.Tuple) erro
 		s.ewma = 0.8*s.ewma + 0.2*v
 	}
 	s.n++
-	out := t.Clone()
+	out := ctx.Clone(t) // derive with the context; the input stays untouched
 	out.Value = s.ewma
 	ctx.Emit(out)
 	return nil

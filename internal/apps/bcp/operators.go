@@ -60,7 +60,7 @@ func (o *noiseFilter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) e
 		o.ewma = 0.7*o.ewma + 0.3*info.OnBoard
 	}
 	o.n++
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Size = busTupleBytes
 	out.Value = BusInfo{OnBoard: o.ewma}
 	ctx.Emit(out)
@@ -116,7 +116,7 @@ func (o *arrivalModel) Process(ctx *operator.Context, _ string, t *tuple.Tuple) 
 	}
 	o.lastSeen = now
 	o.n++
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Size = busTupleBytes
 	out.Kind = "eta"
 	ctx.Emit(out)
@@ -167,7 +167,7 @@ func (o *alightModel) Cost(*tuple.Tuple) time.Duration { return o.cost }
 func (o *alightModel) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
 	info, _ := t.Value.(BusInfo)
 	alight := o.fraction * info.OnBoard
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Size = busTupleBytes
 	out.Kind = "alight"
 	out.Value = alight
@@ -292,7 +292,7 @@ func (o *counter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error
 		o.hist[count]++
 	}
 	o.frames++
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "count"
 	out.Size = countTupleBytes
 	out.Value = float64(count)
@@ -354,7 +354,7 @@ func (o *boardModel) Process(ctx *operator.Context, _ string, t *tuple.Tuple) er
 		sum += v
 	}
 	o.emit++
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "board"
 	out.Size = countTupleBytes
 	out.Value = sum / float64(len(o.window))
@@ -436,7 +436,7 @@ func (o *latestJoin) Process(ctx *operator.Context, from string, t *tuple.Tuple)
 		// the new boarding estimate. The output keeps the camera
 		// tuple's identity, so end-to-end latency measures the camera
 		// path.
-		out := t.Clone()
+		out := ctx.Clone(t)
 		out.Kind = "joined"
 		out.Size = predTupleBytes
 		out.Value = Prediction{BusSeq: o.lastSeq, OnBoard: o.lastOn, Board: o.latestBoard, Alight: o.lastAlight}
@@ -458,7 +458,7 @@ func (o *latestJoin) Process(ctx *operator.Context, from string, t *tuple.Tuple)
 	delete(o.alight, t.Seq)
 	info, _ := etaT.Value.(BusInfo)
 	o.lastSeq, o.lastOn, o.lastAlight, o.haveBus = t.Seq, info.OnBoard, alight, true
-	out := etaT.Clone()
+	out := ctx.Clone(etaT)
 	out.Kind = "joined"
 	out.Size = predTupleBytes
 	out.Value = Prediction{BusSeq: t.Seq, OnBoard: info.OnBoard, Board: o.latestBoard, Alight: alight}
@@ -585,7 +585,7 @@ func (o *capacityModel) Process(ctx *operator.Context, _ string, t *tuple.Tuple)
 	}
 	pred.OnBoard = math.Max(0, pred.OnBoard+pred.Board-pred.Alight)
 	o.n++
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "prediction"
 	out.Size = predTupleBytes
 	out.Value = pred

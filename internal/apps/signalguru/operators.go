@@ -52,7 +52,7 @@ func (o *colorFilter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) e
 		// Ground-truth mode: one perfect blob of the planted colour.
 		blobs = []vision.Blob{truthBlob(f.Truth)}
 	}
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "blobs"
 	out.Size = obsTupleBytes
 	out.Value = blobsValue{frame: f, blobs: blobs}
@@ -93,7 +93,7 @@ func (o *shapeFilter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) e
 	if o.real {
 		bv.blobs = vision.ShapeFilter(bv.blobs)
 	}
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Size = obsTupleBytes
 	out.Value = bv
 	ctx.Emit(out)
@@ -136,7 +136,7 @@ func (o *motionFilter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) 
 		o.prev = bv.blobs
 	}
 	color, valid := vision.Vote(kept)
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "observation"
 	out.Size = ctlTupleBytes
 	out.Value = Observation{Color: color, Valid: valid}
@@ -219,7 +219,7 @@ func (o *voter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
 			best = c
 		}
 	}
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "vote"
 	out.Size = ctlTupleBytes
 	out.Value = Observation{Color: best, Valid: true}
@@ -292,7 +292,7 @@ func (o *grouper) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error
 	if obs.Color == o.current {
 		// Frame-rate progress: drivers watch a live countdown, so every
 		// vote refreshes the advisory downstream (§II-B).
-		out := t.Clone()
+		out := ctx.Clone(t)
 		out.Kind = "progress"
 		out.Size = ctlTupleBytes
 		out.Value = PhaseProgress{Color: o.current, Elapsed: now - o.started}
@@ -301,7 +301,7 @@ func (o *grouper) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error
 	}
 	change := PhaseChange{Color: o.current, Duration: now - o.started}
 	o.current, o.started = obs.Color, now
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = "phase"
 	out.Size = ctlTupleBytes
 	out.Value = change
@@ -367,7 +367,7 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 		// Live countdown: remaining time in the current phase.
 		o.emitted++
 		rem := o.est.TimeToChange(int(v.Color), v.Elapsed, 30)
-		out := t.Clone()
+		out := ctx.Clone(t)
 		out.Kind = "advisory"
 		out.Size = advTupleBytes
 		out.Value = Advisory{Color: v.Color, NextInSec: rem}
@@ -382,7 +382,7 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 			// a corridor are coordinated (§II-B).
 			next = 0.7*next + 0.3*o.upstream
 		}
-		out := t.Clone()
+		out := ctx.Clone(t)
 		out.Kind = "advisory"
 		out.Size = advTupleBytes
 		out.Value = Advisory{Color: nextColor(v.Color), NextInSec: next}

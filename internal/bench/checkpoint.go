@@ -49,7 +49,7 @@ func ckptPipeline(stateBytes int) (*graph.Graph, operator.Registry, error) {
 	var b graph.Builder
 	b.AddOperator("S", "n1").AddOperator("W", "n2").AddOperator("K", "n3")
 	b.Chain("S", "W", "K")
-	clone := func(t *tuple.Tuple) *tuple.Tuple { return t.Clone() }
+	clone := func(ctx *operator.Context, t *tuple.Tuple) *tuple.Tuple { return ctx.Clone(t) }
 	light := func(id string) operator.Factory {
 		return func() operator.Operator {
 			m := operator.NewMap(id, clone)

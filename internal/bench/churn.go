@@ -122,7 +122,7 @@ type ChurnOutcome struct {
 // initial placement puts each chain on consecutive phones — and round-robin
 // channel assignment therefore fans every chain out across channels.
 func churnPipelines(n int) (*graph.Graph, operator.Registry, []string, error) {
-	clone := func(t *tuple.Tuple) *tuple.Tuple { return t.Clone() }
+	clone := func(ctx *operator.Context, t *tuple.Tuple) *tuple.Tuple { return ctx.Clone(t) }
 	var b graph.Builder
 	reg := operator.Registry{}
 	add := func(id, slot string, cost time.Duration) {

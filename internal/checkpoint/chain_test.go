@@ -20,7 +20,7 @@ func chainOps() []operator.Operator {
 	return []operator.Operator{
 		operator.NewWindow("w", 32),
 		operator.NewAggregate("a"),
-		operator.NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in }),
+		operator.NewMap("m", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in }),
 	}
 }
 

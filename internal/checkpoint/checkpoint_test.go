@@ -80,7 +80,7 @@ func TestAlignmentAbort(t *testing.T) {
 }
 
 func TestBlobRoundTrip(t *testing.T) {
-	m := operator.NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m := operator.NewMap("m", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	f := operator.NewFilter("f", func(*tuple.Tuple) bool { return true })
 	for i := 0; i < 3; i++ {
 		operator.Run(m, "", &tuple.Tuple{Seq: uint64(i)})
@@ -96,7 +96,7 @@ func TestBlobRoundTrip(t *testing.T) {
 	if blob.Size < 8+16+2 {
 		t.Fatalf("blob size = %d, too small", blob.Size)
 	}
-	m2 := operator.NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m2 := operator.NewMap("m", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	f2 := operator.NewFilter("f", func(*tuple.Tuple) bool { return true })
 	if err := RestoreBlob(blob, []operator.Operator{m2, f2}); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestBlobRoundTrip(t *testing.T) {
 }
 
 func TestBlobSizeUsesModelledState(t *testing.T) {
-	m := operator.NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m := operator.NewMap("m", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	m.SizeFn = func() int { return 4096 }
 	blob, err := BuildBlob("n1", 1, []operator.Operator{m}, nil)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestBlobSizeUsesModelledState(t *testing.T) {
 }
 
 func TestRestoreBlobMismatch(t *testing.T) {
-	m := operator.NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m := operator.NewMap("m", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	blob, _ := BuildBlob("n1", 1, []operator.Operator{m}, nil)
 	other := operator.NewPassthrough("other")
 	if err := RestoreBlob(blob, []operator.Operator{other}); err == nil {

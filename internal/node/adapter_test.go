@@ -26,7 +26,8 @@ func (l *legacySum) Process(_ string, t *tuple.Tuple) ([]operator.Out, error) {
 	v, _ := t.Value.(float64)
 	l.sum += v
 	l.n++
-	out := t.Clone()
+	c := *t // the legacy contract has no context to carve from
+	out := &c
 	out.Value = l.sum
 	return []operator.Out{operator.Emit(out)}, nil
 }

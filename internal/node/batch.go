@@ -13,13 +13,20 @@ const fixedFlushInterval = 20 * time.Millisecond
 
 // batchSlicePool recycles the []StreamMsg backing arrays batches are
 // assembled in and shipped with, so the steady-state emission path does
-// not allocate per batch.
-var batchSlicePool = sync.Pool{
-	New: func() interface{} { return make([]StreamMsg, 0, 64) },
-}
+// not allocate per batch. It holds *[]StreamMsg: putting a bare slice in a
+// sync.Pool boxes its header, one allocation per Put. A taken slice's
+// emptied box waits in batchBoxPool for the next recycle to reuse.
+var batchSlicePool, batchBoxPool sync.Pool
 
 func takeBatchSlice() []StreamMsg {
-	return batchSlicePool.Get().([]StreamMsg)[:0]
+	box, _ := batchSlicePool.Get().(*[]StreamMsg)
+	if box == nil {
+		return make([]StreamMsg, 0, 64)
+	}
+	s := *box
+	*box = nil
+	batchBoxPool.Put(box)
+	return s
 }
 
 // recycleBatchSlice zeroes and returns a batch slice to the pool. Callers
@@ -33,7 +40,12 @@ func recycleBatchSlice(s []StreamMsg) {
 	for i := range s {
 		s[i] = StreamMsg{}
 	}
-	batchSlicePool.Put(s[:0]) //nolint:staticcheck // slice reuse is the point
+	box, _ := batchBoxPool.Get().(*[]StreamMsg)
+	if box == nil {
+		box = new([]StreamMsg)
+	}
+	*box = s[:0]
+	batchSlicePool.Put(box)
 }
 
 // batcher coalesces a node's cross-slot emissions per destination slot

@@ -421,7 +421,7 @@ func (n *Node) ReplayFrom(v uint64, epoch uint64) {
 	var replay []queued
 	for _, src := range n.sourceOps {
 		for _, t := range n.cfg.Store.SourceLogsFrom(v, src) {
-			c := t.Clone()
+			c := n.ingest.Clone(t)
 			c.Replay = true
 			replay = append(replay, queued{toOp: src, item: tuple.DataItem(c)})
 		}

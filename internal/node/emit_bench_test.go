@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mobistreams/internal/obs"
+	"mobistreams/internal/operator"
 	"mobistreams/internal/tuple"
 )
 
@@ -65,6 +66,54 @@ func TestEmitPathZeroAllocs(t *testing.T) {
 	})
 	if legacy == 0 {
 		t.Fatal("legacy adapter reported 0 allocs/op: benchmark harness lost its contrast")
+	}
+}
+
+// TestDerivingEmitPathZeroAllocs extends the pin to operators that derive
+// tuples: a Map that rewrites its input and a KeyTag both carve their
+// output from the context's slab, so a tuple through the chain costs two
+// slab carves and, amortised, no allocation.
+func TestDerivingEmitPathZeroAllocs(t *testing.T) {
+	var last *tuple.Tuple
+	n := chainNode(func(id string) operator.Operator {
+		switch id {
+		case "m1":
+			return operator.NewMap(id, func(ctx *operator.Context, in *tuple.Tuple) *tuple.Tuple {
+				out := ctx.Clone(in)
+				out.Size++
+				return out
+			})
+		case "m2":
+			return operator.NewKeyTag(id, func(*tuple.Tuple) string { return "k" })
+		}
+		return operator.NewPassthrough(id)
+	}, obs.NewRegistry(), func(out *tuple.Tuple) { last = out })
+	p := n.pipe.Load()
+	idx := p.opIndex("src")
+	tt := &tuple.Tuple{Seq: 1, Size: 64, Kind: "in", Value: 1.0}
+	n.runOp(p, idx, "", tt, noStamp)
+	allocs := testing.AllocsPerRun(200, func() {
+		n.runOp(p, idx, "", tt, noStamp)
+	})
+	if allocs != 0 {
+		t.Fatalf("deriving emit path allocates %.1f objects/op, want 0", allocs)
+	}
+	if last == tt || last.Kind != "k" || last.Size != 65 || tt.Kind != "in" || tt.Size != 64 {
+		t.Fatalf("derived %+v from %+v: want a rewritten copy and an untouched input", *last, *tt)
+	}
+}
+
+// TestBatchSliceRecycleZeroAllocs pins the batch slice pool: taking and
+// recycling a slice reuses both the slice and the pool's box for it.
+func TestBatchSliceRecycleZeroAllocs(t *testing.T) {
+	recycleBatchSlice(takeBatchSlice())
+	allocs := testing.AllocsPerRun(200, func() {
+		s := takeBatchSlice()
+		s = append(s, StreamMsg{EdgeSeq: 1})
+		recycleBatchSlice(s)
+	})
+	if allocs != 0 {
+		t.Fatalf("take + recycle allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

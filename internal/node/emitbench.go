@@ -34,10 +34,26 @@ func (*legacyPassthrough) Process(_ string, t *tuple.Tuple) ([]operator.Out, err
 // emitBenchNode assembles the benchmark harness: a three-operator chain
 // (src -> m1 -> m2 -> out) compiled onto one slot, so every emission runs
 // the in-slot recursion of the compiled pipeline and the final operator
-// publishes externally. No goroutines are started; the caller drives runOp
-// directly, exactly like the executor's steady-state path. A non-nil obs
+// publishes externally. The middle operators are identity Maps (or, with
+// legacy, every operator is a seed-contract passthrough). A non-nil obs
 // registry compiles the observability hooks in, exactly as a region does.
 func emitBenchNode(legacy bool, reg *obs.Registry, onOut func(*tuple.Tuple)) *Node {
+	identity := func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in }
+	return chainNode(func(id string) operator.Operator {
+		switch {
+		case legacy:
+			return &legacyPassthrough{Base: operator.Base{Name: id}}
+		case id == "src" || id == "out":
+			return operator.NewPassthrough(id)
+		}
+		return operator.NewMap(id, identity)
+	}, reg, onOut)
+}
+
+// chainNode compiles src -> m1 -> m2 -> out onto one slot from newOp. No
+// goroutines are started; the caller drives runOp directly, exactly like
+// the executor's steady-state path.
+func chainNode(newOp func(id string) operator.Operator, reg *obs.Registry, onOut func(*tuple.Tuple)) *Node {
 	var gb graph.Builder
 	gb.AddOperator("src", "s1").AddOperator("m1", "s1").
 		AddOperator("m2", "s1").AddOperator("out", "s1")
@@ -46,21 +62,10 @@ func emitBenchNode(legacy bool, reg *obs.Registry, onOut func(*tuple.Tuple)) *No
 	if err != nil {
 		panic(err)
 	}
-	identity := func(in *tuple.Tuple) *tuple.Tuple { return in }
-	factory := func(id string) operator.Factory {
-		if legacy {
-			return func() operator.Operator {
-				return &legacyPassthrough{Base: operator.Base{Name: id}}
-			}
-		}
-		if id == "src" || id == "out" {
-			return func() operator.Operator { return operator.NewPassthrough(id) }
-		}
-		return func() operator.Operator { return operator.NewMap(id, identity) }
-	}
 	opReg := operator.Registry{}
 	for _, id := range g.Operators() {
-		opReg[id] = factory(id)
+		id := id
+		opReg[id] = func() operator.Operator { return newOp(id) }
 	}
 	return New(Config{
 		ID: "bench", Graph: g, Registry: opReg,

@@ -345,6 +345,9 @@ type Node struct {
 	qList  []*upQueue
 	rr     int
 	cmds   []execCmd
+	// ingest is the slab external input and replayed input are copied
+	// into; guarded by mu like the external queue they join.
+	ingest tuple.Slab
 
 	align          *checkpoint.Alignment
 	alignUpstreams []string
@@ -615,7 +618,8 @@ func (n *Node) shutdown(failed bool) {
 // A node that has handed its slot off relays the tuple to the replacement:
 // the region's placement map repoints only after the transfer lands, and
 // external input admitted in that window must reach the new home rather
-// than be dropped.
+// than be dropped. The node admits a copy carved from its ingest slab, so
+// the caller may build t on its stack and keeps ownership of it.
 func (n *Node) IngestExternal(srcOp string, t *tuple.Tuple) {
 	n.IngestExternalTraced(srcOp, t, obs.SpanCtx{})
 }
@@ -627,18 +631,19 @@ func (n *Node) IngestExternal(srcOp string, t *tuple.Tuple) {
 // also its enqueue time.
 func (n *Node) IngestExternalTraced(srcOp string, t *tuple.Tuple, tc obs.SpanCtx) {
 	n.mu.Lock()
+	c := n.ingest.Clone(t)
 	q, ok := n.queues[externalSlot]
 	if !ok || !n.running {
 		fwd := n.forwardTo
 		running := n.running
 		n.mu.Unlock()
 		if running && fwd != "" {
-			m := StreamMsg{FromSlot: externalSlot, ToOp: srcOp, EdgeSeq: t.Seq, Trace: tc, Item: tuple.DataItem(t)}
-			n.relay(fwd, simnet.ClassData, t.Size, m)
+			m := StreamMsg{FromSlot: externalSlot, ToOp: srcOp, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)}
+			n.relay(fwd, simnet.ClassData, c.Size, m)
 		}
 		return
 	}
-	q.push(queued{fromOp: "", toOp: srcOp, item: tuple.DataItem(t), tc: tc, at: t.Created})
+	q.push(queued{fromOp: "", toOp: srcOp, item: tuple.DataItem(c), tc: tc, at: c.Created})
 	if q.depth != nil {
 		q.depth.Observe(int64(q.len()))
 	}

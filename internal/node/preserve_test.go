@@ -85,7 +85,7 @@ func newPreserveHarness(t *testing.T, o preserveOpts) *preserveHarness {
 		Graph: g,
 		Registry: operator.Registry{
 			"src": func() operator.Operator {
-				m := operator.NewMap("src", func(in *tuple.Tuple) *tuple.Tuple { return in })
+				m := operator.NewMap("src", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in })
 				m.CostFn = o.srcCost
 				return m
 			},

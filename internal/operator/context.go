@@ -33,14 +33,24 @@ type Runtime interface {
 // for emissions plus the runtime services an operator can grow into. A
 // Context is bound once per compiled pipeline (per operator) and reused
 // across calls, so the steady-state emission path allocates nothing.
+//
+// Inside Process and OnTimer, derive output tuples with Clone: the
+// context's slab is used only by the executor the context is bound to.
 type Context struct {
 	rt   Runtime
 	keys *KeyedState
+	slab tuple.Slab
 }
 
 // NewContext binds a context to a runtime. The node runtime builds one per
 // compiled operator; tests use Run or their own fakes.
 func NewContext(rt Runtime) *Context { return &Context{rt: rt} }
+
+// Clone returns a shallow copy of t, carved from the context's tuple slab:
+// the one way an operator derives an output tuple. The input stays
+// untouched (it may be preserved upstream or emitted elsewhere), and
+// deriving costs no per-tuple allocation.
+func (c *Context) Clone(t *tuple.Tuple) *tuple.Tuple { return c.slab.Clone(t) }
 
 // Emit pushes one fan-out emission into the pipeline: every downstream
 // operator of the emitting operator receives t (sink operators publish it

@@ -106,7 +106,7 @@ func TestPatchRoundTripProperty(t *testing.T) {
 }
 
 func TestDeltaTrackerLifecycle(t *testing.T) {
-	m := NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m := NewMap("m", func(_ *Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	if _, ok := m.SnapshotDelta(0); ok {
 		t.Fatal("delta available before any MarkSnapshot")
 	}
@@ -122,7 +122,7 @@ func TestDeltaTrackerLifecycle(t *testing.T) {
 	}
 	// Applying the patch to the marked-state bytes must equal the current
 	// snapshot: the round-trip the checkpoint chain replays at restore.
-	fresh := NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	fresh := NewMap("m", func(_ *Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	Run(fresh, "", tp(1, 1))
 	base, _ := fresh.Snapshot()
 	want, _ := m.Snapshot()
@@ -134,10 +134,10 @@ func TestDeltaTrackerLifecycle(t *testing.T) {
 
 func TestStdlibOperatorsImplementDeltaSnapshotter(t *testing.T) {
 	ops := []Operator{
-		NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in }),
+		NewMap("m", func(_ *Context, in *tuple.Tuple) *tuple.Tuple { return in }),
 		NewFilter("f", func(*tuple.Tuple) bool { return true }),
 		NewRoundRobin("d", "a", "b"),
-		NewJoin("j", "l", "r", func(l, r *tuple.Tuple) *tuple.Tuple { return l }),
+		NewJoin("j", "l", "r", func(_ *Context, l, _ *tuple.Tuple) *tuple.Tuple { return l }),
 		NewWindow("w", 8),
 		NewAggregate("a"),
 	}

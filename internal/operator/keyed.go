@@ -25,7 +25,7 @@ func NewKeyTag(id string, fn func(*tuple.Tuple) string) *KeyTag {
 // Process implements Processor: emits a clone carrying the key, leaving
 // the input (possibly preserved upstream) untouched.
 func (k *KeyTag) Process(ctx *Context, _ string, t *tuple.Tuple) error {
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Kind = k.Fn(t)
 	ctx.Emit(out)
 	return nil

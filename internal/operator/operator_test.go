@@ -13,8 +13,8 @@ func tp(seq uint64, size int) *tuple.Tuple {
 }
 
 func TestMapTransformsAndCounts(t *testing.T) {
-	m := NewMap("m", func(in *tuple.Tuple) *tuple.Tuple {
-		out := in.Clone()
+	m := NewMap("m", func(ctx *Context, in *tuple.Tuple) *tuple.Tuple {
+		out := ctx.Clone(in)
 		out.Kind = "y"
 		return out
 	})
@@ -31,7 +31,7 @@ func TestMapTransformsAndCounts(t *testing.T) {
 }
 
 func TestMapDropsNil(t *testing.T) {
-	m := NewMap("m", func(*tuple.Tuple) *tuple.Tuple { return nil })
+	m := NewMap("m", func(*Context, *tuple.Tuple) *tuple.Tuple { return nil })
 	outs, err := Run(m, "", tp(1, 10))
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("outs = %v, err = %v", outs, err)
@@ -39,7 +39,7 @@ func TestMapDropsNil(t *testing.T) {
 }
 
 func TestMapSnapshotRoundTrip(t *testing.T) {
-	m := NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m := NewMap("m", func(_ *Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	for i := 0; i < 5; i++ {
 		Run(m, "", tp(uint64(i), 1))
 	}
@@ -47,7 +47,7 @@ func TestMapSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m2 := NewMap("m", func(_ *Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	if err := m2.Restore(state); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMapSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestMapCostAndSize(t *testing.T) {
-	m := NewMap("m", func(in *tuple.Tuple) *tuple.Tuple { return in })
+	m := NewMap("m", func(_ *Context, in *tuple.Tuple) *tuple.Tuple { return in })
 	if m.Cost(tp(0, 1)) != 0 {
 		t.Fatal("default cost not zero")
 	}
@@ -140,8 +140,8 @@ func TestRoundRobinNoTargets(t *testing.T) {
 }
 
 func TestJoinMatchesBySeq(t *testing.T) {
-	j := NewJoin("j", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple {
-		out := l.Clone()
+	j := NewJoin("j", "L", "R", func(ctx *Context, l, r *tuple.Tuple) *tuple.Tuple {
+		out := ctx.Clone(l)
 		out.Size = l.Size + r.Size
 		return out
 	})
@@ -162,14 +162,14 @@ func TestJoinMatchesBySeq(t *testing.T) {
 }
 
 func TestJoinRejectsUnknownUpstream(t *testing.T) {
-	j := NewJoin("j", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple { return l })
+	j := NewJoin("j", "L", "R", func(_ *Context, l, _ *tuple.Tuple) *tuple.Tuple { return l })
 	if _, err := Run(j, "X", tp(1, 1)); err == nil {
 		t.Fatal("unknown upstream accepted")
 	}
 }
 
 func TestJoinSnapshotRestoresWindows(t *testing.T) {
-	j := NewJoin("j", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple { return l })
+	j := NewJoin("j", "L", "R", func(_ *Context, l, _ *tuple.Tuple) *tuple.Tuple { return l })
 	Run(j, "L", tp(1, 100))
 	Run(j, "L", tp(2, 200))
 	Run(j, "R", tp(9, 300))
@@ -177,7 +177,7 @@ func TestJoinSnapshotRestoresWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2 := NewJoin("j", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple { return l })
+	j2 := NewJoin("j", "L", "R", func(_ *Context, l, _ *tuple.Tuple) *tuple.Tuple { return l })
 	if err := j2.Restore(state); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestJoinSnapshotRestoresWindows(t *testing.T) {
 }
 
 func TestJoinStateSizeTracksWindows(t *testing.T) {
-	j := NewJoin("j", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple { return l })
+	j := NewJoin("j", "L", "R", func(_ *Context, l, _ *tuple.Tuple) *tuple.Tuple { return l })
 	j.ExtraState = 1000
 	base := j.StateSize()
 	Run(j, "L", tp(1, 500))
@@ -270,7 +270,7 @@ func TestRoundRobinFairnessProperty(t *testing.T) {
 // arrival order.
 func TestJoinPairingProperty(t *testing.T) {
 	f := func(seqs []uint64, flip bool) bool {
-		j := NewJoin("j", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple { return l })
+		j := NewJoin("j", "L", "R", func(_ *Context, l, _ *tuple.Tuple) *tuple.Tuple { return l })
 		seen := make(map[uint64]bool)
 		emitted := 0
 		want := 0

@@ -16,10 +16,12 @@ func FixedCost(d time.Duration) func(*tuple.Tuple) time.Duration {
 	return func(*tuple.Tuple) time.Duration { return d }
 }
 
-// Map applies a pure function to every tuple.
+// Map applies a function to every tuple. Fn returns the tuple to emit, or
+// nil to drop the input; a Fn that rewrites the tuple derives its output
+// with ctx.Clone, never by mutating the input.
 type Map struct {
 	Base
-	Fn      func(*tuple.Tuple) *tuple.Tuple
+	Fn      func(ctx *Context, t *tuple.Tuple) *tuple.Tuple
 	CostFn  func(*tuple.Tuple) time.Duration
 	SizeFn  func() int // modelled state size; nil means stateless
 	counter uint64     // processed-tuple count, part of checkpointed state
@@ -27,14 +29,14 @@ type Map struct {
 }
 
 // NewMap builds a Map operator.
-func NewMap(id string, fn func(*tuple.Tuple) *tuple.Tuple) *Map {
+func NewMap(id string, fn func(ctx *Context, t *tuple.Tuple) *tuple.Tuple) *Map {
 	return &Map{Base: Base{Name: id}, Fn: fn}
 }
 
 // Process implements Processor.
 func (m *Map) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	m.counter++
-	if out := m.Fn(t); out != nil {
+	if out := m.Fn(ctx, t); out != nil {
 		ctx.Emit(out)
 	}
 	return nil
@@ -201,8 +203,10 @@ func (r *RoundRobin) MarkSnapshot(v uint64) { r.delta.Mark(v, r.Snapshot) }
 type Join struct {
 	Base
 	Left, Right string
-	Merge       func(l, r *tuple.Tuple) *tuple.Tuple
-	CostFn      func(*tuple.Tuple) time.Duration
+	// Merge returns the joined tuple (nil emits nothing); like Map.Fn it
+	// derives a new tuple with ctx.Clone.
+	Merge  func(ctx *Context, l, r *tuple.Tuple) *tuple.Tuple
+	CostFn func(*tuple.Tuple) time.Duration
 	// ExtraState models window buffers beyond the live tuples.
 	ExtraState int
 	left       map[uint64]*tuple.Tuple
@@ -211,7 +215,7 @@ type Join struct {
 }
 
 // NewJoin builds a Join keyed by tuple sequence number.
-func NewJoin(id, left, right string, merge func(l, r *tuple.Tuple) *tuple.Tuple) *Join {
+func NewJoin(id, left, right string, merge func(ctx *Context, l, r *tuple.Tuple) *tuple.Tuple) *Join {
 	return &Join{
 		Base: Base{Name: id}, Left: left, Right: right, Merge: merge,
 		left: make(map[uint64]*tuple.Tuple), right: make(map[uint64]*tuple.Tuple),
@@ -237,7 +241,7 @@ func (j *Join) Process(ctx *Context, from string, t *tuple.Tuple) error {
 		} else {
 			l, r = match, t
 		}
-		if out := j.Merge(l, r); out != nil {
+		if out := j.Merge(ctx, l, r); out != nil {
 			ctx.Emit(out)
 		}
 		return nil
@@ -398,7 +402,7 @@ func (w *Window) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	for _, x := range w.vals {
 		sum += x
 	}
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Value = sum / float64(len(w.vals))
 	ctx.Emit(out)
 	return nil
@@ -514,7 +518,7 @@ func (a *Aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	c := a.acc(a.key(t))
 	c.sum += v
 	c.count++
-	out := t.Clone()
+	out := ctx.Clone(t)
 	out.Value = c.sum / float64(c.count)
 	ctx.Emit(out)
 	return nil

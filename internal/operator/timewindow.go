@@ -120,7 +120,7 @@ func (w *TimeWindow) OnTimer(ctx *Context, _ time.Duration) error {
 		if tmpl == nil {
 			continue // restored sums without a template: keep for the next close
 		}
-		out := tmpl.Clone()
+		out := ctx.Clone(tmpl)
 		out.Value = sum / float64(cnt)
 		ctx.Emit(out)
 		emitted = true

@@ -523,7 +523,8 @@ func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) 
 	if !ok || tg.node == nil {
 		return
 	}
-	t := &tuple.Tuple{
+	// Built on the stack: the node copies it into its ingest slab.
+	t := tuple.Tuple{
 		Seq:     atomic.AddUint64(tg.seq, 1),
 		Source:  srcOp,
 		Kind:    kind,
@@ -535,10 +536,10 @@ func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) 
 	// sample-every-1 traces the very first tuple on both backends.
 	if tc, ok := r.obs.Tracer.Sample(t.Seq - 1); ok {
 		r.obs.Tracer.Record(&tc, obs.SpanIngest, "region", "", srcOp, int64(t.Created))
-		tg.node.IngestExternalTraced(srcOp, t, tc)
+		tg.node.IngestExternalTraced(srcOp, &t, tc)
 		return
 	}
-	tg.node.IngestExternal(srcOp, t)
+	tg.node.IngestExternal(srcOp, &t)
 }
 
 // onSink receives one published sink result: deduplicate (recovery replays

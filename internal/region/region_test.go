@@ -37,14 +37,14 @@ func diamondGraph(t testing.TB) *graph.Graph {
 }
 
 func diamondRegistry() operator.Registry {
-	clone := func(in *tuple.Tuple) *tuple.Tuple { return in.Clone() }
+	clone := func(ctx *operator.Context, in *tuple.Tuple) *tuple.Tuple { return ctx.Clone(in) }
 	return operator.Registry{
 		"A": func() operator.Operator { return operator.NewPassthrough("A") },
 		"B": func() operator.Operator { return operator.NewPassthrough("B") },
 		"C": func() operator.Operator { return operator.NewMap("C", clone) },
 		"D": func() operator.Operator { return operator.NewMap("D", clone) },
 		"E": func() operator.Operator {
-			return operator.NewJoin("E", "C", "D", func(l, r *tuple.Tuple) *tuple.Tuple { return l.Clone() })
+			return operator.NewJoin("E", "C", "D", func(ctx *operator.Context, l, _ *tuple.Tuple) *tuple.Tuple { return ctx.Clone(l) })
 		},
 	}
 }
@@ -265,7 +265,7 @@ func sourceFailureMidBurst(t *testing.T, burst, stopAt, committed int) {
 	emitted := map[uint64]bool{} // post-checkpoint tuples that reached B
 	reg := diamondRegistry()
 	reg["A"] = func() operator.Operator {
-		return operator.NewMap("A", func(in *tuple.Tuple) *tuple.Tuple {
+		return operator.NewMap("A", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple {
 			if in.Seq == uint64(stopAt) && !in.Replay {
 				close(reached)
 				<-crashed
@@ -274,7 +274,7 @@ func sourceFailureMidBurst(t *testing.T, burst, stopAt, committed int) {
 		})
 	}
 	reg["B"] = func() operator.Operator {
-		return operator.NewMap("B", func(in *tuple.Tuple) *tuple.Tuple {
+		return operator.NewMap("B", func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple {
 			if in.Seq > 15 && !in.Replay {
 				mu.Lock()
 				emitted[in.Seq] = true

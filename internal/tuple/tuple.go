@@ -33,12 +33,44 @@ type Tuple struct {
 	Value interface{}
 }
 
-// Clone returns a shallow copy of the tuple. Payloads are treated as
-// immutable once emitted, so a shallow copy is sufficient for replication
-// and preservation.
-func (t *Tuple) Clone() *Tuple {
-	c := *t
-	return &c
+// slabSize is how many tuples a full slab array holds: 33 tuples of 80 B
+// fill the 2688 B size class that 32 would be rounded up to anyway. The
+// odd count also keeps a sampler with a power-of-two period from landing on
+// the refilling carve every time.
+const slabSize = 33
+
+// Slab carves tuples out of arrays owned by one goroutine. A carved tuple is
+// never handed out again: when an array is used up the next carve allocates
+// a fresh one, and the GC frees an old array once none of its tuples is
+// referenced. Arrays double from one tuple up to slabSize, so a short-lived
+// slab (one operator.Run call) allocates no more than a plain copy would,
+// and a long-lived one costs 1/slabSize of an allocation per carve. No
+// tuple is recycled under a live reference. The price is retention: a kept
+// tuple keeps its whole array, and its neighbours' payloads, alive.
+// Payloads are treated as immutable once emitted, so a shallow copy is
+// sufficient for derivation, replication and preservation. A Slab is not
+// safe for concurrent use; the zero value is ready.
+type Slab struct {
+	free []Tuple
+	next int // length of the next array
+}
+
+// New returns a zeroed tuple carved from the slab.
+func (s *Slab) New() *Tuple {
+	if len(s.free) == 0 {
+		s.next = min(max(2*s.next, 1), slabSize)
+		s.free = make([]Tuple, s.next)
+	}
+	t := &s.free[0]
+	s.free = s.free[1:]
+	return t
+}
+
+// Clone returns a shallow copy of t carved from the slab.
+func (s *Slab) Clone(t *Tuple) *Tuple {
+	c := s.New()
+	*c = *t
+	return c
 }
 
 func (t *Tuple) String() string {

@@ -8,7 +8,8 @@ import (
 
 func TestCloneIsIndependent(t *testing.T) {
 	orig := &Tuple{Seq: 7, Source: "s1", Kind: "image", Size: 1024, Created: time.Second}
-	c := orig.Clone()
+	var s Slab
+	c := s.Clone(orig)
 	if *c != *orig {
 		t.Fatalf("clone differs: %+v vs %+v", c, orig)
 	}
@@ -52,21 +53,56 @@ func TestTupleString(t *testing.T) {
 	}
 }
 
-// Property: Clone always yields an equal value whose mutation never leaks
-// back into the original.
+// Property: a slab clone always equals its original, and mutating it never
+// leaks into the original or into its slab neighbours. A tuple kept from
+// the first array stays intact while later carves refill the slab several
+// times over.
 func TestCloneProperty(t *testing.T) {
+	var s Slab
+	kept := s.Clone(&Tuple{Seq: 1, Source: "first", Size: 9})
+	want := *kept
 	f := func(seq uint64, src string, size int, replay bool) bool {
 		orig := &Tuple{Seq: seq, Source: src, Size: size, Replay: replay}
-		c := orig.Clone()
-		if *c != *orig {
+		prev := s.Clone(orig)
+		c := s.Clone(orig)
+		next := s.Clone(orig)
+		if *c != *orig || *prev != *orig || *next != *orig {
 			return false
 		}
 		c.Seq++
 		c.Replay = !c.Replay
-		return orig.Seq == seq && orig.Replay == replay
+		c.Source += "x"
+		return *orig == Tuple{Seq: seq, Source: src, Size: size, Replay: replay} &&
+			*prev == *orig && *next == *orig
 	}
+	// quick.Check runs 100 cases of 3 carves: > 9 refills of a 32-tuple array.
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	if *kept != want {
+		t.Fatalf("tuple kept from the first array changed: %+v, want %+v", *kept, want)
+	}
+}
+
+// A carve allocates only when an array is used up: the arrays double up to
+// slabSize, and then any slabSize carves in a row cost exactly one
+// allocation.
+func TestSlabAllocsPerArray(t *testing.T) {
+	var s Slab
+	src := &Tuple{Seq: 3, Kind: "k"}
+	if allocs := testing.AllocsPerRun(1, func() { s.Clone(src) }); allocs != 1 {
+		t.Fatalf("first carve allocates %.0f objects, want 1", allocs)
+	}
+	for i := 0; i < 4*slabSize; i++ {
+		s.Clone(src)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < slabSize; i++ {
+			s.Clone(src)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%d carves allocate %.0f objects, want 1", slabSize, allocs)
 	}
 }
 

@@ -25,11 +25,12 @@
 // Custom operators implement the emit-context contract: Process receives
 // an *OperatorContext whose Emit/EmitTo push results straight into the
 // node's compiled pipeline (no per-tuple slice allocation), plus simulated
-// time, one-shot timers and a per-key state handle:
+// time, one-shot timers and a per-key state handle. Inside Process and
+// OnTimer, derive output tuples with ctx.Clone:
 //
 //	func (o *smoother) Process(ctx *mobistreams.OperatorContext, from string, t *mobistreams.Tuple) error {
 //		o.ewma = 0.8*o.ewma + 0.2*t.Value.(float64)
-//		out := t.Clone()
+//		out := ctx.Clone(t)
 //		out.Value = o.ewma
 //		ctx.Emit(out)
 //		return nil

@@ -28,7 +28,7 @@ func demoRegistry() Registry {
 	return Registry{
 		"src": func() Operator { return operator.NewPassthrough("src") },
 		"work": func() Operator {
-			return operator.NewMap("work", func(in *tuple.Tuple) *tuple.Tuple { return in.Clone() })
+			return operator.NewMap("work", func(ctx *operator.Context, in *tuple.Tuple) *tuple.Tuple { return ctx.Clone(in) })
 		},
 		"out": func() Operator { return operator.NewPassthrough("out") },
 	}
@@ -269,7 +269,8 @@ func (s *legacySmoother) Process(_ string, t *tuple.Tuple) ([]operator.Out, erro
 		s.ewma = 0.8*s.ewma + 0.2*v
 	}
 	s.n++
-	out := t.Clone()
+	c := *t // the legacy contract has no context to carve from
+	out := &c
 	out.Value = s.ewma
 	return []operator.Out{operator.Emit(out)}, nil
 }

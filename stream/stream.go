@@ -589,7 +589,7 @@ func (p *Pipeline) Output(t *tuple.Tuple) {
 // so stream-built and hand-built pipelines checkpoint identically.
 func mapFactory[T, U any](id string, fn func(T) (U, bool), cost time.Duration) operator.Factory {
 	return func() operator.Operator {
-		m := operator.NewMap(id, func(t *tuple.Tuple) *tuple.Tuple {
+		m := operator.NewMap(id, func(ctx *operator.Context, t *tuple.Tuple) *tuple.Tuple {
 			v, ok := t.Value.(T)
 			if !ok {
 				return nil // mismatched payload: drop, as Filter would
@@ -598,7 +598,7 @@ func mapFactory[T, U any](id string, fn func(T) (U, bool), cost time.Duration) o
 			if !keep {
 				return nil
 			}
-			out := t.Clone()
+			out := ctx.Clone(t)
 			out.Value = u
 			return out
 		})

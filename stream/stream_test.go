@@ -123,7 +123,7 @@ func TestMergeFanInAndFanOut(t *testing.T) {
 	left := src.Map("L", func(v float64) float64 { return v + 1 }, On("n2"))
 	right := src.Map("R", func(v float64) float64 { return v - 1 }, On("n3"))
 	joined := Merge[float64]("J", func() operator.Operator {
-		return operator.NewJoin("J", "L", "R", func(l, r *tuple.Tuple) *tuple.Tuple { return l.Clone() })
+		return operator.NewJoin("J", "L", "R", func(ctx *operator.Context, l, _ *tuple.Tuple) *tuple.Tuple { return ctx.Clone(l) })
 	}, []Upstream{left, right}, On("n4"))
 	p, err := joined.Sink("out", nil, On("n4")).Build()
 	if err != nil {

@@ -37,12 +37,12 @@ func parityHandBuilt(t *testing.T) (*Graph, Registry) {
 	reg := Registry{
 		"sensor": func() Operator { return operator.NewPassthrough("sensor") },
 		"smooth": func() Operator {
-			return operator.NewMap("smooth", func(in *tuple.Tuple) *tuple.Tuple {
+			return operator.NewMap("smooth", func(ctx *operator.Context, in *tuple.Tuple) *tuple.Tuple {
 				v, ok := in.Value.(float64)
 				if !ok {
 					return nil
 				}
-				out := in.Clone()
+				out := ctx.Clone(in)
 				out.Value = paritySmooth(v)
 				return out
 			})
