@@ -368,10 +368,10 @@ func (s *scriptedMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, 
 	s.phase++
 	counts := make([]int, len(grams))
 	for gi, g := range grams {
-		bm := g.Payload.(broadcast.BlockMsg)
+		bm := g.Payload.(*broadcast.BlockMsg)
 		for id, r := range s.receivers {
 			if s.deliver(id, bm.Index) {
-				r.OnBlock(bm)
+				r.OnBlock(*bm)
 				counts[gi]++
 			}
 		}

@@ -9,8 +9,9 @@
 package broadcast
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mobistreams/internal/checkpoint"
@@ -58,9 +59,10 @@ type Waiter interface {
 	After(d time.Duration) <-chan time.Duration
 }
 
-// BlockMsg is one UDP checkpoint block on the wire. Blob is an in-memory
-// reference: the simulation charges the network by size, while receivers
-// reconstruct availability from block arrivals.
+// BlockMsg is one UDP checkpoint block on the wire; datagrams carry it as
+// *BlockMsg (see DisseminateUntil). Blob is an in-memory reference: the
+// simulation charges the network by size, while receivers reconstruct
+// availability from block arrivals.
 type BlockMsg struct {
 	Slot    string
 	Version uint64
@@ -78,6 +80,10 @@ type QueryMsg struct {
 	Slot    string
 	Version uint64
 	Total   int
+	// into is the sender's buffer for this peer's answer: Receiver.Bitmap
+	// copies into it instead of allocating. Like Blob, it is an in-memory
+	// shortcut of the simulation, not a wire field.
+	into []bool
 }
 
 // FillMsg is a TCP-phase transfer of specific blocks along a tree edge.
@@ -135,21 +141,48 @@ func numBlocks(size, blockSize int) int {
 // Disseminate persists blob from `from` onto every peer. It blocks (in
 // simulated time) until the UDP phases and the TCP fill complete.
 func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) Stats {
+	st, _ := DisseminateUntil(nil, m, w, from, peers, blob, cfg)
+	return st
+}
+
+// ErrStopped reports a dissemination cut short by its stop channel.
+var ErrStopped = errors.New("broadcast: dissemination stopped")
+
+// DisseminateUntil is Disseminate that gives up as soon as stop closes: a
+// bitmap query waiting on a peer returns at once, and so does the
+// dissemination, with the stats gathered so far and ErrStopped. A stopping
+// node passes its stop channel, so teardown never waits out QueryTimeout on
+// a peer that has already stopped answering.
+//
+// Every block message is carved, once per call, from one array filled
+// before phase 1; each datagram carries a pointer into it. The array is
+// never written again: later phases resend the same pointers while
+// receivers may still be reading earlier ones.
+func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) (Stats, error) {
 	cfg.applyDefaults()
 	var st Stats
 
 	total := numBlocks(blob.Size, cfg.BlockSize)
 	reachable := append([]simnet.NodeID(nil), peers...)
-	sort.Slice(reachable, func(i, j int) bool { return reachable[i] < reachable[j] })
+	slices.Sort(reachable)
 	if len(reachable) == 0 {
-		return st
+		return st, nil
 	}
 
-	// bitmaps[peer][i] reports whether peer holds block i, per the most
-	// recent query round.
-	bitmaps := make(map[simnet.NodeID][]bool, len(reachable))
-	for _, p := range reachable {
-		bitmaps[p] = make([]bool, total)
+	blocks := make([]BlockMsg, total)
+	for i := range blocks {
+		blocks[i] = BlockMsg{Slot: blob.Slot, Version: blob.Version, Index: i, Total: total, Blob: blob,
+			CRC: checkpoint.ChunkCRC(blob.CRC, i)}
+	}
+	// bitmaps[k] reports which blocks reachable[k] holds, per its most
+	// recent answer; the two are filtered in place together each phase.
+	// Each peer's answers are copied into its own row of one backing array.
+	// A row is reused only while its peer stays reachable, since a
+	// timed-out peer may still write its late answer there.
+	bitmaps := make([][]bool, len(reachable))
+	rows := make([]bool, len(reachable)*total)
+	for k := range bitmaps {
+		bitmaps[k] = rows[k*total : (k+1)*total : (k+1)*total]
 	}
 	prevReceived := int64(0)
 
@@ -168,12 +201,8 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 		grams = grams[:len(toSend)]
 		sent := int64(0)
 		for gi, bi := range toSend {
-			sz := blockBytes(blob.Size, cfg.BlockSize, bi)
-			if sz <= 0 {
-				sz = 1
-			}
-			grams[gi] = simnet.Datagram{Size: sz, Payload: BlockMsg{Slot: blob.Slot, Version: blob.Version, Index: bi, Total: total, Blob: blob,
-				CRC: checkpoint.ChunkCRC(blob.CRC, bi)}}
+			sz := max(blockBytes(blob.Size, cfg.BlockSize, bi), 1)
+			grams[gi] = simnet.Datagram{Size: sz, Payload: &blocks[bi]}
 			sent += int64(sz)
 		}
 		m.BroadcastBatch(from, simnet.ClassCheckpoint, grams)
@@ -181,18 +210,21 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 
 		// Query every reachable peer for its bitmap.
 		bitmapBytes := int64(0)
-		var stillReachable []simnet.NodeID
-		for _, p := range reachable {
-			bm, n, err := queryBitmap(m, w, from, p, blob, total, cfg)
+		still := 0
+		for k, p := range reachable {
+			n, err := queryBitmap(stop, m, w, from, p, blob, bitmaps[k], cfg)
+			if err == ErrStopped {
+				return st, err
+			}
 			if err != nil {
 				st.Unreachable = append(st.Unreachable, p)
 				continue
 			}
-			bitmaps[p] = bm
 			bitmapBytes += int64(n)
-			stillReachable = append(stillReachable, p)
+			reachable[still], bitmaps[still] = p, bitmaps[k]
+			still++
 		}
-		reachable = stillReachable
+		reachable, bitmaps = reachable[:still], bitmaps[:still]
 		st.BitmapBytes += bitmapBytes
 		if len(reachable) == 0 {
 			break
@@ -203,8 +235,8 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 		// sent + bitmaps received); gain is bytes newly held across
 		// receivers.
 		received := int64(0)
-		for _, p := range reachable {
-			for i, got := range bitmaps[p] {
+		for _, bm := range bitmaps {
+			for i, got := range bm {
 				if got {
 					received += int64(blockBytes(blob.Size, cfg.BlockSize, i))
 				}
@@ -214,7 +246,7 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 		cost := sent + bitmapBytes
 		prevReceived = received
 
-		toSend = missingBlocks(bitmaps, reachable, total)
+		toSend = missingBlocks(toSend[:0], bitmaps, total)
 		if len(toSend) == 0 || cost > gain {
 			break
 		}
@@ -229,39 +261,43 @@ func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, 
 		st.Complete = complete
 		st.Unreachable = append(st.Unreachable, unreachable...)
 	}
-	return st
+	return st, nil
 }
 
-func queryBitmap(m Medium, w Waiter, from, peer simnet.NodeID, blob *checkpoint.Blob, total int, cfg Config) ([]bool, int, error) {
-	reply, err := m.Request(from, peer, simnet.ClassBitmap, queryBytes, QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total})
+// queryBitmap asks peer for its bitmap, to be copied into into, and
+// reports the answer's wire size.
+func queryBitmap(stop <-chan struct{}, m Medium, w Waiter, from, peer simnet.NodeID, blob *checkpoint.Blob, into []bool, cfg Config) (int, error) {
+	total := len(into)
+	reply, err := m.Request(from, peer, simnet.ClassBitmap, queryBytes, QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total, into: into})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	select {
 	case msg := <-reply:
 		bm, ok := msg.Payload.([]bool)
 		if !ok || len(bm) != total {
-			return nil, 0, fmt.Errorf("broadcast: bad bitmap from %s", peer)
+			return 0, fmt.Errorf("broadcast: bad bitmap from %s", peer)
 		}
-		return bm, msg.Size, nil
+		copy(into, bm) // no-op when the receiver answered into the buffer
+		return msg.Size, nil
 	case <-w.After(cfg.QueryTimeout):
-		return nil, 0, fmt.Errorf("broadcast: bitmap query to %s timed out", peer)
+		return 0, fmt.Errorf("broadcast: bitmap query to %s timed out", peer)
+	case <-stop:
+		return 0, ErrStopped
 	}
 }
 
-// missingBlocks ANDs the bitmaps: a block is missing if at least one
-// reachable peer lacks it.
-func missingBlocks(bitmaps map[simnet.NodeID][]bool, reachable []simnet.NodeID, total int) []int {
-	var missing []int
+// missingBlocks appends to dst every block at least one of bitmaps lacks.
+func missingBlocks(dst []int, bitmaps [][]bool, total int) []int {
 	for i := 0; i < total; i++ {
-		for _, p := range reachable {
-			if !bitmaps[p][i] {
-				missing = append(missing, i)
+		for _, bm := range bitmaps {
+			if !bm[i] {
+				dst = append(dst, i)
 				break
 			}
 		}
 	}
-	return missing
+	return dst
 }
 
 // BitmapWireBytes is the on-the-wire size of a bitmap for `total` blocks.
@@ -271,84 +307,66 @@ func BitmapWireBytes(total int) int { return (total + 7) / 8 }
 // pushes each subtree's missing-block union down edge by edge. The sender
 // orchestrates the relay sends; airtime is charged per hop with the actual
 // relaying parent as the transmitter, which is what the medium model needs.
-func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps map[simnet.NodeID][]bool, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
-	// missing per peer
-	need := make(map[simnet.NodeID][]int, len(peers))
-	for _, p := range peers {
-		var miss []int
-		for i := 0; i < total; i++ {
-			if !bitmaps[p][i] {
-				miss = append(miss, i)
-			}
-		}
-		need[p] = miss
-	}
-
+// bitmaps[i] is peers[i]'s last answer.
+func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps [][]bool, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
 	// Binary tree over peers in sorted order: peers[0] is the root,
-	// children of peers[i] are peers[2i+1], peers[2i+2].
-	subtreeNeed := make([]map[int]bool, len(peers))
-	var gather func(i int) map[int]bool
-	gather = func(i int) map[int]bool {
-		u := make(map[int]bool, len(need[peers[i]]))
-		for _, b := range need[peers[i]] {
-			u[b] = true
+	// children of peers[i] are peers[2i+1], peers[2i+2]. Children sit
+	// after their parent, so a backward pass folds each subtree's union
+	// of missing blocks into its root's row.
+	need := make([]bool, len(peers)*total)
+	for i := len(peers) - 1; i >= 0; i-- {
+		u := need[i*total : (i+1)*total]
+		for b, got := range bitmaps[i] {
+			u[b] = !got
 		}
-		for _, c := range []int{2*i + 1, 2*i + 2} {
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
 			if c < len(peers) {
-				for b := range gather(c) {
-					u[b] = true
+				for b, miss := range need[c*total : (c+1)*total] {
+					u[b] = u[b] || miss
 				}
 			}
 		}
-		subtreeNeed[i] = u
-		return u
 	}
-	gather(0)
 
-	dead := make(map[simnet.NodeID]bool)
-	// BFS down the tree: edge (parent -> child) carries subtreeNeed[child].
-	type edge struct {
-		parent simnet.NodeID
-		child  int
-	}
-	queue := []edge{{from, 0}}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		child := peers[e.child]
-		union := subtreeNeed[e.child]
-		if dead[e.parent] {
-			// Relay chain broken: the subtree is unreachable this round;
-			// children inherit the broken parent.
-			dead[child] = true
-		} else if len(union) > 0 {
-			indices := make([]int, 0, len(union))
-			bytes := 0
-			for b := range union {
+	// Breadth-first down the tree, which in this layout is index order:
+	// edge (parent -> child) carries the child's subtree union. A child
+	// whose edge fails, or whose parent is cut off, is cut off too.
+	dead := make([]bool, len(peers))
+	for i, child := range peers {
+		parent, parentDead := from, false
+		if i > 0 {
+			parent, parentDead = peers[(i-1)/2], dead[(i-1)/2]
+		}
+		if parentDead {
+			dead[i] = true
+			continue
+		}
+		var indices []int
+		bytes := 0
+		for b, miss := range need[i*total : (i+1)*total] {
+			if miss {
 				indices = append(indices, b)
 				bytes += blockBytes(blob.Size, cfg.BlockSize, b)
 			}
-			sort.Ints(indices)
-			crcs := make([]uint32, len(indices))
-			for k, b := range indices {
-				crcs[k] = checkpoint.ChunkCRC(blob.CRC, b)
-			}
-			err := m.Unicast(e.parent, child, simnet.ClassCheckpoint, bytes,
-				FillMsg{Slot: blob.Slot, Version: blob.Version, Total: total, Indices: indices, CRCs: crcs, Blob: blob})
-			if err != nil {
-				dead[child] = true
-			} else {
-				tcpBytes += int64(bytes)
-			}
 		}
-		for _, c := range []int{2*e.child + 1, 2*e.child + 2} {
-			if c < len(peers) {
-				queue = append(queue, edge{child, c})
-			}
+		if len(indices) == 0 {
+			continue
+		}
+		crcs := make([]uint32, len(indices))
+		for k, b := range indices {
+			crcs[k] = checkpoint.ChunkCRC(blob.CRC, b)
+		}
+		err := m.Unicast(parent, child, simnet.ClassCheckpoint, bytes,
+			FillMsg{Slot: blob.Slot, Version: blob.Version, Total: total, Indices: indices, CRCs: crcs, Blob: blob})
+		if err != nil {
+			dead[i] = true
+		} else {
+			tcpBytes += int64(bytes)
 		}
 	}
-	for _, p := range peers {
-		if dead[p] {
+	complete = make([]simnet.NodeID, 0, len(peers))
+	for i, p := range peers {
+		if dead[i] {
 			unreachable = append(unreachable, p)
 		} else {
 			complete = append(complete, p)

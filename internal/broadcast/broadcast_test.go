@@ -23,10 +23,10 @@ func (s *scriptMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, gr
 	s.phase++
 	counts := make([]int, len(grams))
 	for gi, g := range grams {
-		bm := g.Payload.(BlockMsg)
+		bm := g.Payload.(*BlockMsg)
 		for id, r := range s.receivers {
 			if s.deliver(s.phase, id, bm.Index) {
-				r.OnBlock(bm)
+				r.OnBlock(*bm)
 				counts[gi]++
 			}
 		}
@@ -163,18 +163,14 @@ func TestDisseminateNoPeers(t *testing.T) {
 	}
 }
 
-// TestDisseminateLive runs the protocol over the real simulated WiFi with
-// 30% UDP loss and receiver goroutines behaving like node runtimes.
-func TestDisseminateLive(t *testing.T) {
-	clk := clock.NewScaled(5000)
-	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 20e6, LossProb: 0.3, Seed: 7})
-	sender := simnet.NewEndpoint("s", 1<<14)
-	w.Join(sender)
-	peers := []simnet.NodeID{"A", "B", "C"}
-	stores := make(map[simnet.NodeID]*storage.Store)
+// serveReceivers joins one endpoint per id to w and runs a receiver on
+// each, dispatching like a node runtime does. It returns every receiver's
+// store; the goroutines exit when the test ends.
+func serveReceivers(t *testing.T, w *simnet.WiFi, ids []simnet.NodeID) map[simnet.NodeID]*storage.Store {
 	stop := make(chan struct{})
-	defer close(stop)
-	for _, id := range peers {
+	t.Cleanup(func() { close(stop) })
+	stores := make(map[simnet.NodeID]*storage.Store)
+	for _, id := range ids {
 		ep := simnet.NewEndpoint(id, 1<<14)
 		w.Join(ep)
 		store := storage.New()
@@ -185,13 +181,12 @@ func TestDisseminateLive(t *testing.T) {
 				select {
 				case m := <-ep.Inbox():
 					switch p := m.Payload.(type) {
-					case BlockMsg:
-						recv.OnBlock(p)
+					case *BlockMsg:
+						recv.OnBlock(*p)
 					case FillMsg:
 						recv.OnFill(p)
 					case QueryMsg:
-						bm := recv.Bitmap(p)
-						w.Respond(m, id, simnet.ClassBitmap, BitmapWireBytes(p.Total), bm)
+						w.Respond(m, id, simnet.ClassBitmap, BitmapWireBytes(p.Total), recv.Bitmap(p))
 					}
 				case <-stop:
 					return
@@ -199,6 +194,17 @@ func TestDisseminateLive(t *testing.T) {
 			}
 		}(id, ep)
 	}
+	return stores
+}
+
+// TestDisseminateLive runs the protocol over the real simulated WiFi with
+// 30% UDP loss and receiver goroutines behaving like node runtimes.
+func TestDisseminateLive(t *testing.T) {
+	clk := clock.NewScaled(5000)
+	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 20e6, LossProb: 0.3, Seed: 7})
+	w.Join(simnet.NewEndpoint("s", 1<<14))
+	peers := []simnet.NodeID{"A", "B", "C"}
+	stores := serveReceivers(t, w, peers)
 
 	blob := &checkpoint.Blob{Slot: "s", Version: 9, Size: 64 * 1024, Ops: map[string][]byte{}}
 	st := Disseminate(w, clk, "s", peers, blob, Config{BlockSize: 1024, QueryTimeout: 60 * time.Second})
@@ -227,6 +233,49 @@ func TestDisseminateLive(t *testing.T) {
 	total := st.UDPBytes + st.TCPBytes + st.BitmapBytes
 	if total >= 3*64*1024 {
 		t.Fatalf("broadcast dissemination cost %d >= 3x unicast cost", total)
+	}
+}
+
+// TestDisseminateBlocksImmutable runs a lossy multi-phase dissemination
+// while every receiver reads block messages on its own goroutine, among
+// them a bystander the sender never queries, whose reads nothing orders
+// before the sender's next phase. Later phases resend pointers into the
+// block array carved before phase 1; run under -race, a write to that
+// array after phase 1 is reported against the bystander's reads.
+func TestDisseminateBlocksImmutable(t *testing.T) {
+	clk := clock.NewScaled(5000)
+	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 20e6, LossProb: 0.4, Seed: 3})
+	w.Join(simnet.NewEndpoint("s", 1<<14))
+	peers := []simnet.NodeID{"A", "B", "C"}
+	serveReceivers(t, w, append(peers, "bystander"))
+
+	blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: 64 * 1024, Ops: map[string][]byte{}}
+	st := Disseminate(w, clk, "s", peers, blob, Config{BlockSize: 1024, QueryTimeout: 60 * time.Second})
+	if st.UDPPhases < 2 {
+		t.Fatalf("UDP phases = %d, want a resend phase", st.UDPPhases)
+	}
+	if len(st.Complete) != 3 {
+		t.Fatalf("complete = %v, unreachable = %v", st.Complete, st.Unreachable)
+	}
+}
+
+// Disseminate allocates per call and per peer, never per block: a 64-block
+// blob costs no more allocations than a 4-block one. The receivers already
+// hold the blob after the warm-up call, so only the sender's side counts.
+func TestDisseminateAllocsIndependentOfBlocks(t *testing.T) {
+	allocs := func(blocks int) float64 {
+		blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: blocks * 1024, Ops: map[string][]byte{}}
+		med := &scriptMedium{receivers: map[simnet.NodeID]*Receiver{
+			"A": NewReceiver(storage.New()), "B": NewReceiver(storage.New()),
+		}}
+		med.deliver = func(int, simnet.NodeID, int) bool { return true }
+		peers, clk := []simnet.NodeID{"A", "B"}, clock.NewManual()
+		return testing.AllocsPerRun(100, func() {
+			Disseminate(med, clk, "s", peers, blob, Config{BlockSize: 1024})
+		})
+	}
+	if four, sixtyFour := allocs(4), allocs(64); sixtyFour > four {
+		t.Fatalf("Disseminate allocates %.0f objects for 64 blocks and %.0f for 4, want no more", sixtyFour, four)
 	}
 }
 

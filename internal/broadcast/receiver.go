@@ -111,13 +111,14 @@ func (r *Receiver) maybeComplete(a *assembler) bool {
 	return true
 }
 
-// Bitmap answers a query: one bool per block. The wire size of the answer
-// is BitmapWireBytes(total).
+// Bitmap answers a query: one bool per block, copied into the sender's
+// buffer when the query carries one. The wire size of the answer is
+// BitmapWireBytes(total).
 func (r *Receiver) Bitmap(q QueryMsg) []bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	a := r.assemblerFor(q.Slot, q.Version, q.Total, nil)
-	return append([]bool(nil), a.got...)
+	return append(q.into[:0], a.got...)
 }
 
 // ReceivedBlocks reports how many blocks of a stream have arrived.

@@ -11,41 +11,28 @@ import (
 // time, when no QoS latency budget adapts the deadline.
 const fixedFlushInterval = 20 * time.Millisecond
 
-// batchSlicePool recycles the []StreamMsg backing arrays batches are
-// assembled in and shipped with, so the steady-state emission path does
-// not allocate per batch. It holds *[]StreamMsg: putting a bare slice in a
-// sync.Pool boxes its header, one allocation per Put. A taken slice's
-// emptied box waits in batchBoxPool for the next recycle to reuse.
-var batchSlicePool, batchBoxPool sync.Pool
+// batchPool recycles the *BatchMsg batches are assembled in and shipped
+// as, each keeping its Msgs capacity, so the steady-state emission path
+// allocates nothing per batch. A batch is owned by one party at a time:
+// the batcher while it fills, then whoever the send hands the pointer to.
+// The receiver recycles it after unbatching; a relay passes it on.
+var batchPool sync.Pool
 
-func takeBatchSlice() []StreamMsg {
-	box, _ := batchSlicePool.Get().(*[]StreamMsg)
-	if box == nil {
-		return make([]StreamMsg, 0, 64)
+func takeBatch() *BatchMsg {
+	if b, _ := batchPool.Get().(*BatchMsg); b != nil {
+		return b
 	}
-	s := *box
-	*box = nil
-	batchBoxPool.Put(box)
-	return s
+	return &BatchMsg{Msgs: make([]StreamMsg, 0, 64)}
 }
 
-// recycleBatchSlice zeroes and returns a batch slice to the pool. Callers
-// must have copied out every field they keep; tuple payloads are reached
-// through pointers, which survive the zeroing.
-func recycleBatchSlice(s []StreamMsg) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:cap(s)]
-	for i := range s {
-		s[i] = StreamMsg{}
-	}
-	box, _ := batchBoxPool.Get().(*[]StreamMsg)
-	if box == nil {
-		box = new([]StreamMsg)
-	}
-	*box = s[:0]
-	batchSlicePool.Put(box)
+// recycleBatch zeroes a batch and returns it to the pool. Callers must have
+// copied out every field they keep; tuple payloads are reached through
+// pointers, which survive the zeroing. Entries past len(Msgs) are already
+// zero: only appends write them, and every recycle clears what they wrote.
+func recycleBatch(b *BatchMsg) {
+	clear(b.Msgs)
+	*b = BatchMsg{Msgs: b.Msgs[:0]}
+	batchPool.Put(b)
 }
 
 // batcher coalesces a node's cross-slot emissions per destination slot
@@ -88,7 +75,7 @@ type batcher struct {
 
 // edgeBatch is the pending batch for one destination slot.
 type edgeBatch struct {
-	msgs  []StreamMsg
+	b     *BatchMsg
 	bytes int
 }
 
@@ -115,22 +102,22 @@ func newBatcher(n *Node, q QoS) *batcher {
 func (b *batcher) add(toSlot string, msg StreamMsg) {
 	if b.disable {
 		b.sendMu.Lock()
-		s := takeBatchSlice()
-		s = append(s, msg)
-		b.n.sendBatch(toSlot, s, msg.Item.WireSize(), simnet.ClassData)
+		one := takeBatch()
+		one.Msgs = append(one.Msgs, msg)
+		b.n.sendBatch(toSlot, one, msg.Item.WireSize(), simnet.ClassData)
 		b.sendMu.Unlock()
 		return
 	}
 	b.mu.Lock()
 	eb, ok := b.pending[toSlot]
 	if !ok {
-		eb.msgs = takeBatchSlice()
+		eb.b = takeBatch()
 	}
-	eb.msgs = append(eb.msgs, msg)
+	eb.b.Msgs = append(eb.b.Msgs, msg)
 	eb.bytes += msg.Item.WireSize()
 	b.pending[toSlot] = eb
 	urgent := msg.Item.Marker != nil
-	full := len(eb.msgs) >= b.maxMsgs || eb.bytes >= b.maxBytes
+	full := len(eb.b.Msgs) >= b.maxMsgs || eb.bytes >= b.maxBytes
 	b.mu.Unlock()
 	if urgent || full {
 		b.flushSlot(toSlot)
@@ -151,13 +138,13 @@ func (b *batcher) flushSlot(toSlot string) {
 	defer b.sendMu.Unlock()
 	b.mu.Lock()
 	eb, ok := b.pending[toSlot]
-	if !ok || len(eb.msgs) == 0 {
+	if !ok {
 		b.mu.Unlock()
 		return
 	}
 	delete(b.pending, toSlot)
 	b.mu.Unlock()
-	b.n.sendBatch(toSlot, eb.msgs, eb.bytes, simnet.ClassData)
+	b.n.sendBatch(toSlot, eb.b, eb.bytes, simnet.ClassData)
 }
 
 // flushAll drains every pending batch (latency-bound flush, handoff).
@@ -177,7 +164,7 @@ func (b *batcher) flushAll() {
 		}
 		delete(b.pending, slot)
 		b.mu.Unlock()
-		b.n.sendBatch(slot, eb.msgs, eb.bytes, simnet.ClassData)
+		b.n.sendBatch(slot, eb.b, eb.bytes, simnet.ClassData)
 	}
 }
 
@@ -189,7 +176,7 @@ func (b *batcher) discardAll() {
 	b.mu.Lock()
 	for slot, eb := range b.pending {
 		delete(b.pending, slot)
-		recycleBatchSlice(eb.msgs)
+		recycleBatch(eb.b)
 	}
 	b.mu.Unlock()
 }

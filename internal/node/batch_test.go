@@ -77,9 +77,9 @@ func TestBatcherCoalescesInOrder(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("payloads = %d, want one batch", len(got))
 	}
-	bm, ok := got[0].(BatchMsg)
+	bm, ok := got[0].(*BatchMsg)
 	if !ok {
-		t.Fatalf("payload is %T, want BatchMsg", got[0])
+		t.Fatalf("payload is %T, want *BatchMsg", got[0])
 	}
 	if len(bm.Msgs) != 5 {
 		t.Fatalf("batch carries %d msgs, want 5", len(bm.Msgs))
@@ -132,7 +132,7 @@ func TestBatcherMarkerFlushesImmediately(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("payloads = %d, want 1 (marker must not wait on the latency bound)", len(got))
 	}
-	bm := got[0].(BatchMsg)
+	bm := got[0].(*BatchMsg)
 	if len(bm.Msgs) != 3 || bm.Msgs[2].Item.Marker == nil {
 		t.Fatalf("marker batch wrong: %d msgs, last marker %v", len(bm.Msgs), bm.Msgs[2].Item.Marker)
 	}
@@ -150,8 +150,8 @@ func TestBatcherDisabledSendsSingles(t *testing.T) {
 		t.Fatalf("payloads = %d, want 2 singles", len(got))
 	}
 	for i, p := range got {
-		if _, ok := p.(StreamMsg); !ok {
-			t.Fatalf("payload %d is %T, want the unbatched StreamMsg wire format", i, p)
+		if bm, ok := p.(*BatchMsg); !ok || len(bm.Msgs) != 1 || bm.Msgs[0].EdgeSeq != uint64(i+1) {
+			t.Fatalf("payload %d is %#v, want a one-message batch of seq %d", i, p, i+1)
 		}
 	}
 }
@@ -201,12 +201,12 @@ func TestEnqueueStreamBatchUnbatches(t *testing.T) {
 		logf:   func(string, ...interface{}) {},
 	}
 	n.cond = sync.NewCond(&n.mu)
-	msgs := takeBatchSlice()
+	bm := takeBatch()
 	for seq := uint64(1); seq <= 4; seq++ {
-		msgs = append(msgs, streamMsg(seq))
+		bm.Msgs = append(bm.Msgs, streamMsg(seq))
 	}
-	msgs = append(msgs, streamMsg(4)) // in-window duplicate: dropped
-	n.enqueueStreamBatch(BatchMsg{ToSlot: "s", Msgs: msgs})
+	bm.Msgs = append(bm.Msgs, streamMsg(4)) // in-window duplicate: dropped
+	n.enqueueStreamBatch(bm)
 	q := n.queues["up"]
 	if q.len() != 4 {
 		t.Fatalf("queue has %d items, want 4", q.len())
@@ -215,6 +215,47 @@ func TestEnqueueStreamBatchUnbatches(t *testing.T) {
 		if got := q.pop().edgeSeq; got != want {
 			t.Fatalf("popped %d, want %d", got, want)
 		}
+	}
+}
+
+// TestBatchRoundTripZeroAllocs pins the batch pool end to end: the batcher
+// fills a pooled batch, a size flush ships the pointer over the medium, and
+// the receiver unbatches and recycles it, so a steady-state round trip
+// allocates nothing.
+func TestBatchRoundTripZeroAllocs(t *testing.T) {
+	const perBatch = 8
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: perBatch})
+	recv := &Node{
+		queues: map[string]*upQueue{"up": newStreamQueue(false)},
+		slot:   "down",
+		logf:   func(string, ...interface{}) {},
+	}
+	recv.cond = sync.NewCond(&recv.mu)
+	q := recv.queues["up"]
+	msgs := make([]StreamMsg, perBatch)
+	for i := range msgs {
+		msgs[i] = streamMsg(0)
+	}
+	seq := uint64(0)
+	round := func() {
+		for _, m := range msgs {
+			seq++
+			m.EdgeSeq = seq
+			n.batch.add("down", m)
+		}
+		recv.enqueueStreamBatch((<-rx.Inbox()).Payload.(*BatchMsg))
+		for q.len() > 0 {
+			q.pop()
+		}
+	}
+	for i := 0; i < 100; i++ {
+		round() // grow the queue and fill the pool
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("a %d-message batch round trip allocates %.1f objects, want 0", perBatch, allocs)
+	}
+	if seq != 301*perBatch || q.lastEnq != seq {
+		t.Fatalf("received up to seq %d of %d", q.lastEnq, seq)
 	}
 }
 
@@ -240,14 +281,7 @@ func TestBatcherConcurrentFlushKeepsFIFO(t *testing.T) {
 	var last uint64
 	count := 0
 	for _, p := range recvPayloads(rx) {
-		var batch []StreamMsg
-		switch m := p.(type) {
-		case StreamMsg:
-			batch = []StreamMsg{m}
-		case BatchMsg:
-			batch = m.Msgs
-		}
-		for _, m := range batch {
+		for _, m := range p.(*BatchMsg).Msgs {
 			if m.EdgeSeq <= last {
 				t.Fatalf("sequence %d arrived after %d", m.EdgeSeq, last)
 			}

@@ -48,7 +48,7 @@ func (n *Node) dispatch(m simnet.Message) {
 		switch p := m.Payload.(type) {
 		case StreamMsg:
 			n.enqueueStream(p)
-		case BatchMsg:
+		case *BatchMsg:
 			n.enqueueStreamBatch(p)
 		case InterRegionMsg:
 			if n.cfg.OnIngest != nil {
@@ -66,13 +66,13 @@ func (n *Node) dispatch(m simnet.Message) {
 	case simnet.ClassCode:
 		// Operator code shipping is modelled by its transfer cost only.
 	case simnet.ClassPreserve:
-		if pm, ok := m.Payload.(PreserveMsg); ok {
+		if pm, ok := m.Payload.(*PreserveMsg); ok {
 			n.cfg.Store.AppendSourceReplica(pm.Version, pm.Source, pm.Ts)
 		}
 	case simnet.ClassCheckpoint:
 		switch p := m.Payload.(type) {
-		case broadcast.BlockMsg:
-			n.recv.OnBlock(p)
+		case *broadcast.BlockMsg:
+			n.recv.OnBlock(*p)
 		case broadcast.FillMsg:
 			n.recv.OnFill(p)
 		case DistBlobMsg:
@@ -251,8 +251,11 @@ func (n *Node) persistLoop() {
 			}
 			if n.cfg.Scheme.Kind == ft.MS {
 				peers := n.livePeers()
-				st := broadcast.Disseminate(n.cfg.WiFi, n.clk, n.id, peers, blob, n.bcfg)
+				st, err := broadcast.DisseminateUntil(n.stopCh, n.cfg.WiFi, n.clk, n.id, peers, blob, n.bcfg)
 				n.cfg.Phone.DrainTx(int(st.UDPBytes + st.TCPBytes))
+				if err != nil {
+					return // cut short by stop: nothing to report as persisted
+				}
 				n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: blob.Version, Replicas: len(st.Complete)})
 			}
 		case <-n.stopCh:

@@ -25,13 +25,15 @@ type StreamMsg struct {
 // slot into one network send, amortising the per-message medium, lock and
 // channel overhead of the ingress hot path. Messages appear in emission
 // order; the receiver unbatches them into upstream queues under one lock.
+// Every flush, one message or many, travels as a pooled *BatchMsg (see
+// batchPool).
 type BatchMsg struct {
 	ToSlot string
 	Msgs   []StreamMsg
 }
 
 // WireSize sums the payload bytes the network charges for the batch.
-func (b BatchMsg) WireSize() int {
+func (b *BatchMsg) WireSize() int {
 	total := 0
 	for i := range b.Msgs {
 		total += b.Msgs[i].Item.WireSize()
@@ -41,8 +43,9 @@ func (b BatchMsg) WireSize() int {
 
 // PreserveMsg replicates one run of admitted source tuples (see
 // popRunLocked) to every phone in the region as a single UDP best-effort
-// datagram, so the replay log survives source failures. Ts is shared by the
-// sender's log append and every receiver: all of them only read it.
+// datagram (a *PreserveMsg), so the replay log survives source failures. Ts
+// is shared by the sender's log append and every receiver: all of them only
+// read it.
 type PreserveMsg struct {
 	Version uint64
 	Source  string

@@ -414,6 +414,9 @@ type Node struct {
 	// runs under mu, but only ever on the executor goroutine.
 	runs      [2][]queued
 	flashDone time.Duration
+	// runSlab is the unused tail of the array preserved runs' tuple lists
+	// are carved from (carveRunTs); executor-owned like runs.
+	runSlab []*tuple.Tuple
 
 	// ckptBase is the version the next delta checkpoint patches against
 	// (0 = none: first checkpoint, or freshly restored); ckptChainLen
@@ -738,14 +741,14 @@ func (n *Node) enqueueStream(m StreamMsg) {
 // queues under one lock acquisition — the receive half of edge batching.
 // The relay and pre-activation cases mirror enqueueStream, acting on the
 // batch as a whole (every message in a batch shares one origin slot).
-func (n *Node) enqueueStreamBatch(bm BatchMsg) {
+func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
 	if len(bm.Msgs) == 0 {
 		return
 	}
 	n.mu.Lock()
 	if n.dropStream {
 		n.mu.Unlock()
-		recycleBatchSlice(bm.Msgs)
+		recycleBatch(bm)
 		return
 	}
 	if _, ok := n.queues[bm.Msgs[0].FromSlot]; !ok {
@@ -757,12 +760,12 @@ func (n *Node) enqueueStreamBatch(bm BatchMsg) {
 				}
 			}
 			n.mu.Unlock()
-			recycleBatchSlice(bm.Msgs)
+			recycleBatch(bm)
 			return
 		}
 		n.mu.Unlock()
 		if fwd != "" {
-			n.relay(fwd, simnet.ClassData, bm.WireSize(), bm)
+			n.relay(fwd, simnet.ClassData, bm.WireSize(), bm) // the batch goes with it
 			return
 		}
 		n.logf("%s: stream batch from unexpected slot %s", n.id, bm.Msgs[0].FromSlot)
@@ -806,7 +809,7 @@ func (n *Node) enqueueStreamBatch(bm BatchMsg) {
 	if last != nil {
 		n.cond.Signal()
 	}
-	recycleBatchSlice(bm.Msgs)
+	recycleBatch(bm)
 }
 
 // jot emits one lifecycle event to the region's journal. Nil-safe: with
@@ -1175,9 +1178,11 @@ func (n *Node) forwardExternalToStandby(p *pipeline, srcOp string, t *tuple.Tupl
 // broadcast datagram. Modelled flash time, airtime payload and radio energy
 // are those of the run's summed bytes. It does not wait for the flash: it
 // queues the write behind those already on the device (writes are serial,
-// never overlapped) and returns when it completes.
+// never overlapped) and returns when it completes. The run's tuple list is
+// carved from the executor's preservation slab, so a run allocates at most
+// its datagram.
 func (n *Node) preserveRun(run []queued) time.Duration {
-	ts := make([]*tuple.Tuple, len(run))
+	ts := n.carveRunTs(len(run))
 	size := 0
 	for i := range run {
 		ts[i] = run[i].item.Tuple
@@ -1187,10 +1192,28 @@ func (n *Node) preserveRun(run []queued) time.Duration {
 	n.cfg.Store.AppendSourceRun(v, srcOp, ts)
 	n.flashDone = max(n.clk.Now(), n.flashDone) + n.cfg.Phone.FlashWriteTime(size)
 	if n.cfg.PreserveBroadcast {
-		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, size, PreserveMsg{Version: v, Source: srcOp, Ts: ts})
+		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, size, &PreserveMsg{Version: v, Source: srcOp, Ts: ts})
 		n.cfg.Phone.DrainTx(size)
 	}
 	return n.flashDone
+}
+
+// runSlabLen is how many tuple pointers one preservation slab array holds:
+// 2 KB, enough for 256 runs of one tuple.
+const runSlabLen = 256
+
+// carveRunTs returns a k-entry tuple list carved from the preservation
+// slab. Like tuple.Slab, a carved range is never handed out again, because
+// receivers read a broadcast list from their inboxes long after the run has
+// moved on. The log and every replica copy the pointers out, so an array
+// lives only while a datagram in flight still points into it.
+func (n *Node) carveRunTs(k int) []*tuple.Tuple {
+	if len(n.runSlab) < k {
+		n.runSlab = make([]*tuple.Tuple, max(k, runSlabLen))
+	}
+	ts := n.runSlab[:k:k]
+	n.runSlab = n.runSlab[k:]
+	return ts
 }
 
 // runOp executes one operator on a tuple, charging its service time. The
@@ -1339,14 +1362,12 @@ func (n *Node) sendCross(p *pipeline, down int, toOp, fromOp string, item tuple.
 }
 
 // sendBatch ships one flushed batch to the destination slot's primary and,
-// for fresh data under rep-2, a replica copy to its standby. A batch of one
-// travels as a plain StreamMsg so the unbatched wire format is unchanged.
-// Callers hold the batcher's send mutex, which keeps edge FIFO order across
-// concurrent flushers.
-func (n *Node) sendBatch(toSlot string, msgs []StreamMsg, bytes int, class simnet.Class) {
-	if len(msgs) == 0 {
-		return
-	}
+// for fresh data under rep-2, a replica copy to its standby. The batch goes
+// with the send: its receiver recycles it. Callers hold the batcher's send
+// mutex, which keeps edge FIFO order across concurrent flushers.
+func (n *Node) sendBatch(toSlot string, b *BatchMsg, bytes int, class simnet.Class) {
+	b.ToSlot = toSlot
+	msgs := b.Msgs
 	if n.batchSizes != nil {
 		n.batchSizes.Observe(int64(len(msgs)))
 	}
@@ -1361,38 +1382,24 @@ func (n *Node) sendBatch(toSlot string, msgs []StreamMsg, bytes int, class simne
 			}
 		}
 	}
-	var payload interface{}
-	single := len(msgs) == 1
-	if single {
-		payload = msgs[0]
-	} else {
-		payload = BatchMsg{ToSlot: toSlot, Msgs: msgs}
-	}
-	// The standby's copy must be cut before the primary send: the primary
-	// dispatcher recycles the slice it unbatches, so sharing one backing
-	// array — or copying from it after delivery — races with the zeroing.
-	var replica interface{}
+	// The standby gets its own batch, cut before the primary send: the
+	// primary's dispatcher recycles the batch it unbatches, so sharing it —
+	// or copying from it after delivery — races with the zeroing.
+	var replica *BatchMsg
 	if class == simnet.ClassData && n.cfg.Scheme.Replicated() {
-		if single {
-			replica = payload
-		} else {
-			replica = BatchMsg{ToSlot: toSlot, Msgs: append(takeBatchSlice(), msgs...)}
-		}
+		replica = takeBatch()
+		replica.ToSlot = toSlot
+		replica.Msgs = append(replica.Msgs, msgs...)
 	}
-	n.deliverData(toSlot, bytes, payload, class)
+	n.deliverData(toSlot, bytes, b, class)
 	if replica != nil {
 		if standby, ok := n.resolveStandby(toSlot); ok {
 			if err := n.cfg.WiFi.Unicast(n.id, standby, simnet.ClassReplication, bytes, replica); err == nil {
 				n.cfg.Phone.DrainTx(bytes)
 			}
-		} else if bm, ok := replica.(BatchMsg); ok {
-			recycleBatchSlice(bm.Msgs) // standby gone (promoted): copy unused
+		} else {
+			recycleBatch(replica) // standby gone (promoted): copy unused
 		}
-	}
-	if single {
-		// Multi-message slices are recycled by the receiver after
-		// unbatching; a single message was copied into the payload.
-		recycleBatchSlice(msgs)
 	}
 }
 
@@ -1422,7 +1429,7 @@ func payloadCarriesMarker(payload interface{}) bool {
 	switch p := payload.(type) {
 	case StreamMsg:
 		return p.Item.Marker != nil
-	case BatchMsg:
+	case *BatchMsg:
 		for i := range p.Msgs {
 			if p.Msgs[i].Item.Marker != nil {
 				return true
@@ -1652,25 +1659,25 @@ func (n *Node) doResend(downstream string, after uint64) {
 	if n.batch.disable {
 		maxMsgs = 1
 	}
-	var msgs []StreamMsg
+	var b *BatchMsg
 	bytes := 0
 	flush := func() {
-		if len(msgs) == 0 {
+		if b == nil {
 			return
 		}
 		n.batch.sendMu.Lock()
-		n.sendBatch(downstream, msgs, bytes, simnet.ClassRecovery)
+		n.sendBatch(downstream, b, bytes, simnet.ClassRecovery)
 		n.batch.sendMu.Unlock()
-		msgs, bytes = nil, 0
+		b, bytes = nil, 0
 	}
 	for _, e := range entries {
-		if msgs == nil {
-			msgs = takeBatchSlice()
+		if b == nil {
+			b = takeBatch()
 		}
-		msgs = append(msgs, StreamMsg{FromSlot: fromSlot, FromOp: e.FromOp, ToSlot: downstream,
+		b.Msgs = append(b.Msgs, StreamMsg{FromSlot: fromSlot, FromOp: e.FromOp, ToSlot: downstream,
 			ToOp: e.ToOp, EdgeSeq: e.EdgeSeq, Item: tuple.DataItem(e.T)})
 		bytes += e.T.Size
-		if len(msgs) >= maxMsgs || bytes >= maxBytes {
+		if len(b.Msgs) >= maxMsgs || bytes >= maxBytes {
 			flush()
 		}
 	}

@@ -147,7 +147,7 @@ func (b *batcher) pendingMsgs() int {
 	defer b.mu.Unlock()
 	total := 0
 	for _, eb := range b.pending {
-		total += len(eb.msgs)
+		total += len(eb.b.Msgs)
 	}
 	return total
 }

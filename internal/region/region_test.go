@@ -178,6 +178,52 @@ func TestTokenCheckpointCommitsMS(t *testing.T) {
 	}
 }
 
+// TestStopMidDisseminationReturnsPromptly stops a region while checkpoint
+// disseminations wait on a bitmap query to a stopped peer: its endpoint is
+// open, so the query is accepted, but nothing answers it. At speedup 1 the
+// default broadcast.QueryTimeout is 30 s of wall time; Stop must not wait
+// it out.
+func TestStopMidDisseminationReturnsPromptly(t *testing.T) {
+	r, err := region.New(region.Config{
+		ID:        "r1",
+		Graph:     diamondGraph(t),
+		Registry:  diamondRegistry(),
+		Scheme:    ft.MSScheme,
+		Phones:    6,
+		Clock:     clock.NewScaled(1),
+		WiFi:      simnet.WiFiConfig{BitsPerSecond: 100e6},
+		Broadcast: broadcast.Config{BlockSize: 1024},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	// p6 is idle and last in every peer list: each disseminating slot host
+	// queries it after the others, and waits.
+	r.Node("r1/p6").Stop()
+	src, _ := r.Placement("n1")
+	r.Node(src).InjectToken(1)
+	for deadline := time.Now().Add(5 * time.Second); r.WiFi().Counters.Messages(simnet.ClassBitmap) == 0; {
+		if time.Now().After(deadline) {
+			r.Stop()
+			t.Fatal("no bitmap query within 5 s of the token")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stopped := make(chan struct{})
+	start := time.Now()
+	go func() {
+		r.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(time.Second):
+		t.Fatal("Region.Stop still waiting 1 s into a dissemination")
+	}
+	t.Logf("Stop returned after %v", time.Since(start))
+}
+
 func TestFailureRecoveryMS(t *testing.T) {
 	h := newHarness(t, ft.MSScheme, 7)
 	h.ingest(15)
