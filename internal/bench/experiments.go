@@ -304,9 +304,11 @@ func runServer(app App, uplinkBps float64, base Scenario) serverSummary {
 	d.Start()
 	stop := make(chan struct{})
 	go func() {
-		for {
+		t := clk.NewTimer(period)
+		defer t.Stop()
+		for ; ; t.Reset(period) {
 			select {
-			case <-clk.After(period):
+			case <-t.C():
 				d.Offer(tupleBytes)
 			case <-stop:
 				return
@@ -397,12 +399,11 @@ func (s *scriptedMedium) deliver(to simnet.NodeID, b int) bool {
 	}
 }
 
-func (s *scriptedMedium) Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) (chan simnet.Message, error) {
+func (s *scriptedMedium) Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}, reply chan simnet.Message) error {
 	q := payload.(broadcast.QueryMsg)
 	bm := s.receivers[to].Bitmap(q)
-	ch := make(chan simnet.Message, 1)
-	ch <- simnet.Message{From: to, To: from, Class: class, Size: broadcast.BitmapWireBytes(q.Total), Payload: bm}
-	return ch, nil
+	reply <- simnet.Message{From: to, To: from, Class: class, Size: broadcast.BitmapWireBytes(q.Total), Payload: bm}
+	return nil
 }
 
 func (s *scriptedMedium) Unicast(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) error {

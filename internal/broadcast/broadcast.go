@@ -10,11 +10,11 @@ package broadcast
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 
 	"mobistreams/internal/checkpoint"
+	"mobistreams/internal/clock"
 	"mobistreams/internal/simnet"
 )
 
@@ -49,14 +49,14 @@ func (c *Config) applyDefaults() {
 // paper's Fig. 6 walk-through exactly.
 type Medium interface {
 	BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int
-	Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) (chan simnet.Message, error)
+	Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}, reply chan simnet.Message) error
 	Unicast(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) error
 }
 
-// Waiter lets the sender bound its bitmap-query waits; clock.Clock
-// implements it.
+// Waiter makes the timer that bounds the sender's bitmap-query waits;
+// clock.Clock implements it.
 type Waiter interface {
-	After(d time.Duration) <-chan time.Duration
+	NewTimer(d time.Duration) clock.Timer
 }
 
 // BlockMsg is one UDP checkpoint block on the wire; datagrams carry it as
@@ -85,6 +85,11 @@ type QueryMsg struct {
 	// shortcut of the simulation, not a wire field.
 	into []bool
 }
+
+// Filled answers a QueryMsg whose bitmap the receiver copied into the
+// query's buffer (Receiver.Answer). Unlike a []bool answer it boxes
+// without allocating.
+type Filled struct{}
 
 // FillMsg is a TCP-phase transfer of specific blocks along a tree edge.
 type FillMsg struct {
@@ -157,15 +162,17 @@ var ErrStopped = errors.New("broadcast: dissemination stopped")
 // Every block message is carved, once per call, from one array filled
 // before phase 1; each datagram carries a pointer into it. The array is
 // never written again: later phases resend the same pointers while
-// receivers may still be reading earlier ones.
+// receivers may still be reading earlier ones. The per-peer query state is
+// made once per call too, so a query round after a peer's first allocates
+// nothing.
 func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) (Stats, error) {
 	cfg.applyDefaults()
 	var st Stats
 
 	total := numBlocks(blob.Size, cfg.BlockSize)
-	reachable := append([]simnet.NodeID(nil), peers...)
-	slices.Sort(reachable)
-	if len(reachable) == 0 {
+	ids := append([]simnet.NodeID(nil), peers...)
+	slices.Sort(ids)
+	if len(ids) == 0 {
 		return st, nil
 	}
 
@@ -174,16 +181,7 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 		blocks[i] = BlockMsg{Slot: blob.Slot, Version: blob.Version, Index: i, Total: total, Blob: blob,
 			CRC: checkpoint.ChunkCRC(blob.CRC, i)}
 	}
-	// bitmaps[k] reports which blocks reachable[k] holds, per its most
-	// recent answer; the two are filtered in place together each phase.
-	// Each peer's answers are copied into its own row of one backing array.
-	// A row is reused only while its peer stays reachable, since a
-	// timed-out peer may still write its late answer there.
-	bitmaps := make([][]bool, len(reachable))
-	rows := make([]bool, len(reachable)*total)
-	for k := range bitmaps {
-		bitmaps[k] = rows[k*total : (k+1)*total : (k+1)*total]
-	}
+	reachable := newPeers(ids, blob, total)
 	prevReceived := int64(0)
 
 	toSend := make([]int, total)
@@ -195,6 +193,8 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 	// chunk at a time, so long block bursts interleave with concurrent
 	// data-batch unicasts instead of monopolising the medium.
 	grams := make([]simnet.Datagram, 0, total)
+	// One timer bounds every bitmap query of the call; ask re-arms it.
+	timeout := w.NewTimer(0)
 
 	for phase := 1; phase <= maxUDPPhases && len(toSend) > 0 && len(reachable) > 0; phase++ {
 		st.UDPPhases = phase
@@ -211,20 +211,20 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 		// Query every reachable peer for its bitmap.
 		bitmapBytes := int64(0)
 		still := 0
-		for k, p := range reachable {
-			n, err := queryBitmap(stop, m, w, from, p, blob, bitmaps[k], cfg)
+		for k := range reachable {
+			n, err := reachable[k].ask(stop, m, timeout, from, cfg.QueryTimeout)
 			if err == ErrStopped {
 				return st, err
 			}
 			if err != nil {
-				st.Unreachable = append(st.Unreachable, p)
+				st.Unreachable = append(st.Unreachable, reachable[k].id)
 				continue
 			}
 			bitmapBytes += int64(n)
-			reachable[still], bitmaps[still] = p, bitmaps[k]
+			reachable[still] = reachable[k]
 			still++
 		}
-		reachable, bitmaps = reachable[:still], bitmaps[:still]
+		reachable = reachable[:still]
 		st.BitmapBytes += bitmapBytes
 		if len(reachable) == 0 {
 			break
@@ -235,8 +235,8 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 		// sent + bitmaps received); gain is bytes newly held across
 		// receivers.
 		received := int64(0)
-		for _, bm := range bitmaps {
-			for i, got := range bm {
+		for _, p := range reachable {
+			for i, got := range p.bitmap {
 				if got {
 					received += int64(blockBytes(blob.Size, cfg.BlockSize, i))
 				}
@@ -246,7 +246,7 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 		cost := sent + bitmapBytes
 		prevReceived = received
 
-		toSend = missingBlocks(toSend[:0], bitmaps, total)
+		toSend = missingBlocks(toSend[:0], reachable, total)
 		if len(toSend) == 0 || cost > gain {
 			break
 		}
@@ -256,7 +256,7 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 	// at the first peer (§III-C). Each edge carries the union of blocks
 	// missing in the child's subtree.
 	if len(reachable) > 0 {
-		tcp, complete, unreachable := tcpFill(m, from, reachable, bitmaps, blob, total, cfg)
+		tcp, complete, unreachable := tcpFill(m, from, reachable, blob, total, cfg)
 		st.TCPBytes = tcp
 		st.Complete = complete
 		st.Unreachable = append(st.Unreachable, unreachable...)
@@ -264,34 +264,68 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 	return st, nil
 }
 
-// queryBitmap asks peer for its bitmap, to be copied into into, and
+// peer is one receiver's query state for one dissemination. It is reused
+// across phases only while the peer stays reachable: a timed-out peer may
+// still answer late, into its bitmap and its reply channel, which nobody
+// reads again.
+type peer struct {
+	id simnet.NodeID
+	// bitmap is the peer's most recent answer, and the buffer it answers
+	// into.
+	bitmap []bool
+	// query is the peer's QueryMsg, boxed once.
+	query interface{}
+	// reply has room for the one answer the peer can still send: a peer is
+	// queried again only after its previous answer was read.
+	reply chan simnet.Message
+}
+
+// newPeers makes the query state of every id, the bitmaps carved from one
+// array.
+func newPeers(ids []simnet.NodeID, blob *checkpoint.Blob, total int) []peer {
+	peers := make([]peer, len(ids))
+	rows := make([]bool, len(ids)*total)
+	for k, id := range ids {
+		bm := rows[k*total : (k+1)*total : (k+1)*total]
+		peers[k] = peer{id: id, bitmap: bm, reply: make(chan simnet.Message, 1),
+			query: QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total, into: bm}}
+	}
+	return peers
+}
+
+// ask queries the peer for its bitmap, waiting at most timeout on t, and
 // reports the answer's wire size.
-func queryBitmap(stop <-chan struct{}, m Medium, w Waiter, from, peer simnet.NodeID, blob *checkpoint.Blob, into []bool, cfg Config) (int, error) {
-	total := len(into)
-	reply, err := m.Request(from, peer, simnet.ClassBitmap, queryBytes, QueryMsg{Slot: blob.Slot, Version: blob.Version, Total: total, into: into})
-	if err != nil {
+func (p *peer) ask(stop <-chan struct{}, m Medium, t clock.Timer, from simnet.NodeID, timeout time.Duration) (int, error) {
+	if err := m.Request(from, p.id, simnet.ClassBitmap, queryBytes, p.query, p.reply); err != nil {
 		return 0, err
 	}
+	t.Reset(timeout)
+	defer t.Stop()
 	select {
-	case msg := <-reply:
-		bm, ok := msg.Payload.([]bool)
-		if !ok || len(bm) != total {
-			return 0, fmt.Errorf("broadcast: bad bitmap from %s", peer)
+	case msg := <-p.reply:
+		if bm, ok := msg.Payload.([]bool); ok && len(bm) == len(p.bitmap) {
+			copy(p.bitmap, bm) // no-op when the receiver answered into the buffer
+		} else if _, ok := msg.Payload.(Filled); !ok {
+			return 0, errBadBitmap
 		}
-		copy(into, bm) // no-op when the receiver answered into the buffer
 		return msg.Size, nil
-	case <-w.After(cfg.QueryTimeout):
-		return 0, fmt.Errorf("broadcast: bitmap query to %s timed out", peer)
+	case <-t.C():
+		return 0, errQueryTimeout
 	case <-stop:
 		return 0, ErrStopped
 	}
 }
 
-// missingBlocks appends to dst every block at least one of bitmaps lacks.
-func missingBlocks(dst []int, bitmaps [][]bool, total int) []int {
+var (
+	errBadBitmap    = errors.New("broadcast: bad bitmap answer")
+	errQueryTimeout = errors.New("broadcast: bitmap query timed out")
+)
+
+// missingBlocks appends to dst every block at least one peer lacks.
+func missingBlocks(dst []int, peers []peer, total int) []int {
 	for i := 0; i < total; i++ {
-		for _, bm := range bitmaps {
-			if !bm[i] {
+		for _, p := range peers {
+			if !p.bitmap[i] {
 				dst = append(dst, i)
 				break
 			}
@@ -307,8 +341,7 @@ func BitmapWireBytes(total int) int { return (total + 7) / 8 }
 // pushes each subtree's missing-block union down edge by edge. The sender
 // orchestrates the relay sends; airtime is charged per hop with the actual
 // relaying parent as the transmitter, which is what the medium model needs.
-// bitmaps[i] is peers[i]'s last answer.
-func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps [][]bool, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
+func tcpFill(m Medium, from simnet.NodeID, peers []peer, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
 	// Binary tree over peers in sorted order: peers[0] is the root,
 	// children of peers[i] are peers[2i+1], peers[2i+2]. Children sit
 	// after their parent, so a backward pass folds each subtree's union
@@ -316,7 +349,7 @@ func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps [][]bo
 	need := make([]bool, len(peers)*total)
 	for i := len(peers) - 1; i >= 0; i-- {
 		u := need[i*total : (i+1)*total]
-		for b, got := range bitmaps[i] {
+		for b, got := range peers[i].bitmap {
 			u[b] = !got
 		}
 		for _, c := range [2]int{2*i + 1, 2*i + 2} {
@@ -332,10 +365,11 @@ func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps [][]bo
 	// edge (parent -> child) carries the child's subtree union. A child
 	// whose edge fails, or whose parent is cut off, is cut off too.
 	dead := make([]bool, len(peers))
-	for i, child := range peers {
+	for i := range peers {
+		child := peers[i].id
 		parent, parentDead := from, false
 		if i > 0 {
-			parent, parentDead = peers[(i-1)/2], dead[(i-1)/2]
+			parent, parentDead = peers[(i-1)/2].id, dead[(i-1)/2]
 		}
 		if parentDead {
 			dead[i] = true
@@ -367,9 +401,9 @@ func tcpFill(m Medium, from simnet.NodeID, peers []simnet.NodeID, bitmaps [][]bo
 	complete = make([]simnet.NodeID, 0, len(peers))
 	for i, p := range peers {
 		if dead[i] {
-			unreachable = append(unreachable, p)
+			unreachable = append(unreachable, p.id)
 		} else {
-			complete = append(complete, p)
+			complete = append(complete, p.id)
 		}
 	}
 	return tcpBytes, complete, unreachable

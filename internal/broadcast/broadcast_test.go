@@ -17,6 +17,9 @@ type scriptMedium struct {
 	phase     int
 	deliver   func(phase int, to simnet.NodeID, blockIdx int) bool
 	tcpSends  []string
+	// inPlace answers queries like a node runtime (Receiver.Answer)
+	// instead of with a []bool.
+	inPlace bool
 }
 
 func (s *scriptMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int {
@@ -34,12 +37,16 @@ func (s *scriptMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, gr
 	return counts
 }
 
-func (s *scriptMedium) Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) (chan simnet.Message, error) {
+func (s *scriptMedium) Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}, reply chan simnet.Message) error {
 	q := payload.(QueryMsg)
-	bm := s.receivers[to].Bitmap(q)
-	ch := make(chan simnet.Message, 1)
-	ch <- simnet.Message{From: to, To: from, Class: class, Size: BitmapWireBytes(q.Total), Payload: bm}
-	return ch, nil
+	var answer interface{}
+	if s.inPlace {
+		answer = s.receivers[to].Answer(q)
+	} else {
+		answer = s.receivers[to].Bitmap(q)
+	}
+	reply <- simnet.Message{From: to, To: from, Class: class, Size: BitmapWireBytes(q.Total), Payload: answer}
+	return nil
 }
 
 func (s *scriptMedium) Unicast(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) error {
@@ -186,7 +193,7 @@ func serveReceivers(t *testing.T, w *simnet.WiFi, ids []simnet.NodeID) map[simne
 					case FillMsg:
 						recv.OnFill(p)
 					case QueryMsg:
-						w.Respond(m, id, simnet.ClassBitmap, BitmapWireBytes(p.Total), recv.Bitmap(p))
+						w.Respond(m, id, simnet.ClassBitmap, BitmapWireBytes(p.Total), recv.Answer(p))
 					}
 				case <-stop:
 					return
@@ -277,6 +284,62 @@ func TestDisseminateAllocsIndependentOfBlocks(t *testing.T) {
 	if four, sixtyFour := allocs(4), allocs(64); sixtyFour > four {
 		t.Fatalf("Disseminate allocates %.0f objects for 64 blocks and %.0f for 4, want no more", sixtyFour, four)
 	}
+}
+
+// Once a dissemination's per-peer state exists, a bitmap query round trip
+// allocates nothing: the query is boxed once, the reply channel and the
+// answer buffer are reused, the answer is Filled, and the timeout is one
+// re-armed timer.
+func TestQueryRoundTripAllocatesNothing(t *testing.T) {
+	blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: 8 * 1024, Ops: map[string][]byte{}}
+	med := &scriptMedium{receivers: map[simnet.NodeID]*Receiver{"A": NewReceiver(storage.New())}, inPlace: true}
+	peers := newPeers([]simnet.NodeID{"A"}, blob, 8)
+	timer := clock.NewScaled(1).NewTimer(time.Minute)
+	defer timer.Stop()
+	ask := func() {
+		if _, err := peers[0].ask(nil, med, timer, "s", time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ask() // the first phase's query makes the receiver's assembler
+	if allocs := testing.AllocsPerRun(100, ask); allocs != 0 {
+		t.Fatalf("a second-phase query round trip allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// A late answer from a peer that timed out lands in its own reply channel
+// without blocking the responder, and the peer is written off.
+func TestTimedOutPeerIsWrittenOff(t *testing.T) {
+	clk := clock.NewManual()
+	blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: 2 * 1024, Ops: map[string][]byte{}}
+	peers := newPeers([]simnet.NodeID{"A"}, blob, 2)
+	timer := clk.NewTimer(time.Second)
+	timer.Stop()
+	med := &silentMedium{}
+	done := make(chan error, 1)
+	go func() {
+		_, err := peers[0].ask(nil, med, timer, "s", time.Second)
+		done <- err
+	}()
+	for clk.PendingTimers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	clk.Advance(time.Second)
+	if err := <-done; err != errQueryTimeout {
+		t.Fatalf("ask = %v, want a timeout", err)
+	}
+	select {
+	case peers[0].reply <- simnet.Message{Payload: Filled{}}:
+	default:
+		t.Fatal("the timed-out peer's reply channel has no room for its late answer")
+	}
+}
+
+// silentMedium accepts every query and never answers.
+type silentMedium struct{ scriptMedium }
+
+func (*silentMedium) Request(simnet.NodeID, simnet.NodeID, simnet.Class, int, interface{}, chan simnet.Message) error {
+	return nil
 }
 
 // block is the BlockMsg a sender transmits for chunk index of blob.

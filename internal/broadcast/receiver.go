@@ -121,6 +121,19 @@ func (r *Receiver) Bitmap(q QueryMsg) []bool {
 	return append(q.into[:0], a.got...)
 }
 
+// Answer is Bitmap as a reply payload: Filled when the bitmap fits the
+// query's buffer, which it is copied into, else the bitmap itself.
+func (r *Receiver) Answer(q QueryMsg) interface{} {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a := r.assemblerFor(q.Slot, q.Version, q.Total, nil)
+	if len(q.into) != len(a.got) {
+		return append([]bool(nil), a.got...)
+	}
+	copy(q.into, a.got)
+	return Filled{}
+}
+
 // ReceivedBlocks reports how many blocks of a stream have arrived.
 func (r *Receiver) ReceivedBlocks(slot string, version uint64) int {
 	r.mu.Lock()

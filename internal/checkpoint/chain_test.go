@@ -201,6 +201,61 @@ func TestChunkCRCMatchesChecksumIEEE(t *testing.T) {
 	}
 }
 
+// The sealed CRC is the IEEE CRC of EncodeState, though Seal and VerifyCRC
+// never build that encoding: for no operators, empty names and states,
+// multi-megabyte states, and more operators than sort on the stack.
+func TestStateCRCMatchesEncodeState(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bytesOf := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	blobs := []*Blob{
+		{},
+		{Ops: map[string][]byte{}, Runtime: []byte{}},
+		{Ops: map[string][]byte{"": nil}},
+		{Ops: map[string][]byte{"a": {}, "": {1}}, Runtime: bytesOf(3)},
+		{Ops: map[string][]byte{"big": bytesOf(3 << 20), "small": bytesOf(1)}, Runtime: bytesOf(2 << 20)},
+	}
+	for i := 0; i < 200; i++ {
+		b := &Blob{Ops: map[string][]byte{}}
+		for n := rng.Intn(20); n > 0; n-- {
+			b.Ops[string(bytesOf(rng.Intn(12)))] = bytesOf(rng.Intn(3000))
+		}
+		if rng.Intn(2) == 0 {
+			b.Runtime = bytesOf(rng.Intn(100))
+		}
+		blobs = append(blobs, b)
+	}
+	for i, b := range blobs {
+		b.Seal()
+		if want := crc32.ChecksumIEEE(b.EncodeState()); b.CRC != want {
+			t.Fatalf("blob %d (%d operators): sealed CRC %#x, want %#x", i, len(b.Ops), b.CRC, want)
+		}
+		if !b.VerifyCRC() {
+			t.Fatalf("blob %d does not verify after Seal", i)
+		}
+	}
+}
+
+// Every receiver verifies every blob it assembles: for up to eight
+// operators that costs no allocation.
+func TestVerifyCRCAllocatesNothing(t *testing.T) {
+	b := &Blob{Ops: map[string][]byte{}, Runtime: []byte("runtime")}
+	for i := 0; i < 8; i++ {
+		b.Ops[fmt.Sprintf("op-%d", i)] = bytes.Repeat([]byte{byte(i)}, 1000)
+	}
+	b.Seal()
+	if a := testing.AllocsPerRun(100, func() {
+		if !b.VerifyCRC() {
+			t.Fatal("blob does not verify")
+		}
+	}); a != 0 {
+		t.Fatalf("VerifyCRC allocates %.1f objects per call, want 0", a)
+	}
+}
+
 // TestAlignmentConcurrentTokensAndAbort hammers one tracker with parallel
 // token arrivals, concurrent telemetry reads and mid-alignment aborts —
 // the shape recovery creates when it aborts a checkpoint racing the

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"sync"
 
@@ -80,11 +81,52 @@ func (b *Blob) EncodeState() []byte {
 }
 
 // Seal records the blob's state CRC; builders call it automatically.
-func (b *Blob) Seal() { b.CRC = crc32.ChecksumIEEE(b.EncodeState()) }
+func (b *Blob) Seal() { b.CRC = b.stateCRC() }
 
 // VerifyCRC re-checks the sealed CRC against the blob's current state.
-func (b *Blob) VerifyCRC() bool {
-	return b.CRC == crc32.ChecksumIEEE(b.EncodeState())
+func (b *Blob) VerifyCRC() bool { return b.CRC == b.stateCRC() }
+
+// stateCRC is crc32.ChecksumIEEE(b.EncodeState()), fed piece by piece
+// instead of encoding the state: every receiver of a dissemination verifies
+// the blob it assembled. The ID order of up to eight operators is sorted on
+// the stack; operator state goes through crc32.Update's vector path, while
+// names and lengths are a few bytes each and go through the table in place
+// (crc32.Update would move a converted name or a length buffer to the heap).
+func (b *Blob) stateCRC() uint32 {
+	var few [8]string
+	ids := few[:0]
+	if len(b.Ops) > len(few) {
+		ids = make([]string, 0, len(b.Ops))
+	}
+	for id := range b.Ops {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var crc uint32
+	for _, id := range ids {
+		data := b.Ops[id]
+		crc = crcString(crcWord(crc, uint32(len(id))), id)
+		crc = crc32.Update(crcWord(crc, uint32(len(data))), crc32.IEEETable, data)
+	}
+	return crc32.Update(crc, crc32.IEEETable, b.Runtime)
+}
+
+// crcWord extends an IEEE CRC by w as a big-endian word.
+func crcWord(crc, w uint32) uint32 {
+	crc = ^crc
+	for shift := 24; shift >= 0; shift -= 8 {
+		crc = crc32.IEEETable[byte(crc)^byte(w>>shift)] ^ crc>>8
+	}
+	return ^crc
+}
+
+// crcString extends an IEEE CRC by the bytes of s.
+func crcString(crc uint32, s string) uint32 {
+	crc = ^crc
+	for i := 0; i < len(s); i++ {
+		crc = crc32.IEEETable[byte(crc)^s[i]] ^ crc>>8
+	}
+	return ^crc
 }
 
 // ChunkCRC derives the checksum a chunked transport attaches to chunk
@@ -96,12 +138,7 @@ func (b *Blob) VerifyCRC() bool {
 // the table in place: crc32.ChecksumIEEE's architecture dispatch would move
 // the eight-byte buffer to the heap, once per chunk per receiver.
 func ChunkCRC(blobCRC uint32, index int) uint32 {
-	word := uint64(blobCRC)<<32 | uint64(uint32(index))
-	crc := ^uint32(0)
-	for shift := 56; shift >= 0; shift -= 8 {
-		crc = crc32.IEEETable[byte(crc)^byte(word>>shift)] ^ crc>>8
-	}
-	return ^crc
+	return crcWord(crcWord(0, blobCRC), uint32(index))
 }
 
 // BuildBlob snapshots the given operators into a blob. extra is opaque

@@ -11,13 +11,14 @@ import (
 	"container/heap"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Clock is the time source used by every MobiStreams component. Now reports
 // simulated time since the clock's epoch; Sleep blocks for a simulated
-// duration; After returns a channel that fires once after a simulated
-// duration, delivering the simulated time at which it fired.
+// duration; NewTimer arms a Timer that fires once after a simulated
+// duration.
 //
 // Park blocks like Sleep and never returns before its deadline, but may
 // hold no CPU for most of the wait and wake a few microseconds late. Park
@@ -27,7 +28,18 @@ type Clock interface {
 	Now() time.Duration
 	Sleep(d time.Duration)
 	Park(d time.Duration)
-	After(d time.Duration) <-chan time.Duration
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is a single-shot wait a caller can cut short. C delivers the
+// simulated fire time once per arming; a non-positive duration fires at
+// once. Reset re-arms the timer and Stop disarms it: once either returns, C
+// holds no fire of an earlier arming and will never receive one, so a wait
+// left early through another select case leaves nothing behind.
+type Timer interface {
+	C() <-chan time.Duration
+	Reset(d time.Duration)
+	Stop()
 }
 
 // Scaled is a real-time clock whose simulated time runs Speedup times
@@ -101,20 +113,89 @@ func sleepUntilReal(deadline time.Time) {
 	}
 }
 
-// After returns a channel that receives the simulated fire time after the
-// simulated duration d has elapsed.
-func (s *Scaled) After(d time.Duration) <-chan time.Duration {
-	ch := make(chan time.Duration, 1)
+// NewTimer returns a timer armed to fire after the simulated duration d.
+// While it waits it holds a runtime timer set spinWindow before the wall
+// deadline and no goroutine; the runtime timer's callback spins the tail
+// like Sleep, so it fires as precisely as Sleep returns.
+func (s *Scaled) NewTimer(d time.Duration) Timer {
+	t := &scaledTimer{s: s, c: make(chan time.Duration, 1)}
+	t.Reset(d)
+	return t
+}
+
+type scaledTimer struct {
+	s *Scaled
+	// c never blocks a send: each arming sends at most once, and every
+	// arming and disarming first drains it.
+	c chan time.Duration
+	// gen counts armings and disarmings: a callback delivers only while
+	// gen still names the arming it started spinning for.
+	gen atomic.Uint64
+
+	mu       sync.Mutex
+	rt       *time.Timer // runs fire; made at the first positive arming
+	armed    bool
+	deadline time.Time // the wall deadline of the current arming
+}
+
+func (t *scaledTimer) C() <-chan time.Duration { return t.c }
+
+func (t *scaledTimer) Reset(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.disarmLocked()
 	if d <= 0 {
-		ch <- s.Now()
-		return ch
+		t.c <- t.s.Now()
+		return
 	}
-	deadline := time.Now().Add(time.Duration(float64(d) / s.speedup))
-	go func() {
-		sleepUntilReal(deadline)
-		ch <- s.Now()
-	}()
-	return ch
+	wall := time.Duration(float64(d) / t.s.speedup)
+	t.deadline, t.armed = time.Now().Add(wall), true
+	if t.rt == nil {
+		t.rt = time.AfterFunc(wall-spinWindow, t.fire)
+	} else {
+		t.rt.Reset(wall - spinWindow)
+	}
+}
+
+func (t *scaledTimer) Stop() {
+	t.mu.Lock()
+	t.disarmLocked()
+	t.mu.Unlock()
+}
+
+// disarmLocked retires the current arming and drops an undelivered fire.
+func (t *scaledTimer) disarmLocked() {
+	t.gen.Add(1)
+	t.armed = false
+	if t.rt != nil {
+		t.rt.Stop()
+	}
+	select {
+	case <-t.c:
+	default:
+	}
+}
+
+// fire runs spinWindow before the wall deadline, spins the rest and
+// delivers, unless a Reset or Stop retires the arming first. A callback
+// that finds the deadline further off was overtaken by a Reset to a later
+// deadline, whose own callback is already scheduled.
+func (t *scaledTimer) fire() {
+	t.mu.Lock()
+	gen, deadline, armed := t.gen.Load(), t.deadline, t.armed
+	t.mu.Unlock()
+	if !armed || time.Until(deadline) > spinWindow {
+		return
+	}
+	for t.gen.Load() == gen && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	t.mu.Lock()
+	if t.armed && t.gen.Load() == gen {
+		t.armed = false
+		t.c <- t.s.Now()
+	}
+	t.mu.Unlock()
 }
 
 // Manual is a deterministic clock advanced explicitly by tests. Sleepers
@@ -130,22 +211,32 @@ type Manual struct {
 func NewManual() *Manual { return &Manual{} }
 
 type manualTimer struct {
-	at time.Duration
-	ch chan time.Duration
+	m     *Manual
+	at    time.Duration
+	c     chan time.Duration
+	index int // position in m.timers; -1 while not armed
 }
 
 type timerHeap []*manualTimer
 
-func (h timerHeap) Len() int            { return len(h) }
-func (h timerHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*manualTimer)) }
+func (h timerHeap) Len() int           { return len(h) }
+func (h timerHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index, h[j].index = i, j
+}
+func (h *timerHeap) Push(x interface{}) {
+	t := x.(*manualTimer)
+	t.index = len(*h)
+	*h = append(*h, t)
+}
 func (h *timerHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.index = -1
 	return t
 }
 
@@ -161,24 +252,49 @@ func (m *Manual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	<-m.After(d)
+	<-m.NewTimer(d).C()
 }
 
 // Park is Sleep: a manual clock has no CPU to save.
 func (m *Manual) Park(d time.Duration) { m.Sleep(d) }
 
-// After returns a channel that fires when the clock has advanced d past the
+// NewTimer returns a timer that fires when the clock has advanced d past the
 // current simulated time.
-func (m *Manual) After(d time.Duration) <-chan time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ch := make(chan time.Duration, 1)
+func (m *Manual) NewTimer(d time.Duration) Timer {
+	t := &manualTimer{m: m, c: make(chan time.Duration, 1), index: -1}
+	t.Reset(d)
+	return t
+}
+
+func (t *manualTimer) C() <-chan time.Duration { return t.c }
+
+func (t *manualTimer) Reset(d time.Duration) {
+	t.m.mu.Lock()
+	defer t.m.mu.Unlock()
+	t.stopLocked()
 	if d <= 0 {
-		ch <- m.now
-		return ch
+		t.c <- t.m.now
+		return
 	}
-	heap.Push(&m.timers, &manualTimer{at: m.now + d, ch: ch})
-	return ch
+	t.at = t.m.now + d
+	heap.Push(&t.m.timers, t)
+}
+
+func (t *manualTimer) Stop() {
+	t.m.mu.Lock()
+	t.stopLocked()
+	t.m.mu.Unlock()
+}
+
+// stopLocked takes the timer off the heap and drops an undelivered fire.
+func (t *manualTimer) stopLocked() {
+	if t.index >= 0 {
+		heap.Remove(&t.m.timers, t.index)
+	}
+	select {
+	case <-t.c:
+	default:
+	}
 }
 
 // Advance moves simulated time forward by d, firing every timer whose
@@ -189,14 +305,15 @@ func (m *Manual) Advance(d time.Duration) {
 	for m.timers.Len() > 0 && m.timers[0].at <= target {
 		t := heap.Pop(&m.timers).(*manualTimer)
 		m.now = t.at
-		t.ch <- t.at
+		t.c <- t.at
 	}
 	m.now = target
 	m.mu.Unlock()
 }
 
-// PendingTimers reports how many timers are waiting to fire. Tests use it
-// to synchronise with goroutines that register sleeps.
+// PendingTimers reports how many timers are armed and waiting to fire; a
+// stopped timer does not count. Tests use it to synchronise with goroutines
+// that register sleeps.
 func (m *Manual) PendingTimers() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

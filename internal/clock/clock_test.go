@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -44,21 +45,94 @@ func TestScaledSleepNonPositive(t *testing.T) {
 	}
 }
 
-func TestScaledAfter(t *testing.T) {
+// A scaled timer fires, and never before its deadline: neither in
+// simulated time nor in wall time.
+func TestScaledTimerFiresNoEarlier(t *testing.T) {
 	c := NewScaled(1000)
+	start, wallStart := c.Now(), time.Now()
+	tm := c.NewTimer(500 * time.Millisecond)
 	select {
-	case <-c.After(500 * time.Millisecond):
+	case at := <-tm.C():
+		if at-start < 500*time.Millisecond || time.Since(wallStart) < 500*time.Microsecond {
+			t.Fatalf("timer fired at %v simulated, %v wall after arming; want >= 500ms, 500µs", at-start, time.Since(wallStart))
+		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("After never fired")
+		t.Fatal("timer never fired")
+	}
+	// Re-armed at speedup 1, on either side of spinWindow.
+	tm = NewScaled(1).NewTimer(time.Hour)
+	for _, d := range []time.Duration{5 * time.Microsecond, 40 * time.Microsecond, 120 * time.Microsecond, time.Millisecond} {
+		for i := 0; i < 20; i++ {
+			start := time.Now()
+			tm.Reset(d)
+			<-tm.C()
+			if got := time.Since(start); got < d {
+				t.Fatalf("Reset(%v) fired after %v", d, got)
+			}
+		}
 	}
 }
 
-func TestScaledAfterImmediate(t *testing.T) {
+func TestScaledTimerImmediate(t *testing.T) {
 	c := NewScaled(10)
 	select {
-	case <-c.After(0):
+	case <-c.NewTimer(0).C():
 	default:
-		t.Fatal("After(0) should fire immediately")
+		t.Fatal("NewTimer(0) should fire immediately")
+	}
+}
+
+// A stopped timer never delivers, and while it waits it holds no
+// goroutine, so stopping it leaves nothing behind.
+func TestScaledTimerStopped(t *testing.T) {
+	c := NewScaled(1)
+	before := runtime.NumGoroutine()
+	timers := make([]Timer, 100)
+	for i := range timers {
+		timers[i] = c.NewTimer(2 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+5 {
+		t.Fatalf("%d waiting timers hold %d goroutines", len(timers), n-before)
+	}
+	for _, tm := range timers {
+		tm.Stop()
+	}
+	time.Sleep(5 * time.Millisecond)
+	for _, tm := range timers {
+		select {
+		case <-tm.C():
+			t.Fatal("a stopped timer delivered")
+		default:
+		}
+	}
+}
+
+// A Reset issued while the previous arming's callback spins its tail never
+// lets that stale fire reach C: re-armed far out, the timer stays silent;
+// re-armed near, it fires no earlier than the new deadline.
+func TestScaledTimerResetDuringSpinTail(t *testing.T) {
+	c := NewScaled(1)
+	const d = 400 * time.Microsecond
+	for i := 0; i < 20; i++ {
+		start := time.Now()
+		tm := c.NewTimer(d)
+		for time.Since(start) < d-spinWindow/2 { // inside the spin tail
+		}
+		if i%2 == 0 {
+			tm.Reset(time.Hour)
+			select {
+			case <-tm.C():
+				t.Fatal("a fire of the retired arming reached C")
+			case <-time.After(time.Millisecond):
+			}
+			tm.Stop()
+			continue
+		}
+		armed := c.Now()
+		tm.Reset(d)
+		if at := <-tm.C(); at-armed < d {
+			t.Fatalf("re-armed timer fired %v after Reset, want >= %v", at-armed, d)
+		}
 	}
 }
 
@@ -73,7 +147,7 @@ func TestNewScaledPanicsOnNonPositive(t *testing.T) {
 
 func TestManualAdvanceFiresTimers(t *testing.T) {
 	m := NewManual()
-	ch := m.After(10 * time.Second)
+	ch := m.NewTimer(10 * time.Second).C()
 	select {
 	case <-ch:
 		t.Fatal("timer fired before advance")
@@ -108,7 +182,7 @@ func TestManualTimersFireInDeadlineOrder(t *testing.T) {
 	for i, d := range delays {
 		wg.Add(1)
 		i, d := i, d
-		ch := m.After(d)
+		ch := m.NewTimer(d).C()
 		go func() {
 			defer wg.Done()
 			<-ch
@@ -247,11 +321,50 @@ func TestManualParkBlocksUntilAdvance(t *testing.T) {
 	}
 }
 
-func TestManualAfterNonPositive(t *testing.T) {
+func TestManualTimerNonPositive(t *testing.T) {
 	m := NewManual()
 	select {
-	case <-m.After(0):
+	case <-m.NewTimer(0).C():
 	default:
-		t.Fatal("After(0) should fire immediately")
+		t.Fatal("NewTimer(0) should fire immediately")
+	}
+}
+
+// A stopped timer leaves the heap, so PendingTimers no longer counts it, and
+// never delivers; a re-armed one counts once and fires at its new deadline.
+func TestManualTimerStopAndReset(t *testing.T) {
+	m := NewManual()
+	a, b := m.NewTimer(10*time.Second), m.NewTimer(20*time.Second)
+	if n := m.PendingTimers(); n != 2 {
+		t.Fatalf("PendingTimers = %d, want 2", n)
+	}
+	a.Stop()
+	if n := m.PendingTimers(); n != 1 {
+		t.Fatalf("PendingTimers after Stop = %d, want 1", n)
+	}
+	b.Reset(5 * time.Second)
+	if n := m.PendingTimers(); n != 1 {
+		t.Fatalf("PendingTimers after Reset = %d, want 1", n)
+	}
+	m.Advance(30 * time.Second)
+	select {
+	case <-a.C():
+		t.Fatal("a stopped timer delivered")
+	default:
+	}
+	if at := <-b.C(); at != 5*time.Second {
+		t.Fatalf("re-armed timer fired at %v, want 5s", at)
+	}
+	// A fire nobody read is dropped by the next Reset.
+	b.Reset(time.Second)
+	m.Advance(time.Second)
+	b.Reset(time.Second)
+	select {
+	case <-b.C():
+		t.Fatal("Reset kept the previous arming's fire")
+	default:
+	}
+	if n := m.PendingTimers(); n != 1 {
+		t.Fatalf("PendingTimers = %d, want 1", n)
 	}
 }

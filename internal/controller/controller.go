@@ -280,14 +280,16 @@ func (c *Controller) send(to simnet.NodeID, cmd node.Command) {
 // request issues a command and waits for the acknowledgement, returning
 // false on timeout or send failure.
 func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Duration) bool {
-	reply, err := c.cfg.Cell.Request(c.cfg.ID, to, simnet.ClassControl, 64, cmd)
-	if err != nil {
+	reply := make(chan simnet.Message, 1)
+	if c.cfg.Cell.Request(c.cfg.ID, to, simnet.ClassControl, 64, cmd, reply) != nil {
 		return false
 	}
+	t := c.clk.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case <-reply:
 		return true
-	case <-c.clk.After(timeout):
+	case <-t.C():
 		return false
 	case <-c.stopCh:
 		return false
@@ -314,9 +316,11 @@ func (c *Controller) TriggerCheckpoint(regionID string) uint64 {
 // checkpointLoop runs the periodic checkpoint rounds (§III-B step 1).
 func (c *Controller) checkpointLoop(m *managed) {
 	defer c.wg.Done()
-	for {
+	t := c.clk.NewTimer(c.cfg.CheckpointPeriod)
+	defer t.Stop()
+	for ; ; t.Reset(c.cfg.CheckpointPeriod) {
 		select {
-		case <-c.clk.After(c.cfg.CheckpointPeriod):
+		case <-t.C():
 			if m.isDead() {
 				return
 			}
@@ -380,9 +384,11 @@ func (c *Controller) startCheckpoint(m *managed) uint64 {
 // expected transient state.
 func (c *Controller) pingLoop(m *managed) {
 	defer c.wg.Done()
-	for {
+	t := c.clk.NewTimer(c.cfg.PingInterval)
+	defer t.Stop()
+	for ; ; t.Reset(c.cfg.PingInterval) {
 		select {
-		case <-c.clk.After(c.cfg.PingInterval):
+		case <-t.C():
 			if m.isDead() {
 				return
 			}

@@ -19,9 +19,11 @@ import (
 // precisely when it is struggling.
 func (c *Controller) scheduleLoop(m *managed) {
 	defer c.wg.Done()
-	for {
+	t := c.clk.NewTimer(c.cfg.ScheduleTick)
+	defer t.Stop()
+	for ; ; t.Reset(c.cfg.ScheduleTick) {
 		select {
-		case <-c.clk.After(c.cfg.ScheduleTick):
+		case <-t.C():
 			if m.isDead() {
 				return
 			}

@@ -194,6 +194,7 @@ func (b *batcher) pendingSlots() int {
 // on the executor, so correctness never waits on this loop.
 func (n *Node) flushLoop() {
 	defer n.wg.Done()
+	deadline := n.clk.NewTimer(0) // fired already: every wait re-arms it
 	for {
 		select {
 		case <-n.stopCh:
@@ -201,10 +202,12 @@ func (n *Node) flushLoop() {
 		case <-n.batch.kick:
 		}
 		for n.batch.pendingSlots() > 0 {
+			deadline.Reset(n.batch.flushInterval())
 			select {
 			case <-n.stopCh:
+				deadline.Stop()
 				return
-			case <-n.clk.After(n.batch.flushInterval()):
+			case <-deadline.C():
 				n.batch.noteLatencyFlush(n.batch.pendingMsgs())
 				n.batch.flushAll()
 			}

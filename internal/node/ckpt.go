@@ -151,16 +151,18 @@ func (n *Node) loadRestoreBlob(v uint64, slot string) *checkpoint.Blob {
 		n.logf("%s: local chain for %s v%d unusable: %v", n.id, slot, v, err)
 	}
 	for _, peer := range n.livePeers() {
-		reply, err := n.cfg.WiFi.Request(n.id, peer, simnet.ClassRecovery, 32, FetchBlobReq{Slot: slot, Version: v})
-		if err != nil {
+		reply := make(chan simnet.Message, 1)
+		if n.cfg.WiFi.Request(n.id, peer, simnet.ClassRecovery, 32, FetchBlobReq{Slot: slot, Version: v}, reply) != nil {
 			continue
 		}
+		timeout := n.clk.NewTimer(30 * time.Second)
 		select {
 		case msg := <-reply:
+			timeout.Stop()
 			if b, ok := msg.Payload.(*checkpoint.Blob); ok && b != nil {
 				return b
 			}
-		case <-n.clk.After(30 * time.Second):
+		case <-timeout.C():
 		}
 	}
 	return nil

@@ -115,8 +115,7 @@ func (n *Node) controlLoop() {
 func (n *Node) handleControl(m simnet.Message) {
 	switch p := m.Payload.(type) {
 	case broadcast.QueryMsg:
-		bm := n.recv.Bitmap(p)
-		n.cfg.WiFi.Respond(m, n.id, simnet.ClassBitmap, broadcast.BitmapWireBytes(p.Total), bm)
+		n.cfg.WiFi.Respond(m, n.id, simnet.ClassBitmap, broadcast.BitmapWireBytes(p.Total), n.recv.Answer(p))
 	case Command:
 		n.handleCommand(m, p)
 	case FetchBlobReq:
@@ -447,14 +446,16 @@ func (n *Node) fetchRestore(c Command) {
 			blob = b
 		}
 	} else if c.Version > 0 {
-		reply, err := n.cfg.WiFi.Request(n.id, c.Target, simnet.ClassRecovery, 32, FetchBlobReq{Slot: n.fetchSlot(), Version: c.Version})
-		if err == nil {
+		reply := make(chan simnet.Message, 1)
+		if n.cfg.WiFi.Request(n.id, c.Target, simnet.ClassRecovery, 32, FetchBlobReq{Slot: n.fetchSlot(), Version: c.Version}, reply) == nil {
+			timeout := n.clk.NewTimer(60 * time.Second)
 			select {
 			case msg := <-reply:
+				timeout.Stop()
 				if b, ok := msg.Payload.(*checkpoint.Blob); ok {
 					blob = b
 				}
-			case <-n.clk.After(60 * time.Second):
+			case <-timeout.C():
 			}
 		}
 	}

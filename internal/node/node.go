@@ -1288,9 +1288,11 @@ func (n *Node) fireDueTimers(p *pipeline) {
 // flag; superseded later wakes just broadcast harmlessly.
 func (n *Node) wakeAtTimer(at time.Duration) {
 	if d := at - n.clk.Now(); d > 0 {
+		wake := n.clk.NewTimer(d)
 		select {
-		case <-n.clk.After(d):
+		case <-wake.C():
 		case <-n.stopCh:
+			wake.Stop()
 		}
 	}
 	n.mu.Lock()

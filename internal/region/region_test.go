@@ -2,6 +2,7 @@ package region_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -222,6 +223,100 @@ func TestStopMidDisseminationReturnsPromptly(t *testing.T) {
 		t.Fatal("Region.Stop still waiting 1 s into a dissemination")
 	}
 	t.Logf("Stop returned after %v", time.Since(start))
+}
+
+// assertNoClockSleepers fails unless, within 100 ms, no goroutine's stack
+// runs in internal/clock: every wait a stopped component armed was stopped
+// with it.
+func assertNoClockSleepers(t *testing.T) {
+	t.Helper()
+	var stacks []string
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(100 * time.Millisecond); ; time.Sleep(time.Millisecond) {
+		stacks = stacks[:0]
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "mobistreams/internal/clock.") {
+				stacks = append(stacks, g)
+			}
+		}
+		if len(stacks) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still wait in internal/clock 100 ms after Stop; the first:\n%s", len(stacks), stacks[0])
+		}
+	}
+}
+
+// An answered bitmap query leaves no timer behind: at speedup 1 with the
+// default 30 s QueryTimeout, nothing of a stopped region still waits on the
+// clock.
+func TestRegionStopLeavesNoClockSleeper(t *testing.T) {
+	r, err := region.New(region.Config{
+		ID:        "r1",
+		Graph:     diamondGraph(t),
+		Registry:  diamondRegistry(),
+		Scheme:    ft.MSScheme,
+		Phones:    6,
+		Clock:     clock.NewScaled(1),
+		WiFi:      simnet.WiFiConfig{BitsPerSecond: 100e6},
+		Broadcast: broadcast.Config{BlockSize: 1024},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	src, _ := r.Placement("n1")
+	r.Node(src).InjectToken(1)
+	// Two bitmap messages: a query and its answer, or two queries.
+	for deadline := time.Now().Add(5 * time.Second); r.WiFi().Counters.Messages(simnet.ClassBitmap) < 2; {
+		if time.Now().After(deadline) {
+			r.Stop()
+			t.Fatal("no bitmap query within 5 s of the token")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.Stop()
+	assertNoClockSleepers(t)
+}
+
+// Neither an answered ping nor the periodic loops leave a timer behind
+// Controller.Stop, at speedup 1 with the default ping timeout and
+// checkpoint period.
+func TestControllerStopLeavesNoClockSleeper(t *testing.T) {
+	clk := clock.NewScaled(1)
+	cell := simnet.NewCellular(clk, simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6})
+	ctrl := controller.New(controller.Config{Clock: clk, Cell: cell, PingInterval: 20 * time.Millisecond})
+	r, err := region.New(region.Config{
+		ID:           "r1",
+		Graph:        diamondGraph(t),
+		Registry:     diamondRegistry(),
+		Scheme:       ft.MSScheme,
+		Phones:       6,
+		Clock:        clk,
+		WiFi:         simnet.WiFiConfig{BitsPerSecond: 100e6},
+		Cell:         cell,
+		ControllerID: ctrl.ID(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.AddRegion(r)
+	r.Start()
+	ctrl.Start()
+	// Two control messages: a ping and its answer, or two pings.
+	for deadline := time.Now().Add(5 * time.Second); cell.Counters.Messages(simnet.ClassControl) < 2; {
+		if time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctrl.Stop()
+	r.Stop()
+	if cell.Counters.Messages(simnet.ClassControl) < 2 {
+		t.Fatal("no ping round within 5 s")
+	}
+	assertNoClockSleepers(t)
 }
 
 func TestFailureRecoveryMS(t *testing.T) {

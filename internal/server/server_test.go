@@ -41,9 +41,11 @@ func TestUplinkBoundThroughput(t *testing.T) {
 		// 180 KB tuples: ~4.5 s per upload; offer one per 2 s -> uplink bound.
 		stop := make(chan struct{})
 		go func() {
-			for {
+			tick := clk.NewTimer(2 * time.Second)
+			defer tick.Stop()
+			for ; ; tick.Reset(2 * time.Second) {
 				select {
-				case <-clk.After(2 * time.Second):
+				case <-tick.C():
 					d.Offer(180 << 10)
 				case <-stop:
 					return
@@ -84,9 +86,11 @@ func TestFastUplinkIsComputeOrArrivalBound(t *testing.T) {
 	defer d.Stop()
 	stop := make(chan struct{})
 	go func() {
-		for {
+		tick := clk.NewTimer(1 * time.Second)
+		defer tick.Stop()
+		for ; ; tick.Reset(1 * time.Second) {
 			select {
-			case <-clk.After(1 * time.Second):
+			case <-tick.C():
 				d.Offer(180 << 10)
 			case <-stop:
 				return

@@ -131,13 +131,10 @@ func (c *Cellular) Send(from, to NodeID, class Class, size int, payload interfac
 	return c.send(from, to, class, size, payload, nil)
 }
 
-// Request is Send plus a reply channel for RPC-style exchanges.
-func (c *Cellular) Request(from, to NodeID, class Class, size int, payload interface{}) (chan Message, error) {
-	reply := make(chan Message, 1)
-	if err := c.send(from, to, class, size, payload, reply); err != nil {
-		return nil, err
-	}
-	return reply, nil
+// Request is Send plus the caller's reply channel for RPC-style exchanges;
+// like WiFi.Request's, it must have room for the answer.
+func (c *Cellular) Request(from, to NodeID, class Class, size int, payload interface{}, reply chan Message) error {
+	return c.send(from, to, class, size, payload, reply)
 }
 
 // Respond answers a Request over the cellular path.
@@ -150,7 +147,7 @@ func (c *Cellular) Respond(req Message, from NodeID, class Class, size int, payl
 	downl := c.down[req.From]
 	c.mu.Unlock()
 	if upl == nil || downl == nil {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, req.From)
+		return ErrUnreachable
 	}
 	c.transfer(upl, downl, size)
 	c.Counters.Add(class, size)
@@ -165,15 +162,15 @@ func (c *Cellular) send(from, to NodeID, class Class, size int, payload interfac
 	downl := c.down[to]
 	c.mu.Unlock()
 	if ep == nil || upl == nil || downl == nil || ep.Sealed() {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+		return ErrUnreachable
 	}
 	c.transfer(upl, downl, size)
 	c.Counters.Add(class, size)
 	if ep.Sealed() {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+		return ErrUnreachable
 	}
 	if !ep.deliver(Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}, true) {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+		return ErrUnreachable
 	}
 	return nil
 }

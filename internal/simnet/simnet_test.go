@@ -143,8 +143,8 @@ func TestWiFiRequestRespond(t *testing.T) {
 		m := <-eps["b"].Inbox()
 		w.Respond(m, "b", ClassBitmap, 128, "bitmap")
 	}()
-	reply, err := w.Request("a", "b", ClassBitmap, 64, "query")
-	if err != nil {
+	reply := make(chan Message, 1)
+	if err := w.Request("a", "b", ClassBitmap, 64, "query", reply); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -157,6 +157,26 @@ func TestWiFiRequestRespond(t *testing.T) {
 	}
 	if w.Counters.Bytes(ClassBitmap) != 64+128 {
 		t.Fatalf("bitmap bytes = %d, want 192", w.Counters.Bytes(ClassBitmap))
+	}
+}
+
+// The unreachable path returns the sentinel itself: a sender probing a
+// failed or departed peer allocates nothing.
+func TestUnreachableAllocatesNothing(t *testing.T) {
+	w, _ := newTestWiFi(t, WiFiConfig{BitsPerSecond: 8e6})
+	w.SetPresent("b", false)
+	cell := NewCellular(testClock(), CellularConfig{})
+	cell.Attach(NewEndpoint("a", 4))
+	for name, send := range map[string]func() error{
+		"WiFi.Unicast":  func() error { return w.Unicast("a", "b", ClassData, 10, nil) },
+		"Cellular.Send": func() error { return cell.Send("a", "nope", ClassControl, 10, nil) },
+	} {
+		if err := send(); err != ErrUnreachable {
+			t.Fatalf("%s: got %v, want ErrUnreachable itself", name, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { send() }); allocs != 0 {
+			t.Fatalf("%s to an unreachable peer allocates %.1f objects, want 0", name, allocs)
+		}
 	}
 }
 
@@ -242,8 +262,8 @@ func TestCellularRequestRespond(t *testing.T) {
 		m := <-b.Inbox()
 		cell.Respond(m, "b", ClassControl, 32, "pong")
 	}()
-	reply, err := cell.Request("a", "b", ClassControl, 16, "ping")
-	if err != nil {
+	reply := make(chan Message, 1)
+	if err := cell.Request("a", "b", ClassControl, 16, "ping", reply); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -372,13 +371,10 @@ func (w *WiFi) Unicast(from, to NodeID, class Class, size int, payload interface
 }
 
 // Request sends reliably like Unicast and arranges for the response to be
-// delivered on the returned channel.
-func (w *WiFi) Request(from, to NodeID, class Class, size int, payload interface{}) (chan Message, error) {
-	reply := make(chan Message, 1)
-	if err := w.send(from, to, class, size, payload, reply); err != nil {
-		return nil, err
-	}
-	return reply, nil
+// delivered on reply, which the caller owns: it must have room for the
+// answer, since the responder does not wait for a reader.
+func (w *WiFi) Request(from, to NodeID, class Class, size int, payload interface{}, reply chan Message) error {
+	return w.send(from, to, class, size, payload, reply)
 }
 
 // Respond answers a Request: it charges airtime for the response and
@@ -412,7 +408,7 @@ func (w *WiFi) send(from, to NodeID, class Class, size int, payload interface{},
 	_, fromCh, fromPresent, fromOK := w.lookup(from)
 	ep, toCh, toPresent, toOK := w.lookup(to)
 	if !toOK || !toPresent || !fromOK || !fromPresent || ep.Sealed() {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+		return ErrUnreachable
 	}
 	// Reliable transfer over a lossy medium costs extra airtime for
 	// retransmissions: effective bytes = (size + framing) / (1 - loss).
@@ -436,10 +432,10 @@ func (w *WiFi) send(from, to NodeID, class Class, size int, payload interface{},
 	// Re-check reachability after airtime: the destination may have
 	// failed while the transfer was queued.
 	if !w.Present(to) || ep.Sealed() {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+		return ErrUnreachable
 	}
 	if !ep.deliver(Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}, true) {
-		return fmt.Errorf("%w: %s -> %s", ErrUnreachable, from, to)
+		return ErrUnreachable
 	}
 	return nil
 }

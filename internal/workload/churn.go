@@ -95,24 +95,29 @@ func (g *Generator) StartChurn(hooks ChurnHooks, cfg ChurnConfig) {
 func (g *Generator) joinLoop(hooks ChurnHooks, cfg ChurnConfig) {
 	defer g.wg.Done()
 	rng := rand.New(rand.NewSource(cfg.Seed + 101))
+	next := func() time.Duration { return time.Duration(rng.ExpFloat64() * float64(cfg.MeanJoin)) }
+	t := g.clk.NewTimer(next())
+	defer t.Stop()
 	for i := 0; ; i++ {
-		d := time.Duration(rng.ExpFloat64() * float64(cfg.MeanJoin))
 		select {
-		case <-g.clk.After(d):
+		case <-t.C():
 			hooks.Join(i)
 		case <-g.stopCh:
 			return
 		}
+		t.Reset(next())
 	}
 }
 
 func (g *Generator) leaveLoop(hooks ChurnHooks, cfg ChurnConfig) {
 	defer g.wg.Done()
 	rng := rand.New(rand.NewSource(cfg.Seed + 102))
-	for {
-		d := time.Duration(rng.ExpFloat64() * float64(cfg.MeanLeave))
+	next := func() time.Duration { return time.Duration(rng.ExpFloat64() * float64(cfg.MeanLeave)) }
+	t := g.clk.NewTimer(next())
+	defer t.Stop()
+	for ; ; t.Reset(next()) {
 		select {
-		case <-g.clk.After(d):
+		case <-t.C():
 		case <-g.stopCh:
 			return
 		}
@@ -146,9 +151,11 @@ func (g *Generator) leaveLoop(hooks ChurnHooks, cfg ChurnConfig) {
 func (g *Generator) walk(hooks ChurnHooks, cfg ChurnConfig, id simnet.NodeID, vx, vy float64) {
 	defer g.wg.Done()
 	step := cfg.MobilityTick.Seconds()
-	for {
+	t := g.clk.NewTimer(cfg.MobilityTick)
+	defer t.Stop()
+	for ; ; t.Reset(cfg.MobilityTick) {
 		select {
-		case <-g.clk.After(cfg.MobilityTick):
+		case <-t.C():
 		case <-g.stopCh:
 			return
 		}

@@ -53,14 +53,17 @@ func (g *Generator) every(period time.Duration, seed int64, fn func(i int)) {
 	go func() {
 		defer g.wg.Done()
 		rng := rand.New(rand.NewSource(seed))
+		next := func() time.Duration { return period + time.Duration(rng.Int63n(int64(period)/10+1)) }
+		t := g.clk.NewTimer(next())
+		defer t.Stop()
 		for i := 0; ; i++ {
-			jitter := time.Duration(rng.Int63n(int64(period)/10 + 1))
 			select {
-			case <-g.clk.After(period + jitter):
+			case <-t.C():
 				fn(i)
 			case <-g.stopCh:
 				return
 			}
+			t.Reset(next())
 		}
 	}()
 }
