@@ -248,27 +248,33 @@ func (ks *KeyedState) encodeKeys(keys []string, sizeHint int) []byte {
 }
 
 // Decode loads bytes produced by Encode, replacing the store's contents.
+// The bytes may come from a peer (a split/merge handoff, a checkpoint
+// blob), so every count and length is checked, as unsigned, against the
+// bytes left before it is used: a bad one is an error, never a panic.
 func (ks *KeyedState) Decode(data []byte) error {
 	m := make(map[string][]byte)
 	if len(data) < 8 {
 		return fmt.Errorf("keyedstate: short header")
 	}
-	n := int(binary.BigEndian.Uint64(data))
+	n := binary.BigEndian.Uint64(data)
+	if n > uint64(len(data)-8)/16 {
+		return fmt.Errorf("keyedstate: %d keys in %d bytes", n, len(data))
+	}
 	off := 8
 	next := func() (uint64, error) {
-		if off+8 > len(data) {
+		if len(data)-off < 8 {
 			return 0, fmt.Errorf("keyedstate: short entry")
 		}
 		v := binary.BigEndian.Uint64(data[off:])
 		off += 8
 		return v, nil
 	}
-	for i := 0; i < n; i++ {
+	for i := uint64(0); i < n; i++ {
 		kl, err := next()
 		if err != nil {
 			return err
 		}
-		if off+int(kl) > len(data) {
+		if kl > uint64(len(data)-off) {
 			return fmt.Errorf("keyedstate: short key")
 		}
 		k := string(data[off : off+int(kl)])
@@ -277,7 +283,7 @@ func (ks *KeyedState) Decode(data []byte) error {
 		if err != nil {
 			return err
 		}
-		if off+int(vl) > len(data) {
+		if vl > uint64(len(data)-off) {
 			return fmt.Errorf("keyedstate: short value")
 		}
 		m[k] = append([]byte(nil), data[off:off+int(vl)]...)

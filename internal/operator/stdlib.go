@@ -375,6 +375,7 @@ type Window struct {
 	vals       []float64
 	count      uint64
 	delta      DeltaTracker
+	boxes      tuple.Boxes[float64] // the emitted means, carved on the executor
 }
 
 // NewWindow builds a sliding window over the last n values.
@@ -403,7 +404,7 @@ func (w *Window) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 		sum += x
 	}
 	out := ctx.Clone(t)
-	out.Value = sum / float64(len(w.vals))
+	out.Value = w.boxes.Box(sum / float64(len(w.vals)))
 	ctx.Emit(out)
 	return nil
 }
@@ -436,13 +437,13 @@ func (w *Window) Restore(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("window %s: short state", w.Name)
 	}
-	w.count = binary.BigEndian.Uint64(data)
-	n := int(binary.BigEndian.Uint64(data[8:]))
-	if len(data) < 16+8*n {
+	n := binary.BigEndian.Uint64(data[8:])
+	if n > uint64(len(data)-16)/8 {
 		return fmt.Errorf("window %s: short window state", w.Name)
 	}
+	w.count = binary.BigEndian.Uint64(data)
 	w.vals = w.vals[:0]
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(n); i++ {
 		w.vals = append(w.vals, math.Float64frombits(binary.BigEndian.Uint64(data[16+8*i:])))
 	}
 	return nil
@@ -477,6 +478,7 @@ type Aggregate struct {
 	sorted []*aggAcc
 	fresh  []*aggAcc
 	delta  DeltaTracker
+	boxes  tuple.Boxes[float64] // the emitted means, carved on the executor
 }
 
 // aggAcc is one key's running sum and count.
@@ -519,7 +521,7 @@ func (a *Aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	c.sum += v
 	c.count++
 	out := ctx.Clone(t)
-	out.Value = c.sum / float64(c.count)
+	out.Value = a.boxes.Box(c.sum / float64(c.count))
 	ctx.Emit(out)
 	return nil
 }
@@ -579,19 +581,24 @@ func (a *Aggregate) Restore(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("aggregate %s: short state", a.Name)
 	}
-	n := int(binary.BigEndian.Uint64(data))
+	// Lengths come from peers: compare them as unsigned against the bytes
+	// left before converting, so no value can wrap an offset negative.
+	n := binary.BigEndian.Uint64(data)
+	if n > uint64(len(data)-8)/24 {
+		return fmt.Errorf("aggregate %s: %d keys in %d bytes", a.Name, n, len(data))
+	}
 	off := 8
-	for i := 0; i < n; i++ {
-		if off+8 > len(data) {
+	for i := uint64(0); i < n; i++ {
+		if len(data)-off < 8 {
 			return fmt.Errorf("aggregate %s: short key header", a.Name)
 		}
-		kl := int(binary.BigEndian.Uint64(data[off:]))
+		kl := binary.BigEndian.Uint64(data[off:])
 		off += 8
-		if off+kl+16 > len(data) {
+		if rest := uint64(len(data) - off); rest < 16 || kl > rest-16 {
 			return fmt.Errorf("aggregate %s: short key entry", a.Name)
 		}
-		c := a.acc(string(data[off : off+kl]))
-		off += kl
+		c := a.acc(string(data[off : off+int(kl)]))
+		off += int(kl)
 		c.sum = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
 		c.count = binary.BigEndian.Uint64(data[off+8:])
 		off += 16

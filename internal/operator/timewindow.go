@@ -43,6 +43,7 @@ type TimeWindow struct {
 	windows uint64                  // closed-window count, checkpointed
 	armed   bool                    // a timer is pending, volatile
 	delta   DeltaTracker
+	boxes   tuple.Boxes[float64] // the emitted means, carved on the executor
 }
 
 // NewTimeWindow builds a tumbling time window.
@@ -121,7 +122,7 @@ func (w *TimeWindow) OnTimer(ctx *Context, _ time.Duration) error {
 			continue // restored sums without a template: keep for the next close
 		}
 		out := ctx.Clone(tmpl)
-		out.Value = sum / float64(cnt)
+		out.Value = w.boxes.Box(sum / float64(cnt))
 		ctx.Emit(out)
 		emitted = true
 		st.Delete(k)

@@ -33,38 +33,58 @@ type Tuple struct {
 	Value interface{}
 }
 
-// slabSize is how many tuples a full slab array holds: 33 tuples of 80 B
-// fill the 2688 B size class that 32 would be rounded up to anyway. The
-// odd count also keeps a sampler with a power-of-two period from landing on
-// the refilling carve every time.
+// slabSize is how many elements a full carving array holds: 33 tuples of
+// 80 B fill the 2688 B size class that 32 would be rounded up to anyway.
+// The odd count also keeps a sampler with a power-of-two period from
+// landing on the refilling carve every time.
 const slabSize = 33
 
-// Slab carves tuples out of arrays owned by one goroutine. A carved tuple is
-// never handed out again: when an array is used up the next carve allocates
-// a fresh one, and the GC frees an old array once none of its tuples is
-// referenced. Arrays double from one tuple up to slabSize, so a short-lived
-// slab (one operator.Run call) allocates no more than a plain copy would,
-// and a long-lived one costs 1/slabSize of an allocation per carve. No
-// tuple is recycled under a live reference. The price is retention: a kept
-// tuple keeps its whole array, and its neighbours' payloads, alive.
+// carver hands out elements of arrays owned by one goroutine; it is the one
+// carving implementation behind Slab and Boxes. A carved element is never
+// handed out again: when an array is used up the next carve allocates a
+// fresh one, and the GC frees an old array once none of its elements is
+// referenced. Arrays double from one element up to slabSize, so a
+// short-lived carver (one operator.Run call) allocates no more than plain
+// copies would, and a long-lived one costs 1/slabSize of an allocation per
+// carve. No element is recycled under a live reference. The price is
+// retention: a kept element keeps its whole array alive.
+type carver[T any] struct {
+	free []T
+	next int // length of the next array
+}
+
+func (c *carver[T]) carve() *T {
+	if len(c.free) == 0 {
+		c.next = min(max(2*c.next, 1), slabSize)
+		c.free = make([]T, c.next)
+	}
+	p := &c.free[0]
+	c.free = c.free[1:]
+	return p
+}
+
+// Grow guarantees that the next n carves come from the current array: when
+// fewer than n elements are left it allocates an array of exactly n,
+// abandoning the rest of the old one. A decoder that knows how many
+// elements a frame needs calls it before each carve, so the whole frame
+// costs one array. It does not change the doubling of later arrays.
+func (c *carver[T]) Grow(n int) {
+	if len(c.free) < n {
+		c.free = make([]T, n)
+	}
+}
+
+// Slab carves tuples out of arrays owned by one goroutine (see carver): a
+// kept tuple keeps its whole array, and its neighbours' payloads, alive.
 // Payloads are treated as immutable once emitted, so a shallow copy is
 // sufficient for derivation, replication and preservation. A Slab is not
 // safe for concurrent use; the zero value is ready.
 type Slab struct {
-	free []Tuple
-	next int // length of the next array
+	carver[Tuple]
 }
 
 // New returns a zeroed tuple carved from the slab.
-func (s *Slab) New() *Tuple {
-	if len(s.free) == 0 {
-		s.next = min(max(2*s.next, 1), slabSize)
-		s.free = make([]Tuple, s.next)
-	}
-	t := &s.free[0]
-	s.free = s.free[1:]
-	return t
-}
+func (s *Slab) New() *Tuple { return s.carve() }
 
 // Clone returns a shallow copy of t carved from the slab.
 func (s *Slab) Clone(t *Tuple) *Tuple {

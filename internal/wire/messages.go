@@ -104,7 +104,8 @@ func appendValue(dst []byte, v interface{}) ([]byte, error) {
 
 // decodeValue reads a tagged value. Integer payloads decode as int64 or
 // uint64 regardless of the width they were encoded from; []byte payloads
-// are zero-copy views into the frame.
+// are zero-copy views into the frame. Each value gets its own interface
+// box; batch frames carve theirs from frameValues instead.
 func decodeValue(r *reader) interface{} {
 	switch tag := r.u8(); tag {
 	case valNil:
@@ -128,6 +129,52 @@ func decodeValue(r *reader) interface{} {
 		r.fail(ErrMalformed, "value tag")
 		return nil
 	}
+}
+
+// frameValues holds the value arrays of one batch frame. Each value kind
+// the frame uses gets one array, sized to the messages left when that kind
+// first appears, so a frame's values cost one allocation per kind instead
+// of one interface box per tuple. A kept value keeps its array alive, as a
+// decoded tuple keeps the frame's tuple array and a []byte value the frame.
+type frameValues struct {
+	ints   tuple.Boxes[int64]
+	uints  tuple.Boxes[uint64]
+	floats tuple.Boxes[float64]
+	strs   tuple.Boxes[string]
+	bytes  tuple.Boxes[[]byte]
+}
+
+// decode reads a tagged value as decodeValue does; left is how many of the
+// frame's messages remain, this one included. Nil and booleans never
+// allocate, and a bad tag is decodeValue's error.
+func (vs *frameValues) decode(r *reader, left int) interface{} {
+	if r.err != nil || r.remaining() == 0 {
+		return decodeValue(r)
+	}
+	switch r.b[r.off] {
+	case valInt:
+		r.off++
+		return carveValue(&vs.ints, r.i64(), left)
+	case valUint:
+		r.off++
+		return carveValue(&vs.uints, r.u64(), left)
+	case valFloat:
+		r.off++
+		return carveValue(&vs.floats, r.f64(), left)
+	case valString:
+		r.off++
+		return carveValue(&vs.strs, r.str(), left)
+	case valBytes:
+		r.off++
+		return carveValue(&vs.bytes, r.bytes(), left)
+	default:
+		return decodeValue(r)
+	}
+}
+
+func carveValue[T any](b *tuple.Boxes[T], v T, left int) interface{} {
+	b.Grow(left)
+	return b.Box(v)
 }
 
 // ---- tuples, markers, items ---------------------------------------------
@@ -161,17 +208,18 @@ func decodeTuple(r *reader) *tuple.Tuple {
 	t.Source = r.str()
 	t.Kind = r.str()
 	decodeTupleTail(r, t)
+	t.Value = decodeValue(r)
 	if r.err != nil {
 		return nil
 	}
 	return t
 }
 
+// decodeTupleTail decodes the fields between a tuple's names and its value.
 func decodeTupleTail(r *reader, t *tuple.Tuple) {
 	t.Created = time.Duration(r.i64())
 	t.Size = int(r.i64())
 	t.Replay = r.boolean()
-	t.Value = decodeValue(r)
 }
 
 const sizeMarker = 1 + 8
@@ -432,8 +480,9 @@ func (r *reader) name(same byte, prev string) string {
 }
 
 // DecodeBatch decodes a batch frame. Every tuple of the frame is carved
-// from one backing array, so retaining one decoded tuple retains them all;
-// []byte values are views into the frame, as everywhere in this package.
+// from one backing array, and every value of a kind from another (see
+// frameValues), so retaining one decoded tuple retains them all; []byte
+// values are views into the frame, as everywhere in this package.
 func DecodeBatch(frame []byte) (Batch, error) {
 	r := reader{b: frame}
 	r.kind(KindBatch)
@@ -444,7 +493,8 @@ func DecodeBatch(frame []byte) (Batch, error) {
 		return b, r.done()
 	}
 	b.Msgs = make([]Stream, n)
-	var slab []tuple.Tuple
+	var slab tuple.Slab
+	var vals frameValues
 	prev, prevT := &Stream{ToSlot: b.ToSlot}, &tuple.Tuple{}
 	for i := 0; i < n && r.err == nil; i++ {
 		m := &b.Msgs[i]
@@ -466,15 +516,13 @@ func DecodeBatch(frame []byte) (Batch, error) {
 		switch item := r.u8(); {
 		case r.err != nil:
 		case item == itemTuple:
-			if slab == nil {
-				slab = make([]tuple.Tuple, n-i)
-			}
-			t := &slab[0]
-			slab = slab[1:]
+			slab.Grow(n - i)
+			t := slab.New()
 			t.Seq = r.u64()
 			t.Source = r.name(f&sameSource, prevT.Source)
 			t.Kind = r.name(f&sameKind, prevT.Kind)
 			decodeTupleTail(&r, t)
+			t.Value = vals.decode(&r, n-i)
 			m.Item.Tuple, prevT = t, t
 		case item == itemMarker && f&(sameSource|sameKind) == 0:
 			m.Item.Marker = decodeMarker(&r)

@@ -36,6 +36,12 @@
 //		return nil
 //	}
 //
+// Assigning a float64 to out.Value boxes it: one heap allocation per
+// result. A hot operator inside this module carves the box instead, from a
+// tuple.Boxes[float64] field it owns (out.Value = o.boxes.Box(o.ewma)), as
+// the stream builder's Map stages and the stdlib Window, TimeWindow and
+// Aggregate do; the value is the same to every reader.
+//
 // Migration note: the seed-era contract — Process(from string, t *Tuple)
 // ([]Out, error) — keeps working unchanged; the executor adapts it
 // transparently (see operator.LegacyProcessor). Likewise the hand-wired

@@ -586,9 +586,12 @@ func (p *Pipeline) Output(t *tuple.Tuple) {
 }
 
 // mapFactory compiles a typed stage function onto the stdlib Map operator,
-// so stream-built and hand-built pipelines checkpoint identically.
+// so stream-built and hand-built pipelines checkpoint identically. Each
+// instance carves its results' interface boxes from its own Boxes: an
+// instance runs on one executor only, so no array is shared.
 func mapFactory[T, U any](id string, fn func(T) (U, bool), cost time.Duration) operator.Factory {
 	return func() operator.Operator {
+		var boxes tuple.Boxes[U]
 		m := operator.NewMap(id, func(ctx *operator.Context, t *tuple.Tuple) *tuple.Tuple {
 			v, ok := t.Value.(T)
 			if !ok {
@@ -599,7 +602,7 @@ func mapFactory[T, U any](id string, fn func(T) (U, bool), cost time.Duration) o
 				return nil
 			}
 			out := ctx.Clone(t)
-			out.Value = u
+			out.Value = boxes.Box(u)
 			return out
 		})
 		if cost > 0 {
