@@ -109,6 +109,11 @@ func ApplyPatch(old, patch []byte) ([]byte, error) {
 	}
 	newLen := int(binary.BigEndian.Uint32(patch[0:4]))
 	nRanges := int(binary.BigEndian.Uint32(patch[4:8]))
+	// Every new byte is either old or carried by a range, so a longer newLen
+	// is malformed; checking first keeps a peer's patch from sizing out.
+	if newLen > len(old)+len(patch) {
+		return nil, fmt.Errorf("operator: patch length %d exceeds its inputs", newLen)
+	}
 	out := make([]byte, newLen)
 	copy(out, old)
 	off := patchHeaderBytes

@@ -73,6 +73,12 @@ func TestApplyPatchRejectsGarbage(t *testing.T) {
 	if _, err := ApplyPatch(nil, bad); err == nil {
 		t.Fatal("out-of-bounds range accepted")
 	}
+	// A new length no old bytes or ranges could fill (4 GiB here) is an
+	// error, checked before the output is allocated.
+	bad = []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
+	if _, err := ApplyPatch(make([]byte, 16), bad); err == nil {
+		t.Fatal("oversized new length accepted")
+	}
 }
 
 func TestPatchRoundTripProperty(t *testing.T) {

@@ -104,9 +104,13 @@ func appendValue(dst []byte, v interface{}) ([]byte, error) {
 
 // decodeValue reads a tagged value. Integer payloads decode as int64 or
 // uint64 regardless of the width they were encoded from; []byte payloads
-// are zero-copy views into the frame. Each value gets its own interface
-// box; batch frames carve theirs from frameValues instead.
-func decodeValue(r *reader) interface{} {
+// are zero-copy views into the frame. A []byte value's interface is carved
+// from bs, whose array is made large enough for the left values still to
+// come (this one included) when it runs out, so a batch frame's []byte
+// values cost one allocation instead of one box each. A kept value keeps
+// that array alive, as a decoded tuple keeps the frame's tuple array and a
+// []byte value the frame. Other kinds are boxed one by one.
+func decodeValue(r *reader, bs *tuple.Boxes[[]byte], left int) interface{} {
 	switch tag := r.u8(); tag {
 	case valNil:
 		return nil
@@ -123,58 +127,14 @@ func decodeValue(r *reader) interface{} {
 	case valString:
 		return r.str()
 	case valBytes:
-		return r.bytes()
+		v := r.bytes()
+		bs.Grow(left)
+		return bs.Box(v)
 	default:
 		r.off--
 		r.fail(ErrMalformed, "value tag")
 		return nil
 	}
-}
-
-// frameValues holds the value arrays of one batch frame. Each value kind
-// the frame uses gets one array, sized to the messages left when that kind
-// first appears, so a frame's values cost one allocation per kind instead
-// of one interface box per tuple. A kept value keeps its array alive, as a
-// decoded tuple keeps the frame's tuple array and a []byte value the frame.
-type frameValues struct {
-	ints   tuple.Boxes[int64]
-	uints  tuple.Boxes[uint64]
-	floats tuple.Boxes[float64]
-	strs   tuple.Boxes[string]
-	bytes  tuple.Boxes[[]byte]
-}
-
-// decode reads a tagged value as decodeValue does; left is how many of the
-// frame's messages remain, this one included. Nil and booleans never
-// allocate, and a bad tag is decodeValue's error.
-func (vs *frameValues) decode(r *reader, left int) interface{} {
-	if r.err != nil || r.remaining() == 0 {
-		return decodeValue(r)
-	}
-	switch r.b[r.off] {
-	case valInt:
-		r.off++
-		return carveValue(&vs.ints, r.i64(), left)
-	case valUint:
-		r.off++
-		return carveValue(&vs.uints, r.u64(), left)
-	case valFloat:
-		r.off++
-		return carveValue(&vs.floats, r.f64(), left)
-	case valString:
-		r.off++
-		return carveValue(&vs.strs, r.str(), left)
-	case valBytes:
-		r.off++
-		return carveValue(&vs.bytes, r.bytes(), left)
-	default:
-		return decodeValue(r)
-	}
-}
-
-func carveValue[T any](b *tuple.Boxes[T], v T, left int) interface{} {
-	b.Grow(left)
-	return b.Box(v)
 }
 
 // ---- tuples, markers, items ---------------------------------------------
@@ -208,7 +168,8 @@ func decodeTuple(r *reader) *tuple.Tuple {
 	t.Source = r.str()
 	t.Kind = r.str()
 	decodeTupleTail(r, t)
-	t.Value = decodeValue(r)
+	var bs tuple.Boxes[[]byte]
+	t.Value = decodeValue(r, &bs, 1)
 	if r.err != nil {
 		return nil
 	}
@@ -480,8 +441,8 @@ func (r *reader) name(same byte, prev string) string {
 }
 
 // DecodeBatch decodes a batch frame. Every tuple of the frame is carved
-// from one backing array, and every value of a kind from another (see
-// frameValues), so retaining one decoded tuple retains them all; []byte
+// from one backing array, and every []byte value from another (see
+// decodeValue), so retaining one decoded tuple retains them all; []byte
 // values are views into the frame, as everywhere in this package.
 func DecodeBatch(frame []byte) (Batch, error) {
 	r := reader{b: frame}
@@ -494,7 +455,7 @@ func DecodeBatch(frame []byte) (Batch, error) {
 	}
 	b.Msgs = make([]Stream, n)
 	var slab tuple.Slab
-	var vals frameValues
+	var bs tuple.Boxes[[]byte]
 	prev, prevT := &Stream{ToSlot: b.ToSlot}, &tuple.Tuple{}
 	for i := 0; i < n && r.err == nil; i++ {
 		m := &b.Msgs[i]
@@ -522,7 +483,7 @@ func DecodeBatch(frame []byte) (Batch, error) {
 			t.Source = r.name(f&sameSource, prevT.Source)
 			t.Kind = r.name(f&sameKind, prevT.Kind)
 			decodeTupleTail(&r, t)
-			t.Value = vals.decode(&r, n-i)
+			t.Value = decodeValue(&r, &bs, n-i)
 			m.Item.Tuple, prevT = t, t
 		case item == itemMarker && f&(sameSource|sameKind) == 0:
 			m.Item.Marker = decodeMarker(&r)
