@@ -30,11 +30,16 @@ type Edge struct {
 // re-deriving them from the edge lists.
 type Graph struct {
 	ops   map[string]OperatorSpec
-	order []string // insertion order, for deterministic iteration
+	order []string // insertion order, for deterministic iteration; OpID -> name
 	out   map[string][]string
 	in    map[string][]string
 
-	slots     []string            // sorted slot names
+	// Dense IDs, numbered once at Build (see OpID and SlotID).
+	opID      map[string]OpID
+	opSlot    []SlotID            // OpID -> hosting slot
+	slotNames []string            // SlotID -> name, reserved IDs first
+	slotID    map[string]SlotID   // real slot name -> SlotID
+	slots     []string            // sorted slot names (slotNames[firstSlot:])
 	opsOnSlot map[string][]string // slot -> operators, declaration order
 	slotUp    map[string][]string // slot -> distinct feeding slots, sorted
 	slotDown  map[string][]string // slot -> distinct fed slots, sorted
@@ -56,6 +61,34 @@ type KeyedGroupSpec struct {
 	Slots       []string
 	Parallelism int
 }
+
+// OpID is an operator's dense index: its position in declaration order.
+// Every node compiles its data path from the same immutable Graph, so an
+// OpID means the same operator on every phone of the region.
+type OpID int32
+
+// NoOp stands for "no operator": a marker's endpoints, or the producer of
+// externally admitted input.
+const NoOp OpID = -1
+
+// SlotID is a slot's dense index. The pseudo-upstreams a node queues
+// external and rerouted input on take the first IDs; the graph's slots
+// follow in sorted order, so a SlotID indexes one table covering both.
+type SlotID int32
+
+const (
+	// ExternalSlot is the pseudo-upstream of externally admitted tuples
+	// and controller-injected markers on source slots.
+	ExternalSlot SlotID = iota
+	// RerouteSlot is the pseudo-upstream of tuples a keyed instance
+	// relays to the current owner of their key.
+	RerouteSlot
+	firstSlot
+)
+
+// reservedSlotNames names the pseudo-upstreams in logs, histograms and
+// checkpoint alignment; Build rejects a slot that reuses one.
+var reservedSlotNames = [firstSlot]string{"__ext__", "__reroute__"}
 
 // groupRef locates an operator inside a keyed group.
 type groupRef struct {
@@ -154,6 +187,11 @@ func (b *Builder) Build() (*Graph, error) {
 		if s.Slot == "" {
 			return nil, fmt.Errorf("graph: operator %q has no slot", s.ID)
 		}
+		for _, r := range reservedSlotNames {
+			if s.Slot == r {
+				return nil, fmt.Errorf("graph: operator %q on reserved slot %q", s.ID, s.Slot)
+			}
+		}
 		if _, dup := g.ops[s.ID]; dup {
 			return nil, fmt.Errorf("graph: duplicate operator %q", s.ID)
 		}
@@ -244,7 +282,18 @@ func (g *Graph) compileSlots() {
 		slotSet[slot] = true
 		g.opsOnSlot[slot] = append(g.opsOnSlot[slot], id)
 	}
-	g.slots = sortedKeys(slotSet)
+	g.slotNames = append(reservedSlotNames[:], sortedKeys(slotSet)...)
+	g.slots = g.slotNames[firstSlot:]
+	g.slotID = make(map[string]SlotID, len(g.slots))
+	for i, slot := range g.slots {
+		g.slotID[slot] = firstSlot + SlotID(i)
+	}
+	g.opID = make(map[string]OpID, len(g.order))
+	g.opSlot = make([]SlotID, len(g.order))
+	for i, id := range g.order {
+		g.opID[id] = OpID(i)
+		g.opSlot[i] = g.slotID[g.ops[id].Slot]
+	}
 	g.slotUp = make(map[string][]string, len(g.slots))
 	g.slotDown = make(map[string][]string, len(g.slots))
 	for _, slot := range g.slots {
@@ -288,6 +337,42 @@ func (g *Graph) compileSlots() {
 		return g.slotEdges[i].To < g.slotEdges[j].To
 	})
 }
+
+// OpID returns an operator's dense ID (NoOp for an unknown name).
+func (g *Graph) OpID(name string) (OpID, bool) {
+	if id, ok := g.opID[name]; ok {
+		return id, true
+	}
+	return NoOp, false
+}
+
+// OpName returns the operator an ID stands for; "" for NoOp.
+func (g *Graph) OpName(id OpID) string {
+	if id < 0 {
+		return ""
+	}
+	return g.order[id]
+}
+
+// OpSlot returns the slot hosting an operator.
+func (g *Graph) OpSlot(id OpID) SlotID { return g.opSlot[id] }
+
+// NumOps is one past the largest OpID.
+func (g *Graph) NumOps() int { return len(g.order) }
+
+// SlotID returns a slot's dense ID. Reserved pseudo-upstream names do not
+// resolve: their IDs are the constants.
+func (g *Graph) SlotID(name string) (SlotID, bool) {
+	id, ok := g.slotID[name]
+	return id, ok
+}
+
+// SlotName returns the slot (or pseudo-upstream) an ID stands for.
+func (g *Graph) SlotName(id SlotID) string { return g.slotNames[id] }
+
+// NumSlotIDs is one past the largest SlotID, reserved IDs included: the
+// length of a table indexed by SlotID.
+func (g *Graph) NumSlotIDs() int { return len(g.slotNames) }
 
 // Operators returns operator IDs in declaration order.
 func (g *Graph) Operators() []string {

@@ -174,3 +174,70 @@ func TestSpecLookup(t *testing.T) {
 		t.Fatalf("SlotOf(D) = %q", g.SlotOf("D"))
 	}
 }
+
+// TestDenseIDsRoundTrip pins the dense numbering every node compiles its
+// data path from: each operator and slot name maps to an ID and back, IDs
+// are dense, the pseudo-upstreams' reserved IDs name no real slot, and a
+// slot may not take a reserved name.
+func TestDenseIDsRoundTrip(t *testing.T) {
+	g := diamond(t)
+	if g.NumOps() != len(g.Operators()) {
+		t.Fatalf("NumOps = %d for %d operators", g.NumOps(), len(g.Operators()))
+	}
+	for i, name := range g.Operators() {
+		id, ok := g.OpID(name)
+		if !ok || id != OpID(i) || g.OpName(id) != name {
+			t.Fatalf("op %q: id %d (ok %v), name back %q", name, id, ok, g.OpName(id))
+		}
+		if got := g.SlotName(g.OpSlot(id)); got != g.SlotOf(name) {
+			t.Fatalf("op %q: OpSlot names %q, want %q", name, got, g.SlotOf(name))
+		}
+	}
+	if id, ok := g.OpID("nope"); ok || id != NoOp || g.OpName(NoOp) != "" {
+		t.Fatalf("unknown op resolves to %d (ok %v); NoOp names %q", id, ok, g.OpName(NoOp))
+	}
+	if g.NumSlotIDs() != len(g.Slots())+int(firstSlot) {
+		t.Fatalf("NumSlotIDs = %d for %d slots", g.NumSlotIDs(), len(g.Slots()))
+	}
+	seen := map[SlotID]bool{ExternalSlot: true, RerouteSlot: true}
+	if ExternalSlot == RerouteSlot {
+		t.Fatal("pseudo-upstreams share an ID")
+	}
+	for _, slot := range g.Slots() {
+		id, ok := g.SlotID(slot)
+		if !ok || g.SlotName(id) != slot {
+			t.Fatalf("slot %q: id %d (ok %v), name back %q", slot, id, ok, g.SlotName(id))
+		}
+		if seen[id] {
+			t.Fatalf("slot %q reuses ID %d", slot, id)
+		}
+		seen[id] = true
+	}
+	for _, pseudo := range []SlotID{ExternalSlot, RerouteSlot} {
+		if _, ok := g.SlotID(g.SlotName(pseudo)); ok {
+			t.Fatalf("pseudo-upstream %q resolves as a real slot", g.SlotName(pseudo))
+		}
+		var b Builder
+		b.AddOperator("a", g.SlotName(pseudo)).AddOperator("b", "n1").Connect("a", "b")
+		if _, err := b.Build(); err == nil {
+			t.Fatalf("a slot named %q built", g.SlotName(pseudo))
+		}
+	}
+	// Every node builds from the same graph; a second build of the same
+	// declaration numbers identically too.
+	again := diamond(t)
+	for _, name := range g.Operators() {
+		a, _ := g.OpID(name)
+		b, _ := again.OpID(name)
+		if a != b {
+			t.Fatalf("op %q numbered %d and %d", name, a, b)
+		}
+	}
+	for _, slot := range g.Slots() {
+		a, _ := g.SlotID(slot)
+		b, _ := again.SlotID(slot)
+		if a != b {
+			t.Fatalf("slot %q numbered %d and %d", slot, a, b)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/simnet"
 )
 
@@ -31,7 +32,7 @@ func takeBatch() *BatchMsg {
 // zero: only appends write them, and every recycle clears what they wrote.
 func recycleBatch(b *BatchMsg) {
 	clear(b.Msgs)
-	*b = BatchMsg{Msgs: b.Msgs[:0]}
+	b.Msgs = b.Msgs[:0]
 	batchPool.Put(b)
 }
 
@@ -55,9 +56,14 @@ type batcher struct {
 	disable           bool
 
 	mu sync.Mutex
-	// pending holds edgeBatch values, not pointers: a batch that starts
-	// after a flush reuses the deleted entry's map slot and allocates nothing.
-	pending map[string]edgeBatch
+	// pending holds one edgeBatch per downstream edge, indexed like the
+	// pipeline's downs (downs names each entry's destination); open counts
+	// the entries holding a batch. Both are resized only by setDowns, when
+	// a slot is configured and nothing is pending, so the per-tuple path
+	// indexes and never allocates.
+	pending []edgeBatch
+	downs   []graph.SlotID
+	open    int
 
 	// kick wakes the flush loop when a partial batch starts waiting.
 	kick chan struct{}
@@ -73,7 +79,8 @@ type batcher struct {
 	minNs      int64
 }
 
-// edgeBatch is the pending batch for one destination slot.
+// edgeBatch is the pending batch for one destination slot (b nil when
+// none is waiting).
 type edgeBatch struct {
 	b     *BatchMsg
 	bytes int
@@ -85,7 +92,6 @@ func newBatcher(n *Node, q QoS) *batcher {
 		maxMsgs:  q.MaxBatchMsgs,
 		maxBytes: q.MaxBatchBytes,
 		disable:  q.DisableBatching,
-		pending:  make(map[string]edgeBatch),
 		kick:     make(chan struct{}, 1),
 	}
 	if b.maxMsgs <= 0 {
@@ -97,74 +103,98 @@ func newBatcher(n *Node, q QoS) *batcher {
 	return b
 }
 
-// add appends one emission to its destination's pending batch, flushing
-// immediately when a bound is hit or the message is an in-band marker.
-func (b *batcher) add(toSlot string, msg StreamMsg) {
+// setDowns sizes the per-edge state for a newly configured slot's
+// downstream slots. Nothing may be pending.
+func (b *batcher) setDowns(downs []graph.SlotID) {
+	b.mu.Lock()
+	b.downs = downs
+	b.pending = make([]edgeBatch, len(downs))
+	b.open = 0
+	b.mu.Unlock()
+}
+
+// add appends one emission to the pending batch of downstream edge down,
+// flushing immediately when a bound is hit or the message is an in-band
+// marker. The message is copied into the batch in place.
+func (b *batcher) add(down int, msg *StreamMsg) {
 	if b.disable {
 		b.sendMu.Lock()
 		one := takeBatch()
-		one.Msgs = append(one.Msgs, msg)
-		b.n.sendBatch(toSlot, one, msg.Item.WireSize(), simnet.ClassData)
+		one.Msgs = append(one.Msgs, *msg)
+		b.n.sendBatch(msg.ToSlot, one, msg.Item.WireSize(), simnet.ClassData)
 		b.sendMu.Unlock()
 		return
 	}
 	b.mu.Lock()
-	eb, ok := b.pending[toSlot]
-	if !ok {
+	eb := &b.pending[down]
+	started := eb.b == nil
+	if started {
 		eb.b = takeBatch()
+		b.open++
 	}
-	eb.b.Msgs = append(eb.b.Msgs, msg)
+	eb.b.Msgs = append(eb.b.Msgs, *msg)
 	eb.bytes += msg.Item.WireSize()
-	b.pending[toSlot] = eb
 	urgent := msg.Item.Marker != nil
 	full := len(eb.b.Msgs) >= b.maxMsgs || eb.bytes >= b.maxBytes
 	b.mu.Unlock()
 	if urgent || full {
-		b.flushSlot(toSlot)
+		b.flushDown(down)
 		if full && !urgent {
 			b.noteSizeFlush()
 		}
 		return
 	}
-	select {
-	case b.kick <- struct{}{}:
-	default:
+	// Only a batch that starts waiting needs the flush loop: the loop runs
+	// until no batch is pending, so it has not stopped since any older
+	// batch still pending here started (and kicked it).
+	if started {
+		select {
+		case b.kick <- struct{}{}:
+		default:
+		}
 	}
 }
 
-// flushSlot sends the destination's pending batch, if any.
-func (b *batcher) flushSlot(toSlot string) {
+// takeLocked removes edge down's pending batch. Caller holds mu.
+func (b *batcher) takeLocked(down int) edgeBatch {
+	eb := b.pending[down]
+	if eb.b != nil {
+		b.pending[down] = edgeBatch{}
+		b.open--
+	}
+	return eb
+}
+
+// flushDown sends edge down's pending batch, if any.
+func (b *batcher) flushDown(down int) {
 	b.sendMu.Lock()
 	defer b.sendMu.Unlock()
 	b.mu.Lock()
-	eb, ok := b.pending[toSlot]
-	if !ok {
-		b.mu.Unlock()
-		return
-	}
-	delete(b.pending, toSlot)
+	eb := b.takeLocked(down)
+	to := b.downs[down]
 	b.mu.Unlock()
-	b.n.sendBatch(toSlot, eb.b, eb.bytes, simnet.ClassData)
+	if eb.b != nil {
+		b.n.sendBatch(to, eb.b, eb.bytes, simnet.ClassData)
+	}
 }
 
-// flushAll drains every pending batch (latency-bound flush, handoff).
+// flushAll drains every pending batch in downstream order (latency-bound
+// flush, handoff).
 func (b *batcher) flushAll() {
 	b.sendMu.Lock()
 	defer b.sendMu.Unlock()
-	for {
+	for down := 0; ; down++ {
 		b.mu.Lock()
-		if len(b.pending) == 0 {
+		if b.open == 0 || down >= len(b.pending) {
 			b.mu.Unlock()
 			return
 		}
-		var slot string
-		var eb edgeBatch
-		for slot, eb = range b.pending {
-			break
-		}
-		delete(b.pending, slot)
+		eb := b.takeLocked(down)
+		to := b.downs[down]
 		b.mu.Unlock()
-		b.n.sendBatch(slot, eb.b, eb.bytes, simnet.ClassData)
+		if eb.b != nil {
+			b.n.sendBatch(to, eb.b, eb.bytes, simnet.ClassData)
+		}
 	}
 }
 
@@ -174,9 +204,10 @@ func (b *batcher) flushAll() {
 // stall a restore.
 func (b *batcher) discardAll() {
 	b.mu.Lock()
-	for slot, eb := range b.pending {
-		delete(b.pending, slot)
-		recycleBatch(eb.b)
+	for down := range b.pending {
+		if eb := b.takeLocked(down); eb.b != nil {
+			recycleBatch(eb.b)
+		}
 	}
 	b.mu.Unlock()
 }
@@ -185,7 +216,7 @@ func (b *batcher) discardAll() {
 func (b *batcher) pendingSlots() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.pending)
+	return b.open
 }
 
 // flushLoop is the latency bound: while partial batches are pending it

@@ -1,13 +1,14 @@
 package node
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"mobistreams/internal/clock"
 	"mobistreams/internal/ft"
+	"mobistreams/internal/graph"
 	"mobistreams/internal/obs"
+	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -24,9 +25,43 @@ func (r mapResolver) Primary(slot string) (simnet.NodeID, bool) {
 
 func (mapResolver) Standby(string) (simnet.NodeID, bool) { return "", false }
 
-// newBatchHarness wires one sending node to a receiving endpoint over a
-// fast WiFi medium, without starting any goroutines: flushes are driven
-// explicitly by the tests.
+// edgeGraph is the one-edge graph the batch and route-cache tests send
+// over: operator src on slot "up" feeds operator op on slot "down".
+var edgeGraph = func() *graph.Graph {
+	var b graph.Builder
+	b.AddOperator("src", "up").AddOperator("op", "down").Connect("src", "op")
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}()
+
+func slotOf(name string) graph.SlotID { return mustSlot(edgeGraph, name) }
+
+func opOf(name string) graph.OpID { return mustOp(edgeGraph, name) }
+
+// edgeNode builds a node hosting slot of edgeGraph ("" for an idle node)
+// from cfg, filling in the graph, the slot's operators and defaults for
+// what cfg leaves unset. No goroutines are started.
+func edgeNode(slot string, cfg Config) *Node {
+	cfg.Graph, cfg.Slot, cfg.OpIDs = edgeGraph, slot, edgeGraph.OpsOnSlot(slot)
+	cfg.Registry = operator.Registry{
+		"src": func() operator.Operator { return operator.NewPassthrough("src") },
+		"op":  func() operator.Operator { return operator.NewPassthrough("op") },
+	}
+	if cfg.Phone == nil {
+		cfg.Phone = phone.New(cfg.ID, phone.Config{})
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.NewScaled(1e6)
+	}
+	return New(cfg)
+}
+
+// newBatchHarness wires one sending node, hosting slot "up", to a
+// receiving endpoint over a fast WiFi medium, without starting any
+// goroutines: flushes are driven explicitly by the tests.
 func newBatchHarness(t *testing.T, qos QoS) (*Node, *simnet.Endpoint) {
 	t.Helper()
 	clk := clock.NewScaled(1e6)
@@ -35,8 +70,8 @@ func newBatchHarness(t *testing.T, qos QoS) (*Node, *simnet.Endpoint) {
 	rx := simnet.NewEndpoint("rx", 1024)
 	w.Join(tx)
 	w.Join(rx)
-	n := New(Config{
-		Phone:    phone.New("tx", phone.Config{}),
+	n := edgeNode("up", Config{
+		ID:       "tx",
 		Scheme:   ft.BaseScheme,
 		Clock:    clk,
 		WiFi:     w,
@@ -48,9 +83,12 @@ func newBatchHarness(t *testing.T, qos QoS) (*Node, *simnet.Endpoint) {
 }
 
 func streamMsg(seq uint64) StreamMsg {
-	return StreamMsg{FromSlot: "up", ToSlot: "down", ToOp: "op", EdgeSeq: seq,
-		Item: tuple.DataItem(&tuple.Tuple{Seq: seq, Size: 100})}
+	return StreamMsg{FromSlot: slotOf("up"), ToSlot: slotOf("down"), FromOp: opOf("src"), ToOp: opOf("op"),
+		EdgeSeq: seq, Item: tuple.DataItem(&tuple.Tuple{Seq: seq, Size: 100})}
 }
+
+// add queues one message on the harness's only downstream edge.
+func add(n *Node, m StreamMsg) { n.batch.add(0, &m) }
 
 func recvPayloads(rx *simnet.Endpoint) []interface{} {
 	var out []interface{}
@@ -67,7 +105,7 @@ func recvPayloads(rx *simnet.Endpoint) []interface{} {
 func TestBatcherCoalescesInOrder(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
 	for seq := uint64(1); seq <= 5; seq++ {
-		n.batch.add("down", streamMsg(seq))
+		add(n, streamMsg(seq))
 	}
 	if got := recvPayloads(rx); len(got) != 0 {
 		t.Fatalf("sent %d payloads before any flush", len(got))
@@ -97,7 +135,7 @@ func TestBatcherCoalescesInOrder(t *testing.T) {
 func TestBatcherFlushesAtMaxMsgs(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 3})
 	for seq := uint64(1); seq <= 7; seq++ {
-		n.batch.add("down", streamMsg(seq))
+		add(n, streamMsg(seq))
 	}
 	got := recvPayloads(rx)
 	if len(got) != 2 {
@@ -110,12 +148,12 @@ func TestBatcherFlushesAtMaxMsgs(t *testing.T) {
 
 func TestBatcherFlushesAtMaxBytes(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100, MaxBatchBytes: 250})
-	n.batch.add("down", streamMsg(1))
-	n.batch.add("down", streamMsg(2))
+	add(n, streamMsg(1))
+	add(n, streamMsg(2))
 	if got := recvPayloads(rx); len(got) != 0 {
 		t.Fatal("flushed below the byte bound")
 	}
-	n.batch.add("down", streamMsg(3)) // 300 bytes >= 250
+	add(n, streamMsg(3)) // 300 bytes >= 250
 	if got := recvPayloads(rx); len(got) != 1 {
 		t.Fatalf("payloads = %d, want 1 byte-bound flush", len(got))
 	}
@@ -123,11 +161,11 @@ func TestBatcherFlushesAtMaxBytes(t *testing.T) {
 
 func TestBatcherMarkerFlushesImmediately(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
-	n.batch.add("down", streamMsg(1))
-	n.batch.add("down", streamMsg(2))
-	marker := StreamMsg{FromSlot: "up", ToSlot: "down", EdgeSeq: 3,
-		Item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: 7})}
-	n.batch.add("down", marker)
+	add(n, streamMsg(1))
+	add(n, streamMsg(2))
+	marker := StreamMsg{FromSlot: slotOf("up"), ToSlot: slotOf("down"), FromOp: graph.NoOp, ToOp: graph.NoOp,
+		EdgeSeq: 3, Item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: 7})}
+	add(n, marker)
 	got := recvPayloads(rx)
 	if len(got) != 1 {
 		t.Fatalf("payloads = %d, want 1 (marker must not wait on the latency bound)", len(got))
@@ -143,8 +181,8 @@ func TestBatcherMarkerFlushesImmediately(t *testing.T) {
 
 func TestBatcherDisabledSendsSingles(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{DisableBatching: true})
-	n.batch.add("down", streamMsg(1))
-	n.batch.add("down", streamMsg(2))
+	add(n, streamMsg(1))
+	add(n, streamMsg(2))
 	got := recvPayloads(rx)
 	if len(got) != 2 {
 		t.Fatalf("payloads = %d, want 2 singles", len(got))
@@ -158,7 +196,7 @@ func TestBatcherDisabledSendsSingles(t *testing.T) {
 
 func TestBatcherDiscardAll(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
-	n.batch.add("down", streamMsg(1))
+	add(n, streamMsg(1))
 	n.batch.discardAll()
 	n.batch.flushAll()
 	if got := recvPayloads(rx); len(got) != 0 {
@@ -176,13 +214,13 @@ func TestBatcherObservesStats(t *testing.T) {
 	tx, rx := simnet.NewEndpoint("tx", 64), simnet.NewEndpoint("rx", 64)
 	w.Join(tx)
 	w.Join(rx)
-	n := New(Config{
-		Phone: phone.New("tx", phone.Config{}), Scheme: ft.BaseScheme, Clock: clk,
+	n := edgeNode("up", Config{
+		ID: "tx", Scheme: ft.BaseScheme, Clock: clk,
 		WiFi: w, Endpoint: tx, Resolver: mapResolver{"down": "rx"},
 		QoS: QoS{MaxBatchMsgs: 4}, Obs: reg,
 	})
 	for seq := uint64(1); seq <= 8; seq++ {
-		n.batch.add("down", streamMsg(seq))
+		add(n, streamMsg(seq))
 	}
 	sizes := reg.Hist(obs.BatchMsgs, "")
 	if sizes.Count() != 2 || sizes.Sum() != 8 || sizes.Mean() != 4 || sizes.Max() != 4 {
@@ -195,25 +233,21 @@ func TestBatcherObservesStats(t *testing.T) {
 // TestEnqueueStreamBatchUnbatches checks the receive half: a BatchMsg is
 // unbatched into the upstream queue in order under one lock.
 func TestEnqueueStreamBatchUnbatches(t *testing.T) {
-	n := &Node{
-		queues: map[string]*upQueue{"up": newStreamQueue(false)},
-		slot:   "s",
-		logf:   func(string, ...interface{}) {},
-	}
-	n.cond = sync.NewCond(&n.mu)
+	n := edgeNode("down", Config{ID: "rx", Scheme: ft.BaseScheme})
 	bm := takeBatch()
 	for seq := uint64(1); seq <= 4; seq++ {
 		bm.Msgs = append(bm.Msgs, streamMsg(seq))
 	}
 	bm.Msgs = append(bm.Msgs, streamMsg(4)) // in-window duplicate: dropped
 	n.enqueueStreamBatch(bm)
-	q := n.queues["up"]
+	q := n.queueFor(slotOf("up"))
 	if q.len() != 4 {
 		t.Fatalf("queue has %d items, want 4", q.len())
 	}
+	var it queued
 	for want := uint64(1); want <= 4; want++ {
-		if got := q.pop().edgeSeq; got != want {
-			t.Fatalf("popped %d, want %d", got, want)
+		if q.pop(&it); it.edgeSeq != want {
+			t.Fatalf("popped %d, want %d", it.edgeSeq, want)
 		}
 	}
 }
@@ -225,27 +259,23 @@ func TestEnqueueStreamBatchUnbatches(t *testing.T) {
 func TestBatchRoundTripZeroAllocs(t *testing.T) {
 	const perBatch = 8
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: perBatch})
-	recv := &Node{
-		queues: map[string]*upQueue{"up": newStreamQueue(false)},
-		slot:   "down",
-		logf:   func(string, ...interface{}) {},
-	}
-	recv.cond = sync.NewCond(&recv.mu)
-	q := recv.queues["up"]
+	recv := edgeNode("down", Config{ID: "rx", Scheme: ft.BaseScheme})
+	q := recv.queueFor(slotOf("up"))
 	msgs := make([]StreamMsg, perBatch)
 	for i := range msgs {
 		msgs[i] = streamMsg(0)
 	}
 	seq := uint64(0)
+	var it queued
 	round := func() {
-		for _, m := range msgs {
+		for i := range msgs {
 			seq++
-			m.EdgeSeq = seq
-			n.batch.add("down", m)
+			msgs[i].EdgeSeq = seq
+			n.batch.add(0, &msgs[i])
 		}
 		recv.enqueueStreamBatch((<-rx.Inbox()).Payload.(*BatchMsg))
 		for q.len() > 0 {
-			q.pop()
+			q.pop(&it)
 		}
 	}
 	for i := 0; i < 100; i++ {
@@ -274,7 +304,7 @@ func TestBatcherConcurrentFlushKeepsFIFO(t *testing.T) {
 		}
 	}()
 	for seq := uint64(1); seq <= total; seq++ {
-		n.batch.add("down", streamMsg(seq))
+		add(n, streamMsg(seq))
 	}
 	<-done
 	n.batch.flushAll()

@@ -68,10 +68,11 @@ func startedObsNode(t *testing.T) (n *Node, clk *countingClock, reg *obs.Registr
 // a reading does not survive the executor going idle.
 func TestClockSharingKeepsEveryObservation(t *testing.T) {
 	n, clk, reg, outs := startedObsNode(t)
-	wait := reg.Hist(obs.EdgeWait, externalSlot+"->s1")
+	wait := reg.Hist(obs.EdgeWait, "__ext__->s1")
 	srcLat, outLat := reg.Hist(obs.OpLatency, "src"), reg.Hist(obs.OpLatency, "out")
+	src, _ := n.graph.OpID("src")
 	ingest := func(seq uint64) {
-		n.IngestExternal("src", &tuple.Tuple{Seq: seq, Source: "src", Created: clk.Manual.Now()})
+		n.IngestExternal(src, &tuple.Tuple{Seq: seq, Source: "src", Created: clk.Manual.Now()})
 	}
 
 	// A backlog of N items, all enqueued 2 ms before the executor gets to

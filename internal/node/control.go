@@ -8,6 +8,7 @@ import (
 	"mobistreams/internal/broadcast"
 	"mobistreams/internal/checkpoint"
 	"mobistreams/internal/ft"
+	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -47,7 +48,7 @@ func (n *Node) dispatch(m simnet.Message) {
 	case simnet.ClassData, simnet.ClassReplication, simnet.ClassRecovery:
 		switch p := m.Payload.(type) {
 		case StreamMsg:
-			n.enqueueStream(p)
+			n.enqueueStream(&p)
 		case *BatchMsg:
 			n.enqueueStreamBatch(p)
 		case InterRegionMsg:
@@ -206,14 +207,22 @@ func (n *Node) handleCommit(v uint64) {
 		}
 	}
 	slot := n.slot
-	ups := append([]string(nil), n.graph.SlotUpstreams(slot)...)
 	n.mu.Unlock()
 	if hw == nil {
 		return
 	}
-	for _, up := range ups {
-		if target, ok := n.resolvePrimary(up); ok {
-			n.cfg.WiFi.Unicast(n.id, target, simnet.ClassControl, 32, TruncateMsg{Downstream: slot, Upto: hw[up]})
+	n.toUpstreams(slot, func(up string, target simnet.NodeID) {
+		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassControl, 32, TruncateMsg{Downstream: slot, Upto: hw[up]})
+	})
+}
+
+// toUpstreams calls send with the name and current primary of every slot
+// feeding slot (recovery and commit control, off the data path).
+func (n *Node) toUpstreams(slot string, send func(up string, target simnet.NodeID)) {
+	for _, up := range n.graph.SlotUpstreams(slot) {
+		id, _ := n.graph.SlotID(up)
+		if target, ok := n.resolvePrimary(id); ok {
+			send(up, target)
 		}
 	}
 }
@@ -378,8 +387,9 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	p.setCounters(rt.OutSeq, rt.InHW)
 	n.pipe.Store(p)
 	n.logVersion.Store(rt.LogVersion)
-	for name, q := range n.queues {
-		if name == externalSlot {
+	for qi, q := range n.qList {
+		up := p.upstreams[qi]
+		if up == graph.ExternalSlot {
 			// Fresh external input queued during the outage was never
 			// processed (hence never preserved): keep it, so it runs
 			// after the replayed log. Stale in-band markers (tokens of
@@ -396,7 +406,7 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 			continue
 		}
 		q.reset()
-		q.lastEnq = rt.InHW[name]
+		q.lastEnq = rt.InHW[n.graph.SlotName(up)]
 	}
 	n.cmds = nil
 	// The freshly built operators carry no delta baselines, so the next
@@ -404,10 +414,10 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	n.ckptBase = 0
 	n.ckptChainLen = 0
 	n.align = checkpoint.NewAlignment(n.alignUpstreams)
-	n.replaySeen = make(map[uint64]map[string]bool)
+	n.replaySeen = make(map[uint64]map[graph.SlotID]bool)
 	n.suppress.Store(n.isSink)
 	n.unreachable = make(map[simnet.NodeID]bool)
-	n.urgentReported = make(map[string]bool)
+	n.urgentReported = make(map[graph.SlotID]bool)
 	return nil
 }
 
@@ -416,19 +426,20 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 func (n *Node) ReplayFrom(v uint64, epoch uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	q, ok := n.queues[externalSlot]
-	if !ok {
+	q := n.queueFor(graph.ExternalSlot)
+	if q == nil {
 		return
 	}
 	var replay []queued
 	for _, src := range n.sourceOps {
-		for _, t := range n.cfg.Store.SourceLogsFrom(v, src) {
+		for _, t := range n.cfg.Store.SourceLogsFrom(v, n.graph.OpName(src)) {
 			c := n.ingest.Clone(t)
 			c.Replay = true
-			replay = append(replay, queued{toOp: src, item: tuple.DataItem(c)})
+			replay = append(replay, queued{fromOp: graph.NoOp, toOp: src, item: tuple.DataItem(c)})
 		}
 	}
-	replay = append(replay, queued{item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerReplayEnd, Version: epoch})})
+	replay = append(replay, queued{fromOp: graph.NoOp, toOp: graph.NoOp,
+		item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerReplayEnd, Version: epoch})})
 	pending := q.items[q.head:]
 	q.items = append(replay, pending...)
 	q.head = 0
@@ -474,18 +485,15 @@ func (n *Node) fetchRestore(c Command) {
 		hw = p.inHWMap()
 	}
 	slot := n.slot
-	ups := append([]string(nil), n.graph.SlotUpstreams(slot)...)
 	n.mu.Unlock()
 	r := Report{Type: RepRestored, Phone: n.id, Slot: slot, Version: c.Version}
 	if err != nil {
 		r.Err = err.Error()
 	}
 	n.report(r)
-	for _, up := range ups {
-		if target, ok := n.resolvePrimary(up); ok {
-			n.cfg.WiFi.Unicast(n.id, target, simnet.ClassRecovery, 32, ResendReq{Downstream: slot, After: hw[up]})
-		}
-	}
+	n.toUpstreams(slot, func(up string, target simnet.NodeID) {
+		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassRecovery, 32, ResendReq{Downstream: slot, After: hw[up]})
+	})
 	n.ResumeExec()
 }
 
@@ -532,25 +540,28 @@ func (n *Node) handoff(target simnet.NodeID) {
 	// vacate the slot and start relaying stragglers to the replacement —
 	// so nothing arriving during the (slow, cellular) transfer is lost.
 	n.mu.Lock()
-	var pending []PendingItem
+	var pending []StreamMsg
 	pendingBytes := 0
-	for name, q := range n.queues {
-		for _, it := range q.items[q.head:] {
-			pending = append(pending, PendingItem{FromSlot: name, FromOp: it.fromOp, ToOp: it.toOp, EdgeSeq: it.edgeSeq, Item: it.item})
-			pendingBytes += it.item.WireSize()
+	p := n.pipe.Load()
+	add := func(from graph.SlotID, it *queued) {
+		pending = append(pending, StreamMsg{FromSlot: from, FromOp: it.fromOp, ToSlot: p.slotID,
+			ToOp: it.toOp, EdgeSeq: it.edgeSeq, Item: it.item})
+		pendingBytes += it.item.WireSize()
+	}
+	for qi, q := range n.qList {
+		for i := q.head; i < len(q.items); i++ {
+			add(p.upstreams[qi], &q.items[i])
 		}
 		// Parked out-of-order arrivals (edge-preserving schemes) travel
 		// too: they were already delivered by their upstream, which will
 		// never resend them. The receiver re-parks them until their gap
 		// fills from relayed stragglers.
-		for _, it := range q.park {
-			pending = append(pending, PendingItem{FromSlot: name, FromOp: it.fromOp, ToOp: it.toOp, EdgeSeq: it.edgeSeq, Item: it.item})
-			pendingBytes += it.item.WireSize()
+		for i := range q.park {
+			add(p.upstreams[qi], &q.park[i])
 		}
 	}
 	n.slot = ""
-	n.qOrder, n.qList = nil, nil
-	n.queues = make(map[string]*upQueue)
+	n.qList = nil
 	n.pipe.Store((*pipeline)(nil))
 	n.role.Store(int32(RoleIdle))
 	n.paused = false
@@ -568,7 +579,12 @@ func (n *Node) handoff(target simnet.NodeID) {
 // re-hosted the slot through recovery, a late-arriving blob would activate
 // a second primary for a slot that already has one.
 func (n *Node) handleTransferIn(from simnet.NodeID, msg TransferMsg) {
-	if cur, ok := n.resolvePrimary(msg.Slot); ok && cur != from && cur != n.id {
+	slot, known := n.graph.SlotID(msg.Slot)
+	if !known {
+		n.logf("%s: transfer of unknown slot %s", n.id, msg.Slot)
+		return
+	}
+	if cur, ok := n.resolvePrimary(slot); ok && cur != from && cur != n.id {
 		n.logf("%s: stale transfer of %s from %s (placement now %s)", n.id, msg.Slot, from, cur)
 		return
 	}
@@ -590,19 +606,21 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg TransferMsg) {
 	// relayed stragglers fill the gap instead of being dropped as
 	// duplicates below a prematurely bumped watermark. External-slot
 	// items bypass it (their sequence space is per-source, not per-edge).
-	for _, p := range msg.Pending {
-		q, ok := n.queues[p.FromSlot]
-		if !ok {
+	for i := range msg.Pending {
+		m := &msg.Pending[i]
+		q := n.queueFor(m.FromSlot)
+		if q == nil {
 			continue
 		}
-		if p.FromSlot == externalSlot {
-			q.push(queued{fromOp: p.FromOp, toOp: p.ToOp, item: p.Item})
+		it := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item}
+		if m.FromSlot == graph.ExternalSlot {
+			it.edgeSeq = 0
+			q.push(&it)
 			continue
 		}
-		q.enqueue(queued{fromOp: p.FromOp, toOp: p.ToOp, edgeSeq: p.EdgeSeq, item: p.Item})
+		q.enqueue(&it)
 	}
-	buffered := n.preBuf
-	n.preBuf = nil
+	buffered := n.takeEarlyLocked()
 	n.mu.Unlock()
 	if err != nil {
 		n.logf("%s: transfer-in restore: %v", n.id, err)
@@ -610,8 +628,8 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg TransferMsg) {
 	}
 	// Stragglers relayed by the departing node while the transfer was in
 	// flight follow the transferred backlog.
-	for _, m := range buffered {
-		n.enqueueStream(m)
+	for i := range buffered {
+		n.enqueueStream(&buffered[i])
 	}
 	n.cond.Broadcast()
 	n.jot("migrate.in", 0, msg.Slot)
@@ -624,11 +642,10 @@ func (n *Node) Activate(slot string) {
 	n.mu.Lock()
 	n.configureSlot(slot, n.opIDsForSlot(slot))
 	n.role.Store(int32(RolePrimary))
-	buffered := n.preBuf
-	n.preBuf = nil
+	buffered := n.takeEarlyLocked()
 	n.mu.Unlock()
-	for _, m := range buffered {
-		n.enqueueStream(m)
+	for i := range buffered {
+		n.enqueueStream(&buffered[i])
 	}
 	n.cond.Broadcast()
 }

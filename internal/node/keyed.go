@@ -3,6 +3,7 @@ package node
 import (
 	"fmt"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -183,19 +184,18 @@ func (n *Node) handleKeyRangeIn(m KeyRangeMsg) {
 // recipient's reroute pseudo-queue, outside edge sequencing; duplicate
 // suppression for the rare double-delivery rests on sink-side dedup.
 func (n *Node) rerouteToOwner(p *pipeline, owner int, t *tuple.Tuple) {
-	instances := p.keyedGroup.Instances()
-	if owner < 0 || owner >= len(instances) {
+	if owner < 0 || owner >= len(p.keyedOps) {
 		n.logf("%s: reroute to out-of-range instance %d", n.id, owner)
 		return
 	}
-	inst := instances[owner]
-	slot := n.graph.SlotOf(inst)
+	inst := p.keyedOps[owner]
+	slot := n.graph.OpSlot(inst)
 	target, ok := n.resolvePrimary(slot)
 	if !ok {
-		n.logf("%s: reroute: no primary for %s", n.id, slot)
+		n.logf("%s: reroute: no primary for %s", n.id, n.graph.SlotName(slot))
 		return
 	}
-	m := StreamMsg{FromSlot: rerouteSlot, ToSlot: slot, ToOp: inst, Item: tuple.DataItem(t)}
+	m := StreamMsg{FromSlot: graph.RerouteSlot, ToSlot: slot, FromOp: graph.NoOp, ToOp: inst, Item: tuple.DataItem(t)}
 	if n.curTrace.ID != 0 {
 		m.Trace = n.curTrace
 	}

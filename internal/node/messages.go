@@ -2,6 +2,7 @@ package node
 
 import (
 	"mobistreams/internal/checkpoint"
+	"mobistreams/internal/graph"
 	"mobistreams/internal/obs"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -10,15 +11,16 @@ import (
 // StreamMsg is a data-plane message on a slot-to-slot edge. Each ordered
 // pair of slots forms one FIFO stream carrying tuples and in-band markers,
 // sequenced by EdgeSeq for duplicate suppression after recovery resends.
-// Trace carries the sampled tracing context (zero = untraced).
+// Trace carries the sampled tracing context (zero = untraced). Slots and
+// operators travel as the graph's dense IDs (graph.NoOp on markers), which
+// every node numbers identically, and keep the message within the 64 bytes
+// the compiler copies inline (TestDataPathItemSizes).
 type StreamMsg struct {
-	FromSlot string
-	FromOp   string
-	ToSlot   string
-	ToOp     string
-	EdgeSeq  uint64
-	Trace    obs.SpanCtx
-	Item     tuple.Item
+	FromSlot, ToSlot graph.SlotID
+	FromOp, ToOp     graph.OpID
+	EdgeSeq          uint64
+	Trace            obs.SpanCtx
+	Item             tuple.Item
 }
 
 // BatchMsg coalesces several StreamMsgs bound for the same destination
@@ -28,8 +30,7 @@ type StreamMsg struct {
 // Every flush, one message or many, travels as a pooled *BatchMsg (see
 // batchPool).
 type BatchMsg struct {
-	ToSlot string
-	Msgs   []StreamMsg
+	Msgs []StreamMsg
 }
 
 // WireSize sums the payload bytes the network charges for the batch.
@@ -67,22 +68,14 @@ type DistBlobMsg struct {
 	Blob *checkpoint.Blob
 }
 
-// PendingItem is one queued-but-unprocessed stream item included in a
-// departure handoff so no in-flight tuple is lost to mobility.
-type PendingItem struct {
-	FromSlot string
-	FromOp   string
-	ToOp     string
-	EdgeSeq  uint64
-	Item     tuple.Item
-}
-
 // TransferMsg carries a departing node's state — snapshot plus queued
-// input — to its replacement over the cellular network (§III-E).
+// input — to its replacement over the cellular network (§III-E). Pending
+// holds the queued-but-unprocessed stream items, parked ones included, so
+// no in-flight tuple is lost to mobility.
 type TransferMsg struct {
 	Slot    string
 	Blob    *checkpoint.Blob
-	Pending []PendingItem
+	Pending []StreamMsg
 }
 
 // KeyRangeMsg ships one keyed group's [Lo,Hi) partition-state from a donor
@@ -218,14 +211,3 @@ func (r ReportType) String() string {
 	}
 	return "report(?)"
 }
-
-// externalSlot is the virtual upstream for externally admitted tuples and
-// controller-injected markers on source slots.
-const externalSlot = "__ext__"
-
-// rerouteSlot is the virtual upstream carrying tuples a keyed instance
-// received for a key range it no longer owns (queued before a partition
-// table flip) and relayed to the new owner. Rerouted tuples carry no edge
-// sequence — each reroute is one reliable unicast — and no checkpoint
-// token ever travels this queue, so it is excluded from alignment.
-const rerouteSlot = "__reroute__"

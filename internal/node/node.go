@@ -12,12 +12,15 @@
 //
 // The steady-state tuple path — queue pop, operator execution, fan-out,
 // cross-slot send — runs against a compiled pipeline (see pipeline.go) and
-// an epoch-stamped route cache (see routecache.go): after the single queue
-// handshake under n.mu, no lock is taken and no map is consulted until the
-// emission reaches the batcher.
+// an epoch-stamped route cache (see routecache.go). Queues, routes, the
+// batcher's per-edge state and the route cache are all indexed by the
+// graph's dense slot and operator IDs, so the path consults no map; after
+// the single queue handshake under n.mu, the only lock it takes is the
+// batcher's.
 package node
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,14 +122,17 @@ type Config struct {
 	Logf func(string, ...interface{})
 }
 
-// queued is one item waiting on an upstream queue. tc carries the tuple's
+// queued is one item waiting on an upstream queue. fromOp/toOp are graph
+// IDs (graph.NoOp for markers and external input). tc carries the tuple's
 // sampled trace context (zero = untraced); at is the enqueue timestamp —
 // it feeds the edge's queue-wait histogram and anchors the executor's CPU
 // reservation for the item (zero on paths that don't stamp it, e.g. replay,
-// where the reservation falls back to the executor's wake time).
+// where the reservation falls back to the executor's wake time). Like
+// StreamMsg it stays within the 64 bytes the compiler copies inline, and
+// moves by pointer between queue, executor and handler.
 type queued struct {
-	fromOp  string
-	toOp    string
+	fromOp  graph.OpID
+	toOp    graph.OpID
 	edgeSeq uint64
 	item    tuple.Item
 	tc      obs.SpanCtx
@@ -179,7 +185,7 @@ const dedupWindow = seqset.WindowSize
 
 // enqueue applies the queue's ordering discipline to a sequenced arrival
 // and reports whether anything became deliverable.
-func (q *upQueue) enqueue(it queued) bool {
+func (q *upQueue) enqueue(it *queued) bool {
 	if !q.ordered {
 		if !q.recent.Admit(it.edgeSeq) {
 			return false // duplicate
@@ -198,7 +204,7 @@ func (q *upQueue) enqueue(it queued) bool {
 		q.push(it)
 		for len(q.park) > 0 && q.park[0].edgeSeq == q.lastEnq+1 {
 			q.lastEnq++
-			q.push(q.parkPop())
+			q.parkPop(q.slot())
 		}
 		return true
 	}
@@ -214,12 +220,12 @@ func (q *upQueue) enqueue(it queued) bool {
 }
 
 // parkPush inserts an out-of-order arrival into the park heap.
-func (q *upQueue) parkPush(it queued) {
+func (q *upQueue) parkPush(it *queued) {
 	if q.parked == nil {
 		q.parked = make(map[uint64]struct{})
 	}
 	q.parked[it.edgeSeq] = struct{}{}
-	q.park = append(q.park, it)
+	q.park = append(q.park, *it)
 	for i := len(q.park) - 1; i > 0; {
 		p := (i - 1) / 2
 		if q.park[p].edgeSeq <= q.park[i].edgeSeq {
@@ -230,10 +236,10 @@ func (q *upQueue) parkPush(it queued) {
 	}
 }
 
-// parkPop removes and returns the lowest-sequence parked item.
-func (q *upQueue) parkPop() queued {
-	top := q.park[0]
-	delete(q.parked, top.edgeSeq)
+// parkPop moves the lowest-sequence parked item into dst.
+func (q *upQueue) parkPop(dst *queued) {
+	*dst = q.park[0]
+	delete(q.parked, dst.edgeSeq)
 	last := len(q.park) - 1
 	q.park[0] = q.park[last]
 	q.park[last] = queued{}
@@ -252,7 +258,6 @@ func (q *upQueue) parkPop() queued {
 		q.park[i], q.park[s] = q.park[s], q.park[i]
 		i = s
 	}
-	return top
 }
 
 // flushPark abandons an unfillable gap: parked items are delivered in
@@ -260,18 +265,26 @@ func (q *upQueue) parkPop() queued {
 // whole flush O(n log n) in the park size.
 func (q *upQueue) flushPark() {
 	for len(q.park) > 0 {
-		it := q.parkPop()
+		it := q.slot()
+		q.parkPop(it)
 		q.lastEnq = it.edgeSeq
-		q.push(it)
 	}
 }
 
 func (q *upQueue) len() int { return len(q.items) - q.head }
 
-func (q *upQueue) push(it queued) { q.items = append(q.items, it) }
+func (q *upQueue) push(it *queued) { *q.slot() = *it }
 
-func (q *upQueue) pop() queued {
-	it := q.items[q.head]
+// slot appends a zero item to the queue and returns it for the caller to
+// fill in place.
+func (q *upQueue) slot() *queued {
+	q.items = append(q.items, queued{})
+	return &q.items[len(q.items)-1]
+}
+
+// pop moves the head item into dst.
+func (q *upQueue) pop(dst *queued) {
+	*dst = q.items[q.head]
 	q.items[q.head] = queued{}
 	q.head++
 	if q.head > 256 && q.head*2 >= len(q.items) {
@@ -284,7 +297,6 @@ func (q *upQueue) pop() queued {
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	return it
 }
 
 // reset drops the queue's contents and empties its dedup window.
@@ -337,29 +349,27 @@ type Node struct {
 	failed     bool
 	slot       string
 	opIDs      []string
-	queues     map[string]*upQueue
-	// qOrder names the queues in pipeline-upstream order and qList holds
-	// the same queues index for index, so the executor's pop indexes a
-	// slice instead of resolving a name per tuple.
-	qOrder []string
-	qList  []*upQueue
-	rr     int
-	cmds   []execCmd
+	// qList holds the upstream queues in pipeline-upstream order (nil when
+	// idle): an arrival's origin slot resolves to its index through the
+	// hosted pipeline's upIdx table, which changes only together with it.
+	qList []*upQueue
+	rr    int
+	cmds  []execCmd
 	// ingest is the slab external input and replayed input are copied
 	// into; guarded by mu like the external queue they join.
 	ingest tuple.Slab
 
 	align          *checkpoint.Alignment
 	alignUpstreams []string
-	replaySeen     map[uint64]map[string]bool
+	replaySeen     map[uint64]map[graph.SlotID]bool
 	logVersion     atomic.Uint64
 	hwAt           map[uint64]map[string]uint64
 	isSource       bool
 	isSink         bool
-	sourceOps      []string
+	sourceOps      []graph.OpID
 
 	unreachable     map[simnet.NodeID]bool
-	urgentReported  map[string]bool
+	urgentReported  map[graph.SlotID]bool
 	chronicReported bool
 	// timerArmed/timerWakeAt track the earliest outstanding timer-wake
 	// goroutine that unparks the executor for a pending operator timer
@@ -381,7 +391,11 @@ type Node struct {
 	dropStream bool
 	extFwdSeq  atomic.Uint64
 	forwardTo  simnet.NodeID // post-handoff relay target (§III-E)
-	preBuf     []StreamMsg   // stream arrivals before activation
+	// preBuf holds stream arrivals before activation, up to preBufLimit;
+	// preDrops counts the arrivals dropped past it, journaled once when
+	// the slot activates.
+	preBuf   []StreamMsg
+	preDrops int
 	// processed counts executed data tuples (telemetry: the scheduler's
 	// per-slot tuple rate). Read atomically off the executor.
 	processed uint64
@@ -455,11 +469,10 @@ func New(cfg Config) *Node {
 		bcfg:           cfg.Broadcast,
 		graph:          cfg.Graph,
 		recv:           broadcast.NewReceiver(cfg.Store),
-		queues:         make(map[string]*upQueue),
-		replaySeen:     make(map[uint64]map[string]bool),
+		replaySeen:     make(map[uint64]map[graph.SlotID]bool),
 		hwAt:           make(map[uint64]map[string]uint64),
 		unreachable:    make(map[simnet.NodeID]bool),
-		urgentReported: make(map[string]bool),
+		urgentReported: make(map[graph.SlotID]bool),
 		persistCh:      make(chan *checkpoint.Blob, 64),
 		stopCh:         make(chan struct{}),
 	}
@@ -501,33 +514,31 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 		ops = append(ops, n.cfg.Registry.New(id))
 	}
 	p := n.compilePipeline(slot, n.opIDs, ops)
-	n.queues = make(map[string]*upQueue)
-	n.qOrder, n.qList = nil, nil
+	n.qList = nil
 	ordered := n.cfg.Scheme.PreservesAtEdges()
 	for _, up := range p.upstreams {
 		// Pseudo-upstreams bypass edge-sequence dedup: items are pushed
 		// directly, never enqueue()d.
 		q := &upQueue{}
-		if up != externalSlot && up != rerouteSlot {
+		if up != graph.ExternalSlot && up != graph.RerouteSlot {
 			q = newStreamQueue(ordered)
 		}
-		q.depth = n.obsReg.Hist(obs.EdgeDepth, up+"->"+slot)
-		n.queues[up] = q
-		n.qOrder = append(n.qOrder, up)
+		q.depth = n.obsReg.Hist(obs.EdgeDepth, n.graph.SlotName(up)+"->"+slot)
 		n.qList = append(n.qList, q)
 	}
 	n.isSource, n.isSink = p.isSource, p.isSink
-	n.sourceOps = append([]string(nil), p.sourceOps...)
+	n.sourceOps = p.sourceOps
 	// Alignment excludes the reroute pseudo-upstream: no token ever
 	// arrives on it, so counting it would stall every checkpoint round.
 	n.alignUpstreams = make([]string, 0, len(p.upstreams))
 	for _, up := range p.upstreams {
-		if up != rerouteSlot {
-			n.alignUpstreams = append(n.alignUpstreams, up)
+		if up != graph.RerouteSlot {
+			n.alignUpstreams = append(n.alignUpstreams, n.graph.SlotName(up))
 		}
 	}
 	n.align = checkpoint.NewAlignment(n.alignUpstreams)
 	n.batch.setBudget(n.slotBudgetShare(slot), minFlush)
+	n.batch.setDowns(p.downs)
 	n.pipe.Store(p)
 }
 
@@ -550,7 +561,7 @@ func (n *Node) Backlog() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	total := 0
-	for _, q := range n.queues {
+	for _, q := range n.qList {
 		total += q.len() + len(q.park)
 	}
 	return total
@@ -616,15 +627,16 @@ func (n *Node) shutdown(failed bool) {
 	n.cond.Broadcast()
 }
 
-// IngestExternal admits one externally sensed tuple on a source operator.
-// The workload driver calls this on the phone currently hosting the source.
-// A node that has handed its slot off relays the tuple to the replacement:
-// the region's placement map repoints only after the transfer lands, and
-// external input admitted in that window must reach the new home rather
-// than be dropped. The node admits a copy carved from its ingest slab, so
-// the caller may build t on its stack and keeps ownership of it.
-func (n *Node) IngestExternal(srcOp string, t *tuple.Tuple) {
-	n.IngestExternalTraced(srcOp, t, obs.SpanCtx{})
+// IngestExternal admits one externally sensed tuple on source operator
+// src. The workload driver calls this on the phone currently hosting the
+// source. A node that has handed its slot off relays the tuple to the
+// replacement: the region's placement map repoints only after the transfer
+// lands, and external input admitted in that window must reach the new
+// home rather than be dropped. The node admits a copy carved from its
+// ingest slab, so the caller may build t on its stack and keeps ownership
+// of it.
+func (n *Node) IngestExternal(src graph.OpID, t *tuple.Tuple) {
+	n.IngestExternalTraced(src, t, obs.SpanCtx{})
 }
 
 // IngestExternalTraced is IngestExternal carrying a sampled trace context
@@ -632,26 +644,41 @@ func (n *Node) IngestExternal(srcOp string, t *tuple.Tuple) {
 // passes the context here; it rides the queued item to the executor. The
 // tuple's Created stamp, which that path has just read off the clock, is
 // also its enqueue time.
-func (n *Node) IngestExternalTraced(srcOp string, t *tuple.Tuple, tc obs.SpanCtx) {
+func (n *Node) IngestExternalTraced(src graph.OpID, t *tuple.Tuple, tc obs.SpanCtx) {
 	n.mu.Lock()
 	c := n.ingest.Clone(t)
-	q, ok := n.queues[externalSlot]
-	if !ok || !n.running {
+	q := n.queueFor(graph.ExternalSlot)
+	if q == nil || !n.running {
 		fwd := n.forwardTo
 		running := n.running
 		n.mu.Unlock()
 		if running && fwd != "" {
-			m := StreamMsg{FromSlot: externalSlot, ToOp: srcOp, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)}
+			m := StreamMsg{FromSlot: graph.ExternalSlot, FromOp: graph.NoOp, ToOp: src, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)}
 			n.relay(fwd, simnet.ClassData, c.Size, m)
 		}
 		return
 	}
-	q.push(queued{fromOp: "", toOp: srcOp, item: tuple.DataItem(c), tc: tc, at: c.Created})
+	*q.slot() = queued{fromOp: graph.NoOp, toOp: src, item: tuple.DataItem(c), tc: tc, at: c.Created}
 	if q.depth != nil {
 		q.depth.Observe(int64(q.len()))
 	}
 	n.cond.Signal()
 	n.mu.Unlock()
+}
+
+// queueFor resolves a stream's origin slot to its upstream queue through
+// the hosted pipeline's upIdx table, or nil when this node hosts no slot
+// the origin feeds. Caller holds n.mu, under which the pipeline and qList
+// change only together.
+func (n *Node) queueFor(from graph.SlotID) *upQueue {
+	p := n.pipe.Load()
+	if p == nil {
+		return nil
+	}
+	if qi := p.upstreamOf(from); qi >= 0 && qi < len(n.qList) {
+		return n.qList[qi]
+	}
+	return nil
 }
 
 // relay ships a payload to a peer over the region WiFi, detouring over
@@ -674,66 +701,98 @@ func (n *Node) relay(to simnet.NodeID, class simnet.Class, size int, payload int
 	return false
 }
 
+// preBufLimit bounds the stream arrivals an incoming replacement buffers
+// before its state transfer installs; later ones are dropped and counted.
+const preBufLimit = 4096
+
+// bufferEarlyLocked buffers one stream arrival at a node not yet hosting a
+// slot, or counts it dropped past preBufLimit. Caller holds n.mu.
+func (n *Node) bufferEarlyLocked(m *StreamMsg) {
+	if len(n.preBuf) < preBufLimit {
+		n.preBuf = append(n.preBuf, *m)
+		return
+	}
+	n.preDrops++
+}
+
+// takeEarlyLocked hands over the arrivals buffered before activation, and
+// journals (and logs) how many were dropped past the bound, once per
+// activation. Caller holds n.mu and has configured the slot.
+func (n *Node) takeEarlyLocked() []StreamMsg {
+	buffered := n.preBuf
+	n.preBuf = nil
+	if n.preDrops > 0 {
+		n.logf("%s: dropped %d stream arrivals past the %d-item pre-activation buffer of %s",
+			n.id, n.preDrops, preBufLimit, n.slot)
+		n.jot("migrate.prebuf_drop", 0, strconv.Itoa(n.preDrops))
+		n.preDrops = 0
+	}
+	return buffered
+}
+
 // enqueueStream delivers a cross-slot stream message into its upstream
 // queue, suppressing duplicates below the edge-sequence watermark. A node
 // that has handed its slot off relays stragglers to the replacement.
-func (n *Node) enqueueStream(m StreamMsg) {
+func (n *Node) enqueueStream(m *StreamMsg) {
 	n.mu.Lock()
 	if n.dropStream {
 		n.mu.Unlock()
 		return
 	}
-	q, ok := n.queues[m.FromSlot]
-	if !ok {
+	q := n.queueFor(m.FromSlot)
+	if q == nil {
 		fwd := n.forwardTo
 		if fwd == "" && n.slot == "" {
 			// Not yet hosting a slot: an incoming replacement buffers
 			// early arrivals until its state transfer installs.
-			if len(n.preBuf) < 4096 {
-				n.preBuf = append(n.preBuf, m)
-			}
+			n.bufferEarlyLocked(m)
 			n.mu.Unlock()
 			return
 		}
 		n.mu.Unlock()
 		if fwd != "" {
-			n.relay(fwd, simnet.ClassData, m.Item.WireSize(), m)
+			n.relay(fwd, simnet.ClassData, m.Item.WireSize(), *m)
 			return
 		}
-		n.logf("%s: stream from unexpected slot %s", n.id, m.FromSlot)
+		n.logf("%s: stream from unexpected slot %s", n.id, n.graph.SlotName(m.FromSlot))
 		return
 	}
 	defer n.mu.Unlock()
-	qit := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item, tc: m.Trace, at: n.clk.Now()}
-	if n.obsReg != nil && qit.tc.ID != 0 {
-		n.tracer.Record(&qit.tc, obs.SpanRecv, string(n.id), m.ToSlot, m.ToOp, int64(qit.at))
+	it := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item, tc: m.Trace, at: n.clk.Now()}
+	if n.obsReg != nil && it.tc.ID != 0 {
+		n.tracer.Record(&it.tc, obs.SpanRecv, string(n.id), n.graph.SlotName(m.ToSlot), n.graph.OpName(m.ToOp), int64(it.at))
 	}
-	if m.FromSlot == externalSlot || m.FromSlot == rerouteSlot {
+	if m.FromSlot == graph.ExternalSlot || m.FromSlot == graph.RerouteSlot {
 		// Relayed external input from a node that handed this slot off, or
 		// a tuple rerouted by a keyed peer that no longer owns its key.
 		// Both are admitted exactly once upstream (each relay is one
 		// reliable unicast), so they bypass edge-sequence dedup — they
 		// carry no per-edge sequence.
-		qit.edgeSeq = 0
-		q.push(qit)
+		it.edgeSeq = 0
+		q.push(&it)
 		if q.depth != nil {
 			q.depth.Observe(int64(q.len()))
 		}
 		n.cond.Signal()
 		return
 	}
-	// A traced arrival about to park (out of order on an ordered queue)
-	// records its park span before the queue copies it into the heap.
-	if qit.tc.ID != 0 && q.ordered && qit.edgeSeq > q.lastEnq+1 {
-		if _, dup := q.parked[qit.edgeSeq]; !dup {
-			n.tracer.Record(&qit.tc, obs.SpanPark, string(n.id), m.ToSlot, m.ToOp, int64(qit.at))
-		}
-	}
-	if q.enqueue(qit) {
+	n.tracePark(q, &it, m)
+	if q.enqueue(&it) {
 		if q.depth != nil {
 			q.depth.Observe(int64(q.len()))
 		}
 		n.cond.Signal()
+	}
+}
+
+// tracePark records the park span of a traced arrival about to park (out
+// of order on an ordered queue), before the queue copies it into the heap.
+func (n *Node) tracePark(q *upQueue, it *queued, m *StreamMsg) {
+	if it.tc.ID == 0 || !q.ordered || it.edgeSeq <= q.lastEnq+1 {
+		return
+	}
+	if _, dup := q.parked[it.edgeSeq]; !dup {
+		n.tracer.Record(&it.tc, obs.SpanPark, string(n.id), n.graph.SlotName(m.ToSlot), n.graph.OpName(m.ToOp), int64(it.at))
 	}
 }
 
@@ -751,13 +810,13 @@ func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
 		recycleBatch(bm)
 		return
 	}
-	if _, ok := n.queues[bm.Msgs[0].FromSlot]; !ok {
+	from := bm.Msgs[0].FromSlot
+	q := n.queueFor(from)
+	if q == nil {
 		fwd := n.forwardTo
 		if fwd == "" && n.slot == "" {
-			for _, m := range bm.Msgs {
-				if len(n.preBuf) < 4096 {
-					n.preBuf = append(n.preBuf, m)
-				}
+			for i := range bm.Msgs {
+				n.bufferEarlyLocked(&bm.Msgs[i])
 			}
 			n.mu.Unlock()
 			recycleBatch(bm)
@@ -768,7 +827,7 @@ func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
 			n.relay(fwd, simnet.ClassData, bm.WireSize(), bm) // the batch goes with it
 			return
 		}
-		n.logf("%s: stream batch from unexpected slot %s", n.id, bm.Msgs[0].FromSlot)
+		n.logf("%s: stream batch from unexpected slot %s", n.id, n.graph.SlotName(from))
 		return
 	}
 	var at time.Duration
@@ -778,27 +837,25 @@ func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
 	// A batch comes from one upstream slot, so its queue is resolved once;
 	// last is the queue of the last accepted enqueue, whose depth is
 	// observed once for the whole delivery.
-	var q, last *upQueue
-	from := ""
+	var last *upQueue
+	var it queued
 	for i := range bm.Msgs {
 		m := &bm.Msgs[i]
-		if q == nil || m.FromSlot != from {
+		if m.FromSlot != from {
 			from = m.FromSlot
-			if q = n.queues[from]; q == nil {
-				n.logf("%s: stream from unexpected slot %s", n.id, from)
+			if q = n.queueFor(from); q == nil {
+				n.logf("%s: stream from unexpected slot %s", n.id, n.graph.SlotName(from))
 				continue
 			}
+		} else if q == nil {
+			continue
 		}
-		qit := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item, tc: m.Trace, at: at}
-		if qit.tc.ID != 0 {
-			n.tracer.Record(&qit.tc, obs.SpanRecv, string(n.id), m.ToSlot, m.ToOp, int64(at))
-			if q.ordered && qit.edgeSeq > q.lastEnq+1 {
-				if _, dup := q.parked[qit.edgeSeq]; !dup {
-					n.tracer.Record(&qit.tc, obs.SpanPark, string(n.id), m.ToSlot, m.ToOp, int64(at))
-				}
-			}
+		it = queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item, tc: m.Trace, at: at}
+		if it.tc.ID != 0 {
+			n.tracer.Record(&it.tc, obs.SpanRecv, string(n.id), n.graph.SlotName(m.ToSlot), n.graph.OpName(m.ToOp), int64(at))
+			n.tracePark(q, &it, m)
 		}
-		if q.enqueue(qit) {
+		if q.enqueue(&it) {
 			last = q
 		}
 	}
@@ -841,11 +898,11 @@ func (n *Node) injectCmd(c execCmd) {
 func (n *Node) InjectToken(v uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	q, ok := n.queues[externalSlot]
-	if !ok {
+	q := n.queueFor(graph.ExternalSlot)
+	if q == nil {
 		return
 	}
-	q.push(queued{item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: v})})
+	*q.slot() = queued{fromOp: graph.NoOp, toOp: graph.NoOp, item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: v})}
 	n.cond.Signal()
 }
 
@@ -866,12 +923,13 @@ func (n *Node) execLoop() {
 	// (parking, a flush, a command, timers, a marker) discards it.
 	boundary := noStamp
 	preserves := n.cfg.Scheme.PreservesAtSources()
+	// it is the executor-owned slot the next item is popped into; it is
+	// cleared after handling so a parked executor pins no tuple.
+	var it queued
 	for {
 		n.mu.Lock()
 		var cmd *execCmd
-		var from string
 		var qi int
-		var it queued
 		var run []queued
 		var have bool
 		var fireTimers bool
@@ -901,10 +959,10 @@ func (n *Node) execLoop() {
 					fireTimers = true
 					break
 				}
-				from, qi, it, have = n.nextItemLocked()
+				qi, have = n.nextItemLocked(&it)
 				if have {
-					if preserves && from == externalSlot {
-						run = n.popRunLocked(n.qList[qi], it, 0)
+					if preserves && n.pipe.Load().upstreams[qi] == graph.ExternalSlot {
+						run = n.popRunLocked(n.qList[qi], &it, 0)
 					}
 					break
 				}
@@ -962,9 +1020,10 @@ func (n *Node) execLoop() {
 				if run != nil {
 					boundary = n.handleRun(p, qi, run, now)
 				} else {
-					boundary = n.handleItem(p, qi, from, it, now)
+					boundary = n.handleItem(p, qi, &it, now)
 				}
 			}
+			it = queued{}
 		}
 	}
 }
@@ -979,12 +1038,12 @@ func (n *Node) execLoop() {
 // restore keeps what is still queued as never preserved. Markers and
 // replayed tuples open no run (nil). The run lives in scratch buffer buf,
 // which must hold no committed block. Caller holds n.mu.
-func (n *Node) popRunLocked(q *upQueue, first queued, buf int) []queued {
+func (n *Node) popRunLocked(q *upQueue, first *queued, buf int) []queued {
 	t := first.item.Tuple
 	if t == nil || t.Replay {
 		return nil
 	}
-	run := append(n.runs[buf][:0], first)
+	run := append(n.runs[buf][:0], *first)
 	for size := max(t.Size, 1); q.len() > 0; {
 		next := &q.items[q.head]
 		nt := next.item.Tuple
@@ -994,7 +1053,8 @@ func (n *Node) popRunLocked(q *upQueue, first queued, buf int) []queued {
 		if size += max(nt.Size, 1); size > n.cfg.Broadcast.BlockSize {
 			break
 		}
-		run = append(run, q.pop())
+		run = append(run, queued{})
+		q.pop(&run[len(run)-1])
 	}
 	n.runs[buf] = run
 	return run
@@ -1026,7 +1086,9 @@ func (n *Node) topUpRun(p *pipeline, qi, buf int) []queued {
 	if t := q.items[q.head].item.Tuple; t == nil || t.Replay {
 		return nil
 	}
-	return n.popRunLocked(q, q.pop(), buf)
+	var first queued
+	q.pop(&first)
+	return n.popRunLocked(q, &first, buf)
 }
 
 // handleRun preserves runs of admitted source tuples, starting with run (in
@@ -1060,7 +1122,7 @@ func (n *Node) handleRun(p *pipeline, qi int, run []queued, now time.Duration) t
 		// queued behind this one, so waking a few µs late idles no device.
 		n.clk.Park(durable[head] - n.clk.Now())
 		for i := range run {
-			now = n.handleItem(p, qi, externalSlot, run[i], now)
+			now = n.handleItem(p, qi, &run[i], now)
 			select {
 			case <-n.stopCh:
 				clear(n.runs[0])
@@ -1074,9 +1136,9 @@ func (n *Node) handleRun(p *pipeline, qi int, run []queued, now time.Duration) t
 	return now
 }
 
-// nextItemLocked round-robins across unstalled non-empty queues, returning
-// the queue's name and its pipeline upstream index.
-func (n *Node) nextItemLocked() (string, int, queued, bool) {
+// nextItemLocked round-robins across unstalled non-empty queues, popping
+// the next item into dst and returning its queue's pipeline upstream index.
+func (n *Node) nextItemLocked(dst *queued) (int, bool) {
 	for i := 0; i < len(n.qList); i++ {
 		qi := (n.rr + i) % len(n.qList)
 		q := n.qList[qi]
@@ -1084,9 +1146,10 @@ func (n *Node) nextItemLocked() (string, int, queued, bool) {
 			continue
 		}
 		n.rr = (n.rr + i + 1) % len(n.qList)
-		return n.qOrder[qi], qi, q.pop(), true
+		q.pop(dst)
+		return qi, true
 	}
-	return "", -1, queued{}, false
+	return -1, false
 }
 
 // handleItem processes one stream item (tuple or marker). The data path is
@@ -1096,13 +1159,14 @@ func (n *Node) nextItemLocked() (string, int, queued, bool) {
 // now is a clock reading still current at the call (see execLoop), else
 // noStamp. The return value is the reading taken as the item's operator
 // finished, or noStamp when the item took none or did more after it.
-func (n *Node) handleItem(p *pipeline, qi int, from string, it queued, now time.Duration) time.Duration {
+func (n *Node) handleItem(p *pipeline, qi int, it *queued, now time.Duration) time.Duration {
+	from := p.upstreams[qi]
 	if it.item.Marker != nil {
 		switch it.item.Marker.Kind {
 		case tuple.MarkerToken:
-			n.onToken(p, qi, from, it.item.Marker.Version, it.edgeSeq)
+			n.onToken(p, qi, it.item.Marker.Version, it.edgeSeq)
 		case tuple.MarkerReplayEnd:
-			n.onReplayEnd(from, it.item.Marker.Version)
+			n.onReplayEnd(p, qi, it.item.Marker.Version)
 		}
 		return noStamp
 	}
@@ -1118,13 +1182,13 @@ func (n *Node) handleItem(p *pipeline, qi int, from string, it queued, now time.
 		}
 		if it.tc.ID != 0 {
 			n.curTrace = it.tc
-			n.tracer.Record(&n.curTrace, obs.SpanDequeue, string(n.id), p.slot, it.toOp, int64(now))
+			n.tracer.Record(&n.curTrace, obs.SpanDequeue, string(n.id), p.slot, n.graph.OpName(it.toOp), int64(now))
 		}
 	}
 	switch from {
-	case externalSlot:
+	case graph.ExternalSlot:
 		n.forwardExternalToStandby(p, it.toOp, t)
-	case rerouteSlot:
+	case graph.RerouteSlot:
 		// Rerouted tuples carry no edge sequence; no watermark to advance.
 	default:
 		p.noteInHW(qi, it.edgeSeq)
@@ -1141,10 +1205,10 @@ func (n *Node) handleItem(p *pipeline, qi int, from string, it queued, now time.
 		}
 	}
 	end := noStamp
-	if idx := p.opIndex(it.toOp); idx >= 0 {
-		end = n.runOp(p, idx, it.fromOp, t, now)
+	if idx := p.opFor(it.toOp); idx >= 0 {
+		end = n.runOp(p, idx, n.graph.OpName(it.fromOp), t, now)
 	} else {
-		n.logf("%s: tuple for unknown operator %s", n.id, it.toOp)
+		n.logf("%s: tuple for unknown operator %s", n.id, n.graph.OpName(it.toOp))
 	}
 	n.curTrace = obs.SpanCtx{}
 	n.curReady = 0
@@ -1154,7 +1218,7 @@ func (n *Node) handleItem(p *pipeline, qi int, from string, it queued, now time.
 // forwardExternalToStandby duplicates externally admitted input to the
 // slot's standby replica under rep-2, so both replicas build the same
 // state. This is part of the replication network overhead (Fig. 10b).
-func (n *Node) forwardExternalToStandby(p *pipeline, srcOp string, t *tuple.Tuple) {
+func (n *Node) forwardExternalToStandby(p *pipeline, src graph.OpID, t *tuple.Tuple) {
 	if !n.cfg.Scheme.Replicated() {
 		return
 	}
@@ -1162,11 +1226,11 @@ func (n *Node) forwardExternalToStandby(p *pipeline, srcOp string, t *tuple.Tupl
 		return
 	}
 	seq := n.extFwdSeq.Add(1)
-	standby, ok := n.resolveStandby(p.slot)
+	standby, ok := n.resolveStandby(p.slotID)
 	if !ok {
 		return
 	}
-	msg := StreamMsg{FromSlot: externalSlot, ToSlot: p.slot, ToOp: srcOp, EdgeSeq: seq, Item: tuple.DataItem(t)}
+	msg := StreamMsg{FromSlot: graph.ExternalSlot, ToSlot: p.slotID, FromOp: graph.NoOp, ToOp: src, EdgeSeq: seq, Item: tuple.DataItem(t)}
 	if err := n.cfg.WiFi.Unicast(n.id, standby, simnet.ClassReplication, t.Size, msg); err == nil {
 		n.cfg.Phone.DrainTx(t.Size)
 	}
@@ -1188,7 +1252,7 @@ func (n *Node) preserveRun(run []queued) time.Duration {
 		ts[i] = run[i].item.Tuple
 		size += ts[i].Size
 	}
-	v, srcOp := n.logVersion.Load(), run[0].toOp
+	v, srcOp := n.logVersion.Load(), n.graph.OpName(run[0].toOp)
 	n.cfg.Store.AppendSourceRun(v, srcOp, ts)
 	n.flashDone = max(n.clk.Now(), n.flashDone) + n.cfg.Phone.FlashWriteTime(size)
 	if n.cfg.PreserveBroadcast {
@@ -1303,13 +1367,13 @@ func (n *Node) wakeAtTimer(at time.Duration) {
 	n.cond.Broadcast()
 }
 
-// followRoute delivers one emission along a compiled route.
-func (n *Node) followRoute(p *pipeline, fromOp string, r route, t *tuple.Tuple) {
+// followRoute delivers one emission of operator from along a compiled route.
+func (n *Node) followRoute(p *pipeline, from *compiledOp, r route, t *tuple.Tuple) {
 	if r.local >= 0 {
-		n.runOp(p, r.local, fromOp, t, noStamp)
+		n.runOp(p, r.local, from.id, t, noStamp)
 		return
 	}
-	n.sendCross(p, r.down, r.toOp, fromOp, tuple.DataItem(t))
+	n.sendCross(p, r.down, r.toOp, from.gid, tuple.DataItem(t))
 }
 
 func (n *Node) maybeReportChronic() {
@@ -1342,33 +1406,31 @@ func (n *Node) emitExternal(t *tuple.Tuple) {
 // coalesced per destination slot by the batcher, which flushes on size,
 // latency, or an in-band marker, and delivers with urgent-mode cellular
 // fallback and failure reporting (§III-D, §III-E).
-func (n *Node) sendCross(p *pipeline, down int, toOp, fromOp string, item tuple.Item) {
+func (n *Node) sendCross(p *pipeline, down int, toOp, fromOp graph.OpID, item tuple.Item) {
 	seq := p.nextOutSeq(down)
 	if Role(n.role.Load()) == RoleStandby {
 		return // sequence kept aligned with the primary, nothing sent
 	}
-	toSlot := p.downs[down]
+	msg := StreamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: p.downs[down], ToOp: toOp, EdgeSeq: seq, Item: item}
 	if n.cfg.Scheme.PreservesAtEdges() && item.Tuple != nil {
 		// Classic input preservation writes every retained output to
 		// flash on the data path — part of local/dist-n's steady-state
 		// overhead (§IV-B).
-		n.cfg.Store.AppendEdge(toSlot, seq, fromOp, toOp, item.Tuple)
+		n.cfg.Store.AppendEdge(n.graph.SlotName(msg.ToSlot), seq, n.graph.OpName(fromOp), n.graph.OpName(toOp), item.Tuple)
 		n.clk.Sleep(n.cfg.Phone.FlashWriteTime(item.Tuple.Size))
 	}
-	msg := StreamMsg{FromSlot: p.slot, FromOp: fromOp, ToSlot: toSlot, ToOp: toOp, EdgeSeq: seq, Item: item}
 	if n.curTrace.ID != 0 {
-		n.tracer.Record(&n.curTrace, obs.SpanEmit, string(n.id), p.slot, fromOp, int64(n.clk.Now()))
+		n.tracer.Record(&n.curTrace, obs.SpanEmit, string(n.id), p.slot, n.graph.OpName(fromOp), int64(n.clk.Now()))
 		msg.Trace = n.curTrace
 	}
-	n.batch.add(toSlot, msg)
+	n.batch.add(down, &msg)
 }
 
 // sendBatch ships one flushed batch to the destination slot's primary and,
 // for fresh data under rep-2, a replica copy to its standby. The batch goes
 // with the send: its receiver recycles it. Callers hold the batcher's send
 // mutex, which keeps edge FIFO order across concurrent flushers.
-func (n *Node) sendBatch(toSlot string, b *BatchMsg, bytes int, class simnet.Class) {
-	b.ToSlot = toSlot
+func (n *Node) sendBatch(toSlot graph.SlotID, b *BatchMsg, bytes int, class simnet.Class) {
 	msgs := b.Msgs
 	if n.batchSizes != nil {
 		n.batchSizes.Observe(int64(len(msgs)))
@@ -1380,7 +1442,7 @@ func (n *Node) sendBatch(toSlot string, b *BatchMsg, bytes int, class simnet.Cla
 		for i := range msgs {
 			if msgs[i].Trace.ID != 0 {
 				n.tracer.Record(&msgs[i].Trace, obs.SpanSend, string(n.id),
-					msgs[i].FromSlot, msgs[i].FromOp, int64(n.clk.Now()))
+					n.graph.SlotName(msgs[i].FromSlot), n.graph.OpName(msgs[i].FromOp), int64(n.clk.Now()))
 			}
 		}
 	}
@@ -1390,7 +1452,6 @@ func (n *Node) sendBatch(toSlot string, b *BatchMsg, bytes int, class simnet.Cla
 	var replica *BatchMsg
 	if class == simnet.ClassData && n.cfg.Scheme.Replicated() {
 		replica = takeBatch()
-		replica.ToSlot = toSlot
 		replica.Msgs = append(replica.Msgs, msgs...)
 	}
 	n.deliverData(toSlot, bytes, b, class)
@@ -1449,7 +1510,7 @@ func payloadCarriesMarker(payload interface{}) bool {
 // resolution rides the epoch-stamped route cache: a placement change bumps
 // the region epoch, so retries observe re-points without paying the
 // resolver round-trip per attempt.
-func (n *Node) deliverData(toSlot string, size int, payload interface{}, class simnet.Class) {
+func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, class simnet.Class) {
 	gen := atomic.LoadUint64(&n.sendGen)
 	attempts := maxDeliveryAttempts
 	if payloadCarriesMarker(payload) {
@@ -1465,7 +1526,7 @@ func (n *Node) deliverData(toSlot string, size int, payload interface{}, class s
 			// rewind, and its edge sequences will be re-emitted. A late
 			// stale delivery would poison the receiver's dedup state
 			// against those re-emissions.
-			n.logf("%s: dropped %d stale bytes for %s across restore", n.id, size, toSlot)
+			n.logf("%s: dropped %d stale bytes for %s across restore", n.id, size, n.graph.SlotName(toSlot))
 			return
 		}
 		var ok bool
@@ -1483,7 +1544,7 @@ func (n *Node) deliverData(toSlot string, size int, payload interface{}, class s
 					n.urgentReported[toSlot] = true
 					n.mu.Unlock()
 					if !reported {
-						n.report(Report{Type: RepUrgent, Phone: n.id, Slot: toSlot, Observed: target})
+						n.report(Report{Type: RepUrgent, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
 					}
 					return
 				}
@@ -1495,11 +1556,11 @@ func (n *Node) deliverData(toSlot string, size int, payload interface{}, class s
 			n.unreachable[target] = true
 			n.mu.Unlock()
 			if !already {
-				n.report(Report{Type: RepFailure, Phone: n.id, Slot: toSlot, Observed: target})
+				n.report(Report{Type: RepFailure, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
 			}
 		}
 	}
-	n.logf("%s: dropped %d bytes for %s: unreachable past retry horizon", n.id, size, toSlot)
+	n.logf("%s: dropped %d bytes for %s: unreachable past retry horizon", n.id, size, n.graph.SlotName(toSlot))
 }
 
 // sendMarker forwards an in-band marker to every downstream slot.
@@ -1509,30 +1570,31 @@ func (n *Node) sendMarker(m tuple.Marker) {
 		return
 	}
 	for down := range p.downs {
-		n.sendCross(p, down, "", "", tuple.MarkerItem(m))
+		n.sendCross(p, down, graph.NoOp, graph.NoOp, tuple.MarkerItem(m))
 	}
 }
 
 // onToken runs the alignment step of token-triggered checkpointing.
-func (n *Node) onToken(p *pipeline, qi int, from string, v uint64, edgeSeq uint64) {
-	if from != externalSlot {
+func (n *Node) onToken(p *pipeline, qi int, v uint64, edgeSeq uint64) {
+	from := p.upstreams[qi]
+	if from != graph.ExternalSlot {
 		p.noteInHW(qi, edgeSeq)
 	} else {
 		n.logVersion.Store(v)
 	}
 	n.mu.Lock()
-	st, err := n.align.OnToken(from, v)
+	st, err := n.align.OnToken(n.graph.SlotName(from), v)
 	if err != nil {
 		n.logf("%s: token: %v", n.id, err)
 		n.mu.Unlock()
 		return
 	}
 	if !st.Complete {
-		n.queues[from].stalled = true
+		n.qList[qi].stalled = true
 		n.mu.Unlock()
 		return
 	}
-	for _, q := range n.queues {
+	for _, q := range n.qList {
 		q.stalled = false
 	}
 	n.mu.Unlock()
@@ -1546,24 +1608,24 @@ func (n *Node) onToken(p *pipeline, qi int, from string, v uint64, edgeSeq uint6
 // through a reconverging path and be wrongly discarded by a suppressing
 // sink. When every upstream has delivered one, a sink resumes publishing
 // and reports; an interior node forwards the marker downstream.
-func (n *Node) onReplayEnd(from string, epoch uint64) {
+func (n *Node) onReplayEnd(p *pipeline, qi int, epoch uint64) {
 	n.mu.Lock()
 	set, ok := n.replaySeen[epoch]
 	if !ok {
-		set = make(map[string]bool)
+		set = make(map[graph.SlotID]bool)
 		n.replaySeen[epoch] = set
 	}
-	set[from] = true
+	set[p.upstreams[qi]] = true
 	complete := len(set) == len(n.alignUpstreams)
 	if !complete {
-		if q, ok := n.queues[from]; ok {
-			q.stalled = true
+		if qi < len(n.qList) {
+			n.qList[qi].stalled = true
 		}
 		n.mu.Unlock()
 		return
 	}
 	delete(n.replaySeen, epoch)
-	for _, q := range n.queues {
+	for _, q := range n.qList {
 		q.stalled = false
 	}
 	if n.isSink {
@@ -1654,9 +1716,11 @@ func (n *Node) doPeriodicSnapshot(v uint64) {
 // same serialised delivery path as fresh output.
 func (n *Node) doResend(downstream string, after uint64) {
 	entries := n.cfg.Store.EdgeLogSince(downstream, after)
-	n.mu.Lock()
-	fromSlot := n.slot
-	n.mu.Unlock()
+	p := n.pipe.Load()
+	to, ok := n.graph.SlotID(downstream)
+	if p == nil || !ok {
+		return
+	}
 	maxMsgs, maxBytes := n.batch.maxMsgs, n.batch.maxBytes
 	if n.batch.disable {
 		maxMsgs = 1
@@ -1668,7 +1732,7 @@ func (n *Node) doResend(downstream string, after uint64) {
 			return
 		}
 		n.batch.sendMu.Lock()
-		n.sendBatch(downstream, b, bytes, simnet.ClassRecovery)
+		n.sendBatch(to, b, bytes, simnet.ClassRecovery)
 		n.batch.sendMu.Unlock()
 		b, bytes = nil, 0
 	}
@@ -1676,8 +1740,10 @@ func (n *Node) doResend(downstream string, after uint64) {
 		if b == nil {
 			b = takeBatch()
 		}
-		b.Msgs = append(b.Msgs, StreamMsg{FromSlot: fromSlot, FromOp: e.FromOp, ToSlot: downstream,
-			ToOp: e.ToOp, EdgeSeq: e.EdgeSeq, Item: tuple.DataItem(e.T)})
+		fromOp, _ := n.graph.OpID(e.FromOp)
+		toOp, _ := n.graph.OpID(e.ToOp)
+		b.Msgs = append(b.Msgs, StreamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: to,
+			ToOp: toOp, EdgeSeq: e.EdgeSeq, Item: tuple.DataItem(e.T)})
 		bytes += e.T.Size
 		if len(b.Msgs) >= maxMsgs || bytes >= maxBytes {
 			flush()

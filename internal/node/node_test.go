@@ -4,17 +4,37 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/tuple"
 )
 
-func item(seq uint64) queued {
-	return queued{edgeSeq: seq, item: tuple.DataItem(&tuple.Tuple{Seq: seq, Size: 1})}
+// mustOp and mustSlot resolve a graph name a test relies on.
+func mustOp(g *graph.Graph, name string) graph.OpID {
+	id, ok := g.OpID(name)
+	if !ok {
+		panic("no operator " + name)
+	}
+	return id
+}
+
+func mustSlot(g *graph.Graph, name string) graph.SlotID {
+	id, ok := g.SlotID(name)
+	if !ok {
+		panic("no slot " + name)
+	}
+	return id
+}
+
+func item(seq uint64) *queued {
+	return &queued{edgeSeq: seq, item: tuple.DataItem(&tuple.Tuple{Seq: seq, Size: 1})}
 }
 
 func drain(q *upQueue) []uint64 {
 	var seqs []uint64
+	var it queued
 	for q.len() > 0 {
-		seqs = append(seqs, q.pop().edgeSeq)
+		q.pop(&it)
+		seqs = append(seqs, it.edgeSeq)
 	}
 	return seqs
 }
@@ -94,12 +114,13 @@ func TestUnorderedQueueDedupWindowBounded(t *testing.T) {
 func TestUpQueueEnqueueZeroAllocs(t *testing.T) {
 	q := newStreamQueue(false)
 	seq := uint64(0)
+	var popped queued
 	step := func() {
 		seq++
-		if !q.enqueue(queued{edgeSeq: seq}) || q.enqueue(queued{edgeSeq: seq}) {
+		if !q.enqueue(&queued{edgeSeq: seq}) || q.enqueue(&queued{edgeSeq: seq}) {
 			t.Fatalf("seq %d: fresh/duplicate verdicts wrong", seq)
 		}
-		q.pop()
+		q.pop(&popped)
 	}
 	for _, phase := range []string{"fresh", "reset"} {
 		step() // grow q.items once
@@ -170,8 +191,9 @@ func TestQueuePopCompaction(t *testing.T) {
 	for seq := uint64(1); seq <= 1000; seq++ {
 		q.enqueue(item(seq))
 	}
+	var it queued
 	for i := 0; i < 600; i++ {
-		q.pop()
+		q.pop(&it)
 	}
 	if q.len() != 400 {
 		t.Fatalf("len = %d, want 400", q.len())
@@ -180,8 +202,8 @@ func TestQueuePopCompaction(t *testing.T) {
 	if q.head > 512 {
 		t.Fatalf("head = %d, compaction never ran", q.head)
 	}
-	if got := q.pop().edgeSeq; got != 601 {
-		t.Fatalf("next = %d, want 601", got)
+	if q.pop(&it); it.edgeSeq != 601 {
+		t.Fatalf("next = %d, want 601", it.edgeSeq)
 	}
 }
 

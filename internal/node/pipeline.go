@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/keyed"
 	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
@@ -23,26 +24,37 @@ import (
 // snapshots taken while the executor is parked (pause, handoff) stay
 // race-clean even against an executor wedged in a delivery retry.
 type pipeline struct {
-	slot string
-	ops  []compiledOp
+	g      *graph.Graph // the region's graph, which numbers every ID below
+	slot   string
+	slotID graph.SlotID
+	ops    []compiledOp
+	// local maps a graph OpID to its index in ops (-1 when another slot
+	// hosts it), so a dequeued item finds its operator by one index.
+	local []int32
 	// directed resolves EmitTo targets (any downstream operator of this
 	// slot's operators, same- or cross-slot) without consulting the graph.
 	directed []route
 	// upstreams is the queue order: the slot's graph upstreams, then
-	// externalSlot for source slots. Matches Node.qOrder index-for-index.
-	upstreams []string
-	// downs is the sorted list of downstream slots (marker fan-out).
-	downs     []string
+	// graph.ExternalSlot for source slots and graph.RerouteSlot for keyed
+	// instances. Matches Node.qList index-for-index. upIdx is its inverse,
+	// indexed by SlotID (-1 for a slot that does not feed this one).
+	upstreams []graph.SlotID
+	upIdx     []int32
+	// downs is the sorted list of downstream slots (marker fan-out), and
+	// the batcher's per-edge index.
+	downs     []graph.SlotID
 	isSource  bool
 	isSink    bool
-	sourceOps []string
+	sourceOps []graph.OpID
 
 	// keyedGroup/keyedInst identify this slot's keyed-group membership
 	// when it hosts one elastic instance (nil/0 otherwise). The executor
 	// consults them to detect tuples whose key range moved away after a
-	// live split, which are rerouted to the new owner instead of run.
+	// live split, which are rerouted to the new owner instead of run;
+	// keyedOps names the group's instances by graph ID, index for index.
 	keyedGroup *keyed.Group
 	keyedInst  int
+	keyedOps   []graph.OpID
 
 	// outSeq is the per-downstream-slot emission sequence (parallel to
 	// downs); inHW the per-upstream processed watermark (parallel to
@@ -73,8 +85,9 @@ type opTimer struct {
 // bound processing function (emit-context method value, or the legacy
 // []Out adapter) and its reusable Context.
 type compiledOp struct {
-	id string
-	op operator.Operator
+	id  string
+	gid graph.OpID
+	op  operator.Operator
 	// proc is the uniform processing entry point: both contracts emit
 	// through ctx, so the executor's hot path is contract-agnostic.
 	proc operator.ProcFunc
@@ -123,10 +136,10 @@ func (s *opSink) Emit(t *tuple.Tuple) {
 	}
 	for i := range c.keyed {
 		kr := &c.keyed[i]
-		s.n.followRoute(s.p, c.id, kr.routes[kr.group.Owner(t.Kind)], t)
+		s.n.followRoute(s.p, c, kr.routes[kr.group.Owner(t.Kind)], t)
 	}
 	for _, r := range c.fanout {
-		s.n.followRoute(s.p, c.id, r, t)
+		s.n.followRoute(s.p, c, r, t)
 	}
 }
 
@@ -138,7 +151,7 @@ func (s *opSink) EmitTo(to string, t *tuple.Tuple) bool {
 		s.n.logf("%s: emission to unknown operator %s", s.n.id, to)
 		return false
 	}
-	s.n.followRoute(s.p, s.p.ops[s.idx].id, r, t)
+	s.n.followRoute(s.p, &s.p.ops[s.idx], r, t)
 	return true
 }
 
@@ -158,7 +171,7 @@ func (s *opSink) SetTimer(at time.Duration) bool {
 // route is one resolved emission target: a same-slot operator index, or a
 // cross-slot destination identified by its downs index.
 type route struct {
-	toOp  string
+	toOp  graph.OpID
 	local int // >= 0: index into pipeline.ops; -1: cross-slot
 	down  int // index into pipeline.downs when local < 0
 }
@@ -177,26 +190,36 @@ type keyedRoute struct {
 // operator.Registry.Validate surfaces as an error at region build time.
 func (n *Node) compilePipeline(slot string, opIDs []string, ops []operator.Operator) *pipeline {
 	g := n.graph
-	p := &pipeline{slot: slot}
-	p.downs = g.SlotDownstreams(slot)
-	downIdx := make(map[string]int, len(p.downs))
+	p := &pipeline{g: g, slot: slot}
+	p.slotID, _ = g.SlotID(slot)
+	for _, d := range g.SlotDownstreams(slot) {
+		id, _ := g.SlotID(d)
+		p.downs = append(p.downs, id)
+	}
+	downIdx := make([]int, g.NumSlotIDs())
 	for i, d := range p.downs {
 		downIdx[d] = i
 	}
-	opPos := make(map[string]int, len(opIDs))
-	for i, id := range opIDs {
-		opPos[id] = i
+	p.local = make([]int32, g.NumOps())
+	for i := range p.local {
+		p.local[i] = -1
+	}
+	for i, name := range opIDs {
+		id, _ := g.OpID(name)
+		p.local[id] = int32(i)
 	}
 	resolve := func(to string) route {
-		if li, ok := opPos[to]; ok {
-			return route{toOp: to, local: li}
+		id, _ := g.OpID(to)
+		if li := p.local[id]; li >= 0 {
+			return route{toOp: id, local: int(li)}
 		}
-		return route{toOp: to, local: -1, down: downIdx[g.SlotOf(to)]}
+		return route{toOp: id, local: -1, down: downIdx[g.OpSlot(id)]}
 	}
 	seen := make(map[string]bool)
-	for i, id := range opIDs {
-		c := compiledOp{id: id, op: ops[i]}
-		targets := g.Downstream(id)
+	for i, name := range opIDs {
+		c := compiledOp{id: name, op: ops[i]}
+		c.gid, _ = g.OpID(name)
+		targets := g.Downstream(name)
 		if len(targets) == 0 {
 			c.external = true
 		}
@@ -228,40 +251,55 @@ func (n *Node) compilePipeline(slot string, opIDs []string, ops []operator.Opera
 		}
 		p.ops = append(p.ops, c)
 	}
-	for _, id := range opIDs {
-		if gs, inst, ok := g.KeyedGroupOf(id); ok {
+	for _, name := range opIDs {
+		if gs, inst, ok := g.KeyedGroupOf(name); ok {
 			if grp := n.cfg.Keyed[gs.Logical]; grp != nil {
 				p.keyedGroup = grp
 				p.keyedInst = inst
+				for _, in := range gs.Instances {
+					id, _ := g.OpID(in)
+					p.keyedOps = append(p.keyedOps, id)
+				}
 			}
 		}
 	}
-	p.upstreams = append([]string(nil), g.SlotUpstreams(slot)...)
-	for _, id := range g.Sources() {
-		if g.SlotOf(id) == slot {
+	for _, up := range g.SlotUpstreams(slot) {
+		id, _ := g.SlotID(up)
+		p.upstreams = append(p.upstreams, id)
+	}
+	for _, name := range g.Sources() {
+		if g.SlotOf(name) == slot {
+			id, _ := g.OpID(name)
 			p.isSource = true
 			p.sourceOps = append(p.sourceOps, id)
 		}
 	}
-	for _, id := range g.Sinks() {
-		if g.SlotOf(id) == slot {
+	for _, name := range g.Sinks() {
+		if g.SlotOf(name) == slot {
 			p.isSink = true
 		}
 	}
 	if p.isSource {
-		p.upstreams = append(p.upstreams, externalSlot)
+		p.upstreams = append(p.upstreams, graph.ExternalSlot)
 	}
 	if p.keyedGroup != nil {
 		// Keyed instances take rerouted tuples on their own pseudo-queue,
 		// kept index-parallel with the real upstreams but excluded from
 		// token alignment (see configureSlot).
-		p.upstreams = append(p.upstreams, rerouteSlot)
+		p.upstreams = append(p.upstreams, graph.RerouteSlot)
+	}
+	p.upIdx = make([]int32, g.NumSlotIDs())
+	for i := range p.upIdx {
+		p.upIdx[i] = -1
+	}
+	for i, up := range p.upstreams {
+		p.upIdx[up] = int32(i)
 	}
 	p.outSeq = make([]uint64, len(p.downs))
 	p.inHW = make([]uint64, len(p.upstreams))
 	p.edgeWait = make([]*obs.Histogram, len(p.upstreams))
 	for i, up := range p.upstreams {
-		p.edgeWait[i] = n.obsReg.Hist(obs.EdgeWait, up+"->"+slot)
+		p.edgeWait[i] = n.obsReg.Hist(obs.EdgeWait, g.SlotName(up)+"->"+slot)
 	}
 	for i := range p.ops {
 		c := &p.ops[i]
@@ -334,35 +372,41 @@ func (p *pipeline) popDueTimer(now time.Duration) (opTimer, bool) {
 	return top, true
 }
 
-// opIndex resolves an operator ID to its pipeline index. Slots host a
-// handful of operators, so a linear scan beats a map on the hot path.
-func (p *pipeline) opIndex(id string) int {
-	for i := range p.ops {
-		if p.ops[i].id == id {
-			return i
-		}
+// opIndex resolves an operator name to its pipeline index, or -1. It is
+// for setup code (benchmarks, tests); the data path carries OpIDs and
+// indexes p.local.
+func (p *pipeline) opIndex(name string) int {
+	if id, ok := p.g.OpID(name); ok {
+		return int(p.local[id])
 	}
 	return -1
 }
 
-// routeTo resolves an EmitTo target.
+// opFor resolves a dequeued item's target operator to its pipeline index,
+// or -1 when this slot does not host it.
+func (p *pipeline) opFor(id graph.OpID) int {
+	if uint(id) >= uint(len(p.local)) {
+		return -1
+	}
+	return int(p.local[id])
+}
+
+// routeTo resolves an EmitTo target (the operator contract names it).
 func (p *pipeline) routeTo(to string) (route, bool) {
 	for _, r := range p.directed {
-		if r.toOp == to {
+		if p.g.OpName(r.toOp) == to {
 			return r, true
 		}
 	}
 	return route{}, false
 }
 
-// upstreamIndex resolves a queue name to its upstreams index, or -1.
-func (p *pipeline) upstreamIndex(name string) int {
-	for i, u := range p.upstreams {
-		if u == name {
-			return i
-		}
+// upstreamOf resolves a stream's origin slot to its upstreams index, or -1.
+func (p *pipeline) upstreamOf(from graph.SlotID) int {
+	if uint(from) >= uint(len(p.upIdx)) {
+		return -1
 	}
-	return -1
+	return int(p.upIdx[from])
 }
 
 // nextOutSeq assigns the next emission sequence on a downstream edge.
@@ -393,7 +437,7 @@ func (p *pipeline) outSeqMap() map[string]uint64 {
 	m := make(map[string]uint64, len(p.downs))
 	for i, d := range p.downs {
 		if v := atomic.LoadUint64(&p.outSeq[i]); v > 0 {
-			m[d] = v
+			m[p.g.SlotName(d)] = v
 		}
 	}
 	return m
@@ -404,11 +448,11 @@ func (p *pipeline) outSeqMap() map[string]uint64 {
 func (p *pipeline) inHWMap() map[string]uint64 {
 	m := make(map[string]uint64, len(p.upstreams))
 	for i, u := range p.upstreams {
-		if u == externalSlot || u == rerouteSlot {
+		if u == graph.ExternalSlot || u == graph.RerouteSlot {
 			continue
 		}
 		if v := atomic.LoadUint64(&p.inHW[i]); v > 0 {
-			m[u] = v
+			m[p.g.SlotName(u)] = v
 		}
 	}
 	return m
@@ -417,9 +461,9 @@ func (p *pipeline) inHWMap() map[string]uint64 {
 // setCounters initialises the mutable counters from restored runtime state.
 func (p *pipeline) setCounters(outSeq, inHW map[string]uint64) {
 	for i, d := range p.downs {
-		atomic.StoreUint64(&p.outSeq[i], outSeq[d])
+		atomic.StoreUint64(&p.outSeq[i], outSeq[p.g.SlotName(d)])
 	}
 	for i, u := range p.upstreams {
-		atomic.StoreUint64(&p.inHW[i], inHW[u])
+		atomic.StoreUint64(&p.inHW[i], inHW[p.g.SlotName(u)])
 	}
 }

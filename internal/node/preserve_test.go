@@ -137,7 +137,7 @@ func newPreserveHarness(t *testing.T, o preserveOpts) *preserveHarness {
 // ingest admits tuples of the given sizes on src, numbered from seq up.
 func (h *preserveHarness) ingest(seq uint64, sizes ...int) {
 	for i, sz := range sizes {
-		h.n.IngestExternal("src", &tuple.Tuple{Seq: seq + uint64(i), Source: "src", Size: sz})
+		h.n.IngestExternal(mustOp(h.n.graph, "src"), &tuple.Tuple{Seq: seq + uint64(i), Source: "src", Size: sz})
 	}
 }
 
@@ -512,8 +512,13 @@ func TestPreservePipelineStopsAtBarrier(t *testing.T) {
 		block[i] = 64
 	}
 	push := func(h *preserveHarness, slot string, it queued) {
+		from := graph.ExternalSlot
+		if slot != "" {
+			from = mustSlot(h.n.graph, slot)
+		}
 		h.n.mu.Lock()
-		h.n.queues[slot].push(it)
+		q := h.n.queueFor(from)
+		q.push(&it)
 		h.n.mu.Unlock()
 	}
 	cases := []struct {
@@ -528,10 +533,10 @@ func TestPreservePipelineStopsAtBarrier(t *testing.T) {
 		{name: "nothing", logged: 48},
 		{name: "token", queued: func(h *preserveHarness) { h.n.InjectToken(1) }, logged: 32},
 		{name: "replay-end marker", queued: func(h *preserveHarness) {
-			push(h, externalSlot, queued{item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerReplayEnd, Version: 1})})
+			push(h, "", queued{item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerReplayEnd, Version: 1})})
 		}, logged: 32},
 		{name: "replayed tuple", queued: func(h *preserveHarness) {
-			push(h, externalSlot, queued{toOp: "src", item: tuple.DataItem(&tuple.Tuple{Seq: 999, Size: 64, Replay: true})})
+			push(h, "", queued{toOp: mustOp(h.n.graph, "src"), item: tuple.DataItem(&tuple.Tuple{Seq: 999, Size: 64, Replay: true})})
 		}, logged: 32, extra: 1},
 		{name: "command", late: func(h *preserveHarness) { h.n.injectCmd(execCmd{resendTo: "nowhere"}) }, logged: 32},
 		{name: "pause request", late: func(h *preserveHarness) {
@@ -540,7 +545,7 @@ func TestPreservePipelineStopsAtBarrier(t *testing.T) {
 			h.n.mu.Unlock()
 		}, logged: 32},
 		{name: "sibling queue", sibling: true, late: func(h *preserveHarness) {
-			push(h, "s0", queued{fromOp: "up", toOp: "out", edgeSeq: 1, item: tuple.DataItem(&tuple.Tuple{Seq: 999, Size: 64})})
+			push(h, "s0", queued{fromOp: mustOp(h.n.graph, "up"), toOp: mustOp(h.n.graph, "out"), edgeSeq: 1, item: tuple.DataItem(&tuple.Tuple{Seq: 999, Size: 64})})
 		}, logged: 32, extra: 1},
 	}
 	for _, c := range cases {
@@ -596,7 +601,7 @@ func TestPreserveRunAllocsPerRun(t *testing.T) {
 	allocs := func(length int) float64 {
 		run := make([]queued, length)
 		for i := range run {
-			run[i] = queued{toOp: "src", item: tuple.DataItem(&tuple.Tuple{Seq: uint64(i), Size: 64})}
+			run[i] = queued{toOp: mustOp(h.n.graph, "src"), item: tuple.DataItem(&tuple.Tuple{Seq: uint64(i), Size: 64})}
 		}
 		return testing.AllocsPerRun(2000, func() { h.n.preserveRun(run) })
 	}

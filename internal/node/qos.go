@@ -147,7 +147,9 @@ func (b *batcher) pendingMsgs() int {
 	defer b.mu.Unlock()
 	total := 0
 	for _, eb := range b.pending {
-		total += len(eb.b.Msgs)
+		if eb.b != nil {
+			total += len(eb.b.Msgs)
+		}
 	}
 	return total
 }

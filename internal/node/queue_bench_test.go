@@ -7,13 +7,14 @@ import "testing"
 // must not allocate per enqueue.
 func BenchmarkUpQueueEnqueueUnordered(b *testing.B) {
 	q := newStreamQueue(false)
+	var popped queued
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !q.enqueue(queued{edgeSeq: uint64(i + 1)}) {
+		if !q.enqueue(&queued{edgeSeq: uint64(i + 1)}) {
 			b.Fatal("fresh sequence rejected")
 		}
-		q.pop()
+		q.pop(&popped)
 	}
 }
 
@@ -22,16 +23,17 @@ func BenchmarkUpQueueEnqueueUnordered(b *testing.B) {
 // sequence and must be dropped.
 func BenchmarkUpQueueEnqueueUnorderedDup(b *testing.B) {
 	q := newStreamQueue(false)
+	var popped queued
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq := uint64(i/2 + 1)
-		accepted := q.enqueue(queued{edgeSeq: seq})
+		accepted := q.enqueue(&queued{edgeSeq: seq})
 		if accepted != (i%2 == 0) {
 			b.Fatalf("enqueue %d (seq %d) accepted=%v", i, seq, accepted)
 		}
 		if accepted {
-			q.pop()
+			q.pop(&popped)
 		}
 	}
 }
@@ -40,13 +42,14 @@ func BenchmarkUpQueueEnqueueUnorderedDup(b *testing.B) {
 // enqueue path: watermark advance plus FIFO push, no park traffic.
 func BenchmarkUpQueueEnqueueOrdered(b *testing.B) {
 	q := newStreamQueue(true)
+	var popped queued
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !q.enqueue(queued{edgeSeq: uint64(i + 1)}) {
+		if !q.enqueue(&queued{edgeSeq: uint64(i + 1)}) {
 			b.Fatal("in-order sequence rejected")
 		}
-		q.pop()
+		q.pop(&popped)
 	}
 }
 
@@ -55,19 +58,20 @@ func BenchmarkUpQueueEnqueueOrdered(b *testing.B) {
 // following one heals the gap, popping both.
 func BenchmarkUpQueueEnqueueOrderedGap(b *testing.B) {
 	q := newStreamQueue(true)
+	var popped queued
 	b.ReportAllocs()
 	b.ResetTimer()
 	next := uint64(1)
 	for i := 0; i < b.N; i++ {
 		if i%2 == 0 {
-			q.enqueue(queued{edgeSeq: next + 1}) // parks above the gap
+			q.enqueue(&queued{edgeSeq: next + 1}) // parks above the gap
 			continue
 		}
-		if !q.enqueue(queued{edgeSeq: next}) { // heals it, releasing both
+		if !q.enqueue(&queued{edgeSeq: next}) { // heals it, releasing both
 			b.Fatal("gap fill rejected")
 		}
-		q.pop()
-		q.pop()
+		q.pop(&popped)
+		q.pop(&popped)
 		next += 2
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mobistreams/internal/clock"
 	"mobistreams/internal/ft"
-	"mobistreams/internal/phone"
 	"mobistreams/internal/simnet"
 )
 
@@ -71,8 +70,8 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 	w.Join(rxA)
 	w.Join(rxB)
 	res := &epochResolver{primary: map[string]simnet.NodeID{"down": "rxA"}}
-	n := New(Config{
-		Phone:    phone.New("tx", phone.Config{}),
+	n := edgeNode("up", Config{
+		ID:       "tx",
 		Scheme:   ft.BaseScheme,
 		Clock:    clk,
 		WiFi:     w,
@@ -86,7 +85,7 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 
 	const perPhase = 200
 	send := func(seq uint64) {
-		n.deliverData("down", 100, streamMsg(seq), simnet.ClassData)
+		n.deliverData(slotOf("down"), 100, streamMsg(seq), simnet.ClassData)
 	}
 	for seq := uint64(1); seq <= perPhase; seq++ {
 		send(seq)
@@ -161,8 +160,8 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 	w.Join(rxA)
 	w.Join(rxB)
 	res := &epochResolver{primary: map[string]simnet.NodeID{"down": "rxA"}}
-	n := New(Config{
-		Phone:    phone.New("tx", phone.Config{}),
+	n := edgeNode("up", Config{
+		ID:       "tx",
 		Scheme:   ft.BaseScheme,
 		Clock:    clk,
 		WiFi:     w,
@@ -175,7 +174,7 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 	if err := w.Unicast("tx", "rxA", simnet.ClassData, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	n.deliverData("down", 100, streamMsg(1), simnet.ClassData)
+	n.deliverData(slotOf("down"), 100, streamMsg(1), simnet.ClassData)
 	<-rxA.Inbox() // the warm-up unicast
 	<-rxA.Inbox() // seq 1
 	rxA.Seal()
@@ -190,7 +189,7 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 		}
 	}
 	before := res.resolverCalls()
-	n.deliverData("down", 100, streamMsg(2), simnet.ClassData)
+	n.deliverData(slotOf("down"), 100, streamMsg(2), simnet.ClassData)
 	if reads := atomic.LoadInt64(&res.epochReads); reads != 3 {
 		t.Fatalf("delivery took %d attempts, want 3 (two against the dead primary)", reads)
 	}

@@ -115,11 +115,12 @@ type Region struct {
 	idle         []simnet.NodeID
 	departed     map[simnet.NodeID]bool
 	failed       map[simnet.NodeID]bool
-	srcSeq       map[string]*uint64
-	started      bool
-	stopped      bool
-	joined       int // phones recruited after construction (ID allocation)
-	migrations   int64
+	// sources are the graph's source operators in declaration order.
+	sources    []ingestSource
+	started    bool
+	stopped    bool
+	joined     int // phones recruited after construction (ID allocation)
+	migrations int64
 	// domainDeparts counts phones lost (departed or failed) per WiFi
 	// channel domain — the placement forecaster's Poisson departure-rate
 	// input. Sized on first use to the medium's channel count.
@@ -180,7 +181,6 @@ func New(cfg Config) (*Region, error) {
 		standbyPhone: make(map[string]simnet.NodeID),
 		departed:     make(map[simnet.NodeID]bool),
 		failed:       make(map[simnet.NodeID]bool),
-		srcSeq:       make(map[string]*uint64),
 		seenOutput:   make(map[string]*seqset.Set),
 		telePrev:     make(map[simnet.NodeID]telePoint),
 		keyedPrev:    make(map[string]telePoint),
@@ -202,9 +202,11 @@ func New(cfg Config) (*Region, error) {
 		r.obs = obs.NewRegistry()
 	}
 	r.sink = r.obs.Hist(obs.SinkLatency, "")
-	for _, src := range cfg.Graph.Sources() {
-		var z uint64
-		r.srcSeq[src] = &z
+	srcs := cfg.Graph.Sources()
+	r.sources = make([]ingestSource, len(srcs))
+	for i, name := range srcs {
+		r.sources[i].name = name
+		r.sources[i].op, _ = cfg.Graph.OpID(name)
 	}
 
 	ids := make([]simnet.NodeID, cfg.Phones)
@@ -465,27 +467,39 @@ func (r *Region) jot(kind, slot string, version uint64, detail string) {
 	})
 }
 
+// ingestSource is one source operator Ingest admits at: its name, graph
+// ID and sequence counter.
+type ingestSource struct {
+	name string
+	op   graph.OpID
+	seq  atomic.Uint64
+}
+
 // ingestSnapshot is the epoch-stamped dispatch table Ingest reads without
-// taking the region mutex: per source operator, its sequence counter (the
-// same allocation across epochs, advanced atomically) and the node
-// currently hosting its slot.
+// taking the region mutex: per source operator (index-parallel with
+// Region.sources), the node currently hosting its slot.
 type ingestSnapshot struct {
 	epoch   uint64
-	targets map[string]ingestTarget
+	targets []*node.Node
 }
 
-type ingestTarget struct {
-	seq  *uint64
-	node *node.Node
-}
-
-// ingestTargetFor resolves the snapshot entry for a source, rebuilding the
-// snapshot under the mutex when the placement epoch moved.
-func (r *Region) ingestTargetFor(srcOp string) (ingestTarget, bool) {
+// ingestTargetFor resolves a source and its current host, rebuilding the
+// snapshot under the mutex when the placement epoch moved. A graph has a
+// handful of sources, so a scan beats hashing the name.
+func (r *Region) ingestTargetFor(srcOp string) (*ingestSource, *node.Node) {
+	src := -1
+	for i := range r.sources {
+		if r.sources[i].name == srcOp {
+			src = i
+			break
+		}
+	}
+	if src < 0 {
+		return nil, nil
+	}
 	epoch := atomic.LoadUint64(&r.placeEpoch)
 	if snap := r.ingest.Load(); snap != nil && snap.epoch == epoch {
-		tg, ok := snap.targets[srcOp]
-		return tg, ok
+		return &r.sources[src], snap.targets[src]
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -493,20 +507,14 @@ func (r *Region) ingestTargetFor(srcOp string) (ingestTarget, bool) {
 	// the same critical section, so the rebuilt snapshot is stamped with
 	// exactly the epoch of the maps it copies.
 	epoch = atomic.LoadUint64(&r.placeEpoch)
-	snap := &ingestSnapshot{epoch: epoch, targets: make(map[string]ingestTarget, len(r.srcSeq))}
-	for src, seqp := range r.srcSeq {
-		slot := r.cfg.Graph.SlotOf(src)
-		pid, placed := r.placement[slot]
-		if !placed {
-			continue
-		}
-		if n := r.nodes[pid]; n != nil {
-			snap.targets[src] = ingestTarget{seq: seqp, node: n}
+	snap := &ingestSnapshot{epoch: epoch, targets: make([]*node.Node, len(r.sources))}
+	for i := range r.sources {
+		if pid, placed := r.placement[r.cfg.Graph.SlotOf(r.sources[i].name)]; placed {
+			snap.targets[i] = r.nodes[pid]
 		}
 	}
 	r.ingest.Store(snap)
-	tg, ok := snap.targets[srcOp]
-	return tg, ok
+	return &r.sources[src], snap.targets[src]
 }
 
 // Ingest admits one external tuple at the named source operator, assigning
@@ -519,27 +527,25 @@ func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) 
 	if r.stopping.Load() {
 		return
 	}
-	tg, ok := r.ingestTargetFor(srcOp)
-	if !ok || tg.node == nil {
+	source, host := r.ingestTargetFor(srcOp)
+	if host == nil {
 		return
 	}
-	// Built on the stack: the node copies it into its ingest slab.
-	t := tuple.Tuple{
-		Seq:     atomic.AddUint64(tg.seq, 1),
-		Source:  srcOp,
-		Kind:    kind,
-		Created: r.clk.Now(),
-		Size:    size,
-		Value:   value,
-	}
+	// Built on the stack, field by field (a composite literal is built in
+	// a temporary and copied): the node copies it into its ingest slab.
+	var t tuple.Tuple
+	t.Seq = source.seq.Add(1)
+	t.Source, t.Kind = srcOp, kind
+	t.Created = r.clk.Now()
+	t.Size, t.Value = size, value
 	// Seq is already assigned, so the sampling decision keys on seq-1:
 	// sample-every-1 traces the very first tuple on both backends.
 	if tc, ok := r.obs.Tracer.Sample(t.Seq - 1); ok {
 		r.obs.Tracer.Record(&tc, obs.SpanIngest, "region", "", srcOp, int64(t.Created))
-		tg.node.IngestExternalTraced(srcOp, &t, tc)
+		host.IngestExternalTraced(source.op, &t, tc)
 		return
 	}
-	tg.node.IngestExternal(srcOp, &t)
+	host.IngestExternal(source.op, &t)
 }
 
 // onSink receives one published sink result: deduplicate (recovery replays
