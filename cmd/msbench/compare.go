@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"mobistreams/internal/bench"
 )
@@ -17,7 +18,7 @@ import (
 // output, a structural claim (planner beats reactive on cross-channel share,
 // four channels beat one by 2x, the paper's Fig. 10 orderings) that no longer
 // holds. A gated experiment absent from the results, or a row whose samples
-// are, is a failure too.
+// are, is a failure too, and so is a baseline key that no gate row reads.
 func runCompare(baselinePath string, resultPaths []string, w io.Writer) error {
 	base, err := readBaseline(baselinePath)
 	if err != nil {
@@ -28,6 +29,22 @@ func runCompare(baselinePath string, resultPaths []string, w io.Writer) error {
 		return fmt.Errorf("results: %w", err)
 	}
 	var failures []string
+	read := make(map[string]bool)
+	for _, e := range bench.Experiments {
+		for _, g := range e.Gates {
+			read[g.Key] = true
+		}
+	}
+	keys := make([]string, 0, len(base))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !read[k] {
+			failures = append(failures, fmt.Sprintf("baseline key %q is read by no gate row", k))
+		}
+	}
 	for _, e := range bench.Experiments {
 		if len(e.Gates) == 0 {
 			continue

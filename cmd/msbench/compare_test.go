@@ -16,23 +16,24 @@ const fixtureBaseline = `{
 	"max_scheduler_tuple_loss": 0,
 	"incr_pause_mean_ms_largest": 10.0,
 	"elastic_p99_hotspot_ms": 650.0,
-	"federation_ctrl_bytes_per_phone_largest": 560.0,
 	"placement_loss_vs_reactive": 0.5
 }`
 
-// fixture is a healthy result set, one typed slice per gated experiment.
+// fixture is a healthy result set, one typed slice per gated experiment,
+// and the baseline it is gated against.
 type fixture struct {
+	baseline         string
 	churn, placement []bench.ChurnOutcome
 	ckpt             []bench.CkptOutcome
 	scale            []bench.ScaleRow
 	elastic          []bench.ElasticOutcome
-	fed              []bench.FederationPoint
 	fig10            []bench.Fig10Row
 }
 
 func healthy() *fixture {
 	const mb = 1 << 20
 	return &fixture{
+		baseline: fixtureBaseline,
 		churn: []bench.ChurnOutcome{
 			{Scheme: "ms", Mode: "reactive", Lost: 50},
 			{Scheme: "ms", Mode: "planner", Lost: 0},
@@ -48,11 +49,6 @@ func healthy() *fixture {
 		elastic: []bench.ElasticOutcome{
 			{Mode: "static", P99HotMs: 4500, DegradeFactor: 13},
 			{Mode: "elastic", P99HotMs: 640, DegradeFactor: 1.5, Splits: 2},
-		},
-		fed: []bench.FederationPoint{
-			{Mode: "gossip", Regions: 4, CtrlBytesPerPhone: 380},
-			{Mode: "gossip", Regions: 64, CtrlBytesPerPhone: 555},
-			{Mode: "unicast", Regions: 64, CtrlBytesPerPhone: 756},
 		},
 		placement: []bench.ChurnOutcome{
 			{Mode: "reactive", Lost: 8, CrossChannelShare: 0.55},
@@ -76,7 +72,7 @@ func (f *fixture) gate(t *testing.T) (string, error) {
 	results := make(map[string]any)
 	for name, rows := range map[string]any{
 		"churn": f.churn, "checkpoint": f.ckpt, "scale": f.scale, "elastic": f.elastic,
-		"federation": f.fed, "placement": f.placement, "fig10": f.fig10,
+		"placement": f.placement, "fig10": f.fig10,
 	} {
 		if !reflect.ValueOf(rows).IsNil() {
 			results[name] = rows
@@ -84,7 +80,7 @@ func (f *fixture) gate(t *testing.T) (string, error) {
 	}
 	dir := t.TempDir()
 	baseline := filepath.Join(dir, "baseline.json")
-	if err := os.WriteFile(baseline, []byte(fixtureBaseline), 0o644); err != nil {
+	if err := os.WriteFile(baseline, []byte(f.baseline), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "results.json")
@@ -164,17 +160,6 @@ var gateCases = []struct {
 	{"MissingElasticRow", "elastic", "",
 		func(f *fixture) { f.elastic = f.elastic[:1] }, "elastic results carry no elastic-mode hotspot sample"},
 
-	// federation: busiest-node control bytes per phone at the largest swept
-	// region count past baseline×1.2 plus grace means the gossip overlay's
-	// sub-linear fan-out regressed; one duplicate at any sweep point, not
-	// just the largest, fails.
-	{"FederationFanoutRegression", "federation", "federation_ctrl_bytes_per_phone_largest",
-		func(f *fixture) { f.fed[1].CtrlBytesPerPhone = 1400 }, "federation ctrl bytes/phone regressed: 1400.0 > 692.0"},
-	{"FederationDuplicates", "federation", "federation duplicate cross-region outputs",
-		func(f *fixture) { f.fed[0].XRegionDupOutputs = 1 }, "federation run published 1 duplicate cross-region outputs"},
-	{"MissingFederationRows", "federation", "",
-		func(f *fixture) { f.fed = f.fed[2:] }, "federation results carry no gossip-mode sweep rows"},
-
 	// placement: a 5x loss ratio against a 0.5 baseline means pack-to-empty
 	// planning stopped paying for itself under churn. The structural claim
 	// has no grace: the planner merely matching the reactive arm's
@@ -250,9 +235,6 @@ func TestCompareFailsOnMissingScaleRows(t *testing.T)            { failsOn(t) }
 func TestCompareFailsOnElasticP99Regression(t *testing.T)        { failsOn(t) }
 func TestCompareFailsOnElasticDuplicates(t *testing.T)           { failsOn(t) }
 func TestCompareFailsOnMissingElasticRow(t *testing.T)           { failsOn(t) }
-func TestCompareFailsOnFederationFanoutRegression(t *testing.T)  { failsOn(t) }
-func TestCompareFailsOnFederationDuplicates(t *testing.T)        { failsOn(t) }
-func TestCompareFailsOnMissingFederationRows(t *testing.T)       { failsOn(t) }
 func TestCompareFailsOnPlacementLossRegression(t *testing.T)     { failsOn(t) }
 func TestCompareFailsOnPlacementCrossChannelClaim(t *testing.T)  { failsOn(t) }
 func TestCompareFailsOnPlacementDuplicates(t *testing.T)         { failsOn(t) }
@@ -272,6 +254,17 @@ func TestCompareFailsOnMissingExperiment(t *testing.T) {
 	out, err := f.gate(t)
 	if err == nil || !strings.Contains(out, "FAIL results carry no elastic experiment") {
 		t.Fatalf("results without the elastic experiment: err=%v\n%s", err, out)
+	}
+}
+
+// TestCompareFailsOnOrphanBaselineKey: a baseline key that no gate row reads
+// (left behind when its row was deleted) fails instead of lingering.
+func TestCompareFailsOnOrphanBaselineKey(t *testing.T) {
+	f := healthy()
+	f.baseline = strings.Replace(fixtureBaseline, "\n}", ",\n\t\"retired_row_key\": 1.0\n}", 1)
+	out, err := f.gate(t)
+	if err == nil || !strings.Contains(out, `FAIL baseline key "retired_row_key" is read by no gate row`) {
+		t.Fatalf("baseline with an orphaned key: err=%v\n%s", err, out)
 	}
 }
 

@@ -14,7 +14,6 @@
 //	msbench -exp checkpoint   # full-blob vs incremental-async checkpoint pipeline
 //	msbench -exp scale        # region size × WiFi channels throughput sweep
 //	msbench -exp elastic      # static vs elastic keyed parallelism under a moving hotspot
-//	msbench -exp federation   # control fan-out vs region count, gossip overlay vs unicast hub
 //	msbench -exp placement    # reactive recovery vs placement planner, four channels
 //
 // -exp takes a comma-separated list. -seed reaches every experiment;

@@ -25,17 +25,6 @@
 //	msrun -listen 127.0.0.1:7070 -workers 2 -seed 42        # socket lead
 //	msrun -join 127.0.0.1:7070 -id w1                       # socket worker
 //	msrun -join 127.0.0.1:7070 -id w2
-//
-// With -fed, msrun runs the federated control-plane demo instead: a hub
-// plus -regions region agents gossip membership, telemetry rollups and
-// fleet caps, then ship a ring of cross-region tuples. The hub prints a
-// deterministic report, and -fed sim prints the identical report from the
-// in-memory mesh, so the two outputs diff clean across backends:
-//
-//	msrun -fed sim -regions 2 -seed 5                       # in-memory mesh
-//	msrun -fed lead -listen 127.0.0.1:7401 -regions 2 -seed 5
-//	msrun -fed region -id r01 -join 127.0.0.1:7401
-//	msrun -fed region -id r02 -join 127.0.0.1:7401
 package main
 
 import (
@@ -47,7 +36,6 @@ import (
 	"time"
 
 	"mobistreams/internal/bench"
-	"mobistreams/internal/federation"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/obs"
 	"mobistreams/internal/simnet"
@@ -75,14 +63,7 @@ func main() {
 	joinTimeout := flag.Duration("jointimeout", time.Minute, "transport-region lead: how long to wait for workers")
 	sample := flag.Int("sample", 0, "trace every Nth tuple end to end (0 disables tracing); waterfalls go to stderr")
 	httpAddr := flag.String("http", "", "serve live metrics/journal/traces/pprof on this address (with -app: until interrupted)")
-	fed := flag.String("fed", "", "run the federation demo on this backend: sim|lead|region")
-	fedRegions := flag.Int("regions", 2, "federation demo region count (sim and lead)")
 	flag.Parse()
-
-	if *fed != "" {
-		runFederationDemo(*fed, *listen, *join, *nodeID, *fedRegions, *seed, *joinTimeout)
-		return
-	}
 
 	if *join != "" || *listen != "" || *xreg != "" {
 		runTransportRegion(*listen, *join, *nodeID, *xreg, xregion.Spec{
@@ -188,46 +169,6 @@ func serveObs(addr string) *obs.Registry {
 	}
 	fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", actual)
 	return reg
-}
-
-// runFederationDemo dispatches the federated control-plane demo: the
-// whole fleet in-process on the mesh (-fed sim), the hub over real
-// sockets (-fed lead), or one region process (-fed region). Lead and sim
-// print the identical deterministic report.
-func runFederationDemo(backend, listen, join, id string, regions int, seed int64, timeout time.Duration) {
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	switch backend {
-	case "sim":
-		if err := federation.RunDemoSim(regions, seed, os.Stdout); err != nil {
-			fail(err)
-		}
-	case "lead":
-		if listen == "" {
-			fmt.Fprintln(os.Stderr, "-fed lead requires -listen")
-			os.Exit(2)
-		}
-		if err := federation.RunDemoLead(listen, regions, seed, timeout, os.Stdout); err != nil {
-			fail(err)
-		}
-	case "region":
-		if join == "" || id == "" {
-			fmt.Fprintln(os.Stderr, "-fed region requires -join and -id (r01, r02, ...)")
-			os.Exit(2)
-		}
-		if listen == "" {
-			listen = "127.0.0.1:0"
-		}
-		if err := federation.RunDemoRegion(simnet.NodeID(id), listen, join, timeout); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "region %s done\n", id)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fed backend %q (want: sim|lead|region)\n", backend)
-		os.Exit(2)
-	}
 }
 
 // runTransportRegion runs the deterministic pipeline over the transport

@@ -61,7 +61,7 @@ const RegressionFactor = 1.20
 var Experiments = []Experiment{
 	fig6Experiment, fig8Experiment, fig9Experiment, fig10Experiment, table1Experiment,
 	churnExperiment, checkpointExperiment, scaleExperiment,
-	elasticExperiment, federationExperiment, placementExperiment,
+	elasticExperiment, placementExperiment,
 }
 
 // experiment builds a table entry from typed parts: run produces the rows,

@@ -15,7 +15,6 @@ import (
 	"mobistreams/internal/region"
 	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
-	"mobistreams/internal/wire"
 )
 
 // Config parameterises the controller. Defaults follow §IV: 5-minute
@@ -41,12 +40,7 @@ type Config struct {
 	// OnRegionDead is called when a region can no longer run and is
 	// bypassed (§III-D); may be nil.
 	OnRegionDead func(regionID string)
-	// FederationSink, when non-nil, receives each region's telemetry
-	// rollup every schedule tick. The federation agent publishes it into
-	// the backhaul overlay; the controller itself stays region-local.
-	// Called without controller locks held.
-	FederationSink func(wire.Rollup)
-	Logf           func(string, ...interface{})
+	Logf         func(string, ...interface{})
 }
 
 // codeBytes is the operator code size shipped to a phone at placement and
@@ -102,8 +96,6 @@ type managed struct {
 	warmed      map[simnet.NodeID]bool
 	planCommits int
 	planAborts  int
-	// fedEpoch orders this region's federation rollups.
-	fedEpoch uint64
 	// migrating holds off checkpoint rounds while a live migration has a
 	// slot vacated: a token/snapshot command sent to the mid-flight slot
 	// would never be answered and the round could never commit.
@@ -186,7 +178,7 @@ func (c *Controller) Start() {
 		}
 		c.wg.Add(1)
 		go c.pingLoop(m)
-		if c.cfg.Planner != nil || c.cfg.FederationSink != nil {
+		if c.cfg.Planner != nil {
 			c.wg.Add(1)
 			go c.scheduleLoop(m)
 		}

@@ -5,18 +5,17 @@ import (
 
 	"mobistreams/internal/node"
 	"mobistreams/internal/placement"
-	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
 // scheduleLoop runs the adaptive placement ticks for one region: poll
-// telemetry, publish the federation rollup, let the planner plan, and
-// execute the plan's steps sequentially. Planning is skipped while the
-// region is recovering or mid-checkpoint — a migration in either window
-// would race the very machinery it exists to spare. The rollup is
-// published regardless: the federation wants to hear about a region
-// precisely when it is struggling.
+// telemetry, let the planner plan, and execute the plan's steps
+// sequentially. Planning is skipped while the region is recovering or
+// mid-checkpoint — a migration in either window would race the very
+// machinery it exists to spare. Telemetry is polled only on ticks that
+// plan: Telemetry() differentiates drain and tuple rates across polls, so
+// an extra poll during a busy window would perturb the planner's drain
+// forecasts.
 func (c *Controller) scheduleLoop(m *managed) {
 	defer c.wg.Done()
 	t := c.clk.NewTimer(c.cfg.ScheduleTick)
@@ -27,32 +26,13 @@ func (c *Controller) scheduleLoop(m *managed) {
 			if m.isDead() {
 				return
 			}
-			var stats scheduler.RegionStats
-			polled := false
-			if c.cfg.FederationSink != nil {
-				stats = m.r.Telemetry()
-				polled = true
-				m.mu.Lock()
-				m.fedEpoch++
-				epoch := m.fedEpoch
-				m.mu.Unlock()
-				ru := region.RollupFromStats(stats, epoch)
-				ru.OutTuples = m.r.Outputs()
-				c.cfg.FederationSink(ru)
-			}
 			m.mu.Lock()
 			busy := m.recovering || m.pendingVer != 0
 			m.mu.Unlock()
-			if busy || c.cfg.Planner == nil {
+			if busy {
 				continue
 			}
-			if !polled {
-				// Poll lazily: Telemetry() differentiates drain and tuple
-				// rates across polls, so an extra poll during a busy window
-				// would perturb the planner's drain forecasts.
-				stats = m.r.Telemetry()
-			}
-			c.runPlan(m, stats)
+			c.runPlan(m, m.r.Telemetry())
 		case <-c.stopCh:
 			return
 		}

@@ -16,8 +16,8 @@ var windowFamilies = []obs.Family{
 }
 
 // Outputs reports how many deduplicated sink results the region has
-// published: the sum of the per-source sets' counts, so a federation
-// rollup costs O(sources) however many results there have been.
+// published: the sum of the per-source sets' counts, so a caller polling
+// for progress pays O(sources) however many results there have been.
 func (r *Region) Outputs() uint64 {
 	r.outMu.Lock()
 	defer r.outMu.Unlock()

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -11,23 +10,13 @@ import (
 
 // Mesh is a deterministic in-process transport fabric: every attachment can
 // reach every other, frames are delivered in one global FIFO order, and
-// delivery happens only when the owner pumps Drain. It exists for the
-// federation control-plane simulations and the gossip tests, where the
-// properties under study — convergence rounds, per-node control bytes,
-// exactly-once dedup — must be exact functions of the seed, not of
-// goroutine scheduling.
-//
-// Cast models a datagram path: frames above the configured limit are
-// rejected (the caller is expected to fall back to Tell, as the socket
-// backend does) and a seeded loss rate drops frames silently, exercising
-// the gossip layer's anti-entropy repair. Tell is reliable and ordered.
+// delivery happens only when the owner pumps Drain. Tell is reliable and
+// ordered and costs one frame copy: no goroutine, no socket, no simulated
+// medium, so delivery order is a pure function of the send order.
 type Mesh struct {
-	mu       sync.Mutex
-	nodes    map[simnet.NodeID]*Mem
-	queue    []memFrame
-	rng      *rand.Rand
-	castLoss float64
-	castMax  int
+	mu    sync.Mutex
+	nodes map[simnet.NodeID]*Mem
+	queue []memFrame
 }
 
 type memFrame struct {
@@ -36,35 +25,10 @@ type memFrame struct {
 	frame    []byte
 }
 
-// DefaultMemCastLimit mirrors the socket backend's UDP datagram bound.
-const DefaultMemCastLimit = 64 << 10
-
-// NewMesh creates an empty fabric. The seed drives Cast loss decisions
-// only; a mesh with zero loss is fully deterministic regardless.
+// NewMesh creates an empty fabric. The seed is unused: delivery is a pure
+// function of the send order.
 func NewMesh(seed int64) *Mesh {
-	return &Mesh{
-		nodes:   make(map[simnet.NodeID]*Mem),
-		rng:     rand.New(rand.NewSource(seed)),
-		castMax: DefaultMemCastLimit,
-	}
-}
-
-// SetCastLoss drops that fraction of Cast frames, decided by the mesh's
-// seeded RNG in send order (deterministic for a deterministic caller).
-func (m *Mesh) SetCastLoss(p float64) {
-	m.mu.Lock()
-	m.castLoss = p
-	m.mu.Unlock()
-}
-
-// SetCastLimit overrides the datagram size bound (0 restores the default).
-func (m *Mesh) SetCastLimit(n int) {
-	m.mu.Lock()
-	if n <= 0 {
-		n = DefaultMemCastLimit
-	}
-	m.castMax = n
-	m.mu.Unlock()
+	return &Mesh{nodes: make(map[simnet.NodeID]*Mem)}
 }
 
 // Attach joins a node to the fabric and returns its transport.
@@ -102,24 +66,12 @@ func (m *Mesh) Drain() int {
 	}
 }
 
-// Pending reports the number of undelivered frames.
-func (m *Mesh) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
-}
-
-// Mem is one attachment on a Mesh. It implements Transport and Caster and
-// counts the bytes and frames it sends per traffic class, which is what
-// the federation benchmark's control-byte accounting reads.
+// Mem is one attachment on a Mesh. It implements Transport.
 type Mem struct {
 	mesh   *Mesh
 	id     simnet.NodeID
 	h      atomic.Value // Handler
 	closed atomic.Bool
-
-	sentBytes  [simnet.ClassPreserve + 1]int64
-	sentFrames [simnet.ClassPreserve + 1]int64
 }
 
 // Info reports the attachment's identity. Mesh needs no addresses.
@@ -128,58 +80,18 @@ func (t *Mem) Info() Info { return Info{ID: t.id} }
 // Tell enqueues a reliable ordered delivery. The frame is copied, honouring
 // the borrowed-buffer contract.
 func (t *Mem) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
-	return t.send(to, class, frame, false)
-}
-
-// Cast enqueues a best-effort datagram: oversized frames are rejected (the
-// caller falls back to Tell) and the mesh's seeded loss rate may drop the
-// frame silently.
-func (t *Mem) Cast(to simnet.NodeID, class simnet.Class, frame []byte) error {
-	return t.send(to, class, frame, true)
-}
-
-func (t *Mem) send(to simnet.NodeID, class simnet.Class, frame []byte, cast bool) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
 	m := t.mesh
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if _, ok := m.nodes[to]; !ok {
-		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, to)
-	}
-	if cast {
-		if len(frame) > m.castMax {
-			m.mu.Unlock()
-			return fmt.Errorf("transport: datagram of %d bytes exceeds limit", len(frame))
-		}
-		if m.castLoss > 0 && m.rng.Float64() < m.castLoss {
-			m.mu.Unlock()
-			// Lost on the wire: the bytes were still spent.
-			t.account(class, len(frame))
-			return nil
-		}
 	}
 	cp := append(make([]byte, 0, len(frame)), frame...)
 	m.queue = append(m.queue, memFrame{to: to, from: t.id, class: class, frame: cp})
-	m.mu.Unlock()
-	t.account(class, len(frame))
 	return nil
-}
-
-func (t *Mem) account(class simnet.Class, n int) {
-	atomic.AddInt64(&t.sentBytes[class], int64(n))
-	atomic.AddInt64(&t.sentFrames[class], 1)
-}
-
-// SentBytes reports the bytes this node has sent on one traffic class.
-func (t *Mem) SentBytes(class simnet.Class) int64 {
-	return atomic.LoadInt64(&t.sentBytes[class])
-}
-
-// SentFrames reports the frames this node has sent on one traffic class.
-func (t *Mem) SentFrames(class simnet.Class) int64 {
-	return atomic.LoadInt64(&t.sentFrames[class])
 }
 
 // Receive installs the frame handler.

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"mobistreams/internal/checkpoint"
+	"mobistreams/internal/obs"
 	"mobistreams/internal/tuple"
 )
 
-// fuzzSeeds returns one valid encoded frame per kind, so the fuzzer starts
-// from structurally interesting corpora instead of pure noise.
+// fuzzSeeds returns one valid encoded frame per kind, and one frame per
+// retired kind, so the fuzzer starts from structurally interesting corpora
+// instead of pure noise.
 func fuzzSeeds(f *testing.F) [][]byte {
 	f.Helper()
 	var seeds [][]byte
@@ -48,17 +50,11 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		Stages: []AssignStage{{Slot: "a", Op: "pass", Host: "n0"}},
 		Peers:  []AssignPeer{{ID: "n1", Addr: "127.0.0.1:1"}}}), nil)
 	add(AppendSinkOut(nil, tp))
-	add(AppendGossipDigest(nil, &GossipDigest{From: "n1", Reply: true,
-		Entries: []DigestEntry{{Origin: "n0", Seq: 3}}}), nil)
-	add(AppendGossipDigest(nil, &GossipDigest{From: "n1", Lo: "a", Hi: "n0",
-		Entries: []DigestEntry{{Origin: "n0", Seq: 3}}}), nil)
-	add(AppendGossipDelta(nil, &GossipDelta{From: "n0", Msgs: []GossipMsg{
-		{Origin: "n0", Seq: 1, Hops: 1, Method: "member", Payload: []byte{7}},
+	add(AppendSpans(nil, &SpanDump{From: "n1", Spans: []obs.Span{
+		{Trace: 1, Seq: 0, Kind: obs.SpanIngest, Node: "n1", Slot: "a", Op: "x", At: 10},
 	}}), nil)
-	add(AppendRollup(nil, &Rollup{Region: "r", Lead: "n1", Epoch: 1,
-		Phones: 8, Idle: 1, Backlog: 2, BatteryRisk: 1, OutTuples: 40, CtrlBytes: 512}), nil)
-	add(AppendXRegionEnv(nil, &XRegionEnv{FromRegion: "a", ToRegion: "b",
-		Stream: "s", Seq: 2, Payload: []byte("p")}), nil)
+	// One frame per retired kind, each of which DecodeAny must reject.
+	seeds = append(seeds, retiredFrames()...)
 	return seeds
 }
 

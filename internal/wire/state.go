@@ -237,14 +237,6 @@ func DecodeAny(frame []byte) (interface{}, error) {
 		return DecodeSinkOut(frame)
 	case KindSpans:
 		return DecodeSpans(frame)
-	case KindGossipDigest:
-		return DecodeGossipDigest(frame)
-	case KindGossipDelta:
-		return DecodeGossipDelta(frame)
-	case KindRollup:
-		return DecodeRollup(frame)
-	case KindXRegion:
-		return DecodeXRegionEnv(frame)
 	default:
 		return nil, ErrMalformed
 	}

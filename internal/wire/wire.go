@@ -69,26 +69,13 @@ const (
 	// KindSpans is a worker's batch of recorded trace spans, shipped to
 	// the region lead when the run winds down.
 	KindSpans
-	// KindGossipDigest is the gossip layer's push-pull anti-entropy
-	// summary: per-origin delivered high-water marks.
-	KindGossipDigest
-	// KindGossipDelta is a batch of gossip messages: an eager-push
-	// forward, a graft response, or an anti-entropy repair.
-	KindGossipDelta
-	// KindRollup is one region's aggregate telemetry rollup (or the
-	// federation lead's fleet aggregate broadcast back out).
-	KindRollup
-	// KindXRegion is the cross-region tuple envelope carried over the
-	// cellular backhaul between region agents.
-	KindXRegion
 
 	numKinds
 )
 
 var kindNames = [...]string{"invalid", "stream", "batch", "preserve",
 	"command", "report", "runtime", "blob", "ckpt-chunk", "truncate",
-	"resend", "fetch-blob", "hello", "assign", "sink-out", "spans",
-	"gossip-digest", "gossip-delta", "rollup", "xregion"}
+	"resend", "fetch-blob", "hello", "assign", "sink-out", "spans"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

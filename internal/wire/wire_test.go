@@ -100,26 +100,6 @@ func frameCases(t *testing.T) []frameCase {
 		Peers: []AssignPeer{{ID: "w1", Addr: "127.0.0.1:7402"}},
 	}
 	sink := sampleTuple()
-	digest := &GossipDigest{
-		From: "r1", Reply: true, Lo: "lead", Hi: "r2",
-		Entries: []DigestEntry{{Origin: "lead", Seq: 9}, {Origin: "r2", Seq: 4}},
-	}
-	delta := &GossipDelta{
-		From: "r2",
-		Msgs: []GossipMsg{
-			{Origin: "lead", Seq: 8, Hops: 2, Method: "cap", Payload: []byte{1, 2, 3}},
-			{Origin: "r2", Seq: 4, Hops: 0, Method: "rollup", Payload: nil},
-		},
-	}
-	rollup := &Rollup{
-		Region: "uptown", Lead: "r3", Epoch: 7,
-		Phones: 16, Idle: 3, Backlog: 42, BatteryRisk: 2,
-		OutTuples: 900, CtrlBytes: 12345,
-	}
-	env := &XRegionEnv{
-		FromRegion: "busline-12", ToRegion: "downtown", Stream: "crowding",
-		Seq: 77, Payload: []byte("inner-frame"),
-	}
 	spans := &SpanDump{
 		From: "w1",
 		Spans: []obs.Span{
@@ -180,18 +160,6 @@ func frameCases(t *testing.T) []frameCase {
 		{"spans", wrapSize(SizeSpans(spans)),
 			wrap(func(d []byte) []byte { return AppendSpans(d, spans) }),
 			func(f []byte) (interface{}, error) { return DecodeSpans(f) }},
-		{"gossip-digest", wrapSize(SizeGossipDigest(digest)),
-			wrap(func(d []byte) []byte { return AppendGossipDigest(d, digest) }),
-			func(f []byte) (interface{}, error) { return DecodeGossipDigest(f) }},
-		{"gossip-delta", wrapSize(SizeGossipDelta(delta)),
-			wrap(func(d []byte) []byte { return AppendGossipDelta(d, delta) }),
-			func(f []byte) (interface{}, error) { return DecodeGossipDelta(f) }},
-		{"rollup", wrapSize(SizeRollup(rollup)),
-			wrap(func(d []byte) []byte { return AppendRollup(d, rollup) }),
-			func(f []byte) (interface{}, error) { return DecodeRollup(f) }},
-		{"xregion", wrapSize(SizeXRegionEnv(env)),
-			wrap(func(d []byte) []byte { return AppendXRegionEnv(d, env) }),
-			func(f []byte) (interface{}, error) { return DecodeXRegionEnv(f) }},
 	}
 }
 
@@ -520,7 +488,8 @@ func TestBatchRoundTripProperty(t *testing.T) {
 
 // TestBatchRejectsNonCanonical hand-builds frames that say the same thing
 // as a canonical frame in different bytes, or set bits that mean nothing;
-// each must be rejected, so a batch has exactly one encoding.
+// each must be rejected, so a batch has exactly one encoding. Frames of the
+// retired kinds are malformed too, whatever their body.
 func TestBatchRejectsNonCanonical(t *testing.T) {
 	str := func(s string) []byte { return appendString(nil, s) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -563,75 +532,32 @@ func TestBatchRejectsNonCanonical(t *testing.T) {
 		{"unknown item flag", cat(header(2), first, []byte{allSame | untraced}, seq, []byte{2}, seq, tail)},
 		{"count larger than the frame could hold", cat(header(200), first)},
 	}
+	for _, f := range retiredFrames() {
+		cases = append(cases, struct {
+			name  string
+			frame []byte
+		}{fmt.Sprintf("retired kind %d", f[0]), f})
+	}
 	for _, c := range cases {
-		if _, err := DecodeBatch(c.frame); !errors.Is(err, ErrMalformed) {
+		if _, err := DecodeAny(c.frame); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", c.name, err)
 		}
 	}
 }
 
-// TestGossipRoundTripValues pins field-level fidelity for the federation
-// kinds: digests and deltas survive intact (payloads as views), rollups and
-// envelopes carry every counter through.
-func TestGossipRoundTripValues(t *testing.T) {
-	d := GossipDelta{From: "r2", Msgs: []GossipMsg{
-		{Origin: "lead", Seq: 8, Hops: 3, Method: "cap", Payload: []byte{1, 2}},
-		{Origin: "r9", Seq: 1, Hops: 0, Method: "member", Payload: nil},
-	}}
-	got, err := DecodeGossipDelta(AppendGossipDelta(nil, &d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.From != d.From || len(got.Msgs) != 2 {
-		t.Fatalf("delta header mismatch: %+v", got)
-	}
-	m := got.Msgs[0]
-	if m.Origin != "lead" || m.Seq != 8 || m.Hops != 3 || m.Method != "cap" || !bytes.Equal(m.Payload, []byte{1, 2}) {
-		t.Fatalf("delta msg mismatch: %+v", m)
-	}
-	if got.Msgs[1].Method != "member" || len(got.Msgs[1].Payload) != 0 {
-		t.Fatalf("empty-payload msg mismatch: %+v", got.Msgs[1])
-	}
-
-	dg := GossipDigest{From: "r1", Lo: "a", Hi: "m", Entries: []DigestEntry{{Origin: "a", Seq: 1}}}
-	gotDg, err := DecodeGossipDigest(AppendGossipDigest(nil, &dg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDg.Reply || gotDg.Entries[0].Origin != "a" || gotDg.Entries[0].Seq != 1 {
-		t.Fatalf("digest mismatch: %+v", gotDg)
-	}
-	if gotDg.Lo != "a" || gotDg.Hi != "m" {
-		t.Fatalf("digest window mismatch: %+v", gotDg)
-	}
-	if !gotDg.Covers("a") || !gotDg.Covers("lz") || gotDg.Covers("m") || gotDg.Covers("A") {
-		t.Fatal("digest window coverage wrong (half-open [Lo,Hi))")
-	}
-	full := GossipDigest{From: "r1"}
-	if !full.Covers("anything") || !full.Covers("") {
-		t.Fatal("unbounded digest must cover every origin")
-	}
-
-	ru := Rollup{Region: "uptown", Lead: "r3", Epoch: 7, Phones: 16, Idle: 3,
-		Backlog: 42, BatteryRisk: 2, OutTuples: 900, CtrlBytes: 12345}
-	gotRu, err := DecodeRollup(AppendRollup(nil, &ru))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRu != ru {
-		t.Fatalf("rollup mismatch: got %+v want %+v", gotRu, ru)
-	}
-
-	env := XRegionEnv{FromRegion: "busline-12", ToRegion: "downtown",
-		Stream: "crowding", Seq: 77, Payload: []byte("inner")}
-	gotEnv, err := DecodeXRegionEnv(AppendXRegionEnv(nil, &env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotEnv.FromRegion != env.FromRegion || gotEnv.ToRegion != env.ToRegion ||
-		gotEnv.Stream != env.Stream || gotEnv.Seq != env.Seq ||
-		!bytes.Equal(gotEnv.Payload, env.Payload) {
-		t.Fatalf("envelope mismatch: %+v", gotEnv)
+// retiredFrames holds one frame for each retired kind (16–19: the gossip
+// digest and delta, the region rollup, the cross-region envelope), each
+// with a body that kind's decoder accepted while it existed.
+func retiredFrames() [][]byte {
+	str := func(s string) []byte { return appendString(nil, s) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	u32 := func(v uint32) []byte { return appendU32(nil, v) }
+	u64 := func(v uint64) []byte { return appendU64(nil, v) }
+	return [][]byte{
+		cat([]byte{16}, str("n1"), []byte{0}, str(""), str(""), u32(1), str("n0"), u64(3)),
+		cat([]byte{17}, str("n0"), u32(1), str("n0"), u64(1), []byte{1}, str("member"), appendBytes(nil, []byte{7})),
+		cat([]byte{18}, str("r"), str("n1"), u64(1), u64(8), u64(1), u64(2), u64(1), u64(40), u64(512)),
+		cat([]byte{19}, str("a"), str("b"), str("s"), u64(2), appendBytes(nil, []byte("p"))),
 	}
 }
 

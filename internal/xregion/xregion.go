@@ -91,14 +91,6 @@ var pipeline = []wire.AssignStage{
 	{Slot: "s3", Op: "pass"},
 }
 
-// NewStageOp instantiates a stage operator by its assignment name. The
-// federation's cross-region pipelines reuse the same stage vocabulary, so
-// a region description ("pass", "win8", "agg") means the same thing on a
-// worker phone and on a federated source region.
-func NewStageOp(name, slot string) (operator.Operator, error) {
-	return newOp(name, slot)
-}
-
 // newOp instantiates a stage operator by its assignment name.
 func newOp(name, slot string) (operator.Operator, error) {
 	switch name {
