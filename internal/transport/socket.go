@@ -46,6 +46,9 @@ const (
 	// neighbours in bursts (at 64 KB the benchmark's relay chain kept the
 	// cores ~10 % less busy in about half of all runs).
 	readBufBytes = coalesceMax
+	// recvChunkBytes sizes the arrays an inbound connection carves the
+	// bodies of frames up to coalesceMax from (see frameReader).
+	recvChunkBytes = 4 * readBufBytes
 	// bodyStep bounds what a frame's length prefix alone may allocate; past
 	// it the body grows only as fast as its bytes arrive.
 	bodyStep = 1 << 20
@@ -652,22 +655,27 @@ func writeFrame(c net.Conn, class simnet.Class, frame []byte) error {
 	return err
 }
 
-// readFrame reads one framed message; the returned frame is freshly
-// allocated and owned by the caller. The length prefix alone allocates at
-// most bodyStep: past that the body doubles only once everything allocated
-// so far has arrived, so a peer that announces a huge frame and stalls pins
-// memory in proportion to what it actually sent. A body larger than r's
-// buffer is read straight into place, not through the buffer.
-func readFrame(r *bufio.Reader) (simnet.Class, []byte, error) {
+// readLen reads and checks one framed message's length prefix.
+func readLen(r *bufio.Reader) (int, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr))
 	if n < 1 || n > maxFrameBytes {
-		return 0, nil, fmt.Errorf("transport: frame length %d out of range", n)
+		return 0, fmt.Errorf("transport: frame length %d out of range", n)
 	}
 	r.Discard(4) // cannot fail: Peek buffered these bytes
+	return n, nil
+}
+
+// readBody reads a frame body of n bytes (class byte included) into a
+// fresh array. The length prefix alone allocates at most bodyStep: past
+// that the body doubles only once everything allocated so far has arrived,
+// so a peer that announces a huge frame and stalls pins memory in
+// proportion to what it actually sent. A body larger than r's buffer is
+// read straight into place, not through the buffer.
+func readBody(r *bufio.Reader, n int) (simnet.Class, []byte, error) {
 	body := make([]byte, min(n, bodyStep))
 	for have := 0; ; have = len(body) {
 		if have > 0 {
@@ -682,6 +690,41 @@ func readFrame(r *bufio.Reader) (simnet.Class, []byte, error) {
 			return simnet.Class(body[0]), body[1:], nil
 		}
 	}
+}
+
+// frameReader reads the frames of one inbound connection. Bodies of up to
+// coalesceMax bytes are carved from a chunk of recvChunkBytes, as
+// tuple.Slab carves tuples: a carved range is never handed out again, so
+// every frame still belongs to its handler, and the collector frees a
+// chunk once no frame carved from it is referenced. Each body is capped at
+// its length, so a handler that appends to its frame reallocates instead
+// of writing over the next one. Larger bodies take readBody's path.
+type frameReader struct {
+	r     *bufio.Reader
+	chunk []byte // the current chunk's uncarved tail
+}
+
+func (fr *frameReader) next() (simnet.Class, []byte, error) {
+	n, err := readLen(fr.r)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n-1 > coalesceMax {
+		return readBody(fr.r, n)
+	}
+	class, err := fr.r.ReadByte()
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(fr.chunk) < n-1 {
+		fr.chunk = make([]byte, recvChunkBytes)
+	}
+	body := fr.chunk[: n-1 : n-1]
+	fr.chunk = fr.chunk[n-1:]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
+		return 0, nil, err
+	}
+	return simnet.Class(class), body, nil
 }
 
 func (s *Socket) acceptLoop() {
@@ -713,8 +756,14 @@ func (s *Socket) serveConn(c net.Conn) {
 		delete(s.inbound, c)
 		s.mu.Unlock()
 	}()
-	r := bufio.NewReaderSize(c, readBufBytes)
-	_, first, err := readFrame(r)
+	// The hello is read into its own body, so a connection that never
+	// completes one costs no receive chunk.
+	fr := frameReader{r: bufio.NewReaderSize(c, readBufBytes)}
+	n, err := readLen(fr.r)
+	if err != nil {
+		return
+	}
+	_, first, err := readBody(fr.r, n)
 	if err != nil {
 		return
 	}
@@ -726,7 +775,7 @@ func (s *Socket) serveConn(c net.Conn) {
 		s.AddPeer(hello.ID, hello.Addr)
 	}
 	for {
-		class, frame, err := readFrame(r)
+		class, frame, err := fr.next()
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -161,5 +162,106 @@ func TestSocketHugeLengthAllocatesAsBytesArrive(t *testing.T) {
 		if !bytes.Equal(got.frame[i:i+len(chunk)], chunk) {
 			t.Fatalf("body corrupted in the MB at offset %d", i)
 		}
+	}
+}
+
+// carveBurst frames n seeded random bodies of mixed sizes: mostly small,
+// some at and just past coalesceMax, a few well past it.
+func carveBurst(n int) (burst []byte, bodies [][]byte) {
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < n; i++ {
+		size := rng.Intn(600)
+		switch {
+		case i%100 == 7:
+			size = coalesceMax
+		case i%100 == 8:
+			size = coalesceMax + 1
+		case i%50 == 9:
+			size = coalesceMax + rng.Intn(3*coalesceMax)
+		}
+		body := make([]byte, size)
+		rng.Read(body)
+		bodies = append(bodies, body)
+		burst = appendFramed(burst, simnet.ClassData, body)
+	}
+	return burst, bodies
+}
+
+// TestSocketCarvedFramesKeptIntact: a handler that keeps every frame of a
+// 1,000-frame burst of mixed sizes finds all of them intact once the last
+// has arrived, though the small ones share receive chunks.
+func TestSocketCarvedFramesKeptIntact(t *testing.T) {
+	s, sc := newSock(t, "s")
+	c := dialRaw(t, s)
+	const n = 1000
+	burst, bodies := carveBurst(n)
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range sc.wait(t, n, 10*time.Second) {
+		if !bytes.Equal(r.frame, bodies[i]) {
+			t.Fatalf("kept frame %d (%d bytes) changed after later frames arrived", i, len(bodies[i]))
+		}
+	}
+}
+
+// TestSocketCarvedFrameAppendLeavesNextIntact: a handler that appends to
+// the frame before the current one (the frame carved just ahead of it)
+// leaves the current frame, and every later one, intact.
+func TestSocketCarvedFrameAppendLeavesNextIntact(t *testing.T) {
+	s, err := NewSocket("s", "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	const n = 300
+	burst, bodies := carveBurst(n)
+	var kept [][]byte
+	done := make(chan struct{})
+	s.Receive(func(_ simnet.NodeID, _ simnet.Class, frame []byte) {
+		if i := len(kept); i > 0 {
+			kept[i-1] = append(kept[i-1], bytes.Repeat([]byte{0xEE}, 64)...)
+		}
+		if !bytes.Equal(frame, bodies[len(kept)]) {
+			t.Errorf("frame %d arrived changed", len(kept))
+		}
+		if kept = append(kept, frame); len(kept) == n {
+			close(done)
+		}
+	})
+	c := dialRaw(t, s)
+	if _, err := c.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("burst did not arrive")
+	}
+	for i, f := range kept[:n-1] {
+		if !bytes.Equal(f[:len(bodies[i])], bodies[i]) {
+			t.Fatalf("frame %d changed", i)
+		}
+	}
+}
+
+// TestSocketCarvesSmallFrameBodies pins the receive path's allocations:
+// small frames are carved from shared chunks, so N of them cost at most
+// N/50 body allocations (one each when every body was its own array).
+func TestSocketCarvesSmallFrameBodies(t *testing.T) {
+	const n = 2000
+	body := make([]byte, 200)
+	var stream []byte
+	for i := 0; i <= n; i++ {
+		stream = appendFramed(stream, simnet.ClassData, body)
+	}
+	fr := frameReader{r: bufio.NewReaderSize(bytes.NewReader(stream), readBufBytes)}
+	allocs := testing.AllocsPerRun(n, func() {
+		if _, f, err := fr.next(); err != nil || len(f) != len(body) {
+			t.Fatalf("read %d bytes, %v", len(f), err)
+		}
+	})
+	if allocs > 1.0/50 {
+		t.Fatalf("reading a 200-byte frame allocated %.3f times, want <= %.3f", allocs, 1.0/50)
 	}
 }

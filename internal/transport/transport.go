@@ -7,7 +7,8 @@
 //
 // Frame ownership: Tell treats the frame as borrowed — callers may reuse
 // the buffer as soon as the call returns. Receive hands the handler a
-// frame it owns.
+// frame it owns. A kept frame may keep a larger receive array alive: the
+// socket backend carves small frames from shared per-connection chunks.
 package transport
 
 import (

@@ -60,8 +60,9 @@ func fuzzSeeds(f *testing.F) [][]byte {
 
 // FuzzDecodeAny feeds arbitrary bytes through the full decode dispatch.
 // The invariant under fuzz: decoding never panics and never over-reads;
-// malformed or truncated frames surface as errors. Valid frames must
-// re-encode losslessly where the kind supports canonical re-encoding.
+// malformed or truncated frames surface as errors. Valid runtime and blob
+// frames, whose maps encode as sorted key lists, must re-encode to
+// identical bytes (stream and batch frames have fuzzers of their own).
 func FuzzDecodeAny(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -73,8 +74,19 @@ func FuzzDecodeAny(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if v == nil {
+		var re []byte
+		switch v := v.(type) {
+		case nil:
 			t.Fatalf("kind %s decoded to nil without error", FrameKind(data))
+		case Runtime:
+			re = AppendRuntime(nil, &v)
+		case *checkpoint.Blob:
+			re = AppendBlob(nil, v)
+		default:
+			return
+		}
+		if string(re) != string(data) {
+			t.Fatalf("%s decode/encode not canonical:\n in=%x\nout=%x", FrameKind(data), data, re)
 		}
 	})
 }

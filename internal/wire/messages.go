@@ -165,8 +165,8 @@ func appendTupleTail(dst []byte, t *tuple.Tuple) ([]byte, error) {
 func decodeTuple(r *reader) *tuple.Tuple {
 	t := &tuple.Tuple{}
 	t.Seq = r.u64()
-	t.Source = r.str()
-	t.Kind = r.str()
+	t.Source = r.interned()
+	t.Kind = r.interned()
 	decodeTupleTail(r, t)
 	var bs tuple.Boxes[[]byte]
 	t.Value = decodeValue(r, &bs, 1)
@@ -277,10 +277,10 @@ func DecodeStream(frame []byte) (Stream, error) {
 	r := reader{b: frame}
 	r.kind(KindStream)
 	var m Stream
-	m.FromSlot = r.str()
-	m.FromOp = r.str()
-	m.ToSlot = r.str()
-	m.ToOp = r.str()
+	m.FromSlot = r.interned()
+	m.FromOp = r.interned()
+	m.ToSlot = r.interned()
+	m.ToOp = r.interned()
 	m.EdgeSeq = r.u64()
 	m.TraceID = r.u64()
 	m.TraceSeq = r.u32()
@@ -427,13 +427,13 @@ func AppendBatch(dst []byte, b *Batch) ([]byte, error) {
 }
 
 // name reads a delta-coded name: the predecessor's when its "same" bit is
-// set (a string-header copy, no allocation), else a literal, which the
+// set (a string-header copy), else an interned literal, which the
 // canonical encoding requires to differ from the predecessor.
 func (r *reader) name(same byte, prev string) string {
 	if same != 0 {
 		return prev
 	}
-	s := r.str()
+	s := r.interned()
 	if r.err == nil && s == prev {
 		r.fail(ErrMalformed, "non-canonical repeated name")
 	}
@@ -448,7 +448,7 @@ func DecodeBatch(frame []byte) (Batch, error) {
 	r := reader{b: frame}
 	r.kind(KindBatch)
 	var b Batch
-	b.ToSlot = r.str()
+	b.ToSlot = r.interned()
 	n := r.count(batchMsgMin)
 	if r.err != nil || n == 0 {
 		return b, r.done()
@@ -526,7 +526,7 @@ func DecodePreserve(frame []byte) (Preserve, error) {
 	r.kind(KindPreserve)
 	var p Preserve
 	p.Version = r.u64()
-	p.Source = r.str()
+	p.Source = r.interned()
 	p.T = decodeTuple(&r)
 	return p, r.done()
 }

@@ -78,11 +78,24 @@ func appendSortedU64Map(dst []byte, m map[string]uint64) []byte {
 func decodeU64Map(r *reader) map[string]uint64 {
 	n := r.count(4 + 8)
 	m := make(map[string]uint64, n)
+	var k string
 	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str()
+		k = r.key(i, k)
 		m[k] = r.u64()
 	}
 	return m
+}
+
+// key reads the i-th key of a sorted key list, whose previous key is prev.
+// Encoders write keys sorted and unique, so a key that does not sort
+// strictly after its predecessor is rejected: a map has exactly one
+// encoding.
+func (r *reader) key(i int, prev string) string {
+	k := r.str()
+	if r.err == nil && i > 0 && k <= prev {
+		r.fail(ErrMalformed, "unsorted or repeated key")
+	}
+	return k
 }
 
 // SizeBlob reports the exact frame size AppendBlob will produce.
@@ -153,15 +166,18 @@ func DecodeBlob(frame []byte) (*checkpoint.Blob, error) {
 	b.Runtime = r.bytes()
 	if n := r.count(4 + 4); r.err == nil {
 		b.Ops = make(map[string][]byte, n)
+		var id string
 		for i := 0; i < n && r.err == nil; i++ {
-			id := r.str()
+			id = r.key(i, id)
 			b.Ops[id] = r.bytes()
 		}
 	}
 	if n := r.count(4); r.err == nil && n > 0 {
 		b.DeltaOps = make(map[string]bool, n)
+		var id string
 		for i := 0; i < n && r.err == nil; i++ {
-			b.DeltaOps[r.str()] = true
+			id = r.key(i, id)
+			b.DeltaOps[id] = true
 		}
 	}
 	if err := r.done(); err != nil {

@@ -17,8 +17,9 @@
 //     malformed or truncated input yields an error — never a panic or an
 //     over-read. Decoding returns values, not views: every string is
 //     copied out of the frame, and only []byte fields are views into it
-//     (valid only while the frame is). Batch decode shares one copy of a
-//     name between the messages that repeat it.
+//     (valid only while the frame is). Slot, operator, source and kind
+//     names come from a process-wide intern table (intern.go), so a name
+//     an earlier frame carried costs no allocation.
 //
 // A frame is one kind byte followed by the kind-specific body. DecodeAny
 // dispatches on the kind and fully validates the body, including rejecting
