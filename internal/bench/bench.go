@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
@@ -143,25 +144,21 @@ func Run(s Scenario) (Outcome, error) {
 		return Outcome{}, err
 	}
 
-	w, err := newWorld(worldConfig{
-		Speedup:          s.Speedup,
-		Cell:             paperCell,
-		CheckpointPeriod: s.CheckpointPeriod,
-		Region: region.Config{
-			Graph:             app.graph,
-			Registry:          app.registry,
-			Scheme:            s.Scheme,
-			Phones:            s.Phones,
-			WiFi:              simnet.WiFiConfig{BitsPerSecond: paperWiFiBps, LossProb: paperWiFiLoss, Channels: s.Channels, Seed: s.Seed},
-			PreserveBroadcast: s.Scheme.Kind == ft.MS, // source logs replicate region-wide
-			Obs:               s.Obs,
-		},
+	d := deploy.New(s.Speedup, paperCell, controller.Config{CheckpointPeriod: s.CheckpointPeriod})
+	r, err := d.AddRegion(region.Config{
+		ID:       "r1",
+		Graph:    app.graph,
+		Registry: app.registry,
+		Scheme:   s.Scheme,
+		Phones:   s.Phones,
+		WiFi:     simnet.WiFiConfig{BitsPerSecond: paperWiFiBps, LossProb: paperWiFiLoss, Channels: s.Channels, Seed: s.Seed},
+		Obs:      s.Obs,
 	})
 	if err != nil {
 		return Outcome{}, err
 	}
-	w.start()
-	clk, ctrl, r := w.clk, w.ctrl, w.r
+	d.Start()
+	clk, ctrl := d.Clock, d.Ctrl
 
 	gen := workload.NewGenerator(clk)
 	app.start(gen, r.Ingest, s.Seed)
@@ -199,7 +196,7 @@ func Run(s Scenario) (Outcome, error) {
 		Duplicates: r.DuplicateOutputs(),
 	}
 	gen.Stop()
-	w.stop()
+	d.Stop()
 	return out, nil
 }
 

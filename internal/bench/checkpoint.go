@@ -5,6 +5,8 @@ import (
 	"io"
 	"time"
 
+	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/node"
@@ -81,26 +83,22 @@ func runCkpt(seed int64, speedup float64, stateBytes int, fullOnly bool) (CkptOu
 	if err != nil {
 		return CkptOutcome{}, err
 	}
-	w, err := newWorld(worldConfig{
-		Speedup:          speedup,
-		Cell:             paperCell,
-		CheckpointPeriod: ckptPeriod,
-		Region: region.Config{
-			Graph:             g,
-			Registry:          reg,
-			Scheme:            ft.MSScheme,
-			Phones:            ckptPhones,
-			WiFi:              simnet.WiFiConfig{BitsPerSecond: ckptWiFiBps, LossProb: paperWiFiLoss, Seed: seed},
-			PreserveBroadcast: true,
-			Checkpoint:        node.CheckpointConfig{FullOnly: fullOnly},
-		},
+	d := deploy.New(speedup, paperCell, controller.Config{CheckpointPeriod: ckptPeriod})
+	r, err := d.AddRegion(region.Config{
+		ID:         "r1",
+		Graph:      g,
+		Registry:   reg,
+		Scheme:     ft.MSScheme,
+		Phones:     ckptPhones,
+		WiFi:       simnet.WiFiConfig{BitsPerSecond: ckptWiFiBps, LossProb: paperWiFiLoss, Seed: seed},
+		Checkpoint: node.CheckpointConfig{FullOnly: fullOnly},
 	})
 	if err != nil {
 		return CkptOutcome{}, err
 	}
-	w.start()
-	clk, r := w.clk, w.r
-	gen, _ := w.ingestBus(ckptSourcePeriod, seed, func(int64) string { return "S" })
+	d.Start()
+	clk := d.Clock
+	gen, _ := ingestBus(d, r, ckptSourcePeriod, seed, func(int64) string { return "S" })
 
 	clk.Sleep(ckptWarmup)
 	r.OpenWindow()
@@ -126,7 +124,7 @@ func runCkpt(seed int64, speedup float64, stateBytes int, fullOnly bool) (CkptOu
 		ThroughputTPS: r.Report(clk.Now()).ThroughputTPS,
 	}
 	gen.Stop()
-	w.stop()
+	d.Stop()
 	return out, nil
 }
 

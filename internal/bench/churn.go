@@ -5,11 +5,15 @@ import (
 	"io"
 	"time"
 
+	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
+	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 	"mobistreams/internal/workload"
@@ -161,41 +165,39 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 		return ChurnOutcome{}, err
 	}
 	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
-	var w *world
-	w, err = newWorld(worldConfig{
-		Speedup:          s.Speedup,
-		Cell:             paperCell,
-		CheckpointPeriod: s.CheckpointPeriod,
-		Planner:          s.Planner,
-		Region: region.Config{
-			Graph:             g,
-			Registry:          reg,
-			Scheme:            s.Scheme,
-			Phones:            s.Phones,
-			WiFi:              simnet.WiFiConfig{BitsPerSecond: paperWiFiBps, LossProb: paperWiFiLoss, Channels: s.Channels, Seed: s.Seed},
-			PhoneCfg:          phone.Config{BatteryJoules: churnBatteryJoules},
-			PreserveBroadcast: s.Scheme.Kind == ft.MS,
-			RadiusM:           churnRadiusM,
-			OnSinkOutput:      func(simnet.NodeID, *tuple.Tuple) { gaps.tick(w.clk.Now()) },
-		},
+	cc := controller.Config{CheckpointPeriod: s.CheckpointPeriod}
+	if s.Planner {
+		cc.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
+	}
+	d := deploy.New(s.Speedup, paperCell, cc)
+	clk, ctrl := d.Clock, d.Ctrl
+	r, err := d.AddRegion(region.Config{
+		ID:           "r1",
+		Graph:        g,
+		Registry:     reg,
+		Scheme:       s.Scheme,
+		Phones:       s.Phones,
+		WiFi:         simnet.WiFiConfig{BitsPerSecond: paperWiFiBps, LossProb: paperWiFiLoss, Channels: s.Channels, Seed: s.Seed},
+		PhoneCfg:     phone.Config{BatteryJoules: churnBatteryJoules},
+		RadiusM:      churnRadiusM,
+		OnSinkOutput: func(simnet.NodeID, *tuple.Tuple) { gaps.tick(clk.Now()) },
 	})
 	if err != nil {
 		return ChurnOutcome{}, err
 	}
-	w.start()
-	r, ctrl := w.r, w.ctrl
+	d.Start()
 
 	// Warm up: let the first checkpoint commit before churn starts.
-	w.clk.Sleep(s.CheckpointPeriod)
+	clk.Sleep(s.CheckpointPeriod)
 
 	// Ingest: one tuple per source period, counted from the window open and
 	// rotated across the pipelines so every chain carries identical load.
-	gen, ingested := w.ingestBus(churnSourcePeriod, s.Seed, func(n int64) string {
+	gen, ingested := ingestBus(d, r, churnSourcePeriod, s.Seed, func(n int64) string {
 		return sources[int((n-1)%int64(len(sources)))]
 	})
 	start := r.OpenWindow()
 	gaps.open(start, start+s.Measure)
-	churn, joins := w.startChurn(workload.ChurnConfig{
+	churn, joins := startChurn(d, r, workload.ChurnConfig{
 		MeanLeave:     s.MeanLeave,
 		MeanJoin:      churnMeanJoin,
 		CliffShare:    churnCliffShare,
@@ -205,12 +207,12 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 		Seed:          s.Seed,
 	}, churnBatteryJoules)
 
-	w.clk.Sleep(s.Measure)
+	clk.Sleep(s.Measure)
 	churn.Stop()
 	gen.Stop()
-	w.clk.Sleep(s.Drain)
+	clk.Sleep(s.Drain)
 
-	rep := r.Report(w.clk.Now())
+	rep := r.Report(clk.Now())
 	out := ChurnOutcome{
 		Scheme:            s.Scheme.String(),
 		Mode:              "reactive",
@@ -234,7 +236,7 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 	}
 	out.Lost = max(0, out.Ingested-out.Delivered)
 	out.ThroughputTPS = float64(out.Delivered) / s.Measure.Seconds()
-	w.stop()
+	d.Stop()
 	return out, nil
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
@@ -126,35 +128,33 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 	if err != nil {
 		return ElasticOutcome{}, err
 	}
-	w, err := newWorld(worldConfig{
-		Speedup:          elasticSpeedup,
-		Cell:             simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6},
-		CheckpointPeriod: time.Hour,
-		Region: region.Config{
-			Graph:    g,
-			Registry: reg,
-			Scheme:   ft.MSScheme,
-			Phones:   elasticPhones,
-			// Saturation physics demand exact per-instance service rates in
-			// simulated time (utilisation ~0.66 uniform, ~1.2 under the
-			// hotspot); virtual CPU anchoring keeps them exact even when the
-			// host schedules the executors late.
-			PhoneCfg: phone.Config{VirtualCPUTime: true},
-			WiFi:     simnet.WiFiConfig{BitsPerSecond: 100e6, Seed: seed},
-		},
+	d := deploy.New(elasticSpeedup, simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6},
+		controller.Config{CheckpointPeriod: time.Hour})
+	r, err := d.AddRegion(region.Config{
+		ID:       "r1",
+		Graph:    g,
+		Registry: reg,
+		Scheme:   ft.MSScheme,
+		Phones:   elasticPhones,
+		// Saturation physics demand exact per-instance service rates in
+		// simulated time (utilisation ~0.66 uniform, ~1.2 under the
+		// hotspot); virtual CPU anchoring keeps them exact even when the
+		// host schedules the executors late.
+		PhoneCfg: phone.Config{VirtualCPUTime: true},
+		WiFi:     simnet.WiFiConfig{BitsPerSecond: 100e6, Seed: seed},
 	})
 	if err != nil {
 		return ElasticOutcome{}, err
 	}
-	clk, r := w.clk, w.r
+	clk := d.Clock
 	// Two active instances split the keyspace at the midpoint key, so each
 	// hotspot phase lands entirely on one instance's range.
 	mid := fmt.Sprintf("k%02d", elasticKeys/2)
 	if err := r.SeedKeyRanges(elasticLogical, []string{mid}); err != nil {
 		return ElasticOutcome{}, err
 	}
-	w.start()
-	defer w.stop()
+	d.Start()
+	defer d.Stop()
 
 	// Workload: elasticRate tuples per simulated second, emitted in 50 ms
 	// ticks with fractional carry so the sim-time rate holds regardless of

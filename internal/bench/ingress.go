@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"mobistreams/internal/clock"
+	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/node"
@@ -82,14 +83,14 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 	if err != nil {
 		return IngressResult{}, err
 	}
-	clk := clock.NewScaled(ingressSpeedup)
+	d := deploy.New(ingressSpeedup, paperCell, controller.Config{})
+	clk := d.Clock
 	rcfg := region.Config{
 		ID:       "ingress",
 		Graph:    g,
 		Registry: reg,
 		Scheme:   ft.BaseScheme,
 		Phones:   2,
-		Clock:    clk,
 		WiFi:     ingressWiFi,
 		// The flood outlives a stock battery; energy is not under test.
 		PhoneCfg: phone.Config{BatteryJoules: 1e12},
@@ -99,12 +100,12 @@ func RunIngress(cfg IngressConfig) (IngressResult, error) {
 		out := cfg.OnOutput
 		rcfg.OnSinkOutput = func(_ simnet.NodeID, t *tuple.Tuple) { out(t) }
 	}
-	r, err := region.New(rcfg)
+	r, err := d.AddRegion(rcfg)
 	if err != nil {
 		return IngressResult{}, err
 	}
-	r.Start()
-	defer r.Stop()
+	d.Start()
+	defer d.Stop()
 
 	simStart := clk.Now()
 	for i := 0; i < cfg.Tuples; i++ {

@@ -8,7 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobistreams/internal/clock"
+	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
@@ -169,14 +170,14 @@ func runScale(seed int64, phones, channels int, measure time.Duration) (ScaleRow
 		return ScaleRow{}, err
 	}
 	slots := len(g.Slots())
-	clk := clock.NewScaled(scaleSpeedup)
-	r, err := region.New(region.Config{
+	d := deploy.New(scaleSpeedup, paperCell, controller.Config{})
+	clk := d.Clock
+	r, err := d.AddRegion(region.Config{
 		ID:       "scale",
 		Graph:    g,
 		Registry: reg,
 		Scheme:   ft.BaseScheme,
 		Phones:   slots,
-		Clock:    clk,
 		WiFi: simnet.WiFiConfig{
 			BitsPerSecond: paperWiFiBps,
 			LossProb:      paperWiFiLoss,
@@ -191,7 +192,7 @@ func runScale(seed int64, phones, channels int, measure time.Duration) (ScaleRow
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	r.Start()
+	d.Start()
 
 	// One driver goroutine multiplexes every leaf source on an absolute
 	// schedule (offset_i + k×period of simulated time): a single sleeper
@@ -257,7 +258,7 @@ func runScale(seed int64, phones, channels int, measure time.Duration) (ScaleRow
 	row.AllocsPerTuple, _ = allocs.PerUnit(delivered)
 	close(stop)
 	wg.Wait()
-	r.Stop()
+	d.Stop()
 	return row, nil
 }
 

@@ -6,19 +6,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobistreams/internal/broadcast"
-	"mobistreams/internal/clock"
-	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/phone"
-	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/workload"
 )
 
 // paperCell is the 3G link every scenario but elastic runs its controller
-// traffic over.
+// traffic over. The controller's defaults are the paper's 30 s ping, 10 s
+// timeout and 2 s debounce, so scenarios pass only what differs.
 var paperCell = simnet.CellularConfig{
 	UpBitsPerSecond:   0.16e6,
 	DownBitsPerSecond: 0.7e6,
@@ -34,90 +31,27 @@ const (
 	paperWiFiLoss = 0.02
 )
 
-// worldConfig is what differs between scenarios; everything else about the
-// deployment is fixed by newWorld.
-type worldConfig struct {
-	Speedup          float64
-	Cell             simnet.CellularConfig
-	CheckpointPeriod time.Duration
-	// Planner puts the placement planner on the controller's 5 s tick.
-	Planner bool
-	// Region is the scenario's half of the region config; newWorld fills in
-	// ID, Clock, Cell, ControllerID and Broadcast.
-	Region region.Config
-}
-
-// world is one simulated deployment: a scaled clock, the cellular uplink, a
-// controller with the paper's 30 s ping / 10 s timeout / 2 s debounce, and
-// the single region "r1" it manages.
-type world struct {
-	clk  *clock.Scaled
-	ctrl *controller.Controller
-	r    *region.Region
-}
-
-func newWorld(c worldConfig) (*world, error) {
-	clk := clock.NewScaled(c.Speedup)
-	cell := simnet.NewCellular(clk, c.Cell)
-	cc := controller.Config{
-		Clock:            clk,
-		Cell:             cell,
-		CheckpointPeriod: c.CheckpointPeriod,
-		PingInterval:     30 * time.Second,
-		PingTimeout:      10 * time.Second,
-		DebounceWindow:   2 * time.Second,
-		ScheduleTick:     5 * time.Second,
-	}
-	if c.Planner {
-		cc.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
-	}
-	ctrl := controller.New(cc)
-	rc := c.Region
-	rc.ID = "r1"
-	rc.Clock = clk
-	rc.Cell = cell
-	rc.ControllerID = ctrl.ID()
-	rc.Broadcast = broadcast.Config{BlockSize: 1024}
-	r, err := region.New(rc)
-	if err != nil {
-		return nil, err
-	}
-	ctrl.AddRegion(r)
-	return &world{clk: clk, ctrl: ctrl, r: r}, nil
-}
-
-func (w *world) start() {
-	w.r.Start()
-	w.ctrl.Start()
-}
-
-func (w *world) stop() {
-	w.r.Stop()
-	w.ctrl.Stop()
-}
-
-// ingestBus feeds the region one 2 KB "count" tuple per period from the BCP
-// bus workload; src names the source operator of the n-th tuple (n from 1).
-// The counter is the number ingested so far.
-func (w *world) ingestBus(period time.Duration, seed int64, src func(n int64) string) (*workload.Generator, *atomic.Int64) {
+// ingestBus feeds r one 2 KB "count" tuple per period from the BCP bus
+// workload; src names the source operator of the n-th tuple (n from 1). The
+// counter is the number ingested so far.
+func ingestBus(d *deploy.Deployment, r *region.Region, period time.Duration, seed int64, src func(n int64) string) (*workload.Generator, *atomic.Int64) {
 	var ingested atomic.Int64
-	gen := workload.NewGenerator(w.clk)
+	gen := workload.NewGenerator(d.Clock)
 	gen.StartBCPBus(func(_ string, v interface{}, _ int, _ string) {
-		w.r.Ingest(src(ingested.Add(1)), v, 2048, "count")
+		r.Ingest(src(ingested.Add(1)), v, 2048, "count")
 	}, workload.BCPBusConfig{Period: period, Seed: seed})
 	return gen, &ingested
 }
 
 // startChurn runs Poisson leaves (battery cliffs and commuter walks over the
-// range boundary) against the phones hosting slots, plus Poisson joins of
-// fresh phones. The counter is the number of joins so far.
-func (w *world) startChurn(cfg workload.ChurnConfig, battery float64) (*workload.Generator, *atomic.Int64) {
-	r := w.r
+// range boundary) against the phones of r hosting slots, plus Poisson joins
+// of fresh phones. The counter is the number of joins so far.
+func startChurn(d *deploy.Deployment, r *region.Region, cfg workload.ChurnConfig, battery float64) (*workload.Generator, *atomic.Int64) {
 	var mu sync.Mutex
 	victimised := make(map[simnet.NodeID]bool)
 	var joins atomic.Int64
 	slots := r.Graph().Slots()
-	churn := workload.NewGenerator(w.clk)
+	churn := workload.NewGenerator(d.Clock)
 	churn.StartChurn(workload.ChurnHooks{
 		Victim: func(rng *rand.Rand) (simnet.NodeID, bool) {
 			slot := slots[rng.Intn(len(slots))]
@@ -156,7 +90,7 @@ func (w *world) startChurn(cfg workload.ChurnConfig, battery float64) (*workload
 		},
 		Departed: func(id simnet.NodeID) {
 			r.DepartPhone(id)
-			w.ctrl.NotifyDeparture(r.ID(), id)
+			d.Ctrl.NotifyDeparture(r.ID(), id)
 		},
 		Join: func(int) {
 			r.AddPhone(phone.Config{BatteryJoules: battery})

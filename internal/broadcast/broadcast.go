@@ -20,8 +20,9 @@ import (
 
 // Config parameterises the protocol.
 type Config struct {
-	// BlockSize is the UDP block payload size (paper: 1 KB; large UDP
-	// datagrams fragment and die on lossy media).
+	// BlockSize is the UDP block payload size (default DefaultBlockSize,
+	// the paper's 1 KB; large UDP datagrams fragment and die on lossy
+	// media).
 	BlockSize int
 	// QueryTimeout bounds how long the sender waits for one bitmap
 	// response before writing the peer off (simulated time).
@@ -35,9 +36,12 @@ const maxUDPPhases = 16
 // queryBytes is the size of a bitmap query message.
 const queryBytes = 64
 
+// DefaultBlockSize is the paper's 1 KB UDP block.
+const DefaultBlockSize = 1024
+
 func (c *Config) applyDefaults() {
 	if c.BlockSize <= 0 {
-		c.BlockSize = 1024
+		c.BlockSize = DefaultBlockSize
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 30 * time.Second

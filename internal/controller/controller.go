@@ -20,7 +20,6 @@ import (
 // Config parameterises the controller. Defaults follow §IV: 5-minute
 // checkpoint period, 30-second pings, 10-second timeout.
 type Config struct {
-	ID               simnet.NodeID
 	Clock            clock.Clock
 	Cell             *simnet.Cellular
 	CheckpointPeriod time.Duration
@@ -35,11 +34,8 @@ type Config struct {
 	// migration machinery, journaling the plan lifecycle (proactive; the
 	// paper's reactive recovery still backstops anything the plan misses).
 	Planner *scheduler.Planner
-	// ScheduleTick is the telemetry/planning period (default 10 s).
+	// ScheduleTick is the telemetry/planning period (default 5 s).
 	ScheduleTick time.Duration
-	// OnRegionDead is called when a region can no longer run and is
-	// bypassed (§III-D); may be nil.
-	OnRegionDead func(regionID string)
 	Logf         func(string, ...interface{})
 }
 
@@ -47,10 +43,10 @@ type Config struct {
 // recovery time.
 const codeBytes = 256 << 10
 
+// selfID is the controller's network identity on the cellular network.
+const selfID simnet.NodeID = "controller"
+
 func (c *Config) applyDefaults() {
-	if c.ID == "" {
-		c.ID = "controller"
-	}
 	if c.CheckpointPeriod <= 0 {
 		c.CheckpointPeriod = 5 * time.Minute
 	}
@@ -64,7 +60,7 @@ func (c *Config) applyDefaults() {
 		c.DebounceWindow = 2 * time.Second
 	}
 	if c.ScheduleTick <= 0 {
-		c.ScheduleTick = 10 * time.Second
+		c.ScheduleTick = 5 * time.Second
 	}
 }
 
@@ -127,7 +123,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		cfg:     cfg,
 		clk:     cfg.Clock,
-		ep:      simnet.NewEndpoint(cfg.ID, 1<<15),
+		ep:      simnet.NewEndpoint(selfID, 1<<15),
 		regions: make(map[string]*managed),
 		stopCh:  make(chan struct{}),
 	}
@@ -140,10 +136,10 @@ func New(cfg Config) *Controller {
 }
 
 // ID returns the controller's network identity.
-func (c *Controller) ID() simnet.NodeID { return c.cfg.ID }
+func (c *Controller) ID() simnet.NodeID { return selfID }
 
 // AddRegion registers a region; the controller starts coordinating it when
-// Start runs (or immediately if already started).
+// Start runs. A region added after Start is never pinged or checkpointed.
 func (c *Controller) AddRegion(r *region.Region) {
 	m := &managed{
 		r:            r,
@@ -264,7 +260,7 @@ func (c *Controller) RegionDead(regionID string) bool {
 
 // send issues a command to a phone over cellular, fire-and-forget.
 func (c *Controller) send(to simnet.NodeID, cmd node.Command) {
-	if err := c.cfg.Cell.Send(c.cfg.ID, to, simnet.ClassControl, 64, cmd); err != nil {
+	if err := c.cfg.Cell.Send(selfID, to, simnet.ClassControl, 64, cmd); err != nil {
 		c.logf("controller: send %v to %s: %v", cmd.Op, to, err)
 	}
 }
@@ -273,7 +269,7 @@ func (c *Controller) send(to simnet.NodeID, cmd node.Command) {
 // false on timeout or send failure.
 func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Duration) bool {
 	reply := make(chan simnet.Message, 1)
-	if c.cfg.Cell.Request(c.cfg.ID, to, simnet.ClassControl, 64, cmd, reply) != nil {
+	if c.cfg.Cell.Request(selfID, to, simnet.ClassControl, 64, cmd, reply) != nil {
 		return false
 	}
 	t := c.clk.NewTimer(timeout)
@@ -290,7 +286,7 @@ func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Du
 
 // shipCode models transferring operator code to a phone (§III-A).
 func (c *Controller) shipCode(to simnet.NodeID) {
-	c.cfg.Cell.Send(c.cfg.ID, to, simnet.ClassCode, codeBytes, nil)
+	c.cfg.Cell.Send(selfID, to, simnet.ClassCode, codeBytes, nil)
 }
 
 // TriggerCheckpoint starts one checkpoint round immediately and returns its

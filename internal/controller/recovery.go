@@ -326,9 +326,6 @@ func (c *Controller) killRegion(m *managed) {
 	m.mu.Unlock()
 	m.r.Stop()
 	c.logf("controller: region %s is dead, bypassing", m.r.ID())
-	if c.cfg.OnRegionDead != nil {
-		c.cfg.OnRegionDead(m.r.ID())
-	}
 }
 
 // activePhones lists the phones currently hosting slots.

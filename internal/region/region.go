@@ -48,12 +48,14 @@ type Config struct {
 	Cell         *simnet.Cellular
 	ControllerID simnet.NodeID
 	PhoneCfg     phone.Config
-	Broadcast    broadcast.Config
+	// Broadcast configures checkpoint dissemination; its BlockSize
+	// (default broadcast.DefaultBlockSize) also bounds a source's
+	// preservation run.
+	Broadcast broadcast.Config
 	// PreserveBroadcast replicates source logs region-wide (MobiStreams).
 	PreserveBroadcast bool
-	// Centre and RadiusM describe the region's WiFi coverage disc for the
-	// planner's departure forecast; RadiusM 0 disables it.
-	Centre  phone.Position
+	// RadiusM is the radius of the region's WiFi coverage disc, centred at
+	// the origin, for the planner's departure forecast; 0 disables it.
 	RadiusM float64
 	// QoS is every node's output-path quality of service: an end-to-end
 	// latency budget driving adaptive batch-flush deadlines, plus the
@@ -161,6 +163,11 @@ func New(cfg Config) (*Region, error) {
 	}
 	if cfg.Phones < need {
 		return nil, fmt.Errorf("region %s: %d phones cannot host %d slots", cfg.ID, cfg.Phones, need)
+	}
+	// Nodes bound a source-preservation run by the block size, so they need
+	// the dissemination default too.
+	if cfg.Broadcast.BlockSize <= 0 {
+		cfg.Broadcast.BlockSize = broadcast.DefaultBlockSize
 	}
 	// Surface registry wiring bugs (missing factory, wrong ID, no
 	// processing contract) here as errors instead of panics at placement

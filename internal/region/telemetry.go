@@ -55,7 +55,6 @@ func (r *Region) Telemetry() scheduler.RegionStats {
 	rs := scheduler.RegionStats{
 		Region:  r.cfg.ID,
 		Now:     now,
-		Centre:  r.cfg.Centre,
 		RadiusM: r.cfg.RadiusM,
 	}
 	r.mu.Unlock()

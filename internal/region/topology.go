@@ -57,8 +57,8 @@ func (r *Region) PlacementSnapshot(rs scheduler.RegionStats, spares map[simnet.N
 			BatteryFraction: p.BatteryFraction,
 			DrainWatts:      p.DrainWatts,
 			Backlog:         p.Backlog,
-			X:               p.Position.X - rs.Centre.X,
-			Y:               p.Position.Y - rs.Centre.Y,
+			X:               p.Position.X,
+			Y:               p.Position.Y,
 			VelX:            p.VelX,
 			VelY:            p.VelY,
 		})

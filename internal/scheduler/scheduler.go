@@ -47,7 +47,6 @@ type PhoneStat struct {
 type RegionStats struct {
 	Region  string
 	Now     time.Duration
-	Centre  phone.Position
-	RadiusM float64 // WiFi range boundary; 0 disables departure prediction
+	RadiusM float64 // WiFi range boundary, centred at the origin; 0 disables departure prediction
 	Phones  []PhoneStat
 }

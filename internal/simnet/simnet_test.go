@@ -210,19 +210,31 @@ func TestCountersAccumulateByClass(t *testing.T) {
 }
 
 func TestCellularSendAndRates(t *testing.T) {
-	clk := clock.NewScaled(2000)
+	clk := clock.NewManual()
 	cell := NewCellular(clk, CellularConfig{UpBitsPerSecond: 0.08e6, DownBitsPerSecond: 0.8e6})
 	a, b := NewEndpoint("a", 64), NewEndpoint("b", 64)
 	cell.Attach(a)
 	cell.Attach(b)
-	start := clk.Now()
-	// 10 KB at 10 KB/s uplink ~= 1 simulated second (downlink 10x faster).
-	if err := cell.Send("a", "b", ClassData, 10000, "x"); err != nil {
-		t.Fatal(err)
+	// 10 kB is 80 kbit: 1 s on the 0.08 Mbps uplink, then 0.1 s on the
+	// 0.8 Mbps downlink, which cannot start before the uplink clears.
+	const airtime = 1100 * time.Millisecond
+	sent := make(chan error, 1)
+	go func() { sent <- cell.Send("a", "b", ClassData, 10000, "x") }()
+	for deadline := time.Now().Add(10 * time.Second); clk.PendingTimers() == 0; time.Sleep(10 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("Send never waited on the clock")
+		}
 	}
-	elapsed := clk.Now() - start
-	if elapsed < 700*time.Millisecond || elapsed > 6*time.Second {
-		t.Fatalf("uplink-bound transfer took %v, want ~1s", elapsed)
+	clk.Advance(airtime - 1)
+	if clk.PendingTimers() != 1 {
+		t.Fatalf("Send stopped waiting before the modelled %v", airtime)
+	}
+	clk.Advance(1)
+	if clk.PendingTimers() != 0 {
+		t.Fatalf("Send still waiting after the modelled %v", airtime)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 	select {
 	case m := <-b.Inbox():

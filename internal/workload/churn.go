@@ -32,9 +32,8 @@ type ChurnConfig struct {
 	// MobilityTick is the position-update period for walking phones
 	// (default 1 s of simulated time).
 	MobilityTick time.Duration
-	// Centre and RadiusM describe the WiFi coverage disc a walking phone
-	// exits (RadiusM default 120 m).
-	Centre  phone.Position
+	// RadiusM is the radius of the WiFi coverage disc, centred at the
+	// origin, that a walking phone exits (default 120 m).
 	RadiusM float64
 	Seed    int64
 }
@@ -134,7 +133,7 @@ func (g *Generator) leaveLoop(hooks ChurnHooks, cfg ChurnConfig) {
 		// centre), update the GPS fix every tick, and report the departure
 		// when the boundary is crossed.
 		pos := hooks.Pos(id)
-		dx, dy := pos.X-cfg.Centre.X, pos.Y-cfg.Centre.Y
+		dx, dy := pos.X, pos.Y
 		if dist := math.Hypot(dx, dy); dist > 1e-9 {
 			dx, dy = dx/dist, dy/dist
 		} else {
@@ -163,7 +162,7 @@ func (g *Generator) walk(hooks ChurnHooks, cfg ChurnConfig, id simnet.NodeID, vx
 		pos.X += vx * step
 		pos.Y += vy * step
 		hooks.SetPos(id, pos)
-		if pos.DistanceSq(cfg.Centre) >= cfg.RadiusM*cfg.RadiusM {
+		if pos.DistanceSq(phone.Position{}) >= cfg.RadiusM*cfg.RadiusM {
 			hooks.Departed(id)
 			return
 		}

@@ -59,9 +59,9 @@ import (
 	"sync"
 	"time"
 
-	"mobistreams/internal/broadcast"
 	"mobistreams/internal/clock"
 	"mobistreams/internal/controller"
+	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
@@ -164,7 +164,7 @@ type SystemConfig struct {
 	// replacement).
 	AdaptivePlacement bool
 	// ScheduleTick is the planner's telemetry/planning period (default
-	// 10 s; ignored unless AdaptivePlacement is set).
+	// 5 s; ignored unless AdaptivePlacement is set).
 	ScheduleTick time.Duration
 	// Logf receives debug logging; nil disables.
 	Logf func(string, ...interface{})
@@ -200,14 +200,8 @@ type RegionSpec struct {
 
 // System is a running MobiStreams deployment.
 type System struct {
-	cfg  SystemConfig
-	clk  *clock.Scaled
-	cell *simnet.Cellular
-	ctrl *controller.Controller
-
-	mu      sync.Mutex
-	regions map[string]*Region
-	started bool
+	cfg SystemConfig
+	d   *deploy.Deployment
 }
 
 // Region wraps one region's runtime.
@@ -231,28 +225,23 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 1
 	}
-	clk := clock.NewScaled(cfg.Speedup)
-	// The caller's cellular config is passed through as-is; simnet applies
-	// its defaults (e.g. 64 KB ChunkBytes) only to unset fields.
-	cell := simnet.NewCellular(clk, cfg.Cellular)
-	ctrlCfg := controller.Config{
-		Clock:            clk,
-		Cell:             cell,
+	cc := controller.Config{
 		CheckpointPeriod: cfg.CheckpointPeriod,
 		PingInterval:     cfg.PingInterval,
 		PingTimeout:      cfg.PingTimeout,
 		Logf:             cfg.Logf,
 	}
 	if cfg.AdaptivePlacement {
-		ctrlCfg.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
-		ctrlCfg.ScheduleTick = cfg.ScheduleTick
+		cc.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
+		cc.ScheduleTick = cfg.ScheduleTick
 	}
-	ctrl := controller.New(ctrlCfg)
-	return &System{cfg: cfg, clk: clk, cell: cell, ctrl: ctrl, regions: make(map[string]*Region)}
+	// The caller's cellular config is passed through as-is; simnet applies
+	// its defaults (e.g. 64 KB ChunkBytes) only to unset fields.
+	return &System{cfg: cfg, d: deploy.New(cfg.Speedup, cfg.Cellular, cc)}
 }
 
 // Clock returns the system clock; Sleep and Now operate in simulated time.
-func (s *System) Clock() *clock.Scaled { return s.clk }
+func (s *System) Clock() *clock.Scaled { return s.d.Clock }
 
 // wifiLoss resolves the spec's loss knobs: LosslessWiFi wins, an explicit
 // WiFiLoss is respected, and the zero value falls back to the 2% default.
@@ -285,7 +274,8 @@ func PipelineSpec(id string, p *stream.Pipeline, scheme Scheme, phones int) Regi
 	return spec
 }
 
-// AddRegion builds a region. Call before Start.
+// AddRegion builds a region. Call before Start: after Start it returns an
+// error, since the controller would never coordinate the region.
 func (s *System) AddRegion(spec RegionSpec) (*Region, error) {
 	if spec.Graph == nil || spec.Registry == nil {
 		return nil, fmt.Errorf("mobistreams: region %q needs a graph and a registry", spec.ID)
@@ -299,30 +289,21 @@ func (s *System) AddRegion(spec RegionSpec) (*Region, error) {
 	}
 	spec.WiFiLoss = loss
 	wrapped := &Region{sys: s, onOutput: spec.OnOutput}
-	r, err := region.New(region.Config{
-		ID:                spec.ID,
-		Graph:             spec.Graph,
-		Registry:          spec.Registry,
-		Scheme:            spec.Scheme,
-		Phones:            spec.Phones,
-		Clock:             s.clk,
-		WiFi:              simnet.WiFiConfig{BitsPerSecond: spec.WiFiBps, LossProb: spec.WiFiLoss, Seed: spec.Seed},
-		Cell:              s.cell,
-		ControllerID:      s.ctrl.ID(),
-		Broadcast:         broadcast.Config{BlockSize: 1024},
-		PreserveBroadcast: spec.Scheme.Kind == ft.MS,
-		QoS:               spec.QoS,
-		OnSinkOutput:      wrapped.publish,
-		Logf:              s.cfg.Logf,
+	r, err := s.d.AddRegion(region.Config{
+		ID:           spec.ID,
+		Graph:        spec.Graph,
+		Registry:     spec.Registry,
+		Scheme:       spec.Scheme,
+		Phones:       spec.Phones,
+		WiFi:         simnet.WiFiConfig{BitsPerSecond: spec.WiFiBps, LossProb: spec.WiFiLoss, Seed: spec.Seed},
+		QoS:          spec.QoS,
+		OnSinkOutput: wrapped.publish,
+		Logf:         s.cfg.Logf,
 	})
 	if err != nil {
 		return nil, err
 	}
 	wrapped.r = r
-	s.ctrl.AddRegion(r)
-	s.mu.Lock()
-	s.regions[spec.ID] = wrapped
-	s.mu.Unlock()
 	return wrapped, nil
 }
 
@@ -335,37 +316,10 @@ func (s *System) Connect(from, to *Region, srcOp string) {
 }
 
 // Start launches every region and the controller.
-func (s *System) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	regions := make([]*Region, 0, len(s.regions))
-	for _, r := range s.regions {
-		regions = append(regions, r)
-	}
-	s.mu.Unlock()
-	for _, r := range regions {
-		r.r.Start()
-	}
-	s.ctrl.Start()
-}
+func (s *System) Start() { s.d.Start() }
 
 // Stop shuts the deployment down.
-func (s *System) Stop() {
-	s.mu.Lock()
-	regions := make([]*Region, 0, len(s.regions))
-	for _, r := range s.regions {
-		regions = append(regions, r)
-	}
-	s.mu.Unlock()
-	for _, r := range regions {
-		r.r.Stop()
-	}
-	s.ctrl.Stop()
-}
+func (s *System) Stop() { s.d.Stop() }
 
 // publish handles one deduplicated sink result: the app callback runs
 // first, then the result cascades to downstream regions over cellular.
@@ -384,7 +338,7 @@ func (rg *Region) publish(publisher simnet.NodeID, t *tuple.Tuple) {
 			continue
 		}
 		msg := node.InterRegionMsg{SrcOp: d.srcOp, Kind: t.Kind, Size: t.Size, Value: t.Value}
-		rg.sys.cell.Send(publisher, target, simnet.ClassData, t.Size, msg)
+		rg.sys.d.Cell.Send(publisher, target, simnet.ClassData, t.Size, msg)
 	}
 }
 
@@ -395,7 +349,7 @@ func (rg *Region) Ingest(srcOp string, value interface{}, size int, kind string)
 
 // Report summarises the region's metrics so far.
 func (rg *Region) Report() Report {
-	return rg.r.Report(rg.sys.clk.Now())
+	return rg.r.Report(rg.sys.d.Clock.Now())
 }
 
 // Outputs reports how many unique results the region has published.
@@ -424,25 +378,25 @@ func (rg *Region) InjectDeparture(slot string) error {
 		return fmt.Errorf("mobistreams: no placement for slot %q", slot)
 	}
 	rg.r.DepartPhone(pid)
-	rg.sys.ctrl.NotifyDeparture(rg.r.ID(), pid)
+	rg.sys.d.Ctrl.NotifyDeparture(rg.r.ID(), pid)
 	return nil
 }
 
 // Recoveries reports how many recoveries the region has undergone.
-func (rg *Region) Recoveries() int { return rg.sys.ctrl.Recoveries(rg.r.ID()) }
+func (rg *Region) Recoveries() int { return rg.sys.d.Ctrl.Recoveries(rg.r.ID()) }
 
 // Migrations reports how many planned live migrations the planner has
 // completed for the region.
-func (rg *Region) Migrations() int { return rg.sys.ctrl.Migrations(rg.r.ID()) }
+func (rg *Region) Migrations() int { return rg.sys.d.Ctrl.Migrations(rg.r.ID()) }
 
 // Committed reports the latest committed checkpoint version.
-func (rg *Region) Committed() uint64 { return rg.sys.ctrl.Committed(rg.r.ID()) }
+func (rg *Region) Committed() uint64 { return rg.sys.d.Ctrl.Committed(rg.r.ID()) }
 
 // TriggerCheckpoint starts a checkpoint round immediately (the periodic
 // loop runs regardless).
 func (rg *Region) TriggerCheckpoint() uint64 {
-	return rg.sys.ctrl.TriggerCheckpoint(rg.r.ID())
+	return rg.sys.d.Ctrl.TriggerCheckpoint(rg.r.ID())
 }
 
 // Dead reports whether the region was stopped and bypassed.
-func (rg *Region) Dead() bool { return rg.sys.ctrl.RegionDead(rg.r.ID()) }
+func (rg *Region) Dead() bool { return rg.sys.d.Ctrl.RegionDead(rg.r.ID()) }

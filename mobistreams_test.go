@@ -158,6 +158,18 @@ func TestAddRegionValidation(t *testing.T) {
 	}
 }
 
+// The controller launches its per-region loops once, at Start: a region
+// added later would never be pinged or checkpointed, so AddRegion refuses it.
+func TestAddRegionAfterStartFails(t *testing.T) {
+	sys := NewSystem(SystemConfig{Speedup: 100})
+	sys.Start()
+	defer sys.Stop()
+	_, err := sys.AddRegion(RegionSpec{ID: "late", Graph: demoGraph(t), Registry: demoRegistry(), Scheme: MS, Phones: 5})
+	if err == nil {
+		t.Fatal("region added after Start accepted")
+	}
+}
+
 func TestSystemAdaptivePlacement(t *testing.T) {
 	var got atomic.Int64
 	sys := NewSystem(SystemConfig{
@@ -196,11 +208,11 @@ func TestSystemAdaptivePlacement(t *testing.T) {
 // must reach the network; only an unset value takes the simnet default.
 func TestSystemConfigCellularChunkBytesRespected(t *testing.T) {
 	sys := NewSystem(SystemConfig{Speedup: 100, Cellular: simnet.CellularConfig{ChunkBytes: 4096}})
-	if got := sys.cell.Config().ChunkBytes; got != 4096 {
+	if got := sys.d.Cell.Config().ChunkBytes; got != 4096 {
 		t.Fatalf("ChunkBytes = %d, want the configured 4096", got)
 	}
 	sys = NewSystem(SystemConfig{Speedup: 100})
-	if got := sys.cell.Config().ChunkBytes; got != 64<<10 {
+	if got := sys.d.Cell.Config().ChunkBytes; got != 64<<10 {
 		t.Fatalf("default ChunkBytes = %d, want 64 KB", got)
 	}
 }
