@@ -167,7 +167,7 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
 	cc := controller.Config{CheckpointPeriod: s.CheckpointPeriod}
 	if s.Planner {
-		cc.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
+		cc.Planner = scheduler.NewPlanner(placement.New(), nil)
 	}
 	d := deploy.New(s.Speedup, paperCell, cc)
 	clk, ctrl := d.Clock, d.Ctrl

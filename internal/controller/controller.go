@@ -3,6 +3,10 @@
 // failures (pings plus neighbour reports), orchestrates recovery and
 // handles mobility. It is control-plane only — no data tuples flow
 // through it — and its traffic is a few hundred bytes per event.
+//
+// Every action that changes a region's placement is a plan of steps run by
+// the region's one executor goroutine (executor.go); recovery and handoff
+// plans are pure functions of a snapshot (plan.go).
 package controller
 
 import (
@@ -28,11 +32,8 @@ type Config struct {
 	// DebounceWindow batches burst failure reports into one recovery.
 	DebounceWindow time.Duration
 	// Planner, when non-nil, enables adaptive placement: every
-	// ScheduleTick the controller polls region telemetry, snapshots the
-	// channel topology, asks the planner for a versioned plan, and
-	// executes its migrate / reserve / release steps through the live
-	// migration machinery, journaling the plan lifecycle (proactive; the
-	// paper's reactive recovery still backstops anything the plan misses).
+	// ScheduleTick each region's executor runs the planner's plan for it
+	// (proactive; reactive recovery still backstops what the plan misses).
 	Planner *scheduler.Planner
 	// ScheduleTick is the telemetry/planning period (default 5 s).
 	ScheduleTick time.Duration
@@ -68,37 +69,40 @@ func (c *Config) applyDefaults() {
 type managed struct {
 	r *region.Region
 
-	mu           sync.Mutex
-	version      uint64
-	committed    uint64
-	epoch        uint64
-	pendingVer   uint64
-	checkpointed map[string]bool
-	persisted    map[string]bool
-	restored     map[simnet.NodeID]uint64
-	handoffDone  map[simnet.NodeID]bool
-	catchUpDone  map[uint64]int
-	failedSeen   map[simnet.NodeID]bool
-	pendingFail  []simnet.NodeID
-	recovering   bool
-	dead         bool
-	recoveries   int
-	departures   int
-	migrations   int
-	// spares are idle phones held claimed as warm spares by the placement
-	// planner; warmed marks phones that already received operator code,
-	// so migrating onto them skips the code ship.
+	mu         sync.Mutex
+	version    uint64
+	committed  uint64
+	epoch      uint64
+	pendingVer uint64
+	// progress holds each slot's reports for pendingVer: checkpointed
+	// (bit 0) and persisted (bit 1).
+	progress    map[string]uint8
+	catchUpDone map[uint64]int
+	failedSeen  map[simnet.NodeID]bool
+	// pendingFail are failed phones no recovery has taken yet, the first
+	// noted at failSince.
+	pendingFail []simnet.NodeID
+	failSince   time.Duration
+	dead        bool
+	recoveries  int
+	departures  int
+	migrations  int
+	// spares are idle phones the placement planner holds as warm spares;
+	// warmed marks phones that have operator code. Only the executor
+	// goroutine touches either, so neither needs mu.
 	spares      map[simnet.NodeID]bool
 	warmed      map[simnet.NodeID]bool
 	planCommits int
 	planAborts  int
-	// migrating holds off checkpoint rounds while a live migration has a
-	// slot vacated: a token/snapshot command sent to the mid-flight slot
-	// would never be answered and the round could never commit.
-	migrating bool
 	// noMobilityWarned guards the once-per-region log line for departures
 	// under schemes with no mobility story.
 	noMobilityWarned bool
+
+	// jobs queue work for the executor; executing is set, by the executor
+	// only, while it runs one. restored carries restore reports to it.
+	jobs      chan func()
+	executing bool
+	restored  chan node.Report
 }
 
 // Controller is the global coordinator.
@@ -142,15 +146,13 @@ func (c *Controller) ID() simnet.NodeID { return selfID }
 // Start runs. A region added after Start is never pinged or checkpointed.
 func (c *Controller) AddRegion(r *region.Region) {
 	m := &managed{
-		r:            r,
-		checkpointed: make(map[string]bool),
-		persisted:    make(map[string]bool),
-		restored:     make(map[simnet.NodeID]uint64),
-		handoffDone:  make(map[simnet.NodeID]bool),
-		catchUpDone:  make(map[uint64]int),
-		failedSeen:   make(map[simnet.NodeID]bool),
-		spares:       make(map[simnet.NodeID]bool),
-		warmed:       make(map[simnet.NodeID]bool),
+		r:           r,
+		catchUpDone: make(map[uint64]int),
+		failedSeen:  make(map[simnet.NodeID]bool),
+		spares:      make(map[simnet.NodeID]bool),
+		warmed:      make(map[simnet.NodeID]bool),
+		jobs:        make(chan func(), 256),
+		restored:    make(chan node.Report, 64),
 	}
 	c.mu.Lock()
 	c.regions[r.ID()] = m
@@ -170,14 +172,11 @@ func (c *Controller) Start() {
 	for _, m := range regions {
 		if m.r.Scheme().Checkpoints() {
 			c.wg.Add(1)
-			go c.checkpointLoop(m)
+			go c.every(m, c.cfg.CheckpointPeriod, func() { c.startCheckpoint(m) })
 		}
-		c.wg.Add(1)
-		go c.pingLoop(m)
-		if c.cfg.Planner != nil {
-			c.wg.Add(1)
-			go c.scheduleLoop(m)
-		}
+		c.wg.Add(2)
+		go c.every(m, c.cfg.PingInterval, func() { c.pingRound(m) })
+		go c.execLoop(m)
 	}
 }
 
@@ -203,59 +202,41 @@ func (c *Controller) regionFor(id simnet.NodeID) *managed {
 	if i := strings.IndexByte(name, '/'); i >= 0 {
 		name = name[:i]
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.regions[name]
+	return c.lookup(name)
 }
 
-// Region returns the managed region's runtime by name (tests, system
-// wiring).
-func (c *Controller) Region(name string) *region.Region {
+func (c *Controller) lookup(regionID string) *managed {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if m := c.regions[name]; m != nil {
-		return m.r
+	return c.regions[regionID]
+}
+
+// read returns f of a region's state under its lock, or zero for an
+// unknown region.
+func read[T any](c *Controller, regionID string, f func(*managed) T) T {
+	m := c.lookup(regionID)
+	if m == nil {
+		var zero T
+		return zero
 	}
-	return nil
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return f(m)
 }
 
 // Committed reports a region's latest committed checkpoint version.
 func (c *Controller) Committed(regionID string) uint64 {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.committed
+	return read(c, regionID, func(m *managed) uint64 { return m.committed })
 }
 
 // Recoveries reports how many recoveries a region has undergone.
 func (c *Controller) Recoveries(regionID string) int {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.recoveries
+	return read(c, regionID, func(m *managed) int { return m.recoveries })
 }
 
 // RegionDead reports whether a region has been stopped and bypassed.
 func (c *Controller) RegionDead(regionID string) bool {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
-	if m == nil {
-		return true
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dead
+	return read(c, regionID, func(m *managed) bool { return m.dead }) || c.lookup(regionID) == nil
 }
 
 // send issues a command to a phone over cellular, fire-and-forget.
@@ -292,31 +273,11 @@ func (c *Controller) shipCode(to simnet.NodeID) {
 // TriggerCheckpoint starts one checkpoint round immediately and returns its
 // version (tests and benchmarks drive checkpoints explicitly through this).
 func (c *Controller) TriggerCheckpoint(regionID string) uint64 {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
+	m := c.lookup(regionID)
 	if m == nil {
 		return 0
 	}
 	return c.startCheckpoint(m)
-}
-
-// checkpointLoop runs the periodic checkpoint rounds (§III-B step 1).
-func (c *Controller) checkpointLoop(m *managed) {
-	defer c.wg.Done()
-	t := c.clk.NewTimer(c.cfg.CheckpointPeriod)
-	defer t.Stop()
-	for ; ; t.Reset(c.cfg.CheckpointPeriod) {
-		select {
-		case <-t.C():
-			if m.isDead() {
-				return
-			}
-			c.startCheckpoint(m)
-		case <-c.stopCh:
-			return
-		}
-	}
 }
 
 func (m *managed) isDead() bool {
@@ -325,82 +286,80 @@ func (m *managed) isDead() bool {
 	return m.dead
 }
 
-func (m *managed) isMigrating() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.migrating
+// every runs round once per period until Stop or the region dies: the
+// periodic checkpoint rounds (§III-B step 1) and ping rounds. A round due
+// while the executor runs an action is skipped: a slot may be vacated
+// mid-transfer, or the region paused mid-restore.
+func (c *Controller) every(m *managed, period time.Duration, round func()) {
+	defer c.wg.Done()
+	t := c.clk.NewTimer(period)
+	defer t.Stop()
+	for ; ; t.Reset(period) {
+		select {
+		case <-t.C():
+			m.mu.Lock()
+			dead, executing := m.dead, m.executing
+			m.mu.Unlock()
+			if dead {
+				return
+			}
+			if !executing {
+				round()
+			}
+		case <-c.stopCh:
+			return
+		}
+	}
 }
 
 func (c *Controller) startCheckpoint(m *managed) uint64 {
 	m.mu.Lock()
-	if m.recovering || m.dead || m.migrating {
-		// A migration in flight has a slot vacated at its source: the
-		// round could never complete. Skip; the periodic loop retries.
+	if m.executing || m.dead {
+		// A recovery or a transfer in flight would leave the round unable
+		// to complete. Skip; the next period retries.
 		m.mu.Unlock()
 		return 0
 	}
 	m.version++
 	v := m.version
 	m.pendingVer = v
-	m.checkpointed = make(map[string]bool)
-	m.persisted = make(map[string]bool)
+	m.progress = make(map[string]uint8)
 	m.mu.Unlock()
 
-	scheme := m.r.Scheme()
-	if scheme.UsesTokens() {
-		for _, slot := range m.r.Graph().SourceSlots() {
-			if pid, ok := m.r.Placement(slot); ok {
-				c.send(pid, node.Command{Op: node.CmdToken, Version: v})
-			}
-		}
-	} else if scheme.PeriodicSnapshot() {
-		for _, slot := range m.r.ActiveSlots() {
-			if pid, ok := m.r.Placement(slot); ok {
-				c.send(pid, node.Command{Op: node.CmdSnapshot, Version: v})
-			}
+	var op node.CommandOp
+	var slots []string
+	switch scheme := m.r.Scheme(); {
+	case scheme.UsesTokens():
+		op, slots = node.CmdToken, m.r.Graph().SourceSlots()
+	case scheme.PeriodicSnapshot():
+		op, slots = node.CmdSnapshot, m.r.ActiveSlots()
+	}
+	for _, slot := range slots {
+		if pid, ok := m.r.Placement(slot); ok {
+			c.send(pid, node.Command{Op: op, Version: v})
 		}
 	}
 	return v
 }
 
-// pingLoop probes every active slot's host (§III-D, extended from the
+// pingRound probes every active slot's host (§III-D, extended from the
 // paper's source-only pings): the ping carries the slot, and only the
 // phone actually hosting it answers — so both a dead phone and a healthy
 // phone that lost the slot (stranded placement after a failed migration)
-// miss the timeout and trigger recovery. Rounds are skipped while a
-// migration is mid-flight, when one vacated-but-healthy source is the
-// expected transient state.
-func (c *Controller) pingLoop(m *managed) {
-	defer c.wg.Done()
-	t := c.clk.NewTimer(c.cfg.PingInterval)
-	defer t.Stop()
-	for ; ; t.Reset(c.cfg.PingInterval) {
-		select {
-		case <-t.C():
-			if m.isDead() {
-				return
-			}
-			if m.isMigrating() {
-				continue
-			}
-			for _, slot := range m.r.ActiveSlots() {
-				pid, ok := m.r.Placement(slot)
-				if !ok {
-					continue
-				}
-				if !c.request(pid, node.Command{Op: node.CmdPing, Slot: slot}, c.cfg.PingTimeout) {
-					if c.stopped() {
-						return // Stop cut the wait short; the phone may be fine
-					}
-					// Re-resolve before reporting: a migration that
-					// started mid-round legitimately moved the slot.
-					if cur, ok := m.r.Placement(slot); ok && cur == pid {
-						c.noteFailure(m, pid)
-					}
-				}
-			}
-		case <-c.stopCh:
-			return
+// miss the timeout and trigger recovery.
+func (c *Controller) pingRound(m *managed) {
+	for _, slot := range m.r.ActiveSlots() {
+		pid, ok := m.r.Placement(slot)
+		if !ok || c.request(pid, node.Command{Op: node.CmdPing, Slot: slot}, c.cfg.PingTimeout) {
+			continue
+		}
+		if c.stopped() {
+			return // Stop cut the wait short; the phone may be fine
+		}
+		// Re-resolve before reporting: a migration that started mid-round
+		// legitimately moved the slot.
+		if cur, ok := m.r.Placement(slot); ok && cur == pid {
+			c.noteFailure(m, pid)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package controller
 
 import (
-	"time"
+	"slices"
 
-	"mobistreams/internal/ft"
 	"mobistreams/internal/node"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/simnet"
 )
 
@@ -42,16 +42,13 @@ func (c *Controller) handleReport(rep node.Report) {
 	case node.RepUrgent:
 		c.logf("controller: urgent mode in %s for slot %s", m.r.ID(), rep.Slot)
 	case node.RepRestored:
-		m.mu.Lock()
-		m.restored[rep.Phone] = rep.Version
-		m.mu.Unlock()
 		if rep.Err != "" {
 			c.logf("controller: restore on %s failed: %s", rep.Phone, rep.Err)
 		}
-	case node.RepHandoffDone:
-		m.mu.Lock()
-		m.handoffDone[rep.Phone] = true
-		m.mu.Unlock()
+		select {
+		case m.restored <- rep:
+		default: // nobody is waiting on a report this old
+		}
 	case node.RepCatchUpDone:
 		m.mu.Lock()
 		m.catchUpDone[rep.Epoch]++
@@ -66,26 +63,20 @@ func (c *Controller) handleReport(rep node.Report) {
 // slot's persistence lands).
 func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted bool) {
 	m.mu.Lock()
-	if rep.Version != m.pendingVer || m.dead || m.recovering {
+	if rep.Version != m.pendingVer || m.dead {
 		m.mu.Unlock()
 		return
 	}
+	bit := uint8(1)
 	if persisted {
-		m.persisted[rep.Slot] = true
-	} else {
-		m.checkpointed[rep.Slot] = true
+		bit = 2
 	}
-	slots := m.r.ActiveSlots()
-	done := true
-	for _, s := range slots {
-		if !m.checkpointed[s] || !m.persisted[s] {
-			done = false
-			break
+	m.progress[rep.Slot] |= bit
+	for _, s := range m.r.ActiveSlots() {
+		if m.progress[s] != 3 {
+			m.mu.Unlock()
+			return
 		}
-	}
-	if !done {
-		m.mu.Unlock()
-		return
 	}
 	v := m.pendingVer
 	m.committed = v
@@ -98,9 +89,10 @@ func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted
 	c.logf("controller: region %s committed v%d", m.r.ID(), v)
 }
 
-// noteFailure registers a suspected phone failure; a short debounce window
-// batches simultaneous failures into a single recovery (§III-D: burst
-// failures are the norm on phones).
+// noteFailure registers a suspected phone failure. The first failure of a
+// batch queues a recovery; the executor waits out the debounce window from
+// the moment it was noted, so simultaneous failures recover as one batch
+// (§III-D: burst failures are the norm on phones).
 func (c *Controller) noteFailure(m *managed, phoneID simnet.NodeID) {
 	if phoneID == "" {
 		return
@@ -111,281 +103,128 @@ func (c *Controller) noteFailure(m *managed, phoneID simnet.NodeID) {
 		return
 	}
 	m.failedSeen[phoneID] = true
+	first := len(m.pendingFail) == 0
+	if first {
+		m.failSince = c.clk.Now()
+	}
 	m.pendingFail = append(m.pendingFail, phoneID)
-	if m.recovering {
+	m.mu.Unlock()
+	if first {
+		c.enqueue(m, func() { c.recoverPending(m) })
+	}
+}
+
+// recoverPending is the executor's recovery job: void the checkpoint round
+// in flight, wait out the debounce, then plan and run one recovery per
+// batch until none is pending (failures noted meanwhile form the next
+// batch, with no second debounce).
+func (c *Controller) recoverPending(m *managed) {
+	m.mu.Lock()
+	if m.dead || len(m.pendingFail) == 0 {
 		m.mu.Unlock()
 		return
 	}
-	m.recovering = true
+	m.pendingVer = 0 // a recovery voids the round in flight
+	wait := m.failSince + c.cfg.DebounceWindow - c.clk.Now()
 	m.mu.Unlock()
-
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.clk.Sleep(c.cfg.DebounceWindow)
-		// A live migration in flight has a slot vacated at its source and
-		// placement about to be repointed; recovering through that window
-		// would pause/restore against a placement mid-change. Migrations
-		// are bounded (transfer timeout), so wait them out. New migrations
-		// cannot start: m.recovering is already set.
-		for m.isMigrating() && !c.stopped() {
-			c.clk.Sleep(500 * time.Millisecond)
+	if wait > 0 {
+		t := c.clk.NewTimer(wait)
+		select {
+		case <-t.C():
+		case <-c.stopCh:
+			t.Stop()
+			return
 		}
-		for {
+	}
+	for !c.stopped() && !m.isDead() {
+		m.mu.Lock()
+		batch := m.pendingFail
+		m.pendingFail = nil
+		m.mu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
+		plan := recoveryPlan(c.snapshot(m, batch))
+		if len(plan.Steps) > 0 {
 			m.mu.Lock()
-			batch := m.pendingFail
-			m.pendingFail = nil
+			m.recoveries++
 			m.mu.Unlock()
-			if len(batch) == 0 {
-				break
-			}
-			c.recover(m, batch)
+			c.logf("controller: recovering %s: %v", m.r.ID(), batch)
 		}
-		m.mu.Lock()
-		m.recovering = false
-		m.mu.Unlock()
-	}()
+		st, ok := c.runPlan(m, plan)
+		switch {
+		case ok || c.stopped() || m.isDead():
+		case st.Kind == placement.StepActivate:
+			// The replacement failed or left after the snapshot: plan the
+			// batch again, from a snapshot that no longer offers it.
+			m.mu.Lock()
+			m.pendingFail = append(batch, m.pendingFail...)
+			m.mu.Unlock()
+		default: // a standby could not be promoted: the slot has no host
+			plan.Steps = []placement.Step{{Kind: placement.StepKill, Reason: st.Kind.String() + " " + st.Slot + " failed"}}
+			c.runPlan(m, plan)
+		}
+	}
 }
 
-// recover replaces the failed phones and restores the region according to
-// its scheme.
-func (c *Controller) recover(m *managed, failed []simnet.NodeID) {
-	scheme := m.r.Scheme()
-	var failedSlots []string
-	for _, pid := range failed {
-		failedSlots = append(failedSlots, m.r.SlotsOn(pid)...)
+// snapshot reads what a recovery or handoff plan is decided from.
+func (c *Controller) snapshot(m *managed, lost []simnet.NodeID) *snapshot {
+	r := m.r
+	s := &snapshot{
+		Region:      r.ID(),
+		Scheme:      r.Scheme(),
+		Lost:        lost,
+		Placement:   make(map[string]simnet.NodeID),
+		Sources:     r.Graph().SourceSlots(),
+		Idle:        r.IdlePhones(),
+		Holders:     make(map[string][]simnet.NodeID),
+		FailedTotal: r.FailedPhoneCount(),
 	}
-	if len(failedSlots) == 0 {
-		// The reported phones host nothing (an idle phone died, or a
-		// vacated migration source was reported): the stream is intact,
-		// so a region-wide pause/restore would be pure disruption.
-		c.logf("controller: %s: %d slotless phones reported failed; no recovery needed", m.r.ID(), len(failed))
-		return
+	for _, slot := range r.ActiveSlots() {
+		if id, ok := r.Placement(slot); ok {
+			s.Placement[slot] = id
+		}
+	}
+	g := r.Graph()
+	ops, _ := g.TopoOrder() // graph.Build rejected cycles
+	seen := make(map[string]bool)
+	for _, op := range ops {
+		if slot := g.SlotOf(op); !seen[slot] {
+			seen[slot] = true
+			s.Order = append(s.Order, slot)
+		}
 	}
 	m.mu.Lock()
-	m.recoveries++
+	s.Committed, s.Epoch = m.committed, m.epoch
 	m.mu.Unlock()
-	c.logf("controller: recovering %s: %d phones, slots %v", m.r.ID(), len(failed), failedSlots)
-	c.reclaimSpares(m)
-
-	switch scheme.Kind {
-	case ft.MS:
-		c.recoverMS(m, failedSlots)
-	case ft.DistN:
-		c.recoverDist(m, failedSlots, len(failed))
-	case ft.Rep2:
-		c.recoverRep2(m, failedSlots, len(failed))
-	default:
-		// base and local have no phone-replacement story.
-		c.killRegion(m)
+	for id := range m.spares {
+		s.Spares = append(s.Spares, id)
 	}
-}
-
-// recoverMS is MobiStreams recovery (§III-D): replacements read the MRC
-// from their own local storage, every node restores in parallel, sources
-// replay preserved input, sinks suppress catch-up output.
-func (c *Controller) recoverMS(m *managed, failedSlots []string) {
-	if !m.r.Scheme().CanRecover(len(failedSlots), m.r.IdleCount()) {
-		c.killRegion(m)
-		return
+	slices.Sort(s.Spares)
+	for _, slot := range s.lostSlots() {
+		s.Holders[slot] = r.BlobHolders(s.Committed, slot)
 	}
-	m.mu.Lock()
-	v := m.committed
-	m.epoch++
-	epoch := m.epoch
-	m.restored = make(map[simnet.NodeID]uint64)
-	m.mu.Unlock()
-
-	for _, slot := range failedSlots {
-		repl := m.r.TakeIdle()
-		if repl == "" {
-			c.killRegion(m)
-			return
-		}
-		c.shipCode(repl)
-		m.r.ActivateReplacement(repl, slot)
-	}
-
-	// Pause all active phones at tuple boundaries.
-	phones := c.activePhones(m)
-	for _, pid := range phones {
-		c.request(pid, node.Command{Op: node.CmdPause}, 10*time.Second)
-	}
-	// Parallel restoration from local storage.
-	for _, pid := range phones {
-		c.send(pid, node.Command{Op: node.CmdRestore, Version: v})
-	}
-	c.awaitRestored(m, phones, 30*time.Second)
-	// Catch-up: sources replay preserved input since the MRC.
-	for _, slot := range m.r.Graph().SourceSlots() {
-		if pid, ok := m.r.Placement(slot); ok {
-			c.send(pid, node.Command{Op: node.CmdReplay, Version: v, Epoch: epoch})
-		}
-	}
-	// Resume downstream-first, acknowledged: a restored node drops stream
-	// arrivals until its resume, so every consumer must be open before
-	// any upstream starts pushing replay traffic.
-	c.resumeDownstreamFirst(m)
-}
-
-// resumeDownstreamFirst resumes the region sinks-first in reverse slot
-// topological order, waiting for each node's acknowledgement before
-// resuming its upstreams.
-func (c *Controller) resumeDownstreamFirst(m *managed) {
-	g := m.r.Graph()
-	ops, err := g.TopoOrder()
-	var slots []string
-	if err == nil {
-		seenSlot := make(map[string]bool)
-		for _, op := range ops {
-			if s := g.SlotOf(op); !seenSlot[s] {
-				seenSlot[s] = true
-				slots = append(slots, s)
-			}
-		}
-	} else {
-		slots = m.r.ActiveSlots()
-	}
-	seen := make(map[simnet.NodeID]bool)
-	for i := len(slots) - 1; i >= 0; i-- {
-		if pid, ok := m.r.Placement(slots[i]); ok && !seen[pid] {
-			seen[pid] = true
-			// The timeout is generous: proceeding to an upstream while a
-			// consumer's resume is still in flight reopens the window
-			// where replay traffic hits a still-closed stream path.
-			c.request(pid, node.Command{Op: node.CmdResume}, 120*time.Second)
-		}
-	}
-}
-
-// recoverDist is classic distributed-checkpoint recovery: only the failed
-// slots restore (from a surviving peer copy), and their upstreams resend
-// retained output.
-func (c *Controller) recoverDist(m *managed, failedSlots []string, k int) {
-	// Tolerance is judged against the cumulative burst (failure reports
-	// can trickle in across debounce windows): dist-n dies beyond n
-	// total failures, as in the paper's n+1-point curves.
-	if total := m.r.FailedPhoneCount(); total > k {
-		k = total
-	}
-	if !m.r.Scheme().CanRecover(k, m.r.IdleCount()) {
-		c.killRegion(m)
-		return
-	}
-	m.mu.Lock()
-	v := m.committed
-	m.mu.Unlock()
-	for _, slot := range failedSlots {
-		repl := m.r.TakeIdle()
-		if repl == "" {
-			c.killRegion(m)
-			return
-		}
-		c.shipCode(repl)
-		m.r.ActivateReplacement(repl, slot)
-		peer := repl
-		if v > 0 {
-			holders := m.r.BlobHolders(v, slot)
-			if len(holders) == 0 {
-				c.logf("controller: no surviving copy of %s v%d", slot, v)
-				c.killRegion(m)
-				return
-			}
-			peer = holders[0]
-		}
-		c.send(repl, node.Command{Op: node.CmdFetchRestore, Version: v, Target: peer, Slot: slot})
-	}
-}
-
-// recoverRep2 promotes standbys; more than one failure is unrecoverable.
-func (c *Controller) recoverRep2(m *managed, failedSlots []string, k int) {
-	if total := m.r.FailedPhoneCount(); total > k {
-		k = total
-	}
-	if !m.r.Scheme().CanRecover(k, 0) {
-		c.killRegion(m)
-		return
-	}
-	for _, slot := range failedSlots {
-		if n := m.r.PromoteStandby(slot); n == nil {
-			c.killRegion(m)
-			return
-		}
-	}
-}
-
-// killRegion stops a region and bypasses it (§III-D: connect the region's
-// upstream and downstream neighbours directly).
-func (c *Controller) killRegion(m *managed) {
-	m.mu.Lock()
-	if m.dead {
-		m.mu.Unlock()
-		return
-	}
-	m.dead = true
-	m.mu.Unlock()
-	m.r.Stop()
-	c.logf("controller: region %s is dead, bypassing", m.r.ID())
-}
-
-// activePhones lists the phones currently hosting slots.
-func (c *Controller) activePhones(m *managed) []simnet.NodeID {
-	seen := make(map[simnet.NodeID]bool)
-	var ids []simnet.NodeID
-	for _, slot := range m.r.ActiveSlots() {
-		if pid, ok := m.r.Placement(slot); ok && !seen[pid] {
-			seen[pid] = true
-			ids = append(ids, pid)
-		}
-	}
-	return ids
-}
-
-// awaitRestored polls until every phone reports restoration or the timeout
-// elapses.
-func (c *Controller) awaitRestored(m *managed, phones []simnet.NodeID, timeout time.Duration) {
-	deadline := c.clk.Now() + timeout
-	for c.clk.Now() < deadline && !c.stopped() {
-		m.mu.Lock()
-		done := true
-		for _, pid := range phones {
-			if _, ok := m.restored[pid]; !ok {
-				done = false
-				break
-			}
-		}
-		m.mu.Unlock()
-		if done {
-			return
-		}
-		c.clk.Sleep(500 * time.Millisecond)
-	}
+	return s
 }
 
 // NotifyDeparture is the GPS feed (§III-E): the named phone has left its
-// region. The controller selects a replacement, orders the state transfer
-// over cellular, and repoints the slot.
+// region. The executor plans and runs the handoff of its slots.
 func (c *Controller) NotifyDeparture(regionID string, phoneID simnet.NodeID) {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
+	m := c.lookup(regionID)
 	if m == nil || m.isDead() {
 		return
 	}
 	m.mu.Lock()
 	m.departures++
 	m.mu.Unlock()
-	slots := m.r.SlotsOn(phoneID)
-	if len(slots) == 0 {
+	if len(m.r.SlotsOn(phoneID)) == 0 {
 		m.r.Unregister(phoneID)
 		return
 	}
 	if !m.r.Scheme().HandlesDepartures() {
-		// Prior schemes have no mobility story: the slot stays placed on
-		// the departed phone and the region limps along in urgent mode —
-		// permanently (paper §IV-B runs departures only on MobiStreams).
-		// Warn once per region; churny workloads would otherwise repeat
-		// this line on every departure.
+		// Prior schemes have no mobility story: the slot stays on the
+		// departed phone in urgent mode for good (§IV-B runs departures
+		// only on MobiStreams). Warn once per region, not per departure.
 		m.mu.Lock()
 		warned := m.noMobilityWarned
 		m.noMobilityWarned = true
@@ -396,96 +235,19 @@ func (c *Controller) NotifyDeparture(regionID string, phoneID simnet.NodeID) {
 		}
 		return
 	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		// Serialise with live migrations: both paths vacate a slot with
-		// its state in flight, and two concurrent transfers of the same
-		// phone's slots would race each other's placement repoints. The
-		// flag also holds off checkpoint rounds across the handoff.
-		m.mu.Lock()
-		for m.migrating && !m.dead {
-			m.mu.Unlock()
-			if c.stopped() {
-				return
-			}
-			c.clk.Sleep(300 * time.Millisecond)
-			m.mu.Lock()
+	c.enqueue(m, func() {
+		if !m.isDead() {
+			c.runPlan(m, handoffPlan(c.snapshot(m, []simnet.NodeID{phoneID})))
 		}
-		if m.dead {
-			m.mu.Unlock()
-			return
-		}
-		m.migrating = true
-		m.mu.Unlock()
-		defer func() {
-			m.mu.Lock()
-			m.migrating = false
-			m.mu.Unlock()
-		}()
-		// Re-read the slots under the interlock: a migration that just
-		// finished may already have moved some off the departing phone.
-		c.reclaimSpares(m)
-		for _, slot := range m.r.SlotsOn(phoneID) {
-			repl := m.r.TakeIdle()
-			if repl == "" {
-				c.logf("controller: no replacement for departing %s; staying in urgent mode", phoneID)
-				return
-			}
-			c.shipCode(repl)
-			// Order the departing phone to hand its state to the
-			// replacement over cellular (Fig. 7, instants 2-4).
-			m.mu.Lock()
-			delete(m.restored, repl)
-			m.mu.Unlock()
-			c.send(phoneID, node.Command{Op: node.CmdHandoff, Target: repl})
-			if c.awaitTransfer(m, repl, 120*time.Second) {
-				m.r.SetPlacement(slot, repl)
-			} else {
-				c.logf("controller: handoff of %s to %s timed out", slot, repl)
-			}
-		}
-		m.r.Unregister(phoneID)
-	}()
-}
-
-// awaitTransfer polls until the replacement reports its transfer restore.
-func (c *Controller) awaitTransfer(m *managed, repl simnet.NodeID, timeout time.Duration) bool {
-	deadline := c.clk.Now() + timeout
-	for c.clk.Now() < deadline && !c.stopped() {
-		m.mu.Lock()
-		v, ok := m.restored[repl]
-		m.mu.Unlock()
-		if ok && v == ^uint64(0) {
-			return true
-		}
-		c.clk.Sleep(300 * time.Millisecond)
-	}
-	return false
+	})
 }
 
 // Departures reports how many departures a region has processed.
 func (c *Controller) Departures(regionID string) int {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.departures
+	return read(c, regionID, func(m *managed) int { return m.departures })
 }
 
 // CatchUpCount reports how many sinks completed catch-up for an epoch.
 func (c *Controller) CatchUpCount(regionID string, epoch uint64) int {
-	c.mu.Lock()
-	m := c.regions[regionID]
-	c.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.catchUpDone[epoch]
+	return read(c, regionID, func(m *managed) int { return m.catchUpDone[epoch] })
 }

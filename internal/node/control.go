@@ -162,10 +162,8 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 		n.ReplayFrom(c.Version, c.Epoch)
 	case CmdPromote:
 		n.Promote()
-	case CmdHandoff:
-		n.HandoffTo(c.Target)
-	case CmdMigrate:
-		n.MigrateTo(c.Target)
+	case CmdHandoff, CmdMigrate:
+		n.handoff(c.Target)
 	case CmdFetchRestore:
 		n.fetchRestore(c)
 	case CmdPing:
@@ -505,18 +503,11 @@ func (n *Node) fetchSlot() string {
 	return n.slot
 }
 
-// HandoffTo transfers the node's live state to a replacement phone and
-// demotes this node to idle (§III-E). For a departed phone the WiFi leg
-// fails instantly and the transfer rides cellular — the emergency path.
-func (n *Node) HandoffTo(target simnet.NodeID) { n.handoff(target) }
-
-// MigrateTo is the planned live-migration path: the scheduler moves the
-// slot off this (still in-range, still healthy) phone, so the state blob
-// ships over the cheap region WiFi, falling back to cellular only if the
-// medium fails mid-transfer. Mechanically it is the same pause → snapshot →
-// vacate → relay sequence as a departure handoff.
-func (n *Node) MigrateTo(target simnet.NodeID) { n.handoff(target) }
-
+// handoff transfers the node's live state to target and demotes this node
+// to idle: pause, snapshot, vacate, then relay stragglers. It serves both a
+// departure handoff (§III-E: the departed phone's WiFi leg fails at once
+// and the transfer rides cellular) and a planned live migration (the phone
+// is still in range, so the blob ships over the region WiFi).
 func (n *Node) handoff(target simnet.NodeID) {
 	n.jot("migrate.start", 0, string(target))
 	n.PauseExec()
@@ -530,7 +521,7 @@ func (n *Node) handoff(target simnet.NodeID) {
 		n.ResumeExec()
 		return
 	}
-	blob, err := n.snapshot(transferVersion)
+	blob, err := n.snapshot(TransferVersion)
 	if err != nil {
 		n.logf("%s: handoff snapshot: %v", n.id, err)
 		n.ResumeExec()
@@ -633,7 +624,7 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg TransferMsg) {
 	}
 	n.cond.Broadcast()
 	n.jot("migrate.in", 0, msg.Slot)
-	n.report(Report{Type: RepRestored, Phone: n.id, Slot: msg.Slot, Version: transferVersion})
+	n.report(Report{Type: RepRestored, Phone: n.id, Slot: msg.Slot, Version: TransferVersion})
 }
 
 // Activate configures an idle node to host a slot (recovery replacement).
@@ -654,6 +645,6 @@ func (n *Node) opIDsForSlot(slot string) []string {
 	return n.graph.OpsOnSlot(slot)
 }
 
-// transferVersion tags handoff blobs, which are live state outside the
+// TransferVersion tags handoff blobs, which are live state outside the
 // checkpoint version sequence.
-const transferVersion = ^uint64(0)
+const TransferVersion = ^uint64(0)

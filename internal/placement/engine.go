@@ -8,45 +8,22 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// Config parameterises the planning engine.
-type Config struct {
-	// SparesPerDomain is the warm spare pool kept per slot-hosting domain
-	// (default 1). Domains whose Poisson departure-rate estimate exceeds
-	// DepartRateBoost hold one extra.
-	SparesPerDomain int
-	// HazardHorizon is how far ahead a forecast departure triggers an
-	// evacuation (default 75 s — more than a code ship plus a transfer,
-	// so planned moves beat emergency recovery).
-	HazardHorizon time.Duration
-	// MaxMigrations bounds migrate steps per plan (default 4).
-	MaxMigrations int
-	// MinBatteryFraction excludes weak phones from targets and spare pools,
-	// and a phone hosting slots below it is evacuated at once (default
-	// 0.15 — comfortably above the 0.05 chronic threshold, so the planned
-	// migration beats the emergency chronic-battery report).
-	MinBatteryFraction float64
-	// DepartRateBoost is the per-domain departure rate (phones/minute)
-	// above which the domain's spare pool grows by one (default 1.5).
-	DepartRateBoost float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.SparesPerDomain <= 0 {
-		c.SparesPerDomain = 1
-	}
-	if c.HazardHorizon <= 0 {
-		c.HazardHorizon = 75 * time.Second
-	}
-	if c.MaxMigrations <= 0 {
-		c.MaxMigrations = 4
-	}
-	if c.MinBatteryFraction <= 0 {
-		c.MinBatteryFraction = 0.15
-	}
-	if c.DepartRateBoost <= 0 {
-		c.DepartRateBoost = 1.5
-	}
-}
+// The engine's tuning: constants, as no caller ever set them.
+const (
+	// A domain hosting slots keeps sparesPerDomain warm spares, one more
+	// once its departure-rate estimate reaches departRateBoost
+	// phones/minute.
+	sparesPerDomain = 1
+	departRateBoost = 1.5
+	// A host forecast to leave within hazardHorizon is evacuated: more
+	// than a code ship plus a transfer, so planned moves beat recovery.
+	hazardHorizon = 75 * time.Second
+	maxMigrations = 4 // migrate steps per plan
+	// minBatteryFraction excludes weak phones from targets and spare
+	// pools, and a host below it is evacuated at once: well above the
+	// 0.05 chronic threshold, so the planned move beats the emergency.
+	minBatteryFraction = 0.15
+)
 
 // Engine turns topology snapshots into plans. It is deterministic: the
 // only state carried between plans is the version counter and each
@@ -54,8 +31,6 @@ func (c *Config) applyDefaults() {
 // always emits the same plan bytes. One engine may serve many regions (the
 // controller runs one planning loop per region against a shared instance).
 type Engine struct {
-	cfg Config
-
 	mu      sync.Mutex
 	version uint64
 	churn   map[string]*churnState // by Snapshot.Region
@@ -69,9 +44,8 @@ type churnState struct {
 }
 
 // New creates an engine.
-func New(cfg Config) *Engine {
-	cfg.applyDefaults()
-	return &Engine{cfg: cfg, churn: make(map[string]*churnState)}
+func New() *Engine {
+	return &Engine{churn: make(map[string]*churnState)}
 }
 
 // move is one pending migrate step before targets are chosen.
@@ -119,8 +93,8 @@ func (e *Engine) Plan(s Snapshot) *Plan {
 		}
 		return moves[i].slot < moves[j].slot
 	})
-	if len(moves) > e.cfg.MaxMigrations {
-		moves = moves[:e.cfg.MaxMigrations]
+	if len(moves) > maxMigrations {
+		moves = moves[:maxMigrations]
 	}
 
 	// Candidate landing spots per domain: warm spares first (that is what
@@ -128,7 +102,7 @@ func (e *Engine) Plan(s Snapshot) *Plan {
 	candidates := make([][]*Phone, len(s.Domains))
 	for i := range s.Phones {
 		p := &s.Phones[i]
-		if !(p.Idle || p.Spare) || !f.healthy(i, p, e.cfg.MinBatteryFraction) {
+		if !(p.Idle || p.Spare) || !f.healthy(i, p) {
 			continue
 		}
 		if p.Domain >= 0 && p.Domain < len(candidates) {

@@ -50,11 +50,11 @@ func TestPlanGolden(t *testing.T) {
 		" 0 migrate n3 p5->p3 dom0 evac:battery(20s)\n" +
 		" 1 reserve p4 dom0 spare:pool\n"
 
-	got := New(Config{}).Plan(goldenSnapshot()).Encode()
+	got := New().Plan(goldenSnapshot()).Encode()
 	if got != want {
 		t.Fatalf("plan drifted from golden output.\ngot:\n%swant:\n%s", got, want)
 	}
-	if again := New(Config{}).Plan(goldenSnapshot()).Encode(); again != got {
+	if again := New().Plan(goldenSnapshot()).Encode(); again != got {
 		t.Fatalf("identical snapshots produced different plans:\n%s\nvs\n%s", got, again)
 	}
 }
@@ -75,7 +75,7 @@ func TestPlanGoldenSingleDomain(t *testing.T) {
 		" 0 migrate n3 p5->p4 dom0 evac:battery(20s)\n" +
 		" 1 reserve p3 dom0 spare:pool\n"
 
-	got := New(Config{}).Plan(s).Encode()
+	got := New().Plan(s).Encode()
 	if got != want {
 		t.Fatalf("plan drifted from golden output.\ngot:\n%swant:\n%s", got, want)
 	}
@@ -97,7 +97,6 @@ func TestPlanEvacuations(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		cfg    Config
 		radius float64
 		phones []Phone
 		slots  []Assignment
@@ -161,18 +160,28 @@ func TestPlanEvacuations(t *testing.T) {
 		},
 		{
 			// Moving the whole region at once would itself be the
-			// disruption the planner exists to avoid; the host already
-			// below the floor goes before the one with 50 s left.
+			// disruption the planner exists to avoid: five hosts are
+			// doomed, only maxMigrations (4) move. The hosts already
+			// below the floor go first, then the drains by time left,
+			// so the one with 70 s to live waits for the next plan.
 			name: "migrations per plan are bounded, most urgent first",
-			cfg:  Config{MaxMigrations: 1},
 			phones: []Phone{
-				host("p1", 100, 0.5, 2), host("p2", 50, 0.04, 0),
-				idle("p8", 0.9), idle("p9", 0.9),
+				host("p1", 140, 0.5, 2), host("p2", 50, 0.04, 0),
+				host("p3", 100, 0.5, 2), host("p4", 40, 0.03, 0),
+				host("p5", 120, 0.5, 2),
+				idle("p6", 0.9), idle("p7", 0.9), idle("p8", 0.9),
+				idle("p9", 0.9), idle("pa", 0.9),
 			},
-			slots: []Assignment{{"n1", "r1/p1"}, {"n2", "r1/p2"}},
+			slots: []Assignment{
+				{"n1", "r1/p1"}, {"n2", "r1/p2"}, {"n3", "r1/p3"},
+				{"n4", "r1/p4"}, {"n5", "r1/p5"},
+			},
 			want: []string{
-				"migrate n2 r1/p2->r1/p8 dom0 evac:battery-low",
-				"reserve r1/p9 dom0 spare:pool",
+				"migrate n2 r1/p2->r1/p6 dom0 evac:battery-low",
+				"migrate n4 r1/p4->r1/p7 dom0 evac:battery-low",
+				"migrate n3 r1/p3->r1/p8 dom0 evac:battery(50s)",
+				"migrate n5 r1/p5->r1/p9 dom0 evac:battery(1m0s)",
+				"reserve r1/pa dom0 spare:pool",
 			},
 		},
 		{
@@ -190,7 +199,7 @@ func TestPlanEvacuations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			plan := New(tc.cfg).Plan(Snapshot{
+			plan := New().Plan(Snapshot{
 				Region: "r1", Now: 100 * time.Second, RadiusM: tc.radius,
 				Domains: []Domain{{ID: 0}}, Phones: tc.phones, Slots: tc.slots,
 			})
@@ -236,7 +245,7 @@ func TestTimeToBoundary(t *testing.T) {
 // shared instance), each with its own departure-rate estimate. Run under
 // -race this fails loudly if the per-region state is mutated unguarded.
 func TestPlanConcurrentRegions(t *testing.T) {
-	e := New(Config{})
+	e := New()
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -310,7 +319,7 @@ func TestPackSpreadsIndependentGroups(t *testing.T) {
 			{From: "nb1", To: "nb2"},
 		},
 	}
-	e := New(Config{})
+	e := New()
 	f := e.runForecast(&s)
 	pk := e.packGroups(&s, f)
 	if pk.domainOf["na1"] != pk.domainOf["na2"] {
@@ -347,7 +356,7 @@ func TestPackSpillsOnlyWhenNoDomainFits(t *testing.T) {
 			{From: "n1", To: "n2"}, {From: "n2", To: "n3"}, {From: "n3", To: "n4"},
 		},
 	}
-	e := New(Config{})
+	e := New()
 	f := e.runForecast(&s)
 	pk := e.packGroups(&s, f)
 	// Whole group is 4 slots; domain 0 holds 2 incumbents + 1 idle = 3,
@@ -385,7 +394,7 @@ func TestForecastTrajectoryEvacuation(t *testing.T) {
 		},
 		Slots: []Assignment{{Slot: "n1", Phone: "p1"}},
 	}
-	plan := New(Config{}).Plan(s)
+	plan := New().Plan(s)
 	if len(plan.Steps) == 0 || plan.Steps[0].Kind != StepMigrate {
 		t.Fatalf("no evacuation planned: %s", plan.Encode())
 	}
@@ -413,7 +422,7 @@ func TestSpareChurnBoost(t *testing.T) {
 		}
 		return s
 	}
-	e := New(Config{})
+	e := New()
 	first := e.Plan(snap(30*time.Second, 0, false))
 	if len(first.Steps) != 1 || first.Steps[0].Kind != StepReserve || first.Steps[0].Reason != "spare:pool" {
 		t.Fatalf("first plan should reserve one baseline spare: %s", first.Encode())
@@ -446,7 +455,7 @@ func TestSpareSurplusRelease(t *testing.T) {
 		},
 		Slots: []Assignment{{Slot: "n1", Phone: "p1"}},
 	}
-	plan := New(Config{}).Plan(s)
+	plan := New().Plan(s)
 	if len(plan.Steps) != 1 {
 		t.Fatalf("want exactly one release, got: %s", plan.Encode())
 	}

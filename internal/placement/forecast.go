@@ -92,11 +92,11 @@ func (f *forecast) doomedPhone(s *Snapshot, id string) (hazard, bool) {
 
 // healthy reports whether a phone is a sound migration target or spare: in
 // service, enough battery headroom, and not predicted to leave.
-func (f *forecast) healthy(i int, p *Phone, minBattery float64) bool {
+func (f *forecast) healthy(i int, p *Phone) bool {
 	if _, bad := f.doomed[i]; bad {
 		return false
 	}
-	return p.BatteryFraction <= 0 || p.BatteryFraction >= minBattery
+	return p.BatteryFraction <= 0 || p.BatteryFraction >= minBatteryFraction
 }
 
 // runForecast builds the hazard view for one snapshot and updates the
@@ -109,11 +109,11 @@ func (e *Engine) runForecast(s *Snapshot) *forecast {
 	}
 	for i := range s.Phones {
 		p := &s.Phones[i]
-		if hosting[p.ID] && p.BatteryFraction > 0 && p.BatteryFraction < e.cfg.MinBatteryFraction {
+		if hosting[p.ID] && p.BatteryFraction > 0 && p.BatteryFraction < minBatteryFraction {
 			// A host under the floor the engine refuses targets at is
 			// leaving now, whatever its drain estimate says.
 			f.doomed[i] = hazard{Reason: reasonBatteryLow}
-		} else if h, ok := forecastPhone(s, p); ok && h.In <= e.cfg.HazardHorizon {
+		} else if h, ok := forecastPhone(s, p); ok && h.In <= hazardHorizon {
 			f.doomed[i] = h
 		}
 	}

@@ -79,7 +79,7 @@ func (e *Engine) packGroups(s *Snapshot, f *forecast) packing {
 	avail := make([]int, nd)
 	for i := range s.Phones {
 		ph := &s.Phones[i]
-		if (ph.Idle || ph.Spare) && f.healthy(i, ph, e.cfg.MinBatteryFraction) && ph.Domain >= 0 && ph.Domain < nd {
+		if (ph.Idle || ph.Spare) && f.healthy(i, ph) && ph.Domain >= 0 && ph.Domain < nd {
 			avail[ph.Domain]++
 		}
 	}

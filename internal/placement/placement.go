@@ -102,56 +102,93 @@ func (s *Snapshot) phone(id simnet.NodeID) *Phone {
 	return nil
 }
 
-// StepKind discriminates plan steps.
+// StepKind discriminates plan steps. The engine emits the first three; the
+// controller builds recovery and departure-handoff plans from the rest, and
+// one executor runs every kind.
 type StepKind int
 
 const (
-	// StepMigrate moves Slot from phone From to phone To (in domain Domain).
-	StepMigrate StepKind = iota
-	// StepReserve claims idle phone To into domain Domain's warm spare pool.
-	StepReserve
-	// StepRelease returns spare phone To to the shared idle pool.
-	StepRelease
+	StepMigrate      StepKind = iota // Slot moves from phone From to To (in domain Domain)
+	StepReserve                      // idle phone To joins domain Domain's warm spare pool
+	StepRelease                      // spare phone To returns to the shared idle pool
+	StepActivate                     // idle phone To becomes the host of Slot
+	StepPause                        // Phones pause at tuple boundaries, each acknowledged
+	StepRestore                      // Phones reload Version from local storage, each reporting
+	StepFetchRestore                 // To restores Slot's Version fetched from peer From
+	StepReplay                       // source hosts Phones replay input since Version as catch-up Epoch
+	StepResume                       // Phones resume in order, each acknowledged before the next
+	StepPromote                      // Slot's standby becomes its primary
+	StepKill                         // the region stops and is bypassed
+	StepHandoff                      // departing From hands Slot's live state to idle To
+	StepUnregister                   // departed phone From leaves the region
 )
 
+var stepNames = [...]string{
+	StepMigrate: "migrate", StepReserve: "reserve", StepRelease: "release",
+	StepActivate: "activate", StepPause: "pause", StepRestore: "restore",
+	StepFetchRestore: "fetch-restore", StepReplay: "replay", StepResume: "resume",
+	StepPromote: "promote", StepKill: "kill", StepHandoff: "handoff",
+	StepUnregister: "unregister",
+}
+
 func (k StepKind) String() string {
-	switch k {
-	case StepMigrate:
-		return "migrate"
-	case StepReserve:
-		return "reserve"
-	case StepRelease:
-		return "release"
-	default:
-		return fmt.Sprintf("step(%d)", int(k))
+	if k >= 0 && int(k) < len(stepNames) {
+		return stepNames[k]
 	}
+	return fmt.Sprintf("step(%d)", int(k))
 }
 
 // Step is one ordered plan action.
 type Step struct {
 	Kind   StepKind
-	Slot   string        // migrate only
-	From   simnet.NodeID // migrate only
+	Slot   string
+	From   simnet.NodeID
 	To     simnet.NodeID
-	Domain int // target domain
-	Reason string
+	Domain int // target domain (engine steps)
+	// Phones are the targets of the region-wide recovery steps, in the
+	// order they are served.
+	Phones  []simnet.NodeID
+	Version uint64
+	Epoch   uint64
+	Reason  string
 }
 
 func (st Step) String() string {
 	switch st.Kind {
 	case StepMigrate:
 		return fmt.Sprintf("migrate %s %s->%s dom%d %s", st.Slot, st.From, st.To, st.Domain, st.Reason)
-	default:
+	case StepReserve, StepRelease:
 		return fmt.Sprintf("%s %s dom%d %s", st.Kind, st.To, st.Domain, st.Reason)
 	}
+	// Recovery and handoff steps: the kind, then the fields it carries.
+	f := []string{st.Kind.String(), st.Slot}
+	if st.Version != 0 {
+		f = append(f, fmt.Sprintf("v%d", st.Version))
+	}
+	if st.Epoch != 0 {
+		f = append(f, fmt.Sprintf("e%d", st.Epoch))
+	}
+	if st.From != "" && st.To != "" {
+		f = append(f, string(st.From)+"->"+string(st.To))
+	} else {
+		f = append(f, string(st.From)+string(st.To))
+	}
+	if st.Phones != nil {
+		f = append(f, fmt.Sprint(st.Phones))
+	}
+	// Fields drops the fields a kind leaves empty.
+	return strings.Join(strings.Fields(strings.Join(append(f, st.Reason), " ")), " ")
 }
 
-// Plan is one versioned placement plan. Steps are ordered: the controller
-// executes them sequentially, aborts the remainder on a failed migration,
-// and replans from fresh telemetry on the next tick.
+// Plan is one versioned plan. Steps are ordered: the controller executes
+// them sequentially and stops at the first failed step the rest depend on.
+// A placement plan aborts there and the next tick replans from fresh
+// telemetry. Cause is empty for the engine's plans; the controller's
+// recovery and handoff plans name what triggered them.
 type Plan struct {
 	Region  string
 	Version uint64
+	Cause   string
 	Steps   []Step
 }
 
@@ -159,7 +196,11 @@ type Plan struct {
 // determinism test pins this output; the journal records it per step.
 func (p *Plan) Encode() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s v%d steps=%d\n", p.Region, p.Version, len(p.Steps))
+	fmt.Fprintf(&b, "plan %s v%d steps=%d", p.Region, p.Version, len(p.Steps))
+	if p.Cause != "" {
+		b.WriteString(" " + p.Cause)
+	}
+	b.WriteByte('\n')
 	for i, st := range p.Steps {
 		fmt.Fprintf(&b, "%2d %s\n", i, st)
 	}

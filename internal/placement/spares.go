@@ -7,7 +7,7 @@ import (
 )
 
 // planSpares rebalances the warm spare pools after the migrate steps are
-// chosen: every domain that hosts slots keeps SparesPerDomain healthy idle
+// chosen: every domain that hosts slots keeps sparesPerDomain healthy idle
 // phones claimed (one more when its departure-rate estimate runs hot), and
 // spares that are surplus, consumed as migration targets, or themselves
 // forecast to leave are replaced or returned to the shared idle pool.
@@ -29,7 +29,7 @@ func (e *Engine) planSpares(s *Snapshot, f *forecast, pk packing, used map[simne
 		if p.Domain < 0 || p.Domain >= nd || used[p.ID] {
 			continue
 		}
-		healthy := f.healthy(i, p, e.cfg.MinBatteryFraction)
+		healthy := f.healthy(i, p)
 		switch {
 		case p.Spare && !healthy:
 			reason := "spare:unfit"
@@ -50,8 +50,8 @@ func (e *Engine) planSpares(s *Snapshot, f *forecast, pk packing, used map[simne
 	for d := 0; d < nd; d++ {
 		want := 0
 		if len(pk.planned) > d && pk.planned[d] > 0 {
-			want = e.cfg.SparesPerDomain
-			if f.rate[d] >= e.cfg.DepartRateBoost {
+			want = sparesPerDomain
+			if f.rate[d] >= departRateBoost {
 				want++
 			}
 		}
@@ -78,7 +78,7 @@ func (e *Engine) planSpares(s *Snapshot, f *forecast, pk packing, used map[simne
 				return idle[i].ID < idle[j].ID
 			})
 			reason := "spare:pool"
-			if f.rate[d] >= e.cfg.DepartRateBoost {
+			if f.rate[d] >= departRateBoost {
 				reason = "spare:churn"
 			}
 			for i := 0; i < deficit && i < len(idle); i++ {

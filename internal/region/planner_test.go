@@ -39,7 +39,7 @@ func plannerHarness(t *testing.T, o plannerOpts) *harness {
 		UpBitsPerSecond:   o.cellBps,
 		DownBitsPerSecond: o.cellBps,
 	})
-	planner := scheduler.NewPlanner(placement.New(placement.Config{}), nil)
+	planner := scheduler.NewPlanner(placement.New(), nil)
 	planner.Cooldown = o.cooldown
 	ctrl := controller.New(controller.Config{
 		Clock:            clk,

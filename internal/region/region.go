@@ -768,16 +768,20 @@ func (r *Region) NoteMigration() { atomic.AddInt64(&r.migrations, 1) }
 func (r *Region) Migrations() int64 { return atomic.LoadInt64(&r.migrations) }
 
 // IdleCount reports available replacement phones.
-func (r *Region) IdleCount() int {
+func (r *Region) IdleCount() int { return len(r.IdlePhones()) }
+
+// IdlePhones lists the available replacement phones in the order TakeIdle
+// hands them out (recovery and handoff planning).
+func (r *Region) IdlePhones() []simnet.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
+	var ids []simnet.NodeID
 	for _, id := range r.idle {
 		if !r.failed[id] && !r.departed[id] {
-			n++
+			ids = append(ids, id)
 		}
 	}
-	return n
+	return ids
 }
 
 // LivePeers lists phones other than `self` that are present in the region

@@ -25,7 +25,7 @@ func migrations(p *placement.Plan) []placement.Step {
 // tracked its own cooldowns and saw nothing of the other's.
 func TestCooldownUnification(t *testing.T) {
 	ledger := NewCooldowns()
-	planner := NewPlanner(placement.New(placement.Config{}), ledger)
+	planner := NewPlanner(placement.New(), ledger)
 	pol := &ElasticPolicy{Cooldown: 10 * time.Second, Cooldowns: ledger, Scope: "r1"}
 
 	stats := func(backlog int) []InstanceStat {

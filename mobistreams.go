@@ -232,7 +232,7 @@ func NewSystem(cfg SystemConfig) *System {
 		Logf:             cfg.Logf,
 	}
 	if cfg.AdaptivePlacement {
-		cc.Planner = scheduler.NewPlanner(placement.New(placement.Config{}), nil)
+		cc.Planner = scheduler.NewPlanner(placement.New(), nil)
 		cc.ScheduleTick = cfg.ScheduleTick
 	}
 	// The caller's cellular config is passed through as-is; simnet applies
