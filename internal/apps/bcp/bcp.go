@@ -14,23 +14,22 @@ import (
 	"mobistreams/internal/vision"
 )
 
+// The small model operators' service time, and the modelled statistical
+// model sizes of each counter and of the boarding model. These dominate
+// checkpoint sizes.
+const (
+	modelCost         = 100 * time.Millisecond
+	counterStateBytes = 1 << 20
+	boardStateBytes   = 1280 << 10
+)
+
 // Params calibrates the application. Zero values get the paper-derived
-// defaults (§IV: 180 KB camera tuples, ~7 s counting on a 600 MHz A8).
+// defaults (§IV: ~7 s counting on a 600 MHz A8).
 type Params struct {
-	// ImageBytes is the on-the-wire camera tuple size (default 180 KB,
-	// derived from Table I's uplink arithmetic).
-	ImageBytes int
 	// CounterCost is the face-count service time per frame (default 7 s).
 	CounterCost time.Duration
 	// MotionCost is the passerby-filter service time (default 1 s).
 	MotionCost time.Duration
-	// ModelCost is the service time of the small model operators.
-	ModelCost time.Duration
-	// CounterStateBytes models each counter's statistical model size
-	// (default 1.5 MB); BoardStateBytes the boarding model's (default
-	// 2 MB). These dominate checkpoint sizes.
-	CounterStateBytes int
-	BoardStateBytes   int
 	// RealCompute runs the actual Haar cascade on frame payloads;
 	// benchmarks disable it and use the frame's planted ground truth so
 	// scaled-clock timing is not distorted by wall-clock compute.
@@ -38,23 +37,11 @@ type Params struct {
 }
 
 func (p *Params) applyDefaults() {
-	if p.ImageBytes <= 0 {
-		p.ImageBytes = 180 << 10
-	}
 	if p.CounterCost <= 0 {
 		p.CounterCost = 7 * time.Second
 	}
 	if p.MotionCost <= 0 {
 		p.MotionCost = time.Second
-	}
-	if p.ModelCost <= 0 {
-		p.ModelCost = 100 * time.Millisecond
-	}
-	if p.CounterStateBytes <= 0 {
-		p.CounterStateBytes = 1 << 20
-	}
-	if p.BoardStateBytes <= 0 {
-		p.BoardStateBytes = 1280 << 10
 	}
 }
 

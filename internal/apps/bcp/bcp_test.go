@@ -10,7 +10,7 @@ import (
 )
 
 func params() Params {
-	return Params{ModelCost: time.Nanosecond, CounterCost: time.Nanosecond, MotionCost: time.Nanosecond}
+	return Params{CounterCost: time.Nanosecond, MotionCost: time.Nanosecond}
 }
 
 func TestGraphShape(t *testing.T) {
@@ -214,3 +214,6 @@ func TestAllStatefulOperatorsRoundTrip(t *testing.T) {
 }
 
 var _ operator.Operator = (*counter)(nil)
+
+// Frames reports processed frames (tests).
+func (o *counter) Frames() uint64 { return o.frames }

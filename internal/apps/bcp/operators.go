@@ -44,7 +44,7 @@ type noiseFilter struct {
 }
 
 func newNoiseFilter(p Params) *noiseFilter {
-	return &noiseFilter{Base: operator.Base{Name: "N"}, cost: p.ModelCost}
+	return &noiseFilter{Base: operator.Base{Name: "N"}, cost: modelCost}
 }
 
 func (o *noiseFilter) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -101,7 +101,7 @@ type arrivalModel struct {
 }
 
 func newArrivalModel(p Params) *arrivalModel {
-	return &arrivalModel{Base: operator.Base{Name: "A"}, cost: p.ModelCost, interval: 300}
+	return &arrivalModel{Base: operator.Base{Name: "A"}, cost: modelCost, interval: 300}
 }
 
 func (o *arrivalModel) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -159,7 +159,7 @@ type alightModel struct {
 }
 
 func newAlightModel(p Params) *alightModel {
-	return &alightModel{Base: operator.Base{Name: "L"}, cost: p.ModelCost, fraction: 0.3}
+	return &alightModel{Base: operator.Base{Name: "L"}, cost: modelCost, fraction: 0.3}
 }
 
 func (o *alightModel) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -274,7 +274,7 @@ type counter struct {
 }
 
 func newCounter(id string, p Params) *counter {
-	return &counter{Base: operator.Base{Name: id}, cost: p.CounterCost, real: p.RealCompute, extra: p.CounterStateBytes}
+	return &counter{Base: operator.Base{Name: id}, cost: p.CounterCost, real: p.RealCompute, extra: counterStateBytes}
 }
 
 func (o *counter) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -324,9 +324,6 @@ func (o *counter) Restore(data []byte) error {
 
 func (o *counter) StateSize() int { return 8*(len(o.hist)+1) + o.extra }
 
-// Frames reports processed frames (tests).
-func (o *counter) Frames() uint64 { return o.frames }
-
 // boardModel (B) windows recent waiting counts into a boarding estimate.
 type boardModel struct {
 	operator.Base
@@ -338,7 +335,7 @@ type boardModel struct {
 }
 
 func newBoardModel(p Params) *boardModel {
-	return &boardModel{Base: operator.Base{Name: "B"}, cost: p.ModelCost, extra: p.BoardStateBytes}
+	return &boardModel{Base: operator.Base{Name: "B"}, cost: modelCost, extra: boardStateBytes}
 }
 
 func (o *boardModel) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -417,7 +414,7 @@ type latestJoin struct {
 
 func newLatestJoin(p Params) *latestJoin {
 	return &latestJoin{
-		Base: operator.Base{Name: "J"}, cost: p.ModelCost,
+		Base: operator.Base{Name: "J"}, cost: modelCost,
 		eta: make(map[uint64]*tuple.Tuple), alight: make(map[uint64]float64),
 	}
 }
@@ -573,7 +570,7 @@ type capacityModel struct {
 }
 
 func newCapacityModel(p Params) *capacityModel {
-	return &capacityModel{Base: operator.Base{Name: "P"}, cost: p.ModelCost}
+	return &capacityModel{Base: operator.Base{Name: "P"}, cost: modelCost}
 }
 
 func (o *capacityModel) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -612,7 +609,7 @@ func (*capacityModel) StateSize() int { return 8 }
 // Incremental checkpointing: every BCP operator exposes delta snapshots via
 // the serialised-state diff tracker. The model operators' states are a few
 // dozen bytes, so their deltas are near-free; the counter and board-model
-// windows carry modelled auxiliary state (CounterStateBytes/BoardStateBytes)
+// windows carry modelled auxiliary state (counterStateBytes/boardStateBytes)
 // that is static between checkpoints and therefore absent from deltas —
 // exactly the saving incremental checkpointing exists for.
 

@@ -117,7 +117,7 @@ type motionFilter struct {
 }
 
 func newMotionFilter(id string, p Params) *motionFilter {
-	return &motionFilter{Base: operator.Base{Name: id}, cost: p.MotionCost, real: p.RealCompute, extra: p.ColumnStateBytes}
+	return &motionFilter{Base: operator.Base{Name: id}, cost: p.MotionCost, real: p.RealCompute, extra: columnStateBytes}
 }
 
 func (o *motionFilter) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -139,7 +139,7 @@ func (o *motionFilter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) 
 	out := ctx.Clone(t)
 	out.Kind = "observation"
 	out.Size = ctlTupleBytes
-	out.Value = Observation{Color: color, Valid: valid}
+	out.Value = observation{Color: color, Valid: valid}
 	ctx.Emit(out)
 	return nil
 }
@@ -183,19 +183,19 @@ func (o *motionFilter) StateSize() int { return 9 + 9*len(o.prev) + o.extra }
 type voter struct {
 	operator.Base
 	cost   time.Duration
-	window []Observation
+	window []observation
 	n      uint64
 	delta  operator.DeltaTracker
 }
 
 func newVoter(p Params) *voter {
-	return &voter{Base: operator.Base{Name: "V"}, cost: p.ModelCost}
+	return &voter{Base: operator.Base{Name: "V"}, cost: modelCost}
 }
 
 func (o *voter) Cost(*tuple.Tuple) time.Duration { return o.cost }
 
 func (o *voter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
-	obs, ok := t.Value.(Observation)
+	obs, ok := t.Value.(observation)
 	if !ok {
 		return fmt.Errorf("V: unexpected payload %T", t.Value)
 	}
@@ -214,7 +214,7 @@ func (o *voter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
 		counts[w.Color]++
 	}
 	best := vision.Red
-	for _, c := range []vision.LightColor{Red, Yellow, Green} {
+	for _, c := range []vision.LightColor{red, yellow, green} {
 		if counts[c] > counts[best] {
 			best = c
 		}
@@ -222,16 +222,16 @@ func (o *voter) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
 	out := ctx.Clone(t)
 	out.Kind = "vote"
 	out.Size = ctlTupleBytes
-	out.Value = Observation{Color: best, Valid: true}
+	out.Value = observation{Color: best, Valid: true}
 	ctx.Emit(out)
 	return nil
 }
 
 // Aliases keep the vote loop readable.
 const (
-	Red    = vision.Red
-	Yellow = vision.Yellow
-	Green  = vision.Green
+	red    = vision.Red
+	yellow = vision.Yellow
+	green  = vision.Green
 )
 
 func (o *voter) Snapshot() ([]byte, error) {
@@ -254,14 +254,14 @@ func (o *voter) Restore(data []byte) error {
 	}
 	o.window = nil
 	for i := 0; i < cnt; i++ {
-		o.window = append(o.window, Observation{Color: vision.LightColor(data[9+i]), Valid: true})
+		o.window = append(o.window, observation{Color: vision.LightColor(data[9+i]), Valid: true})
 	}
 	return nil
 }
 
 func (o *voter) StateSize() int { return 9 + len(o.window) }
 
-// grouper (G) segments the vote stream into phases and emits a PhaseChange
+// grouper (G) segments the vote stream into phases and emits a phaseChange
 // when the colour flips.
 type grouper struct {
 	operator.Base
@@ -274,13 +274,13 @@ type grouper struct {
 }
 
 func newGrouper(p Params) *grouper {
-	return &grouper{Base: operator.Base{Name: "G"}, cost: p.ModelCost, extra: p.GroupStateBytes}
+	return &grouper{Base: operator.Base{Name: "G"}, cost: modelCost, extra: groupStateBytes}
 }
 
 func (o *grouper) Cost(*tuple.Tuple) time.Duration { return o.cost }
 
 func (o *grouper) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
-	obs, ok := t.Value.(Observation)
+	obs, ok := t.Value.(observation)
 	if !ok {
 		return fmt.Errorf("G: unexpected payload %T", t.Value)
 	}
@@ -295,11 +295,11 @@ func (o *grouper) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error
 		out := ctx.Clone(t)
 		out.Kind = "progress"
 		out.Size = ctlTupleBytes
-		out.Value = PhaseProgress{Color: o.current, Elapsed: now - o.started}
+		out.Value = phaseProgress{Color: o.current, Elapsed: now - o.started}
 		ctx.Emit(out)
 		return nil
 	}
-	change := PhaseChange{Color: o.current, Duration: now - o.started}
+	change := phaseChange{Color: o.current, Duration: now - o.started}
 	o.current, o.started = obs.Color, now
 	out := ctx.Clone(t)
 	out.Kind = "phase"
@@ -334,9 +334,9 @@ func (o *grouper) Restore(data []byte) error {
 
 func (o *grouper) StateSize() int { return 10 + o.extra }
 
-// predictor (P) learns phase durations (svm.PhaseEstimator) plus a linear
-// SVM over (colour, elapsed) features, blends in the upstream
-// intersection's advisory (S0), and emits transition-time advisories.
+// predictor (P) learns phase durations (svm.PhaseEstimator), blends in the
+// upstream intersection's advisory (S0), and emits transition-time
+// advisories.
 type predictor struct {
 	operator.Base
 	cost     time.Duration
@@ -349,7 +349,7 @@ type predictor struct {
 }
 
 func newPredictor(p Params) *predictor {
-	return &predictor{Base: operator.Base{Name: "P"}, cost: p.ModelCost, extra: p.PredictStateBytes}
+	return &predictor{Base: operator.Base{Name: "P"}, cost: modelCost, extra: predictStateBytes}
 }
 
 func (o *predictor) Cost(*tuple.Tuple) time.Duration { return o.cost }
@@ -363,7 +363,7 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 		return nil
 	}
 	switch v := t.Value.(type) {
-	case PhaseProgress:
+	case phaseProgress:
 		// Live countdown: remaining time in the current phase.
 		o.emitted++
 		rem := o.est.TimeToChange(int(v.Color), v.Elapsed, 30)
@@ -373,7 +373,7 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 		out.Value = Advisory{Color: v.Color, NextInSec: rem}
 		ctx.Emit(out)
 		return nil
-	case PhaseChange:
+	case phaseChange:
 		o.est.Observe(int(v.Color), v.Duration)
 		o.emitted++
 		next := o.est.MeanDuration(int(nextColor(v.Color)), 30)
@@ -395,12 +395,12 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 
 func nextColor(c vision.LightColor) vision.LightColor {
 	switch c {
-	case Red:
-		return Green
-	case Green:
-		return Yellow
+	case red:
+		return green
+	case green:
+		return yellow
 	default:
-		return Red
+		return red
 	}
 }
 
@@ -465,8 +465,8 @@ func appendU32(buf []byte, v uint32) []byte {
 // Incremental checkpointing: every SignalGuru operator exposes delta
 // snapshots via the serialised-state diff tracker. The filter columns'
 // states are a handful of counters and blob centroids; the motion filter
-// and grouper carry modelled column/group state (ColumnStateBytes,
-// GroupStateBytes) that is static between checkpoints and therefore absent
+// and grouper carry modelled column/group state (columnStateBytes,
+// groupStateBytes) that is static between checkpoints and therefore absent
 // from deltas.
 
 func (o *colorFilter) SnapshotDelta(since uint64) ([]byte, bool) {

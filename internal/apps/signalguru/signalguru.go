@@ -14,34 +14,29 @@ import (
 	"mobistreams/internal/vision"
 )
 
+// The service time of V, G and P, and the modelled state sizes: P's SVM
+// model plus phase history, G's segment buffers and each motion filter's
+// frame-history buffers.
+const (
+	modelCost         = 100 * time.Millisecond
+	predictStateBytes = 1536 << 10
+	groupStateBytes   = 768 << 10
+	columnStateBytes  = 256 << 10
+)
+
 // Params calibrates the application. Zero values give the paper-derived
-// defaults (110 KB camera tuples; a colour+shape+motion column of ~3.4 s on
-// the 600 MHz A8).
+// defaults (a colour+shape+motion column of ~3.4 s on the 600 MHz A8).
 type Params struct {
-	// ImageBytes is the camera tuple wire size (default 110 KB).
-	ImageBytes int
 	// ColorCost, ShapeCost, MotionCost are per-frame service times
 	// (defaults 1.6 s, 1.0 s, 0.8 s).
 	ColorCost  time.Duration
 	ShapeCost  time.Duration
 	MotionCost time.Duration
-	// ModelCost is the service time of V, G and P.
-	ModelCost time.Duration
-	// PredictStateBytes models P's SVM model plus phase history
-	// (default 2 MB); GroupStateBytes models G's segment buffers
-	// (default 1 MB); ColumnStateBytes models each motion filter's
-	// frame-history buffers (default 320 KB).
-	PredictStateBytes int
-	GroupStateBytes   int
-	ColumnStateBytes  int
 	// RealCompute runs the actual filters on frame payloads.
 	RealCompute bool
 }
 
 func (p *Params) applyDefaults() {
-	if p.ImageBytes <= 0 {
-		p.ImageBytes = 110 << 10
-	}
 	if p.ColorCost <= 0 {
 		p.ColorCost = 1600 * time.Millisecond
 	}
@@ -50,18 +45,6 @@ func (p *Params) applyDefaults() {
 	}
 	if p.MotionCost <= 0 {
 		p.MotionCost = 800 * time.Millisecond
-	}
-	if p.ModelCost <= 0 {
-		p.ModelCost = 100 * time.Millisecond
-	}
-	if p.PredictStateBytes <= 0 {
-		p.PredictStateBytes = 1536 << 10
-	}
-	if p.GroupStateBytes <= 0 {
-		p.GroupStateBytes = 768 << 10
-	}
-	if p.ColumnStateBytes <= 0 {
-		p.ColumnStateBytes = 256 << 10
 	}
 }
 
@@ -73,20 +56,20 @@ type Frame struct {
 	Truth vision.LightColor
 }
 
-// Observation is a filtered detection flowing from the columns to V.
-type Observation struct {
+// observation is a filtered detection flowing from the columns to V.
+type observation struct {
 	Color vision.LightColor
 	Valid bool
 }
 
-// PhaseChange is G's output on a transition: a completed phase.
-type PhaseChange struct {
+// phaseChange is G's output on a transition: a completed phase.
+type phaseChange struct {
 	Color    vision.LightColor
 	Duration float64 // seconds
 }
 
-// PhaseProgress is G's frame-rate output inside a phase.
-type PhaseProgress struct {
+// phaseProgress is G's frame-rate output inside a phase.
+type phaseProgress struct {
 	Color   vision.LightColor
 	Elapsed float64 // seconds into the phase
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func params() Params {
-	return Params{ModelCost: time.Nanosecond, ColorCost: time.Nanosecond,
+	return Params{ColorCost: time.Nanosecond,
 		ShapeCost: time.Nanosecond, MotionCost: time.Nanosecond}
 }
 
@@ -67,7 +67,7 @@ func TestColumnGroundTruthFlow(t *testing.T) {
 	if err != nil || len(outs) != 1 {
 		t.Fatalf("motion: %v %v", outs, err)
 	}
-	obs := outs[0].T.Value.(Observation)
+	obs := outs[0].T.Value.(observation)
 	if !obs.Valid || obs.Color != vision.Green {
 		t.Fatalf("observation = %+v", obs)
 	}
@@ -95,7 +95,7 @@ func TestColumnRealCompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 1 {
-			obs := outs[0].T.Value.(Observation)
+			obs := outs[0].T.Value.(observation)
 			if !obs.Valid || obs.Color != vision.Red {
 				t.Fatalf("real-compute observation = %+v", obs)
 			}
@@ -106,18 +106,18 @@ func TestColumnRealCompute(t *testing.T) {
 func TestVoterMajority(t *testing.T) {
 	v := newVoter(params())
 	for i := 0; i < 3; i++ {
-		operator.Run(v, "M0", &tuple.Tuple{Value: Observation{Color: vision.Green, Valid: true}})
+		operator.Run(v, "M0", &tuple.Tuple{Value: observation{Color: vision.Green, Valid: true}})
 	}
-	outs, err := operator.Run(v, "M1", &tuple.Tuple{Value: Observation{Color: vision.Red, Valid: true}})
+	outs, err := operator.Run(v, "M1", &tuple.Tuple{Value: observation{Color: vision.Red, Valid: true}})
 	if err != nil || len(outs) != 1 {
 		t.Fatal("voter did not emit")
 	}
-	if got := outs[0].T.Value.(Observation).Color; got != vision.Green {
+	if got := outs[0].T.Value.(observation).Color; got != vision.Green {
 		t.Fatalf("vote = %v, want green", got)
 	}
 	// Invalid observations don't pollute the window.
 	empty := newVoter(params())
-	outs, _ = operator.Run(empty, "M0", &tuple.Tuple{Value: Observation{Valid: false}})
+	outs, _ = operator.Run(empty, "M0", &tuple.Tuple{Value: observation{Valid: false}})
 	if len(outs) != 0 {
 		t.Fatal("invalid observation produced a vote")
 	}
@@ -126,7 +126,7 @@ func TestVoterMajority(t *testing.T) {
 func TestGrouperEmitsTransitions(t *testing.T) {
 	g := newGrouper(params())
 	mk := func(c vision.LightColor, at time.Duration) *tuple.Tuple {
-		return &tuple.Tuple{Created: at, Value: Observation{Color: c, Valid: true}}
+		return &tuple.Tuple{Created: at, Value: observation{Color: c, Valid: true}}
 	}
 	if outs, _ := operator.Run(g, "V", mk(vision.Red, 0)); len(outs) != 0 {
 		t.Fatal("first observation emitted a phase")
@@ -135,7 +135,7 @@ func TestGrouperEmitsTransitions(t *testing.T) {
 	if len(outs) != 1 {
 		t.Fatal("same colour should emit frame-rate progress")
 	}
-	prog := outs[0].T.Value.(PhaseProgress)
+	prog := outs[0].T.Value.(phaseProgress)
 	if prog.Color != vision.Red || prog.Elapsed != 10 {
 		t.Fatalf("progress = %+v", prog)
 	}
@@ -143,7 +143,7 @@ func TestGrouperEmitsTransitions(t *testing.T) {
 	if len(outs) != 1 {
 		t.Fatal("transition not emitted")
 	}
-	change := outs[0].T.Value.(PhaseChange)
+	change := outs[0].T.Value.(phaseChange)
 	if change.Color != vision.Red || change.Duration != 30 {
 		t.Fatalf("phase = %+v", change)
 	}
@@ -156,7 +156,7 @@ func TestPredictorLearnsAndBlends(t *testing.T) {
 	// Observe several red phases of 40 s; prediction for next green uses
 	// green history (none) blended with upstream.
 	for i := 0; i < 3; i++ {
-		outs, err := operator.Run(p, "G", &tuple.Tuple{Value: PhaseChange{Color: vision.Red, Duration: 40}})
+		outs, err := operator.Run(p, "G", &tuple.Tuple{Value: phaseChange{Color: vision.Red, Duration: 40}})
 		if err != nil || len(outs) != 1 {
 			t.Fatalf("predictor emit: %v %v", outs, err)
 		}
@@ -170,8 +170,8 @@ func TestPredictorLearnsAndBlends(t *testing.T) {
 		}
 	}
 	// Now observe green phases; prediction shifts toward their mean.
-	operator.Run(p, "G", &tuple.Tuple{Value: PhaseChange{Color: vision.Green, Duration: 50}})
-	outs, _ := operator.Run(p, "G", &tuple.Tuple{Value: PhaseChange{Color: vision.Red, Duration: 40}})
+	operator.Run(p, "G", &tuple.Tuple{Value: phaseChange{Color: vision.Green, Duration: 50}})
+	outs, _ := operator.Run(p, "G", &tuple.Tuple{Value: phaseChange{Color: vision.Red, Duration: 40}})
 	adv := outs[0].T.Value.(Advisory)
 	if adv.NextInSec != 0.7*50+0.3*10 {
 		t.Fatalf("learned advisory = %v, want 38", adv.NextInSec)
@@ -199,7 +199,7 @@ func TestStatefulOperatorsRoundTrip(t *testing.T) {
 		}
 	}
 	v := newVoter(p)
-	operator.Run(v, "M0", &tuple.Tuple{Value: Observation{Color: vision.Yellow, Valid: true}})
+	operator.Run(v, "M0", &tuple.Tuple{Value: observation{Color: vision.Yellow, Valid: true}})
 	state, _ := v.Snapshot()
 	v2 := newVoter(p)
 	if err := v2.Restore(state); err != nil {

@@ -192,7 +192,7 @@ var checkpointExperiment = experiment("checkpoint",
 	"checkpoint results carry no incremental pause sample",
 	// The incremental pipeline's mean checkpoint pause at the largest state
 	// size.
-	GateRow{Key: "incr_pause_mean_ms_largest", Grace: 5,
+	gateRow{Key: "incr_pause_mean_ms_largest", Grace: 5,
 		What: "checkpoint pause", Format: "%.2f ms", Fail: "checkpoint pause regressed: %s > %s",
 		Pick: pick(func(rows []CkptOutcome) (float64, float64, bool) {
 			_, incr := ckptAtLargest(rows)

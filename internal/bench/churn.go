@@ -282,7 +282,7 @@ var churnExperiment = experiment("churn",
 	},
 	"churn results carry no planner-mode rows",
 	// The worst tuples_lost across the planner-on rows.
-	GateRow{Key: "max_scheduler_tuple_loss", Grace: 3,
+	gateRow{Key: "max_scheduler_tuple_loss", Grace: 3,
 		What: "planner-on tuple loss", Format: "%.0f", Fail: "tuple loss regressed: %s > %s",
 		Pick: pick(func(rows []ChurnOutcome) (worst, _ float64, found bool) {
 			for _, o := range rows {
@@ -315,7 +315,7 @@ var placementExperiment = experiment("placement",
 	// baseline (both arms lose zero; ratio 0.0) the grace is what tolerates
 	// one stray planner-arm tuple against a clean reactive run, so it must
 	// stay above 1.0.
-	GateRow{Key: "placement_loss_vs_reactive", Grace: 1.5,
+	gateRow{Key: "placement_loss_vs_reactive", Grace: 1.5,
 		What: "placement loss vs reactive", Format: "%.2f", Fail: "placement loss vs reactive regressed: %s > %s",
 		Pick: pick(func(rows []ChurnOutcome) (ratio, _ float64, found bool) {
 			reactive, planner, found := placementArms(rows)
@@ -324,14 +324,14 @@ var placementExperiment = experiment("placement",
 	// Structural (repacking removes cross-cell hops), so no regression
 	// factor at all: the planner arm must keep its cross-channel airtime
 	// share below the reactive arm's.
-	GateRow{What: "placement planner cross-channel share", Format: "%.3f",
+	gateRow{What: "placement planner cross-channel share", Format: "%.3f",
 		Fail: "placement planner no longer beats reactive on cross-channel share: %s >= %s",
 		Pick: pick(func(rows []ChurnOutcome) (float64, float64, bool) {
 			reactive, planner, found := placementArms(rows)
 			return planner.CrossChannelShare, reactive.CrossChannelShare, found
 		})},
 	// Plan execution rides the exactly-once migration path: pinned at zero.
-	GateRow{What: "placement planner duplicate outputs", Format: "%.0f",
+	gateRow{What: "placement planner duplicate outputs", Format: "%.0f",
 		Fail: "placement planner run published %s duplicate outputs (must stay below %s)",
 		Pick: pick(func(rows []ChurnOutcome) (float64, float64, bool) {
 			_, planner, found := placementArms(rows)

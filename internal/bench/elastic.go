@@ -341,7 +341,7 @@ var elasticExperiment = experiment("elastic",
 	// jitter: the tail is a handful of tuples queued behind a split's pause
 	// window, so shared-machine scheduling moves it tens of ms between runs
 	// even when the policy behaves identically.
-	GateRow{Key: "elastic_p99_hotspot_ms", Grace: 100,
+	gateRow{Key: "elastic_p99_hotspot_ms", Grace: 100,
 		What: "elastic hotspot p99", Format: "%.1f ms", Fail: "elastic hotspot p99 regressed: %s > %s",
 		Pick: pick(func(rows []ElasticOutcome) (float64, float64, bool) {
 			o, _ := elasticRow(rows)
@@ -349,7 +349,7 @@ var elasticExperiment = experiment("elastic",
 		})},
 	// Exactly-once across a live split/merge: a duplicate output is a
 	// protocol bug, pinned at zero with no grace.
-	GateRow{What: "elastic duplicate outputs", Format: "%.0f",
+	gateRow{What: "elastic duplicate outputs", Format: "%.0f",
 		Fail: "elastic run published %s duplicate outputs (must stay below %s)",
 		Pick: pick(func(rows []ElasticOutcome) (float64, float64, bool) {
 			o, found := elasticRow(rows)

@@ -21,8 +21,8 @@ var SteadySchemes = []ft.Scheme{
 	ft.Dist(1), ft.Dist(2), ft.Dist(3), ft.MSScheme,
 }
 
-// SteadyState runs the no-fault scenario for every scheme on one app.
-func SteadyState(app App, base Scenario) (map[string]Outcome, error) {
+// steadyState runs the no-fault scenario for every scheme on one app.
+func steadyState(app App, base Scenario) (map[string]Outcome, error) {
 	out := make(map[string]Outcome, len(SteadySchemes))
 	for _, sch := range SteadySchemes {
 		s := base
@@ -72,7 +72,7 @@ func figure(name, about string, run func(app App, base Scenario, p Params, w io.
 
 var fig8Experiment = figure("fig8", "steady-state throughput and latency per scheme (paper Fig. 8)",
 	func(app App, base Scenario, _ Params, w io.Writer) error {
-		outs, err := SteadyState(app, base)
+		outs, err := steadyState(app, base)
 		if err == nil {
 			writeFig8(w, app, outs)
 		}
@@ -93,7 +93,7 @@ type Fig10Row struct {
 func fig10Rows(p Params) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, app := range p.Apps {
-		outs, err := SteadyState(app, Scenario{Seed: p.Seed, Speedup: p.Speedup})
+		outs, err := steadyState(app, Scenario{Seed: p.Seed, Speedup: p.Speedup})
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +139,11 @@ func writeFig10(w io.Writer, rows []Fig10Row) {
 
 // fig10Order is the gate rows for one of the paper's Fig. 10 orderings on
 // BCP: each scheme's bytes stay strictly below the next one's.
-func fig10Order(what string, bytes func(Fig10Row) int64, schemes ...string) []GateRow {
-	var gates []GateRow
+func fig10Order(what string, bytes func(Fig10Row) int64, schemes ...string) []gateRow {
+	var gates []gateRow
 	for i := 1; i < len(schemes); i++ {
 		lo, hi := schemes[i-1], schemes[i]
-		gates = append(gates, GateRow{
+		gates = append(gates, gateRow{
 			What:   fmt.Sprintf("fig10 BCP %s, %s vs %s", what, lo, hi),
 			Format: "%.2f MB",
 			Fail:   fmt.Sprintf("fig10 ordering broken on BCP %s: %s %%s >= %s %%s", what, lo, hi),

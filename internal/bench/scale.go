@@ -295,7 +295,7 @@ var scaleExperiment = experiment("scale",
 	// least twice one channel's tuples/s. Saturated rows are airtime-bound,
 	// so the ratio holds on any host; the absolute tuples/s says nothing
 	// about it and is not gated.
-	GateRow{What: "scale 2x one-channel tuples/s at the largest size", Format: "%.1f",
+	gateRow{What: "scale 2x one-channel tuples/s at the largest size", Format: "%.1f",
 		Fail: "scale sweep: four channels no longer deliver 2x one channel at the largest size: %s >= %s",
 		Pick: pick(func(rows []ScaleRow) (float64, float64, bool) {
 			largest := 0

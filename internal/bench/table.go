@@ -29,17 +29,17 @@ type Experiment struct {
 	Decode func(raw json.RawMessage) (rows any, err error)
 	// Gates are the claims the regression gate checks on the rows; Missing
 	// is the FAIL line when a claim finds none of the rows it reads.
-	Gates   []GateRow
+	Gates   []gateRow
 	Missing string
 }
 
-// GateRow is one claim on an experiment's rows. With Key set the claim is a
+// gateRow is one claim on an experiment's rows. With Key set the claim is a
 // regression bound against the committed baseline: Pick's value must stay
 // ≤ baseline[Key]×RegressionFactor + Grace (every baselined metric is
 // lower-is-better). With Key empty the claim is structural and needs no
 // baseline: Pick's value must stay < the bound Pick reports from the same
 // rows.
-type GateRow struct {
+type gateRow struct {
 	Key   string
 	Grace float64
 	// What names the metric in the gate's printed line; Format prints one
@@ -66,7 +66,7 @@ var Experiments = []Experiment{
 
 // experiment builds a table entry from typed parts: run produces the rows,
 // table prints them, and the gate rows read them through pick.
-func experiment[R any](name, about string, run func(Params) ([]R, error), table func(io.Writer, []R), missing string, gates ...GateRow) Experiment {
+func experiment[R any](name, about string, run func(Params) ([]R, error), table func(io.Writer, []R), missing string, gates ...gateRow) Experiment {
 	return Experiment{
 		Name:  name,
 		About: about,
@@ -88,7 +88,7 @@ func experiment[R any](name, about string, run func(Params) ([]R, error), table 
 	}
 }
 
-// pick types a GateRow.Pick to its experiment's row type.
+// pick types a gateRow.Pick to its experiment's row type.
 func pick[R any](f func(rows []R) (value, bound float64, found bool)) func(any) (float64, float64, bool) {
 	return func(rows any) (float64, float64, bool) { return f(rows.([]R)) }
 }

@@ -48,18 +48,18 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Medium is the slice of the WiFi API the protocol needs; *simnet.WiFi
+// medium is the slice of the WiFi API the protocol needs; *simnet.WiFi
 // implements it, and tests substitute scripted media to reproduce the
 // paper's Fig. 6 walk-through exactly.
-type Medium interface {
+type medium interface {
 	BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int
 	Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}, reply chan simnet.Message) error
 	Unicast(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) error
 }
 
-// Waiter makes the timer that bounds the sender's bitmap-query waits;
+// waiter makes the timer that bounds the sender's bitmap-query waits;
 // clock.Clock implements it.
-type Waiter interface {
+type waiter interface {
 	NewTimer(d time.Duration) clock.Timer
 }
 
@@ -90,10 +90,10 @@ type QueryMsg struct {
 	into []bool
 }
 
-// Filled answers a QueryMsg whose bitmap the receiver copied into the
+// filled answers a QueryMsg whose bitmap the receiver copied into the
 // query's buffer (Receiver.Answer). Unlike a []bool answer it boxes
 // without allocating.
-type Filled struct{}
+type filled struct{}
 
 // FillMsg is a TCP-phase transfer of specific blocks along a tree edge.
 type FillMsg struct {
@@ -109,11 +109,11 @@ type FillMsg struct {
 	// relay; the live system's receivers relay on arrival, while the
 	// sender-orchestrated simulation performs the sends itself and
 	// leaves Forward empty.
-	Forward []FillEdge
+	Forward []fillEdge
 }
 
-// FillEdge is one parent->child relay instruction.
-type FillEdge struct {
+// fillEdge is one parent->child relay instruction.
+type fillEdge struct {
 	From, To simnet.NodeID
 	Indices  []int
 }
@@ -149,17 +149,17 @@ func numBlocks(size, blockSize int) int {
 
 // Disseminate persists blob from `from` onto every peer. It blocks (in
 // simulated time) until the UDP phases and the TCP fill complete.
-func Disseminate(m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) Stats {
+func Disseminate(m medium, w waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) Stats {
 	st, _ := DisseminateUntil(nil, m, w, from, peers, blob, cfg)
 	return st
 }
 
-// ErrStopped reports a dissemination cut short by its stop channel.
-var ErrStopped = errors.New("broadcast: dissemination stopped")
+// errStopped reports a dissemination cut short by its stop channel.
+var errStopped = errors.New("broadcast: dissemination stopped")
 
 // DisseminateUntil is Disseminate that gives up as soon as stop closes: a
 // bitmap query waiting on a peer returns at once, and so does the
-// dissemination, with the stats gathered so far and ErrStopped. A stopping
+// dissemination, with the stats gathered so far and errStopped. A stopping
 // node passes its stop channel, so teardown never waits out QueryTimeout on
 // a peer that has already stopped answering.
 //
@@ -169,7 +169,7 @@ var ErrStopped = errors.New("broadcast: dissemination stopped")
 // receivers may still be reading earlier ones. The per-peer query state is
 // made once per call too, so a query round after a peer's first allocates
 // nothing.
-func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) (Stats, error) {
+func DisseminateUntil(stop <-chan struct{}, m medium, w waiter, from simnet.NodeID, peers []simnet.NodeID, blob *checkpoint.Blob, cfg Config) (Stats, error) {
 	cfg.applyDefaults()
 	var st Stats
 
@@ -217,7 +217,7 @@ func DisseminateUntil(stop <-chan struct{}, m Medium, w Waiter, from simnet.Node
 		still := 0
 		for k := range reachable {
 			n, err := reachable[k].ask(stop, m, timeout, from, cfg.QueryTimeout)
-			if err == ErrStopped {
+			if err == errStopped {
 				return st, err
 			}
 			if err != nil {
@@ -299,7 +299,7 @@ func newPeers(ids []simnet.NodeID, blob *checkpoint.Blob, total int) []peer {
 
 // ask queries the peer for its bitmap, waiting at most timeout on t, and
 // reports the answer's wire size.
-func (p *peer) ask(stop <-chan struct{}, m Medium, t clock.Timer, from simnet.NodeID, timeout time.Duration) (int, error) {
+func (p *peer) ask(stop <-chan struct{}, m medium, t clock.Timer, from simnet.NodeID, timeout time.Duration) (int, error) {
 	if err := m.Request(from, p.id, simnet.ClassBitmap, queryBytes, p.query, p.reply); err != nil {
 		return 0, err
 	}
@@ -309,14 +309,14 @@ func (p *peer) ask(stop <-chan struct{}, m Medium, t clock.Timer, from simnet.No
 	case msg := <-p.reply:
 		if bm, ok := msg.Payload.([]bool); ok && len(bm) == len(p.bitmap) {
 			copy(p.bitmap, bm) // no-op when the receiver answered into the buffer
-		} else if _, ok := msg.Payload.(Filled); !ok {
+		} else if _, ok := msg.Payload.(filled); !ok {
 			return 0, errBadBitmap
 		}
 		return msg.Size, nil
 	case <-t.C():
 		return 0, errQueryTimeout
 	case <-stop:
-		return 0, ErrStopped
+		return 0, errStopped
 	}
 }
 
@@ -345,7 +345,7 @@ func BitmapWireBytes(total int) int { return (total + 7) / 8 }
 // pushes each subtree's missing-block union down edge by edge. The sender
 // orchestrates the relay sends; airtime is charged per hop with the actual
 // relaying parent as the transmitter, which is what the medium model needs.
-func tcpFill(m Medium, from simnet.NodeID, peers []peer, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
+func tcpFill(m medium, from simnet.NodeID, peers []peer, blob *checkpoint.Blob, total int, cfg Config) (tcpBytes int64, complete, unreachable []simnet.NodeID) {
 	// Binary tree over peers in sorted order: peers[0] is the root,
 	// children of peers[i] are peers[2i+1], peers[2i+2]. Children sit
 	// after their parent, so a backward pass folds each subtree's union

@@ -288,7 +288,7 @@ func TestDisseminateAllocsIndependentOfBlocks(t *testing.T) {
 
 // Once a dissemination's per-peer state exists, a bitmap query round trip
 // allocates nothing: the query is boxed once, the reply channel and the
-// answer buffer are reused, the answer is Filled, and the timeout is one
+// answer buffer are reused, the answer is filled, and the timeout is one
 // re-armed timer.
 func TestQueryRoundTripAllocatesNothing(t *testing.T) {
 	blob := &checkpoint.Blob{Slot: "s", Version: 1, Size: 8 * 1024, Ops: map[string][]byte{}}
@@ -329,7 +329,7 @@ func TestTimedOutPeerIsWrittenOff(t *testing.T) {
 		t.Fatalf("ask = %v, want a timeout", err)
 	}
 	select {
-	case peers[0].reply <- simnet.Message{Payload: Filled{}}:
+	case peers[0].reply <- simnet.Message{Payload: filled{}}:
 	default:
 		t.Fatal("the timed-out peer's reply channel has no room for its late answer")
 	}
@@ -432,4 +432,23 @@ func TestNumBlocksAndBlockBytes(t *testing.T) {
 	if BitmapWireBytes(8192) != 1024 || BitmapWireBytes(1) != 1 {
 		t.Fatal("bitmap wire size wrong")
 	}
+}
+
+// Complete reports whether the blob for (slot, version) is fully assembled.
+func (r *Receiver) Complete(slot string, version uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a, ok := r.asm[asmKey{slot, version}]
+	return ok && a.done
+}
+
+// ReceivedBlocks reports how many blocks of a stream have arrived.
+func (r *Receiver) ReceivedBlocks(slot string, version uint64) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	a, ok := r.asm[asmKey{slot, version}]
+	if !ok {
+		return 0
+	}
+	return a.count
 }

@@ -121,7 +121,7 @@ func (r *Receiver) Bitmap(q QueryMsg) []bool {
 	return append(q.into[:0], a.got...)
 }
 
-// Answer is Bitmap as a reply payload: Filled when the bitmap fits the
+// Answer is Bitmap as a reply payload: filled when the bitmap fits the
 // query's buffer, which it is copied into, else the bitmap itself.
 func (r *Receiver) Answer(q QueryMsg) interface{} {
 	r.mu.Lock()
@@ -131,26 +131,7 @@ func (r *Receiver) Answer(q QueryMsg) interface{} {
 		return append([]bool(nil), a.got...)
 	}
 	copy(q.into, a.got)
-	return Filled{}
-}
-
-// ReceivedBlocks reports how many blocks of a stream have arrived.
-func (r *Receiver) ReceivedBlocks(slot string, version uint64) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.asm[asmKey{slot, version}]
-	if !ok {
-		return 0
-	}
-	return a.count
-}
-
-// Complete reports whether the blob for (slot, version) is fully assembled.
-func (r *Receiver) Complete(slot string, version uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.asm[asmKey{slot, version}]
-	return ok && a.done
+	return filled{}
 }
 
 // DropBefore discards partial assemblies older than version — a failure

@@ -314,8 +314,8 @@ func NewAlignment(upstreams []string) *Alignment {
 	return a
 }
 
-// Status describes the effect of a token arrival.
-type Status struct {
+// status describes the effect of a token arrival.
+type status struct {
 	// Complete is true when tokens have arrived from every upstream:
 	// the node must checkpoint now and then forward its token.
 	Complete bool
@@ -328,51 +328,26 @@ type Status struct {
 // for protocol violations: unknown upstream, duplicate token, or a version
 // mismatch with an alignment in progress (checkpoint periods are far longer
 // than alignment, so overlapping versions indicate a bug or a lost abort).
-func (a *Alignment) OnToken(from string, version uint64) (Status, error) {
+func (a *Alignment) OnToken(from string, version uint64) (status, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.knows(from) {
-		return Status{}, fmt.Errorf("checkpoint: token from unknown upstream %q", from)
+		return status{}, fmt.Errorf("checkpoint: token from unknown upstream %q", from)
 	}
 	if a.version == 0 {
 		a.version = version
 	} else if a.version != version {
-		return Status{}, fmt.Errorf("checkpoint: token v%d while aligning v%d", version, a.version)
+		return status{}, fmt.Errorf("checkpoint: token v%d while aligning v%d", version, a.version)
 	}
 	if a.seen[from] {
-		return Status{}, fmt.Errorf("checkpoint: duplicate token from %q for v%d", from, version)
+		return status{}, fmt.Errorf("checkpoint: duplicate token from %q for v%d", from, version)
 	}
 	a.seen[from] = true
 	if len(a.seen) == len(a.upstreams) {
 		a.reset()
-		return Status{Complete: true}, nil
+		return status{Complete: true}, nil
 	}
-	return Status{Stalled: a.stalled()}, nil
-}
-
-// Stalled reports the upstreams currently stalled by a pending alignment.
-func (a *Alignment) Stalled() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.version == 0 {
-		return nil
-	}
-	return a.stalled()
-}
-
-// Aligning reports the version being aligned, or 0 when idle.
-func (a *Alignment) Aligning() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.version
-}
-
-// Abort cancels an in-progress alignment (failure during checkpoint: the
-// partial checkpoint is discarded, §III-D).
-func (a *Alignment) Abort() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reset()
+	return status{Stalled: a.stalled()}, nil
 }
 
 func (a *Alignment) reset() {

@@ -174,3 +174,28 @@ func TestAlignmentPermutationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Abort cancels an in-progress alignment (failure during checkpoint: the
+// partial checkpoint is discarded, §III-D).
+func (a *Alignment) Abort() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.reset()
+}
+
+// Aligning reports the version being aligned, or 0 when idle.
+func (a *Alignment) Aligning() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.version
+}
+
+// Stalled reports the upstreams currently stalled by a pending alignment.
+func (a *Alignment) Stalled() []string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.version == 0 {
+		return nil
+	}
+	return a.stalled()
+}

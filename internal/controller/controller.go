@@ -32,13 +32,13 @@ type Config struct {
 	// DebounceWindow batches burst failure reports into one recovery.
 	DebounceWindow time.Duration
 	// Planner, when non-nil, enables adaptive placement: every
-	// ScheduleTick each region's executor runs the planner's plan for it
+	// scheduleTick each region's executor runs the planner's plan for it
 	// (proactive; reactive recovery still backstops what the plan misses).
 	Planner *scheduler.Planner
-	// ScheduleTick is the telemetry/planning period (default 5 s).
-	ScheduleTick time.Duration
-	Logf         func(string, ...interface{})
 }
+
+// scheduleTick is the planner's telemetry/planning period.
+const scheduleTick = 5 * time.Second
 
 // codeBytes is the operator code size shipped to a phone at placement and
 // recovery time.
@@ -59,9 +59,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.DebounceWindow <= 0 {
 		c.DebounceWindow = 2 * time.Second
-	}
-	if c.ScheduleTick <= 0 {
-		c.ScheduleTick = 5 * time.Second
 	}
 }
 
@@ -107,10 +104,9 @@ type managed struct {
 
 // Controller is the global coordinator.
 type Controller struct {
-	cfg  Config
-	clk  clock.Clock
-	ep   *simnet.Endpoint
-	logf func(string, ...interface{})
+	cfg Config
+	clk clock.Clock
+	ep  *simnet.Endpoint
 
 	mu      sync.Mutex
 	regions map[string]*managed
@@ -130,10 +126,6 @@ func New(cfg Config) *Controller {
 		ep:      simnet.NewEndpoint(selfID, 1<<15),
 		regions: make(map[string]*managed),
 		stopCh:  make(chan struct{}),
-	}
-	c.logf = cfg.Logf
-	if c.logf == nil {
-		c.logf = func(string, ...interface{}) {}
 	}
 	cfg.Cell.AttachRated(c.ep, 1e9, 1e9)
 	return c
@@ -239,11 +231,10 @@ func (c *Controller) RegionDead(regionID string) bool {
 	return read(c, regionID, func(m *managed) bool { return m.dead }) || c.lookup(regionID) == nil
 }
 
-// send issues a command to a phone over cellular, fire-and-forget.
+// send issues a command to a phone over cellular, fire-and-forget: a
+// command that does not arrive shows as a missing report or ping reply.
 func (c *Controller) send(to simnet.NodeID, cmd node.Command) {
-	if err := c.cfg.Cell.Send(selfID, to, simnet.ClassControl, 64, cmd); err != nil {
-		c.logf("controller: send %v to %s: %v", cmd.Op, to, err)
-	}
+	_ = c.cfg.Cell.Send(selfID, to, simnet.ClassControl, 64, cmd)
 }
 
 // request issues a command and waits for the acknowledgement, returning

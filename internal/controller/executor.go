@@ -14,14 +14,14 @@ import (
 // execLoop is the region's executor, the one goroutine that changes its
 // placement: it runs queued jobs (recoveries, departure handoffs, manual
 // migrations) one after another and, with a planner, a placement plan
-// every ScheduleTick. Serial execution is the interlock: no two actions
+// every scheduleTick. Serial execution is the interlock: no two actions
 // ever move a slot at once.
 func (c *Controller) execLoop(m *managed) {
 	defer c.wg.Done()
 	var timer clock.Timer
 	var tick <-chan time.Duration
 	if c.cfg.Planner != nil {
-		timer = c.clk.NewTimer(c.cfg.ScheduleTick)
+		timer = c.clk.NewTimer(scheduleTick)
 		defer timer.Stop()
 		tick = timer.C()
 	}
@@ -31,7 +31,7 @@ func (c *Controller) execLoop(m *managed) {
 			c.execute(m, job)
 		case <-tick:
 			c.execute(m, func() { c.placementTick(m) })
-			timer.Reset(c.cfg.ScheduleTick)
+			timer.Reset(scheduleTick)
 		case <-c.stopCh:
 			return
 		}
@@ -205,7 +205,6 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		m.dead = true
 		m.mu.Unlock()
 		m.r.Stop()
-		c.logf("controller: region %s is dead, bypassing", m.r.ID())
 		return true
 	case placement.StepUnregister:
 		m.r.Unregister(st.From)
@@ -267,7 +266,6 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) bool {
 	if st.Kind == placement.StepHandoff { // over cellular: slower
 		op, timeout = node.CmdHandoff, 120*time.Second
 	}
-	c.logf("controller: moving %s off %s to %s (%s)", st.Slot, st.From, st.To, st.Reason)
 	c.warm(m, st.To)
 	if !c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, func() {
 		c.send(st.From, node.Command{Op: op, Target: st.To, Slot: st.Slot})
@@ -280,17 +278,14 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) bool {
 		}
 		switch {
 		case hosts(st.To): // landed; only the report was lost
-			c.logf("controller: transfer of %s to %s landed unreported; repointing", st.Slot, st.To)
 			m.r.SetPlacement(st.Slot, st.To)
 		case hosts(st.From): // never started: the target goes back to its pool
-			c.logf("controller: transfer of %s to %s never started", st.Slot, st.To)
 			if preclaimed {
 				m.spares[st.To] = true
 			} else {
 				m.r.ReleaseToIdle(st.To)
 			}
 		default: // lost in flight: recovery rebuilds the dark slot
-			c.logf("controller: transfer of %s to %s lost the state in flight; invoking recovery", st.Slot, st.To)
 			m.r.SetPlacement(st.Slot, st.To)
 			c.noteFailure(m, st.To)
 		}

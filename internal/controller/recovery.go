@@ -39,12 +39,7 @@ func (c *Controller) handleReport(rep node.Report) {
 			observed = rep.Phone
 		}
 		c.noteFailure(m, observed)
-	case node.RepUrgent:
-		c.logf("controller: urgent mode in %s for slot %s", m.r.ID(), rep.Slot)
 	case node.RepRestored:
-		if rep.Err != "" {
-			c.logf("controller: restore on %s failed: %s", rep.Phone, rep.Err)
-		}
 		select {
 		case m.restored <- rep:
 		default: // nobody is waiting on a report this old
@@ -86,7 +81,6 @@ func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted
 	for _, pid := range m.r.AlivePhones() {
 		c.send(pid, node.Command{Op: node.CmdCommit, Version: v})
 	}
-	c.logf("controller: region %s committed v%d", m.r.ID(), v)
 }
 
 // noteFailure registers a suspected phone failure. The first failure of a
@@ -149,7 +143,6 @@ func (c *Controller) recoverPending(m *managed) {
 			m.mu.Lock()
 			m.recoveries++
 			m.mu.Unlock()
-			c.logf("controller: recovering %s: %v", m.r.ID(), batch)
 		}
 		st, ok := c.runPlan(m, plan)
 		switch {
@@ -224,14 +217,14 @@ func (c *Controller) NotifyDeparture(regionID string, phoneID simnet.NodeID) {
 	if !m.r.Scheme().HandlesDepartures() {
 		// Prior schemes have no mobility story: the slot stays on the
 		// departed phone in urgent mode for good (§IV-B runs departures
-		// only on MobiStreams). Warn once per region, not per departure.
+		// only on MobiStreams). Journal it once per region, not per
+		// departure.
 		m.mu.Lock()
 		warned := m.noMobilityWarned
 		m.noMobilityWarned = true
 		m.mu.Unlock()
 		if !warned {
-			c.logf("controller: region %s: scheme %s has no mobility story; departed phones keep their slots in urgent mode",
-				m.r.ID(), m.r.Scheme())
+			m.r.Jot("depart.no_mobility", "", 0, m.r.Scheme().String())
 		}
 		return
 	}

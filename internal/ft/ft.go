@@ -15,14 +15,14 @@ import (
 type Kind int
 
 const (
-	// Base is the baseline with no fault tolerance.
-	Base Kind = iota
+	// base is the baseline with no fault tolerance.
+	base Kind = iota
 	// Rep2 is active standby: two replicas per operator (Flux, Borealis
 	// DPC). Tolerates exactly one failure.
 	Rep2
-	// Local is checkpoint-to-local-storage with input preservation. Not
+	// local is checkpoint-to-local-storage with input preservation. Not
 	// a realistic phone fault model; the paper's performance upper bound.
-	Local
+	local
 	// DistN is distributed checkpointing: state unicast to N other nodes
 	// plus input preservation (Cooperative HA, SGuard). Tolerates up to
 	// N simultaneous failures.
@@ -41,9 +41,9 @@ type Scheme struct {
 
 // Common scheme constructors.
 var (
-	BaseScheme  = Scheme{Kind: Base}
+	BaseScheme  = Scheme{Kind: base}
 	Rep2Scheme  = Scheme{Kind: Rep2}
-	LocalScheme = Scheme{Kind: Local}
+	LocalScheme = Scheme{Kind: local}
 	MSScheme    = Scheme{Kind: MS}
 )
 
@@ -52,11 +52,11 @@ func Dist(n int) Scheme { return Scheme{Kind: DistN, N: n} }
 
 func (s Scheme) String() string {
 	switch s.Kind {
-	case Base:
+	case base:
 		return "base"
 	case Rep2:
 		return "rep-2"
-	case Local:
+	case local:
 		return "local"
 	case DistN:
 		return fmt.Sprintf("dist-%d", s.N)
@@ -100,34 +100,18 @@ func (s Scheme) PreservesAtSources() bool { return s.Kind == MS }
 
 // PreservesAtEdges reports whether every node retains its output tuples
 // until the downstream checkpoint commits (classic input preservation).
-func (s Scheme) PreservesAtEdges() bool { return s.Kind == Local || s.Kind == DistN }
+func (s Scheme) PreservesAtEdges() bool { return s.Kind == local || s.Kind == DistN }
 
 // PeriodicSnapshot reports whether the scheme snapshots on a timer without
 // token coordination.
-func (s Scheme) PeriodicSnapshot() bool { return s.Kind == Local || s.Kind == DistN }
+func (s Scheme) PeriodicSnapshot() bool { return s.Kind == local || s.Kind == DistN }
 
 // Replicated reports whether every operator runs an active standby.
 func (s Scheme) Replicated() bool { return s.Kind == Rep2 }
 
 // Checkpoints reports whether the scheme checkpoints at all.
 func (s Scheme) Checkpoints() bool {
-	return s.Kind == Local || s.Kind == DistN || s.Kind == MS
-}
-
-// StateCopies reports how many remote copies of a node's checkpoint state
-// the scheme keeps, given the region size (active + idle phones).
-func (s Scheme) StateCopies(regionSize int) int {
-	switch s.Kind {
-	case DistN:
-		return s.N
-	case MS:
-		if regionSize > 0 {
-			return regionSize - 1
-		}
-		return 0
-	default:
-		return 0
-	}
+	return s.Kind == local || s.Kind == DistN || s.Kind == MS
 }
 
 // CanRecover reports whether the scheme can recover from k simultaneous
@@ -139,11 +123,11 @@ func (s Scheme) CanRecover(k, spare int) bool {
 		return true
 	}
 	switch s.Kind {
-	case Base:
+	case base:
 		return false
 	case Rep2:
 		return k <= 1
-	case Local:
+	case local:
 		// The phone "restarts" with its storage intact; any number of
 		// restarts recover (the unrealistic upper-bound fault model).
 		return true

@@ -47,21 +47,6 @@ func TestPolicyPredicates(t *testing.T) {
 	}
 }
 
-func TestStateCopies(t *testing.T) {
-	if got := Dist(3).StateCopies(8); got != 3 {
-		t.Fatalf("dist-3 copies = %d", got)
-	}
-	if got := MSScheme.StateCopies(8); got != 7 {
-		t.Fatalf("ms copies = %d", got)
-	}
-	if got := LocalScheme.StateCopies(8); got != 0 {
-		t.Fatalf("local copies = %d", got)
-	}
-	if got := MSScheme.StateCopies(0); got != 0 {
-		t.Fatalf("ms copies empty region = %d", got)
-	}
-}
-
 func TestCanRecover(t *testing.T) {
 	cases := []struct {
 		s     Scheme

@@ -9,8 +9,8 @@ import (
 	"sort"
 )
 
-// OperatorSpec declares one operator and its placement.
-type OperatorSpec struct {
+// operatorSpec declares one operator and its placement.
+type operatorSpec struct {
 	// ID is the operator's unique name within the graph (e.g. "C0").
 	ID string
 	// Slot is the logical node the operator runs on (e.g. "n3"). All
@@ -18,8 +18,8 @@ type OperatorSpec struct {
 	Slot string
 }
 
-// Edge is a producer-consumer connection between two operators.
-type Edge struct {
+// edge is a producer-consumer connection between two operators.
+type edge struct {
 	From, To string
 }
 
@@ -29,7 +29,7 @@ type Edge struct {
 // reconfiguration, restore and commit paths read cached slices instead of
 // re-deriving them from the edge lists.
 type Graph struct {
-	ops   map[string]OperatorSpec
+	ops   map[string]operatorSpec
 	order []string // insertion order, for deterministic iteration; OpID -> name
 	out   map[string][]string
 	in    map[string][]string
@@ -43,7 +43,7 @@ type Graph struct {
 	opsOnSlot map[string][]string // slot -> operators, declaration order
 	slotUp    map[string][]string // slot -> distinct feeding slots, sorted
 	slotDown  map[string][]string // slot -> distinct fed slots, sorted
-	slotEdges []SlotEdge          // cross-slot edges with op-edge weights, sorted
+	slotEdges []slotEdge          // cross-slot edges with op-edge weights, sorted
 
 	groups  []KeyedGroupSpec    // keyed parallel groups, declaration order
 	groupOf map[string]groupRef // instance op ID -> group membership
@@ -98,20 +98,20 @@ type groupRef struct {
 
 // Builder accumulates operators and edges; Build validates them.
 type Builder struct {
-	specs  []OperatorSpec
-	edges  []Edge
+	specs  []operatorSpec
+	edges  []edge
 	groups []KeyedGroupSpec
 }
 
 // AddOperator declares an operator on a slot.
 func (b *Builder) AddOperator(id, slot string) *Builder {
-	b.specs = append(b.specs, OperatorSpec{ID: id, Slot: slot})
+	b.specs = append(b.specs, operatorSpec{ID: id, Slot: slot})
 	return b
 }
 
 // Connect adds a directed edge from producer to consumer.
 func (b *Builder) Connect(from, to string) *Builder {
-	b.edges = append(b.edges, Edge{From: from, To: to})
+	b.edges = append(b.edges, edge{From: from, To: to})
 	return b
 }
 
@@ -135,7 +135,7 @@ func (b *Builder) AddKeyedOperator(logical, slot string, parallelism, maxParalle
 	for i := 0; i < maxParallelism; i++ {
 		id := fmt.Sprintf("%s#%d", logical, i)
 		sl := fmt.Sprintf("%s#%d", slot, i)
-		b.specs = append(b.specs, OperatorSpec{ID: id, Slot: sl})
+		b.specs = append(b.specs, operatorSpec{ID: id, Slot: sl})
 		grp.Instances = append(grp.Instances, id)
 		grp.Slots = append(grp.Slots, sl)
 	}
@@ -176,7 +176,7 @@ func (b *Builder) groupInstances(logical string) []string {
 // Build validates the accumulated specification and returns the graph.
 func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
-		ops: make(map[string]OperatorSpec, len(b.specs)),
+		ops: make(map[string]operatorSpec, len(b.specs)),
 		out: make(map[string][]string),
 		in:  make(map[string][]string),
 	}
@@ -326,9 +326,9 @@ func (g *Graph) compileSlots() {
 			}
 		}
 	}
-	g.slotEdges = make([]SlotEdge, 0, len(weights))
+	g.slotEdges = make([]slotEdge, 0, len(weights))
 	for pair, w := range weights {
-		g.slotEdges = append(g.slotEdges, SlotEdge{From: pair[0], To: pair[1], Weight: w})
+		g.slotEdges = append(g.slotEdges, slotEdge{From: pair[0], To: pair[1], Weight: w})
 	}
 	sort.Slice(g.slotEdges, func(i, j int) bool {
 		if g.slotEdges[i].From != g.slotEdges[j].From {
@@ -377,12 +377,6 @@ func (g *Graph) NumSlotIDs() int { return len(g.slotNames) }
 // Operators returns operator IDs in declaration order.
 func (g *Graph) Operators() []string {
 	return append([]string(nil), g.order...)
-}
-
-// Spec returns the spec for an operator, and whether it exists.
-func (g *Graph) Spec(id string) (OperatorSpec, bool) {
-	s, ok := g.ops[id]
-	return s, ok
 }
 
 // SlotOf returns the slot an operator is placed on.
@@ -439,9 +433,9 @@ func (g *Graph) SlotUpstreams(slot string) []string { return g.slotUp[slot] }
 // callers must not mutate it.
 func (g *Graph) SlotDownstreams(slot string) []string { return g.slotDown[slot] }
 
-// SlotEdge is one directed cross-slot communication edge: Weight counts the
+// slotEdge is one directed cross-slot communication edge: Weight counts the
 // operator-level edges it aggregates.
-type SlotEdge struct {
+type slotEdge struct {
 	From, To string
 	Weight   int
 }
@@ -449,7 +443,7 @@ type SlotEdge struct {
 // SlotEdges returns the distinct cross-slot edges with their op-edge
 // weights, sorted by (From, To). The returned slice is cached and shared:
 // callers must not mutate it.
-func (g *Graph) SlotEdges() []SlotEdge { return g.slotEdges }
+func (g *Graph) SlotEdges() []slotEdge { return g.slotEdges }
 
 // KeyedGroups returns the keyed parallel groups in declaration order.
 func (g *Graph) KeyedGroups() []KeyedGroupSpec {
@@ -474,16 +468,6 @@ func (g *Graph) KeyedGroupOf(op string) (grp KeyedGroupSpec, inst int, ok bool) 
 		return KeyedGroupSpec{}, 0, false
 	}
 	return g.groups[ref.group], ref.inst, true
-}
-
-// KeyedSlot reports whether a slot hosts a keyed group instance.
-func (g *Graph) KeyedSlot(slot string) bool {
-	for _, id := range g.opsOnSlot[slot] {
-		if _, ok := g.groupOf[id]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // SourceSlots returns the slots hosting at least one source operator.

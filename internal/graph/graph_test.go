@@ -241,3 +241,19 @@ func TestDenseIDsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// KeyedSlot reports whether a slot hosts a keyed group instance.
+func (g *Graph) KeyedSlot(slot string) bool {
+	for _, id := range g.opsOnSlot[slot] {
+		if _, ok := g.groupOf[id]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// Spec returns the spec for an operator, and whether it exists.
+func (g *Graph) Spec(id string) (operatorSpec, bool) {
+	s, ok := g.ops[id]
+	return s, ok
+}

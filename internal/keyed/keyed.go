@@ -9,12 +9,12 @@
 // which KeyedState.ExportRange serialises without touching the rest of
 // the keyspace.
 //
-// A Table is immutable; a Group publishes the current table through an
+// A table is immutable; a Group publishes the current table through an
 // atomic pointer, exactly like the node's epoch-stamped route cache. The
 // emit hot path does one atomic load and a binary search over the range
 // bounds — no locks, no allocations — while the control plane (region
 // split/merge, scheduler policy) swaps in successor tables built by
-// Table.Split and Table.Merge.
+// table.Split and table.Merge.
 package keyed
 
 import (
@@ -24,11 +24,11 @@ import (
 	"sync/atomic"
 )
 
-// Table is one immutable partition of the keyspace across instances.
+// table is one immutable partition of the keyspace across instances.
 // Range i covers [bound[i-1], bound[i]) with bound[-1] = "" (the start of
 // the keyspace) and bound[len-1] = +inf; owners[i] is the instance index
 // serving range i. len(owners) == len(bounds)+1 always.
-type Table struct {
+type table struct {
 	epoch  uint64
 	bounds []string
 	owners []int
@@ -38,7 +38,7 @@ type Table struct {
 // bounds, ranges assigned round-robin across the first `active` instance
 // indexes. With active == 1 and no bounds it is the single-instance
 // identity table.
-func NewTable(bounds []string, active int) (*Table, error) {
+func NewTable(bounds []string, active int) (*table, error) {
 	if active < 1 {
 		return nil, fmt.Errorf("keyed: active instances %d < 1", active)
 	}
@@ -50,7 +50,7 @@ func NewTable(bounds []string, active int) (*Table, error) {
 	if len(bounds) > 0 && bounds[0] == "" {
 		return nil, fmt.Errorf("keyed: empty split bound")
 	}
-	t := &Table{epoch: 1, bounds: append([]string(nil), bounds...)}
+	t := &table{epoch: 1, bounds: append([]string(nil), bounds...)}
 	t.owners = make([]int, len(bounds)+1)
 	for i := range t.owners {
 		t.owners[i] = i % active
@@ -59,14 +59,11 @@ func NewTable(bounds []string, active int) (*Table, error) {
 }
 
 // Epoch identifies the table generation; each Split/Merge bumps it.
-func (t *Table) Epoch() uint64 { return t.epoch }
+func (t *table) Epoch() uint64 { return t.epoch }
 
-// Ranges reports how many contiguous ranges the table holds.
-func (t *Table) Ranges() int { return len(t.owners) }
-
-// Owner resolves a key to its owning instance index. Lock-free and
+// owner resolves a key to its owning instance index. Lock-free and
 // allocation-free: one binary search over the range bounds.
-func (t *Table) Owner(key string) int {
+func (t *table) owner(key string) int {
 	lo, hi := 0, len(t.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -79,25 +76,9 @@ func (t *Table) Owner(key string) int {
 	return t.owners[lo]
 }
 
-// RangeOf returns the half-open range [lo, hi) the key falls in; hi == ""
-// means unbounded.
-func (t *Table) RangeOf(key string) (lo, hi string) {
-	i := 0
-	for i < len(t.bounds) && key >= t.bounds[i] {
-		i++
-	}
-	if i > 0 {
-		lo = t.bounds[i-1]
-	}
-	if i < len(t.bounds) {
-		hi = t.bounds[i]
-	}
-	return lo, hi
-}
-
 // Instances returns the set of instance indexes owning at least one
 // range, ascending.
-func (t *Table) Instances() []int {
+func (t *table) Instances() []int {
 	seen := map[int]bool{}
 	for _, o := range t.owners {
 		seen[o] = true
@@ -112,7 +93,7 @@ func (t *Table) Instances() []int {
 
 // OwnedRanges returns the ranges owned by one instance as (lo, hi) pairs
 // in keyspace order; hi == "" means unbounded.
-func (t *Table) OwnedRanges(inst int) [][2]string {
+func (t *table) OwnedRanges(inst int) [][2]string {
 	var out [][2]string
 	for i, o := range t.owners {
 		if o != inst {
@@ -134,7 +115,7 @@ func (t *Table) OwnedRanges(inst int) [][2]string {
 // upper half [at, oldHi) to instance `to`. It returns the successor table
 // plus the moved range. The cut point must fall strictly inside the
 // range that currently contains it.
-func (t *Table) Split(at string, to int) (*Table, [2]string, error) {
+func (t *table) Split(at string, to int) (*table, [2]string, error) {
 	if at == "" {
 		return nil, [2]string{}, fmt.Errorf("keyed: empty split bound")
 	}
@@ -155,7 +136,7 @@ func (t *Table) Split(at string, to int) (*Table, [2]string, error) {
 	if i < len(t.bounds) {
 		hi = t.bounds[i]
 	}
-	next := &Table{
+	next := &table{
 		epoch:  t.epoch + 1,
 		bounds: make([]string, 0, len(t.bounds)+1),
 		owners: make([]int, 0, len(t.owners)+1),
@@ -173,7 +154,7 @@ func (t *Table) Split(at string, to int) (*Table, [2]string, error) {
 // `to` and coalesces adjacent same-owner ranges. It returns the
 // successor table plus the ranges that moved (the state `from` must hand
 // to `to`).
-func (t *Table) MergeInto(from, to int) (*Table, [][2]string, error) {
+func (t *table) MergeInto(from, to int) (*table, [][2]string, error) {
 	if from == to {
 		return nil, nil, fmt.Errorf("keyed: merge instance %d into itself", from)
 	}
@@ -188,7 +169,7 @@ func (t *Table) MergeInto(from, to int) (*Table, [][2]string, error) {
 		}
 		owners[i] = o
 	}
-	next := &Table{epoch: t.epoch + 1}
+	next := &table{epoch: t.epoch + 1}
 	for i, o := range owners {
 		if i > 0 && o == next.owners[len(next.owners)-1] {
 			continue // coalesce: drop the bound between same-owner ranges
@@ -202,7 +183,7 @@ func (t *Table) MergeInto(from, to int) (*Table, [][2]string, error) {
 }
 
 // String renders the table for logs and tests: "[,b)->0 [b,)->1".
-func (t *Table) String() string {
+func (t *table) String() string {
 	var sb strings.Builder
 	for i, o := range t.owners {
 		var lo, hi string
@@ -226,12 +207,12 @@ func (t *Table) String() string {
 type Group struct {
 	logical   string
 	instances []string
-	tbl       atomic.Pointer[Table]
+	tbl       atomic.Pointer[table]
 }
 
 // NewGroup builds a group over the given instance operator IDs with the
 // given initial table.
-func NewGroup(logical string, instances []string, tbl *Table) (*Group, error) {
+func NewGroup(logical string, instances []string, tbl *table) (*Group, error) {
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("keyed: group %q has no instances", logical)
 	}
@@ -252,23 +233,13 @@ func (g *Group) Logical() string { return g.logical }
 // The returned slice is shared; callers must not mutate it.
 func (g *Group) Instances() []string { return g.instances }
 
-// IndexOf resolves an instance operator ID to its index, or -1.
-func (g *Group) IndexOf(instance string) int {
-	for i, id := range g.instances {
-		if id == instance {
-			return i
-		}
-	}
-	return -1
-}
-
 // Table returns the current partition table (an immutable snapshot).
-func (g *Group) Table() *Table { return g.tbl.Load() }
+func (g *Group) Table() *table { return g.tbl.Load() }
 
 // Owner resolves a key to the owning instance index against the current
 // table — the emit hot path. Lock-free, allocation-free.
-func (g *Group) Owner(key string) int { return g.tbl.Load().Owner(key) }
+func (g *Group) Owner(key string) int { return g.tbl.Load().owner(key) }
 
 // Install publishes a successor table. The caller (region control plane)
 // is responsible for having moved the corresponding state first.
-func (g *Group) Install(t *Table) { g.tbl.Store(t) }
+func (g *Group) Install(t *table) { g.tbl.Store(t) }

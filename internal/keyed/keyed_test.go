@@ -26,7 +26,7 @@ func TestTableOwnerSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"", "a", "zzz"} {
-		if got := tbl.Owner(k); got != 0 {
+		if got := tbl.owner(k); got != 0 {
 			t.Fatalf("Owner(%q) = %d", k, got)
 		}
 	}
@@ -44,7 +44,7 @@ func TestTableOwnerBounds(t *testing.T) {
 		"p": 2, "z": 2,
 	}
 	for k, want := range cases {
-		if got := tbl.Owner(k); got != want {
+		if got := tbl.owner(k); got != want {
 			t.Errorf("Owner(%q) = %d, want %d", k, got, want)
 		}
 	}
@@ -76,7 +76,7 @@ func TestSplitAndMerge(t *testing.T) {
 	if got := next.String(); got != "[,f)->0 [f,m)->2 [m,)->1" {
 		t.Fatalf("after split: %s", got)
 	}
-	if next.Owner("f") != 2 || next.Owner("e") != 0 || next.Owner("m") != 1 {
+	if next.owner("f") != 2 || next.owner("e") != 0 || next.owner("m") != 1 {
 		t.Fatal("split ownership wrong")
 	}
 	if got := next.Instances(); !reflect.DeepEqual(got, []int{0, 1, 2}) {
@@ -162,4 +162,30 @@ func BenchmarkOwner(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Owner(keys[i%len(keys)])
 	}
+}
+
+// IndexOf resolves an instance operator ID to its index, or -1.
+func (g *Group) IndexOf(instance string) int {
+	for i, id := range g.instances {
+		if id == instance {
+			return i
+		}
+	}
+	return -1
+}
+
+// RangeOf returns the half-open range [lo, hi) the key falls in; hi == ""
+// means unbounded.
+func (t *table) RangeOf(key string) (lo, hi string) {
+	i := 0
+	for i < len(t.bounds) && key >= t.bounds[i] {
+		i++
+	}
+	if i > 0 {
+		lo = t.bounds[i-1]
+	}
+	if i < len(t.bounds) {
+		hi = t.bounds[i]
+	}
+	return lo, hi
 }

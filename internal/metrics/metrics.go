@@ -3,7 +3,7 @@
 // preservation and checkpoint traffic — and the allocation meter the scale
 // experiments report. The numbers themselves live in the region's
 // obs.Registry; Report is the view region.Report and
-// server.Deployment.Report fill from it.
+// server's deployment.Report fill from it.
 package metrics
 
 import "time"

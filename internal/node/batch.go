@@ -12,25 +12,25 @@ import (
 // time, when no QoS latency budget adapts the deadline.
 const fixedFlushInterval = 20 * time.Millisecond
 
-// batchPool recycles the *BatchMsg batches are assembled in and shipped
+// batchPool recycles the *batchMsg batches are assembled in and shipped
 // as, each keeping its Msgs capacity, so the steady-state emission path
 // allocates nothing per batch. A batch is owned by one party at a time:
 // the batcher while it fills, then whoever the send hands the pointer to.
 // The receiver recycles it after unbatching; a relay passes it on.
 var batchPool sync.Pool
 
-func takeBatch() *BatchMsg {
-	if b, _ := batchPool.Get().(*BatchMsg); b != nil {
+func takeBatch() *batchMsg {
+	if b, _ := batchPool.Get().(*batchMsg); b != nil {
 		return b
 	}
-	return &BatchMsg{Msgs: make([]StreamMsg, 0, 64)}
+	return &batchMsg{Msgs: make([]streamMsg, 0, 64)}
 }
 
 // recycleBatch zeroes a batch and returns it to the pool. Callers must have
 // copied out every field they keep; tuple payloads are reached through
 // pointers, which survive the zeroing. Entries past len(Msgs) are already
 // zero: only appends write them, and every recycle clears what they wrote.
-func recycleBatch(b *BatchMsg) {
+func recycleBatch(b *batchMsg) {
 	clear(b.Msgs)
 	b.Msgs = b.Msgs[:0]
 	batchPool.Put(b)
@@ -50,10 +50,9 @@ func recycleBatch(b *BatchMsg) {
 // FIFO order survives concurrent flushers.
 type batcher struct {
 	n *Node
-	// The QoS size bounds with defaults resolved; disable sends every
-	// message individually (the pre-batching path).
+	// The size bounds: QoS.MaxBatchMsgs with its default resolved, and
+	// maxBatchBytes (a test may lower it).
 	maxMsgs, maxBytes int
-	disable           bool
 
 	mu sync.Mutex
 	// pending holds one edgeBatch per downstream edge, indexed like the
@@ -82,23 +81,24 @@ type batcher struct {
 // edgeBatch is the pending batch for one destination slot (b nil when
 // none is waiting).
 type edgeBatch struct {
-	b     *BatchMsg
+	b     *batchMsg
 	bytes int
 }
+
+// maxBatchBytes flushes a batch at this many payload bytes: one WiFi
+// airtime chunk, so a batch never monopolises the medium against
+// interleaving checkpoint traffic.
+const maxBatchBytes = 64 << 10
 
 func newBatcher(n *Node, q QoS) *batcher {
 	b := &batcher{
 		n:        n,
 		maxMsgs:  q.MaxBatchMsgs,
-		maxBytes: q.MaxBatchBytes,
-		disable:  q.DisableBatching,
+		maxBytes: maxBatchBytes,
 		kick:     make(chan struct{}, 1),
 	}
 	if b.maxMsgs <= 0 {
 		b.maxMsgs = 32
-	}
-	if b.maxBytes <= 0 {
-		b.maxBytes = 64 << 10
 	}
 	return b
 }
@@ -116,15 +116,7 @@ func (b *batcher) setDowns(downs []graph.SlotID) {
 // add appends one emission to the pending batch of downstream edge down,
 // flushing immediately when a bound is hit or the message is an in-band
 // marker. The message is copied into the batch in place.
-func (b *batcher) add(down int, msg *StreamMsg) {
-	if b.disable {
-		b.sendMu.Lock()
-		one := takeBatch()
-		one.Msgs = append(one.Msgs, *msg)
-		b.n.sendBatch(msg.ToSlot, one, msg.Item.WireSize(), simnet.ClassData)
-		b.sendMu.Unlock()
-		return
-	}
+func (b *batcher) add(down int, msg *streamMsg) {
 	b.mu.Lock()
 	eb := &b.pending[down]
 	started := eb.b == nil

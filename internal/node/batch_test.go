@@ -82,13 +82,13 @@ func newBatchHarness(t *testing.T, qos QoS) (*Node, *simnet.Endpoint) {
 	return n, rx
 }
 
-func streamMsg(seq uint64) StreamMsg {
-	return StreamMsg{FromSlot: slotOf("up"), ToSlot: slotOf("down"), FromOp: opOf("src"), ToOp: opOf("op"),
+func testStreamMsg(seq uint64) streamMsg {
+	return streamMsg{FromSlot: slotOf("up"), ToSlot: slotOf("down"), FromOp: opOf("src"), ToOp: opOf("op"),
 		EdgeSeq: seq, Item: tuple.DataItem(&tuple.Tuple{Seq: seq, Size: 100})}
 }
 
 // add queues one message on the harness's only downstream edge.
-func add(n *Node, m StreamMsg) { n.batch.add(0, &m) }
+func add(n *Node, m streamMsg) { n.batch.add(0, &m) }
 
 func recvPayloads(rx *simnet.Endpoint) []interface{} {
 	var out []interface{}
@@ -105,7 +105,7 @@ func recvPayloads(rx *simnet.Endpoint) []interface{} {
 func TestBatcherCoalescesInOrder(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
 	for seq := uint64(1); seq <= 5; seq++ {
-		add(n, streamMsg(seq))
+		add(n, testStreamMsg(seq))
 	}
 	if got := recvPayloads(rx); len(got) != 0 {
 		t.Fatalf("sent %d payloads before any flush", len(got))
@@ -115,7 +115,7 @@ func TestBatcherCoalescesInOrder(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("payloads = %d, want one batch", len(got))
 	}
-	bm, ok := got[0].(*BatchMsg)
+	bm, ok := got[0].(*batchMsg)
 	if !ok {
 		t.Fatalf("payload is %T, want *BatchMsg", got[0])
 	}
@@ -127,15 +127,15 @@ func TestBatcherCoalescesInOrder(t *testing.T) {
 			t.Fatalf("batch order broken: %d at position %d", m.EdgeSeq, i)
 		}
 	}
-	if bm.WireSize() != 500 {
-		t.Fatalf("wire size = %d, want 500", bm.WireSize())
+	if bm.wireSize() != 500 {
+		t.Fatalf("wire size = %d, want 500", bm.wireSize())
 	}
 }
 
 func TestBatcherFlushesAtMaxMsgs(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 3})
 	for seq := uint64(1); seq <= 7; seq++ {
-		add(n, streamMsg(seq))
+		add(n, testStreamMsg(seq))
 	}
 	got := recvPayloads(rx)
 	if len(got) != 2 {
@@ -147,13 +147,14 @@ func TestBatcherFlushesAtMaxMsgs(t *testing.T) {
 }
 
 func TestBatcherFlushesAtMaxBytes(t *testing.T) {
-	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100, MaxBatchBytes: 250})
-	add(n, streamMsg(1))
-	add(n, streamMsg(2))
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
+	n.batch.maxBytes = 250
+	add(n, testStreamMsg(1))
+	add(n, testStreamMsg(2))
 	if got := recvPayloads(rx); len(got) != 0 {
 		t.Fatal("flushed below the byte bound")
 	}
-	add(n, streamMsg(3)) // 300 bytes >= 250
+	add(n, testStreamMsg(3)) // 300 bytes >= 250
 	if got := recvPayloads(rx); len(got) != 1 {
 		t.Fatalf("payloads = %d, want 1 byte-bound flush", len(got))
 	}
@@ -161,16 +162,16 @@ func TestBatcherFlushesAtMaxBytes(t *testing.T) {
 
 func TestBatcherMarkerFlushesImmediately(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
-	add(n, streamMsg(1))
-	add(n, streamMsg(2))
-	marker := StreamMsg{FromSlot: slotOf("up"), ToSlot: slotOf("down"), FromOp: graph.NoOp, ToOp: graph.NoOp,
+	add(n, testStreamMsg(1))
+	add(n, testStreamMsg(2))
+	marker := streamMsg{FromSlot: slotOf("up"), ToSlot: slotOf("down"), FromOp: graph.NoOp, ToOp: graph.NoOp,
 		EdgeSeq: 3, Item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: 7})}
 	add(n, marker)
 	got := recvPayloads(rx)
 	if len(got) != 1 {
 		t.Fatalf("payloads = %d, want 1 (marker must not wait on the latency bound)", len(got))
 	}
-	bm := got[0].(*BatchMsg)
+	bm := got[0].(*batchMsg)
 	if len(bm.Msgs) != 3 || bm.Msgs[2].Item.Marker == nil {
 		t.Fatalf("marker batch wrong: %d msgs, last marker %v", len(bm.Msgs), bm.Msgs[2].Item.Marker)
 	}
@@ -180,15 +181,15 @@ func TestBatcherMarkerFlushesImmediately(t *testing.T) {
 }
 
 func TestBatcherDisabledSendsSingles(t *testing.T) {
-	n, rx := newBatchHarness(t, QoS{DisableBatching: true})
-	add(n, streamMsg(1))
-	add(n, streamMsg(2))
+	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 1})
+	add(n, testStreamMsg(1))
+	add(n, testStreamMsg(2))
 	got := recvPayloads(rx)
 	if len(got) != 2 {
 		t.Fatalf("payloads = %d, want 2 singles", len(got))
 	}
 	for i, p := range got {
-		if bm, ok := p.(*BatchMsg); !ok || len(bm.Msgs) != 1 || bm.Msgs[0].EdgeSeq != uint64(i+1) {
+		if bm, ok := p.(*batchMsg); !ok || len(bm.Msgs) != 1 || bm.Msgs[0].EdgeSeq != uint64(i+1) {
 			t.Fatalf("payload %d is %#v, want a one-message batch of seq %d", i, p, i+1)
 		}
 	}
@@ -196,7 +197,7 @@ func TestBatcherDisabledSendsSingles(t *testing.T) {
 
 func TestBatcherDiscardAll(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: 100})
-	add(n, streamMsg(1))
+	add(n, testStreamMsg(1))
 	n.batch.discardAll()
 	n.batch.flushAll()
 	if got := recvPayloads(rx); len(got) != 0 {
@@ -220,7 +221,7 @@ func TestBatcherObservesStats(t *testing.T) {
 		QoS: QoS{MaxBatchMsgs: 4}, Obs: reg,
 	})
 	for seq := uint64(1); seq <= 8; seq++ {
-		add(n, streamMsg(seq))
+		add(n, testStreamMsg(seq))
 	}
 	sizes := reg.Hist(obs.BatchMsgs, "")
 	if sizes.Count() != 2 || sizes.Sum() != 8 || sizes.Mean() != 4 || sizes.Max() != 4 {
@@ -230,15 +231,15 @@ func TestBatcherObservesStats(t *testing.T) {
 	_ = rx
 }
 
-// TestEnqueueStreamBatchUnbatches checks the receive half: a BatchMsg is
+// TestEnqueueStreamBatchUnbatches checks the receive half: a batchMsg is
 // unbatched into the upstream queue in order under one lock.
 func TestEnqueueStreamBatchUnbatches(t *testing.T) {
 	n := edgeNode("down", Config{ID: "rx", Scheme: ft.BaseScheme})
 	bm := takeBatch()
 	for seq := uint64(1); seq <= 4; seq++ {
-		bm.Msgs = append(bm.Msgs, streamMsg(seq))
+		bm.Msgs = append(bm.Msgs, testStreamMsg(seq))
 	}
-	bm.Msgs = append(bm.Msgs, streamMsg(4)) // in-window duplicate: dropped
+	bm.Msgs = append(bm.Msgs, testStreamMsg(4)) // in-window duplicate: dropped
 	n.enqueueStreamBatch(bm)
 	q := n.queueFor(slotOf("up"))
 	if q.len() != 4 {
@@ -261,9 +262,9 @@ func TestBatchRoundTripZeroAllocs(t *testing.T) {
 	n, rx := newBatchHarness(t, QoS{MaxBatchMsgs: perBatch})
 	recv := edgeNode("down", Config{ID: "rx", Scheme: ft.BaseScheme})
 	q := recv.queueFor(slotOf("up"))
-	msgs := make([]StreamMsg, perBatch)
+	msgs := make([]streamMsg, perBatch)
 	for i := range msgs {
-		msgs[i] = streamMsg(0)
+		msgs[i] = testStreamMsg(0)
 	}
 	seq := uint64(0)
 	var it queued
@@ -273,7 +274,7 @@ func TestBatchRoundTripZeroAllocs(t *testing.T) {
 			msgs[i].EdgeSeq = seq
 			n.batch.add(0, &msgs[i])
 		}
-		recv.enqueueStreamBatch((<-rx.Inbox()).Payload.(*BatchMsg))
+		recv.enqueueStreamBatch((<-rx.Inbox()).Payload.(*batchMsg))
 		for q.len() > 0 {
 			q.pop(&it)
 		}
@@ -304,14 +305,14 @@ func TestBatcherConcurrentFlushKeepsFIFO(t *testing.T) {
 		}
 	}()
 	for seq := uint64(1); seq <= total; seq++ {
-		add(n, streamMsg(seq))
+		add(n, testStreamMsg(seq))
 	}
 	<-done
 	n.batch.flushAll()
 	var last uint64
 	count := 0
 	for _, p := range recvPayloads(rx) {
-		for _, m := range p.(*BatchMsg).Msgs {
+		for _, m := range p.(*batchMsg).Msgs {
 			if m.EdgeSeq <= last {
 				t.Fatalf("sequence %d arrived after %d", m.EdgeSeq, last)
 			}

@@ -147,12 +147,10 @@ func (n *Node) loadRestoreBlob(v uint64, slot string) *checkpoint.Blob {
 		// materialised blob's size is the full state size.
 		n.clk.Sleep(n.cfg.Phone.FlashReadTime(blob.Size))
 		return blob
-	} else if v > 0 {
-		n.logf("%s: local chain for %s v%d unusable: %v", n.id, slot, v, err)
 	}
 	for _, peer := range n.livePeers() {
 		reply := make(chan simnet.Message, 1)
-		if n.cfg.WiFi.Request(n.id, peer, simnet.ClassRecovery, 32, FetchBlobReq{Slot: slot, Version: v}, reply) != nil {
+		if n.cfg.WiFi.Request(n.id, peer, simnet.ClassRecovery, 32, fetchBlobReq{Slot: slot, Version: v}, reply) != nil {
 			continue
 		}
 		timeout := n.clk.NewTimer(30 * time.Second)

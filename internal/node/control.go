@@ -40,16 +40,15 @@ func (n *Node) dispatch(m simnet.Message) {
 	// replicas, replicated tuples — still drains real battery, and the
 	// scheduler's risk telemetry depends on that drain being modelled.
 	if m.Size > 0 && !n.cfg.Phone.DrainRx(m.Size) {
-		n.logf("%s: battery dead on receive", n.id)
 		n.Fail()
 		return
 	}
 	switch m.Class {
 	case simnet.ClassData, simnet.ClassReplication, simnet.ClassRecovery:
 		switch p := m.Payload.(type) {
-		case StreamMsg:
+		case streamMsg:
 			n.enqueueStream(&p)
-		case *BatchMsg:
+		case *batchMsg:
 			n.enqueueStreamBatch(p)
 		case InterRegionMsg:
 			if n.cfg.OnIngest != nil {
@@ -67,7 +66,7 @@ func (n *Node) dispatch(m simnet.Message) {
 	case simnet.ClassCode:
 		// Operator code shipping is modelled by its transfer cost only.
 	case simnet.ClassPreserve:
-		if pm, ok := m.Payload.(*PreserveMsg); ok {
+		if pm, ok := m.Payload.(*preserveMsg); ok {
 			n.cfg.Store.AppendSourceReplica(pm.Version, pm.Source, pm.Ts)
 		}
 	case simnet.ClassCheckpoint:
@@ -76,7 +75,7 @@ func (n *Node) dispatch(m simnet.Message) {
 			n.recv.OnBlock(*p)
 		case broadcast.FillMsg:
 			n.recv.OnFill(p)
-		case DistBlobMsg:
+		case distBlobMsg:
 			n.cfg.Store.PutBlob(p.Blob)
 		}
 	default:
@@ -119,18 +118,17 @@ func (n *Node) handleControl(m simnet.Message) {
 		n.cfg.WiFi.Respond(m, n.id, simnet.ClassBitmap, broadcast.BitmapWireBytes(p.Total), n.recv.Answer(p))
 	case Command:
 		n.handleCommand(m, p)
-	case FetchBlobReq:
+	case fetchBlobReq:
 		n.handleFetchBlob(m, p)
-	case ResendReq:
+	case resendReq:
 		n.injectCmd(execCmd{resendTo: p.Downstream, after: p.After})
-	case TruncateMsg:
+	case truncateMsg:
 		n.cfg.Store.TruncateEdge(p.Downstream, p.Upto)
-	case TransferMsg:
+	case transferMsg:
 		n.handleTransferIn(m.From, p)
 	case KeyRangeMsg:
 		n.handleKeyRangeIn(p)
 	default:
-		n.logf("%s: unhandled control payload %T", n.id, m.Payload)
 	}
 }
 
@@ -149,7 +147,7 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 		n.ResumeExec()
 		n.respondOK(m)
 	case CmdRestore:
-		err := n.RestoreTo(c.Version)
+		err := n.restoreTo(c.Version)
 		n.mu.Lock()
 		slot := n.slot
 		n.mu.Unlock()
@@ -159,8 +157,8 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 		}
 		n.report(r)
 	case CmdReplay:
-		n.ReplayFrom(c.Version, c.Epoch)
-	case CmdPromote:
+		n.replayFrom(c.Version, c.Epoch)
+	case cmdPromote:
 		n.Promote()
 	case CmdHandoff, CmdMigrate:
 		n.handoff(c.Target)
@@ -175,7 +173,6 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 			n.respondOK(m)
 		}
 	default:
-		n.logf("%s: unknown command %v", n.id, c.Op)
 	}
 }
 
@@ -210,7 +207,7 @@ func (n *Node) handleCommit(v uint64) {
 		return
 	}
 	n.toUpstreams(slot, func(up string, target simnet.NodeID) {
-		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassControl, 32, TruncateMsg{Downstream: slot, Upto: hw[up]})
+		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassControl, 32, truncateMsg{Downstream: slot, Upto: hw[up]})
 	})
 }
 
@@ -229,7 +226,7 @@ func (n *Node) toUpstreams(slot string, send func(up string, target simnet.NodeI
 // The served blob is the materialised full state — a requester must not
 // depend on holding this store's chain links — and the response is charged
 // at that full size.
-func (n *Node) handleFetchBlob(m simnet.Message, req FetchBlobReq) {
+func (n *Node) handleFetchBlob(m simnet.Message, req fetchBlobReq) {
 	blob, err := n.cfg.Store.MaterializeBlob(req.Version, req.Slot)
 	if m.Reply == nil {
 		return
@@ -311,13 +308,13 @@ func (n *Node) Promote() {
 	}
 }
 
-// RestoreTo reloads the node's operators from the local copy of version v
+// restoreTo reloads the node's operators from the local copy of version v
 // (v = 0 resets to initial state). The executor must be paused. This is
 // the parallel, local-read restoration that makes MobiStreams recovery
 // scale (§III-D). A delta checkpoint restores by materialising its chain
 // (base + patches); a torn local chain falls back to fetching the
 // materialised state from a live peer.
-func (n *Node) RestoreTo(v uint64) error {
+func (n *Node) restoreTo(v uint64) error {
 	n.mu.Lock()
 	slot := n.slot
 	n.mu.Unlock()
@@ -419,9 +416,9 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	return nil
 }
 
-// ReplayFrom prepends the preserved input since version v to the external
+// replayFrom prepends the preserved input since version v to the external
 // queue (catch-up, §III-D), terminated by a replay-end marker for epoch.
-func (n *Node) ReplayFrom(v uint64, epoch uint64) {
+func (n *Node) replayFrom(v uint64, epoch uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	q := n.queueFor(graph.ExternalSlot)
@@ -456,7 +453,7 @@ func (n *Node) fetchRestore(c Command) {
 		}
 	} else if c.Version > 0 {
 		reply := make(chan simnet.Message, 1)
-		if n.cfg.WiFi.Request(n.id, c.Target, simnet.ClassRecovery, 32, FetchBlobReq{Slot: n.fetchSlot(), Version: c.Version}, reply) == nil {
+		if n.cfg.WiFi.Request(n.id, c.Target, simnet.ClassRecovery, 32, fetchBlobReq{Slot: n.fetchSlot(), Version: c.Version}, reply) == nil {
 			timeout := n.clk.NewTimer(60 * time.Second)
 			select {
 			case msg := <-reply:
@@ -490,7 +487,7 @@ func (n *Node) fetchRestore(c Command) {
 	}
 	n.report(r)
 	n.toUpstreams(slot, func(up string, target simnet.NodeID) {
-		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassRecovery, 32, ResendReq{Downstream: slot, After: hw[up]})
+		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassRecovery, 32, resendReq{Downstream: slot, After: hw[up]})
 	})
 	n.ResumeExec()
 }
@@ -523,7 +520,6 @@ func (n *Node) handoff(target simnet.NodeID) {
 	}
 	blob, err := n.snapshot(TransferVersion)
 	if err != nil {
-		n.logf("%s: handoff snapshot: %v", n.id, err)
 		n.ResumeExec()
 		return
 	}
@@ -531,11 +527,11 @@ func (n *Node) handoff(target simnet.NodeID) {
 	// vacate the slot and start relaying stragglers to the replacement —
 	// so nothing arriving during the (slow, cellular) transfer is lost.
 	n.mu.Lock()
-	var pending []StreamMsg
+	var pending []streamMsg
 	pendingBytes := 0
 	p := n.pipe.Load()
 	add := func(from graph.SlotID, it *queued) {
-		pending = append(pending, StreamMsg{FromSlot: from, FromOp: it.fromOp, ToSlot: p.slotID,
+		pending = append(pending, streamMsg{FromSlot: from, FromOp: it.fromOp, ToSlot: p.slotID,
 			ToOp: it.toOp, EdgeSeq: it.edgeSeq, Item: it.item})
 		pendingBytes += it.item.WireSize()
 	}
@@ -560,8 +556,8 @@ func (n *Node) handoff(target simnet.NodeID) {
 	n.mu.Unlock()
 	n.cond.Broadcast()
 	size := blob.Size + pendingBytes
-	n.relay(target, simnet.ClassTransfer, size, TransferMsg{Slot: slot, Blob: blob, Pending: pending})
-	n.report(Report{Type: RepHandoffDone, Phone: n.id, Slot: slot})
+	n.relay(target, simnet.ClassTransfer, size, transferMsg{Slot: slot, Blob: blob, Pending: pending})
+	n.report(Report{Type: repHandoffDone, Phone: n.id, Slot: slot})
 }
 
 // handleTransferIn activates an idle node with a departing peer's state.
@@ -569,20 +565,17 @@ func (n *Node) handoff(target simnet.NodeID) {
 // the sender: if the controller has meanwhile given up on the migration and
 // re-hosted the slot through recovery, a late-arriving blob would activate
 // a second primary for a slot that already has one.
-func (n *Node) handleTransferIn(from simnet.NodeID, msg TransferMsg) {
+func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
 	slot, known := n.graph.SlotID(msg.Slot)
 	if !known {
-		n.logf("%s: transfer of unknown slot %s", n.id, msg.Slot)
 		return
 	}
 	if cur, ok := n.resolvePrimary(slot); ok && cur != from && cur != n.id {
-		n.logf("%s: stale transfer of %s from %s (placement now %s)", n.id, msg.Slot, from, cur)
 		return
 	}
 	n.mu.Lock()
 	if n.slot != "" {
 		n.mu.Unlock()
-		n.logf("%s: transfer-in while hosting %s", n.id, n.slot)
 		return
 	}
 	n.configureSlot(msg.Slot, n.opIDsForSlot(msg.Slot))
@@ -614,7 +607,6 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg TransferMsg) {
 	buffered := n.takeEarlyLocked()
 	n.mu.Unlock()
 	if err != nil {
-		n.logf("%s: transfer-in restore: %v", n.id, err)
 		return
 	}
 	// Stragglers relayed by the departing node while the transfer was in

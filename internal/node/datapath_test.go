@@ -20,7 +20,7 @@ func TestDataPathItemSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(queued{}); sz > 64 {
 		t.Errorf("queued is %d bytes, want <= 64", sz)
 	}
-	if sz := unsafe.Sizeof(StreamMsg{}); sz > 64 {
+	if sz := unsafe.Sizeof(streamMsg{}); sz > 64 {
 		t.Errorf("StreamMsg is %d bytes, want <= 64", sz)
 	}
 }
@@ -66,7 +66,7 @@ func TestPreBufDropsJournaledOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	n := edgeNode("", Config{ID: "b", Scheme: ft.BaseScheme, Obs: reg}) // idle
 	for seq := uint64(1); seq <= preBufLimit+1; seq++ {
-		m := streamMsg(seq)
+		m := testStreamMsg(seq)
 		n.enqueueStream(&m)
 	}
 	if len(n.preBuf) != preBufLimit || n.preDrops != 1 {
@@ -111,7 +111,7 @@ func BenchmarkCrossSlotHop(b *testing.B) {
 		tx.runOp(pt, src, "", tup, noStamp)
 		select {
 		case m := <-rxEP.Inbox():
-			rx.enqueueStreamBatch(m.Payload.(*BatchMsg))
+			rx.enqueueStreamBatch(m.Payload.(*batchMsg))
 		default:
 			return
 		}

@@ -11,10 +11,10 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// EmitBenchResult summarises one emit-path measurement: the per-tuple
+// emitBenchResult summarises one emit-path measurement: the per-tuple
 // allocation count and latency of driving a tuple through a compiled
 // single-slot chain to an external sink.
-type EmitBenchResult struct {
+type emitBenchResult struct {
 	Iters       int
 	AllocsPerOp float64
 	NsPerOp     float64
@@ -82,7 +82,7 @@ func chainNode(newOp func(id string) operator.Operator, reg *obs.Registry, onOut
 // in, histograms recording, no tuple sampled. Exported so the benchmark
 // ledger's node.emit_ns_per_tuple and node.emit_allocs_per_tuple rows
 // (benchmark/micro.go) and the Go benchmarks share one harness.
-func RunEmitBench(legacy bool, iters int) EmitBenchResult {
+func RunEmitBench(legacy bool, iters int) emitBenchResult {
 	var emitted uint64
 	n := emitBenchNode(legacy, obs.NewRegistry(), func(*tuple.Tuple) { emitted++ })
 	p := n.pipe.Load()
@@ -101,7 +101,7 @@ func RunEmitBench(legacy bool, iters int) EmitBenchResult {
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&ms)
-	return EmitBenchResult{
+	return emitBenchResult{
 		Iters:       iters,
 		AllocsPerOp: float64(ms.Mallocs-m0) / float64(iters),
 		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),

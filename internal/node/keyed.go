@@ -171,7 +171,6 @@ func (n *Node) handleKeyRangeIn(m KeyRangeMsg) {
 	err := n.ImportKeyRange(m.State)
 	n.ResumeExec()
 	if err != nil {
-		n.logf("%s: key-range import %s [%s,%s): %v", n.id, m.Logical, m.Lo, m.Hi, err)
 		return
 	}
 	n.keyRangeGen.Add(1)
@@ -185,17 +184,15 @@ func (n *Node) handleKeyRangeIn(m KeyRangeMsg) {
 // suppression for the rare double-delivery rests on sink-side dedup.
 func (n *Node) rerouteToOwner(p *pipeline, owner int, t *tuple.Tuple) {
 	if owner < 0 || owner >= len(p.keyedOps) {
-		n.logf("%s: reroute to out-of-range instance %d", n.id, owner)
 		return
 	}
 	inst := p.keyedOps[owner]
 	slot := n.graph.OpSlot(inst)
 	target, ok := n.resolvePrimary(slot)
 	if !ok {
-		n.logf("%s: reroute: no primary for %s", n.id, n.graph.SlotName(slot))
 		return
 	}
-	m := StreamMsg{FromSlot: graph.RerouteSlot, ToSlot: slot, FromOp: graph.NoOp, ToOp: inst, Item: tuple.DataItem(t)}
+	m := streamMsg{FromSlot: graph.RerouteSlot, ToSlot: slot, FromOp: graph.NoOp, ToOp: inst, Item: tuple.DataItem(t)}
 	if n.curTrace.ID != 0 {
 		m.Trace = n.curTrace
 	}

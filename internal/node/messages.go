@@ -8,14 +8,14 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// StreamMsg is a data-plane message on a slot-to-slot edge. Each ordered
+// streamMsg is a data-plane message on a slot-to-slot edge. Each ordered
 // pair of slots forms one FIFO stream carrying tuples and in-band markers,
 // sequenced by EdgeSeq for duplicate suppression after recovery resends.
 // Trace carries the sampled tracing context (zero = untraced). Slots and
 // operators travel as the graph's dense IDs (graph.NoOp on markers), which
 // every node numbers identically, and keep the message within the 64 bytes
 // the compiler copies inline (TestDataPathItemSizes).
-type StreamMsg struct {
+type streamMsg struct {
 	FromSlot, ToSlot graph.SlotID
 	FromOp, ToOp     graph.OpID
 	EdgeSeq          uint64
@@ -23,18 +23,18 @@ type StreamMsg struct {
 	Item             tuple.Item
 }
 
-// BatchMsg coalesces several StreamMsgs bound for the same destination
+// batchMsg coalesces several streamMsgs bound for the same destination
 // slot into one network send, amortising the per-message medium, lock and
 // channel overhead of the ingress hot path. Messages appear in emission
 // order; the receiver unbatches them into upstream queues under one lock.
-// Every flush, one message or many, travels as a pooled *BatchMsg (see
+// Every flush, one message or many, travels as a pooled *batchMsg (see
 // batchPool).
-type BatchMsg struct {
-	Msgs []StreamMsg
+type batchMsg struct {
+	Msgs []streamMsg
 }
 
-// WireSize sums the payload bytes the network charges for the batch.
-func (b *BatchMsg) WireSize() int {
+// wireSize sums the payload bytes the network charges for the batch.
+func (b *batchMsg) wireSize() int {
 	total := 0
 	for i := range b.Msgs {
 		total += b.Msgs[i].Item.WireSize()
@@ -42,12 +42,12 @@ func (b *BatchMsg) WireSize() int {
 	return total
 }
 
-// PreserveMsg replicates one run of admitted source tuples (see
+// preserveMsg replicates one run of admitted source tuples (see
 // popRunLocked) to every phone in the region as a single UDP best-effort
-// datagram (a *PreserveMsg), so the replay log survives source failures. Ts
+// datagram (a *preserveMsg), so the replay log survives source failures. Ts
 // is shared by the sender's log append and every receiver: all of them only
 // read it.
-type PreserveMsg struct {
+type preserveMsg struct {
 	Version uint64
 	Source  string
 	Ts      []*tuple.Tuple
@@ -62,20 +62,20 @@ type InterRegionMsg struct {
 	Value interface{}
 }
 
-// DistBlobMsg carries a whole checkpoint blob to one peer (dist-n unicast
+// distBlobMsg carries a whole checkpoint blob to one peer (dist-n unicast
 // persistence).
-type DistBlobMsg struct {
+type distBlobMsg struct {
 	Blob *checkpoint.Blob
 }
 
-// TransferMsg carries a departing node's state — snapshot plus queued
+// transferMsg carries a departing node's state — snapshot plus queued
 // input — to its replacement over the cellular network (§III-E). Pending
 // holds the queued-but-unprocessed stream items, parked ones included, so
 // no in-flight tuple is lost to mobility.
-type TransferMsg struct {
+type transferMsg struct {
 	Slot    string
 	Blob    *checkpoint.Blob
-	Pending []StreamMsg
+	Pending []streamMsg
 }
 
 // KeyRangeMsg ships one keyed group's [Lo,Hi) partition-state from a donor
@@ -88,22 +88,22 @@ type KeyRangeMsg struct {
 	State   []byte
 }
 
-// FetchBlobReq asks a peer for a checkpoint blob (dist-n/local recovery).
-type FetchBlobReq struct {
+// fetchBlobReq asks a peer for a checkpoint blob (dist-n/local recovery).
+type fetchBlobReq struct {
 	Slot    string
 	Version uint64
 }
 
-// ResendReq asks an upstream slot to resend retained output with
+// resendReq asks an upstream slot to resend retained output with
 // EdgeSeq > After (input preservation replay, dist-n/local recovery).
-type ResendReq struct {
+type resendReq struct {
 	Downstream string
 	After      uint64
 }
 
-// TruncateMsg tells an upstream slot that the sender's checkpoint covering
+// truncateMsg tells an upstream slot that the sender's checkpoint covering
 // edge sequences <= Upto has committed, so retained output can be dropped.
-type TruncateMsg struct {
+type truncateMsg struct {
 	Downstream string
 	Upto       uint64
 }
@@ -139,8 +139,8 @@ const (
 	// CmdReplay makes a source slot replay preserved input from Version
 	// and then emit a replay-end marker with Epoch.
 	CmdReplay
-	// CmdPromote promotes a rep-2 standby to primary.
-	CmdPromote
+	// cmdPromote promotes a rep-2 standby to primary.
+	cmdPromote
 	// CmdHandoff makes a departing node transfer state to Target.
 	CmdHandoff
 	// CmdFetchRestore makes a replacement fetch Version's blob for Slot
@@ -168,7 +168,7 @@ func (c CommandOp) String() string {
 // Report is a node-to-controller notification, delivered over cellular
 // (ClassControl).
 type Report struct {
-	Type     ReportType
+	Type     reportType
 	Phone    simnet.NodeID
 	Slot     string
 	Version  uint64
@@ -178,26 +178,26 @@ type Report struct {
 	Err      string
 }
 
-// ReportType enumerates node reports.
-type ReportType int
+// reportType enumerates node reports.
+type reportType int
 
 const (
 	// RepCheckpointed: the node snapshotted Version (sink slots reporting
 	// this is the token percolating back to the controller).
-	RepCheckpointed ReportType = iota
+	RepCheckpointed reportType = iota
 	// RepPersisted: the node's Version blob is persisted (Replicas full
 	// remote copies exist).
 	RepPersisted
 	// RepFailure: a downstream neighbour is unreachable.
 	RepFailure
-	// RepUrgent: the node fell back to cellular for a data edge.
-	RepUrgent
+	// repUrgent: the node fell back to cellular for a data edge.
+	repUrgent
 	// RepCatchUpDone: a sink finished catch-up for Epoch.
 	RepCatchUpDone
 	// RepChronicBattery: the node's battery is at chronic level.
 	RepChronicBattery
-	// RepHandoffDone: a departing node finished transferring state.
-	RepHandoffDone
+	// repHandoffDone: a departing node finished transferring state.
+	repHandoffDone
 	// RepRestored: the node finished a restore command.
 	RepRestored
 )
@@ -205,7 +205,7 @@ const (
 var repNames = [...]string{"checkpointed", "persisted", "failure", "urgent",
 	"catchup-done", "chronic-battery", "handoff-done", "restored"}
 
-func (r ReportType) String() string {
+func (r reportType) String() string {
 	if int(r) < len(repNames) {
 		return repNames[r]
 	}

@@ -53,11 +53,11 @@ const (
 	RoleIdle
 )
 
-// Resolver maps slots to the phones currently hosting them. The region
+// resolver maps slots to the phones currently hosting them. The region
 // owns the placement and updates it during recovery and mobility; nodes
 // resolve on every send (through the epoch-stamped route cache when the
-// resolver also implements EpochResolver).
-type Resolver interface {
+// resolver also implements epochResolver).
+type resolver interface {
 	Primary(slot string) (simnet.NodeID, bool)
 	Standby(slot string) (simnet.NodeID, bool)
 }
@@ -79,7 +79,7 @@ type Config struct {
 	Cell     *simnet.Cellular
 	Endpoint *simnet.Endpoint
 	Store    *storage.Store
-	Resolver Resolver
+	Resolver resolver
 	// ControllerID is the controller's network identity for reports.
 	ControllerID simnet.NodeID
 	// Peers returns the current region members (minus this phone) for
@@ -118,8 +118,6 @@ type Config struct {
 	// OnIngest admits an inter-region tuple arriving over cellular into
 	// the region (set by the region to its Ingest method).
 	OnIngest func(srcOp string, value interface{}, size int, kind string)
-	// Logf receives debug logging; nil disables.
-	Logf func(string, ...interface{})
 }
 
 // queued is one item waiting on an upstream queue. fromOp/toOp are graph
@@ -128,7 +126,7 @@ type Config struct {
 // it feeds the edge's queue-wait histogram and anchors the executor's CPU
 // reservation for the item (zero on paths that don't stamp it, e.g. replay,
 // where the reservation falls back to the executor's wake time). Like
-// StreamMsg it stays within the 64 bytes the compiler copies inline, and
+// streamMsg it stays within the 64 bytes the compiler copies inline, and
 // moves by pointer between queue, executor and handler.
 type queued struct {
 	fromOp  graph.OpID
@@ -325,7 +323,6 @@ type Node struct {
 	cfg   Config
 	id    simnet.NodeID
 	clk   clock.Clock
-	logf  func(string, ...interface{})
 	bcfg  broadcast.Config
 	recv  *broadcast.Receiver
 	graph *graph.Graph
@@ -335,7 +332,7 @@ type Node struct {
 	pipe atomic.Pointer[pipeline]
 	// routes is the epoch-stamped Primary/Standby cache (routecache.go).
 	routes   atomic.Pointer[routeSnapshot]
-	epochRes EpochResolver // non-nil when the resolver supports epochs
+	epochRes epochResolver // non-nil when the resolver supports epochs
 
 	// role and suppress gate emission on the lock-free output path.
 	role     atomic.Int32
@@ -394,7 +391,7 @@ type Node struct {
 	// preBuf holds stream arrivals before activation, up to preBufLimit;
 	// preDrops counts the arrivals dropped past it, journaled once when
 	// the slot activates.
-	preBuf   []StreamMsg
+	preBuf   []streamMsg
 	preDrops int
 	// processed counts executed data tuples (telemetry: the scheduler's
 	// per-slot tuple rate). Read atomically off the executor.
@@ -483,15 +480,11 @@ func New(cfg Config) *Node {
 		n.journal = cfg.Obs.Journal
 		n.batchSizes = cfg.Obs.Hist(obs.BatchMsgs, "")
 	}
-	if er, ok := cfg.Resolver.(EpochResolver); ok {
+	if er, ok := cfg.Resolver.(epochResolver); ok {
 		n.epochRes = er
 	}
 	n.cond = sync.NewCond(&n.mu)
 	n.batch = newBatcher(n, cfg.QoS)
-	n.logf = cfg.Logf
-	if n.logf == nil {
-		n.logf = func(string, ...interface{}) {}
-	}
 	if cfg.Slot != "" {
 		n.configureSlot(cfg.Slot, cfg.OpIDs)
 	}
@@ -542,18 +535,12 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 	n.pipe.Store(p)
 }
 
-// ID returns the phone's network identity.
-func (n *Node) ID() simnet.NodeID { return n.id }
-
 // Slot returns the slot the node currently hosts ("" when idle).
 func (n *Node) Slot() string {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.slot
 }
-
-// Role returns the node's current role.
-func (n *Node) Role() Role { return Role(n.role.Load()) }
 
 // Backlog reports the queued-but-unprocessed stream items across all
 // upstream queues, including parked out-of-order arrivals (telemetry).
@@ -575,17 +562,14 @@ func (n *Node) Start() {
 	n.mu.Lock()
 	n.running = true
 	n.mu.Unlock()
-	n.wg.Add(3)
+	n.wg.Add(4)
 	go n.dispatchLoop()
 	go n.controlLoop()
 	go n.execLoop()
+	go n.flushLoop()
 	if n.cfg.Scheme.Checkpoints() {
 		n.wg.Add(1)
 		go n.persistLoop()
-	}
-	if !n.batch.disable {
-		n.wg.Add(1)
-		go n.flushLoop()
 	}
 }
 
@@ -653,7 +637,7 @@ func (n *Node) IngestExternalTraced(src graph.OpID, t *tuple.Tuple, tc obs.SpanC
 		running := n.running
 		n.mu.Unlock()
 		if running && fwd != "" {
-			m := StreamMsg{FromSlot: graph.ExternalSlot, FromOp: graph.NoOp, ToOp: src, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)}
+			m := streamMsg{FromSlot: graph.ExternalSlot, FromOp: graph.NoOp, ToOp: src, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)}
 			n.relay(fwd, simnet.ClassData, c.Size, m)
 		}
 		return
@@ -697,7 +681,6 @@ func (n *Node) relay(to simnet.NodeID, class simnet.Class, size int, payload int
 			return true
 		}
 	}
-	n.logf("%s: relay of %d bytes to %s failed on both media", n.id, size, to)
 	return false
 }
 
@@ -707,7 +690,7 @@ const preBufLimit = 4096
 
 // bufferEarlyLocked buffers one stream arrival at a node not yet hosting a
 // slot, or counts it dropped past preBufLimit. Caller holds n.mu.
-func (n *Node) bufferEarlyLocked(m *StreamMsg) {
+func (n *Node) bufferEarlyLocked(m *streamMsg) {
 	if len(n.preBuf) < preBufLimit {
 		n.preBuf = append(n.preBuf, *m)
 		return
@@ -718,12 +701,10 @@ func (n *Node) bufferEarlyLocked(m *StreamMsg) {
 // takeEarlyLocked hands over the arrivals buffered before activation, and
 // journals (and logs) how many were dropped past the bound, once per
 // activation. Caller holds n.mu and has configured the slot.
-func (n *Node) takeEarlyLocked() []StreamMsg {
+func (n *Node) takeEarlyLocked() []streamMsg {
 	buffered := n.preBuf
 	n.preBuf = nil
 	if n.preDrops > 0 {
-		n.logf("%s: dropped %d stream arrivals past the %d-item pre-activation buffer of %s",
-			n.id, n.preDrops, preBufLimit, n.slot)
 		n.jot("migrate.prebuf_drop", 0, strconv.Itoa(n.preDrops))
 		n.preDrops = 0
 	}
@@ -733,7 +714,7 @@ func (n *Node) takeEarlyLocked() []StreamMsg {
 // enqueueStream delivers a cross-slot stream message into its upstream
 // queue, suppressing duplicates below the edge-sequence watermark. A node
 // that has handed its slot off relays stragglers to the replacement.
-func (n *Node) enqueueStream(m *StreamMsg) {
+func (n *Node) enqueueStream(m *streamMsg) {
 	n.mu.Lock()
 	if n.dropStream {
 		n.mu.Unlock()
@@ -754,7 +735,6 @@ func (n *Node) enqueueStream(m *StreamMsg) {
 			n.relay(fwd, simnet.ClassData, m.Item.WireSize(), *m)
 			return
 		}
-		n.logf("%s: stream from unexpected slot %s", n.id, n.graph.SlotName(m.FromSlot))
 		return
 	}
 	defer n.mu.Unlock()
@@ -787,7 +767,7 @@ func (n *Node) enqueueStream(m *StreamMsg) {
 
 // tracePark records the park span of a traced arrival about to park (out
 // of order on an ordered queue), before the queue copies it into the heap.
-func (n *Node) tracePark(q *upQueue, it *queued, m *StreamMsg) {
+func (n *Node) tracePark(q *upQueue, it *queued, m *streamMsg) {
 	if it.tc.ID == 0 || !q.ordered || it.edgeSeq <= q.lastEnq+1 {
 		return
 	}
@@ -800,7 +780,7 @@ func (n *Node) tracePark(q *upQueue, it *queued, m *StreamMsg) {
 // queues under one lock acquisition — the receive half of edge batching.
 // The relay and pre-activation cases mirror enqueueStream, acting on the
 // batch as a whole (every message in a batch shares one origin slot).
-func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
+func (n *Node) enqueueStreamBatch(bm *batchMsg) {
 	if len(bm.Msgs) == 0 {
 		return
 	}
@@ -824,10 +804,9 @@ func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
 		}
 		n.mu.Unlock()
 		if fwd != "" {
-			n.relay(fwd, simnet.ClassData, bm.WireSize(), bm) // the batch goes with it
+			n.relay(fwd, simnet.ClassData, bm.wireSize(), bm) // the batch goes with it
 			return
 		}
-		n.logf("%s: stream batch from unexpected slot %s", n.id, n.graph.SlotName(from))
 		return
 	}
 	var at time.Duration
@@ -844,7 +823,6 @@ func (n *Node) enqueueStreamBatch(bm *BatchMsg) {
 		if m.FromSlot != from {
 			from = m.FromSlot
 			if q = n.queueFor(from); q == nil {
-				n.logf("%s: stream from unexpected slot %s", n.id, n.graph.SlotName(from))
 				continue
 			}
 		} else if q == nil {
@@ -1207,8 +1185,6 @@ func (n *Node) handleItem(p *pipeline, qi int, it *queued, now time.Duration) ti
 	end := noStamp
 	if idx := p.opFor(it.toOp); idx >= 0 {
 		end = n.runOp(p, idx, n.graph.OpName(it.fromOp), t, now)
-	} else {
-		n.logf("%s: tuple for unknown operator %s", n.id, n.graph.OpName(it.toOp))
 	}
 	n.curTrace = obs.SpanCtx{}
 	n.curReady = 0
@@ -1230,7 +1206,7 @@ func (n *Node) forwardExternalToStandby(p *pipeline, src graph.OpID, t *tuple.Tu
 	if !ok {
 		return
 	}
-	msg := StreamMsg{FromSlot: graph.ExternalSlot, ToSlot: p.slotID, FromOp: graph.NoOp, ToOp: src, EdgeSeq: seq, Item: tuple.DataItem(t)}
+	msg := streamMsg{FromSlot: graph.ExternalSlot, ToSlot: p.slotID, FromOp: graph.NoOp, ToOp: src, EdgeSeq: seq, Item: tuple.DataItem(t)}
 	if err := n.cfg.WiFi.Unicast(n.id, standby, simnet.ClassReplication, t.Size, msg); err == nil {
 		n.cfg.Phone.DrainTx(t.Size)
 	}
@@ -1256,7 +1232,7 @@ func (n *Node) preserveRun(run []queued) time.Duration {
 	n.cfg.Store.AppendSourceRun(v, srcOp, ts)
 	n.flashDone = max(n.clk.Now(), n.flashDone) + n.cfg.Phone.FlashWriteTime(size)
 	if n.cfg.PreserveBroadcast {
-		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, size, &PreserveMsg{Version: v, Source: srcOp, Ts: ts})
+		n.cfg.WiFi.Broadcast(n.id, simnet.ClassPreserve, size, &preserveMsg{Version: v, Source: srcOp, Ts: ts})
 		n.cfg.Phone.DrainTx(size)
 	}
 	return n.flashDone
@@ -1297,16 +1273,13 @@ func (n *Node) runOp(p *pipeline, idx int, fromOp string, t *tuple.Tuple, start 
 	c := &p.ops[idx]
 	if cost := c.op.Cost(t); cost > 0 {
 		if !n.cfg.Phone.ExecFrom(n.clk, n.curReady, cost) {
-			n.logf("%s: battery dead", n.id)
 			n.Fail()
 			return noStamp
 		}
 		n.maybeReportChronic()
 	}
 	if c.lat == nil {
-		if err := c.proc(c.ctx, fromOp, t); err != nil {
-			n.logf("%s: operator %s: %v", n.id, c.id, err)
-		}
+		_ = c.proc(c.ctx, fromOp, t) // an operator error costs only this tuple
 		return noStamp
 	}
 	if start == noStamp {
@@ -1315,9 +1288,7 @@ func (n *Node) runOp(p *pipeline, idx int, fromOp string, t *tuple.Tuple, start 
 	if n.curTrace.ID != 0 {
 		n.tracer.Record(&n.curTrace, obs.SpanOp, string(n.id), p.slot, c.id, int64(start))
 	}
-	if err := c.proc(c.ctx, fromOp, t); err != nil {
-		n.logf("%s: operator %s: %v", n.id, c.id, err)
-	}
+	_ = c.proc(c.ctx, fromOp, t) // an operator error costs only this tuple
 	end := n.clk.Now()
 	c.lat.Observe(int64(end - start))
 	return end
@@ -1340,9 +1311,7 @@ func (n *Node) fireDueTimers(p *pipeline) {
 		if c.timer == nil {
 			continue
 		}
-		if err := c.timer.OnTimer(c.ctx, tm.at); err != nil {
-			n.logf("%s: operator %s timer: %v", n.id, c.id, err)
-		}
+		_ = c.timer.OnTimer(c.ctx, tm.at) // an operator error costs only this firing
 	}
 }
 
@@ -1411,7 +1380,7 @@ func (n *Node) sendCross(p *pipeline, down int, toOp, fromOp graph.OpID, item tu
 	if Role(n.role.Load()) == RoleStandby {
 		return // sequence kept aligned with the primary, nothing sent
 	}
-	msg := StreamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: p.downs[down], ToOp: toOp, EdgeSeq: seq, Item: item}
+	msg := streamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: p.downs[down], ToOp: toOp, EdgeSeq: seq, Item: item}
 	if n.cfg.Scheme.PreservesAtEdges() && item.Tuple != nil {
 		// Classic input preservation writes every retained output to
 		// flash on the data path — part of local/dist-n's steady-state
@@ -1430,7 +1399,7 @@ func (n *Node) sendCross(p *pipeline, down int, toOp, fromOp graph.OpID, item tu
 // for fresh data under rep-2, a replica copy to its standby. The batch goes
 // with the send: its receiver recycles it. Callers hold the batcher's send
 // mutex, which keeps edge FIFO order across concurrent flushers.
-func (n *Node) sendBatch(toSlot graph.SlotID, b *BatchMsg, bytes int, class simnet.Class) {
+func (n *Node) sendBatch(toSlot graph.SlotID, b *batchMsg, bytes int, class simnet.Class) {
 	msgs := b.Msgs
 	if n.batchSizes != nil {
 		n.batchSizes.Observe(int64(len(msgs)))
@@ -1449,7 +1418,7 @@ func (n *Node) sendBatch(toSlot graph.SlotID, b *BatchMsg, bytes int, class simn
 	// The standby gets its own batch, cut before the primary send: the
 	// primary's dispatcher recycles the batch it unbatches, so sharing it —
 	// or copying from it after delivery — races with the zeroing.
-	var replica *BatchMsg
+	var replica *batchMsg
 	if class == simnet.ClassData && n.cfg.Scheme.Replicated() {
 		replica = takeBatch()
 		replica.Msgs = append(replica.Msgs, msgs...)
@@ -1490,9 +1459,9 @@ const markerDeliveryAttempts = 300
 // in-band marker (alone or coalesced into a batch).
 func payloadCarriesMarker(payload interface{}) bool {
 	switch p := payload.(type) {
-	case StreamMsg:
+	case streamMsg:
 		return p.Item.Marker != nil
-	case *BatchMsg:
+	case *batchMsg:
 		for i := range p.Msgs {
 			if p.Msgs[i].Item.Marker != nil {
 				return true
@@ -1526,7 +1495,6 @@ func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, c
 			// rewind, and its edge sequences will be re-emitted. A late
 			// stale delivery would poison the receiver's dedup state
 			// against those re-emissions.
-			n.logf("%s: dropped %d stale bytes for %s across restore", n.id, size, n.graph.SlotName(toSlot))
 			return
 		}
 		var ok bool
@@ -1544,7 +1512,7 @@ func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, c
 					n.urgentReported[toSlot] = true
 					n.mu.Unlock()
 					if !reported {
-						n.report(Report{Type: RepUrgent, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
+						n.report(Report{Type: repUrgent, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
 					}
 					return
 				}
@@ -1560,7 +1528,6 @@ func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, c
 			}
 		}
 	}
-	n.logf("%s: dropped %d bytes for %s: unreachable past retry horizon", n.id, size, n.graph.SlotName(toSlot))
 }
 
 // sendMarker forwards an in-band marker to every downstream slot.
@@ -1585,7 +1552,6 @@ func (n *Node) onToken(p *pipeline, qi int, v uint64, edgeSeq uint64) {
 	n.mu.Lock()
 	st, err := n.align.OnToken(n.graph.SlotName(from), v)
 	if err != nil {
-		n.logf("%s: token: %v", n.id, err)
 		n.mu.Unlock()
 		return
 	}
@@ -1655,7 +1621,6 @@ func (n *Node) doTokenCheckpoint(v uint64) {
 	n.jot("ckpt.begin", v, "")
 	blob, err := n.buildCheckpoint(v)
 	if err != nil {
-		n.logf("%s: checkpoint v%d: %v", n.id, v, err)
 		return
 	}
 	n.clk.Sleep(copyTime(blob.FullSize))
@@ -1669,7 +1634,6 @@ func (n *Node) doTokenCheckpoint(v uint64) {
 	select {
 	case n.persistCh <- blob:
 	default:
-		n.logf("%s: persist backlog full, dropping v%d dissemination", n.id, v)
 	}
 	n.sendMarker(tuple.Marker{Kind: tuple.MarkerToken, Version: v})
 }
@@ -1684,7 +1648,6 @@ func (n *Node) doPeriodicSnapshot(v uint64) {
 	start := n.clk.Now()
 	blob, err := n.snapshot(v)
 	if err != nil {
-		n.logf("%s: snapshot v%d: %v", n.id, v, err)
 		return
 	}
 	n.cfg.Store.PutBlob(blob)
@@ -1698,7 +1661,7 @@ func (n *Node) doPeriodicSnapshot(v uint64) {
 	replicas := 0
 	if n.cfg.Scheme.Kind == ft.DistN {
 		for _, p := range n.cfg.DistPeers {
-			if err := n.cfg.WiFi.Unicast(n.id, p, simnet.ClassCheckpoint, blob.Size, DistBlobMsg{Blob: blob}); err == nil {
+			if err := n.cfg.WiFi.Unicast(n.id, p, simnet.ClassCheckpoint, blob.Size, distBlobMsg{Blob: blob}); err == nil {
 				replicas++
 				n.cfg.Phone.DrainTx(blob.Size)
 			}
@@ -1722,10 +1685,7 @@ func (n *Node) doResend(downstream string, after uint64) {
 		return
 	}
 	maxMsgs, maxBytes := n.batch.maxMsgs, n.batch.maxBytes
-	if n.batch.disable {
-		maxMsgs = 1
-	}
-	var b *BatchMsg
+	var b *batchMsg
 	bytes := 0
 	flush := func() {
 		if b == nil {
@@ -1742,7 +1702,7 @@ func (n *Node) doResend(downstream string, after uint64) {
 		}
 		fromOp, _ := n.graph.OpID(e.FromOp)
 		toOp, _ := n.graph.OpID(e.ToOp)
-		b.Msgs = append(b.Msgs, StreamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: to,
+		b.Msgs = append(b.Msgs, streamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: to,
 			ToOp: toOp, EdgeSeq: e.EdgeSeq, Item: tuple.DataItem(e.T)})
 		bytes += e.T.Size
 		if len(b.Msgs) >= maxMsgs || bytes >= maxBytes {
@@ -1750,7 +1710,6 @@ func (n *Node) doResend(downstream string, after uint64) {
 		}
 	}
 	flush()
-	n.logf("%s: resent %d retained tuples to %s after seq %d", n.id, len(entries), downstream, after)
 }
 
 // report sends a node report to the controller over cellular.
@@ -1764,9 +1723,9 @@ func (n *Node) report(r Report) {
 		r.Slot = n.slot
 		n.mu.Unlock()
 	}
-	if err := n.cfg.Cell.Send(n.id, n.cfg.ControllerID, simnet.ClassControl, reportWireBytes, r); err != nil {
-		n.logf("%s: report %v failed: %v", n.id, r.Type, err)
-	}
+	// Reports are best effort: the controller's pings still find a node
+	// that failed without reporting.
+	_ = n.cfg.Cell.Send(n.id, n.cfg.ControllerID, simnet.ClassControl, reportWireBytes, r)
 }
 
 // reportWireBytes is the modelled size of a control report; controller

@@ -211,10 +211,10 @@ func TestCommandAndReportNames(t *testing.T) {
 	if CmdToken.String() != "token" || CmdFetchRestore.String() != "fetch-restore" {
 		t.Fatal("command names wrong")
 	}
-	if RepCheckpointed.String() != "checkpointed" || RepHandoffDone.String() != "handoff-done" {
+	if RepCheckpointed.String() != "checkpointed" || repHandoffDone.String() != "handoff-done" {
 		t.Fatal("report names wrong")
 	}
-	if CommandOp(99).String() != "cmd(?)" || ReportType(99).String() != "report(?)" {
+	if CommandOp(99).String() != "cmd(?)" || reportType(99).String() != "report(?)" {
 		t.Fatal("unknown names wrong")
 	}
 }

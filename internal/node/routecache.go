@@ -5,15 +5,15 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// EpochResolver is a Resolver whose placement carries a monotonically
+// epochResolver is a resolver whose placement carries a monotonically
 // increasing epoch: any change to a slot's primary or standby bumps the
 // epoch. Nodes cache resolutions per slot and invalidate the whole cache on
 // an epoch change, replacing the per-send resolver round-trip (a region-
 // wide mutex plus a map lookup) with one atomic epoch load — while keeping
 // failover correctness, because recovery, migration and handoff all repoint
 // placements through epoch-bumping region calls.
-type EpochResolver interface {
-	Resolver
+type epochResolver interface {
+	resolver
 	Epoch() uint64
 }
 

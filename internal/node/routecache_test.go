@@ -10,9 +10,9 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// epochResolver is a repointable placement with an epoch counter and a
+// fakeResolver is a repointable placement with an epoch counter and a
 // resolution call counter, standing in for the region during cache tests.
-type epochResolver struct {
+type fakeResolver struct {
 	mu      sync.Mutex
 	primary map[string]simnet.NodeID
 	epoch   uint64
@@ -24,7 +24,7 @@ type epochResolver struct {
 	epochReads int64
 }
 
-func (r *epochResolver) Primary(slot string) (simnet.NodeID, bool) {
+func (r *fakeResolver) Primary(slot string) (simnet.NodeID, bool) {
 	atomic.AddInt64(&r.calls, 1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -32,12 +32,12 @@ func (r *epochResolver) Primary(slot string) (simnet.NodeID, bool) {
 	return id, ok
 }
 
-func (r *epochResolver) Standby(string) (simnet.NodeID, bool) {
+func (r *fakeResolver) Standby(string) (simnet.NodeID, bool) {
 	atomic.AddInt64(&r.calls, 1)
 	return "", false
 }
 
-func (r *epochResolver) Epoch() uint64 {
+func (r *fakeResolver) Epoch() uint64 {
 	if r.onEpoch != nil {
 		r.onEpoch(atomic.AddInt64(&r.epochReads, 1))
 	}
@@ -46,14 +46,14 @@ func (r *epochResolver) Epoch() uint64 {
 
 // repoint moves a slot to a new primary and bumps the epoch, exactly as
 // the region does for recovery, promotion and migration.
-func (r *epochResolver) repoint(slot string, to simnet.NodeID) {
+func (r *fakeResolver) repoint(slot string, to simnet.NodeID) {
 	r.mu.Lock()
 	r.primary[slot] = to
 	r.mu.Unlock()
 	atomic.AddUint64(&r.epoch, 1)
 }
 
-func (r *epochResolver) resolverCalls() int64 { return atomic.LoadInt64(&r.calls) }
+func (r *fakeResolver) resolverCalls() int64 { return atomic.LoadInt64(&r.calls) }
 
 // TestRouteCacheInvalidatesOnEpochBump streams tuples across a placement
 // repoint: deliveries before the bump must land at the old primary,
@@ -69,7 +69,7 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 	w.Join(tx)
 	w.Join(rxA)
 	w.Join(rxB)
-	res := &epochResolver{primary: map[string]simnet.NodeID{"down": "rxA"}}
+	res := &fakeResolver{primary: map[string]simnet.NodeID{"down": "rxA"}}
 	n := edgeNode("up", Config{
 		ID:       "tx",
 		Scheme:   ft.BaseScheme,
@@ -77,7 +77,7 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: res,
-		QoS:      QoS{DisableBatching: true},
+		QoS:      QoS{MaxBatchMsgs: 1},
 	})
 	if n.epochRes == nil {
 		t.Fatal("node did not adopt the epoch resolver")
@@ -85,7 +85,7 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 
 	const perPhase = 200
 	send := func(seq uint64) {
-		n.deliverData(slotOf("down"), 100, streamMsg(seq), simnet.ClassData)
+		n.deliverData(slotOf("down"), 100, testStreamMsg(seq), simnet.ClassData)
 	}
 	for seq := uint64(1); seq <= perPhase; seq++ {
 		send(seq)
@@ -110,7 +110,7 @@ func TestRouteCacheInvalidatesOnEpochBump(t *testing.T) {
 		for {
 			select {
 			case m := <-ep.Inbox():
-				seqs = append(seqs, m.Payload.(StreamMsg).EdgeSeq)
+				seqs = append(seqs, m.Payload.(streamMsg).EdgeSeq)
 			default:
 				return seqs
 			}
@@ -159,7 +159,7 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 	w.Join(tx)
 	w.Join(rxA)
 	w.Join(rxB)
-	res := &epochResolver{primary: map[string]simnet.NodeID{"down": "rxA"}}
+	res := &fakeResolver{primary: map[string]simnet.NodeID{"down": "rxA"}}
 	n := edgeNode("up", Config{
 		ID:       "tx",
 		Scheme:   ft.BaseScheme,
@@ -167,14 +167,14 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 		WiFi:     w,
 		Endpoint: tx,
 		Resolver: res,
-		QoS:      QoS{DisableBatching: true},
+		QoS:      QoS{MaxBatchMsgs: 1},
 	})
 
 	// Warm the cache on the doomed primary, then kill it.
 	if err := w.Unicast("tx", "rxA", simnet.ClassData, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	n.deliverData(slotOf("down"), 100, streamMsg(1), simnet.ClassData)
+	n.deliverData(slotOf("down"), 100, testStreamMsg(1), simnet.ClassData)
 	<-rxA.Inbox() // the warm-up unicast
 	<-rxA.Inbox() // seq 1
 	rxA.Seal()
@@ -189,7 +189,7 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 		}
 	}
 	before := res.resolverCalls()
-	n.deliverData(slotOf("down"), 100, streamMsg(2), simnet.ClassData)
+	n.deliverData(slotOf("down"), 100, testStreamMsg(2), simnet.ClassData)
 	if reads := atomic.LoadInt64(&res.epochReads); reads != 3 {
 		t.Fatalf("delivery took %d attempts, want 3 (two against the dead primary)", reads)
 	}
@@ -198,8 +198,8 @@ func TestRouteCacheRetriesAcrossRepoint(t *testing.T) {
 	}
 	select {
 	case m := <-rxB.Inbox():
-		if m.Payload.(StreamMsg).EdgeSeq != 2 {
-			t.Fatalf("new primary received seq %d, want 2", m.Payload.(StreamMsg).EdgeSeq)
+		if m.Payload.(streamMsg).EdgeSeq != 2 {
+			t.Fatalf("new primary received seq %d, want 2", m.Payload.(streamMsg).EdgeSeq)
 		}
 	default:
 		t.Fatal("in-flight delivery never landed at the new primary")

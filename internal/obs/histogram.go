@@ -153,21 +153,3 @@ func (h *Histogram) Reset() {
 	atomic.StoreUint64(&h.sum, 0)
 	atomic.StoreInt64(&h.max, 0)
 }
-
-// Snapshot returns the non-empty buckets as (upper-bound, count) pairs in
-// ascending order, for export. Allocates; not for the hot path.
-func (h *Histogram) Snapshot() []Bucket {
-	var out []Bucket
-	for i := 0; i < numBuckets; i++ {
-		if c := atomic.LoadUint64(&h.counts[i]); c != 0 {
-			out = append(out, Bucket{Upper: bucketUpper(i), Count: c})
-		}
-	}
-	return out
-}
-
-// Bucket is one non-empty histogram bucket in a Snapshot.
-type Bucket struct {
-	Upper int64
-	Count uint64
-}

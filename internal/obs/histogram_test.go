@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -179,4 +180,22 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
 	}
+}
+
+// Snapshot returns the non-empty buckets as (upper-bound, count) pairs in
+// ascending order, for export. Allocates; not for the hot path.
+func (h *Histogram) Snapshot() []bucket {
+	var out []bucket
+	for i := 0; i < numBuckets; i++ {
+		if c := atomic.LoadUint64(&h.counts[i]); c != 0 {
+			out = append(out, bucket{Upper: bucketUpper(i), Count: c})
+		}
+	}
+	return out
+}
+
+// bucket is one non-empty histogram bucket in a Snapshot.
+type bucket struct {
+	Upper int64
+	Count uint64
 }

@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-// ExportQuantiles are the quantiles rendered per histogram on /metrics.
-var ExportQuantiles = []float64{50, 95, 99}
+// exportQuantiles are the quantiles rendered per histogram on /metrics.
+var exportQuantiles = []float64{50, 95, 99}
 
-// Handler serves the registry live over HTTP:
+// handler serves the registry live over HTTP:
 //
 //	/metrics       Prometheus text: histograms as *_count/_sum/quantile
 //	               gauges plus any extra counters
@@ -22,7 +22,7 @@ var ExportQuantiles = []float64{50, 95, 99}
 //
 // extra, if non-nil, is called per /metrics scrape for counters owned
 // outside the registry (transport redials, sink totals, ...).
-func Handler(reg *Registry, extra func() map[string]float64) http.Handler {
+func handler(reg *Registry, extra func() map[string]float64) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -31,7 +31,7 @@ func Handler(reg *Registry, extra func() map[string]float64) http.Handler {
 	mux.HandleFunc("/journal", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		if reg != nil {
-			_ = reg.Journal.WriteJSONL(w)
+			_ = reg.Journal.writeJSONL(w)
 		}
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
@@ -58,7 +58,7 @@ func promLabel(s string) string {
 	return strings.ReplaceAll(s, `"`, `_`)
 }
 
-func writeHistFamily(w http.ResponseWriter, f Family, views []HistogramView) {
+func writeHistFamily(w http.ResponseWriter, f Family, views []histogramView) {
 	fmt.Fprintf(w, "# TYPE %s summary\n", f.Name)
 	for _, v := range views {
 		// An unlabelled family's series carry no label set, and its
@@ -71,7 +71,7 @@ func writeHistFamily(w http.ResponseWriter, f Family, views []HistogramView) {
 		fmt.Fprintf(w, "%s_count%s %d\n", f.Name, set, v.Hist.Count())
 		fmt.Fprintf(w, "%s_sum%s %d\n", f.Name, set, v.Hist.Sum())
 		fmt.Fprintf(w, "%s_max%s %d\n", f.Name, set, v.Hist.Max())
-		for _, q := range ExportQuantiles {
+		for _, q := range exportQuantiles {
 			fmt.Fprintf(w, "%s%squantile=\"%g\"} %d\n", f.Name, qset, q/100, v.Hist.Percentile(q))
 		}
 	}
@@ -81,14 +81,14 @@ func writeProm(w http.ResponseWriter, reg *Registry, extra func() map[string]flo
 	fmt.Fprintln(w, "# TYPE ms_up gauge")
 	fmt.Fprintln(w, "ms_up 1")
 	if reg != nil {
-		for _, f := range reg.Families() {
-			writeHistFamily(w, f, reg.View(f))
+		for _, f := range reg.families() {
+			writeHistFamily(w, f, reg.view(f))
 		}
 		fmt.Fprintln(w, "# TYPE ms_trace_spans gauge")
 		fmt.Fprintf(w, "ms_trace_spans %d\n", len(reg.Tracer.Spans()))
 		fmt.Fprintf(w, "ms_trace_span_drops %d\n", reg.Tracer.Drops())
 		fmt.Fprintln(w, "# TYPE ms_journal_events_total counter")
-		fmt.Fprintf(w, "ms_journal_events_total %d\n", reg.Journal.Total())
+		fmt.Fprintf(w, "ms_journal_events_total %d\n", reg.Journal.emitted())
 	}
 	if extra != nil {
 		m := extra()
@@ -106,7 +106,7 @@ func writeProm(w http.ResponseWriter, reg *Registry, extra func() map[string]flo
 // Serve starts the export HTTP server on addr in a background goroutine
 // and returns the address it is listening on. Used by msrun -http.
 func Serve(addr string, reg *Registry, extra func() map[string]float64) (string, error) {
-	srv := &http.Server{Addr: addr, Handler: Handler(reg, extra)}
+	srv := &http.Server{Addr: addr, Handler: handler(reg, extra)}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err

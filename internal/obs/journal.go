@@ -78,8 +78,8 @@ func (j *Journal) Events() []Event {
 	return out
 }
 
-// Total reports how many events were ever emitted (including overwritten).
-func (j *Journal) Total() uint64 {
+// emitted reports how many events were ever emitted (including overwritten).
+func (j *Journal) emitted() uint64 {
 	if j == nil {
 		return 0
 	}
@@ -88,8 +88,8 @@ func (j *Journal) Total() uint64 {
 	return j.total
 }
 
-// WriteJSONL renders the retained events as JSON Lines, oldest first.
-func (j *Journal) WriteJSONL(w io.Writer) error {
+// writeJSONL renders the retained events as JSON Lines, oldest first.
+func (j *Journal) writeJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, e := range j.Events() {
 		if err := enc.Encode(e); err != nil {

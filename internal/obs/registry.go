@@ -83,22 +83,22 @@ func (r *Registry) Hist(f Family, key string) *Histogram {
 	return h
 }
 
-// HistogramView is one named histogram in a registry snapshot.
-type HistogramView struct {
+// histogramView is one named histogram in a registry snapshot.
+type histogramView struct {
 	Name string
 	Hist *Histogram
 }
 
-// View returns a family's histograms in key order.
-func (r *Registry) View(f Family) []HistogramView {
+// view returns a family's histograms in key order.
+func (r *Registry) view(f Family) []histogramView {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]HistogramView, 0, len(r.hists[f]))
+	out := make([]histogramView, 0, len(r.hists[f]))
 	for k, h := range r.hists[f] {
-		out = append(out, HistogramView{Name: k, Hist: h})
+		out = append(out, histogramView{Name: k, Hist: h})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -108,7 +108,7 @@ func (r *Registry) View(f Family) []HistogramView {
 // what observing them all into one histogram would hold (see Merge).
 func (r *Registry) Merged(f Family) *Histogram {
 	var h Histogram
-	for _, v := range r.View(f) {
+	for _, v := range r.view(f) {
 		h.Merge(v.Hist)
 	}
 	return &h
@@ -118,15 +118,15 @@ func (r *Registry) Merged(f Family) *Histogram {
 // for what that means under concurrent observers).
 func (r *Registry) Reset(fs ...Family) {
 	for _, f := range fs {
-		for _, v := range r.View(f) {
+		for _, v := range r.view(f) {
 			v.Hist.Reset()
 		}
 	}
 }
 
-// Families returns the families holding at least one histogram, in name
+// families returns the families holding at least one histogram, in name
 // order — what /metrics exports.
-func (r *Registry) Families() []Family {
+func (r *Registry) families() []Family {
 	if r == nil {
 		return nil
 	}
@@ -142,6 +142,6 @@ func (r *Registry) Families() []Family {
 
 // Ops, Waits and Depths return the operator-latency, edge-wait and
 // edge-depth histograms in name order.
-func (r *Registry) Ops() []HistogramView    { return r.View(OpLatency) }
-func (r *Registry) Waits() []HistogramView  { return r.View(EdgeWait) }
-func (r *Registry) Depths() []HistogramView { return r.View(EdgeDepth) }
+func (r *Registry) Ops() []histogramView    { return r.view(OpLatency) }
+func (r *Registry) Waits() []histogramView  { return r.view(EdgeWait) }
+func (r *Registry) Depths() []histogramView { return r.view(EdgeDepth) }

@@ -21,7 +21,7 @@ type SpanCtx struct {
 type SpanKind uint8
 
 const (
-	SpanInvalid SpanKind = iota
+	_           SpanKind = iota
 	SpanIngest           // tuple entered the system at a source
 	SpanRecv             // frame arrived from the network
 	SpanPark             // ordered queue parked an out-of-order arrival
@@ -184,9 +184,9 @@ func (t *Tracer) ResetSpans() {
 	t.mu.Unlock()
 }
 
-// Hop is one step of a reconstructed waterfall: the span plus the time
+// hop is one step of a reconstructed waterfall: the span plus the time
 // elapsed since the previous span of the same trace (0 for the first).
-type Hop struct {
+type hop struct {
 	Span
 	Delta int64
 }
@@ -194,7 +194,7 @@ type Hop struct {
 // Waterfall is one traced tuple's end-to-end journey in span order.
 type Waterfall struct {
 	Trace uint64
-	Hops  []Hop
+	Hops  []hop
 }
 
 // Waterfalls groups spans by trace ID and orders each trace by span
@@ -214,9 +214,9 @@ func Waterfalls(spans []Span) []Waterfall {
 	for _, id := range ids {
 		ss := byTrace[id]
 		sort.Slice(ss, func(i, j int) bool { return ss[i].Seq < ss[j].Seq })
-		w := Waterfall{Trace: id, Hops: make([]Hop, len(ss))}
+		w := Waterfall{Trace: id, Hops: make([]hop, len(ss))}
 		for i, s := range ss {
-			h := Hop{Span: s}
+			h := hop{Span: s}
 			if i > 0 && ss[i-1].Node == s.Node {
 				h.Delta = s.At - ss[i-1].At
 			}

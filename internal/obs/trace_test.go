@@ -100,7 +100,7 @@ func TestTracerBoundedBuffer(t *testing.T) {
 func TestJournalRingAndJSONL(t *testing.T) {
 	var nilJ *Journal
 	nilJ.Emit(Event{Kind: "noop"}) // nil-safe
-	if nilJ.Events() != nil || nilJ.Total() != 0 {
+	if nilJ.Events() != nil || nilJ.emitted() != 0 {
 		t.Fatal("nil journal not empty")
 	}
 	j := NewJournal(3)
@@ -114,11 +114,11 @@ func TestJournalRingAndJSONL(t *testing.T) {
 	if evs[0].Version != 2 || evs[2].Version != 4 {
 		t.Fatalf("ring order wrong: %+v", evs)
 	}
-	if j.Total() != 5 {
-		t.Fatalf("total = %d, want 5", j.Total())
+	if j.emitted() != 5 {
+		t.Fatalf("total = %d, want 5", j.emitted())
 	}
 	var buf bytes.Buffer
-	if err := j.WriteJSONL(&buf); err != nil {
+	if err := j.writeJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -143,7 +143,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	if r.Hist(OpLatency, "x") != nil || r.Hist(SinkLatency, "") != nil {
 		t.Fatal("nil registry must yield nil histograms")
 	}
-	if r.Ops() != nil || r.Waits() != nil || r.Depths() != nil || r.Families() != nil {
+	if r.Ops() != nil || r.Waits() != nil || r.Depths() != nil || r.families() != nil {
 		t.Fatal("nil registry views must be nil")
 	}
 	if r.Merged(CkptPause).Count() != 0 {
@@ -170,7 +170,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	tc, _ := reg.Tracer.Sample(0)
 	reg.Tracer.Record(&tc, SpanIngest, "n", "s0", "src", 0)
 
-	h := Handler(reg, func() map[string]float64 {
+	h := handler(reg, func() map[string]float64 {
 		return map[string]float64{"ms_socket_redials_total": 2}
 	})
 	srv := httptest.NewServer(h)

@@ -9,12 +9,12 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// Runtime is the execution environment a Context fronts: the node binds it
+// runtime is the execution environment a Context fronts: the node binds it
 // to the slot's compiled pipeline (emissions route without allocation),
 // while tests and offline tools bind collectors or fakes. EmitTo and
 // SetTimer report whether the runtime honoured the request, so a Context
 // can surface unsupported services without panicking.
-type Runtime interface {
+type runtime interface {
 	// Emit fans t out to the operator's downstream targets in graph
 	// declaration order; on a sink operator it publishes t externally.
 	Emit(t *tuple.Tuple)
@@ -37,14 +37,14 @@ type Runtime interface {
 // Inside Process and OnTimer, derive output tuples with Clone: the
 // context's slab is used only by the executor the context is bound to.
 type Context struct {
-	rt   Runtime
+	rt   runtime
 	keys *KeyedState
 	slab tuple.Slab
 }
 
 // NewContext binds a context to a runtime. The node runtime builds one per
 // compiled operator; tests use Run or their own fakes.
-func NewContext(rt Runtime) *Context { return &Context{rt: rt} }
+func NewContext(rt runtime) *Context { return &Context{rt: rt} }
 
 // Clone returns a shallow copy of t, carved from the context's tuple slab:
 // the one way an operator derives an output tuple. The input stays
@@ -75,23 +75,23 @@ func (c *Context) Now() time.Duration { return c.rt.Now() }
 // not fire timers).
 func (c *Context) SetTimer(at time.Duration) bool { return c.rt.SetTimer(at) }
 
-// State returns the operator's per-key state handle. When the operator
+// state returns the operator's per-key state handle. When the operator
 // exposes its own store (KeyedStater), the handle is that store and rides
 // the operator's Snapshot/Restore into checkpoints; otherwise a
 // context-local volatile store is created on first use.
-func (c *Context) State() *KeyedState {
+func (c *Context) state() *KeyedState {
 	if c.keys == nil {
-		c.keys = NewKeyedState()
+		c.keys = newKeyedState()
 	}
 	return c.keys
 }
 
-// BindState points the context's State handle at an operator-owned store;
+// BindState points the context's state handle at an operator-owned store;
 // the runtime calls it at pipeline compile time for KeyedStater operators.
 func (c *Context) BindState(ks *KeyedState) { c.keys = ks }
 
 // KeyedStater is implemented by operators that own a KeyedState and want
-// Context.State to resolve to it, so per-key state written during Process
+// Context.state to resolve to it, so per-key state written during Process
 // is the same state the operator checkpoints.
 type KeyedStater interface {
 	KeyedState() *KeyedState
@@ -104,14 +104,14 @@ type KeyedState struct {
 	m map[string][]byte
 }
 
-// NewKeyedState builds an empty store.
-func NewKeyedState() *KeyedState { return &KeyedState{m: make(map[string][]byte)} }
+// newKeyedState builds an empty store.
+func newKeyedState() *KeyedState { return &KeyedState{m: make(map[string][]byte)} }
 
-// Get returns the value stored under key, or nil.
-func (ks *KeyedState) Get(key string) []byte { return ks.m[key] }
+// get returns the value stored under key, or nil.
+func (ks *KeyedState) get(key string) []byte { return ks.m[key] }
 
-// Put stores value under key; a nil value deletes the key.
-func (ks *KeyedState) Put(key string, value []byte) {
+// put stores value under key; a nil value deletes the key.
+func (ks *KeyedState) put(key string, value []byte) {
 	if value == nil {
 		delete(ks.m, key)
 		return
@@ -119,14 +119,11 @@ func (ks *KeyedState) Put(key string, value []byte) {
 	ks.m[key] = value
 }
 
-// Delete removes key.
-func (ks *KeyedState) Delete(key string) { delete(ks.m, key) }
+// remove removes key.
+func (ks *KeyedState) remove(key string) { delete(ks.m, key) }
 
-// Len reports how many keys are stored.
-func (ks *KeyedState) Len() int { return len(ks.m) }
-
-// Keys returns the stored keys in sorted order.
-func (ks *KeyedState) Keys() []string {
+// keys returns the stored keys in sorted order.
+func (ks *KeyedState) keys() []string {
 	keys := make([]string, 0, len(ks.m))
 	for k := range ks.m {
 		keys = append(keys, k)
@@ -135,16 +132,9 @@ func (ks *KeyedState) Keys() []string {
 	return keys
 }
 
-// Clear drops every key.
-func (ks *KeyedState) Clear() {
-	for k := range ks.m {
-		delete(ks.m, k)
-	}
-}
-
 // Range calls fn for every key in the half-open interval [lo, hi) in
 // sorted order, stopping early when fn returns false. An empty hi means
-// "no upper bound" (every key >= lo). Unlike Keys, Range materialises
+// "no upper bound" (every key >= lo). Unlike keys, Range materialises
 // only the keys inside the interval, so scanning one shard of a
 // partitioned keyspace does not copy the whole store — the property the
 // elastic split handoff depends on.
@@ -169,9 +159,9 @@ func (ks *KeyedState) rangeKeys(lo, hi string) []string {
 	return keys
 }
 
-// RangeSize reports the encoded size in bytes of the keys in [lo, hi)
+// rangeSize reports the encoded size in bytes of the keys in [lo, hi)
 // (hi == "" is unbounded) without materialising the encoding.
-func (ks *KeyedState) RangeSize(lo, hi string) int {
+func (ks *KeyedState) rangeSize(lo, hi string) int {
 	size := 8
 	for k, v := range ks.m {
 		if k >= lo && (hi == "" || k < hi) {
@@ -182,18 +172,18 @@ func (ks *KeyedState) RangeSize(lo, hi string) int {
 }
 
 // ExportRange serialises the keys in [lo, hi) with the same deterministic
-// framing as Encode. The result feeds ImportRange on the receiving
+// framing as encode. The result feeds ImportRange on the receiving
 // instance of a key-range split or merge.
 func (ks *KeyedState) ExportRange(lo, hi string) []byte {
-	return ks.encodeKeys(ks.rangeKeys(lo, hi), ks.RangeSize(lo, hi))
+	return ks.encodeKeys(ks.rangeKeys(lo, hi), ks.rangeSize(lo, hi))
 }
 
-// ImportRange merges entries produced by ExportRange (or Encode) into the
-// store, overwriting keys that already exist. Unlike Decode it leaves
+// ImportRange merges entries produced by ExportRange (or encode) into the
+// store, overwriting keys that already exist. Unlike decode it leaves
 // keys outside the imported set untouched.
 func (ks *KeyedState) ImportRange(data []byte) error {
-	in := NewKeyedState()
-	if err := in.Decode(data); err != nil {
+	in := newKeyedState()
+	if err := in.decode(data); err != nil {
 		return err
 	}
 	for k, v := range in.m {
@@ -215,8 +205,8 @@ func (ks *KeyedState) DeleteRange(lo, hi string) int {
 	return n
 }
 
-// Size reports the encoded size in bytes (state accounting).
-func (ks *KeyedState) Size() int {
+// size reports the encoded size in bytes (state accounting).
+func (ks *KeyedState) size() int {
 	size := 8
 	for k, v := range ks.m {
 		size += 16 + len(k) + len(v)
@@ -224,12 +214,12 @@ func (ks *KeyedState) Size() int {
 	return size
 }
 
-// Encode serialises the store deterministically (sorted key order).
-func (ks *KeyedState) Encode() []byte {
-	return ks.encodeKeys(ks.Keys(), ks.Size())
+// encode serialises the store deterministically (sorted key order).
+func (ks *KeyedState) encode() []byte {
+	return ks.encodeKeys(ks.keys(), ks.size())
 }
 
-// encodeKeys serialises the given (sorted) keys with the Encode framing.
+// encodeKeys serialises the given (sorted) keys with the encode framing.
 func (ks *KeyedState) encodeKeys(keys []string, sizeHint int) []byte {
 	buf := make([]byte, 0, sizeHint)
 	var tmp [8]byte
@@ -247,11 +237,11 @@ func (ks *KeyedState) encodeKeys(keys []string, sizeHint int) []byte {
 	return buf
 }
 
-// Decode loads bytes produced by Encode, replacing the store's contents.
+// decode loads bytes produced by encode, replacing the store's contents.
 // The bytes may come from a peer (a split/merge handoff, a checkpoint
 // blob), so every count and length is checked, as unsigned, against the
 // bytes left before it is used: a bad one is an error, never a panic.
-func (ks *KeyedState) Decode(data []byte) error {
+func (ks *KeyedState) decode(data []byte) error {
 	m := make(map[string][]byte)
 	if len(data) < 8 {
 		return fmt.Errorf("keyedstate: short header")
@@ -293,7 +283,7 @@ func (ks *KeyedState) Decode(data []byte) error {
 	return nil
 }
 
-// collector is the Runtime behind Run: it records emissions and supports
+// collector is the runtime behind Run: it records emissions and supports
 // neither timers nor simulated time.
 type collector struct {
 	outs []Out

@@ -9,7 +9,7 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// fakeRuntime is a controllable Runtime for exercising the context's
+// fakeRuntime is a controllable runtime for exercising the context's
 // growth surface: settable simulated time and manually fired timers.
 type fakeRuntime struct {
 	outs   []Out
@@ -29,26 +29,26 @@ func (f *fakeRuntime) SetTimer(at time.Duration) bool {
 }
 
 func TestKeyedStateEncodeDecodeRoundTrip(t *testing.T) {
-	ks := NewKeyedState()
-	ks.Put("b", []byte{2, 2})
-	ks.Put("a", []byte{1})
-	ks.Put("c", nil) // nil deletes: never stored
-	enc := ks.Encode()
+	ks := newKeyedState()
+	ks.put("b", []byte{2, 2})
+	ks.put("a", []byte{1})
+	ks.put("c", nil) // nil deletes: never stored
+	enc := ks.encode()
 	// Deterministic: re-encoding after a rebuild must be byte-identical.
-	ks2 := NewKeyedState()
-	if err := ks2.Decode(enc); err != nil {
+	ks2 := newKeyedState()
+	if err := ks2.decode(enc); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(enc, ks2.Encode()) {
+	if !bytes.Equal(enc, ks2.encode()) {
 		t.Fatal("encode/decode not byte-stable")
 	}
-	if ks2.Len() != 2 || !bytes.Equal(ks2.Get("b"), []byte{2, 2}) {
-		t.Fatalf("decoded contents wrong: %v", ks2.Keys())
+	if ks2.Len() != 2 || !bytes.Equal(ks2.get("b"), []byte{2, 2}) {
+		t.Fatalf("decoded contents wrong: %v", ks2.keys())
 	}
-	if err := ks2.Decode(enc[:5]); err == nil {
+	if err := ks2.decode(enc[:5]); err == nil {
 		t.Fatal("short state accepted")
 	}
-	if err := ks2.Decode(enc[:len(enc)-1]); err == nil {
+	if err := ks2.decode(enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated value accepted")
 	}
 }
@@ -58,14 +58,14 @@ func TestContextStateBindsKeyedStater(t *testing.T) {
 	rt := &fakeRuntime{}
 	ctx := NewContext(rt)
 	ctx.BindState(w.KeyedState())
-	ctx.State().Put("k", []byte{9})
-	if got := w.KeyedState().Get("k"); !bytes.Equal(got, []byte{9}) {
+	ctx.state().put("k", []byte{9})
+	if got := w.KeyedState().get("k"); !bytes.Equal(got, []byte{9}) {
 		t.Fatal("context state not bound to the operator's store")
 	}
 	// Unbound contexts get a volatile store.
 	ctx2 := NewContext(rt)
-	ctx2.State().Put("x", []byte{1})
-	if ctx2.State().Len() != 1 {
+	ctx2.state().put("x", []byte{1})
+	if ctx2.state().Len() != 1 {
 		t.Fatal("volatile store lost writes")
 	}
 }
@@ -259,7 +259,7 @@ func TestTimeWindowRetainsRestoredSumsWithoutTemplate(t *testing.T) {
 	if got := frt.outs[0].T.Value.(float64); got != (10+30+60)/3.0 {
 		t.Fatalf("merged mean = %v", got)
 	}
-	if fresh.KeyedState().Get("b") == nil {
+	if fresh.KeyedState().get("b") == nil {
 		t.Fatal("restored sums for key b discarded without emission")
 	}
 	// Once b sees a tuple, the next close emits restored+fresh together.
@@ -288,7 +288,7 @@ func TestRunBindsKeyedStaterState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.KeyedState().Get("k") == nil {
+	if w.KeyedState().get("k") == nil {
 		t.Fatal("Run wrote keyed state into a throwaway store")
 	}
 	snap, err := w.Snapshot()
@@ -299,7 +299,7 @@ func TestRunBindsKeyedStaterState(t *testing.T) {
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.KeyedState().Get("k") == nil {
+	if fresh.KeyedState().get("k") == nil {
 		t.Fatal("accumulators written under Run did not reach the checkpoint")
 	}
 }

@@ -182,9 +182,9 @@ func (d *DeltaTracker) Mark(v uint64, snap func() ([]byte, error)) {
 	d.baseVersion, d.base, d.haveBase = v, cur, true
 }
 
-// Drop invalidates the baseline (after a Restore the in-memory state no
+// drop invalidates the baseline (after a Restore the in-memory state no
 // longer matches any recorded cut).
-func (d *DeltaTracker) Drop() {
+func (d *DeltaTracker) drop() {
 	d.haveBase = false
 	d.pending = nil
 }

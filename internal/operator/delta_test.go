@@ -344,7 +344,7 @@ func TestAggregateSnapshotMatchesFullSort(t *testing.T) {
 			counts[k]++
 		}
 	}
-	check := func(stage string, agg *Aggregate) []byte {
+	check := func(stage string, agg *aggregate) []byte {
 		t.Helper()
 		got, err := agg.Snapshot()
 		if err != nil {

@@ -7,24 +7,24 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// KeyTag assigns a partition key to every tuple by rewriting its Kind —
+// keyTag assigns a partition key to every tuple by rewriting its Kind —
 // the compiled form of the stream builder's KeyBy stage. Downstream keyed
 // routing (the elastic partition table) and keyed operators (TimeWindow,
 // Aggregate, KeyedTally) all read the key from Kind, so tagging is the
 // only coupling between user key functions and the runtime.
-type KeyTag struct {
+type keyTag struct {
 	Base
 	Fn func(*tuple.Tuple) string
 }
 
-// NewKeyTag builds a KeyTag stage around a key function.
-func NewKeyTag(id string, fn func(*tuple.Tuple) string) *KeyTag {
-	return &KeyTag{Base: Base{Name: id}, Fn: fn}
+// NewKeyTag builds a keyTag stage around a key function.
+func NewKeyTag(id string, fn func(*tuple.Tuple) string) *keyTag {
+	return &keyTag{Base: Base{Name: id}, Fn: fn}
 }
 
 // Process implements Processor: emits a clone carrying the key, leaving
 // the input (possibly preserved upstream) untouched.
-func (k *KeyTag) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (k *keyTag) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	out := ctx.Clone(t)
 	out.Kind = k.Fn(t)
 	ctx.Emit(out)
@@ -48,7 +48,7 @@ type KeyedTally struct {
 
 // NewKeyedTally builds a keyed tally.
 func NewKeyedTally(id string) *KeyedTally {
-	return &KeyedTally{Base: Base{Name: id}, state: NewKeyedState()}
+	return &KeyedTally{Base: Base{Name: id}, state: newKeyedState()}
 }
 
 // Process implements Processor.
@@ -57,12 +57,12 @@ func (k *KeyedTally) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	if width < 8 {
 		width = 8
 	}
-	rec := k.state.Get(t.Kind)
+	rec := k.state.get(t.Kind)
 	if len(rec) != width {
 		rec = make([]byte, width)
 	}
 	binary.BigEndian.PutUint64(rec[:8], binary.BigEndian.Uint64(rec[:8])+1)
-	k.state.Put(t.Kind, rec)
+	k.state.put(t.Kind, rec)
 	ctx.Emit(t)
 	return nil
 }
@@ -81,7 +81,7 @@ func (k *KeyedTally) KeyedState() *KeyedState { return k.state }
 
 // Count reports the tally for one key (tests).
 func (k *KeyedTally) Count(key string) uint64 {
-	rec := k.state.Get(key)
+	rec := k.state.get(key)
 	if len(rec) < 8 {
 		return 0
 	}
@@ -89,16 +89,16 @@ func (k *KeyedTally) Count(key string) uint64 {
 }
 
 // Snapshot implements Operator.
-func (k *KeyedTally) Snapshot() ([]byte, error) { return k.state.Encode(), nil }
+func (k *KeyedTally) Snapshot() ([]byte, error) { return k.state.encode(), nil }
 
 // Restore implements Operator.
 func (k *KeyedTally) Restore(data []byte) error {
-	k.delta.Drop()
-	return k.state.Decode(data)
+	k.delta.drop()
+	return k.state.decode(data)
 }
 
 // StateSize implements Operator.
-func (k *KeyedTally) StateSize() int { return k.state.Size() }
+func (k *KeyedTally) StateSize() int { return k.state.size() }
 
 // SnapshotDelta implements DeltaSnapshotter.
 func (k *KeyedTally) SnapshotDelta(since uint64) ([]byte, bool) {

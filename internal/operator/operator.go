@@ -102,15 +102,15 @@ func Proc(op Operator) ProcFunc {
 	case Processor:
 		return o.Process
 	case LegacyProcessor:
-		return AdaptLegacy(o)
+		return adaptLegacy(o)
 	}
 	return nil
 }
 
-// AdaptLegacy wraps a legacy operator's Process into the emit-context
+// adaptLegacy wraps a legacy operator's Process into the emit-context
 // shape: the returned slice's emissions are replayed through ctx in order,
 // preserving the legacy interleaving of routed and fan-out emissions.
-func AdaptLegacy(o LegacyProcessor) ProcFunc {
+func adaptLegacy(o LegacyProcessor) ProcFunc {
 	return func(ctx *Context, from string, t *tuple.Tuple) error {
 		outs, err := o.Process(from, t)
 		if err != nil {

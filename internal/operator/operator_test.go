@@ -300,3 +300,19 @@ func TestJoinPairingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Keys reports how many keys the aggregate tracks (tests).
+func (a *aggregate) Keys() int { return len(a.accs) }
+
+// Pending reports how many tuples wait unmatched (for tests).
+func (j *join) Pending() int { return len(j.left) + len(j.right) }
+
+// Len reports how many keys are stored.
+func (ks *KeyedState) Len() int { return len(ks.m) }
+
+// Windows reports how many windows have closed with at least one tuple
+// (tests).
+func (w *TimeWindow) Windows() uint64 { return w.windows }
+
+// Count reports processed tuples (tests).
+func (w *window) Count() uint64 { return w.count }

@@ -9,9 +9,9 @@ import (
 )
 
 func rangeFixture() *KeyedState {
-	ks := NewKeyedState()
+	ks := newKeyedState()
 	for _, k := range []string{"a", "b", "c", "m", "z"} {
-		ks.Put(k, []byte("v-"+k))
+		ks.put(k, []byte("v-"+k))
 	}
 	return ks
 }
@@ -64,7 +64,7 @@ func TestKeyedStateRangeEarlyStop(t *testing.T) {
 }
 
 func TestKeyedStateRangeEmptyStore(t *testing.T) {
-	ks := NewKeyedState()
+	ks := newKeyedState()
 	if got := collectRange(ks, "", ""); got != nil {
 		t.Fatalf("empty store yielded %v", got)
 	}
@@ -77,55 +77,55 @@ func TestKeyedStateExportImportDeleteRange(t *testing.T) {
 	ks := rangeFixture()
 	blob := ks.ExportRange("b", "n") // b, c, m
 
-	// Export framing matches Encode framing: a store holding exactly the
+	// Export framing matches encode framing: a store holding exactly the
 	// range decodes it and round-trips to the same bytes.
-	sub := NewKeyedState()
-	if err := sub.Decode(blob); err != nil {
+	sub := newKeyedState()
+	if err := sub.decode(blob); err != nil {
 		t.Fatalf("decode exported range: %v", err)
 	}
-	if got := sub.Keys(); !reflect.DeepEqual(got, []string{"b", "c", "m"}) {
+	if got := sub.keys(); !reflect.DeepEqual(got, []string{"b", "c", "m"}) {
 		t.Fatalf("exported keys %v", got)
 	}
-	if !bytes.Equal(sub.Encode(), blob) {
+	if !bytes.Equal(sub.encode(), blob) {
 		t.Fatal("ExportRange framing differs from Encode framing")
 	}
 
 	if n := ks.DeleteRange("b", "n"); n != 3 {
 		t.Fatalf("DeleteRange removed %d keys, want 3", n)
 	}
-	if got := ks.Keys(); !reflect.DeepEqual(got, []string{"a", "z"}) {
+	if got := ks.keys(); !reflect.DeepEqual(got, []string{"a", "z"}) {
 		t.Fatalf("donor keys after delete: %v", got)
 	}
 
 	// Import merges without disturbing resident keys.
-	dst := NewKeyedState()
-	dst.Put("q", []byte("v-q"))
+	dst := newKeyedState()
+	dst.put("q", []byte("v-q"))
 	if err := dst.ImportRange(blob); err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if got := dst.Keys(); !reflect.DeepEqual(got, []string{"b", "c", "m", "q"}) {
+	if got := dst.keys(); !reflect.DeepEqual(got, []string{"b", "c", "m", "q"}) {
 		t.Fatalf("recipient keys after import: %v", got)
 	}
 
 	// Donor + recipient together hold exactly the original keyspace.
-	if err := dst.ImportRange(ks.Encode()); err != nil {
+	if err := dst.ImportRange(ks.encode()); err != nil {
 		t.Fatalf("merge back: %v", err)
 	}
-	dst.Delete("q")
-	if !bytes.Equal(dst.Encode(), rangeFixture().Encode()) {
+	dst.remove("q")
+	if !bytes.Equal(dst.encode(), rangeFixture().encode()) {
 		t.Fatal("split + merge did not reconstruct the original store")
 	}
 }
 
 func TestKeyedStateRangeSize(t *testing.T) {
 	ks := rangeFixture()
-	if got, want := ks.RangeSize("", ""), ks.Size(); got != want {
+	if got, want := ks.rangeSize("", ""), ks.size(); got != want {
 		t.Fatalf("unbounded RangeSize %d != Size %d", got, want)
 	}
-	if got, want := ks.RangeSize("b", "n"), len(ks.ExportRange("b", "n")); got != want {
+	if got, want := ks.rangeSize("b", "n"), len(ks.ExportRange("b", "n")); got != want {
 		t.Fatalf("RangeSize %d != len(ExportRange) %d", got, want)
 	}
-	if got := ks.RangeSize("x", "y"); got != 8 {
+	if got := ks.rangeSize("x", "y"); got != 8 {
 		t.Fatalf("empty RangeSize %d, want header-only 8", got)
 	}
 }

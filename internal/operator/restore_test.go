@@ -18,11 +18,11 @@ type stateful interface {
 }
 
 // keyedTarget restores a KeyedState the way ImportRange and the keyed
-// operators do, through Decode.
+// operators do, through decode.
 type keyedTarget struct{ *KeyedState }
 
-func (k keyedTarget) Snapshot() ([]byte, error) { return k.Encode(), nil }
-func (k keyedTarget) Restore(data []byte) error { return k.Decode(data) }
+func (k keyedTarget) Snapshot() ([]byte, error) { return k.encode(), nil }
+func (k keyedTarget) Restore(data []byte) error { return k.decode(data) }
 
 // restoreTargets are every stdlib operator with state, and KeyedState. The
 // fuzz input's first byte picks one, modulo their count.
@@ -38,7 +38,7 @@ var restoreTargets = []struct {
 	{"aggregate", func() stateful { return NewAggregate("a") }},
 	{"timewindow", func() stateful { return NewTimeWindow("tw", time.Second) }},
 	{"keyedtally", func() stateful { return NewKeyedTally("kt") }},
-	{"keyedstate", func() stateful { return keyedTarget{NewKeyedState()} }},
+	{"keyedstate", func() stateful { return keyedTarget{newKeyedState()} }},
 }
 
 // realSnapshots drives one instance of each target with a few tuples and
@@ -64,10 +64,10 @@ func realSnapshots(t testing.TB) [][]byte {
 	f := NewFilter("f", func(t *tuple.Tuple) bool { return t.Seq%2 == 0 })
 	j := NewJoin("j", "l", "r", func(*Context, *tuple.Tuple, *tuple.Tuple) *tuple.Tuple { return nil })
 	run(j, "l", in(1, "k", nil), in(2, "k", nil), in(5, "k", nil))
-	ks := NewKeyedState()
-	ks.Put("beta", []byte{2, 2})
-	ks.Put("alpha", []byte{1})
-	ks.Put("empty", []byte{})
+	ks := newKeyedState()
+	ks.put("beta", []byte{2, 2})
+	ks.put("alpha", []byte{1})
+	ks.put("empty", []byte{})
 	vals := []*tuple.Tuple{in(1, "x", 1.5), in(2, "y", 2.25), in(3, "x", -4.0), in(4, "z", "not a number")}
 	return [][]byte{
 		run(m, "", vals...),
@@ -78,7 +78,7 @@ func realSnapshots(t testing.TB) [][]byte {
 		run(NewAggregate("a"), "", vals...),
 		run(NewTimeWindow("tw", time.Second), "", vals...),
 		run(NewKeyedTally("kt"), "", vals...),
-		ks.Encode(),
+		ks.encode(),
 	}
 }
 
@@ -126,13 +126,13 @@ func TestRestoreRejectsOutOfRangeLengths(t *testing.T) {
 			t.Errorf("%s restored %x", c.target, c.data)
 		}
 	}
-	if err := NewKeyedState().ImportRange(oversized[4].data); err == nil || !strings.Contains(err.Error(), "short key") {
+	if err := newKeyedState().ImportRange(oversized[4].data); err == nil || !strings.Contains(err.Error(), "short key") {
 		t.Errorf("ImportRange of an oversized key length: %v", err)
 	}
 }
 
 // FuzzOperatorRestore feeds arbitrary bytes to every stdlib operator's
-// Restore and to KeyedState.Decode. Any input either errors or restores;
+// Restore and to KeyedState.decode. Any input either errors or restores;
 // restored state re-snapshots to bytes that restore to themselves. The
 // seeds are real snapshots, which restore and re-snapshot byte-identical.
 func FuzzOperatorRestore(f *testing.F) {

@@ -16,10 +16,10 @@ func FixedCost(d time.Duration) func(*tuple.Tuple) time.Duration {
 	return func(*tuple.Tuple) time.Duration { return d }
 }
 
-// Map applies a function to every tuple. Fn returns the tuple to emit, or
+// mapOp applies a function to every tuple. Fn returns the tuple to emit, or
 // nil to drop the input; a Fn that rewrites the tuple derives its output
 // with ctx.Clone, never by mutating the input.
-type Map struct {
+type mapOp struct {
 	Base
 	Fn      func(ctx *Context, t *tuple.Tuple) *tuple.Tuple
 	CostFn  func(*tuple.Tuple) time.Duration
@@ -28,13 +28,13 @@ type Map struct {
 	delta   DeltaTracker
 }
 
-// NewMap builds a Map operator.
-func NewMap(id string, fn func(ctx *Context, t *tuple.Tuple) *tuple.Tuple) *Map {
-	return &Map{Base: Base{Name: id}, Fn: fn}
+// NewMap builds a map operator.
+func NewMap(id string, fn func(ctx *Context, t *tuple.Tuple) *tuple.Tuple) *mapOp {
+	return &mapOp{Base: Base{Name: id}, Fn: fn}
 }
 
 // Process implements Processor.
-func (m *Map) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (m *mapOp) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	m.counter++
 	if out := m.Fn(ctx, t); out != nil {
 		ctx.Emit(out)
@@ -43,7 +43,7 @@ func (m *Map) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 }
 
 // Cost implements Operator.
-func (m *Map) Cost(t *tuple.Tuple) time.Duration {
+func (m *mapOp) Cost(t *tuple.Tuple) time.Duration {
 	if m.CostFn == nil {
 		return 0
 	}
@@ -51,14 +51,14 @@ func (m *Map) Cost(t *tuple.Tuple) time.Duration {
 }
 
 // Snapshot implements Operator.
-func (m *Map) Snapshot() ([]byte, error) {
+func (m *mapOp) Snapshot() ([]byte, error) {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], m.counter)
 	return buf[:], nil
 }
 
 // Restore implements Operator.
-func (m *Map) Restore(data []byte) error {
+func (m *mapOp) Restore(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("map %s: short state (%d bytes)", m.Name, len(data))
 	}
@@ -67,7 +67,7 @@ func (m *Map) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (m *Map) StateSize() int {
+func (m *mapOp) StateSize() int {
 	if m.SizeFn == nil {
 		return 8
 	}
@@ -75,16 +75,16 @@ func (m *Map) StateSize() int {
 }
 
 // SnapshotDelta implements DeltaSnapshotter.
-func (m *Map) SnapshotDelta(since uint64) ([]byte, bool) { return m.delta.Delta(since, m.Snapshot) }
+func (m *mapOp) SnapshotDelta(since uint64) ([]byte, bool) { return m.delta.Delta(since, m.Snapshot) }
 
 // MarkSnapshot implements DeltaSnapshotter.
-func (m *Map) MarkSnapshot(v uint64) { m.delta.Mark(v, m.Snapshot) }
+func (m *mapOp) MarkSnapshot(v uint64) { m.delta.Mark(v, m.Snapshot) }
 
 // Count reports how many tuples the operator has processed (for tests).
-func (m *Map) Count() uint64 { return m.counter }
+func (m *mapOp) Count() uint64 { return m.counter }
 
-// Filter drops tuples failing a predicate.
-type Filter struct {
+// filter drops tuples failing a predicate.
+type filter struct {
 	Base
 	Pred    func(*tuple.Tuple) bool
 	CostFn  func(*tuple.Tuple) time.Duration
@@ -93,13 +93,13 @@ type Filter struct {
 	delta   DeltaTracker
 }
 
-// NewFilter builds a Filter operator.
-func NewFilter(id string, pred func(*tuple.Tuple) bool) *Filter {
-	return &Filter{Base: Base{Name: id}, Pred: pred}
+// NewFilter builds a filter operator.
+func NewFilter(id string, pred func(*tuple.Tuple) bool) *filter {
+	return &filter{Base: Base{Name: id}, Pred: pred}
 }
 
 // Process implements Processor.
-func (f *Filter) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (f *filter) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	if f.Pred(t) {
 		f.passed++
 		ctx.Emit(t)
@@ -110,7 +110,7 @@ func (f *Filter) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 }
 
 // Cost implements Operator.
-func (f *Filter) Cost(t *tuple.Tuple) time.Duration {
+func (f *filter) Cost(t *tuple.Tuple) time.Duration {
 	if f.CostFn == nil {
 		return 0
 	}
@@ -118,7 +118,7 @@ func (f *Filter) Cost(t *tuple.Tuple) time.Duration {
 }
 
 // Snapshot implements Operator.
-func (f *Filter) Snapshot() ([]byte, error) {
+func (f *filter) Snapshot() ([]byte, error) {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[0:8], f.dropped)
 	binary.BigEndian.PutUint64(buf[8:16], f.passed)
@@ -126,7 +126,7 @@ func (f *Filter) Snapshot() ([]byte, error) {
 }
 
 // Restore implements Operator.
-func (f *Filter) Restore(data []byte) error {
+func (f *filter) Restore(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("filter %s: short state", f.Name)
 	}
@@ -136,17 +136,17 @@ func (f *Filter) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (*Filter) StateSize() int { return 16 }
+func (*filter) StateSize() int { return 16 }
 
 // SnapshotDelta implements DeltaSnapshotter.
-func (f *Filter) SnapshotDelta(since uint64) ([]byte, bool) { return f.delta.Delta(since, f.Snapshot) }
+func (f *filter) SnapshotDelta(since uint64) ([]byte, bool) { return f.delta.Delta(since, f.Snapshot) }
 
 // MarkSnapshot implements DeltaSnapshotter.
-func (f *Filter) MarkSnapshot(v uint64) { f.delta.Mark(v, f.Snapshot) }
+func (f *filter) MarkSnapshot(v uint64) { f.delta.Mark(v, f.Snapshot) }
 
-// RoundRobin routes each input tuple to one of its targets in rotation —
+// roundRobin routes each input tuple to one of its targets in rotation —
 // BCP's dispatcher D spreading images across the parallel counters.
-type RoundRobin struct {
+type roundRobin struct {
 	Base
 	Targets []string
 	next    uint64
@@ -154,12 +154,12 @@ type RoundRobin struct {
 }
 
 // NewRoundRobin builds a dispatcher over the given target operators.
-func NewRoundRobin(id string, targets ...string) *RoundRobin {
-	return &RoundRobin{Base: Base{Name: id}, Targets: targets}
+func NewRoundRobin(id string, targets ...string) *roundRobin {
+	return &roundRobin{Base: Base{Name: id}, Targets: targets}
 }
 
 // Process implements Processor.
-func (r *RoundRobin) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (r *roundRobin) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	if len(r.Targets) == 0 {
 		return fmt.Errorf("roundrobin %s: no targets", r.Name)
 	}
@@ -170,14 +170,14 @@ func (r *RoundRobin) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 }
 
 // Snapshot implements Operator.
-func (r *RoundRobin) Snapshot() ([]byte, error) {
+func (r *roundRobin) Snapshot() ([]byte, error) {
 	var buf [8]byte
 	binary.BigEndian.PutUint64(buf[:], r.next)
 	return buf[:], nil
 }
 
 // Restore implements Operator.
-func (r *RoundRobin) Restore(data []byte) error {
+func (r *roundRobin) Restore(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("roundrobin %s: short state", r.Name)
 	}
@@ -186,24 +186,24 @@ func (r *RoundRobin) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (*RoundRobin) StateSize() int { return 8 }
+func (*roundRobin) StateSize() int { return 8 }
 
 // SnapshotDelta implements DeltaSnapshotter.
-func (r *RoundRobin) SnapshotDelta(since uint64) ([]byte, bool) {
+func (r *roundRobin) SnapshotDelta(since uint64) ([]byte, bool) {
 	return r.delta.Delta(since, r.Snapshot)
 }
 
 // MarkSnapshot implements DeltaSnapshotter.
-func (r *RoundRobin) MarkSnapshot(v uint64) { r.delta.Mark(v, r.Snapshot) }
+func (r *roundRobin) MarkSnapshot(v uint64) { r.delta.Mark(v, r.Snapshot) }
 
-// Join pairs tuples from two upstream operators by sequence number: the
+// join pairs tuples from two upstream operators by sequence number: the
 // paper's J operator joining boarding/alighting predictions for the same
 // bus arrival. Unmatched tuples wait in per-side windows that are part of
 // the operator's checkpointed state.
-type Join struct {
+type join struct {
 	Base
 	Left, Right string
-	// Merge returns the joined tuple (nil emits nothing); like Map.Fn it
+	// Merge returns the joined tuple (nil emits nothing); like mapOp.Fn it
 	// derives a new tuple with ctx.Clone.
 	Merge  func(ctx *Context, l, r *tuple.Tuple) *tuple.Tuple
 	CostFn func(*tuple.Tuple) time.Duration
@@ -214,16 +214,16 @@ type Join struct {
 	delta      DeltaTracker
 }
 
-// NewJoin builds a Join keyed by tuple sequence number.
-func NewJoin(id, left, right string, merge func(ctx *Context, l, r *tuple.Tuple) *tuple.Tuple) *Join {
-	return &Join{
+// NewJoin builds a join keyed by tuple sequence number.
+func NewJoin(id, left, right string, merge func(ctx *Context, l, r *tuple.Tuple) *tuple.Tuple) *join {
+	return &join{
 		Base: Base{Name: id}, Left: left, Right: right, Merge: merge,
 		left: make(map[uint64]*tuple.Tuple), right: make(map[uint64]*tuple.Tuple),
 	}
 }
 
 // Process implements Processor.
-func (j *Join) Process(ctx *Context, from string, t *tuple.Tuple) error {
+func (j *join) Process(ctx *Context, from string, t *tuple.Tuple) error {
 	var mine, other map[uint64]*tuple.Tuple
 	switch from {
 	case j.Left:
@@ -251,7 +251,7 @@ func (j *Join) Process(ctx *Context, from string, t *tuple.Tuple) error {
 }
 
 // Cost implements Operator.
-func (j *Join) Cost(t *tuple.Tuple) time.Duration {
+func (j *join) Cost(t *tuple.Tuple) time.Duration {
 	if j.CostFn == nil {
 		return 0
 	}
@@ -263,7 +263,7 @@ func (j *Join) Cost(t *tuple.Tuple) time.Duration {
 // bytes keep delta patches minimal and make chain-vs-full restores
 // byte-comparable. Payloads of windowed tuples are modelled by size only,
 // which is what recovery fidelity requires for the simulated applications.
-func (j *Join) Snapshot() ([]byte, error) {
+func (j *join) Snapshot() ([]byte, error) {
 	buf := make([]byte, 0, 16+16*(len(j.left)+len(j.right)))
 	var tmp [8]byte
 	put := func(v uint64) {
@@ -286,7 +286,7 @@ func (j *Join) Snapshot() ([]byte, error) {
 }
 
 // Restore implements Operator.
-func (j *Join) Restore(data []byte) error {
+func (j *join) Restore(data []byte) error {
 	j.left = make(map[uint64]*tuple.Tuple)
 	j.right = make(map[uint64]*tuple.Tuple)
 	off := 0
@@ -319,7 +319,7 @@ func (j *Join) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (j *Join) StateSize() int {
+func (j *join) StateSize() int {
 	live := 0
 	for _, t := range j.left {
 		live += t.Size
@@ -333,37 +333,34 @@ func (j *Join) StateSize() int {
 // SnapshotDelta implements DeltaSnapshotter: the per-side windows churn a
 // few entries per checkpoint period, so the patch covers only the inserted
 // and removed pairs rather than the whole window.
-func (j *Join) SnapshotDelta(since uint64) ([]byte, bool) { return j.delta.Delta(since, j.Snapshot) }
+func (j *join) SnapshotDelta(since uint64) ([]byte, bool) { return j.delta.Delta(since, j.Snapshot) }
 
 // MarkSnapshot implements DeltaSnapshotter.
-func (j *Join) MarkSnapshot(v uint64) { j.delta.Mark(v, j.Snapshot) }
+func (j *join) MarkSnapshot(v uint64) { j.delta.Mark(v, j.Snapshot) }
 
-// Pending reports how many tuples wait unmatched (for tests).
-func (j *Join) Pending() int { return len(j.left) + len(j.right) }
-
-// Passthrough forwards tuples unchanged; used for stateless source and sink
+// passthrough forwards tuples unchanged; used for stateless source and sink
 // operators that only maintain inter-region connections (§III-D).
-type Passthrough struct {
+type passthrough struct {
 	Base
 }
 
-// NewPassthrough builds a Passthrough operator.
-func NewPassthrough(id string) *Passthrough {
-	return &Passthrough{Base: Base{Name: id}}
+// NewPassthrough builds a passthrough operator.
+func NewPassthrough(id string) *passthrough {
+	return &passthrough{Base: Base{Name: id}}
 }
 
 // Process implements Processor.
-func (*Passthrough) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (*passthrough) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	ctx.Emit(t)
 	return nil
 }
 
-// Window is a count-based sliding window: it keeps the last N numeric
+// window is a count-based sliding window: it keeps the last N numeric
 // values and emits their running mean with every input. The window contents
 // are checkpointed state; the window is append-mostly, so SnapshotDelta
 // patches cover only the rotated tail rather than the whole buffer —
 // the canonical big-state beneficiary of incremental checkpointing.
-type Window struct {
+type window struct {
 	Base
 	// N bounds the window (default 16 when zero).
 	N      int
@@ -379,13 +376,13 @@ type Window struct {
 }
 
 // NewWindow builds a sliding window over the last n values.
-func NewWindow(id string, n int) *Window {
-	return &Window{Base: Base{Name: id}, N: n}
+func NewWindow(id string, n int) *window {
+	return &window{Base: Base{Name: id}, N: n}
 }
 
 // Process implements Processor: non-numeric payloads contribute their wire
 // size, so the window is usable on any stream.
-func (w *Window) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (w *window) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	v, ok := t.Value.(float64)
 	if !ok {
 		v = float64(t.Size)
@@ -410,7 +407,7 @@ func (w *Window) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 }
 
 // Cost implements Operator.
-func (w *Window) Cost(t *tuple.Tuple) time.Duration {
+func (w *window) Cost(t *tuple.Tuple) time.Duration {
 	if w.CostFn == nil {
 		return 0
 	}
@@ -418,7 +415,7 @@ func (w *Window) Cost(t *tuple.Tuple) time.Duration {
 }
 
 // Snapshot implements Operator.
-func (w *Window) Snapshot() ([]byte, error) {
+func (w *window) Snapshot() ([]byte, error) {
 	buf := make([]byte, 0, 16+8*len(w.vals))
 	var tmp [8]byte
 	binary.BigEndian.PutUint64(tmp[:], w.count)
@@ -433,7 +430,7 @@ func (w *Window) Snapshot() ([]byte, error) {
 }
 
 // Restore implements Operator.
-func (w *Window) Restore(data []byte) error {
+func (w *window) Restore(data []byte) error {
 	if len(data) < 16 {
 		return fmt.Errorf("window %s: short state", w.Name)
 	}
@@ -450,22 +447,19 @@ func (w *Window) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (w *Window) StateSize() int { return 16 + 8*len(w.vals) + w.ExtraBytes }
+func (w *window) StateSize() int { return 16 + 8*len(w.vals) + w.ExtraBytes }
 
 // SnapshotDelta implements DeltaSnapshotter.
-func (w *Window) SnapshotDelta(since uint64) ([]byte, bool) { return w.delta.Delta(since, w.Snapshot) }
+func (w *window) SnapshotDelta(since uint64) ([]byte, bool) { return w.delta.Delta(since, w.Snapshot) }
 
 // MarkSnapshot implements DeltaSnapshotter.
-func (w *Window) MarkSnapshot(v uint64) { w.delta.Mark(v, w.Snapshot) }
+func (w *window) MarkSnapshot(v uint64) { w.delta.Mark(v, w.Snapshot) }
 
-// Count reports processed tuples (tests).
-func (w *Window) Count() uint64 { return w.count }
-
-// Aggregate maintains keyed running sums and counts, emitting the updated
+// aggregate maintains keyed running sums and counts, emitting the updated
 // aggregate for the input's key. Keys are taken from the tuple's Kind
 // unless KeyFn overrides. The key table is checkpointed state, serialised
 // in sorted key order so deltas touch only the keys that changed.
-type Aggregate struct {
+type aggregate struct {
 	Base
 	KeyFn  func(*tuple.Tuple) string
 	CostFn func(*tuple.Tuple) time.Duration
@@ -489,12 +483,12 @@ type aggAcc struct {
 }
 
 // NewAggregate builds a keyed running aggregate.
-func NewAggregate(id string) *Aggregate {
-	return &Aggregate{Base: Base{Name: id}, accs: make(map[string]*aggAcc)}
+func NewAggregate(id string) *aggregate {
+	return &aggregate{Base: Base{Name: id}, accs: make(map[string]*aggAcc)}
 }
 
 // acc returns key k's accumulator, creating it on first sight.
-func (a *Aggregate) acc(k string) *aggAcc {
+func (a *aggregate) acc(k string) *aggAcc {
 	c := a.accs[k]
 	if c == nil {
 		c = &aggAcc{key: k}
@@ -504,7 +498,7 @@ func (a *Aggregate) acc(k string) *aggAcc {
 	return c
 }
 
-func (a *Aggregate) key(t *tuple.Tuple) string {
+func (a *aggregate) key(t *tuple.Tuple) string {
 	if a.KeyFn != nil {
 		return a.KeyFn(t)
 	}
@@ -512,7 +506,7 @@ func (a *Aggregate) key(t *tuple.Tuple) string {
 }
 
 // Process implements Processor.
-func (a *Aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
+func (a *aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	v, ok := t.Value.(float64)
 	if !ok {
 		v = float64(t.Size)
@@ -527,7 +521,7 @@ func (a *Aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 }
 
 // Cost implements Operator.
-func (a *Aggregate) Cost(t *tuple.Tuple) time.Duration {
+func (a *aggregate) Cost(t *tuple.Tuple) time.Duration {
 	if a.CostFn == nil {
 		return 0
 	}
@@ -535,7 +529,7 @@ func (a *Aggregate) Cost(t *tuple.Tuple) time.Duration {
 }
 
 // Snapshot implements Operator.
-func (a *Aggregate) Snapshot() ([]byte, error) {
+func (a *aggregate) Snapshot() ([]byte, error) {
 	a.mergeFresh()
 	buf := make([]byte, 0, 8+24*len(a.sorted))
 	var tmp [8]byte
@@ -555,7 +549,7 @@ func (a *Aggregate) Snapshot() ([]byte, error) {
 
 // mergeFresh sorts the accumulators first seen since the last snapshot and
 // merges them into sorted, back to front in place.
-func (a *Aggregate) mergeFresh() {
+func (a *aggregate) mergeFresh() {
 	if len(a.fresh) == 0 {
 		return
 	}
@@ -575,7 +569,7 @@ func (a *Aggregate) mergeFresh() {
 }
 
 // Restore implements Operator.
-func (a *Aggregate) Restore(data []byte) error {
+func (a *aggregate) Restore(data []byte) error {
 	a.accs = make(map[string]*aggAcc)
 	a.sorted, a.fresh = nil, nil
 	if len(data) < 8 {
@@ -607,7 +601,7 @@ func (a *Aggregate) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (a *Aggregate) StateSize() int {
+func (a *aggregate) StateSize() int {
 	size := 8 + a.ExtraBytes
 	for k := range a.accs {
 		size += 24 + len(k)
@@ -616,12 +610,9 @@ func (a *Aggregate) StateSize() int {
 }
 
 // SnapshotDelta implements DeltaSnapshotter.
-func (a *Aggregate) SnapshotDelta(since uint64) ([]byte, bool) {
+func (a *aggregate) SnapshotDelta(since uint64) ([]byte, bool) {
 	return a.delta.Delta(since, a.Snapshot)
 }
 
 // MarkSnapshot implements DeltaSnapshotter.
-func (a *Aggregate) MarkSnapshot(v uint64) { a.delta.Mark(v, a.Snapshot) }
-
-// Keys reports how many keys the aggregate tracks (tests).
-func (a *Aggregate) Keys() int { return len(a.accs) }
+func (a *aggregate) MarkSnapshot(v uint64) { a.delta.Mark(v, a.Snapshot) }

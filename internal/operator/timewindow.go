@@ -51,17 +51,17 @@ func NewTimeWindow(id string, width time.Duration) *TimeWindow {
 	return &TimeWindow{
 		Base:  Base{Name: id},
 		Width: width,
-		keys:  NewKeyedState(),
+		keys:  newKeyedState(),
 		last:  make(map[string]*tuple.Tuple),
 	}
 }
 
-// KeyedState implements KeyedStater: Context.State resolves to the
+// KeyedState implements KeyedStater: Context.state resolves to the
 // operator's own store, so per-key sums written during Process are exactly
 // the bytes the operator checkpoints.
 func (w *TimeWindow) KeyedState() *KeyedState {
 	if w.keys == nil {
-		w.keys = NewKeyedState()
+		w.keys = newKeyedState()
 	}
 	return w.keys
 }
@@ -88,7 +88,7 @@ func (w *TimeWindow) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 		v = float64(t.Size)
 	}
 	k := w.key(t)
-	addAcc(ctx.State(), k, v)
+	addAcc(ctx.state(), k, v)
 	if w.last == nil {
 		w.last = make(map[string]*tuple.Tuple)
 	}
@@ -109,12 +109,12 @@ func (w *TimeWindow) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 // The next input tuple arms the next window.
 func (w *TimeWindow) OnTimer(ctx *Context, _ time.Duration) error {
 	w.armed = false
-	st := ctx.State()
+	st := ctx.state()
 	emitted := false
-	for _, k := range st.Keys() {
-		sum, cnt := decodeAcc(st.Get(k))
+	for _, k := range st.keys() {
+		sum, cnt := decodeAcc(st.get(k))
 		if cnt == 0 {
-			st.Delete(k)
+			st.remove(k)
 			continue
 		}
 		tmpl := w.last[k]
@@ -125,7 +125,7 @@ func (w *TimeWindow) OnTimer(ctx *Context, _ time.Duration) error {
 		out.Value = w.boxes.Box(sum / float64(cnt))
 		ctx.Emit(out)
 		emitted = true
-		st.Delete(k)
+		st.remove(k)
 		delete(w.last, k)
 	}
 	if emitted {
@@ -147,7 +147,7 @@ func (w *TimeWindow) Cost(t *tuple.Tuple) time.Duration {
 func (w *TimeWindow) Snapshot() ([]byte, error) {
 	var tmp [8]byte
 	binary.BigEndian.PutUint64(tmp[:], w.windows)
-	return append(tmp[:], w.KeyedState().Encode()...), nil
+	return append(tmp[:], w.KeyedState().encode()...), nil
 }
 
 // Restore implements Operator.
@@ -157,9 +157,9 @@ func (w *TimeWindow) Restore(data []byte) error {
 	}
 	w.windows = binary.BigEndian.Uint64(data)
 	if w.keys == nil {
-		w.keys = NewKeyedState()
+		w.keys = newKeyedState()
 	}
-	if err := w.keys.Decode(data[8:]); err != nil {
+	if err := w.keys.decode(data[8:]); err != nil {
 		return fmt.Errorf("timewindow %s: %w", w.Name, err)
 	}
 	w.last = make(map[string]*tuple.Tuple)
@@ -168,7 +168,7 @@ func (w *TimeWindow) Restore(data []byte) error {
 }
 
 // StateSize implements Operator.
-func (w *TimeWindow) StateSize() int { return 8 + w.KeyedState().Size() + w.ExtraBytes }
+func (w *TimeWindow) StateSize() int { return 8 + w.KeyedState().size() + w.ExtraBytes }
 
 // SnapshotDelta implements DeltaSnapshotter.
 func (w *TimeWindow) SnapshotDelta(since uint64) ([]byte, bool) {
@@ -177,10 +177,6 @@ func (w *TimeWindow) SnapshotDelta(since uint64) ([]byte, bool) {
 
 // MarkSnapshot implements DeltaSnapshotter.
 func (w *TimeWindow) MarkSnapshot(v uint64) { w.delta.Mark(v, w.Snapshot) }
-
-// Windows reports how many windows have closed with at least one tuple
-// (tests).
-func (w *TimeWindow) Windows() uint64 { return w.windows }
 
 func encodeAcc(sum float64, cnt uint64) []byte {
 	var buf [16]byte
@@ -193,9 +189,9 @@ func encodeAcc(sum float64, cnt uint64) []byte {
 // 16-byte slice in place: after a key's first tuple, accumulation does
 // not allocate.
 func addAcc(st *KeyedState, k string, v float64) {
-	buf := st.Get(k)
+	buf := st.get(k)
 	if len(buf) != 16 {
-		st.Put(k, encodeAcc(v, 1))
+		st.put(k, encodeAcc(v, 1))
 		return
 	}
 	sum := math.Float64frombits(binary.BigEndian.Uint64(buf[0:8]))

@@ -22,22 +22,26 @@ func (p Position) DistanceSq(q Position) float64 {
 	return dx*dx + dy*dy
 }
 
+// Energy and storage rates of an iPhone-3GS-class device.
+const (
+	// cpuWatts is power drawn per second of busy CPU.
+	cpuWatts = 0.9
+	// txJoulesPerMB is radio energy per megabyte sent.
+	txJoulesPerMB = 5
+	// rxJoulesPerMB is radio energy per megabyte received: listening is
+	// cheaper than transmitting but far from free, and a phone that mostly
+	// consumes broadcasts drains real battery doing so.
+	rxJoulesPerMB = 3
+	// flashWriteBps is local storage write bandwidth.
+	flashWriteBps = 10e6
+)
+
 // Config parameterises a phone. Zero values get sensible defaults for an
 // iPhone-3GS-class device.
 type Config struct {
 	// BatteryJoules is the usable battery energy (default 20 kJ ~ a
 	// well-worn 1200 mAh pack).
 	BatteryJoules float64
-	// CPUWatts is power drawn per second of busy CPU (default 0.9 W).
-	CPUWatts float64
-	// TxJoulesPerMB is radio energy per megabyte sent (default 5 J/MB).
-	TxJoulesPerMB float64
-	// RxJoulesPerMB is radio energy per megabyte received (default 3 J/MB):
-	// listening is cheaper than transmitting but far from free, and a phone
-	// that mostly consumes broadcasts drains real battery doing so.
-	RxJoulesPerMB float64
-	// FlashWriteBps is local storage write bandwidth (default 10 MB/s).
-	FlashWriteBps float64
 	// VirtualCPUTime anchors CPU reservations at the simulated time work
 	// became runnable (see ExecFrom) instead of at the caller's
 	// wall-derived clock reading. Service rates then hold exactly in
@@ -53,18 +57,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.BatteryJoules <= 0 {
 		c.BatteryJoules = 20e3
-	}
-	if c.CPUWatts <= 0 {
-		c.CPUWatts = 0.9
-	}
-	if c.TxJoulesPerMB <= 0 {
-		c.TxJoulesPerMB = 5
-	}
-	if c.RxJoulesPerMB <= 0 {
-		c.RxJoulesPerMB = 3
-	}
-	if c.FlashWriteBps <= 0 {
-		c.FlashWriteBps = 10e6
 	}
 }
 
@@ -88,16 +80,12 @@ func New(id simnet.NodeID, cfg Config) *Phone {
 	return &Phone{ID: id, cfg: cfg, energy: cfg.BatteryJoules}
 }
 
-// Exec runs d of CPU work on the phone's single core: concurrent callers
-// (a primary node and a rep-2 standby sharing the device) serialise through
-// a busy-until reservation, so two 7-second jobs take 14 seconds of
-// simulated time, not 7. It returns false when the battery dies.
-func (p *Phone) Exec(clk clock.Clock, d time.Duration) bool {
-	return p.ExecFrom(clk, clk.Now(), d)
-}
-
-// ExecFrom is Exec for work that became runnable at simulated time ready
-// (a queued tuple's enqueue time). With Config.VirtualCPUTime set, the
+// ExecFrom runs d of CPU work on the phone's single core: concurrent
+// callers (a primary node and a rep-2 standby sharing the device) serialise
+// through a busy-until reservation, so two 7-second jobs take 14 seconds of
+// simulated time, not 7. It returns false when the battery dies. The work
+// became runnable at simulated time ready (a queued tuple's enqueue time).
+// With Config.VirtualCPUTime set, the
 // reservation anchors at the later of the core's busy horizon and ready
 // rather than at the caller's wall-derived clock reading: a goroutine woken
 // late by the OS scheduler charges only d per item instead of d plus its
@@ -105,7 +93,7 @@ func (p *Phone) Exec(clk clock.Clock, d time.Duration) bool {
 // service time and silently lower the simulated capacity; if the virtual
 // horizon already passed, the work is charged without sleeping at all and
 // the executor catches up at wall speed. Without the flag, ready is
-// ignored and ExecFrom behaves exactly like Exec.
+// ignored and the reservation anchors at the clock's reading.
 func (p *Phone) ExecFrom(clk clock.Clock, ready, d time.Duration) bool {
 	if d <= 0 {
 		return !p.Dead()
@@ -125,16 +113,16 @@ func (p *Phone) ExecFrom(clk clock.Clock, ready, d time.Duration) bool {
 	if wait := end - now; wait > 0 {
 		clk.Sleep(wait)
 	}
-	return p.DrainCPU(d)
+	return p.drainCPU(d)
 }
 
-// DrainCPU charges d of busy CPU against the battery and returns whether
+// drainCPU charges d of busy CPU against the battery and returns whether
 // the phone is still alive.
-func (p *Phone) DrainCPU(d time.Duration) bool {
+func (p *Phone) drainCPU(d time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.cpuBusy += d
-	p.energy -= d.Seconds() * p.cfg.CPUWatts
+	p.energy -= d.Seconds() * cpuWatts
 	if p.energy <= 0 {
 		p.dead = true
 	}
@@ -145,7 +133,7 @@ func (p *Phone) DrainCPU(d time.Duration) bool {
 func (p *Phone) DrainTx(n int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.energy -= float64(n) / 1e6 * p.cfg.TxJoulesPerMB
+	p.energy -= float64(n) / 1e6 * txJoulesPerMB
 	if p.energy <= 0 {
 		p.dead = true
 	}
@@ -156,7 +144,7 @@ func (p *Phone) DrainTx(n int) bool {
 func (p *Phone) DrainRx(n int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.energy -= float64(n) / 1e6 * p.cfg.RxJoulesPerMB
+	p.energy -= float64(n) / 1e6 * rxJoulesPerMB
 	if p.energy <= 0 {
 		p.dead = true
 	}
@@ -188,13 +176,6 @@ func (p *Phone) BatteryFraction() float64 {
 // BatteryChronic reports whether battery is at the chronic level where the
 // phone proactively reports itself to the controller (§III-D).
 func (p *Phone) BatteryChronic() bool { return p.BatteryFraction() < 0.05 }
-
-// CPUBusy reports cumulative busy CPU time.
-func (p *Phone) CPUBusy() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cpuBusy
-}
 
 // Kill marks the phone failed (battery pulled, crash).
 func (p *Phone) Kill() {
@@ -250,19 +231,13 @@ func (p *Phone) Velocity() (vx, vy float64) {
 	return p.velX, p.velY
 }
 
-// InRange reports whether the phone is within radius metres of centre —
-// the region-membership test used at startup and by departure detection.
-func (p *Phone) InRange(centre Position, radius float64) bool {
-	return p.Position().DistanceSq(centre) <= radius*radius
-}
-
 // FlashWriteTime returns the simulated time to write n bytes to flash.
 func (p *Phone) FlashWriteTime(n int) time.Duration {
-	return time.Duration(float64(n) / p.cfg.FlashWriteBps * float64(time.Second))
+	return time.Duration(float64(n) / flashWriteBps * float64(time.Second))
 }
 
 // FlashReadTime returns the simulated time to read n bytes from flash
 // (reads run about twice as fast as writes on this class of device).
 func (p *Phone) FlashReadTime(n int) time.Duration {
-	return time.Duration(float64(n) / (2 * p.cfg.FlashWriteBps) * float64(time.Second))
+	return time.Duration(float64(n) / (2 * flashWriteBps) * float64(time.Second))
 }

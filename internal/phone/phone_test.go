@@ -7,18 +7,18 @@ import (
 )
 
 func TestBatteryDrainsToDeath(t *testing.T) {
-	p := New("a", Config{BatteryJoules: 10, CPUWatts: 1})
+	p := New("a", Config{BatteryJoules: 9}) // 0.9 W busy
 	if p.Dead() {
 		t.Fatal("new phone dead")
 	}
-	if !p.DrainCPU(5 * time.Second) {
+	if !p.drainCPU(5 * time.Second) {
 		t.Fatal("died too early")
 	}
 	if got := p.BatteryFraction(); got < 0.45 || got > 0.55 {
 		t.Fatalf("battery = %v, want ~0.5", got)
 	}
-	if p.DrainCPU(6 * time.Second) {
-		t.Fatal("should be dead after 11J of 10J")
+	if p.drainCPU(6 * time.Second) {
+		t.Fatal("should be dead after 9.9 J of 9 J")
 	}
 	if !p.Dead() {
 		t.Fatal("Dead() false after depletion")
@@ -29,7 +29,7 @@ func TestBatteryDrainsToDeath(t *testing.T) {
 }
 
 func TestTxDrain(t *testing.T) {
-	p := New("a", Config{BatteryJoules: 10, TxJoulesPerMB: 5})
+	p := New("a", Config{BatteryJoules: 10})
 	p.DrainTx(1 << 20) // ~1MB -> ~5J
 	if f := p.BatteryFraction(); f > 0.55 || f < 0.40 {
 		t.Fatalf("battery after 1MB tx = %v", f)
@@ -37,11 +37,11 @@ func TestTxDrain(t *testing.T) {
 }
 
 func TestChronicThreshold(t *testing.T) {
-	p := New("a", Config{BatteryJoules: 100, CPUWatts: 1})
+	p := New("a", Config{BatteryJoules: 90})
 	if p.BatteryChronic() {
 		t.Fatal("full battery chronic")
 	}
-	p.DrainCPU(96 * time.Second)
+	p.drainCPU(96 * time.Second)
 	if !p.BatteryChronic() {
 		t.Fatalf("4%% battery not chronic (frac=%v)", p.BatteryFraction())
 	}
@@ -74,16 +74,16 @@ func TestPositionAndRange(t *testing.T) {
 }
 
 func TestFlashWriteTime(t *testing.T) {
-	p := New("a", Config{FlashWriteBps: 1e6})
-	if got := p.FlashWriteTime(1e6); got != time.Second {
+	p := New("a", Config{})
+	if got := p.FlashWriteTime(10e6); got != time.Second {
 		t.Fatalf("write time = %v, want 1s", got)
 	}
 }
 
 func TestCPUBusyAccumulates(t *testing.T) {
 	p := New("a", Config{})
-	p.DrainCPU(time.Second)
-	p.DrainCPU(2 * time.Second)
+	p.drainCPU(time.Second)
+	p.drainCPU(2 * time.Second)
 	if p.CPUBusy() != 3*time.Second {
 		t.Fatalf("busy = %v", p.CPUBusy())
 	}
@@ -95,7 +95,7 @@ func TestBatteryMonotoneProperty(t *testing.T) {
 		p := New("x", Config{BatteryJoules: 1000})
 		prev := p.BatteryFraction()
 		for _, d := range drains {
-			p.DrainCPU(time.Duration(d) * time.Millisecond)
+			p.drainCPU(time.Duration(d) * time.Millisecond)
 			p.DrainTx(int(d))
 			cur := p.BatteryFraction()
 			if cur > prev {
@@ -130,14 +130,14 @@ func TestDistanceProperty(t *testing.T) {
 
 func TestDrainRxChargesReceiveEnergy(t *testing.T) {
 	p := New("x", Config{BatteryJoules: 100})
-	// Default RxJoulesPerMB is 3: receiving 10 MB costs 30 J.
+	// rxJoulesPerMB is 3: receiving 10 MB costs 30 J.
 	if !p.DrainRx(10e6) {
 		t.Fatal("phone died receiving 10 MB on a 100 J battery")
 	}
 	if got := p.EnergyJoules(); got != 70 {
 		t.Fatalf("energy = %v, want 70", got)
 	}
-	// Receive is cheaper than transmit (3 vs 5 J/MB by default).
+	// Receive is cheaper than transmit (3 vs 5 J/MB).
 	q := New("y", Config{BatteryJoules: 100})
 	q.DrainTx(10e6)
 	if q.EnergyJoules() >= p.EnergyJoules() {
@@ -161,4 +161,17 @@ func TestVelocityRoundTrip(t *testing.T) {
 	if vx, vy := p.Velocity(); vx != 3 || vy != -4 {
 		t.Fatalf("velocity = (%v, %v), want (3, -4)", vx, vy)
 	}
+}
+
+// CPUBusy reports cumulative busy CPU time.
+func (p *Phone) CPUBusy() time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cpuBusy
+}
+
+// InRange reports whether the phone is within radius metres of centre —
+// the region-membership test used at startup and by departure detection.
+func (p *Phone) InRange(centre Position, radius float64) bool {
+	return p.Position().DistanceSq(centre) <= radius*radius
 }

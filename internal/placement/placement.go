@@ -35,7 +35,7 @@ import (
 // Domain is one AP/channel airtime domain's snapshot.
 type Domain struct {
 	ID int
-	// Members / Present mirror simnet.ChannelStat: endpoints assigned to
+	// Members / Present mirror simnet's channelStat: endpoints assigned to
 	// the channel, and the subset in radio range.
 	Members int
 	Present int

@@ -97,11 +97,9 @@ func (r *Region) shipRange(logical string, donor, recip *node.Node, recipID simn
 	if err != nil {
 		return err
 	}
-	rollback := func() {
-		if rerr := donor.ImportKeyRange(state); rerr != nil {
-			r.logf("region %s: key-range rollback %s [%s,%s): %v", r.cfg.ID, logical, lo, hi, rerr)
-		}
-	}
+	// The rollback re-imports what the donor just exported; there is no
+	// further fallback if that fails, and the ship's error is returned.
+	rollback := func() { _ = donor.ImportKeyRange(state) }
 	if !donor.SendKeyRange(recipID, node.KeyRangeMsg{Logical: logical, Lo: lo, Hi: hi, State: state}) {
 		rollback()
 		return fmt.Errorf("region %s: key-range ship %s [%s,%s) to %s failed", r.cfg.ID, logical, lo, hi, recipID)
@@ -114,45 +112,6 @@ func (r *Region) shipRange(logical string, donor, recip *node.Node, recipID simn
 		}
 		r.clk.Sleep(2 * time.Millisecond)
 	}
-	return nil
-}
-
-// SplitKeyRange performs a live split: the range containing `at` is cut at
-// that bound and the upper half handed, state included, to instance `to`
-// (typically dormant). The donor stays paused from export to table
-// install; after the install every node routes [at, oldHi) to the new
-// owner.
-func (r *Region) SplitKeyRange(logical, at string, to int) error {
-	r.splitMu.Lock()
-	defer r.splitMu.Unlock()
-	grp, ok := r.keyed[logical]
-	if !ok {
-		return fmt.Errorf("region %s: no keyed group %q", r.cfg.ID, logical)
-	}
-	tbl := grp.Table()
-	donorIdx := tbl.Owner(at)
-	if donorIdx == to {
-		return fmt.Errorf("region %s: %s instance %d already owns %q", r.cfg.ID, logical, to, at)
-	}
-	next, moved, err := tbl.Split(at, to)
-	if err != nil {
-		return fmt.Errorf("region %s: split %s: %w", r.cfg.ID, logical, err)
-	}
-	donor, _, err := r.keyedInstanceNode(grp, donorIdx)
-	if err != nil {
-		return err
-	}
-	recip, recipID, err := r.keyedInstanceNode(grp, to)
-	if err != nil {
-		return err
-	}
-	donor.PauseExec()
-	defer donor.ResumeExec()
-	if err := r.shipRange(logical, donor, recip, recipID, moved[0], moved[1]); err != nil {
-		return err
-	}
-	grp.Install(next)
-	r.jot("keyed.split", "", next.Epoch(), fmt.Sprintf("%s at %q -> %d", logical, at, to))
 	return nil
 }
 
@@ -276,9 +235,8 @@ func (r *Region) MergeKeyRange(logical string, from, to int) error {
 		if err := r.shipRange(logical, donor, recip, recipID, rg[0], rg[1]); err != nil {
 			recip.PauseExec()
 			for _, back := range moved[:i] {
-				if berr := r.shipRange(logical, recip, donor, donorID, back[0], back[1]); berr != nil {
-					r.logf("region %s: merge unwind %s [%s,%s): %v", r.cfg.ID, logical, back[0], back[1], berr)
-				}
+				// Best effort: the first ship's error is the one returned.
+				_ = r.shipRange(logical, recip, donor, donorID, back[0], back[1])
 			}
 			recip.ResumeExec()
 			return err

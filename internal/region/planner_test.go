@@ -48,7 +48,6 @@ func plannerHarness(t *testing.T, o plannerOpts) *harness {
 		PingInterval:     time.Hour,
 		PingTimeout:      10 * time.Second,
 		Planner:          planner,
-		ScheduleTick:     2 * time.Second,
 	})
 	r, err := region.New(region.Config{
 		ID:                "r1",
@@ -293,7 +292,7 @@ func TestRecoveryDrawsOnWarmSpares(t *testing.T) {
 	if _, ok := waitJournal(t, h, "plan.commit", 20*time.Second); !ok {
 		t.Fatal("the spare-pool plan was never committed")
 	}
-	if n := h.r.IdleCount(); n != 0 {
+	if n := len(h.r.IdlePhones()); n != 0 {
 		t.Fatalf("idle = %d, want 0: the plan should hold the only idle phone as a spare", n)
 	}
 	victim, _ := h.r.Placement("n3")

@@ -71,8 +71,7 @@ type Config struct {
 	// journal). Nil makes the region create its own: per-operator and
 	// per-edge histograms are always on; tracing stays off until
 	// Obs().Tracer.SetSampleEvery enables it.
-	Obs  *obs.Registry
-	Logf func(string, ...interface{})
+	Obs *obs.Registry
 }
 
 // Region is a running cluster of phones.
@@ -81,7 +80,6 @@ type Region struct {
 	clk  clock.Clock
 	wifi *simnet.WiFi
 	obs  *obs.Registry
-	logf func(string, ...interface{})
 
 	// placeEpoch counts placement/standby changes: every repoint bumps
 	// it, invalidating the nodes' route caches and this region's ingest
@@ -200,10 +198,6 @@ func New(cfg Config) (*Region, error) {
 		}
 		r.keyed[gs.Logical] = grp
 	}
-	r.logf = cfg.Logf
-	if r.logf == nil {
-		r.logf = func(string, ...interface{}) {}
-	}
 	r.obs = cfg.Obs
 	if r.obs == nil {
 		r.obs = obs.NewRegistry()
@@ -306,7 +300,6 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 		Obs:               r.obs,
 		OnSinkOutput:      func(t *tuple.Tuple) { r.onSink(id, t) },
 		OnIngest:          func(srcOp string, v interface{}, size int, kind string) { r.Ingest(srcOp, v, size, kind) },
-		Logf:              r.logf,
 	})
 }
 
@@ -346,17 +339,16 @@ func (r *Region) buildStandby(slot string) {
 		Keyed:        r.keyed,
 		Obs:          r.obs,
 		OnSinkOutput: func(t *tuple.Tuple) { r.onSink(sbID, t) },
-		Logf:         r.logf,
 	})
 	r.nodes[sbID] = n
 }
 
-// resolver adapts the region's placement maps to the node.EpochResolver
+// resolver adapts the region's placement maps to the node's epochResolver
 // interface: nodes cache resolutions per slot and invalidate on epoch
 // bumps, so the region mutex leaves the per-tuple path.
 type resolver Region
 
-// Primary implements node.Resolver.
+// Primary implements the node's resolver.
 func (rs *resolver) Primary(slot string) (simnet.NodeID, bool) {
 	r := (*Region)(rs)
 	r.mu.Lock()
@@ -365,7 +357,7 @@ func (rs *resolver) Primary(slot string) (simnet.NodeID, bool) {
 	return id, ok
 }
 
-// Standby implements node.Resolver.
+// Standby implements the node's resolver.
 func (rs *resolver) Standby(slot string) (simnet.NodeID, bool) {
 	r := (*Region)(rs)
 	r.mu.Lock()
@@ -374,7 +366,7 @@ func (rs *resolver) Standby(slot string) (simnet.NodeID, bool) {
 	return id, ok
 }
 
-// Epoch implements node.EpochResolver.
+// Epoch implements the node's epochResolver.
 func (rs *resolver) Epoch() uint64 {
 	return atomic.LoadUint64(&(*Region)(rs).placeEpoch)
 }
@@ -603,17 +595,6 @@ func (r *Region) Node(id simnet.NodeID) *node.Node {
 	return r.nodes[id]
 }
 
-// StandbyNode returns the standby node object for a slot (rep-2).
-func (r *Region) StandbyNode(slot string) *node.Node {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sid, ok := r.standby[slot]
-	if !ok {
-		return nil
-	}
-	return r.nodes[sid]
-}
-
 // Placement returns the phone currently hosting a slot.
 func (r *Region) Placement(slot string) (simnet.NodeID, bool) {
 	r.mu.Lock()
@@ -687,21 +668,6 @@ func (r *Region) SlotsOn(id simnet.NodeID) []string {
 	return slots
 }
 
-// TakeIdle removes and returns an idle phone for use as a replacement, or
-// "" when none remain.
-func (r *Region) TakeIdle() simnet.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.idle) > 0 {
-		id := r.idle[0]
-		r.idle = r.idle[1:]
-		if !r.failed[id] && !r.departed[id] {
-			return id
-		}
-	}
-	return ""
-}
-
 // ClaimIdle removes a specific phone from the idle pool (the scheduler's
 // chosen migration target). It returns false when the phone is not idle or
 // no longer healthy.
@@ -764,14 +730,8 @@ func (r *Region) AddPhone(cfg phone.Config) simnet.NodeID {
 // NoteMigration records one completed planned migration.
 func (r *Region) NoteMigration() { atomic.AddInt64(&r.migrations, 1) }
 
-// Migrations reports completed planned migrations.
-func (r *Region) Migrations() int64 { return atomic.LoadInt64(&r.migrations) }
-
-// IdleCount reports available replacement phones.
-func (r *Region) IdleCount() int { return len(r.IdlePhones()) }
-
-// IdlePhones lists the available replacement phones in the order TakeIdle
-// hands them out (recovery and handoff planning).
+// IdlePhones lists the available replacement phones in the order recovery
+// and handoff planning take them.
 func (r *Region) IdlePhones() []simnet.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()

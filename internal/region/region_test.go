@@ -59,15 +59,10 @@ type harness struct {
 
 func newHarness(t testing.TB, scheme ft.Scheme, phones int) *harness {
 	t.Helper()
-	return newHarnessLogf(t, scheme, phones, nil)
+	return newHarnessRegistry(t, scheme, phones, diamondRegistry())
 }
 
-func newHarnessLogf(t testing.TB, scheme ft.Scheme, phones int, logf func(string, ...interface{})) *harness {
-	t.Helper()
-	return newHarnessRegistry(t, scheme, phones, logf, diamondRegistry())
-}
-
-func newHarnessRegistry(t testing.TB, scheme ft.Scheme, phones int, logf func(string, ...interface{}), reg operator.Registry) *harness {
+func newHarnessRegistry(t testing.TB, scheme ft.Scheme, phones int, reg operator.Registry) *harness {
 	t.Helper()
 	speedup := 2000.0
 	if raceEnabled {
@@ -85,7 +80,6 @@ func newHarnessRegistry(t testing.TB, scheme ft.Scheme, phones int, logf func(st
 		PingInterval:     30 * time.Second,
 		PingTimeout:      10 * time.Second,
 		DebounceWindow:   2 * time.Second,
-		Logf:             logf,
 	})
 	r, err := region.New(region.Config{
 		ID:                "r1",
@@ -424,7 +418,7 @@ func sourceFailureMidBurst(t *testing.T, burst, stopAt, committed int) {
 			return in
 		})
 	}
-	h := newHarnessRegistry(t, ft.MSScheme, 7, nil, reg)
+	h := newHarnessRegistry(t, ft.MSScheme, 7, reg)
 	small := func(n int) {
 		for i := 0; i < n; i++ {
 			h.r.Ingest("A", i, 64, "test")
@@ -743,7 +737,7 @@ func TestPlannedMigrationExactlyOnce(t *testing.T) {
 	if got := h.ctrl.Migrations("r1"); got != 2 {
 		t.Fatalf("controller migrations = %d, want 2", got)
 	}
-	if got := h.r.Migrations(); got != 2 {
+	if got := h.r.Report(h.clk.Now()).Migrations; got != 2 {
 		t.Fatalf("region migrations = %d, want 2", got)
 	}
 	// The migrated-off phones are intact: checkpointing still works.
@@ -800,8 +794,7 @@ func TestConcurrentFailDepartUnregister(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				h.r.AlivePhones()
 				h.r.LivePeers("r1/p1")
-				h.r.IdleCount()
-				h.r.TakeIdle()
+				h.r.IdlePhones()
 			}
 		}()
 	}
@@ -827,16 +820,10 @@ func TestConcurrentFailDepartUnregister(t *testing.T) {
 // TestDepartureWithoutMobilityStoryWarnsOnce pins the behaviour of
 // NotifyDeparture on schemes without HandlesDepartures: the slot stays on
 // the departed phone (urgent mode forever), the departure is counted, and
-// the controller logs the no-mobility warning exactly once per region no
-// matter how many phones depart.
+// the controller journals the no-mobility warning exactly once per region
+// no matter how many phones depart.
 func TestDepartureWithoutMobilityStoryWarnsOnce(t *testing.T) {
-	var mu sync.Mutex
-	var warns []string
-	h := newHarnessLogf(t, ft.Rep2Scheme, 6, func(format string, args ...interface{}) {
-		mu.Lock()
-		warns = append(warns, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	})
+	h := newHarness(t, ft.Rep2Scheme, 6)
 	h.ingest(5)
 	h.waitCount(t, 5, 10*time.Second)
 
@@ -855,16 +842,14 @@ func TestDepartureWithoutMobilityStoryWarnsOnce(t *testing.T) {
 	if got := h.ctrl.Departures("r1"); got != 2 {
 		t.Fatalf("departures = %d, want 2", got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	count := 0
-	for _, w := range warns {
-		if strings.Contains(w, "no mobility story") {
+	for _, e := range h.r.Obs().Journal.Events() {
+		if e.Kind == "depart.no_mobility" {
 			count++
 		}
 	}
 	if count != 1 {
-		t.Fatalf("no-mobility warning logged %d times, want exactly once (log spam guard); logs: %v", count, warns)
+		t.Fatalf("no-mobility warning journaled %d times, want exactly once (spam guard)", count)
 	}
 }
 
@@ -939,11 +924,11 @@ func TestAddPhoneRecruitsIdleMember(t *testing.T) {
 	h := newHarness(t, ft.MSScheme, 5) // zero idle spares
 	h.ingest(5)
 	h.waitCount(t, 5, 10*time.Second)
-	if n := h.r.IdleCount(); n != 0 {
+	if n := len(h.r.IdlePhones()); n != 0 {
 		t.Fatalf("idle = %d, want 0", n)
 	}
 	id := h.r.AddPhone(phone.Config{})
-	if n := h.r.IdleCount(); n != 1 {
+	if n := len(h.r.IdlePhones()); n != 1 {
 		t.Fatalf("idle after join = %d, want 1", n)
 	}
 	if !h.ctrl.Migrate("r1", "n3", id) {

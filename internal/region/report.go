@@ -1,6 +1,7 @@
 package region
 
 import (
+	"sync/atomic"
 	"time"
 
 	"mobistreams/internal/metrics"
@@ -48,26 +49,26 @@ func (r *Region) OpenWindow() time.Duration {
 // latency of every result published since the window opened.
 func (r *Region) SinkLatency() *obs.Histogram { return r.sink }
 
-// BatchStats is a read-only view of the region's batch-size family.
-type BatchStats struct{ h *obs.Histogram }
+// batchStats is a read-only view of the region's batch-size family.
+type batchStats struct{ h *obs.Histogram }
 
 // Flushes reports how many batches were sent.
-func (b BatchStats) Flushes() int64 { return int64(b.h.Count()) }
+func (b batchStats) Flushes() int64 { return int64(b.h.Count()) }
 
 // Mean reports the mean messages per batch, or 0 before the first flush.
-func (b BatchStats) Mean() float64 { return b.h.Mean() }
+func (b batchStats) Mean() float64 { return b.h.Mean() }
 
 // BatchStats views the edge batching of every node in the region.
-func (r *Region) BatchStats() BatchStats { return BatchStats{r.obs.Hist(obs.BatchMsgs, "")} }
+func (r *Region) BatchStats() batchStats { return batchStats{r.obs.Hist(obs.BatchMsgs, "")} }
 
-// CkptStats is a read-only snapshot of the region's checkpoint families,
+// ckptStats is a read-only snapshot of the region's checkpoint families,
 // merged across slots. Count, sum and max merge exactly, so every number is
 // exact.
-type CkptStats struct{ pause, delta, full, state *obs.Histogram }
+type ckptStats struct{ pause, delta, full, state *obs.Histogram }
 
 // CkptStats snapshots the checkpoint pipeline of every node in the region.
-func (r *Region) CkptStats() CkptStats {
-	return CkptStats{
+func (r *Region) CkptStats() ckptStats {
+	return ckptStats{
 		pause: r.obs.Merged(obs.CkptPause),
 		delta: r.obs.Merged(obs.CkptDeltaBlob),
 		full:  r.obs.Merged(obs.CkptFullBlob),
@@ -76,29 +77,29 @@ func (r *Region) CkptStats() CkptStats {
 }
 
 // Count reports how many checkpoints were taken.
-func (c CkptStats) Count() int64 { return int64(c.pause.Count()) }
+func (c ckptStats) Count() int64 { return int64(c.pause.Count()) }
 
 // DeltaBlobs reports how many checkpoints travelled as delta links.
-func (c CkptStats) DeltaBlobs() int64 { return int64(c.delta.Count()) }
+func (c ckptStats) DeltaBlobs() int64 { return int64(c.delta.Count()) }
 
 // FullBlobs reports how many checkpoints travelled as full base blobs.
-func (c CkptStats) FullBlobs() int64 { return int64(c.full.Count()) }
+func (c ckptStats) FullBlobs() int64 { return int64(c.full.Count()) }
 
 // PauseMean reports the mean stop-the-world pause, or 0 with no samples.
-func (c CkptStats) PauseMean() time.Duration { return time.Duration(c.pause.Mean()) }
+func (c ckptStats) PauseMean() time.Duration { return time.Duration(c.pause.Mean()) }
 
 // PauseMax reports the largest stop-the-world pause.
-func (c CkptStats) PauseMax() time.Duration { return time.Duration(c.pause.Max()) }
+func (c ckptStats) PauseMax() time.Duration { return time.Duration(c.pause.Max()) }
 
 // Bytes reports travelled blob bytes and the full-state bytes they stand
 // for.
-func (c CkptStats) Bytes() (blob, full int64) {
+func (c ckptStats) Bytes() (blob, full int64) {
 	return int64(c.delta.Sum() + c.full.Sum()), int64(c.state.Sum())
 }
 
 // DeltaRatio reports travelled bytes over full-state bytes: 1.0 means every
 // checkpoint shipped its whole state, lower is the incremental saving.
-func (c CkptStats) DeltaRatio() float64 {
+func (c ckptStats) DeltaRatio() float64 {
 	blob, full := c.Bytes()
 	if full == 0 {
 		return 0
@@ -146,7 +147,7 @@ func (r *Region) Report(now time.Duration) metrics.Report {
 		InboxDrops:     r.InboxDrops(),
 		BatchFlushes:   batch.Flushes(),
 		MeanBatch:      batch.Mean(),
-		Migrations:     r.Migrations(),
+		Migrations:     atomic.LoadInt64(&r.migrations),
 		CkptPauseMean:  ckpt.PauseMean(),
 		CkptPauseMax:   ckpt.PauseMax(),
 		CkptDeltaRatio: ckpt.DeltaRatio(),

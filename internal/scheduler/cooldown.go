@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Cooldowns is the shared per-slot action ledger: every policy that
+// cooldowns is the shared per-slot action ledger: every policy that
 // disrupts a slot — a planned migration (noted by the plan executor) or an
 // elastic split/merge touching the slot (ElasticPolicy) — notes the slot
 // here, and every policy checks it before planning the next disruption.
@@ -13,20 +13,20 @@ import (
 // tracked its own cooldown and a just-split instance could be migrated in
 // the same breath (or vice versa). Keys are scoped by region so one ledger
 // can serve many regions.
-type Cooldowns struct {
+type cooldowns struct {
 	mu   sync.Mutex
 	last map[string]time.Duration
 }
 
-// NewCooldowns creates an empty ledger.
-func NewCooldowns() *Cooldowns {
-	return &Cooldowns{last: make(map[string]time.Duration)}
+// newCooldowns creates an empty ledger.
+func newCooldowns() *cooldowns {
+	return &cooldowns{last: make(map[string]time.Duration)}
 }
 
 func cooldownKey(scope, slot string) string { return scope + "\x00" + slot }
 
-// Note records a disruptive action on a slot at simulated time now.
-func (c *Cooldowns) Note(scope, slot string, now time.Duration) {
+// note records a disruptive action on a slot at simulated time now.
+func (c *cooldowns) note(scope, slot string, now time.Duration) {
 	if c == nil {
 		return
 	}
@@ -35,9 +35,9 @@ func (c *Cooldowns) Note(scope, slot string, now time.Duration) {
 	c.mu.Unlock()
 }
 
-// Ready reports whether the slot is outside the window since its last
+// ready reports whether the slot is outside the window since its last
 // noted action. A nil ledger is always ready.
-func (c *Cooldowns) Ready(scope, slot string, now, window time.Duration) bool {
+func (c *cooldowns) ready(scope, slot string, now, window time.Duration) bool {
 	if c == nil {
 		return true
 	}

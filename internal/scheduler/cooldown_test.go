@@ -24,7 +24,7 @@ func migrations(p *placement.Plan) []placement.Step {
 // just-migrated slot cannot be split or merged — previously each policy
 // tracked its own cooldowns and saw nothing of the other's.
 func TestCooldownUnification(t *testing.T) {
-	ledger := NewCooldowns()
+	ledger := newCooldowns()
 	planner := NewPlanner(placement.New(), ledger)
 	pol := &ElasticPolicy{Cooldown: 10 * time.Second, Cooldowns: ledger, Scope: "r1"}
 

@@ -13,7 +13,7 @@ type InstanceStat struct {
 	Instance string
 	Index    int
 	// Slot is the graph slot hosting the instance — the key the shared
-	// Cooldowns ledger tracks, so a migration of the slot and an elastic
+	// cooldowns ledger tracks, so a migration of the slot and an elastic
 	// reconfiguration of the instance see each other's cooldowns.
 	Slot string
 	// Active reports whether the instance owns at least one key range.
@@ -26,10 +26,10 @@ type InstanceStat struct {
 	TupleRate float64
 }
 
-// ElasticAction is one planned parallelism change for a keyed group:
+// elasticAction is one planned parallelism change for a keyed group:
 // either split instance From's key range onto (dormant) instance To, or
 // merge every range instance From owns into instance To.
-type ElasticAction struct {
+type elasticAction struct {
 	Logical string
 	Split   bool
 	From    int
@@ -59,7 +59,7 @@ type ElasticPolicy struct {
 	// the migration planner: an instance whose slot was just migrated is
 	// not split or merged within Cooldown, and a planned split/merge notes
 	// the slots it touches so the planner will not migrate them either.
-	Cooldowns *Cooldowns
+	Cooldowns *cooldowns
 	// Scope qualifies slot keys in the shared ledger; use the region name
 	// the migration planner plans under.
 	Scope string
@@ -93,7 +93,7 @@ func (p *ElasticPolicy) params() (hot int, cold float64, cooldown time.Duration)
 // Plan inspects one keyed group's instance telemetry and returns at most
 // one action to run now, or nil. A returned action is recorded against the
 // group's cooldown immediately; the caller is expected to attempt it.
-func (p *ElasticPolicy) Plan(now time.Duration, logical string, stats []InstanceStat) *ElasticAction {
+func (p *ElasticPolicy) Plan(now time.Duration, logical string, stats []InstanceStat) *elasticAction {
 	hot, cold, cooldown := p.params()
 	p.mu.Lock()
 	if p.last == nil {
@@ -136,7 +136,7 @@ func (p *ElasticPolicy) Plan(now time.Duration, logical string, stats []Instance
 		}
 		p.note(logical, now)
 		p.noteSlots(now, hottest.Slot, dormantSlot)
-		return &ElasticAction{
+		return &elasticAction{
 			Logical: logical, Split: true,
 			From: hottest.Index, To: dormant,
 			Reason: "backpressure",
@@ -200,7 +200,7 @@ func (p *ElasticPolicy) Plan(now time.Duration, logical string, stats []Instance
 	}
 	p.note(logical, now)
 	p.noteSlots(now, coldest.Slot, active[to].Slot)
-	return &ElasticAction{
+	return &elasticAction{
 		Logical: logical,
 		From:    coldest.Index, To: active[to].Index,
 		Reason: "cold",
@@ -213,7 +213,7 @@ func (p *ElasticPolicy) slotReady(slot string, now, window time.Duration) bool {
 	if p.Cooldowns == nil || slot == "" {
 		return true
 	}
-	return p.Cooldowns.Ready(p.Scope, slot, now, window)
+	return p.Cooldowns.ready(p.Scope, slot, now, window)
 }
 
 // noteSlots records a planned reconfiguration against the slots it touches
@@ -224,7 +224,7 @@ func (p *ElasticPolicy) noteSlots(now time.Duration, slots ...string) {
 	}
 	for _, s := range slots {
 		if s != "" {
-			p.Cooldowns.Note(p.Scope, s, now)
+			p.Cooldowns.note(p.Scope, s, now)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Planner is the migration decider: it wraps the placement.Engine and
-// filters its migrate steps through the shared per-slot Cooldowns ledger,
+// filters its migrate steps through the shared per-slot cooldowns ledger,
 // so plans and elastic split/merges back off slots the other just
 // disrupted. It plans for any topology — with a single WiFi channel the
 // engine's pack pass has nothing to consolidate and the plan is forecast
@@ -22,15 +22,15 @@ type Planner struct {
 	Cooldown time.Duration
 	// Cooldowns is the shared disruption ledger; a private one is used
 	// when nil.
-	Cooldowns *Cooldowns
+	Cooldowns *cooldowns
 }
 
 // NewPlanner creates a planner sharing the given cooldown ledger.
-func NewPlanner(engine *placement.Engine, cooldowns *Cooldowns) *Planner {
-	if cooldowns == nil {
-		cooldowns = NewCooldowns()
+func NewPlanner(engine *placement.Engine, ledger *cooldowns) *Planner {
+	if ledger == nil {
+		ledger = newCooldowns()
 	}
-	return &Planner{Engine: engine, Cooldowns: cooldowns}
+	return &Planner{Engine: engine, Cooldowns: ledger}
 }
 
 // Plan produces the next placement plan for one snapshot. Migrate steps
@@ -46,7 +46,7 @@ func (p *Planner) Plan(snap placement.Snapshot) *placement.Plan {
 	plan := p.Engine.Plan(snap)
 	kept := plan.Steps[:0]
 	for _, st := range plan.Steps {
-		if st.Kind == placement.StepMigrate && !p.Cooldowns.Ready(snap.Region, st.Slot, snap.Now, window) {
+		if st.Kind == placement.StepMigrate && !p.Cooldowns.ready(snap.Region, st.Slot, snap.Now, window) {
 			continue
 		}
 		kept = append(kept, st)
@@ -58,5 +58,5 @@ func (p *Planner) Plan(snap placement.Snapshot) *placement.Plan {
 // Attempted charges the slot's cooldown: the plan executor calls it when
 // it starts a migrate step, whether or not the migration then lands.
 func (p *Planner) Attempted(region, slot string, now time.Duration) {
-	p.Cooldowns.Note(region, slot, now)
+	p.Cooldowns.note(region, slot, now)
 }

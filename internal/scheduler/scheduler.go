@@ -1,6 +1,6 @@
 // Package scheduler holds the control plane's policy glue: the telemetry
 // types the region produces (RegionStats), the Planner that runs the
-// placement engine's plans past the shared per-slot Cooldowns ledger, and
+// placement engine's plans past the shared per-slot cooldowns ledger, and
 // the ElasticPolicy that decides keyed split/merges. Planned live
 // migrations move an operator slot off an at-risk phone *before* the phone
 // dies or walks out of range, so the disruption the paper handles with

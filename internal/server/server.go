@@ -15,6 +15,9 @@ import (
 	"mobistreams/internal/simnet"
 )
 
+// resultBytes is the result tuple pushed back per input.
+const resultBytes = 512
+
 // Config parameterises a server-based deployment of one region's workload.
 type Config struct {
 	Clock clock.Clock
@@ -30,9 +33,6 @@ type Config struct {
 	// PipelineCost is the total phone-CPU service time of the query
 	// network per tuple; the server charges PipelineCost/ServerSpeedup.
 	PipelineCost time.Duration
-	// ResultBytes is the result tuple pushed back per input (default
-	// 512 B).
-	ResultBytes int
 	// QueueCap bounds the upload queue per device; a full queue drops
 	// the oldest pending frame (cameras overwrite stale frames).
 	QueueCap int
@@ -42,16 +42,13 @@ func (c *Config) applyDefaults() {
 	if c.ServerSpeedup <= 0 {
 		c.ServerSpeedup = 20
 	}
-	if c.ResultBytes <= 0 {
-		c.ResultBytes = 512
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 8
 	}
 }
 
-// Deployment is one running server-based setup.
-type Deployment struct {
+// deployment is one running server-based setup.
+type deployment struct {
 	cfg  Config
 	clk  clock.Clock
 	cell *simnet.Cellular
@@ -81,14 +78,14 @@ type upload struct {
 
 // New builds a deployment with one uploading device (the paper's per-region
 // sensor feed rides a single camera uplink).
-func New(cfg Config) *Deployment {
+func New(cfg Config) *deployment {
 	cfg.applyDefaults()
 	cell := simnet.NewCellular(cfg.Clock, simnet.CellularConfig{
 		UpBitsPerSecond:   cfg.UplinkBps,
 		DownBitsPerSecond: cfg.DownlinkBps,
 		Latency:           cfg.CellLatency,
 	})
-	d := &Deployment{
+	d := &deployment{
 		cfg:    cfg,
 		clk:    cfg.Clock,
 		cell:   cell,
@@ -105,7 +102,7 @@ func New(cfg Config) *Deployment {
 }
 
 // Start launches the upload and server loops.
-func (d *Deployment) Start() {
+func (d *deployment) Start() {
 	d.OpenWindow()
 	d.wg.Add(2)
 	go d.uploadLoop()
@@ -113,7 +110,7 @@ func (d *Deployment) Start() {
 }
 
 // Stop shuts the deployment down.
-func (d *Deployment) Stop() {
+func (d *deployment) Stop() {
 	d.once.Do(func() { close(d.stopCh) })
 	d.wg.Wait()
 }
@@ -121,7 +118,7 @@ func (d *Deployment) Stop() {
 // Offer enqueues one sensed tuple for upload. A full queue drops the oldest
 // entry — a camera overwrites stale frames rather than growing a backlog
 // without bound.
-func (d *Deployment) Offer(size int) {
+func (d *deployment) Offer(size int) {
 	d.mu.Lock()
 	if len(d.queue) >= d.cfg.QueueCap {
 		d.queue = d.queue[1:]
@@ -135,15 +132,8 @@ func (d *Deployment) Offer(size int) {
 	}
 }
 
-// Dropped reports tuples dropped from the full upload queue.
-func (d *Deployment) Dropped() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dropped
-}
-
 // uploadLoop ships queued tuples over the uplink one at a time.
-func (d *Deployment) uploadLoop() {
+func (d *deployment) uploadLoop() {
 	defer d.wg.Done()
 	for {
 		d.mu.Lock()
@@ -169,7 +159,7 @@ func (d *Deployment) uploadLoop() {
 }
 
 // serverLoop processes uploads on the data center and pushes results back.
-func (d *Deployment) serverLoop() {
+func (d *deployment) serverLoop() {
 	defer d.wg.Done()
 	for {
 		select {
@@ -180,7 +170,7 @@ func (d *Deployment) serverLoop() {
 			}
 			d.clk.Sleep(time.Duration(float64(d.cfg.PipelineCost) / d.cfg.ServerSpeedup))
 			// Result pushed to the subscribing phone over its downlink.
-			if err := d.cell.Send("datacenter", "phone", simnet.ClassData, d.cfg.ResultBytes, nil); err != nil {
+			if err := d.cell.Send("datacenter", "phone", simnet.ClassData, resultBytes, nil); err != nil {
 				return
 			}
 			d.sink.Observe(int64(d.clk.Now() - job.created))
@@ -190,12 +180,9 @@ func (d *Deployment) serverLoop() {
 	}
 }
 
-// Obs is the deployment's observability registry.
-func (d *Deployment) Obs() *obs.Registry { return d.obs }
-
 // OpenWindow starts a measurement window at the current simulated time:
 // Report counts results from here.
-func (d *Deployment) OpenWindow() {
+func (d *deployment) OpenWindow() {
 	d.mu.Lock()
 	d.winStart = d.clk.Now()
 	d.mu.Unlock()
@@ -203,7 +190,7 @@ func (d *Deployment) OpenWindow() {
 }
 
 // Report views the measurement window at simulated time now.
-func (d *Deployment) Report(now time.Duration) metrics.Report {
+func (d *deployment) Report(now time.Duration) metrics.Report {
 	d.mu.Lock()
 	window := now - d.winStart
 	d.mu.Unlock()

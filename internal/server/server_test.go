@@ -9,7 +9,7 @@ import (
 	"mobistreams/internal/obs"
 )
 
-func deployment(up float64) (*Deployment, *clock.Scaled) {
+func newTestDeployment(up float64) (*deployment, *clock.Scaled) {
 	// Speedup 250 keeps the shortest paced step (a ~4.5 s upload in the
 	// uplink-bound test) around 18 ms of wall time, long enough that
 	// timer wake-up overshoot — which can reach a couple of milliseconds
@@ -36,7 +36,7 @@ func TestUplinkBoundThroughput(t *testing.T) {
 	const attempts = 3
 	var lastErr string
 	for i := 0; i < attempts; i++ {
-		d, clk := deployment(0.32e6) // 40 KB/s
+		d, clk := newTestDeployment(0.32e6) // 40 KB/s
 		d.Start()
 		// 180 KB tuples: ~4.5 s per upload; offer one per 2 s -> uplink bound.
 		stop := make(chan struct{})
@@ -109,7 +109,7 @@ func TestFastUplinkIsComputeOrArrivalBound(t *testing.T) {
 }
 
 func TestLatencyIncludesQueueing(t *testing.T) {
-	d, clk := deployment(0.016e6) // 2 KB/s: ~90 s per 180 KB tuple
+	d, clk := newTestDeployment(0.016e6) // 2 KB/s: ~90 s per 180 KB tuple
 	d.Start()
 	defer d.Stop()
 	for i := 0; i < 4; i++ {
@@ -127,3 +127,13 @@ func TestLatencyIncludesQueueing(t *testing.T) {
 		t.Fatalf("sink family count %d != report tuples %d", got, rep.Tuples)
 	}
 }
+
+// Dropped reports tuples dropped from the full upload queue.
+func (d *deployment) Dropped() int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dropped
+}
+
+// Obs is the deployment's observability registry.
+func (d *deployment) Obs() *obs.Registry { return d.obs }

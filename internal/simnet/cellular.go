@@ -16,8 +16,6 @@ type CellularConfig struct {
 	DownBitsPerSecond float64
 	// Latency is the one-way base latency of the cellular path.
 	Latency time.Duration
-	// ChunkBytes bounds one link reservation (default 64 KB).
-	ChunkBytes int
 	// SharedBps caps the cell tower's aggregate throughput; zero means
 	// uncapped. When many phones transfer at once (simultaneous
 	// departures, §IV-B) the tower becomes the bottleneck.
@@ -30,9 +28,6 @@ func (c *CellularConfig) applyDefaults() {
 	}
 	if c.DownBitsPerSecond <= 0 {
 		c.DownBitsPerSecond = 0.7e6
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 64 << 10
 	}
 }
 
@@ -50,7 +45,7 @@ type Cellular struct {
 	cfg CellularConfig
 	clk clock.Clock
 
-	Counters Counters
+	Counters counters
 
 	mu        sync.Mutex
 	endpoints map[NodeID]*Endpoint
@@ -91,15 +86,6 @@ func (c *Cellular) AttachRated(ep *Endpoint, upBps, downBps float64) {
 	c.mu.Unlock()
 }
 
-// Detach unregisters a device.
-func (c *Cellular) Detach(id NodeID) {
-	c.mu.Lock()
-	delete(c.endpoints, id)
-	delete(c.up, id)
-	delete(c.down, id)
-	c.mu.Unlock()
-}
-
 // Attached reports whether the device is registered.
 func (c *Cellular) Attached(id NodeID) bool {
 	c.mu.Lock()
@@ -125,7 +111,7 @@ func (c *Cellular) occupyLink(l *link, size int) time.Duration {
 
 // Send transfers size bytes from one device to another, occupying the
 // sender's uplink and then the receiver's downlink, chunk by chunk. It
-// blocks until delivery and returns ErrUnreachable if either side is
+// blocks until delivery and returns errUnreachable if either side is
 // detached or the destination is sealed.
 func (c *Cellular) Send(from, to NodeID, class Class, size int, payload interface{}) error {
 	return c.send(from, to, class, size, payload, nil)
@@ -147,10 +133,10 @@ func (c *Cellular) Respond(req Message, from NodeID, class Class, size int, payl
 	downl := c.down[req.From]
 	c.mu.Unlock()
 	if upl == nil || downl == nil {
-		return ErrUnreachable
+		return errUnreachable
 	}
 	c.transfer(upl, downl, size)
-	c.Counters.Add(class, size)
+	c.Counters.add(class, size)
 	req.Reply <- Message{From: from, To: req.From, Class: class, Size: size, Payload: payload}
 	return nil
 }
@@ -161,16 +147,16 @@ func (c *Cellular) send(from, to NodeID, class Class, size int, payload interfac
 	upl := c.up[from]
 	downl := c.down[to]
 	c.mu.Unlock()
-	if ep == nil || upl == nil || downl == nil || ep.Sealed() {
-		return ErrUnreachable
+	if ep == nil || upl == nil || downl == nil || ep.isSealed() {
+		return errUnreachable
 	}
 	c.transfer(upl, downl, size)
-	c.Counters.Add(class, size)
-	if ep.Sealed() {
-		return ErrUnreachable
+	c.Counters.add(class, size)
+	if ep.isSealed() {
+		return errUnreachable
 	}
 	if !ep.deliver(Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}, true) {
-		return ErrUnreachable
+		return errUnreachable
 	}
 	return nil
 }
@@ -188,8 +174,8 @@ func (c *Cellular) transfer(upl, downl *link, size int) {
 	remaining := size
 	for remaining > 0 {
 		chunk := remaining
-		if chunk > c.cfg.ChunkBytes {
-			chunk = c.cfg.ChunkBytes
+		if chunk > chunkBytes {
+			chunk = chunkBytes
 		}
 		upEnd := c.occupyLink(upl, chunk)
 		// The shared tower serialises concurrent transfers.
@@ -213,6 +199,3 @@ func (c *Cellular) transfer(upl, downl *link, size int) {
 		c.clk.Sleep(wait)
 	}
 }
-
-// Config returns the network's configuration.
-func (c *Cellular) Config() CellularConfig { return c.cfg }

@@ -60,10 +60,10 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// ErrUnreachable is returned when the destination has failed, departed the
+// errUnreachable is returned when the destination has failed, departed the
 // region, or was never attached. Upstream neighbours use it to detect
 // downstream failures (§III-D).
-var ErrUnreachable = errors.New("simnet: destination unreachable")
+var errUnreachable = errors.New("simnet: destination unreachable")
 
 // Message is what endpoints receive.
 type Message struct {
@@ -107,16 +107,8 @@ func (e *Endpoint) Seal() {
 	e.mu.Unlock()
 }
 
-// Unseal revives a sealed endpoint (a replacement phone reusing an ID in
-// tests, or a region restart).
-func (e *Endpoint) Unseal() {
-	e.mu.Lock()
-	e.sealed = false
-	e.mu.Unlock()
-}
-
-// Sealed reports whether the endpoint is dead.
-func (e *Endpoint) Sealed() bool {
+// isSealed reports whether the endpoint is dead.
+func (e *Endpoint) isSealed() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sealed
@@ -125,7 +117,7 @@ func (e *Endpoint) Sealed() bool {
 // deliver places m into the inbox. If block is false and the inbox is full
 // the message is dropped (UDP semantics) and deliver reports false.
 func (e *Endpoint) deliver(m Message, block bool) bool {
-	if e.Sealed() {
+	if e.isSealed() {
 		return false
 	}
 	if block {
@@ -148,52 +140,35 @@ func (e *Endpoint) deliver(m Message, block bool) bool {
 // silently thinning broadcast traffic.
 func (e *Endpoint) Drops() int64 { return atomic.LoadInt64(&e.drops) }
 
-// Counters accumulates bytes and message counts by traffic class. The
-// accumulators are lock-free: every data-plane send passes through Add, so
+// counters accumulates bytes and message counts by traffic class. The
+// accumulators are lock-free: every data-plane send passes through add, so
 // a shared mutex here becomes contention on the ingress hot path.
-type Counters struct {
+type counters struct {
 	bytes [numClasses]int64
 	msgs  [numClasses]int64
 }
 
-// Add records one message of the given class and size.
-func (c *Counters) Add(class Class, size int) {
+// add records one message of the given class and size.
+func (c *counters) add(class Class, size int) {
 	atomic.AddInt64(&c.bytes[class], int64(size))
 	atomic.AddInt64(&c.msgs[class], 1)
 }
 
 // Bytes reports accumulated bytes for a class.
-func (c *Counters) Bytes(class Class) int64 {
+func (c *counters) Bytes(class Class) int64 {
 	return atomic.LoadInt64(&c.bytes[class])
 }
 
 // Messages reports accumulated message count for a class.
-func (c *Counters) Messages(class Class) int64 {
+func (c *counters) Messages(class Class) int64 {
 	return atomic.LoadInt64(&c.msgs[class])
 }
 
 // TotalBytes reports bytes summed over all classes.
-func (c *Counters) TotalBytes() int64 {
+func (c *counters) TotalBytes() int64 {
 	var t int64
 	for i := range c.bytes {
 		t += atomic.LoadInt64(&c.bytes[i])
 	}
 	return t
-}
-
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	for i := range c.bytes {
-		atomic.StoreInt64(&c.bytes[i], 0)
-		atomic.StoreInt64(&c.msgs[i], 0)
-	}
-}
-
-// Snapshot returns a copy of per-class byte counts keyed by class name.
-func (c *Counters) Snapshot() map[string]int64 {
-	m := make(map[string]int64, numClasses)
-	for i := Class(0); i < numClasses; i++ {
-		m[i.String()] = c.Bytes(i)
-	}
-	return m
 }

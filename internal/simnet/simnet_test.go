@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,15 +42,15 @@ func TestWiFiUnicastDelivers(t *testing.T) {
 
 func TestWiFiUnicastUnreachable(t *testing.T) {
 	w, eps := newTestWiFi(t, WiFiConfig{BitsPerSecond: 8e6})
-	if err := w.Unicast("a", "zz", ClassData, 10, nil); !errors.Is(err, ErrUnreachable) {
+	if err := w.Unicast("a", "zz", ClassData, 10, nil); !errors.Is(err, errUnreachable) {
 		t.Fatalf("want ErrUnreachable, got %v", err)
 	}
 	w.SetPresent("b", false)
-	if err := w.Unicast("a", "b", ClassData, 10, nil); !errors.Is(err, ErrUnreachable) {
+	if err := w.Unicast("a", "b", ClassData, 10, nil); !errors.Is(err, errUnreachable) {
 		t.Fatalf("departed member should be unreachable, got %v", err)
 	}
 	eps["c"].Seal()
-	if err := w.Unicast("a", "c", ClassData, 10, nil); !errors.Is(err, ErrUnreachable) {
+	if err := w.Unicast("a", "c", ClassData, 10, nil); !errors.Is(err, errUnreachable) {
 		t.Fatalf("sealed endpoint should be unreachable, got %v", err)
 	}
 }
@@ -171,7 +172,7 @@ func TestUnreachableAllocatesNothing(t *testing.T) {
 		"WiFi.Unicast":  func() error { return w.Unicast("a", "b", ClassData, 10, nil) },
 		"Cellular.Send": func() error { return cell.Send("a", "nope", ClassControl, 10, nil) },
 	} {
-		if err := send(); err != ErrUnreachable {
+		if err := send(); err != errUnreachable {
 			t.Fatalf("%s: got %v, want ErrUnreachable itself", name, err)
 		}
 		if allocs := testing.AllocsPerRun(100, func() { send() }); allocs != 0 {
@@ -183,16 +184,16 @@ func TestUnreachableAllocatesNothing(t *testing.T) {
 func TestWiFiSealedReceiverDuringTransfer(t *testing.T) {
 	w, eps := newTestWiFi(t, WiFiConfig{BitsPerSecond: 8e6})
 	eps["b"].Seal()
-	if err := w.Unicast("a", "b", ClassData, 100, nil); !errors.Is(err, ErrUnreachable) {
+	if err := w.Unicast("a", "b", ClassData, 100, nil); !errors.Is(err, errUnreachable) {
 		t.Fatalf("want ErrUnreachable, got %v", err)
 	}
 }
 
 func TestCountersAccumulateByClass(t *testing.T) {
-	var c Counters
-	c.Add(ClassData, 100)
-	c.Add(ClassData, 50)
-	c.Add(ClassCheckpoint, 9)
+	var c counters
+	c.add(ClassData, 100)
+	c.add(ClassData, 50)
+	c.add(ClassCheckpoint, 9)
 	if c.Bytes(ClassData) != 150 || c.Messages(ClassData) != 2 {
 		t.Fatalf("data = %d bytes / %d msgs", c.Bytes(ClassData), c.Messages(ClassData))
 	}
@@ -250,13 +251,13 @@ func TestCellularUnreachable(t *testing.T) {
 	cell := NewCellular(testClock(), CellularConfig{})
 	a := NewEndpoint("a", 4)
 	cell.Attach(a)
-	if err := cell.Send("a", "nope", ClassControl, 10, nil); !errors.Is(err, ErrUnreachable) {
+	if err := cell.Send("a", "nope", ClassControl, 10, nil); !errors.Is(err, errUnreachable) {
 		t.Fatalf("want ErrUnreachable, got %v", err)
 	}
 	b := NewEndpoint("b", 4)
 	cell.Attach(b)
 	b.Seal()
-	if err := cell.Send("a", "b", ClassControl, 10, nil); !errors.Is(err, ErrUnreachable) {
+	if err := cell.Send("a", "b", ClassControl, 10, nil); !errors.Is(err, errUnreachable) {
 		t.Fatalf("sealed: want ErrUnreachable, got %v", err)
 	}
 	cell.Detach("b")
@@ -322,11 +323,11 @@ func TestCellularSharedUplinkContention(t *testing.T) {
 
 func TestEndpointSealUnseal(t *testing.T) {
 	ep := NewEndpoint("x", 2)
-	if ep.Sealed() {
+	if ep.isSealed() {
 		t.Fatal("new endpoint sealed")
 	}
 	ep.Seal()
-	if !ep.Sealed() {
+	if !ep.isSealed() {
 		t.Fatal("seal did not stick")
 	}
 	if ep.deliver(Message{}, false) {
@@ -347,7 +348,7 @@ func TestWiFiMembersAndRemove(t *testing.T) {
 	if len(w.Members()) != 3 {
 		t.Fatalf("members = %d after remove, want 3", len(w.Members()))
 	}
-	if w.Present("d") {
+	if w.present("d") {
 		t.Fatal("removed member still present")
 	}
 }
@@ -562,4 +563,53 @@ func TestWiFiBroadcastAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { w.Broadcast("a", ClassPreserve, 64, payload) }); a != 0 {
 		t.Fatalf("Broadcast allocates %.0f times per call, want 0", a)
 	}
+}
+
+// Detach unregisters a device.
+func (c *Cellular) Detach(id NodeID) {
+	c.mu.Lock()
+	delete(c.endpoints, id)
+	delete(c.up, id)
+	delete(c.down, id)
+	c.mu.Unlock()
+}
+
+// Reset zeroes all counters.
+func (c *counters) Reset() {
+	for i := range c.bytes {
+		atomic.StoreInt64(&c.bytes[i], 0)
+		atomic.StoreInt64(&c.msgs[i], 0)
+	}
+}
+
+// Snapshot returns a copy of per-class byte counts keyed by class name.
+func (c *counters) Snapshot() map[string]int64 {
+	m := make(map[string]int64, numClasses)
+	for i := Class(0); i < numClasses; i++ {
+		m[i.String()] = c.Bytes(i)
+	}
+	return m
+}
+
+// Unseal revives a sealed endpoint (a replacement phone reusing an ID in
+// tests, or a region restart).
+func (e *Endpoint) Unseal() {
+	e.mu.Lock()
+	e.sealed = false
+	e.mu.Unlock()
+}
+
+// Members returns the IDs currently attached (present or not), in
+// unspecified order.
+func (w *WiFi) Members() []NodeID {
+	var ids []NodeID
+	for i := range w.stripes {
+		s := &w.stripes[i]
+		s.mu.RLock()
+		for id := range s.members {
+			ids = append(ids, id)
+		}
+		s.mu.RUnlock()
+	}
+	return ids
 }

@@ -9,6 +9,10 @@ import (
 	"mobistreams/internal/clock"
 )
 
+// chunkBytes bounds a single airtime or cellular link reservation: bulk
+// sends are split into chunks so concurrent flows interleave.
+const chunkBytes = 64 << 10
+
 // WiFiConfig parameterises a region's ad-hoc WiFi.
 type WiFiConfig struct {
 	// BitsPerSecond is the per-channel medium capacity (paper: 1–5 Mbps).
@@ -19,9 +23,6 @@ type WiFiConfig struct {
 	// PropDelay is per-hop propagation/processing delay added after the
 	// airtime completes.
 	PropDelay time.Duration
-	// ChunkBytes bounds a single airtime reservation; bulk sends are
-	// split into chunks so concurrent flows interleave (default 64 KB).
-	ChunkBytes int
 	// FrameOverhead models the fixed per-transmission cost of the medium
 	// — MAC/PHY framing, contention, link-layer ACKs — in byte-equivalents
 	// of airtime charged once per unicast send or broadcast datagram
@@ -48,9 +49,6 @@ type WiFiConfig struct {
 func (c *WiFiConfig) applyDefaults() {
 	if c.BitsPerSecond <= 0 {
 		c.BitsPerSecond = 3e6
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 64 << 10
 	}
 	if c.PropDelay < 0 {
 		c.PropDelay = 0
@@ -113,7 +111,7 @@ type WiFi struct {
 	cfg WiFiConfig
 	clk clock.Clock
 
-	Counters Counters
+	Counters counters
 
 	chans    []wifiChannel
 	stripes  [memberStripes]memberStripe
@@ -192,8 +190,8 @@ func (w *WiFi) SetPresent(id NodeID, present bool) {
 	s.mu.Unlock()
 }
 
-// Present reports whether the member is in radio range.
-func (w *WiFi) Present(id NodeID) bool {
+// present reports whether the member is in radio range.
+func (w *WiFi) present(id NodeID) bool {
 	s := w.stripe(id)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -210,21 +208,6 @@ func (w *WiFi) Remove(id NodeID) {
 		atomic.AddInt32(&w.attached, -1)
 	}
 	s.mu.Unlock()
-}
-
-// Members returns the IDs currently attached (present or not), in
-// unspecified order.
-func (w *WiFi) Members() []NodeID {
-	var ids []NodeID
-	for i := range w.stripes {
-		s := &w.stripes[i]
-		s.mu.RLock()
-		for id := range s.members {
-			ids = append(ids, id)
-		}
-		s.mu.RUnlock()
-	}
-	return ids
 }
 
 // lookup snapshots one member's attachment state.
@@ -255,13 +238,8 @@ func (w *WiFi) ChannelAirtime(i int) time.Duration {
 	return time.Duration(atomic.LoadInt64(&w.chans[i].airtime))
 }
 
-// ChannelBusyUntil reports the simulated time a channel frees up.
-func (w *WiFi) ChannelBusyUntil(i int) time.Duration {
-	return time.Duration(atomic.LoadInt64(&w.chans[i].busyUntil))
-}
-
-// ChannelStat is one channel's membership and airtime snapshot.
-type ChannelStat struct {
+// channelStat is one channel's membership and airtime snapshot.
+type channelStat struct {
 	Channel int
 	// Members counts endpoints assigned to the channel (present or not);
 	// Present counts the subset in radio range.
@@ -275,8 +253,8 @@ type ChannelStat struct {
 // airtime, ordered by channel index. Membership is read stripe-by-stripe,
 // so counts are consistent per stripe but the snapshot as a whole is
 // advisory under concurrent joins — exact for a quiesced medium.
-func (w *WiFi) ChannelStats() []ChannelStat {
-	stats := make([]ChannelStat, len(w.chans))
+func (w *WiFi) ChannelStats() []channelStat {
+	stats := make([]channelStat, len(w.chans))
 	for i := range stats {
 		stats[i].Channel = i
 		stats[i].Airtime = time.Duration(atomic.LoadInt64(&w.chans[i].airtime))
@@ -364,7 +342,7 @@ func (w *WiFi) effectiveBytes(size int) int {
 
 // Unicast sends reliably (TCP-like) to one present member. The airtime is
 // inflated by the loss rate to account for retransmissions. It blocks until
-// the message is delivered and returns ErrUnreachable if the destination is
+// the message is delivered and returns errUnreachable if the destination is
 // absent, sealed, or detached.
 func (w *WiFi) Unicast(from, to NodeID, class Class, size int, payload interface{}) error {
 	return w.send(from, to, class, size, payload, nil)
@@ -397,7 +375,7 @@ func (w *WiFi) Respond(req Message, from NodeID, class Class, size int, payload 
 	if fromCh != toCh {
 		atomic.AddInt64(&w.crossBytes, int64(eff))
 	}
-	w.Counters.Add(class, size)
+	w.Counters.add(class, size)
 	if w.cfg.PropDelay > 0 {
 		w.clk.Sleep(w.cfg.PropDelay)
 	}
@@ -407,8 +385,8 @@ func (w *WiFi) Respond(req Message, from NodeID, class Class, size int, payload 
 func (w *WiFi) send(from, to NodeID, class Class, size int, payload interface{}, reply chan Message) error {
 	_, fromCh, fromPresent, fromOK := w.lookup(from)
 	ep, toCh, toPresent, toOK := w.lookup(to)
-	if !toOK || !toPresent || !fromOK || !fromPresent || ep.Sealed() {
-		return ErrUnreachable
+	if !toOK || !toPresent || !fromOK || !fromPresent || ep.isSealed() {
+		return errUnreachable
 	}
 	// Reliable transfer over a lossy medium costs extra airtime for
 	// retransmissions: effective bytes = (size + framing) / (1 - loss).
@@ -419,23 +397,23 @@ func (w *WiFi) send(from, to NodeID, class Class, size int, payload interface{},
 	}
 	for remaining > 0 {
 		chunk := remaining
-		if chunk > w.cfg.ChunkBytes {
-			chunk = w.cfg.ChunkBytes
+		if chunk > chunkBytes {
+			chunk = chunkBytes
 		}
 		w.occupyPair(chunk, fromCh, toCh)
 		remaining -= chunk
 	}
-	w.Counters.Add(class, size)
+	w.Counters.add(class, size)
 	if w.cfg.PropDelay > 0 {
 		w.clk.Sleep(w.cfg.PropDelay)
 	}
 	// Re-check reachability after airtime: the destination may have
 	// failed while the transfer was queued.
-	if !w.Present(to) || ep.Sealed() {
-		return ErrUnreachable
+	if !w.present(to) || ep.isSealed() {
+		return errUnreachable
 	}
 	if !ep.deliver(Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}, true) {
-		return ErrUnreachable
+		return errUnreachable
 	}
 	return nil
 }
@@ -470,7 +448,7 @@ func (w *WiFi) BroadcastBatch(from NodeID, class Class, grams []Datagram) []int 
 
 // broadcast sends grams and adds each one's receiver count to counts.
 func (w *WiFi) broadcast(from NodeID, class Class, grams []Datagram, counts []int) {
-	if len(grams) == 0 || !w.Present(from) {
+	if len(grams) == 0 || !w.present(from) {
 		return
 	}
 	type target struct {
@@ -501,14 +479,14 @@ func (w *WiFi) broadcast(from NodeID, class Class, grams []Datagram, counts []in
 	// irrelevant to the protocol.
 	for start := 0; start < len(grams); {
 		end, bytes := start, 0
-		for end < len(grams) && (bytes == 0 || bytes+grams[end].Size <= w.cfg.ChunkBytes) {
+		for end < len(grams) && (bytes == 0 || bytes+grams[end].Size <= chunkBytes) {
 			bytes += grams[end].Size + w.cfg.FrameOverhead
 			end++
 		}
 		w.occupyAll(bytes)
 		for i := start; i < end; i++ {
 			g := grams[i]
-			w.Counters.Add(class, g.Size)
+			w.Counters.add(class, g.Size)
 			for _, tg := range targets {
 				if w.lost() {
 					continue
@@ -521,6 +499,3 @@ func (w *WiFi) broadcast(from NodeID, class Class, grams []Datagram, counts []in
 		start = end
 	}
 }
-
-// Config returns the medium's configuration.
-func (w *WiFi) Config() WiFiConfig { return w.cfg }

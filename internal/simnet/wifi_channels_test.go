@@ -29,7 +29,6 @@ func TestWiFiSingleChannelMatchesLegacy(t *testing.T) {
 		BitsPerSecond: 8e6,
 		LossProb:      0.02,
 		FrameOverhead: 600,
-		ChunkBytes:    16 << 10,
 	}
 	for _, channels := range []int{0, 1} {
 		cfg := base
@@ -49,12 +48,12 @@ func TestWiFiSingleChannelMatchesLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		want += airtimeOf(cfg, legacyEff(cfg, 1000))
-		// Bulk unicast above ChunkBytes: split into chunks, total charge
+		// Bulk unicast above chunkBytes: split into chunks, total charge
 		// unchanged.
-		if err := w.Unicast("b", "c", ClassCheckpoint, 50<<10, nil); err != nil {
+		if err := w.Unicast("b", "c", ClassCheckpoint, 200<<10, nil); err != nil {
 			t.Fatal(err)
 		}
-		want += airtimeOf(cfg, legacyEff(cfg, 50<<10))
+		want += airtimeOf(cfg, legacyEff(cfg, 200<<10))
 		// Broadcast burst: per-datagram size + framing, no loss inflation
 		// (UDP is best-effort; receivers sample loss instead).
 		grams := []Datagram{{Size: 700}, {Size: 1200}, {Size: 300}}

@@ -27,7 +27,7 @@ type Store struct {
 	srcLogs map[uint64]map[string][]*tuple.Tuple
 	// edgeLogs: downstream slot -> retained output tuples with their
 	// edge sequence numbers (input preservation for local/dist-n).
-	edgeLogs map[string][]EdgeEntry
+	edgeLogs map[string][]edgeEntry
 	// committed is the most recent fully committed checkpoint version.
 	committed uint64
 
@@ -36,9 +36,9 @@ type Store struct {
 	lost           bool
 }
 
-// EdgeEntry is one retained output tuple on an edge, with the operator
+// edgeEntry is one retained output tuple on an edge, with the operator
 // endpoints needed to re-address it during a resend.
-type EdgeEntry struct {
+type edgeEntry struct {
 	EdgeSeq uint64
 	FromOp  string
 	ToOp    string
@@ -50,7 +50,7 @@ func New() *Store {
 	return &Store{
 		states:   make(map[uint64]map[string]*checkpoint.Blob),
 		srcLogs:  make(map[uint64]map[string][]*tuple.Tuple),
-		edgeLogs: make(map[string][]EdgeEntry),
+		edgeLogs: make(map[string][]edgeEntry),
 	}
 }
 
@@ -61,7 +61,7 @@ func (s *Store) MarkLost() {
 	s.lost = true
 	s.states = make(map[uint64]map[string]*checkpoint.Blob)
 	s.srcLogs = make(map[uint64]map[string][]*tuple.Tuple)
-	s.edgeLogs = make(map[string][]EdgeEntry)
+	s.edgeLogs = make(map[string][]edgeEntry)
 	s.mu.Unlock()
 }
 
@@ -235,7 +235,7 @@ func (s *Store) AppendEdge(downstreamSlot string, edgeSeq uint64, fromOp, toOp s
 		return
 	}
 	s.edgeLogs[downstreamSlot] = append(s.edgeLogs[downstreamSlot],
-		EdgeEntry{EdgeSeq: edgeSeq, FromOp: fromOp, ToOp: toOp, T: t})
+		edgeEntry{EdgeSeq: edgeSeq, FromOp: fromOp, ToOp: toOp, T: t})
 	s.cumEdgeBytes += int64(t.Size)
 }
 
@@ -251,10 +251,10 @@ func (s *Store) AppendSourceReplica(version uint64, source string, ts []*tuple.T
 }
 
 // EdgeLogSince returns retained entries on an edge with EdgeSeq > after.
-func (s *Store) EdgeLogSince(downstreamSlot string, after uint64) []EdgeEntry {
+func (s *Store) EdgeLogSince(downstreamSlot string, after uint64) []edgeEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []EdgeEntry
+	var out []edgeEntry
 	for _, e := range s.edgeLogs[downstreamSlot] {
 		if e.EdgeSeq > after {
 			out = append(out, e)
@@ -273,7 +273,7 @@ func (s *Store) TruncateEdge(downstreamSlot string, upto uint64) {
 	for i < len(log) && log[i].EdgeSeq <= upto {
 		i++
 	}
-	s.edgeLogs[downstreamSlot] = append([]EdgeEntry(nil), log[i:]...)
+	s.edgeLogs[downstreamSlot] = append([]edgeEntry(nil), log[i:]...)
 }
 
 // Commit marks a version fully committed and garbage-collects older
@@ -321,13 +321,6 @@ func (s *Store) Commit(version uint64) {
 			delete(s.srcLogs, v)
 		}
 	}
-}
-
-// Committed reports the most recent committed version (0 = none).
-func (s *Store) Committed() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.committed
 }
 
 // CumulativePreservedBytes reports total bytes ever appended to the

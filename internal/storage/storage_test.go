@@ -239,3 +239,10 @@ func TestAppendSourceNoAllocPerCall(t *testing.T) {
 		t.Fatalf("AppendSource allocates %.0f times per call, want 0 (log growth aside)", a)
 	}
 }
+
+// Committed reports the most recent committed version (0 = none).
+func (s *Store) Committed() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.committed
+}

@@ -1,121 +1,8 @@
-// Package svm implements a linear support vector machine trained with the
-// Pegasos stochastic sub-gradient algorithm — SignalGuru's transition-
-// pattern predictor (operator P in Fig. 3, §II-B). Stdlib-only and small:
-// the paper's kernel is a standard binary SVM over low-dimensional signal
-// features.
+// Package svm holds SignalGuru's phase-duration estimator, the statistical
+// half of the transition predictor (operator P in Fig. 3, §II-B).
 package svm
 
-import (
-	"errors"
-	"math"
-	"math/rand"
-)
-
-// Model is a linear SVM: sign(w·x + b).
-type Model struct {
-	W []float64
-	B float64
-}
-
-// Config parameterises training.
-type Config struct {
-	// Lambda is the regularisation strength (default 1e-3).
-	Lambda float64
-	// Epochs is the number of passes over the data (default 20).
-	Epochs int
-	// Seed seeds the sampling order.
-	Seed int64
-}
-
-func (c *Config) applyDefaults() {
-	if c.Lambda <= 0 {
-		c.Lambda = 1e-3
-	}
-	if c.Epochs <= 0 {
-		c.Epochs = 20
-	}
-}
-
-// Train fits a linear SVM on features X with labels y in {-1, +1} using
-// Pegasos: at step t, eta = 1/(lambda*t); w <- (1-eta*lambda)w and, on
-// margin violation, w <- w + eta*y*x.
-func Train(x [][]float64, y []float64, cfg Config) (*Model, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return nil, errors.New("svm: need equal-length, non-empty x and y")
-	}
-	dim := len(x[0])
-	for i := range x {
-		if len(x[i]) != dim {
-			return nil, errors.New("svm: ragged feature matrix")
-		}
-		if y[i] != 1 && y[i] != -1 {
-			return nil, errors.New("svm: labels must be +1/-1")
-		}
-	}
-	cfg.applyDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Standard bias handling: augment every sample with a constant 1
-	// feature so the bias is regularised with the weights.
-	w := make([]float64, dim+1)
-	t := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, i := range rng.Perm(len(x)) {
-			t++
-			eta := 1 / (cfg.Lambda * float64(t))
-			margin := y[i] * (dot(w[:dim], x[i]) + w[dim])
-			scale := 1 - eta*cfg.Lambda
-			if scale < 0 {
-				scale = 0
-			}
-			for d := range w {
-				w[d] *= scale
-			}
-			if margin < 1 {
-				for d := 0; d < dim; d++ {
-					w[d] += eta * y[i] * x[i][d]
-				}
-				w[dim] += eta * y[i]
-			}
-		}
-	}
-	return &Model{W: w[:dim], B: w[dim]}, nil
-}
-
-// Margin returns w·x + b.
-func (m *Model) Margin(x []float64) float64 { return dot(m.W, x) + m.B }
-
-// Predict returns the class label in {-1, +1}.
-func (m *Model) Predict(x []float64) float64 {
-	if m.Margin(x) >= 0 {
-		return 1
-	}
-	return -1
-}
-
-// Accuracy evaluates the model on a labelled set.
-func (m *Model) Accuracy(x [][]float64, y []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	correct := 0
-	for i := range x {
-		if m.Predict(x[i]) == y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(x))
-}
-
-// Bytes reports the model's serialized size (checkpoint accounting).
-func (m *Model) Bytes() int { return 8 * (len(m.W) + 1) }
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
+import "math"
 
 // PhaseEstimator predicts traffic-signal transition times from observed
 // phase durations — the statistical half of SignalGuru's operator P. It
@@ -155,12 +42,4 @@ func (p *PhaseEstimator) MeanDuration(color int, fallback float64) float64 {
 func (p *PhaseEstimator) TimeToChange(color int, elapsed, fallback float64) float64 {
 	rem := p.MeanDuration(color, fallback) - elapsed
 	return math.Max(rem, 0)
-}
-
-// Observations reports how many phases of a colour have been recorded.
-func (p *PhaseEstimator) Observations(color int) int {
-	if color < 0 || color > 2 {
-		return 0
-	}
-	return len(p.durations[color])
 }

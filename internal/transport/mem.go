@@ -8,14 +8,14 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// Mesh is a deterministic in-process transport fabric: every attachment can
+// mesh is a deterministic in-process transport fabric: every attachment can
 // reach every other, frames are delivered in one global FIFO order, and
 // delivery happens only when the owner pumps Drain. Tell is reliable and
 // ordered and costs one frame copy: no goroutine, no socket, no simulated
 // medium, so delivery order is a pure function of the send order.
-type Mesh struct {
+type mesh struct {
 	mu    sync.Mutex
-	nodes map[simnet.NodeID]*Mem
+	nodes map[simnet.NodeID]*mem
 	queue []memFrame
 }
 
@@ -27,13 +27,13 @@ type memFrame struct {
 
 // NewMesh creates an empty fabric. The seed is unused: delivery is a pure
 // function of the send order.
-func NewMesh(seed int64) *Mesh {
-	return &Mesh{nodes: make(map[simnet.NodeID]*Mem)}
+func NewMesh(seed int64) *mesh {
+	return &mesh{nodes: make(map[simnet.NodeID]*mem)}
 }
 
 // Attach joins a node to the fabric and returns its transport.
-func (m *Mesh) Attach(id simnet.NodeID) *Mem {
-	t := &Mem{mesh: m, id: id}
+func (m *mesh) Attach(id simnet.NodeID) *mem {
+	t := &mem{mesh: m, id: id}
 	m.mu.Lock()
 	m.nodes[id] = t
 	m.mu.Unlock()
@@ -44,7 +44,7 @@ func (m *Mesh) Attach(id simnet.NodeID) *Mem {
 // enqueue in turn — until the fabric is quiet, and reports how many frames
 // it delivered. Handlers run sequentially on the caller's goroutine, so a
 // single-threaded driver observes a fully deterministic delivery order.
-func (m *Mesh) Drain() int {
+func (m *mesh) Drain() int {
 	delivered := 0
 	for {
 		m.mu.Lock()
@@ -66,28 +66,28 @@ func (m *Mesh) Drain() int {
 	}
 }
 
-// Mem is one attachment on a Mesh. It implements Transport.
-type Mem struct {
-	mesh   *Mesh
+// mem is one attachment on a mesh. It implements Transport.
+type mem struct {
+	mesh   *mesh
 	id     simnet.NodeID
 	h      atomic.Value // Handler
 	closed atomic.Bool
 }
 
-// Info reports the attachment's identity. Mesh needs no addresses.
-func (t *Mem) Info() Info { return Info{ID: t.id} }
+// Info reports the attachment's identity. A mesh needs no addresses.
+func (t *mem) Info() info { return info{ID: t.id} }
 
 // Tell enqueues a reliable ordered delivery. The frame is copied, honouring
 // the borrowed-buffer contract.
-func (t *Mem) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
+func (t *mem) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
 	if t.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
 	m := t.mesh
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.nodes[to]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPeer, to)
+		return fmt.Errorf("%w: %s", errUnknownPeer, to)
 	}
 	cp := append(make([]byte, 0, len(frame)), frame...)
 	m.queue = append(m.queue, memFrame{to: to, from: t.id, class: class, frame: cp})
@@ -95,10 +95,10 @@ func (t *Mem) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
 }
 
 // Receive installs the frame handler.
-func (t *Mem) Receive(h Handler) { t.h.Store(h) }
+func (t *mem) Receive(h Handler) { t.h.Store(h) }
 
 // Close detaches the node: pending frames to it are discarded at delivery.
-func (t *Mem) Close() error {
+func (t *mem) Close() error {
 	t.closed.Store(true)
 	return nil
 }

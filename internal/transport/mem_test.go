@@ -59,11 +59,11 @@ func TestMemHandlerReentrancy(t *testing.T) {
 func TestMemUnknownPeerAndClose(t *testing.T) {
 	mesh := NewMesh(1)
 	a := mesh.Attach("a")
-	if err := a.Tell("ghost", simnet.ClassData, []byte("x")); !errors.Is(err, ErrUnknownPeer) {
+	if err := a.Tell("ghost", simnet.ClassData, []byte("x")); !errors.Is(err, errUnknownPeer) {
 		t.Fatalf("tell to unknown peer: %v", err)
 	}
 	a.Close()
-	if err := a.Tell("a", simnet.ClassData, []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := a.Tell("a", simnet.ClassData, []byte("x")); !errors.Is(err, errClosed) {
 		t.Fatalf("tell after close: %v", err)
 	}
 }

@@ -9,8 +9,7 @@ import (
 
 // Sim adapts the simulated region networks to the Transport interface: a
 // reliable Tell over the shared-airtime WiFi (falling back to cellular when
-// the WiFi path is unreachable, mirroring the node runtime's relay rule)
-// and a best-effort Cast that tolerates loss.
+// the WiFi path is unreachable, mirroring the node runtime's relay rule).
 //
 // Unlike the in-process message plane — which charges modelled
 // Item.WireSize() bytes for payloads that exist only as Go objects — Sim
@@ -39,7 +38,7 @@ func NewSim(ep *simnet.Endpoint, wifi *simnet.WiFi, cell *simnet.Cellular) *Sim 
 }
 
 // Info reports the endpoint's identity. Simnet has no dialable addresses.
-func (s *Sim) Info() Info { return Info{ID: s.ep.ID} }
+func (s *Sim) Info() info { return info{ID: s.ep.ID} }
 
 // Tell reliably delivers the frame over the WiFi, falling back to the
 // cellular path when the WiFi destination is unreachable. The frame is
@@ -47,7 +46,7 @@ func (s *Sim) Info() Info { return Info{ID: s.ep.ID} }
 // drains it, while Tell's contract lets the caller reuse its buffer.
 func (s *Sim) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
 	if s.closed.Load() {
-		return ErrClosed
+		return errClosed
 	}
 	cp := append(make([]byte, 0, len(frame)), frame...)
 	err := s.wifi.Unicast(s.ep.ID, to, class, len(cp), cp)
@@ -55,17 +54,6 @@ func (s *Sim) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
 		err = s.cell.Send(s.ep.ID, to, class, len(cp), cp)
 	}
 	return err
-}
-
-// Cast is the best-effort datagram path: delivery shares the WiFi airtime
-// but failures (loss, absent peer) are not reported.
-func (s *Sim) Cast(to simnet.NodeID, class simnet.Class, frame []byte) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	cp := append(make([]byte, 0, len(frame)), frame...)
-	s.wifi.Unicast(s.ep.ID, to, class, len(cp), cp)
-	return nil
 }
 
 // Receive installs the handler and starts draining the endpoint inbox.

@@ -19,17 +19,12 @@ import (
 // class byte, then the wire-encoded frame. The first frame on every
 // connection must be a KindHello identifying the dialer, so the accepting
 // side can attribute traffic and learn the dialer's listen address.
-//
-// UDP datagrams are self-identifying instead (no handshake): the class
-// byte, a length-prefixed sender ID, then the frame.
 
 const (
 	// maxFrameBytes bounds one framed message (64 MB): large enough for
 	// any checkpoint blob the simulation produces, small enough that a
 	// corrupted length prefix cannot drive allocation to OOM.
 	maxFrameBytes = 64 << 20
-	// maxDatagramBytes bounds one UDP cast.
-	maxDatagramBytes = 64 << 10
 
 	// coalesceMax bounds frames that ride the shared per-conn pending
 	// buffer. Larger frames flush the backlog and then write straight from
@@ -219,14 +214,13 @@ func (sc *sendConn) finishFlushLocked(buf []byte, err error) {
 
 // Socket is the real-network transport: reliable ordered Tell over
 // per-(peer, class) TCP connections with length-prefixed framing, dial
-// retry and a hello handshake; best-effort Cast over UDP on the same port.
+// retry and a hello handshake.
 type Socket struct {
-	info Info
+	info info
 	ln   net.Listener
-	udp  *net.UDPConn
 
 	mu      sync.Mutex
-	peers   map[simnet.NodeID]peer
+	peers   map[simnet.NodeID]string // dialable addresses
 	conns   map[connKey]*sendConn
 	inbound map[net.Conn]struct{}
 	closed  bool
@@ -237,45 +231,18 @@ type Socket struct {
 	redials       int64
 	journal       *obs.Journal
 
-	// Per-peer datagram budget (token bucket, bytes). Zero rate = no cap.
-	castRate    float64
-	castBurst   float64
-	castBuckets map[simnet.NodeID]*castBucket
-
-	castMu  sync.Mutex // serialises datagram framing into castBuf
-	castBuf []byte
-
-	castFallbacks  int64
-	castSuppressed int64
-	sentBytes      [simnet.ClassPreserve + 1]int64
+	sentBytes [simnet.ClassPreserve + 1]int64
 
 	h  atomic.Value // Handler
 	wg sync.WaitGroup
 }
 
-// peer is a known peer's dialable address and, once a Cast has needed it,
-// that address resolved for UDP.
-type peer struct {
-	addr string
-	udp  *net.UDPAddr
-}
-
-// castBucket is one peer's datagram token bucket.
-type castBucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// Stats is a point-in-time snapshot of the transport's connection health.
-type Stats struct {
+// stats is a point-in-time snapshot of the transport's connection health.
+type stats struct {
 	// DeadConns counts connections discarded after a write failure.
 	DeadConns int64
 	// Redials counts successful dials that replaced a dead connection.
 	Redials int64
-	// CastFallbacks counts oversized casts delivered reliably via Tell.
-	CastFallbacks int64
-	// CastSuppressed counts casts dropped by the per-peer send budget.
-	CastSuppressed int64
 }
 
 // SetJournal attaches a lifecycle journal: dead connections and redials
@@ -288,60 +255,19 @@ func (s *Socket) SetJournal(j *obs.Journal) {
 }
 
 // Stats reports connection-health counters since the socket was created.
-func (s *Socket) Stats() Stats {
+func (s *Socket) Stats() stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{
-		DeadConns: s.deadConns, Redials: s.redials,
-		CastFallbacks:  atomic.LoadInt64(&s.castFallbacks),
-		CastSuppressed: atomic.LoadInt64(&s.castSuppressed),
-	}
+	return stats{DeadConns: s.deadConns, Redials: s.redials}
 }
 
-// SetCastBudget caps the datagram bytes this node may send to any one
-// peer: a token bucket refilling at bytesPerSec with the given burst.
-// Casts over budget are silently suppressed (Cast is best-effort; the
-// CastSuppressed counter records them). A zero rate removes the cap.
-func (s *Socket) SetCastBudget(bytesPerSec, burst int) {
-	s.mu.Lock()
-	s.castRate = float64(bytesPerSec)
-	s.castBurst = float64(burst)
-	s.castBuckets = make(map[simnet.NodeID]*castBucket)
-	s.mu.Unlock()
-}
-
-// SentBytes reports the payload bytes sent on one traffic class, across
-// Tell and Cast. A cast that fell back to Tell counts once; suppressed
-// casts never reached the wire and do not count.
+// SentBytes reports the payload bytes Tell has sent on one traffic class.
 func (s *Socket) SentBytes(class simnet.Class) int64 {
 	return atomic.LoadInt64(&s.sentBytes[class])
 }
 
-// castAllowLocked charges n bytes against the peer's token bucket.
-func (s *Socket) castAllowLocked(to simnet.NodeID, n int) bool {
-	if s.castRate <= 0 {
-		return true
-	}
-	now := time.Now()
-	b := s.castBuckets[to]
-	if b == nil {
-		b = &castBucket{tokens: s.castBurst, last: now}
-		s.castBuckets[to] = b
-	}
-	b.tokens += now.Sub(b.last).Seconds() * s.castRate
-	if b.tokens > s.castBurst {
-		b.tokens = s.castBurst
-	}
-	b.last = now
-	if b.tokens < float64(n) {
-		return false
-	}
-	b.tokens -= float64(n)
-	return true
-}
-
-// NewSocket listens on listen ("host:port", port 0 for ephemeral) for both
-// TCP and UDP. advertise is the address peers dial to reach this node;
+// NewSocket listens on listen ("host:port", port 0 for ephemeral) for TCP.
+// advertise is the address peers dial to reach this node;
 // empty means the listener's own address (right for loopback and
 // single-host tests; multi-host deployments pass an externally routable
 // address).
@@ -350,43 +276,30 @@ func NewSocket(id simnet.NodeID, listen, advertise string) (*Socket, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", listen, err)
 	}
-	udp, err := net.ListenUDP("udp", &net.UDPAddr{
-		IP:   ln.Addr().(*net.TCPAddr).IP,
-		Port: ln.Addr().(*net.TCPAddr).Port,
-	})
-	if err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("transport: listen udp: %w", err)
-	}
 	if advertise == "" {
 		advertise = ln.Addr().String()
 	}
 	s := &Socket{
-		info:          Info{ID: id, Addr: advertise},
+		info:          info{ID: id, Addr: advertise},
 		ln:            ln,
-		udp:           udp,
-		peers:         make(map[simnet.NodeID]peer),
+		peers:         make(map[simnet.NodeID]string),
 		conns:         make(map[connKey]*sendConn),
 		inbound:       make(map[net.Conn]struct{}),
 		redialPending: make(map[connKey]bool),
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	go s.udpLoop()
 	return s, nil
 }
 
 // Info reports the node's identity and advertised address.
-func (s *Socket) Info() Info { return s.info }
+func (s *Socket) Info() info { return s.info }
 
 // AddPeer records a peer's dialable address. Accepted connections add
-// their dialer automatically via the hello handshake. A changed address
-// drops the resolved UDP address with it.
+// their dialer automatically via the hello handshake.
 func (s *Socket) AddPeer(id simnet.NodeID, addr string) {
 	s.mu.Lock()
-	if p, ok := s.peers[id]; !ok || p.addr != addr {
-		s.peers[id] = peer{addr: addr}
-	}
+	s.peers[id] = addr
 	s.mu.Unlock()
 }
 
@@ -405,8 +318,8 @@ func (s *Socket) Peers() []simnet.NodeID {
 func (s *Socket) PeerAddr(id simnet.NodeID) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, ok := s.peers[id]
-	return p.addr, ok
+	addr, ok := s.peers[id]
+	return addr, ok
 }
 
 // WaitPeers blocks until at least n peers are known or the timeout
@@ -449,7 +362,7 @@ func (s *Socket) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error 
 		}
 		sc, err := s.conn(to, class)
 		if err != nil {
-			if err == ErrUnknownPeer || err == ErrClosed {
+			if err == errUnknownPeer || err == errClosed {
 				return err
 			}
 			lastErr = err
@@ -463,65 +376,6 @@ func (s *Socket) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error 
 		s.dropConn(to, class, sc)
 	}
 	return fmt.Errorf("transport: tell %s/%s: %w", to, class, lastErr)
-}
-
-// Cast sends the frame as one best-effort UDP datagram; missing peers are
-// errors, network loss is not. A frame too large for one datagram falls
-// back to Tell transparently — the caller asked for best effort and gets
-// reliable delivery instead, at stream cost (journalled as cast_fallback).
-// When a per-peer budget is set, casts over budget are dropped, which is
-// within Cast's loss contract.
-func (s *Socket) Cast(to simnet.NodeID, class simnet.Class, frame []byte) error {
-	id := string(s.info.ID)
-	n := 1 + 2 + len(id) + len(frame)
-	s.mu.Lock()
-	p, ok := s.peers[to]
-	closed := s.closed
-	allowed := true
-	if !closed && ok && n <= maxDatagramBytes {
-		allowed = s.castAllowLocked(to, n)
-	}
-	journal := s.journal
-	s.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPeer, to)
-	}
-	if n > maxDatagramBytes {
-		atomic.AddInt64(&s.castFallbacks, 1)
-		journal.Emit(obs.Event{
-			At: time.Now().UnixNano(), Kind: "cast_fallback",
-			Node: string(s.info.ID), Detail: string(to),
-		})
-		return s.Tell(to, class, frame)
-	}
-	if !allowed {
-		atomic.AddInt64(&s.castSuppressed, 1)
-		return nil
-	}
-	if p.udp == nil { // first cast to this address: resolve and remember
-		ua, err := net.ResolveUDPAddr("udp", p.addr)
-		if err != nil {
-			return fmt.Errorf("transport: cast %s: %w", to, err)
-		}
-		p.udp = ua
-		s.mu.Lock()
-		if s.peers[to].addr == p.addr {
-			s.peers[to] = p
-		}
-		s.mu.Unlock()
-	}
-	atomic.AddInt64(&s.sentBytes[class], int64(len(frame)))
-	s.castMu.Lock()
-	defer s.castMu.Unlock()
-	buf := append(s.castBuf[:0], byte(class), byte(len(id)>>8), byte(len(id)))
-	buf = append(buf, id...)
-	buf = append(buf, frame...)
-	s.castBuf = buf
-	_, err := s.udp.WriteToUDP(buf, p.udp)
-	return err
 }
 
 // Close shuts the listeners and every connection down.
@@ -544,7 +398,6 @@ func (s *Socket) Close() error {
 	s.mu.Unlock()
 
 	s.ln.Close()
-	s.udp.Close()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -559,19 +412,19 @@ func (s *Socket) conn(to simnet.NodeID, class simnet.Class) (*sendConn, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if sc, ok := s.conns[key]; ok {
 		s.mu.Unlock()
 		return sc, nil
 	}
-	p, ok := s.peers[to]
+	addr, ok := s.peers[to]
 	s.mu.Unlock()
 	if !ok {
-		return nil, ErrUnknownPeer
+		return nil, errUnknownPeer
 	}
 
-	c, err := net.DialTimeout("tcp", p.addr, dialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -586,7 +439,7 @@ func (s *Socket) conn(to simnet.NodeID, class simnet.Class) (*sendConn, error) {
 	if s.closed {
 		s.mu.Unlock()
 		c.Close()
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	if prior, ok := s.conns[key]; ok {
 		// A concurrent Tell won the dial race; keep its connection.
@@ -781,30 +634,6 @@ func (s *Socket) serveConn(c net.Conn) {
 		}
 		if h := s.handler(); h != nil {
 			h(hello.ID, class, frame)
-		}
-	}
-}
-
-func (s *Socket) udpLoop() {
-	defer s.wg.Done()
-	buf := make([]byte, maxDatagramBytes)
-	for {
-		n, _, err := s.udp.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		if n < 3 {
-			continue
-		}
-		class := simnet.Class(buf[0])
-		idLen := int(buf[1])<<8 | int(buf[2])
-		if 3+idLen > n {
-			continue
-		}
-		from := simnet.NodeID(buf[3 : 3+idLen])
-		frame := append([]byte(nil), buf[3+idLen:n]...)
-		if h := s.handler(); h != nil {
-			h(from, class, frame)
 		}
 	}
 }

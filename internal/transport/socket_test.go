@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -145,11 +144,8 @@ func TestSocketPerClassConns(t *testing.T) {
 
 func TestSocketUnknownPeer(t *testing.T) {
 	a, _ := newSock(t, "a")
-	if err := a.Tell("ghost", simnet.ClassData, []byte("x")); !errors.Is(err, ErrUnknownPeer) {
+	if err := a.Tell("ghost", simnet.ClassData, []byte("x")); !errors.Is(err, errUnknownPeer) {
 		t.Fatalf("tell to unknown peer: %v", err)
-	}
-	if err := a.Cast("ghost", simnet.ClassData, []byte("x")); !errors.Is(err, ErrUnknownPeer) {
-		t.Fatalf("cast to unknown peer: %v", err)
 	}
 }
 
@@ -244,151 +240,13 @@ func TestSocketLargeFrame(t *testing.T) {
 	}
 }
 
-func TestSocketCastUDP(t *testing.T) {
-	a, _ := newSock(t, "a")
-	b, bc := newSock(t, "b")
-	a.AddPeer("b", b.Info().Addr)
-	// UDP is best-effort even on loopback; send a few.
-	for i := 0; i < 5; i++ {
-		if err := a.Cast("b", simnet.ClassPreserve, []byte("gram")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := bc.wait(t, 1, 5*time.Second)
-	if got[0].from != "a" || got[0].class != simnet.ClassPreserve || string(got[0].frame) != "gram" {
-		t.Fatalf("datagram: %+v", got[0])
-	}
-
-	// The peer moves: the address resolved for the old one must not stick.
-	c, cc := newSock(t, "c")
-	a.AddPeer("b", c.Info().Addr)
-	for i := 0; i < 5; i++ {
-		if err := a.Cast("b", simnet.ClassPreserve, []byte("moved")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := cc.wait(t, 1, 5*time.Second); got[0].from != "a" || string(got[0].frame) != "moved" {
-		t.Fatalf("datagram after the address change: %+v", got[0])
-	}
-	// Re-announcing the same address (every inbound hello does) keeps it.
-	a.AddPeer("b", c.Info().Addr)
-	a.mu.Lock()
-	resolved := a.peers["b"].udp
-	a.mu.Unlock()
-	if resolved == nil || resolved.Port != c.udp.LocalAddr().(*net.UDPAddr).Port {
-		t.Fatalf("resolved address after re-announce: %v", resolved)
-	}
-}
-
-// TestSocketCastZeroAlloc: the steady-state cast neither resolves the
-// peer's address nor allocates a datagram buffer. The peer is a bare UDP
-// socket nobody reads, so only the sender's allocations are counted.
-func TestSocketCastZeroAlloc(t *testing.T) {
-	a, _ := newSock(t, "a")
-	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	a.AddPeer("b", peer.LocalAddr().String())
-	frame := make([]byte, 200)
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := a.Cast("b", simnet.ClassControl, frame); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Cast allocated %.1f/op, want 0", allocs)
-	}
-}
-
-// TestSocketCastFallback: a frame too large for one datagram is delivered
-// anyway — Cast transparently downgrades to Tell — and the downgrade is
-// observable in the stats and the journal.
-func TestSocketCastFallback(t *testing.T) {
-	a, _ := newSock(t, "a")
-	j := obs.NewJournal(0)
-	a.SetJournal(j)
-	b, bc := newSock(t, "b")
-	a.AddPeer("b", b.Info().Addr)
-
-	big := make([]byte, maxDatagramBytes) // header pushes it over the limit
-	for i := range big {
-		big[i] = byte(i)
-	}
-	if err := a.Cast("b", simnet.ClassControl, big); err != nil {
-		t.Fatalf("oversized cast must fall back, not error: %v", err)
-	}
-	got := bc.wait(t, 1, 5*time.Second)
-	if got[0].from != "a" || got[0].class != simnet.ClassControl || len(got[0].frame) != len(big) {
-		t.Fatalf("fallback frame: from=%s class=%s len=%d", got[0].from, got[0].class, len(got[0].frame))
-	}
-	if st := a.Stats(); st.CastFallbacks != 1 {
-		t.Fatalf("CastFallbacks = %d, want 1", st.CastFallbacks)
-	}
-	var logged bool
-	for _, ev := range j.Events() {
-		if ev.Kind == "cast_fallback" && ev.Detail == "b" {
-			logged = true
-		}
-	}
-	if !logged {
-		t.Fatalf("journal missing cast_fallback event: %+v", j.Events())
-	}
-	if got := a.SentBytes(simnet.ClassControl); got != int64(len(big)) {
-		t.Fatalf("SentBytes counted fallback twice or not at all: %d", got)
-	}
-}
-
-// TestSocketCastBudget: with a per-peer budget set, casts beyond the burst
-// are suppressed rather than sent, and the suppression is counted.
-func TestSocketCastBudget(t *testing.T) {
-	a, _ := newSock(t, "a")
-	b, bc := newSock(t, "b")
-	a.AddPeer("b", b.Info().Addr)
-	// 1 byte/s refill: effectively only the burst is spendable in-test.
-	a.SetCastBudget(1, 300)
-
-	for i := 0; i < 10; i++ {
-		if err := a.Cast("b", simnet.ClassControl, make([]byte, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := a.Stats()
-	if st.CastSuppressed == 0 {
-		t.Fatal("no casts suppressed despite exhausted budget")
-	}
-	if sent := 10 - int(st.CastSuppressed); sent < 1 || sent > 4 {
-		t.Fatalf("sent %d datagrams, want 1..4 under a 300-byte burst", sent)
-	}
-	bc.wait(t, 1, 5*time.Second) // at least one within-budget cast arrives
-
-	// The budget is the peer's, not the address's: moving does not refill it.
-	c, _ := newSock(t, "c")
-	a.AddPeer("b", c.Info().Addr)
-	if err := a.Cast("b", simnet.ClassControl, make([]byte, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if after := a.Stats().CastSuppressed; after != st.CastSuppressed+1 {
-		t.Fatalf("cast after an address change: suppressed %d -> %d, want one more", st.CastSuppressed, after)
-	}
-
-	a.SetCastBudget(0, 0) // lifting the cap restores unlimited casts
-	if err := a.Cast("b", simnet.ClassControl, []byte("free")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSocketTellAfterClose(t *testing.T) {
 	a, _ := newSock(t, "a")
 	b, _ := newSock(t, "b")
 	a.AddPeer("b", b.Info().Addr)
 	a.Close()
-	if err := a.Tell("b", simnet.ClassData, []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := a.Tell("b", simnet.ClassData, []byte("x")); !errors.Is(err, errClosed) {
 		t.Fatalf("tell after close: %v", err)
-	}
-	if err := a.Cast("b", simnet.ClassData, []byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("cast after close: %v", err)
 	}
 }
 

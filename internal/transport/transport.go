@@ -1,6 +1,6 @@
 // Package transport abstracts the network under the MobiStreams planes so
 // the same runtime code can run over the simulated region WiFi or over real
-// UDP/TCP sockets. The interface is deliberately minimal — the Info /
+// TCP sockets. The interface is deliberately minimal — the Info /
 // Tell / Receive triple — with frames as opaque []byte encoded by
 // internal/wire; everything transport-specific (airtime reservation,
 // dialing, framing, retry) lives behind it.
@@ -22,8 +22,8 @@ import (
 // across senders.
 type Handler func(from simnet.NodeID, class simnet.Class, frame []byte)
 
-// Info identifies a transport attachment.
-type Info struct {
+// info identifies a transport attachment.
+type info struct {
 	// ID is the node's identity on the transport.
 	ID simnet.NodeID
 	// Addr is the address peers can dial to reach this node; empty for
@@ -35,7 +35,7 @@ type Info struct {
 // ordered reliable send to one peer, and a receive hook.
 type Transport interface {
 	// Info reports this attachment's identity.
-	Info() Info
+	Info() info
 	// Tell reliably delivers frame to the peer, preserving order among
 	// Tells to the same (peer, class). It blocks until the frame is
 	// handed to the network and returns an error if the peer is unknown
@@ -49,16 +49,9 @@ type Transport interface {
 	Close() error
 }
 
-// Caster is the optional best-effort extension: an unordered, unreliable
-// datagram send (UDP, lossy WiFi broadcast). Both built-in backends
-// implement it.
-type Caster interface {
-	Cast(to simnet.NodeID, class simnet.Class, frame []byte) error
-}
-
-// ErrUnknownPeer is returned by Tell/Cast when the destination has no
+// errUnknownPeer is returned by Tell when the destination has no
 // address book entry and cannot be dialed.
-var ErrUnknownPeer = errors.New("transport: unknown peer")
+var errUnknownPeer = errors.New("transport: unknown peer")
 
-// ErrClosed is returned by operations on a closed transport.
-var ErrClosed = errors.New("transport: closed")
+// errClosed is returned by operations on a closed transport.
+var errClosed = errors.New("transport: closed")

@@ -122,10 +122,10 @@ func (k MarkerKind) String() string {
 	}
 }
 
-// TokenSize is the on-the-wire size of a marker in bytes. The paper reports
+// tokenSize is the on-the-wire size of a marker in bytes. The paper reports
 // token overhead below 1% of tuple size; 64 bytes is negligible next to
 // 100+ KB image tuples.
-const TokenSize = 64
+const tokenSize = 64
 
 // Marker is an in-band control marker. Markers flow through the same FIFO
 // edges as tuples, so a marker received on an edge partitions that edge's
@@ -154,7 +154,7 @@ func (it Item) WireSize() int {
 	if it.Tuple != nil {
 		return it.Tuple.Size
 	}
-	return TokenSize
+	return tokenSize
 }
 
 // DataItem wraps a tuple as a stream item.

@@ -26,8 +26,8 @@ func TestItemWireSize(t *testing.T) {
 		t.Fatalf("data wire size = %d, want 4096", d.WireSize())
 	}
 	m := MarkerItem(Marker{Kind: MarkerToken, Version: 3})
-	if m.WireSize() != TokenSize {
-		t.Fatalf("marker wire size = %d, want %d", m.WireSize(), TokenSize)
+	if m.WireSize() != tokenSize {
+		t.Fatalf("marker wire size = %d, want %d", m.WireSize(), tokenSize)
 	}
 	if m.Marker == nil || m.Marker.Version != 3 {
 		t.Fatal("marker payload lost")
@@ -113,7 +113,7 @@ func TestMarkerWireSizeProperty(t *testing.T) {
 		if kind {
 			k = MarkerReplayEnd
 		}
-		return MarkerItem(Marker{Kind: k, Version: version}).WireSize() == TokenSize
+		return MarkerItem(Marker{Kind: k, Version: version}).WireSize() == tokenSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

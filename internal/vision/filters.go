@@ -59,7 +59,7 @@ func ColorFilter(im *Image) []Blob {
 	}
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
+			r, g, b := im.at(x, y)
 			if c, ok := matchColor(r, g, b); ok {
 				colorOf[y*im.W+x] = int8(c)
 			}

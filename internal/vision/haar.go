@@ -1,16 +1,16 @@
 package vision
 
-// Integral is a summed-area table over image luma, the core acceleration
+// integral is a summed-area table over image luma, the core acceleration
 // structure of the Viola-Jones/HaarTraining detector the paper's BCP
 // counter runs [17].
-type Integral struct {
+type integral struct {
 	W, H int
 	sum  []int64
 }
 
-// NewIntegral builds the summed-area table in one pass.
-func NewIntegral(im *Image) *Integral {
-	ii := &Integral{W: im.W, H: im.H, sum: make([]int64, (im.W+1)*(im.H+1))}
+// newIntegral builds the summed-area table in one pass.
+func newIntegral(im *Image) *integral {
+	ii := &integral{W: im.W, H: im.H, sum: make([]int64, (im.W+1)*(im.H+1))}
 	stride := im.W + 1
 	for y := 1; y <= im.H; y++ {
 		var rowSum int64
@@ -22,9 +22,9 @@ func NewIntegral(im *Image) *Integral {
 	return ii
 }
 
-// RectSum returns the luma sum over the rectangle [x, x+w) x [y, y+h) in
+// rectSum returns the luma sum over the rectangle [x, x+w) x [y, y+h) in
 // O(1).
-func (ii *Integral) RectSum(x, y, w, h int) int64 {
+func (ii *integral) rectSum(x, y, w, h int) int64 {
 	stride := ii.W + 1
 	a := ii.sum[y*stride+x]
 	b := ii.sum[y*stride+x+w]
@@ -33,12 +33,12 @@ func (ii *Integral) RectSum(x, y, w, h int) int64 {
 	return d - b - c + a
 }
 
-// RectMean returns the mean luma over a rectangle.
-func (ii *Integral) RectMean(x, y, w, h int) float64 {
+// rectMean returns the mean luma over a rectangle.
+func (ii *integral) rectMean(x, y, w, h int) float64 {
 	if w <= 0 || h <= 0 {
 		return 0
 	}
-	return float64(ii.RectSum(x, y, w, h)) / float64(w*h)
+	return float64(ii.rectSum(x, y, w, h)) / float64(w*h)
 }
 
 // haarFeature is a two-region contrast test on the canonical 24x24 window:
@@ -53,19 +53,19 @@ type haarFeature struct {
 // keep the synthetic cascade exact; real cascades use weighted sums).
 type stage []haarFeature
 
-// Cascade is a Haar-like detection cascade over a sliding window.
-type Cascade struct {
+// cascade is a Haar-like detection cascade over a sliding window.
+type cascade struct {
 	base   int
 	stages []stage
 }
 
-// FaceCascade returns the cascade keyed to the canonical synthetic face:
+// faceCascade returns the cascade keyed to the canonical synthetic face:
 // stage 1 tests the eye band darker than the forehead, stage 2 the mouth
 // darker than the cheeks, stage 3 overall skin brightness against the
 // background.
-func FaceCascade() *Cascade {
-	s := FaceSize
-	return &Cascade{
+func faceCascade() *cascade {
+	s := faceSize
+	return &cascade{
 		base: s,
 		stages: []stage{
 			{ // eye band vs forehead
@@ -83,11 +83,11 @@ func FaceCascade() *Cascade {
 }
 
 // windowPasses evaluates all stages at (x, y) with scale 1.
-func (c *Cascade) windowPasses(ii *Integral, x, y int) bool {
+func (c *cascade) windowPasses(ii *integral, x, y int) bool {
 	for si, st := range c.stages {
 		for _, f := range st {
-			bright := ii.RectMean(x+f.bx, y+f.by, f.bw, f.bh)
-			dark := ii.RectMean(x+f.dx, y+f.dy, f.dw, f.dh)
+			bright := ii.rectMean(x+f.bx, y+f.by, f.bw, f.bh)
+			dark := ii.rectMean(x+f.dx, y+f.dy, f.dw, f.dh)
 			if si == len(c.stages)-1 {
 				// absolute-brightness stage
 				if bright < 150 {
@@ -103,23 +103,23 @@ func (c *Cascade) windowPasses(ii *Integral, x, y int) bool {
 	return true
 }
 
-// Detection is one accepted window.
-type Detection struct{ X, Y, Size int }
+// detection is one accepted window.
+type detection struct{ X, Y, Size int }
 
-// Detect slides the cascade across the integral image with the given step
+// detect slides the cascade across the integral image with the given step
 // and returns non-maximum-suppressed detections. The acceptance region
 // around a true face is several pixels wide, so the suppression radius is
 // 3/4 of the window — wide enough to merge a face's cluster, narrower than
 // the minimum spacing of distinct faces.
-func (c *Cascade) Detect(ii *Integral, step int) []Detection {
+func (c *cascade) detect(ii *integral, step int) []detection {
 	if step <= 0 {
 		step = 1
 	}
-	var raw []Detection
+	var raw []detection
 	for y := 0; y+c.base <= ii.H; y += step {
 		for x := 0; x+c.base <= ii.W; x += step {
 			if c.windowPasses(ii, x, y) {
-				raw = append(raw, Detection{X: x, Y: y, Size: c.base})
+				raw = append(raw, detection{X: x, Y: y, Size: c.base})
 			}
 		}
 	}
@@ -130,12 +130,12 @@ func (c *Cascade) Detect(ii *Integral, step int) []Detection {
 // suppression — and returns the face count. This is the BCP counter
 // operator's kernel.
 func CountFaces(im *Image) int {
-	return len(FaceCascade().Detect(NewIntegral(im), 1))
+	return len(faceCascade().detect(newIntegral(im), 1))
 }
 
 // suppress keeps one detection per cluster closer than minDist.
-func suppress(raw []Detection, minDist int) []Detection {
-	var kept []Detection
+func suppress(raw []detection, minDist int) []detection {
+	var kept []detection
 	for _, d := range raw {
 		dup := false
 		for _, k := range kept {
@@ -150,12 +150,4 @@ func suppress(raw []Detection, minDist int) []Detection {
 		}
 	}
 	return kept
-}
-
-// WindowPassesForTest exposes window evaluation for diagnostics.
-func WindowPassesForTest(ii *Integral, x, y int) bool {
-	if x < 0 || y < 0 || x+FaceSize > ii.W || y+FaceSize > ii.H {
-		return false
-	}
-	return FaceCascade().windowPasses(ii, x, y)
 }

@@ -15,19 +15,19 @@ type Image struct {
 	Pix  []uint8 // RGB interleaved, len = W*H*3
 }
 
-// NewImage allocates a black image.
-func NewImage(w, h int) *Image {
+// newImage allocates a black image.
+func newImage(w, h int) *Image {
 	return &Image{W: w, H: h, Pix: make([]uint8, w*h*3)}
 }
 
-// At returns the RGB triple at (x, y).
-func (im *Image) At(x, y int) (r, g, b uint8) {
+// at returns the RGB triple at (x, y).
+func (im *Image) at(x, y int) (r, g, b uint8) {
 	i := (y*im.W + x) * 3
 	return im.Pix[i], im.Pix[i+1], im.Pix[i+2]
 }
 
-// Set writes the RGB triple at (x, y); out-of-bounds writes are ignored.
-func (im *Image) Set(x, y int, r, g, b uint8) {
+// set writes the RGB triple at (x, y); out-of-bounds writes are ignored.
+func (im *Image) set(x, y int, r, g, b uint8) {
 	if x < 0 || y < 0 || x >= im.W || y >= im.H {
 		return
 	}
@@ -37,18 +37,15 @@ func (im *Image) Set(x, y int, r, g, b uint8) {
 
 // Gray returns the luma at (x, y) in [0,255].
 func (im *Image) Gray(x, y int) int {
-	r, g, b := im.At(x, y)
+	r, g, b := im.at(x, y)
 	return (299*int(r) + 587*int(g) + 114*int(b)) / 1000
 }
-
-// Bytes reports the serialized size used for network accounting.
-func (im *Image) Bytes() int { return len(im.Pix) }
 
 // fillRect paints a filled rectangle.
 func (im *Image) fillRect(x0, y0, w, h int, r, g, b uint8) {
 	for y := y0; y < y0+h; y++ {
 		for x := x0; x < x0+w; x++ {
-			im.Set(x, y, r, g, b)
+			im.set(x, y, r, g, b)
 		}
 	}
 }
@@ -59,15 +56,15 @@ func (im *Image) fillDisc(cx, cy, rad int, r, g, b uint8) {
 		for x := cx - rad; x <= cx+rad; x++ {
 			dx, dy := x-cx, y-cy
 			if dx*dx+dy*dy <= rad*rad {
-				im.Set(x, y, r, g, b)
+				im.set(x, y, r, g, b)
 			}
 		}
 	}
 }
 
-// FaceSize is the canonical planted face edge length in pixels; the
+// faceSize is the canonical planted face edge length in pixels; the
 // detector's base window matches it.
-const FaceSize = 24
+const faceSize = 24
 
 // Scene parameterises a synthetic camera frame.
 type Scene struct {
@@ -76,16 +73,16 @@ type Scene struct {
 	Seed  int64
 }
 
-// PlantedFace records where a face was planted (ground truth for tests).
-type PlantedFace struct{ X, Y int }
+// plantedFace records where a face was planted (ground truth for tests).
+type plantedFace struct{ X, Y int }
 
 // GenerateFaces renders a bus-stop frame with n planted faces at random
 // non-overlapping positions and returns the frame with ground truth.
-func GenerateFaces(sc Scene, n int) (*Image, []PlantedFace) {
+func GenerateFaces(sc Scene, n int) (*Image, []plantedFace) {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	im := background(sc, rng)
-	var placed []PlantedFace
-	const cell = FaceSize + 8
+	var placed []plantedFace
+	const cell = faceSize + 8
 	cols := (sc.W - 8) / cell
 	rows := (sc.H - 8) / cell
 	if cols*rows < n {
@@ -98,7 +95,7 @@ func GenerateFaces(sc Scene, n int) (*Image, []PlantedFace) {
 		x := 4 + cx*cell + rng.Intn(5)
 		y := 4 + cy*cell + rng.Intn(5)
 		plantFace(im, x, y)
-		placed = append(placed, PlantedFace{X: x, Y: y})
+		placed = append(placed, plantedFace{X: x, Y: y})
 	}
 	return im, placed
 }
@@ -107,7 +104,7 @@ func GenerateFaces(sc Scene, n int) (*Image, []PlantedFace) {
 // darker eye band in the upper third and a darker mouth strip near the
 // bottom — the contrast structure the Haar cascade keys on.
 func plantFace(im *Image, x, y int) {
-	s := FaceSize
+	s := faceSize
 	im.fillRect(x, y, s, s, 200, 170, 150)               // skin
 	im.fillRect(x+2, y+s/4, s-4, s/6, 70, 60, 55)        // eye band
 	im.fillRect(x+s/4, y+(3*s)/4, s/2, s/8, 110, 70, 65) // mouth
@@ -137,8 +134,8 @@ func (c LightColor) String() string {
 	}
 }
 
-// PlantedLight records a planted traffic light (ground truth).
-type PlantedLight struct {
+// plantedLight records a planted traffic light (ground truth).
+type plantedLight struct {
 	X, Y, R int
 	Color   LightColor
 }
@@ -146,14 +143,14 @@ type PlantedLight struct {
 // GenerateIntersection renders a windshield frame with one traffic light in
 // the given state plus colourful distractor rectangles (brake lights, signs)
 // that the shape/motion filters must reject.
-func GenerateIntersection(sc Scene, color LightColor, distractors int) (*Image, PlantedLight) {
+func GenerateIntersection(sc Scene, color LightColor, distractors int) (*Image, plantedLight) {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	im := background(sc, rng)
 	// Signal head: dark housing with the lit disc.
 	hx, hy := sc.W/2+rng.Intn(sc.W/8), sc.H/4+rng.Intn(sc.H/8)
 	im.fillRect(hx-6, hy-6, 12, 34, 25, 25, 25)
 	rad := 4
-	light := PlantedLight{X: hx, Y: hy + int(color)*10, R: rad, Color: color}
+	light := plantedLight{X: hx, Y: hy + int(color)*10, R: rad, Color: color}
 	r, g, b := colorRGB(color)
 	im.fillDisc(light.X, light.Y, rad, r, g, b)
 	// Distractors: saturated but non-circular or off-palette shapes.
@@ -167,7 +164,7 @@ func GenerateIntersection(sc Scene, color LightColor, distractors int) (*Image, 
 			im.fillRect(x, y, 6, 6, 240, 160, 40)
 		default: // foliage: green but ragged
 			for k := 0; k < 12; k++ {
-				im.Set(x+rng.Intn(8), y+rng.Intn(8), 40, 200, 60)
+				im.set(x+rng.Intn(8), y+rng.Intn(8), 40, 200, 60)
 			}
 		}
 	}
@@ -186,7 +183,7 @@ func colorRGB(c LightColor) (uint8, uint8, uint8) {
 }
 
 func background(sc Scene, rng *rand.Rand) *Image {
-	im := NewImage(sc.W, sc.H)
+	im := newImage(sc.W, sc.H)
 	for i := range im.Pix {
 		v := 120 + rng.Intn(sc.Noise+1) - sc.Noise/2
 		if v < 0 {

@@ -6,23 +6,23 @@ import (
 )
 
 func TestIntegralRectSum(t *testing.T) {
-	im := NewImage(8, 8)
+	im := newImage(8, 8)
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
-			im.Set(x, y, 10, 10, 10) // luma 10
+			im.set(x, y, 10, 10, 10) // luma 10
 		}
 	}
-	ii := NewIntegral(im)
-	if got := ii.RectSum(0, 0, 8, 8); got != 64*10 {
+	ii := newIntegral(im)
+	if got := ii.rectSum(0, 0, 8, 8); got != 64*10 {
 		t.Fatalf("full sum = %d, want 640", got)
 	}
-	if got := ii.RectSum(2, 2, 3, 4); got != 12*10 {
+	if got := ii.rectSum(2, 2, 3, 4); got != 12*10 {
 		t.Fatalf("inner sum = %d, want 120", got)
 	}
-	if got := ii.RectMean(2, 2, 3, 4); got != 10 {
+	if got := ii.rectMean(2, 2, 3, 4); got != 10 {
 		t.Fatalf("mean = %v, want 10", got)
 	}
-	if got := ii.RectMean(0, 0, 0, 0); got != 0 {
+	if got := ii.rectMean(0, 0, 0, 0); got != 0 {
 		t.Fatalf("empty mean = %v", got)
 	}
 }
@@ -32,7 +32,7 @@ func TestIntegralRectSum(t *testing.T) {
 func TestIntegralMatchesBruteForce(t *testing.T) {
 	f := func(seed int64, rx, ry, rw, rh uint8) bool {
 		im, _ := GenerateFaces(Scene{W: 40, H: 30, Noise: 50, Seed: seed}, 1)
-		ii := NewIntegral(im)
+		ii := newIntegral(im)
 		x := int(rx) % 30
 		y := int(ry) % 20
 		w := int(rw)%(40-x) + 1
@@ -43,7 +43,7 @@ func TestIntegralMatchesBruteForce(t *testing.T) {
 				want += int64(im.Gray(xx, yy))
 			}
 		}
-		return ii.RectSum(x, y, w, h) == want
+		return ii.rectSum(x, y, w, h) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestCountFacesExact(t *testing.T) {
 
 func TestDetectionLocations(t *testing.T) {
 	im, planted := GenerateFaces(Scene{W: 200, H: 150, Noise: 20, Seed: 42}, 4)
-	dets := FaceCascade().Detect(NewIntegral(im), 1)
+	dets := faceCascade().detect(newIntegral(im), 1)
 	if len(dets) != len(planted) {
 		t.Fatalf("detections = %d, want %d", len(dets), len(planted))
 	}
@@ -180,14 +180,14 @@ func TestVote(t *testing.T) {
 }
 
 func TestImageAccessors(t *testing.T) {
-	im := NewImage(4, 4)
-	im.Set(1, 2, 10, 20, 30)
-	r, g, b := im.At(1, 2)
+	im := newImage(4, 4)
+	im.set(1, 2, 10, 20, 30)
+	r, g, b := im.at(1, 2)
 	if r != 10 || g != 20 || b != 30 {
 		t.Fatal("set/at mismatch")
 	}
-	im.Set(-1, 0, 9, 9, 9) // must not panic
-	im.Set(4, 4, 9, 9, 9)
+	im.set(-1, 0, 9, 9, 9) // must not panic
+	im.set(4, 4, 9, 9, 9)
 	if im.Bytes() != 4*4*3 {
 		t.Fatalf("bytes = %d", im.Bytes())
 	}
@@ -213,3 +213,6 @@ func BenchmarkColorShapePipeline(b *testing.B) {
 		ShapeFilter(ColorFilter(im))
 	}
 }
+
+// Bytes reports the serialized size used for network accounting.
+func (im *Image) Bytes() int { return len(im.Pix) }

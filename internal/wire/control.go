@@ -15,7 +15,7 @@ type Command struct {
 }
 
 // Report is the wire form of a node-to-controller report. Type mirrors
-// node.ReportType values.
+// node.reportType values.
 type Report struct {
 	Type     uint8
 	Phone    simnet.NodeID
@@ -27,20 +27,20 @@ type Report struct {
 	Err      string
 }
 
-// Truncate is the wire form of a retained-output truncation notice.
-type Truncate struct {
+// truncate is the wire form of a retained-output truncation notice.
+type truncate struct {
 	Downstream string
 	Upto       uint64
 }
 
-// Resend is the wire form of an upstream resend request.
-type Resend struct {
+// resend is the wire form of an upstream resend request.
+type resend struct {
 	Downstream string
 	After      uint64
 }
 
-// FetchBlob is the wire form of a peer blob fetch request.
-type FetchBlob struct {
+// fetchBlob is the wire form of a peer blob fetch request.
+type fetchBlob struct {
 	Slot    string
 	Version uint64
 }
@@ -147,60 +147,60 @@ func DecodeReport(frame []byte) (Report, error) {
 }
 
 // SizeTruncate reports the exact frame size AppendTruncate will produce.
-func SizeTruncate(t *Truncate) int { return 1 + sizeString(t.Downstream) + 8 }
+func SizeTruncate(t *truncate) int { return 1 + sizeString(t.Downstream) + 8 }
 
 // AppendTruncate encodes a truncation frame onto dst.
-func AppendTruncate(dst []byte, t *Truncate) []byte {
-	dst = appendU8(dst, byte(KindTruncate))
+func AppendTruncate(dst []byte, t *truncate) []byte {
+	dst = appendU8(dst, byte(kindTruncate))
 	dst = appendString(dst, t.Downstream)
 	return appendU64(dst, t.Upto)
 }
 
-// DecodeTruncate decodes a truncation frame.
-func DecodeTruncate(frame []byte) (Truncate, error) {
+// decodeTruncate decodes a truncation frame.
+func decodeTruncate(frame []byte) (truncate, error) {
 	r := reader{b: frame}
-	r.kind(KindTruncate)
-	var t Truncate
+	r.kind(kindTruncate)
+	var t truncate
 	t.Downstream = r.str()
 	t.Upto = r.u64()
 	return t, r.done()
 }
 
 // SizeResend reports the exact frame size AppendResend will produce.
-func SizeResend(m *Resend) int { return 1 + sizeString(m.Downstream) + 8 }
+func SizeResend(m *resend) int { return 1 + sizeString(m.Downstream) + 8 }
 
 // AppendResend encodes a resend request frame onto dst.
-func AppendResend(dst []byte, m *Resend) []byte {
-	dst = appendU8(dst, byte(KindResend))
+func AppendResend(dst []byte, m *resend) []byte {
+	dst = appendU8(dst, byte(kindResend))
 	dst = appendString(dst, m.Downstream)
 	return appendU64(dst, m.After)
 }
 
-// DecodeResend decodes a resend request frame.
-func DecodeResend(frame []byte) (Resend, error) {
+// decodeResend decodes a resend request frame.
+func decodeResend(frame []byte) (resend, error) {
 	r := reader{b: frame}
-	r.kind(KindResend)
-	var m Resend
+	r.kind(kindResend)
+	var m resend
 	m.Downstream = r.str()
 	m.After = r.u64()
 	return m, r.done()
 }
 
 // SizeFetchBlob reports the exact frame size AppendFetchBlob will produce.
-func SizeFetchBlob(m *FetchBlob) int { return 1 + sizeString(m.Slot) + 8 }
+func SizeFetchBlob(m *fetchBlob) int { return 1 + sizeString(m.Slot) + 8 }
 
 // AppendFetchBlob encodes a blob fetch request frame onto dst.
-func AppendFetchBlob(dst []byte, m *FetchBlob) []byte {
-	dst = appendU8(dst, byte(KindFetchBlob))
+func AppendFetchBlob(dst []byte, m *fetchBlob) []byte {
+	dst = appendU8(dst, byte(kindFetchBlob))
 	dst = appendString(dst, m.Slot)
 	return appendU64(dst, m.Version)
 }
 
-// DecodeFetchBlob decodes a blob fetch request frame.
-func DecodeFetchBlob(frame []byte) (FetchBlob, error) {
+// decodeFetchBlob decodes a blob fetch request frame.
+func decodeFetchBlob(frame []byte) (fetchBlob, error) {
 	r := reader{b: frame}
-	r.kind(KindFetchBlob)
-	var m FetchBlob
+	r.kind(kindFetchBlob)
+	var m fetchBlob
 	m.Slot = r.str()
 	m.Version = r.u64()
 	return m, r.done()
@@ -213,7 +213,7 @@ func SizeHello(h *Hello) int {
 
 // AppendHello encodes a handshake frame onto dst.
 func AppendHello(dst []byte, h *Hello) []byte {
-	dst = appendU8(dst, byte(KindHello))
+	dst = appendU8(dst, byte(kindHello))
 	dst = appendString(dst, string(h.ID))
 	return appendString(dst, h.Addr)
 }
@@ -221,7 +221,7 @@ func AppendHello(dst []byte, h *Hello) []byte {
 // DecodeHello decodes a handshake frame.
 func DecodeHello(frame []byte) (Hello, error) {
 	r := reader{b: frame}
-	r.kind(KindHello)
+	r.kind(kindHello)
 	var h Hello
 	h.ID = simnet.NodeID(r.str())
 	h.Addr = r.str()

@@ -29,7 +29,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		FromSlot: "a", FromOp: "x", ToSlot: "b", ToOp: "y", EdgeSeq: 1,
 		Item: tuple.MarkerItem(tuple.Marker{Kind: tuple.MarkerToken, Version: 2}),
 	}}}))
-	add(AppendPreserve(nil, &Preserve{Version: 1, Source: "s", T: tp}))
+	add(AppendPreserve(nil, &preserve{Version: 1, Source: "s", T: tp}))
 	add(AppendCommand(nil, &Command{Op: 2, Version: 1, Target: "n1", Slot: "a"}), nil)
 	add(AppendReport(nil, &Report{Type: 1, Phone: "n1", Slot: "a", Version: 1}), nil)
 	add(AppendRuntime(nil, &Runtime{
@@ -40,11 +40,11 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		Ops: map[string][]byte{"x": {1}}, DeltaOps: map[string]bool{"x": true},
 		Runtime: []byte{9}, Size: 10, FullSize: 20, CRC: 3,
 	}), nil)
-	add(AppendCkptChunk(nil, &CkptChunk{Slot: "a", Version: 1, Index: 0,
+	add(AppendCkptChunk(nil, &ckptChunk{Slot: "a", Version: 1, Index: 0,
 		Total: 2, CRC: 9, Data: []byte("xy")}), nil)
-	add(AppendTruncate(nil, &Truncate{Downstream: "b", Upto: 5}), nil)
-	add(AppendResend(nil, &Resend{Downstream: "b", After: 5}), nil)
-	add(AppendFetchBlob(nil, &FetchBlob{Slot: "a", Version: 1}), nil)
+	add(AppendTruncate(nil, &truncate{Downstream: "b", Upto: 5}), nil)
+	add(AppendResend(nil, &resend{Downstream: "b", After: 5}), nil)
+	add(AppendFetchBlob(nil, &fetchBlob{Slot: "a", Version: 1}), nil)
 	add(AppendHello(nil, &Hello{ID: "n1", Addr: "127.0.0.1:1"}), nil)
 	add(AppendAssign(nil, &Assign{Lead: "n0", Seed: 1, Tuples: 10, TokenEvery: 5,
 		Stages: []AssignStage{{Slot: "a", Op: "pass", Host: "n0"}},

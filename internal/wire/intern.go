@@ -7,27 +7,34 @@ import (
 
 // Decoded names (slot, operator, source and kind names) repeat on every
 // frame of an edge, so decode looks each one up in a process-wide table
-// before copying it out of the frame. A hit compares the bytes and returns
-// the stored string without allocating. A miss allocates the string (and
-// the pointer a slot holds) and stores it in the name's home slot, or in
-// the slot sharing its bucket when the home slot is taken and that one is
-// empty, so two hot names that hash together do not evict each other.
-// Memory is bounded by internSlots × internMaxLen whatever the traffic:
-// hostile or high-churn names only cost misses. The hash is seeded per
-// process, so a peer cannot choose names that thrash one bucket. Interned
-// strings are copies, never views: frames belong to their callers, who
-// may reuse them.
+// before copying it out of the frame. The table is split into buckets of
+// internWays slots; a name may sit in any slot of its bucket, and its home
+// slot is probed first. A hit compares the bytes and returns the stored
+// string without allocating or storing. A miss allocates the string (and
+// the pointer a slot holds) and writes it over the bucket's slots in turn,
+// so any internWays names that share a bucket settle in it after at most
+// internWays misses, whatever the table held before; a larger working set
+// in one bucket keeps missing. Memory is bounded by internSlots ×
+// internMaxLen whatever the traffic: hostile or high-churn names only cost
+// misses. The hash is seeded per process, so a peer cannot choose names
+// that thrash one bucket. Interned strings are copies, never views: frames
+// belong to their callers, who may reuse them.
 const (
 	internSlots  = 512 // a power of two
+	internWays   = 4   // slots per bucket, a power of two
 	internMaxLen = 64  // longer names bypass the table
 )
 
 var (
 	internSeed  = maphash.MakeSeed()
 	internTable [internSlots]atomic.Pointer[string]
+	// internTurn counts each bucket's misses; its low bits pick the slot
+	// the next miss writes.
+	internTurn [internSlots / internWays]atomic.Uint32
 )
 
-// internHome returns the index of b's home slot; its neighbour is home^1.
+// internHome returns the index of b's home slot; its bucket is the
+// internWays slots from home&^(internWays-1).
 func internHome(b []byte) int {
 	return int(maphash.Bytes(internSeed, b) & (internSlots - 1))
 }
@@ -40,22 +47,15 @@ func intern(b []byte) string {
 	if len(b) > internMaxLen {
 		return string(b)
 	}
-	i := internHome(b)
-	home, next := &internTable[i], &internTable[i^1]
-	p := home.Load()
-	if p != nil && *p == string(b) {
-		return *p
-	}
-	q := next.Load()
-	if q != nil && *q == string(b) {
-		return *q
+	home := internHome(b)
+	for i := 0; i < internWays; i++ {
+		if p := internTable[home^i].Load(); p != nil && *p == string(b) {
+			return *p
+		}
 	}
 	s := string(b)
-	if p != nil && q == nil {
-		next.Store(&s)
-	} else {
-		home.Store(&s)
-	}
+	bucket := home / internWays
+	internTable[bucket*internWays+int(internTurn[bucket].Add(1)%internWays)].Store(&s)
 	return s
 }
 

@@ -94,7 +94,7 @@ func TestInternNamesDoNotAliasFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := AppendPreserve(nil, &Preserve{Version: 1, Source: names[4],
+		pres, err := AppendPreserve(nil, &preserve{Version: 1, Source: names[4],
 			T: &tuple.Tuple{Seq: 1, Source: names[4], Kind: names[5]}})
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestInternNamesDoNotAliasFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := DecodePreserve(pres)
+		p, err := decodePreserve(pres)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,6 +192,40 @@ func TestInternTwoNamesSharingAHomeSlotBothHit(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { intern(a); intern(b) }); allocs != 0 {
 		t.Fatalf("interning two names that share a home slot allocated %.1f per pair, want 0", allocs)
+	}
+}
+
+// TestInternNamesSettleInAFullBucket fills every slot of a bucket with
+// other names, as a long-lived process leaves it, and then interns
+// internWays names of that bucket, two of them sharing a home slot: after
+// warm-up all of them hit without allocating.
+func TestInternNamesSettleInAFullBucket(t *testing.T) {
+	a := []byte("full-0")
+	names := [][]byte{a}
+	for i := 1; len(names) < internWays; i++ {
+		s := []byte(fmt.Sprintf("full-%d", i))
+		if len(names) == 1 && internHome(s) == internHome(a) || len(names) > 1 && internHome(s)/internWays == internHome(a)/internWays {
+			names = append(names, s)
+		}
+	}
+	bucket := internHome(a) / internWays
+	for i := 0; i < internWays; i++ {
+		other := fmt.Sprintf("other-%d", i)
+		internTable[bucket*internWays+i].Store(&other)
+	}
+	for round := 0; round < internWays; round++ {
+		for _, n := range names {
+			if intern(n) != string(n) {
+				t.Fatal("interned name differs from its bytes")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range names {
+			intern(n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("interning %d names of one full bucket allocated %.1f per round, want 0", len(names), allocs)
 	}
 }
 

@@ -29,8 +29,8 @@ type Batch struct {
 	Msgs   []Stream
 }
 
-// Preserve is the wire form of a source-preservation replica.
-type Preserve struct {
+// preserve is the wire form of a source-preservation replica.
+type preserve struct {
 	Version uint64
 	Source  string
 	T       *tuple.Tuple
@@ -53,9 +53,9 @@ const (
 	valBytes
 )
 
-// SizeValue reports the encoded size of a tuple value, or an error for an
+// sizeValue reports the encoded size of a tuple value, or an error for an
 // unsupported payload type.
-func SizeValue(v interface{}) (int, error) {
+func sizeValue(v interface{}) (int, error) {
 	switch v := v.(type) {
 	case nil, bool:
 		return 1, nil
@@ -66,7 +66,7 @@ func SizeValue(v interface{}) (int, error) {
 	case []byte:
 		return 1 + sizeBytes(v), nil
 	default:
-		return 0, fmt.Errorf("%w: unsupported tuple value type %T", ErrMalformed, v)
+		return 0, fmt.Errorf("%w: unsupported tuple value type %T", errMalformed, v)
 	}
 }
 
@@ -98,7 +98,7 @@ func appendValue(dst []byte, v interface{}) ([]byte, error) {
 	case []byte:
 		return appendBytes(appendU8(dst, valBytes), v), nil
 	default:
-		return dst, fmt.Errorf("%w: unsupported tuple value type %T", ErrMalformed, v)
+		return dst, fmt.Errorf("%w: unsupported tuple value type %T", errMalformed, v)
 	}
 }
 
@@ -132,7 +132,7 @@ func decodeValue(r *reader, bs *tuple.Boxes[[]byte], left int) interface{} {
 		return bs.Box(v)
 	default:
 		r.off--
-		r.fail(ErrMalformed, "value tag")
+		r.fail(errMalformed, "value tag")
 		return nil
 	}
 }
@@ -140,7 +140,7 @@ func decodeValue(r *reader, bs *tuple.Boxes[[]byte], left int) interface{} {
 // ---- tuples, markers, items ---------------------------------------------
 
 func sizeTuple(t *tuple.Tuple) (int, error) {
-	vs, err := SizeValue(t.Value)
+	vs, err := sizeValue(t.Value)
 	if err != nil {
 		return 0, err
 	}
@@ -205,10 +205,10 @@ const (
 	itemMarker byte = 1
 )
 
-var errEmptyItem = fmt.Errorf("%w: empty item (no tuple, no marker)", ErrMalformed)
+var errEmptyItem = fmt.Errorf("%w: empty item (no tuple, no marker)", errMalformed)
 
-// SizeItem reports the encoded size of a stream item.
-func SizeItem(it tuple.Item) (int, error) {
+// sizeItem reports the encoded size of a stream item.
+func sizeItem(it tuple.Item) (int, error) {
 	if it.Tuple != nil {
 		ts, err := sizeTuple(it.Tuple)
 		return 1 + ts, err
@@ -219,8 +219,8 @@ func SizeItem(it tuple.Item) (int, error) {
 	return 0, errEmptyItem
 }
 
-// AppendItem encodes a stream item (exactly one of tuple or marker).
-func AppendItem(dst []byte, it tuple.Item) ([]byte, error) {
+// appendItem encodes a stream item (exactly one of tuple or marker).
+func appendItem(dst []byte, it tuple.Item) ([]byte, error) {
 	if it.Tuple != nil {
 		return appendTuple(appendU8(dst, itemTuple), it.Tuple)
 	}
@@ -238,7 +238,7 @@ func decodeItem(r *reader) tuple.Item {
 		return tuple.Item{Marker: decodeMarker(r)}
 	default:
 		r.off--
-		r.fail(ErrMalformed, "item flag")
+		r.fail(errMalformed, "item flag")
 		return tuple.Item{}
 	}
 }
@@ -247,7 +247,7 @@ func decodeItem(r *reader) tuple.Item {
 
 // SizeStream reports the exact frame size AppendStream will produce.
 func SizeStream(m *Stream) (int, error) {
-	is, err := SizeItem(m.Item)
+	is, err := sizeItem(m.Item)
 	if err != nil {
 		return 0, err
 	}
@@ -265,7 +265,7 @@ func AppendStream(dst []byte, m *Stream) ([]byte, error) {
 	dst = appendU64(dst, m.EdgeSeq)
 	dst = appendU64(dst, m.TraceID)
 	dst = appendU32(dst, m.TraceSeq)
-	out, err := AppendItem(dst, m.Item)
+	out, err := appendItem(dst, m.Item)
 	if err != nil {
 		return dst, err
 	}
@@ -372,7 +372,7 @@ func SizeBatch(b *Batch) (int, error) {
 		}
 		switch t := m.Item.Tuple; {
 		case t != nil:
-			vs, err := SizeValue(t.Value)
+			vs, err := sizeValue(t.Value)
 			if err != nil {
 				return 0, err
 			}
@@ -435,7 +435,7 @@ func (r *reader) name(same byte, prev string) string {
 	}
 	s := r.interned()
 	if r.err == nil && s == prev {
-		r.fail(ErrMalformed, "non-canonical repeated name")
+		r.fail(errMalformed, "non-canonical repeated name")
 	}
 	return s
 }
@@ -461,7 +461,7 @@ func DecodeBatch(frame []byte) (Batch, error) {
 		m := &b.Msgs[i]
 		f := r.u8()
 		if f&flagsReserved != 0 {
-			r.fail(ErrMalformed, "reserved batch flag")
+			r.fail(errMalformed, "reserved batch flag")
 		}
 		m.FromSlot = r.name(f&sameFromSlot, prev.FromSlot)
 		m.FromOp = r.name(f&sameFromOp, prev.FromOp)
@@ -471,7 +471,7 @@ func DecodeBatch(frame []byte) (Batch, error) {
 		if f&untraced == 0 {
 			m.TraceID, m.TraceSeq = r.u64(), r.u32()
 			if m.TraceID == 0 && m.TraceSeq == 0 {
-				r.fail(ErrMalformed, "non-canonical zero trace context")
+				r.fail(errMalformed, "non-canonical zero trace context")
 			}
 		}
 		switch item := r.u8(); {
@@ -488,7 +488,7 @@ func DecodeBatch(frame []byte) (Batch, error) {
 		case item == itemMarker && f&(sameSource|sameKind) == 0:
 			m.Item.Marker = decodeMarker(&r)
 		default:
-			r.fail(ErrMalformed, "batch item")
+			r.fail(errMalformed, "batch item")
 		}
 		prev = m
 	}
@@ -498,9 +498,9 @@ func DecodeBatch(frame []byte) (Batch, error) {
 // ---- preservation and sink output ---------------------------------------
 
 // SizePreserve reports the exact frame size AppendPreserve will produce.
-func SizePreserve(p *Preserve) (int, error) {
+func SizePreserve(p *preserve) (int, error) {
 	if p.T == nil {
-		return 0, fmt.Errorf("%w: preserve without tuple", ErrMalformed)
+		return 0, fmt.Errorf("%w: preserve without tuple", errMalformed)
 	}
 	ts, err := sizeTuple(p.T)
 	if err != nil {
@@ -510,21 +510,21 @@ func SizePreserve(p *Preserve) (int, error) {
 }
 
 // AppendPreserve encodes a source-preservation frame onto dst.
-func AppendPreserve(dst []byte, p *Preserve) ([]byte, error) {
+func AppendPreserve(dst []byte, p *preserve) ([]byte, error) {
 	if p.T == nil {
-		return dst, fmt.Errorf("%w: preserve without tuple", ErrMalformed)
+		return dst, fmt.Errorf("%w: preserve without tuple", errMalformed)
 	}
-	dst = appendU8(dst, byte(KindPreserve))
+	dst = appendU8(dst, byte(kindPreserve))
 	dst = appendU64(dst, p.Version)
 	dst = appendString(dst, p.Source)
 	return appendTuple(dst, p.T)
 }
 
-// DecodePreserve decodes a source-preservation frame.
-func DecodePreserve(frame []byte) (Preserve, error) {
+// decodePreserve decodes a source-preservation frame.
+func decodePreserve(frame []byte) (preserve, error) {
 	r := reader{b: frame}
-	r.kind(KindPreserve)
-	var p Preserve
+	r.kind(kindPreserve)
+	var p preserve
 	p.Version = r.u64()
 	p.Source = r.interned()
 	p.T = decodeTuple(&r)
@@ -534,7 +534,7 @@ func DecodePreserve(frame []byte) (Preserve, error) {
 // SizeSinkOut reports the exact frame size AppendSinkOut will produce.
 func SizeSinkOut(t *tuple.Tuple) (int, error) {
 	if t == nil {
-		return 0, fmt.Errorf("%w: sink-out without tuple", ErrMalformed)
+		return 0, fmt.Errorf("%w: sink-out without tuple", errMalformed)
 	}
 	ts, err := sizeTuple(t)
 	if err != nil {
@@ -546,13 +546,13 @@ func SizeSinkOut(t *tuple.Tuple) (int, error) {
 // AppendSinkOut encodes a sink output tuple frame onto dst.
 func AppendSinkOut(dst []byte, t *tuple.Tuple) ([]byte, error) {
 	if t == nil {
-		return dst, fmt.Errorf("%w: sink-out without tuple", ErrMalformed)
+		return dst, fmt.Errorf("%w: sink-out without tuple", errMalformed)
 	}
 	return appendTuple(appendU8(dst, byte(KindSinkOut)), t)
 }
 
-// DecodeSinkOut decodes a sink output tuple frame.
-func DecodeSinkOut(frame []byte) (*tuple.Tuple, error) {
+// decodeSinkOut decodes a sink output tuple frame.
+func decodeSinkOut(frame []byte) (*tuple.Tuple, error) {
 	r := reader{b: frame}
 	r.kind(KindSinkOut)
 	t := decodeTuple(&r)

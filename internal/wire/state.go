@@ -17,10 +17,10 @@ type Runtime struct {
 	LogVersion uint64
 }
 
-// CkptChunk is one chunk of a chunked checkpoint blob transfer. Receivers
+// ckptChunk is one chunk of a chunked checkpoint blob transfer. Receivers
 // recompute CRC from the blob identity they are assembling (see
 // checkpoint.ChunkCRC), so a chunk spliced from another blob is rejected.
-type CkptChunk struct {
+type ckptChunk struct {
 	Slot    string
 	Version uint64
 	Index   int
@@ -43,7 +43,7 @@ func SizeRuntime(rt *Runtime) int {
 
 // AppendRuntime encodes a runtime state frame onto dst, deterministically.
 func AppendRuntime(dst []byte, rt *Runtime) []byte {
-	dst = appendU8(dst, byte(KindRuntime))
+	dst = appendU8(dst, byte(kindRuntime))
 	dst = appendU64(dst, rt.LogVersion)
 	dst = appendSortedU64Map(dst, rt.OutSeq)
 	return appendSortedU64Map(dst, rt.InHW)
@@ -53,7 +53,7 @@ func AppendRuntime(dst []byte, rt *Runtime) []byte {
 // non-nil, matching how the node seeds fresh runtime state.
 func DecodeRuntime(frame []byte) (Runtime, error) {
 	r := reader{b: frame}
-	r.kind(KindRuntime)
+	r.kind(kindRuntime)
 	var rt Runtime
 	rt.LogVersion = r.u64()
 	rt.OutSeq = decodeU64Map(&r)
@@ -93,7 +93,7 @@ func decodeU64Map(r *reader) map[string]uint64 {
 func (r *reader) key(i int, prev string) string {
 	k := r.str()
 	if r.err == nil && i > 0 && k <= prev {
-		r.fail(ErrMalformed, "unsorted or repeated key")
+		r.fail(errMalformed, "unsorted or repeated key")
 	}
 	return k
 }
@@ -187,13 +187,13 @@ func DecodeBlob(frame []byte) (*checkpoint.Blob, error) {
 }
 
 // SizeCkptChunk reports the exact frame size AppendCkptChunk will produce.
-func SizeCkptChunk(c *CkptChunk) int {
+func SizeCkptChunk(c *ckptChunk) int {
 	return 1 + sizeString(c.Slot) + 8 + 8 + 8 + 4 + sizeBytes(c.Data)
 }
 
 // AppendCkptChunk encodes a checkpoint chunk frame onto dst.
-func AppendCkptChunk(dst []byte, c *CkptChunk) []byte {
-	dst = appendU8(dst, byte(KindCkptChunk))
+func AppendCkptChunk(dst []byte, c *ckptChunk) []byte {
+	dst = appendU8(dst, byte(kindCkptChunk))
 	dst = appendString(dst, c.Slot)
 	dst = appendU64(dst, c.Version)
 	dst = appendI64(dst, int64(c.Index))
@@ -202,12 +202,12 @@ func AppendCkptChunk(dst []byte, c *CkptChunk) []byte {
 	return appendBytes(dst, c.Data)
 }
 
-// DecodeCkptChunk decodes a checkpoint chunk frame. Data is a zero-copy
+// decodeCkptChunk decodes a checkpoint chunk frame. Data is a zero-copy
 // view into the frame.
-func DecodeCkptChunk(frame []byte) (CkptChunk, error) {
+func decodeCkptChunk(frame []byte) (ckptChunk, error) {
 	r := reader{b: frame}
-	r.kind(KindCkptChunk)
-	var c CkptChunk
+	r.kind(kindCkptChunk)
+	var c ckptChunk
 	c.Slot = r.str()
 	c.Version = r.u64()
 	c.Index = int(r.i64())
@@ -227,33 +227,33 @@ func DecodeAny(frame []byte) (interface{}, error) {
 		return DecodeStream(frame)
 	case KindBatch:
 		return DecodeBatch(frame)
-	case KindPreserve:
-		return DecodePreserve(frame)
+	case kindPreserve:
+		return decodePreserve(frame)
 	case KindCommand:
 		return DecodeCommand(frame)
 	case KindReport:
 		return DecodeReport(frame)
-	case KindRuntime:
+	case kindRuntime:
 		return DecodeRuntime(frame)
 	case KindBlob:
 		return DecodeBlob(frame)
-	case KindCkptChunk:
-		return DecodeCkptChunk(frame)
-	case KindTruncate:
-		return DecodeTruncate(frame)
-	case KindResend:
-		return DecodeResend(frame)
-	case KindFetchBlob:
-		return DecodeFetchBlob(frame)
-	case KindHello:
+	case kindCkptChunk:
+		return decodeCkptChunk(frame)
+	case kindTruncate:
+		return decodeTruncate(frame)
+	case kindResend:
+		return decodeResend(frame)
+	case kindFetchBlob:
+		return decodeFetchBlob(frame)
+	case kindHello:
 		return DecodeHello(frame)
 	case KindAssign:
 		return DecodeAssign(frame)
 	case KindSinkOut:
-		return DecodeSinkOut(frame)
+		return decodeSinkOut(frame)
 	case KindSpans:
 		return DecodeSpans(frame)
 	default:
-		return nil, ErrMalformed
+		return nil, errMalformed
 	}
 }

@@ -33,36 +33,36 @@ import (
 	"math"
 )
 
-// Kind tags a frame with its message type.
-type Kind byte
+// kind tags a frame with its message type.
+type kind byte
 
 const (
-	// KindInvalid is the zero Kind; no frame uses it.
-	KindInvalid Kind = iota
+	// kindInvalid is the zero kind; no frame uses it.
+	kindInvalid kind = iota
 	// KindStream is one data-plane stream message (tuple or marker).
 	KindStream
 	// KindBatch is a coalesced batch of stream messages for one slot.
 	KindBatch
-	// KindPreserve is a source-preservation replica of one admitted tuple.
-	KindPreserve
+	// kindPreserve is a source-preservation replica of one admitted tuple.
+	kindPreserve
 	// KindCommand is a controller-to-node command.
 	KindCommand
 	// KindReport is a node-to-controller report.
 	KindReport
-	// KindRuntime is a node's checkpoint runtime state (edge counters).
-	KindRuntime
+	// kindRuntime is a node's checkpoint runtime state (edge counters).
+	kindRuntime
 	// KindBlob is a whole checkpoint blob.
 	KindBlob
-	// KindCkptChunk is one chunk of a chunked checkpoint blob upload.
-	KindCkptChunk
-	// KindTruncate is an upstream retained-output truncation notice.
-	KindTruncate
-	// KindResend is an upstream resend request.
-	KindResend
-	// KindFetchBlob is a peer blob fetch request.
-	KindFetchBlob
-	// KindHello is the socket-transport peer handshake.
-	KindHello
+	// kindCkptChunk is one chunk of a chunked checkpoint blob upload.
+	kindCkptChunk
+	// kindTruncate is an upstream retained-output truncation notice.
+	kindTruncate
+	// kindResend is an upstream resend request.
+	kindResend
+	// kindFetchBlob is a peer blob fetch request.
+	kindFetchBlob
+	// kindHello is the socket-transport peer handshake.
+	kindHello
 	// KindAssign is the lead-to-worker region assignment.
 	KindAssign
 	// KindSinkOut is one sink output tuple forwarded to the region lead.
@@ -78,29 +78,29 @@ var kindNames = [...]string{"invalid", "stream", "batch", "preserve",
 	"command", "report", "runtime", "blob", "ckpt-chunk", "truncate",
 	"resend", "fetch-blob", "hello", "assign", "sink-out", "spans"}
 
-func (k Kind) String() string {
+func (k kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// ErrTruncated is wrapped by decode errors caused by frames shorter than
+// errTruncated is wrapped by decode errors caused by frames shorter than
 // their declared contents.
-var ErrTruncated = errors.New("wire: truncated frame")
+var errTruncated = errors.New("wire: truncated frame")
 
-// ErrMalformed is wrapped by decode errors caused by structurally invalid
+// errMalformed is wrapped by decode errors caused by structurally invalid
 // frames (bad kind, bad tag, trailing bytes, oversized counts).
-var ErrMalformed = errors.New("wire: malformed frame")
+var errMalformed = errors.New("wire: malformed frame")
 
 // FrameKind peeks at a frame's kind byte without decoding the body.
-func FrameKind(frame []byte) Kind {
+func FrameKind(frame []byte) kind {
 	if len(frame) == 0 {
-		return KindInvalid
+		return kindInvalid
 	}
-	k := Kind(frame[0])
-	if k == KindInvalid || k >= numKinds {
-		return KindInvalid
+	k := kind(frame[0])
+	if k == kindInvalid || k >= numKinds {
+		return kindInvalid
 	}
 	return k
 }
@@ -169,7 +169,7 @@ func (r *reader) u8() byte {
 		return 0
 	}
 	if r.remaining() < 1 {
-		r.fail(ErrTruncated, "u8")
+		r.fail(errTruncated, "u8")
 		return 0
 	}
 	v := r.b[r.off]
@@ -182,7 +182,7 @@ func (r *reader) u32() uint32 {
 		return 0
 	}
 	if r.remaining() < 4 {
-		r.fail(ErrTruncated, "u32")
+		r.fail(errTruncated, "u32")
 		return 0
 	}
 	v := binary.BigEndian.Uint32(r.b[r.off:])
@@ -195,7 +195,7 @@ func (r *reader) u64() uint64 {
 		return 0
 	}
 	if r.remaining() < 8 {
-		r.fail(ErrTruncated, "u64")
+		r.fail(errTruncated, "u64")
 		return 0
 	}
 	v := binary.BigEndian.Uint64(r.b[r.off:])
@@ -214,7 +214,7 @@ func (r *reader) boolean() bool {
 		return true
 	default:
 		r.off--
-		r.fail(ErrMalformed, "bool")
+		r.fail(errMalformed, "bool")
 		return false
 	}
 }
@@ -226,7 +226,7 @@ func (r *reader) bytes() []byte {
 		return nil
 	}
 	if n > r.remaining() {
-		r.fail(ErrTruncated, "bytes body")
+		r.fail(errTruncated, "bytes body")
 		return nil
 	}
 	v := r.b[r.off : r.off+n : r.off+n]
@@ -240,7 +240,7 @@ func (r *reader) str() string {
 		return ""
 	}
 	if n > r.remaining() {
-		r.fail(ErrTruncated, "string body")
+		r.fail(errTruncated, "string body")
 		return ""
 	}
 	v := string(r.b[r.off : r.off+n])
@@ -260,18 +260,18 @@ func (r *reader) count(minElem int) int {
 		minElem = 1
 	}
 	if n > r.remaining()/minElem {
-		r.fail(ErrMalformed, "oversized count")
+		r.fail(errMalformed, "oversized count")
 		return 0
 	}
 	return n
 }
 
 // kind consumes and validates the leading kind byte.
-func (r *reader) kind(want Kind) {
-	k := Kind(r.u8())
+func (r *reader) kind(want kind) {
+	k := kind(r.u8())
 	if r.err == nil && k != want {
 		r.off--
-		r.fail(ErrMalformed, fmt.Sprintf("kind %s, want %s", k, want))
+		r.fail(errMalformed, fmt.Sprintf("kind %s, want %s", k, want))
 	}
 }
 
@@ -281,7 +281,7 @@ func (r *reader) done() error {
 		return r.err
 	}
 	if r.remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, r.remaining())
+		return fmt.Errorf("%w: %d trailing bytes", errMalformed, r.remaining())
 	}
 	return nil
 }

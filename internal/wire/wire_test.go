@@ -75,7 +75,7 @@ type frameCase struct {
 func frameCases(t *testing.T) []frameCase {
 	stream := sampleStream()
 	batch := sampleBatch()
-	pres := &Preserve{Version: 3, Source: "src", T: sampleTuple()}
+	pres := &preserve{Version: 3, Source: "src", T: sampleTuple()}
 	cmd := &Command{Op: 6, Version: 11, Epoch: 2, Target: "phone-3", Slot: "s2"}
 	rep := &Report{Type: 1, Phone: "phone-3", Slot: "s2", Version: 11,
 		Epoch: 2, Replicas: 4, Observed: "phone-9", Err: "late"}
@@ -85,11 +85,11 @@ func frameCases(t *testing.T) []frameCase {
 		LogVersion: 5,
 	}
 	blob := sampleBlob(t)
-	chunk := &CkptChunk{Slot: "s2", Version: 5, Index: 1, Total: 4,
+	chunk := &ckptChunk{Slot: "s2", Version: 5, Index: 1, Total: 4,
 		CRC: 77, Data: []byte("chunk-bytes")}
-	trunc := &Truncate{Downstream: "s3", Upto: 88}
-	resend := &Resend{Downstream: "s3", After: 12}
-	fetch := &FetchBlob{Slot: "s2", Version: 5}
+	trunc := &truncate{Downstream: "s3", Upto: 88}
+	resend := &resend{Downstream: "s3", After: 12}
+	fetch := &fetchBlob{Slot: "s2", Version: 5}
 	hello := &Hello{ID: "w1", Addr: "127.0.0.1:7402"}
 	assign := &Assign{
 		Lead: "lead", Seed: -3, Tuples: 500, TokenEvery: 100, SampleEvery: 10,
@@ -123,7 +123,7 @@ func frameCases(t *testing.T) []frameCase {
 			func(f []byte) (interface{}, error) { return DecodeBatch(f) }},
 		{"preserve", func() (int, error) { return SizePreserve(pres) },
 			func(d []byte) ([]byte, error) { return AppendPreserve(d, pres) },
-			func(f []byte) (interface{}, error) { return DecodePreserve(f) }},
+			func(f []byte) (interface{}, error) { return decodePreserve(f) }},
 		{"command", wrapSize(SizeCommand(cmd)),
 			wrap(func(d []byte) []byte { return AppendCommand(d, cmd) }),
 			func(f []byte) (interface{}, error) { return DecodeCommand(f) }},
@@ -138,16 +138,16 @@ func frameCases(t *testing.T) []frameCase {
 			func(f []byte) (interface{}, error) { return DecodeBlob(f) }},
 		{"ckpt-chunk", wrapSize(SizeCkptChunk(chunk)),
 			wrap(func(d []byte) []byte { return AppendCkptChunk(d, chunk) }),
-			func(f []byte) (interface{}, error) { return DecodeCkptChunk(f) }},
+			func(f []byte) (interface{}, error) { return decodeCkptChunk(f) }},
 		{"truncate", wrapSize(SizeTruncate(trunc)),
 			wrap(func(d []byte) []byte { return AppendTruncate(d, trunc) }),
-			func(f []byte) (interface{}, error) { return DecodeTruncate(f) }},
+			func(f []byte) (interface{}, error) { return decodeTruncate(f) }},
 		{"resend", wrapSize(SizeResend(resend)),
 			wrap(func(d []byte) []byte { return AppendResend(d, resend) }),
-			func(f []byte) (interface{}, error) { return DecodeResend(f) }},
+			func(f []byte) (interface{}, error) { return decodeResend(f) }},
 		{"fetch-blob", wrapSize(SizeFetchBlob(fetch)),
 			wrap(func(d []byte) []byte { return AppendFetchBlob(d, fetch) }),
-			func(f []byte) (interface{}, error) { return DecodeFetchBlob(f) }},
+			func(f []byte) (interface{}, error) { return decodeFetchBlob(f) }},
 		{"hello", wrapSize(SizeHello(hello)),
 			wrap(func(d []byte) []byte { return AppendHello(d, hello) }),
 			func(f []byte) (interface{}, error) { return DecodeHello(f) }},
@@ -156,7 +156,7 @@ func frameCases(t *testing.T) []frameCase {
 			func(f []byte) (interface{}, error) { return DecodeAssign(f) }},
 		{"sink-out", func() (int, error) { return SizeSinkOut(sink) },
 			func(d []byte) ([]byte, error) { return AppendSinkOut(d, sink) },
-			func(f []byte) (interface{}, error) { return DecodeSinkOut(f) }},
+			func(f []byte) (interface{}, error) { return decodeSinkOut(f) }},
 		{"spans", wrapSize(SizeSpans(spans)),
 			wrap(func(d []byte) []byte { return AppendSpans(d, spans) }),
 			func(f []byte) (interface{}, error) { return DecodeSpans(f) }},
@@ -252,7 +252,7 @@ func TestValueRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%T: %v", c.in, err)
 		}
-		out, err := DecodeSinkOut(frame)
+		out, err := decodeSinkOut(frame)
 		if err != nil {
 			t.Fatalf("%T: %v", c.in, err)
 		}
@@ -535,7 +535,7 @@ func TestBatchRejectsNonCanonical(t *testing.T) {
 		{"count larger than the frame could hold", cat(header(200), first)},
 	}
 	u32 := func(v uint32) []byte { return appendU32(nil, v) }
-	runtime := func(out, in []byte) []byte { return cat([]byte{byte(KindRuntime)}, seq, out, in) }
+	runtime := func(out, in []byte) []byte { return cat([]byte{byte(kindRuntime)}, seq, out, in) }
 	counter := func(k string) []byte { return cat(str(k), seq) }
 	blob := func(ops, deltas []byte) []byte {
 		return cat([]byte{byte(KindBlob)}, str("s2"), seq, seq, seq, seq, u32(0), appendBytes(nil, nil), ops, deltas)
@@ -565,7 +565,7 @@ func TestBatchRejectsNonCanonical(t *testing.T) {
 		}{fmt.Sprintf("retired kind %d", f[0]), f})
 	}
 	for _, c := range cases {
-		if _, err := DecodeAny(c.frame); !errors.Is(err, ErrMalformed) {
+		if _, err := DecodeAny(c.frame); !errors.Is(err, errMalformed) {
 			t.Errorf("%s: err = %v, want ErrMalformed", c.name, err)
 		}
 	}
@@ -588,10 +588,10 @@ func retiredFrames() [][]byte {
 }
 
 func TestFrameKind(t *testing.T) {
-	if FrameKind(nil) != KindInvalid {
+	if FrameKind(nil) != kindInvalid {
 		t.Fatal("empty frame has a kind")
 	}
-	if FrameKind([]byte{0xFE}) != KindInvalid {
+	if FrameKind([]byte{0xFE}) != kindInvalid {
 		t.Fatal("unknown kind byte accepted")
 	}
 	frame, _ := AppendStream(nil, sampleStream())

@@ -9,6 +9,10 @@ import (
 	"mobistreams/internal/simnet"
 )
 
+// mobilityTick is the position-update period for walking phones, in
+// simulated time.
+const mobilityTick = time.Second
+
 // ChurnConfig parameterises the churn scenario generator: Poisson phone
 // join/leave processes, battery-cliff leaves (the phone's pack suddenly
 // reports nearly empty — the paper's dominant failure cause), and
@@ -29,9 +33,6 @@ type ChurnConfig struct {
 	CliffFraction float64
 	// WalkSpeed is the commuter speed in m/s (default 12).
 	WalkSpeed float64
-	// MobilityTick is the position-update period for walking phones
-	// (default 1 s of simulated time).
-	MobilityTick time.Duration
 	// RadiusM is the radius of the WiFi coverage disc, centred at the
 	// origin, that a walking phone exits (default 120 m).
 	RadiusM float64
@@ -47,9 +48,6 @@ func (c *ChurnConfig) applyDefaults() {
 	}
 	if c.WalkSpeed <= 0 {
 		c.WalkSpeed = 12
-	}
-	if c.MobilityTick <= 0 {
-		c.MobilityTick = time.Second
 	}
 	if c.RadiusM <= 0 {
 		c.RadiusM = 120
@@ -149,10 +147,10 @@ func (g *Generator) leaveLoop(hooks ChurnHooks, cfg ChurnConfig) {
 
 func (g *Generator) walk(hooks ChurnHooks, cfg ChurnConfig, id simnet.NodeID, vx, vy float64) {
 	defer g.wg.Done()
-	step := cfg.MobilityTick.Seconds()
-	t := g.clk.NewTimer(cfg.MobilityTick)
+	step := mobilityTick.Seconds()
+	t := g.clk.NewTimer(mobilityTick)
 	defer t.Stop()
-	for ; ; t.Reset(cfg.MobilityTick) {
+	for ; ; t.Reset(mobilityTick) {
 		select {
 		case <-t.C():
 		case <-g.stopCh:

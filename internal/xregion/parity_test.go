@@ -66,7 +66,7 @@ func runTCP(t *testing.T) *Result {
 // full blob set and all sink outputs.
 func TestSimRegionRuns(t *testing.T) {
 	res := runSimOnce(t)
-	if want := testSpec().Versions() * len(pipeline); len(res.Blobs) != want {
+	if want := testSpec().versions() * len(pipeline); len(res.Blobs) != want {
 		t.Fatalf("%d blobs, want %d", len(res.Blobs), want)
 	}
 	if res.SinkOuts != testTuples {
@@ -236,7 +236,7 @@ func TestTraceSimDeterministic(t *testing.T) {
 // usable — the final version restores into fresh operators.
 func TestBlobChainRestores(t *testing.T) {
 	res := runSimOnce(t)
-	last := uint64(testSpec().Versions())
+	last := uint64(testSpec().versions())
 	for _, s := range pipeline {
 		frame := res.Blobs[fmt.Sprintf("%s@%d", s.Slot, last)]
 		if frame == nil {

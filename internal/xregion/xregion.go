@@ -49,8 +49,8 @@ type Spec struct {
 	SampleEvery int
 }
 
-// Versions is the number of checkpoint versions the spec produces.
-func (s Spec) Versions() int { return s.Tuples / s.TokenEvery }
+// versions is the number of checkpoint versions the spec produces.
+func (s Spec) versions() int { return s.Tuples / s.TokenEvery }
 
 // Result is what the lead collected from one region run.
 type Result struct {
@@ -79,8 +79,8 @@ const (
 	repSinkDone uint8 = 101 // sink host → lead: replay-end reached the sink
 )
 
-// LeadID is the lead's node ID in both backends.
-const LeadID simnet.NodeID = "lead"
+// leadID is the lead's node ID in both backends.
+const leadID simnet.NodeID = "lead"
 
 // pipeline is the fixed stage chain: source → window → aggregate → sink.
 // Hosts are filled in at assignment time.
@@ -121,13 +121,13 @@ type stage struct {
 	outSeq uint64 // items emitted on the downstream edge
 }
 
-// Worker executes its assigned stages: it decodes stream frames, runs the
+// worker executes its assigned stages: it decodes stream frames, runs the
 // stage operators, forwards emissions downstream, checkpoints on tokens
 // and ships the blobs to the lead. All frames are consumed through one
 // unbounded event queue, so transport readers never block on processing
 // (the transport handler only appends; stage work, including the inline
 // source generator, happens on the loop goroutine).
-type Worker struct {
+type worker struct {
 	tr transport.Transport
 
 	mu   sync.Mutex
@@ -145,18 +145,18 @@ type Worker struct {
 
 // now is the span timestamp source: wall-clock nanoseconds. Cross-backend
 // parity compares span structure only, never timestamps.
-func (w *Worker) now() int64 { return time.Now().UnixNano() }
+func (w *worker) now() int64 { return time.Now().UnixNano() }
 
-// NewWorker attaches a worker loop to a transport.
-func NewWorker(tr transport.Transport) *Worker {
-	w := &Worker{tr: tr}
+// newWorker attaches a worker loop to a transport.
+func newWorker(tr transport.Transport) *worker {
+	w := &worker{tr: tr}
 	w.cond = sync.NewCond(&w.mu)
 	return w
 }
 
-// Run installs the receive handler and processes events until the lead
+// run installs the receive handler and processes events until the lead
 // sends a pause command or an error stops the loop.
-func (w *Worker) Run() error {
+func (w *worker) run() error {
 	w.tr.Receive(func(from simnet.NodeID, class simnet.Class, frame []byte) {
 		w.mu.Lock()
 		w.q = append(w.q, event{from, class, frame})
@@ -182,7 +182,7 @@ func (w *Worker) Run() error {
 	}
 }
 
-func (w *Worker) handle(ev event) (done bool, err error) {
+func (w *worker) handle(ev event) (done bool, err error) {
 	switch wire.FrameKind(ev.frame) {
 	case wire.KindAssign:
 		a, err := wire.DecodeAssign(ev.frame)
@@ -234,7 +234,7 @@ func (w *Worker) handle(ev event) (done bool, err error) {
 
 // setup instantiates the stages this worker hosts and learns the region
 // topology and address book from the assignment.
-func (w *Worker) setup(a *wire.Assign) error {
+func (w *worker) setup(a *wire.Assign) error {
 	w.lead = a.Lead
 	w.tracer = obs.NewTracer(16384)
 	w.tracer.SetSampleEvery(a.SampleEvery)
@@ -272,7 +272,7 @@ func (w *Worker) setup(a *wire.Assign) error {
 // runSource generates the seeded workload through the source stage:
 // tuples, an in-band token every TokenEvery tuples (checkpointing the
 // source as it passes), and a terminal replay-end marker.
-func (w *Worker) runSource(a *wire.Assign) error {
+func (w *worker) runSource(a *wire.Assign) error {
 	st := w.stages[pipeline[0].Slot]
 	rng := rand.New(rand.NewSource(a.Seed))
 	kinds := []string{"image", "businfo", "count"}
@@ -310,7 +310,7 @@ func (w *Worker) runSource(a *wire.Assign) error {
 	return w.emit(st, tuple.MarkerItem(end), nil)
 }
 
-func (w *Worker) handleStream(m *wire.Stream) error {
+func (w *worker) handleStream(m *wire.Stream) error {
 	st, ok := w.stages[m.ToSlot]
 	if !ok {
 		return fmt.Errorf("xregion: %s received frame for unhosted slot %s", w.tr.Info().ID, m.ToSlot)
@@ -345,7 +345,7 @@ func (w *Worker) handleStream(m *wire.Stream) error {
 // process runs one tuple through a stage operator and routes the
 // emissions: downstream as stream frames, or to the lead as sink outputs
 // when this is the last stage.
-func (w *Worker) process(st *stage, from string, t *tuple.Tuple, tc obs.SpanCtx) error {
+func (w *worker) process(st *stage, from string, t *tuple.Tuple, tc obs.SpanCtx) error {
 	if tc.ID != 0 {
 		w.tracer.Record(&tc, obs.SpanOp, string(w.tr.Info().ID), st.slot, st.op.ID(), w.now())
 	}
@@ -383,7 +383,7 @@ func (w *Worker) process(st *stage, from string, t *tuple.Tuple, tc obs.SpanCtx)
 // emit sends one item on the stage's downstream edge. A non-nil traced tc
 // travels on the frame: the emit and send spans are recorded here (bumping
 // the caller's context), the receive span on the downstream host.
-func (w *Worker) emit(st *stage, item tuple.Item, tc *obs.SpanCtx) error {
+func (w *worker) emit(st *stage, item tuple.Item, tc *obs.SpanCtx) error {
 	next := w.next[st.slot]
 	st.outSeq++
 	var trace obs.SpanCtx
@@ -416,7 +416,7 @@ func (w *Worker) emit(st *stage, item tuple.Item, tc *obs.SpanCtx) error {
 
 // checkpoint snapshots the stage at a token version and ships the
 // wire-encoded blob to the lead on the checkpoint plane.
-func (w *Worker) checkpoint(st *stage, version uint64) error {
+func (w *worker) checkpoint(st *stage, version uint64) error {
 	rt := wire.Runtime{
 		OutSeq:     map[string]uint64{},
 		InHW:       map[string]uint64{},
@@ -439,7 +439,7 @@ func (w *Worker) checkpoint(st *stage, version uint64) error {
 
 // sendSpans ships this worker's recorded spans to the lead so it can
 // stitch cross-process waterfalls. Skipped when the run never sampled.
-func (w *Worker) sendSpans() error {
+func (w *worker) sendSpans() error {
 	if w.tracer == nil || w.tracer.SampleEvery() <= 0 {
 		return nil
 	}
@@ -473,7 +473,7 @@ type lead struct {
 func (l *lead) complete() bool {
 	return l.sinkDone &&
 		l.sinkN == l.spec.Tuples &&
-		len(l.blobs) == l.spec.Versions()*len(pipeline)
+		len(l.blobs) == l.spec.versions()*len(pipeline)
 }
 
 func (l *lead) handler(from simnet.NodeID, class simnet.Class, frame []byte) {
@@ -562,7 +562,7 @@ func runLead(tr transport.Transport, spec Spec, workers []simnet.NodeID, peers [
 	case <-l.done:
 	case <-time.After(timeout):
 		l.mu.Lock()
-		got, want := len(l.blobs), spec.Versions()*len(pipeline)
+		got, want := len(l.blobs), spec.versions()*len(pipeline)
 		n, fin := l.sinkN, l.sinkDone
 		l.mu.Unlock()
 		return nil, fmt.Errorf("xregion: timed out after %v: %d/%d blobs, %d/%d sink outputs, sink done=%v",
@@ -618,7 +618,7 @@ func RunSim(spec Spec, nWorkers int) (*Result, error) {
 		w.Join(ep)
 		return transport.NewSim(ep, w, nil)
 	}
-	leadTr := mk(LeadID)
+	leadTr := mk(leadID)
 	defer leadTr.Close()
 
 	ids := make([]simnet.NodeID, nWorkers)
@@ -628,11 +628,11 @@ func RunSim(spec Spec, nWorkers int) (*Result, error) {
 	for i := 0; i < nWorkers; i++ {
 		ids[i] = simnet.NodeID(fmt.Sprintf("w%d", i+1))
 		trs[i] = mk(ids[i])
-		wk := NewWorker(trs[i])
+		wk := newWorker(trs[i])
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			workerErrs[i] = wk.Run()
+			workerErrs[i] = wk.run()
 		}(i)
 	}
 
@@ -658,19 +658,7 @@ func RunSim(spec Spec, nWorkers int) (*Result, error) {
 // before any worker starts. The caller owns the socket and passes it to
 // RunLeadOn.
 func ListenLead(listen string) (*transport.Socket, error) {
-	return transport.NewSocket(LeadID, listen, "")
-}
-
-// RunLeadTCP runs the lead over real sockets: listen, wait for nWorkers
-// workers to join (RunWorkerTCP), assign stages across them in sorted ID
-// order, and collect the run.
-func RunLeadTCP(spec Spec, listen string, nWorkers int, timeout time.Duration) (*Result, error) {
-	s, err := ListenLead(listen)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return RunLeadOn(s, spec, nWorkers, timeout)
+	return transport.NewSocket(leadID, listen, "")
 }
 
 // RunLeadOn runs the lead protocol over an already-bound socket.
@@ -681,7 +669,7 @@ func RunLeadOn(s *transport.Socket, spec Spec, nWorkers int, timeout time.Durati
 	ids := s.Peers()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	peers := make([]wire.AssignPeer, 0, len(ids)+1)
-	peers = append(peers, wire.AssignPeer{ID: LeadID, Addr: s.Info().Addr})
+	peers = append(peers, wire.AssignPeer{ID: leadID, Addr: s.Info().Addr})
 	for _, id := range ids {
 		addr, _ := s.PeerAddr(id)
 		peers = append(peers, wire.AssignPeer{ID: id, Addr: addr})
@@ -697,8 +685,8 @@ func RunWorkerTCP(id simnet.NodeID, listen, join string) error {
 		return err
 	}
 	defer s.Close()
-	s.AddPeer(LeadID, join)
-	w := NewWorker(s)
+	s.AddPeer(leadID, join)
+	w := newWorker(s)
 	// Receive must be installed before the join announcement, or the
 	// assignment could race the handler.
 	s.Receive(func(from simnet.NodeID, class simnet.Class, frame []byte) {
@@ -708,8 +696,8 @@ func RunWorkerTCP(id simnet.NodeID, listen, join string) error {
 		w.mu.Unlock()
 	})
 	rp := wire.Report{Type: repJoin, Phone: id}
-	if err := s.Tell(LeadID, simnet.ClassControl, wire.AppendReport(nil, &rp)); err != nil {
+	if err := s.Tell(leadID, simnet.ClassControl, wire.AppendReport(nil, &rp)); err != nil {
 		return fmt.Errorf("xregion: join %s: %w", join, err)
 	}
-	return w.Run()
+	return w.run()
 }

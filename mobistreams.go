@@ -147,27 +147,15 @@ type SystemConfig struct {
 	// CheckpointPeriod is the controller's checkpoint interval (§IV:
 	// 5 minutes; default 5 minutes).
 	CheckpointPeriod time.Duration
-	// PingInterval/PingTimeout drive failure detection (defaults 30 s /
-	// 10 s, §IV).
-	PingInterval time.Duration
-	PingTimeout  time.Duration
-	// Cellular configures the wide-area network (defaults to the
-	// paper's measured 3G rates).
-	Cellular simnet.CellularConfig
 	// AdaptivePlacement enables the telemetry-driven placement planner:
 	// the controller polls every region's channel topology and battery,
-	// backlog and trajectory telemetry each ScheduleTick, live-migrates
+	// backlog and trajectory telemetry every 5 s, live-migrates
 	// slots off at-risk phones before they fail or depart, packs
 	// communicating slots into one WiFi channel and keeps a warm spare
 	// phone per channel (proactive, in addition to the paper's reactive
 	// recovery, which reclaims the warm spares when it needs a
 	// replacement).
 	AdaptivePlacement bool
-	// ScheduleTick is the planner's telemetry/planning period (default
-	// 5 s; ignored unless AdaptivePlacement is set).
-	ScheduleTick time.Duration
-	// Logf receives debug logging; nil disables.
-	Logf func(string, ...interface{})
 }
 
 // RegionSpec declares one region.
@@ -179,17 +167,9 @@ type RegionSpec struct {
 	// Phones is the region population (slots plus idle spares).
 	Phones int
 	// WiFiBps is the shared-airtime capacity (default 3 Mbps); WiFiLoss
-	// the UDP loss probability. A zero WiFiLoss means "use the default
-	// 2%" — set LosslessWiFi for an actually lossless medium.
+	// the UDP loss probability (zero means the default 2%).
 	WiFiBps  float64
 	WiFiLoss float64
-	// LosslessWiFi runs the region WiFi with zero UDP loss. The zero
-	// value of WiFiLoss selects the 2% default (so specs that never
-	// thought about loss keep the paper's medium); this flag is the
-	// explicit way to configure a lossless region, which WiFiLoss alone
-	// cannot express.
-	LosslessWiFi bool
-	Seed         int64
 	// QoS consolidates the output-path quality-of-service knobs: a
 	// latency budget enabling adaptive batch-flush deadlines plus batch
 	// size bounds (see node.QoS).
@@ -200,8 +180,7 @@ type RegionSpec struct {
 
 // System is a running MobiStreams deployment.
 type System struct {
-	cfg SystemConfig
-	d   *deploy.Deployment
+	d *deploy.Deployment
 }
 
 // Region wraps one region's runtime.
@@ -225,33 +204,19 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 1
 	}
-	cc := controller.Config{
-		CheckpointPeriod: cfg.CheckpointPeriod,
-		PingInterval:     cfg.PingInterval,
-		PingTimeout:      cfg.PingTimeout,
-		Logf:             cfg.Logf,
-	}
+	cc := controller.Config{CheckpointPeriod: cfg.CheckpointPeriod}
 	if cfg.AdaptivePlacement {
 		cc.Planner = scheduler.NewPlanner(placement.New(), nil)
-		cc.ScheduleTick = cfg.ScheduleTick
 	}
-	// The caller's cellular config is passed through as-is; simnet applies
-	// its defaults (e.g. 64 KB ChunkBytes) only to unset fields.
-	return &System{cfg: cfg, d: deploy.New(cfg.Speedup, cfg.Cellular, cc)}
+	return &System{d: deploy.New(cfg.Speedup, simnet.CellularConfig{}, cc)}
 }
 
 // Clock returns the system clock; Sleep and Now operate in simulated time.
 func (s *System) Clock() *clock.Scaled { return s.d.Clock }
 
-// wifiLoss resolves the spec's loss knobs: LosslessWiFi wins, an explicit
-// WiFiLoss is respected, and the zero value falls back to the 2% default.
+// wifiLoss resolves the spec's loss knob: an explicit WiFiLoss is
+// respected, and the zero value falls back to the 2% default.
 func (spec RegionSpec) wifiLoss() (float64, error) {
-	if spec.LosslessWiFi {
-		if spec.WiFiLoss != 0 {
-			return 0, fmt.Errorf("mobistreams: region %q sets both LosslessWiFi and WiFiLoss=%g", spec.ID, spec.WiFiLoss)
-		}
-		return 0, nil
-	}
 	if spec.WiFiLoss < 0 || spec.WiFiLoss >= 1 {
 		return 0, fmt.Errorf("mobistreams: region %q WiFiLoss=%g outside [0,1)", spec.ID, spec.WiFiLoss)
 	}
@@ -295,10 +260,9 @@ func (s *System) AddRegion(spec RegionSpec) (*Region, error) {
 		Registry:     spec.Registry,
 		Scheme:       spec.Scheme,
 		Phones:       spec.Phones,
-		WiFi:         simnet.WiFiConfig{BitsPerSecond: spec.WiFiBps, LossProb: spec.WiFiLoss, Seed: spec.Seed},
+		WiFi:         simnet.WiFiConfig{BitsPerSecond: spec.WiFiBps, LossProb: spec.WiFiLoss},
 		QoS:          spec.QoS,
 		OnSinkOutput: wrapped.publish,
-		Logf:         s.cfg.Logf,
 	})
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mobistreams/internal/operator"
-	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 	"mobistreams/stream"
 )
@@ -176,7 +175,6 @@ func TestSystemAdaptivePlacement(t *testing.T) {
 		Speedup:           2000,
 		CheckpointPeriod:  time.Hour,
 		AdaptivePlacement: true,
-		ScheduleTick:      2 * time.Second,
 	})
 	r, err := sys.AddRegion(RegionSpec{
 		ID: "r1", Graph: demoGraph(t), Registry: demoRegistry(),
@@ -203,22 +201,7 @@ func TestSystemAdaptivePlacement(t *testing.T) {
 	}
 }
 
-// Regression: NewSystem used to zero the caller's Cellular.ChunkBytes
-// unconditionally, so the chunking knob was unconfigurable. The user value
-// must reach the network; only an unset value takes the simnet default.
-func TestSystemConfigCellularChunkBytesRespected(t *testing.T) {
-	sys := NewSystem(SystemConfig{Speedup: 100, Cellular: simnet.CellularConfig{ChunkBytes: 4096}})
-	if got := sys.d.Cell.Config().ChunkBytes; got != 4096 {
-		t.Fatalf("ChunkBytes = %d, want the configured 4096", got)
-	}
-	sys = NewSystem(SystemConfig{Speedup: 100})
-	if got := sys.d.Cell.Config().ChunkBytes; got != 64<<10 {
-		t.Fatalf("default ChunkBytes = %d, want 64 KB", got)
-	}
-}
-
-// The WiFiLoss zero-value footgun: 0 means "default 2%", LosslessWiFi is
-// the explicit lossless knob, and combining it with an explicit loss is a
+// The WiFiLoss zero value means "default 2%"; a loss outside [0,1) is a
 // configuration error.
 func TestRegionSpecWiFiLossResolution(t *testing.T) {
 	cases := []struct {
@@ -228,8 +211,6 @@ func TestRegionSpecWiFiLossResolution(t *testing.T) {
 	}{
 		{RegionSpec{ID: "a"}, 0.02, false},
 		{RegionSpec{ID: "b", WiFiLoss: 0.1}, 0.1, false},
-		{RegionSpec{ID: "c", LosslessWiFi: true}, 0, false},
-		{RegionSpec{ID: "d", LosslessWiFi: true, WiFiLoss: 0.1}, 0, true},
 		{RegionSpec{ID: "e", WiFiLoss: -0.5}, 0, true},
 		{RegionSpec{ID: "f", WiFiLoss: 1.5}, 0, true},
 	}
@@ -245,9 +226,9 @@ func TestRegionSpecWiFiLossResolution(t *testing.T) {
 	sys := NewSystem(SystemConfig{Speedup: 100})
 	if _, err := sys.AddRegion(RegionSpec{
 		ID: "bad", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: Base, Phones: 3, LosslessWiFi: true, WiFiLoss: 0.2,
+		Scheme: Base, Phones: 3, WiFiLoss: 1.5,
 	}); err == nil {
-		t.Fatal("conflicting loss knobs accepted")
+		t.Fatal("out-of-range loss accepted")
 	}
 }
 
