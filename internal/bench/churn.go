@@ -11,9 +11,7 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
-	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 	"mobistreams/internal/workload"
@@ -165,11 +163,7 @@ func runChurn(s churnRun) (ChurnOutcome, error) {
 		return ChurnOutcome{}, err
 	}
 	gaps := &gapTracker{allowance: 5 * churnSourcePeriod}
-	cc := controller.Config{CheckpointPeriod: s.CheckpointPeriod}
-	if s.Planner {
-		cc.Planner = scheduler.NewPlanner(placement.New(), nil)
-	}
-	d := deploy.New(s.Speedup, paperCell, cc)
+	d := deploy.New(s.Speedup, paperCell, controller.Config{CheckpointPeriod: s.CheckpointPeriod, Adaptive: s.Planner})
 	clk, ctrl := d.Clock, d.Ctrl
 	r, err := d.AddRegion(region.Config{
 		ID:           "r1",

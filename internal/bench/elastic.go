@@ -15,14 +15,13 @@ import (
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 )
 
 // The elastic keyed-parallelism experiment's fixed scenario: a keyed tally
-// group under a skewed-key moving hotspot, run with the backpressure-driven
-// elasticity policy on or off.
+// group under a skewed-key moving hotspot, run with the controller's
+// adaptive loop, which splits and merges the group, on or off.
 //
 // The workload keeps the total ingest rate constant and shifts per-key
 // weight: during a hotspot phase every key in one instance's range carries
@@ -53,24 +52,12 @@ const (
 	elasticTallyCost = 60 * time.Millisecond
 	// elasticPreMeasure is the uniform window whose p99 is the flat
 	// baseline. Each hotspot phase runs elasticAdaptGrace (the window the
-	// policy has to react) followed by an elasticHotMeasure window whose p99
-	// is reported.
+	// controller has to react) followed by an elasticHotMeasure window whose
+	// p99 is reported.
 	elasticWarmup     = 5 * time.Second
 	elasticPreMeasure = 15 * time.Second
 	elasticAdaptGrace = 10 * time.Second
 	elasticHotMeasure = 15 * time.Second
-	// elasticPolicyPeriod is the telemetry poll interval; the backlog and
-	// cooldown override the policy defaults — a saturated instance's excess
-	// ~3 tuples/s crosses 10 queued tuples within a few seconds, jitter at
-	// 0.66 load does not.
-	elasticPolicyPeriod = time.Second
-	elasticHotBacklog   = 10
-	elasticCooldown     = 4 * time.Second
-	// elasticColdFraction overrides the policy's merge threshold: the cold
-	// half of the keyspace still feeds its owners a trickle, and the stock
-	// 0.1-of-mean threshold would merge away the instance that owns exactly
-	// the range the moving hotspot lands on next.
-	elasticColdFraction = 0.05
 )
 
 // ElasticOutcome is one run's result.
@@ -129,7 +116,7 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 		return ElasticOutcome{}, err
 	}
 	d := deploy.New(elasticSpeedup, simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6},
-		controller.Config{CheckpointPeriod: time.Hour})
+		controller.Config{CheckpointPeriod: time.Hour, Adaptive: elasticOn})
 	r, err := d.AddRegion(region.Config{
 		ID:       "r1",
 		Graph:    g,
@@ -208,37 +195,6 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 		}
 	}()
 
-	// Elasticity: poll per-instance telemetry, execute the policy's plan.
-	splits, merges := 0, 0
-	stopPolicy := make(chan struct{})
-	if elasticOn {
-		pol := &scheduler.ElasticPolicy{HotBacklog: elasticHotBacklog, Cooldown: elasticCooldown, ColdFraction: elasticColdFraction}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stopPolicy:
-					return
-				default:
-				}
-				clk.Sleep(elasticPolicyPeriod)
-				stats := r.KeyedTelemetry(elasticLogical)
-				act := pol.Plan(clk.Now(), elasticLogical, stats)
-				if act == nil {
-					continue
-				}
-				if act.Split {
-					if err := r.SplitInstance(elasticLogical, act.From, act.To); err == nil {
-						splits++
-					}
-				} else if err := r.MergeKeyRange(elasticLogical, act.From, act.To); err == nil {
-					merges++
-				}
-			}
-		}()
-	}
-
 	// Each window's p99 is the minimum across three sub-windows: a wall
 	// hiccup (GC, OS scheduling) stretches sim latency by Speedup× and
 	// would poison a single window's tail, but it lands in one sub-window
@@ -272,7 +228,6 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 	}
 
 	close(stopGen)
-	close(stopPolicy)
 	wg.Wait()
 	clk.Sleep(2 * time.Second) // drain the pipeline tail
 
@@ -287,8 +242,14 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 		Duplicates: r.DuplicateOutputs(),
 		P99PreMs:   float64(p99Pre) / float64(time.Millisecond),
 		P99HotMs:   float64(p99Hot) / float64(time.Millisecond),
-		Splits:     splits,
-		Merges:     merges,
+	}
+	for _, e := range r.Obs().Journal.Events() {
+		switch e.Kind {
+		case "keyed.split":
+			out.Splits++
+		case "keyed.merge":
+			out.Merges++
+		}
 	}
 	if p99Pre > 0 {
 		out.DegradeFactor = float64(p99Hot) / float64(p99Pre)
@@ -300,7 +261,7 @@ func runElastic(seed int64, elasticOn bool) (ElasticOutcome, error) {
 }
 
 // elasticComparison runs the identical workload (same seed and phase
-// schedule) with the elasticity policy off and on.
+// schedule) with the adaptive loop off and on.
 func elasticComparison(seed int64) ([]ElasticOutcome, error) {
 	var rows []ElasticOutcome
 	for _, on := range []bool{false, true} {

@@ -16,8 +16,8 @@ import (
 
 	"mobistreams/internal/clock"
 	"mobistreams/internal/node"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
@@ -31,13 +31,14 @@ type Config struct {
 	PingTimeout      time.Duration
 	// DebounceWindow batches burst failure reports into one recovery.
 	DebounceWindow time.Duration
-	// Planner, when non-nil, enables adaptive placement: every
-	// scheduleTick each region's executor runs the planner's plan for it
-	// (proactive; reactive recovery still backstops what the plan misses).
-	Planner *scheduler.Planner
+	// Adaptive turns on each region's adaptive loop: its executor runs the
+	// placement engine's plan every scheduleTick (proactive; reactive
+	// recovery still backstops what the plan misses) and the elastic
+	// decision's split or merge every elasticTick.
+	Adaptive bool
 }
 
-// scheduleTick is the planner's telemetry/planning period.
+// scheduleTick is the placement engine's planning period.
 const scheduleTick = 5 * time.Second
 
 // codeBytes is the operator code size shipped to a phone at placement and
@@ -86,13 +87,16 @@ type managed struct {
 	migrations  int
 	// spares are idle phones the placement planner holds as warm spares;
 	// warmed marks phones that have operator code. Only the executor
-	// goroutine touches either, so neither needs mu.
+	// goroutine touches these, the cooldown ledger and the elastic
+	// decision's memory, so none needs mu.
 	spares      map[simnet.NodeID]bool
 	warmed      map[simnet.NodeID]bool
+	cool        cooldowns
+	elastic     *elastic
 	planCommits int
 	planAborts  int
-	// noMobilityWarned guards the once-per-region log line for departures
-	// under schemes with no mobility story.
+	// noMobilityWarned guards the once-per-region depart.no_mobility
+	// journal event for departures under schemes with no mobility story.
 	noMobilityWarned bool
 
 	// jobs queue work for the executor; executing is set, by the executor
@@ -104,9 +108,10 @@ type managed struct {
 
 // Controller is the global coordinator.
 type Controller struct {
-	cfg Config
-	clk clock.Clock
-	ep  *simnet.Endpoint
+	cfg    Config
+	clk    clock.Clock
+	ep     *simnet.Endpoint
+	engine *placement.Engine // one for every region: plan versions count up across them
 
 	mu      sync.Mutex
 	regions map[string]*managed
@@ -124,6 +129,7 @@ func New(cfg Config) *Controller {
 		cfg:     cfg,
 		clk:     cfg.Clock,
 		ep:      simnet.NewEndpoint(selfID, 1<<15),
+		engine:  placement.New(),
 		regions: make(map[string]*managed),
 		stopCh:  make(chan struct{}),
 	}
@@ -143,6 +149,8 @@ func (c *Controller) AddRegion(r *region.Region) {
 		failedSeen:  make(map[simnet.NodeID]bool),
 		spares:      make(map[simnet.NodeID]bool),
 		warmed:      make(map[simnet.NodeID]bool),
+		cool:        make(cooldowns),
+		elastic:     newElastic(),
 		jobs:        make(chan func(), 256),
 		restored:    make(chan node.Report, 64),
 	}

@@ -13,25 +13,34 @@ import (
 
 // execLoop is the region's executor, the one goroutine that changes its
 // placement: it runs queued jobs (recoveries, departure handoffs, manual
-// migrations) one after another and, with a planner, a placement plan
-// every scheduleTick. Serial execution is the interlock: no two actions
-// ever move a slot at once.
+// migrations) one after another and, when the adaptive loop is on, a
+// placement plan every scheduleTick and an elastic split or merge every
+// elasticTick for the region's keyed groups with dormant headroom. Serial
+// execution is the interlock: no two actions ever move a slot at once.
 func (c *Controller) execLoop(m *managed) {
 	defer c.wg.Done()
-	var timer clock.Timer
-	var tick <-chan time.Duration
-	if c.cfg.Planner != nil {
-		timer = c.clk.NewTimer(scheduleTick)
-		defer timer.Stop()
-		tick = timer.C()
+	var placeT, growT clock.Timer
+	var place, grow <-chan time.Duration
+	if c.cfg.Adaptive {
+		placeT = c.clk.NewTimer(scheduleTick)
+		defer placeT.Stop()
+		place = placeT.C()
+		if len(elasticGroups(m.r.Graph())) > 0 {
+			growT = c.clk.NewTimer(elasticTick)
+			defer growT.Stop()
+			grow = growT.C()
+		}
 	}
 	for {
 		select {
 		case job := <-m.jobs:
 			c.execute(m, job)
-		case <-tick:
+		case <-place:
 			c.execute(m, func() { c.placementTick(m) })
-			timer.Reset(scheduleTick)
+			placeT.Reset(scheduleTick)
+		case <-grow:
+			c.execute(m, func() { c.elasticTick(m) })
+			growT.Reset(elasticTick)
 		case <-c.stopCh:
 			return
 		}
@@ -69,18 +78,23 @@ func (m *managed) transferable() bool {
 	return !m.dead && m.pendingVer == 0
 }
 
-// placementTick asks the planner for a plan and runs it, unless the region
-// is dead or mid-checkpoint (telemetry differentiates rates across polls,
-// so only ticks that plan poll it).
+// placementTick runs the engine's plan for a fresh snapshot, less the
+// migrate steps whose slot is inside its cooldown, unless the region is
+// dead or mid-checkpoint (the snapshot differentiates drain rates across
+// calls, so only ticks that plan take one).
 func (c *Controller) placementTick(m *managed) {
-	if m.transferable() {
-		c.runPlan(m, c.cfg.Planner.Plan(m.r.PlacementSnapshot(m.r.Telemetry(), m.spares)))
+	if !m.transferable() {
+		return
 	}
+	snap := m.r.PlacementSnapshot(m.spares)
+	c.runPlan(m, m.cool.hold(c.engine.Plan(snap), snap.Now))
 }
 
-// critical step kinds place a slot: the steps after them depend on it.
+// critical step kinds place a slot or its keys: the steps after them
+// depend on it.
 var critical = map[placement.StepKind]bool{
 	placement.StepMigrate: true, placement.StepActivate: true, placement.StepPromote: true, placement.StepHandoff: true,
+	placement.StepSplit: true, placement.StepMerge: true,
 }
 
 // runPlan executes a plan's steps in order and journals its lifecycle:
@@ -154,12 +168,23 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		}
 		return held
 	case placement.StepMigrate, placement.StepHandoff:
-		if c.cfg.Planner != nil && st.Kind == placement.StepMigrate {
+		if st.Kind == placement.StepMigrate {
 			// The cooldown is charged here, not at plan time: steps the
 			// plan never reaches must stay plannable on the next tick.
-			c.cfg.Planner.Attempted(m.r.ID(), st.Slot, c.clk.Now())
+			m.cool[st.Slot] = c.clk.Now()
 		}
 		return c.moveSlot(m, st)
+	case placement.StepSplit, placement.StepMerge:
+		gs, ok := m.r.Graph().KeyedGroup(st.Group)
+		if !ok {
+			return false
+		}
+		now := c.clk.Now()
+		m.cool[gs.Slots[st.Donor]], m.cool[gs.Slots[st.Recipient]] = now, now
+		if st.Kind == placement.StepSplit {
+			return m.r.SplitInstance(st.Group, st.Donor, st.Recipient) == nil
+		}
+		return m.r.MergeKeyRange(st.Group, st.Donor, st.Recipient) == nil
 	case placement.StepActivate:
 		if !m.r.ClaimIdle(st.To) {
 			return false

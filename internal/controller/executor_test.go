@@ -23,6 +23,16 @@ func newTestRegion(t *testing.T, speedup float64) (*Controller, *region.Region) 
 	var b graph.Builder
 	b.AddOperator("src", "n1").AddOperator("out", "n2")
 	b.Connect("src", "out")
+	return startRegion(t, speedup, &b, operator.Registry{
+		"src": func() operator.Operator { return operator.NewPassthrough("src") },
+		"out": func() operator.Operator { return operator.NewPassthrough("out") },
+	}, 4)
+}
+
+// startRegion starts region r1 of the given graph on phones phones under a
+// controller whose pings and checkpoints stay out of the way.
+func startRegion(t *testing.T, speedup float64, b *graph.Builder, reg operator.Registry, phones int) (*Controller, *region.Region) {
+	t.Helper()
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +45,11 @@ func newTestRegion(t *testing.T, speedup float64) (*Controller, *region.Region) 
 		PingInterval:     time.Hour,
 	})
 	r, err := region.New(region.Config{
-		ID:    "r1",
-		Graph: g,
-		Registry: operator.Registry{
-			"src": func() operator.Operator { return operator.NewPassthrough("src") },
-			"out": func() operator.Operator { return operator.NewPassthrough("out") },
-		},
+		ID:           "r1",
+		Graph:        g,
+		Registry:     reg,
 		Scheme:       ft.MSScheme,
-		Phones:       4,
+		Phones:       phones,
 		Clock:        clk,
 		WiFi:         simnet.WiFiConfig{BitsPerSecond: 100e6},
 		Cell:         cell,
@@ -57,6 +64,17 @@ func newTestRegion(t *testing.T, speedup float64) (*Controller, *region.Region) 
 	c.Start()
 	t.Cleanup(c.Stop)
 	return c, r
+}
+
+// planJournal lists the region journal's plan.* entries as "kind detail".
+func planJournal(r *region.Region) []string {
+	var got []string
+	for _, e := range r.Obs().Journal.Events() {
+		if strings.HasPrefix(e.Kind, "plan.") {
+			got = append(got, e.Kind+" "+e.Detail)
+		}
+	}
+	return got
 }
 
 // Stop during a failure's debounce window returns at once and starts no
@@ -92,12 +110,7 @@ func TestRestoreTimeoutJournalsFailedStep(t *testing.T) {
 	if _, ok := c.runPlan(c.lookup("r1"), plan); !ok {
 		t.Fatal("a restore timeout aborted the plan")
 	}
-	var got []string
-	for _, e := range r.Obs().Journal.Events() {
-		if strings.HasPrefix(e.Kind, "plan.") {
-			got = append(got, e.Kind+" "+e.Detail)
-		}
-	}
+	got := planJournal(r)
 	want := []string{
 		"plan.propose 1 steps test",
 		"plan.step 1/1 ok=false restore v1 [" + string(silent) + "] local-mrc",

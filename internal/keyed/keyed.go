@@ -12,9 +12,9 @@
 // A table is immutable; a Group publishes the current table through an
 // atomic pointer, exactly like the node's epoch-stamped route cache. The
 // emit hot path does one atomic load and a binary search over the range
-// bounds — no locks, no allocations — while the control plane (region
-// split/merge, scheduler policy) swaps in successor tables built by
-// table.Split and table.Merge.
+// bounds — no locks, no allocations — while the control plane (the
+// region's split/merge, run as the controller's elastic plan steps) swaps
+// in successor tables built by table.Split and table.Merge.
 package keyed
 
 import (

@@ -34,7 +34,7 @@ type Report struct {
 	BatchFlushes int64
 	MeanBatch    float64
 
-	// Migrations counts planned live migrations the scheduler completed —
+	// Migrations counts planned live migrations the controller completed —
 	// disruptions that would otherwise have been recoveries.
 	Migrations int64
 

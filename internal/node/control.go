@@ -38,7 +38,7 @@ func (n *Node) dispatch(m simnet.Message) {
 	// Every arrival costs receive energy (WiFi and cellular alike): a
 	// phone that mostly listens — checkpoint broadcasts, preserved source
 	// replicas, replicated tuples — still drains real battery, and the
-	// scheduler's risk telemetry depends on that drain being modelled.
+	// placement planner's risk telemetry depends on that drain being modelled.
 	if m.Size > 0 && !n.cfg.Phone.DrainRx(m.Size) {
 		n.Fail()
 		return

@@ -150,7 +150,7 @@ const (
 	// CmdPing is the controller liveness probe (§III-D).
 	CmdPing
 	// CmdMigrate makes a still-healthy node transfer its slot to Target
-	// over the region WiFi — the scheduler's planned live migration.
+	// over the region WiFi — the placement planner's live migration.
 	CmdMigrate
 )
 

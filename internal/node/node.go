@@ -393,8 +393,8 @@ type Node struct {
 	// the slot activates.
 	preBuf   []streamMsg
 	preDrops int
-	// processed counts executed data tuples (telemetry: the scheduler's
-	// per-slot tuple rate). Read atomically off the executor.
+	// processed counts executed data tuples (telemetry: the elastic
+	// decision's per-instance tuple rate). Read atomically off the executor.
 	processed uint64
 	// keyRangeGen counts completed key-range imports (split/merge state
 	// arrivals); the region polls it to detect that a shipped range has

@@ -20,7 +20,7 @@ type Event struct {
 }
 
 // Journal is a bounded in-memory ring of lifecycle events shared by
-// region, node, scheduler, and transport. Emit on a nil journal is a
+// region, node, controller, and transport. Emit on a nil journal is a
 // no-op, so components can hold an optional *Journal without guards.
 type Journal struct {
 	mu     sync.Mutex

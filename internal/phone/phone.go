@@ -152,7 +152,7 @@ func (p *Phone) DrainRx(n int) bool {
 }
 
 // EnergyJoules reports the remaining battery energy (telemetry; the
-// scheduler extrapolates time-to-death from successive readings).
+// placement planner extrapolates time-to-death from successive readings).
 func (p *Phone) EnergyJoules() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -215,7 +215,7 @@ func (p *Phone) Position() Position {
 }
 
 // SetVelocity records the phone's ground velocity in metres per simulated
-// second. The scheduler extrapolates the GPS trajectory toward the WiFi
+// second. The placement planner extrapolates the GPS trajectory toward the WiFi
 // range boundary from position plus velocity (§III-E's departure feed,
 // turned predictive).
 func (p *Phone) SetVelocity(vx, vy float64) {

@@ -19,9 +19,9 @@
 //     per domain, so a planned or emergency migration lands in-domain
 //     without paying cross-channel transfer cost.
 //
-// Like internal/scheduler the package holds no runtime references: the
-// region builds the Snapshot, the controller executes the Plan, and the
-// same snapshot always encodes to the same plan, byte for byte.
+// The package holds no runtime references: the region builds the Snapshot,
+// the controller executes the Plan, and the same snapshot always encodes
+// to the same plan, byte for byte.
 package placement
 
 import (
@@ -103,8 +103,8 @@ func (s *Snapshot) phone(id simnet.NodeID) *Phone {
 }
 
 // StepKind discriminates plan steps. The engine emits the first three; the
-// controller builds recovery and departure-handoff plans from the rest, and
-// one executor runs every kind.
+// controller builds recovery, departure-handoff and elastic plans from the
+// rest, and one executor runs every kind.
 type StepKind int
 
 const (
@@ -121,6 +121,8 @@ const (
 	StepKill                         // the region stops and is bypassed
 	StepHandoff                      // departing From hands Slot's live state to idle To
 	StepUnregister                   // departed phone From leaves the region
+	StepSplit                        // keyed Group's instance Donor hands half its keys to dormant Recipient
+	StepMerge                        // keyed Group's instance Donor hands all its keys to Recipient and goes dormant
 )
 
 var stepNames = [...]string{
@@ -128,7 +130,7 @@ var stepNames = [...]string{
 	StepActivate: "activate", StepPause: "pause", StepRestore: "restore",
 	StepFetchRestore: "fetch-restore", StepReplay: "replay", StepResume: "resume",
 	StepPromote: "promote", StepKill: "kill", StepHandoff: "handoff",
-	StepUnregister: "unregister",
+	StepUnregister: "unregister", StepSplit: "split", StepMerge: "merge",
 }
 
 func (k StepKind) String() string {
@@ -150,7 +152,11 @@ type Step struct {
 	Phones  []simnet.NodeID
 	Version uint64
 	Epoch   uint64
-	Reason  string
+	// Group is the keyed group a split or merge reconfigures; Donor and
+	// Recipient are instance indices in it. Slot is the donor's slot.
+	Group            string
+	Donor, Recipient int
+	Reason           string
 }
 
 func (st Step) String() string {
@@ -159,6 +165,8 @@ func (st Step) String() string {
 		return fmt.Sprintf("migrate %s %s->%s dom%d %s", st.Slot, st.From, st.To, st.Domain, st.Reason)
 	case StepReserve, StepRelease:
 		return fmt.Sprintf("%s %s dom%d %s", st.Kind, st.To, st.Domain, st.Reason)
+	case StepSplit, StepMerge:
+		return fmt.Sprintf("%s %s %d->%d %s", st.Kind, st.Group, st.Donor, st.Recipient, st.Reason)
 	}
 	// Recovery and handoff steps: the kind, then the fields it carries.
 	f := []string{st.Kind.String(), st.Slot}

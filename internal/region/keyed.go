@@ -8,7 +8,6 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/keyed"
 	"mobistreams/internal/node"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
@@ -164,44 +163,6 @@ func (r *Region) SplitInstance(logical string, donorIdx, to int) error {
 		return nil
 	}
 	return fmt.Errorf("region %s: %s instance %d has no splittable range", r.cfg.ID, logical, donorIdx)
-}
-
-// KeyedTelemetry snapshots one keyed group's per-instance backpressure
-// signals (queue backlog, tuple rate, range ownership) for the elasticity
-// policy — the keyed analogue of Telemetry.
-func (r *Region) KeyedTelemetry(logical string) []scheduler.InstanceStat {
-	grp, ok := r.keyed[logical]
-	if !ok {
-		return nil
-	}
-	now := r.clk.Now()
-	activeSet := make(map[int]bool)
-	for _, i := range grp.Table().Instances() {
-		activeSet[i] = true
-	}
-	insts := grp.Instances()
-	stats := make([]scheduler.InstanceStat, 0, len(insts))
-	r.teleMu.Lock()
-	defer r.teleMu.Unlock()
-	for i, inst := range insts {
-		st := scheduler.InstanceStat{Instance: inst, Index: i, Active: activeSet[i]}
-		slot := r.cfg.Graph.SlotOf(inst)
-		st.Slot = slot
-		r.mu.Lock()
-		pid, placed := r.placement[slot]
-		n := r.nodes[pid]
-		r.mu.Unlock()
-		if placed && n != nil {
-			st.Backlog = n.Backlog()
-			processed := n.Processed()
-			if prev, ok := r.keyedPrev[inst]; ok && now > prev.at && processed > prev.processed {
-				st.TupleRate = float64(processed-prev.processed) / (now - prev.at).Seconds()
-			}
-			r.keyedPrev[inst] = telePoint{at: now, processed: processed}
-		}
-		stats = append(stats, st)
-	}
-	return stats
 }
 
 // MergeKeyRange drains instance `from`: every range it owns moves, state

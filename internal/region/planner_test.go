@@ -1,6 +1,7 @@
 package region_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,9 +10,7 @@ import (
 	"mobistreams/internal/clock"
 	"mobistreams/internal/controller"
 	"mobistreams/internal/ft"
-	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
@@ -23,15 +22,13 @@ type plannerOpts struct {
 	// cellBps is the cellular rate in both directions; it sets how long a
 	// 256 KB operator code ship takes.
 	cellBps float64
-	// cooldown is the planner's per-slot window (0 = its 10 s default).
-	cooldown time.Duration
 	// prepare, when set, runs on the started region before the controller's
 	// first tick.
 	prepare func(*region.Region)
 }
 
 // plannerHarness wires a diamond region into a controller running the
-// placement planner on a two-simulated-second tick.
+// placement planner on its five-simulated-second tick.
 func plannerHarness(t *testing.T, o plannerOpts) *harness {
 	t.Helper()
 	clk := clock.NewScaled(o.speedup)
@@ -39,15 +36,13 @@ func plannerHarness(t *testing.T, o plannerOpts) *harness {
 		UpBitsPerSecond:   o.cellBps,
 		DownBitsPerSecond: o.cellBps,
 	})
-	planner := scheduler.NewPlanner(placement.New(), nil)
-	planner.Cooldown = o.cooldown
 	ctrl := controller.New(controller.Config{
 		Clock:            clk,
 		Cell:             cell,
 		CheckpointPeriod: time.Hour,
 		PingInterval:     time.Hour,
 		PingTimeout:      10 * time.Second,
-		Planner:          planner,
+		Adaptive:         true,
 	})
 	r, err := region.New(region.Config{
 		ID:                "r1",
@@ -88,7 +83,7 @@ func slowShip(phones int) plannerOpts {
 
 // singleChannel is a one-domain region with fast cellular: the degenerate
 // topology where the plan is forecast evacuations plus the spare pool.
-var singleChannel = plannerOpts{phones: 7, channels: 1, speedup: 2000, cellBps: 8e6, cooldown: 5 * time.Second}
+var singleChannel = plannerOpts{phones: 7, channels: 1, speedup: 2000, cellBps: 8e6}
 
 // waitJournal polls the region journal until an event of the wanted kind
 // appears, returning it.
@@ -186,14 +181,13 @@ func TestPlannerAbortsOnDepartureAndReplans(t *testing.T) {
 
 // TestPlanAbortLeavesLaterStepsPlannable is the regression test for the
 // cooldown being charged at plan time: a plan of three migrations whose
-// second step aborts (its target departed) never attempts the third, so the
-// third step's slot must be planned again on the very next tick — with a
-// day-long cooldown (the test's 20 s of wall time is under two simulated
-// hours), a slot charged for a step nobody attempted would stay locked for
-// the whole test.
+// second step aborts (its target departed) never attempts the third. The
+// next tick, five seconds after the abort, must replan the unattempted
+// third step's slot and hold back the attempted second one, whose 10 s
+// cooldown runs from the attempt. Charged at plan time, both would have
+// been charged ~40 s earlier (step 1's code ship) and both replanned.
 func TestPlanAbortLeavesLaterStepsPlannable(t *testing.T) {
 	o := slowShip(13)
-	o.cooldown = 24 * time.Hour
 	// n5's host is below the battery floor before the first tick, so the
 	// first plan leads with its evacuation and then packs the diamond onto
 	// channel 0: n5 -> p11, n2 -> p13, n4 -> p7 (idle channel-0 phones
@@ -214,23 +208,35 @@ func TestPlanAbortLeavesLaterStepsPlannable(t *testing.T) {
 		t.Fatalf("abort = %+v, want slot n2 targeting r1/p13", abort)
 	}
 
-	// The next tick replans n4, which the aborted plan never reached.
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if pid, _ := h.r.Placement("n4"); pid != "r1/p4" {
-			break
+	// The next tick replans n4, which the aborted plan never reached, and
+	// holds n2 back: n2 was attempted, so it is charged and sits out the
+	// cooldown. replan lists the slots of the steps journaled after the
+	// abort.
+	replan := func() []string {
+		var slots []string
+		aborted := false
+		for _, e := range h.r.Obs().Journal.Events() {
+			switch {
+			case e.Kind == "plan.abort":
+				aborted = true
+			case aborted && e.Kind == "plan.step":
+				slots = append(slots, e.Slot)
+			}
 		}
+		return slots
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for time.Now().Before(deadline) && !slices.Contains(replan(), "n4") {
 		time.Sleep(2 * time.Millisecond)
+	}
+	if got := replan(); len(got) == 0 || got[0] != "n4" || slices.Contains(got, "n2") {
+		t.Fatalf("steps after the abort touch slots %q, want n4 first and not n2 inside its cooldown", got)
 	}
 	if pid, _ := h.r.Placement("n4"); pid != "r1/p7" && pid != "r1/p9" {
 		t.Fatalf("n4 on %s, want channel 0's idle r1/p7 or r1/p9: the unattempted step stayed locked out", pid)
 	}
 	if pid, _ := h.r.Placement("n5"); pid != "r1/p11" {
 		t.Fatalf("n5 on %s, want r1/p11 from the aborted plan's landed step", pid)
-	}
-	// n2 was attempted, so it is charged and sits out the cooldown.
-	if pid, _ := h.r.Placement("n2"); pid != "r1/p2" {
-		t.Fatalf("n2 on %s, want r1/p2 (attempted step is inside its cooldown)", pid)
 	}
 	if h.ctrl.Recoveries("r1") != 0 {
 		t.Fatal("reactive recovery fired; the plan abort should be clean")

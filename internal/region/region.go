@@ -126,13 +126,10 @@ type Region struct {
 	// input. Sized on first use to the medium's channel count.
 	domainDeparts []int64
 
-	// teleMu guards the previous-poll energy/processed readings the
-	// telemetry collector differentiates into drain and tuple rates.
+	// teleMu guards each phone's energy reading at the previous snapshot,
+	// which the next one differentiates into a drain rate.
 	teleMu   sync.Mutex
 	telePrev map[simnet.NodeID]telePoint
-	// keyedPrev holds the previous per-instance processed counts the keyed
-	// telemetry differentiates into tuple rates (guarded by teleMu).
-	keyedPrev map[string]telePoint
 
 	// seenOutput is the sink's exactly-once filter: per source operator,
 	// the exact set of sequences already published. lastSrc/lastSeen cache
@@ -188,7 +185,6 @@ func New(cfg Config) (*Region, error) {
 		failed:       make(map[simnet.NodeID]bool),
 		seenOutput:   make(map[string]*seqset.Set),
 		telePrev:     make(map[simnet.NodeID]telePoint),
-		keyedPrev:    make(map[string]telePoint),
 		keyed:        make(map[string]*keyed.Group),
 	}
 	for _, gs := range cfg.Graph.KeyedGroups() {
@@ -668,7 +664,7 @@ func (r *Region) SlotsOn(id simnet.NodeID) []string {
 	return slots
 }
 
-// ClaimIdle removes a specific phone from the idle pool (the scheduler's
+// ClaimIdle removes a specific phone from the idle pool (the planner's
 // chosen migration target). It returns false when the phone is not idle or
 // no longer healthy.
 func (r *Region) ClaimIdle(id simnet.NodeID) bool {

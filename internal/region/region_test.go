@@ -3,6 +3,7 @@ package region_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/phone"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
@@ -853,67 +855,61 @@ func TestDepartureWithoutMobilityStoryWarnsOnce(t *testing.T) {
 	}
 }
 
-// TestTelemetryCollector checks the scheduler's inputs: membership, slot
-// assignment, idle flags, and rate estimation across polls.
+// TestTelemetryCollector checks the placement snapshot's telemetry:
+// membership, slot assignment, idle flags, and drain-rate estimation
+// across snapshots.
 func TestTelemetryCollector(t *testing.T) {
 	h := newHarness(t, ft.MSScheme, 6)
 	h.ingest(10)
 	h.waitCount(t, 10, 10*time.Second)
 
-	first := h.r.Telemetry()
+	first := h.r.PlacementSnapshot(nil)
 	if first.Region != "r1" || len(first.Phones) != 6 {
-		t.Fatalf("telemetry = %s with %d phones, want r1 with 6", first.Region, len(first.Phones))
+		t.Fatalf("snapshot = %s with %d phones, want r1 with 6", first.Region, len(first.Phones))
 	}
-	byID := func(rs []string, id string) bool {
-		for _, s := range rs {
-			if s == id {
-				return true
-			}
-		}
-		return false
+	hosting := make(map[simnet.NodeID]bool)
+	for _, a := range first.Slots {
+		hosting[a.Phone] = true
 	}
-	var sawIdle, sawHost bool
+	if !slices.Contains(first.Slots, placement.Assignment{Slot: "n3", Phone: "r1/p3"}) {
+		t.Fatalf("snapshot slots %v do not place n3 on r1/p3", first.Slots)
+	}
+	sawIdle := false
 	for _, p := range first.Phones {
 		if p.Idle {
 			sawIdle = true
-			if len(p.Slots) != 0 {
-				t.Fatalf("idle phone %s lists slots %v", p.ID, p.Slots)
+			if hosting[p.ID] {
+				t.Fatalf("idle phone %s hosts a slot", p.ID)
 			}
-		}
-		if p.ID == "r1/p3" && byID(p.Slots, "n3") {
-			sawHost = true
 		}
 		if p.BatteryJoules <= 0 || p.BatteryFraction <= 0 {
 			t.Fatalf("phone %s has no battery telemetry: %+v", p.ID, p)
 		}
 	}
-	if !sawIdle || !sawHost {
-		t.Fatalf("telemetry missing idle or host entries: %+v", first.Phones)
+	if !sawIdle {
+		t.Fatalf("snapshot has no idle phone: %+v", first.Phones)
 	}
 
-	// A second poll after more work carries positive drain and tuple rate.
+	// A second snapshot after more work carries a positive drain rate.
 	h.ingest(20)
 	h.waitCount(t, 30, 10*time.Second)
-	second := h.r.Telemetry()
-	var drained, rated bool
+	second := h.r.PlacementSnapshot(nil)
+	drained := false
 	for _, p := range second.Phones {
 		if p.DrainWatts > 0 {
 			drained = true
 		}
-		if p.TupleRate > 0 {
-			rated = true
-		}
 	}
-	if !drained || !rated {
-		t.Fatalf("second poll has no rate estimates (drained=%v rated=%v): %+v", drained, rated, second.Phones)
+	if !drained {
+		t.Fatalf("second snapshot has no drain estimate: %+v", second.Phones)
 	}
 
-	// A failed phone drops out of the telemetry.
+	// A failed phone drops out of the snapshot.
 	h.r.FailPhone("r1/p6")
-	third := h.r.Telemetry()
+	third := h.r.PlacementSnapshot(nil)
 	for _, p := range third.Phones {
 		if p.ID == "r1/p6" {
-			t.Fatal("failed phone still in telemetry")
+			t.Fatal("failed phone still in the snapshot")
 		}
 	}
 }

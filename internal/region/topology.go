@@ -2,36 +2,59 @@ package region
 
 import (
 	"sort"
+	"time"
 
+	"mobistreams/internal/node"
+	"mobistreams/internal/phone"
 	"mobistreams/internal/placement"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 )
 
-// PlacementSnapshot assembles the placement planner's input from one
-// telemetry poll: the WiFi channel domains (membership, airtime, observed
-// departures), every in-service phone's domain and telemetry, the current
-// slot→phone assignment, and the graph's weighted slot communication
-// edges. `spares` marks phones the controller holds claimed as warm
-// spares — they are absent from the idle pool but available to the
-// planner. The output obeys the engine's ordering contract (domains by
-// ID, phones by ID, slots by name, edges by pair), so identical region
-// state always snapshots identically.
-func (r *Region) PlacementSnapshot(rs scheduler.RegionStats, spares map[simnet.NodeID]bool) placement.Snapshot {
-	snap := placement.Snapshot{
-		Region:  rs.Region,
-		Now:     rs.Now,
-		RadiusM: rs.RadiusM,
-	}
+// telePoint is one phone's energy at the previous snapshot.
+type telePoint struct {
+	at     time.Duration
+	energy float64
+}
 
+// PlacementSnapshot assembles the placement planner's input: the WiFi
+// channel domains (membership, airtime, observed departures), every
+// in-service phone's domain, battery joules and drain rate since the
+// previous snapshot, queue backlog and GPS position/velocity, the current
+// slot→phone assignment, and the graph's weighted slot communication
+// edges. Failed and departed phones are left out: they are the reactive
+// path's problem, not the planner's. `spares` marks phones the controller
+// holds claimed as warm spares — they are absent from the idle pool but
+// available to the planner. The output obeys the engine's ordering
+// contract (domains by ID, phones by ID, slots by name, edges by pair), so
+// identical region state always snapshots identically.
+func (r *Region) PlacementSnapshot(spares map[simnet.NodeID]bool) placement.Snapshot {
+	snap := placement.Snapshot{Region: r.cfg.ID, Now: r.clk.Now(), RadiusM: r.cfg.RadiusM}
+
+	type entry struct {
+		id   simnet.NodeID
+		idle bool
+		n    *node.Node
+		ph   *phone.Phone
+	}
 	chans := r.wifi.ChannelStats()
 	r.mu.Lock()
 	departs := append([]int64(nil), r.domainDeparts...)
 	for slot, id := range r.placement {
 		snap.Slots = append(snap.Slots, placement.Assignment{Slot: slot, Phone: id})
 	}
+	idle := make(map[simnet.NodeID]bool, len(r.idle))
+	for _, id := range r.idle {
+		idle[id] = true
+	}
+	entries := make([]entry, 0, len(r.phones))
+	for id, ph := range r.phones {
+		if !r.failed[id] && !r.departed[id] {
+			entries = append(entries, entry{id: id, idle: idle[id], n: r.nodes[id], ph: ph})
+		}
+	}
 	r.mu.Unlock()
 	sort.Slice(snap.Slots, func(i, j int) bool { return snap.Slots[i].Slot < snap.Slots[j].Slot })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
 
 	for i, cs := range chans {
 		d := placement.Domain{
@@ -43,25 +66,36 @@ func (r *Region) PlacementSnapshot(rs scheduler.RegionStats, spares map[simnet.N
 		snap.Domains = append(snap.Domains, d)
 	}
 
-	for _, p := range rs.Phones {
-		ch, ok := r.wifi.ChannelOf(p.ID)
+	r.teleMu.Lock()
+	defer r.teleMu.Unlock()
+	prev := r.telePrev
+	r.telePrev = make(map[simnet.NodeID]telePoint, len(entries))
+	for _, e := range entries {
+		energy := e.ph.EnergyJoules()
+		r.telePrev[e.id] = telePoint{at: snap.Now, energy: energy}
+		ch, ok := r.wifi.ChannelOf(e.id)
 		if !ok {
 			continue
 		}
-		snap.Phones = append(snap.Phones, placement.Phone{
-			ID:              p.ID,
+		pos := e.ph.Position()
+		p := placement.Phone{
+			ID:              e.id,
 			Domain:          ch,
-			Idle:            p.Idle,
-			Spare:           spares[p.ID],
-			BatteryJoules:   p.BatteryJoules,
-			BatteryFraction: p.BatteryFraction,
-			DrainWatts:      p.DrainWatts,
-			Backlog:         p.Backlog,
-			X:               p.Position.X,
-			Y:               p.Position.Y,
-			VelX:            p.VelX,
-			VelY:            p.VelY,
-		})
+			Idle:            e.idle,
+			Spare:           spares[e.id],
+			BatteryJoules:   energy,
+			BatteryFraction: e.ph.BatteryFraction(),
+			X:               pos.X,
+			Y:               pos.Y,
+		}
+		p.VelX, p.VelY = e.ph.Velocity()
+		if e.n != nil {
+			p.Backlog = e.n.Backlog()
+		}
+		if last, ok := prev[e.id]; ok && snap.Now > last.at && last.energy > energy {
+			p.DrainWatts = (last.energy - energy) / (snap.Now - last.at).Seconds()
+		}
+		snap.Phones = append(snap.Phones, p)
 	}
 
 	for _, e := range r.cfg.Graph.SlotEdges() {

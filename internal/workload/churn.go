@@ -64,7 +64,7 @@ type ChurnHooks struct {
 	// Pos and SetPos read and write a walking phone's GPS fix.
 	Pos    func(id simnet.NodeID) phone.Position
 	SetPos func(id simnet.NodeID, p phone.Position)
-	// SetVel records the walker's velocity (the scheduler's trajectory
+	// SetVel records the walker's velocity (the placement planner's trajectory
 	// telemetry).
 	SetVel func(id simnet.NodeID, vx, vy float64)
 	// Departed fires when a walker crosses the range boundary — the GPS
@@ -76,7 +76,7 @@ type ChurnHooks struct {
 
 // StartChurn launches the join and leave processes. Event times are drawn
 // from seeded exponentials, so two runs with the same seed and config see
-// the same churn schedule — the basis for reactive-vs-scheduler A/B runs.
+// the same churn schedule — the basis for reactive-vs-planner A/B runs.
 func (g *Generator) StartChurn(hooks ChurnHooks, cfg ChurnConfig) {
 	cfg.applyDefaults()
 	if cfg.MeanLeave > 0 {

@@ -67,9 +67,7 @@ import (
 	"mobistreams/internal/metrics"
 	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
-	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
-	"mobistreams/internal/scheduler"
 	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 	"mobistreams/stream"
@@ -147,14 +145,15 @@ type SystemConfig struct {
 	// CheckpointPeriod is the controller's checkpoint interval (§IV:
 	// 5 minutes; default 5 minutes).
 	CheckpointPeriod time.Duration
-	// AdaptivePlacement enables the telemetry-driven placement planner:
-	// the controller polls every region's channel topology and battery,
-	// backlog and trajectory telemetry every 5 s, live-migrates
-	// slots off at-risk phones before they fail or depart, packs
-	// communicating slots into one WiFi channel and keeps a warm spare
-	// phone per channel (proactive, in addition to the paper's reactive
-	// recovery, which reclaims the warm spares when it needs a
-	// replacement).
+	// AdaptivePlacement enables each region's adaptive loop. Every 5 s the
+	// controller snapshots the region's channel topology and battery,
+	// backlog and trajectory telemetry, live-migrates slots off at-risk
+	// phones before they fail or depart, packs communicating slots into
+	// one WiFi channel and keeps a warm spare phone per channel
+	// (proactive, in addition to the paper's reactive recovery, which
+	// reclaims the warm spares when it needs a replacement). Every 1 s it
+	// splits a keyed group that declares WithMaxParallelism headroom when
+	// an active instance backs up, and merges a cold instance back.
 	AdaptivePlacement bool
 }
 
@@ -204,10 +203,7 @@ func NewSystem(cfg SystemConfig) *System {
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 1
 	}
-	cc := controller.Config{CheckpointPeriod: cfg.CheckpointPeriod}
-	if cfg.AdaptivePlacement {
-		cc.Planner = scheduler.NewPlanner(placement.New(), nil)
-	}
+	cc := controller.Config{CheckpointPeriod: cfg.CheckpointPeriod, Adaptive: cfg.AdaptivePlacement}
 	return &System{d: deploy.New(cfg.Speedup, simnet.CellularConfig{}, cc)}
 }
 

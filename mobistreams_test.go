@@ -2,6 +2,7 @@ package mobistreams
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,6 +199,52 @@ func TestSystemAdaptivePlacement(t *testing.T) {
 	}
 	if r.Migrations() != 0 {
 		t.Fatalf("healthy region migrated %d slots", r.Migrations())
+	}
+}
+
+// With AdaptivePlacement on, the region's controller splits a keyed group
+// that declares WithMaxParallelism headroom once a hot key backs its one
+// active instance up: no caller drives the split.
+func TestSystemAdaptivePlacementSplitsHotGroup(t *testing.T) {
+	p, err := stream.From[string]("src").
+		KeyBy("kb", func(v string) string { return v }).
+		Via("tally", func() Operator {
+			kt := operator.NewKeyedTally("tally")
+			kt.CostFn = operator.FixedCost(20 * time.Millisecond)
+			return kt
+		}, stream.WithMaxParallelism(2)).
+		Sink("out", nil).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := NewSystem(SystemConfig{Speedup: 100, CheckpointPeriod: time.Hour, AdaptivePlacement: true})
+	spec := PipelineSpec("r1", p, MS, 6)
+	spec.WiFiBps = 50e6
+	r, err := sys.AddRegion(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Start()
+	defer sys.Stop()
+	// 200 tuples, three in four on the hot key, queue 4 s of work at the
+	// lone active instance.
+	for i := 0; i < 200; i++ {
+		key := "hot"
+		if i%4 == 0 {
+			key = fmt.Sprintf("k%d", i%16)
+		}
+		r.Ingest("src", key, 64, key)
+	}
+	var planned, split bool
+	for deadline := time.Now().Add(10 * time.Second); !(planned && split) && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, e := range r.r.Obs().Journal.Events() {
+			planned = planned || e.Kind == "plan.step" && strings.Contains(e.Detail, "ok=true split tally 0->1")
+			split = split || e.Kind == "keyed.split"
+		}
+	}
+	if !planned || !split {
+		t.Fatalf("split plan step journaled: %v, keyed.split journaled: %v; want both", planned, split)
 	}
 }
 

@@ -66,7 +66,10 @@ func WithParallelism(n int) Option {
 
 // WithMaxParallelism places n instances for the stage (slots and all) of
 // which only WithParallelism(k) serve traffic initially; the rest stay
-// dormant until a live key-range split hands them load. Implies
+// dormant until a live key-range split hands them load. The region's
+// controller splits the group when an active instance backs up, and merges
+// a cold instance back, when the system runs with AdaptivePlacement on;
+// otherwise the group keeps its initial parallelism. Implies
 // WithParallelism(1) when no initial parallelism is given.
 func WithMaxParallelism(n int) Option {
 	return func(st *stage) { st.maxPar = n; st.hasPar = true }
