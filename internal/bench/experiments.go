@@ -366,19 +366,19 @@ type scriptedMedium struct {
 	phase     int
 }
 
-func (s *scriptedMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int {
+func (s *scriptedMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) int {
 	s.phase++
-	counts := make([]int, len(grams))
-	for gi, g := range grams {
+	delivered := 0
+	for _, g := range grams {
 		bm := g.Payload.(*broadcast.BlockMsg)
 		for id, r := range s.receivers {
 			if s.deliver(id, bm.Index) {
 				r.OnBlock(*bm)
-				counts[gi]++
+				delivered++
 			}
 		}
 	}
-	return counts
+	return delivered
 }
 
 func (s *scriptedMedium) deliver(to simnet.NodeID, b int) bool {

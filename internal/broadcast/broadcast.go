@@ -52,7 +52,7 @@ func (c *Config) applyDefaults() {
 // implements it, and tests substitute scripted media to reproduce the
 // paper's Fig. 6 walk-through exactly.
 type medium interface {
-	BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int
+	BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) int
 	Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}, reply chan simnet.Message) error
 	Unicast(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}) error
 }

@@ -22,19 +22,19 @@ type scriptMedium struct {
 	inPlace bool
 }
 
-func (s *scriptMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) []int {
+func (s *scriptMedium) BroadcastBatch(from simnet.NodeID, class simnet.Class, grams []simnet.Datagram) int {
 	s.phase++
-	counts := make([]int, len(grams))
-	for gi, g := range grams {
+	delivered := 0
+	for _, g := range grams {
 		bm := g.Payload.(*BlockMsg)
 		for id, r := range s.receivers {
 			if s.deliver(s.phase, id, bm.Index) {
 				r.OnBlock(*bm)
-				counts[gi]++
+				delivered++
 			}
 		}
 	}
-	return counts
+	return delivered
 }
 
 func (s *scriptMedium) Request(from, to simnet.NodeID, class simnet.Class, size int, payload interface{}, reply chan simnet.Message) error {
@@ -171,7 +171,8 @@ func TestDisseminateNoPeers(t *testing.T) {
 }
 
 // serveReceivers joins one endpoint per id to w and runs a receiver on
-// each, dispatching like a node runtime does. It returns every receiver's
+// each, dispatching like a node runtime does: UDP blocks, alone or in a
+// burst, go through simnet.Datagrams to Receiver.OnBlocks. It returns every receiver's
 // store; the goroutines exit when the test ends.
 func serveReceivers(t *testing.T, w *simnet.WiFi, ids []simnet.NodeID) map[simnet.NodeID]*storage.Store {
 	stop := make(chan struct{})
@@ -184,16 +185,18 @@ func serveReceivers(t *testing.T, w *simnet.WiFi, ids []simnet.NodeID) map[simne
 		stores[id] = store
 		recv := NewReceiver(store)
 		go func(id simnet.NodeID, ep *simnet.Endpoint) {
+			var grams []simnet.Datagram
 			for {
 				select {
 				case m := <-ep.Inbox():
 					switch p := m.Payload.(type) {
-					case *BlockMsg:
-						recv.OnBlock(*p)
 					case FillMsg:
 						recv.OnFill(p)
 					case QueryMsg:
 						w.Respond(m, id, simnet.ClassBitmap, BitmapWireBytes(p.Total), recv.Answer(p))
+					default:
+						grams = simnet.Datagrams(grams[:0], m)
+						recv.OnBlocks(grams)
 					}
 				case <-stop:
 					return

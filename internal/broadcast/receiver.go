@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"mobistreams/internal/checkpoint"
+	"mobistreams/internal/simnet"
 	"mobistreams/internal/storage"
 )
 
@@ -51,18 +52,40 @@ func (r *Receiver) assemblerFor(slot string, version uint64, total int, blob *ch
 // whose chunk CRC does not verify is not recorded: the next bitmap query
 // reports it missing and the sender retransmits it.
 func (r *Receiver) OnBlock(msg BlockMsg) bool {
+	gram := [1]simnet.Datagram{{Payload: &msg}}
+	return r.OnBlocks(gram[:]) > 0
+}
+
+// OnBlocks records the *BlockMsg payloads of grams (a burst unpacked by
+// simnet.Datagrams) as OnBlock would, under one lock, looking an assembler
+// up only when the blob differs from the previous block's. It returns how
+// many blobs became complete.
+func (r *Receiver) OnBlocks(grams []simnet.Datagram) (completed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	a := r.assemblerFor(msg.Slot, msg.Version, msg.Total, msg.Blob)
-	if msg.Index < 0 || msg.Index >= len(a.got) || a.got[msg.Index] {
-		return false
+	var a *assembler
+	var prev *BlockMsg
+	for _, g := range grams {
+		msg, ok := g.Payload.(*BlockMsg)
+		if !ok {
+			continue
+		}
+		if prev == nil || msg.Slot != prev.Slot || msg.Version != prev.Version {
+			a = r.assemblerFor(msg.Slot, msg.Version, msg.Total, msg.Blob)
+		} else if a.blob == nil {
+			a.blob = msg.Blob
+		}
+		prev = msg
+		if msg.Index < 0 || msg.Index >= len(a.got) || a.got[msg.Index] || !chunkOK(a.blob, msg.Index, msg.CRC) {
+			continue
+		}
+		a.got[msg.Index] = true
+		a.count++
+		if r.maybeComplete(a) {
+			completed++
+		}
 	}
-	if !chunkOK(a.blob, msg.Index, msg.CRC) {
-		return false
-	}
-	a.got[msg.Index] = true
-	a.count++
-	return r.maybeComplete(a)
+	return completed
 }
 
 // OnFill records a TCP fill of multiple blocks; it returns true when the

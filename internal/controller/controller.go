@@ -128,7 +128,7 @@ func New(cfg Config) *Controller {
 	c := &Controller{
 		cfg:     cfg,
 		clk:     cfg.Clock,
-		ep:      simnet.NewEndpoint(selfID, 1<<15),
+		ep:      simnet.NewEndpoint(selfID, simnet.DefaultInbox),
 		engine:  placement.New(),
 		regions: make(map[string]*managed),
 		stopCh:  make(chan struct{}),

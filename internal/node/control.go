@@ -31,9 +31,6 @@ func (n *Node) dispatchLoop() {
 	}
 }
 
-// ctrlBuffer is the control queue depth; control traffic is low-rate.
-const ctrlBuffer = 4096
-
 func (n *Node) dispatch(m simnet.Message) {
 	// Every arrival costs receive energy (WiFi and cellular alike): a
 	// phone that mostly listens — checkpoint broadcasts, preserved source
@@ -71,12 +68,14 @@ func (n *Node) dispatch(m simnet.Message) {
 		}
 	case simnet.ClassCheckpoint:
 		switch p := m.Payload.(type) {
-		case *broadcast.BlockMsg:
-			n.recv.OnBlock(*p)
 		case broadcast.FillMsg:
 			n.recv.OnFill(p)
 		case distBlobMsg:
 			n.cfg.Store.PutBlob(p.Blob)
+		default:
+			// UDP blocks, alone or a burst of one airtime reservation.
+			n.rxGrams = simnet.Datagrams(n.rxGrams[:0], m)
+			n.recv.OnBlocks(n.rxGrams)
 		}
 	default:
 		select {
@@ -92,7 +91,7 @@ func (n *Node) ctrlCh() chan simnet.Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.ctrl == nil {
-		n.ctrl = make(chan simnet.Message, ctrlBuffer)
+		n.ctrl = make(chan simnet.Message, simnet.DefaultInbox) // low-rate: depth peaks at ~5
 	}
 	return n.ctrl
 }

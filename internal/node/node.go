@@ -439,6 +439,7 @@ type Node struct {
 	batch *batcher
 
 	ctrl      chan simnet.Message
+	rxGrams   []simnet.Datagram // dispatchLoop's buffer for unpacking bursts
 	persistCh chan *checkpoint.Blob
 	stopCh    chan struct{}
 	stopOnce  sync.Once

@@ -233,7 +233,7 @@ func New(cfg Config) (*Region, error) {
 
 	for _, id := range ids {
 		ph := phone.New(id, cfg.PhoneCfg)
-		ep := simnet.NewEndpoint(id, 1<<14)
+		ep := simnet.NewEndpoint(id, simnet.DefaultInbox)
 		st := storage.New()
 		r.phones[id] = ph
 		r.endpoints[id] = ep
@@ -305,7 +305,7 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 func (r *Region) buildStandby(slot string) {
 	sbPhone := r.standbyPhone[slot]
 	sbID := r.standby[slot]
-	ep := simnet.NewEndpoint(sbID, 1<<14)
+	ep := simnet.NewEndpoint(sbID, simnet.DefaultInbox)
 	st := storage.New()
 	r.endpoints[sbID] = ep
 	r.stores[sbID] = st
@@ -703,7 +703,7 @@ func (r *Region) AddPhone(cfg phone.Config) simnet.NodeID {
 	r.joined++
 	id := simnet.NodeID(fmt.Sprintf("%s/p%d", r.cfg.ID, r.cfg.Phones+r.joined))
 	ph := phone.New(id, cfg)
-	ep := simnet.NewEndpoint(id, 1<<14)
+	ep := simnet.NewEndpoint(id, simnet.DefaultInbox)
 	st := storage.New()
 	r.phones[id] = ph
 	r.endpoints[id] = ep

@@ -173,6 +173,11 @@ func TestTokenCheckpointCommitsMS(t *testing.T) {
 			t.Fatalf("phone %s missing blobs for v%d", id, v)
 		}
 	}
+	// Block bursts take one inbox slot per airtime reservation, so the
+	// default inbox holds a whole checkpoint round.
+	if d := h.r.InboxDrops(); d != 0 {
+		t.Fatalf("inbox drops = %d at %d-slot inboxes", d, simnet.DefaultInbox)
+	}
 }
 
 // TestStopMidDisseminationReturnsPromptly stops a region while checkpoint

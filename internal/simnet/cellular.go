@@ -147,17 +147,15 @@ func (c *Cellular) send(from, to NodeID, class Class, size int, payload interfac
 	upl := c.up[from]
 	downl := c.down[to]
 	c.mu.Unlock()
-	if ep == nil || upl == nil || downl == nil || ep.isSealed() {
+	if ep == nil || upl == nil || downl == nil || ep.sealed.Load() {
 		return errUnreachable
 	}
 	c.transfer(upl, downl, size)
 	c.Counters.add(class, size)
-	if ep.isSealed() {
+	if ep.sealed.Load() {
 		return errUnreachable
 	}
-	if !ep.deliver(Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}, true) {
-		return errUnreachable
-	}
+	ep.inbox <- Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}
 	return nil
 }
 

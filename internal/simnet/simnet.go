@@ -10,12 +10,13 @@
 // medium is modelled with a busy-until reservation: a transmission of B
 // bytes reserves B/bandwidth of airtime starting at max(now, busyUntil), and
 // the sender sleeps (in simulated time) until its reservation completes.
+// A broadcast delivers one inbox message per airtime reservation per
+// receiver (see Datagrams); loss and Endpoint.Drops count datagrams.
 package simnet
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -69,8 +70,10 @@ var errUnreachable = errors.New("simnet: destination unreachable")
 type Message struct {
 	From, To NodeID
 	Class    Class
-	Size     int
-	Payload  interface{}
+	// Size is the payload's wire size; for a broadcast burst, the summed
+	// size of the datagrams it carries.
+	Size    int
+	Payload interface{}
 	// Reply, when non-nil, is where the receiver should deliver its
 	// response (via the network's Respond, which charges airtime).
 	Reply chan Message
@@ -81,16 +84,19 @@ type Message struct {
 type Endpoint struct {
 	ID    NodeID
 	inbox chan Message
-	drops int64 // non-blocking deliveries lost to a full inbox
+	drops int64 // datagrams lost to a full inbox
 
-	mu     sync.Mutex
-	sealed bool
+	sealed atomic.Bool
 }
+
+// DefaultInbox is NewEndpoint's capacity for a non-positive request, and
+// the region's and controller's: a burst takes one slot per reservation.
+const DefaultInbox = 1024
 
 // NewEndpoint creates an endpoint with the given inbox capacity.
 func NewEndpoint(id NodeID, capacity int) *Endpoint {
 	if capacity <= 0 {
-		capacity = 1024
+		capacity = DefaultInbox
 	}
 	return &Endpoint{ID: id, inbox: make(chan Message, capacity)}
 }
@@ -101,43 +107,28 @@ func (e *Endpoint) Inbox() <-chan Message { return e.inbox }
 // Seal marks the endpoint dead: subsequent deliveries fail. Used when a
 // phone fails; pending messages remain readable so in-flight goroutines can
 // drain before shutdown.
-func (e *Endpoint) Seal() {
-	e.mu.Lock()
-	e.sealed = true
-	e.mu.Unlock()
-}
+func (e *Endpoint) Seal() { e.sealed.Store(true) }
 
-// isSealed reports whether the endpoint is dead.
-func (e *Endpoint) isSealed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.sealed
-}
-
-// deliver places m into the inbox. If block is false and the inbox is full
-// the message is dropped (UDP semantics) and deliver reports false.
-func (e *Endpoint) deliver(m Message, block bool) bool {
-	if e.isSealed() {
+// offer places m, which carries grams datagrams, in the inbox without
+// waiting; a full inbox drops it (UDP semantics) and counts grams drops.
+func (e *Endpoint) offer(m Message, grams int) bool {
+	if e.sealed.Load() {
 		return false
-	}
-	if block {
-		e.inbox <- m
-		return true
 	}
 	select {
 	case e.inbox <- m:
 		return true
 	default:
-		atomic.AddInt64(&e.drops, 1)
+		atomic.AddInt64(&e.drops, int64(grams))
 		return false
 	}
 }
 
-// Drops reports how many non-blocking (UDP-semantics) deliveries this
-// endpoint lost to a full inbox. Sealed-endpoint rejections are not
-// counted: those are failures, not overflow. The region report surfaces
-// the regional sum, so receiver-side overload is visible instead of
-// silently thinning broadcast traffic.
+// Drops reports how many UDP datagrams this endpoint lost to a full inbox,
+// counting every datagram of a dropped burst. Sealed-endpoint rejections
+// are not counted: those are failures, not overflow. The region report
+// surfaces the regional sum, so receiver-side overload is visible instead
+// of silently thinning broadcast traffic.
 func (e *Endpoint) Drops() int64 { return atomic.LoadInt64(&e.drops) }
 
 // counters accumulates bytes and message counts by traffic class. The

@@ -105,11 +105,7 @@ func TestWiFiBroadcastLoss(t *testing.T) {
 	for i := range grams {
 		grams[i] = Datagram{Size: 100, Payload: i}
 	}
-	counts := w.BroadcastBatch("a", ClassCheckpoint, grams)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
+	total := w.BroadcastBatch("a", ClassCheckpoint, grams)
 	// 400 datagrams x 3 receivers x 50% ~= 600 expected deliveries.
 	if total < 450 || total > 750 {
 		t.Fatalf("deliveries = %d, want ~600 under 50%% loss", total)
@@ -323,18 +319,18 @@ func TestCellularSharedUplinkContention(t *testing.T) {
 
 func TestEndpointSealUnseal(t *testing.T) {
 	ep := NewEndpoint("x", 2)
-	if ep.isSealed() {
+	if ep.sealed.Load() {
 		t.Fatal("new endpoint sealed")
 	}
 	ep.Seal()
-	if !ep.isSealed() {
+	if !ep.sealed.Load() {
 		t.Fatal("seal did not stick")
 	}
-	if ep.deliver(Message{}, false) {
+	if ep.offer(Message{}, 1) {
 		t.Fatal("delivered to sealed endpoint")
 	}
 	ep.Unseal()
-	if !ep.deliver(Message{}, false) {
+	if !ep.offer(Message{}, 1) {
 		t.Fatal("unsealed endpoint rejected delivery")
 	}
 }
@@ -426,11 +422,11 @@ func TestWiFiFrameOverheadChargesAirtime(t *testing.T) {
 // blocking deliveries and sealed-endpoint rejections are not.
 func TestEndpointDropCounter(t *testing.T) {
 	ep := NewEndpoint("a", 1)
-	if !ep.deliver(Message{Class: ClassData}, false) {
+	if !ep.offer(Message{Class: ClassData}, 1) {
 		t.Fatal("first delivery into empty inbox failed")
 	}
 	for i := 0; i < 3; i++ {
-		if ep.deliver(Message{Class: ClassData}, false) {
+		if ep.offer(Message{Class: ClassData}, 1) {
 			t.Fatal("delivery into full inbox succeeded")
 		}
 	}
@@ -439,7 +435,7 @@ func TestEndpointDropCounter(t *testing.T) {
 	}
 	// Sealed rejections are failures, not overflow: not counted.
 	ep.Seal()
-	ep.deliver(Message{Class: ClassData}, false)
+	ep.offer(Message{Class: ClassData}, 1)
 	if got := ep.Drops(); got != 3 {
 		t.Fatalf("drops after sealed rejection = %d, want 3", got)
 	}
@@ -481,7 +477,8 @@ func lossyRegion(t *testing.T, n int, spread bool, seed int64) (*WiFi, NodeID, [
 // datagram in target order, and delivers in that order too: replaying the
 // seeded generator predicts exactly which receiver gets which datagram,
 // through Broadcast and BroadcastBatch alike, and the counters charge each
-// datagram's payload once.
+// datagram's payload once. The batch is one reservation, so each receiver
+// reads it from one message.
 func TestWiFiBroadcastLossSequencePinned(t *testing.T) {
 	const seed, receivers, batch, singles = 99, 8, 40, 20
 	w, from, eps := lossyRegion(t, receivers, true, seed)
@@ -489,38 +486,58 @@ func TestWiFiBroadcastLossSequencePinned(t *testing.T) {
 	for i := range grams {
 		grams[i] = Datagram{Size: 10 + i, Payload: i}
 	}
-	counts := w.BroadcastBatch(from, ClassPreserve, grams)
+	batchDelivered := w.BroadcastBatch(from, ClassPreserve, grams)
+	counts := make([]int, batch, batch+singles)
 	for i := batch; i < batch+singles; i++ {
 		counts = append(counts, w.Broadcast(from, ClassPreserve, 10+i, i))
 	}
 
 	rng := rand.New(rand.NewSource(seed))
 	want := make([][]int, receivers)
-	bytes := 0
+	wantCounts := make([]int, batch+singles)
+	bytes, wantBatch := 0, 0
 	for g := 0; g < batch+singles; g++ {
 		bytes += 10 + g
-		delivered := 0
 		for r := range want {
 			if rng.Float64() >= 0.3 {
 				want[r] = append(want[r], g)
-				delivered++
+				wantCounts[g]++
 			}
 		}
-		if counts[g] != delivered {
-			t.Fatalf("datagram %d reached %d receivers, want %d", g, counts[g], delivered)
+		if g < batch {
+			wantBatch += wantCounts[g]
 		}
+	}
+	if batchDelivered != wantBatch {
+		t.Fatalf("BroadcastBatch delivered %d datagrams, want %d", batchDelivered, wantBatch)
 	}
 	for r, ep := range eps {
 		var got []int
-		for len(ep.Inbox()) > 0 {
+		for msgs := 0; len(ep.Inbox()) > 0; msgs++ {
 			m := <-ep.Inbox()
-			if m.From != from || m.To != ep.ID || m.Class != ClassPreserve || m.Size != 10+m.Payload.(int) {
+			size := 0
+			for _, d := range Datagrams(nil, m) {
+				g := d.Payload.(int)
+				if d.Size != 10+g || (g < batch) != (msgs == 0) {
+					t.Fatalf("receiver %s got datagram %+v in message %d", ep.ID, d, msgs)
+				}
+				if g < batch {
+					counts[g]++
+				}
+				size += d.Size
+				got = append(got, g)
+			}
+			if m.From != from || m.To != ep.ID || m.Class != ClassPreserve || m.Size != size {
 				t.Fatalf("receiver %s got %+v", ep.ID, m)
 			}
-			got = append(got, m.Payload.(int))
 		}
 		if !slices.Equal(got, want[r]) {
 			t.Fatalf("receiver %d (%s) got datagrams %v, want %v", r, ep.ID, got, want[r])
+		}
+	}
+	for g := range counts {
+		if counts[g] != wantCounts[g] {
+			t.Fatalf("datagram %d reached %d receivers, want %d", g, counts[g], wantCounts[g])
 		}
 	}
 	if got := w.Counters.Bytes(ClassPreserve); got != int64(bytes) {
@@ -531,9 +548,108 @@ func TestWiFiBroadcastLossSequencePinned(t *testing.T) {
 	}
 }
 
-// A region too large for the on-stack target list samples loss the same
-// way: stripes hold several members, so only the per-datagram receiver
-// counts (target-order independent) are predictable.
+// A BroadcastBatch reaches each receiver as one inbox message per airtime
+// reservation, holding that reservation's datagrams minus the receiver's
+// losses as the seeded generator replays them. The first two reservations
+// hold 65 datagrams each, one past a loss word.
+func TestWiFiBroadcastBatchOneMessagePerReservation(t *testing.T) {
+	const seed, receivers = 5, 15
+	w, from, eps := lossyRegion(t, receivers, true, seed)
+	var grams []Datagram
+	for i := 0; i < 211; i++ {
+		size := 1000
+		if i == 150 {
+			size = chunkBytes // travels in a reservation of its own
+		}
+		grams = append(grams, Datagram{Size: size, Payload: i})
+	}
+	// Reservations: [0,65) [65,130) [130,150) [150,151) [151,211).
+	resOf := func(g int) int {
+		switch {
+		case g < 130:
+			return g / 65
+		case g < 150:
+			return 2
+		case g == 150:
+			return 3
+		}
+		return 4
+	}
+	const reservations = 5
+	w.BroadcastBatch(from, ClassCheckpoint, grams)
+
+	rng := rand.New(rand.NewSource(seed))
+	want := make([][reservations][]int, receivers)
+	for g := range grams {
+		for r := range want {
+			if rng.Float64() >= 0.3 {
+				want[r][resOf(g)] = append(want[r][resOf(g)], g)
+			}
+		}
+	}
+	for r, ep := range eps {
+		if n := len(ep.Inbox()); n > reservations {
+			t.Fatalf("receiver %s holds %d messages for %d reservations", ep.ID, n, reservations)
+		}
+		for res := 0; res < reservations; res++ {
+			if len(want[r][res]) == 0 {
+				continue
+			}
+			var got []int
+			for _, d := range Datagrams(nil, <-ep.Inbox()) {
+				got = append(got, d.Payload.(int))
+			}
+			if !slices.Equal(got, want[r][res]) {
+				t.Fatalf("receiver %s, reservation %d: got %v, want %v", ep.ID, res, got, want[r][res])
+			}
+		}
+		if len(ep.Inbox()) != 0 {
+			t.Fatalf("receiver %s holds %d extra messages", ep.ID, len(ep.Inbox()))
+		}
+	}
+}
+
+// A full inbox drops a whole burst and counts each of its datagrams in
+// Drops; and a BroadcastBatch allocates at most twice, the datagram copy
+// and the loss cells, however many datagrams and receivers it has.
+func TestWiFiBroadcastBatchDropsAndAllocs(t *testing.T) {
+	w := NewWiFi(testClock(), WiFiConfig{BitsPerSecond: 1e12})
+	var eps []*Endpoint
+	for _, id := range []NodeID{"a", "b", "c"} {
+		ep := NewEndpoint(id, 1)
+		w.Join(ep)
+		eps = append(eps, ep)
+	}
+	grams := make([]Datagram, 200) // reservations of 65, 65, 65 and 5
+	for i := range grams {
+		grams[i] = Datagram{Size: 1000, Payload: i}
+	}
+	if got := w.BroadcastBatch("a", ClassCheckpoint, grams); got != 2*65 {
+		t.Fatalf("delivered %d datagrams, want the first reservation's 65 to each of 2", got)
+	}
+	for _, ep := range eps[1:] {
+		if got := ep.Drops(); got != 200-65 {
+			t.Fatalf("%s dropped %d datagrams, want %d", ep.ID, got, 200-65)
+		}
+	}
+
+	for _, receivers := range []int{1, 15, 40} {
+		w, from, _ := lossyRegion(t, receivers, false, 1)
+		for _, n := range []int{2, 64, 500} {
+			grams := make([]Datagram, n)
+			for i := range grams {
+				grams[i] = Datagram{Size: 1000, Payload: i}
+			}
+			if a := testing.AllocsPerRun(20, func() { w.BroadcastBatch(from, ClassCheckpoint, grams) }); a > 2 {
+				t.Fatalf("BroadcastBatch of %d datagrams to %d receivers allocates %.0f times, want <= 2", n, receivers, a)
+			}
+		}
+	}
+}
+
+// A region whose stripes hold several members samples loss the same way,
+// but its target order within a stripe is map order, so only the
+// per-datagram receiver counts (target-order independent) are predictable.
 func TestWiFiBroadcastLossCountsLargeRegion(t *testing.T) {
 	const seed, receivers, n = 7, 40, 50
 	w, from, eps := lossyRegion(t, receivers, false, seed)
@@ -555,8 +671,8 @@ func TestWiFiBroadcastLossCountsLargeRegion(t *testing.T) {
 	}
 }
 
-// A single-datagram broadcast in a small region allocates nothing of its
-// own: no target-list growth, no per-call counts slice.
+// A single-datagram broadcast allocates nothing of its own: it reads the
+// cached roster and delivers the bare payload, with no copy or cells.
 func TestWiFiBroadcastAllocs(t *testing.T) {
 	w, _ := newTestWiFi(t, WiFiConfig{BitsPerSecond: 1e12})
 	var payload interface{} = "blk"
@@ -594,9 +710,7 @@ func (c *counters) Snapshot() map[string]int64 {
 // Unseal revives a sealed endpoint (a replacement phone reusing an ID in
 // tests, or a region restart).
 func (e *Endpoint) Unseal() {
-	e.mu.Lock()
-	e.sealed = false
-	e.mu.Unlock()
+	e.sealed.Store(false)
 }
 
 // Members returns the IDs currently attached (present or not), in

@@ -116,7 +116,11 @@ type WiFi struct {
 	chans    []wifiChannel
 	stripes  [memberStripes]memberStripe
 	nextChan uint32 // round-robin channel assignment (atomic)
-	attached int32  // members in the stripes, present or not (atomic)
+
+	// roster caches the present members broadcasts deliver to. gen counts
+	// membership changes; a roster built at an older gen is stale.
+	gen    atomic.Uint64
+	roster atomic.Pointer[roster]
 
 	// uniBytes/crossBytes account reliable unicast traffic (effective
 	// bytes, retransmissions included): crossBytes is the subset whose
@@ -174,8 +178,8 @@ func (w *WiFi) Join(ep *Endpoint) {
 		m.present = true
 	} else {
 		s.members[ep.ID] = &wifiMember{ep: ep, channel: ch, present: true}
-		atomic.AddInt32(&w.attached, 1)
 	}
+	w.gen.Add(1)
 	s.mu.Unlock()
 }
 
@@ -187,6 +191,7 @@ func (w *WiFi) SetPresent(id NodeID, present bool) {
 	if m, ok := s.members[id]; ok {
 		m.present = present
 	}
+	w.gen.Add(1)
 	s.mu.Unlock()
 }
 
@@ -203,10 +208,8 @@ func (w *WiFi) present(id NodeID) bool {
 func (w *WiFi) Remove(id NodeID) {
 	s := w.stripe(id)
 	s.mu.Lock()
-	if _, ok := s.members[id]; ok {
-		delete(s.members, id)
-		atomic.AddInt32(&w.attached, -1)
-	}
+	delete(s.members, id)
+	w.gen.Add(1)
 	s.mu.Unlock()
 }
 
@@ -385,7 +388,7 @@ func (w *WiFi) Respond(req Message, from NodeID, class Class, size int, payload 
 func (w *WiFi) send(from, to NodeID, class Class, size int, payload interface{}, reply chan Message) error {
 	_, fromCh, fromPresent, fromOK := w.lookup(from)
 	ep, toCh, toPresent, toOK := w.lookup(to)
-	if !toOK || !toPresent || !fromOK || !fromPresent || ep.isSealed() {
+	if !toOK || !toPresent || !fromOK || !fromPresent || ep.sealed.Load() {
 		return errUnreachable
 	}
 	// Reliable transfer over a lossy medium costs extra airtime for
@@ -409,12 +412,10 @@ func (w *WiFi) send(from, to NodeID, class Class, size int, payload interface{},
 	}
 	// Re-check reachability after airtime: the destination may have
 	// failed while the transfer was queued.
-	if !w.present(to) || ep.isSealed() {
+	if !w.present(to) || ep.sealed.Load() {
 		return errUnreachable
 	}
-	if !ep.deliver(Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}, true) {
-		return errUnreachable
-	}
+	ep.inbox <- Message{From: from, To: to, Class: class, Size: size, Payload: payload, Reply: reply}
 	return nil
 }
 
@@ -424,78 +425,163 @@ type Datagram struct {
 	Payload interface{}
 }
 
+// burst is one receiver's share of a multi-datagram airtime reservation:
+// its datagrams and the receiver's loss bits, 64 per cell. words is the
+// receiver's consecutive cells; only the first holds grams and words.
+type burst struct {
+	grams []Datagram
+	words []burst
+	lost  uint64
+}
+
+func (b *burst) lostAt(i int) bool { return b.words[i/64].lost&(1<<(i%64)) != 0 }
+
+// Datagrams appends to dst the datagrams m brings: those of a burst its
+// receiver did not lose, in send order, or else m's own payload.
+func Datagrams(dst []Datagram, m Message) []Datagram {
+	b, ok := m.Payload.(*burst)
+	if !ok {
+		return append(dst, Datagram{Size: m.Size, Payload: m.Payload})
+	}
+	for i, g := range b.grams {
+		if !b.lostAt(i) {
+			dst = append(dst, g)
+		}
+	}
+	return dst
+}
+
 // Broadcast sends one UDP datagram to every present member except the
 // sender. Delivery is best-effort: each receiver independently loses the
 // datagram with LossProb, and a full inbox drops it. The airtime is charged
 // once per channel regardless of receiver count — this is the broadcast
 // amortisation MobiStreams exploits (§III-C). It returns the number of
-// members that received the datagram.
+// members that received the datagram, as the message's bare payload.
 func (w *WiFi) Broadcast(from NodeID, class Class, size int, payload interface{}) int {
 	gram := [1]Datagram{{Size: size, Payload: payload}}
-	var count [1]int
-	w.broadcast(from, class, gram[:], count[:])
-	return count[0]
+	return w.BroadcastBatch(from, class, gram[:])
 }
 
 // BroadcastBatch sends a burst of UDP datagrams back-to-back, reserving
-// airtime in chunks so concurrent flows interleave with the burst. It
-// returns, per datagram, how many members received it.
-func (w *WiFi) BroadcastBatch(from NodeID, class Class, grams []Datagram) []int {
-	counts := make([]int, len(grams))
-	w.broadcast(from, class, grams, counts)
-	return counts
+// airtime in chunks of up to 64 KB so concurrent flows interleave with the
+// burst. Each receiver gets one message per reservation, holding the
+// datagrams it did not lose (the bare payload if the reservation holds one
+// datagram); a full inbox drops the message, counting its datagrams in
+// Drops. It returns how many datagrams were delivered, over all receivers.
+func (w *WiFi) BroadcastBatch(from NodeID, class Class, grams []Datagram) int {
+	if len(grams) == 0 || !w.present(from) {
+		return 0
+	}
+	members := w.members()
+	// Bursts share one copy of grams, which receivers read after the caller
+	// moves on, and carve loss words from one array, a row per member.
+	words := 0
+	for start := 0; start < len(grams); {
+		end, _ := w.reservation(grams, start)
+		if end-start > 1 {
+			words += (end - start + 63) / 64
+		}
+		start = end
+	}
+	var own []Datagram
+	var cells []burst
+	if words > 0 && len(members) > 1 {
+		own = append([]Datagram(nil), grams...)
+		cells = make([]burst, words*len(members))
+	}
+	// Reserve airtime one chunk of datagrams at a time so concurrent
+	// unicast flows interleave with a long burst, then deliver the chunk.
+	delivered := 0
+	for start := 0; start < len(grams); {
+		end, bytes := w.reservation(grams, start)
+		w.occupyAll(bytes)
+		for _, g := range grams[start:end] {
+			w.Counters.add(class, g.Size)
+		}
+		if g := grams[start]; end-start == 1 {
+			for _, ep := range members {
+				if ep.ID != from && !w.lost() && ep.offer(Message{From: from, To: ep.ID, Class: class, Size: g.Size, Payload: g.Payload}, 1) {
+					delivered++
+				}
+			}
+		} else if cells != nil {
+			n := (end - start + 63) / 64 * len(members)
+			delivered += w.deliverBurst(from, class, own[start:end], members, cells[:n])
+			cells = cells[n:]
+		}
+		start = end
+	}
+	return delivered
 }
 
-// broadcast sends grams and adds each one's receiver count to counts.
-func (w *WiFi) broadcast(from NodeID, class Class, grams []Datagram, counts []int) {
-	if len(grams) == 0 || !w.present(from) {
-		return
+// reservation returns the end and airtime bytes of the reservation starting
+// at grams[start]: one datagram, then as many as fit within chunkBytes.
+func (w *WiFi) reservation(grams []Datagram, start int) (end, bytes int) {
+	end = start
+	for end < len(grams) && (bytes == 0 || bytes+grams[end].Size <= chunkBytes) {
+		bytes += grams[end].Size + w.cfg.FrameOverhead
+		end++
 	}
-	type target struct {
-		id NodeID
-		ep *Endpoint
+	return end, bytes
+}
+
+// deliverBurst draws every loss of one reservation under one lock, datagram
+// by datagram in member order, into each member's row of cells, then offers
+// every member but the sender the datagrams it did not lose as one message.
+func (w *WiFi) deliverBurst(from NodeID, class Class, grams []Datagram, members []*Endpoint, cells []burst) (delivered int) {
+	words := len(cells) / len(members)
+	if p := w.cfg.LossProb; p > 0 {
+		w.rngMu.Lock()
+		for i := range grams {
+			for t, ep := range members {
+				if ep.ID != from && w.rng.Float64() < p {
+					cells[t*words+i/64].lost |= 1 << (i % 64)
+				}
+			}
+		}
+		w.rngMu.Unlock()
 	}
-	// Sized once: on the stack for the common small region, else for every
-	// attached member (an upper bound; a concurrent Join may still grow it).
-	var few [16]target
-	targets := few[:0]
-	if n := int(atomic.LoadInt32(&w.attached)); n > len(few) {
-		targets = make([]target, 0, n)
+	for t, ep := range members {
+		b := &cells[t*words]
+		b.grams, b.words = grams, cells[t*words:(t+1)*words]
+		got, size := 0, 0
+		for i, g := range grams {
+			if !b.lostAt(i) {
+				got, size = got+1, size+g.Size
+			}
+		}
+		if ep.ID != from && got > 0 && ep.offer(Message{From: from, To: ep.ID, Class: class, Size: size, Payload: b}, got) {
+			delivered += got
+		}
 	}
+	return delivered
+}
+
+// roster is the present members, in stripe order, at one membership gen.
+type roster struct {
+	gen     uint64
+	members []*Endpoint
+}
+
+// members returns the present members from the roster, rebuilt after a
+// membership change. gen is read before the scan, so a change racing the
+// scan leaves the new roster stale, never wrong.
+func (w *WiFi) members() []*Endpoint {
+	gen := w.gen.Load()
+	if r := w.roster.Load(); r != nil && r.gen == gen {
+		return r.members
+	}
+	r := &roster{gen: gen}
 	for i := range w.stripes {
 		s := &w.stripes[i]
 		s.mu.RLock()
-		for id, m := range s.members {
-			if id != from && m.present {
-				targets = append(targets, target{id, m.ep})
+		for _, m := range s.members {
+			if m.present {
+				r.members = append(r.members, m.ep)
 			}
 		}
 		s.mu.RUnlock()
 	}
-
-	// Reserve airtime one chunk of datagrams at a time so concurrent
-	// unicast flows interleave with a long burst, then deliver the
-	// chunk's datagrams. Per-datagram timing below chunk resolution is
-	// irrelevant to the protocol.
-	for start := 0; start < len(grams); {
-		end, bytes := start, 0
-		for end < len(grams) && (bytes == 0 || bytes+grams[end].Size <= chunkBytes) {
-			bytes += grams[end].Size + w.cfg.FrameOverhead
-			end++
-		}
-		w.occupyAll(bytes)
-		for i := start; i < end; i++ {
-			g := grams[i]
-			w.Counters.add(class, g.Size)
-			for _, tg := range targets {
-				if w.lost() {
-					continue
-				}
-				if tg.ep.deliver(Message{From: from, To: tg.id, Class: class, Size: g.Size, Payload: g.Payload}, false) {
-					counts[i]++
-				}
-			}
-		}
-		start = end
-	}
+	w.roster.Store(r)
+	return r.members
 }
