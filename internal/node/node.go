@@ -167,8 +167,10 @@ type upQueue struct {
 	// park membership instead, and leave it empty).
 	recent seqset.Window
 	// depth is the edge's queue-depth histogram (nil when obs is off),
-	// observed once per delivery, after its last accepted enqueue.
-	depth *obs.Histogram
+	// observed once per delivery, after its last accepted enqueue (an
+	// external queue's ingests are sampled by depthTicks, under mu).
+	depth      *obs.Histogram
+	depthTicks sampler
 }
 
 // newStreamQueue builds an upstream stream queue.
@@ -311,6 +313,37 @@ func (q *upQueue) reset() {
 // one around (clocks never report a negative time).
 const noStamp = time.Duration(-1)
 
+// timeEvery is how sparsely the executor times items: one in every
+// timeEvery a queue delivers, observed with weight timeEvery (ObserveN).
+const timeEvery = 8
+
+// sampler counts one queue's items and picks those the executor times: one
+// per block of timeEvery, the first block's first, at a position a
+// golden-ratio hash of the block number spreads evenly, so a cost recurring
+// every k items (a batch flush) is sampled at its true rate. Per queue, or
+// round-robin could hand every pick to one queue.
+type sampler uint32
+
+// due reports whether the queue's next item is picked.
+func (s *sampler) due() bool {
+	n := uint32(*s)
+	return n%timeEvery == (n/timeEvery*2654435761)>>24%timeEvery
+}
+
+// weight counts one item and returns its observation weight: timeEvery
+// when picked, 1 for a traced item off the pick, else 0.
+func (s *sampler) weight(traced bool) uint64 {
+	picked := s.due()
+	*s++
+	switch {
+	case picked:
+		return timeEvery
+	case traced:
+		return 1
+	}
+	return 0
+}
+
 // execCmd is a high-priority executor command.
 type execCmd struct {
 	snapshot uint64 // snapshot now at this version (local/dist-n)
@@ -418,6 +451,9 @@ type Node struct {
 	// reservations (Phone.ExecFrom) at the moment the work became runnable
 	// rather than at the executor's wake time. Zero between tuples.
 	curReady time.Duration
+	// opWeight is the item's latency observation weight (0: untimed), set
+	// like curTrace; 1 between items, so timer firings are all timed.
+	opWeight uint64
 
 	// runs are the executor's scratch for its preservation pipeline, one
 	// buffer per committed block, and flashDone is when the flash device
@@ -473,6 +509,7 @@ func New(cfg Config) *Node {
 		urgentReported: make(map[graph.SlotID]bool),
 		persistCh:      make(chan *checkpoint.Blob, 64),
 		stopCh:         make(chan struct{}),
+		opWeight:       1,
 	}
 	n.role.Store(int32(cfg.Role))
 	if cfg.Obs != nil {
@@ -645,7 +682,9 @@ func (n *Node) IngestExternalTraced(src graph.OpID, t *tuple.Tuple, tc obs.SpanC
 	}
 	*q.slot() = queued{fromOp: graph.NoOp, toOp: src, item: tuple.DataItem(c), tc: tc, at: c.Created}
 	if q.depth != nil {
-		q.depth.Observe(int64(q.len()))
+		if w := q.depthTicks.weight(false); w > 0 {
+			q.depth.ObserveN(int64(q.len()), w)
+		}
 	}
 	n.cond.Signal()
 	n.mu.Unlock()
@@ -894,11 +933,11 @@ func (n *Node) execLoop() {
 	// get one turn first, so an operator bug that re-arms an already-due
 	// timer cannot starve tuple processing either.
 	firedLast := false
-	// boundary is the clock reading taken as the last tuple finished (its
-	// op-latency end stamp), or noStamp. When the executor goes straight on
-	// to the next queued item, the reading also serves as that item's
-	// dequeue stamp and its first operator's latency start, so back-to-back
-	// tuples cost one clock read each; anything in between that takes time
+	// boundary is the clock reading taken as the last tuple finished (a
+	// timed tuple's end stamp, or one taken because the next is timed), or
+	// noStamp. When the executor goes straight on to a queued item, the
+	// reading also serves as that item's dequeue stamp and its first
+	// operator's latency start; anything in between that takes time
 	// (parking, a flush, a command, timers, a marker) discards it.
 	boundary := noStamp
 	preserves := n.cfg.Scheme.PreservesAtSources()
@@ -1077,12 +1116,12 @@ func (n *Node) topUpRun(p *pipeline, qi, buf int) []queued {
 // hides behind useful work. A block executes only once its own write is
 // durable. A node that fails or is stopped part-way (a battery dying inside
 // runOp) abandons every tuple not yet executed, committed blocks included:
-// preserved but unprocessed is exactly what replay expects. The dequeue stamp
-// is taken before the commit and the previous block's end stamp flows into
-// the next: a block's first tuple carries the residual flash wait in its
-// operator latency, not its edge wait.
+// preserved but unprocessed is exactly what replay expects. A timed first
+// tuple takes its dequeue stamp before the commit, and the previous block's
+// end stamp flows into the next: a block's first tuple carries the residual
+// flash wait in its operator latency, not its edge wait.
 func (n *Node) handleRun(p *pipeline, qi int, run []queued, now time.Duration) time.Duration {
-	if n.obsReg != nil && now < run[0].at {
+	if n.obsReg != nil && now < run[0].at && (p.timing[qi].due() || run[0].tc.ID != 0) {
 		now = n.clk.Now()
 	}
 	// A committed block is the run in scratch buffer i, durable on flash at
@@ -1135,9 +1174,10 @@ func (n *Node) nextItemLocked(dst *queued) (int, bool) {
 // lock-free: watermarks advance on the pipeline's atomic counters and the
 // operator chain runs against the compiled routes.
 //
-// now is a clock reading still current at the call (see execLoop), else
-// noStamp. The return value is the reading taken as the item's operator
-// finished, or noStamp when the item took none or did more after it.
+// The item is timed when its queue's sampler picks it or it is traced. now
+// is a clock reading still current at the call (see execLoop), else
+// noStamp. The return value is the reading taken as the item finished (when
+// it or its queue's next item is timed), or noStamp.
 func (n *Node) handleItem(p *pipeline, qi int, it *queued, now time.Duration) time.Duration {
 	from := p.upstreams[qi]
 	if it.item.Marker != nil {
@@ -1153,15 +1193,17 @@ func (n *Node) handleItem(p *pipeline, qi int, it *queued, now time.Duration) ti
 	atomic.AddUint64(&n.processed, 1)
 	n.curReady = it.at
 	if n.obsReg != nil {
-		if now < it.at { // no stamp, or the item was enqueued after it
-			now = n.clk.Now()
-		}
-		if h := p.edgeWait[qi]; h != nil && it.at > 0 {
-			h.Observe(int64(now - it.at))
-		}
-		if it.tc.ID != 0 {
-			n.curTrace = it.tc
-			n.tracer.Record(&n.curTrace, obs.SpanDequeue, string(n.id), p.slot, n.graph.OpName(it.toOp), int64(now))
+		if n.opWeight = p.timing[qi].weight(it.tc.ID != 0); n.opWeight > 0 {
+			if now < it.at { // no stamp, or the item was enqueued after it
+				now = n.clk.Now()
+			}
+			if h := p.edgeWait[qi]; h != nil && it.at > 0 {
+				h.ObserveN(int64(now-it.at), n.opWeight)
+			}
+			if it.tc.ID != 0 {
+				n.curTrace = it.tc
+				n.tracer.Record(&n.curTrace, obs.SpanDequeue, string(n.id), p.slot, n.graph.OpName(it.toOp), int64(now))
+			}
 		}
 	}
 	switch from {
@@ -1178,8 +1220,7 @@ func (n *Node) handleItem(p *pipeline, qi int, it *queued, now time.Duration) ti
 	if p.keyedGroup != nil {
 		if owner := p.keyedGroup.Owner(t.Kind); owner != p.keyedInst {
 			n.rerouteToOwner(p, owner, t)
-			n.curTrace = obs.SpanCtx{}
-			n.curReady = 0
+			n.curTrace, n.curReady, n.opWeight = obs.SpanCtx{}, 0, 1
 			return noStamp
 		}
 	}
@@ -1187,8 +1228,10 @@ func (n *Node) handleItem(p *pipeline, qi int, it *queued, now time.Duration) ti
 	if idx := p.opFor(it.toOp); idx >= 0 {
 		end = n.runOp(p, idx, n.graph.OpName(it.fromOp), t, now)
 	}
-	n.curTrace = obs.SpanCtx{}
-	n.curReady = 0
+	n.curTrace, n.curReady, n.opWeight = obs.SpanCtx{}, 0, 1
+	if end == noStamp && n.obsReg != nil && p.timing[qi].due() {
+		end = n.clk.Now()
+	}
 	return end
 }
 
@@ -1264,7 +1307,7 @@ func (n *Node) carveRunTs(k int) []*tuple.Tuple {
 // contracts route identically — the emit-context path pushes straight
 // into the compiled pipeline with zero per-tuple allocation, the legacy
 // path replays its returned []Out through the same Context. No lock is
-// taken and no map is consulted.
+// taken and no map is consulted. At opWeight 0 it reads no clock.
 //
 // start is the operator's latency start stamp when the caller already holds
 // a current clock reading (the executor's dequeue stamp), else noStamp and
@@ -1279,7 +1322,7 @@ func (n *Node) runOp(p *pipeline, idx int, fromOp string, t *tuple.Tuple, start 
 		}
 		n.maybeReportChronic()
 	}
-	if c.lat == nil {
+	if c.lat == nil || n.opWeight == 0 {
 		_ = c.proc(c.ctx, fromOp, t) // an operator error costs only this tuple
 		return noStamp
 	}
@@ -1291,7 +1334,7 @@ func (n *Node) runOp(p *pipeline, idx int, fromOp string, t *tuple.Tuple, start 
 	}
 	_ = c.proc(c.ctx, fromOp, t) // an operator error costs only this tuple
 	end := n.clk.Now()
-	c.lat.Observe(int64(end - start))
+	c.lat.ObserveN(int64(end-start), n.opWeight)
 	return end
 }
 

@@ -11,7 +11,8 @@ import (
 // obsBenchResult quantifies what observability costs on the emit hot path,
 // measured on the same compiled chain as RunEmitBench in three modes:
 // no registry at all, registry attached with sampling off (the production
-// steady state), and every tuple traced (the worst case).
+// steady state), and every tuple traced (the worst case). Tuples are timed
+// as the executor times its items.
 type obsBenchResult struct {
 	Iters int
 	// OffNsPerOp / HistNsPerOp / TraceNsPerOp are per-tuple latencies for
@@ -60,6 +61,9 @@ func obsBenchMode(reg *obs.Registry, traceEvery, iters int) (nsPerOp, allocsPerO
 			} else {
 				n.curTrace = obs.SpanCtx{}
 			}
+		}
+		if reg != nil { // the chain's one queue is its external one
+			n.opWeight = p.timing[0].weight(n.curTrace.ID != 0)
 		}
 		n.runOp(p, idx, "", t, noStamp)
 	}

@@ -19,10 +19,11 @@ import (
 // atomically (Node.pipe), so the steady-state path never observes a
 // half-built topology.
 //
-// The outSeq/inHW counters are the only mutable state. They are owned by
-// the executor goroutine and accessed with atomics, so control-plane
-// snapshots taken while the executor is parked (pause, handoff) stay
-// race-clean even against an executor wedged in a delivery retry.
+// The outSeq/inHW counters are the only mutable state besides the
+// executor's timers and samplers. They are owned by the executor goroutine
+// and accessed with atomics, so control-plane snapshots taken while the
+// executor is parked (pause, handoff) stay race-clean even against an
+// executor wedged in a delivery retry.
 type pipeline struct {
 	g      *graph.Graph // the region's graph, which numbers every ID below
 	slot   string
@@ -70,8 +71,10 @@ type pipeline struct {
 
 	// edgeWait holds each upstream edge's queue-wait histogram (parallel
 	// to upstreams; entries nil when obs is off), resolved at compile
-	// time so the dequeue path reads an immutable slice.
+	// time so the dequeue path reads an immutable slice. timing picks the
+	// items the executor times, per upstream.
 	edgeWait []*obs.Histogram
+	timing   []sampler
 }
 
 // opTimer is one pending timer: the simulated-time deadline and the owning
@@ -297,6 +300,7 @@ func (n *Node) compilePipeline(slot string, opIDs []string, ops []operator.Opera
 	p.outSeq = make([]uint64, len(p.downs))
 	p.inHW = make([]uint64, len(p.upstreams))
 	p.edgeWait = make([]*obs.Histogram, len(p.upstreams))
+	p.timing = make([]sampler, len(p.upstreams))
 	for i, up := range p.upstreams {
 		p.edgeWait[i] = n.obsReg.Hist(obs.EdgeWait, g.SlotName(up)+"->"+slot)
 	}

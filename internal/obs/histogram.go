@@ -55,13 +55,18 @@ func bucketUpper(idx int) int64 {
 }
 
 // Observe records one sample. Negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records v as n samples: a sampled observation that stands for
+// the n-1 unobserved ones beside it. Bucket and count grow by n, sum by
+// n·v; max is that of one sample. Negative values clamp to zero.
+func (h *Histogram) ObserveN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	atomic.AddUint64(&h.counts[bucketIndex(v)], 1)
-	atomic.AddUint64(&h.count, 1)
-	atomic.AddUint64(&h.sum, uint64(v))
+	atomic.AddUint64(&h.counts[bucketIndex(v)], n)
+	atomic.AddUint64(&h.count, n)
+	atomic.AddUint64(&h.sum, n*uint64(v))
 	for {
 		cur := atomic.LoadInt64(&h.max)
 		if v <= cur || atomic.CompareAndSwapInt64(&h.max, cur, v) {

@@ -79,8 +79,9 @@ func TestHistogramPercentileErrorBound(t *testing.T) {
 }
 
 // TestHistogramConcurrentWriters hammers one histogram from many
-// goroutines while a reader merges it into a scratch copy — run under
-// -race this proves Observe/Merge/Percentile need no locks.
+// goroutines, half of them with weighted observations, while a reader
+// merges it into a scratch copy — run under -race this proves
+// Observe/ObserveN/Merge/Percentile need no locks.
 func TestHistogramConcurrentWriters(t *testing.T) {
 	const writers = 8
 	const perWriter = 20000
@@ -108,15 +109,19 @@ func TestHistogramConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				h.Observe(int64(w*perWriter + i))
+				if w%2 == 0 {
+					h.Observe(int64(w*perWriter + i))
+				} else {
+					h.ObserveN(int64(w*perWriter+i), 8)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	close(stop)
 	reader.Wait()
-	if h.Count() != writers*perWriter {
-		t.Fatalf("count=%d, want %d", h.Count(), writers*perWriter)
+	if want := uint64(writers / 2 * perWriter * (1 + 8)); h.Count() != want {
+		t.Fatalf("count=%d, want %d", h.Count(), want)
 	}
 	if h.Max() != writers*perWriter-1 {
 		t.Fatalf("max=%d, want %d", h.Max(), writers*perWriter-1)
@@ -174,12 +179,77 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	var h Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i))
+// A weighted observation is indistinguishable from observing the value
+// that many times: count, sum, max and every percentile agree, and so do
+// histograms that mix weights.
+func TestHistogramWeightedEqualsRepeated(t *testing.T) {
+	var weighted, repeated Histogram
+	for i, v := range []int64{-3, 0, 7, 15, 16, 1000, 123456, 9_876_543} {
+		n := uint64(1 + i%8)
+		weighted.ObserveN(v, n)
+		for j := uint64(0); j < n; j++ {
+			repeated.Observe(v)
+		}
 	}
+	if weighted.Count() != repeated.Count() || weighted.Sum() != repeated.Sum() || weighted.Max() != repeated.Max() {
+		t.Fatalf("weighted count/sum/max = %d/%d/%d, repeated %d/%d/%d",
+			weighted.Count(), weighted.Sum(), weighted.Max(), repeated.Count(), repeated.Sum(), repeated.Max())
+	}
+	for _, p := range []float64{1, 10, 25, 50, 75, 90, 99, 99.9, 100} {
+		if w, r := weighted.Percentile(p), repeated.Percentile(p); w != r {
+			t.Fatalf("p%v: weighted %d, repeated %d", p, w, r)
+		}
+	}
+	if w, r := weighted.Snapshot(), repeated.Snapshot(); len(w) != len(r) {
+		t.Fatalf("weighted buckets %v, repeated %v", w, r)
+	} else {
+		for i := range w {
+			if w[i] != r[i] {
+				t.Fatalf("bucket %d: weighted %v, repeated %v", i, w[i], r[i])
+			}
+		}
+	}
+}
+
+// plainHistogram is Histogram with plain stores: correct for one goroutine
+// only, since exporters read a live histogram while its writer observes.
+// It is here to price Observe's atomics, not to be used.
+type plainHistogram struct {
+	counts [numBuckets]uint64
+	count  uint64
+	sum    uint64
+	max    int64
+}
+
+func (h *plainHistogram) observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.counts[bucketIndex(v)]++
+	h.count++
+	h.sum += uint64(v)
+	if v > h.max {
+		h.max = v
+	}
+}
+
+// BenchmarkHistogramObserve times Observe against a plain single-goroutine
+// copy of it: the gap is what the atomics cost.
+func BenchmarkHistogramObserve(b *testing.B) {
+	b.Run("atomic", func(b *testing.B) {
+		var h Histogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Observe(int64(i))
+		}
+	})
+	b.Run("plain", func(b *testing.B) {
+		var h plainHistogram
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.observe(int64(i))
+		}
+	})
 }
 
 // Snapshot returns the non-empty buckets as (upper-bound, count) pairs in

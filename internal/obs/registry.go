@@ -15,11 +15,13 @@ type Family struct {
 // The families the runtime records into. A registry serves one region, so
 // region-wide families need no region label.
 var (
-	// OpLatency is every operator Process call, ns.
+	// OpLatency is operator Process latency, ns: one dequeued item in 8 per
+	// queue with weight 8, and every traced item and timer firing.
 	OpLatency = Family{"ms_op_latency_ns", "op"}
-	// EdgeWait is every dequeued tuple's queue wait, ns.
+	// EdgeWait is a dequeued tuple's queue wait, ns, sampled like OpLatency.
 	EdgeWait = Family{"ms_edge_wait_ns", "edge"}
-	// EdgeDepth is the receiving queue's depth once per delivery, items.
+	// EdgeDepth is the receiving queue's depth once per delivery, items;
+	// an external queue observes one ingest in eight with weight 8.
 	EdgeDepth = Family{"ms_edge_depth", "edge"}
 	// SinkLatency is the end-to-end latency of every deduplicated sink
 	// result, ingest to publication, ns. Its count is the region's output

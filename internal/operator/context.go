@@ -99,7 +99,9 @@ type KeyedStater interface {
 
 // KeyedState is a per-key byte-string store with deterministic
 // serialisation: keys encode in sorted order, so snapshots are
-// byte-comparable and delta patches stay minimal.
+// byte-comparable. Sorted order does not keep delta patches small:
+// EncodePatch diffs by position, so one inserted key shifts every record
+// after it into the patch.
 type KeyedState struct {
 	m map[string][]byte
 }

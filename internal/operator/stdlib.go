@@ -458,7 +458,8 @@ func (w *window) MarkSnapshot(v uint64) { w.delta.Mark(v, w.Snapshot) }
 // aggregate maintains keyed running sums and counts, emitting the updated
 // aggregate for the input's key. Keys are taken from the tuple's Kind
 // unless KeyFn overrides. The key table is checkpointed state, serialised
-// in sorted key order so deltas touch only the keys that changed.
+// in sorted key order. A delta is a positional byte diff, so a new key
+// rewrites every record sorted after it, not only the keys that changed.
 type aggregate struct {
 	Base
 	KeyFn  func(*tuple.Tuple) string

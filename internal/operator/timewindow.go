@@ -23,7 +23,8 @@ import (
 // near a boundary can fall into adjacent windows on the two replicas and
 // a failover can change a window's mean (the sink's seq-based dedup keeps
 // at most one emission per template tuple). The per-key sums are
-// checkpointed state (deterministic sorted-key encoding, delta-friendly);
+// checkpointed state (deterministic sorted-key encoding; a new key shifts
+// every later record into the positional delta);
 // the pending timer is runtime state — a restored or migrated operator
 // re-arms on its next input tuple.
 type TimeWindow struct {
