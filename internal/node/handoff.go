@@ -9,6 +9,148 @@ import (
 	"mobistreams/internal/tuple"
 )
 
+// handoff transfers the node's live state to target and demotes this node
+// to idle: pause, snapshot, vacate, then relay stragglers. It serves both a
+// departure handoff (§III-E: the departed phone's WiFi leg fails at once
+// and the transfer rides cellular) and a planned live migration (the phone
+// is still in range, so the blob ships over the region WiFi).
+func (n *Node) handoff(target simnet.NodeID) {
+	n.jot("migrate.start", 0, string(target))
+	n.PauseExec()
+	// Ship any coalesced emissions still waiting on the latency bound:
+	// after the handoff this node no longer owns their edge sequences.
+	n.batch.flushAll()
+	n.mu.Lock()
+	slot := n.slot
+	n.mu.Unlock()
+	if slot == "" {
+		n.ResumeExec()
+		return
+	}
+	blob, err := n.snapshot(TransferVersion)
+	if err != nil {
+		n.ResumeExec()
+		return
+	}
+	// Atomically: collect queued-but-unprocessed items for the transfer,
+	// vacate the slot and start relaying stragglers to the replacement —
+	// so nothing arriving during the (slow, cellular) transfer is lost.
+	n.mu.Lock()
+	var pending []streamMsg
+	pendingBytes := 0
+	p := n.pipe.Load()
+	add := func(from graph.SlotID, it *queued) {
+		pending = append(pending, streamMsg{FromSlot: from, FromOp: it.fromOp, ToSlot: p.slotID,
+			ToOp: it.toOp, EdgeSeq: it.edgeSeq, Item: it.item})
+		pendingBytes += it.item.WireSize()
+	}
+	for qi, q := range n.qList {
+		for i := q.head; i < len(q.items); i++ {
+			add(p.upstreams[qi], &q.items[i])
+		}
+		// Parked out-of-order arrivals (edge-preserving schemes) travel
+		// too: they were already delivered by their upstream, which will
+		// never resend them. The receiver re-parks them until their gap
+		// fills from relayed stragglers.
+		for i := range q.park {
+			add(p.upstreams[qi], &q.park[i])
+		}
+	}
+	n.slot = ""
+	n.qList = nil
+	n.pipe.Store((*pipeline)(nil))
+	n.role.Store(int32(RoleIdle))
+	n.paused = false
+	n.forwardTo = target
+	n.mu.Unlock()
+	n.cond.Broadcast()
+	size := blob.Size + pendingBytes
+	n.relay(target, simnet.ClassTransfer, size, transferMsg{Slot: slot, Blob: blob, Pending: pending})
+	n.report(Report{Type: repHandoffDone, Phone: n.id, Slot: slot})
+}
+
+// handleTransferIn activates an idle node with a departing peer's state.
+// A transfer is honoured only while the region's placement still points at
+// the sender: if the controller has meanwhile given up on the migration and
+// re-hosted the slot through recovery, a late-arriving blob would activate
+// a second primary for a slot that already has one.
+func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
+	slot, known := n.graph.SlotID(msg.Slot)
+	if !known {
+		return
+	}
+	if cur, ok := n.resolvePrimary(slot); ok && cur != from && cur != n.id {
+		return
+	}
+	n.mu.Lock()
+	if n.slot != "" {
+		n.mu.Unlock()
+		return
+	}
+	n.configureSlot(msg.Slot, n.opIDsForSlot(msg.Slot))
+	n.role.Store(int32(RolePrimary))
+	err := n.installBlobLocked(msg.Blob)
+	// A handed-off node resumes mid-stream; it does not suppress.
+	n.suppress.Store(false)
+	// Re-queue the items the departing node had not yet processed.
+	// installBlobLocked just reset each ordered queue's watermark to the
+	// restored inHW, so routing the transferred items through the normal
+	// enqueue discipline re-parks any that sit above a sequence gap —
+	// relayed stragglers fill the gap instead of being dropped as
+	// duplicates below a prematurely bumped watermark. External-slot
+	// items bypass it (their sequence space is per-source, not per-edge).
+	for i := range msg.Pending {
+		m := &msg.Pending[i]
+		q := n.queueFor(m.FromSlot)
+		if q == nil {
+			continue
+		}
+		it := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item}
+		if m.FromSlot == graph.ExternalSlot {
+			it.edgeSeq = 0
+			q.push(&it)
+			continue
+		}
+		q.enqueue(&it)
+	}
+	buffered := n.takeEarlyLocked()
+	n.mu.Unlock()
+	if err != nil {
+		return
+	}
+	// Stragglers relayed by the departing node while the transfer was in
+	// flight follow the transferred backlog.
+	for i := range buffered {
+		n.enqueueStream(&buffered[i])
+	}
+	n.cond.Broadcast()
+	n.jot("migrate.in", 0, msg.Slot)
+	n.report(Report{Type: RepRestored, Phone: n.id, Slot: msg.Slot, Version: TransferVersion})
+}
+
+// TransferVersion tags handoff blobs, which are live state outside the
+// checkpoint version sequence.
+const TransferVersion = ^uint64(0)
+
+// relay ships a payload to a peer over the region WiFi, detouring over
+// cellular when the medium fails (a departed sender's WiFi attempt fails
+// instantly, so this covers both in-range and out-of-range senders),
+// charging transmit energy exactly when a send succeeds. Used by the
+// post-handoff straggler forwarding paths and the handoff transfer itself.
+func (n *Node) relay(to simnet.NodeID, class simnet.Class, size int, payload interface{}) bool {
+	if err := n.cfg.WiFi.Unicast(n.id, to, class, size, payload); err == nil {
+		n.cfg.Phone.DrainTx(size)
+		return true
+	}
+	if n.cfg.Cell != nil {
+		if err := n.cfg.Cell.Send(n.id, to, class, size, payload); err == nil {
+			n.cfg.Phone.DrainTx(size)
+			return true
+		}
+	}
+	return false
+}
+
 // This file is the node half of elastic keyed parallelism: exporting and
 // importing contiguous key ranges of an instance's KeyedState during a
 // live split or merge, and relaying tuples that arrive for a key range
