@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mobistreams/internal/operator"
-	"mobistreams/internal/svm"
 	"mobistreams/internal/tuple"
 	"mobistreams/internal/vision"
 )
@@ -334,14 +333,14 @@ func (o *grouper) Restore(data []byte) error {
 
 func (o *grouper) StateSize() int { return 10 + o.extra }
 
-// predictor (P) learns phase durations (svm.PhaseEstimator), blends in the
+// predictor (P) learns phase durations (phaseEstimator), blends in the
 // upstream intersection's advisory (S0), and emits transition-time
 // advisories.
 type predictor struct {
 	operator.Base
 	cost     time.Duration
 	extra    int
-	est      svm.PhaseEstimator
+	est      phaseEstimator
 	upstream float64
 	haveUp   bool
 	emitted  uint64
@@ -366,7 +365,7 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 	case phaseProgress:
 		// Live countdown: remaining time in the current phase.
 		o.emitted++
-		rem := o.est.TimeToChange(int(v.Color), v.Elapsed, 30)
+		rem := o.est.timeToChange(int(v.Color), v.Elapsed, 30)
 		out := ctx.Clone(t)
 		out.Kind = "advisory"
 		out.Size = advTupleBytes
@@ -374,9 +373,9 @@ func (o *predictor) Process(ctx *operator.Context, from string, t *tuple.Tuple) 
 		ctx.Emit(out)
 		return nil
 	case phaseChange:
-		o.est.Observe(int(v.Color), v.Duration)
+		o.est.observe(int(v.Color), v.Duration)
 		o.emitted++
-		next := o.est.MeanDuration(int(nextColor(v.Color)), 30)
+		next := o.est.meanDuration(int(nextColor(v.Color)), 30)
 		if o.haveUp {
 			// Blend the upstream intersection's advisory: lights along
 			// a corridor are coordinated (§II-B).
@@ -415,7 +414,7 @@ func (o *predictor) Snapshot() ([]byte, error) {
 		buf = append(buf, 0)
 	}
 	for c := 0; c < 3; c++ {
-		binary.BigEndian.PutUint64(tmp[:], math.Float64bits(o.est.MeanDuration(c, -1)))
+		binary.BigEndian.PutUint64(tmp[:], math.Float64bits(o.est.meanDuration(c, -1)))
 		buf = append(buf, tmp[:]...)
 	}
 	return buf, nil
@@ -428,12 +427,12 @@ func (o *predictor) Restore(data []byte) error {
 	o.emitted = binary.BigEndian.Uint64(data)
 	o.upstream = math.Float64frombits(binary.BigEndian.Uint64(data[8:]))
 	o.haveUp = data[16] == 1
-	o.est = svm.PhaseEstimator{}
+	o.est = phaseEstimator{}
 	off := 17
 	for c := 0; c < 3; c++ {
 		mean := math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
 		if mean >= 0 {
-			o.est.Observe(c, mean)
+			o.est.observe(c, mean)
 		}
 		off += 8
 	}

@@ -74,11 +74,7 @@ func (n *Node) snapshotParts() (slot string, ops []operator.Operator, extra []by
 	if p == nil {
 		return "", nil, nil, 0, 0, fmt.Errorf("node %s: snapshot without a hosted slot", n.id)
 	}
-	rt := runtimeState{
-		OutSeq:     p.outSeqMap(),
-		InHW:       p.inHWMap(),
-		LogVersion: n.logVersion.Load(),
-	}
+	wrt := wire.Runtime{OutSeq: p.outSeqMap(), InHW: p.inHWMap(), LogVersion: n.logVersion.Load()}
 	slot = p.slot
 	ops = p.operators()
 	n.mu.Lock()
@@ -87,7 +83,6 @@ func (n *Node) snapshotParts() (slot string, ops []operator.Operator, extra []by
 	n.mu.Unlock()
 	// The blob retains the runtime bytes indefinitely, so encode into an
 	// exact-size fresh buffer rather than a pooled scratch one.
-	wrt := wire.Runtime{OutSeq: rt.OutSeq, InHW: rt.InHW, LogVersion: rt.LogVersion}
 	extra = wire.AppendRuntime(make([]byte, 0, wire.SizeRuntime(&wrt)), &wrt)
 	return slot, ops, extra, base, chainLen, nil
 }
@@ -226,7 +221,7 @@ func (n *Node) topUpRun(p *pipeline, qi, buf int) []queued {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.running || n.paused || len(n.cmds) > 0 {
+	if life := n.life.Load(); life.role.dead() || life.pauses > 0 || len(n.cmds) > 0 {
 		return nil
 	}
 	q := n.qList[qi]

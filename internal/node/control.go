@@ -130,21 +130,15 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 	case CmdCommit:
 		n.handleCommit(c.Version)
 	case CmdPause:
-		n.PauseExec()
-		n.respondOK(m)
+		// A pause that did not park fails the controller's step: no reply.
+		if n.pause("controller", pauseBound) {
+			n.respondOK(m)
+		}
 	case CmdResume:
-		n.ResumeExec()
+		n.resume("controller")
 		n.respondOK(m)
 	case CmdRestore:
-		err := n.restoreTo(c.Version)
-		n.mu.Lock()
-		slot := n.slot
-		n.mu.Unlock()
-		r := Report{Type: RepRestored, Phone: n.id, Slot: slot, Version: c.Version}
-		if err != nil {
-			r.Err = err.Error()
-		}
-		n.report(r)
+		n.report(n.restore(c.Version))
 	case CmdReplay:
 		n.replayFrom(c.Version, c.Epoch)
 	case cmdPromote:
@@ -158,7 +152,7 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 		// host: a phone that vacated the slot (lost migration, stale
 		// placement) stays silent, which is what lets the controller
 		// detect a stranded slot and re-host it.
-		if c.Slot == "" || c.Slot == n.fetchSlot() {
+		if c.Slot == "" || c.Slot == n.Slot() {
 			n.respondOK(m)
 		}
 	default:

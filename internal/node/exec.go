@@ -88,11 +88,12 @@ func (n *Node) execLoop() {
 		var have bool
 		var fireTimers bool
 		for {
-			if !n.running {
+			life := n.life.Load()
+			if life.role.dead() {
 				n.mu.Unlock()
 				return
 			}
-			if !n.paused {
+			if life.pauses == 0 {
 				if len(n.cmds) > 0 {
 					c := n.cmds[0]
 					n.cmds = n.cmds[1:]
@@ -141,7 +142,7 @@ func (n *Node) execLoop() {
 			// earliest deadline, so an idle stream still closes windows.
 			// A newly registered timer earlier than the armed wake gets
 			// its own goroutine — the stale later wake fires harmlessly.
-			if !n.paused {
+			if life.pauses == 0 {
 				if p := n.pipe.Load(); p != nil {
 					if at, ok := p.nextTimerAt(); ok && (!n.timerArmed || at < n.timerWakeAt) {
 						n.timerArmed = true
@@ -270,7 +271,7 @@ func (n *Node) forwardExternalToStandby(p *pipeline, src graph.OpID, t *tuple.Tu
 	if !n.cfg.Scheme.Replicated() {
 		return
 	}
-	if Role(n.role.Load()) != RolePrimary {
+	if n.life.Load().role != RolePrimary {
 		return
 	}
 	seq := n.extFwdSeq.Add(1)
@@ -381,10 +382,10 @@ func (n *Node) maybeReportChronic() {
 	n.report(Report{Type: RepChronicBattery, Phone: n.id})
 }
 
-// emitExternal publishes a sink result unless the node is suppressing
-// catch-up output (§III-D).
+// emitExternal publishes a sink result unless the node is a standby or a
+// sink withholding catch-up output (§III-D).
 func (n *Node) emitExternal(t *tuple.Tuple) {
-	if Role(n.role.Load()) == RoleStandby || n.suppress.Load() {
+	if r := n.life.Load().role; r == RoleStandby || r == roleCatchingUp {
 		return
 	}
 	if n.curTrace.ID != 0 {
@@ -405,7 +406,7 @@ func (n *Node) emitExternal(t *tuple.Tuple) {
 // fallback and failure reporting (§III-D, §III-E).
 func (n *Node) sendCross(p *pipeline, down int, toOp, fromOp graph.OpID, item tuple.Item) {
 	seq := p.nextOutSeq(down)
-	if Role(n.role.Load()) == RoleStandby {
+	if n.life.Load().role == RoleStandby {
 		return // sequence kept aligned with the primary, nothing sent
 	}
 	msg := streamMsg{FromSlot: p.slotID, FromOp: fromOp, ToSlot: p.downs[down], ToOp: toOp, EdgeSeq: seq, Item: item}

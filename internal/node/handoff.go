@@ -1,5 +1,8 @@
 package node
 
+// This file moves a slot's state between phones: the handoff of a departing
+// or migrating node (§III-E), and key ranges of a keyed group.
+
 import (
 	"fmt"
 
@@ -9,36 +12,37 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// handoff transfers the node's live state to target and demotes this node
-// to idle: pause, snapshot, vacate, then relay stragglers. It serves both a
-// departure handoff (§III-E: the departed phone's WiFi leg fails at once
-// and the transfer rides cellular) and a planned live migration (the phone
-// is still in range, so the blob ships over the region WiFi).
+// handoff transfers the node's live state to target and leaves this node
+// handed off: pause, snapshot, vacate, then relay stragglers. It serves
+// both a departure handoff (§III-E: the departed phone's WiFi leg fails at
+// once and the transfer rides cellular) and a planned live migration (the
+// phone is still in range, so the blob ships over the region WiFi).
 func (n *Node) handoff(target simnet.NodeID) {
 	n.jot("migrate.start", 0, string(target))
-	n.PauseExec()
+	if !n.pause("handoff", pauseBound) {
+		n.resume("handoff")
+		return
+	}
 	// Ship any coalesced emissions still waiting on the latency bound:
 	// after the handoff this node no longer owns their edge sequences.
 	n.batch.flushAll()
-	n.mu.Lock()
-	slot := n.slot
-	n.mu.Unlock()
-	if slot == "" {
-		n.ResumeExec()
-		return
-	}
 	blob, err := n.snapshot(TransferVersion)
 	if err != nil {
-		n.ResumeExec()
+		n.resume("handoff")
 		return
 	}
 	// Atomically: collect queued-but-unprocessed items for the transfer,
 	// vacate the slot and start relaying stragglers to the replacement —
 	// so nothing arriving during the (slow, cellular) transfer is lost.
 	n.mu.Lock()
+	slot, p := n.slot, n.pipe.Load()
+	if !n.transitionLocked(CmdHandoff, string(target)) {
+		n.mu.Unlock()
+		n.resume("handoff")
+		return
+	}
 	var pending []streamMsg
 	pendingBytes := 0
-	p := n.pipe.Load()
 	add := func(from graph.SlotID, it *queued) {
 		pending = append(pending, streamMsg{FromSlot: from, FromOp: it.fromOp, ToSlot: p.slotID,
 			ToOp: it.toOp, EdgeSeq: it.edgeSeq, Item: it.item})
@@ -59,9 +63,6 @@ func (n *Node) handoff(target simnet.NodeID) {
 	n.slot = ""
 	n.qList = nil
 	n.pipe.Store((*pipeline)(nil))
-	n.role.Store(int32(RoleIdle))
-	n.paused = false
-	n.forwardTo = target
 	n.mu.Unlock()
 	n.cond.Broadcast()
 	size := blob.Size + pendingBytes
@@ -83,35 +84,23 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
 		return
 	}
 	n.mu.Lock()
-	if n.slot != "" {
+	if !n.transitionLocked(cmdTransferIn, msg.Slot) {
 		n.mu.Unlock()
 		return
 	}
-	n.configureSlot(msg.Slot, n.opIDsForSlot(msg.Slot))
-	n.role.Store(int32(RolePrimary))
+	n.configureSlot(msg.Slot, n.graph.OpsOnSlot(msg.Slot))
 	err := n.installBlobLocked(msg.Blob)
-	// A handed-off node resumes mid-stream; it does not suppress.
-	n.suppress.Store(false)
 	// Re-queue the items the departing node had not yet processed.
 	// installBlobLocked just reset each ordered queue's watermark to the
 	// restored inHW, so routing the transferred items through the normal
 	// enqueue discipline re-parks any that sit above a sequence gap —
 	// relayed stragglers fill the gap instead of being dropped as
-	// duplicates below a prematurely bumped watermark. External-slot
-	// items bypass it (their sequence space is per-source, not per-edge).
+	// duplicates below a prematurely bumped watermark.
 	for i := range msg.Pending {
 		m := &msg.Pending[i]
-		q := n.queueFor(m.FromSlot)
-		if q == nil {
-			continue
+		if q := n.queueFor(m.FromSlot); q != nil {
+			acceptLocked(q, &queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item}, m.FromSlot)
 		}
-		it := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item}
-		if m.FromSlot == graph.ExternalSlot {
-			it.edgeSeq = 0
-			q.push(&it)
-			continue
-		}
-		q.enqueue(&it)
 	}
 	buffered := n.takeEarlyLocked()
 	n.mu.Unlock()
@@ -151,10 +140,10 @@ func (n *Node) relay(to simnet.NodeID, class simnet.Class, size int, payload int
 	return false
 }
 
-// This file is the node half of elastic keyed parallelism: exporting and
-// importing contiguous key ranges of an instance's KeyedState during a
-// live split or merge, and relaying tuples that arrive for a key range
-// this instance no longer owns. The region orchestrates the protocol
+// The rest of this file is the node half of elastic keyed parallelism:
+// exporting and importing contiguous key ranges of an instance's
+// KeyedState during a live split or merge, and relaying tuples that arrive
+// for a key range this instance no longer owns. The region orchestrates the protocol
 // (pause donor → export → ship → import → flip table → resume); the node
 // supplies the state surgery and keeps the data plane exactly-once while
 // the table flips.
@@ -190,10 +179,10 @@ func (n *Node) keyedState() *operator.KeyedState {
 }
 
 // ExportKeyRange serialises and removes the keyed state in [lo, hi) from
-// this instance. The caller must have paused the executor (PauseExec):
-// the store is executor-owned and the removal must be atomic against
-// tuple processing. A nil return with nil error means the operator keeps
-// no keyed state (routing-only split).
+// this instance. The caller must have paused the executor (PauseExec), or
+// the export fails: the store is executor-owned and the removal must be
+// atomic against tuple processing. A nil return with nil error means the
+// operator keeps no keyed state (routing-only split).
 func (n *Node) ExportKeyRange(lo, hi string) ([]byte, error) {
 	p := n.pipe.Load()
 	if p == nil {
@@ -201,6 +190,9 @@ func (n *Node) ExportKeyRange(lo, hi string) ([]byte, error) {
 	}
 	if p.keyedGroup == nil {
 		return nil, fmt.Errorf("node %s: slot %s hosts no keyed instance", n.id, p.slot)
+	}
+	if !n.parked() {
+		return nil, fmt.Errorf("node %s: key-range export while the executor runs", n.id)
 	}
 	ks := n.keyedState()
 	if ks == nil {
@@ -306,13 +298,13 @@ func (n *Node) SendKeyRange(to simnet.NodeID, m KeyRangeMsg) bool {
 }
 
 // handleKeyRangeIn lands a shipped key range on the recipient: import
-// under a private executor pause (the state store is executor-owned),
-// then bump the import generation the region is polling.
+// under its own executor pause hold (the state store is executor-owned;
+// holds nest, so a recipient the region has paused stays paused), then
+// bump the import generation the region is polling.
 func (n *Node) handleKeyRangeIn(m KeyRangeMsg) {
-	n.PauseExec()
-	err := n.ImportKeyRange(m.State)
-	n.ResumeExec()
-	if err != nil {
+	ok := n.pause("keyed.import", pauseBound) && n.ImportKeyRange(m.State) == nil
+	n.resume("keyed.import")
+	if !ok {
 		return
 	}
 	n.keyRangeGen.Add(1)

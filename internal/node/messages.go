@@ -152,11 +152,17 @@ const (
 	// CmdMigrate makes a still-healthy node transfer its slot to Target
 	// over the region WiFi — the placement planner's live migration.
 	CmdMigrate
+	// The node's own lifecycle commands (lifecycle.go), never sent.
+	cmdActivate
+	cmdTransferIn
+	cmdReplayEnd
+	cmdFail
+	cmdStop
 )
 
 var cmdNames = [...]string{"token", "snapshot", "commit", "pause", "resume",
 	"restore", "replay", "promote", "handoff", "fetch-restore", "ping",
-	"migrate"}
+	"migrate", "activate", "transfer-in", "replay-end", "fail", "stop"}
 
 func (c CommandOp) String() string {
 	if int(c) < len(cmdNames) {

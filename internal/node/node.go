@@ -38,19 +38,6 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// Role is a node's current function in the region.
-type Role int
-
-const (
-	// RolePrimary runs operators and emits output.
-	RolePrimary Role = iota
-	// RoleStandby runs operators but suppresses output (rep-2 replica).
-	RoleStandby
-	// RoleIdle runs no operators; it stores checkpoint data and stands
-	// by as a replacement (node F in Fig. 4).
-	RoleIdle
-)
-
 // resolver maps slots to the phones currently hosting them. The region
 // owns the placement and updates it during recovery and mobility; nodes
 // resolve on every send (through the epoch-stamped route cache when the
@@ -134,16 +121,15 @@ type Node struct {
 	routes   atomic.Pointer[routeSnapshot]
 	epochRes epochResolver // non-nil when the resolver supports epochs
 
-	// role and suppress gate emission on the lock-free output path.
-	role     atomic.Int32
-	suppress atomic.Bool
+	// life is the slot lifecycle state (lifecycle.go), stored only under
+	// mu; the emission gates read it without a lock.
+	life atomic.Pointer[lifecycle]
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	running    bool
-	paused     bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// execParked is set while the executor waits at a tuple boundary with
+	// nothing it may run, and before it starts.
 	execParked bool
-	failed     bool
 	slot       string
 	opIDs      []string
 	// qList holds the upstream queues in pipeline-upstream order (nil when
@@ -161,9 +147,6 @@ type Node struct {
 	replaySeen     map[uint64]map[graph.SlotID]bool
 	logVersion     atomic.Uint64
 	hwAt           map[uint64]map[string]uint64
-	isSource       bool
-	isSink         bool
-	sourceOps      []graph.OpID
 
 	unreachable     map[simnet.NodeID]bool
 	urgentReported  map[graph.SlotID]bool
@@ -178,16 +161,8 @@ type Node struct {
 	// reuses those edge sequences, and a late stale delivery would poison
 	// the receiver's dedup state against the re-emissions). Read
 	// atomically by retry loops; bumped under mu by installBlobLocked.
-	sendGen uint64
-	// dropStream discards stream arrivals between a controller-driven
-	// restore and the matching resume. During region-wide recovery every
-	// sender is paused, so nothing legitimate flows in that window — only
-	// stale pre-failure messages from peers that have not yet restored
-	// (and thus not yet aborted their own in-flight retries), which would
-	// poison the freshly reset dedup state.
-	dropStream bool
-	extFwdSeq  atomic.Uint64
-	forwardTo  simnet.NodeID // post-handoff relay target (§III-E)
+	sendGen   uint64
+	extFwdSeq atomic.Uint64
 	// preBuf holds stream arrivals before activation, up to preBufLimit;
 	// preDrops counts the arrivals dropped past it, journaled once when
 	// the slot activates.
@@ -249,14 +224,6 @@ type Node struct {
 	wg        sync.WaitGroup
 }
 
-// runtimeState is the executor bookkeeping carried inside checkpoints so a
-// restored node resumes with consistent edge sequences.
-type runtimeState struct {
-	OutSeq     map[string]uint64
-	InHW       map[string]uint64
-	LogVersion uint64
-}
-
 // New assembles a node; Start launches it.
 func New(cfg Config) *Node {
 	id := cfg.ID
@@ -277,8 +244,13 @@ func New(cfg Config) *Node {
 		persistCh:      make(chan *checkpoint.Blob, 64),
 		stopCh:         make(chan struct{}),
 		opWeight:       1,
+		execParked:     true,
 	}
-	n.role.Store(int32(cfg.Role))
+	role := cfg.Role
+	if cfg.Slot == "" {
+		role = RoleIdle
+	}
+	n.life.Store(&initial[role])
 	if cfg.Obs != nil {
 		n.obsReg = cfg.Obs
 		n.tracer = cfg.Obs.Tracer
@@ -301,11 +273,6 @@ func New(cfg Config) *Node {
 // (construction) or n.mu (activation of an idle node).
 func (n *Node) configureSlot(slot string, opIDs []string) {
 	n.slot = slot
-	// A node that previously handed a slot off and returned to the idle
-	// pool carries a stale relay target; hosting again must drop it, or
-	// pre-activation arrivals get relayed to the old slot's home instead
-	// of buffering in preBuf.
-	n.forwardTo = ""
 	n.opIDs = append([]string(nil), opIDs...)
 	ops := make([]operator.Operator, 0, len(opIDs))
 	for _, id := range opIDs {
@@ -324,8 +291,6 @@ func (n *Node) configureSlot(slot string, opIDs []string) {
 		q.depth = n.obsReg.Hist(obs.EdgeDepth, n.graph.SlotName(up)+"->"+slot)
 		n.qList = append(n.qList, q)
 	}
-	n.isSource, n.isSink = p.isSource, p.isSink
-	n.sourceOps = p.sourceOps
 	// Alignment excludes the reroute pseudo-upstream: no token ever
 	// arrives on it, so counting it would stall every checkpoint round.
 	n.alignUpstreams = make([]string, 0, len(p.upstreams))
@@ -361,18 +326,6 @@ func (n *Node) Backlog() int {
 
 // Processed reports the cumulative count of executed data tuples.
 func (n *Node) Processed() uint64 { return atomic.LoadUint64(&n.processed) }
-
-// fetchSlot reads the node's slot under lock (for recovery paths running
-// off the executor goroutine).
-func (n *Node) fetchSlot() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.slot
-}
-
-func (n *Node) opIDsForSlot(slot string) []string {
-	return n.graph.OpsOnSlot(slot)
-}
 
 // jot emits one lifecycle event to the region's journal. Nil-safe: with
 // obs off the journal is nil and Emit is a no-op.

@@ -541,7 +541,7 @@ func TestPreservePipelineStopsAtBarrier(t *testing.T) {
 		{name: "command", late: func(h *preserveHarness) { h.n.injectCmd(execCmd{resendTo: "nowhere"}) }, logged: 32},
 		{name: "pause request", late: func(h *preserveHarness) {
 			h.n.mu.Lock()
-			h.n.paused = true
+			h.n.transitionLocked(CmdPause, "test") // a pause request that does not wait
 			h.n.mu.Unlock()
 		}, logged: 32},
 		{name: "sibling queue", sibling: true, late: func(h *preserveHarness) {

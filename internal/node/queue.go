@@ -200,13 +200,13 @@ func (q *upQueue) reset() {
 }
 
 // IngestExternal admits one externally sensed tuple on source operator
-// src. The workload driver calls this on the phone currently hosting the
-// source. A node that has handed its slot off relays the tuple to the
-// replacement: the region's placement map repoints only after the transfer
-// lands, and external input admitted in that window must reach the new
-// home rather than be dropped. The node admits a copy carved from its
-// ingest slab, so the caller may build t on its stack and keeps ownership
-// of it.
+// src through the arrival door (admit). The workload driver calls this on
+// the phone currently hosting the source. A node that has handed its slot
+// off relays the tuple to the replacement: the region's placement map
+// repoints only after the transfer lands, and external input admitted in
+// that window must reach the new home rather than be dropped. The node
+// admits a copy carved from its ingest slab, so the caller may build t on
+// its stack and keeps ownership of it.
 func (n *Node) IngestExternal(src graph.OpID, t *tuple.Tuple) {
 	n.IngestExternalTraced(src, t, obs.SpanCtx{})
 }
@@ -219,15 +219,14 @@ func (n *Node) IngestExternal(src graph.OpID, t *tuple.Tuple) {
 func (n *Node) IngestExternalTraced(src graph.OpID, t *tuple.Tuple, tc obs.SpanCtx) {
 	n.mu.Lock()
 	c := n.ingest.Clone(t)
+	s := n.life.Load()
+	if d := s.admit(true); d != doorEnqueue {
+		n.divertLocked(d, s.target, &streamMsg{FromSlot: graph.ExternalSlot, FromOp: graph.NoOp, ToOp: src, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)})
+		return
+	}
 	q := n.queueFor(graph.ExternalSlot)
-	if q == nil || !n.running {
-		fwd := n.forwardTo
-		running := n.running
+	if q == nil {
 		n.mu.Unlock()
-		if running && fwd != "" {
-			m := streamMsg{FromSlot: graph.ExternalSlot, FromOp: graph.NoOp, ToOp: src, EdgeSeq: c.Seq, Trace: tc, Item: tuple.DataItem(c)}
-			n.relay(fwd, simnet.ClassData, c.Size, m)
-		}
 		return
 	}
 	*q.slot() = queued{fromOp: graph.NoOp, toOp: src, item: tuple.DataItem(c), tc: tc, at: c.Created}
@@ -256,57 +255,46 @@ func (n *Node) queueFor(from graph.SlotID) *upQueue {
 }
 
 // enqueueStream delivers a cross-slot stream message into its upstream
-// queue, suppressing duplicates below the edge-sequence watermark. A node
-// that has handed its slot off relays stragglers to the replacement.
+// queue, suppressing duplicates below the edge-sequence watermark, once
+// the arrival door (admit) lets it in.
 func (n *Node) enqueueStream(m *streamMsg) {
 	n.mu.Lock()
-	if n.dropStream {
-		n.mu.Unlock()
-		return
-	}
-	q := n.queueFor(m.FromSlot)
-	if q == nil {
-		fwd := n.forwardTo
-		if fwd == "" && n.slot == "" {
-			// Not yet hosting a slot: an incoming replacement buffers
-			// early arrivals until its state transfer installs.
-			n.bufferEarlyLocked(m)
-			n.mu.Unlock()
-			return
-		}
-		n.mu.Unlock()
-		if fwd != "" {
-			n.relay(fwd, simnet.ClassData, m.Item.WireSize(), *m)
-			return
-		}
+	s := n.life.Load()
+	if d := s.admit(false); d != doorEnqueue {
+		n.divertLocked(d, s.target, m)
 		return
 	}
 	defer n.mu.Unlock()
+	q := n.queueFor(m.FromSlot)
+	if q == nil {
+		return
+	}
 	it := queued{fromOp: m.FromOp, toOp: m.ToOp, edgeSeq: m.EdgeSeq, item: m.Item, tc: m.Trace, at: n.clk.Now()}
 	if n.obsReg != nil && it.tc.ID != 0 {
 		n.tracer.Record(&it.tc, obs.SpanRecv, string(n.id), n.graph.SlotName(m.ToSlot), n.graph.OpName(m.ToOp), int64(it.at))
 	}
-	if m.FromSlot == graph.ExternalSlot || m.FromSlot == graph.RerouteSlot {
-		// Relayed external input from a node that handed this slot off, or
-		// a tuple rerouted by a keyed peer that no longer owns its key.
-		// Both are admitted exactly once upstream (each relay is one
-		// reliable unicast), so they bypass edge-sequence dedup — they
-		// carry no per-edge sequence.
-		it.edgeSeq = 0
-		q.push(&it)
-		if q.depth != nil {
-			q.depth.Observe(int64(q.len()))
-		}
-		n.cond.Signal()
-		return
-	}
 	n.tracePark(q, &it, m)
-	if q.enqueue(&it) {
+	if acceptLocked(q, &it, m.FromSlot) {
 		if q.depth != nil {
 			q.depth.Observe(int64(q.len()))
 		}
 		n.cond.Signal()
 	}
+}
+
+// acceptLocked puts an arrival from slot from into its queue q and reports
+// whether anything became deliverable. Relayed external input (from a node
+// that handed this slot off) and tuples rerouted by a keyed peer that no
+// longer owns their key are admitted exactly once upstream, each relay
+// being one reliable unicast, and carry no per-edge sequence: they bypass
+// edge-sequence dedup. Caller holds n.mu.
+func acceptLocked(q *upQueue, it *queued, from graph.SlotID) bool {
+	if from == graph.ExternalSlot || from == graph.RerouteSlot {
+		it.edgeSeq = 0
+		q.push(it)
+		return true
+	}
+	return q.enqueue(it)
 }
 
 // tracePark records the park span of a traced arrival about to park (out
@@ -322,37 +310,29 @@ func (n *Node) tracePark(q *upQueue, it *queued, m *streamMsg) {
 
 // enqueueStreamBatch unbatches a coalesced delivery into its upstream
 // queues under one lock acquisition — the receive half of edge batching.
-// The relay and pre-activation cases mirror enqueueStream, acting on the
-// batch as a whole (every message in a batch shares one origin slot).
+// The arrival door (admit) decides for the batch as a whole.
 func (n *Node) enqueueStreamBatch(bm *batchMsg) {
 	if len(bm.Msgs) == 0 {
 		return
 	}
 	n.mu.Lock()
-	if n.dropStream {
+	switch s := n.life.Load(); s.admit(false) {
+	case doorRelay:
+		n.mu.Unlock()
+		n.relay(s.target, simnet.ClassData, bm.wireSize(), bm) // the batch goes with it
+		return
+	case doorBuffer:
+		for i := range bm.Msgs {
+			n.bufferEarlyLocked(&bm.Msgs[i])
+		}
+		fallthrough
+	case doorDrop:
 		n.mu.Unlock()
 		recycleBatch(bm)
 		return
 	}
 	from := bm.Msgs[0].FromSlot
 	q := n.queueFor(from)
-	if q == nil {
-		fwd := n.forwardTo
-		if fwd == "" && n.slot == "" {
-			for i := range bm.Msgs {
-				n.bufferEarlyLocked(&bm.Msgs[i])
-			}
-			n.mu.Unlock()
-			recycleBatch(bm)
-			return
-		}
-		n.mu.Unlock()
-		if fwd != "" {
-			n.relay(fwd, simnet.ClassData, bm.wireSize(), bm) // the batch goes with it
-			return
-		}
-		return
-	}
 	var at time.Duration
 	if n.obsReg != nil {
 		at = n.clk.Now()
@@ -377,7 +357,7 @@ func (n *Node) enqueueStreamBatch(bm *batchMsg) {
 			n.tracer.Record(&it.tc, obs.SpanRecv, string(n.id), n.graph.SlotName(m.ToSlot), n.graph.OpName(m.ToOp), int64(at))
 			n.tracePark(q, &it, m)
 		}
-		if q.enqueue(&it) {
+		if acceptLocked(q, &it, m.FromSlot) {
 			last = q
 		}
 	}

@@ -13,41 +13,43 @@ import (
 	"mobistreams/internal/wire"
 )
 
-// restoreTo reloads the node's operators from the local copy of version v
-// (v = 0 resets to initial state). The executor must be paused. This is
-// the parallel, local-read restoration that makes MobiStreams recovery
-// scale (§III-D). A delta checkpoint restores by materialising its chain
-// (base + patches); a torn local chain falls back to fetching the
-// materialised state from a live peer.
-func (n *Node) restoreTo(v uint64) error {
+// restore reloads the node's operators from the local copy of version v
+// (v = 0 resets to initial state) and returns its RepRestored report, with
+// Err when it could not. This is the parallel, local-read restoration that
+// makes MobiStreams recovery scale (§III-D). The executor must be parked by
+// a pause, or nothing is installed. The restore closes the stream door
+// (admit) whether or not the install succeeds: the region-wide restore
+// proceeds on the peers either way. A delta checkpoint restores by
+// materialising its chain (base + patches); a torn local chain falls back
+// to fetching the materialised state from a live peer.
+func (n *Node) restore(v uint64) Report {
 	n.mu.Lock()
-	slot := n.slot
+	r := Report{Type: RepRestored, Phone: n.id, Slot: n.slot, Version: v}
+	switch from := n.life.Load(); {
+	case !n.execParked:
+		r.Err = fmt.Sprintf("node %s: restore while the executor runs", n.id)
+	case !n.transitionLocked(CmdRestore, "plan"):
+		r.Err = fmt.Sprintf("node %s: restore in state %s", n.id, from)
+	}
 	n.mu.Unlock()
-	if slot == "" {
-		return fmt.Errorf("node %s: restore on idle node", n.id)
+	if r.Err != "" {
+		return r
 	}
 	var blob *checkpoint.Blob
 	if v > 0 {
-		blob = n.loadRestoreBlob(v, slot)
+		if blob = n.loadRestoreBlob(v, r.Slot); blob == nil {
+			r.Err = fmt.Sprintf("node %s: no usable chain for %s v%d", n.id, r.Slot, v)
+			return r
+		}
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if v > 0 && blob == nil {
-		// Still close the stream door: the region-wide restore proceeds on
-		// the peers, and stale pre-failure traffic must not leak in.
-		n.dropStream = true
-		return fmt.Errorf("node %s: no usable chain for %s v%d", n.id, slot, v)
+	if err := n.installBlobLocked(blob); err != nil {
+		r.Err = err.Error()
+		return r
 	}
-	err := n.installBlobLocked(blob)
-	// Until the controller resumes the region, every peer is paused: any
-	// stream arrival in this window is stale pre-failure traffic from a
-	// sender that has not yet restored, and would poison the reset dedup
-	// state against the upcoming replay. Drop it at the door.
-	n.dropStream = true
-	if err == nil {
-		n.jot("node.restore", v, slot)
-	}
-	return err
+	n.jot("node.restore", v, r.Slot)
+	return r
 }
 
 // installBlobLocked rebuilds operators and runtime state from a blob (nil
@@ -64,24 +66,19 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	for _, id := range n.opIDs {
 		fresh = append(fresh, n.cfg.Registry.New(id))
 	}
-	rt := runtimeState{OutSeq: map[string]uint64{}, InHW: map[string]uint64{}}
+	// The executor bookkeeping carried inside the checkpoint, so the node
+	// resumes with consistent edge sequences (zero without a blob).
+	var rt wire.Runtime
 	if blob != nil {
 		if err := checkpoint.RestoreBlob(blob, fresh); err != nil {
 			return err
 		}
 		if len(blob.Runtime) > 0 {
-			wrt, err := wire.DecodeRuntime(blob.Runtime)
-			if err != nil {
+			var err error
+			if rt, err = wire.DecodeRuntime(blob.Runtime); err != nil {
 				return fmt.Errorf("node %s: decode runtime: %w", n.id, err)
 			}
-			rt = runtimeState{OutSeq: wrt.OutSeq, InHW: wrt.InHW, LogVersion: wrt.LogVersion}
 		}
-	}
-	if rt.OutSeq == nil {
-		rt.OutSeq = map[string]uint64{}
-	}
-	if rt.InHW == nil {
-		rt.InHW = map[string]uint64{}
 	}
 	p := n.compilePipeline(n.slot, n.opIDs, fresh)
 	p.setCounters(rt.OutSeq, rt.InHW)
@@ -115,7 +112,6 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	n.ckptChainLen = 0
 	n.align = checkpoint.NewAlignment(n.alignUpstreams)
 	n.replaySeen = make(map[uint64]map[graph.SlotID]bool)
-	n.suppress.Store(n.isSink)
 	n.unreachable = make(map[simnet.NodeID]bool)
 	n.urgentReported = make(map[graph.SlotID]bool)
 	return nil
@@ -127,11 +123,11 @@ func (n *Node) replayFrom(v uint64, epoch uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	q := n.queueFor(graph.ExternalSlot)
-	if q == nil {
+	if q == nil || !n.transitionLocked(CmdReplay, "plan") {
 		return
 	}
 	var replay []queued
-	for _, src := range n.sourceOps {
+	for _, src := range n.pipe.Load().sourceOps {
 		for _, t := range n.cfg.Store.SourceLogsFrom(v, n.graph.OpName(src)) {
 			c := n.ingest.Clone(t)
 			c.Replay = true
@@ -150,15 +146,21 @@ func (n *Node) replayFrom(v uint64, epoch uint64) {
 // node's slot from a peer (or local storage), restore, then ask every
 // upstream to resend retained output past the restored watermarks.
 func (n *Node) fetchRestore(c Command) {
-	n.PauseExec()
+	defer n.resume("fetch-restore")
+	r := Report{Type: RepRestored, Phone: n.id, Slot: n.Slot(), Version: c.Version}
+	if !n.pause("fetch-restore", pauseBound) {
+		r.Err = "executor did not park"
+		n.report(r)
+		return
+	}
 	var blob *checkpoint.Blob
 	if c.Target == n.id {
-		if b, err := n.cfg.Store.MaterializeBlob(c.Version, n.fetchSlot()); err == nil {
+		if b, err := n.cfg.Store.MaterializeBlob(c.Version, n.Slot()); err == nil {
 			blob = b
 		}
 	} else if c.Version > 0 {
 		reply := make(chan simnet.Message, 1)
-		if n.cfg.WiFi.Request(n.id, c.Target, simnet.ClassRecovery, 32, fetchBlobReq{Slot: n.fetchSlot(), Version: c.Version}, reply) == nil {
+		if n.cfg.WiFi.Request(n.id, c.Target, simnet.ClassRecovery, 32, fetchBlobReq{Slot: n.Slot(), Version: c.Version}, reply) == nil {
 			timeout := n.clk.NewTimer(60 * time.Second)
 			select {
 			case msg := <-reply:
@@ -171,36 +173,35 @@ func (n *Node) fetchRestore(c Command) {
 		}
 	}
 	if blob == nil && c.Version > 0 {
-		n.report(Report{Type: RepRestored, Phone: n.id, Slot: n.fetchSlot(), Version: c.Version, Err: "blob unavailable"})
-		n.ResumeExec()
+		r.Err = "blob unavailable"
+		n.report(r)
 		return
 	}
 	n.mu.Lock()
-	err := n.installBlobLocked(blob)
-	// Classic schemes have no catch-up suppression window; duplicates are
-	// handled by edge-sequence dedup instead.
-	n.suppress.Store(false)
+	// Classic schemes have no catch-up window: the restored node emits at
+	// once, and edge-sequence dedup handles duplicates.
+	err := fmt.Errorf("node %s: fetch-restore in state %s", n.id, n.life.Load())
+	if n.transitionLocked(CmdFetchRestore, "plan") {
+		err = n.installBlobLocked(blob)
+	}
 	var hw map[string]uint64
 	if p := n.pipe.Load(); p != nil {
 		hw = p.inHWMap()
 	}
-	slot := n.slot
 	n.mu.Unlock()
-	r := Report{Type: RepRestored, Phone: n.id, Slot: slot, Version: c.Version}
 	if err != nil {
 		r.Err = err.Error()
 	}
 	n.report(r)
-	n.toUpstreams(slot, func(up string, target simnet.NodeID) {
-		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassRecovery, 32, resendReq{Downstream: slot, After: hw[up]})
+	n.toUpstreams(r.Slot, func(up string, target simnet.NodeID) {
+		n.cfg.WiFi.Unicast(n.id, target, simnet.ClassRecovery, 32, resendReq{Downstream: r.Slot, After: hw[up]})
 	})
-	n.ResumeExec()
 }
 
 // onReplayEnd tracks catch-up termination markers. Replay-end markers are
 // aligned exactly like tokens — a channel that has delivered its marker is
 // stalled — so no fresh (post-recovery) tuple can overtake the marker
-// through a reconverging path and be wrongly discarded by a suppressing
+// through a reconverging path and be wrongly discarded by a catching-up
 // sink. When every upstream has delivered one, a sink resumes publishing
 // and reports; an interior node forwards the marker downstream.
 func (n *Node) onReplayEnd(p *pipeline, qi int, epoch uint64) {
@@ -223,14 +224,13 @@ func (n *Node) onReplayEnd(p *pipeline, qi int, epoch uint64) {
 	for _, q := range n.qList {
 		q.stalled = false
 	}
-	if n.isSink {
-		n.suppress.Store(false)
+	if p.isSink {
+		n.transitionLocked(cmdReplayEnd, "markers")
 	}
-	isSink := n.isSink
 	slot := n.slot
 	n.mu.Unlock()
 	n.cond.Broadcast()
-	if isSink {
+	if p.isSink {
 		n.report(Report{Type: RepCatchUpDone, Phone: n.id, Slot: slot, Epoch: epoch})
 		return
 	}
