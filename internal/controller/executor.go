@@ -132,8 +132,12 @@ func (c *Controller) runPlan(m *managed, plan *placement.Plan) (placement.Step, 
 		case engine && len(m.jobs) > 0:
 			why = "yielding to queued work"
 		default:
-			ok := c.execStep(m, st)
-			m.r.Jot("plan.step", st.Slot, plan.Version, fmt.Sprintf("%d/%d ok=%v %s", i+1, n, ok, st))
+			ok, said := c.execStep(m, st)
+			detail := fmt.Sprintf("%d/%d ok=%v %s", i+1, n, ok, st)
+			if said != "" {
+				detail += ": " + said
+			}
+			m.r.Jot("plan.step", st.Slot, plan.Version, detail)
 			if ok || !critical[st.Kind] {
 				continue
 			}
@@ -148,25 +152,26 @@ func (c *Controller) runPlan(m *managed, plan *placement.Plan) (placement.Step, 
 	return placement.Step{}, true
 }
 
-// execStep executes one plan step and reports whether it succeeded.
-func (c *Controller) execStep(m *managed, st placement.Step) bool {
+// execStep executes one plan step and reports whether it succeeded, and
+// when a node said why it did not, what the node said.
+func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 	switch st.Kind {
 	case placement.StepReserve:
 		if !m.r.ClaimIdle(st.To) {
-			return false
+			return false, ""
 		}
 		m.spares[st.To] = true
 		// Warm the spare now: a later migration onto it skips the
 		// cellular code transfer entirely.
 		c.warm(m, st.To)
-		return true
+		return true, ""
 	case placement.StepRelease:
 		held := m.spares[st.To]
 		delete(m.spares, st.To)
 		if held {
 			m.r.ReleaseToIdle(st.To)
 		}
-		return held
+		return held, ""
 	case placement.StepMigrate, placement.StepHandoff:
 		if st.Kind == placement.StepMigrate {
 			// The cooldown is charged here, not at plan time: steps the
@@ -177,21 +182,21 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 	case placement.StepSplit, placement.StepMerge:
 		gs, ok := m.r.Graph().KeyedGroup(st.Group)
 		if !ok {
-			return false
+			return false, ""
 		}
 		now := c.clk.Now()
 		m.cool[gs.Slots[st.Donor]], m.cool[gs.Slots[st.Recipient]] = now, now
 		if st.Kind == placement.StepSplit {
-			return m.r.SplitInstance(st.Group, st.Donor, st.Recipient) == nil
+			return m.r.SplitInstance(st.Group, st.Donor, st.Recipient) == nil, ""
 		}
-		return m.r.MergeKeyRange(st.Group, st.Donor, st.Recipient) == nil
+		return m.r.MergeKeyRange(st.Group, st.Donor, st.Recipient) == nil, ""
 	case placement.StepActivate:
 		if !m.r.ClaimIdle(st.To) {
-			return false
+			return false, ""
 		}
 		c.warm(m, st.To)
 		m.r.ActivateReplacement(st.To, st.Slot)
-		return true
+		return true, ""
 	case placement.StepPause, placement.StepResume:
 		// Resume waits long per phone: moving on upstream while a
 		// consumer's resume is in flight lets replay hit a closed path.
@@ -203,7 +208,7 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		for _, id := range st.Phones {
 			ok = c.request(id, cmd, timeout) && ok
 		}
-		return ok
+		return ok, ""
 	case placement.StepRestore:
 		return c.awaitRestored(m, st.Phones, st.Version, 30*time.Second, func() {
 			for _, id := range st.Phones {
@@ -212,7 +217,7 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		})
 	case placement.StepFetchRestore:
 		c.send(st.To, node.Command{Op: node.CmdFetchRestore, Version: st.Version, Target: st.From, Slot: st.Slot})
-		return true
+		return true, ""
 	case placement.StepReplay:
 		m.mu.Lock()
 		m.epoch = st.Epoch
@@ -220,9 +225,9 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		for _, id := range st.Phones {
 			c.send(id, node.Command{Op: node.CmdReplay, Version: st.Version, Epoch: st.Epoch})
 		}
-		return true
+		return true, ""
 	case placement.StepPromote:
-		return m.r.PromoteStandby(st.Slot) != nil
+		return m.r.PromoteStandby(st.Slot) != nil, ""
 	case placement.StepKill:
 		// The region stops and is bypassed (§III-D: its upstream and
 		// downstream neighbours connect directly).
@@ -230,12 +235,12 @@ func (c *Controller) execStep(m *managed, st placement.Step) bool {
 		m.dead = true
 		m.mu.Unlock()
 		m.r.Stop()
-		return true
+		return true, ""
 	case placement.StepUnregister:
 		m.r.Unregister(st.From)
-		return true
+		return true, ""
 	}
-	return false
+	return false, ""
 }
 
 // warm ships operator code to a phone that has none yet.
@@ -248,8 +253,9 @@ func (c *Controller) warm(m *managed, id simnet.NodeID) {
 
 // awaitRestored discards stale restore reports, runs order, then waits
 // until every phone has reported restoring version v. It reports false
-// when the timeout or Stop comes first.
-func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, timeout time.Duration, order func()) bool {
+// when the timeout or Stop comes first, and false with the node's error at
+// the first report of v that carries one.
+func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, timeout time.Duration, order func()) (bool, string) {
 	for len(m.restored) > 0 {
 		<-m.restored
 	}
@@ -260,16 +266,20 @@ func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, ti
 	for len(left) > 0 {
 		select {
 		case rep := <-m.restored:
-			if rep.Version == v {
-				left = slices.DeleteFunc(left, func(id simnet.NodeID) bool { return id == rep.Phone })
+			if rep.Version != v {
+				continue
 			}
+			if rep.Err != "" {
+				return false, rep.Err
+			}
+			left = slices.DeleteFunc(left, func(id simnet.NodeID) bool { return id == rep.Phone })
 		case <-t.C():
-			return false
+			return false, ""
 		case <-c.stopCh:
-			return false
+			return false, ""
 		}
 	}
-	return true
+	return true, ""
 }
 
 // moveSlot executes one live transfer of st.Slot from st.From to st.To: a
@@ -278,13 +288,13 @@ func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, ti
 // spare, ships code unless the target has it, orders the transfer, awaits
 // the restore report, then repoints placement; the vacated host relays
 // stragglers until senders see the new placement.
-func (c *Controller) moveSlot(m *managed, st placement.Step) bool {
+func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 	if cur, ok := m.r.Placement(st.Slot); !ok || cur != st.From {
-		return false // placement changed under the plan
+		return false, "" // placement changed under the plan
 	}
 	preclaimed := m.spares[st.To]
 	if !preclaimed && !m.r.ClaimIdle(st.To) {
-		return false
+		return false, ""
 	}
 	delete(m.spares, st.To)
 	op, timeout := node.CmdMigrate, 60*time.Second
@@ -292,9 +302,13 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) bool {
 		op, timeout = node.CmdHandoff, 120*time.Second
 	}
 	c.warm(m, st.To)
-	if !c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, func() {
+	restored, said := c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, func() {
 		c.send(st.From, node.Command{Op: op, Target: st.To, Slot: st.Slot})
-	}) {
+	})
+	if said != "" { // the target refused or failed the transfer
+		return false, said
+	}
+	if !restored {
 		// No report: inspect where the state ended up before touching
 		// placement, or traffic may blackhole or strand.
 		hosts := func(id simnet.NodeID) bool {
@@ -314,11 +328,11 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) bool {
 			m.r.SetPlacement(st.Slot, st.To)
 			c.noteFailure(m, st.To)
 		}
-		return false
+		return false, ""
 	}
 	m.r.SetPlacement(st.Slot, st.To)
 	if st.Kind == placement.StepHandoff {
-		return true
+		return true, ""
 	}
 	// A manual migration returns the healthy source to the idle pool once
 	// it hosts nothing; planned sources are dying or leaving.
@@ -329,7 +343,7 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) bool {
 	m.mu.Lock()
 	m.migrations++
 	m.mu.Unlock()
-	return true
+	return true, ""
 }
 
 // Migrate moves slot onto the idle phone `to` (tests and tooling; the

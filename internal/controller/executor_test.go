@@ -98,6 +98,33 @@ func TestStopDuringDebounceStartsNoRecovery(t *testing.T) {
 	}
 }
 
+// A restore the node refuses is a failed step at once: the report's Err
+// ends the wait and is journaled with the step. Here the phone was never
+// paused, so its lifecycle refuses the restore.
+func TestRestoreErrorJournalsFailedStep(t *testing.T) {
+	c, r := newTestRegion(t, 1) // a missed report would cost 30 s of wall time
+	running, _ := r.Placement("n2")
+	plan := &placement.Plan{Region: "r1", Version: 1, Cause: "test", Steps: []placement.Step{
+		{Kind: placement.StepRestore, Phones: []simnet.NodeID{running}, Version: 1, Reason: "local-mrc"},
+	}}
+	start := time.Now()
+	if _, ok := c.runPlan(c.lookup("r1"), plan); !ok {
+		t.Fatal("a refused restore aborted the plan")
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("the step took %v: it waited out the timeout", took)
+	}
+	got := planJournal(r)
+	want := []string{
+		"plan.propose 1 steps test",
+		"plan.step 1/1 ok=false restore v1 [" + string(running) + "] local-mrc: node " + string(running) + ": restore in state primary",
+		"plan.commit 1 steps test",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("journal = %q\nwant      %q", got, want)
+	}
+}
+
 // A restore whose report never comes is journaled as a failed step. It is
 // not critical, so the plan does not abort: a recovery goes on to resume.
 func TestRestoreTimeoutJournalsFailedStep(t *testing.T) {

@@ -2,9 +2,11 @@ package transport
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -26,16 +28,27 @@ const (
 	// corrupted length prefix cannot drive allocation to OOM.
 	maxFrameBytes = 64 << 20
 
-	// coalesceMax bounds frames that ride the shared per-conn pending
-	// buffer. Larger frames flush the backlog and then write straight from
-	// the caller's buffer, so a checkpoint blob is never copied.
+	// coalesceMax bounds frames that Tell copies into a stream's queue. A
+	// larger frame is queued by reference and written from the caller's
+	// buffer, so a checkpoint blob is never copied.
 	coalesceMax = 8 << 10
+
+	// pendCap bounds the bytes one stream queues for its writer: a Tell
+	// that finds the queue full waits, so a peer that never reads pins at
+	// most this much sender memory per stream besides the block in flight.
+	// 64 KB batches the relay benchmark's frames as well as 256 KB did, and
+	// its set-up time stays closer to the per-frame write's.
+	pendCap = 64 << 10
+
+	// closeDrain bounds how long Close lets the writers flush what Tells
+	// queued before it closes their connections anyway.
+	closeDrain = 2 * time.Second
 
 	// readBufBytes sizes the one buffered reader per inbound connection:
 	// header and body of a small frame, and the next few frames already in
 	// the kernel buffer, cost one read(2) between them. It mirrors the send
-	// side: a frame that rides the coalescing buffer fits, a larger one is
-	// read straight into its body. Keep the read-ahead small: a receiver
+	// side: a frame that Tell copies fits, a larger one is read straight
+	// into its body. Keep the read-ahead small: a receiver
 	// that drains tens of frames in one gulp holds a large share of a
 	// flow-controlled pipeline's in-flight frames and starves its
 	// neighbours in bursts (at 64 KB the benchmark's relay chain kept the
@@ -58,179 +71,314 @@ type connKey struct {
 	class simnet.Class
 }
 
-// sendConn is one outbound (peer, class) connection with a group-commit
-// send path: small frames are framed into a shared pending buffer, and
-// whichever goroutine holds the write role flushes everything pending in
-// one syscall. The buffer ping-pongs between two recycled backing arrays,
-// so the steady-state framing path allocates nothing. Frames appended
-// while a flush is in flight ride the next flush; FIFO order per
-// connection is preserved because appends are serialised by the mutex and
-// the writer always flushes the buffer as one contiguous block.
+// sendConn is one outbound (peer, class) stream. Tell frames a small
+// message into pend and returns; one writer goroutine (run) owns the TCP
+// connection, hands everything queued to the kernel in one write, and
+// redials when the connection dies. pend ping-pongs with spare, so the
+// steady state allocates nothing. A large frame is queued as its header in
+// pend plus a reference in bigs, and written in place with writev. Order
+// per stream holds because Tells append under mu and the writer writes
+// what it takes as one block, re-queueing ahead of later frames whatever a
+// failed write did not hand over whole. The stream outlives its
+// connections: it leaves Socket.conns when a redial gives up or on Close.
 type sendConn struct {
-	mu      sync.Mutex
-	flushed sync.Cond // broadcast after every flush attempt
-	c       net.Conn
-	pend    []byte // framed messages awaiting the writer
-	spare   []byte // recycled backing array for the next pend generation
-	writing bool   // a goroutine currently holds the write role
-	// appended and flushedB are cumulative byte counters: a waiter's frame
-	// has reached the kernel exactly when flushedB covers its append point.
-	appended int64
-	flushedB int64
-	err      error // sticky: the first write failure poisons the conn
+	s    *Socket
+	key  connKey
+	done chan struct{} // closed when the writer exits
+
+	mu   sync.Mutex
+	work sync.Cond // the writer waits for frames, a dead conn or Close
+	room sync.Cond // Tells wait for queue space, or for their large frame
+
+	c         net.Conn // the live connection; nil from its death to the redial
+	broken    bool     // watchConn saw c go
+	idle      bool     // the writer waits on work
+	pend      []byte   // framed messages awaiting the writer
+	spare     []byte   // recycled backing array for the next pend
+	bigs      []bigRef // large frames whose headers sit in pend, in order
+	spareBigs []bigRef
+	payload   int64 // frame bytes in pend, headers excluded (for SentBytes)
+	// queued and written count stream bytes, headers included: a large
+	// frame has reached the kernel once written covers its end.
+	queued, written int64
+	closing         bool  // Close is draining the stream
+	err             error // sticky: the stream gave up or was closed
 }
 
-func newSendConn(c net.Conn) *sendConn {
-	sc := &sendConn{c: c}
-	sc.flushed.L = &sc.mu
+// bigRef is a large frame queued by reference; its 5-byte header ends at
+// pend offset at.
+type bigRef struct {
+	at    int
+	frame []byte
+}
+
+func newSendConn(s *Socket, key connKey, c net.Conn) *sendConn {
+	sc := &sendConn{s: s, key: key, c: c, done: make(chan struct{})}
+	sc.work.L, sc.room.L = &sc.mu, &sc.mu
 	return sc
+}
+
+// appendHeader appends a framed message's 4-byte length and class byte.
+func appendHeader(dst []byte, class simnet.Class, frameLen int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameLen+1))
+	return append(dst, byte(class))
 }
 
 // appendFramed appends one length-prefixed message — 4-byte length, class
 // byte, frame — onto dst.
 func appendFramed(dst []byte, class simnet.Class, frame []byte) []byte {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(frame)+1))
-	hdr[4] = byte(class)
-	dst = append(dst, hdr[:]...)
-	return append(dst, frame...)
+	return append(appendHeader(dst, class, len(frame)), frame...)
 }
 
-// write delivers one framed message with group commit: N concurrent small
-// sends on the same connection cost one syscall, not N.
-func (sc *sendConn) write(class simnet.Class, frame []byte) error {
+// tell queues one frame. A small frame is copied and tell returns; a large
+// one is borrowed, and tell returns once it has reached the kernel. Either
+// waits first while the queue is full.
+func (sc *sendConn) tell(frame []byte) error {
+	big := len(frame) > coalesceMax
+	need := 5
+	if !big {
+		need += len(frame)
+	}
 	sc.mu.Lock()
-	if sc.err != nil {
-		err := sc.err
-		sc.mu.Unlock()
-		return err
+	for sc.err == nil && !sc.closing && len(sc.pend) > 0 && len(sc.pend)+need > pendCap {
+		sc.room.Wait()
 	}
-	if len(frame) > coalesceMax {
-		return sc.writeDirectLocked(class, frame)
+	err := sc.err
+	if err == nil && sc.closing {
+		err = errClosed
 	}
-	sc.pend = appendFramed(sc.pend, class, frame)
-	sc.appended += int64(5 + len(frame))
-	myEnd := sc.appended
-	for sc.writing {
-		if sc.flushedB >= myEnd { // another writer flushed our frame
-			sc.mu.Unlock()
-			return nil
-		}
-		if sc.err != nil {
-			err := sc.err
-			sc.mu.Unlock()
-			return err
-		}
-		sc.flushed.Wait()
-	}
-	if sc.flushedB >= myEnd {
-		sc.mu.Unlock()
-		return nil
-	}
-	if sc.err != nil {
-		err := sc.err
-		sc.mu.Unlock()
-		return err
-	}
-	buf := sc.swapPendLocked()
-	sc.mu.Unlock()
-
-	_, err := sc.c.Write(buf)
-
-	sc.mu.Lock()
-	sc.finishFlushLocked(buf, err)
-	sc.mu.Unlock()
-	return err
-}
-
-// writeDirectLocked takes the write role, flushes the pending backlog,
-// then writes the header and the caller's frame without copying it.
-// Called with mu held; returns with mu released.
-func (sc *sendConn) writeDirectLocked(class simnet.Class, frame []byte) error {
-	for sc.writing {
-		if sc.err != nil {
-			err := sc.err
-			sc.mu.Unlock()
-			return err
-		}
-		sc.flushed.Wait()
-	}
-	if sc.err != nil {
-		err := sc.err
-		sc.mu.Unlock()
-		return err
-	}
-	buf := sc.swapPendLocked()
-	sc.mu.Unlock()
-
-	var err error
-	if len(buf) > 0 {
-		_, err = sc.c.Write(buf)
-	}
-	if err == nil {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(frame)+1))
-		hdr[4] = byte(class)
-		if _, err = sc.c.Write(hdr[:]); err == nil {
-			_, err = sc.c.Write(frame)
-		}
-	}
-
-	sc.mu.Lock()
-	sc.finishFlushLocked(buf, err)
-	sc.mu.Unlock()
-	return err
-}
-
-// swapPendLocked claims the write role and detaches the pending buffer.
-func (sc *sendConn) swapPendLocked() []byte {
-	sc.writing = true
-	buf := sc.pend
-	sc.pend = sc.spare[:0]
-	sc.spare = nil
-	return buf
-}
-
-// finishFlushLocked releases the write role, advances the flush counter
-// on success (an error is sticky and fails every queued waiter, whose
-// frames may not have reached the wire), and recycles the flushed
-// buffer's backing array.
-func (sc *sendConn) finishFlushLocked(buf []byte, err error) {
-	sc.writing = false
 	if err != nil {
-		sc.err = err
+		sc.mu.Unlock()
+		return err
+	}
+	if big {
+		sc.pend = appendHeader(sc.pend, sc.key.class, len(frame))
+		sc.bigs = append(sc.bigs, bigRef{at: len(sc.pend), frame: frame})
 	} else {
-		sc.flushedB += int64(len(buf))
-		if cap(buf) > 0 {
-			if len(sc.pend) == 0 {
-				sc.pend = buf[:0]
-			} else {
-				sc.spare = buf[:0]
-			}
+		sc.pend = appendFramed(sc.pend, sc.key.class, frame)
+	}
+	sc.payload += int64(len(frame))
+	sc.queued += int64(5 + len(frame))
+	if sc.idle {
+		sc.idle = false
+		sc.work.Signal()
+	}
+	if big {
+		end := sc.queued
+		for sc.written < end && sc.err == nil {
+			sc.room.Wait()
+		}
+		if sc.written < end {
+			err = sc.err
 		}
 	}
-	sc.flushed.Broadcast()
+	sc.mu.Unlock()
+	return err
+}
+
+// run is the stream's writer. It exits once Close has drained the stream
+// or a redial gave up.
+func (sc *sendConn) run() {
+	defer sc.s.wg.Done()
+	defer close(sc.done)
+	for {
+		c, buf, bigs, payload, ok := sc.next()
+		switch {
+		case !ok:
+			return
+		case c == nil:
+			if !sc.redial() {
+				return
+			}
+		default:
+			n, err := writeBlock(c, buf, bigs)
+			sc.wrote(c, buf, bigs, payload, n, err)
+		}
+	}
+}
+
+// next waits for work and claims it: the connection and the queued block
+// to write, or a nil connection when it died and must be redialed first.
+// A dead connection is redialed only once there is something to send, so
+// a restarting peer gets the whole dial budget. ok is false once the
+// stream is done: Close found it drained, or its connection gone.
+func (sc *sendConn) next() (c net.Conn, buf []byte, bigs []bigRef, payload int64, ok bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for {
+		for len(sc.pend) == 0 && !sc.closing && !sc.broken {
+			sc.idle = true
+			sc.work.Wait()
+		}
+		sc.idle = false
+		if sc.broken {
+			sc.s.connDead(sc.key, sc.c)
+			sc.c, sc.broken = nil, false
+			continue
+		}
+		if sc.closing && (len(sc.pend) == 0 || sc.c == nil) {
+			if sc.c != nil {
+				sc.c.Close()
+				sc.c = nil
+			}
+			sc.dropLocked(errClosed)
+			return nil, nil, nil, 0, false
+		}
+		if sc.c == nil {
+			return nil, nil, nil, 0, true
+		}
+		buf, bigs, payload = sc.pend, sc.bigs, sc.payload
+		sc.pend, sc.bigs, sc.payload = sc.spare[:0], sc.spareBigs[:0], 0
+		sc.spare, sc.spareBigs = nil, nil
+		sc.room.Broadcast() // the queue has room again
+		return sc.c, buf, bigs, payload, true
+	}
+}
+
+// writeBlock hands one block to the kernel: one write(2), or one writev
+// when large frames ride in it by reference.
+func writeBlock(c net.Conn, buf []byte, bigs []bigRef) (int64, error) {
+	if len(bigs) == 0 {
+		n, err := c.Write(buf)
+		return int64(n), err
+	}
+	vec := make(net.Buffers, 0, 2*len(bigs)+1)
+	at := 0
+	for _, b := range bigs {
+		vec = append(vec, buf[at:b.at], b.frame)
+		at = b.at
+	}
+	vec = append(vec, buf[at:])
+	return vec.WriteTo(c)
+}
+
+// wrote settles a block's write of n bytes. On success the stream advances
+// and the block's arrays are recycled. On failure the frames the kernel did
+// not take whole go back ahead of anything queued since, to be re-sent
+// from their first byte on the next connection, and this one is dead.
+func (sc *sendConn) wrote(c net.Conn, buf []byte, bigs []bigRef, payload, n int64, err error) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if err != nil {
+		k, _, done, donePayload := sentPrefix(buf, bigs, n)
+		sc.requeueLocked(buf[k:], bigs, k, payload-donePayload)
+		n, payload = done, donePayload
+		if sc.c == c {
+			sc.s.connDead(sc.key, c)
+			sc.c, sc.broken = nil, false
+		}
+	} else {
+		clear(bigs) // drop the borrowed frames
+		sc.spare, sc.spareBigs = buf[:0], bigs[:0]
+	}
+	sc.written += n
+	atomic.AddInt64(&sc.s.sentBytes[sc.key.class], payload)
+	sc.room.Broadcast()
+}
+
+// sentPrefix measures the whole frames in the first n stream bytes of a
+// block: they end at pend offset k and carry payload frame bytes.
+func sentPrefix(buf []byte, bigs []bigRef, n int64) (k, frames int, done, payload int64) {
+	for k < len(buf) {
+		size := 4 + int64(binary.BigEndian.Uint32(buf[k:]))
+		if done+size > n {
+			break
+		}
+		step := int(size)
+		if len(bigs) > 0 && bigs[0].at == k+5 {
+			step, bigs = 5, bigs[1:]
+		}
+		k, frames, done, payload = k+step, frames+1, done+size, payload+size-5
+	}
+	return k, frames, done, payload
+}
+
+// requeueLocked puts rest, the unsent tail of a block that began at pend
+// offset k with large frames bigs, back ahead of what was queued since.
+func (sc *sendConn) requeueLocked(rest []byte, bigs []bigRef, k int, payload int64) {
+	pend := make([]byte, 0, len(rest)+len(sc.pend))
+	pend = append(append(pend, rest...), sc.pend...)
+	var refs []bigRef
+	for _, b := range bigs {
+		if b.at > k {
+			refs = append(refs, bigRef{at: b.at - k, frame: b.frame})
+		}
+	}
+	for _, b := range sc.bigs {
+		refs = append(refs, bigRef{at: b.at + len(rest), frame: b.frame})
+	}
+	sc.pend, sc.bigs = pend, refs
+	sc.payload += payload
+}
+
+// redial replaces the dead connection with the first dial's attempts and
+// backoff. If they all fail the stream gives up: it leaves the map, so the
+// next Tell dials afresh; its error is sticky for Tells that still hold
+// it; and what it had queued is dropped.
+func (sc *sendConn) redial() bool {
+	s := sc.s
+	c, err := s.dial(sc.key.id)
+	if err == nil {
+		sc.mu.Lock()
+		defer sc.mu.Unlock()
+		if s.ctx.Err() != nil { // Close stopped waiting for this stream
+			c.Close()
+			return true
+		}
+		sc.c = c
+		s.redials.Add(1)
+		s.emit("conn.redial", string(sc.key.id))
+		s.wg.Add(1)
+		go s.watchConn(sc, c)
+		return true
+	}
+	s.mu.Lock()
+	if s.conns[sc.key] == sc {
+		delete(s.conns, sc.key)
+		s.redialPending[sc.key] = true
+	}
+	s.mu.Unlock()
+	sc.mu.Lock()
+	sc.dropLocked(fmt.Errorf("transport: tell %s/%s: %w", sc.key.id, sc.key.class, err))
+	sc.mu.Unlock()
+	return false
+}
+
+// dropLocked ends the stream with err: what is queued is discarded and
+// journaled, and every waiting Tell is released.
+func (sc *sendConn) dropLocked(err error) {
+	sc.err = err
+	if _, frames, lost, _ := sentPrefix(sc.pend, sc.bigs, math.MaxInt64); frames > 0 {
+		sc.s.emit("conn.drop", fmt.Sprintf("%s: %d frames, %d bytes", sc.key.id, frames, lost))
+	}
+	clear(sc.bigs)
+	sc.pend, sc.bigs, sc.payload = nil, nil, 0
+	sc.room.Broadcast()
 }
 
 // Socket is the real-network transport: reliable ordered Tell over
-// per-(peer, class) TCP connections with length-prefixed framing, dial
-// retry and a hello handshake.
+// per-(peer, class) TCP streams with length-prefixed framing, a writer per
+// stream, dial retry and a hello handshake.
 type Socket struct {
 	info info
 	ln   net.Listener
+	// ctx is cancelled when Close stops waiting for the writers, which
+	// aborts their dials.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu      sync.Mutex
 	peers   map[simnet.NodeID]string // dialable addresses
 	conns   map[connKey]*sendConn
 	inbound map[net.Conn]struct{}
 	closed  bool
-	// redialPending marks (peer, class) keys whose connection died, so the
-	// next successful dial counts as a redial rather than a first dial.
+	// redialPending marks (peer, class) keys whose stream gave up, so the
+	// next stream's first dial counts as a redial.
 	redialPending map[connKey]bool
-	deadConns     int64
-	redials       int64
-	journal       *obs.Journal
 
+	deadConns atomic.Int64
+	redials   atomic.Int64
+	journal   atomic.Pointer[obs.Journal]
 	sentBytes [simnet.ClassPreserve + 1]int64
 
 	h  atomic.Value // Handler
@@ -239,29 +387,31 @@ type Socket struct {
 
 // stats is a point-in-time snapshot of the transport's connection health.
 type stats struct {
-	// DeadConns counts connections discarded after a write failure.
+	// DeadConns counts connections discarded after a write failure or
+	// after the peer went away.
 	DeadConns int64
 	// Redials counts successful dials that replaced a dead connection.
 	Redials int64
 }
 
-// SetJournal attaches a lifecycle journal: dead connections and redials
-// become structured events alongside the counters. Nil detaches. Not
-// safe to call concurrently with Tell.
-func (s *Socket) SetJournal(j *obs.Journal) {
-	s.mu.Lock()
-	s.journal = j
-	s.mu.Unlock()
+// SetJournal attaches a lifecycle journal: dead connections, redials and
+// frames dropped by a stream that gave up become structured events
+// alongside the counters. Nil detaches.
+func (s *Socket) SetJournal(j *obs.Journal) { s.journal.Store(j) }
+
+func (s *Socket) emit(kind, detail string) {
+	s.journal.Load().Emit(obs.Event{
+		At: time.Now().UnixNano(), Kind: kind, Node: string(s.info.ID), Detail: detail,
+	})
 }
 
 // Stats reports connection-health counters since the socket was created.
 func (s *Socket) Stats() stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return stats{DeadConns: s.deadConns, Redials: s.redials}
+	return stats{DeadConns: s.deadConns.Load(), Redials: s.redials.Load()}
 }
 
-// SentBytes reports the payload bytes Tell has sent on one traffic class.
+// SentBytes reports the payload bytes the socket's writers have handed to
+// the kernel on one traffic class.
 func (s *Socket) SentBytes(class simnet.Class) int64 {
 	return atomic.LoadInt64(&s.sentBytes[class])
 }
@@ -279,8 +429,11 @@ func NewSocket(id simnet.NodeID, listen, advertise string) (*Socket, error) {
 	if advertise == "" {
 		advertise = ln.Addr().String()
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	s := &Socket{
 		info:          info{ID: id, Addr: advertise},
+		ctx:           ctx,
+		cancel:        cancel,
 		ln:            ln,
 		peers:         make(map[simnet.NodeID]string),
 		conns:         make(map[connKey]*sendConn),
@@ -348,37 +501,27 @@ func (s *Socket) handler() Handler {
 	return h
 }
 
-// Tell reliably delivers the frame over the (to, class) TCP connection,
-// dialing (with retry and a hello handshake) on first use and redialing
-// once per attempt if an established connection has died.
+// Tell queues the frame on the (to, class) stream, whose writer delivers
+// it in order; the first Tell to a peer dials (with retry and a hello
+// handshake) before it returns. A frame of up to coalesceMax bytes is
+// copied and Tell returns at once; a larger one is borrowed, and Tell
+// returns once it has reached the kernel. Either waits while the stream's
+// queue is full. After a redial gave up, Tells holding that stream return
+// its error and the next Tell dials afresh.
 func (s *Socket) Tell(to simnet.NodeID, class simnet.Class, frame []byte) error {
 	if len(frame)+1 > maxFrameBytes {
 		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(frame))
 	}
-	var lastErr error
-	for attempt := 0; attempt < dialAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(retryBackoff << (attempt - 1))
-		}
-		sc, err := s.conn(to, class)
-		if err != nil {
-			if err == errUnknownPeer || err == errClosed {
-				return err
-			}
-			lastErr = err
-			continue
-		}
-		if err = sc.write(class, frame); err == nil {
-			atomic.AddInt64(&s.sentBytes[class], int64(len(frame)))
-			return nil
-		}
-		lastErr = err
-		s.dropConn(to, class, sc)
+	sc, err := s.stream(to, class)
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("transport: tell %s/%s: %w", to, class, lastErr)
+	return sc.tell(frame)
 }
 
-// Close shuts the listeners and every connection down.
+// Close shuts the listener and every inbound connection, stops new Tells,
+// and lets every writer flush what Tells queued; past closeDrain it closes
+// their connections anyway and journals what they drop.
 func (s *Socket) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -386,28 +529,56 @@ func (s *Socket) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns)+len(s.inbound))
+	streams := make([]*sendConn, 0, len(s.conns))
 	for _, sc := range s.conns {
-		conns = append(conns, sc.c)
+		streams = append(streams, sc)
 	}
+	inbound := make([]net.Conn, 0, len(s.inbound))
 	for c := range s.inbound {
-		conns = append(conns, c)
+		inbound = append(inbound, c)
 	}
 	s.conns = map[connKey]*sendConn{}
 	s.inbound = map[net.Conn]struct{}{}
 	s.mu.Unlock()
 
 	s.ln.Close()
-	for _, c := range conns {
+	for _, c := range inbound {
 		c.Close()
 	}
+	for _, sc := range streams {
+		sc.mu.Lock()
+		sc.closing = true
+		sc.work.Signal()
+		sc.room.Broadcast()
+		sc.mu.Unlock()
+	}
+	drain := time.NewTimer(closeDrain)
+	defer drain.Stop()
+	for i, sc := range streams {
+		select {
+		case <-sc.done:
+			continue
+		case <-drain.C:
+		}
+		s.cancel()
+		for _, sc := range streams[i:] {
+			sc.mu.Lock()
+			if sc.c != nil { // fails the write in flight
+				sc.c.Close()
+				sc.c, sc.broken = nil, false
+			}
+			sc.mu.Unlock()
+		}
+		break
+	}
+	s.cancel()
 	s.wg.Wait()
 	return nil
 }
 
-// conn returns the cached (to, class) connection, dialing and handshaking
-// a fresh one if needed.
-func (s *Socket) conn(to simnet.NodeID, class simnet.Class) (*sendConn, error) {
+// stream returns the (to, class) stream, dialing and handshaking its first
+// connection and starting its writer if needed.
+func (s *Socket) stream(to simnet.NodeID, class simnet.Class) (*sendConn, error) {
 	key := connKey{to, class}
 	s.mu.Lock()
 	if s.closed {
@@ -418,91 +589,105 @@ func (s *Socket) conn(to simnet.NodeID, class simnet.Class) (*sendConn, error) {
 		s.mu.Unlock()
 		return sc, nil
 	}
-	addr, ok := s.peers[to]
 	s.mu.Unlock()
-	if !ok {
-		return nil, errUnknownPeer
-	}
 
-	c, err := net.DialTimeout("tcp", addr, dialTimeout)
+	c, err := s.dial(to)
 	if err != nil {
-		return nil, err
+		if err == errUnknownPeer || err == errClosed {
+			return nil, err
+		}
+		return nil, fmt.Errorf("transport: tell %s/%s: %w", to, class, err)
 	}
-	hello := wire.AppendHello(nil, &wire.Hello{ID: s.info.ID, Addr: s.info.Addr})
-	if err := writeFrame(c, simnet.ClassControl, hello); err != nil {
-		c.Close()
-		return nil, err
-	}
-
-	sc := newSendConn(c)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		c.Close()
 		return nil, errClosed
 	}
 	if prior, ok := s.conns[key]; ok {
-		// A concurrent Tell won the dial race; keep its connection.
-		s.mu.Unlock()
+		// A concurrent Tell won the dial race; keep its stream.
 		c.Close()
 		return prior, nil
 	}
-	s.conns[key] = sc
 	if s.redialPending[key] {
 		delete(s.redialPending, key)
-		s.redials++
-		s.journal.Emit(obs.Event{
-			At: time.Now().UnixNano(), Kind: "conn.redial",
-			Node: string(s.info.ID), Detail: string(to),
-		})
+		s.redials.Add(1)
+		s.emit("conn.redial", string(to))
 	}
-	s.wg.Add(1)
-	go s.watchConn(key, sc)
-	s.mu.Unlock()
+	sc := newSendConn(s, key, c)
+	s.conns[key] = sc
+	s.startLocked(sc)
 	return sc, nil
 }
 
-// watchConn blocks reading the outbound connection, which the peer never
-// writes to: anything Read returns means the connection is gone. The conn
-// is poisoned and dropped immediately, so the next Tell redials instead
-// of writing a frame into a dead socket — the single-syscall send path
-// has no second write to trip over a delayed RST.
-func (s *Socket) watchConn(key connKey, sc *sendConn) {
-	defer s.wg.Done()
-	var buf [1]byte
-	_, err := sc.c.Read(buf[:])
-	if err == nil {
-		err = fmt.Errorf("transport: unexpected data on send-only conn")
-	}
-	sc.mu.Lock()
-	if sc.err == nil {
-		sc.err = err
-	}
-	sc.flushed.Broadcast()
-	sc.mu.Unlock()
-	s.dropConn(key.id, key.class, sc)
+// startLocked starts a new stream's writer and its connection's watcher.
+// Called with s.mu held.
+func (s *Socket) startLocked(sc *sendConn) {
+	s.wg.Add(2)
+	go sc.run()
+	go s.watchConn(sc, sc.c)
 }
 
-// dropConn discards a dead connection so the next attempt redials.
-func (s *Socket) dropConn(to simnet.NodeID, class simnet.Class, sc *sendConn) {
-	key := connKey{to, class}
-	s.mu.Lock()
-	if s.conns[key] == sc {
-		delete(s.conns, key)
-		s.deadConns++
-		s.redialPending[key] = true
-		s.journal.Emit(obs.Event{
-			At: time.Now().UnixNano(), Kind: "conn.dead",
-			Node: string(s.info.ID), Detail: string(to),
-		})
+// dial connects to the peer's current address and sends the hello, making
+// dialAttempts attempts with exponential backoff between them. Close's
+// give-up cancels it.
+func (s *Socket) dial(to simnet.NodeID) (net.Conn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
+	var lastErr error
+	for attempt := 0; attempt < dialAttempts; attempt++ {
+		if attempt > 0 {
+			t := time.NewTimer(retryBackoff << (attempt - 1))
+			select {
+			case <-t.C:
+			case <-s.ctx.Done():
+				t.Stop()
+				return nil, errClosed
+			}
+		}
+		addr, ok := s.PeerAddr(to)
+		if !ok {
+			return nil, errUnknownPeer
+		}
+		c, err := d.DialContext(s.ctx, "tcp", addr)
+		if err == nil {
+			hello := wire.AppendHello(nil, &wire.Hello{ID: s.info.ID, Addr: s.info.Addr})
+			if err = writeFrame(c, simnet.ClassControl, hello); err == nil {
+				return c, nil
+			}
+			c.Close()
+		}
+		lastErr = err
 	}
-	s.mu.Unlock()
-	sc.c.Close()
+	return nil, lastErr
+}
+
+// watchConn blocks reading an outbound connection, which the peer never
+// writes to: anything Read returns means the connection is gone. It closes
+// the connection, so a write blocked on it fails, and tells the writer,
+// which retires it and redials before it writes again.
+func (s *Socket) watchConn(sc *sendConn, c net.Conn) {
+	defer s.wg.Done()
+	var buf [1]byte
+	c.Read(buf[:])
+	c.Close()
+	sc.mu.Lock()
+	if sc.c == c {
+		sc.broken = true
+		sc.work.Signal()
+	}
+	sc.mu.Unlock()
+}
+
+// connDead retires a stream's connection that failed or went away.
+func (s *Socket) connDead(key connKey, c net.Conn) {
+	c.Close()
+	s.deadConns.Add(1)
+	s.emit("conn.dead", string(key.id))
 }
 
 // writeFrame writes one framed message in a single syscall. Only the
-// per-dial hello path uses it; steady-state sends go through
-// sendConn.write, which reuses its buffers.
+// per-dial hello uses it; streams write through their writer, which
+// reuses its buffers.
 func writeFrame(c net.Conn, class simnet.Class, frame []byte) error {
 	_, err := c.Write(appendFramed(make([]byte, 0, 5+len(frame)), class, frame))
 	return err

@@ -36,10 +36,13 @@ type info struct {
 type Transport interface {
 	// Info reports this attachment's identity.
 	Info() info
-	// Tell reliably delivers frame to the peer, preserving order among
-	// Tells to the same (peer, class). It blocks until the frame is
-	// handed to the network and returns an error if the peer is unknown
-	// or unreachable.
+	// Tell queues frame for the peer in order among Tells to the same
+	// (peer, class) and delivers it reliably. A backend may return before
+	// the frame reaches the network: the socket backend copies a small
+	// frame into the stream's queue and returns, and borrows a large one
+	// until it is written, so the caller may reuse its buffer either way
+	// once Tell returns. It returns an error if the peer is unknown or
+	// unreachable.
 	Tell(to simnet.NodeID, class simnet.Class, frame []byte) error
 	// Receive installs the frame handler. It must be called before
 	// traffic arrives; frames received with no handler installed are
