@@ -15,35 +15,29 @@ import (
 )
 
 func main() {
-	g, err := bcp.Graph()
-	if err != nil {
-		panic(err)
-	}
 	// Real compute: the counters run vision.CountFaces on each frame.
 	params := bcp.Params{
 		RealCompute: true,
 		CounterCost: 2 * time.Second, // modelled 600 MHz-A8 time on top of real work
 		MotionCost:  300 * time.Millisecond,
 	}
+	outputs := 0
+	p, err := bcp.Pipeline(params, func(pred bcp.Prediction) {
+		outputs++
+		if outputs%5 == 0 {
+			fmt.Printf("  bus %d: predicted on-board %.1f (board %.1f, alight %.1f)\n",
+				pred.BusSeq, pred.OnBoard, pred.Board, pred.Alight)
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
 
 	sys := mobistreams.NewSystem(mobistreams.SystemConfig{
 		Speedup:          40,
 		CheckpointPeriod: 60 * time.Second,
 	})
-	outputs := 0
-	region, err := sys.AddRegion(mobistreams.RegionSpec{
-		ID: "busstop-1", Graph: g, Registry: bcp.Registry(params),
-		Scheme: mobistreams.MS, Phones: 10,
-		OnOutput: func(t *mobistreams.Tuple) {
-			if pred, ok := t.Value.(bcp.Prediction); ok {
-				outputs++
-				if outputs%5 == 0 {
-					fmt.Printf("  bus %d: predicted on-board %.1f (board %.1f, alight %.1f)\n",
-						pred.BusSeq, pred.OnBoard, pred.Board, pred.Alight)
-				}
-			}
-		},
-	})
+	region, err := sys.AddRegion(mobistreams.RegionSpec{ID: "busstop-1", Pipeline: p, Scheme: mobistreams.MS, Phones: 10})
 	if err != nil {
 		panic(err)
 	}

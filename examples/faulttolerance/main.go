@@ -18,8 +18,7 @@ import (
 func main() {
 	// The Fig. 5 diamond, declared fluently: A -> B fans out to C and D,
 	// which Merge back into the join E. Each stage is pinned to its own
-	// slot (phone); the builder compiles the same graph + registry the
-	// hand-wired API used to assemble.
+	// slot (phone).
 	a := stream.From[int]("A", stream.On("n1"))
 	b := a.Via("B", func() operator.Operator { return operator.NewPassthrough("B") }, stream.On("n2"))
 	c := b.Map("C", func(v int) int { return v }, stream.On("n3"))
@@ -36,7 +35,7 @@ func main() {
 		Speedup:          200,
 		CheckpointPeriod: 45 * time.Second,
 	})
-	region, err := sys.AddRegion(mobistreams.PipelineSpec("r1", p, mobistreams.MS, 10))
+	region, err := sys.AddRegion(mobistreams.RegionSpec{ID: "r1", Pipeline: p, Scheme: mobistreams.MS, Phones: 10})
 	if err != nil {
 		panic(err)
 	}

@@ -69,7 +69,7 @@ func main() {
 		Speedup:          100, // 1 simulated minute ~ 0.6 s of wall time
 		CheckpointPeriod: 30 * time.Second,
 	})
-	region, err := sys.AddRegion(mobistreams.PipelineSpec("demo", p, mobistreams.MS, 5))
+	region, err := sys.AddRegion(mobistreams.RegionSpec{ID: "demo", Pipeline: p, Scheme: mobistreams.MS, Phones: 5})
 	if err != nil {
 		panic(err)
 	}

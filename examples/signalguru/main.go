@@ -26,15 +26,12 @@ func main() {
 		CheckpointPeriod: 60 * time.Second,
 	})
 
-	mk := func(id string, onOut func(*mobistreams.Tuple)) *mobistreams.Region {
-		g, err := signalguru.Graph()
+	mk := func(id string, onAdvisory func(signalguru.Advisory)) *mobistreams.Region {
+		p, err := signalguru.Pipeline(params, onAdvisory)
 		if err != nil {
 			panic(err)
 		}
-		r, err := sys.AddRegion(mobistreams.RegionSpec{
-			ID: id, Graph: g, Registry: signalguru.Registry(params),
-			Scheme: mobistreams.MS, Phones: 10, OnOutput: onOut,
-		})
+		r, err := sys.AddRegion(mobistreams.RegionSpec{ID: id, Pipeline: p, Scheme: mobistreams.MS, Phones: 10})
 		if err != nil {
 			panic(err)
 		}
@@ -42,19 +39,13 @@ func main() {
 	}
 
 	var firstAdv, secondAdv int
-	second := mk("intersection-2", func(t *mobistreams.Tuple) {
-		if adv, ok := t.Value.(signalguru.Advisory); ok {
-			secondAdv++
-			if secondAdv%10 == 0 {
-				fmt.Printf("  [intersection-2] %v expected in %.0f s\n", adv.Color, adv.NextInSec)
-			}
+	second := mk("intersection-2", func(adv signalguru.Advisory) {
+		secondAdv++
+		if secondAdv%10 == 0 {
+			fmt.Printf("  [intersection-2] %v expected in %.0f s\n", adv.Color, adv.NextInSec)
 		}
 	})
-	first := mk("intersection-1", func(t *mobistreams.Tuple) {
-		if _, ok := t.Value.(signalguru.Advisory); ok {
-			firstAdv++
-		}
-	})
+	first := mk("intersection-1", func(signalguru.Advisory) { firstAdv++ })
 	// Intersection 1's advisories feed intersection 2's S0 source.
 	sys.Connect(first, second, "S0")
 

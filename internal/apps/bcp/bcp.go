@@ -7,11 +7,13 @@
 package bcp
 
 import (
+	"fmt"
 	"time"
 
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/vision"
+	"mobistreams/stream"
 )
 
 // The small model operators' service time, and the modelled statistical
@@ -68,49 +70,52 @@ type Prediction struct {
 	Alight  float64
 }
 
-// Graph returns Fig. 2's query network on 8 slots: n1 hosts the bus path
-// (S0, N, A, L), n2 the camera source, n3 motion detection and dispatch,
-// n4-n7 the four counters, n8 the boarding model, join, capacity model and
-// sink.
-func Graph() (*graph.Graph, error) {
-	var b graph.Builder
-	b.AddOperator("S0", "n1").AddOperator("N", "n1").
-		AddOperator("A", "n1").AddOperator("L", "n1")
-	b.AddOperator("S1", "n2")
-	b.AddOperator("H", "n3").AddOperator("D", "n3")
-	b.AddOperator("C0", "n4").AddOperator("C1", "n5").
-		AddOperator("C2", "n6").AddOperator("C3", "n7")
-	b.AddOperator("B", "n8").AddOperator("J", "n8").
-		AddOperator("P", "n8").AddOperator("K", "n8")
-	b.Chain("S0", "N")
-	b.Connect("N", "A").Connect("N", "L")
-	b.Chain("S1", "H", "D")
-	for _, c := range []string{"C0", "C1", "C2", "C3"} {
-		b.Connect("D", c).Connect(c, "B")
+// Pipeline declares Fig. 2's query network on 8 slots: n1 hosts the bus
+// path (S0, N, A, L), n2 the camera source, n3 motion detection and
+// dispatch, n4-n7 the four counters, n8 the boarding model, join,
+// capacity model and sink. onPrediction (may be nil) receives every
+// published prediction.
+func Pipeline(p Params, onPrediction func(Prediction)) (*stream.Pipeline, error) {
+	p.applyDefaults()
+	bus := stream.From[BusInfo]("S0", stream.On("n1")).
+		Via("N", func() operator.Operator { return newNoiseFilter(p) }, stream.On("n1"))
+	eta := bus.Via("A", func() operator.Operator { return newArrivalModel(p) }, stream.On("n1"))
+	alight := stream.Through[BusInfo, float64](bus, "L", func() operator.Operator { return newAlightModel(p) }, stream.On("n1"))
+
+	counters := []string{"C0", "C1", "C2", "C3"}
+	frames := stream.From[Frame]("S1", stream.On("n2")).
+		Via("H", func() operator.Operator { return newMotionDetect(p) }, stream.On("n3")).
+		Via("D", func() operator.Operator { return operator.NewRoundRobin("D", counters...) }, stream.On("n3"))
+	counts := make([]stream.Upstream, len(counters))
+	for i, id := range counters {
+		id := id
+		counts[i] = stream.Through[Frame, float64](frames, id,
+			func() operator.Operator { return newCounter(id, p) }, stream.On(fmt.Sprintf("n%d", 4+i)))
 	}
-	b.Connect("A", "J").Connect("L", "J").Connect("B", "J")
-	b.Chain("J", "P", "K")
-	return b.Build()
+	board := stream.Merge[float64]("B", func() operator.Operator { return newBoardModel(p) }, counts, stream.On("n8"))
+
+	return stream.Merge[Prediction]("J", func() operator.Operator { return newLatestJoin(p) },
+		[]stream.Upstream{eta, alight, board}, stream.On("n8")).
+		Via("P", func() operator.Operator { return newCapacityModel(p) }, stream.On("n8")).
+		Sink("K", onPrediction, stream.On("n8")).
+		Build()
 }
 
-// Registry builds the application operators.
-func Registry(p Params) operator.Registry {
-	p.applyDefaults()
-	return operator.Registry{
-		"S0": func() operator.Operator { return operator.NewPassthrough("S0") },
-		"S1": func() operator.Operator { return operator.NewPassthrough("S1") },
-		"N":  func() operator.Operator { return newNoiseFilter(p) },
-		"A":  func() operator.Operator { return newArrivalModel(p) },
-		"L":  func() operator.Operator { return newAlightModel(p) },
-		"H":  func() operator.Operator { return newMotionDetect(p) },
-		"D":  func() operator.Operator { return operator.NewRoundRobin("D", "C0", "C1", "C2", "C3") },
-		"C0": func() operator.Operator { return newCounter("C0", p) },
-		"C1": func() operator.Operator { return newCounter("C1", p) },
-		"C2": func() operator.Operator { return newCounter("C2", p) },
-		"C3": func() operator.Operator { return newCounter("C3", p) },
-		"B":  func() operator.Operator { return newBoardModel(p) },
-		"J":  func() operator.Operator { return newLatestJoin(p) },
-		"P":  func() operator.Operator { return newCapacityModel(p) },
-		"K":  func() operator.Operator { return operator.NewPassthrough("K") },
+// Graph returns the query network Pipeline declares.
+func Graph() (*graph.Graph, error) {
+	pl, err := Pipeline(Params{}, nil)
+	if err != nil {
+		return nil, err
 	}
+	return pl.Graph(), nil
+}
+
+// Registry builds the application operators Pipeline declares. The
+// declaration is fixed, so it builds; Graph reports any error it had.
+func Registry(p Params) operator.Registry {
+	pl, err := Pipeline(p, nil)
+	if err != nil {
+		panic(err)
+	}
+	return pl.Registry()
 }

@@ -1,9 +1,12 @@
 package bcp
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/tuple"
 	"mobistreams/internal/vision"
@@ -13,10 +16,61 @@ func params() Params {
 	return Params{CounterCost: time.Nanosecond, MotionCost: time.Nanosecond}
 }
 
+// handWired is Fig. 2 wired operator by operator, as the application was
+// before it declared its dataflow through stream: the reference Pipeline
+// must reproduce.
+func handWired(t *testing.T) *graph.Graph {
+	t.Helper()
+	var b graph.Builder
+	b.AddOperator("S0", "n1").AddOperator("N", "n1").
+		AddOperator("A", "n1").AddOperator("L", "n1")
+	b.AddOperator("S1", "n2")
+	b.AddOperator("H", "n3").AddOperator("D", "n3")
+	b.AddOperator("C0", "n4").AddOperator("C1", "n5").
+		AddOperator("C2", "n6").AddOperator("C3", "n7")
+	b.AddOperator("B", "n8").AddOperator("J", "n8").
+		AddOperator("P", "n8").AddOperator("K", "n8")
+	b.Chain("S0", "N")
+	b.Connect("N", "A").Connect("N", "L")
+	b.Chain("S1", "H", "D")
+	for _, c := range []string{"C0", "C1", "C2", "C3"} {
+		b.Connect("D", c).Connect(c, "B")
+	}
+	b.Connect("A", "J").Connect("L", "J").Connect("B", "J")
+	b.Chain("J", "P", "K")
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// shape renders every projection a node compiles from the graph: operator
+// order with each operator's slot and upstream and downstream lists in
+// order, the sorted slots with their operators and neighbour slots, the
+// weighted cross-slot edges, and the sources and sinks.
+func shape(g *graph.Graph) string {
+	var b strings.Builder
+	for _, id := range g.Operators() {
+		fmt.Fprintf(&b, "op %s @%s up=%v down=%v\n", id, g.SlotOf(id), g.Upstream(id), g.Downstream(id))
+	}
+	for _, s := range g.Slots() {
+		fmt.Fprintf(&b, "slot %s ops=%v up=%v down=%v\n", s, g.OpsOnSlot(s), g.SlotUpstreams(s), g.SlotDownstreams(s))
+	}
+	fmt.Fprintf(&b, "edges %v\nsources %v sinks %v\n", g.SlotEdges(), g.Sources(), g.Sinks())
+	return b.String()
+}
+
 func TestGraphShape(t *testing.T) {
 	g, err := Graph()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := shape(g), shape(handWired(t)); got != want {
+		t.Fatalf("declared graph differs from the hand-wired one:\n%s\nwant:\n%s", got, want)
+	}
+	if got := strings.Join(g.Operators(), ","); got != "S0,N,A,L,S1,H,D,C0,C1,C2,C3,B,J,P,K" {
+		t.Fatalf("operator order = %s", got)
 	}
 	if got := len(g.Slots()); got != 8 {
 		t.Fatalf("slots = %d, want 8", got)

@@ -12,6 +12,7 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/vision"
+	"mobistreams/stream"
 )
 
 // The service time of V, G and P, and the modelled state sizes: P's SVM
@@ -80,54 +81,54 @@ type Advisory struct {
 	NextInSec float64
 }
 
-// Graph returns Fig. 3's query network on 8 slots: n1/n2 host the sources,
-// n3-n5 the three filter columns (C, A, M co-located per column), n6 the
-// voting operator, n7 grouping and prediction, n8 the sink.
-func Graph() (*graph.Graph, error) {
-	var b graph.Builder
-	b.AddOperator("S0", "n1").AddOperator("S1", "n2")
-	b.AddOperator("C0", "n3").AddOperator("A0", "n3").AddOperator("M0", "n3")
-	b.AddOperator("C1", "n4").AddOperator("A1", "n4").AddOperator("M1", "n4")
-	b.AddOperator("C2", "n5").AddOperator("A2", "n5").AddOperator("M2", "n5")
-	b.AddOperator("V", "n6")
-	b.AddOperator("G", "n7").AddOperator("P", "n7")
-	b.AddOperator("K", "n8")
-	for i := 0; i < 3; i++ {
+// Pipeline declares Fig. 3's query network on 8 slots: n1/n2 host the
+// sources, n3-n5 the three filter columns (C, A, M co-located per column),
+// n6 the voting operator, n7 grouping and prediction, n8 the sink. S1 is a
+// dispatching source: each frame goes to one column, mirroring each phone
+// snapping its own pictures. S0 admits the previous intersection's
+// advisories. onAdvisory (may be nil) receives every published advisory.
+func Pipeline(p Params, onAdvisory func(Advisory)) (*stream.Pipeline, error) {
+	p.applyDefaults()
+	upstream := stream.From[Advisory]("S0", stream.On("n1"))
+	frames := stream.Source[Frame]("S1", func() operator.Operator {
+		return operator.NewRoundRobin("S1", "C0", "C1", "C2")
+	}, stream.On("n2"))
+	columns := make([]stream.Upstream, 3)
+	for i := range columns {
 		c, a, m := col("C", i), col("A", i), col("M", i)
-		b.Connect("S1", c)
-		b.Chain(c, a, m)
-		b.Connect(m, "V")
+		slot := stream.On(col("n", 3+i))
+		blobs := stream.Through[Frame, blobsValue](frames, c, func() operator.Operator { return newColorFilter(c, p) }, slot).
+			Via(a, func() operator.Operator { return newShapeFilter(a, p) }, slot)
+		columns[i] = stream.Through[blobsValue, observation](blobs, m, func() operator.Operator { return newMotionFilter(m, p) }, slot)
 	}
-	b.Chain("V", "G", "P")
-	b.Connect("S0", "P")
-	b.Connect("P", "K")
-	return b.Build()
+	votes := stream.Merge[observation]("V", func() operator.Operator { return newVoter(p) }, columns, stream.On("n6"))
+	// G emits phaseProgress inside a phase and phaseChange at its end.
+	phases := stream.Through[observation, any](votes, "G", func() operator.Operator { return newGrouper(p) }, stream.On("n7"))
+	return stream.Merge[Advisory]("P", func() operator.Operator { return newPredictor(p) },
+		[]stream.Upstream{phases, upstream}, stream.On("n7")).
+		Sink("K", onAdvisory, stream.On("n8")).
+		Build()
 }
 
 func col(prefix string, i int) string {
 	return prefix + string(rune('0'+i))
 }
 
-// Registry builds the application operators. S1 is a dispatching source:
-// each frame goes to one column, mirroring each phone snapping its own
-// pictures.
-func Registry(p Params) operator.Registry {
-	p.applyDefaults()
-	return operator.Registry{
-		"S0": func() operator.Operator { return operator.NewPassthrough("S0") },
-		"S1": func() operator.Operator { return operator.NewRoundRobin("S1", "C0", "C1", "C2") },
-		"C0": func() operator.Operator { return newColorFilter("C0", p) },
-		"C1": func() operator.Operator { return newColorFilter("C1", p) },
-		"C2": func() operator.Operator { return newColorFilter("C2", p) },
-		"A0": func() operator.Operator { return newShapeFilter("A0", p) },
-		"A1": func() operator.Operator { return newShapeFilter("A1", p) },
-		"A2": func() operator.Operator { return newShapeFilter("A2", p) },
-		"M0": func() operator.Operator { return newMotionFilter("M0", p) },
-		"M1": func() operator.Operator { return newMotionFilter("M1", p) },
-		"M2": func() operator.Operator { return newMotionFilter("M2", p) },
-		"V":  func() operator.Operator { return newVoter(p) },
-		"G":  func() operator.Operator { return newGrouper(p) },
-		"P":  func() operator.Operator { return newPredictor(p) },
-		"K":  func() operator.Operator { return operator.NewPassthrough("K") },
+// Graph returns the query network Pipeline declares.
+func Graph() (*graph.Graph, error) {
+	pl, err := Pipeline(Params{}, nil)
+	if err != nil {
+		return nil, err
 	}
+	return pl.Graph(), nil
+}
+
+// Registry builds the application operators Pipeline declares. The
+// declaration is fixed, so it builds; Graph reports any error it had.
+func Registry(p Params) operator.Registry {
+	pl, err := Pipeline(p, nil)
+	if err != nil {
+		panic(err)
+	}
+	return pl.Registry()
 }

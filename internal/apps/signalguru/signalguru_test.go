@@ -1,9 +1,12 @@
 package signalguru
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/tuple"
 	"mobistreams/internal/vision"
@@ -14,10 +17,61 @@ func params() Params {
 		ShapeCost: time.Nanosecond, MotionCost: time.Nanosecond}
 }
 
+// handWired is Fig. 3 wired operator by operator, as the application was
+// before it declared its dataflow through stream: the reference Pipeline
+// must reproduce.
+func handWired(t *testing.T) *graph.Graph {
+	t.Helper()
+	var b graph.Builder
+	b.AddOperator("S0", "n1").AddOperator("S1", "n2")
+	b.AddOperator("C0", "n3").AddOperator("A0", "n3").AddOperator("M0", "n3")
+	b.AddOperator("C1", "n4").AddOperator("A1", "n4").AddOperator("M1", "n4")
+	b.AddOperator("C2", "n5").AddOperator("A2", "n5").AddOperator("M2", "n5")
+	b.AddOperator("V", "n6")
+	b.AddOperator("G", "n7").AddOperator("P", "n7")
+	b.AddOperator("K", "n8")
+	for i := 0; i < 3; i++ {
+		c, a, m := col("C", i), col("A", i), col("M", i)
+		b.Connect("S1", c)
+		b.Chain(c, a, m)
+		b.Connect(m, "V")
+	}
+	b.Chain("V", "G", "P")
+	b.Connect("S0", "P")
+	b.Connect("P", "K")
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// shape renders every projection a node compiles from the graph: operator
+// order with each operator's slot and upstream and downstream lists in
+// order, the sorted slots with their operators and neighbour slots, the
+// weighted cross-slot edges, and the sources and sinks.
+func shape(g *graph.Graph) string {
+	var b strings.Builder
+	for _, id := range g.Operators() {
+		fmt.Fprintf(&b, "op %s @%s up=%v down=%v\n", id, g.SlotOf(id), g.Upstream(id), g.Downstream(id))
+	}
+	for _, s := range g.Slots() {
+		fmt.Fprintf(&b, "slot %s ops=%v up=%v down=%v\n", s, g.OpsOnSlot(s), g.SlotUpstreams(s), g.SlotDownstreams(s))
+	}
+	fmt.Fprintf(&b, "edges %v\nsources %v sinks %v\n", g.SlotEdges(), g.Sources(), g.Sinks())
+	return b.String()
+}
+
 func TestGraphShape(t *testing.T) {
 	g, err := Graph()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := shape(g), shape(handWired(t)); got != want {
+		t.Fatalf("declared graph differs from the hand-wired one:\n%s\nwant:\n%s", got, want)
+	}
+	if got := strings.Join(g.Operators(), ","); got != "S0,S1,C0,A0,M0,C1,A1,M1,C2,A2,M2,V,G,P,K" {
+		t.Fatalf("operator order = %s", got)
 	}
 	if got := len(g.Slots()); got != 8 {
 		t.Fatalf("slots = %d, want 8", got)
@@ -33,9 +87,8 @@ func TestGraphShape(t *testing.T) {
 		t.Fatalf("V upstream = %v", got)
 	}
 	// P merges the vote path with the previous intersection.
-	ups := g.Upstream("P")
-	if len(ups) != 2 {
-		t.Fatalf("P upstream = %v", ups)
+	if got := strings.Join(g.Upstream("P"), ","); got != "G,S0" {
+		t.Fatalf("P upstream = %s, want G,S0", got)
 	}
 }
 

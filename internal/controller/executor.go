@@ -305,18 +305,16 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 	restored, said := c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, func() {
 		c.send(st.From, node.Command{Op: op, Target: st.To, Slot: st.Slot})
 	})
-	if said != "" { // the target refused or failed the transfer
-		return false, said
-	}
 	if !restored {
-		// No report: inspect where the state ended up before touching
-		// placement, or traffic may blackhole or strand.
+		// The target reported no install (said is its refusal, "" no
+		// report at all): inspect where the state ended up before
+		// touching placement, or traffic may blackhole or strand.
 		hosts := func(id simnet.NodeID) bool {
 			n := m.r.Node(id)
 			return n != nil && n.Slot() == st.Slot
 		}
 		switch {
-		case hosts(st.To): // landed; only the report was lost
+		case said == "" && hosts(st.To): // landed; only the report was lost
 			m.r.SetPlacement(st.Slot, st.To)
 		case hosts(st.From): // never started: the target goes back to its pool
 			if preclaimed {
@@ -324,11 +322,11 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 			} else {
 				m.r.ReleaseToIdle(st.To)
 			}
-		default: // lost in flight: recovery rebuilds the dark slot
+		default: // lost in flight or refused: recovery rebuilds the dark slot
 			m.r.SetPlacement(st.Slot, st.To)
 			c.noteFailure(m, st.To)
 		}
-		return false, ""
+		return false, said
 	}
 	m.r.SetPlacement(st.Slot, st.To)
 	if st.Kind == placement.StepHandoff {

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
+	"mobistreams/internal/tuple"
 )
 
 // newTestRegion starts a two-slot ms region under a controller whose
@@ -146,4 +148,65 @@ func TestRestoreTimeoutJournalsFailedStep(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("journal = %q\nwant      %q", got, want)
 	}
+}
+
+// rejecting passes tuples on but refuses every restore: its state cannot
+// install on a new host.
+type rejecting struct{ operator.Base }
+
+func (r *rejecting) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
+	ctx.Emit(t)
+	return nil
+}
+
+func (*rejecting) Snapshot() ([]byte, error) { return []byte{1}, nil }
+
+func (*rejecting) Restore([]byte) error { return errors.New("state rejected") }
+
+// A migrate whose target cannot install the transferred state fails the
+// step at once with the node's message, and the slot goes to recovery
+// rather than staying on a target that never installed it.
+func TestMigrateInstallFailureJournalsFailedStep(t *testing.T) {
+	var b graph.Builder
+	b.AddOperator("src", "n1").AddOperator("out", "n2")
+	b.Connect("src", "out")
+	// At speedup 20 the 60 s migrate timeout is 3 s of wall time.
+	c, r := startRegion(t, 20, &b, operator.Registry{
+		"src": func() operator.Operator { return operator.NewPassthrough("src") },
+		"out": func() operator.Operator { return &rejecting{Base: operator.Base{Name: "out"}} },
+	}, 4)
+	idle := r.IdlePhones()
+	if len(idle) < 2 {
+		t.Fatalf("idle phones = %v, want 2", idle)
+	}
+	target := idle[0]
+	start := c.clk.Now()
+	if c.Migrate("r1", "n2", target) {
+		t.Fatal("a migrate whose state did not install committed")
+	}
+	if took := c.clk.Now() - start; took > 20*time.Second {
+		t.Fatalf("the step took %v simulated: it waited out the timeout", took)
+	}
+	msg := "node " + string(target) + ": transfer-in of n2: checkpoint: restore out: state rejected"
+	var step string
+	for _, e := range planJournal(r) {
+		if strings.HasPrefix(e, "plan.step") {
+			step = e
+		}
+	}
+	if !strings.Contains(step, "ok=false") || !strings.HasSuffix(step, msg) {
+		t.Fatalf("step journaled %q, want ok=false ending %q", step, msg)
+	}
+	if got := r.Node(target).Slot(); got != "" {
+		t.Fatalf("target hosts %q after a failed install", got)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if host, ok := r.Placement("n2"); ok && host != target && r.Node(host).Slot() == "n2" {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	host, _ := r.Placement("n2")
+	t.Fatalf("slot n2 not recovered onto a host that runs it: placement %s", host)
 }

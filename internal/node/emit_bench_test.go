@@ -13,7 +13,7 @@ import (
 // is pinned to 0 allocs/op by TestEmitPathZeroAllocs and reported by the
 // benchmark ledger's node.emit_allocs_per_tuple row (benchmark/micro.go).
 func BenchmarkEmitPath(b *testing.B) {
-	n := emitBenchNode(false, obs.NewRegistry(), func(*tuple.Tuple) {})
+	n := emitBenchNode(obs.NewRegistry(), func(*tuple.Tuple) {})
 	p := n.pipe.Load()
 	idx := p.opIndex("src")
 	t := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}
@@ -24,28 +24,12 @@ func BenchmarkEmitPath(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitPathLegacy measures the same chain through seed-contract
-// operators and the []Out adapter — the allocation cost the redesign
-// removed from the hot path.
-func BenchmarkEmitPathLegacy(b *testing.B) {
-	n := emitBenchNode(true, obs.NewRegistry(), func(*tuple.Tuple) {})
-	p := n.pipe.Load()
-	idx := p.opIndex("src")
-	t := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.runOp(p, idx, "", t, noStamp)
-	}
-}
-
-// TestEmitPathZeroAllocs pins the acceptance criterion: emissions via the
-// new operator.Context allocate nothing in steady state — with the obs
+// TestEmitPathZeroAllocs pins the acceptance criterion: emissions via
+// operator.Context allocate nothing in steady state — with the obs
 // registry attached (histograms live, sampling off), so the pin covers the
-// instrumented hot path — while the legacy adapter pays at least one slice
-// per operator hop.
+// instrumented hot path.
 func TestEmitPathZeroAllocs(t *testing.T) {
-	n := emitBenchNode(false, obs.NewRegistry(), func(*tuple.Tuple) {})
+	n := emitBenchNode(obs.NewRegistry(), func(*tuple.Tuple) {})
 	p := n.pipe.Load()
 	idx := p.opIndex("src")
 	tt := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}
@@ -55,17 +39,6 @@ func TestEmitPathZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("emit-context path allocates %.1f objects/op, want 0", allocs)
-	}
-
-	ln := emitBenchNode(true, obs.NewRegistry(), func(*tuple.Tuple) {})
-	lp := ln.pipe.Load()
-	lidx := lp.opIndex("src")
-	ln.runOp(lp, lidx, "", tt, noStamp)
-	legacy := testing.AllocsPerRun(200, func() {
-		ln.runOp(lp, lidx, "", tt, noStamp)
-	})
-	if legacy == 0 {
-		t.Fatal("legacy adapter reported 0 allocs/op: benchmark harness lost its contrast")
 	}
 }
 
@@ -104,12 +77,9 @@ func TestDerivingEmitPathZeroAllocs(t *testing.T) {
 }
 
 // TestEmitBenchDelivers sanity-checks the shared harness: every driven
-// tuple reaches the sink on both contracts.
+// tuple reaches the sink.
 func TestEmitBenchDelivers(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		res := RunEmitBench(legacy, 500)
-		if res.Emitted != 500 {
-			t.Fatalf("legacy=%v: %d of 500 tuples reached the sink", legacy, res.Emitted)
-		}
+	if res := RunEmitBench(false, 500); res.Emitted != 500 {
+		t.Fatalf("%d of 500 tuples reached the sink", res.Emitted)
 	}
 }

@@ -21,29 +21,16 @@ type emitBenchResult struct {
 	Emitted     uint64
 }
 
-// legacyPassthrough is the seed-contract passthrough: one []Out slice per
-// call — the allocation the emit-context contract removes.
-type legacyPassthrough struct {
-	operator.Base
-}
-
-func (*legacyPassthrough) Process(_ string, t *tuple.Tuple) ([]operator.Out, error) {
-	return []operator.Out{operator.Emit(t)}, nil
-}
-
 // emitBenchNode assembles the benchmark harness: a three-operator chain
 // (src -> m1 -> m2 -> out) compiled onto one slot, so every emission runs
 // the in-slot recursion of the compiled pipeline and the final operator
-// publishes externally. The middle operators are identity Maps (or, with
-// legacy, every operator is a seed-contract passthrough). A non-nil obs
-// registry compiles the observability hooks in, exactly as a region does.
-func emitBenchNode(legacy bool, reg *obs.Registry, onOut func(*tuple.Tuple)) *Node {
+// publishes externally. The middle operators are identity Maps. A non-nil
+// obs registry compiles the observability hooks in, exactly as a region
+// does.
+func emitBenchNode(reg *obs.Registry, onOut func(*tuple.Tuple)) *Node {
 	identity := func(_ *operator.Context, in *tuple.Tuple) *tuple.Tuple { return in }
 	return chainNode(func(id string) operator.Operator {
-		switch {
-		case legacy:
-			return &legacyPassthrough{Base: operator.Base{Name: id}}
-		case id == "src" || id == "out":
+		if id == "src" || id == "out" {
 			return operator.NewPassthrough(id)
 		}
 		return operator.NewMap(id, identity)
@@ -74,17 +61,18 @@ func chainNode(newOp func(id string) operator.Operator, reg *obs.Registry, onOut
 	})
 }
 
-// RunEmitBench measures the emit path for iters tuples: legacy=false runs
-// the emit-context contract (the steady state must not allocate at all),
-// legacy=true runs the same chain through seed-contract operators and the
-// []Out adapter. The node carries a live obs registry with sampling off,
-// so the 0-allocs pin covers the instrumented hot path — tracing compiled
-// in, histograms recording, no tuple sampled. Exported so the benchmark
-// ledger's node.emit_ns_per_tuple and node.emit_allocs_per_tuple rows
-// (benchmark/micro.go) and the Go benchmarks share one harness.
-func RunEmitBench(legacy bool, iters int) emitBenchResult {
+// RunEmitBench measures the emit path for iters tuples (the steady state
+// must not allocate at all). The bool selects nothing: operators have one
+// processing contract, and the parameter stays only because the benchmark
+// ledger calls RunEmitBench(false, n). The node carries a live obs
+// registry with sampling off, so the 0-allocs pin covers the instrumented
+// hot path — tracing compiled in, histograms recording, no tuple sampled.
+// Exported so the benchmark ledger's node.emit_ns_per_tuple and
+// node.emit_allocs_per_tuple rows (benchmark/micro.go) and the Go
+// benchmarks share one harness.
+func RunEmitBench(_ bool, iters int) emitBenchResult {
 	var emitted uint64
-	n := emitBenchNode(legacy, obs.NewRegistry(), func(*tuple.Tuple) { emitted++ })
+	n := emitBenchNode(obs.NewRegistry(), func(*tuple.Tuple) { emitted++ })
 	p := n.pipe.Load()
 	idx := p.opIndex("src")
 	t := &tuple.Tuple{Seq: 1, Size: 64, Value: 1.0}

@@ -288,11 +288,9 @@ func (n *Node) forwardExternalToStandby(p *pipeline, src graph.OpID, t *tuple.Tu
 // runOp executes one operator on a tuple, charging its service time. The
 // operator emits through its bound Context as it processes: in-slot
 // targets recurse synchronously, cross-slot targets ride the region
-// network, and sink operators publish externally (see opSink). Both
-// contracts route identically — the emit-context path pushes straight
-// into the compiled pipeline with zero per-tuple allocation, the legacy
-// path replays its returned []Out through the same Context. No lock is
-// taken and no map is consulted. At opWeight 0 it reads no clock.
+// network, and sink operators publish externally (see opSink), with zero
+// per-tuple allocation. No lock is taken and no map is consulted. At
+// opWeight 0 it reads no clock.
 //
 // start is the operator's latency start stamp when the caller already holds
 // a current clock reading (the executor's dequeue stamp), else noStamp and

@@ -74,7 +74,9 @@ func (n *Node) handoff(target simnet.NodeID) {
 // A transfer is honoured only while the region's placement still points at
 // the sender: if the controller has meanwhile given up on the migration and
 // re-hosted the slot through recovery, a late-arriving blob would activate
-// a second primary for a slot that already has one.
+// a second primary for a slot that already has one. A transfer the node
+// refuses, or whose state does not install, leaves the node as it was and
+// reports why, so the controller fails the step at once.
 func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
 	slot, known := n.graph.SlotID(msg.Slot)
 	if !known {
@@ -83,15 +85,26 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
 	if cur, ok := n.resolvePrimary(slot); ok && cur != from && cur != n.id {
 		return
 	}
-	n.mu.Lock()
-	if !n.transitionLocked(cmdTransferIn, msg.Slot) {
-		n.mu.Unlock()
+	failed := Report{Type: RepRestored, Phone: n.id, Slot: msg.Slot, Version: TransferVersion}
+	opIDs := n.graph.OpsOnSlot(msg.Slot)
+	fresh, rt, err := n.decodeBlob(opIDs, msg.Blob)
+	if err != nil {
+		failed.Err = fmt.Sprintf("node %s: transfer-in of %s: %v", n.id, msg.Slot, err)
+		n.report(failed)
 		return
 	}
-	n.configureSlot(msg.Slot, n.graph.OpsOnSlot(msg.Slot))
-	err := n.installBlobLocked(msg.Blob)
+	n.mu.Lock()
+	if state := n.life.Load(); !n.transitionLocked(cmdTransferIn, msg.Slot) {
+		n.mu.Unlock()
+		failed.Err = fmt.Sprintf("node %s: transfer-in of %s in state %s", n.id, msg.Slot, state)
+		n.report(failed)
+		return
+	}
+	n.configureSlot(msg.Slot, opIDs)
+	n.rewindOutputLocked()
+	n.installLocked(fresh, rt)
 	// Re-queue the items the departing node had not yet processed.
-	// installBlobLocked just reset each ordered queue's watermark to the
+	// installLocked just reset each ordered queue's watermark to the
 	// restored inHW, so routing the transferred items through the normal
 	// enqueue discipline re-parks any that sit above a sequence gap —
 	// relayed stragglers fill the gap instead of being dropped as
@@ -104,9 +117,6 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
 	}
 	buffered := n.takeEarlyLocked()
 	n.mu.Unlock()
-	if err != nil {
-		return
-	}
 	// Stragglers relayed by the departing node while the transfer was in
 	// flight follow the transferred backlog.
 	for i := range buffered {
@@ -282,9 +292,22 @@ func (n *Node) KeyRangeLen(lo, hi string) int {
 	return count
 }
 
-// KeyRangeGen reports how many key-range imports this node has completed;
-// the region polls it after shipping a range to learn the import landed.
-func (n *Node) KeyRangeGen() uint64 { return n.keyRangeGen.Load() }
+// keyRangeLanding is one key-range arrival: how many have arrived so far,
+// and why this one did not import (nil when it did).
+type keyRangeLanding struct {
+	gen uint64
+	err error
+}
+
+// KeyRangeImports reports how many shipped key ranges have arrived at this
+// node and why the latest did not import (nil when it did); the region
+// polls it after shipping a range.
+func (n *Node) KeyRangeImports() (uint64, error) {
+	if l := n.keyRange.Load(); l != nil {
+		return l.gen, l.err
+	}
+	return 0, nil
+}
 
 // SendKeyRange ships an exported key range to the recipient instance's
 // phone over the region WiFi (cellular fallback), charging the transfer
@@ -300,15 +323,21 @@ func (n *Node) SendKeyRange(to simnet.NodeID, m KeyRangeMsg) bool {
 // handleKeyRangeIn lands a shipped key range on the recipient: import
 // under its own executor pause hold (the state store is executor-owned;
 // holds nest, so a recipient the region has paused stays paused), then
-// bump the import generation the region is polling.
+// publish the arrival, with its failure, to the region polling for it.
 func (n *Node) handleKeyRangeIn(m KeyRangeMsg) {
-	ok := n.pause("keyed.import", pauseBound) && n.ImportKeyRange(m.State) == nil
-	n.resume("keyed.import")
-	if !ok {
-		return
+	rng := fmt.Sprintf("%s [%s,%s)", m.Logical, m.Lo, m.Hi)
+	err := fmt.Errorf("node %s: key-range import of %s: executor did not park", n.id, rng)
+	if n.pause("keyed.import", pauseBound) {
+		if err = n.ImportKeyRange(m.State); err != nil {
+			err = fmt.Errorf("node %s: key-range import of %s: %w", n.id, rng, err)
+		}
 	}
-	n.keyRangeGen.Add(1)
-	n.jot("keyed.import", 0, fmt.Sprintf("%s [%s,%s)", m.Logical, m.Lo, m.Hi))
+	n.resume("keyed.import")
+	gen, _ := n.KeyRangeImports()
+	n.keyRange.Store(&keyRangeLanding{gen: gen + 1, err: err})
+	if err == nil {
+		n.jot("keyed.import", 0, rng)
+	}
 }
 
 // rerouteToOwner relays a tuple that reached this keyed instance for a

@@ -38,7 +38,7 @@ type obsBenchResult struct {
 // obsBenchMode drives iters tuples through the compiled chain under one
 // observability mode and reports per-op latency and allocations.
 func obsBenchMode(reg *obs.Registry, traceEvery, iters int) (nsPerOp, allocsPerOp float64) {
-	n := emitBenchNode(false, reg, func(*tuple.Tuple) {})
+	n := emitBenchNode(reg, func(*tuple.Tuple) {})
 	if reg != nil {
 		reg.Tracer.SetSampleEvery(traceEvery)
 	}

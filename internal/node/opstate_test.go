@@ -13,41 +13,40 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// legacySum is a seed-contract operator (Process returning []Out): the
-// executor must run it through the adapter with identical state evolution
-// and checkpoint bytes as before the emit-context redesign.
-type legacySum struct {
+// runningSum is a custom stateful operator: the executor must carry its
+// state through a checkpoint into a fresh node byte for byte.
+type runningSum struct {
 	operator.Base
 	sum float64
 	n   uint64
 }
 
-func (l *legacySum) Process(_ string, t *tuple.Tuple) ([]operator.Out, error) {
+func (l *runningSum) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
 	v, _ := t.Value.(float64)
 	l.sum += v
 	l.n++
-	c := *t // the legacy contract has no context to carve from
-	out := &c
+	out := ctx.Clone(t)
 	out.Value = l.sum
-	return []operator.Out{operator.Emit(out)}, nil
+	ctx.Emit(out)
+	return nil
 }
 
-func (l *legacySum) Snapshot() ([]byte, error) {
+func (l *runningSum) Snapshot() ([]byte, error) {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[0:8], uint64(l.n))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(int64(l.sum*1000)))
 	return buf[:], nil
 }
 
-func (l *legacySum) Restore(data []byte) error {
+func (l *runningSum) Restore(data []byte) error {
 	l.n = binary.BigEndian.Uint64(data[0:8])
 	l.sum = float64(int64(binary.BigEndian.Uint64(data[8:16]))) / 1000
 	return nil
 }
 
-func (*legacySum) StateSize() int { return 16 }
+func (*runningSum) StateSize() int { return 16 }
 
-func adapterHarness(t *testing.T, sink func(*tuple.Tuple)) *Node {
+func sumHarness(t *testing.T, sink func(*tuple.Tuple)) *Node {
 	t.Helper()
 	var gb graph.Builder
 	gb.AddOperator("src", "s1").AddOperator("acc", "s1").AddOperator("out", "s1")
@@ -58,7 +57,7 @@ func adapterHarness(t *testing.T, sink func(*tuple.Tuple)) *Node {
 	}
 	reg := operator.Registry{
 		"src": func() operator.Operator { return operator.NewPassthrough("src") },
-		"acc": func() operator.Operator { return &legacySum{Base: operator.Base{Name: "acc"}} },
+		"acc": func() operator.Operator { return &runningSum{Base: operator.Base{Name: "acc"}} },
 		"out": func() operator.Operator { return operator.NewPassthrough("out") },
 	}
 	return New(Config{
@@ -68,7 +67,7 @@ func adapterHarness(t *testing.T, sink func(*tuple.Tuple)) *Node {
 	})
 }
 
-func feedAdapter(n *Node, lo, hi int) {
+func feedSum(n *Node, lo, hi int) {
 	p := n.pipe.Load()
 	idx := p.opIndex("src")
 	for i := lo; i <= hi; i++ {
@@ -76,16 +75,16 @@ func feedAdapter(n *Node, lo, hi int) {
 	}
 }
 
-// TestLegacyAdapterCheckpointRoundTrip pins the adapter round-trip: a
-// legacy operator processed under the new executor checkpoints, restores
-// into a fresh node, re-checkpoints byte-identically, and continues
-// processing in lockstep with the original.
-func TestLegacyAdapterCheckpointRoundTrip(t *testing.T) {
+// TestStatefulOperatorCheckpointRoundTrip pins a custom operator's state
+// round trip through a node: it checkpoints, restores into a fresh node,
+// re-checkpoints byte-identically, and continues processing in lockstep
+// with the original.
+func TestStatefulOperatorCheckpointRoundTrip(t *testing.T) {
 	var outs1, outs2 []float64
-	n1 := adapterHarness(t, func(tt *tuple.Tuple) { outs1 = append(outs1, tt.Value.(float64)) })
-	feedAdapter(n1, 1, 10)
+	n1 := sumHarness(t, func(tt *tuple.Tuple) { outs1 = append(outs1, tt.Value.(float64)) })
+	feedSum(n1, 1, 10)
 	if len(outs1) != 10 || outs1[9] != 55 {
-		t.Fatalf("legacy emissions through the adapter: %v", outs1)
+		t.Fatalf("running-sum emissions: %v", outs1)
 	}
 
 	blob1, err := n1.snapshot(3)
@@ -96,7 +95,7 @@ func TestLegacyAdapterCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("blob CRC broken")
 	}
 
-	n2 := adapterHarness(t, func(tt *tuple.Tuple) { outs2 = append(outs2, tt.Value.(float64)) })
+	n2 := sumHarness(t, func(tt *tuple.Tuple) { outs2 = append(outs2, tt.Value.(float64)) })
 	if err := checkpoint.RestoreBlob(blob1, n2.pipe.Load().operators()); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +108,8 @@ func TestLegacyAdapterCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Both nodes keep processing identically after the round-trip.
-	feedAdapter(n1, 11, 15)
-	feedAdapter(n2, 11, 15)
+	feedSum(n1, 11, 15)
+	feedSum(n2, 11, 15)
 	b3, _ := n1.snapshot(4)
 	b4, _ := n2.snapshot(4)
 	if !bytes.Equal(b3.EncodeState(), b4.EncodeState()) {

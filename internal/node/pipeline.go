@@ -85,23 +85,21 @@ type opTimer struct {
 }
 
 // compiledOp is one operator with its precompiled emission routes, its
-// bound processing function (emit-context method value, or the legacy
-// []Out adapter) and its reusable Context.
+// bound Process method value and its reusable Context.
 type compiledOp struct {
 	id  string
 	gid graph.OpID
 	op  operator.Operator
-	// proc is the uniform processing entry point: both contracts emit
-	// through ctx, so the executor's hot path is contract-agnostic.
-	proc operator.ProcFunc
+	// proc is op.Process, bound once at compile time.
+	proc func(ctx *operator.Context, from string, t *tuple.Tuple) error
 	// ctx is the operator's bound emit-context; one per pipeline
 	// incarnation, so steady-state emission allocates nothing.
 	ctx *operator.Context
 	// timer is the operator's OnTimer handler, nil when it has none.
 	timer operator.TimerOperator
 	// fanout lists the default (To == "") emission targets in graph
-	// declaration order, preserving the legacy interleaving of local
-	// recursion and cross-slot sends.
+	// declaration order, interleaving local recursion and cross-slot
+	// sends in that order.
 	fanout []route
 	// keyed lists the keyed-group emission targets: each entry collapses
 	// the group's per-instance edges into one partition-table dispatch —
@@ -147,7 +145,7 @@ func (s *opSink) Emit(t *tuple.Tuple) {
 }
 
 // EmitTo implements the operator runtime: one routed emission; an unreachable
-// target is logged and dropped, mirroring the legacy executor.
+// target is logged and dropped.
 func (s *opSink) EmitTo(to string, t *tuple.Tuple) bool {
 	r, ok := s.p.routeTo(to)
 	if !ok {
@@ -187,9 +185,7 @@ type keyedRoute struct {
 }
 
 // compilePipeline resolves a slot's topology against the graph and binds
-// each operator's processing function and emit-context. It panics when an
-// operator implements neither processing contract — a wiring bug
-// operator.Registry.Validate surfaces as an error at region build time.
+// each operator's processing function and emit-context.
 func (n *Node) compilePipeline(slot string, opIDs []string, ops []operator.Operator) *pipeline {
 	g := n.graph
 	p := &pipeline{g: g, slot: slot}
@@ -307,10 +303,7 @@ func (n *Node) compilePipeline(slot string, opIDs []string, ops []operator.Opera
 	for i := range p.ops {
 		c := &p.ops[i]
 		c.lat = n.obsReg.Hist(obs.OpLatency, c.id)
-		c.proc = operator.Proc(c.op)
-		if c.proc == nil {
-			panic("node: operator " + c.id + " implements neither processing contract")
-		}
+		c.proc = c.op.Process
 		if th, ok := c.op.(operator.TimerOperator); ok {
 			c.timer = th
 		}

@@ -56,14 +56,31 @@ func (n *Node) restore(v uint64) Report {
 // means initial state), compiling a fresh pipeline and swapping it in
 // atomically. Caller holds n.mu.
 func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
-	// Output emitted before the rewind is invalid after it: the restored
-	// outSeq re-emits those edge sequences, so pending batches are
-	// discarded and in-flight delivery retries observe the generation
-	// bump and abort rather than landing stale.
+	n.rewindOutputLocked()
+	fresh, rt, err := n.decodeBlob(n.opIDs, blob)
+	if err != nil {
+		return err
+	}
+	n.installLocked(fresh, rt)
+	return nil
+}
+
+// rewindOutputLocked invalidates output emitted before an install: the
+// restored outSeq re-emits those edge sequences, so pending batches are
+// discarded and in-flight delivery retries observe the generation bump and
+// abort rather than landing stale. Caller holds n.mu.
+func (n *Node) rewindOutputLocked() {
 	atomic.AddUint64(&n.sendGen, 1)
 	n.batch.discardAll()
-	fresh := make([]operator.Operator, 0, len(n.opIDs))
-	for _, id := range n.opIDs {
+}
+
+// decodeBlob builds fresh operators opIDs and loads a blob (nil means
+// initial state) into them and into the executor bookkeeping it carries.
+// It changes nothing on the node, so a blob that does not decode leaves
+// the node as it was.
+func (n *Node) decodeBlob(opIDs []string, blob *checkpoint.Blob) ([]operator.Operator, wire.Runtime, error) {
+	fresh := make([]operator.Operator, 0, len(opIDs))
+	for _, id := range opIDs {
 		fresh = append(fresh, n.cfg.Registry.New(id))
 	}
 	// The executor bookkeeping carried inside the checkpoint, so the node
@@ -71,15 +88,21 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	var rt wire.Runtime
 	if blob != nil {
 		if err := checkpoint.RestoreBlob(blob, fresh); err != nil {
-			return err
+			return nil, rt, err
 		}
 		if len(blob.Runtime) > 0 {
 			var err error
 			if rt, err = wire.DecodeRuntime(blob.Runtime); err != nil {
-				return fmt.Errorf("node %s: decode runtime: %w", n.id, err)
+				return nil, rt, fmt.Errorf("node %s: decode runtime: %w", n.id, err)
 			}
 		}
 	}
+	return fresh, rt, nil
+}
+
+// installLocked swaps in decoded operators and runtime state (see
+// decodeBlob), after rewindOutputLocked. Caller holds n.mu.
+func (n *Node) installLocked(fresh []operator.Operator, rt wire.Runtime) {
 	p := n.compilePipeline(n.slot, n.opIDs, fresh)
 	p.setCounters(rt.OutSeq, rt.InHW)
 	n.pipe.Store(p)
@@ -114,7 +137,6 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 	n.replaySeen = make(map[uint64]map[graph.SlotID]bool)
 	n.unreachable = make(map[simnet.NodeID]bool)
 	n.urgentReported = make(map[graph.SlotID]bool)
-	return nil
 }
 
 // replayFrom prepends the preserved input since version v to the external

@@ -60,7 +60,7 @@ func (c *Context) Emit(t *tuple.Tuple) { c.rt.Emit(t) }
 // EmitTo pushes one routed emission to the named downstream operator —
 // dispatchers (BCP's D) target one consumer. It reports whether the
 // runtime could route the emission; an unreachable target is dropped and
-// logged (mirroring the legacy contract), and the false return lets a
+// logged, and the false return lets a
 // dispatcher fall back to another target or surface an error instead.
 func (c *Context) EmitTo(to string, t *tuple.Tuple) bool { return c.rt.EmitTo(to, t) }
 
@@ -288,13 +288,13 @@ func (ks *KeyedState) decode(data []byte) error {
 // collector is the runtime behind Run: it records emissions and supports
 // neither timers nor simulated time.
 type collector struct {
-	outs []Out
+	outs []emission
 }
 
-func (c *collector) Emit(t *tuple.Tuple) { c.outs = append(c.outs, Out{T: t}) }
+func (c *collector) Emit(t *tuple.Tuple) { c.outs = append(c.outs, emission{T: t}) }
 
 func (c *collector) EmitTo(to string, t *tuple.Tuple) bool {
-	c.outs = append(c.outs, Out{To: to, T: t})
+	c.outs = append(c.outs, emission{To: to, T: t})
 	return true
 }
 

@@ -2,7 +2,6 @@ package operator
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -12,14 +11,14 @@ import (
 // fakeRuntime is a controllable runtime for exercising the context's
 // growth surface: settable simulated time and manually fired timers.
 type fakeRuntime struct {
-	outs   []Out
+	outs   []emission
 	now    time.Duration
 	timers []time.Duration
 }
 
-func (f *fakeRuntime) Emit(t *tuple.Tuple) { f.outs = append(f.outs, Out{T: t}) }
+func (f *fakeRuntime) Emit(t *tuple.Tuple) { f.outs = append(f.outs, emission{T: t}) }
 func (f *fakeRuntime) EmitTo(to string, t *tuple.Tuple) bool {
-	f.outs = append(f.outs, Out{To: to, T: t})
+	f.outs = append(f.outs, emission{To: to, T: t})
 	return true
 }
 func (f *fakeRuntime) Now() time.Duration { return f.now }
@@ -70,57 +69,11 @@ func TestContextStateBindsKeyedStater(t *testing.T) {
 	}
 }
 
-// legacyEcho is a legacy-contract operator emitting one routed and one
-// fan-out emission per input, in that order.
-type legacyEcho struct {
-	Base
-	n uint64
-}
-
-func (l *legacyEcho) Process(_ string, t *tuple.Tuple) ([]Out, error) {
-	l.n++
-	return []Out{EmitTo("x", t), Emit(t)}, nil
-}
-
-func (l *legacyEcho) Snapshot() ([]byte, error) {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], l.n)
-	return buf[:], nil
-}
-
-func (l *legacyEcho) Restore(data []byte) error {
-	l.n = binary.BigEndian.Uint64(data)
-	return nil
-}
-
-func TestAdaptLegacyPreservesEmissionOrder(t *testing.T) {
-	op := &legacyEcho{Base: Base{Name: "e"}}
-	outs, err := Run(op, "", &tuple.Tuple{Seq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 2 || outs[0].To != "x" || outs[1].To != "" {
-		t.Fatalf("adapter reordered emissions: %+v", outs)
-	}
-	if Proc(op) == nil {
-		t.Fatal("legacy contract not resolved")
-	}
-}
-
-func TestProcRejectsContractlessOperator(t *testing.T) {
-	if Proc(&Base{Name: "bare"}) != nil {
-		t.Fatal("operator with no Process resolved a contract")
-	}
-	if _, err := Run(&Base{Name: "bare"}, "", &tuple.Tuple{}); err == nil {
-		t.Fatal("Run accepted a contractless operator")
-	}
-}
-
 func TestRegistryValidate(t *testing.T) {
 	reg := Registry{
 		"a": func() Operator { return NewPassthrough("a") },
 		"b": func() Operator { return NewPassthrough("WRONG") },
-		"c": func() Operator { return &Base{Name: "c"} },
+		"c": func() Operator { return nil },
 	}
 	if err := reg.Validate([]string{"a"}); err != nil {
 		t.Fatalf("valid entry rejected: %v", err)
@@ -132,7 +85,7 @@ func TestRegistryValidate(t *testing.T) {
 		t.Fatal("ID-mismatched factory accepted")
 	}
 	if err := reg.Validate([]string{"c"}); err == nil {
-		t.Fatal("contractless operator accepted")
+		t.Fatal("factory building nil accepted")
 	}
 }
 

@@ -22,7 +22,7 @@ func NewKeyTag(id string, fn func(*tuple.Tuple) string) *keyTag {
 	return &keyTag{Base: Base{Name: id}, Fn: fn}
 }
 
-// Process implements Processor: emits a clone carrying the key, leaving
+// Process implements Operator: emits a clone carrying the key, leaving
 // the input (possibly preserved upstream) untouched.
 func (k *keyTag) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	out := ctx.Clone(t)
@@ -51,7 +51,7 @@ func NewKeyedTally(id string) *KeyedTally {
 	return &KeyedTally{Base: Base{Name: id}, state: newKeyedState()}
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (k *KeyedTally) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	width := k.ValueBytes
 	if width < 8 {

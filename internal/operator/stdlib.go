@@ -33,7 +33,7 @@ func NewMap(id string, fn func(ctx *Context, t *tuple.Tuple) *tuple.Tuple) *mapO
 	return &mapOp{Base: Base{Name: id}, Fn: fn}
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (m *mapOp) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	m.counter++
 	if out := m.Fn(ctx, t); out != nil {
@@ -98,7 +98,7 @@ func NewFilter(id string, pred func(*tuple.Tuple) bool) *filter {
 	return &filter{Base: Base{Name: id}, Pred: pred}
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (f *filter) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	if f.Pred(t) {
 		f.passed++
@@ -158,7 +158,7 @@ func NewRoundRobin(id string, targets ...string) *roundRobin {
 	return &roundRobin{Base: Base{Name: id}, Targets: targets}
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (r *roundRobin) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	if len(r.Targets) == 0 {
 		return fmt.Errorf("roundrobin %s: no targets", r.Name)
@@ -222,7 +222,7 @@ func NewJoin(id, left, right string, merge func(ctx *Context, l, r *tuple.Tuple)
 	}
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (j *join) Process(ctx *Context, from string, t *tuple.Tuple) error {
 	var mine, other map[uint64]*tuple.Tuple
 	switch from {
@@ -349,7 +349,7 @@ func NewPassthrough(id string) *passthrough {
 	return &passthrough{Base: Base{Name: id}}
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (*passthrough) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	ctx.Emit(t)
 	return nil
@@ -380,7 +380,7 @@ func NewWindow(id string, n int) *window {
 	return &window{Base: Base{Name: id}, N: n}
 }
 
-// Process implements Processor: non-numeric payloads contribute their wire
+// Process implements Operator: non-numeric payloads contribute their wire
 // size, so the window is usable on any stream.
 func (w *window) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	v, ok := t.Value.(float64)
@@ -506,7 +506,7 @@ func (a *aggregate) key(t *tuple.Tuple) string {
 	return t.Kind
 }
 
-// Process implements Processor.
+// Process implements Operator.
 func (a *aggregate) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	v, ok := t.Value.(float64)
 	if !ok {

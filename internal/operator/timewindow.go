@@ -81,7 +81,7 @@ func (w *TimeWindow) key(t *tuple.Tuple) string {
 	return t.Kind
 }
 
-// Process implements Processor: accumulate the tuple into its key's sum
+// Process implements Operator: accumulate the tuple into its key's sum
 // and arm the window-close timer if none is pending.
 func (w *TimeWindow) Process(ctx *Context, _ string, t *tuple.Tuple) error {
 	v, ok := t.Value.(float64)

@@ -88,10 +88,10 @@ func (r *Region) keyedInstanceNode(grp *keyed.Group, idx int) (*node.Node, simne
 
 // shipRange moves the keyed state in [lo, hi) from the (already paused)
 // donor to the recipient and waits for the recipient to acknowledge the
-// import. On send failure or timeout the exported state is re-imported at
-// the donor, leaving ownership unchanged.
+// import. On send failure, a failed import or timeout the exported state
+// is re-imported at the donor, leaving ownership unchanged.
 func (r *Region) shipRange(logical string, donor, recip *node.Node, recipID simnet.NodeID, lo, hi string) error {
-	genBefore := recip.KeyRangeGen()
+	genBefore, _ := recip.KeyRangeImports()
 	state, err := donor.ExportKeyRange(lo, hi)
 	if err != nil {
 		return err
@@ -104,14 +104,20 @@ func (r *Region) shipRange(logical string, donor, recip *node.Node, recipID simn
 		return fmt.Errorf("region %s: key-range ship %s [%s,%s) to %s failed", r.cfg.ID, logical, lo, hi, recipID)
 	}
 	deadline := r.clk.Now() + keyRangeShipTimeout
-	for recip.KeyRangeGen() == genBefore {
-		if r.clk.Now() > deadline {
+	for {
+		gen, err := recip.KeyRangeImports()
+		switch {
+		case gen != genBefore && err != nil:
+			rollback()
+			return fmt.Errorf("region %s: key-range ship %s [%s,%s) to %s: %w", r.cfg.ID, logical, lo, hi, recipID, err)
+		case gen != genBefore:
+			return nil
+		case r.clk.Now() > deadline:
 			rollback()
 			return fmt.Errorf("region %s: key-range ship %s [%s,%s) to %s timed out", r.cfg.ID, logical, lo, hi, recipID)
 		}
 		r.clk.Sleep(2 * time.Millisecond)
 	}
-	return nil
 }
 
 // SplitInstance halves a hot instance without the caller naming a cut

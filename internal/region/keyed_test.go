@@ -2,6 +2,7 @@ package region_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"mobistreams/internal/controller"
 	"mobistreams/internal/ft"
 	"mobistreams/internal/graph"
+	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
@@ -57,6 +59,11 @@ type keyedHarness struct {
 
 func newKeyedHarness(t testing.TB) *keyedHarness {
 	t.Helper()
+	return newKeyedHarnessWith(t, keyedRegistry())
+}
+
+func newKeyedHarnessWith(t testing.TB, reg operator.Registry) *keyedHarness {
+	t.Helper()
 	speedup := 2000.0
 	if raceEnabled {
 		speedup = 300
@@ -77,7 +84,7 @@ func newKeyedHarness(t testing.TB) *keyedHarness {
 	r, err := region.New(region.Config{
 		ID:           "r1",
 		Graph:        keyedGraph(t),
-		Registry:     keyedRegistry(),
+		Registry:     reg,
 		Scheme:       ft.MSScheme,
 		Phones:       8,
 		Clock:        clk,
@@ -221,6 +228,50 @@ func TestKeyedRoutingSplitMergeLive(t *testing.T) {
 	if d := h.r.DuplicateOutputs(); d != 0 {
 		t.Fatalf("duplicates = %d", d)
 	}
+}
+
+// A shipped key range the recipient cannot import is reported back: the
+// split fails at once with the recipient's error instead of a timeout, and
+// the donor keeps the range. Here the dormant instance 2 runs an operator
+// with no keyed state; a corrupt range sent straight to instance 1 is
+// refused and reported the same way.
+func TestKeyRangeImportFailureIsReported(t *testing.T) {
+	reg := keyedRegistry()
+	reg["tally#2"] = func() operator.Operator { return operator.NewPassthrough("tally#2") }
+	h := newKeyedHarnessWith(t, reg)
+	h.ingestRound()
+	if got := h.waitCount(t, 40, 10*time.Second); got != 40 {
+		t.Fatalf("outputs = %d, want 40", got)
+	}
+	grp, _ := h.r.KeyedGroup("tally")
+	err := h.r.SplitInstance("tally", 0, 2)
+	if err == nil || !strings.Contains(err.Error(), "no keyed state to import into") {
+		t.Fatalf("split into a recipient that cannot import: %v", err)
+	}
+	if insts := grp.Table().Instances(); len(insts) != 2 {
+		t.Fatalf("a failed ship flipped the table: active instances = %v", insts)
+	}
+	donor := h.tally(t, 0)
+	for _, k := range keyedKeys() {
+		if grp.Owner(k) == 0 && donor.Count(k) != 2 {
+			t.Fatalf("key %q: donor count = %d after the rollback, want 2", k, donor.Count(k))
+		}
+	}
+
+	recipID, _ := h.r.Placement("kt#1")
+	donorID, _ := h.r.Placement("kt#0")
+	recip := h.r.Node(recipID)
+	before, _ := recip.KeyRangeImports()
+	h.r.Node(donorID).SendKeyRange(recipID, node.KeyRangeMsg{Logical: "tally", Lo: "a", Hi: "b", State: []byte{0xff, 0xff, 0xff}})
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if gen, err := recip.KeyRangeImports(); gen != before {
+			if err == nil || !strings.Contains(err.Error(), "key-range import of tally [a,b)") {
+				t.Fatalf("corrupt range imported or misreported: %v", err)
+			}
+			return
+		}
+	}
+	t.Fatal("corrupt range never reported")
 }
 
 // ingestBackground streams two rounds from a goroutine so an elastic

@@ -164,9 +164,8 @@ func New(cfg Config) (*Region, error) {
 	if cfg.Broadcast.BlockSize <= 0 {
 		cfg.Broadcast.BlockSize = broadcast.DefaultBlockSize
 	}
-	// Surface registry wiring bugs (missing factory, wrong ID, no
-	// processing contract) here as errors instead of panics at placement
-	// or recovery time.
+	// Surface registry wiring bugs (missing factory, wrong ID) here as
+	// errors instead of panics at placement or recovery time.
 	if err := cfg.Registry.Validate(cfg.Graph.Operators()); err != nil {
 		return nil, fmt.Errorf("region %s: %w", cfg.ID, err)
 	}

@@ -18,11 +18,12 @@
 //		Sink("out", func(v float64) { fmt.Println(v) }).
 //		Build()
 //	sys := mobistreams.NewSystem(mobistreams.SystemConfig{Speedup: 50})
-//	region, _ := sys.AddRegion(mobistreams.PipelineSpec("demo", p, mobistreams.MS, 5))
+//	region, _ := sys.AddRegion(mobistreams.RegionSpec{ID: "demo", Pipeline: p, Scheme: mobistreams.MS, Phones: 5})
 //	sys.Start()
 //	region.Ingest("sensor", 21.5, 1024, "reading")
 //
-// Custom operators implement the emit-context contract: Process receives
+// Custom operators implement Operator and enter a pipeline through the
+// stream builder's Via, Through, Merge and Source stages. Process receives
 // an *OperatorContext whose Emit/EmitTo push results straight into the
 // node's compiled pipeline (no per-tuple slice allocation), plus simulated
 // time, one-shot timers and a per-key state handle. Inside Process and
@@ -42,12 +43,6 @@
 // the stream builder's Map stages and the stdlib Window, TimeWindow and
 // Aggregate do; the value is the same to every reader.
 //
-// Migration note: the seed-era contract — Process(from string, t *Tuple)
-// ([]Out, error) — keeps working unchanged; the executor adapts it
-// transparently (see operator.LegacyProcessor). Likewise the hand-wired
-// NewGraphBuilder/Registry/RegionSpec path remains the low-level API the
-// stream builder compiles onto.
-//
 // The internal packages implement the substrates: simulated WiFi/cellular
 // networks, the phone model, the node/region/controller runtimes, the two
 // driving applications (bus capacity prediction, SignalGuru) and the
@@ -63,7 +58,6 @@ import (
 	"mobistreams/internal/controller"
 	"mobistreams/internal/deploy"
 	"mobistreams/internal/ft"
-	"mobistreams/internal/graph"
 	"mobistreams/internal/metrics"
 	"mobistreams/internal/node"
 	"mobistreams/internal/operator"
@@ -73,43 +67,23 @@ import (
 	"mobistreams/stream"
 )
 
-// Re-exported building blocks: applications define operators and graphs
-// with these.
+// Re-exported building blocks: applications write operators with these
+// and declare their dataflow with the stream package.
 type (
-	// Operator is the unit of work placed on a phone: identity, cost and
-	// snapshotable state. Implement Processor (preferred) or
-	// LegacyOperator alongside it; see internal/operator.
+	// Operator is the unit of work placed on a phone: identity, cost,
+	// Process and snapshotable state; see internal/operator.
 	Operator = operator.Operator
-	// Processor is the emit-context processing contract: Process
-	// receives an *OperatorContext and pushes emissions through it.
-	Processor = operator.Processor
-	// LegacyOperator is the seed-era processing contract returning
-	// []Out slices; it runs unchanged through an adapter.
-	LegacyOperator = operator.LegacyProcessor
 	// OperatorContext is the per-operator emit-context: Emit/EmitTo,
 	// simulated time, one-shot timers and the per-key state handle.
 	OperatorContext = operator.Context
 	// OperatorBase provides defaults for stateless operators.
 	OperatorBase = operator.Base
-	// Out is one operator emission (legacy contract and operator.Run).
-	Out = operator.Out
-	// Registry maps operator IDs to factories ("the code" the
-	// controller ships to phones).
-	Registry = operator.Registry
 	// Tuple is the unit of data in a stream.
 	Tuple = tuple.Tuple
-	// Graph is a validated query network.
-	Graph = graph.Graph
-	// GraphBuilder accumulates operators and edges.
-	GraphBuilder = graph.Builder
 	// Scheme selects a fault-tolerance scheme.
 	Scheme = ft.Scheme
 	// Report summarises a region's metrics.
 	Report = metrics.Report
-	// QoS consolidates output-path quality of service: an end-to-end
-	// latency budget driving adaptive batch-flush deadlines, plus batch
-	// size bounds.
-	QoS = node.QoS
 )
 
 // Fault-tolerance schemes (§IV-B).
@@ -129,13 +103,6 @@ func Dist(n int) Scheme { return ft.Dist(n) }
 
 // ParseScheme parses "base", "rep-2", "local", "dist-3" or "ms".
 func ParseScheme(s string) (Scheme, error) { return ft.Parse(s) }
-
-// Emit builds a fan-out emission; EmitTo a routed one.
-func Emit(t *Tuple) Out              { return operator.Emit(t) }
-func EmitTo(to string, t *Tuple) Out { return operator.EmitTo(to, t) }
-
-// NewGraphBuilder returns an empty query-network builder.
-func NewGraphBuilder() *GraphBuilder { return &graph.Builder{} }
 
 // SystemConfig parameterises a deployment.
 type SystemConfig struct {
@@ -159,23 +126,21 @@ type SystemConfig struct {
 
 // RegionSpec declares one region.
 type RegionSpec struct {
-	ID       string
-	Graph    *Graph
-	Registry Registry
+	ID string
+	// Pipeline is the region's dataflow: its graph, operators, latency
+	// budget and typed sink callbacks.
+	Pipeline *stream.Pipeline
 	Scheme   Scheme
 	// Phones is the region population (slots plus idle spares).
 	Phones int
-	// WiFiBps is the shared-airtime capacity (default 3 Mbps); WiFiLoss
-	// the UDP loss probability (zero means the default 2%).
-	WiFiBps  float64
-	WiFiLoss float64
-	// QoS consolidates the output-path quality-of-service knobs: a
-	// latency budget enabling adaptive batch-flush deadlines plus batch
-	// size bounds (see node.QoS).
-	QoS QoS
-	// OnOutput receives every deduplicated sink result; may be nil.
-	OnOutput func(t *Tuple)
 }
+
+// The region's ad-hoc WiFi: the paper's 3 Mbps of shared airtime and 2%
+// UDP loss (§IV).
+const (
+	wifiBps  = 3e6
+	wifiLoss = 0.02
+)
 
 // System is a running MobiStreams deployment.
 type System struct {
@@ -210,54 +175,25 @@ func NewSystem(cfg SystemConfig) *System {
 // Clock returns the system clock; Sleep and Now operate in simulated time.
 func (s *System) Clock() *clock.Scaled { return s.d.Clock }
 
-// wifiLoss resolves the spec's loss knob: an explicit WiFiLoss is
-// respected, and the zero value falls back to the 2% default.
-func (spec RegionSpec) wifiLoss() (float64, error) {
-	if spec.WiFiLoss < 0 || spec.WiFiLoss >= 1 {
-		return 0, fmt.Errorf("mobistreams: region %q WiFiLoss=%g outside [0,1)", spec.ID, spec.WiFiLoss)
-	}
-	if spec.WiFiLoss == 0 {
-		return 0.02, nil
-	}
-	return spec.WiFiLoss, nil
-}
-
-// PipelineSpec compiles a stream-built pipeline into a RegionSpec: the
-// same Graph + Registry + RegionSpec triple the hand-wired API assembles,
-// with the pipeline's typed sink callbacks wired to OnOutput. Adjust the
-// returned spec (WiFi, batching, seed) before AddRegion as needed.
-func PipelineSpec(id string, p *stream.Pipeline, scheme Scheme, phones int) RegionSpec {
-	spec := RegionSpec{ID: id, Graph: p.Graph(), Registry: p.Registry(), Scheme: scheme, Phones: phones}
-	spec.QoS.LatencyBudget = p.LatencyBudget()
-	if p.HasOutput() {
-		spec.OnOutput = p.Output
-	}
-	return spec
-}
-
 // AddRegion builds a region. Call before Start: after Start it returns an
 // error, since the controller would never coordinate the region.
 func (s *System) AddRegion(spec RegionSpec) (*Region, error) {
-	if spec.Graph == nil || spec.Registry == nil {
-		return nil, fmt.Errorf("mobistreams: region %q needs a graph and a registry", spec.ID)
+	p := spec.Pipeline
+	if p == nil || p.Graph() == nil {
+		return nil, fmt.Errorf("mobistreams: region %q needs a pipeline from stream's Build", spec.ID)
 	}
-	if spec.WiFiBps <= 0 {
-		spec.WiFiBps = 3e6
+	wrapped := &Region{sys: s}
+	if p.HasOutput() {
+		wrapped.onOutput = p.Output
 	}
-	loss, err := spec.wifiLoss()
-	if err != nil {
-		return nil, err
-	}
-	spec.WiFiLoss = loss
-	wrapped := &Region{sys: s, onOutput: spec.OnOutput}
 	r, err := s.d.AddRegion(region.Config{
 		ID:           spec.ID,
-		Graph:        spec.Graph,
-		Registry:     spec.Registry,
+		Graph:        p.Graph(),
+		Registry:     p.Registry(),
 		Scheme:       spec.Scheme,
 		Phones:       spec.Phones,
-		WiFi:         simnet.WiFiConfig{BitsPerSecond: spec.WiFiBps, LossProb: spec.WiFiLoss},
-		QoS:          spec.QoS,
+		WiFi:         simnet.WiFiConfig{BitsPerSecond: wifiBps, LossProb: wifiLoss},
+		QoS:          node.QoS{LatencyBudget: p.LatencyBudget()},
 		OnSinkOutput: wrapped.publish,
 	})
 	if err != nil {

@@ -9,38 +9,28 @@ import (
 	"time"
 
 	"mobistreams/internal/operator"
-	"mobistreams/internal/tuple"
 	"mobistreams/stream"
 )
 
-func demoGraph(t testing.TB) *Graph {
+// demoPipeline is src -> work -> out on three slots; onOut (may be nil)
+// receives each published result.
+func demoPipeline(t testing.TB, onOut func(int)) *stream.Pipeline {
 	t.Helper()
-	g, err := NewGraphBuilder().
-		AddOperator("src", "n1").AddOperator("work", "n2").AddOperator("out", "n3").
-		Chain("src", "work", "out").Build()
+	p, err := stream.From[int]("src", stream.On("n1")).
+		Map("work", func(v int) int { return v }, stream.On("n2")).
+		Sink("out", onOut, stream.On("n3")).
+		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
-}
-
-func demoRegistry() Registry {
-	return Registry{
-		"src": func() Operator { return operator.NewPassthrough("src") },
-		"work": func() Operator {
-			return operator.NewMap("work", func(ctx *operator.Context, in *tuple.Tuple) *tuple.Tuple { return ctx.Clone(in) })
-		},
-		"out": func() Operator { return operator.NewPassthrough("out") },
-	}
+	return p
 }
 
 func TestSystemEndToEnd(t *testing.T) {
 	var got atomic.Int64
 	sys := NewSystem(SystemConfig{Speedup: 2000, CheckpointPeriod: time.Hour})
 	r, err := sys.AddRegion(RegionSpec{
-		ID: "r1", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: MS, Phones: 5, WiFiBps: 50e6,
-		OnOutput: func(*Tuple) { got.Add(1) },
+		ID: "r1", Pipeline: demoPipeline(t, func(int) { got.Add(1) }), Scheme: MS, Phones: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +57,7 @@ func TestSystemEndToEnd(t *testing.T) {
 
 func TestSystemCheckpointAndFailure(t *testing.T) {
 	sys := NewSystem(SystemConfig{Speedup: 2000, CheckpointPeriod: time.Hour})
-	r, err := sys.AddRegion(RegionSpec{
-		ID: "r1", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: MS, Phones: 5, WiFiBps: 50e6,
-	})
+	r, err := sys.AddRegion(RegionSpec{ID: "r1", Pipeline: demoPipeline(t, nil), Scheme: MS, Phones: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,17 +99,12 @@ func TestSystemCascade(t *testing.T) {
 		CheckpointPeriod: time.Hour,
 	})
 	r2, err := sys.AddRegion(RegionSpec{
-		ID: "r2", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: Base, Phones: 3, WiFiBps: 50e6,
-		OnOutput: func(*Tuple) { downstream.Add(1) },
+		ID: "r2", Pipeline: demoPipeline(t, func(int) { downstream.Add(1) }), Scheme: Base, Phones: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := sys.AddRegion(RegionSpec{
-		ID: "r1", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: Base, Phones: 3, WiFiBps: 50e6,
-	})
+	r1, err := sys.AddRegion(RegionSpec{ID: "r1", Pipeline: demoPipeline(t, nil), Scheme: Base, Phones: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +136,7 @@ func TestParseSchemeFacade(t *testing.T) {
 func TestAddRegionValidation(t *testing.T) {
 	sys := NewSystem(SystemConfig{Speedup: 100})
 	if _, err := sys.AddRegion(RegionSpec{ID: "bad"}); err == nil {
-		t.Fatal("region without graph accepted")
+		t.Fatal("region without pipeline accepted")
 	}
 }
 
@@ -164,7 +146,7 @@ func TestAddRegionAfterStartFails(t *testing.T) {
 	sys := NewSystem(SystemConfig{Speedup: 100})
 	sys.Start()
 	defer sys.Stop()
-	_, err := sys.AddRegion(RegionSpec{ID: "late", Graph: demoGraph(t), Registry: demoRegistry(), Scheme: MS, Phones: 5})
+	_, err := sys.AddRegion(RegionSpec{ID: "late", Pipeline: demoPipeline(t, nil), Scheme: MS, Phones: 5})
 	if err == nil {
 		t.Fatal("region added after Start accepted")
 	}
@@ -178,9 +160,7 @@ func TestSystemAdaptivePlacement(t *testing.T) {
 		AdaptivePlacement: true,
 	})
 	r, err := sys.AddRegion(RegionSpec{
-		ID: "r1", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: MS, Phones: 5, WiFiBps: 50e6,
-		OnOutput: func(*Tuple) { got.Add(1) },
+		ID: "r1", Pipeline: demoPipeline(t, func(int) { got.Add(1) }), Scheme: MS, Phones: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +199,7 @@ func TestSystemAdaptivePlacementSplitsHotGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := NewSystem(SystemConfig{Speedup: 100, CheckpointPeriod: time.Hour, AdaptivePlacement: true})
-	spec := PipelineSpec("r1", p, MS, 6)
-	spec.WiFiBps = 50e6
-	r, err := sys.AddRegion(spec)
+	r, err := sys.AddRegion(RegionSpec{ID: "r1", Pipeline: p, Scheme: MS, Phones: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,60 +226,27 @@ func TestSystemAdaptivePlacementSplitsHotGroup(t *testing.T) {
 	}
 }
 
-// The WiFiLoss zero value means "default 2%"; a loss outside [0,1) is a
-// configuration error.
-func TestRegionSpecWiFiLossResolution(t *testing.T) {
-	cases := []struct {
-		spec RegionSpec
-		want float64
-		err  bool
-	}{
-		{RegionSpec{ID: "a"}, 0.02, false},
-		{RegionSpec{ID: "b", WiFiLoss: 0.1}, 0.1, false},
-		{RegionSpec{ID: "e", WiFiLoss: -0.5}, 0, true},
-		{RegionSpec{ID: "f", WiFiLoss: 1.5}, 0, true},
-	}
-	for _, c := range cases {
-		got, err := c.spec.wifiLoss()
-		if c.err != (err != nil) {
-			t.Fatalf("%s: err = %v, want err=%v", c.spec.ID, err, c.err)
-		}
-		if err == nil && got != c.want {
-			t.Fatalf("%s: loss = %g, want %g", c.spec.ID, got, c.want)
-		}
-	}
-	sys := NewSystem(SystemConfig{Speedup: 100})
-	if _, err := sys.AddRegion(RegionSpec{
-		ID: "bad", Graph: demoGraph(t), Registry: demoRegistry(),
-		Scheme: Base, Phones: 3, WiFiLoss: 1.5,
-	}); err == nil {
-		t.Fatal("out-of-range loss accepted")
-	}
-}
-
-// Build-time registry validation: a graph operator without a factory is an
-// AddRegion error now, not a placement-time panic.
+// A Pipeline that did not come from stream's Build carries no graph and no
+// registry: AddRegion reports it as an error, not a placement-time panic.
 func TestAddRegionRejectsIncompleteRegistry(t *testing.T) {
 	sys := NewSystem(SystemConfig{Speedup: 100})
-	reg := demoRegistry()
-	delete(reg, "work")
 	if _, err := sys.AddRegion(RegionSpec{
-		ID: "r1", Graph: demoGraph(t), Registry: reg, Scheme: Base, Phones: 3,
+		ID: "r1", Pipeline: &stream.Pipeline{}, Scheme: Base, Phones: 3,
 	}); err == nil {
-		t.Fatal("registry missing a factory accepted")
+		t.Fatal("pipeline without graph or registry accepted")
 	}
 }
 
-// legacySmoother is a seed-contract custom operator: the end-to-end proof
-// that applications written against the old API survive the emit-context
-// redesign unchanged, including checkpoint and recovery.
-type legacySmoother struct {
+// smoother is a custom stateful operator: the end-to-end proof that an
+// application's own operator checkpoints and recovers through the public
+// API.
+type smoother struct {
 	operator.Base
 	ewma float64
 	n    uint64
 }
 
-func (s *legacySmoother) Process(_ string, t *tuple.Tuple) ([]operator.Out, error) {
+func (s *smoother) Process(ctx *OperatorContext, _ string, t *Tuple) error {
 	v, _ := t.Value.(float64)
 	if s.n == 0 {
 		s.ewma = v
@@ -309,41 +254,34 @@ func (s *legacySmoother) Process(_ string, t *tuple.Tuple) ([]operator.Out, erro
 		s.ewma = 0.8*s.ewma + 0.2*v
 	}
 	s.n++
-	c := *t // the legacy contract has no context to carve from
-	out := &c
+	out := ctx.Clone(t)
 	out.Value = s.ewma
-	return []operator.Out{operator.Emit(out)}, nil
+	ctx.Emit(out)
+	return nil
 }
 
-func (s *legacySmoother) Snapshot() ([]byte, error) {
+func (s *smoother) Snapshot() ([]byte, error) {
 	return []byte(fmt.Sprintf("%g %d", s.ewma, s.n)), nil
 }
 
-func (s *legacySmoother) Restore(data []byte) error {
+func (s *smoother) Restore(data []byte) error {
 	_, err := fmt.Sscanf(string(data), "%g %d", &s.ewma, &s.n)
 	return err
 }
 
-func (s *legacySmoother) StateSize() int { return 16 }
+func (s *smoother) StateSize() int { return 16 }
 
-func TestLegacyOperatorSurvivesCheckpointAndFailure(t *testing.T) {
-	g, err := NewGraphBuilder().
-		AddOperator("src", "n1").AddOperator("smooth", "n2").AddOperator("out", "n3").
-		Chain("src", "smooth", "out").Build()
+func TestCustomOperatorSurvivesCheckpointAndFailure(t *testing.T) {
+	var got atomic.Int64
+	p, err := stream.From[float64]("src", stream.On("n1")).
+		Via("smooth", func() Operator { return &smoother{Base: operator.Base{Name: "smooth"}} }, stream.On("n2")).
+		Sink("out", func(float64) { got.Add(1) }, stream.On("n3")).
+		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := Registry{
-		"src":    func() Operator { return operator.NewPassthrough("src") },
-		"smooth": func() Operator { return &legacySmoother{Base: operator.Base{Name: "smooth"}} },
-		"out":    func() Operator { return operator.NewPassthrough("out") },
-	}
-	var got atomic.Int64
 	sys := NewSystem(SystemConfig{Speedup: 2000, CheckpointPeriod: time.Hour})
-	r, err := sys.AddRegion(RegionSpec{
-		ID: "r1", Graph: g, Registry: reg, Scheme: MS, Phones: 5, WiFiBps: 50e6,
-		OnOutput: func(*Tuple) { got.Add(1) },
-	})
+	r, err := sys.AddRegion(RegionSpec{ID: "r1", Pipeline: p, Scheme: MS, Phones: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +296,7 @@ func TestLegacyOperatorSurvivesCheckpointAndFailure(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if r.Committed() < v {
-		t.Fatal("legacy-operator checkpoint never committed")
+		t.Fatal("custom-operator checkpoint never committed")
 	}
 	if err := r.InjectFailure("n2"); err != nil {
 		t.Fatal(err)
@@ -371,10 +309,13 @@ func TestLegacyOperatorSurvivesCheckpointAndFailure(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	if r.Recoveries() == 0 {
-		t.Fatal("no recovery with a legacy operator placed")
+		t.Fatal("no recovery with a custom operator placed")
 	}
 	if r.Dead() {
 		t.Fatal("region died")
+	}
+	if got.Load() == 0 {
+		t.Fatal("no result published")
 	}
 }
 
@@ -393,7 +334,7 @@ func TestTimeWindowClosesOnIdleStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := NewSystem(SystemConfig{Speedup: 500, CheckpointPeriod: time.Hour})
-	r, err := sys.AddRegion(PipelineSpec("r1", p, Base, 3))
+	r, err := sys.AddRegion(RegionSpec{ID: "r1", Pipeline: p, Scheme: Base, Phones: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
-// Package stream is the fluent, typed dataflow builder: applications
-// declare a pipeline as a chain of typed stages and the builder compiles
-// it into exactly the graph.Graph + operator.Registry pair the hand-wired
-// API produces — same operator IDs, same slots, same edge order — so
-// placements, checkpoints and sink outputs are byte-identical to an
-// equivalent hand-built graph.
+// Package stream is the fluent, typed dataflow builder and the one way an
+// application declares a region's dataflow: a pipeline is a chain of typed
+// stages, and the builder compiles it into the graph.Graph +
+// operator.Registry pair a region runs. Operators are numbered in the
+// order their stages were declared, and each operator's upstream and
+// downstream lists follow the order its edges were declared, so
+// placements, checkpoints and sink outputs are byte-identical to a graph
+// wired by hand with graph.Builder in the same order.
 //
 //	p, err := stream.From[float64]("sensor").
 //		Map("smooth", func(v float64) float64 { return v * 0.5 }).
@@ -20,15 +22,19 @@
 // Stage payload types ride Go generics. Same-type stages (Map, Filter,
 // Sink, Via) are methods; type-changing stages are package functions
 // (Apply, Through, Merge) because Go methods cannot introduce type
-// parameters. Each stage occupies its own slot named after the stage
-// unless On pins it, so co-locating stages on one phone is one option
-// away.
+// parameters. A dataflow starts at From (a passthrough source) or Source
+// (a source running its own operator); Merge joins dataflows. Each stage
+// occupies its own slot named after the stage unless On pins it, so
+// co-locating stages on one phone is one option away.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
+	"sync/atomic"
 	"time"
 
 	"mobistreams/internal/graph"
@@ -99,10 +105,15 @@ type Stream[T any] struct {
 	id string
 }
 
-func (s *Stream[T]) ref() (*core, string) { return s.c, s.id }
+func (s *Stream[T]) ref() (*core, string) { return s.c.root(), s.id }
+
+// declared numbers stage declarations across every dataflow, so a Merge of
+// separately started dataflows keeps its stages in declaration order.
+var declared atomic.Uint64
 
 // stage is one declared operator.
 type stage struct {
+	seq     uint64 // declaration order (see declared)
 	id      string
 	slot    string
 	cost    time.Duration
@@ -142,12 +153,50 @@ type edge struct {
 }
 
 // core accumulates the stages and edges of one dataflow; all handles of a
-// pipeline share it.
+// pipeline share it. A Merge of separately started dataflows folds their
+// cores into a new one, and into points each folded core at it.
 type core struct {
 	stages []*stage
 	byID   map[string]*stage
 	edges  []edge
 	errs   []error
+	into   *core
+}
+
+func newCore() *core { return &core{byID: make(map[string]*stage)} }
+
+// root follows the folds a Merge made to the core that now holds the
+// dataflow.
+func (c *core) root() *core {
+	for c.into != nil {
+		c = c.into
+	}
+	return c
+}
+
+// union folds the distinct dataflows cs into one: stages in declaration
+// order, edges and recorded errors in input order. A stage ID declared in
+// two of them is a build error, as within one.
+func union(cs []*core) *core {
+	if len(cs) == 1 {
+		return cs[0]
+	}
+	u := newCore()
+	for _, c := range cs {
+		for _, st := range c.stages {
+			if _, dup := u.byID[st.id]; dup {
+				u.errf("duplicate stage ID %q", st.id)
+				continue
+			}
+			u.byID[st.id] = st
+			u.stages = append(u.stages, st)
+		}
+		u.edges = append(u.edges, c.edges...)
+		u.errs = append(u.errs, c.errs...)
+		c.into = u
+	}
+	sort.SliceStable(u.stages, func(i, j int) bool { return u.stages[i].seq < u.stages[j].seq })
+	return u
 }
 
 func (c *core) errf(format string, args ...interface{}) {
@@ -156,7 +205,7 @@ func (c *core) errf(format string, args ...interface{}) {
 
 // add declares a stage fed by the given upstream stage IDs.
 func (c *core) add(id string, factory operator.Factory, in, out reflect.Type, ups []string, opts []Option) *stage {
-	st := &stage{id: id, factory: factory, in: in, out: out}
+	st := &stage{seq: declared.Add(1), id: id, factory: factory, in: in, out: out}
 	for _, o := range opts {
 		o(st)
 	}
@@ -190,17 +239,24 @@ func typeOf[T any]() reflect.Type {
 }
 
 // From starts a dataflow at a source stage admitting payloads of type T
-// (region.Ingest feeds it externally).
+// (region.Ingest feeds it externally) and passing them on unchanged.
 func From[T any](id string, opts ...Option) *Stream[T] {
-	c := &core{byID: make(map[string]*stage)}
-	st := c.add(id, func() operator.Operator { return operator.NewPassthrough(id) },
-		typeOf[T](), typeOf[T](), nil, opts)
+	return Source[T](id, func() operator.Operator { return operator.NewPassthrough(id) }, opts...)
+}
+
+// Source starts a dataflow at a source stage that runs the factory's
+// operator on every admitted payload of type T — a dispatcher sending each
+// tuple to one consumer, say. The factory must build an operator whose ID
+// matches the stage ID.
+func Source[T any](id string, factory func() operator.Operator, opts ...Option) *Stream[T] {
+	c := newCore()
+	st := c.add(id, factory, typeOf[T](), typeOf[T](), nil, opts)
 	return &Stream[T]{c: c, id: st.id}
 }
 
 // Map appends a same-type transformation stage.
 func (s *Stream[T]) Map(id string, fn func(T) T, opts ...Option) *Stream[T] {
-	st := s.c.add(id, mapFactory[T, T](id, func(v T) (T, bool) { return fn(v), true }, costOf(opts)),
+	st := s.c.root().add(id, mapFactory[T, T](id, func(v T) (T, bool) { return fn(v), true }, costOf(opts)),
 		typeOf[T](), typeOf[T](), []string{s.id}, opts)
 	return &Stream[T]{c: s.c, id: st.id}
 }
@@ -209,7 +265,7 @@ func (s *Stream[T]) Map(id string, fn func(T) T, opts ...Option) *Stream[T] {
 // payload and whether to keep the tuple. (A package function: Go methods
 // cannot introduce the output type parameter.)
 func Apply[T, U any](s *Stream[T], id string, fn func(T) (U, bool), opts ...Option) *Stream[U] {
-	st := s.c.add(id, mapFactory[T, U](id, fn, costOf(opts)),
+	st := s.c.root().add(id, mapFactory[T, U](id, fn, costOf(opts)),
 		typeOf[T](), typeOf[U](), []string{s.id}, opts)
 	return &Stream[U]{c: s.c, id: st.id}
 }
@@ -227,7 +283,7 @@ func (s *Stream[T]) Filter(id string, pred func(T) bool, opts ...Option) *Stream
 		}
 		return f
 	}
-	st := s.c.add(id, factory, typeOf[T](), typeOf[T](), []string{s.id}, opts)
+	st := s.c.root().add(id, factory, typeOf[T](), typeOf[T](), []string{s.id}, opts)
 	return &Stream[T]{c: s.c, id: st.id}
 }
 
@@ -243,7 +299,7 @@ func (s *Stream[T]) Window(id string, n int, opts ...Option) *Stream[float64] {
 		}
 		return w
 	}
-	st := s.c.add(id, factory, nil, typeOf[float64](), []string{s.id}, opts)
+	st := s.c.root().add(id, factory, nil, typeOf[float64](), []string{s.id}, opts)
 	return &Stream[float64]{c: s.c, id: st.id}
 }
 
@@ -259,7 +315,7 @@ func (s *Stream[T]) TimeWindow(id string, width time.Duration, opts ...Option) *
 		}
 		return w
 	}
-	st := s.c.add(id, factory, nil, typeOf[float64](), []string{s.id}, opts)
+	st := s.c.root().add(id, factory, nil, typeOf[float64](), []string{s.id}, opts)
 	return &Stream[float64]{c: s.c, id: st.id}
 }
 
@@ -276,7 +332,7 @@ func (s *Stream[T]) KeyBy(id string, fn func(T) string, opts ...Option) *Stream[
 			return t.Kind
 		})
 	}
-	st := s.c.add(id, factory, typeOf[T](), typeOf[T](), []string{s.id}, opts)
+	st := s.c.root().add(id, factory, typeOf[T](), typeOf[T](), []string{s.id}, opts)
 	st.keyBy = true
 	return &Stream[T]{c: s.c, id: st.id}
 }
@@ -284,39 +340,41 @@ func (s *Stream[T]) KeyBy(id string, fn func(T) string, opts ...Option) *Stream[
 // Via appends a custom operator stage that preserves the payload type. The
 // factory must build an operator whose ID matches the stage ID.
 func (s *Stream[T]) Via(id string, factory func() operator.Operator, opts ...Option) *Stream[T] {
-	st := s.c.add(id, factory, typeOf[T](), typeOf[T](), []string{s.id}, opts)
+	st := s.c.root().add(id, factory, typeOf[T](), typeOf[T](), []string{s.id}, opts)
 	return &Stream[T]{c: s.c, id: st.id}
 }
 
 // Through appends a custom operator stage that changes the payload type to
 // U (package function, like Apply).
 func Through[T, U any](s *Stream[T], id string, factory func() operator.Operator, opts ...Option) *Stream[U] {
-	st := s.c.add(id, factory, typeOf[T](), typeOf[U](), []string{s.id}, opts)
+	st := s.c.root().add(id, factory, typeOf[T](), typeOf[U](), []string{s.id}, opts)
 	return &Stream[U]{c: s.c, id: st.id}
 }
 
-// Merge appends a custom fan-in stage fed by every input (a join, a
-// voter). All inputs must belong to the same dataflow. The stage's input
-// type is unconstrained — the operator sees each upstream's payload —
-// and its output type is U.
+// Merge appends a custom fan-in stage fed by every input, in input order
+// (a join, a voter). Inputs from separately started dataflows (two From
+// calls) are unioned into one dataflow whose stages keep their declaration
+// order, so the merge stage and everything declared after it come last.
+// The stage's input type is unconstrained — the operator sees each
+// upstream's payload — and its output type is U.
 func Merge[U any](id string, factory func() operator.Operator, inputs []Upstream, opts ...Option) *Stream[U] {
 	if len(inputs) == 0 {
 		// No dataflow to attach to; return a detached handle whose Build
 		// reports the error.
-		c := &core{byID: make(map[string]*stage)}
+		c := newCore()
 		c.errf("merge stage %q has no inputs", id)
 		return &Stream[U]{c: c, id: id}
 	}
-	c, _ := inputs[0].ref()
+	var cores []*core
 	ups := make([]string, 0, len(inputs))
 	for _, in := range inputs {
 		ic, iid := in.ref()
-		if ic != c {
-			c.errf("merge stage %q mixes handles from different dataflows", id)
-			continue
+		if !slices.Contains(cores, ic) {
+			cores = append(cores, ic)
 		}
 		ups = append(ups, iid)
 	}
+	c := union(cores)
 	st := c.add(id, factory, nil, typeOf[U](), ups, opts)
 	return &Stream[U]{c: c, id: st.id}
 }
@@ -326,7 +384,8 @@ func Merge[U any](id string, factory func() operator.Operator, inputs []Upstream
 // fluent chain cannot express. The target is resolved at Build: an unknown
 // ID is a build error, not a runtime panic.
 func (s *Stream[T]) Route(to string) *Stream[T] {
-	s.c.edges = append(s.c.edges, edge{from: s.id, to: to})
+	c := s.c.root()
+	c.edges = append(c.edges, edge{from: s.id, to: to})
 	return s
 }
 
@@ -336,7 +395,7 @@ func (s *Stream[T]) Route(to string) *Stream[T] {
 // per payload type is allowed — Build rejects the ambiguous case (use
 // distinct payload types, or one sink fanning out in application code).
 func (s *Stream[T]) Sink(id string, fn func(T), opts ...Option) *Stream[T] {
-	st := s.c.add(id, func() operator.Operator { return operator.NewPassthrough(id) },
+	st := s.c.root().add(id, func() operator.Operator { return operator.NewPassthrough(id) },
 		typeOf[T](), typeOf[T](), []string{s.id}, opts)
 	st.isSink = true
 	st.sinkRT = typeOf[T]()
@@ -392,7 +451,7 @@ func sinkName(rt reflect.Type) string {
 // type mismatches at stage boundaries, graph-level defects (cycles, no
 // source, no sink) — are returned together.
 func (s *Stream[T]) Build() (*Pipeline, error) {
-	return s.c.build()
+	return s.c.root().build()
 }
 
 func (c *core) build() (*Pipeline, error) {
@@ -566,7 +625,8 @@ type Pipeline struct {
 }
 
 // LatencyBudget returns the tightest WithLatencyBudget declared in the
-// dataflow (zero when none) — PipelineSpec wires it into the region's QoS.
+// dataflow (zero when none); AddRegion makes it the region's QoS latency
+// budget.
 func (p *Pipeline) LatencyBudget() time.Duration { return p.budget }
 
 // Graph returns the compiled query network.
@@ -579,7 +639,7 @@ func (p *Pipeline) Registry() operator.Registry { return p.reg }
 func (p *Pipeline) HasOutput() bool { return len(p.sinks) > 0 }
 
 // Output dispatches one deduplicated sink result to the registered typed
-// callbacks — wire it to RegionSpec.OnOutput (PipelineSpec does).
+// callbacks; AddRegion wires it to the region's sink.
 func (p *Pipeline) Output(t *tuple.Tuple) {
 	for _, fn := range p.sinks {
 		if fn(t) {

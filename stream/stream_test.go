@@ -138,17 +138,71 @@ func TestMergeFanInAndFanOut(t *testing.T) {
 	}
 }
 
-func TestMergeRejectsMixedDataflows(t *testing.T) {
+// Merge unions separately started dataflows: the merge stage's upstreams
+// follow its input order, every stage keeps its declaration order, and a
+// handle from a folded dataflow keeps extending the union.
+func TestMergeUnionsDataflows(t *testing.T) {
+	pass := func(id string) func() operator.Operator {
+		return func() operator.Operator { return operator.NewPassthrough(id) }
+	}
 	a := From[int]("a")
+	x := a.Map("x", func(v int) int { return v })
 	b := From[int]("b")
-	m := Merge[int]("m", func() operator.Operator { return operator.NewPassthrough("m") },
-		[]Upstream{a, b})
-	_, err := m.Sink("out", nil).Build()
-	if err == nil || !strings.Contains(err.Error(), "different dataflows") {
-		t.Fatalf("mixed dataflows not rejected: %v", err)
+	m := Merge[int]("m", pass("m"), []Upstream{b, x})
+	m.Sink("out", nil)
+	a.Sink("late", nil)
+	p, err := m.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Graph()
+	if got := strings.Join(g.Operators(), ","); got != "a,x,b,m,out,late" {
+		t.Fatalf("stage order = %s, want a,x,b,m,out,late", got)
+	}
+	if got := strings.Join(g.Upstream("m"), ","); got != "b,x" {
+		t.Fatalf("m upstream = %s, want b,x (input order)", got)
+	}
+	if got := strings.Join(g.Downstream("a"), ","); got != "x,late" {
+		t.Fatalf("a downstream = %s, want x,late", got)
+	}
+	if got := strings.Join(g.Sources(), ","); got != "a,b" {
+		t.Fatalf("sources = %s, want a,b", got)
+	}
+	if _, err := a.Build(); err != nil {
+		t.Fatalf("a folded handle no longer builds the union: %v", err)
+	}
+
+	// A stage ID declared in two of the unioned dataflows is rejected.
+	d1, d2 := From[int]("d"), From[int]("d")
+	_, err = Merge[int]("j", pass("j"), []Upstream{d1, d2}).Sink("o", nil).Build()
+	if err == nil || !strings.Contains(err.Error(), `duplicate stage ID "d"`) {
+		t.Fatalf("duplicate ID across dataflows not rejected: %v", err)
 	}
 	if _, err := Merge[int]("n", nil, nil).Build(); err == nil {
 		t.Fatal("empty merge accepted")
+	}
+}
+
+// A Source stage runs its own operator on admitted tuples: here a
+// dispatcher alternating between the two consumers it routes to.
+func TestSourceRunsItsOperator(t *testing.T) {
+	s := Source[int]("s", func() operator.Operator { return operator.NewRoundRobin("s", "a", "b") })
+	a := s.Map("a", func(v int) int { return v })
+	b := s.Map("b", func(v int) int { return v })
+	out := Merge[int]("k", func() operator.Operator { return operator.NewPassthrough("k") }, []Upstream{a, b})
+	p, err := out.Sink("out", nil).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(p.Graph().Sources(), ","); got != "s" {
+		t.Fatalf("sources = %s, want s", got)
+	}
+	op := p.Registry().New("s")
+	for i, want := range []string{"a", "b", "a"} {
+		outs, err := operator.Run(op, "", &tuple.Tuple{Seq: uint64(i), Value: i})
+		if err != nil || len(outs) != 1 || outs[0].To != want {
+			t.Fatalf("tuple %d routed %+v (%v), want to %s", i, outs, err, want)
+		}
 	}
 }
 
@@ -326,7 +380,7 @@ func TestMapStageAllocsAmortised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := operator.Proc(p.Registry()["m"]())
+	proc := p.Registry()["m"]().Process
 	rt := &lastRuntime{}
 	ctx := operator.NewContext(rt)
 	in := &tuple.Tuple{Seq: 1, Kind: "k", Size: 8, Value: uint64(1 << 30)}

@@ -1,10 +1,10 @@
 package mobistreams
 
 // The DSL↔manual parity golden tests: a stream-built pipeline must compile
-// to exactly the artifacts a hand-wired graph+registry produces — same
-// graph projections, byte-identical operator checkpoints, and the same
-// placements, committed versions and sink outputs when both run the same
-// fixed-seed workload.
+// to exactly the artifacts a graph+registry wired by hand with
+// internal/graph produces — same graph projections, byte-identical
+// operator checkpoints, and the same placements, committed versions and
+// sink outputs when both run the same fixed-seed workload.
 
 import (
 	"bytes"
@@ -13,7 +13,10 @@ import (
 	"time"
 
 	"mobistreams/internal/checkpoint"
+	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
+	"mobistreams/internal/region"
+	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 	"mobistreams/stream"
 )
@@ -21,11 +24,11 @@ import (
 func paritySmooth(v float64) float64 { return 0.5*v + 1 }
 func parityPred(v float64) bool      { return v > 0 }
 
-// parityHandBuilt wires the reference pipeline through the low-level API,
-// exactly as an application would have before the stream builder.
-func parityHandBuilt(t *testing.T) (*Graph, Registry) {
+// parityHandBuilt wires the reference pipeline operator by operator with
+// graph.Builder, the form the stream builder compiles to.
+func parityHandBuilt(t *testing.T) (*graph.Graph, operator.Registry) {
 	t.Helper()
-	g, err := NewGraphBuilder().
+	g, err := new(graph.Builder).
 		AddOperator("sensor", "n1").AddOperator("smooth", "n2").
 		AddOperator("pos", "n2").AddOperator("avg", "n3").
 		AddOperator("out", "n4").
@@ -34,7 +37,7 @@ func parityHandBuilt(t *testing.T) (*Graph, Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := Registry{
+	reg := operator.Registry{
 		"sensor": func() Operator { return operator.NewPassthrough("sensor") },
 		"smooth": func() Operator {
 			return operator.NewMap("smooth", func(ctx *operator.Context, in *tuple.Tuple) *tuple.Tuple {
@@ -122,7 +125,7 @@ func TestStreamParityCheckpointBytes(t *testing.T) {
 	p := parityDSL(t, nil)
 	dreg := p.Registry()
 
-	build := func(reg Registry) map[string]Operator {
+	build := func(reg operator.Registry) map[string]Operator {
 		ops := make(map[string]Operator)
 		for _, id := range hg.Operators() {
 			ops[id] = reg.New(id)
@@ -167,9 +170,10 @@ func TestStreamParityCheckpointBytes(t *testing.T) {
 	}
 }
 
-// parityRun drives one build end to end on a fixed seed and returns its
-// placements, committed version and sink outputs.
-func parityRun(t *testing.T, spec RegionSpec) (map[string]string, uint64, map[uint64]float64) {
+// parityRun drives one region end to end on a fixed seed and returns its
+// placements, committed version and sink outputs. add builds the region
+// on sys.
+func parityRun(t *testing.T, add func(sys *System) (*Region, error)) (map[string]string, uint64, map[uint64]float64) {
 	t.Helper()
 	outputs := make(map[uint64]float64)
 	var mu sync.Mutex
@@ -182,17 +186,15 @@ func parityRun(t *testing.T, spec RegionSpec) (map[string]string, uint64, map[ui
 		outputs[tt.Seq] = v
 		mu.Unlock()
 	}
-	if spec.OnOutput == nil {
-		spec.OnOutput = onOut
-	} else {
-		inner := spec.OnOutput
-		spec.OnOutput = func(tt *Tuple) { inner(tt); onOut(tt) }
-	}
 	sys := NewSystem(SystemConfig{Speedup: 2000, CheckpointPeriod: time.Hour})
-	r, err := sys.AddRegion(spec)
+	r, err := add(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both sides publish through the same hook, so outputs compare by seq.
+	r.mu.Lock()
+	r.onOutput = onOut
+	r.mu.Unlock()
 	sys.Start()
 	defer sys.Stop()
 	clk := sys.Clock()
@@ -222,19 +224,26 @@ func parityRun(t *testing.T, spec RegionSpec) (map[string]string, uint64, map[ui
 
 // TestStreamParityLiveSystem runs the DSL build and the hand build through
 // identical regions (the default lossy medium, seeded alike): placements, committed checkpoint
-// versions and every deduplicated sink output must match exactly.
+// versions and every deduplicated sink output must match exactly. The
+// hand build enters the deployment the way AddRegion hands a pipeline's
+// graph and registry to it.
 func TestStreamParityLiveSystem(t *testing.T) {
 	hg, hreg := parityHandBuilt(t)
-	handSpec := RegionSpec{
-		ID: "r1", Graph: hg, Registry: hreg,
-		Scheme: MS, Phones: 6, WiFiBps: 50e6,
-	}
-	hPlace, hCommit, hOut := parityRun(t, handSpec)
+	hPlace, hCommit, hOut := parityRun(t, func(sys *System) (*Region, error) {
+		wrapped := &Region{sys: sys}
+		r, err := sys.d.AddRegion(region.Config{
+			ID: "r1", Graph: hg, Registry: hreg, Scheme: MS, Phones: 6,
+			WiFi:         simnet.WiFiConfig{BitsPerSecond: wifiBps, LossProb: wifiLoss},
+			OnSinkOutput: wrapped.publish,
+		})
+		wrapped.r = r
+		return wrapped, err
+	})
 
 	p := parityDSL(t, nil)
-	dslSpec := PipelineSpec("r1", p, MS, 6)
-	dslSpec.WiFiBps = 50e6
-	dPlace, dCommit, dOut := parityRun(t, dslSpec)
+	dPlace, dCommit, dOut := parityRun(t, func(sys *System) (*Region, error) {
+		return sys.AddRegion(RegionSpec{ID: "r1", Pipeline: p, Scheme: MS, Phones: 6})
+	})
 
 	if hCommit == 0 || hCommit != dCommit {
 		t.Fatalf("committed versions differ: hand %d, dsl %d", hCommit, dCommit)

@@ -119,8 +119,9 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 // TestExportsHaveUsers: every exported package-level name and method in
 // internal/ is used outside its own package, by non-test code of either
 // module or by another package's tests. A method counts as used when its
-// type satisfies an interface whose method is called, or one from the
-// standard library (fmt.Stringer, sort.Interface, …).
+// type, or a type embedding it, satisfies an interface whose method is
+// called, or one from the standard library (fmt.Stringer, sort.Interface,
+// …).
 func TestExportsHaveUsers(t *testing.T) {
 	s := repoSurface(t)
 	findings, exports := s.unusedExports(exportChecked, unusedAllowed)
@@ -147,6 +148,7 @@ func TestSurfaceChecksSelfTest(t *testing.T) {
 	want := strings.Join([]string{
 		"surfacetest/internal/lib.Config.Unset has no setter outside tests: make it a constant or delete it, or allowlist it with a reason",
 		"allowlist entry surfacetest/internal/lib.Config.Stale is stale: the field is gone or now set",
+		"surfacetest/internal/lib.Facet.Edges is used by no code outside tests: delete it",
 		"surfacetest/internal/lib.Helper is used only inside its package: unexport it",
 		"surfacetest/internal/lib.Square.Corners is used by no code outside tests: delete it",
 		"surfacetest/internal/lib.TestOnly is used by no code outside tests: delete it",
@@ -541,6 +543,18 @@ func (s *surface) unusedExports(prefix string, allowed map[string]string) (findi
 			}
 		}
 	}
+	// The modules' named types: a method promoted through an embedded
+	// field is called wherever a type embedding it satisfies an interface.
+	var embedders []types.Type
+	for _, p := range s.pkgs {
+		for _, n := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(n).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() == 0 {
+					embedders = append(embedders, types.NewPointer(named))
+				}
+			}
+		}
+	}
 	satisfies := func(m *types.Func) bool {
 		recv := m.Type().(*types.Signature).Recv().Type()
 		if named, ok := deref(recv).(*types.Named); ok && named.TypeParams().Len() > 0 {
@@ -549,6 +563,11 @@ func (s *surface) unusedExports(prefix string, allowed map[string]string) (findi
 		for _, it := range ifaces[m.Name()] {
 			if types.Implements(recv, it) || types.Implements(types.NewPointer(deref(recv)), it) {
 				return true
+			}
+			for _, e := range embedders {
+				if obj, _, _ := types.LookupFieldOrMethod(e, false, m.Pkg(), m.Name()); obj == m && types.Implements(e, it) {
+					return true
+				}
 			}
 		}
 		return false

@@ -9,5 +9,6 @@ func Run() float64 {
 	c.Nested.Depth = 2
 	var s lib.Shape = lib.Square{Side: float64(lib.Used(c))}
 	_ = lib.Inner{}
-	return s.Area()
+	var solid lib.Solid = lib.Cube{Facet: lib.Facet{N: 6}, Side: 1}
+	return s.Area() + float64(solid.Faces())
 }

@@ -52,3 +52,27 @@ func (s Square) String() string { return fmt.Sprint(s.Side) }
 
 // Corners has no user: flagged to delete.
 func (s Square) Corners() int { return 4 }
+
+// Solid's Faces is called by app.
+type Solid interface {
+	Faces() int
+	Volume() float64
+}
+
+// Facet satisfies no interface on its own; app names it.
+type Facet struct{ N int }
+
+// Faces is promoted into Cube, which satisfies Solid: counts as used.
+func (f Facet) Faces() int { return f.N }
+
+// Edges is promoted into Cube too, but no interface has it: flagged.
+func (f Facet) Edges() int { return 2 * f.N }
+
+// Cube embeds Facet; app names it.
+type Cube struct {
+	Facet
+	Side float64
+}
+
+// Volume completes Solid for Cube.
+func (c Cube) Volume() float64 { return c.Side * c.Side * c.Side }
