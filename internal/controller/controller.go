@@ -4,12 +4,14 @@
 // handles mobility. It is control-plane only — no data tuples flow
 // through it — and its traffic is a few hundred bytes per event.
 //
-// Every action that changes a region's placement is a plan of steps run by
-// the region's one executor goroutine (executor.go); recovery and handoff
-// plans are pure functions of a snapshot (plan.go).
+// Each region has one control loop, its executor goroutine (executor.go):
+// it runs the checkpoint and ping rounds and every action that changes the
+// region's placement, one after another. An action is a plan of steps;
+// recovery and handoff plans are pure functions of a snapshot (plan.go).
 package controller
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -70,7 +72,6 @@ type managed struct {
 	mu         sync.Mutex
 	version    uint64
 	committed  uint64
-	epoch      uint64
 	pendingVer uint64
 	// progress holds each slot's reports for pendingVer: checkpointed
 	// (bit 0) and persisted (bit 1).
@@ -86,9 +87,10 @@ type managed struct {
 	departures  int
 	migrations  int
 	// spares are idle phones the placement planner holds as warm spares;
-	// warmed marks phones that have operator code. Only the executor
-	// goroutine touches these, the cooldown ledger and the elastic
-	// decision's memory, so none needs mu.
+	// warmed marks phones that have operator code; epoch is the last
+	// replay's. Only the executor goroutine touches these, the cooldown
+	// ledger and the elastic decision's memory, so none needs mu.
+	epoch       uint64
 	spares      map[simnet.NodeID]bool
 	warmed      map[simnet.NodeID]bool
 	cool        cooldowns
@@ -99,11 +101,10 @@ type managed struct {
 	// journal event for departures under schemes with no mobility story.
 	noMobilityWarned bool
 
-	// jobs queue work for the executor; executing is set, by the executor
-	// only, while it runs one. restored carries restore reports to it.
-	jobs      chan func()
-	executing bool
-	restored  chan node.Report
+	// jobs queue work for the executor; restored carries restore reports
+	// to it.
+	jobs     chan func()
+	restored chan node.Report
 }
 
 // Controller is the global coordinator.
@@ -159,23 +160,13 @@ func (c *Controller) AddRegion(r *region.Region) {
 	c.mu.Unlock()
 }
 
-// Start launches the controller loops.
+// Start launches the report loop and each region's executor.
 func (c *Controller) Start() {
-	c.wg.Add(1)
-	go c.reportLoop()
 	c.mu.Lock()
-	regions := make([]*managed, 0, len(c.regions))
+	defer c.mu.Unlock()
+	c.wg.Add(1 + len(c.regions))
+	go c.reportLoop()
 	for _, m := range c.regions {
-		regions = append(regions, m)
-	}
-	c.mu.Unlock()
-	for _, m := range regions {
-		if m.r.Scheme().Checkpoints() {
-			c.wg.Add(1)
-			go c.every(m, c.cfg.CheckpointPeriod, func() { c.startCheckpoint(m) })
-		}
-		c.wg.Add(2)
-		go c.every(m, c.cfg.PingInterval, func() { c.pingRound(m) })
 		go c.execLoop(m)
 	}
 }
@@ -264,19 +255,11 @@ func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Du
 	}
 }
 
-// shipCode models transferring operator code to a phone (§III-A).
-func (c *Controller) shipCode(to simnet.NodeID) {
-	c.cfg.Cell.Send(selfID, to, simnet.ClassCode, codeBytes, nil)
-}
-
-// TriggerCheckpoint starts one checkpoint round immediately and returns its
-// version (tests and benchmarks drive checkpoints explicitly through this).
+// TriggerCheckpoint runs one checkpoint round on the region's executor,
+// so only after Start, and returns its version (tests and benchmarks drive
+// checkpoints explicitly through this); after Stop, or when dead, 0.
 func (c *Controller) TriggerCheckpoint(regionID string) uint64 {
-	m := c.lookup(regionID)
-	if m == nil {
-		return 0
-	}
-	return c.startCheckpoint(m)
+	return call(c, regionID, c.startCheckpoint)
 }
 
 func (m *managed) isDead() bool {
@@ -285,37 +268,11 @@ func (m *managed) isDead() bool {
 	return m.dead
 }
 
-// every runs round once per period until Stop or the region dies: the
-// periodic checkpoint rounds (§III-B step 1) and ping rounds. A round due
-// while the executor runs an action is skipped: a slot may be vacated
-// mid-transfer, or the region paused mid-restore.
-func (c *Controller) every(m *managed, period time.Duration, round func()) {
-	defer c.wg.Done()
-	t := c.clk.NewTimer(period)
-	defer t.Stop()
-	for ; ; t.Reset(period) {
-		select {
-		case <-t.C():
-			m.mu.Lock()
-			dead, executing := m.dead, m.executing
-			m.mu.Unlock()
-			if dead {
-				return
-			}
-			if !executing {
-				round()
-			}
-		case <-c.stopCh:
-			return
-		}
-	}
-}
-
+// startCheckpoint starts a checkpoint round (§III-B step 1) and returns
+// its version, or 0 for a dead region.
 func (c *Controller) startCheckpoint(m *managed) uint64 {
 	m.mu.Lock()
-	if m.executing || m.dead {
-		// A recovery or a transfer in flight would leave the round unable
-		// to complete. Skip; the next period retries.
+	if m.dead {
 		m.mu.Unlock()
 		return 0
 	}
@@ -341,24 +298,45 @@ func (c *Controller) startCheckpoint(m *managed) uint64 {
 	return v
 }
 
-// pingRound probes every active slot's host (§III-D, extended from the
-// paper's source-only pings): the ping carries the slot, and only the
-// phone actually hosting it answers — so both a dead phone and a healthy
-// phone that lost the slot (stranded placement after a failed migration)
-// miss the timeout and trigger recovery.
-func (c *Controller) pingRound(m *managed) {
-	for _, slot := range m.r.ActiveSlots() {
-		pid, ok := m.r.Placement(slot)
-		if !ok || c.request(pid, node.Command{Op: node.CmdPing, Slot: slot}, c.cfg.PingTimeout) {
+// pinged is one ping of a round: a slot and the host it was sent to.
+type pinged struct {
+	slot string
+	host simnet.NodeID
+}
+
+// startPings pings each active slot's host at once (§III-D, extended from
+// the paper's source-only pings), answers going to one channel. A host the
+// ping cannot reach (a crashed phone's endpoint is sealed) is noted failed.
+func (c *Controller) startPings(m *managed, round []pinged) ([]pinged, chan simnet.Message) {
+	slots := m.r.ActiveSlots()
+	reply := make(chan simnet.Message, len(slots))
+	for _, slot := range slots {
+		host, ok := m.r.Placement(slot)
+		if !ok {
 			continue
 		}
-		if c.stopped() {
-			return // Stop cut the wait short; the phone may be fine
+		if c.cfg.Cell.Request(selfID, host, simnet.ClassControl, 64, node.Command{Op: node.CmdPing, Slot: slot}, reply) != nil {
+			c.noteFailure(m, host)
+			continue
 		}
-		// Re-resolve before reporting: a migration that started mid-round
-		// legitimately moved the slot.
-		if cur, ok := m.r.Placement(slot); ok && cur == pid {
-			c.noteFailure(m, pid)
+		round = append(round, pinged{slot, host})
+	}
+	return round, reply
+}
+
+// judgePings settles a round at its deadline. Only a slot's actual host
+// answers a ping that carries it, so a dead phone and a healthy one that
+// lost the slot are both noted failed, unless a job moved the slot since.
+func (c *Controller) judgePings(m *managed, round []pinged, reply chan simnet.Message) {
+	for len(reply) > 0 {
+		from := (<-reply).From
+		if i := slices.IndexFunc(round, func(p pinged) bool { return p.host == from }); i >= 0 {
+			round[i].host = ""
+		}
+	}
+	for _, p := range round {
+		if cur, ok := m.r.Placement(p.slot); ok && cur == p.host {
+			c.noteFailure(m, p.host)
 		}
 	}
 }

@@ -11,16 +11,28 @@ import (
 	"mobistreams/internal/simnet"
 )
 
-// execLoop is the region's executor, the one goroutine that changes its
-// placement: it runs queued jobs (recoveries, departure handoffs, manual
-// migrations) one after another and, when the adaptive loop is on, a
-// placement plan every scheduleTick and an elastic split or merge every
-// elasticTick for the region's keyed groups with dormant headroom. Serial
-// execution is the interlock: no two actions ever move a slot at once.
+// execLoop is the region's one control loop, the executor: one after
+// another it runs queued jobs (recoveries, handoffs, migrations, triggered
+// checkpoints), the periodic checkpoint and ping rounds and, with the
+// adaptive loop on, a placement plan every scheduleTick and an elastic
+// split or merge every elasticTick. Serial execution is the interlock: no
+// two actions move a slot at once, and no round starts during one; a round
+// that fell due while a job ran is skipped. A ping round's deadline is
+// judged between jobs.
 func (c *Controller) execLoop(m *managed) {
 	defer c.wg.Done()
-	var placeT, growT clock.Timer
-	var place, grow <-chan time.Duration
+	var ckptT, placeT, growT clock.Timer
+	var ckpt, place, grow <-chan time.Duration
+	if m.r.Scheme().Checkpoints() {
+		ckptT = c.clk.NewTimer(c.cfg.CheckpointPeriod)
+		defer ckptT.Stop()
+		ckpt = ckptT.C()
+	}
+	pingT := c.clk.NewTimer(c.cfg.PingInterval)
+	defer pingT.Stop()
+	dueT := c.clk.NewTimer(c.cfg.PingTimeout) // armed while a ping round is out
+	dueT.Stop()
+	defer dueT.Stop()
 	if c.cfg.Adaptive {
 		placeT = c.clk.NewTimer(scheduleTick)
 		defer placeT.Stop()
@@ -31,15 +43,37 @@ func (c *Controller) execLoop(m *managed) {
 			grow = growT.C()
 		}
 	}
+	var round []pinged
+	var replies chan simnet.Message // the ping round's, nil when none is out
+	var idle time.Duration          // when the last job ended
 	for {
 		select {
 		case job := <-m.jobs:
-			c.execute(m, job)
+			job()
+			idle = c.clk.Now()
+		case at := <-ckpt:
+			late := c.clk.Now() - at
+			if at >= idle {
+				c.startCheckpoint(m) // none for a dead region
+			}
+			ckptT.Reset(rearm(c.cfg.CheckpointPeriod, late))
+		case at := <-pingT.C():
+			late := c.clk.Now() - at
+			if at >= idle && replies == nil && !m.isDead() {
+				round, replies = c.startPings(m, round[:0])
+				dueT.Reset(c.cfg.PingTimeout)
+			}
+			pingT.Reset(rearm(c.cfg.PingInterval, late))
+		case <-dueT.C():
+			c.judgePings(m, round, replies)
+			replies = nil
 		case <-place:
-			c.execute(m, func() { c.placementTick(m) })
+			c.placementTick(m)
+			idle = c.clk.Now()
 			placeT.Reset(scheduleTick)
 		case <-grow:
-			c.execute(m, func() { c.elasticTick(m) })
+			c.elasticTick(m)
+			idle = c.clk.Now()
 			growT.Reset(elasticTick)
 		case <-c.stopCh:
 			return
@@ -47,10 +81,15 @@ func (c *Controller) execLoop(m *managed) {
 	}
 }
 
+// rearm is the wait after a round whose tick the executor reached late:
+// one period after the round as if it began on time (the other round may
+// have run first), or the next period boundary after a job.
+func rearm(period, late time.Duration) time.Duration { return period - late%period }
+
 // enqueue queues a job for the region's executor. The queue holds at most
-// one recovery, one handoff per slot host and one job per Migrate caller
-// (each waits for its answer), far below the channel's capacity, so the
-// executor itself may enqueue without blocking.
+// one recovery, one handoff per slot host and one job per Migrate or
+// TriggerCheckpoint caller (each waits for its answer), far below the
+// channel's capacity, so the executor itself may enqueue without blocking.
 func (c *Controller) enqueue(m *managed, job func()) {
 	select {
 	case m.jobs <- job:
@@ -58,20 +97,27 @@ func (c *Controller) enqueue(m *managed, job func()) {
 	}
 }
 
-// execute runs one job with the executing bit set.
-func (c *Controller) execute(m *managed, job func()) {
-	m.mu.Lock()
-	m.executing = true
-	m.mu.Unlock()
-	job()
-	m.mu.Lock()
-	m.executing = false
-	m.mu.Unlock()
+// call runs f as a job on a region's executor and returns its result, or
+// zero for an unknown region or after Stop.
+func call[T any](c *Controller, regionID string, f func(*managed) T) T {
+	var zero T
+	m := c.lookup(regionID)
+	if m == nil {
+		return zero
+	}
+	done := make(chan T, 1)
+	c.enqueue(m, func() { done <- f(m) })
+	select {
+	case v := <-done:
+		return v
+	case <-c.stopCh:
+		return zero
+	}
 }
 
 // transferable reports whether a live transfer may start: the region is
 // alive and no checkpoint round is collecting reports (a token sent to a
-// slot mid-transfer is never answered). No round starts during a job.
+// slot mid-transfer is never answered).
 func (m *managed) transferable() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -219,9 +265,7 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		c.send(st.To, node.Command{Op: node.CmdFetchRestore, Version: st.Version, Target: st.From, Slot: st.Slot})
 		return true, ""
 	case placement.StepReplay:
-		m.mu.Lock()
 		m.epoch = st.Epoch
-		m.mu.Unlock()
 		for _, id := range st.Phones {
 			c.send(id, node.Command{Op: node.CmdReplay, Version: st.Version, Epoch: st.Epoch})
 		}
@@ -243,11 +287,11 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 	return false, ""
 }
 
-// warm ships operator code to a phone that has none yet.
+// warm ships operator code to a phone that has none yet (§III-A).
 func (c *Controller) warm(m *managed, id simnet.NodeID) {
 	if !m.warmed[id] {
 		m.warmed[id] = true
-		c.shipCode(id)
+		c.cfg.Cell.Send(selfID, id, simnet.ClassCode, codeBytes, nil)
 	}
 }
 
@@ -306,22 +350,22 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 		c.send(st.From, node.Command{Op: op, Target: st.To, Slot: st.Slot})
 	})
 	if !restored {
-		// The target reported no install (said is its refusal, "" no
-		// report at all): inspect where the state ended up before
-		// touching placement, or traffic may blackhole or strand.
-		hosts := func(id simnet.NodeID) bool {
-			n := m.r.Node(id)
-			return n != nil && n.Slot() == st.Slot
-		}
+		// The target reported no install: said is its refusal (the source
+		// vacated the slot before it shipped the state), "" no report at
+		// all. Then ask where the state ended up (only the slot's host
+		// answers a ping that carries it) before touching placement, or
+		// traffic may blackhole or strand.
+		ping := node.Command{Op: node.CmdPing, Slot: st.Slot}
 		switch {
-		case said == "" && hosts(st.To): // landed; only the report was lost
+		case said == "" && c.request(st.To, ping, c.cfg.PingTimeout): // landed; only the report was lost
 			m.r.SetPlacement(st.Slot, st.To)
-		case hosts(st.From): // never started: the target goes back to its pool
+		case said == "" && c.request(st.From, ping, c.cfg.PingTimeout): // never started: the target goes back to its pool
 			if preclaimed {
 				m.spares[st.To] = true
 			} else {
 				m.r.ReleaseToIdle(st.To)
 			}
+		case c.stopped(): // Stop cut the question short: placement stays
 		default: // lost in flight or refused: recovery rebuilds the dark slot
 			m.r.SetPlacement(st.Slot, st.To)
 			c.noteFailure(m, st.To)
@@ -347,33 +391,19 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 // Migrate moves slot onto the idle phone `to` (tests and tooling; the
 // planner drives the same path). It runs as a one-step plan on the
 // region's executor, so only after Start, and reports whether it
-// committed; after Stop, false. Unlike departure handoffs it works under
-// every scheme.
+// committed; after Stop, or when dead, false. Unlike departure handoffs
+// it works under every scheme.
 func (c *Controller) Migrate(regionID, slot string, to simnet.NodeID) bool {
-	m := c.lookup(regionID)
-	if m == nil || m.isDead() {
-		return false
-	}
-	from, ok := m.r.Placement(slot)
-	if !ok {
-		return false
-	}
-	done := make(chan bool, 1)
-	c.enqueue(m, func() {
-		ok := m.transferable()
-		if ok {
-			_, ok = c.runPlan(m, &placement.Plan{Region: regionID, Cause: "manual", Steps: []placement.Step{
-				{Kind: placement.StepMigrate, Slot: slot, From: from, To: to, Reason: "manual"},
-			}})
+	return call(c, regionID, func(m *managed) bool {
+		from, ok := m.r.Placement(slot)
+		if !ok || !m.transferable() {
+			return false
 		}
-		done <- ok
-	})
-	select {
-	case ok := <-done:
+		_, ok = c.runPlan(m, &placement.Plan{Region: regionID, Cause: "manual", Steps: []placement.Step{
+			{Kind: placement.StepMigrate, Slot: slot, From: from, To: to, Reason: "manual"},
+		}})
 		return ok
-	case <-c.stopCh:
-		return false
-	}
+	})
 }
 
 // Migrations reports how many planned migrations a region has completed.

@@ -18,22 +18,26 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// newTestRegion starts a two-slot ms region under a controller whose
-// pings and checkpoints stay out of the way (an hour apart).
-func newTestRegion(t *testing.T, speedup float64) (*Controller, *region.Region) {
+// quiet keeps a test controller's pings and checkpoints out of the way
+// (an hour apart).
+var quiet = Config{CheckpointPeriod: time.Hour, PingInterval: time.Hour}
+
+// newTestRegion starts a two-slot ms region (src on n1, out on n2) under a
+// controller configured by cfg.
+func newTestRegion(t *testing.T, speedup float64, cfg Config) (*Controller, *region.Region) {
 	t.Helper()
 	var b graph.Builder
 	b.AddOperator("src", "n1").AddOperator("out", "n2")
 	b.Connect("src", "out")
-	return startRegion(t, speedup, &b, operator.Registry{
+	return startRegion(t, speedup, cfg, &b, operator.Registry{
 		"src": func() operator.Operator { return operator.NewPassthrough("src") },
 		"out": func() operator.Operator { return operator.NewPassthrough("out") },
 	}, 4)
 }
 
 // startRegion starts region r1 of the given graph on phones phones under a
-// controller whose pings and checkpoints stay out of the way.
-func startRegion(t *testing.T, speedup float64, b *graph.Builder, reg operator.Registry, phones int) (*Controller, *region.Region) {
+// controller configured by cfg (its Clock and Cell are filled in).
+func startRegion(t *testing.T, speedup float64, cfg Config, b *graph.Builder, reg operator.Registry, phones int) (*Controller, *region.Region) {
 	t.Helper()
 	g, err := b.Build()
 	if err != nil {
@@ -41,11 +45,8 @@ func startRegion(t *testing.T, speedup float64, b *graph.Builder, reg operator.R
 	}
 	clk := clock.NewScaled(speedup)
 	cell := simnet.NewCellular(clk, simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6})
-	c := New(Config{
-		Clock: clk, Cell: cell,
-		CheckpointPeriod: time.Hour,
-		PingInterval:     time.Hour,
-	})
+	cfg.Clock, cfg.Cell = clk, cell
+	c := New(cfg)
 	r, err := region.New(region.Config{
 		ID:           "r1",
 		Graph:        g,
@@ -79,11 +80,31 @@ func planJournal(r *region.Region) []string {
 	return got
 }
 
+// A periodic round keeps the cadence of a loop of its own: a tick the
+// executor reached late (another round ran first) is re-armed as if its
+// round had begun on time, and one that a job held past a period lands
+// back on its grid.
+func TestRearmKeepsCadence(t *testing.T) {
+	const period = 60 * time.Second
+	for _, tc := range []struct{ late, want time.Duration }{
+		{0, period},
+		{700 * time.Millisecond, period - 700*time.Millisecond}, // behind a ping round
+		{period - time.Millisecond, time.Millisecond},
+		{period, period},                     // a job ended on the next boundary
+		{90 * time.Second, 30 * time.Second}, // a job ran past one boundary
+		{5*period + time.Second, period - time.Second},
+	} {
+		if got := rearm(period, tc.late); got != tc.want {
+			t.Errorf("rearm(%v, %v) = %v, want %v", period, tc.late, got, tc.want)
+		}
+	}
+}
+
 // Stop during a failure's debounce window returns at once and starts no
 // recovery: the executor waits out the window on a clock timer that Stop
 // interrupts, and the recovery it was waiting to start never runs.
 func TestStopDuringDebounceStartsNoRecovery(t *testing.T) {
-	c, r := newTestRegion(t, 1)
+	c, r := newTestRegion(t, 1, quiet)
 	victim, ok := r.Placement("n2")
 	if !ok {
 		t.Fatal("slot n2 has no host")
@@ -104,7 +125,7 @@ func TestStopDuringDebounceStartsNoRecovery(t *testing.T) {
 // ends the wait and is journaled with the step. Here the phone was never
 // paused, so its lifecycle refuses the restore.
 func TestRestoreErrorJournalsFailedStep(t *testing.T) {
-	c, r := newTestRegion(t, 1) // a missed report would cost 30 s of wall time
+	c, r := newTestRegion(t, 1, quiet) // a missed report would cost 30 s of wall time
 	running, _ := r.Placement("n2")
 	plan := &placement.Plan{Region: "r1", Version: 1, Cause: "test", Steps: []placement.Step{
 		{Kind: placement.StepRestore, Phones: []simnet.NodeID{running}, Version: 1, Reason: "local-mrc"},
@@ -130,7 +151,7 @@ func TestRestoreErrorJournalsFailedStep(t *testing.T) {
 // A restore whose report never comes is journaled as a failed step. It is
 // not critical, so the plan does not abort: a recovery goes on to resume.
 func TestRestoreTimeoutJournalsFailedStep(t *testing.T) {
-	c, r := newTestRegion(t, 2000)
+	c, r := newTestRegion(t, 2000, quiet)
 	silent, _ := r.Placement("n2")
 	r.Node(silent).Stop()
 	plan := &placement.Plan{Region: "r1", Version: 1, Cause: "test", Steps: []placement.Step{
@@ -171,7 +192,7 @@ func TestMigrateInstallFailureJournalsFailedStep(t *testing.T) {
 	b.AddOperator("src", "n1").AddOperator("out", "n2")
 	b.Connect("src", "out")
 	// At speedup 20 the 60 s migrate timeout is 3 s of wall time.
-	c, r := startRegion(t, 20, &b, operator.Registry{
+	c, r := startRegion(t, 20, quiet, &b, operator.Registry{
 		"src": func() operator.Operator { return operator.NewPassthrough("src") },
 		"out": func() operator.Operator { return &rejecting{Base: operator.Base{Name: "out"}} },
 	}, 4)

@@ -121,14 +121,12 @@ func (c *Controller) recoverPending(m *managed) {
 	m.pendingVer = 0 // a recovery voids the round in flight
 	wait := m.failSince + c.cfg.DebounceWindow - c.clk.Now()
 	m.mu.Unlock()
-	if wait > 0 {
-		t := c.clk.NewTimer(wait)
-		select {
-		case <-t.C():
-		case <-c.stopCh:
-			t.Stop()
-			return
-		}
+	t := c.clk.NewTimer(wait) // fires at once when the window is over
+	select {
+	case <-t.C():
+	case <-c.stopCh:
+		t.Stop()
+		return
 	}
 	for !c.stopped() && !m.isDead() {
 		m.mu.Lock()

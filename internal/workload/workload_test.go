@@ -94,21 +94,27 @@ func TestBCPBusCorruption(t *testing.T) {
 	g := NewGenerator(clk)
 	var c capture
 	g.StartBCPBus(c.push, BCPBusConfig{Period: time.Second, CorruptEvery: 3, Seed: 3})
-	clk.Sleep(10 * time.Second)
+	// Wait for nine readings in wall time: a slow host may fall behind the
+	// scaled clock, but it must not yield fewer readings to judge.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		n := len(c.items)
+		c.mu.Unlock()
+		if n >= 9 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d readings in 10 s of wall time, want 9", n)
+		}
+	}
 	g.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	corrupt := 0
-	for _, it := range c.items {
-		if it.val.(bcp.BusInfo).Corrupt {
-			corrupt++
+	// Reading i is corrupt exactly when i%3 == 2: one in three.
+	for i, it := range c.items {
+		if got, want := it.val.(bcp.BusInfo).Corrupt, i%3 == 2; got != want {
+			t.Fatalf("reading %d of %d: corrupt = %v, want %v", i, len(c.items), got, want)
 		}
-	}
-	if corrupt == 0 {
-		t.Fatal("no corrupt readings injected")
-	}
-	if corrupt*2 > len(c.items) {
-		t.Fatalf("too many corrupt: %d of %d", corrupt, len(c.items))
 	}
 }
 

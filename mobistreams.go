@@ -288,8 +288,9 @@ func (rg *Region) Migrations() int { return rg.sys.d.Ctrl.Migrations(rg.r.ID()) 
 // Committed reports the latest committed checkpoint version.
 func (rg *Region) Committed() uint64 { return rg.sys.d.Ctrl.Committed(rg.r.ID()) }
 
-// TriggerCheckpoint starts a checkpoint round immediately (the periodic
-// loop runs regardless).
+// TriggerCheckpoint starts a checkpoint round once the region's controller
+// loop is free (the periodic rounds run regardless) and returns its
+// version. Call it only after Start.
 func (rg *Region) TriggerCheckpoint() uint64 {
 	return rg.sys.d.Ctrl.TriggerCheckpoint(rg.r.ID())
 }

@@ -364,3 +364,44 @@ func TestTimeWindowClosesOnIdleStream(t *testing.T) {
 		t.Fatalf("window mean = %v, want 25", got[0])
 	}
 }
+
+// One controller serves every region of a System: each region commits
+// checkpoints on the periodic schedule, and a failure in each is detected
+// and recovered.
+func TestSystemServesEveryRegion(t *testing.T) {
+	sys := NewSystem(SystemConfig{Speedup: 1000, CheckpointPeriod: 5 * time.Second})
+	var regions []*Region
+	for _, id := range []string{"a", "b"} {
+		r, err := sys.AddRegion(RegionSpec{ID: id, Pipeline: demoPipeline(t, nil), Scheme: MS, Phones: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, r)
+	}
+	sys.Start()
+	defer sys.Stop()
+	for i := 0; i < 5; i++ {
+		for _, r := range regions {
+			r.Ingest("src", i, 1024, "x")
+		}
+	}
+	waitAll := func(what string, done func(*Region) bool) {
+		t.Helper()
+		deadline := time.Now().Add(15 * time.Second)
+		for _, r := range regions {
+			for !done(r) {
+				if time.Now().After(deadline) {
+					t.Fatalf("region %s: %s", r.r.ID(), what)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+	}
+	waitAll("no periodic checkpoint committed", func(r *Region) bool { return r.Committed() >= 1 })
+	for _, r := range regions {
+		if err := r.InjectFailure("n2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitAll("no recovery", func(r *Region) bool { return r.Recoveries() >= 1 })
+}
