@@ -74,10 +74,16 @@ type managed struct {
 	committed  uint64
 	pendingVer uint64
 	// progress holds each slot's reports for pendingVer: checkpointed
-	// (bit 0) and persisted (bit 1).
-	progress    map[string]uint8
-	catchUpDone map[uint64]int
-	failedSeen  map[simnet.NodeID]bool
+	// (bit 0) and persisted (bit 1); pendingHolders the holders its
+	// persisted reports named. At commit they become holders: per slot,
+	// the phones holding committed's complete blob chain (dist-n).
+	progress       map[string]uint8
+	pendingHolders map[string][]simnet.NodeID
+	holders        map[string][]simnet.NodeID
+	catchUpDone    map[uint64]int
+	// failedSeen maps each phone a ping or report showed failed to the
+	// version committed then. Recovery plans know no other failures.
+	failedSeen map[simnet.NodeID]uint64
 	// pendingFail are failed phones no recovery has taken yet, the first
 	// noted at failSince.
 	pendingFail []simnet.NodeID
@@ -147,7 +153,7 @@ func (c *Controller) AddRegion(r *region.Region) {
 	m := &managed{
 		r:           r,
 		catchUpDone: make(map[uint64]int),
-		failedSeen:  make(map[simnet.NodeID]bool),
+		failedSeen:  make(map[simnet.NodeID]uint64),
 		spares:      make(map[simnet.NodeID]bool),
 		warmed:      make(map[simnet.NodeID]bool),
 		cool:        make(cooldowns),
@@ -262,6 +268,12 @@ func (c *Controller) TriggerCheckpoint(regionID string) uint64 {
 	return call(c, regionID, c.startCheckpoint)
 }
 
+// noted reports whether a phone was noted failed. Caller holds m.mu.
+func (m *managed) noted(id simnet.NodeID) bool {
+	_, ok := m.failedSeen[id]
+	return ok
+}
+
 func (m *managed) isDead() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -280,6 +292,7 @@ func (c *Controller) startCheckpoint(m *managed) uint64 {
 	v := m.version
 	m.pendingVer = v
 	m.progress = make(map[string]uint8)
+	m.pendingHolders = make(map[string][]simnet.NodeID)
 	m.mu.Unlock()
 
 	var op node.CommandOp
@@ -304,9 +317,13 @@ type pinged struct {
 	host simnet.NodeID
 }
 
-// startPings pings each active slot's host at once (§III-D, extended from
-// the paper's source-only pings), answers going to one channel. A host the
-// ping cannot reach (a crashed phone's endpoint is sealed) is noted failed.
+// startPings pings each active slot's host (§III-D, extended from the
+// paper's source-only pings), answers going to one channel. The pings go
+// out one after another, each Cellular.Request blocking for latency plus
+// airtime, so sending a round holds the executor (about 1.9 s simulated
+// on the paper's BCP region) and a recovery noted meanwhile waits. Only
+// the answers share one deadline. A host the ping cannot reach (a crashed
+// phone's endpoint is sealed) is noted failed.
 func (c *Controller) startPings(m *managed, round []pinged) ([]pinged, chan simnet.Message) {
 	slots := m.r.ActiveSlots()
 	reply := make(chan simnet.Message, len(slots))

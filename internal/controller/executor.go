@@ -140,7 +140,7 @@ func (c *Controller) placementTick(m *managed) {
 // depend on it.
 var critical = map[placement.StepKind]bool{
 	placement.StepMigrate: true, placement.StepActivate: true, placement.StepPromote: true, placement.StepHandoff: true,
-	placement.StepSplit: true, placement.StepMerge: true,
+	placement.StepFetchRestore: true, placement.StepSplit: true, placement.StepMerge: true,
 }
 
 // runPlan executes a plan's steps in order and journals its lifecycle:
@@ -262,8 +262,20 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 			}
 		})
 	case placement.StepFetchRestore:
-		c.send(st.To, node.Command{Op: node.CmdFetchRestore, Version: st.Version, Target: st.From, Slot: st.Slot})
-		return true, ""
+		// The holders in turn: the replacement reports at once that a
+		// holder which failed unnoticed cannot serve. A silent replacement
+		// is not asked again.
+		said := ""
+		for _, from := range st.Phones {
+			cmd := node.Command{Op: node.CmdFetchRestore, Version: st.Version, Target: from, Slot: st.Slot}
+			var ok bool
+			// 90 s outlasts the replacement's pause bound and 60 s blob wait.
+			ok, said = c.awaitRestored(m, []simnet.NodeID{st.To}, st.Version, 90*time.Second, func() { c.send(st.To, cmd) })
+			if ok || said == "" {
+				return ok, said
+			}
+		}
+		return false, said
 	case placement.StepReplay:
 		m.epoch = st.Epoch
 		for _, id := range st.Phones {

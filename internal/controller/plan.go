@@ -12,8 +12,9 @@ import (
 )
 
 // snapshot is everything a recovery or handoff plan is decided from, read
-// from the region at one instant. The builders below are pure functions of
-// it: no region, network or clock.
+// at one instant from the region's placement and idle pool and from the
+// controller's own record of failures, commits and holders. The builders
+// below are pure functions of it: no region, network or clock.
 type snapshot struct {
 	Region string
 	Scheme ft.Scheme
@@ -29,12 +30,14 @@ type snapshot struct {
 	Spares    []simnet.NodeID
 	Committed uint64 // the latest committed checkpoint version
 	Epoch     uint64 // the last catch-up epoch
-	// Holders lists, per lost slot, the live phones holding Committed's
-	// complete blob chain.
+	// Holders lists, per lost slot, the phones the slot's persisted
+	// reports named as holding Committed's complete blob chain, less the
+	// ones noted failed since.
 	Holders map[string][]simnet.NodeID
-	// FailedTotal counts the phones failed so far, this batch included: a
-	// scheme's tolerance is judged against the whole burst, whose reports
-	// can trickle in across debounce windows.
+	// FailedTotal counts the phones noted failed since Committed, this
+	// batch included: a scheme's tolerance is judged against the whole
+	// burst, whose reports can trickle in across debounce windows. A
+	// commit copies every slot's state afresh, so it ends the burst.
 	FailedTotal int
 }
 
@@ -176,11 +179,12 @@ func planDist(p *planner, slots []string) *placement.Plan {
 	}
 	for _, slot := range slots {
 		repl := p.activate(slot)
-		peer := repl // nothing committed yet: start from empty state
+		holders := []simnet.NodeID{repl} // nothing committed yet: start from empty state
 		if v > 0 {
-			peer = s.Holders[slot][0]
+			holders = s.Holders[slot]
 		}
-		p.add(placement.Step{Kind: placement.StepFetchRestore, Slot: slot, From: peer, To: repl, Version: v, Reason: "peer-copy"})
+		p.add(placement.Step{Kind: placement.StepFetchRestore, Slot: slot, From: holders[0], To: repl,
+			Phones: holders, Version: v, Reason: "peer-copy"})
 	}
 	return p.plan
 }

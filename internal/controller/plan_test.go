@@ -11,7 +11,8 @@ import (
 // fixture is a four-slot chain n1 -> n2 -> n3 -> n4 hosted on p1..p4,
 // with one idle phone (p5) and one warm spare (p6), v3 committed after one
 // earlier catch-up. Each slot's checkpoint chain has two copies; the lost
-// phones and their copies are gone, as in a region snapshot.
+// phones' copies are dropped, as the controller drops holders it noted
+// failed.
 func fixture(scheme ft.Scheme, lost ...simnet.NodeID) *snapshot {
 	s := &snapshot{
 		Region: "r1",
@@ -80,7 +81,7 @@ func TestRecoveryPlanGolden(t *testing.T) {
 					"plan r1 v3 steps=3 recover dist-2 k=1\n" +
 					" 0 release p6 dom0 spare:reclaim\n" +
 					" 1 activate n2 p5 replace:p2\n" +
-					" 2 fetch-restore n2 v3 p4->p5 peer-copy\n",
+					" 2 fetch-restore n2 v3 p4->p5 [p4 p6] peer-copy\n",
 				"ms": "" +
 					"plan r1 v3 steps=6 recover ms k=1\n" +
 					" 0 release p6 dom0 spare:reclaim\n" +
@@ -109,9 +110,9 @@ func TestRecoveryPlanGolden(t *testing.T) {
 					"plan r1 v3 steps=5 recover dist-2 k=2\n" +
 					" 0 release p6 dom0 spare:reclaim\n" +
 					" 1 activate n2 p5 replace:p2\n" +
-					" 2 fetch-restore n2 v3 p4->p5 peer-copy\n" +
+					" 2 fetch-restore n2 v3 p4->p5 [p4 p6] peer-copy\n" +
 					" 3 activate n3 p6 replace:p3\n" +
-					" 4 fetch-restore n3 v3 p1->p6 peer-copy\n",
+					" 4 fetch-restore n3 v3 p1->p6 [p1 p5] peer-copy\n",
 				"ms": "" +
 					"plan r1 v3 steps=7 recover ms k=2\n" +
 					" 0 release p6 dom0 spare:reclaim\n" +
@@ -246,10 +247,10 @@ func TestRecoveryPlanGolden(t *testing.T) {
 					"plan r1 v3 steps=3 recover dist-2 k=1\n" +
 					" 0 release p6 dom0 spare:reclaim\n" +
 					" 1 activate n2 p5 replace:p2\n" +
-					" 2 fetch-restore n2 v3 p4->p5 peer-copy\n" +
+					" 2 fetch-restore n2 v3 p4->p5 [p4 p6] peer-copy\n" +
 					"plan r1 v3 steps=2 recover dist-2 k=1\n" +
 					" 0 activate n3 p6 replace:p3\n" +
-					" 1 fetch-restore n3 v3 p1->p6 peer-copy\n" +
+					" 1 fetch-restore n3 v3 p1->p6 [p1 p5] peer-copy\n" +
 					"plan r1 v3 steps=1 recover dist-2 k=1\n" +
 					" 0 kill 3 failed, dist-2 with 1 idle phones\n",
 				"ms": "" +

@@ -65,6 +65,7 @@ func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted
 	bit := uint8(1)
 	if persisted {
 		bit = 2
+		m.pendingHolders[rep.Slot] = rep.Holders
 	}
 	m.progress[rep.Slot] |= bit
 	for _, s := range m.r.ActiveSlots() {
@@ -74,11 +75,14 @@ func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted
 		}
 	}
 	v := m.pendingVer
-	m.committed = v
+	m.committed, m.holders = v, m.pendingHolders
 	m.pendingVer = 0
+	// A phone that failed unnoticed refuses the send at once: its
+	// endpoint is sealed.
+	to := slices.DeleteFunc(m.r.Members(), m.noted)
 	m.mu.Unlock()
 
-	for _, pid := range m.r.AlivePhones() {
+	for _, pid := range to {
 		c.send(pid, node.Command{Op: node.CmdCommit, Version: v})
 	}
 }
@@ -92,11 +96,11 @@ func (c *Controller) noteFailure(m *managed, phoneID simnet.NodeID) {
 		return
 	}
 	m.mu.Lock()
-	if m.dead || m.failedSeen[phoneID] {
+	if m.dead || m.noted(phoneID) {
 		m.mu.Unlock()
 		return
 	}
-	m.failedSeen[phoneID] = true
+	m.failedSeen[phoneID] = m.committed
 	first := len(m.pendingFail) == 0
 	if first {
 		m.failSince = c.clk.Now()
@@ -151,25 +155,27 @@ func (c *Controller) recoverPending(m *managed) {
 			m.mu.Lock()
 			m.pendingFail = append(batch, m.pendingFail...)
 			m.mu.Unlock()
-		default: // a standby could not be promoted: the slot has no host
+		default: // no standby was promoted or no holder served: the slot has no state
 			plan.Steps = []placement.Step{{Kind: placement.StepKill, Reason: st.Kind.String() + " " + st.Slot + " failed"}}
 			c.runPlan(m, plan)
 		}
 	}
 }
 
-// snapshot reads what a recovery or handoff plan is decided from.
+// snapshot reads what a recovery or handoff plan is decided from. Its
+// view of failure is the controller's own: the phones it noted failed
+// leave the idle pool and the holders, and those noted since the
+// committed checkpoint count toward FailedTotal.
 func (c *Controller) snapshot(m *managed, lost []simnet.NodeID) *snapshot {
 	r := m.r
 	s := &snapshot{
-		Region:      r.ID(),
-		Scheme:      r.Scheme(),
-		Lost:        lost,
-		Placement:   make(map[string]simnet.NodeID),
-		Sources:     r.Graph().SourceSlots(),
-		Idle:        r.IdlePhones(),
-		Holders:     make(map[string][]simnet.NodeID),
-		FailedTotal: r.FailedPhoneCount(),
+		Region:    r.ID(),
+		Scheme:    r.Scheme(),
+		Lost:      lost,
+		Placement: make(map[string]simnet.NodeID),
+		Sources:   r.Graph().SourceSlots(),
+		Idle:      r.IdlePhones(),
+		Holders:   make(map[string][]simnet.NodeID),
 	}
 	for _, slot := range r.ActiveSlots() {
 		if id, ok := r.Placement(slot); ok {
@@ -185,15 +191,21 @@ func (c *Controller) snapshot(m *managed, lost []simnet.NodeID) *snapshot {
 			s.Order = append(s.Order, slot)
 		}
 	}
-	m.mu.Lock()
-	s.Committed, s.Epoch = m.committed, m.epoch
-	m.mu.Unlock()
 	for id := range m.spares {
 		s.Spares = append(s.Spares, id)
 	}
 	slices.Sort(s.Spares)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.Committed, s.Epoch = m.committed, m.epoch
+	for _, v := range m.failedSeen {
+		if v == m.committed {
+			s.FailedTotal++
+		}
+	}
+	s.Idle = slices.DeleteFunc(s.Idle, m.noted)
 	for _, slot := range s.lostSlots() {
-		s.Holders[slot] = r.BlobHolders(s.Committed, slot)
+		s.Holders[slot] = slices.DeleteFunc(slices.Clone(m.holders[slot]), m.noted)
 	}
 	return s
 }

@@ -407,11 +407,13 @@ func (n *Node) doPeriodicSnapshot(v uint64) {
 		n.mu.Unlock()
 	}
 	n.report(Report{Type: RepCheckpointed, Phone: n.id, Slot: blob.Slot, Version: v})
-	replicas := 0
-	if n.cfg.Scheme.Kind == ft.DistN {
-		for _, p := range n.cfg.DistPeers {
+	// A periodic snapshot is a full blob, so a peer whose unicast landed
+	// holds v's whole chain.
+	var holders []simnet.NodeID
+	if n.cfg.DistPeers != nil {
+		for _, p := range n.cfg.DistPeers(blob.Slot) {
 			if err := n.cfg.WiFi.Unicast(n.id, p, simnet.ClassCheckpoint, blob.Size, distBlobMsg{Blob: blob}); err == nil {
-				replicas++
+				holders = append(holders, p)
 				n.cfg.Phone.DrainTx(blob.Size)
 			}
 		}
@@ -419,7 +421,7 @@ func (n *Node) doPeriodicSnapshot(v uint64) {
 	// The classic schemes stall the executor through the flash write and
 	// the peer shipping — their whole checkpoint is the pause.
 	n.observeCheckpoint(n.clk.Now()-start, blob)
-	n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: v, Replicas: replicas})
+	n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: v, Holders: holders})
 }
 
 // handleCommit applies a committed checkpoint version: garbage-collect, and
@@ -480,7 +482,7 @@ func (n *Node) persistLoop() {
 				if err != nil {
 					return // cut short by stop: nothing to report as persisted
 				}
-				n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: blob.Version, Replicas: len(st.Complete)})
+				n.report(Report{Type: RepPersisted, Phone: n.id, Slot: blob.Slot, Version: blob.Version})
 			}
 		case <-n.stopCh:
 			return

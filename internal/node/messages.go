@@ -179,8 +179,8 @@ type Report struct {
 	Slot     string
 	Version  uint64
 	Epoch    uint64
-	Replicas int
-	Observed simnet.NodeID // failed/unreachable phone for failure reports
+	Holders  []simnet.NodeID // dist-n persisted: the peers holding Version's chain
+	Observed simnet.NodeID   // failed/unreachable phone for failure reports
 	Err      string
 }
 
@@ -191,8 +191,8 @@ const (
 	// RepCheckpointed: the node snapshotted Version (sink slots reporting
 	// this is the token percolating back to the controller).
 	RepCheckpointed reportType = iota
-	// RepPersisted: the node's Version blob is persisted (Replicas full
-	// remote copies exist).
+	// RepPersisted: the node's Version blob is persisted (under dist-n,
+	// on Holders).
 	RepPersisted
 	// RepFailure: a downstream neighbour is unreachable.
 	RepFailure

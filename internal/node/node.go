@@ -70,8 +70,9 @@ type Config struct {
 	// Peers returns the current region members (minus this phone) for
 	// broadcast dissemination queries.
 	Peers func() []simnet.NodeID
-	// DistPeers are the unicast persistence targets under dist-n.
-	DistPeers []simnet.NodeID
+	// DistPeers lists the unicast persistence targets of a hosted slot
+	// under dist-n; nil under every other scheme.
+	DistPeers func(slot string) []simnet.NodeID
 	// Broadcast configures the dissemination protocol. Its BlockSize also
 	// bounds a source-preservation run (unset: every run is one tuple).
 	Broadcast broadcast.Config

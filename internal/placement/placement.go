@@ -114,7 +114,7 @@ const (
 	StepActivate                     // idle phone To becomes the host of Slot
 	StepPause                        // Phones pause at tuple boundaries, each acknowledged
 	StepRestore                      // Phones reload Version from local storage, each reporting
-	StepFetchRestore                 // To restores Slot's Version fetched from peer From
+	StepFetchRestore                 // To restores Slot's Version from the first of holders Phones (From is the first) that serves it
 	StepReplay                       // source hosts Phones replay input since Version as catch-up Epoch
 	StepResume                       // Phones resume in order, each acknowledged before the next
 	StepPromote                      // Slot's standby becomes its primary

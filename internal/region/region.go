@@ -6,6 +6,7 @@ package region
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -113,8 +114,10 @@ type Region struct {
 	standby      map[string]simnet.NodeID // slot -> standby endpoint ID
 	standbyPhone map[string]simnet.NodeID // slot -> standby's phone ID
 	idle         []simnet.NodeID
-	departed     map[simnet.NodeID]bool
-	failed       map[simnet.NodeID]bool
+	// ring is the founding phones, sorted: the dist-n persistence ring.
+	ring     []simnet.NodeID
+	departed map[simnet.NodeID]bool
+	failed   map[simnet.NodeID]bool
 	// sources are the graph's source operators in declaration order.
 	sources    []ingestSource
 	started    bool
@@ -209,6 +212,8 @@ func New(cfg Config) (*Region, error) {
 	for i := range ids {
 		ids[i] = simnet.NodeID(fmt.Sprintf("%s/p%d", cfg.ID, i+1))
 	}
+	r.ring = slices.Clone(ids)
+	slices.Sort(r.ring)
 	for i, slot := range slots {
 		r.placement[slot] = ids[i]
 		if cfg.Scheme.Replicated() {
@@ -270,6 +275,10 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 	if slot != "" {
 		opIDs = r.cfg.Graph.OpsOnSlot(slot)
 	}
+	var distPeers func(string) []simnet.NodeID
+	if r.cfg.Scheme.Kind == ft.DistN {
+		distPeers = func(hosted string) []simnet.NodeID { return r.distPeers(hosted, id) }
+	}
 	return node.New(node.Config{
 		Phone:             r.phones[id],
 		Slot:              slot,
@@ -286,7 +295,7 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 		Resolver:          (*resolver)(r),
 		ControllerID:      r.cfg.ControllerID,
 		Peers:             func() []simnet.NodeID { return r.LivePeers(id) },
-		DistPeers:         r.distPeersFor(slot),
+		DistPeers:         distPeers,
 		Broadcast:         r.cfg.Broadcast,
 		PreserveBroadcast: r.cfg.PreserveBroadcast,
 		QoS:               r.cfg.QoS,
@@ -370,32 +379,19 @@ func (rs *resolver) Epoch() uint64 {
 // standby change.
 func (r *Region) bumpEpoch() { atomic.AddUint64(&r.placeEpoch, 1) }
 
-// distPeersFor assigns the n unicast persistence targets for a slot under
-// dist-n: the next n phones in ring order.
-func (r *Region) distPeersFor(slot string) []simnet.NodeID {
-	if r.cfg.Scheme.Kind != ft.DistN || slot == "" {
-		return nil
-	}
-	slots := r.cfg.Graph.Slots()
-	idx := sort.SearchStrings(slots, slot)
+// distPeers lists the n unicast persistence targets under dist-n of the
+// node on phone self while it hosts slot: the next n phones after the slot
+// in ring order over the region's founding phones, self skipped. A node
+// asks at each checkpoint, so a replacement or migration target that took
+// the slot later replicates it too.
+func (r *Region) distPeers(slot string, self simnet.NodeID) []simnet.NodeID {
+	idx := sort.SearchStrings(r.cfg.Graph.Slots(), slot)
 	var ids []simnet.NodeID
-	all := r.allPhoneIDs()
-	self := r.placement[slot]
-	for i := 1; len(ids) < r.cfg.Scheme.N && i <= len(all); i++ {
-		cand := all[(idx+i)%len(all)]
-		if cand != self {
+	for i := 1; len(ids) < r.cfg.Scheme.N && i <= len(r.ring); i++ {
+		if cand := r.ring[(idx+i)%len(r.ring)]; cand != self {
 			ids = append(ids, cand)
 		}
 	}
-	return ids
-}
-
-func (r *Region) allPhoneIDs() []simnet.NodeID {
-	ids := make([]simnet.NodeID, 0, len(r.phones))
-	for id := range r.phones {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -725,18 +721,13 @@ func (r *Region) AddPhone(cfg phone.Config) simnet.NodeID {
 // NoteMigration records one completed planned migration.
 func (r *Region) NoteMigration() { atomic.AddInt64(&r.migrations, 1) }
 
-// IdlePhones lists the available replacement phones in the order recovery
-// and handoff planning take them.
+// IdlePhones lists the idle pool in the order recovery and handoff
+// planning take phones from it. A failure leaves the pool as it is, so a
+// phone that failed unnoticed is still listed: ClaimIdle refuses it.
 func (r *Region) IdlePhones() []simnet.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ids []simnet.NodeID
-	for _, id := range r.idle {
-		if !r.failed[id] && !r.departed[id] {
-			ids = append(ids, id)
-		}
-	}
-	return ids
+	return slices.Clone(r.idle)
 }
 
 // LivePeers lists phones other than `self` that are present in the region
@@ -827,14 +818,6 @@ func (r *Region) Failed(id simnet.NodeID) bool {
 	return r.failed[id]
 }
 
-// FailedPhoneCount reports how many phones have failed so far — the burst
-// size a scheme's tolerance is judged against.
-func (r *Region) FailedPhoneCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.failed)
-}
-
 // Departed reports whether a phone has departed.
 func (r *Region) Departed(id simnet.NodeID) bool {
 	r.mu.Lock()
@@ -842,11 +825,13 @@ func (r *Region) Departed(id simnet.NodeID) bool {
 	return r.departed[id]
 }
 
-// Unregister removes a departed/failed phone from the region entirely.
+// Unregister removes a departed/failed phone from the region entirely,
+// idle pool included.
 func (r *Region) Unregister(id simnet.NodeID) {
 	r.mu.Lock()
 	delete(r.phones, id)
 	delete(r.nodes, id)
+	r.idle = slices.DeleteFunc(r.idle, func(cand simnet.NodeID) bool { return cand == id })
 	r.wifi.Remove(id)
 	r.mu.Unlock()
 }
@@ -890,7 +875,7 @@ func (r *Region) PreservedBytes() (source, edge int64) {
 	return source, edge
 }
 
-// Store returns a phone's storage (tests, recovery planning).
+// Store returns a phone's storage (tests, storage metrics).
 func (r *Region) Store(id simnet.NodeID) *storage.Store {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -902,6 +887,19 @@ func (r *Region) Phone(id simnet.NodeID) *phone.Phone {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.phones[id]
+}
+
+// Members lists the registered phones, sorted: every phone not yet
+// unregistered, whether or not it failed or departed.
+func (r *Region) Members() []simnet.NodeID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := make([]simnet.NodeID, 0, len(r.phones))
+	for id := range r.phones {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // AlivePhones lists phones that have neither failed nor departed.
@@ -916,22 +914,4 @@ func (r *Region) AlivePhones() []simnet.NodeID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// BlobHolders returns alive phones whose store can restore (version, slot)
-// — recovery planning for dist-n. A phone holding a delta link without its
-// base chain cannot serve the restore, so only complete chains count;
-// torn uploads are discarded from planning.
-func (r *Region) BlobHolders(version uint64, slot string) []simnet.NodeID {
-	var holders []simnet.NodeID
-	for _, id := range r.AlivePhones() {
-		st := r.Store(id)
-		if st == nil || st.Lost() {
-			continue
-		}
-		if st.HasChain(version, slot) {
-			holders = append(holders, id)
-		}
-	}
-	return holders
 }

@@ -169,8 +169,10 @@ func TestTokenCheckpointCommitsMS(t *testing.T) {
 	// every node, including idle ones).
 	slots := h.r.Graph().Slots()
 	for _, id := range h.r.AlivePhones() {
-		if !h.r.Store(id).HasAllBlobs(v, slots) {
-			t.Fatalf("phone %s missing blobs for v%d", id, v)
+		for _, slot := range slots {
+			if _, err := h.r.Store(id).MaterializeBlob(v, slot); err != nil {
+				t.Fatalf("phone %s cannot restore %s v%d: %v", id, slot, v, err)
+			}
 		}
 	}
 	// Block bursts take one inbox slot per airtime reservation, so the
@@ -541,8 +543,8 @@ func TestDeltaChainRecoveryMS(t *testing.T) {
 		t.Fatalf("n3 v%d blob is not a delta over v%d (base %d)", v2, v1, blob.Base)
 	}
 	for _, id := range h.r.AlivePhones() {
-		if !h.r.Store(id).HasChain(v2, "n3") {
-			t.Fatalf("phone %s lost the n3 chain to commit GC", id)
+		if _, err := h.r.Store(id).MaterializeBlob(v2, "n3"); err != nil {
+			t.Fatalf("phone %s lost the n3 chain to commit GC: %v", id, err)
 		}
 	}
 
@@ -631,6 +633,116 @@ func TestDistRecoveryExactlyOnce(t *testing.T) {
 	got := h.waitCount(t, 40, 30*time.Second)
 	if got != 40 {
 		t.Fatalf("outputs = %d, want exactly 40", got)
+	}
+}
+
+// distCommitted runs the diamond on seven phones under dist-n (p6 and p7
+// idle) through one committed checkpoint: 10 results before it and 10
+// after, all published.
+func distCommitted(t *testing.T, n int) *harness {
+	t.Helper()
+	h := newHarness(t, ft.Dist(n), 7)
+	h.ingest(10)
+	if got := h.waitCount(t, 10, 10*time.Second); got != 10 {
+		t.Fatalf("outputs = %d, want 10", got)
+	}
+	v := h.ctrl.TriggerCheckpoint("r1")
+	if !h.waitCommitted(t, v, 15*time.Second) {
+		t.Fatal("checkpoint never committed")
+	}
+	h.ingest(10)
+	if got := h.waitCount(t, 20, 10*time.Second); got != 20 {
+		t.Fatalf("outputs = %d, want 20", got)
+	}
+	if idle := h.r.IdlePhones(); !slices.Equal(idle, []simnet.NodeID{"r1/p6", "r1/p7"}) {
+		t.Fatalf("idle = %v, want [r1/p6 r1/p7]", idle)
+	}
+	return h
+}
+
+// recoverSlotHost fails slot's host and drives traffic until the
+// controller has run a recovery or the region died, then ingests a last
+// batch. It returns the failed host.
+func recoverSlotHost(t *testing.T, h *harness, slot string) simnet.NodeID {
+	t.Helper()
+	victim, _ := h.r.Placement(slot)
+	h.r.FailPhone(victim)
+	h.ingest(10) // the upstream detects the failure sending these
+	deadline := time.Now().Add(20 * time.Second)
+	for h.ctrl.Recoveries("r1") == 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	h.ingest(10)
+	return victim
+}
+
+// An idle phone that holds no copy fails and nothing reports it; then a
+// slot host fails. dist-1 is judged on the one failure the controller was
+// told of, so the region recovers exactly once instead of dying on a
+// burst of two.
+func TestUnnoticedIdleFailureDoesNotCountTowardTolerance(t *testing.T) {
+	h := distCommitted(t, 1)
+	h.r.FailPhone("r1/p7") // under dist-1 no slot persists to p7
+	recoverSlotHost(t, h, "n3")
+	if got := h.waitCount(t, 40, 30*time.Second); got != 40 {
+		t.Fatalf("outputs = %d, want exactly 40", got)
+	}
+	if h.ctrl.RegionDead("r1") {
+		t.Fatal("the region died of a failure nobody reported")
+	}
+	if host, _ := h.r.Placement("n3"); host != "r1/p6" {
+		t.Fatalf("n3 on %s, want r1/p6", host)
+	}
+}
+
+// Under dist-2, n5 persists to p6 and p7. p6 fails unnoticed, then n5's
+// host fails. The plan activates p6 first; the claim fails, the executor
+// replans onto p7, and the fetch skips the dead holder p6 for p7's own
+// copy.
+func TestUnnoticedHolderFailureFallsThroughToTheNextHolder(t *testing.T) {
+	h := distCommitted(t, 2)
+	h.r.FailPhone("r1/p6")
+	recoverSlotHost(t, h, "n5")
+	if got := h.waitCount(t, 40, 30*time.Second); got != 40 {
+		t.Fatalf("outputs = %d, want exactly 40", got)
+	}
+	if h.ctrl.RegionDead("r1") {
+		t.Fatal("region died")
+	}
+	if host, _ := h.r.Placement("n5"); host != "r1/p7" {
+		t.Fatalf("n5 on %s, want r1/p7", host)
+	}
+	if steps(h.r, "ok=false activate n5 r1/p6") != 1 || steps(h.r, "ok=true fetch-restore n5") != 1 {
+		for _, e := range h.r.Obs().Journal.Events() {
+			t.Logf("journal: %s slot=%s %s", e.Kind, e.Slot, e.Detail)
+		}
+		t.Fatal("want one failed activate on p6 and one fetch-restore that served")
+	}
+}
+
+// Under dist-1, n5's only copy is on p6. p6 fails unnoticed, then n5's
+// host fails. The replacement asks p6 for the blob, nobody serves it, and
+// the region dies: it never resumes n5 from empty state.
+func TestUnnoticedOnlyHolderFailureKillsTheRegion(t *testing.T) {
+	h := distCommitted(t, 1)
+	h.r.FailPhone("r1/p6")
+	victim, _ := h.r.Placement("n5")
+	h.r.FailPhone(victim) // the next ping round notes it
+	deadline := time.Now().Add(20 * time.Second)
+	for !h.ctrl.RegionDead("r1") && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !h.ctrl.RegionDead("r1") {
+		t.Fatal("region still alive with no copy of n5")
+	}
+	if steps(h.r, "ok=false fetch-restore n5") != 1 {
+		for _, e := range h.r.Obs().Journal.Events() {
+			t.Logf("journal: %s slot=%s %s", e.Kind, e.Slot, e.Detail)
+		}
+		t.Fatal("want one failed fetch-restore of n5")
+	}
+	if got := h.r.Outputs(); got != 20 {
+		t.Fatalf("outputs = %d, want exactly 20", got)
 	}
 }
 

@@ -65,13 +65,6 @@ func (s *Store) MarkLost() {
 	s.mu.Unlock()
 }
 
-// Lost reports whether the store's contents were destroyed.
-func (s *Store) Lost() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lost
-}
-
 // PutBlob saves a checkpoint blob (own or a peer's).
 func (s *Store) PutBlob(b *checkpoint.Blob) {
 	s.mu.Lock()
@@ -93,30 +86,6 @@ func (s *Store) Blob(version uint64, slot string) (*checkpoint.Blob, bool) {
 	defer s.mu.Unlock()
 	b, ok := s.states[version][slot]
 	return b, ok
-}
-
-// HasAllBlobs reports whether the store can restore every given slot at a
-// version — the recoverability condition for a MobiStreams replacement.
-// With delta chains this means a complete chain per slot, not just the
-// version's own blob.
-func (s *Store) HasAllBlobs(version uint64, slots []string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, slot := range slots {
-		if _, err := s.chainLinksLocked(version, slot); err != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// HasChain reports whether the store holds a complete base-to-version blob
-// chain for (version, slot).
-func (s *Store) HasChain(version uint64, slot string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.chainLinksLocked(version, slot)
-	return err == nil
 }
 
 // chainLinksLocked walks the Base pointers from (version, slot) down to the

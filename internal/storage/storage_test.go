@@ -24,11 +24,13 @@ func TestBlobStoreAndLookup(t *testing.T) {
 	if _, ok := s.Blob(2, "n1"); ok {
 		t.Fatal("phantom version")
 	}
-	if !s.HasAllBlobs(1, []string{"n1", "n2"}) {
-		t.Fatal("HasAllBlobs false negative")
+	for _, slot := range []string{"n1", "n2"} {
+		if b, err := s.MaterializeBlob(1, slot); err != nil || b.Slot != slot {
+			t.Fatalf("%s v1 does not materialise: %v", slot, err)
+		}
 	}
-	if s.HasAllBlobs(1, []string{"n1", "n3"}) {
-		t.Fatal("HasAllBlobs false positive")
+	if _, err := s.MaterializeBlob(1, "n3"); err == nil {
+		t.Fatal("a slot never stored materialised")
 	}
 }
 
@@ -116,8 +118,8 @@ func TestMarkLost(t *testing.T) {
 	s.PutBlob(blob("n1", 1, 10))
 	s.AppendSource(1, "s", tp(1, 5))
 	s.MarkLost()
-	if !s.Lost() {
-		t.Fatal("not marked lost")
+	if _, err := s.MaterializeBlob(1, "n1"); err == nil {
+		t.Fatal("lost store still restores")
 	}
 	if _, ok := s.Blob(1, "n1"); ok {
 		t.Fatal("lost store still serves blobs")
