@@ -103,9 +103,9 @@ type managed struct {
 	elastic     *elastic
 	planCommits int
 	planAborts  int
-	// noMobilityWarned guards the once-per-region depart.no_mobility
-	// journal event for departures under schemes with no mobility story.
-	noMobilityWarned bool
+	// noMobility journals depart.no_mobility once per region, for
+	// departures under schemes with no mobility story.
+	noMobility sync.Once
 
 	// jobs queue work for the executor; restored carries restore reports
 	// to it.
@@ -177,10 +177,11 @@ func (c *Controller) Start() {
 	}
 }
 
-// Stop shuts the controller down.
+// Stop shuts the controller down; a report sent to it then fails at once.
 func (c *Controller) Stop() {
 	c.stopOnce.Do(func() { close(c.stopCh) })
 	c.wg.Wait()
+	c.ep.Seal()
 }
 
 func (c *Controller) stopped() bool {
@@ -236,29 +237,50 @@ func (c *Controller) RegionDead(regionID string) bool {
 	return read(c, regionID, func(m *managed) bool { return m.dead }) || c.lookup(regionID) == nil
 }
 
-// send issues a command to a phone over cellular, fire-and-forget: a
-// command that does not arrive shows as a missing report or ping reply.
-func (c *Controller) send(to simnet.NodeID, cmd node.Command) {
-	_ = c.cfg.Cell.Send(selfID, to, simnet.ClassControl, 64, cmd)
+// fanOut sends cmds[i] to to[i], or one command to every phone, all at
+// once: a send blocks for latency plus airtime, so each has a goroutine.
+// It returns when the last has landed, with the phones it could not reach
+// (a crashed phone's endpoint is sealed). Answers go to reply, if any.
+func (c *Controller) fanOut(to []simnet.NodeID, reply chan simnet.Message, cmds ...node.Command) []simnet.NodeID {
+	lost := make([]simnet.NodeID, len(to))
+	var wg sync.WaitGroup
+	wg.Add(len(to))
+	send := func(i int, cmd any) {
+		defer wg.Done()
+		if c.cfg.Cell.Request(selfID, to[i], simnet.ClassControl, 64, cmd, reply) != nil {
+			lost[i] = to[i]
+		}
+	}
+	var cmd any // one command is boxed once for every phone
+	for i := range to {
+		if i == 0 || len(cmds) > 1 {
+			cmd = cmds[i]
+		}
+		go send(i, cmd)
+	}
+	wg.Wait()
+	return slices.DeleteFunc(lost, func(id simnet.NodeID) bool { return id == "" })
 }
 
-// request issues a command and waits for the acknowledgement, returning
-// false on timeout or send failure.
-func (c *Controller) request(to simnet.NodeID, cmd node.Command, timeout time.Duration) bool {
-	reply := make(chan simnet.Message, 1)
-	if c.cfg.Cell.Request(selfID, to, simnet.ClassControl, 64, cmd, reply) != nil {
+// ask sends cmd to phones at once and reports whether every one of them
+// answered within one timeout; a phone it cannot reach fails it at once.
+func (c *Controller) ask(to []simnet.NodeID, cmd node.Command, timeout time.Duration) bool {
+	reply := make(chan simnet.Message, len(to))
+	if len(c.fanOut(to, reply, cmd)) > 0 {
 		return false
 	}
 	t := c.clk.NewTimer(timeout)
 	defer t.Stop()
-	select {
-	case <-reply:
-		return true
-	case <-t.C():
-		return false
-	case <-c.stopCh:
-		return false
+	for range to {
+		select {
+		case <-reply:
+		case <-t.C():
+			return false
+		case <-c.stopCh:
+			return false
+		}
 	}
+	return true
 }
 
 // TriggerCheckpoint runs one checkpoint round on the region's executor,
@@ -303,11 +325,13 @@ func (c *Controller) startCheckpoint(m *managed) uint64 {
 	case scheme.PeriodicSnapshot():
 		op, slots = node.CmdSnapshot, m.r.ActiveSlots()
 	}
+	var to []simnet.NodeID
 	for _, slot := range slots {
 		if pid, ok := m.r.Placement(slot); ok {
-			c.send(pid, node.Command{Op: op, Version: v})
+			to = append(to, pid)
 		}
 	}
+	c.fanOut(to, nil, node.Command{Op: op, Version: v})
 	return v
 }
 
@@ -318,25 +342,22 @@ type pinged struct {
 }
 
 // startPings pings each active slot's host (§III-D, extended from the
-// paper's source-only pings), answers going to one channel. The pings go
-// out one after another, each Cellular.Request blocking for latency plus
-// airtime, so sending a round holds the executor (about 1.9 s simulated
-// on the paper's BCP region) and a recovery noted meanwhile waits. Only
-// the answers share one deadline. A host the ping cannot reach (a crashed
-// phone's endpoint is sealed) is noted failed.
+// paper's source-only pings) in one fan-out, so a round holds the executor
+// for one send, not one per host; the answers share one channel and one
+// deadline. A host the ping cannot reach is noted failed at once.
 func (c *Controller) startPings(m *managed, round []pinged) ([]pinged, chan simnet.Message) {
-	slots := m.r.ActiveSlots()
-	reply := make(chan simnet.Message, len(slots))
-	for _, slot := range slots {
-		host, ok := m.r.Placement(slot)
-		if !ok {
-			continue
+	var hosts []simnet.NodeID
+	var pings []node.Command
+	for _, slot := range m.r.ActiveSlots() {
+		if host, ok := m.r.Placement(slot); ok {
+			round = append(round, pinged{slot, host})
+			hosts = append(hosts, host)
+			pings = append(pings, node.Command{Op: node.CmdPing, Slot: slot})
 		}
-		if c.cfg.Cell.Request(selfID, host, simnet.ClassControl, 64, node.Command{Op: node.CmdPing, Slot: slot}, reply) != nil {
-			c.noteFailure(m, host)
-			continue
-		}
-		round = append(round, pinged{slot, host})
+	}
+	reply := make(chan simnet.Message, len(hosts))
+	for _, host := range c.fanOut(hosts, reply, pings...) {
+		c.noteFailure(m, host)
 	}
 	return round, reply
 }

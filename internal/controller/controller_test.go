@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"mobistreams/internal/graph"
 	"mobistreams/internal/obs"
 	"mobistreams/internal/operator"
+	"mobistreams/internal/placement"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
 )
@@ -120,5 +122,105 @@ func TestSilentHostsNotedInOneTimeout(t *testing.T) {
 	noted := read(c, "r1", func(m *managed) time.Duration { return m.failSince }) - start
 	if limit := interval + timeout + timeout/2; noted > limit {
 		t.Fatalf("hosts noted %v after Start, want within %v (one round and one timeout)", noted, limit)
+	}
+}
+
+// A crashed slot host that nobody reports (no tuple flows, the ping rounds
+// are an hour apart) joins the batch of a failure noted in the same burst:
+// the recovery job opens with a ping round's sends, and a sealed endpoint
+// refuses its ping at once.
+func TestCrashedHostsJoinTheRecoveryBatch(t *testing.T) {
+	c, r := newTestRegion(t, 50, Config{
+		CheckpointPeriod: time.Hour,
+		PingInterval:     time.Hour,
+		DebounceWindow:   time.Second,
+	})
+	var hosts []simnet.NodeID
+	for _, slot := range []string{"n1", "n2"} {
+		pid, ok := r.Placement(slot)
+		if !ok {
+			t.Fatalf("slot %s has no host", slot)
+		}
+		r.FailPhone(pid)
+		hosts = append(hosts, pid)
+	}
+	c.noteFailure(c.lookup("r1"), hosts[0]) // one neighbour's report
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if got := planJournal(r); len(got) > 0 {
+			if !strings.HasPrefix(got[0], "plan.propose") || !strings.HasSuffix(got[0], "recover ms k=2") {
+				t.Fatalf("first plan %q, want both crashed hosts in one batch (k=2)", got[0])
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no recovery planned")
+		}
+	}
+}
+
+// A ping round holds the executor for one send's latency, not one per
+// host: the round goes out in one fan-out. With a 1 s cellular latency and
+// six slot hosts, a checkpoint triggered just after the ping tick waits
+// out the rest of the round's sends, then its own token's; serial pings
+// would hold it for about six latencies.
+func TestPingRoundHoldsTheExecutorOneLatency(t *testing.T) {
+	const latency, interval = time.Second, 5 * time.Second
+	var b graph.Builder
+	reg := operator.Registry{}
+	prev := ""
+	for i := 1; i <= 6; i++ {
+		op := fmt.Sprintf("op%d", i)
+		b.AddOperator(op, fmt.Sprintf("n%d", i))
+		if prev != "" {
+			b.Connect(prev, op)
+		}
+		prev = op
+		reg[op] = func() operator.Operator { return operator.NewPassthrough(op) }
+	}
+	c, _ := startRegion(t, 10, Config{CheckpointPeriod: time.Hour, PingInterval: interval}, &b, reg, 8, latency)
+	start := c.clk.Now()
+	for c.clk.Now()-start < interval+latency/5 {
+		time.Sleep(time.Millisecond)
+	}
+	at := c.clk.Now()
+	if v := c.TriggerCheckpoint("r1"); v == 0 {
+		t.Fatal("no checkpoint round ran")
+	}
+	took := c.clk.Now() - at
+	t.Logf("checkpoint triggered %v after the ping tick returned in %v simulated", at-start-interval, took)
+	if took > 3*latency {
+		t.Fatalf("the checkpoint waited %v simulated behind a ping round, want under %v", took, 3*latency)
+	}
+}
+
+// A pause over k silent phones fails at one deadline, not k of them: the
+// command goes to every phone at once and the answers share one timer.
+func TestPauseOverSilentPhonesWaitsOneDeadline(t *testing.T) {
+	c, r := newTestRegion(t, 50, quiet)
+	phones := r.Members()[:3]
+	for _, id := range phones {
+		r.Node(id).Stop() // reachable, but it never answers
+	}
+	plan := &placement.Plan{Region: "r1", Version: 1, Cause: "test", Steps: []placement.Step{
+		{Kind: placement.StepPause, Phones: phones, Reason: "test"},
+	}}
+	c.runPlan(c.lookup("r1"), plan)
+	var propose, step int64
+	for _, e := range r.Obs().Journal.Events() {
+		switch e.Kind {
+		case "plan.propose":
+			propose = e.At
+		case "plan.step":
+			step = e.At
+			if !strings.Contains(e.Detail, "ok=false") {
+				t.Fatalf("a pause nobody answered journaled %q", e.Detail)
+			}
+		}
+	}
+	// The pause deadline is 10 s; three serial waits would take 30 s.
+	took := time.Duration(step - propose)
+	t.Logf("pause over %d silent phones failed after %v simulated", len(phones), took)
+	if took > 15*time.Second {
+		t.Fatalf("the pause step took %v simulated over %d silent phones, want one 10 s deadline", took, len(phones))
 	}
 }

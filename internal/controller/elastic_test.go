@@ -131,7 +131,7 @@ func newKeyedRegion(t *testing.T) (*Controller, *region.Region, graph.KeyedGroup
 		id := fmt.Sprintf("tally#%d", i)
 		reg[id] = func() operator.Operator { return operator.NewKeyedTally(id) }
 	}
-	c, r := startRegion(t, 100, quiet, &b, reg, 7)
+	c, r := startRegion(t, 100, quiet, &b, reg, 7, 0)
 	for i := 1; i <= 20; i++ {
 		r.Ingest("src", i, 64, fmt.Sprintf("k%d", i%4))
 	}

@@ -243,44 +243,34 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		c.warm(m, st.To)
 		m.r.ActivateReplacement(st.To, st.Slot)
 		return true, ""
-	case placement.StepPause, placement.StepResume:
-		// Resume waits long per phone: moving on upstream while a
-		// consumer's resume is in flight lets replay hit a closed path.
-		cmd, timeout := node.Command{Op: node.CmdPause}, 10*time.Second
-		if st.Kind == placement.StepResume {
-			cmd, timeout = node.Command{Op: node.CmdResume}, 120*time.Second
-		}
+	case placement.StepPause:
+		return c.ask(st.Phones, node.Command{Op: node.CmdPause}, 10*time.Second), ""
+	case placement.StepResume:
+		// Downstream first, each phone waited for: moving on upstream while
+		// a consumer's resume is in flight lets replay hit a closed path.
 		ok := true
 		for _, id := range st.Phones {
-			ok = c.request(id, cmd, timeout) && ok
+			ok = c.ask([]simnet.NodeID{id}, node.Command{Op: node.CmdResume}, 120*time.Second) && ok
 		}
 		return ok, ""
 	case placement.StepRestore:
-		return c.awaitRestored(m, st.Phones, st.Version, 30*time.Second, func() {
-			for _, id := range st.Phones {
-				c.send(id, node.Command{Op: node.CmdRestore, Version: st.Version})
-			}
-		})
+		return c.awaitRestored(m, st.Phones, st.Version, 30*time.Second, node.Command{Op: node.CmdRestore, Version: st.Version}, st.Phones...)
 	case placement.StepFetchRestore:
 		// The holders in turn: the replacement reports at once that a
 		// holder which failed unnoticed cannot serve. A silent replacement
 		// is not asked again.
-		said := ""
+		ok, said := false, ""
 		for _, from := range st.Phones {
 			cmd := node.Command{Op: node.CmdFetchRestore, Version: st.Version, Target: from, Slot: st.Slot}
-			var ok bool
 			// 90 s outlasts the replacement's pause bound and 60 s blob wait.
-			ok, said = c.awaitRestored(m, []simnet.NodeID{st.To}, st.Version, 90*time.Second, func() { c.send(st.To, cmd) })
-			if ok || said == "" {
-				return ok, said
+			if ok, said = c.awaitRestored(m, []simnet.NodeID{st.To}, st.Version, 90*time.Second, cmd, st.To); ok || said == "" {
+				break
 			}
 		}
-		return false, said
+		return ok, said
 	case placement.StepReplay:
 		m.epoch = st.Epoch
-		for _, id := range st.Phones {
-			c.send(id, node.Command{Op: node.CmdReplay, Version: st.Version, Epoch: st.Epoch})
-		}
+		c.fanOut(st.Phones, nil, node.Command{Op: node.CmdReplay, Version: st.Version, Epoch: st.Epoch})
 		return true, ""
 	case placement.StepPromote:
 		return m.r.PromoteStandby(st.Slot) != nil, ""
@@ -307,15 +297,15 @@ func (c *Controller) warm(m *managed, id simnet.NodeID) {
 	}
 }
 
-// awaitRestored discards stale restore reports, runs order, then waits
-// until every phone has reported restoring version v. It reports false
-// when the timeout or Stop comes first, and false with the node's error at
-// the first report of v that carries one.
-func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, timeout time.Duration, order func()) (bool, string) {
+// awaitRestored discards stale restore reports, sends cmd to the phones
+// to, then waits until every phone in ids has reported restoring version
+// v. It reports false when the timeout or Stop comes first, and false with
+// the node's error at the first report of v that carries one.
+func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, timeout time.Duration, cmd node.Command, to ...simnet.NodeID) (bool, string) {
 	for len(m.restored) > 0 {
 		<-m.restored
 	}
-	order()
+	c.fanOut(to, nil, cmd)
 	left := slices.Clone(ids)
 	t := c.clk.NewTimer(timeout)
 	defer t.Stop()
@@ -358,9 +348,7 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 		op, timeout = node.CmdHandoff, 120*time.Second
 	}
 	c.warm(m, st.To)
-	restored, said := c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, func() {
-		c.send(st.From, node.Command{Op: op, Target: st.To, Slot: st.Slot})
-	})
+	restored, said := c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, node.Command{Op: op, Target: st.To, Slot: st.Slot}, st.From)
 	if !restored {
 		// The target reported no install: said is its refusal (the source
 		// vacated the slot before it shipped the state), "" no report at
@@ -369,9 +357,9 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 		// traffic may blackhole or strand.
 		ping := node.Command{Op: node.CmdPing, Slot: st.Slot}
 		switch {
-		case said == "" && c.request(st.To, ping, c.cfg.PingTimeout): // landed; only the report was lost
+		case said == "" && c.ask([]simnet.NodeID{st.To}, ping, c.cfg.PingTimeout): // landed; only the report was lost
 			m.r.SetPlacement(st.Slot, st.To)
-		case said == "" && c.request(st.From, ping, c.cfg.PingTimeout): // never started: the target goes back to its pool
+		case said == "" && c.ask([]simnet.NodeID{st.From}, ping, c.cfg.PingTimeout): // never started: the target goes back to its pool
 			if preclaimed {
 				m.spares[st.To] = true
 			} else {

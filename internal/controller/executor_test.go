@@ -32,19 +32,20 @@ func newTestRegion(t *testing.T, speedup float64, cfg Config) (*Controller, *reg
 	return startRegion(t, speedup, cfg, &b, operator.Registry{
 		"src": func() operator.Operator { return operator.NewPassthrough("src") },
 		"out": func() operator.Operator { return operator.NewPassthrough("out") },
-	}, 4)
+	}, 4, 0)
 }
 
 // startRegion starts region r1 of the given graph on phones phones under a
-// controller configured by cfg (its Clock and Cell are filled in).
-func startRegion(t *testing.T, speedup float64, cfg Config, b *graph.Builder, reg operator.Registry, phones int) (*Controller, *region.Region) {
+// controller configured by cfg (its Clock and Cell are filled in), on a
+// cellular network with the given one-way latency.
+func startRegion(t *testing.T, speedup float64, cfg Config, b *graph.Builder, reg operator.Registry, phones int, latency time.Duration) (*Controller, *region.Region) {
 	t.Helper()
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk := clock.NewScaled(speedup)
-	cell := simnet.NewCellular(clk, simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6})
+	cell := simnet.NewCellular(clk, simnet.CellularConfig{UpBitsPerSecond: 8e6, DownBitsPerSecond: 8e6, Latency: latency})
 	cfg.Clock, cfg.Cell = clk, cell
 	c := New(cfg)
 	r, err := region.New(region.Config{
@@ -195,7 +196,7 @@ func TestMigrateInstallFailureJournalsFailedStep(t *testing.T) {
 	c, r := startRegion(t, 20, quiet, &b, operator.Registry{
 		"src": func() operator.Operator { return operator.NewPassthrough("src") },
 		"out": func() operator.Operator { return &rejecting{Base: operator.Base{Name: "out"}} },
-	}, 4)
+	}, 4, 0)
 	idle := r.IdlePhones()
 	if len(idle) < 2 {
 		t.Fatalf("idle phones = %v, want 2", idle)

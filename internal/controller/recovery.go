@@ -33,12 +33,10 @@ func (c *Controller) handleReport(rep node.Report) {
 		c.onCheckpointProgress(m, rep, false)
 	case node.RepPersisted:
 		c.onCheckpointProgress(m, rep, true)
-	case node.RepFailure, node.RepChronicBattery:
-		observed := rep.Observed
-		if rep.Type == node.RepChronicBattery {
-			observed = rep.Phone
-		}
-		c.noteFailure(m, observed)
+	case node.RepFailure:
+		c.noteFailure(m, rep.Observed)
+	case node.RepChronicBattery:
+		c.noteFailure(m, rep.Phone)
 	case node.RepRestored:
 		select {
 		case m.restored <- rep:
@@ -75,16 +73,11 @@ func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted
 		}
 	}
 	v := m.pendingVer
-	m.committed, m.holders = v, m.pendingHolders
-	m.pendingVer = 0
-	// A phone that failed unnoticed refuses the send at once: its
-	// endpoint is sealed.
+	m.committed, m.holders, m.pendingVer = v, m.pendingHolders, 0
+	// A phone that failed unnoticed refuses the send at once.
 	to := slices.DeleteFunc(m.r.Members(), m.noted)
 	m.mu.Unlock()
-
-	for _, pid := range to {
-		c.send(pid, node.Command{Op: node.CmdCommit, Version: v})
-	}
+	c.fanOut(to, nil, node.Command{Op: node.CmdCommit, Version: v})
 }
 
 // noteFailure registers a suspected phone failure. The first failure of a
@@ -113,9 +106,11 @@ func (c *Controller) noteFailure(m *managed, phoneID simnet.NodeID) {
 }
 
 // recoverPending is the executor's recovery job: void the checkpoint round
-// in flight, wait out the debounce, then plan and run one recovery per
-// batch until none is pending (failures noted meanwhile form the next
-// batch, with no second debounce).
+// in flight, add the slot hosts it cannot reach to the batch, wait out the
+// debounce, then plan and run one recovery per batch until none is pending
+// (failures noted meanwhile form the next batch, with no second debounce).
+// A batch whose plan has steps counts as one recovery, however often a
+// failed activate replans it.
 func (c *Controller) recoverPending(m *managed) {
 	m.mu.Lock()
 	if m.dead || len(m.pendingFail) == 0 {
@@ -123,6 +118,12 @@ func (c *Controller) recoverPending(m *managed) {
 		return
 	}
 	m.pendingVer = 0 // a recovery voids the round in flight
+	m.mu.Unlock()
+	// A burst's other victims may have no live upstream to report them:
+	// every slot host the ping cannot reach joins this batch. Silence is
+	// left to the ping round's deadline, so the answers are not awaited.
+	c.startPings(m, nil)
+	m.mu.Lock()
 	wait := m.failSince + c.cfg.DebounceWindow - c.clk.Now()
 	m.mu.Unlock()
 	t := c.clk.NewTimer(wait) // fires at once when the window is over
@@ -132,6 +133,7 @@ func (c *Controller) recoverPending(m *managed) {
 		t.Stop()
 		return
 	}
+	replan := false
 	for !c.stopped() && !m.isDead() {
 		m.mu.Lock()
 		batch := m.pendingFail
@@ -141,15 +143,16 @@ func (c *Controller) recoverPending(m *managed) {
 			return
 		}
 		plan := recoveryPlan(c.snapshot(m, batch))
-		if len(plan.Steps) > 0 {
+		if len(plan.Steps) > 0 && !replan {
 			m.mu.Lock()
 			m.recoveries++
 			m.mu.Unlock()
 		}
 		st, ok := c.runPlan(m, plan)
+		replan = !ok && st.Kind == placement.StepActivate
 		switch {
 		case ok || c.stopped() || m.isDead():
-		case st.Kind == placement.StepActivate:
+		case replan:
 			// The replacement failed or left after the snapshot: plan the
 			// batch again, from a snapshot that no longer offers it.
 			m.mu.Lock()
@@ -229,13 +232,7 @@ func (c *Controller) NotifyDeparture(regionID string, phoneID simnet.NodeID) {
 		// departed phone in urgent mode for good (§IV-B runs departures
 		// only on MobiStreams). Journal it once per region, not per
 		// departure.
-		m.mu.Lock()
-		warned := m.noMobilityWarned
-		m.noMobilityWarned = true
-		m.mu.Unlock()
-		if !warned {
-			m.r.Jot("depart.no_mobility", "", 0, m.r.Scheme().String())
-		}
+		m.noMobility.Do(func() { m.r.Jot("depart.no_mobility", "", 0, m.r.Scheme().String()) })
 		return
 	}
 	c.enqueue(m, func() {

@@ -77,13 +77,16 @@ func (d *Deployment) Start() {
 	d.Ctrl.Start()
 }
 
-// Stop stops every region, then the controller.
+// Stop stops the controller, then every region: a controller still running
+// would ping the stopped phones, note them failed and plan recoveries
+// against regions that are gone. Once stopped, the controller refuses the
+// nodes' reports at once, so none can hold up a region's Stop.
 func (d *Deployment) Stop() {
+	d.Ctrl.Stop()
 	d.mu.Lock()
 	regions := d.regions
 	d.mu.Unlock()
 	for _, r := range regions {
 		r.Stop()
 	}
-	d.Ctrl.Stop()
 }

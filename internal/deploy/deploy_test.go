@@ -1,6 +1,7 @@
 package deploy_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"mobistreams/internal/operator"
 	"mobistreams/internal/region"
 	"mobistreams/internal/simnet"
+	"mobistreams/internal/tuple"
 )
 
 // TestAddRegionDerivesWiring runs one region per scheme and checks the two
@@ -67,5 +69,81 @@ func TestAddRegionDerivesWiring(t *testing.T) {
 			r.Ingest("A", 5, 64, "t")
 			waitFor("the controller to act on the failure report", func() bool { return d.Ctrl.Recoveries("r") > 0 })
 		})
+	}
+}
+
+// stalling passes tuples on, but the first tuple whose value is "stall"
+// that any instance sees closes busy and holds that instance's executor
+// for 100 ms of wall time.
+type stalling struct {
+	operator.Base
+	once *sync.Once
+	busy chan struct{}
+}
+
+func (s *stalling) Process(ctx *operator.Context, _ string, t *tuple.Tuple) error {
+	if t.Value == "stall" {
+		s.once.Do(func() {
+			close(s.busy)
+			time.Sleep(100 * time.Millisecond)
+		})
+	}
+	ctx.Emit(t)
+	return nil
+}
+
+// Stop stops the controller before the regions. A region's Stop waits for
+// an operator call in progress, here 10 s simulated; a controller still
+// running meanwhile would ping the stopping phones, note them failed and
+// plan a recovery against a region that is gone.
+func TestStopPlansNoRecovery(t *testing.T) {
+	var b graph.Builder
+	b.AddOperator("A", "n1").AddOperator("B", "n2").Connect("A", "B")
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := deploy.New(100, simnet.CellularConfig{}, controller.Config{
+		CheckpointPeriod: 24 * time.Hour,
+		PingInterval:     time.Second,
+		PingTimeout:      2 * time.Second,
+		DebounceWindow:   time.Millisecond,
+	})
+	var once sync.Once
+	busy := make(chan struct{})
+	r, err := d.AddRegion(region.Config{
+		ID: "r", Graph: g, Scheme: ft.MSScheme, Phones: 4,
+		Registry: operator.Registry{
+			"A": func() operator.Operator { return operator.NewPassthrough("A") },
+			"B": func() operator.Operator { return &stalling{Base: operator.Base{Name: "B"}, once: &once, busy: busy} },
+		},
+		WiFi: simnet.WiFiConfig{BitsPerSecond: 100e6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proposals := func() int {
+		n := 0
+		for _, e := range r.Obs().Journal.Events() {
+			if e.Kind == "plan.propose" {
+				n++
+			}
+		}
+		return n
+	}
+	d.Start()
+	// A few ping rounds, every one answered.
+	for start := d.Clock.Now(); d.Clock.Now()-start < 5*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	r.Ingest("A", "stall", 64, "t")
+	<-busy
+	recoveries, proposed := d.Ctrl.Recoveries("r"), proposals()
+	d.Stop()
+	if n := d.Ctrl.Recoveries("r"); n != recoveries {
+		t.Fatalf("recoveries went from %d to %d across Stop", recoveries, n)
+	}
+	if n := proposals(); n != proposed {
+		t.Fatalf("%d plans proposed during Stop", n-proposed)
 	}
 }

@@ -698,7 +698,7 @@ func TestUnnoticedIdleFailureDoesNotCountTowardTolerance(t *testing.T) {
 // Under dist-2, n5 persists to p6 and p7. p6 fails unnoticed, then n5's
 // host fails. The plan activates p6 first; the claim fails, the executor
 // replans onto p7, and the fetch skips the dead holder p6 for p7's own
-// copy.
+// copy. The replan is the same recovery, counted once.
 func TestUnnoticedHolderFailureFallsThroughToTheNextHolder(t *testing.T) {
 	h := distCommitted(t, 2)
 	h.r.FailPhone("r1/p6")
@@ -718,11 +718,15 @@ func TestUnnoticedHolderFailureFallsThroughToTheNextHolder(t *testing.T) {
 		}
 		t.Fatal("want one failed activate on p6 and one fetch-restore that served")
 	}
+	if n := h.ctrl.Recoveries("r1"); n != 1 {
+		t.Fatalf("recoveries = %d, want 1: one failure, replanned once", n)
+	}
 }
 
 // Under dist-1, n5's only copy is on p6. p6 fails unnoticed, then n5's
 // host fails. The replacement asks p6 for the blob, nobody serves it, and
-// the region dies: it never resumes n5 from empty state.
+// the region dies: it never resumes n5 from empty state. The replanned
+// activate and the kill count as no second recovery.
 func TestUnnoticedOnlyHolderFailureKillsTheRegion(t *testing.T) {
 	h := distCommitted(t, 1)
 	h.r.FailPhone("r1/p6")
@@ -743,6 +747,9 @@ func TestUnnoticedOnlyHolderFailureKillsTheRegion(t *testing.T) {
 	}
 	if got := h.r.Outputs(); got != 20 {
 		t.Fatalf("outputs = %d, want exactly 20", got)
+	}
+	if n := h.ctrl.Recoveries("r1"); n != 1 {
+		t.Fatalf("recoveries = %d, want 1", n)
 	}
 }
 

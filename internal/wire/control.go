@@ -22,7 +22,7 @@ type Report struct {
 	Slot     string
 	Version  uint64
 	Epoch    uint64
-	Replicas int
+	Holders  []simnet.NodeID
 	Observed simnet.NodeID
 	Err      string
 }
@@ -113,8 +113,12 @@ func DecodeCommand(frame []byte) (Command, error) {
 
 // SizeReport reports the exact frame size AppendReport will produce.
 func SizeReport(rp *Report) int {
-	return 1 + 1 + sizeString(string(rp.Phone)) + sizeString(rp.Slot) +
-		8 + 8 + 8 + sizeString(string(rp.Observed)) + sizeString(rp.Err)
+	total := 1 + 1 + sizeString(string(rp.Phone)) + sizeString(rp.Slot) +
+		8 + 8 + 4 + sizeString(string(rp.Observed)) + sizeString(rp.Err)
+	for _, id := range rp.Holders {
+		total += sizeString(string(id))
+	}
+	return total
 }
 
 // AppendReport encodes a report frame onto dst.
@@ -125,7 +129,10 @@ func AppendReport(dst []byte, rp *Report) []byte {
 	dst = appendString(dst, rp.Slot)
 	dst = appendU64(dst, rp.Version)
 	dst = appendU64(dst, rp.Epoch)
-	dst = appendI64(dst, int64(rp.Replicas))
+	dst = appendU32(dst, uint32(len(rp.Holders)))
+	for _, id := range rp.Holders {
+		dst = appendString(dst, string(id))
+	}
 	dst = appendString(dst, string(rp.Observed))
 	return appendString(dst, rp.Err)
 }
@@ -140,7 +147,12 @@ func DecodeReport(frame []byte) (Report, error) {
 	rp.Slot = r.str()
 	rp.Version = r.u64()
 	rp.Epoch = r.u64()
-	rp.Replicas = int(r.i64())
+	if n := r.count(4); r.err == nil && n > 0 {
+		rp.Holders = make([]simnet.NodeID, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			rp.Holders = append(rp.Holders, simnet.NodeID(r.str()))
+		}
+	}
 	rp.Observed = simnet.NodeID(r.str())
 	rp.Err = r.str()
 	return rp, r.done()

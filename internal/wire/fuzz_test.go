@@ -5,6 +5,7 @@ import (
 
 	"mobistreams/internal/checkpoint"
 	"mobistreams/internal/obs"
+	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 )
 
@@ -32,6 +33,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	add(AppendPreserve(nil, &preserve{Version: 1, Source: "s", T: tp}))
 	add(AppendCommand(nil, &Command{Op: 2, Version: 1, Target: "n1", Slot: "a"}), nil)
 	add(AppendReport(nil, &Report{Type: 1, Phone: "n1", Slot: "a", Version: 1}), nil)
+	add(AppendReport(nil, &Report{Type: 2, Phone: "n1", Slot: "a", Version: 1, Holders: []simnet.NodeID{"n2", "n3"}}), nil)
 	add(AppendRuntime(nil, &Runtime{
 		OutSeq: map[string]uint64{"b": 4}, InHW: map[string]uint64{"a": 3}, LogVersion: 1,
 	}), nil)

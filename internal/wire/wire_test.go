@@ -11,6 +11,7 @@ import (
 
 	"mobistreams/internal/checkpoint"
 	"mobistreams/internal/obs"
+	"mobistreams/internal/simnet"
 	"mobistreams/internal/tuple"
 )
 
@@ -78,7 +79,7 @@ func frameCases(t *testing.T) []frameCase {
 	pres := &preserve{Version: 3, Source: "src", T: sampleTuple()}
 	cmd := &Command{Op: 6, Version: 11, Epoch: 2, Target: "phone-3", Slot: "s2"}
 	rep := &Report{Type: 1, Phone: "phone-3", Slot: "s2", Version: 11,
-		Epoch: 2, Replicas: 4, Observed: "phone-9", Err: "late"}
+		Epoch: 2, Holders: []simnet.NodeID{"phone-5", "phone-6"}, Observed: "phone-9", Err: "late"}
 	rt := &Runtime{
 		OutSeq:     map[string]uint64{"s2": 40, "s3": 41},
 		InHW:       map[string]uint64{"s1": 39},
@@ -205,6 +206,28 @@ func TestRoundTripAllKinds(t *testing.T) {
 		// Trailing garbage must be rejected too.
 		if _, err := DecodeAny(append(append([]byte(nil), frame...), 0)); err == nil {
 			t.Errorf("%s: trailing byte accepted", c.name)
+		}
+	}
+}
+
+// A report round-trips field for field, the holders a dist-n persisted
+// report names included, in order; a report that names none decodes with
+// none.
+func TestReportRoundTripHolders(t *testing.T) {
+	for _, in := range []Report{
+		{Type: 2, Phone: "r1/p3", Slot: "n5", Version: 4, Holders: []simnet.NodeID{"r1/p6", "r1/p7"}},
+		{Type: 1, Phone: "r1/p3", Slot: "n5", Version: 4, Observed: "r1/p4", Err: "late"},
+	} {
+		frame := AppendReport(nil, &in)
+		if len(frame) != SizeReport(&in) {
+			t.Fatalf("SizeReport = %d, encoded %d", SizeReport(&in), len(frame))
+		}
+		out, err := DecodeReport(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("decoded %+v\nwant    %+v", out, in)
 		}
 	}
 }
