@@ -263,24 +263,31 @@ func (c *Controller) fanOut(to []simnet.NodeID, reply chan simnet.Message, cmds 
 }
 
 // ask sends cmd to phones at once and reports whether every one of them
-// answered within one timeout; a phone it cannot reach fails it at once.
+// answered within one timeout.
 func (c *Controller) ask(to []simnet.NodeID, cmd node.Command, timeout time.Duration) bool {
+	return len(c.answers(to, timeout, cmd)) == len(to)
+}
+
+// answers sends cmds to phones at once, as fanOut does, and returns by
+// phone the answers that came within one timeout. It stops waiting once
+// every phone it could reach has answered.
+func (c *Controller) answers(to []simnet.NodeID, timeout time.Duration, cmds ...node.Command) map[simnet.NodeID]node.Answer {
 	reply := make(chan simnet.Message, len(to))
-	if len(c.fanOut(to, reply, cmd)) > 0 {
-		return false
-	}
+	want := len(to) - len(c.fanOut(to, reply, cmds...))
+	got := make(map[simnet.NodeID]node.Answer, want)
 	t := c.clk.NewTimer(timeout)
 	defer t.Stop()
-	for range to {
+	for len(got) < want {
 		select {
-		case <-reply:
+		case m := <-reply:
+			got[m.From], _ = m.Payload.(node.Answer)
 		case <-t.C():
-			return false
+			return got
 		case <-c.stopCh:
-			return false
+			return got
 		}
 	}
-	return true
+	return got
 }
 
 // TriggerCheckpoint runs one checkpoint round on the region's executor,

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"mobistreams/internal/graph"
+	"mobistreams/internal/node"
 	"mobistreams/internal/placement"
+	"mobistreams/internal/simnet"
 )
 
 // The adaptive loop's tuning: constants, as no caller ever set them apart
@@ -187,9 +189,9 @@ func (c *Controller) elasticTick(m *managed) {
 	if !m.transferable() {
 		return
 	}
-	now := c.clk.Now()
 	for _, gs := range elasticGroups(m.r.Graph()) {
-		if st := m.elastic.decide(now, gs.Logical, m.instanceStats(gs, now), m.cool); st != nil {
+		stats := c.instanceStats(m, gs)
+		if st := m.elastic.decide(c.clk.Now(), gs.Logical, stats, m.cool); st != nil {
 			c.runPlan(m, &placement.Plan{Region: m.r.ID(), Cause: "elastic " + gs.Logical, Steps: []placement.Step{*st}})
 		}
 	}
@@ -207,31 +209,41 @@ func elasticGroups(g *graph.Graph) []graph.KeyedGroupSpec {
 	return out
 }
 
-// instanceStats reads one keyed group's per-instance backlog and range
-// ownership, and differentiates each instance's processed count against
-// the previous poll into a tuple rate.
-func (m *managed) instanceStats(gs graph.KeyedGroupSpec, now time.Duration) []instanceStat {
+// instanceStats pings the hosts of one keyed group's instances at once and
+// reads each answer's backlog and processed count, differentiating the
+// count against the previous reading into a tuple rate; range ownership
+// comes from the group's table. An instance whose host does not answer
+// within one elasticTick gives no reading and is left out.
+func (c *Controller) instanceStats(m *managed, gs graph.KeyedGroupSpec) []instanceStat {
 	grp, ok := m.r.KeyedGroup(gs.Logical)
 	if !ok {
 		return nil
 	}
+	var hosts []simnet.NodeID
+	var pings []node.Command
+	for _, slot := range gs.Slots {
+		host, _ := m.r.Placement(slot)
+		hosts = append(hosts, host)
+		pings = append(pings, node.Command{Op: node.CmdPing, Slot: slot})
+	}
+	got := c.answers(hosts, elasticTick, pings...)
+	now := c.clk.Now()
 	active := make(map[int]bool)
 	for _, i := range grp.Table().Instances() {
 		active[i] = true
 	}
-	stats := make([]instanceStat, len(gs.Instances))
+	var stats []instanceStat
 	for i, inst := range gs.Instances {
-		st := instanceStat{Index: i, Slot: gs.Slots[i], Active: active[i]}
-		pid, placed := m.r.Placement(st.Slot)
-		if n := m.r.Node(pid); placed && n != nil {
-			st.Backlog = n.Backlog()
-			count := n.Processed()
-			if prev, ok := m.elastic.prev[inst]; ok && now > prev.at && count > prev.count {
-				st.TupleRate = float64(count-prev.count) / (now - prev.at).Seconds()
-			}
-			m.elastic.prev[inst] = processedAt{at: now, count: count}
+		a, read := got[hosts[i]]
+		if !read {
+			continue
 		}
-		stats[i] = st
+		st := instanceStat{Index: i, Slot: gs.Slots[i], Active: active[i], Backlog: a.Backlog}
+		if prev, ok := m.elastic.prev[inst]; ok && now > prev.at && a.Processed > prev.count {
+			st.TupleRate = float64(a.Processed-prev.count) / (now - prev.at).Seconds()
+		}
+		m.elastic.prev[inst] = processedAt{at: now, count: a.Processed}
+		stats = append(stats, st)
 	}
 	return stats
 }

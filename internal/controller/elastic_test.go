@@ -109,14 +109,14 @@ func TestElasticCooldownSuppressesReplanning(t *testing.T) {
 }
 
 // newKeyedRegion starts src -> kb -> tally -> out, tally a keyed group of
-// three instances with one active, on seven phones (one idle), and runs 20
-// tuples over four keys through it, so the active instance holds keys a
-// split can cut between.
-func newKeyedRegion(t *testing.T) (*Controller, *region.Region, graph.KeyedGroupSpec) {
+// three instances with `active` of them active, on seven phones (one
+// idle), and runs 20 tuples over four keys through it, so instance 0 holds
+// keys a split can cut between (the keys sort below the default bounds).
+func newKeyedRegion(t *testing.T, active int) (*Controller, *region.Region, graph.KeyedGroupSpec) {
 	t.Helper()
 	var b graph.Builder
 	b.AddOperator("src", "n1").AddOperator("kb", "n2").AddOperator("out", "n9")
-	b.AddKeyedOperator("tally", "kt", 1, 3)
+	b.AddKeyedOperator("tally", "kt", active, 3)
 	b.Connect("src", "kb")
 	b.ConnectToGroup("kb", "tally")
 	b.ConnectFromGroup("tally", "out")
@@ -156,7 +156,7 @@ func onExecutor(c *Controller, m *managed, job func()) {
 // touching its slot inside elasticCooldown; the split, once run, holds
 // back the engine's migrate of the donor's slot inside migrateCooldown.
 func TestCooldownUnification(t *testing.T) {
-	c, r, gs := newKeyedRegion(t)
+	c, r, gs := newKeyedRegion(t, 1)
 	m := c.lookup("r1")
 	hot := []instanceStat{
 		{Index: 0, Slot: gs.Slots[0], Active: true, Backlog: 50},
@@ -210,9 +210,9 @@ func TestCooldownUnification(t *testing.T) {
 }
 
 // TestSplitStepJournal pins what a split leaves in the region journal: the
-// elastic plan's lifecycle, and the region's own keyed.split entry.
+// elastic plan's lifecycle, and the donor's own keyed.split entry.
 func TestSplitStepJournal(t *testing.T) {
-	c, r, gs := newKeyedRegion(t)
+	c, r, gs := newKeyedRegion(t, 1)
 	m := c.lookup("r1")
 	onExecutor(c, m, func() {
 		c.runPlan(m, &placement.Plan{Region: "r1", Cause: "elastic tally", Steps: []placement.Step{
@@ -235,5 +235,38 @@ func TestSplitStepJournal(t *testing.T) {
 	}
 	if grp, _ := r.KeyedGroup("tally"); splits != 1 || len(grp.Table().Instances()) != 2 {
 		t.Fatalf("%d keyed.split entries, %d active instances; want 1 and 2", splits, len(grp.Table().Instances()))
+	}
+}
+
+// An instance whose host does not answer the elastic poll's ping gives no
+// reading, so it is neither split nor merged. Here instance 1 is active,
+// owns keys no tuple carries and its host is silent: read in-process, it
+// would read rate 0 beside instance 0's traffic, turn cold and merge.
+func TestElasticPollSkipsSilentHost(t *testing.T) {
+	c, r, gs := newKeyedRegion(t, 2)
+	m := c.lookup("r1")
+	silent, _ := r.Placement(gs.Slots[1])
+	r.Node(silent).Stop() // reachable, but it never answers
+	sent := 20
+	for poll := 0; poll < 2*minColdPolls; poll++ {
+		onExecutor(c, m, func() { c.elasticTick(m) })
+		for i := 0; i < 5; i++ {
+			sent++
+			r.Ingest("src", sent, 64, fmt.Sprintf("k%d", i%4))
+		}
+		for deadline := time.Now().Add(10 * time.Second); r.Outputs() < uint64(sent); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("outputs = %d, want %d", r.Outputs(), sent)
+			}
+		}
+	}
+	if got := planJournal(r); len(got) > 0 {
+		t.Fatalf("the elastic poll acted on a group with a silent instance: %q", got)
+	}
+	if _, read := m.elastic.prev[gs.Instances[1]]; read || m.elastic.coldRuns["tally"][1] > 0 {
+		t.Fatalf("the silent instance was read: cold polls %d", m.elastic.coldRuns["tally"][1])
+	}
+	if _, read := m.elastic.prev[gs.Instances[0]]; !read {
+		t.Fatal("the answering instance was not read")
 	}
 }

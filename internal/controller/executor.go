@@ -71,10 +71,12 @@ func (c *Controller) execLoop(m *managed) {
 			c.placementTick(m)
 			idle = c.clk.Now()
 			placeT.Reset(scheduleTick)
-		case <-grow:
+		case at := <-grow:
+			// The poll waits for its answers: re-armed on its own grid,
+			// it still reads every elasticTick.
 			c.elasticTick(m)
 			idle = c.clk.Now()
-			growT.Reset(elasticTick)
+			growT.Reset(rearm(elasticTick, idle-at))
 		case <-c.stopCh:
 			return
 		}
@@ -226,16 +228,7 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		}
 		return c.moveSlot(m, st)
 	case placement.StepSplit, placement.StepMerge:
-		gs, ok := m.r.Graph().KeyedGroup(st.Group)
-		if !ok {
-			return false, ""
-		}
-		now := c.clk.Now()
-		m.cool[gs.Slots[st.Donor]], m.cool[gs.Slots[st.Recipient]] = now, now
-		if st.Kind == placement.StepSplit {
-			return m.r.SplitInstance(st.Group, st.Donor, st.Recipient) == nil, ""
-		}
-		return m.r.MergeKeyRange(st.Group, st.Donor, st.Recipient) == nil, ""
+		return c.moveKeys(m, st)
 	case placement.StepActivate:
 		if !m.r.ClaimIdle(st.To) {
 			return false, ""
@@ -276,11 +269,17 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		return m.r.PromoteStandby(st.Slot) != nil, ""
 	case placement.StepKill:
 		// The region stops and is bypassed (§III-D: its upstream and
-		// downstream neighbours connect directly).
+		// downstream neighbours connect directly). Its nodes stop after
+		// the operator or blob send in hand, seconds of simulated time
+		// that the executor does not wait out; Stop waits for them.
 		m.mu.Lock()
 		m.dead = true
 		m.mu.Unlock()
-		m.r.Stop()
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			m.r.Stop()
+		}()
 		return true, ""
 	case placement.StepUnregister:
 		m.r.Unregister(st.From)
@@ -328,9 +327,10 @@ func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, ti
 	return true, ""
 }
 
-// moveSlot executes one live transfer of st.Slot from st.From to st.To: a
-// planned migration (CmdMigrate over WiFi) or a departure handoff
-// (CmdHandoff, over cellular). It claims the target unless it is a warm
+// moveSlot executes one live transfer of st.Slot from st.From to st.To
+// with one CmdHandoff: a planned migration or a departure handoff (the
+// source ships over the region WiFi, and over cellular once it has left
+// it, which is slower). It claims the target unless it is a warm
 // spare, ships code unless the target has it, orders the transfer, awaits
 // the restore report, then repoints placement; the vacated host relays
 // stragglers until senders see the new placement.
@@ -343,12 +343,12 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 		return false, ""
 	}
 	delete(m.spares, st.To)
-	op, timeout := node.CmdMigrate, 60*time.Second
+	timeout := 60 * time.Second
 	if st.Kind == placement.StepHandoff { // over cellular: slower
-		op, timeout = node.CmdHandoff, 120*time.Second
+		timeout = 120 * time.Second
 	}
 	c.warm(m, st.To)
-	restored, said := c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, node.Command{Op: op, Target: st.To, Slot: st.Slot}, st.From)
+	restored, said := c.awaitRestored(m, []simnet.NodeID{st.To}, node.TransferVersion, timeout, node.Command{Op: node.CmdHandoff, Target: st.To, Slot: st.Slot}, st.From)
 	if !restored {
 		// The target reported no install: said is its refusal (the source
 		// vacated the slot before it shipped the state), "" no report at
@@ -386,6 +386,30 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 	m.migrations++
 	m.mu.Unlock()
 	return true, ""
+}
+
+// moveKeys executes a split or merge step with one command to the donor
+// instance's host, naming the recipient instance's slot and host; the
+// donor runs the step and answers with why it failed. Both slots are
+// charged to the cooldown ledger.
+func (c *Controller) moveKeys(m *managed, st placement.Step) (bool, string) {
+	gs, ok := m.r.Graph().KeyedGroup(st.Group)
+	if !ok {
+		return false, ""
+	}
+	donor, recip := gs.Slots[st.Donor], gs.Slots[st.Recipient]
+	now := c.clk.Now()
+	m.cool[donor], m.cool[recip] = now, now
+	from, _ := m.r.Placement(donor)
+	to, _ := m.r.Placement(recip)
+	op := node.CmdSplit
+	if st.Kind == placement.StepMerge {
+		op = node.CmdMerge
+	}
+	// 90 s outlasts the donor's pause bound and its 60 s wait for the
+	// recipient's answer.
+	a, ok := c.answers([]simnet.NodeID{from}, 90*time.Second, node.Command{Op: op, Target: to, Slot: recip})[from]
+	return ok && a.Err == "", a.Err
 }
 
 // Migrate moves slot onto the idle phone `to` (tests and tooling; the

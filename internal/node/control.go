@@ -116,7 +116,7 @@ func (n *Node) handleControl(m simnet.Message) {
 	case transferMsg:
 		n.handleTransferIn(m.From, p)
 	case KeyRangeMsg:
-		n.handleKeyRangeIn(p)
+		n.handleKeyRangeIn(m, p)
 	default:
 	}
 }
@@ -132,38 +132,50 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 	case CmdPause:
 		// A pause that did not park fails the controller's step: no reply.
 		if n.pause("controller", pauseBound) {
-			n.respondOK(m)
+			n.answer(m, Answer{})
 		}
 	case CmdResume:
 		n.resume("controller")
-		n.respondOK(m)
+		n.answer(m, Answer{})
 	case CmdRestore:
 		n.report(n.restore(c.Version))
 	case CmdReplay:
 		n.replayFrom(c.Version, c.Epoch)
 	case cmdPromote:
 		n.Promote()
-	case CmdHandoff, CmdMigrate:
+	case CmdHandoff:
 		n.handoff(c.Target)
+	case CmdSplit, CmdMerge:
+		var a Answer
+		if err := n.moveKeys(c); err != nil {
+			a.Err = err.Error()
+		}
+		n.answer(m, a)
 	case CmdFetchRestore:
 		n.fetchRestore(c)
 	case CmdPing:
 		// A slot-carrying ping is only answered by the slot's actual
 		// host: a phone that vacated the slot (lost migration, stale
 		// placement) stays silent, which is what lets the controller
-		// detect a stranded slot and re-host it.
+		// detect a stranded slot and re-host it. The answer carries the
+		// host's load, the elastic decision's reading of an instance.
 		if c.Slot == "" || c.Slot == n.Slot() {
-			n.respondOK(m)
+			n.answer(m, Answer{Backlog: n.Backlog(), Processed: n.Processed()})
 		}
 	default:
 	}
 }
 
-func (n *Node) respondOK(m simnet.Message) {
+// answerBytes is the modelled size of an answer without an error: two
+// 8-byte counters.
+const answerBytes = 16
+
+// answer replies to a controller request over cellular.
+func (n *Node) answer(m simnet.Message, a Answer) {
 	if m.Reply == nil {
 		return
 	}
 	if n.cfg.Cell != nil {
-		n.cfg.Cell.Respond(m, n.id, simnet.ClassControl, 16, "ok")
+		n.cfg.Cell.Respond(m, n.id, simnet.ClassControl, answerBytes+len(a.Err), a)
 	}
 }

@@ -502,10 +502,10 @@ func payloadCarriesMarker(payload interface{}) bool {
 // falling back to the cellular network (urgent mode) when the WiFi path is
 // broken. After reportAfterAttempts failures it reports the destination
 // failed — kicking off recovery — and keeps retrying while the region
-// re-points the slot, giving up only past the full retry horizon. The
-// resolution rides the epoch-stamped route cache: a placement change bumps
-// the region epoch, so retries observe re-points without paying the
-// resolver round-trip per attempt.
+// re-points the slot, giving up only past the full retry horizon or when
+// the node stops. The resolution rides the epoch-stamped route cache: a
+// placement change bumps the region epoch, so retries observe re-points
+// without paying the resolver round-trip per attempt.
 func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, class simnet.Class) {
 	gen := atomic.LoadUint64(&n.sendGen)
 	attempts := maxDeliveryAttempts
@@ -516,6 +516,14 @@ func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, c
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			n.clk.Sleep(200 * time.Millisecond)
+			// Stop ends the retries: it waits for the executor, which
+			// must not wait out the horizon toward a dead downstream.
+			// (A timer per retry would allocate on every attempt.)
+			select {
+			case <-n.stopCh:
+				return
+			default:
+			}
 		}
 		if atomic.LoadUint64(&n.sendGen) != gen {
 			// The node restored mid-retry: this payload predates the

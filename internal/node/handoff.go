@@ -1,10 +1,15 @@
 package node
 
 // This file moves a slot's state between phones: the handoff of a departing
-// or migrating node (§III-E), and key ranges of a keyed group.
+// or migrating node (§III-E), and the key ranges a keyed group's split or
+// merge moves between its instances.
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
+	"time"
 
 	"mobistreams/internal/graph"
 	"mobistreams/internal/operator"
@@ -150,13 +155,14 @@ func (n *Node) relay(to simnet.NodeID, class simnet.Class, size int, payload int
 	return false
 }
 
-// The rest of this file is the node half of elastic keyed parallelism:
-// exporting and importing contiguous key ranges of an instance's
-// KeyedState during a live split or merge, and relaying tuples that arrive
-// for a key range this instance no longer owns. The region orchestrates the protocol
-// (pause donor → export → ship → import → flip table → resume); the node
-// supplies the state surgery and keeps the data plane exactly-once while
-// the table flips.
+// The rest of this file is the node half of elastic keyed parallelism. A
+// split or merge runs on the donor instance's phone as one controller
+// command, CmdSplit or CmdMerge, which names the recipient instance's slot
+// and host. The donor pauses, picks the ranges to move from its own
+// state, ships them to the recipient in one request and, once the
+// recipient has imported them, installs the successor partition table
+// before it resumes: no tuple executes against a range its node no longer
+// owns, and tuples queued before the flip reroute to the new owner.
 
 // OperatorByID returns the hosted pipeline's live operator instance, or
 // nil (tests and telemetry probes; not for concurrent state mutation).
@@ -188,156 +194,162 @@ func (n *Node) keyedState() *operator.KeyedState {
 	return nil
 }
 
-// ExportKeyRange serialises and removes the keyed state in [lo, hi) from
-// this instance. The caller must have paused the executor (PauseExec), or
-// the export fails: the store is executor-owned and the removal must be
-// atomic against tuple processing. A nil return with nil error means the
-// operator keeps no keyed state (routing-only split).
-func (n *Node) ExportKeyRange(lo, hi string) ([]byte, error) {
-	p := n.pipe.Load()
-	if p == nil {
-		return nil, fmt.Errorf("node %s: key-range export without a hosted slot", n.id)
-	}
-	if p.keyedGroup == nil {
-		return nil, fmt.Errorf("node %s: slot %s hosts no keyed instance", n.id, p.slot)
-	}
-	if !n.parked() {
-		return nil, fmt.Errorf("node %s: key-range export while the executor runs", n.id)
-	}
-	ks := n.keyedState()
-	if ks == nil {
-		return nil, nil
-	}
-	blob := ks.ExportRange(lo, hi)
-	ks.DeleteRange(lo, hi)
-	// Deletions are invisible to the operator's delta tracker, so a delta
-	// checkpoint built after the export would resurrect the moved keys on
-	// restore. Force the next checkpoint to be a full base blob.
-	n.mu.Lock()
-	n.ckptBase = 0
-	n.ckptChainLen = 0
-	n.mu.Unlock()
-	n.jot("keyed.export", 0, fmt.Sprintf("[%s,%s)", lo, hi))
-	return blob, nil
-}
+// keyRangeWait bounds, in simulated time, how long a donor waits for the
+// recipient's answer to a key-range request.
+const keyRangeWait = 60 * time.Second
 
-// ImportKeyRange merges a shipped key range into this instance's keyed
-// state. The caller must have paused the executor. Nil data is the
-// routing-only case and is a no-op.
-func (n *Node) ImportKeyRange(data []byte) error {
+// moveKeys runs a split (CmdSplit) or merge (CmdMerge) of the hosted keyed
+// instance with the instance on slot c.Slot, hosted by c.Target, and
+// returns why it failed. A split tries the owned ranges from most to
+// fewest resident keys (the range carrying the most state is the best
+// guess at where the load lives) and cuts the first holding two keys or
+// more at its median resident key, the upper half moving; a merge moves
+// every owned range and leaves the donor dormant. The moved state leaves
+// the donor only once the recipient has imported it, so a failure leaves
+// ranges, state and table as they were.
+func (n *Node) moveKeys(c Command) error {
 	p := n.pipe.Load()
-	if p == nil {
-		return fmt.Errorf("node %s: key-range import without a hosted slot", n.id)
+	if p == nil || p.keyedGroup == nil {
+		return fmt.Errorf("node %s: %s without a keyed instance", n.id, c.Op)
 	}
-	if len(data) > 0 {
-		ks := n.keyedState()
-		if ks == nil {
-			return fmt.Errorf("node %s: slot %s has no keyed state to import into", n.id, p.slot)
-		}
-		if err := ks.ImportRange(data); err != nil {
-			return err
+	grp, from, to := p.keyedGroup, p.keyedInst, -1
+	if slot, ok := n.graph.SlotID(c.Slot); ok {
+		to = slices.IndexFunc(p.keyedOps, func(op graph.OpID) bool { return n.graph.OpSlot(op) == slot })
+	}
+	if to < 0 || to == from {
+		return fmt.Errorf("node %s: %s of %s instance %d into slot %q", n.id, c.Op, grp.Logical(), from, c.Slot)
+	}
+	why := "keyed." + c.Op.String()
+	defer n.resume(why)
+	if !n.pause(why, pauseBound) {
+		return fmt.Errorf("node %s: %s: executor did not park", n.id, c.Op)
+	}
+	ks, tbl := n.keyedState(), grp.Table()
+	next, moved, err := tbl.MergeInto(from, to) // a merge moves every owned range
+	if c.Op == CmdSplit {
+		next, err = nil, fmt.Errorf("instance %d has no splittable range", from)
+		if at, ok := medianCut(ks, tbl.OwnedRanges(from)); ok {
+			var rg [2]string
+			next, rg, err = tbl.Split(at, to)
+			moved = [][2]string{rg}
 		}
 	}
-	// Imported keys are likewise invisible to the delta baseline: rebase.
-	n.mu.Lock()
-	n.ckptBase = 0
-	n.ckptChainLen = 0
-	n.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("node %s: %s %s: %w", n.id, c.Op, grp.Logical(), err)
+	}
+	msg := KeyRangeMsg{Logical: grp.Logical(), Ranges: moved}
+	if ks != nil {
+		msg.State = ks.ExportRange(moved...)
+	}
+	if err := n.shipKeys(c.Target, msg); err != nil {
+		return err
+	}
+	if ks != nil {
+		for _, rg := range moved {
+			ks.DeleteRange(rg[0], rg[1])
+		}
+		n.rebaseCheckpoint()
+	}
+	grp.Install(next)
+	n.jot(why, next.Epoch(), fmt.Sprintf("%s %s -> %d", grp.Logical(), rangesString(moved), to))
 	return nil
 }
 
-// KeyRangeMedian returns the median resident key strictly inside [lo, hi)
-// — the cut point a split hands the upper half at. The caller must have
-// paused the executor. ok is false when fewer than two keys reside in the
-// range (nothing to split) or the operator keeps no keyed state.
-func (n *Node) KeyRangeMedian(lo, hi string) (string, bool) {
-	ks := n.keyedState()
+// medianCut returns the median resident key of the first range, from most
+// to fewest resident keys, that holds two keys or more: a cut strictly
+// inside it. ok is false when no range does or there is no keyed state.
+func medianCut(ks *operator.KeyedState, ranges [][2]string) (string, bool) {
 	if ks == nil {
 		return "", false
 	}
-	count := 0
-	ks.Range(lo, hi, func(string, []byte) bool { count++; return true })
-	if count < 2 {
+	keys := make([][]string, len(ranges))
+	for i, rg := range ranges {
+		ks.Range(rg[0], rg[1], func(k string, _ []byte) bool { keys[i] = append(keys[i], k); return true })
+	}
+	slices.SortStableFunc(keys, func(a, b []string) int { return len(b) - len(a) })
+	if len(keys) == 0 || len(keys[0]) < 2 {
 		return "", false
 	}
-	var median string
-	i := 0
-	ks.Range(lo, hi, func(k string, _ []byte) bool {
-		if i == count/2 {
-			median = k
-			return false
+	return keys[0][len(keys[0])/2], true
+}
+
+// shipKeys requests the recipient's import of msg over the region WiFi and
+// waits for its answer.
+func (n *Node) shipKeys(to simnet.NodeID, msg KeyRangeMsg) error {
+	size := max(len(msg.State), 32) // 32: a routing-only control message
+	what := fmt.Sprintf("node %s: key-range ship of %s %s to %s", n.id, msg.Logical, rangesString(msg.Ranges), to)
+	reply := make(chan simnet.Message, 1)
+	if err := n.cfg.WiFi.Request(n.id, to, simnet.ClassTransfer, size, msg, reply); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	n.cfg.Phone.DrainTx(size)
+	t := n.clk.NewTimer(keyRangeWait)
+	defer t.Stop()
+	select {
+	case m := <-reply:
+		if a, _ := m.Payload.(Answer); a.Err != "" {
+			return errors.New(a.Err)
 		}
-		i++
-		return true
-	})
-	// The cut must fall strictly inside the range: a median equal to lo
-	// would produce an empty lower half and an invalid duplicate bound.
-	if median == lo {
-		return "", false
+		return nil
+	case <-t.C():
+		return fmt.Errorf("%s: no answer in %v", what, keyRangeWait)
+	case <-n.stopCh:
+		return fmt.Errorf("%s: node stopped", what)
 	}
-	return median, true
 }
 
-// KeyRangeLen counts the resident keys in [lo, hi) — the split planner's
-// signal for which of a donor's owned ranges carries the most state (and,
-// under per-key load, the most traffic). Zero when the operator keeps no
-// keyed state.
-func (n *Node) KeyRangeLen(lo, hi string) int {
-	ks := n.keyedState()
-	if ks == nil {
-		return 0
-	}
-	count := 0
-	ks.Range(lo, hi, func(string, []byte) bool { count++; return true })
-	return count
-}
-
-// keyRangeLanding is one key-range arrival: how many have arrived so far,
-// and why this one did not import (nil when it did).
-type keyRangeLanding struct {
-	gen uint64
-	err error
-}
-
-// KeyRangeImports reports how many shipped key ranges have arrived at this
-// node and why the latest did not import (nil when it did); the region
-// polls it after shipping a range.
-func (n *Node) KeyRangeImports() (uint64, error) {
-	if l := n.keyRange.Load(); l != nil {
-		return l.gen, l.err
-	}
-	return 0, nil
-}
-
-// SendKeyRange ships an exported key range to the recipient instance's
-// phone over the region WiFi (cellular fallback), charging the transfer
-// like any relay. Returns false when both media fail.
-func (n *Node) SendKeyRange(to simnet.NodeID, m KeyRangeMsg) bool {
-	size := len(m.State)
-	if size == 0 {
-		size = 32 // routing-only control message
-	}
-	return n.relay(to, simnet.ClassTransfer, size, m)
-}
-
-// handleKeyRangeIn lands a shipped key range on the recipient: import
-// under its own executor pause hold (the state store is executor-owned;
-// holds nest, so a recipient the region has paused stays paused), then
-// publish the arrival, with its failure, to the region polling for it.
-func (n *Node) handleKeyRangeIn(m KeyRangeMsg) {
-	rng := fmt.Sprintf("%s [%s,%s)", m.Logical, m.Lo, m.Hi)
-	err := fmt.Errorf("node %s: key-range import of %s: executor did not park", n.id, rng)
-	if n.pause("keyed.import", pauseBound) {
-		if err = n.ImportKeyRange(m.State); err != nil {
-			err = fmt.Errorf("node %s: key-range import of %s: %w", n.id, rng, err)
-		}
-	}
-	n.resume("keyed.import")
-	gen, _ := n.KeyRangeImports()
-	n.keyRange.Store(&keyRangeLanding{gen: gen + 1, err: err})
-	if err == nil {
+// handleKeyRangeIn imports a shipped message on the recipient and answers
+// the donor with why it did not.
+func (n *Node) handleKeyRangeIn(m simnet.Message, msg KeyRangeMsg) {
+	rng := msg.Logical + " " + rangesString(msg.Ranges)
+	var a Answer
+	if err := n.importKeys(msg.State); err != nil {
+		a.Err = fmt.Sprintf("node %s: key-range import of %s: %v", n.id, rng, err)
+	} else {
 		n.jot("keyed.import", 0, rng)
 	}
+	n.cfg.WiFi.Respond(m, n.id, simnet.ClassTransfer, answerBytes+len(a.Err), a)
+}
+
+// importKeys merges exported keyed state into the hosted instance's store
+// under the node's own executor pause hold (the store is executor-owned;
+// holds nest). ImportRange decodes the whole message before it merges any
+// of it. Nil data is the routing-only case.
+func (n *Node) importKeys(data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
+	ks := n.keyedState()
+	if ks == nil {
+		return errors.New("no keyed state to import into")
+	}
+	defer n.resume("keyed.import")
+	if !n.pause("keyed.import", pauseBound) {
+		return errors.New("executor did not park")
+	}
+	if err := ks.ImportRange(data); err != nil {
+		return err
+	}
+	n.rebaseCheckpoint()
+	return nil
+}
+
+// rebaseCheckpoint makes the next checkpoint a full base blob: keys moved
+// in or out of the store are invisible to the operator's delta tracker, so
+// a delta built on the old base would lose or resurrect them on restore.
+func (n *Node) rebaseCheckpoint() {
+	n.mu.Lock()
+	n.ckptBase, n.ckptChainLen = 0, 0
+	n.mu.Unlock()
+}
+
+// rangesString renders key ranges as "[lo,hi) [lo,hi)".
+func rangesString(ranges [][2]string) string {
+	parts := make([]string, len(ranges))
+	for i, rg := range ranges {
+		parts[i] = "[" + rg[0] + "," + rg[1] + ")"
+	}
+	return strings.Join(parts, " ")
 }
 
 // rerouteToOwner relays a tuple that reached this keyed instance for a

@@ -82,7 +82,7 @@ func (s *lifecycle) String() string {
 //	restore                paused primary or catching-up  restored: catching-up if sink, else primary
 //	fetch-restore          paused primary or catching-up  paused primary
 //	replay                 paused primary or catching-up  unchanged
-//	handoff, migrate       paused primary or catching-up  handed-off, its own pause released
+//	handoff                paused primary or catching-up  handed-off, its own pause released
 //	fail                   any but failed                 failed
 //	stop                   any live state                 stopped
 //
@@ -117,7 +117,7 @@ func (s lifecycle) next(c CommandOp, sink bool, why string) (lifecycle, bool) {
 	case c == CmdFetchRestore:
 		s.role = RolePrimary
 	case c == CmdReplay:
-	case c == CmdHandoff || c == CmdMigrate:
+	case c == CmdHandoff:
 		s = lifecycle{role: roleHandedOff, pauses: s.pauses - 1, target: simnet.NodeID(why)}
 	default:
 		return s, false

@@ -19,7 +19,7 @@ import (
 // A nested pause counts: two holds need two resumes.
 func TestLifecycleTable(t *testing.T) {
 	cmds := []CommandOp{cmdActivate, cmdTransferIn, cmdPromote, CmdPause, CmdResume, cmdReplayEnd,
-		CmdRestore, CmdFetchRestore, CmdReplay, CmdHandoff, CmdMigrate, cmdFail, cmdStop}
+		CmdRestore, CmdFetchRestore, CmdReplay, CmdHandoff, cmdFail, cmdStop}
 	const (
 		pPrim, rPrim, rCatch = "paused primary", "restored primary", "restored catching-up"
 	)
@@ -27,20 +27,20 @@ func TestLifecycleTable(t *testing.T) {
 		from lifecycle
 		want []string // per cmds
 	}{
-		{lifecycle{role: RoleIdle}, []string{"primary", "primary", "-", "paused idle", "-", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: roleHandedOff, target: "x"}, []string{"primary", "primary", "-", "paused handed-off", "-", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: RoleStandby}, []string{"-", "-", "primary", "paused standby", "-", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: RolePrimary}, []string{"-", "-", "-", pPrim, "-", "primary", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: roleCatchingUp}, []string{"-", "-", "-", "paused catching-up", "-", "primary", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: RolePrimary, pauses: 1}, []string{"-", "-", "-", pPrim, "primary", pPrim, rPrim, pPrim, pPrim, "handed-off", "handed-off", "failed", "stopped"}},
-		{lifecycle{role: RolePrimary, pauses: 2}, []string{"-", "-", "-", pPrim, pPrim, pPrim, rPrim, pPrim, pPrim, "paused handed-off", "paused handed-off", "failed", "stopped"}},
-		{lifecycle{role: RoleStandby, pauses: 1}, []string{"-", "-", pPrim, "paused standby", "standby", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: RoleIdle, pauses: 1}, []string{pPrim, pPrim, "-", "paused idle", "idle", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
-		{lifecycle{role: roleCatchingUp, pauses: 1}, []string{"-", "-", "-", "paused catching-up", "catching-up", pPrim, rPrim, pPrim, "paused catching-up", "handed-off", "handed-off", "failed", "stopped"}},
-		{lifecycle{role: RolePrimary, pauses: 1, closed: true}, []string{"-", "-", "-", rPrim, "primary", rPrim, rPrim, rPrim, rPrim, "handed-off", "handed-off", "failed", "stopped"}},
-		{lifecycle{role: RolePrimary, pauses: 2, closed: true}, []string{"-", "-", "-", rPrim, rPrim, rPrim, rPrim, rPrim, rPrim, "paused handed-off", "paused handed-off", "failed", "stopped"}},
-		{lifecycle{role: roleFailed}, []string{"-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-"}},
-		{lifecycle{role: roleStopped}, []string{"-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "failed", "-"}},
+		{lifecycle{role: RoleIdle}, []string{"primary", "primary", "-", "paused idle", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: roleHandedOff, target: "x"}, []string{"primary", "primary", "-", "paused handed-off", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: RoleStandby}, []string{"-", "-", "primary", "paused standby", "-", "-", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: RolePrimary}, []string{"-", "-", "-", pPrim, "-", "primary", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: roleCatchingUp}, []string{"-", "-", "-", "paused catching-up", "-", "primary", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: RolePrimary, pauses: 1}, []string{"-", "-", "-", pPrim, "primary", pPrim, rPrim, pPrim, pPrim, "handed-off", "failed", "stopped"}},
+		{lifecycle{role: RolePrimary, pauses: 2}, []string{"-", "-", "-", pPrim, pPrim, pPrim, rPrim, pPrim, pPrim, "paused handed-off", "failed", "stopped"}},
+		{lifecycle{role: RoleStandby, pauses: 1}, []string{"-", "-", pPrim, "paused standby", "standby", "-", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: RoleIdle, pauses: 1}, []string{pPrim, pPrim, "-", "paused idle", "idle", "-", "-", "-", "-", "-", "failed", "stopped"}},
+		{lifecycle{role: roleCatchingUp, pauses: 1}, []string{"-", "-", "-", "paused catching-up", "catching-up", pPrim, rPrim, pPrim, "paused catching-up", "handed-off", "failed", "stopped"}},
+		{lifecycle{role: RolePrimary, pauses: 1, closed: true}, []string{"-", "-", "-", rPrim, "primary", rPrim, rPrim, rPrim, rPrim, "handed-off", "failed", "stopped"}},
+		{lifecycle{role: RolePrimary, pauses: 2, closed: true}, []string{"-", "-", "-", rPrim, rPrim, rPrim, rPrim, rPrim, rPrim, "paused handed-off", "failed", "stopped"}},
+		{lifecycle{role: roleFailed}, []string{"-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "-"}},
+		{lifecycle{role: roleStopped}, []string{"-", "-", "-", "-", "-", "-", "-", "-", "-", "-", "failed", "-"}},
 	}
 	for _, row := range rows {
 		for i, c := range cmds {
@@ -205,4 +205,36 @@ func journaled(reg *obs.Registry, kind string) bool {
 		}
 	}
 	return false
+}
+
+// Stop ends a delivery that is retrying toward a dead downstream: a node
+// whose downstream endpoint is sealed stops within one retry interval, not
+// after the rest of the retry horizon (~5 s simulated).
+func TestStopEndsDeliveryRetries(t *testing.T) {
+	clk := clock.NewScaled(10)
+	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 1e12})
+	tx, rx := simnet.NewEndpoint("tx", 64), simnet.NewEndpoint("rx", 64)
+	w.Join(tx)
+	w.Join(rx)
+	rx.Seal()
+	n := edgeNode("up", Config{ID: "tx", Scheme: ft.BaseScheme, Clock: clk, WiFi: w, Endpoint: tx,
+		Resolver: mapResolver{"down": "rx"}, QoS: QoS{MaxBatchMsgs: 1}})
+	n.Start()
+	n.IngestExternal(opOf("src"), &tuple.Tuple{Seq: 1, Size: 100})
+	// The executor has failed reportAfterAttempts attempts and retries on.
+	retrying := func() bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.unreachable["rx"]
+	}
+	for deadline := time.Now().Add(10 * time.Second); !retrying(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the delivery never failed")
+		}
+	}
+	start := clk.Now()
+	n.Stop()
+	if took := clk.Now() - start; took > time.Second {
+		t.Fatalf("Stop took %v simulated behind a delivery to a sealed endpoint, want under %v", took, time.Second)
+	}
 }

@@ -78,13 +78,13 @@ type transferMsg struct {
 	Pending []streamMsg
 }
 
-// KeyRangeMsg ships one keyed group's [Lo,Hi) partition-state from a donor
-// instance to a recipient during a live split or merge. State carries the
-// KeyedState.ExportRange framing (nil for routing-only groups whose
-// operator keeps no keyed state).
+// KeyRangeMsg ships the [lo,hi) ranges a split or merge moves from a keyed
+// group's donor instance to the recipient, state included, as one request
+// the recipient answers. State carries the KeyedState.ExportRange framing
+// (nil for routing-only groups whose operator keeps no keyed state).
 type KeyRangeMsg struct {
 	Logical string
-	Lo, Hi  string
+	Ranges  [][2]string
 	State   []byte
 }
 
@@ -114,8 +114,18 @@ type Command struct {
 	Op      CommandOp
 	Version uint64
 	Epoch   uint64
-	Target  simnet.NodeID // handoff destination / fetch peer
+	Target  simnet.NodeID // handoff destination / fetch peer / split or merge recipient
 	Slot    string
+}
+
+// Answer is a node's reply to a request. A ping's carries the host's
+// load, two 8-byte counters: its queued stream items and the data tuples
+// it has executed. A split's or merge's, and a key-range import's, carry
+// why it failed, empty when it did not.
+type Answer struct {
+	Backlog   int
+	Processed uint64
+	Err       string
 }
 
 // CommandOp enumerates controller commands.
@@ -149,9 +159,11 @@ const (
 	CmdFetchRestore
 	// CmdPing is the controller liveness probe (§III-D).
 	CmdPing
-	// CmdMigrate makes a still-healthy node transfer its slot to Target
-	// over the region WiFi — the placement planner's live migration.
-	CmdMigrate
+	// CmdSplit makes a keyed instance hand the upper half of its most
+	// populated range to the instance on Slot, hosted by Target; CmdMerge
+	// makes it hand over every range it owns and go dormant.
+	CmdSplit
+	CmdMerge
 	// The node's own lifecycle commands (lifecycle.go), never sent.
 	cmdActivate
 	cmdTransferIn
@@ -162,7 +174,7 @@ const (
 
 var cmdNames = [...]string{"token", "snapshot", "commit", "pause", "resume",
 	"restore", "replay", "promote", "handoff", "fetch-restore", "ping",
-	"migrate", "activate", "transfer-in", "replay-end", "fail", "stop"}
+	"split", "merge", "activate", "transfer-in", "replay-end", "fail", "stop"}
 
 func (c CommandOp) String() string {
 	if int(c) < len(cmdNames) {

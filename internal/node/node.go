@@ -172,10 +172,6 @@ type Node struct {
 	// processed counts executed data tuples (telemetry: the elastic
 	// decision's per-instance tuple rate). Read atomically off the executor.
 	processed uint64
-	// keyRange is the latest key-range arrival (split/merge state): the
-	// region polls it to learn that a shipped range has landed, or failed
-	// to, before flipping the partition table or rolling back.
-	keyRange atomic.Pointer[keyRangeLanding]
 
 	// obsReg/tracer/journal mirror cfg.Obs and batchSizes is its batch
 	// family (all nil when obs is off).

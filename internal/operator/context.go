@@ -173,11 +173,18 @@ func (ks *KeyedState) rangeSize(lo, hi string) int {
 	return size
 }
 
-// ExportRange serialises the keys in [lo, hi) with the same deterministic
-// framing as encode. The result feeds ImportRange on the receiving
-// instance of a key-range split or merge.
-func (ks *KeyedState) ExportRange(lo, hi string) []byte {
-	return ks.encodeKeys(ks.rangeKeys(lo, hi), ks.rangeSize(lo, hi))
+// ExportRange serialises the keys in the given [lo, hi) ranges, which must
+// not overlap, with the same deterministic framing as encode. The result
+// feeds ImportRange on the receiving instance of a key-range split or
+// merge, which takes every range at once or none.
+func (ks *KeyedState) ExportRange(ranges ...[2]string) []byte {
+	var keys []string
+	size := 8
+	for _, rg := range ranges {
+		keys = append(keys, ks.rangeKeys(rg[0], rg[1])...)
+		size += ks.rangeSize(rg[0], rg[1]) - 8
+	}
+	return ks.encodeKeys(keys, size)
 }
 
 // ImportRange merges entries produced by ExportRange (or encode) into the

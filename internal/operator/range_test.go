@@ -75,7 +75,7 @@ func TestKeyedStateRangeEmptyStore(t *testing.T) {
 
 func TestKeyedStateExportImportDeleteRange(t *testing.T) {
 	ks := rangeFixture()
-	blob := ks.ExportRange("b", "n") // b, c, m
+	blob := ks.ExportRange([2]string{"b", "n"}) // b, c, m
 
 	// Export framing matches encode framing: a store holding exactly the
 	// range decodes it and round-trips to the same bytes.
@@ -88,6 +88,13 @@ func TestKeyedStateExportImportDeleteRange(t *testing.T) {
 	}
 	if !bytes.Equal(sub.encode(), blob) {
 		t.Fatal("ExportRange framing differs from Encode framing")
+	}
+	// Several ranges export as one message.
+	if err := sub.decode(ks.ExportRange([2]string{"", "b"}, [2]string{"m", ""})); err != nil {
+		t.Fatalf("decode exported ranges: %v", err)
+	}
+	if got := sub.keys(); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
+		t.Fatalf("keys exported from two ranges: %v", got)
 	}
 
 	if n := ks.DeleteRange("b", "n"); n != 3 {
@@ -122,7 +129,7 @@ func TestKeyedStateRangeSize(t *testing.T) {
 	if got, want := ks.rangeSize("", ""), ks.size(); got != want {
 		t.Fatalf("unbounded RangeSize %d != Size %d", got, want)
 	}
-	if got, want := ks.rangeSize("b", "n"), len(ks.ExportRange("b", "n")); got != want {
+	if got, want := ks.rangeSize("b", "n"), len(ks.ExportRange([2]string{"b", "n"})); got != want {
 		t.Fatalf("RangeSize %d != len(ExportRange) %d", got, want)
 	}
 	if got := ks.rangeSize("x", "y"); got != 8 {

@@ -1,6 +1,7 @@
 package region_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -52,6 +53,7 @@ func keyedRegistry() operator.Registry {
 
 type keyedHarness struct {
 	clk  *clock.Scaled
+	cell *simnet.Cellular
 	ctrl *controller.Controller
 	r    *region.Region
 	seq  int
@@ -108,7 +110,38 @@ func newKeyedHarnessWith(t testing.TB, reg operator.Registry) *keyedHarness {
 		r.Stop()
 		ctrl.Stop()
 	})
-	return &keyedHarness{clk: clk, ctrl: ctrl, r: r}
+	return &keyedHarness{clk: clk, cell: cell, ctrl: ctrl, r: r}
+}
+
+// ask sends msg to phone over cellular, as the controller's executor
+// would, and returns the error its answer carries.
+func (h *keyedHarness) ask(t testing.TB, to simnet.NodeID, class simnet.Class, msg any) error {
+	t.Helper()
+	reply := make(chan simnet.Message, 1)
+	if err := h.cell.Request(h.ctrl.ID(), to, class, 64, msg, reply); err != nil {
+		t.Fatalf("send to %s: %v", to, err)
+	}
+	select {
+	case m := <-reply:
+		if a := m.Payload.(node.Answer); a.Err != "" {
+			return errors.New(a.Err)
+		}
+		return nil
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s never answered", to)
+		return nil
+	}
+}
+
+// moveKeys sends a split or merge of instance from into instance to
+// straight to the donor's host, not through the controller's executor,
+// so it can interleave with a job the executor runs.
+func (h *keyedHarness) moveKeys(t testing.TB, op node.CommandOp, from, to int) error {
+	t.Helper()
+	donor, _ := h.r.Placement(fmt.Sprintf("kt#%d", from))
+	slot := fmt.Sprintf("kt#%d", to)
+	recip, _ := h.r.Placement(slot)
+	return h.ask(t, donor, simnet.ClassControl, node.Command{Op: op, Target: recip, Slot: slot})
 }
 
 // keyedKeys is the test keyspace: 20 single-letter keys straddling the
@@ -200,7 +233,7 @@ func TestKeyedRoutingSplitMergeLive(t *testing.T) {
 	if insts := grp.Table().Instances(); len(insts) != 2 {
 		t.Fatalf("active instances = %v, want 2", insts)
 	}
-	if err := h.r.SplitInstance("tally", 0, 2); err != nil {
+	if err := h.moveKeys(t, node.CmdSplit, 0, 2); err != nil {
 		t.Fatalf("split: %v", err)
 	}
 	if insts := grp.Table().Instances(); len(insts) != 3 {
@@ -213,7 +246,7 @@ func TestKeyedRoutingSplitMergeLive(t *testing.T) {
 	}
 	h.checkTotals(t, 4)
 
-	if err := h.r.MergeKeyRange("tally", 2, 0); err != nil {
+	if err := h.moveKeys(t, node.CmdMerge, 2, 0); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	if insts := grp.Table().Instances(); len(insts) != 2 {
@@ -244,7 +277,7 @@ func TestKeyRangeImportFailureIsReported(t *testing.T) {
 		t.Fatalf("outputs = %d, want 40", got)
 	}
 	grp, _ := h.r.KeyedGroup("tally")
-	err := h.r.SplitInstance("tally", 0, 2)
+	err := h.moveKeys(t, node.CmdSplit, 0, 2)
 	if err == nil || !strings.Contains(err.Error(), "no keyed state to import into") {
 		t.Fatalf("split into a recipient that cannot import: %v", err)
 	}
@@ -254,24 +287,57 @@ func TestKeyRangeImportFailureIsReported(t *testing.T) {
 	donor := h.tally(t, 0)
 	for _, k := range keyedKeys() {
 		if grp.Owner(k) == 0 && donor.Count(k) != 2 {
-			t.Fatalf("key %q: donor count = %d after the rollback, want 2", k, donor.Count(k))
+			t.Fatalf("key %q: donor count = %d after the failed split, want 2", k, donor.Count(k))
 		}
 	}
 
 	recipID, _ := h.r.Placement("kt#1")
-	donorID, _ := h.r.Placement("kt#0")
-	recip := h.r.Node(recipID)
-	before, _ := recip.KeyRangeImports()
-	h.r.Node(donorID).SendKeyRange(recipID, node.KeyRangeMsg{Logical: "tally", Lo: "a", Hi: "b", State: []byte{0xff, 0xff, 0xff}})
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if gen, err := recip.KeyRangeImports(); gen != before {
-			if err == nil || !strings.Contains(err.Error(), "key-range import of tally [a,b)") {
-				t.Fatalf("corrupt range imported or misreported: %v", err)
-			}
-			return
+	corrupt := node.KeyRangeMsg{Logical: "tally", Ranges: [][2]string{{"a", "b"}}, State: []byte{0xff, 0xff, 0xff}}
+	err = h.ask(t, recipID, simnet.ClassTransfer, corrupt)
+	if err == nil || !strings.Contains(err.Error(), "key-range import of tally [a,b)") {
+		t.Fatalf("corrupt range imported or misreported: %v", err)
+	}
+}
+
+// A merge moves every range its donor owns in one message, which the
+// recipient imports whole or not at all: a recipient that cannot import
+// leaves both of the donor's ranges, and their state, at the donor, and
+// the table as it was.
+func TestKeyedMergeOfTwoRangesFailsWhole(t *testing.T) {
+	reg := keyedRegistry()
+	reg["tally#2"] = func() operator.Operator { return operator.NewPassthrough("tally#2") }
+	h := newKeyedHarnessWith(t, reg)
+	// [,g) and [n,) go to instance 0, [g,n) to instance 1.
+	if err := h.r.SeedKeyRanges("tally", []string{"g", "n"}); err != nil {
+		t.Fatal(err)
+	}
+	grp, _ := h.r.KeyedGroup("tally")
+	before := grp.Table()
+	if owned := before.OwnedRanges(0); len(owned) != 2 {
+		t.Fatalf("instance 0 owns %v, want two ranges", owned)
+	}
+	h.ingestRound()
+	if got := h.waitCount(t, 40, 10*time.Second); got != 40 {
+		t.Fatalf("outputs = %d, want 40", got)
+	}
+	err := h.moveKeys(t, node.CmdMerge, 0, 2)
+	if err == nil || !strings.Contains(err.Error(), "no keyed state to import into") {
+		t.Fatalf("merge into a recipient that cannot import: %v", err)
+	}
+	if grp.Table() != before {
+		t.Fatalf("a failed merge installed %v over %v", grp.Table(), before)
+	}
+	// Both ranges keep counting where they were.
+	h.ingestRound()
+	if got := h.waitCount(t, 80, 10*time.Second); got != 80 {
+		t.Fatalf("outputs after the failed merge = %d, want 80", got)
+	}
+	tallies := []*operator.KeyedTally{h.tally(t, 0), h.tally(t, 1)}
+	for _, k := range keyedKeys() {
+		if got := tallies[grp.Owner(k)].Count(k); got != 4 {
+			t.Fatalf("key %q: count at instance %d = %d after the failed merge, want 4", k, grp.Owner(k), got)
 		}
 	}
-	t.Fatal("corrupt range never reported")
 }
 
 // ingestBackground streams two rounds from a goroutine so an elastic
@@ -315,7 +381,7 @@ func TestKeyedSplitDuringCheckpointExactlyOnce(t *testing.T) {
 
 	done := h.ingestBackground()
 	v := h.ctrl.TriggerCheckpoint("r1")
-	if err := h.r.SplitInstance("tally", 0, 2); err != nil {
+	if err := h.moveKeys(t, node.CmdSplit, 0, 2); err != nil {
 		t.Fatalf("split during checkpoint: %v", err)
 	}
 	<-done
@@ -348,7 +414,7 @@ func TestKeyedMergeDuringMigrationExactlyOnce(t *testing.T) {
 
 	done := h.ingestBackground()
 	migrated := h.ctrl.Migrate("r1", "s2", "r1/p7")
-	err := h.r.MergeKeyRange("tally", 1, 0)
+	err := h.moveKeys(t, node.CmdMerge, 1, 0)
 	<-done
 	if !migrated {
 		t.Fatal("migration s2 -> p6 failed")

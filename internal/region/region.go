@@ -98,8 +98,6 @@ type Region struct {
 	// the graph shares these pointers, so installing a successor table
 	// flips routing everywhere at once.
 	keyed map[string]*keyed.Group
-	// splitMu serialises split/merge reconfigurations per region.
-	splitMu sync.Mutex
 
 	mu sync.Mutex
 	// phones are physical devices, keyed by phone ID. nodes/endpoints/
