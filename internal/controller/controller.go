@@ -81,6 +81,15 @@ type managed struct {
 	pendingHolders map[string][]simnet.NodeID
 	holders        map[string][]simnet.NodeID
 	catchUpDone    map[uint64]int
+	// routes is the region's placement, and the one record of it: each
+	// slot's primary and rep-2 standby endpoint, as the table last
+	// installed on the nodes (place). idle is the idle pool in the order
+	// plans take phones from it; known are the phones the record has
+	// seen, so a phone recruited since joins idle when the pool is next
+	// read.
+	routes *node.Routes
+	idle   []simnet.NodeID
+	known  map[simnet.NodeID]bool
 	// failedSeen maps each phone a ping or report showed failed to the
 	// version committed then. Recovery plans know no other failures.
 	failedSeen map[simnet.NodeID]uint64
@@ -150,8 +159,12 @@ func (c *Controller) ID() simnet.NodeID { return selfID }
 // AddRegion registers a region; the controller starts coordinating it when
 // Start runs. A region added after Start is never pinged or checkpointed.
 func (c *Controller) AddRegion(r *region.Region) {
+	routes, idle := r.Founding()
 	m := &managed{
 		r:           r,
+		routes:      routes,
+		idle:        idle,
+		known:       make(map[simnet.NodeID]bool),
 		catchUpDone: make(map[uint64]int),
 		failedSeen:  make(map[simnet.NodeID]uint64),
 		spares:      make(map[simnet.NodeID]bool),
@@ -160,6 +173,9 @@ func (c *Controller) AddRegion(r *region.Region) {
 		elastic:     newElastic(),
 		jobs:        make(chan func(), 256),
 		restored:    make(chan node.Report, 64),
+	}
+	for _, id := range r.Members() {
+		m.known[id] = true
 	}
 	c.mu.Lock()
 	c.regions[r.ID()] = m
@@ -330,11 +346,11 @@ func (c *Controller) startCheckpoint(m *managed) uint64 {
 	case scheme.UsesTokens():
 		op, slots = node.CmdToken, m.r.Graph().SourceSlots()
 	case scheme.PeriodicSnapshot():
-		op, slots = node.CmdSnapshot, m.r.ActiveSlots()
+		op, slots = node.CmdSnapshot, m.r.Graph().Slots()
 	}
 	var to []simnet.NodeID
 	for _, slot := range slots {
-		if pid, ok := m.r.Placement(slot); ok {
+		if pid, ok := m.host(slot); ok {
 			to = append(to, pid)
 		}
 	}
@@ -355,8 +371,8 @@ type pinged struct {
 func (c *Controller) startPings(m *managed, round []pinged) ([]pinged, chan simnet.Message) {
 	var hosts []simnet.NodeID
 	var pings []node.Command
-	for _, slot := range m.r.ActiveSlots() {
-		if host, ok := m.r.Placement(slot); ok {
+	for _, slot := range m.r.Graph().Slots() {
+		if host, ok := m.host(slot); ok {
 			round = append(round, pinged{slot, host})
 			hosts = append(hosts, host)
 			pings = append(pings, node.Command{Op: node.CmdPing, Slot: slot})
@@ -380,7 +396,7 @@ func (c *Controller) judgePings(m *managed, round []pinged, reply chan simnet.Me
 		}
 	}
 	for _, p := range round {
-		if cur, ok := m.r.Placement(p.slot); ok && cur == p.host {
+		if cur, ok := m.host(p.slot); ok && cur == p.host {
 			c.noteFailure(m, p.host)
 		}
 	}

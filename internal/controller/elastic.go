@@ -222,7 +222,7 @@ func (c *Controller) instanceStats(m *managed, gs graph.KeyedGroupSpec) []instan
 	var hosts []simnet.NodeID
 	var pings []node.Command
 	for _, slot := range gs.Slots {
-		host, _ := m.r.Placement(slot)
+		host, _ := m.host(slot)
 		hosts = append(hosts, host)
 		pings = append(pings, node.Command{Op: node.CmdPing, Slot: slot})
 	}

@@ -165,7 +165,8 @@ func TestCooldownUnification(t *testing.T) {
 	}
 
 	// 1. The executor migrates dormant instance 1's slot, charging it.
-	if !c.Migrate("r1", gs.Slots[1], r.IdlePhones()[0]) {
+	_, idle := r.Founding()
+	if !c.Migrate("r1", gs.Slots[1], idle[0]) {
 		t.Fatal("migrate failed")
 	}
 	migratedAt := m.cool[gs.Slots[1]]

@@ -134,7 +134,10 @@ func (c *Controller) placementTick(m *managed) {
 	if !m.transferable() {
 		return
 	}
-	snap := m.r.PlacementSnapshot(m.spares)
+	m.mu.Lock()
+	idle := slices.Clone(m.idleLocked())
+	m.mu.Unlock()
+	snap := m.r.PlacementSnapshot(m.assignments(), idle, m.spares)
 	c.runPlan(m, m.cool.hold(c.engine.Plan(snap), snap.Now))
 }
 
@@ -205,7 +208,7 @@ func (c *Controller) runPlan(m *managed, plan *placement.Plan) (placement.Step, 
 func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 	switch st.Kind {
 	case placement.StepReserve:
-		if !m.r.ClaimIdle(st.To) {
+		if !m.claim(st.To) {
 			return false, ""
 		}
 		m.spares[st.To] = true
@@ -217,7 +220,7 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		held := m.spares[st.To]
 		delete(m.spares, st.To)
 		if held {
-			m.r.ReleaseToIdle(st.To)
+			m.release(st.To)
 		}
 		return held, ""
 	case placement.StepMigrate, placement.StepHandoff:
@@ -230,11 +233,17 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 	case placement.StepSplit, placement.StepMerge:
 		return c.moveKeys(m, st)
 	case placement.StepActivate:
-		if !m.r.ClaimIdle(st.To) {
+		if !m.claim(st.To) {
 			return false, ""
 		}
 		c.warm(m, st.To)
-		m.r.ActivateReplacement(st.To, st.Slot)
+		// A replacement that failed unnoticed does not answer: the step
+		// fails and the recovery replans without it.
+		if !c.ask([]simnet.NodeID{st.To}, node.Command{Op: node.CmdActivate, Slot: st.Slot}, c.cfg.PingTimeout) {
+			return false, ""
+		}
+		m.r.Jot("replace.activate", st.Slot, 0, string(st.To))
+		c.place(m, st.Slot, st.To)
 		return true, ""
 	case placement.StepPause:
 		return c.ask(st.Phones, node.Command{Op: node.CmdPause}, 10*time.Second), ""
@@ -266,7 +275,15 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		c.fanOut(st.Phones, nil, node.Command{Op: node.CmdReplay, Version: st.Version, Epoch: st.Epoch})
 		return true, ""
 	case placement.StepPromote:
-		return m.r.PromoteStandby(st.Slot) != nil, ""
+		s, _ := m.r.Graph().SlotID(st.Slot)
+		m.mu.Lock()
+		sid := m.routes.Standby[s]
+		m.mu.Unlock()
+		if sid == "" || !c.ask([]simnet.NodeID{sid}, node.Command{Op: node.CmdPromote}, c.cfg.PingTimeout) {
+			return false, ""
+		}
+		c.place(m, st.Slot, sid)
+		return true, ""
 	case placement.StepKill:
 		// The region stops and is bypassed (§III-D: its upstream and
 		// downstream neighbours connect directly). Its nodes stop after
@@ -282,10 +299,114 @@ func (c *Controller) execStep(m *managed, st placement.Step) (bool, string) {
 		}()
 		return true, ""
 	case placement.StepUnregister:
-		m.r.Unregister(st.From)
+		m.unregister(st.From)
 		return true, ""
 	}
 	return false, ""
+}
+
+// place points slot's primary at id in the record (when id was the
+// slot's standby, the slot has none after) and installs the new table:
+// one fan-out of one boxed command to every member and every endpoint the
+// table names, less the phones noted failed. Senders parked on their old
+// table deliver on it.
+func (c *Controller) place(m *managed, slot string, id simnet.NodeID) {
+	s, _ := m.r.Graph().SlotID(slot)
+	m.mu.Lock()
+	t := &node.Routes{Version: m.routes.Version + 1,
+		Primary: slices.Clone(m.routes.Primary), Standby: slices.Clone(m.routes.Standby)}
+	t.Primary[s] = id
+	if t.Standby[s] == id {
+		t.Standby[s] = ""
+	}
+	m.routes = t
+	to := m.r.Members()
+	for _, ids := range [][]simnet.NodeID{t.Primary, t.Standby} {
+		for _, ep := range ids {
+			if ep != "" && !slices.Contains(to, ep) {
+				to = append(to, ep)
+			}
+		}
+	}
+	to = slices.DeleteFunc(to, m.noted)
+	m.mu.Unlock()
+	m.r.Jot("place.set", slot, t.Version, string(id))
+	c.fanOut(to, nil, node.Command{Op: node.CmdRoutes, Routes: t})
+}
+
+// host returns the endpoint hosting slot's primary in the record.
+func (m *managed) host(slot string) (simnet.NodeID, bool) {
+	s, ok := m.r.Graph().SlotID(slot)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !ok || m.routes.Primary[s] == "" {
+		return "", false
+	}
+	return m.routes.Primary[s], true
+}
+
+// hosting reports whether id hosts a slot's primary in the record.
+func (m *managed) hosting(id simnet.NodeID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Contains(m.routes.Primary, id)
+}
+
+// assignments lists the record's slot→primary assignment, by slot.
+func (m *managed) assignments() []placement.Assignment {
+	g := m.r.Graph()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []placement.Assignment
+	for _, slot := range g.Slots() {
+		if s, _ := g.SlotID(slot); m.routes.Primary[s] != "" {
+			out = append(out, placement.Assignment{Slot: slot, Phone: m.routes.Primary[s]})
+		}
+	}
+	return out
+}
+
+// idleLocked returns the idle pool, first adding the members the record
+// has not seen: phones recruited since. Caller holds m.mu.
+func (m *managed) idleLocked() []simnet.NodeID {
+	for _, id := range m.r.Members() {
+		if !m.known[id] {
+			m.known[id] = true
+			m.idle = append(m.idle, id)
+		}
+	}
+	return m.idle
+}
+
+// claim takes id out of the idle pool, false when it is not in it. A
+// phone that failed unnoticed is claimed: the step that uses it finds
+// out, as its command goes unanswered.
+func (m *managed) claim(id simnet.NodeID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.Index(m.idleLocked(), id)
+	if i >= 0 {
+		m.idle = slices.Delete(m.idle, i, i+1)
+	}
+	return i >= 0
+}
+
+// release returns id to the idle pool (an abandoned migration target, a
+// spare let go, a healthy phone a manual migration vacated).
+func (m *managed) release(id simnet.NodeID) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !slices.Contains(m.idleLocked(), id) {
+		m.idle = append(m.idle, id)
+	}
+}
+
+// unregister removes a departed phone from the region and the idle pool.
+func (m *managed) unregister(id simnet.NodeID) {
+	m.r.Unregister(id)
+	m.mu.Lock()
+	m.idle = slices.DeleteFunc(m.idle, func(cand simnet.NodeID) bool { return cand == id })
+	m.mu.Unlock()
 }
 
 // warm ships operator code to a phone that has none yet (§III-A).
@@ -332,14 +453,14 @@ func (c *Controller) awaitRestored(m *managed, ids []simnet.NodeID, v uint64, ti
 // source ships over the region WiFi, and over cellular once it has left
 // it, which is slower). It claims the target unless it is a warm
 // spare, ships code unless the target has it, orders the transfer, awaits
-// the restore report, then repoints placement; the vacated host relays
-// stragglers until senders see the new placement.
+// the restore report, then repoints placement and installs the new route
+// table; the vacated host relays stragglers until senders have it.
 func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
-	if cur, ok := m.r.Placement(st.Slot); !ok || cur != st.From {
+	if cur, ok := m.host(st.Slot); !ok || cur != st.From {
 		return false, "" // placement changed under the plan
 	}
 	preclaimed := m.spares[st.To]
-	if !preclaimed && !m.r.ClaimIdle(st.To) {
+	if !preclaimed && !m.claim(st.To) {
 		return false, ""
 	}
 	delete(m.spares, st.To)
@@ -358,28 +479,28 @@ func (c *Controller) moveSlot(m *managed, st placement.Step) (bool, string) {
 		ping := node.Command{Op: node.CmdPing, Slot: st.Slot}
 		switch {
 		case said == "" && c.ask([]simnet.NodeID{st.To}, ping, c.cfg.PingTimeout): // landed; only the report was lost
-			m.r.SetPlacement(st.Slot, st.To)
+			c.place(m, st.Slot, st.To)
 		case said == "" && c.ask([]simnet.NodeID{st.From}, ping, c.cfg.PingTimeout): // never started: the target goes back to its pool
 			if preclaimed {
 				m.spares[st.To] = true
 			} else {
-				m.r.ReleaseToIdle(st.To)
+				m.release(st.To)
 			}
 		case c.stopped(): // Stop cut the question short: placement stays
 		default: // lost in flight or refused: recovery rebuilds the dark slot
-			m.r.SetPlacement(st.Slot, st.To)
+			c.place(m, st.Slot, st.To)
 			c.noteFailure(m, st.To)
 		}
 		return false, said
 	}
-	m.r.SetPlacement(st.Slot, st.To)
+	c.place(m, st.Slot, st.To)
 	if st.Kind == placement.StepHandoff {
 		return true, ""
 	}
 	// A manual migration returns the healthy source to the idle pool once
 	// it hosts nothing; planned sources are dying or leaving.
-	if st.Reason == "manual" && len(m.r.SlotsOn(st.From)) == 0 {
-		m.r.ReleaseToIdle(st.From)
+	if st.Reason == "manual" && !m.hosting(st.From) {
+		m.release(st.From)
 	}
 	m.r.NoteMigration()
 	m.mu.Lock()
@@ -400,8 +521,8 @@ func (c *Controller) moveKeys(m *managed, st placement.Step) (bool, string) {
 	donor, recip := gs.Slots[st.Donor], gs.Slots[st.Recipient]
 	now := c.clk.Now()
 	m.cool[donor], m.cool[recip] = now, now
-	from, _ := m.r.Placement(donor)
-	to, _ := m.r.Placement(recip)
+	from, _ := m.host(donor)
+	to, _ := m.host(recip)
 	op := node.CmdSplit
 	if st.Kind == placement.StepMerge {
 		op = node.CmdMerge
@@ -419,7 +540,7 @@ func (c *Controller) moveKeys(m *managed, st placement.Step) (bool, string) {
 // it works under every scheme.
 func (c *Controller) Migrate(regionID, slot string, to simnet.NodeID) bool {
 	return call(c, regionID, func(m *managed) bool {
-		from, ok := m.r.Placement(slot)
+		from, ok := m.host(slot)
 		if !ok || !m.transferable() {
 			return false
 		}

@@ -197,7 +197,7 @@ func TestMigrateInstallFailureJournalsFailedStep(t *testing.T) {
 		"src": func() operator.Operator { return operator.NewPassthrough("src") },
 		"out": func() operator.Operator { return &rejecting{Base: operator.Base{Name: "out"}} },
 	}, 4, 0)
-	idle := r.IdlePhones()
+	_, idle := r.Founding()
 	if len(idle) < 2 {
 		t.Fatalf("idle phones = %v, want 2", idle)
 	}

@@ -66,7 +66,7 @@ func (c *Controller) onCheckpointProgress(m *managed, rep node.Report, persisted
 		m.pendingHolders[rep.Slot] = rep.Holders
 	}
 	m.progress[rep.Slot] |= bit
-	for _, s := range m.r.ActiveSlots() {
+	for _, s := range m.r.Graph().Slots() {
 		if m.progress[s] != 3 {
 			m.mu.Unlock()
 			return
@@ -177,13 +177,10 @@ func (c *Controller) snapshot(m *managed, lost []simnet.NodeID) *snapshot {
 		Lost:      lost,
 		Placement: make(map[string]simnet.NodeID),
 		Sources:   r.Graph().SourceSlots(),
-		Idle:      r.IdlePhones(),
 		Holders:   make(map[string][]simnet.NodeID),
 	}
-	for _, slot := range r.ActiveSlots() {
-		if id, ok := r.Placement(slot); ok {
-			s.Placement[slot] = id
-		}
+	for _, a := range m.assignments() {
+		s.Placement[a.Slot] = a.Phone
 	}
 	g := r.Graph()
 	ops, _ := g.TopoOrder() // graph.Build rejected cycles
@@ -206,7 +203,7 @@ func (c *Controller) snapshot(m *managed, lost []simnet.NodeID) *snapshot {
 			s.FailedTotal++
 		}
 	}
-	s.Idle = slices.DeleteFunc(s.Idle, m.noted)
+	s.Idle = slices.DeleteFunc(slices.Clone(m.idleLocked()), m.noted)
 	for _, slot := range s.lostSlots() {
 		s.Holders[slot] = slices.DeleteFunc(slices.Clone(m.holders[slot]), m.noted)
 	}
@@ -223,8 +220,8 @@ func (c *Controller) NotifyDeparture(regionID string, phoneID simnet.NodeID) {
 	m.mu.Lock()
 	m.departures++
 	m.mu.Unlock()
-	if len(m.r.SlotsOn(phoneID)) == 0 {
-		m.r.Unregister(phoneID)
+	if !m.hosting(phoneID) {
+		m.unregister(phoneID)
 		return
 	}
 	if !m.r.Scheme().HandlesDepartures() {

@@ -10,7 +10,7 @@
 // the keyspace.
 //
 // A table is immutable; a Group publishes the current table through an
-// atomic pointer, exactly like the node's epoch-stamped route cache. The
+// atomic pointer, as a node holds its route table. The
 // emit hot path does one atomic load and a binary search over the range
 // bounds — no locks, no allocations — while the control plane (the
 // region's split/merge, run as the controller's elastic plan steps) swaps

@@ -14,17 +14,6 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// mapResolver is a static slot-to-phone map for wiring a sender without a
-// region.
-type mapResolver map[string]simnet.NodeID
-
-func (r mapResolver) Primary(slot string) (simnet.NodeID, bool) {
-	id, ok := r[slot]
-	return id, ok
-}
-
-func (mapResolver) Standby(string) (simnet.NodeID, bool) { return "", false }
-
 // edgeGraph is the one-edge graph the batch and route-cache tests send
 // over: operator src on slot "up" feeds operator op on slot "down".
 var edgeGraph = func() *graph.Graph {
@@ -40,6 +29,15 @@ var edgeGraph = func() *graph.Graph {
 func slotOf(name string) graph.SlotID { return mustSlot(edgeGraph, name) }
 
 func opOf(name string) graph.OpID { return mustOp(edgeGraph, name) }
+
+// edgeRoutes is a version of edgeGraph's route table that places slot
+// "down" on the endpoint down.
+func edgeRoutes(version uint64, down simnet.NodeID) *Routes {
+	t := &Routes{Version: version, Primary: make([]simnet.NodeID, edgeGraph.NumSlotIDs()),
+		Standby: make([]simnet.NodeID, edgeGraph.NumSlotIDs())}
+	t.Primary[slotOf("down")] = down
+	return t
+}
 
 // edgeNode builds a node hosting slot of edgeGraph ("" for an idle node)
 // from cfg, filling in the graph, the slot's operators and defaults for
@@ -76,7 +74,7 @@ func newBatchHarness(t *testing.T, qos QoS) (*Node, *simnet.Endpoint) {
 		Clock:    clk,
 		WiFi:     w,
 		Endpoint: tx,
-		Resolver: mapResolver{"down": "rx"},
+		Routes:   edgeRoutes(1, "rx"),
 		QoS:      qos,
 	})
 	return n, rx
@@ -217,7 +215,7 @@ func TestBatcherObservesStats(t *testing.T) {
 	w.Join(rx)
 	n := edgeNode("up", Config{
 		ID: "tx", Scheme: ft.BaseScheme, Clock: clk,
-		WiFi: w, Endpoint: tx, Resolver: mapResolver{"down": "rx"},
+		WiFi: w, Endpoint: tx, Routes: edgeRoutes(1, "rx"),
 		QoS: QoS{MaxBatchMsgs: 4}, Obs: reg,
 	})
 	for seq := uint64(1); seq <= 8; seq++ {

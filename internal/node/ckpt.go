@@ -455,7 +455,7 @@ func (n *Node) handleCommit(v uint64) {
 func (n *Node) toUpstreams(slot string, send func(up string, target simnet.NodeID)) {
 	for _, up := range n.graph.SlotUpstreams(slot) {
 		id, _ := n.graph.SlotID(up)
-		if target, ok := n.resolvePrimary(id); ok {
+		if target, ok := n.primary(id); ok {
 			send(up, target)
 		}
 	}

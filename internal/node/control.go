@@ -68,6 +68,12 @@ func (n *Node) dispatch(m simnet.Message) {
 			n.recv.OnBlocks(n.rxGrams)
 		}
 	default:
+		// A route table installs here, so no slow control handler holds
+		// up the senders parked on the old one.
+		if c, ok := m.Payload.(Command); ok && c.Op == CmdRoutes {
+			n.installRoutes(c.Routes)
+			return
+		}
 		select {
 		case n.ctrlCh() <- m:
 		case <-n.stopCh:
@@ -141,8 +147,15 @@ func (n *Node) handleCommand(m simnet.Message, c Command) {
 		n.report(n.restore(c.Version))
 	case CmdReplay:
 		n.replayFrom(c.Version, c.Epoch)
-	case cmdPromote:
-		n.Promote()
+	case CmdPromote:
+		// A command the lifecycle refuses is not answered: the step fails.
+		if n.promote() {
+			n.answer(m, Answer{})
+		}
+	case CmdActivate:
+		if n.activate(c.Slot) {
+			n.answer(m, Answer{})
+		}
 	case CmdHandoff:
 		n.handoff(c.Target)
 	case CmdSplit, CmdMerge:

@@ -72,7 +72,7 @@ func TestPreBufDropsJournaledOnce(t *testing.T) {
 	if len(n.preBuf) != preBufLimit || n.preDrops != 1 {
 		t.Fatalf("buffered %d and dropped %d, want %d and 1", len(n.preBuf), n.preDrops, preBufLimit)
 	}
-	n.Activate("down")
+	n.activate("down")
 	var drops []obs.Event
 	for _, e := range reg.Journal.Events() {
 		if e.Kind == "migrate.prebuf_drop" {
@@ -100,7 +100,7 @@ func BenchmarkCrossSlotHop(b *testing.B) {
 	w.Join(rxEP)
 	var out uint64
 	tx := edgeNode("up", Config{ID: "a", Scheme: ft.BaseScheme, Clock: clk, WiFi: w, Endpoint: txEP,
-		Resolver: mapResolver{"down": "b"}, QoS: QoS{MaxBatchMsgs: 16}})
+		Routes: edgeRoutes(1, "b"), QoS: QoS{MaxBatchMsgs: 16}})
 	rx := edgeNode("down", Config{ID: "b", Scheme: ft.BaseScheme, Clock: clk, WiFi: w, Endpoint: rxEP,
 		OnSinkOutput: func(*tuple.Tuple) { out++ }})
 	pt, pr := tx.pipe.Load(), rx.pipe.Load()

@@ -275,7 +275,7 @@ func (n *Node) forwardExternalToStandby(p *pipeline, src graph.OpID, t *tuple.Tu
 		return
 	}
 	seq := n.extFwdSeq.Add(1)
-	standby, ok := n.resolveStandby(p.slotID)
+	standby, ok := n.standby(p.slotID)
 	if !ok {
 		return
 	}
@@ -452,7 +452,7 @@ func (n *Node) sendBatch(toSlot graph.SlotID, b *batchMsg, bytes int, class simn
 	}
 	n.deliverData(toSlot, bytes, b, class)
 	if replica != nil {
-		if standby, ok := n.resolveStandby(toSlot); ok {
+		if standby, ok := n.standby(toSlot); ok {
 			if err := n.cfg.WiFi.Unicast(n.id, standby, simnet.ClassReplication, bytes, replica); err == nil {
 				n.cfg.Phone.DrainTx(bytes)
 			}
@@ -462,107 +462,71 @@ func (n *Node) sendBatch(toSlot graph.SlotID, b *batchMsg, bytes int, class simn
 	}
 }
 
-// reportAfterAttempts failed delivery attempts trigger the failure report
-// that starts controller-side recovery (§III-D); delivery keeps retrying
-// afterwards.
-const reportAfterAttempts = 3
-
-// maxDeliveryAttempts bounds the full retry horizon (~6 s of simulated
-// time at 200 ms per attempt). A coalesced batch carries many tuples, so
-// it must not be dropped wholesale on the first sign of trouble: the
-// resolver is re-consulted every attempt, and once recovery re-points the
-// slot (promotion, replacement) the batch lands at the new primary.
-const maxDeliveryAttempts = 30
-
-// markerDeliveryAttempts is the longer horizon (~60 s simulated) for
-// deliveries carrying an in-band marker. Markers gate the alignment
-// protocols — a dropped token stalls the checkpoint round, and a dropped
-// replay-end marker leaves a suppressing sink wedged forever — so they
-// keep retrying across a recovery window that would exhaust the data
-// horizon.
-const markerDeliveryAttempts = 300
-
-// payloadCarriesMarker reports whether a delivery payload contains an
-// in-band marker (alone or coalesced into a batch).
-func payloadCarriesMarker(payload interface{}) bool {
-	switch p := payload.(type) {
-	case streamMsg:
-		return p.Item.Marker != nil
-	case *batchMsg:
-		for i := range p.Msgs {
-			if p.Msgs[i].Item.Marker != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// deliverData resolves the destination slot's phone and sends reliably,
-// falling back to the cellular network (urgent mode) when the WiFi path is
-// broken. After reportAfterAttempts failures it reports the destination
-// failed — kicking off recovery — and keeps retrying while the region
-// re-points the slot, giving up only past the full retry horizon or when
-// the node stops. The resolution rides the epoch-stamped route cache: a
-// placement change bumps the region epoch, so retries observe re-points
-// without paying the resolver round-trip per attempt.
+// deliverData sends to the destination slot's primary as the node's route
+// table names it, falling back to the cellular network (urgent mode) when
+// the WiFi path is broken. It tries the target once per table: when that
+// fails it reports the target failed once, kicking off recovery (§III-D),
+// journals node.deliver.park once per target and table version, and parks
+// until a newer table is installed, the node stops, or a restore rewinds
+// its output. Nothing is dropped for lack of time.
 func (n *Node) deliverData(toSlot graph.SlotID, size int, payload interface{}, class simnet.Class) {
 	gen := atomic.LoadUint64(&n.sendGen)
-	attempts := maxDeliveryAttempts
-	if payloadCarriesMarker(payload) {
-		attempts = markerDeliveryAttempts
-	}
-	var target simnet.NodeID
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			n.clk.Sleep(200 * time.Millisecond)
-			// Stop ends the retries: it waits for the executor, which
-			// must not wait out the horizon toward a dead downstream.
-			// (A timer per retry would allocate on every attempt.)
-			select {
-			case <-n.stopCh:
-				return
-			default:
-			}
-		}
+	for {
+		rs := n.routes.Load()
 		if atomic.LoadUint64(&n.sendGen) != gen {
-			// The node restored mid-retry: this payload predates the
-			// rewind, and its edge sequences will be re-emitted. A late
-			// stale delivery would poison the receiver's dedup state
-			// against those re-emissions.
+			// The node restored: this payload predates the rewind, and its
+			// edge sequences will be re-emitted. A late stale delivery
+			// would poison the receiver's dedup state against them.
 			return
 		}
-		var ok bool
-		if target, ok = n.resolvePrimary(toSlot); ok {
-			if err := n.cfg.WiFi.Unicast(n.id, target, class, size, payload); err == nil {
-				n.cfg.Phone.DrainTx(size)
-				return
-			}
-			// Urgent mode: detour over the cellular network (§III-E).
-			if n.cfg.Cell != nil && n.cfg.Cell.Attached(target) {
-				if err := n.cfg.Cell.Send(n.id, target, class, size, payload); err == nil {
-					n.cfg.Phone.DrainTx(size)
-					n.mu.Lock()
-					reported := n.urgentReported[toSlot]
-					n.urgentReported[toSlot] = true
-					n.mu.Unlock()
-					if !reported {
-						n.report(Report{Type: repUrgent, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
-					}
-					return
-				}
-			}
+		target, ok := lookup(rs.tbl.Primary, toSlot)
+		if ok && n.sendTo(toSlot, target, size, payload, class) {
+			return
 		}
-		if i == reportAfterAttempts-1 && target != "" {
+		if ok {
 			n.mu.Lock()
-			already := n.unreachable[target]
+			reported := n.unreachable[target]
 			n.unreachable[target] = true
+			parked := n.parkedOn[target] == rs.tbl
+			n.parkedOn[target] = rs.tbl
 			n.mu.Unlock()
-			if !already {
+			if !reported {
 				n.report(Report{Type: RepFailure, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
 			}
+			if !parked {
+				n.jot("node.deliver.park", rs.tbl.Version, string(target))
+			}
+		}
+		select {
+		case <-rs.moved:
+		case <-n.stopCh:
+			return
 		}
 	}
+}
+
+// sendTo makes one delivery attempt to target: WiFi, then the cellular
+// detour (§III-E), reporting the first detour per slot.
+func (n *Node) sendTo(toSlot graph.SlotID, target simnet.NodeID, size int, payload interface{}, class simnet.Class) bool {
+	if err := n.cfg.WiFi.Unicast(n.id, target, class, size, payload); err == nil {
+		n.cfg.Phone.DrainTx(size)
+		return true
+	}
+	if n.cfg.Cell == nil || !n.cfg.Cell.Attached(target) {
+		return false
+	}
+	if err := n.cfg.Cell.Send(n.id, target, class, size, payload); err != nil {
+		return false
+	}
+	n.cfg.Phone.DrainTx(size)
+	n.mu.Lock()
+	reported := n.urgentReported[toSlot]
+	n.urgentReported[toSlot] = true
+	n.mu.Unlock()
+	if !reported {
+		n.report(Report{Type: repUrgent, Phone: n.id, Slot: n.graph.SlotName(toSlot), Observed: target})
+	}
+	return true
 }
 
 // sendMarker forwards an in-band marker to every downstream slot.

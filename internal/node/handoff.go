@@ -87,7 +87,7 @@ func (n *Node) handleTransferIn(from simnet.NodeID, msg transferMsg) {
 	if !known {
 		return
 	}
-	if cur, ok := n.resolvePrimary(slot); ok && cur != from && cur != n.id {
+	if cur, ok := n.primary(slot); ok && cur != from && cur != n.id {
 		return
 	}
 	failed := Report{Type: RepRestored, Phone: n.id, Slot: msg.Slot, Version: TransferVersion}
@@ -363,7 +363,7 @@ func (n *Node) rerouteToOwner(p *pipeline, owner int, t *tuple.Tuple) {
 	}
 	inst := p.keyedOps[owner]
 	slot := n.graph.OpSlot(inst)
-	target, ok := n.resolvePrimary(slot)
+	target, ok := n.primary(slot)
 	if !ok {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"mobistreams/internal/graph"
 	"mobistreams/internal/simnet"
 )
 
@@ -101,9 +102,9 @@ func (s lifecycle) next(c CommandOp, sink bool, why string) (lifecycle, bool) {
 	case c == CmdResume && s.pauses > 0:
 		s.pauses--
 		s.closed = s.closed && s.pauses > 0
-	case (c == cmdActivate || c == cmdTransferIn) && (s.role == RoleIdle || s.role == roleHandedOff):
+	case (c == CmdActivate || c == cmdTransferIn) && (s.role == RoleIdle || s.role == roleHandedOff):
 		s.role, s.target = RolePrimary, ""
-	case c == cmdPromote && s.role == RoleStandby:
+	case c == CmdPromote && s.role == RoleStandby:
 		s.role = RolePrimary
 	case c == cmdReplayEnd && hosting:
 		s.role = RolePrimary
@@ -224,6 +225,14 @@ func (n *Node) Fail() {
 // Failed reports whether the node has crashed.
 func (n *Node) Failed() bool { return n.life.Load().role == roleFailed }
 
+// Hosts reports whether the node is live and hosts slot s as its primary
+// (a catching-up sink included). It takes no lock.
+func (n *Node) Hosts(s graph.SlotID) bool {
+	role := n.life.Load().role
+	p := n.pipe.Load()
+	return (role == RolePrimary || role == roleCatchingUp) && p != nil && p.slotID == s
+}
+
 func (n *Node) shutdown(c CommandOp) {
 	n.mu.Lock()
 	n.transitionLocked(c, "")
@@ -290,23 +299,29 @@ func (n *Node) PauseExec() bool { return n.pause("exec", pauseBound) }
 // ResumeExec releases the hold of one PauseExec.
 func (n *Node) ResumeExec() { n.resume("exec") }
 
-// Promote turns a rep-2 standby into the primary: it starts emitting.
-func (n *Node) Promote() {
+// promote turns a rep-2 standby into the primary (CmdPromote): it starts
+// emitting. It reports whether the lifecycle allowed it.
+func (n *Node) promote() bool {
 	n.mu.Lock()
-	ok := n.transitionLocked(cmdPromote, "")
+	ok := n.transitionLocked(CmdPromote, "")
 	n.mu.Unlock()
 	if ok {
 		n.jot("node.promote", 0, "")
 	}
+	return ok
 }
 
-// Activate configures an idle node to host a slot (recovery replacement).
-// The caller (controller) then issues CmdRestore/CmdReplay as needed.
-func (n *Node) Activate(slot string) {
+// activate configures an idle node to host a slot (CmdActivate, a
+// recovery replacement) and reports whether the lifecycle allowed it. The
+// controller then issues CmdRestore/CmdReplay as needed.
+func (n *Node) activate(slot string) bool {
+	if _, ok := n.graph.SlotID(slot); !ok {
+		return false
+	}
 	n.mu.Lock()
-	if !n.transitionLocked(cmdActivate, slot) {
+	if !n.transitionLocked(CmdActivate, slot) {
 		n.mu.Unlock()
-		return
+		return false
 	}
 	n.configureSlot(slot, n.graph.OpsOnSlot(slot))
 	buffered := n.takeEarlyLocked()
@@ -315,6 +330,7 @@ func (n *Node) Activate(slot string) {
 		n.enqueueStream(&buffered[i])
 	}
 	n.cond.Broadcast()
+	return true
 }
 
 // preBufLimit bounds the stream arrivals an incoming replacement buffers

@@ -18,7 +18,7 @@ import (
 // state each legal command leads to, and "-" where the table forbids it.
 // A nested pause counts: two holds need two resumes.
 func TestLifecycleTable(t *testing.T) {
-	cmds := []CommandOp{cmdActivate, cmdTransferIn, cmdPromote, CmdPause, CmdResume, cmdReplayEnd,
+	cmds := []CommandOp{CmdActivate, cmdTransferIn, CmdPromote, CmdPause, CmdResume, cmdReplayEnd,
 		CmdRestore, CmdFetchRestore, CmdReplay, CmdHandoff, cmdFail, cmdStop}
 	const (
 		pPrim, rPrim, rCatch = "paused primary", "restored primary", "restored catching-up"
@@ -207,9 +207,8 @@ func journaled(reg *obs.Registry, kind string) bool {
 	return false
 }
 
-// Stop ends a delivery that is retrying toward a dead downstream: a node
-// whose downstream endpoint is sealed stops within one retry interval, not
-// after the rest of the retry horizon (~5 s simulated).
+// Stop ends a delivery parked toward a dead downstream: a node whose
+// downstream endpoint is sealed stops at once, not when a table moves.
 func TestStopEndsDeliveryRetries(t *testing.T) {
 	clk := clock.NewScaled(10)
 	w := simnet.NewWiFi(clk, simnet.WiFiConfig{BitsPerSecond: 1e12})
@@ -218,10 +217,10 @@ func TestStopEndsDeliveryRetries(t *testing.T) {
 	w.Join(rx)
 	rx.Seal()
 	n := edgeNode("up", Config{ID: "tx", Scheme: ft.BaseScheme, Clock: clk, WiFi: w, Endpoint: tx,
-		Resolver: mapResolver{"down": "rx"}, QoS: QoS{MaxBatchMsgs: 1}})
+		Routes: edgeRoutes(1, "rx"), QoS: QoS{MaxBatchMsgs: 1}})
 	n.Start()
 	n.IngestExternal(opOf("src"), &tuple.Tuple{Seq: 1, Size: 100})
-	// The executor has failed reportAfterAttempts attempts and retries on.
+	// The executor has tried the sealed target once and parked.
 	retrying := func() bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()

@@ -116,6 +116,7 @@ type Command struct {
 	Epoch   uint64
 	Target  simnet.NodeID // handoff destination / fetch peer / split or merge recipient
 	Slot    string
+	Routes  *Routes // CmdRoutes: the table to install
 }
 
 // Answer is a node's reply to a request. A ping's carries the host's
@@ -149,8 +150,9 @@ const (
 	// CmdReplay makes a source slot replay preserved input from Version
 	// and then emit a replay-end marker with Epoch.
 	CmdReplay
-	// cmdPromote promotes a rep-2 standby to primary.
-	cmdPromote
+	// CmdPromote promotes a rep-2 standby to primary; the node answers
+	// once it is one.
+	CmdPromote
 	// CmdHandoff makes a departing node transfer state to Target.
 	CmdHandoff
 	// CmdFetchRestore makes a replacement fetch Version's blob for Slot
@@ -164,8 +166,12 @@ const (
 	// makes it hand over every range it owns and go dormant.
 	CmdSplit
 	CmdMerge
+	// CmdRoutes installs Routes, unless the node holds a newer table.
+	CmdRoutes
+	// CmdActivate makes an idle node host Slot (a recovery replacement);
+	// the node answers once it does.
+	CmdActivate
 	// The node's own lifecycle commands (lifecycle.go), never sent.
-	cmdActivate
 	cmdTransferIn
 	cmdReplayEnd
 	cmdFail
@@ -174,7 +180,7 @@ const (
 
 var cmdNames = [...]string{"token", "snapshot", "commit", "pause", "resume",
 	"restore", "replay", "promote", "handoff", "fetch-restore", "ping",
-	"split", "merge", "activate", "transfer-in", "replay-end", "fail", "stop"}
+	"split", "merge", "routes", "activate", "transfer-in", "replay-end", "fail", "stop"}
 
 func (c CommandOp) String() string {
 	if int(c) < len(cmdNames) {

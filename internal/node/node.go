@@ -12,8 +12,8 @@
 //
 // The steady-state tuple path — queue pop, operator execution, fan-out,
 // cross-slot send — runs against a compiled pipeline (see pipeline.go) and
-// an epoch-stamped route cache (see routecache.go). Queues, routes, the
-// batcher's per-edge state and the route cache are all indexed by the
+// the node's own route table (see routes.go). Queues, routes, the
+// batcher's per-edge state and the route table are all indexed by the
 // graph's dense slot and operator IDs, so the path consults no map; after
 // the single queue handshake under n.mu, the only lock it takes is the
 // batcher's.
@@ -38,15 +38,6 @@ import (
 	"mobistreams/internal/tuple"
 )
 
-// resolver maps slots to the phones currently hosting them. The region
-// owns the placement and updates it during recovery and mobility; nodes
-// resolve on every send (through the epoch-stamped route cache when the
-// resolver also implements epochResolver).
-type resolver interface {
-	Primary(slot string) (simnet.NodeID, bool)
-	Standby(slot string) (simnet.NodeID, bool)
-}
-
 // Config assembles a node.
 type Config struct {
 	// ID is the node's network identity; defaults to Phone.ID. A rep-2
@@ -64,7 +55,10 @@ type Config struct {
 	Cell     *simnet.Cellular
 	Endpoint *simnet.Endpoint
 	Store    *storage.Store
-	Resolver resolver
+	// Routes is the route table the node starts from; the controller
+	// installs every later one by command (CmdRoutes). Nil starts the node
+	// with an empty table: its sends park until one is installed.
+	Routes *Routes
 	// ControllerID is the controller's network identity for reports.
 	ControllerID simnet.NodeID
 	// Peers returns the current region members (minus this phone) for
@@ -118,9 +112,9 @@ type Node struct {
 	// pipe is the compiled data plane for the hosted slot (nil when
 	// idle), swapped atomically on configuration, restore and handoff.
 	pipe atomic.Pointer[pipeline]
-	// routes is the epoch-stamped Primary/Standby cache (routecache.go).
-	routes   atomic.Pointer[routeSnapshot]
-	epochRes epochResolver // non-nil when the resolver supports epochs
+	// routes is the node's route table and its moved signal (routes.go),
+	// swapped only under mu.
+	routes atomic.Pointer[routeState]
 
 	// life is the slot lifecycle state (lifecycle.go), stored only under
 	// mu; the emission gates read it without a lock.
@@ -149,7 +143,10 @@ type Node struct {
 	logVersion     atomic.Uint64
 	hwAt           map[uint64]map[string]uint64
 
-	unreachable     map[simnet.NodeID]bool
+	unreachable map[simnet.NodeID]bool
+	// parkedOn is the table a sender last journaled parking toward each
+	// target on (under mu).
+	parkedOn        map[simnet.NodeID]*Routes
 	urgentReported  map[graph.SlotID]bool
 	chronicReported bool
 	// timerArmed/timerWakeAt track the earliest outstanding timer-wake
@@ -237,6 +234,7 @@ func New(cfg Config) *Node {
 		replaySeen:     make(map[uint64]map[graph.SlotID]bool),
 		hwAt:           make(map[uint64]map[string]uint64),
 		unreachable:    make(map[simnet.NodeID]bool),
+		parkedOn:       make(map[simnet.NodeID]*Routes),
 		urgentReported: make(map[graph.SlotID]bool),
 		persistCh:      make(chan *checkpoint.Blob, 64),
 		stopCh:         make(chan struct{}),
@@ -254,9 +252,10 @@ func New(cfg Config) *Node {
 		n.journal = cfg.Obs.Journal
 		n.batchSizes = cfg.Obs.Hist(obs.BatchMsgs, "")
 	}
-	if er, ok := cfg.Resolver.(epochResolver); ok {
-		n.epochRes = er
+	if cfg.Routes == nil {
+		cfg.Routes = &Routes{}
 	}
+	n.moveRoutesLocked(cfg.Routes)
 	n.cond = sync.NewCond(&n.mu)
 	n.batch = newBatcher(n, cfg.QoS)
 	if cfg.Slot != "" {

@@ -202,9 +202,10 @@ func (q *upQueue) reset() {
 // IngestExternal admits one externally sensed tuple on source operator
 // src through the arrival door (admit). The workload driver calls this on
 // the phone currently hosting the source. A node that has handed its slot
-// off relays the tuple to the replacement: the region's placement map
-// repoints only after the transfer lands, and external input admitted in
-// that window must reach the new home rather than be dropped. The node
+// off relays the tuple to the replacement: the region's ingest dispatch
+// follows the slot only once the new host has installed the transfer, and
+// external input admitted in that window must reach the new home rather
+// than be dropped. The node
 // admits a copy carved from its ingest slab, so the caller may build t on
 // its stack and keeps ownership of it.
 func (n *Node) IngestExternal(src graph.OpID, t *tuple.Tuple) {

@@ -67,10 +67,11 @@ func (n *Node) installBlobLocked(blob *checkpoint.Blob) error {
 
 // rewindOutputLocked invalidates output emitted before an install: the
 // restored outSeq re-emits those edge sequences, so pending batches are
-// discarded and in-flight delivery retries observe the generation bump and
+// discarded, and parked deliveries wake, observe the generation bump and
 // abort rather than landing stale. Caller holds n.mu.
 func (n *Node) rewindOutputLocked() {
 	atomic.AddUint64(&n.sendGen, 1)
+	n.moveRoutesLocked(n.routes.Load().tbl)
 	n.batch.discardAll()
 }
 

@@ -123,13 +123,14 @@ func TestPlannerAbortsOnDepartureAndReplans(t *testing.T) {
 	// onto p7 (candidates sort by ID, "r1/p11" < "r1/p7" < "r1/p9").
 	// Depart p7 the moment the plan is proposed: step 1's ~40-second code
 	// ship leaves the plan mid-execution, so by the time step 2 tries to
-	// claim p7 the phone is gone and the claim fails against the stale
-	// snapshot. No tuples are ingested yet — the first tick fires two
+	// claim p7 the GPS feed has told the controller the phone is gone, and
+	// the claim fails against the stale snapshot. No tuples are ingested yet — the first tick fires two
 	// simulated seconds in, and the departure must land inside step 1.
 	if _, ok := waitJournal(t, h, "plan.propose", 20*time.Second); !ok {
 		t.Fatal("planner never proposed a plan")
 	}
 	h.r.DepartPhone("r1/p7")
+	h.ctrl.NotifyDeparture("r1", "r1/p7") // the GPS feed (§III-E)
 
 	abort, ok := waitJournal(t, h, "plan.abort", 20*time.Second)
 	if !ok {
@@ -200,6 +201,7 @@ func TestPlanAbortLeavesLaterStepsPlannable(t *testing.T) {
 	}
 	// Step 1's ~40-second code ship is in flight; step 2's target leaves.
 	h.r.DepartPhone("r1/p13")
+	h.ctrl.NotifyDeparture("r1", "r1/p13")
 	abort, ok := waitJournal(t, h, "plan.abort", 20*time.Second)
 	if !ok {
 		t.Fatal("departing the second step's target did not abort the plan")
@@ -298,8 +300,8 @@ func TestRecoveryDrawsOnWarmSpares(t *testing.T) {
 	if _, ok := waitJournal(t, h, "plan.commit", 20*time.Second); !ok {
 		t.Fatal("the spare-pool plan was never committed")
 	}
-	if n := len(h.r.IdlePhones()); n != 0 {
-		t.Fatalf("idle = %d, want 0: the plan should hold the only idle phone as a spare", n)
+	if steps(h.r, "ok=true reserve r1/p6") != 1 {
+		t.Fatal("the plan should hold the only idle phone, r1/p6, as a spare")
 	}
 	victim, _ := h.r.Placement("n3")
 	h.r.FailPhone(victim)

@@ -1,13 +1,16 @@
 // Package region implements one region's cluster runtime (Fig. 4, low
-// level): the phones in WiFi range, the placement of slots onto phones, the
-// per-region metrics, and the fault hooks (failure, departure) that the
-// controller reacts to.
+// level): the phones in WiFi range, the initial placement of slots onto
+// phones, the per-region metrics, and the fault hooks (failure, departure)
+// that the controller reacts to. Every later placement is the controller's:
+// it tells the nodes by installing route tables, and the region keeps no
+// placement of its own.
 package region
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,7 +42,9 @@ type Config struct {
 	// Scheme is the fault-tolerance scheme.
 	Scheme ft.Scheme
 	// Phones is the number of phones in the region; must cover the
-	// graph's slots (plus one per slot for rep-2 standbys).
+	// graph's slots (plus one per slot for rep-2 standbys). New places
+	// the slots on the first phones, and its route table (Founding) is
+	// every founding node's first.
 	Phones int
 	Clock  clock.Clock
 	// WiFi configures the region's shared medium.
@@ -82,13 +87,15 @@ type Region struct {
 	wifi *simnet.WiFi
 	obs  *obs.Registry
 
-	// placeEpoch counts placement/standby changes: every repoint bumps
-	// it, invalidating the nodes' route caches and this region's ingest
-	// snapshot. Read lock-free on every cached resolution.
-	placeEpoch uint64
-	// ingest is the epoch-stamped source-dispatch snapshot Ingest reads
-	// lock-free on the steady-state path.
-	ingest atomic.Pointer[ingestSnapshot]
+	// hosts caches, per graph.SlotID, the node last seen hosting the
+	// slot's primary: Placement and Ingest answer from it while the node
+	// still hosts the slot, and look again among the nodes when it does
+	// not.
+	hosts []atomic.Pointer[host]
+	// founding is the initial placement: the route table every founding
+	// node starts from, and the phones it leaves idle.
+	founding     *node.Routes
+	foundingIdle []simnet.NodeID
 	// stopping mirrors `stopped` for the lock-free ingest path.
 	stopping atomic.Bool
 
@@ -104,14 +111,10 @@ type Region struct {
 	// stores are keyed by endpoint ID: a phone's primary endpoint shares
 	// the phone's ID, while a rep-2 standby on that phone gets its own
 	// endpoint identity (standbyKey) so the two inboxes never race.
-	phones       map[simnet.NodeID]*phone.Phone
-	nodes        map[simnet.NodeID]*node.Node
-	stores       map[simnet.NodeID]*storage.Store
-	endpoints    map[simnet.NodeID]*simnet.Endpoint
-	placement    map[string]simnet.NodeID // slot -> endpoint ID
-	standby      map[string]simnet.NodeID // slot -> standby endpoint ID
-	standbyPhone map[string]simnet.NodeID // slot -> standby's phone ID
-	idle         []simnet.NodeID
+	phones    map[simnet.NodeID]*phone.Phone
+	nodes     map[simnet.NodeID]*node.Node
+	stores    map[simnet.NodeID]*storage.Store
+	endpoints map[simnet.NodeID]*simnet.Endpoint
 	// ring is the founding phones, sorted: the dist-n persistence ring.
 	ring     []simnet.NodeID
 	departed map[simnet.NodeID]bool
@@ -171,21 +174,18 @@ func New(cfg Config) (*Region, error) {
 		return nil, fmt.Errorf("region %s: %w", cfg.ID, err)
 	}
 	r := &Region{
-		cfg:          cfg,
-		clk:          cfg.Clock,
-		wifi:         simnet.NewWiFi(cfg.Clock, cfg.WiFi),
-		phones:       make(map[simnet.NodeID]*phone.Phone),
-		nodes:        make(map[simnet.NodeID]*node.Node),
-		stores:       make(map[simnet.NodeID]*storage.Store),
-		endpoints:    make(map[simnet.NodeID]*simnet.Endpoint),
-		placement:    make(map[string]simnet.NodeID),
-		standby:      make(map[string]simnet.NodeID),
-		standbyPhone: make(map[string]simnet.NodeID),
-		departed:     make(map[simnet.NodeID]bool),
-		failed:       make(map[simnet.NodeID]bool),
-		seenOutput:   make(map[string]*seqset.Set),
-		telePrev:     make(map[simnet.NodeID]telePoint),
-		keyed:        make(map[string]*keyed.Group),
+		cfg:        cfg,
+		clk:        cfg.Clock,
+		wifi:       simnet.NewWiFi(cfg.Clock, cfg.WiFi),
+		phones:     make(map[simnet.NodeID]*phone.Phone),
+		nodes:      make(map[simnet.NodeID]*node.Node),
+		stores:     make(map[simnet.NodeID]*storage.Store),
+		endpoints:  make(map[simnet.NodeID]*simnet.Endpoint),
+		departed:   make(map[simnet.NodeID]bool),
+		failed:     make(map[simnet.NodeID]bool),
+		seenOutput: make(map[string]*seqset.Set),
+		telePrev:   make(map[simnet.NodeID]telePoint),
+		keyed:      make(map[string]*keyed.Group),
 	}
 	for _, gs := range cfg.Graph.KeyedGroups() {
 		grp, err := defaultKeyedGroup(gs)
@@ -204,6 +204,7 @@ func New(cfg Config) (*Region, error) {
 	for i, name := range srcs {
 		r.sources[i].name = name
 		r.sources[i].op, _ = cfg.Graph.OpID(name)
+		r.sources[i].slot, _ = cfg.Graph.SlotID(cfg.Graph.SlotOf(name))
 	}
 
 	ids := make([]simnet.NodeID, cfg.Phones)
@@ -212,26 +213,28 @@ func New(cfg Config) (*Region, error) {
 	}
 	r.ring = slices.Clone(ids)
 	slices.Sort(r.ring)
+	// Every founding node starts from one table; the controller installs
+	// every later one.
+	g := cfg.Graph
+	routes := &node.Routes{Version: 1,
+		Primary: make([]simnet.NodeID, g.NumSlotIDs()), Standby: make([]simnet.NodeID, g.NumSlotIDs())}
+	hosted := make(map[simnet.NodeID]bool)
 	for i, slot := range slots {
-		r.placement[slot] = ids[i]
+		s, _ := g.SlotID(slot)
+		routes.Primary[s] = ids[i]
+		hosted[ids[i]] = true
 		if cfg.Scheme.Replicated() {
 			sbPhone := ids[(i+1)%cfg.Phones]
-			r.standbyPhone[slot] = sbPhone
-			r.standby[slot] = simnet.NodeID(standbyKey(sbPhone, slot))
+			routes.Standby[s] = simnet.NodeID(standbyKey(sbPhone, slot))
+			hosted[sbPhone] = true
 		}
-	}
-	hosted := make(map[simnet.NodeID]bool)
-	for _, p := range r.placement {
-		hosted[p] = true
-	}
-	for _, p := range r.standbyPhone {
-		hosted[p] = true
 	}
 	for _, id := range ids {
 		if !hosted[id] {
-			r.idle = append(r.idle, id)
+			r.foundingIdle = append(r.foundingIdle, id)
 		}
 	}
+	r.founding = routes
 
 	for _, id := range ids {
 		ph := phone.New(id, cfg.PhoneCfg)
@@ -248,17 +251,18 @@ func New(cfg Config) (*Region, error) {
 	// Build nodes: primaries, standbys, idles. A phone hosting both a
 	// primary and a standby runs two node objects that contend for the
 	// same physical phone's CPU and battery, each with its own endpoint.
-	for _, slot := range slots {
-		pid := r.placement[slot]
-		r.nodes[pid] = r.buildNode(pid, slot, node.RolePrimary)
-	}
-	if cfg.Scheme.Replicated() {
-		for _, slot := range slots {
-			r.buildStandby(slot)
+	r.hosts = make([]atomic.Pointer[host], g.NumSlotIDs())
+	for i, slot := range slots {
+		n := r.buildNode(ids[i], slot, node.RolePrimary, routes)
+		r.nodes[ids[i]] = n
+		s, _ := g.SlotID(slot)
+		r.hosts[s].Store(&host{ids[i], n})
+		if cfg.Scheme.Replicated() {
+			r.buildStandby(slot, ids[(i+1)%cfg.Phones], routes)
 		}
 	}
-	for _, id := range r.idle {
-		r.nodes[id] = r.buildNode(id, "", node.RoleIdle)
+	for _, id := range r.foundingIdle {
+		r.nodes[id] = r.buildNode(id, "", node.RoleIdle, routes)
 	}
 	return r, nil
 }
@@ -267,8 +271,9 @@ func standbyKey(phoneID simnet.NodeID, slot string) string {
 	return string(phoneID) + "#sb#" + slot
 }
 
-// buildNode constructs the node runtime for a phone hosting slot (or idle).
-func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.Node {
+// buildNode constructs the node runtime for a phone hosting slot (or idle),
+// starting from the route table routes (none: an empty one).
+func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role, routes *node.Routes) *node.Node {
 	var opIDs []string
 	if slot != "" {
 		opIDs = r.cfg.Graph.OpsOnSlot(slot)
@@ -290,7 +295,7 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 		Cell:              r.cfg.Cell,
 		Endpoint:          r.endpoints[id],
 		Store:             r.stores[id],
-		Resolver:          (*resolver)(r),
+		Routes:            routes,
 		ControllerID:      r.cfg.ControllerID,
 		Peers:             func() []simnet.NodeID { return r.LivePeers(id) },
 		DistPeers:         distPeers,
@@ -306,11 +311,10 @@ func (r *Region) buildNode(id simnet.NodeID, slot string, role node.Role) *node.
 }
 
 // buildStandby constructs a rep-2 standby node for a slot. It runs on the
-// standby phone (sharing its CPU and battery) but has its own endpoint
-// identity, so replication traffic is addressed to it directly.
-func (r *Region) buildStandby(slot string) {
-	sbPhone := r.standbyPhone[slot]
-	sbID := r.standby[slot]
+// standby phone sbPhone (sharing its CPU and battery) but has its own
+// endpoint identity, so replication traffic is addressed to it directly.
+func (r *Region) buildStandby(slot string, sbPhone simnet.NodeID, routes *node.Routes) {
+	sbID := simnet.NodeID(standbyKey(sbPhone, slot))
 	ep := simnet.NewEndpoint(sbID, simnet.DefaultInbox)
 	st := storage.New()
 	r.endpoints[sbID] = ep
@@ -335,7 +339,7 @@ func (r *Region) buildStandby(slot string) {
 		Cell:         r.cfg.Cell,
 		Endpoint:     ep,
 		Store:        st,
-		Resolver:     (*resolver)(r),
+		Routes:       routes,
 		ControllerID: r.cfg.ControllerID,
 		QoS:          r.cfg.QoS,
 		Keyed:        r.keyed,
@@ -345,37 +349,12 @@ func (r *Region) buildStandby(slot string) {
 	r.nodes[sbID] = n
 }
 
-// resolver adapts the region's placement maps to the node's epochResolver
-// interface: nodes cache resolutions per slot and invalidate on epoch
-// bumps, so the region mutex leaves the per-tuple path.
-type resolver Region
-
-// Primary implements the node's resolver.
-func (rs *resolver) Primary(slot string) (simnet.NodeID, bool) {
-	r := (*Region)(rs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.placement[slot]
-	return id, ok
+// Founding returns the initial placement: the route table the founding
+// nodes start from, and the phones it leaves idle in the order plans take
+// them. The controller's record starts from it.
+func (r *Region) Founding() (*node.Routes, []simnet.NodeID) {
+	return r.founding, slices.Clone(r.foundingIdle)
 }
-
-// Standby implements the node's resolver.
-func (rs *resolver) Standby(slot string) (simnet.NodeID, bool) {
-	r := (*Region)(rs)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.standby[slot]
-	return id, ok
-}
-
-// Epoch implements the node's epochResolver.
-func (rs *resolver) Epoch() uint64 {
-	return atomic.LoadUint64(&(*Region)(rs).placeEpoch)
-}
-
-// bumpEpoch invalidates every cached resolution after a placement or
-// standby change.
-func (r *Region) bumpEpoch() { atomic.AddUint64(&r.placeEpoch, 1) }
 
 // distPeers lists the n unicast persistence targets under dist-n of the
 // node on phone self while it hosts slot: the next n phones after the slot
@@ -456,69 +435,65 @@ func (r *Region) jot(kind, slot string, version uint64, detail string) {
 }
 
 // ingestSource is one source operator Ingest admits at: its name, graph
-// ID and sequence counter.
+// ID, slot and sequence counter.
 type ingestSource struct {
 	name string
 	op   graph.OpID
+	slot graph.SlotID
 	seq  atomic.Uint64
 }
 
-// ingestSnapshot is the epoch-stamped dispatch table Ingest reads without
-// taking the region mutex: per source operator (index-parallel with
-// Region.sources), the node currently hosting its slot.
-type ingestSnapshot struct {
-	epoch   uint64
-	targets []*node.Node
+// host is one node hosting a slot, with its endpoint ID.
+type host struct {
+	id simnet.NodeID
+	n  *node.Node
 }
 
-// ingestTargetFor resolves a source and its current host, rebuilding the
-// snapshot under the mutex when the placement epoch moved. A graph has a
-// handful of sources, so a scan beats hashing the name.
-func (r *Region) ingestTargetFor(srcOp string) (*ingestSource, *node.Node) {
-	src := -1
-	for i := range r.sources {
-		if r.sources[i].name == srcOp {
-			src = i
-			break
-		}
-	}
-	if src < 0 {
-		return nil, nil
-	}
-	epoch := atomic.LoadUint64(&r.placeEpoch)
-	if snap := r.ingest.Load(); snap != nil && snap.epoch == epoch {
-		return &r.sources[src], snap.targets[src]
+// hostOf returns the node hosting slot s's primary: the cached one while
+// it still hosts s, else the live node that hosts it now (the lowest ID,
+// should two), else the cached one — a failed host stays the answer until
+// its replacement takes over. A call takes the mutex only while the cached
+// node does not host s.
+func (r *Region) hostOf(s graph.SlotID) *host {
+	h := r.hosts[s].Load()
+	if h.n.Hosts(s) {
+		return h
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Re-read the epoch under the mutex: placement writes bump it inside
-	// the same critical section, so the rebuilt snapshot is stamped with
-	// exactly the epoch of the maps it copies.
-	epoch = atomic.LoadUint64(&r.placeEpoch)
-	snap := &ingestSnapshot{epoch: epoch, targets: make([]*node.Node, len(r.sources))}
-	for i := range r.sources {
-		if pid, placed := r.placement[r.cfg.Graph.SlotOf(r.sources[i].name)]; placed {
-			snap.targets[i] = r.nodes[pid]
+	var id simnet.NodeID
+	for cand, n := range r.nodes {
+		if n.Hosts(s) && (id == "" || cand < id) {
+			id = cand
 		}
 	}
-	r.ingest.Store(snap)
-	return &r.sources[src], snap.targets[src]
+	if id == "" {
+		return h
+	}
+	h = &host{id, r.nodes[id]}
+	r.hosts[s].Store(h)
+	return h
 }
 
 // Ingest admits one external tuple at the named source operator, assigning
 // its per-source sequence number and timestamp. The workload driver and the
 // inter-region path both enter here. The steady-state path is lock-free:
-// the dispatch table is cached per placement epoch and sequence numbers
-// advance atomically, so concurrent sources do not serialise on the region
-// mutex.
+// the source's host is cached (hostOf) and sequence numbers advance
+// atomically, so concurrent sources do not serialise on the region mutex.
+// A graph has a handful of sources, so a scan beats hashing the name.
 func (r *Region) Ingest(srcOp string, value interface{}, size int, kind string) {
 	if r.stopping.Load() {
 		return
 	}
-	source, host := r.ingestTargetFor(srcOp)
-	if host == nil {
+	i := 0
+	for i < len(r.sources) && r.sources[i].name != srcOp {
+		i++
+	}
+	if i == len(r.sources) {
 		return
 	}
+	source := &r.sources[i]
+	host := r.hostOf(source.slot).n
 	// Built on the stack, field by field (a composite literal is built in
 	// a temporary and copied): the node copies it into its ingest slab.
 	var t tuple.Tuple
@@ -584,107 +559,14 @@ func (r *Region) Node(id simnet.NodeID) *node.Node {
 	return r.nodes[id]
 }
 
-// Placement returns the phone currently hosting a slot.
+// Placement returns the endpoint hosting a slot's primary, as the nodes
+// say (hostOf): a failed host until its replacement takes over.
 func (r *Region) Placement(slot string) (simnet.NodeID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.placement[slot]
-	return id, ok
-}
-
-// SetPlacement points a slot at a new phone (recovery/mobility), bumping
-// the placement epoch so cached routes re-resolve. The bump happens under
-// the mutex so snapshot rebuilds that read the epoch under the same mutex
-// observe map and epoch consistently.
-func (r *Region) SetPlacement(slot string, id simnet.NodeID) {
-	r.mu.Lock()
-	r.placement[slot] = id
-	r.bumpEpoch()
-	r.mu.Unlock()
-	r.jot("place.set", slot, 0, string(id))
-}
-
-// PromoteStandby makes the standby the primary for a slot (rep-2 failover)
-// and returns the promoted node, or nil. The node's role flips before the
-// placement map points at it: the moment upstream retries resolve the new
-// primary, a whole in-flight batch may land and execute, and a node still
-// in standby role would suppress every emission in it.
-func (r *Region) PromoteStandby(slot string) *node.Node {
-	r.mu.Lock()
-	sid, ok := r.standby[slot]
+	s, ok := r.cfg.Graph.SlotID(slot)
 	if !ok {
-		r.mu.Unlock()
-		return nil
+		return "", false
 	}
-	n := r.nodes[sid]
-	r.mu.Unlock()
-	if n != nil {
-		n.Promote()
-	}
-	r.mu.Lock()
-	r.placement[slot] = sid
-	delete(r.standby, slot)
-	delete(r.standbyPhone, slot)
-	r.bumpEpoch()
-	r.mu.Unlock()
-	r.jot("standby.promote", slot, 0, string(sid))
-	return n
-}
-
-// ActiveSlots returns all slots with a current placement, sorted.
-func (r *Region) ActiveSlots() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slots := make([]string, 0, len(r.placement))
-	for s := range r.placement {
-		slots = append(slots, s)
-	}
-	sort.Strings(slots)
-	return slots
-}
-
-// SlotsOn returns the slots whose primary is the given phone.
-func (r *Region) SlotsOn(id simnet.NodeID) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var slots []string
-	for s, p := range r.placement {
-		if p == id {
-			slots = append(slots, s)
-		}
-	}
-	sort.Strings(slots)
-	return slots
-}
-
-// ClaimIdle removes a specific phone from the idle pool (the planner's
-// chosen migration target). It returns false when the phone is not idle or
-// no longer healthy.
-func (r *Region) ClaimIdle(id simnet.NodeID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, cand := range r.idle {
-		if cand != id {
-			continue
-		}
-		r.idle = append(r.idle[:i], r.idle[i+1:]...)
-		return !r.failed[id] && !r.departed[id]
-	}
-	return false
-}
-
-// ReleaseToIdle returns a phone to the idle pool (a claimed migration
-// target whose migration was abandoned, or an evacuated phone that turned
-// out healthy).
-func (r *Region) ReleaseToIdle(id simnet.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, cand := range r.idle {
-		if cand == id {
-			return
-		}
-	}
-	r.idle = append(r.idle, id)
+	return r.hostOf(s).id, true
 }
 
 // AddPhone recruits a brand-new phone into a (possibly running) region as
@@ -705,9 +587,8 @@ func (r *Region) AddPhone(cfg phone.Config) simnet.NodeID {
 	if r.cfg.Cell != nil {
 		r.cfg.Cell.Attach(ep)
 	}
-	n := r.buildNode(id, "", node.RoleIdle)
+	n := r.buildNode(id, "", node.RoleIdle, nil)
 	r.nodes[id] = n
-	r.idle = append(r.idle, id)
 	started := r.started && !r.stopped
 	r.mu.Unlock()
 	if started {
@@ -718,15 +599,6 @@ func (r *Region) AddPhone(cfg phone.Config) simnet.NodeID {
 
 // NoteMigration records one completed planned migration.
 func (r *Region) NoteMigration() { atomic.AddInt64(&r.migrations, 1) }
-
-// IdlePhones lists the idle pool in the order recovery and handoff
-// planning take phones from it. A failure leaves the pool as it is, so a
-// phone that failed unnoticed is still listed: ClaimIdle refuses it.
-func (r *Region) IdlePhones() []simnet.NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return slices.Clone(r.idle)
-}
 
 // LivePeers lists phones other than `self` that are present in the region
 // (broadcast dissemination targets).
@@ -754,24 +626,24 @@ func (r *Region) FailPhone(id simnet.NodeID) {
 	}
 	r.failed[id] = true
 	n := r.nodes[id]
-	var standbys []*node.Node
-	var standbyIDs []simnet.NodeID
-	for slot, sbPhone := range r.standbyPhone {
-		if sbPhone == id {
-			sid := r.standby[slot]
-			standbys = append(standbys, r.nodes[sid])
-			standbyIDs = append(standbyIDs, sid)
+	// The phone's rep-2 standby endpoints die with it, promoted or not.
+	var standbys []simnet.NodeID
+	for sid := range r.nodes {
+		if strings.HasPrefix(string(sid), string(id)+"#sb#") {
+			standbys = append(standbys, sid)
 		}
+	}
+	sbNodes := make([]*node.Node, len(standbys))
+	for i, sid := range standbys {
+		sbNodes[i] = r.nodes[sid]
 	}
 	r.mu.Unlock()
 	if n != nil {
 		n.Fail()
 	}
-	for i, sb := range standbys {
-		if sb != nil {
-			sb.Fail()
-		}
-		r.wifi.SetPresent(standbyIDs[i], false)
+	for i, sb := range sbNodes {
+		sb.Fail()
+		r.wifi.SetPresent(standbys[i], false)
 	}
 	r.wifi.SetPresent(id, false)
 	r.noteDomainLoss(id)
@@ -823,27 +695,13 @@ func (r *Region) Departed(id simnet.NodeID) bool {
 	return r.departed[id]
 }
 
-// Unregister removes a departed/failed phone from the region entirely,
-// idle pool included.
+// Unregister removes a departed/failed phone from the region entirely.
 func (r *Region) Unregister(id simnet.NodeID) {
 	r.mu.Lock()
 	delete(r.phones, id)
 	delete(r.nodes, id)
-	r.idle = slices.DeleteFunc(r.idle, func(cand simnet.NodeID) bool { return cand == id })
 	r.wifi.Remove(id)
 	r.mu.Unlock()
-}
-
-// ActivateReplacement turns an idle phone's node into the host for slot.
-func (r *Region) ActivateReplacement(id simnet.NodeID, slot string) {
-	r.mu.Lock()
-	n := r.nodes[id]
-	r.mu.Unlock()
-	if n != nil {
-		n.Activate(slot)
-	}
-	r.SetPlacement(slot, id)
-	r.jot("replace.activate", slot, 0, string(id))
 }
 
 // InboxDrops sums endpoint inbox-overflow losses across the region: UDP-

@@ -654,7 +654,7 @@ func distCommitted(t *testing.T, n int) *harness {
 	if got := h.waitCount(t, 20, 10*time.Second); got != 20 {
 		t.Fatalf("outputs = %d, want 20", got)
 	}
-	if idle := h.r.IdlePhones(); !slices.Equal(idle, []simnet.NodeID{"r1/p6", "r1/p7"}) {
+	if _, idle := h.r.Founding(); !slices.Equal(idle, []simnet.NodeID{"r1/p6", "r1/p7"}) {
 		t.Fatalf("idle = %v, want [r1/p6 r1/p7]", idle)
 	}
 	return h
@@ -696,9 +696,9 @@ func TestUnnoticedIdleFailureDoesNotCountTowardTolerance(t *testing.T) {
 }
 
 // Under dist-2, n5 persists to p6 and p7. p6 fails unnoticed, then n5's
-// host fails. The plan activates p6 first; the claim fails, the executor
-// replans onto p7, and the fetch skips the dead holder p6 for p7's own
-// copy. The replan is the same recovery, counted once.
+// host fails. The plan activates p6 first; the activate command goes
+// unanswered (p6's endpoint is sealed), the executor replans onto p7, and
+// the fetch skips the dead holder p6 for p7's own copy. The replan is the same recovery, counted once.
 func TestUnnoticedHolderFailureFallsThroughToTheNextHolder(t *testing.T) {
 	h := distCommitted(t, 2)
 	h.r.FailPhone("r1/p6")
@@ -720,6 +720,32 @@ func TestUnnoticedHolderFailureFallsThroughToTheNextHolder(t *testing.T) {
 	}
 	if n := h.ctrl.Recoveries("r1"); n != 1 {
 		t.Fatalf("recoveries = %d, want 1: one failure, replanned once", n)
+	}
+}
+
+// Under dist-2, the idle p6 crashes without the region's record of
+// failures learning of it (its node dies, its endpoint seals), then n5's
+// host fails. The plan picks p6 as n5's replacement; its activate command
+// goes unanswered, so the step fails, and the batch is planned again onto
+// p7 without p6, which the executor took out of the idle pool.
+func TestSilentReplacementFailsItsActivate(t *testing.T) {
+	h := distCommitted(t, 2)
+	h.r.Node("r1/p6").Fail()
+	recoverSlotHost(t, h, "n5")
+	if got := h.waitCount(t, 40, 30*time.Second); got != 40 {
+		t.Fatalf("outputs = %d, want exactly 40", got)
+	}
+	if h.ctrl.RegionDead("r1") {
+		t.Fatal("region died")
+	}
+	if host, _ := h.r.Placement("n5"); host != "r1/p7" {
+		t.Fatalf("n5 on %s, want r1/p7", host)
+	}
+	if steps(h.r, "ok=false activate n5 r1/p6") != 1 || steps(h.r, "ok=true activate n5 r1/p7") != 1 {
+		for _, e := range h.r.Obs().Journal.Events() {
+			t.Logf("journal: %s slot=%s %s", e.Kind, e.Slot, e.Detail)
+		}
+		t.Fatal("want one failed activate on p6, then one on p7 that succeeded")
 	}
 }
 
@@ -920,7 +946,7 @@ func TestConcurrentFailDepartUnregister(t *testing.T) {
 			for j := 0; j < 50; j++ {
 				h.r.AlivePhones()
 				h.r.LivePeers("r1/p1")
-				h.r.IdlePhones()
+				h.r.Placement("n3")
 			}
 		}()
 	}
@@ -987,7 +1013,8 @@ func TestTelemetryCollector(t *testing.T) {
 	h.ingest(10)
 	h.waitCount(t, 10, 10*time.Second)
 
-	first := h.r.PlacementSnapshot(nil)
+	slots, idle := foundingPlacement(h.r)
+	first := h.r.PlacementSnapshot(slots, idle, nil)
 	if first.Region != "r1" || len(first.Phones) != 6 {
 		t.Fatalf("snapshot = %s with %d phones, want r1 with 6", first.Region, len(first.Phones))
 	}
@@ -1017,7 +1044,7 @@ func TestTelemetryCollector(t *testing.T) {
 	// A second snapshot after more work carries a positive drain rate.
 	h.ingest(20)
 	h.waitCount(t, 30, 10*time.Second)
-	second := h.r.PlacementSnapshot(nil)
+	second := h.r.PlacementSnapshot(slots, idle, nil)
 	drained := false
 	for _, p := range second.Phones {
 		if p.DrainWatts > 0 {
@@ -1030,7 +1057,7 @@ func TestTelemetryCollector(t *testing.T) {
 
 	// A failed phone drops out of the snapshot.
 	h.r.FailPhone("r1/p6")
-	third := h.r.PlacementSnapshot(nil)
+	third := h.r.PlacementSnapshot(slots, idle, nil)
 	for _, p := range third.Phones {
 		if p.ID == "r1/p6" {
 			t.Fatal("failed phone still in the snapshot")
@@ -1044,13 +1071,10 @@ func TestAddPhoneRecruitsIdleMember(t *testing.T) {
 	h := newHarness(t, ft.MSScheme, 5) // zero idle spares
 	h.ingest(5)
 	h.waitCount(t, 5, 10*time.Second)
-	if n := len(h.r.IdlePhones()); n != 0 {
-		t.Fatalf("idle = %d, want 0", n)
+	if _, idle := h.r.Founding(); len(idle) != 0 {
+		t.Fatalf("idle = %v, want none", idle)
 	}
 	id := h.r.AddPhone(phone.Config{})
-	if n := len(h.r.IdlePhones()); n != 1 {
-		t.Fatalf("idle after join = %d, want 1", n)
-	}
 	if !h.ctrl.Migrate("r1", "n3", id) {
 		t.Fatalf("migration onto recruited phone %s failed", id)
 	}
@@ -1061,6 +1085,29 @@ func TestAddPhoneRecruitsIdleMember(t *testing.T) {
 	if pid, _ := h.r.Placement("n3"); pid != id {
 		t.Fatalf("n3 on %s, want %s", pid, id)
 	}
+	// The recruit started with no table: it routes n3's output by the one
+	// the migration installed.
+	var installs []uint64
+	for _, e := range h.r.Obs().Journal.Events() {
+		if e.Kind == "node.routes" && e.Node == string(id) {
+			installs = append(installs, e.Version)
+		}
+	}
+	if len(installs) == 0 || installs[0] < 2 {
+		t.Fatalf("recruit installed tables %v, want the migration's (version >= 2)", installs)
+	}
+}
+
+// foundingPlacement is the controller's record before any step moved a
+// slot: the founding table's assignments, and its idle phones.
+func foundingPlacement(r *region.Region) ([]placement.Assignment, []simnet.NodeID) {
+	routes, idle := r.Founding()
+	var slots []placement.Assignment
+	for _, slot := range r.Graph().Slots() {
+		s, _ := r.Graph().SlotID(slot)
+		slots = append(slots, placement.Assignment{Slot: slot, Phone: routes.Primary[s]})
+	}
+	return slots, idle
 }
 
 // TestSchedulerLoopEvacuatesLowBattery wires the planner into the

@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -19,16 +20,17 @@ type telePoint struct {
 // PlacementSnapshot assembles the placement planner's input: the WiFi
 // channel domains (membership, airtime, observed departures), every
 // in-service phone's domain, battery joules and drain rate since the
-// previous snapshot, queue backlog and GPS position/velocity, the current
-// slot→phone assignment, and the graph's weighted slot communication
-// edges. Failed and departed phones are left out: they are the reactive
-// path's problem, not the planner's. `spares` marks phones the controller
-// holds claimed as warm spares — they are absent from the idle pool but
-// available to the planner. The output obeys the engine's ordering
-// contract (domains by ID, phones by ID, slots by name, edges by pair), so
-// identical region state always snapshots identically.
-func (r *Region) PlacementSnapshot(spares map[simnet.NodeID]bool) placement.Snapshot {
-	snap := placement.Snapshot{Region: r.cfg.ID, Now: r.clk.Now(), RadiusM: r.cfg.RadiusM}
+// previous snapshot, queue backlog and GPS position/velocity, and the
+// graph's weighted slot communication edges. The slot→phone assignment
+// and the idle pool are the controller's record, passed in; `spares`
+// marks phones the controller holds claimed as warm spares — they are
+// absent from the idle pool but available to the planner. Failed and
+// departed phones are left out: they are the reactive path's problem, not
+// the planner's. The output obeys the engine's ordering contract (domains
+// by ID, phones by ID, slots by name, edges by pair), so identical region
+// state always snapshots identically.
+func (r *Region) PlacementSnapshot(slots []placement.Assignment, idle []simnet.NodeID, spares map[simnet.NodeID]bool) placement.Snapshot {
+	snap := placement.Snapshot{Region: r.cfg.ID, Now: r.clk.Now(), RadiusM: r.cfg.RadiusM, Slots: slices.Clone(slots)}
 
 	type entry struct {
 		id   simnet.NodeID
@@ -39,17 +41,10 @@ func (r *Region) PlacementSnapshot(spares map[simnet.NodeID]bool) placement.Snap
 	chans := r.wifi.ChannelStats()
 	r.mu.Lock()
 	departs := append([]int64(nil), r.domainDeparts...)
-	for slot, id := range r.placement {
-		snap.Slots = append(snap.Slots, placement.Assignment{Slot: slot, Phone: id})
-	}
-	idle := make(map[simnet.NodeID]bool, len(r.idle))
-	for _, id := range r.idle {
-		idle[id] = true
-	}
 	entries := make([]entry, 0, len(r.phones))
 	for id, ph := range r.phones {
 		if !r.failed[id] && !r.departed[id] {
-			entries = append(entries, entry{id: id, idle: idle[id], n: r.nodes[id], ph: ph})
+			entries = append(entries, entry{id: id, idle: slices.Contains(idle, id), n: r.nodes[id], ph: ph})
 		}
 	}
 	r.mu.Unlock()
